@@ -480,10 +480,14 @@ func (fc *factsComp) binaryFacts(x *ast.Binary, cx *procCtx) GenFacts {
 		b := r.Yields
 		if x.Op == "<-" {
 			b.Min = 0 // reversible assignment restores and fails on backtrack
+			eff |= EffUndo
 		}
 		return GenFacts{Effects: eff, Yields: b}
 	case ":=:", "<->":
 		eff |= fc.writeEffect(x.L, cx) | fc.writeEffect(x.R, cx)
+		if x.Op == "<->" {
+			eff |= EffUndo
+		}
 		return GenFacts{Effects: eff, Yields: boundOpt}
 	case "@":
 		// Activation drives an arbitrary co-expression: unknown effects,

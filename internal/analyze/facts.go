@@ -43,6 +43,11 @@ const (
 	// without declared facts, calls through computed values, activation of
 	// arbitrary co-expressions. Top of the lattice.
 	EffUnknown
+	// EffUndo marks an effect the expression takes back when it is resumed
+	// (x <- e, x <-> y): its last result still has a resumption that
+	// matters, so it may be neither fused into a run-once prefix nor have
+	// its restart elided, however few results it yields.
+	EffUndo
 )
 
 // EffPure is the bottom of the effect lattice.
@@ -53,11 +58,11 @@ func (e Effects) Pure() bool { return e == EffPure }
 
 // Fusable reports whether the runtime may re-order, elide or inline
 // evaluations of the expression without changing any trace: no writes, no
-// IO, no randomness, no control transfer, nothing unknown. Reads of
-// globals are permitted — a read elided on a backtracking path that can
-// no longer succeed is unobservable.
+// IO, no randomness, no control transfer, nothing undone on resumption,
+// nothing unknown. Reads of globals are permitted — a read elided on a
+// backtracking path that can no longer succeed is unobservable.
 func (e Effects) Fusable() bool {
-	const barrier = EffWritesGlobals | EffHeap | EffIO | EffRandom | EffControl | EffUnknown
+	const barrier = EffWritesGlobals | EffHeap | EffIO | EffRandom | EffControl | EffUnknown | EffUndo
 	return e&barrier == 0
 }
 
@@ -79,6 +84,7 @@ func (e Effects) String() string {
 		{EffRandom, "random"},
 		{EffControl, "control"},
 		{EffUnknown, "unknown"},
+		{EffUndo, "undo-on-resume"},
 	} {
 		if e&f.bit != 0 {
 			parts = append(parts, f.name)

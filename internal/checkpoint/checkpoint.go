@@ -7,8 +7,9 @@
 // A snapshot is the vm package's FrameSnap (PC + resume point + slot array
 // + choice-point stack, recursively including live child frames) encoded
 // as one wire value tree under strict marshaling: any host-resident value
-// in the frame's state refuses at snapshot time (wire.ErrOpaque) instead
-// of producing a blob that cannot resume. The refusal discipline mirrors
+// in the frame's state — a co-expression or pipe handle in a slot, say —
+// refuses at snapshot time (wire.ErrOpaque) instead of producing a blob
+// that cannot resume. The refusal discipline mirrors
 // internal/compile — conservative, with a reason — and callers fall back
 // to restart-from-start (replay) recovery.
 //
@@ -214,6 +215,10 @@ func frameTree(s *vm.FrameSnap) value.V {
 			payload = a.V0
 		case vm.AuxChild:
 			payload = frameTree(a.Child)
+		case vm.AuxUndo:
+			payload = value.NewList(a.V0, a.V1)
+		case vm.AuxScan:
+			payload = value.NewList(a.V0, a.V1, value.NewInt(int64(a.Outer)))
 		}
 		aux.Put(value.NewList(
 			value.NewInt(int64(a.Barrier)),
@@ -467,6 +472,23 @@ func decodeFrame(v value.V, depth int) (*vm.FrameSnap, error) {
 		case vm.AuxChild:
 			a.Kind = vm.AuxChild
 			if a.Child, err = decodeFrame(fields[9], depth+1); err != nil {
+				return nil, err
+			}
+		case vm.AuxUndo:
+			a.Kind = vm.AuxUndo
+			saved, err := asList(fields[9], 2, "undo record")
+			if err != nil {
+				return nil, err
+			}
+			a.V0, a.V1 = saved[0], saved[1]
+		case vm.AuxScan:
+			a.Kind = vm.AuxScan
+			env, err := asList(fields[9], 3, "scanning environment")
+			if err != nil {
+				return nil, err
+			}
+			a.V0, a.V1 = env[0], env[1]
+			if a.Outer, err = asInt32(env[2], "scanning environment outer"); err != nil {
 				return nil, err
 			}
 		default:

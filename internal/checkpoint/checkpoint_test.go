@@ -205,3 +205,102 @@ func TestErrCorruptSentinel(t *testing.T) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 }
+
+// lowered declares one procedure per piece of frame state PR 12's
+// lowerings added: static cells, undo records, scanning environments, and
+// co-expression and pipe handles in slots.
+const lowered = `
+global hits
+def tick() { static n; initial n := 0; n +:= 1; return n; }
+def ticks(k) { every i := 1 to k do { x := tick(); suspend x; }; }
+def bump() { if /hits then hits := 0; hits +:= 1; return hits; }
+def bumps(k) { every i := 1 to k do { x := bump(); suspend x; }; }
+def undone() { x := 0; suspend (x <- (1 to 4)) * 10; suspend x; }
+def exchanged() { a := 1; b := 2; suspend (a <-> b) + (10 | 20); suspend [a, b]; }
+def refUndone() { L := [0]; suspend L[1] <- (1 to 3); suspend L[1]; }
+def fields(s) {
+  s ? {
+    while tab(upto(&letters)) do {
+      w := tab(many(&letters));
+      suspend w || ":" || &pos;
+    };
+  };
+}
+def nested(s, t) {
+  s ? { tab(3); t ? { move(1); suspend (1 to 2) + &pos; }; suspend &pos; };
+}
+def scanned(s) { suspend s ? { &pos := 3; (1 to 3) + &pos }; }
+def stepped(limit) { c := |<> (1 to limit); while x := @c do suspend x; }
+def piped(limit) { p := |> (1 to limit); while x := @p do suspend x; }
+`
+
+// TestLoweredStateSnapshots is the durability contract of the new frame
+// state: at every cut of every case, a snapshot either round-trips — the
+// frame restored into a fresh interpreter delivers exactly the reference
+// suffix — or refuses with the named reason. It never resumes wrong.
+func TestLoweredStateSnapshots(t *testing.T) {
+	cases := []struct {
+		expr   string
+		refuse string // "" = must round-trip at every cut; else the reason the refusing cuts must name
+	}{
+		// A static cell and its run-once guard travel with the globals even
+		// though tick() has returned and is in no tower at any cut.
+		{"ticks(5)", ""},
+		// The same for a global only a returned procedure names (a hole
+		// before PR 12: the resumed run counted from 1 again).
+		{"bumps(4)", ""},
+		// A live undo record: resuming past the last value must restore x.
+		{"undone()", ""},
+		{"exchanged()", ""},
+		{"refUndone()", "reversible assignment through a reference"},
+		// A scanning statement suspended mid-scan: &subject and &pos travel,
+		// and the nested environment still restores its outer on the way out.
+		{`fields("ab cd ef")`, ""},
+		{`nested("abcdef", "xyz")`, ""},
+		{`scanned("abcdef")`, ""},
+		{"stepped(3)", "co-expression"},
+		{"piped(3)", "co-expression pipe"},
+	}
+	load := func() *interp.Interp {
+		in := interp.New(interp.WithOutput(io.Discard), interp.WithVM())
+		if err := in.LoadProgram(lowered); err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		return in
+	}
+	for _, c := range cases {
+		t.Run(c.expr, func(t *testing.T) {
+			ref := drain(t, mustGen(t, load(), c.expr), 1000)
+			if len(ref) == 0 {
+				t.Fatalf("reference for %q is empty", c.expr)
+			}
+			refused := 0
+			for k := 0; k <= len(ref); k++ {
+				g := mustGen(t, load(), c.expr)
+				drain(t, g, k)
+				blob, err := checkpoint.Snapshot(g, checkpoint.Meta{Program: lowered, Expr: c.expr, Produced: uint64(k)})
+				if checkpoint.IsRefused(err) {
+					refused++
+					if c.refuse == "" || !strings.Contains(err.Error(), c.refuse) {
+						t.Fatalf("cut %d: refused with %q, want %q", k, err, c.refuse)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("cut %d: snapshot: %v", k, err)
+				}
+				g2, _, err := load().RestoreSnapshot(blob)
+				if err != nil {
+					t.Fatalf("cut %d: restore: %v", k, err)
+				}
+				if rest, want := drain(t, g2, len(ref)-k+1), ref[k:]; strings.Join(rest, ",") != strings.Join(want, ",") {
+					t.Fatalf("cut %d: resumed suffix %v, want %v (reference %v)", k, rest, want, ref)
+				}
+			}
+			if c.refuse != "" && refused == 0 {
+				t.Errorf("no cut refused; want some to refuse with %q", c.refuse)
+			}
+			t.Logf("%d values, %d of %d cuts refused", len(ref), refused, len(ref)+1)
+		})
+	}
+}

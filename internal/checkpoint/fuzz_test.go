@@ -111,11 +111,26 @@ func FuzzExprSnapshotAtYield(f *testing.F) {
 		f.Add(semtest.RandomExpr(rng, 3), uint8(i))
 	}
 	f.Add("summing(4) + gen(1, 2)", uint8(3))
+	// One seed per construct whose frame state PR 12 added (the procedures
+	// are TestLoweredStateSnapshots'), then the stateful grammar at large.
+	for i, expr := range []string{
+		"ticks(5)", "bumps(4)", "undone()", "exchanged()", "refUndone()",
+		`fields("ab cd ef")`, `nested("abcdef", "xyz")`, `scanned("abcdef")`,
+		"stepped(3)", "piped(3)",
+		"{ x := 0; ((x <- (1 to 3)) & (1 | 2)) | x }",
+		`"abc" ? { &pos := 2; (1 to 2) + &pos }`,
+	} {
+		f.Add(expr, uint8(i))
+	}
+	srng := rand.New(rand.NewSource(17))
+	for i := 0; i < 16; i++ {
+		f.Add(semtest.StatefulExpr(srng, 2), uint8(i))
+	}
 	f.Fuzz(func(t *testing.T, expr string, rawCut uint8) {
 		if len(expr) > 512 {
 			t.Skip("oversized input")
 		}
-		c := semtest.Case{Name: "fuzz", Program: program, Expr: expr, Max: 100}
+		c := semtest.Case{Name: "fuzz", Program: program + lowered + semtest.StatefulPrelude, Expr: expr, Max: 100}
 		ref, err := semtest.Sequential(c)
 		if err != nil || ref.Failed {
 			t.Skip("rejected or failing under the reference lane")
@@ -156,7 +171,9 @@ func FuzzExprSnapshotAtYield(f *testing.F) {
 			t.Fatalf("restore at %d: %v", cut, err)
 		}
 		rerr := core.Protect(func() {
-			for i := 0; i < c.Max; i++ {
+			// The reference stopped at Max values; an unbounded sequence
+			// (|0) must stop at the same total here.
+			for i := cut; i < c.Max; i++ {
 				v, ok := rg.Next()
 				if !ok {
 					return

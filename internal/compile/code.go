@@ -7,11 +7,18 @@
 // stack inside one reusable frame: goal-directed backtracking becomes
 // "pop the most recent choice point and re-enter its instruction".
 //
-// The compiler is deliberately partial: forms whose semantics live outside
-// a single frame (string scanning, co-expression and pipe creation,
-// reversible assignment, static variables) report Unsupported, and the
-// interpreter transparently falls back to the tree walk for that unit —
-// so compiled execution is a pure optimization, never a semantic fork.
+// Forms whose state looks as if it lived outside one frame lower onto the
+// same model: a static variable is a cell private to the code object, a
+// reversible assignment is a store plus an undo choice point, a scanning
+// expression swaps the scan environment at the points where the tree
+// walk's scanGen does, and a co-expression or pipe body is a nested code
+// object whose frame the created value owns.
+//
+// The compiler is still partial: what it does not lower (a bare <> create,
+// ?x, most keywords — testdata/fallback_allowlist.txt is
+// the whole list) reports Unsupported, and the interpreter transparently
+// falls back to the tree walk for that unit — so compiled execution is a
+// pure optimization, never a semantic fork.
 package compile
 
 import (
@@ -56,6 +63,7 @@ const (
 	OpRepNote    // record that the enclosing |e cycle produced a value (aux B)
 	OpLimitBegin // pop n (e \ n); aux B holds the count, limit and barrier
 	OpLimitCheck // count one result; at the limit, cut e's choice points
+	OpInitOnce   // run-once guard: when Globals[C] is non-null jump to A, else set it and fall through
 
 	// ----- operators -----
 	OpArith       // pop b, a; push arith[A](a, b)
@@ -84,11 +92,29 @@ const (
 	OpCmpAugSlot   // pop v; r, ok = cmp[C](slots[A], v); fail or store+push
 	OpAugGlobal    // pop v; r = arith[C](Globals[A], v); Globals[A] = r; push r
 	OpCmpAugGlobal // pop v; r, ok = cmp[C](Globals[A], v); fail or store+push
+	// Reversible assignment and exchange. A (and C) are target operands
+	// (see Target): a slot, a global cell, or a reference the preceding
+	// code pushed. The reversible forms arm an undo choice point whose
+	// resumption restores the saved values and keeps failing.
+	OpRevAssign // pop v [, ref]; save target A in aux B; A = v; push v; undo on resumption
+	OpSwap      // [pop refs]; exchange targets A and C (aux B is scratch); push A's new value
+	OpRevSwap   // OpSwap, saving both in aux B; undo on resumption
 
 	// ----- invocation -----
 	OpCall       // A args + callee on stack; general call, resumable (aux B)
 	OpCall1      // A args + callee; facts-proven ≤1-yield pure call, no choice point (aux B)
 	OpCallNative // A args; native Consts[C]; singleton result or fail (aux B)
+
+	// ----- co-expressions and pipes -----
+	OpCreate   // pop A captured values; push a co-expression (C = 0) or pipe (C != 0) over Subs[B]
+	OpActivate // pop c [, transmitted value when A = 1]; push c's next result or fail
+
+	// ----- string scanning (aux B holds the environment pair) -----
+	OpScanBegin  // pop subject; enter a fresh environment; A = 1 arms the choice point that leaves it
+	OpScanEnd    // deref top inside the environment, then leave it; resumption re-enters and keeps failing
+	OpScanLeave  // leave the environment: A = LeaveForGood, or LeaveToResume (deref top first) around a yield or return
+	OpScanResume // after a yield: re-enter, outermost cell A taking the current environment as outer, innermost B's becoming current
+	OpScanVar    // push the &subject (A = 0) or &pos (A = 1) variable
 
 	opCount
 )
@@ -110,7 +136,7 @@ type Instr struct {
 // closure stack.
 type Resume struct {
 	PC   int
-	Kind string // "yield", "mark", "fork", "call", "bang", "to-by", "rep-alt"
+	Kind string // "yield", "mark", "fork", "call", "bang", "to-by", "rep-alt", "undo", "scan", "scan-end"
 }
 
 // Code is a compiled unit: a top-level expression or a procedure body.
@@ -128,7 +154,43 @@ type Code struct {
 	NumAux int // auxiliary cells backing resumable instructions
 	// Resumes is the resume-point table, in program order.
 	Resumes []Resume
+	// Subs are the nested units: one per |<> or |> create site, its body
+	// compiled as an expression whose parameters are the captured names.
+	Subs []*Code
+	// Scan is the scanning context the unit's scan opcodes swap
+	// environments on; nil when the unit does not scan.
+	Scan *core.ScanHolder
 }
+
+// Target operand kinds of OpRevAssign, OpSwap and OpRevSwap.
+const (
+	TargetSlot   = 0 // slots[index]
+	TargetGlobal = 1 // Globals[index]
+	TargetRef    = 2 // a *value.Var on the operand stack
+)
+
+// Target packs a target operand: kind in the low two bits, index above.
+func Target(kind int, index int32) int32 { return index<<2 | int32(kind) }
+
+// SplitTarget unpacks a target operand.
+func SplitTarget(t int32) (kind int, index int32) { return int(t & 3), t >> 2 }
+
+// TargetRefs counts the stack references the target operands consume.
+func TargetRefs(targets ...int32) int {
+	n := 0
+	for _, t := range targets {
+		if kind, _ := SplitTarget(t); kind == TargetRef {
+			n++
+		}
+	}
+	return n
+}
+
+// OpScanLeave's A operand.
+const (
+	LeaveForGood  = 0 // the scan is over: its cell is cleared
+	LeaveToResume = 1 // around a yield or return: deref the top of stack first, keep the cell
+)
 
 // Unsupported reports a form the compiler does not lower; callers fall
 // back to the tree-walking interpreter for the whole unit.
@@ -161,6 +223,13 @@ type Env struct {
 	// a direct (non-resumable) call: the facts engine proved the callee
 	// pure with at most one yield.
 	CallDirect func(name string) bool
+	// Scan is the scanning context the scan builtins behind LookupConst
+	// are bound to. nil leaves `s ? e`, &subject and &pos Unsupported.
+	Scan *core.ScanHolder
+	// PipeStrategy provisions a |> site from the facts of its body: run
+	// the producer inline, or behind a queue of the given bound (<= 0
+	// keeps the default). nil provisions every pipe the default way.
+	PipeStrategy func(body ast.Node) (inline bool, buffer int)
 }
 
 // Operator tables: the compiler encodes an operator as an index into

@@ -14,6 +14,7 @@ import (
 func Expr(n ast.Node, env Env) (code *Code, err error) {
 	c := newCompiler(env, false)
 	defer c.trap(&err)
+	c.root = n
 	c.expr(n)
 	c.emit(OpYield, 0, 0, 0)
 	c.emit(OpFail, 0, 0, 0)
@@ -37,6 +38,7 @@ func Proc(d *ast.ProcDecl, env Env) (code *Code, err error) {
 	// candidates resolve lazily, but enumerating them here keeps the
 	// printed slot table stable however control flow visits names.
 	c.candidates = transform.SlotCandidates(d.Params, d.Body)
+	c.statics(d)
 	for _, s := range d.Body.Stmts {
 		c.stmt(s)
 	}
@@ -58,6 +60,20 @@ type compiler struct {
 	resolved   map[string]int8 // name → resolution kind already taken
 	candidates []string
 	loops      []*loopCtx
+	scans      []scanCtx
+	// root is the top-level expression being compiled (nil for a
+	// procedure); outer, computed from it at the first create site, holds
+	// the names it uses outside any create body (see captures).
+	root  ast.Node
+	outer map[string]bool
+}
+
+// scanCtx is one lexically enclosing scanning expression or statement:
+// its environment cell and how many loops enclosed it when it opened, so
+// a break or next that leaves the loop also leaves the environment.
+type scanCtx struct {
+	aux   int32
+	loops int
 }
 
 const (
@@ -119,10 +135,20 @@ func stackEffect(i Instr) int {
 	case OpConst, OpNull, OpLoadSlot, OpLoadGlobal:
 		return 1
 	case OpPop, OpYield, OpReturn, OpLimitBegin, OpArith, OpCmp, OpCaseEq,
-		OpIndex, OpIndexVar, OpStoreVar, OpAugVar, OpCmpAugVar:
+		OpIndex, OpIndexVar, OpStoreVar, OpAugVar, OpCmpAugVar, OpScanBegin:
 		return -1
 	case OpAugSlot, OpCmpAugSlot, OpAugGlobal, OpCmpAugGlobal:
 		return 0
+	case OpScanVar:
+		return 1
+	case OpRevAssign:
+		return -TargetRefs(i.A)
+	case OpSwap, OpRevSwap:
+		return 1 - TargetRefs(i.A, i.C)
+	case OpCreate:
+		return 1 - int(i.A)
+	case OpActivate:
+		return -int(i.A)
 	case OpPopN:
 		return -int(i.A)
 	case OpToBy, OpSection:
@@ -158,6 +184,14 @@ func (c *compiler) emit(op Op, a, b, cc int32) int {
 		c.addResume(pc, "bang")
 	case OpToBy:
 		c.addResume(pc, "to-by")
+	case OpRevAssign, OpRevSwap:
+		c.addResume(pc, "undo")
+	case OpScanBegin:
+		if a != 0 {
+			c.addResume(pc, "scan")
+		}
+	case OpScanEnd:
+		c.addResume(pc, "scan-end")
 	}
 	return pc
 }
@@ -234,69 +268,46 @@ func (c *compiler) constant(v value.V, key string) int32 {
 
 // ----- name resolution -----
 
-// loadName emits a load of name, resolving exactly as the interpreter
-// does: scope chain (slots), then globals, then builtins/natives; unknown
-// names default to locals in procedure mode and auto-create globals at top
-// level.
-func (c *compiler) loadName(n ast.Node, name string, tmp bool) {
+// resolve classifies name exactly as the interpreter's scope chain does:
+// slots (parameters, locals, temporaries), then the unit's static cells,
+// then globals, then builtins and natives; an unknown name defaults to a
+// local in procedure mode and auto-creates a global at top level. store
+// rejects builtins, which raise when assigned — the tree walk produces
+// that error. The result is resSlot or resGlobal with its index, or
+// resConst with the constant-pool index.
+func (c *compiler) resolve(n ast.Node, name string, tmp, store bool) (int8, int32) {
 	if i, ok := c.slotIdx[name]; ok {
-		c.emit(OpLoadSlot, int32(i), 0, 0)
-		return
+		return resSlot, int32(i)
 	}
 	if tmp {
 		// x_N temporaries are always frame-local; BindIn defines them
 		// before any TmpRef reads (guaranteed by the normal form).
-		c.emit(OpLoadSlot, c.slot(name), 0, 0)
-		return
+		return resSlot, c.slot(name)
+	}
+	if i, ok := c.globalIdx[name]; ok {
+		return resGlobal, int32(i) // a static, or a global seen before
 	}
 	if cell, ok := c.env.LookupGlobal(name); ok {
-		c.emit(OpLoadGlobal, c.global(name, cell), 0, 0)
-		return
+		return resGlobal, c.global(name, cell)
 	}
 	if v, ok := c.env.LookupConst(name); ok {
+		if store {
+			c.unsupported(n, "assignment to builtin "+name)
+		}
 		c.resolved[name] = resConst
-		c.emit(OpConst, c.constant(v, "name:"+name), 0, 0)
-		return
+		return resConst, c.constant(v, "name:"+name)
 	}
 	if c.procMode {
-		// Icon default-local rule.
-		c.emit(OpLoadSlot, c.slot(name), 0, 0)
-		return
+		return resSlot, c.slot(name) // Icon default-local rule
 	}
 	if c.env.DefineGlobal == nil {
 		c.unsupported(n, "unknown name "+name)
 	}
-	cell := c.env.DefineGlobal(name)
-	c.emit(OpLoadGlobal, c.global(name, cell), 0, 0)
+	return resGlobal, c.global(name, c.env.DefineGlobal(name))
 }
 
-// storeName emits a store to name (value on top of stack stays as the
-// expression's result).
-func (c *compiler) storeName(n ast.Node, name string, tmp bool) {
-	if i, ok := c.slotIdx[name]; ok {
-		c.emit(OpStoreSlot, int32(i), 0, 0)
-		return
-	}
-	if tmp {
-		c.emit(OpStoreSlot, c.slot(name), 0, 0)
-		return
-	}
-	if cell, ok := c.env.LookupGlobal(name); ok {
-		c.emit(OpStoreGlobal, c.global(name, cell), 0, 0)
-		return
-	}
-	if _, ok := c.env.LookupConst(name); ok {
-		// Assigning a builtin raises at drive time; let the tree walk
-		// produce that error.
-		c.unsupported(n, "assignment to builtin "+name)
-	}
-	if c.procMode {
-		c.emit(OpStoreSlot, c.slot(name), 0, 0)
-		return
-	}
-	if c.env.DefineGlobal == nil {
-		c.unsupported(n, "unknown assignment target "+name)
-	}
-	cell := c.env.DefineGlobal(name)
-	c.emit(OpStoreGlobal, c.global(name, cell), 0, 0)
+// loadName emits a load of name.
+func (c *compiler) loadName(n ast.Node, name string, tmp bool) {
+	kind, i := c.resolve(n, name, tmp, false)
+	c.emit([...]Op{resSlot: OpLoadSlot, resGlobal: OpLoadGlobal, resConst: OpConst}[kind], i, 0, 0)
 }

@@ -1,0 +1,318 @@
+package compile_test
+
+import (
+	"bufio"
+	"errors"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"junicon/internal/ast"
+	"junicon/internal/compile"
+	"junicon/internal/core"
+	"junicon/internal/parser"
+	"junicon/internal/transform"
+	"junicon/internal/value"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/dis/*.golden from current compiler output")
+
+// testEnv resolves names the way an interpreter with the builtin and scan
+// libraries loaded does, over the globals the program declares; pure
+// names the one procedure whose calls may compile direct.
+func testEnv(decls []ast.Node, topLevel bool) compile.Env {
+	scan := core.NewScanHolder()
+	consts := core.Builtins(io.Discard)
+	for k, v := range core.ScanBuiltins(scan) {
+		consts[k] = v
+	}
+	globals := map[string]*value.Var{}
+	for _, d := range decls {
+		switch x := d.(type) {
+		case *ast.ProcDecl:
+			globals[x.Name] = value.NewCell(value.NullV)
+		case *ast.GlobalDecl:
+			for _, n := range x.Names {
+				globals[n] = value.NewCell(value.NullV)
+			}
+		}
+	}
+	env := compile.Env{
+		LookupGlobal: func(name string) (*value.Var, bool) { v, ok := globals[name]; return v, ok },
+		LookupConst:  func(name string) (value.V, bool) { v, ok := consts[name]; return v, ok },
+		Native:       func(string) (*value.Native, bool) { return nil, false },
+		Scan:         scan,
+		PipeStrategy: func(body ast.Node) (bool, int) {
+			// Stand-in facts: a literal range is pure, a call is not.
+			if _, call := body.(*ast.Call); call {
+				return false, 4
+			}
+			return true, 0
+		},
+	}
+	if topLevel {
+		env.DefineGlobal = func(name string) *value.Var {
+			if globals[name] == nil {
+				globals[name] = value.NewCell(value.NullV)
+			}
+			return globals[name]
+		}
+	}
+	return env
+}
+
+// compileLast compiles the last procedure of a program, or — when src
+// declares none — src as a top-level expression.
+func compileLast(t *testing.T, src string, env func([]ast.Node, bool) compile.Env) (*compile.Code, error) {
+	t.Helper()
+	if !strings.Contains(src, "def ") {
+		e, err := parser.ParseExpression(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		return compile.Expr(transform.Normalize(e), env(nil, true))
+	}
+	prog, err := parser.ParseProgram(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	decls := transform.Normalize(prog).(*ast.Program).Decls
+	var last *ast.ProcDecl
+	for _, d := range decls {
+		if pd, ok := d.(*ast.ProcDecl); ok {
+			last = pd
+		}
+	}
+	return compile.Proc(last, env(decls, false))
+}
+
+// TestLoweringGoldens pins the listing of every construct PR 12 lowered:
+// one case per opcode and resume kind it added. The listing is the
+// compiler's public face; regenerate with `go test ./internal/compile
+// -update` after an intentional change and read the diff.
+func TestLoweringGoldens(t *testing.T) {
+	cases := []struct {
+		name, src string
+		ops       []compile.Op // opcodes the listing must contain
+		resumes   []string     // resume kinds it must contain
+	}{
+		{"static", `def tick() { static n, seen := 7; initial n := 0; n +:= 1; return n; }`,
+			[]compile.Op{compile.OpInitOnce}, nil},
+		{"rev-assign", `def firstAbove(k) { x := 0; if (x <- (1 to 10)) > k then return x; return x; }`,
+			[]compile.Op{compile.OpRevAssign}, []string{"undo"}},
+		{"rev-assign-ref", `def f(L) { L[1] <- 5; return L; }`,
+			[]compile.Op{compile.OpRevAssign, compile.OpIndexVar}, []string{"undo"}},
+		{"swap", `global g
+def f(L, r) { L[1] :=: r.f; g :=: r; return g; }`,
+			[]compile.Op{compile.OpSwap}, nil},
+		{"rev-swap", `def f(a, b) { (a <-> b) & a > b; return [a, b]; }`,
+			[]compile.Op{compile.OpRevSwap}, []string{"undo"}},
+		{"create", `global g
+def gen(a) { suspend 1 to a; }
+def f(limit) { c := |<> (gen(limit) + g); x := @c; y := 3 @ c; c := ^c; suspend !c; }`,
+			[]compile.Op{compile.OpCreate, compile.OpActivate}, nil},
+		{"pipe", `def gen(a) { suspend 1 to a; }
+def f(limit) { p := |> (1 to 3); q := |> gen(limit); suspend !p | !q; }`,
+			[]compile.Op{compile.OpCreate}, nil},
+		{"scan-expr", `def f(s) { suspend s ? (tab(upto(',')) || &subject[&pos]); }`,
+			[]compile.Op{compile.OpScanBegin, compile.OpScanEnd, compile.OpScanVar}, []string{"scan", "scan-end"}},
+		{"scan-stmt", `def words(s) {
+  s ? {
+    while tab(upto(&letters)) do {
+      w := tab(many(&letters));
+      if w == "stop" then return &pos;
+      if w == "skip" then next;
+      suspend w;
+    };
+  };
+}`,
+			[]compile.Op{compile.OpScanBegin, compile.OpScanLeave, compile.OpScanResume}, nil},
+		{"scan-break", `def f(L) { every s := !L do { s ? { if ="#" then break; &pos := 0; }; }; }`,
+			[]compile.Op{compile.OpScanLeave, compile.OpScanVar, compile.OpStoreVar}, nil},
+		{"top-level-create", `{ n := 3; c := |<> (n + (m := 1) + k); k := @c; c }`,
+			[]compile.Op{compile.OpCreate}, nil},
+	}
+	covered := map[compile.Op]bool{}
+	kinds := map[string]bool{}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, err := compileLast(t, c.src, testEnv)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			var all func(code *compile.Code)
+			all = func(code *compile.Code) {
+				for _, in := range code.Instrs {
+					covered[in.Op] = true
+				}
+				for _, r := range code.Resumes {
+					kinds[r.Kind] = true
+				}
+				for _, sub := range code.Subs {
+					all(sub)
+				}
+			}
+			all(code)
+			for _, op := range c.ops {
+				if !covered[op] {
+					t.Errorf("listing has no %s", op.Name())
+				}
+			}
+			for _, k := range c.resumes {
+				if !kinds[k] {
+					t.Errorf("resume table has no %q point", k)
+				}
+			}
+			got := "# " + strings.ReplaceAll(c.src, "\n", "\n# ") + "\n" + code.Disassemble()
+			path := filepath.Join("testdata", "dis", c.name+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("golden (run with -update to create): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("listing drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+			}
+			if code.Fingerprint() != code.Fingerprint() {
+				t.Error("fingerprint is not a function of the code")
+			}
+		})
+	}
+	for _, op := range []compile.Op{
+		compile.OpInitOnce, compile.OpRevAssign, compile.OpSwap, compile.OpRevSwap,
+		compile.OpCreate, compile.OpActivate, compile.OpScanBegin, compile.OpScanEnd,
+		compile.OpScanLeave, compile.OpScanResume, compile.OpScanVar,
+	} {
+		if !covered[op] && !*update {
+			t.Errorf("no golden covers %s", op.Name())
+		}
+	}
+}
+
+// TestFingerprintSeesNestedUnits: a changed create body must change the
+// creating unit's fingerprint, or a snapshot could resume on code whose
+// co-expressions mean something else.
+func TestFingerprintSeesNestedUnits(t *testing.T) {
+	a, err := compileLast(t, `def f() { c := |<> (1 to 3); return @c; }`, testEnv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := compileLast(t, `def f() { c := |<> (1 to 4); return @c; }`, testEnv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Error("fingerprints equal across different create bodies")
+	}
+}
+
+// allowlist reads testdata/fallback_allowlist.txt: one reason prefix per
+// line, '#' comments. It is the whole set of reasons a unit may still fall
+// back to the tree walk for; internal/semtest's census holds every corpus
+// the repository has to it.
+func allowlist(t *testing.T) []string {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "fallback_allowlist.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line != "" && !strings.HasPrefix(line, "#") {
+			out = append(out, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestUnsupportedReasons pins what the compiler still rejects, by reason,
+// and that each reason is on the committed allowlist (and each allowlist
+// line is exercised here, so the list cannot rot).
+func TestUnsupportedReasons(t *testing.T) {
+	noScan := func(decls []ast.Node, top bool) compile.Env {
+		env := testEnv(decls, top)
+		env.Scan = nil
+		return env
+	}
+	noLibrary := func(decls []ast.Node, top bool) compile.Env {
+		env := testEnv(decls, top)
+		env.LookupConst = func(string) (value.V, bool) { return nil, false }
+		return env
+	}
+	noNatives := func(decls []ast.Node, top bool) compile.Env {
+		env := testEnv(decls, top)
+		env.Native = nil
+		return env
+	}
+	noDefine := func(decls []ast.Node, top bool) compile.Env {
+		env := testEnv(decls, top)
+		env.DefineGlobal = nil
+		return env
+	}
+	cases := []struct {
+		src, reason string
+		env         func([]ast.Node, bool) compile.Env
+	}{
+		{`def f() { g := <> (1 to 3); return g; }`, "first-class generator <> over the creating scope", testEnv},
+		{`def f(n) { return ?n; }`, "random element ?x", testEnv},
+		{`def f() { return &time; }`, "keyword &time", testEnv},
+		{`def f(L) { !L := 0; }`, "assignment target", testEnv},
+		{`def f(L) { every !L +:= 1; }`, "augmented assignment target", testEnv},
+		{`def f(x) { write := x; }`, "assignment to builtin write", testEnv},
+		{`def f(x) { return x::nosuch(); }`, "unregistered native ::nosuch", testEnv},
+		{`def f(x) { return x::nosuch(); }`, "native ::nosuch", noNatives},
+		{`def f(x) { return x + (suspend 1); }`, "return/suspend outside a procedure body", testEnv},
+		{`def f(x) { return { static s; s }; }`, "static declaration in expression position", testEnv},
+		{`def f(x) { return if x then { initial x := 1; x }; }`, "initial clause", testEnv},
+		{`def f(x) { break; }`, "break outside a loop", testEnv},
+		{`def f(x) { next; }`, "next outside a loop body", testEnv},
+		{`global g
+def f() { g := 1; local g; }`, "local g declared after non-local use", testEnv},
+		{`def f(s) { return s ? tab(0); }`, "string scanning without a scan environment", noScan},
+		{`def f() { return &pos; }`, "keyword &pos without a scan environment", noScan},
+		{`def f(s) { return =s; }`, "tab-match =x without a scan library", noLibrary},
+		{`undefinedName + 1`, "unknown name undefinedName", noDefine},
+		{`{ local x := 1; x }`, "declaration outside a procedure", noDefine},
+	}
+	allowed := allowlist(t)
+	used := map[string]bool{}
+	for _, c := range cases {
+		_, err := compileLast(t, c.src, c.env)
+		var u *compile.Unsupported
+		if !errors.As(err, &u) {
+			t.Errorf("%s: compiled (err=%v), want Unsupported %q", c.src, err, c.reason)
+			continue
+		}
+		if u.Reason != c.reason {
+			t.Errorf("%s: reason %q, want %q", c.src, u.Reason, c.reason)
+		}
+		ok := false
+		for _, prefix := range allowed {
+			if strings.HasPrefix(u.Reason, prefix) {
+				ok, used[prefix] = true, true
+			}
+		}
+		if !ok {
+			t.Errorf("%s: reason %q is not on testdata/fallback_allowlist.txt", c.src, u.Reason)
+		}
+	}
+	for _, prefix := range allowed {
+		if !used[prefix] {
+			t.Errorf("allowlist line %q matches no case of this table", prefix)
+		}
+	}
+}

@@ -31,6 +31,7 @@ var opNames = [opCount]string{
 	OpRepNote:      "rep.note",
 	OpLimitBegin:   "limit.begin",
 	OpLimitCheck:   "limit.check",
+	OpInitOnce:     "init.once",
 	OpArith:        "arith",
 	OpCmp:          "cmp",
 	OpUnary:        "unary",
@@ -52,9 +53,19 @@ var opNames = [opCount]string{
 	OpCmpAugSlot:   "cmp.aug.slot",
 	OpAugGlobal:    "aug.global",
 	OpCmpAugGlobal: "cmp.aug.global",
+	OpRevAssign:    "rev.assign",
+	OpSwap:         "swap",
+	OpRevSwap:      "rev.swap",
 	OpCall:         "call",
 	OpCall1:        "call1",
 	OpCallNative:   "call.native",
+	OpCreate:       "create",
+	OpActivate:     "activate",
+	OpScanBegin:    "scan.begin",
+	OpScanEnd:      "scan.end",
+	OpScanLeave:    "scan.leave",
+	OpScanResume:   "scan.resume",
+	OpScanVar:      "scan.var",
 }
 
 // Name returns the opcode's listing mnemonic.
@@ -69,14 +80,27 @@ func (op Op) Name() string {
 // unit, the slot table (the frame layout), the resume-point table (every
 // pc a suspended or failed frame can re-enter), and the instructions with
 // symbolic operands — slot names, constant images, global names, operator
-// spellings and jump targets.
+// spellings and jump targets. Nested units (create bodies) follow their
+// parent, indented.
 func (c *Code) Disassemble() string {
 	var b strings.Builder
+	c.disassemble(&b)
+	for _, sub := range c.Subs {
+		for _, line := range strings.SplitAfter(sub.Disassemble(), "\n") {
+			if line != "" {
+				b.WriteString("    " + line)
+			}
+		}
+	}
+	return b.String()
+}
+
+func (c *Code) disassemble(b *strings.Builder) {
 	name := c.Name
 	if name == "" {
 		name = "(expression)"
 	}
-	fmt.Fprintf(&b, "unit %s  params=%d slots=%d aux=%d\n",
+	fmt.Fprintf(b, "unit %s  params=%d slots=%d aux=%d\n",
 		name, c.Params, len(c.Slots), c.NumAux)
 	if len(c.Slots) > 0 {
 		b.WriteString("  slots:  ")
@@ -84,7 +108,7 @@ func (c *Code) Disassemble() string {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			fmt.Fprintf(&b, "[%d]=%s", i, s)
+			fmt.Fprintf(b, "[%d]=%s", i, s)
 		}
 		b.WriteByte('\n')
 	}
@@ -96,7 +120,7 @@ func (c *Code) Disassemble() string {
 			} else {
 				b.WriteByte(' ')
 			}
-			fmt.Fprintf(&b, "[%d]=%s", i, g)
+			fmt.Fprintf(b, "[%d]=%s", i, g)
 		}
 		b.WriteByte('\n')
 	}
@@ -106,14 +130,13 @@ func (c *Code) Disassemble() string {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			fmt.Fprintf(&b, "%d(%s)", r.PC, r.Kind)
+			fmt.Fprintf(b, "%d(%s)", r.PC, r.Kind)
 		}
 		b.WriteByte('\n')
 	}
 	for pc, in := range c.Instrs {
-		fmt.Fprintf(&b, "  %4d: %-14s%s\n", pc, in.Op.Name(), c.operands(in))
+		fmt.Fprintf(b, "  %4d: %-14s%s\n", pc, in.Op.Name(), c.operands(in))
 	}
-	return b.String()
 }
 
 // operands renders one instruction's operands symbolically.
@@ -159,9 +182,58 @@ func (c *Code) operands(in Instr) string {
 		return fmt.Sprintf("argc=%-2d aux=%d", in.A, in.B)
 	case OpCallNative:
 		return fmt.Sprintf("argc=%-2d aux=%d ; %s", in.A, in.B, c.constImage(in.C))
-	default:
-		return ""
+	case OpInitOnce:
+		return fmt.Sprintf("->%-4d ; %s", in.A, c.globalName(in.C))
+	case OpRevAssign:
+		return fmt.Sprintf("aux=%-2d ; %s <-", in.B, c.targetName(in.A))
+	case OpSwap:
+		return fmt.Sprintf("aux=%-2d ; %s :=: %s", in.B, c.targetName(in.A), c.targetName(in.C))
+	case OpRevSwap:
+		return fmt.Sprintf("aux=%-2d ; %s <-> %s", in.B, c.targetName(in.A), c.targetName(in.C))
+	case OpCreate:
+		kind := "co-expression"
+		switch {
+		case in.C == PipeInline:
+			kind = "inline pipe"
+		case in.C == PipeDefault:
+			kind = "pipe"
+		case in.C > 0:
+			kind = fmt.Sprintf("pipe buffer=%d", in.C)
+		}
+		return fmt.Sprintf("argc=%-2d sub=%d ; %s", in.A, in.B, kind)
+	case OpActivate:
+		if in.A != 0 {
+			return "transmit"
+		}
+	case OpScanBegin:
+		if in.A != 0 {
+			return fmt.Sprintf("aux=%-2d ; resumable", in.B)
+		}
+		return fmt.Sprintf("aux=%d", in.B)
+	case OpScanEnd:
+		return fmt.Sprintf("aux=%d", in.B)
+	case OpScanLeave:
+		if in.A == LeaveToResume {
+			return fmt.Sprintf("aux=%-2d ; deref top, keep for resume", in.B)
+		}
+		return fmt.Sprintf("aux=%d", in.B)
+	case OpScanResume:
+		return fmt.Sprintf("outer=%d inner=%d", in.A, in.B)
+	case OpScanVar:
+		return [2]string{"; &subject", "; &pos"}[in.A&1]
 	}
+	return ""
+}
+
+// targetName renders a target operand (see Target).
+func (c *Code) targetName(t int32) string {
+	switch kind, i := SplitTarget(t); kind {
+	case TargetSlot:
+		return c.slotName(i)
+	case TargetGlobal:
+		return c.globalName(i)
+	}
+	return "(ref)"
 }
 
 func (c *Code) slotName(i int32) string {

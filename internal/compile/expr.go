@@ -148,9 +148,13 @@ func (c *compiler) expr(n ast.Node) {
 	}
 }
 
-// keyword compiles &-keywords; the scanning keywords live outside a frame.
+// keyword compiles &-keywords. &subject and &pos push the assignable
+// variable over the current scanning environment; consumers dereference it
+// where the tree walk does.
 func (c *compiler) keyword(k *ast.Keyword) {
 	switch k.Name {
+	case "subject", "pos":
+		c.scanVar(k)
 	case "null":
 		c.emit(OpNull, 0, 0, 0)
 	case "fail":
@@ -198,12 +202,35 @@ func (c *compiler) binary(x *ast.Binary) {
 		c.expr(x.L)
 		c.emit(OpLimitCheck, 0, aux, 0)
 		return
-	case "<-", ":=:", "<->":
-		c.unsupported(x, "reversible assignment/exchange "+x.Op)
+	case "<-":
+		// Target outer, source inner, as RevAssignTo orders its operands.
+		t := c.target(x.L)
+		c.expr(x.R)
+		c.emit(OpRevAssign, t, c.newAux(), 0)
+		return
+	case ":=:", "<->":
+		l := c.target(x.L)
+		r := c.target(x.R)
+		if x.Op == ":=:" {
+			c.emit(OpSwap, l, c.newAux(), r)
+		} else {
+			c.emit(OpRevSwap, l, c.newAux(), r)
+		}
+		return
 	case "@":
-		c.unsupported(x, "co-expression activation")
+		c.expr(x.L)
+		c.expr(x.R)
+		c.emit(OpActivate, 1, 0, 0)
+		return
 	case "?":
-		c.unsupported(x, "string scanning")
+		// Entering arms the choice point that leaves the environment when
+		// the body is spent; each result leaves it and arms the one that
+		// re-enters — scanGen's swap around every body step.
+		aux := c.scanBegin(x, -1)
+		c.expr(x.R)
+		c.scans = c.scans[:len(c.scans)-1]
+		c.emit(OpScanEnd, 0, aux, 0)
+		return
 	}
 	if i, ok := arithIndex[x.Op]; ok {
 		c.expr(x.L)
@@ -261,11 +288,23 @@ func (c *compiler) unary(x *ast.Unary) {
 	case "?":
 		c.unsupported(x, "random element ?x")
 	case "=":
-		c.unsupported(x, "tab-match =x (scanning)")
+		// =s is tabMatch(s), the scan library's reversible tab(match(s)).
+		tm, ok := c.env.LookupConst("tabMatch")
+		if !ok {
+			c.unsupported(x, "tab-match =x without a scan library")
+		}
+		c.emit(OpConst, c.constant(tm, "name:tabMatch"), 0, 0)
+		c.expr(x.X)
+		c.emit(OpCall, 1, c.newAux(), 0)
 	case "@":
-		c.unsupported(x, "co-expression activation")
-	case "<>", "|<>", "|>":
-		c.unsupported(x, "generator/co-expression/pipe creation "+x.Op)
+		c.expr(x.X)
+		c.emit(OpActivate, 0, 0, 0)
+	case "|<>", "|>":
+		c.create(x)
+	case "<>":
+		// The body shares the creating scope unshadowed: its variables
+		// would have to be boxed cells, not frame slots.
+		c.unsupported(x, "first-class generator <> over the creating scope")
 	default:
 		c.unsupported(x, "unary operator "+x.Op)
 	}
@@ -317,32 +356,59 @@ func (c *compiler) nativeCall(x *ast.NativeCall) {
 	c.emit(OpCallNative, int32(n), c.newAux(), c.constant(native, "native:"+x.Name))
 }
 
-// assign compiles target := rhs.
+// assign compiles target := rhs. A reference target is resolved before the
+// right side runs (a failing subscript must skip rhs's effects), matching
+// Assign's operand order: target outer, source inner.
 func (c *compiler) assign(target ast.Node, rhs ast.Node) {
-	switch t := target.(type) {
-	case *ast.Ident:
-		c.expr(rhs)
-		c.storeName(t, t.Name, false)
-	case *ast.TmpRef:
-		c.expr(rhs)
-		c.storeName(t, t.Name, true)
+	t := c.target(target)
+	c.expr(rhs)
+	switch kind, i := SplitTarget(t); kind {
+	case TargetSlot:
+		c.emit(OpStoreSlot, i, 0, 0)
+	case TargetGlobal:
+		c.emit(OpStoreGlobal, i, 0, 0)
+	default:
+		c.emit(OpStoreVar, 0, 0, 0)
+	}
+}
+
+// target compiles an assignment target to a target operand: a named
+// variable resolves to its slot or global cell and emits nothing; a
+// subscript, field or scanning keyword pushes its reference.
+func (c *compiler) target(n ast.Node) int32 {
+	switch t := n.(type) {
+	case *ast.Ident, *ast.TmpRef:
+		name, tmp := nameOf(t)
+		kind, i := c.resolve(t, name, tmp, true)
+		if kind == resGlobal {
+			return Target(TargetGlobal, i)
+		}
+		return Target(TargetSlot, i)
 	case *ast.Index:
-		// The reference is resolved before the right side runs (a failing
-		// subscript must skip rhs's effects), matching Assign's operand
-		// order: target outer, source inner.
 		c.expr(t.X)
 		c.expr(t.I)
 		c.emit(OpIndexVar, 0, 0, 0)
-		c.expr(rhs)
-		c.emit(OpStoreVar, 0, 0, 0)
 	case *ast.Field:
 		c.expr(t.X)
 		c.emit(OpFieldVar, c.constant(value.String(t.Name), "str:"+t.Name), 0, 0)
-		c.expr(rhs)
-		c.emit(OpStoreVar, 0, 0, 0)
+	case *ast.Keyword:
+		if t.Name != "subject" && t.Name != "pos" {
+			c.unsupported(n, "assignment target")
+		}
+		c.scanVar(t)
 	default:
-		c.unsupported(target, "assignment target")
+		c.unsupported(n, "assignment target")
 	}
+	return Target(TargetRef, 0)
+}
+
+// nameOf returns the name of an Ident or TmpRef and whether it is a
+// temporary.
+func nameOf(n ast.Node) (name string, tmp bool) {
+	if id, ok := n.(*ast.Ident); ok {
+		return id.Name, false
+	}
+	return n.(*ast.TmpRef).Name, true
 }
 
 // augAssign compiles target op:= rhs. The target's current value is read
@@ -364,14 +430,13 @@ func (c *compiler) augAssign(x *ast.Binary) {
 	}
 	switch t := x.L.(type) {
 	case *ast.Ident, *ast.TmpRef:
-		name, tmp := "", false
-		if id, ok := t.(*ast.Ident); ok {
-			name = id.Name
-		} else {
-			name, tmp = t.(*ast.TmpRef).Name, true
-		}
 		c.expr(x.R)
-		c.emitAugName(x, name, tmp, op2, idx)
+		name, tmp := nameOf(t)
+		if kind, i := c.resolve(t, name, tmp, true); kind == resGlobal {
+			c.emit(op2[1], i, 0, idx)
+		} else {
+			c.emit(op2[0], i, 0, idx)
+		}
 		return
 	case *ast.Index:
 		c.expr(t.X)
@@ -385,35 +450,6 @@ func (c *compiler) augAssign(x *ast.Binary) {
 	}
 	c.expr(x.R)
 	c.emit(opVar, idx, 0, 0)
-}
-
-// emitAugName resolves an augmented assignment to a named target, using the
-// slot or global fused opcode.
-func (c *compiler) emitAugName(n ast.Node, name string, tmp bool, ops [2]Op, idx int32) {
-	if i, ok := c.slotIdx[name]; ok {
-		c.emit(ops[0], int32(i), 0, idx)
-		return
-	}
-	if tmp {
-		c.emit(ops[0], c.slot(name), 0, idx)
-		return
-	}
-	if cell, ok := c.env.LookupGlobal(name); ok {
-		c.emit(ops[1], c.global(name, cell), 0, idx)
-		return
-	}
-	if _, ok := c.env.LookupConst(name); ok {
-		c.unsupported(n, "augmented assignment to builtin "+name)
-	}
-	if c.procMode {
-		c.emit(ops[0], c.slot(name), 0, idx)
-		return
-	}
-	if c.env.DefineGlobal == nil {
-		c.unsupported(n, "unknown assignment target "+name)
-	}
-	cell := c.env.DefineGlobal(name)
-	c.emit(ops[1], c.global(name, cell), 0, idx)
 }
 
 // boundedDiscard compiles s as a bounded, discarded evaluation: at most one
@@ -433,7 +469,9 @@ func (c *compiler) boundedDiscard(s ast.Node) {
 // boundedly; a failing (or absent) initializer leaves &null.
 func (c *compiler) varDecl(x *ast.VarDecl) {
 	if x.Kind == "static" {
-		c.unsupported(x, "static declaration")
+		// Only a procedure's own statements declare statics; here the
+		// tree walk would make a plain local of it.
+		c.unsupported(x, "static declaration in expression position")
 	}
 	for i, name := range x.Names {
 		if k := c.resolved[name]; k == resGlobal || k == resConst {
@@ -679,6 +717,7 @@ func (c *compiler) breakFrom(n ast.Node, e ast.Node) {
 	}
 	ctx := c.loops[len(c.loops)-1]
 	c.emit(OpCut, 0, ctx.aux, 0)
+	c.leaveScans(len(c.loops)-1, LeaveForGood)
 	if !ctx.statement && e == nil {
 		// Bare break: the loop expression's outcome is Empty.
 		c.emit(OpFail, 0, 0, 0)
@@ -701,9 +740,10 @@ func (c *compiler) breakFrom(n ast.Node, e ast.Node) {
 // nearest loop whose body we are in, discarding everything in between.
 func (c *compiler) nextFrom(n ast.Node) {
 	var ctx *loopCtx
-	for i := len(c.loops) - 1; i >= 0; i-- {
-		if c.loops[i].inBody {
-			ctx = c.loops[i]
+	loop := len(c.loops) - 1
+	for ; loop >= 0; loop-- {
+		if c.loops[loop].inBody {
+			ctx = c.loops[loop]
 			break
 		}
 	}
@@ -711,6 +751,7 @@ func (c *compiler) nextFrom(n ast.Node) {
 		c.unsupported(n, "next outside a loop body")
 	}
 	c.emit(OpCut, 0, ctx.nextAux, 0)
+	c.leaveScans(loop, LeaveForGood)
 	if k := c.depth - ctx.entryDepth; k > 0 {
 		c.emit(OpPopN, int32(k), 0, 0)
 	}

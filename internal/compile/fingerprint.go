@@ -15,7 +15,8 @@ import (
 // rehydrated against the other (typically: the same source recompiled in a
 // fresh process). Globals hash by name only — their *values* are part of
 // the environment, not the layout, exactly as a co-expression environment
-// snapshot copies locals but shares globals.
+// snapshot copies locals but shares globals. Nested units hash in, so a
+// changed create body changes its parent's fingerprint too.
 func (c *Code) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [4]byte
@@ -52,6 +53,12 @@ func (c *Code) Fingerprint() uint64 {
 		// distinguishes `1 to 10` from `1 to 20` under identical opcodes.
 		str(value.TypeOf(k))
 		str(value.Image(k))
+	}
+	u32(int32(len(c.Subs)))
+	for _, sub := range c.Subs {
+		fp := sub.Fingerprint()
+		u32(int32(fp))
+		u32(int32(fp >> 32))
 	}
 	return h.Sum64()
 }

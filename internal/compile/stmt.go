@@ -23,11 +23,12 @@ func (c *compiler) stmt(s ast.Node) {
 		c.stmtVarDecl(x)
 
 	case *ast.Initial:
-		c.unsupported(x, "initial clause")
+		// Ran in the procedure's run-once prologue (statics).
 
 	case *ast.Return:
 		if x.E == nil {
 			c.emit(OpNull, 0, 0, 0)
+			c.leaveScans(-1, LeaveToResume)
 			c.emit(OpReturn, 0, 0, 0)
 			c.emit(OpFail, 0, 0, 0) // resumption after return fails the frame
 			return
@@ -37,14 +38,17 @@ func (c *compiler) stmt(s ast.Node) {
 		m := c.emit(OpMark, -1, aux, 0)
 		c.expr(x.E)
 		c.emit(OpCut, 0, aux, 0)
+		c.leaveScans(-1, LeaveToResume)
 		c.emit(OpReturn, 0, 0, 0)
 		c.emit(OpFail, 0, 0, 0)
 		c.patchA(m)
 		c.depth = d
 		// A failing return expression fails the whole procedure.
+		c.leaveScans(-1, LeaveForGood)
 		c.emit(OpReturnFail, 0, 0, 0)
 
 	case *ast.Fail:
+		c.leaveScans(-1, LeaveForGood)
 		c.emit(OpReturnFail, 0, 0, 0)
 
 	case *ast.Suspend:
@@ -100,7 +104,8 @@ func (c *compiler) stmt(s ast.Node) {
 
 	case *ast.Binary:
 		if x.Op == "?" {
-			c.unsupported(x, "string scanning statement")
+			c.scanStmt(x)
+			return
 		}
 		c.boundedDiscard(s)
 
@@ -116,7 +121,7 @@ func (c *compiler) stmt(s ast.Node) {
 // failing initializer leaves the null.
 func (c *compiler) stmtVarDecl(x *ast.VarDecl) {
 	if x.Kind == "static" {
-		c.unsupported(x, "static declaration")
+		return // declared and initialized in the run-once prologue (statics)
 	}
 	for i, name := range x.Names {
 		if k := c.resolved[name]; k == resGlobal || k == resConst {
@@ -148,11 +153,39 @@ func (c *compiler) suspendStmt(x *ast.Suspend) {
 	aux := c.newAux()
 	m := c.emit(OpMark, -1, aux, 0)
 	c.expr(x.E)
-	c.emit(OpYield, 0, 0, 0)
+	if len(c.scans) == 0 {
+		c.emit(OpYield, 0, 0, 0)
+	} else {
+		// While the procedure is suspended the caller's environment rules
+		// (execScan's swappedYield); the value is dereferenced first, so
+		// `suspend &pos` reads this scan, not the caller's.
+		c.leaveScans(-1, LeaveToResume)
+		c.emit(OpYield, 0, 0, 0)
+		c.emit(OpScanResume, c.scans[0].aux, c.scans[len(c.scans)-1].aux, 0)
+	}
 	if x.Body != nil {
 		c.boundedDiscard(x.Body)
 	}
 	c.emit(OpFail, 0, 0, 0) // resume e after each delivered result
+	c.patchA(m)
+	c.depth = d
+}
+
+// scanStmt compiles a scanning statement e1 ? e2 structurally, as execScan
+// runs it: one subject value (failure skips the statement), the body as a
+// statement — so suspend, return and break may appear inside it — and the
+// environment left on every way out.
+func (c *compiler) scanStmt(x *ast.Binary) {
+	d := c.depth
+	aux := c.newAux()
+	m := c.emit(OpMark, -1, aux, 0)
+	// The subject is bounded before the environment is entered, so the
+	// entry needs no choice point of its own: the body is a statement, and
+	// no failure can reach back past it.
+	scan := c.scanBegin(x, aux)
+	c.stmt(x.R)
+	c.scans = c.scans[:len(c.scans)-1]
+	c.emit(OpScanLeave, LeaveForGood, scan, 0)
 	c.patchA(m)
 	c.depth = d
 }

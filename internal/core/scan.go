@@ -46,6 +46,55 @@ func (h *ScanHolder) Swap(s *ScanState) *ScanState {
 	return old
 }
 
+// SubjectVar returns &subject over h: an assignable keyword — assigning it
+// establishes a new subject and resets &pos to 1 (Icon semantics). Outside
+// a scan it reads as the empty string.
+func SubjectVar(h *ScanHolder) *value.Var {
+	return value.NewVar(
+		func() value.V {
+			if st := h.Current(); st != nil {
+				return value.String(st.Subject)
+			}
+			return value.String("")
+		},
+		func(v value.V) {
+			st := h.Current()
+			if st == nil {
+				value.Raise(value.ErrString, "&subject assigned outside a scanning expression", nil)
+			}
+			st.Subject = string(value.MustString(v))
+			st.Pos = 1
+		},
+	)
+}
+
+// PosVar returns &pos over h: assignable, nonpositive positions counting
+// from the end; outside a scan it reads as 1.
+func PosVar(h *ScanHolder) *value.Var {
+	return value.NewVar(
+		func() value.V {
+			if st := h.Current(); st != nil {
+				return value.NewInt(int64(st.Pos))
+			}
+			return value.NewInt(1)
+		},
+		func(v value.V) {
+			st := h.Current()
+			if st == nil {
+				value.Raise(value.ErrString, "&pos assigned outside a scanning expression", nil)
+			}
+			p := value.MustInt(v)
+			if p <= 0 {
+				p = len(st.Subject) + 1 + p
+			}
+			if p < 1 || p > len(st.Subject)+1 {
+				value.Raise(value.ErrIndex, "&pos out of range", v)
+			}
+			st.Pos = p
+		},
+	)
+}
+
 // need returns the active environment, raising Icon error 103 outside a
 // scan (as Icon does when &subject-defaulting functions run with no
 // subject — &subject defaults to the empty string; we surface the

@@ -56,7 +56,7 @@ func TestDisassemblyCoversCompiledUnits(t *testing.T) {
 	var b strings.Builder
 	err := in.DisassembleProgram(`
 def ok(n) { return n + 1; }
-def scans(s) { return s ? tab(upto("x")); }
+def rolls(n) { return ?n; }
 `, &b)
 	if err != nil {
 		t.Fatal(err)

@@ -207,50 +207,9 @@ func (in *Interp) keyword(k *ast.Keyword) core.Gen {
 	case "letters":
 		return core.Unit(value.CsetLetters)
 	case "subject":
-		// &subject is an assignable keyword: assigning it establishes a new
-		// subject and resets &pos to 1 (Icon semantics). Outside a scan it
-		// reads as the empty string.
-		scan := in.scan
-		return core.Unit(value.NewVar(
-			func() value.V {
-				if st := scan.Current(); st != nil {
-					return value.String(st.Subject)
-				}
-				return value.String("")
-			},
-			func(v value.V) {
-				st := scan.Current()
-				if st == nil {
-					value.Raise(value.ErrString, "&subject assigned outside a scanning expression", nil)
-				}
-				st.Subject = string(value.MustString(v))
-				st.Pos = 1
-			},
-		))
+		return core.Unit(core.SubjectVar(in.scan))
 	case "pos":
-		scan := in.scan
-		return core.Unit(value.NewVar(
-			func() value.V {
-				if st := scan.Current(); st != nil {
-					return value.NewInt(int64(st.Pos))
-				}
-				return value.NewInt(1)
-			},
-			func(v value.V) {
-				st := scan.Current()
-				if st == nil {
-					value.Raise(value.ErrString, "&pos assigned outside a scanning expression", nil)
-				}
-				p := value.MustInt(v)
-				if p <= 0 {
-					p = len(st.Subject) + 1 + p
-				}
-				if p < 1 || p > len(st.Subject)+1 {
-					value.Raise(value.ErrIndex, "&pos out of range", v)
-				}
-				st.Pos = p
-			},
-		))
+		return core.Unit(core.PosVar(in.scan))
 	default:
 		value.Raise(value.ErrProcedure, "unknown keyword &"+k.Name, nil)
 	}

@@ -81,6 +81,8 @@ type Interp struct {
 	// vmMachines maps compiled-unit names to their Machines — the resolver
 	// snapshot restore uses to rebuild call towers (checkpoint.Restore).
 	vmMachines map[string]*vm.Machine
+	// vmFallbacks lists the units the compiler rejected (Fallbacks).
+	vmFallbacks []Fallback
 }
 
 // Option configures an interpreter.

@@ -1,14 +1,17 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"junicon/internal/ast"
 	"junicon/internal/compile"
 	"junicon/internal/core"
 	"junicon/internal/parser"
+	"junicon/internal/telemetry"
 	"junicon/internal/transform"
 	"junicon/internal/value"
 	"junicon/internal/vm"
@@ -20,6 +23,37 @@ import (
 // compiler cannot lower transparently falls back to the tree walk, so
 // compiled execution is a pure optimization, never a semantic fork.
 func WithVM() Option { return func(in *Interp) { in.vm = true } }
+
+// Fallback records one unit the compiler rejected under WithVM: the unit
+// runs on the tree walk instead.
+type Fallback struct {
+	Unit   string // procedure name, or "(expression)"
+	Reason string // compile.Unsupported.Reason
+}
+
+// cFallbacks counts rejected units process-wide; the trace carries each
+// one's reason. Driving it to zero is ROADMAP item 3.
+var cFallbacks = telemetry.NewCounter("vm.fallbacks")
+
+// Fallbacks lists the distinct (unit, reason) pairs this interpreter's
+// compiler has rejected so far, in order.
+func (in *Interp) Fallbacks() []Fallback { return in.vmFallbacks }
+
+// noteFallback records a unit the compiler rejected.
+func (in *Interp) noteFallback(unit string, err error) {
+	fb := Fallback{Unit: unit, Reason: err.Error()}
+	var u *compile.Unsupported
+	if errors.As(err, &u) {
+		fb.Reason = u.Reason
+	}
+	if telemetry.On() {
+		cFallbacks.Inc()
+	}
+	telemetry.Emit(0, telemetry.KindSpan, "vm.fallback "+unit+": "+fb.Reason, 0)
+	if !slices.Contains(in.vmFallbacks, fb) {
+		in.vmFallbacks = append(in.vmFallbacks, fb)
+	}
+}
 
 // SetVM toggles compiled execution at run time (the REPL's :vm command).
 // Turning it on compiles every procedure loaded so far; turning it off
@@ -76,6 +110,11 @@ func (in *Interp) compileEnv(topLevel bool) compile.Env {
 			pf, ok := in.facts.Proc(name)
 			return ok && pf.Effects.Fusable() && pf.Yields.AtMost(1)
 		},
+		Scan: in.scan,
+		PipeStrategy: func(body ast.Node) (bool, int) {
+			s := in.facts.PipeStrategy(body)
+			return s.Inline, s.Buffer
+		},
 	}
 	if topLevel {
 		env.DefineGlobal = func(name string) *value.Var {
@@ -124,7 +163,8 @@ func (in *Interp) compileProc(d *ast.ProcDecl) {
 	}
 	m, err := vm.CompileProc(d, in.compileEnv(false))
 	if err != nil {
-		return // tree walk only: the compiler is deliberately partial
+		in.noteFallback(d.Name, err)
+		return // tree walk only
 	}
 	if in.vmCompiled == nil {
 		in.vmCompiled = map[*ast.ProcDecl]bool{}
@@ -134,12 +174,14 @@ func (in *Interp) compileProc(d *ast.ProcDecl) {
 		in.vmMachines = map[string]*vm.Machine{}
 	}
 	in.vmMachines[m.Code().Name] = m
-	cell.Set(value.NewProc(orig.Name, orig.Arity, func(args ...value.V) core.Gen {
+	wrapper := value.NewProc(orig.Name, orig.Arity, func(args ...value.V) core.Gen {
 		if in.vm && in.tracer == nil {
 			return m.NewFrame(args...)
 		}
 		return orig.Fn(args...)
-	}))
+	})
+	wrapper.Impl = m
+	cell.Set(wrapper)
 }
 
 // compileEval lowers a normalized top-level expression, returning nil when
@@ -150,6 +192,7 @@ func (in *Interp) compileEval(norm ast.Node) core.Gen {
 	}
 	m, err := vm.CompileExpr(norm, in.compileEnv(true))
 	if err != nil {
+		in.noteFallback("(expression)", err)
 		return nil
 	}
 	return m.NewFrame()

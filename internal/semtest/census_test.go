@@ -1,0 +1,230 @@
+package semtest
+
+import (
+	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	jast "junicon/internal/ast"
+	"junicon/internal/interp"
+	"junicon/internal/meta"
+	jparser "junicon/internal/parser"
+	"junicon/internal/value"
+)
+
+// censusSource is one piece of Junicon source the repository ships: a
+// program (declarations, loaded) or an expression (evaluated, not drained).
+type censusSource struct {
+	where, src string
+	expr       bool
+}
+
+// hostSources extracts the Junicon a Go example holds in string literals:
+// the arguments of LoadProgram (programs) and Eval/EvalGen/EvalFirst
+// (expressions), following a constant to its declaration.
+func hostSources(t *testing.T, path string) []censusSource {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatalf("census: %v", err)
+	}
+	consts := map[string]string{}
+	literal := func(e ast.Expr) (string, bool) {
+		switch x := e.(type) {
+		case *ast.BasicLit:
+			if x.Kind == token.STRING {
+				s, err := strconv.Unquote(x.Value)
+				return s, err == nil
+			}
+		case *ast.Ident:
+			s, ok := consts[x.Name]
+			return s, ok
+		}
+		return "", false
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		if vs, ok := n.(*ast.ValueSpec); ok {
+			for i, name := range vs.Names {
+				if i < len(vs.Values) {
+					if s, ok := literal(vs.Values[i]); ok {
+						consts[name.Name] = s
+					}
+				}
+			}
+		}
+		return true
+	})
+	var out []censusSource
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		src, ok := literal(call.Args[0])
+		if !ok {
+			return true
+		}
+		switch sel.Sel.Name {
+		case "LoadProgram":
+			out = append(out, censusSource{where: path, src: src})
+		case "Eval", "EvalGen", "EvalFirst":
+			out = append(out, censusSource{where: path, src: src, expr: true})
+		}
+		return true
+	})
+	return out
+}
+
+// TestFallbackCensus is the gate on ROADMAP item 3's "whole-unit fallback
+// stops being a normal path": everything the repository ships as Junicon —
+// testdata/, the examples' embedded programs and expressions, the
+// differential corpus and the benchmark's fallback program set — is
+// compiled under WithVM, and every unit the compiler rejects must be
+// rejected for a reason on internal/compile/testdata/fallback_allowlist.txt.
+// The benchmark's fallback set, which existed to price the fallback, must
+// not fall back at all: each of its procedures has a compiled Machine.
+func TestFallbackCensus(t *testing.T) {
+	root := filepath.Join("..", "..")
+	var sources []censusSource
+	read := func(path string) string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("census: %v", err)
+		}
+		return string(data)
+	}
+	glob := func(pattern string) []string {
+		paths, err := filepath.Glob(filepath.Join(root, pattern))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("census: no files match %s (err=%v)", pattern, err)
+		}
+		return paths
+	}
+	for _, path := range glob("testdata/*.jn") {
+		sources = append(sources, censusSource{where: path, src: read(path)})
+	}
+	for _, path := range glob("examples/*/main.go") {
+		sources = append(sources, hostSources(t, path)...)
+	}
+	for _, path := range glob("examples/*/*.gmix") {
+		segs, err := meta.Parse(read(path))
+		if err != nil {
+			t.Fatalf("census: %s: %v", path, err)
+		}
+		for _, r := range meta.Regions(segs) {
+			if r.Lang() != "junicon" {
+				continue
+			}
+			_, perr := jparser.ParseProgram(r.Raw)
+			sources = append(sources, censusSource{where: path, src: r.Raw, expr: perr != nil})
+		}
+	}
+	for _, c := range corpus(t) {
+		sources = append(sources,
+			censusSource{where: "corpus " + c.Name, src: c.Program},
+			censusSource{where: "corpus " + c.Name, src: c.Expr, expr: true})
+	}
+	bench := glob("benchmark/programs/fallback/*.jn")
+	for _, path := range bench {
+		src := read(path)
+		sources = append(sources, censusSource{where: path, src: src})
+		for _, line := range strings.Split(src, "\n") {
+			if d, ok := strings.CutPrefix(line, "# drive:"); ok {
+				sources = append(sources, censusSource{where: path, src: strings.TrimSpace(d), expr: true})
+			}
+		}
+	}
+
+	allowed := censusAllowlist(t, filepath.Join(root, "internal", "compile", "testdata", "fallback_allowlist.txt"))
+	// One interpreter per file, so an expression sees the program its file
+	// loaded before it. Host natives (x::split()) are stubbed, so units
+	// calling them are compiled rather than skipped; what the stubs make a
+	// load or an evaluation do is not the census's concern — the compiler
+	// ran before it could happen.
+	native := regexp.MustCompile(`::(\w+)`)
+	interps := map[string]*interp.Interp{}
+	units, rejected := 0, 0
+	for _, s := range sources {
+		if strings.TrimSpace(s.src) == "" {
+			continue
+		}
+		in := interps[s.where]
+		if in == nil {
+			in = interp.New(interp.WithOutput(io.Discard), interp.WithVM())
+			interps[s.where] = in
+		}
+		for _, m := range native.FindAllStringSubmatch(s.src, -1) {
+			in.RegisterNative(m[1], func(...value.V) (value.V, error) { return nil, nil })
+		}
+		before := len(in.Fallbacks())
+		if s.expr {
+			_, _ = in.EvalGen(s.src)
+		} else {
+			_ = in.LoadProgram(s.src)
+		}
+		units++
+		for _, fb := range in.Fallbacks()[before:] {
+			rejected++
+			ok := false
+			for _, prefix := range allowed {
+				ok = ok || strings.HasPrefix(fb.Reason, prefix)
+			}
+			if !ok {
+				t.Errorf("%s: unit %s falls back to the tree walk: %q is not on the allowlist", s.where, fb.Unit, fb.Reason)
+			} else {
+				t.Logf("%s: unit %s falls back (allowed): %s", s.where, fb.Unit, fb.Reason)
+			}
+		}
+	}
+	t.Logf("census: %d sources, %d rejected units", units, rejected)
+
+	for _, path := range bench {
+		in := interps[path]
+		prog, err := jparser.ParseProgram(read(path))
+		if err != nil {
+			t.Fatalf("census: %s: %v", path, err)
+		}
+		for _, d := range prog.Decls {
+			if pd, ok := d.(*jast.ProcDecl); ok {
+				if _, ok := in.ProcMachine(pd.Name); !ok {
+					t.Errorf("%s: procedure %s has no compiled Machine", path, pd.Name)
+				}
+			}
+		}
+		if n := len(in.Fallbacks()); n != 0 {
+			t.Errorf("%s: %d units fall back, want 0: %v", path, n, in.Fallbacks())
+		}
+	}
+}
+
+func censusAllowlist(t *testing.T, path string) []string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("census: %v", err)
+	}
+	defer f.Close()
+	var out []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := strings.TrimSpace(sc.Text()); line != "" && !strings.HasPrefix(line, "#") {
+			out = append(out, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("census: %v", err)
+	}
+	return out
+}

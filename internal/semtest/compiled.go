@@ -110,3 +110,76 @@ func RandomExpr(rng *rand.Rand, depth int) string {
 	}
 	return "1"
 }
+
+// StatefulPrelude declares what StatefulExpr's expressions call.
+const StatefulPrelude = `
+def gen(a, b) { suspend a to b; }
+def tick() { static n, base := 10; initial n := base; n +:= 1; return n; }
+def words(s) { s ? { while tab(upto(&letters)) do { w := tab(many(&letters)); suspend w; }; }; }
+`
+
+// StatefulExpr generates a random expression over the forms whose state
+// outlives one pass over an expression — reversible assignment and
+// exchange, string scanning, co-expression create/activate/refresh, pipes
+// and static counters — nested under alternation, product and limit so
+// their undo, environment swap and refresh paths run in every order
+// backtracking can reach them. Sequences are finite; raised errors are
+// part of the trace, as in RandomExpr.
+func StatefulExpr(rng *rand.Rand, depth int) string {
+	n := func() int { return 1 + rng.Intn(4) }
+	var ints func(d int) string
+	ints = func(d int) string {
+		if d <= 0 {
+			return strconv.Itoa(n())
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return fmt.Sprintf("(%d to %d)", n(), n()+2)
+		case 1:
+			return fmt.Sprintf("gen(%d, %d)", n(), n()+1)
+		case 2:
+			return "(" + ints(d-1) + " | " + ints(d-1) + ")"
+		default:
+			return "(" + ints(d-1) + " + " + ints(d-1) + ")"
+		}
+	}
+	if depth <= 0 {
+		return ints(1)
+	}
+	sub := func() string { return StatefulExpr(rng, depth-1) }
+	g := func() string { return ints(1) }
+	switch rng.Intn(16) {
+	case 0:
+		return fmt.Sprintf("{ x := %d; ((x <- %s) > %d) | x }", n(), g(), n()+1)
+	case 1:
+		return fmt.Sprintf("{ x := %d; (x <- %s) > 9; x }", n(), g())
+	case 2:
+		return fmt.Sprintf("{ a := %d; b := %s; ((a <-> b) & (a > b)) | [a, b] }", n(), g())
+	case 3:
+		return fmt.Sprintf("{ L := [%d, %d]; r := %d; L[1] :=: r; (L[2] <- %s) & [L[1], L[2], r] }", n(), n(), n(), g())
+	case 4:
+		return fmt.Sprintf(`("abcdefgh" ? (tab(%s) || "-" || move(%s)))`, g(), g())
+	case 5:
+		return `("a1b22c333" ? (tab(upto(&digits)) & [&pos, tab(many(&digits)), &subject[&pos]]))`
+	case 6:
+		return fmt.Sprintf(`("k=v;kk=vv" ? { (k := tab(upto('='))) & ="=" & (&pos <- %s) & [k, tab(upto(';') | 0)] })`, g())
+	case 7:
+		return fmt.Sprintf(`(words("it was the best") || %s)`, g())
+	case 8:
+		return fmt.Sprintf("{ c := |<> %s; [@c, @c, *c] }", g())
+	case 9:
+		return fmt.Sprintf("{ c := |<> %s; @c; d := ^c; (!d) + (@c | 0) }", g())
+	case 10:
+		return fmt.Sprintf("{ y := %d; c := |<> (y +:= %s); y := 50; (%d @ c) + y }", n(), g(), n())
+	case 11:
+		return fmt.Sprintf("{ p := |> %s; q := |> gen(1, %d); [@p, !q] }", g(), n())
+	case 12:
+		return "(tick() + " + g() + ")"
+	case 13:
+		return "(" + sub() + " | " + sub() + ")"
+	case 14:
+		return "(" + sub() + " & " + sub() + ")"
+	default:
+		return fmt.Sprintf("(%s \\ %d)", sub(), 1+rng.Intn(3))
+	}
+}

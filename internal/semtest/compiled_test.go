@@ -48,35 +48,44 @@ func TestDifferentialCompiledGrid(t *testing.T) {
 	}
 }
 
-// TestCompiledRandomExpressions drives the vm with two random grammars:
-// the harness's finite-generator exprGen (products, calls, limits) and the
+// TestCompiledRandomExpressions drives the vm with three random grammars:
+// the harness's finite-generator exprGen (products, calls, limits), the
 // exported RandomExpr grammar (which also produces type errors, testing
-// that raised errors reproduce at the same point in the trace). Each
-// sample must match the tree-walk reference exactly.
+// that raised errors reproduce at the same point in the trace) and
+// StatefulExpr (reversible assignment, scanning, co-expressions, pipes,
+// static counters) — the last both as a top-level expression, where its
+// variables are globals, and as a procedure body, where they are frame
+// slots. Each sample must match the tree-walk reference exactly.
 func TestCompiledRandomExpressions(t *testing.T) {
 	const prelude = `
-def gen(a, b) { suspend a to b; }
 def double(x) { return x * 2; }
-`
-	iterations := 120
+` + StatefulPrelude
+	iterations := 240
 	if testing.Short() {
-		iterations = 25
+		iterations = 50
 	}
 	eg := &exprGen{rng: rand.New(rand.NewSource(11))}
 	rng := rand.New(rand.NewSource(13))
+	srng := rand.New(rand.NewSource(17))
 	for i := 0; i < iterations; i++ {
-		expr := eg.expr(3)
-		if i%2 == 1 {
+		program, expr := prelude, eg.expr(3)
+		switch i % 4 {
+		case 1:
 			expr = RandomExpr(rng, 3)
+		case 2:
+			expr = StatefulExpr(srng, 2)
+		case 3:
+			program += "def run() { suspend " + StatefulExpr(srng, 2) + "; }\n"
+			expr = "run()"
 		}
-		c := Case{Name: fmt.Sprintf("compiled-rand-%d", i), Program: prelude, Expr: expr}
+		c := Case{Name: fmt.Sprintf("compiled-rand-%d", i), Program: program, Expr: expr}
 		ref := reference(t, c)
 		got, err := Compiled(c)
 		if err != nil {
 			t.Fatalf("%s (%s) compiled: %v", c.Name, c.Expr, err)
 		}
 		if !got.Equal(ref) {
-			t.Fatalf("%s: %s\ncompiled diverged:\nref = %s\ngot = %s", c.Name, c.Expr, ref, got)
+			t.Fatalf("%s: %s\n%s\ncompiled diverged:\nref = %s\ngot = %s", c.Name, c.Expr, program[len(prelude):], ref, got)
 		}
 	}
 }

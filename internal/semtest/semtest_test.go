@@ -56,6 +56,47 @@ func corpus(t *testing.T) []Case {
 		Case{Name: "scanner/tokens", Program: load("scanner.jn"), Expr: "tokens(\"  12 abc x9  7 \")"},
 		Case{Name: "scanner/pairs", Program: load("scanner.jn"), Expr: "pairs(\"a=1;b=22;c=333;\")"},
 	)
+	// One case per construct the bytecode compiler lowered in PR 12, so
+	// every lane — Fused*, Compiled*, Remote, Muxed, Killed, Migrated — pins
+	// it against the tree walk. revassign/undo-one-result is the divergence
+	// PR 11 found: -O fused `x_N in (x <- 5)` as a one-result term and never
+	// resumed it, so the undo never ran (0 under the tree walk, 5 under -O
+	// and, through the fallback's facts, under -vm).
+	const lowered = `
+def undoOne() { x := 0; (x <- 5) > 9; return x; }
+def firstAbove(k) { x := 0; if (x <- (1 to 10)) > k then return x; return x; }
+def swapped(a, b) { ((a <-> b) & (a > 99)) | (a :=: b); return [a, b]; }
+def tick() { static n; initial n := 0; n +:= 1; return n; }
+def ticks(k) { every i := 1 to k do suspend tick(); }
+def stepped(limit) {
+  c := |<> (1 to limit);
+  s := 0;
+  while x := @c do { s +:= x; suspend s; };
+  c := ^c;
+  suspend *c | @c | 100 @ c;
+}
+def fields(s) {
+  s ? {
+    while tab(upto(&letters)) do {
+      w := tab(many(&letters));
+      if w == "skip" then next;
+      if w == "stop" then return &pos;
+      suspend w || ":" || &pos;
+    };
+  };
+}
+def scanned(s) { suspend s ? (tab(upto(',')) || "|" || (="," & tab(0 | -1))); }
+`
+	cases = append(cases,
+		Case{Name: "revassign/undo-one-result", Program: lowered, Expr: "undoOne()"},
+		Case{Name: "revassign/undo-one-result-top-level", Expr: "{ x := 0; (x <- 5) > 9; x }"},
+		Case{Name: "revassign/first-above", Program: lowered, Expr: "firstAbove(3 to 11 by 4)"},
+		Case{Name: "revassign/swap", Program: lowered, Expr: "swapped(1 to 2, 7)"},
+		Case{Name: "static/ticks", Program: lowered, Expr: "ticks(4) | tick()"},
+		Case{Name: "coexpr/stepped", Program: lowered, Expr: "stepped(5)"},
+		Case{Name: "scan/statement", Program: lowered, Expr: "fields(\"ab skip cd,ef stop gh\")"},
+		Case{Name: "scan/expression", Program: lowered, Expr: "scanned(\"a,b\" | \"no\" | \"x,y,z\")"},
+	)
 	// Failure propagation: sequences that raise a runtime error after
 	// zero or several values. The dynamic type error hides behind a
 	// procedure call so the static analyzer cannot reject the source

@@ -11,6 +11,10 @@ type Proc struct {
 	Name  string
 	Arity int // declared parameter count; -1 means fully variadic
 	Fn    func(args ...V) Gen
+	// Impl is the compiled unit Fn runs, when there is one (a *vm.Machine):
+	// what lets a snapshot follow a procedure value to the cells its unit
+	// keeps state in. nil for builtins and tree-walked procedures.
+	Impl any
 }
 
 // NewProc wraps fn as a procedure value.

@@ -187,6 +187,16 @@ func (f *Frame) next() (value.V, bool) {
 			}
 			f.pc++
 
+		case compile.OpInitOnce:
+			// The guard is a private static cell: null until the first
+			// invocation passes here, so snapshots carry it like any other.
+			if guard := code.Globals[in.C]; value.IsNull(guard.Get()) {
+				guard.Set(value.IntV(1))
+				f.pc++
+			} else {
+				f.pc = in.A
+			}
+
 		// ----- operators -----
 		case compile.OpArith:
 			b := value.Deref(f.pop())
@@ -361,6 +371,19 @@ func (f *Frame) next() (value.V, bool) {
 			f.push(r)
 			f.pc++
 
+		case compile.OpRevAssign:
+			if !f.revAssign(in) {
+				if !f.fail() {
+					return nil, false
+				}
+			}
+		case compile.OpSwap, compile.OpRevSwap:
+			if !f.exchange(in, in.Op == compile.OpRevSwap) {
+				if !f.fail() {
+					return nil, false
+				}
+			}
+
 		// ----- invocation -----
 		case compile.OpCall:
 			a := &f.aux[in.B]
@@ -414,6 +437,55 @@ func (f *Frame) next() (value.V, bool) {
 				continue
 			}
 			f.push(v)
+			f.pc++
+
+		// ----- co-expressions and pipes -----
+		case compile.OpCreate:
+			f.create(in)
+		case compile.OpActivate:
+			c := f.pop()
+			var transmit value.V = value.NullV
+			if in.A != 0 {
+				transmit = value.Deref(f.pop())
+			}
+			v, ok := core.Step(c, transmit)
+			if !ok {
+				if !f.fail() {
+					return nil, false
+				}
+				continue
+			}
+			f.push(v)
+			f.pc++
+
+		// ----- string scanning -----
+		case compile.OpScanBegin:
+			if !f.scanBegin(in) {
+				if !f.fail() {
+					return nil, false
+				}
+			}
+		case compile.OpScanEnd:
+			if !f.scanEnd(in) {
+				if !f.fail() {
+					return nil, false
+				}
+			}
+		case compile.OpScanLeave:
+			a := &f.aux[in.B]
+			if in.A == compile.LeaveToResume {
+				f.st[len(f.st)-1] = value.Deref(f.top())
+			}
+			code.Scan.Swap(a.scan.outer)
+			if in.A == compile.LeaveForGood {
+				a.scan = nil
+			}
+			f.pc++
+		case compile.OpScanResume:
+			f.aux[in.A].scan.outer = code.Scan.Swap(&f.aux[in.B].scan.inner)
+			f.pc++
+		case compile.OpScanVar:
+			f.push(f.owner.scanVars[in.A])
 			f.pc++
 
 		default:

@@ -38,11 +38,21 @@ type auxCell struct {
 	mode     int8        // OpBang/OpToBy: which fast path armed
 	i0       int64       // OpBang: element index; OpToBy: current value
 	i1, i2   int64       // OpToBy: hi, by
-	v0       value.V     // OpBang: the promoted list/string
+	v0       value.V     // OpBang: the promoted list/string; OpRevAssign/OpRevSwap: the (first) saved value
 	g        core.Gen    // generic generator (OpBang mode 0, OpToBy, OpCall)
 	proc     *value.Proc // OpCall: cached callee identity
 	frame    *Frame      // OpCall: cached compiled child frame for this site
-	args     []value.V   // OpCall/OpCallNative: argument scratch
+	args     []value.V   // OpCall/OpCallNative: argument scratch; OpRevAssign/OpSwap/OpRevSwap: the popped reference targets, then OpRevSwap's second saved value
+	scan     *scanEnv    // OpScan*: the environment this site entered; nil outside it
+}
+
+// scanEnv is one entered scanning environment and the one that was current
+// when it was entered (restored on the way out). A cell points to it so
+// that the cells of the sites that never scan — nearly all — stay small:
+// every frame pays for every cell's size.
+type scanEnv struct {
+	inner core.ScanState
+	outer *core.ScanState
 }
 
 // Machine wraps one compiled unit with its frame pool. Pooled frames are
@@ -50,7 +60,11 @@ type auxCell struct {
 // the call-site caches inside aux) stay valid across recycles.
 type Machine struct {
 	code *compile.Code
-	pool sync.Pool
+	// subs are the Machines of the unit's create bodies (code.Subs).
+	subs []*Machine
+	// scanVars are the &subject and &pos variables over code.Scan.
+	scanVars [2]*value.Var
+	pool     sync.Pool
 	// prof is the unit's lazily registered profile (profile.go); nil until
 	// the first Next that runs with profiling enabled.
 	prof atomic.Pointer[CodeProfile]
@@ -59,6 +73,12 @@ type Machine struct {
 // New builds a Machine for code.
 func New(code *compile.Code) *Machine {
 	m := &Machine{code: code}
+	for _, sub := range code.Subs {
+		m.subs = append(m.subs, New(sub))
+	}
+	if code.Scan != nil {
+		m.scanVars = [2]*value.Var{core.SubjectVar(code.Scan), core.PosVar(code.Scan)}
+	}
 	m.pool.New = func() any {
 		return &Frame{
 			code:  code,
@@ -174,7 +194,7 @@ func (f *Frame) Recycle() {
 	f.args = f.args[:0]
 	for i := range f.aux {
 		a := &f.aux[i]
-		a.v0, a.g, a.proc = nil, nil, nil
+		a.v0, a.g, a.proc, a.scan = nil, nil, nil, nil
 		// Child frames cached at call sites go back to their own pools.
 		if a.frame != nil {
 			a.frame.Recycle()

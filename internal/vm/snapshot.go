@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"junicon/internal/compile"
+	"junicon/internal/core"
 	"junicon/internal/value"
 )
 
@@ -19,8 +20,11 @@ import (
 //
 // Capture is conservative, like the compiler: a frame that is mid-dispatch
 // (running), or whose live aux cells hold host-resident generators (a
-// generic !x promotion, a to-by over bignums, a tree-walk callee), refuses
-// with a reason — callers fall back to restart-from-start recovery.
+// generic !x promotion, a to-by over bignums, a tree-walk callee) or a
+// reversible assignment's reference target, refuses with a reason —
+// callers fall back to restart-from-start recovery. Undo records on named
+// targets, entered scanning environments and static cells (which travel
+// with the globals) round-trip.
 
 // FrameSnap is the portable state of one suspended frame. All values are
 // shared, not copied — the caller encodes the snapshot (internal/wire)
@@ -63,6 +67,8 @@ const (
 	AuxCold  = 0 // scalars only: the cell has no live resumable handle
 	AuxBang  = 1 // V0 holds a live !x subject (list or string fast path)
 	AuxChild = 2 // Child holds a live compiled callee frame (OpCall site)
+	AuxUndo  = 3 // V0 (and V1) hold the values a live <- or <-> restores
+	AuxScan  = 4 // V0, V1 and Outer hold an entered scanning environment
 )
 
 // AuxSnap is one captured aux cell. Scalar fields serialize
@@ -75,8 +81,13 @@ type AuxSnap struct {
 	Mode              int8
 	I0, I1, I2        int64
 	Kind              int8
-	V0                value.V
+	V0, V1            value.V
 	Child             *FrameSnap
+	// Outer (AuxScan) is the aux cell whose environment was current when
+	// this one was entered, or -1 when that was none of this frame's — the
+	// pointer the frame restores on the way out. &subject travels in V0,
+	// &pos in V1.
+	Outer int32
 }
 
 // Unsnapshotable reports a frame that cannot be captured, with the reason
@@ -102,22 +113,13 @@ func Capture(f *Frame) (*FrameSnap, error) {
 		return nil, err
 	}
 	seen := map[string]bool{}
-	collectGlobals(f, s, seen)
-	return s, nil
-}
-
-// collectGlobals walks the captured tower gathering the referenced global
-// cells onto the root snapshot. It follows the snapshot's own child links
-// so only frames that were actually captured contribute.
-func collectGlobals(f *Frame, root *FrameSnap, seen map[string]bool) {
-	var walk func(f *Frame, s *FrameSnap)
-	walk = func(f *Frame, s *FrameSnap) {
-		for i, name := range f.code.GlobalNames {
+	for _, code := range reachable(towerCodes(f, s, nil)) {
+		for i, name := range code.GlobalNames {
 			if seen[name] {
 				continue
 			}
 			seen[name] = true
-			val := f.code.Globals[i].Get()
+			val := code.Globals[i].Get()
 			// A global still bound to its own definition (def f / a
 			// builtin registered under the same name) is code, not state:
 			// reloading the program on the restore side re-creates it, and
@@ -134,17 +136,54 @@ func collectGlobals(f *Frame, root *FrameSnap, seen map[string]bool) {
 					continue
 				}
 			}
-			root.Globals = append(root.Globals, GlobalSnap{Name: name, Val: val})
+			s.Globals = append(s.Globals, GlobalSnap{Name: name, Val: val})
 		}
-		for j := range s.Aux {
-			if s.Aux[j].Kind == AuxChild {
-				if child, ok := f.aux[j].g.(*Frame); ok {
-					walk(child, s.Aux[j].Child)
+	}
+	return s, nil
+}
+
+// towerCodes appends the code objects of the captured tower. It follows
+// the snapshot's own child links so only frames that were actually
+// captured contribute.
+func towerCodes(f *Frame, s *FrameSnap, codes []*compile.Code) []*compile.Code {
+	codes = append(codes, f.code)
+	for j := range s.Aux {
+		if s.Aux[j].Kind == AuxChild {
+			if child, ok := f.aux[j].g.(*Frame); ok {
+				codes = towerCodes(child, s.Aux[j].Child, codes)
+			}
+		}
+	}
+	return codes
+}
+
+// reachable closes codes over the static call graph as the global cells
+// stand now: a cell holding a compiled procedure leads to that
+// procedure's unit. A procedure that ran and returned is in no tower, but
+// the state it left behind — a global only it names, its static cells and
+// run-once guard — is what its next call resumes from, so snapshots carry
+// the cells of every unit the tower can still call, and restores set them.
+// work is consumed.
+func reachable(work []*compile.Code) []*compile.Code {
+	var out []*compile.Code
+	seen := map[*compile.Code]bool{}
+	for len(work) > 0 {
+		code := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[code] {
+			continue
+		}
+		seen[code] = true
+		out = append(out, code)
+		for _, cell := range code.Globals {
+			if p, ok := cell.Get().(*value.Proc); ok {
+				if m, ok := p.Impl.(*Machine); ok {
+					work = append(work, m.code)
 				}
 			}
 		}
 	}
-	walk(f, root)
+	return out
 }
 
 func capture(f *Frame, depth int) (*FrameSnap, error) {
@@ -219,6 +258,35 @@ func capture(f *Frame, depth int) (*FrameSnap, error) {
 			}
 			s.Aux[in.B].Kind = AuxChild
 			s.Aux[in.B].Child = cs
+		case compile.OpRevAssign, compile.OpRevSwap:
+			a := &f.aux[in.B]
+			if compile.TargetRefs(in.A, in.C) > 0 {
+				return nil, refuse("live reversible assignment through a reference at pc %d", c.pc)
+			}
+			s.Aux[in.B].Kind = AuxUndo
+			s.Aux[in.B].V0, s.Aux[in.B].V1 = value.Deref(a.v0), value.NullV
+			if in.Op == compile.OpRevSwap {
+				s.Aux[in.B].V1 = a.args[0]
+			}
+		}
+	}
+	// A scanning environment is live from entry to exit whether or not a
+	// choice point marks it (a scanning statement arms none), so the cell
+	// itself says so. A suspended frame has left all of them — the caller's
+	// environment rules — and re-enters on resumption, so what travels is
+	// each environment's content and which cell's it nests in.
+	for i := range f.aux {
+		a := &f.aux[i]
+		if a.scan == nil {
+			continue
+		}
+		as := &s.Aux[i]
+		as.Kind, as.Outer = AuxScan, -1
+		as.V0, as.V1 = value.String(a.scan.inner.Subject), value.NewInt(int64(a.scan.inner.Pos))
+		for j := range f.aux {
+			if other := f.aux[j].scan; other != nil && &other.inner == a.scan.outer {
+				as.Outer = int32(j)
+			}
 		}
 	}
 	return s, nil
@@ -238,10 +306,26 @@ func (m *Machine) Rehydrate(s *FrameSnap, resolve func(name string) (*Machine, b
 			globals[g.Name] = g.Val
 		}
 	}
-	return m.rehydrate(s, resolve, globals, 0)
+	var codes []*compile.Code
+	f, err := m.rehydrate(s, resolve, &codes, 0)
+	if err != nil {
+		return nil, err
+	}
+	// Re-establish the captured cells through every unit that names them
+	// (Capture's walk, over this process's units). Global cells are
+	// interp-wide, so a name lands on one cell however many units share
+	// it; a static's name is its unit's alone.
+	for _, code := range reachable(codes) {
+		for i, name := range code.GlobalNames {
+			if v, ok := globals[name]; ok {
+				code.Globals[i].Set(v)
+			}
+		}
+	}
+	return f, nil
 }
 
-func (m *Machine) rehydrate(s *FrameSnap, resolve func(name string) (*Machine, bool), globals map[string]value.V, depth int) (*Frame, error) {
+func (m *Machine) rehydrate(s *FrameSnap, resolve func(name string) (*Machine, bool), codes *[]*compile.Code, depth int) (*Frame, error) {
 	if depth > maxTower {
 		return nil, fmt.Errorf("vm: restore: call tower deeper than %d frames", maxTower)
 	}
@@ -268,14 +352,7 @@ func (m *Machine) rehydrate(s *FrameSnap, resolve func(name string) (*Machine, b
 			return nil, fmt.Errorf("vm: restore: choice point out of bounds (pc=%d sp=%d)", c.PC, c.SP)
 		}
 	}
-	// Re-establish captured global state through this code's cells; the
-	// cells are interp-wide, so each name lands once no matter how many
-	// frames reference it.
-	for i, name := range code.GlobalNames {
-		if v, ok := globals[name]; ok {
-			code.Globals[i].Set(v)
-		}
-	}
+	*codes = append(*codes, code)
 	f := m.NewFrame(s.Args...)
 	f.pc = pc
 	f.started = s.Started
@@ -292,9 +369,22 @@ func (m *Machine) rehydrate(s *FrameSnap, resolve func(name string) (*Machine, b
 		a.barrier, a.count, a.n = as.Barrier, as.Count, as.N
 		a.flag, a.mode = as.Flag, as.Mode
 		a.i0, a.i1, a.i2 = as.I0, as.I1, as.I2
-		a.v0, a.g, a.proc, a.frame = nil, nil, nil, nil
+		a.v0, a.g, a.proc, a.frame, a.scan = nil, nil, nil, nil, nil
+		a.args = a.args[:0]
 		switch as.Kind {
 		case AuxCold:
+		case AuxUndo:
+			// Only named targets are captured, so a.args holds no
+			// references: just what OpRevSwap keeps there.
+			a.v0, a.args = value.Deref(as.V0), append(a.args, value.Deref(as.V1))
+		case AuxScan:
+			subject, ok := value.Deref(as.V0).(value.String)
+			pos, ok2 := value.Deref(as.V1).(value.Integer)
+			p, ok3 := pos.Int64()
+			if !ok || !ok2 || !ok3 || p < 1 || p > int64(len(subject))+1 {
+				return nil, fmt.Errorf("vm: restore: aux %d: malformed scanning environment", i)
+			}
+			a.scan = &scanEnv{inner: core.ScanState{Subject: string(subject), Pos: int(p)}}
 		case AuxBang:
 			switch as.Mode {
 			case bangList:
@@ -322,7 +412,7 @@ func (m *Machine) rehydrate(s *FrameSnap, resolve func(name string) (*Machine, b
 			if !ok {
 				return nil, fmt.Errorf("vm: restore: aux %d: no compiled unit for callee %q", i, as.Child.Name)
 			}
-			cf, err := cm.rehydrate(as.Child, resolve, globals, depth+1)
+			cf, err := cm.rehydrate(as.Child, resolve, codes, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -332,6 +422,14 @@ func (m *Machine) rehydrate(s *FrameSnap, resolve func(name string) (*Machine, b
 			// re-binds the site to the live procedure cell.
 		default:
 			return nil, fmt.Errorf("vm: restore: aux %d: unknown payload kind %d", i, as.Kind)
+		}
+	}
+	for i := range s.Aux {
+		if as := &s.Aux[i]; as.Kind == AuxScan && as.Outer >= 0 {
+			if int(as.Outer) >= len(f.aux) || f.aux[as.Outer].scan == nil {
+				return nil, fmt.Errorf("vm: restore: aux %d: outer scanning environment %d missing", i, as.Outer)
+			}
+			f.aux[i].scan.outer = &f.aux[as.Outer].scan.inner
 		}
 	}
 	return f, nil
