@@ -24,7 +24,8 @@
 //
 // The daemon logs one structured line (log/slog) per stream open/close and
 // refusal, carrying the stream's telemetry ID so log lines correlate with
-// trace events; -quiet silences it, -log-json switches to JSON. With
+// trace events; -quiet silences it, -log-json switches to JSON. Lines are
+// written to stderr through a combining writer (see newLogger). With
 // -debug-addr set, telemetry metrics are enabled and served as expvar JSON
 // at /debug/vars, pprof at /debug/pprof/, and buffered trace events as
 // JSONL at /debug/trace; live-stream introspection is enabled too, served
@@ -37,6 +38,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -45,6 +47,7 @@ import (
 	"syscall"
 	"time"
 
+	"junicon/internal/combine"
 	"junicon/internal/core"
 	"junicon/internal/inspect"
 	"junicon/internal/remote"
@@ -70,7 +73,8 @@ func main() {
 	)
 	flag.Parse()
 
-	logger := newLogger(*quiet, *logJSON)
+	logger, flushLog := newLogger(os.Stderr, *quiet, *logJSON)
+	defer flushLog()
 
 	srv := remote.NewServer()
 	srv.AllowSource = *allowSource
@@ -134,6 +138,7 @@ func main() {
 
 	bound, err := srv.Start(*addr)
 	if err != nil {
+		flushLog()
 		fmt.Fprintf(os.Stderr, "junicond: %v\n", err)
 		os.Exit(1)
 	}
@@ -158,14 +163,25 @@ func main() {
 	}
 }
 
-// newLogger builds the daemon's structured logger: text to stderr by
-// default, JSON with -log-json, discarded with -quiet.
-func newLogger(quiet, json bool) *slog.Logger {
+// logPending bounds the log lines queued behind an in-flight write to
+// stderr; past it, logging goroutines block as they would on a full pipe.
+const logPending = 1 << 20
+
+// newLogger builds the daemon's structured logger: text to w (stderr) by
+// default, JSON with -log-json, discarded with -quiet. Lines go through a
+// combining writer — the session transport's swap-buffer mechanism — so a
+// storm's two lines per stream cost one write(2) per batch that gathered
+// while the previous write was in flight, in order, with no timer: a line
+// that finds the writer idle is written at once. flush hands everything
+// queued to w and must run on every exit path.
+func newLogger(w io.Writer, quiet, json bool) (logger *slog.Logger, flush func()) {
 	if quiet {
-		return slog.New(slog.DiscardHandler)
+		return slog.New(slog.DiscardHandler), func() {}
 	}
+	cw := combine.New(w, logPending)
+	flush = func() { cw.Close() }
 	if json {
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
+		return slog.New(slog.NewJSONHandler(cw, nil)), flush
 	}
-	return slog.New(slog.NewTextHandler(os.Stderr, nil))
+	return slog.New(slog.NewTextHandler(cw, nil)), flush
 }

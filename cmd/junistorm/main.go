@@ -40,6 +40,10 @@ import (
 var (
 	hFirst = telemetry.NewHistogram("junistorm.first_value_ns")
 	hNext  = telemetry.NewHistogram("junistorm.next_wait_ns")
+	// internal/remote's receive-side counters for this process: frames
+	// parsed and the connection Reads that delivered them.
+	cFramesRx = telemetry.NewCounter("remote.frames_rx")
+	cRxReads  = telemetry.NewCounter("remote.rx.reads")
 )
 
 type report struct {
@@ -50,6 +54,10 @@ type report struct {
 	DurationMs float64 `json:"duration_ms"`
 	Throughput float64 `json:"values_per_sec"`
 	Sessions   int     `json:"sessions"`
+	// FramesPerRead is remote.frames_rx ÷ remote.rx.reads on this side: how
+	// many frames one read(2) delivered — the receive-side mirror of the
+	// daemon's remote.frames_tx ÷ remote.mux.flushes.
+	FramesPerRead float64 `json:"rx_frames_per_read"`
 
 	FirstValueMs percentiles `json:"first_value_ms"`
 	NextWaitUs   percentiles `json:"next_wait_us"`
@@ -172,6 +180,8 @@ func main() {
 		DurationMs: float64(wall.Microseconds()) / 1e3,
 		Throughput: float64(total.Load()) / wall.Seconds(),
 		Sessions:   d.Sessions(),
+
+		FramesPerRead: float64(cFramesRx.Load()) / float64(max(cRxReads.Load(), 1)),
 		FirstValueMs: percentiles{
 			P50: fs.P50 / 1e6, P99: fs.P99 / 1e6, P999: fs.P999 / 1e6, Max: float64(fs.Max) / 1e6,
 		},
@@ -193,6 +203,8 @@ func main() {
 		fmt.Printf("  delivered   %d values in %.1fms (%.0f values/s), %d errors\n",
 			r.Total, r.DurationMs, r.Throughput, r.Errors)
 		fmt.Printf("  sessions    %d pooled (peak %d goroutines)\n", r.Sessions, peakG.Load())
+		fmt.Printf("  receive     %d frames in %d reads (%.1f frames/read)\n",
+			cFramesRx.Load(), cRxReads.Load(), r.FramesPerRead)
 		fmt.Printf("  first value p50 %.2fms  p99 %.2fms  p99.9 %.2fms  max %.2fms\n",
 			r.FirstValueMs.P50, r.FirstValueMs.P99, r.FirstValueMs.P999, r.FirstValueMs.Max)
 		fmt.Printf("  next wait   p50 %.1fus  p99 %.1fus  p99.9 %.1fus  max %.1fus\n",

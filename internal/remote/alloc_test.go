@@ -10,6 +10,7 @@ package remote
 import (
 	"bytes"
 	"io"
+	"net"
 	"testing"
 
 	"junicon/internal/value"
@@ -50,18 +51,19 @@ func encodedValuesFrame(t testing.TB, n int) []byte {
 	return buf.Bytes()
 }
 
-// TestFrameReaderZeroAllocSteadyState: after warmup, reading VALUES
-// frames through a frameReader allocates nothing — the recycled payload
-// buffer is the whole point of the type.
+// TestFrameReaderZeroAllocSteadyState: reading VALUES frames through a
+// frameReader allocates nothing — payloads are views into its pooled fill
+// buffer.
 func TestFrameReaderZeroAllocSteadyState(t *testing.T) {
-	fr := newFrameReader(&loopReader{data: encodedValuesFrame(t, 64)})
+	fr := newFrameReader(&loopReader{data: encodedValuesFrame(t, 64)}, 0)
+	defer fr.release()
 	read := func() {
 		typ, _, err := fr.read()
 		if err != nil || typ != frameValues {
 			t.Fatalf("read: typ=%d err=%v", typ, err)
 		}
 	}
-	read() // warmup: first read grows the buffer
+	read()
 	if avg := testing.AllocsPerRun(200, read); avg > 0 {
 		t.Errorf("frameReader.read allocates %.2f/op steady-state, want 0", avg)
 	}
@@ -89,7 +91,8 @@ func TestWriteFrameZeroAllocSmallPayload(t *testing.T) {
 // the slice or the batch walk.
 func TestUnmarshalBatchIntoReusesScratch(t *testing.T) {
 	const n = 64
-	fr := newFrameReader(&loopReader{data: encodedValuesFrame(t, n)})
+	fr := newFrameReader(&loopReader{data: encodedValuesFrame(t, n)}, 0)
+	defer fr.release()
 	var vals []value.V
 	step := func() {
 		_, payload, err := fr.read()
@@ -110,16 +113,28 @@ func TestUnmarshalBatchIntoReusesScratch(t *testing.T) {
 	}
 }
 
-// TestAppendMuxFrameZeroAllocWithCapacity: the shared writer's batch
-// staging reuses its backing array across flushes.
-func TestAppendMuxFrameZeroAllocWithCapacity(t *testing.T) {
+// discardConn is a connection whose writes go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+func (discardConn) Close() error                { return nil }
+
+// TestEnqueueZeroAllocSteadyState: the shared session writer stages frames
+// in buffers it swaps and reuses — once they have grown, enqueueing and
+// flushing a frame allocates nothing.
+func TestEnqueueZeroAllocSteadyState(t *testing.T) {
+	m := newMuxIO(discardConn{}, nil)
+	defer m.fail(errConnLost)
 	payload := bytes.Repeat([]byte{0xcd}, 1024)
-	dst := make([]byte, 0, 2*(muxHeaderLen+len(payload)))
 	step := func() {
-		dst = appendMuxFrame(dst[:0], frameValues, 7, payload)
+		if err := m.enqueue(frameValues, 7, payload); err != nil {
+			t.Fatalf("enqueue: %v", err)
+		}
 	}
-	step()
+	for i := 0; i < 100; i++ {
+		step() // warmup: grow both swap buffers
+	}
 	if avg := testing.AllocsPerRun(200, step); avg > 0 {
-		t.Errorf("appendMuxFrame allocates %.2f/op with capacity, want 0", avg)
+		t.Errorf("enqueue allocates %.2f/op steady-state, want 0", avg)
 	}
 }

@@ -303,6 +303,17 @@ func (p *RemotePipe) fail(err error) {
 	p.mu.Unlock()
 }
 
+// failEpoch is fail for a read loop, which can outlive its incarnation: a
+// loop that only notices its connection closing after Restart has opened
+// the next stream must not fail that one.
+func (p *RemotePipe) failEpoch(err error, epoch uint64) {
+	p.mu.Lock()
+	if p.err == nil && p.epoch == epoch {
+		p.err = err
+	}
+	p.mu.Unlock()
+}
+
 // composeOpen builds the OPEN (or RESUME, for a continuation) for a new
 // stream incarnation at protocol ver. Caller holds p.mu.
 func (p *RemotePipe) composeOpen(ver byte) (openReq, byte, error) {
@@ -459,7 +470,7 @@ func (p *RemotePipe) start() error {
 	p.tr = &connTransport{conn: conn}
 	p.armLocal(observed, open.credit, 0)
 	p.pingStop = make(chan struct{})
-	go p.readLoop(conn, p.out, p.done, p.stream, p.ih)
+	go p.readLoop(conn, p.out, p.done, p.stream, p.ih, p.epoch)
 	go p.pingLoop(p.pingStop, p.done)
 	return nil
 }
@@ -467,7 +478,8 @@ func (p *RemotePipe) start() error {
 // readLoop consumes frames into the local bounded queue until the stream
 // ends (EOS), errors (ERR / connection loss / malformed frame) or the
 // consumer stops the pipe.
-func (p *RemotePipe) readLoop(conn net.Conn, out queue.Queue[value.V], done chan struct{}, stream uint64, ih *inspect.Handle) {
+func (p *RemotePipe) readLoop(conn net.Conn, out queue.Queue[value.V], done chan struct{}, stream uint64, ih *inspect.Handle, epoch uint64) {
+	fail := func(err error) { p.failEpoch(err, epoch) }
 	var received int64
 	start := time.Now()
 	defer func() {
@@ -489,25 +501,24 @@ func (p *RemotePipe) readLoop(conn net.Conn, out queue.Queue[value.V], done chan
 	}
 	// A peer silent for several heartbeat intervals is lost: PONGs answer
 	// our PINGs, so frames normally arrive at least once per interval.
-	liveness := 4 * p.cfg.heartbeat()
 	// Recycled buffers for the steady-state VALUES path: the frame reader
-	// reuses one payload buffer, and batch decoding reuses one value
-	// slice (PutBatch copies the elements into the ring, and the codec
-	// never aliases the payload).
-	fr := newFrameReader(conn)
+	// parses out of one pooled fill buffer, and batch decoding reuses one
+	// value slice (PutBatch copies the elements into the ring, and the
+	// codec never aliases the payload).
+	fr := newFrameReader(conn, 4*p.cfg.heartbeat())
+	defer fr.release()
 	var vals []value.V
 	for {
-		conn.SetReadDeadline(time.Now().Add(liveness))
 		typ, payload, err := fr.read()
 		if err != nil {
-			p.fail(fmt.Errorf("%w: %v", errConnLost, err))
+			fail(fmt.Errorf("%w: %v", errConnLost, err))
 			return
 		}
 		switch typ {
 		case frameValue:
 			v, err := wire.Unmarshal(payload)
 			if err != nil {
-				p.fail(fmt.Errorf("remote: malformed value frame: %w", err))
+				fail(fmt.Errorf("remote: malformed value frame: %w", err))
 				return
 			}
 			received++
@@ -529,7 +540,7 @@ func (p *RemotePipe) readLoop(conn net.Conn, out queue.Queue[value.V], done chan
 		case frameValues:
 			vals, err = wire.UnmarshalBatchInto(vals[:0], payload, wire.DefaultLimits)
 			if err != nil {
-				p.fail(fmt.Errorf("remote: malformed batch frame: %w", err))
+				fail(fmt.Errorf("remote: malformed batch frame: %w", err))
 				return
 			}
 			received += int64(len(vals))
@@ -552,7 +563,7 @@ func (p *RemotePipe) readLoop(conn net.Conn, out queue.Queue[value.V], done chan
 		case frameSnapshot:
 			produced, ok, rest, err := parseSnapshot(payload)
 			if err != nil {
-				p.fail(err)
+				fail(err)
 				return
 			}
 			p.noteSnapshot(produced, ok, rest)
@@ -562,12 +573,12 @@ func (p *RemotePipe) readLoop(conn net.Conn, out queue.Queue[value.V], done chan
 				// this defer closes out, and the next Next reopens at v2.
 				return
 			}
-			p.fail(&RemoteError{Msg: string(payload)})
+			fail(&RemoteError{Msg: string(payload)})
 			return
 		case framePong, framePing:
 			// liveness only; PING from the server is tolerated and ignored
 		default:
-			p.fail(fmt.Errorf("remote: unexpected %s frame", frameName(typ)))
+			fail(fmt.Errorf("remote: unexpected %s frame", frameName(typ)))
 			return
 		}
 	}

@@ -36,6 +36,15 @@
 // runtime error or panic becomes ERR (Next fails, Err() reports it),
 // mirroring pipe.Pipe.Err. Connection loss, deadline expiry and malformed
 // frames also surface through Err() — never as a hang.
+//
+// # Framing cost
+//
+// A stream should cost its messages, not the framing around them. Frames
+// are written through a coalescing writer (one Write per batch that
+// gathered, session.go) and read through a frameReader (one Read and one
+// liveness-deadline arm per batch that arrived, below). Only the one-shot
+// handshake frames are read exact-length, by readFrame, so that not a byte
+// is buffered across the hand-off to a read loop or a change of framing.
 package remote
 
 import (
@@ -46,6 +55,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"junicon/internal/telemetry"
 )
@@ -53,13 +64,30 @@ import (
 // Wire-level telemetry: every frame written or read in this process
 // (client and server sides both funnel through writeFrame/readFrame)
 // counts frames and bytes when telemetry is enabled — the disabled path
-// is one atomic load per frame, negligible next to the syscall.
+// is one atomic load per frame. remote.rx.reads counts the frameReader's
+// fills (Read calls on the connection), so frames_rx ÷ rx.reads is the
+// receive-side coalescing factor, the mirror of frames_tx ÷ mux.flushes.
 var (
 	cFramesTx = telemetry.NewCounter("remote.frames_tx")
 	cBytesTx  = telemetry.NewCounter("remote.bytes_tx")
 	cFramesRx = telemetry.NewCounter("remote.frames_rx")
 	cBytesRx  = telemetry.NewCounter("remote.bytes_rx")
+	cRxReads  = telemetry.NewCounter("remote.rx.reads")
 )
+
+func countTx(n int) {
+	if telemetry.On() {
+		cFramesTx.Inc()
+		cBytesTx.Add(int64(n))
+	}
+}
+
+func countRx(n int) {
+	if telemetry.On() {
+		cFramesRx.Inc()
+		cBytesRx.Add(int64(n))
+	}
+}
 
 // Frame types. Append-only, like the wire codec's tag space.
 const (
@@ -165,18 +193,15 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if telemetry.On() {
-		cFramesTx.Inc()
-		cBytesTx.Add(int64(5 + len(payload)))
-	}
+	countTx(5 + len(payload))
 	return nil
 }
 
-// readFrame reads one frame, rejecting oversized length prefixes before
-// allocating. It allocates a fresh payload per frame and is kept for
-// one-shot reads (handshakes, raw protocol tests) where the payload's
-// lifetime is unknown; the long-lived read loops use a frameReader, whose
-// recycled buffer makes the steady-state VALUES path allocation-free.
+// readFrame reads one classic frame with exact-length reads, rejecting an
+// oversized length prefix before allocating. It is kept for the one-shot
+// handshake reads (and raw protocol tests): it consumes not one byte past
+// its frame, so the connection can be handed to a frameReader — or switch
+// framing — right after it. The read loops all go through a frameReader.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -190,58 +215,165 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	if telemetry.On() {
-		cFramesRx.Inc()
-		cBytesRx.Add(int64(5 + n))
-	}
+	countRx(5 + int(n))
 	return hdr[0], payload, nil
 }
 
-// frameReader reads frames into a reusable payload buffer. The returned
-// payload is valid only until the next read — exactly the lifetime the
-// decode paths need, since wire.Unmarshal copies everything it keeps and
-// OPEN payloads (whose parse aliases the buffer) are copied explicitly by
-// the session demux. One reader per connection read loop: no pool
-// contention and no cross-goroutine aliasing.
+// fillSize is the frameReader's fill buffer: one Read takes whatever the
+// peer's coalesced flushes have delivered, up to this much. Sized from the
+// remote.mux.flush_bytes histogram: a flush is a few hundred bytes at the
+// median (386 in the committed ledger's remote-stream row) and 55 KiB at
+// p99 under a 1000-stream junistorm, so one fill takes all but the rarest
+// flush whole, and several of the usual ones when the reader is behind.
+const fillSize = 64 << 10
+
+// fillPool recycles fill buffers across connections; fillOut counts those
+// currently taken, so tests can show every one comes back.
+var (
+	fillPool = sync.Pool{New: func() any { return new([fillSize]byte) }}
+	fillOut  atomic.Int64
+)
+
+// frameReader is the receive side of a connection: it fills one pooled
+// fixed-size buffer with a single Read and parses as many frames as that
+// Read delivered, so a burst of frames the peer's writer coalesced costs
+// one syscall, not two per frame. A payload that fits the buffer is
+// returned as a view into it; a larger one is read straight from the
+// connection into a grown side buffer (one copy, as before). Either way
+// the payload is valid only until the next read — exactly the lifetime
+// the decode paths need, since wire.Unmarshal copies everything it keeps
+// and OPEN payloads (whose parse aliases the buffer) are copied explicitly
+// by the session demux.
+//
+// The reader also owns the liveness window: with idle > 0 it arms the
+// connection's read deadline before every Read — once per call that can
+// block, not once per frame — so "peer silent for idle" still surfaces as
+// the Read's timeout error. One reader per connection read loop, released
+// when the loop exits.
 type frameReader struct {
-	r   io.Reader
-	buf []byte
-	// hdr is the header scratch; a local array would escape through the
-	// io.Reader interface and cost one allocation per frame.
-	hdr [muxHeaderLen]byte
+	r      io.Reader
+	dl     readDeadliner // nil: no liveness window
+	idle   time.Duration
+	buf    *[fillSize]byte
+	lo, hi int    // buf[lo:hi] is read but not yet parsed
+	big    []byte // payloads larger than the fill buffer
+	err    error  // latched Read error, surfaced once the bytes before it are consumed
 }
 
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: r} }
+type readDeadliner interface{ SetReadDeadline(time.Time) error }
 
-// payload returns the scratch buffer sized to n, growing (and
-// occasionally shrinking, so one huge frame does not pin its high-water
-// mark for the connection's lifetime) as needed.
-func (f *frameReader) payload(n uint32) []byte {
-	if uint32(cap(f.buf)) < n || (cap(f.buf) > 1<<20 && n < 1<<16) {
-		f.buf = make([]byte, n)
+// newFrameReader takes a fill buffer from the pool; release hands it back.
+// idle > 0 requires r to have SetReadDeadline (a net.Conn).
+func newFrameReader(r io.Reader, idle time.Duration) *frameReader {
+	f := &frameReader{r: r, idle: idle, buf: fillPool.Get().(*[fillSize]byte)}
+	if idle > 0 {
+		f.dl = r.(readDeadliner)
 	}
-	return f.buf[:n]
+	fillOut.Add(1)
+	return f
+}
+
+// release returns the fill buffer to the pool. Payload views die with it.
+func (f *frameReader) release() {
+	fillPool.Put(f.buf)
+	f.buf = nil
+	fillOut.Add(-1)
+}
+
+// fill does one Read into p, arming the liveness deadline first. A Read
+// error is latched rather than returned: bytes delivered alongside it are
+// still parsed, and the error surfaces when more are needed.
+func (f *frameReader) fill(p []byte) int {
+	if f.dl != nil {
+		f.dl.SetReadDeadline(time.Now().Add(f.idle))
+	}
+	n, err := f.r.Read(p)
+	f.err = err
+	if telemetry.On() {
+		cRxReads.Inc()
+	}
+	return n
+}
+
+// failed maps the latched error the way io.ReadFull does for the header or
+// payload being gathered: an end of stream after part of it is unexpected,
+// before any of it a clean io.EOF.
+func (f *frameReader) failed(partial bool) error {
+	if f.err == io.EOF && partial {
+		return io.ErrUnexpectedEOF
+	}
+	return f.err
+}
+
+// need makes buf[lo:lo+n] readable, n <= fillSize, compacting the unparsed
+// tail to the front before the first Read so each fill has the most room.
+func (f *frameReader) need(n int) error {
+	if f.hi-f.lo >= n {
+		return nil
+	}
+	if f.lo > 0 {
+		f.hi = copy(f.buf[:], f.buf[f.lo:f.hi])
+		f.lo = 0
+	}
+	for f.hi < n {
+		if f.err != nil {
+			return f.failed(f.hi > 0)
+		}
+		f.hi += f.fill(f.buf[f.hi:])
+	}
+	return nil
+}
+
+// next parses one frame whose header is hlen bytes — [type][len] classic,
+// [type][stream][len] multiplexed — rejecting an oversized length prefix
+// before anything is read or allocated for it.
+func (f *frameReader) next(hlen int) (typ byte, sid uint32, payload []byte, err error) {
+	if err = f.need(hlen); err != nil {
+		return 0, 0, nil, err
+	}
+	hdr := f.buf[f.lo : f.lo+hlen]
+	typ = hdr[0]
+	if hlen == muxHeaderLen {
+		sid = binary.BigEndian.Uint32(hdr[1:5])
+	}
+	n := int(binary.BigEndian.Uint32(hdr[hlen-4:]))
+	if n > MaxFrame {
+		return 0, 0, nil, fmt.Errorf("remote: frame length %d exceeds MaxFrame", n)
+	}
+	f.lo += hlen
+	if n <= fillSize {
+		if err = f.need(n); err != nil {
+			return 0, 0, nil, err
+		}
+		payload = f.buf[f.lo : f.lo+n]
+		f.lo += n
+		if cap(f.big) > 1<<20 {
+			f.big = nil // one huge frame must not pin its high-water mark
+		}
+	} else {
+		// Too big to buffer: move what is already in hand, then read the
+		// rest from the connection straight into place.
+		if cap(f.big) < n {
+			f.big = make([]byte, n)
+		}
+		payload = f.big[:n]
+		got := copy(payload, f.buf[f.lo:f.hi])
+		f.lo, f.hi = 0, 0
+		for got < n {
+			if f.err != nil {
+				return 0, 0, nil, f.failed(got > 0)
+			}
+			got += f.fill(payload[got:])
+		}
+	}
+	countRx(hlen + n)
+	return typ, sid, payload, nil
 }
 
 // read reads one classic frame (type, length, payload).
 func (f *frameReader) read() (byte, []byte, error) {
-	hdr := f.hdr[:5]
-	if _, err := io.ReadFull(f.r, hdr); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("remote: frame length %d exceeds MaxFrame", n)
-	}
-	payload := f.payload(n)
-	if _, err := io.ReadFull(f.r, payload); err != nil {
-		return 0, nil, err
-	}
-	if telemetry.On() {
-		cFramesRx.Inc()
-		cBytesRx.Add(int64(5 + n))
-	}
-	return hdr[0], payload, nil
+	typ, _, payload, err := f.next(5)
+	return typ, payload, err
 }
 
 // ---- multiplexed framing (protocol v5) ----
@@ -255,41 +387,18 @@ func (f *frameReader) read() (byte, []byte, error) {
 // muxHeaderLen is the multiplexed frame header size.
 const muxHeaderLen = 9
 
-// appendMuxFrame appends one multiplexed frame to dst — the shared
-// session writer builds its coalesced write buffers with this.
-func appendMuxFrame(dst []byte, typ byte, sid uint32, payload []byte) []byte {
-	dst = append(dst, typ)
-	dst = binary.BigEndian.AppendUint32(dst, sid)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	if telemetry.On() {
-		cFramesTx.Inc()
-		cBytesTx.Add(int64(muxHeaderLen + len(payload)))
-	}
-	return dst
+// muxHeader encodes a multiplexed frame's header; the session writer
+// appends it and the payload to its pending buffer as one unit.
+func muxHeader(typ byte, sid uint32, n int) (h [muxHeaderLen]byte) {
+	h[0] = typ
+	binary.BigEndian.PutUint32(h[1:], sid)
+	binary.BigEndian.PutUint32(h[5:], uint32(n))
+	return h
 }
 
-// readMux reads one multiplexed frame (type, stream id, payload) into the
-// recycled buffer.
+// readMux reads one multiplexed frame (type, stream id, payload).
 func (f *frameReader) readMux() (byte, uint32, []byte, error) {
-	hdr := f.hdr[:]
-	if _, err := io.ReadFull(f.r, hdr); err != nil {
-		return 0, 0, nil, err
-	}
-	sid := binary.BigEndian.Uint32(hdr[1:5])
-	n := binary.BigEndian.Uint32(hdr[5:])
-	if n > MaxFrame {
-		return 0, 0, nil, fmt.Errorf("remote: frame length %d exceeds MaxFrame", n)
-	}
-	payload := f.payload(n)
-	if _, err := io.ReadFull(f.r, payload); err != nil {
-		return 0, 0, nil, err
-	}
-	if telemetry.On() {
-		cFramesRx.Inc()
-		cBytesRx.Add(int64(muxHeaderLen + n))
-	}
-	return hdr[0], sid, payload, nil
+	return f.next(muxHeaderLen)
 }
 
 // ---- OPEN payload ----

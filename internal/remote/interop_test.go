@@ -252,14 +252,19 @@ func TestInteropClassicClientSessionServer(t *testing.T) {
 	p := Open(addr, "range", []value.V{value.NewInt(1), value.NewInt(200)}, testConfig())
 	defer p.Stop()
 	var got []int64
+	within(t, 5*time.Second, "classic first value", func() {
+		got = drainInts(t, p, 1)
+	})
+	// Counted while the stream is live: once it ends the client closes its
+	// connection, and the server's count drops whenever it notices.
+	if srv.ActiveConns() != 1 {
+		t.Fatalf("conns = %d, want 1 dedicated", srv.ActiveConns())
+	}
 	within(t, 5*time.Second, "classic drain", func() {
-		got = drainInts(t, p, 1000)
+		got = append(got, drainInts(t, p, 1000)...)
 	})
 	assertInts(t, got, wantRange(1, 200))
 	if err := p.Err(); err != nil {
 		t.Fatalf("classic stream against v5 server errored: %v", err)
-	}
-	if srv.ActiveConns() != 1 {
-		t.Fatalf("conns = %d, want 1 dedicated", srv.ActiveConns())
 	}
 }

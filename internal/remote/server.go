@@ -453,11 +453,12 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	// Connection reader: credits, pings, cancel; any read error (including
-	// the rolling idle deadline) or protocol violation cancels the stream.
-	fr := newFrameReader(conn)
+	// the idle deadline the reader arms per fill) or protocol violation
+	// cancels the stream.
+	fr := newFrameReader(conn, idle)
+	defer fr.release()
 reader:
 	for {
-		conn.SetReadDeadline(time.Now().Add(idle))
 		typ, payload, err := fr.read()
 		if err != nil {
 			ss.setReason("connection lost")
@@ -573,7 +574,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 		pending = pending[:0]
 		return w.writeStream(frameValues, encBuf)
 	}
-	s.served.Add(1)
+	serial := s.served.Add(1) // names the snapshot file of an unobserved stream
 	s.streams.Add(1)
 	opened := time.Now()
 	if telemetry.On() {
@@ -657,10 +658,6 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 		// the wire. Returns false when interval snapshotting should stop
 		// (refusal is sticky; a forced SNAPREQ still always gets an answer).
 		interval := open.interval
-		snapFile := fmt.Sprintf("%016x", open.stream)
-		if open.stream == 0 {
-			snapFile = fmt.Sprintf("conn-%d", s.served.Load())
-		}
 		takeSnap := func() bool {
 			if flush() != nil {
 				return false
@@ -684,6 +681,10 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 				return false
 			}
 			if s.CheckpointDir != "" {
+				snapFile := fmt.Sprintf("%016x", open.stream)
+				if open.stream == 0 {
+					snapFile = fmt.Sprintf("conn-%d", serial)
+				}
 				if perr := persistSnapshot(s.CheckpointDir, snapFile, blob); perr != nil {
 					s.log().Warn("checkpoint persist failed", "file", snapFile, "err", perr.Error())
 				}
@@ -866,12 +867,11 @@ func (s *Server) serveSession(conn net.Conn, hello *openReq) {
 	// table stays within 2× the live count — what a session storm of
 	// millions of short streams needs.
 	sweepAt := 64
-	idle := s.idleTimeout()
-	fr := newFrameReader(conn)
+	fr := newFrameReader(conn, s.idleTimeout())
+	defer fr.release()
 	var serr error
 loop:
 	for {
-		conn.SetReadDeadline(time.Now().Add(idle))
 		typ, sid, payload, err := fr.readMux()
 		if err != nil {
 			serr = err

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"junicon/internal/combine"
 	"junicon/internal/inspect"
 	"junicon/internal/queue"
 	"junicon/internal/telemetry"
@@ -18,12 +19,19 @@ import (
 // Multiplexed sessions (protocol v5): one TCP connection carrying many
 // logical streams. The handshake is a classic-framed OPEN in mode openMux
 // answered by a classic HELLO; from there every frame in both directions
-// carries a stream id (readMux/appendMuxFrame), a single shared writer
+// carries a stream id (readMux/muxHeader), a single shared writer
 // goroutine per connection coalesces all streams' frames into large
 // writes (PR 4's Nagle-style batching, stretched across the whole
 // connection), credit accounting stays per stream — the §3B buffer bound
 // throttles each producer independently — and PING/PONG liveness runs
 // once per connection on stream id 0 instead of once per stream.
+//
+// The receive side is coalesced the same way: each end's demux loop reads
+// through a frameReader, which takes whatever the peer's flushes delivered
+// in one Read and parses every frame in it, arming the liveness deadline
+// once per Read rather than once per frame. A frame's payload is a view
+// into that reader's buffer and is gone at the next read, so the loops
+// decode (or, for an OPEN the stream keeps, copy) before reading on.
 
 // Session-level telemetry. The flush histogram is the headline: how many
 // bytes each coalesced write carried tells you whether the shared writer
@@ -54,29 +62,19 @@ var maxSessionPending = 8 << 20
 var errMuxUnsupported = errors.New("remote: server does not support multiplexed sessions")
 
 // muxIO is a session's shared write side, symmetric between client and
-// server: frames from every stream append to one pending buffer, and a
-// single writer goroutine swaps the buffer out and hands it to the kernel
-// in one Write — frames from concurrent streams coalesce into large
-// writes exactly as a batched pipe coalesces values into runs.
+// server: frames from every stream append to one combine.Writer, whose
+// single writer goroutine hands whatever gathered to the kernel in one
+// Write — frames from concurrent streams coalesce into large writes
+// exactly as a batched pipe coalesces values into runs.
 type muxIO struct {
 	conn net.Conn
 	ih   *inspect.Handle // the session handle: the writer's visible state
-	done chan struct{}   // writer goroutine exited
-
-	mu      sync.Mutex
-	work    sync.Cond // frames pending
-	space   sync.Cond // pending shrank below the bound
-	pending []byte
-	spare   []byte // recycled swap buffer
-	err     error
-	closed  bool
+	w    *combine.Writer
 }
 
 func newMuxIO(conn net.Conn, ih *inspect.Handle) *muxIO {
-	m := &muxIO{conn: conn, ih: ih, done: make(chan struct{})}
-	m.work.L = &m.mu
-	m.space.L = &m.mu
-	go m.run()
+	m := &muxIO{conn: conn, ih: ih}
+	m.w = combine.New(flushWriter{m}, maxSessionPending)
 	return m
 }
 
@@ -88,89 +86,42 @@ func (m *muxIO) enqueue(typ byte, sid uint32, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("remote: %s payload %d exceeds MaxFrame", frameName(typ), len(payload))
 	}
-	m.mu.Lock()
-	for len(m.pending) >= maxSessionPending && m.err == nil && !m.closed {
-		m.space.Wait()
-	}
-	if m.err != nil {
-		err := m.err
-		m.mu.Unlock()
+	hdr := muxHeader(typ, sid, len(payload))
+	if err := m.w.Append(hdr[:], payload); err != nil {
 		return err
 	}
-	if m.closed {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: session closed", errConnLost)
-	}
-	m.pending = appendMuxFrame(m.pending, typ, sid, payload)
-	m.work.Signal()
-	m.mu.Unlock()
+	countTx(muxHeaderLen + len(payload))
 	return nil
 }
 
-// run is the per-connection writer: swap out whatever is pending and
-// write it in one call. The blocked-put bracket around conn.Write is what
-// makes a stuck connection diagnosable — the session handle sitting in
-// blocked-put past the stall threshold is the shared writer wedged on a
+// flushWriter is what the combining writer writes through: one coalesced
+// flush onto the connection. The blocked-put bracket around conn.Write is
+// what makes a stuck connection diagnosable — the session handle sitting
+// in blocked-put past the stall threshold is the shared writer wedged on a
 // peer that stopped reading.
-func (m *muxIO) run() {
-	m.mu.Lock()
-	for {
-		for len(m.pending) == 0 && m.err == nil && !m.closed {
-			m.work.Wait()
-		}
-		if m.err != nil || len(m.pending) == 0 {
-			m.mu.Unlock()
-			close(m.done)
-			return
-		}
-		batch := m.pending
-		m.pending = m.spare[:0]
-		m.spare = nil
-		m.space.Broadcast()
-		m.mu.Unlock()
-		m.ih.BlockedPut()
-		_, werr := m.conn.Write(batch)
-		m.ih.Running()
-		m.ih.Produced(1) // one flush; touches lastActive for staleness
-		if telemetry.On() {
-			cMuxFlushes.Inc()
-			hMuxFlush.Observe(int64(len(batch)))
-		}
-		m.mu.Lock()
-		if cap(batch) <= maxSessionPending {
-			m.spare = batch[:0]
-		}
-		if werr != nil && m.err == nil {
-			m.err = fmt.Errorf("%w: %v", errConnLost, werr)
-			m.space.Broadcast()
-		}
+type flushWriter struct{ m *muxIO }
+
+func (f flushWriter) Write(batch []byte) (int, error) {
+	m := f.m
+	m.ih.BlockedPut()
+	n, err := m.conn.Write(batch)
+	m.ih.Running()
+	m.ih.Produced(1) // one flush; touches lastActive for staleness
+	if telemetry.On() {
+		cMuxFlushes.Inc()
+		hMuxFlush.Observe(int64(len(batch)))
 	}
+	if err != nil {
+		err = fmt.Errorf("%w: %v", errConnLost, err)
+	}
+	return n, err
 }
 
 // fail poisons the writer and severs the connection: blocked enqueues
 // return err, and a writer wedged in conn.Write is unblocked by the
 // close.
 func (m *muxIO) fail(err error) {
-	m.mu.Lock()
-	if m.err == nil {
-		m.err = err
-	}
-	m.work.Broadcast()
-	m.space.Broadcast()
-	m.mu.Unlock()
-	m.conn.Close()
-}
-
-// close drains pending frames and closes the connection — the graceful
-// shutdown, bounded by a write deadline so a dead peer cannot hang it.
-func (m *muxIO) close() {
-	m.mu.Lock()
-	m.closed = true
-	m.work.Broadcast()
-	m.space.Broadcast()
-	m.mu.Unlock()
-	m.conn.SetWriteDeadline(time.Now().Add(time.Second))
-	<-m.done
+	m.w.Fail(err)
 	m.conn.Close()
 }
 
@@ -417,12 +368,13 @@ func (s *Session) teardown(err error) {
 // by id, and ids missing from the table (finished streams) are dropped —
 // a server flush can legitimately race a cancel.
 func (s *Session) readLoop() {
-	fr := newFrameReader(s.io.conn)
-	liveness := 4 * s.hb
+	// A peer silent for several heartbeat intervals is lost: PONGs answer
+	// our PINGs, so a fill normally returns at least once per interval.
+	fr := newFrameReader(s.io.conn, 4*s.hb)
+	defer fr.release()
 	var ferr error
 loop:
 	for {
-		s.io.conn.SetReadDeadline(time.Now().Add(liveness))
 		typ, sid, payload, err := fr.readMux()
 		if err != nil {
 			ferr = fmt.Errorf("%w: %v", errConnLost, err)
