@@ -693,14 +693,15 @@ func BenchmarkVMFig6_WordCount_Translated(b *testing.B) {
 // short — the session pool's economics live in the per-stream setup cost
 // (dial, socket, handshake, read loop), so the benchmark models the
 // many-short-streams storm that junistorm drives at scale; long streams
-// amortize setup and converge toward the shared wire's throughput. mux=true routes every
-// stream through one pooled Dialer (streamsPerConn caps sharing;
-// 0 = DefaultStreamsPerConn), mux=false dials one classic connection per
-// stream — the pre-v5 economics the session protocol exists to beat. The
-// headline comparison is BenchmarkMuxedRemote_256 against
-// BenchmarkMuxedRemotePerConn_256: identical work, ~5× apart, because
-// the muxed side pays 1 dial, 1 socket and 1 read loop where the classic
-// side pays 256 of each.
+// amortize setup and converge toward the shared wire's throughput. Every
+// stream goes through one pooled Dialer; streamsPerConn caps sharing
+// (0 = DefaultStreamsPerConn), and cap 1 is one connection per stream —
+// what a package-level remote.Open pays. The headline comparison is
+// BenchmarkMuxedRemote_256 against BenchmarkMuxedRemoteStreamsPerConn_1:
+// identical work, the pooled side paying 1 dial, 1 socket and 1 read loop
+// where the other pays 256 of each. (The arm that dialed a pre-session
+// connection per stream went with that transport; its last measurement is
+// in EXPERIMENTS.md, Ablation L.)
 
 var (
 	muxBenchOnce sync.Once
@@ -708,8 +709,8 @@ var (
 )
 
 // muxBenchServer serves the mux benchmarks; unlike remoteBenchServer it
-// lifts MaxConns, since the per-conn baseline needs hundreds of
-// concurrent dedicated connections.
+// lifts MaxConns, since the cap-1 arm needs hundreds of concurrent
+// connections.
 func muxBenchServer(b *testing.B) string {
 	b.Helper()
 	muxBenchOnce.Do(func() {
@@ -729,16 +730,13 @@ func muxBenchServer(b *testing.B) string {
 	return muxBenchAddr
 }
 
-func benchMuxedLifecycle(b *testing.B, streams, streamsPerConn int, mux bool) {
+func benchMuxedLifecycle(b *testing.B, streams, streamsPerConn int) {
 	addr := muxBenchServer(b)
 	const vals = 5 // short streams: the lifecycle-storm workload junistorm models
 	cfg := remote.Config{Buffer: 64}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		var d *remote.Dialer
-		if mux {
-			d = &remote.Dialer{StreamsPerConn: streamsPerConn}
-		}
+		d := &remote.Dialer{StreamsPerConn: streamsPerConn}
 		var wg sync.WaitGroup
 		var short atomic.Int64
 		for i := 0; i < streams; i++ {
@@ -746,12 +744,7 @@ func benchMuxedLifecycle(b *testing.B, streams, streamsPerConn int, mux bool) {
 			go func() {
 				defer wg.Done()
 				args := []value.V{value.NewInt(1), value.NewInt(int64(vals))}
-				var p *remote.RemotePipe
-				if mux {
-					p = d.Open(addr, "range", args, cfg)
-				} else {
-					p = remote.Open(addr, "range", args, cfg)
-				}
+				p := d.Open(addr, "range", args, cfg)
 				defer p.Stop()
 				for j := 0; j < vals; j++ {
 					if _, ok := p.Next(); !ok {
@@ -762,9 +755,7 @@ func benchMuxedLifecycle(b *testing.B, streams, streamsPerConn int, mux bool) {
 			}()
 		}
 		wg.Wait()
-		if mux {
-			d.Close()
-		}
+		d.Close()
 		if c := short.Load(); c != 0 {
 			b.Fatalf("%d of %d streams ended early", c, streams)
 		}
@@ -773,22 +764,18 @@ func benchMuxedLifecycle(b *testing.B, streams, streamsPerConn int, mux bool) {
 	b.ReportMetric(float64(streams*vals)*float64(b.N)/b.Elapsed().Seconds(), "values/s")
 }
 
-// The headline pair: 256 concurrent streams, shared sessions vs one
-// connection per stream.
-func BenchmarkMuxedRemote_256(b *testing.B)         { benchMuxedLifecycle(b, 256, 0, true) }
-func BenchmarkMuxedRemotePerConn_256(b *testing.B)  { benchMuxedLifecycle(b, 256, 0, false) }
-func BenchmarkMuxedRemote_1024(b *testing.B)        { benchMuxedLifecycle(b, 1024, 0, true) }
-func BenchmarkMuxedRemotePerConn_1024(b *testing.B) { benchMuxedLifecycle(b, 1024, 0, false) }
+// Shared sessions at the default cap.
+func BenchmarkMuxedRemote_256(b *testing.B)  { benchMuxedLifecycle(b, 256, 0) }
+func BenchmarkMuxedRemote_1024(b *testing.B) { benchMuxedLifecycle(b, 1024, 0) }
 
 // The streams-per-conn sweep (Ablation L): 256 streams at caps 1, 16 and
 // 4096. Cap 1 is the degenerate case — session framing with none of the
 // sharing; cap 4096 collapses onto one connection exactly like the
 // default 256.
-func BenchmarkMuxedRemoteStreamsPerConn_1(b *testing.B)    { benchMuxedLifecycle(b, 256, 1, true) }
-func BenchmarkMuxedRemoteStreamsPerConn_16(b *testing.B)   { benchMuxedLifecycle(b, 256, 16, true) }
-func BenchmarkMuxedRemoteStreamsPerConn_4096(b *testing.B) { benchMuxedLifecycle(b, 256, 4096, true) }
+func BenchmarkMuxedRemoteStreamsPerConn_1(b *testing.B)    { benchMuxedLifecycle(b, 256, 1) }
+func BenchmarkMuxedRemoteStreamsPerConn_16(b *testing.B)   { benchMuxedLifecycle(b, 256, 16) }
+func BenchmarkMuxedRemoteStreamsPerConn_4096(b *testing.B) { benchMuxedLifecycle(b, 256, 4096) }
 
-// The single-stream case bounds the mux tax when there is nothing to
-// share: one stream over a session vs one stream over a dedicated
-// connection should be within noise of each other.
-func BenchmarkMuxedRemoteSingle(b *testing.B) { benchMuxedLifecycle(b, 1, 0, true) }
+// The single-stream case bounds what a session costs when there is
+// nothing to share.
+func BenchmarkMuxedRemoteSingle(b *testing.B) { benchMuxedLifecycle(b, 1, 0) }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -15,11 +16,11 @@ import (
 	"junicon/internal/value"
 )
 
-// End-to-end batching interop across real processes: one junicond serving
-// the batched protocol, one started with -no-batch, and one client process
-// (this test) streaming the same generator from both. The daemons are the
-// shipped binary, not in-process servers, so the flag plumbing, the OPEN
-// negotiation and the frame traffic all cross genuine process boundaries.
+// End-to-end streaming across real processes: two junicond children and
+// one client process (this test) streaming the same generator from both,
+// batched and per value. The daemons are the shipped binary, not
+// in-process servers, so the flag plumbing, the session handshake and the
+// frame traffic all cross genuine process boundaries.
 
 var (
 	buildOnce sync.Once
@@ -164,31 +165,18 @@ func TestE2ETwoDaemonsBatchingInterop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
-	batching := startDaemon(t, "-quiet=false")
-	legacy := startDaemon(t, "-no-batch")
-
 	const n = 500
-	cfg := remote.Config{Buffer: 64} // batching on by default
-	fromBatching := drainRange(t, batching, cfg, n)
-	fromLegacy := drainRange(t, legacy, cfg, n) // forces downgrade redial
-
-	if len(fromBatching) != n || len(fromLegacy) != n {
-		t.Fatalf("value counts differ: batching=%d legacy=%d want %d",
-			len(fromBatching), len(fromLegacy), n)
+	want := make([]int64, n)
+	for i := range want {
+		want[i] = int64(i + 1)
 	}
-	for i := 0; i < n; i++ {
-		if fromBatching[i] != int64(i+1) || fromLegacy[i] != int64(i+1) {
-			t.Fatalf("value %d: batching=%d legacy=%d want %d",
-				i, fromBatching[i], fromLegacy[i], i+1)
+	for _, addr := range []string{startDaemon(t, "-quiet=false"), startDaemon(t)} {
+		// Batching on by default, then a client that takes one VALUE frame
+		// per value: the same daemon serves both, the same sequence.
+		for _, cfg := range []remote.Config{{Buffer: 64}, {Buffer: 64, Batch: -1}} {
+			if got := drainRange(t, addr, cfg, n); !slices.Equal(got, want) {
+				t.Fatalf("daemon %s, batch %d: %d values, want 1..%d in order", addr, cfg.Batch, len(got), n)
+			}
 		}
-	}
-
-	// A client that itself refuses batching speaks v2 to both daemons.
-	cfg.Batch = -1
-	if got := drainRange(t, batching, cfg, 100); len(got) != 100 {
-		t.Fatalf("v2 client against batching daemon: %d values, want 100", len(got))
-	}
-	if got := drainRange(t, legacy, cfg, 100); len(got) != 100 {
-		t.Fatalf("v2 client against legacy daemon: %d values, want 100", len(got))
 	}
 }

@@ -2,7 +2,7 @@
 // generators — and, with -allow-source, vetted Junicon source — over the
 // remote-pipe protocol of internal/remote. A junicond worker is the far
 // end of a remote pipe: the paper's |>e with the bounded queue stretched
-// across a TCP connection.
+// across a TCP connection, many streams to a connection.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 //	junicond -addr :9707                     serve built-in generators
 //	junicond -addr :9707 -allow-source       also serve vetted Junicon source
 //	junicond -addr :9707 -checkpoint-dir d   persist stream checkpoints in d
-//	junicond -addr :9707 -max-conns 16       bound concurrent streams
+//	junicond -addr :9707 -max-conns 16       bound concurrent connections
 //	junicond -addr :9707 -debug-addr :9708   expose /debug/vars, /debug/pprof,
 //	                                         /debug/trace, /debug/streams on a
 //	                                         second listener
@@ -62,8 +62,6 @@ func main() {
 		debugAddr   = flag.String("debug-addr", "", "serve /debug/vars, /debug/pprof and /debug/trace on this address (enables metrics)")
 		allowSource = flag.Bool("allow-source", false, "serve vetted Junicon source streams")
 		ckptDir     = flag.String("checkpoint-dir", "", "persist each stream's latest checkpoint snapshot in this directory")
-		noBatch     = flag.Bool("no-batch", false, "refuse batched (v3) streams and serve one VALUE frame per value")
-		noMux       = flag.Bool("no-mux", false, "refuse multiplexed (v5) sessions and serve one stream per connection")
 		maxConns    = flag.Int("max-conns", remote.DefaultMaxConns, "maximum concurrent connections")
 		idleTimeout = flag.Duration("idle-timeout", remote.DefaultIdleTimeout, "client silence tolerated before dropping a stream")
 		quiet       = flag.Bool("quiet", false, "suppress per-stream logging")
@@ -82,16 +80,6 @@ func main() {
 	srv.MaxConns = *maxConns
 	srv.IdleTimeout = *idleTimeout
 	srv.Log = logger
-	if *noBatch {
-		// Cap OPEN negotiation at the pre-batching protocol; v3 clients
-		// recognize the rejection and redial per-value.
-		srv.MaxProtocol = 2
-	}
-	if *noMux && srv.MaxProtocol == 0 {
-		// Cap negotiation below the session protocol; v5 Dialers recognize
-		// the rejection and fall back to one connection per stream.
-		srv.MaxProtocol = 4
-	}
 
 	srv.Register("range", func(args []value.V) (core.Gen, error) {
 		if len(args) != 2 {

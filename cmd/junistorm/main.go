@@ -10,7 +10,7 @@
 //	junistorm -addrs 127.0.0.1:9707 -streams 10000
 //
 //	junistorm -addrs a:9707,b:9707 -streams 4096 -values 500
-//	junistorm -streams 1000 -per-conn        classic one-conn-per-stream
+//	junistorm -streams 1000 -streams-per-conn 1   one connection per stream
 //	junistorm -streams 1000 -mixed=false     uniform batch/speed
 //	junistorm -json                          machine-readable report
 //
@@ -81,7 +81,6 @@ func main() {
 		slowEvery = flag.Int("slow-every", 10, "every Nth stream consumes slowly (0 = none)")
 		slowPause = flag.Duration("slow-pause", 200*time.Microsecond, "pause per value on slow streams")
 		perConn   = flag.Int("streams-per-conn", 0, "streams per pooled session (0 = default)")
-		classic   = flag.Bool("per-conn", false, "bypass the session pool: one TCP connection per stream")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
 	)
 	flag.Parse()
@@ -119,12 +118,7 @@ func main() {
 			slow := *slowEvery > 0 && i%*slowEvery == *slowEvery-1
 			addr := nodes[i%len(nodes)]
 			args := []value.V{value.NewInt(1), value.NewInt(int64(*values))}
-			var p *remote.RemotePipe
-			if *classic {
-				p = remote.Open(addr, "range", args, cfg)
-			} else {
-				p = d.Open(addr, "range", args, cfg)
-			}
+			p := d.Open(addr, "range", args, cfg)
 			defer p.Stop()
 
 			t0 := time.Now()
@@ -194,12 +188,8 @@ func main() {
 		enc.SetIndent("", "  ")
 		enc.Encode(r)
 	} else {
-		mode := "muxed"
-		if *classic {
-			mode = "per-conn"
-		}
-		fmt.Printf("junistorm: %d streams x %d values (%s) against %d node(s)\n",
-			r.Streams, r.Values, mode, len(nodes))
+		fmt.Printf("junistorm: %d streams x %d values against %d node(s)\n",
+			r.Streams, r.Values, len(nodes))
 		fmt.Printf("  delivered   %d values in %.1fms (%.0f values/s), %d errors\n",
 			r.Total, r.DurationMs, r.Throughput, r.Errors)
 		fmt.Printf("  sessions    %d pooled (peak %d goroutines)\n", r.Sessions, peakG.Load())

@@ -32,8 +32,8 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// encodedValuesFrame builds one classic VALUES frame carrying n integers,
-// as the server's batch flush emits it.
+// encodedValuesFrame builds one VALUES frame carrying n integers, as the
+// server's batch flush puts it on a session.
 func encodedValuesFrame(t testing.TB, n int) []byte {
 	t.Helper()
 	var items [][]byte
@@ -44,11 +44,7 @@ func encodedValuesFrame(t testing.TB, n int) []byte {
 		}
 		items = append(items, data)
 	}
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameValues, wire.EncodeBatch(items)); err != nil {
-		t.Fatalf("writeFrame: %v", err)
-	}
-	return buf.Bytes()
+	return appendMuxFrame(nil, frameValues, 7, wire.EncodeBatch(items))
 }
 
 // TestFrameReaderZeroAllocSteadyState: reading VALUES frames through a
@@ -58,14 +54,14 @@ func TestFrameReaderZeroAllocSteadyState(t *testing.T) {
 	fr := newFrameReader(&loopReader{data: encodedValuesFrame(t, 64)}, 0)
 	defer fr.release()
 	read := func() {
-		typ, _, err := fr.read()
+		typ, _, _, err := fr.readMux()
 		if err != nil || typ != frameValues {
 			t.Fatalf("read: typ=%d err=%v", typ, err)
 		}
 	}
 	read()
 	if avg := testing.AllocsPerRun(200, read); avg > 0 {
-		t.Errorf("frameReader.read allocates %.2f/op steady-state, want 0", avg)
+		t.Errorf("frameReader.readMux allocates %.2f/op steady-state, want 0", avg)
 	}
 }
 
@@ -95,7 +91,7 @@ func TestUnmarshalBatchIntoReusesScratch(t *testing.T) {
 	defer fr.release()
 	var vals []value.V
 	step := func() {
-		_, payload, err := fr.read()
+		_, _, payload, err := fr.readMux()
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}

@@ -1,0 +1,116 @@
+package remote
+
+import (
+	"fmt"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"junicon/internal/core"
+	"junicon/internal/value"
+)
+
+// Batched delivery: VALUES frames and coalesced credit grants change how
+// values travel, never which values arrive or how far the producer may run
+// ahead.
+
+// TestBatchedCreditBoundHolds: batching coalesces credit grants but must
+// not widen the §3B window — the producer can never run more than
+// Buffer values ahead of the credits the client has granted.
+func TestBatchedCreditBoundHolds(t *testing.T) {
+	var produced atomic.Int64
+	_, addr := startServer(t, func(s *Server) {
+		s.Register("count", func([]value.V) (core.Gen, error) {
+			return core.NewGen(func(yield func(value.V) bool) {
+				for i := 0; ; i++ {
+					produced.Add(1)
+					if !yield(value.NewInt(int64(i))) {
+						return
+					}
+				}
+			}), nil
+		})
+	})
+	cfg := testConfig()
+	cfg.Buffer = 3
+	p := Open(addr, "count", nil, cfg)
+	defer p.Stop()
+	p.StartEager()
+	deadline := time.Now().Add(2 * time.Second)
+	for produced.Load() < 3 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // would overrun here if unthrottled
+	if n := produced.Load(); n != 3 {
+		t.Fatalf("producer ran %d values ahead, credit window is 3", n)
+	}
+	// Consume the window plus one. The blocked fourth Next sends the
+	// demand ping that returns the coalesced credits; the producer may
+	// then run at most three further values ahead.
+	within(t, 5*time.Second, "consume window+1", func() {
+		for i := 0; i < 4; i++ {
+			if _, ok := p.Next(); !ok {
+				t.Errorf("Next %d failed: %v", i, p.Err())
+				return
+			}
+		}
+	})
+	time.Sleep(50 * time.Millisecond)
+	if n := produced.Load(); n > 6 {
+		t.Fatalf("producer ran to %d after 4 takes with window 3 (bound is 6)", n)
+	}
+}
+
+// TestBatchedStreamDeliversExactSequence runs a batched stream across
+// buffer and batch sizes straddling the flush boundaries (batch > buffer
+// forces flush-before-stall; batch 2 forces many fill-flushes; stream
+// lengths ±1 around batch multiples exercise EOS-mid-batch).
+func TestBatchedStreamDeliversExactSequence(t *testing.T) {
+	_, addr := startServer(t, nil)
+	for _, batch := range []int{2, 7, 64} {
+		for _, buffer := range []int{1, 3, 64} {
+			for _, n := range []int64{1, 63, 64, 65, 200} {
+				name := fmt.Sprintf("batch=%d/buffer=%d/n=%d", batch, buffer, n)
+				cfg := testConfig()
+				cfg.Batch = batch
+				cfg.Buffer = buffer
+				p := Open(addr, "range", []value.V{value.NewInt(1), value.NewInt(n)}, cfg)
+				within(t, 10*time.Second, name, func() {
+					assertInts(t, drainInts(t, p, 1000), wantRange(1, n))
+				})
+				if err := p.Err(); err != nil {
+					t.Fatalf("%s: stream error: %v", name, err)
+				}
+				p.Stop()
+			}
+		}
+	}
+}
+
+// TestBatchedProducerErrorAfterValues: values produced before a runtime
+// error must all arrive before the ERR frame — the server flushes its
+// pending run ahead of the terminal frame.
+func TestBatchedProducerErrorAfterValues(t *testing.T) {
+	_, addr := startServer(t, func(s *Server) {
+		s.Register("boom3", func([]value.V) (core.Gen, error) {
+			return core.NewGen(func(yield func(value.V) bool) {
+				for i := int64(1); i <= 3; i++ {
+					if !yield(value.NewInt(i)) {
+						return
+					}
+				}
+				value.Raise(value.ErrNumeric, "numeric expected", value.String("x"))
+			}), nil
+		})
+	})
+	p := Open(addr, "boom3", nil, testConfig())
+	defer p.Stop()
+	var got []int64
+	within(t, 5*time.Second, "drain until error", func() {
+		got = drainInts(t, p, 1000)
+	})
+	assertInts(t, got, wantRange(1, 3))
+	if err := p.Err(); err == nil {
+		t.Fatal("producer runtime error was not surfaced")
+	}
+}

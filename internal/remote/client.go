@@ -1,11 +1,8 @@
 package remote
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"net"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
@@ -71,24 +68,30 @@ type Config struct {
 	// bounded queue size (§3B throttling). <= 0 selects DefaultBuffer;
 	// 1 yields remote future/M-var behaviour.
 	Buffer int
-	// DialTimeout bounds connection establishment; <= 0 selects
-	// DefaultDialTimeout.
+	// DialTimeout bounds connection establishment (TCP dial plus the
+	// session handshake) for a pipe made by the package-level Open or
+	// OpenSource; <= 0 selects DefaultDialTimeout. A pipe made through a
+	// Dialer shares pooled connections and is governed by
+	// Dialer.DialTimeout instead.
 	DialTimeout time.Duration
 	// Deadline bounds each Next call; 0 means no per-call deadline. On
 	// expiry the stream is torn down and Err reports ErrDeadline.
 	Deadline time.Duration
-	// Heartbeat is the PING interval; <= 0 selects DefaultHeartbeat. A
-	// peer silent for several intervals is treated as lost.
+	// Heartbeat is the connection's PING interval for a pipe made by the
+	// package-level Open or OpenSource; <= 0 selects DefaultHeartbeat. A
+	// peer silent for several intervals is treated as lost. Liveness is
+	// per connection, so a pipe made through a Dialer is governed by
+	// Dialer.Heartbeat instead.
 	Heartbeat time.Duration
 	// Batch is the VALUES-frame capability advertised at OPEN: the server
 	// may deliver up to Batch values per frame, and the client coalesces
 	// its per-value credit grants into runs of the same size. 0 selects
-	// DefaultBatch; negative disables batching entirely (the pipe sends a
-	// pre-batching v2 OPEN and receives one VALUE frame per value).
+	// DefaultBatch; negative disables batching entirely (the pipe
+	// advertises batch 0 and receives one VALUE frame per value).
 	// Credit accounting is per value either way, so the Buffer bound —
 	// §3B's throttle — is unchanged by batching.
 	Batch int
-	// CheckpointEvery asks a v4 server to checkpoint the stream after every
+	// CheckpointEvery asks the server to checkpoint the stream after every
 	// N delivered values (a SNAPSHOT frame piggybacked on the credit
 	// cadence, so the Buffer bound also bounds checkpoint lag); 0 disables
 	// interval checkpointing. Servers that refuse (non-resumable
@@ -110,20 +113,6 @@ func (c Config) buffer() int {
 		return DefaultBuffer
 	}
 	return c.Buffer
-}
-
-func (c Config) dialTimeout() time.Duration {
-	if c.DialTimeout <= 0 {
-		return DefaultDialTimeout
-	}
-	return c.DialTimeout
-}
-
-func (c Config) heartbeat() time.Duration {
-	if c.Heartbeat <= 0 {
-		return DefaultHeartbeat
-	}
-	return c.Heartbeat
 }
 
 func (c Config) batch() int {
@@ -158,38 +147,37 @@ type RemotePipe struct {
 	cfg  Config
 	spec openReq // immutable template (credit filled per open)
 
-	// dialer, when non-nil, pools this pipe's stream onto a shared
-	// multiplexed session (set by Dialer.Open/OpenSource; nil for the
-	// package-level constructors, which keep one connection per stream).
-	dialer   *Dialer
-	tr       transport
-	out      queue.Queue[value.V]
-	started  bool
-	err      error
-	results  int
-	stream   uint64 // telemetry stream ID, propagated in OPEN; 0 = unobserved
-	pingStop chan struct{}
-	// Batch negotiation state. batch is the capability sent in the current
-	// stream's OPEN (0 when batching is off); debt counts values consumed
-	// but not yet credited back — coalesced into one CREDIT frame per run.
-	// noBatch records that this server rejected a v3 OPEN, so every later
-	// (re)open speaks v2; redial asks the next Next to reopen silently.
-	batch   int
-	debt    uint64
-	noBatch bool
-	redial  bool
-	// Durability state (protocol v4). verCap is the protocol ceiling
-	// learned from a server's versioned rejection (0 = newest); openedVer
-	// is what the current stream actually opened with. epoch counts stream
-	// incarnations — a credit grant captured under one epoch is dropped
-	// rather than written to a different incarnation's connection (the
-	// redial double-grant race). lastSnap/lastSnapAt hold the most recent
-	// checkpoint blob and the delivered count it corresponds to; snapWait
-	// is signaled when a SNAPSHOT answer (blob or refusal) lands; replay
-	// buffers values drained off a dying stream during migration, delivered
-	// before the target stream's.
-	verCap     byte
-	openedVer  byte
+	// argErr is set when the argument vector would not encode (a cyclic
+	// list, a depth or size limit): the first Next fails with it and
+	// nothing is dialed.
+	argErr error
+
+	// dialer is where the pipe's sessions come from: the pooling Dialer it
+	// was opened through, or — for the package-level constructors — a
+	// private one whose sessions carry this one stream and close with it.
+	// sess and sid are the current stream incarnation's place on the wire;
+	// sess is nil when none is live.
+	dialer  *Dialer
+	sess    *Session
+	sid     uint32
+	out     queue.Queue[value.V]
+	started bool
+	err     error
+	results int
+	stream  uint64 // telemetry stream ID, propagated in OPEN; 0 = unobserved
+	// batch is the capability sent in the current stream's OPEN (0 when
+	// batching is off); debt counts values consumed but not yet credited
+	// back — coalesced into one CREDIT frame per run.
+	batch int
+	debt  uint64
+	// Durability state. epoch counts stream incarnations — a credit grant
+	// captured under one epoch is dropped rather than written to a
+	// different incarnation's stream (the redial double-grant race).
+	// lastSnap/lastSnapAt hold the most recent checkpoint blob and the
+	// delivered count it corresponds to; snapWait is signaled when a
+	// SNAPSHOT answer (blob or refusal) lands; replay buffers values
+	// drained off a dying stream during migration, delivered before the
+	// target stream's.
 	epoch      uint64
 	lastSnap   []byte
 	lastSnapAt uint64
@@ -199,8 +187,8 @@ type RemotePipe struct {
 	// ih is the live-introspection handle for the current stream; nil when
 	// inspection was off at open time. Each (re)open registers afresh.
 	ih *inspect.Handle
-	// done is closed by readLoop when the stream ends for any reason, so
-	// pingLoop exits promptly instead of pinging a dead stream.
+	// done is closed when the current incarnation's stream has left its
+	// session's demux table: nothing more will arrive for it.
 	done chan struct{}
 }
 
@@ -210,88 +198,34 @@ var (
 	_ value.Sized  = (*RemotePipe)(nil)
 )
 
-// transport abstracts how a stream incarnation reaches the wire: a
-// dedicated connection (one stream per connection, protocols v1–v4) or a
-// logical stream on a multiplexed v5 session. The pipe's state machine —
-// credits, epochs, recovery, migration — is identical over both.
-type transport interface {
-	// send writes one control frame (CREDIT, PING, CANCEL, SNAPREQ).
-	send(typ byte, payload []byte) error
-	// kill severs the underlying connection abruptly — the chaos hook. On
-	// a shared session this kills every sibling stream too, exactly as a
-	// crashed peer would.
-	kill()
-	// close ends this one stream gracefully: best-effort CANCEL, then
-	// local teardown. On a session it must not disturb siblings.
-	close()
-}
-
-// connTransport is the classic dedicated connection.
-type connTransport struct {
-	mu   sync.Mutex // serializes writes: CREDIT, PING, CANCEL
-	conn net.Conn
-}
-
-func (t *connTransport) send(typ byte, payload []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return writeFrame(t.conn, typ, payload)
-}
-
-func (t *connTransport) kill() { t.conn.Close() }
-
-func (t *connTransport) close() {
-	// Best-effort CANCEL so the server can release the stream promptly;
-	// closing the connection is the authoritative signal.
-	t.send(frameCancel, nil)
-	t.conn.Close()
-}
-
-// muxTransport is one logical stream on a shared session.
-type muxTransport struct {
-	s   *Session
-	sid uint32
-}
-
-func (t *muxTransport) send(typ byte, payload []byte) error {
-	return t.s.io.enqueue(typ, t.sid, payload)
-}
-
-func (t *muxTransport) kill() { t.s.Kill() }
-
-func (t *muxTransport) close() { t.s.closeStream(t.sid) }
-
 // Open returns a remote pipe over the generator registered under name on
 // the server at addr, applied to args. No connection is made until the
-// first Next.
+// first Next; the pipe then owns a private session carrying its one
+// stream, dialed with cfg.DialTimeout, kept alive at cfg.Heartbeat, and
+// closed when the stream ends. Dialer.Open shares connections instead.
 func Open(addr, name string, args []value.V, cfg Config) *RemotePipe {
-	return &RemotePipe{
-		addr: addr,
-		cfg:  cfg,
-		spec: openReq{mode: openNamed, name: name, args: marshalArgs(args)},
-	}
+	return privateDialer(cfg).Open(addr, name, args, cfg)
 }
 
 // OpenSource returns a remote pipe over a Junicon source stream: program
 // holds declarations (may be empty), expr is the generator expression the
 // server evaluates and serves. The server vets the source with the static
-// analyzer before running it and rejects error-level findings.
+// analyzer before running it and rejects error-level findings. The
+// connection is the pipe's own, as for Open.
 func OpenSource(addr, program, expr string, args []value.V, cfg Config) *RemotePipe {
-	return &RemotePipe{
-		addr: addr,
-		cfg:  cfg,
-		spec: openReq{mode: openSource, program: program, expr: expr, args: marshalArgs(args)},
-	}
+	return privateDialer(cfg).OpenSource(addr, program, expr, args, cfg)
 }
 
-// marshalArgs encodes the argument vector as one wire list. Encoding
-// errors (cyclic arguments) are deferred to open time via a poison value.
-func marshalArgs(args []value.V) []byte {
-	b, err := wire.Marshal(value.NewList(args...))
-	if err != nil {
-		return nil // parseOpen side treats empty args as no arguments
+// newPipe encodes the argument vector as one wire list into spec. An
+// encoding error (cyclic arguments, a codec limit) stays on the pipe and
+// fails its first Next: an empty payload would read as "no arguments".
+func newPipe(d *Dialer, addr string, cfg Config, spec openReq, args []value.V) *RemotePipe {
+	p := &RemotePipe{addr: addr, cfg: cfg, dialer: d}
+	if spec.args, p.argErr = wire.Marshal(value.NewList(args...)); p.argErr != nil {
+		p.argErr = fmt.Errorf("remote: encode arguments: %w", p.argErr)
 	}
-	return b
+	p.spec = spec
+	return p
 }
 
 // fail records the first fatal stream error.
@@ -303,9 +237,9 @@ func (p *RemotePipe) fail(err error) {
 	p.mu.Unlock()
 }
 
-// failEpoch is fail for a read loop, which can outlive its incarnation: a
-// loop that only notices its connection closing after Restart has opened
-// the next stream must not fail that one.
+// failEpoch is fail for the session's read loop and teardown, which can
+// outlive the incarnation they speak for: a connection loss noticed only
+// after Restart has opened the next stream must not fail that one.
 func (p *RemotePipe) failEpoch(err error, epoch uint64) {
 	p.mu.Lock()
 	if p.err == nil && p.epoch == epoch {
@@ -315,16 +249,15 @@ func (p *RemotePipe) failEpoch(err error, epoch uint64) {
 }
 
 // composeOpen builds the OPEN (or RESUME, for a continuation) for a new
-// stream incarnation at protocol ver. Caller holds p.mu.
-func (p *RemotePipe) composeOpen(ver byte) (openReq, byte, error) {
+// stream incarnation. Caller holds p.mu.
+func (p *RemotePipe) composeOpen() (openReq, byte) {
 	open := p.spec
-	open.version = ver
 	open.credit = uint64(p.cfg.buffer())
 	open.stream = p.stream
-	if b := p.cfg.batch(); b > 1 && !p.noBatch {
+	if b := p.cfg.batch(); b > 1 {
 		open.batch = uint64(b)
 	}
-	if ver >= 4 && p.cfg.CheckpointEvery > 0 {
+	if p.cfg.CheckpointEvery > 0 {
 		open.interval = uint64(p.cfg.CheckpointEvery)
 	}
 	// Continuation: a (re)open with results already delivered is a
@@ -334,9 +267,6 @@ func (p *RemotePipe) composeOpen(ver byte) (openReq, byte, error) {
 	// re-run the generator and skip the whole delivered prefix.
 	typ := frameOpen
 	if p.results > 0 {
-		if ver < 4 {
-			return open, typ, fmt.Errorf("remote: cannot resume stream at %s: server speaks protocol %d, need >= 4", p.addr, ver)
-		}
 		if p.lastSnap != nil && uint64(p.results) >= p.lastSnapAt {
 			open.mode = openResume
 			open.name, open.program, open.expr = "", "", ""
@@ -347,12 +277,12 @@ func (p *RemotePipe) composeOpen(ver byte) (openReq, byte, error) {
 			open.skip = uint64(p.results)
 		}
 	}
-	return open, typ, nil
+	return open, typ
 }
 
 // armLocal initializes the local consumer state for a fresh stream
 // incarnation: bounded queue, telemetry, live-introspection handle.
-// Caller holds p.mu and has already set batch/openedVer/epoch.
+// Caller holds p.mu and has already set batch/epoch.
 func (p *RemotePipe) armLocal(observed bool, credit, connID uint64) {
 	p.debt = 0
 	p.snapWait = nil
@@ -385,32 +315,28 @@ func (p *RemotePipe) armLocal(observed bool, credit, connID uint64) {
 	p.done = make(chan struct{})
 }
 
-// startMux opens the stream as a logical stream on a pooled session when
-// the pipe was created through a Dialer. handled=false falls back to a
-// dedicated connection: no dialer, a pre-v5 server (the transparent
-// downgrade), or a per-stream state that already forced an older
-// protocol. Caller holds p.mu.
-func (p *RemotePipe) startMux(observed bool) (bool, error) {
-	if p.dialer == nil || p.verCap != 0 || p.noBatch {
-		return false, nil
+// start opens the stream as a logical stream on a session from the pipe's
+// dialer — dialing one when the pool has no room, always for a
+// package-level pipe. Caller holds p.mu.
+func (p *RemotePipe) start() error {
+	if p.argErr != nil {
+		return p.argErr
+	}
+	observed := telemetry.Active()
+	if observed && p.stream == 0 {
+		p.stream = telemetry.NextStream()
 	}
 	sess, err := p.dialer.session(p.addr)
 	if err != nil {
-		if errors.Is(err, errMuxUnsupported) {
-			return false, nil
-		}
-		return true, err
+		return err
 	}
-	open, typ, err := p.composeOpen(openVersion)
-	if err != nil {
-		return true, err
-	}
+	open, typ := p.composeOpen()
 	p.batch = int(open.batch)
-	p.openedVer = openVersion
 	p.epoch++
 	p.armLocal(observed, open.credit, sess.id)
 	rx := &muxRx{
 		p:      p,
+		epoch:  p.epoch,
 		stream: p.stream,
 		label:  "remote:" + p.addr,
 		out:    p.out,
@@ -426,205 +352,10 @@ func (p *RemotePipe) startMux(observed bool) (bool, error) {
 		p.out.Close()
 		p.ih.Close()
 		p.ih = nil
-		return true, err
-	}
-	p.tr = &muxTransport{s: sess, sid: sid}
-	p.pingStop = nil // liveness is per connection: the session pings
-	return true, nil
-}
-
-// start dials and opens the stream. Caller holds p.mu.
-func (p *RemotePipe) start() error {
-	observed := telemetry.Active()
-	if observed && p.stream == 0 {
-		p.stream = telemetry.NextStream()
-	}
-	if handled, err := p.startMux(observed); handled {
 		return err
 	}
-	conn, err := net.DialTimeout("tcp", p.addr, p.cfg.dialTimeout())
-	if err != nil {
-		return fmt.Errorf("remote: dial %s: %w", p.addr, err)
-	}
-	ver := byte(openVersion)
-	if p.verCap != 0 && p.verCap < ver {
-		ver = p.verCap
-	}
-	if p.noBatch && ver > 2 {
-		// A server that rejected batching predates v3 entirely: speak the
-		// pre-batching protocol, which every server accepts.
-		ver = 2
-	}
-	open, typ, err := p.composeOpen(ver)
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	p.batch = int(open.batch)
-	p.openedVer = ver
-	p.epoch++
-	if err := writeFrame(conn, typ, open.marshal()); err != nil {
-		conn.Close()
-		return fmt.Errorf("remote: open %s: %w", p.addr, err)
-	}
-	p.tr = &connTransport{conn: conn}
-	p.armLocal(observed, open.credit, 0)
-	p.pingStop = make(chan struct{})
-	go p.readLoop(conn, p.out, p.done, p.stream, p.ih, p.epoch)
-	go p.pingLoop(p.pingStop, p.done)
+	p.sess, p.sid = sess, sid
 	return nil
-}
-
-// readLoop consumes frames into the local bounded queue until the stream
-// ends (EOS), errors (ERR / connection loss / malformed frame) or the
-// consumer stops the pipe.
-func (p *RemotePipe) readLoop(conn net.Conn, out queue.Queue[value.V], done chan struct{}, stream uint64, ih *inspect.Handle, epoch uint64) {
-	fail := func(err error) { p.failEpoch(err, epoch) }
-	var received int64
-	start := time.Now()
-	defer func() {
-		close(done)
-		conn.Close()
-		out.Close()
-		ih.Close()
-		if stream != 0 {
-			telemetry.EmitSpan(stream, telemetry.KindStreamEnd, "remote:"+p.addr, received, start)
-		}
-	}()
-	if ih != nil {
-		// The read loop is this stream's local producer: label and bind it
-		// so stall diagnoses can include its stack and topology edges form.
-		defer inspect.BindProducer(ih)()
-		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-			pprof.Labels(inspect.ProducerLabel, inspect.StreamID(ih.ID()))))
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
-	// A peer silent for several heartbeat intervals is lost: PONGs answer
-	// our PINGs, so frames normally arrive at least once per interval.
-	// Recycled buffers for the steady-state VALUES path: the frame reader
-	// parses out of one pooled fill buffer, and batch decoding reuses one
-	// value slice (PutBatch copies the elements into the ring, and the
-	// codec never aliases the payload).
-	fr := newFrameReader(conn, 4*p.cfg.heartbeat())
-	defer fr.release()
-	var vals []value.V
-	for {
-		typ, payload, err := fr.read()
-		if err != nil {
-			fail(fmt.Errorf("%w: %v", errConnLost, err))
-			return
-		}
-		switch typ {
-		case frameValue:
-			v, err := wire.Unmarshal(payload)
-			if err != nil {
-				fail(fmt.Errorf("remote: malformed value frame: %w", err))
-				return
-			}
-			received++
-			if stream != 0 && telemetry.On() {
-				cClientValues.Inc()
-			}
-			if ih != nil {
-				ih.BlockedPut()
-			}
-			if out.Put(v) != nil {
-				// Consumer stopped the pipe: tell the producer.
-				p.sendFrame(frameCancel, nil)
-				return
-			}
-			if ih != nil {
-				ih.Running()
-				ih.Produced(1)
-			}
-		case frameValues:
-			vals, err = wire.UnmarshalBatchInto(vals[:0], payload, wire.DefaultLimits)
-			if err != nil {
-				fail(fmt.Errorf("remote: malformed batch frame: %w", err))
-				return
-			}
-			received += int64(len(vals))
-			if stream != 0 && telemetry.On() {
-				cClientValues.Add(int64(len(vals)))
-			}
-			if ih != nil {
-				ih.BlockedPut()
-			}
-			if _, err := out.PutBatch(vals); err != nil {
-				p.sendFrame(frameCancel, nil)
-				return
-			}
-			if ih != nil {
-				ih.Running()
-				ih.Produced(int64(len(vals)))
-			}
-		case frameEOS:
-			return // clean end: generator failed
-		case frameSnapshot:
-			produced, ok, rest, err := parseSnapshot(payload)
-			if err != nil {
-				fail(err)
-				return
-			}
-			p.noteSnapshot(produced, ok, rest)
-		case frameErr:
-			if p.noteDowngrade(string(payload)) {
-				// A pre-batching server refused our v3 OPEN; the teardown in
-				// this defer closes out, and the next Next reopens at v2.
-				return
-			}
-			fail(&RemoteError{Msg: string(payload)})
-			return
-		case framePong, framePing:
-			// liveness only; PING from the server is tolerated and ignored
-		default:
-			fail(fmt.Errorf("remote: unexpected %s frame", frameName(typ)))
-			return
-		}
-	}
-}
-
-// pingLoop keeps the stream alive and detects dead peers while the
-// consumer is slow or idle.
-func (p *RemotePipe) pingLoop(stop, done chan struct{}) {
-	t := time.NewTicker(p.cfg.heartbeat())
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-done:
-			return
-		case <-t.C:
-			if err := p.sendFrame(framePing, nil); err != nil {
-				// readLoop surfaces the connection loss; just stop pinging.
-				return
-			}
-		}
-	}
-}
-
-// noteDowngrade recognizes a version rejection from an older server and
-// arranges a silent reopen at the version the server names instead of
-// surfacing the rejection as a stream error. Only the versioned-OPEN
-// rejection message is treated this way, and only when it actually names
-// a lower version than we sent (anything else is a real error).
-func (p *RemotePipe) noteDowngrade(msg string) bool {
-	n, ok := versionCap(msg)
-	if !ok {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n >= p.openedVer {
-		return false // the server accepts what we sent; this is a real error
-	}
-	p.verCap = n
-	if n < 3 {
-		p.noBatch = true // pre-batching server
-	}
-	p.redial = true
-	return true
 }
 
 // noteSnapshot records a SNAPSHOT answer: the latest checkpoint blob (or
@@ -655,15 +386,14 @@ var testHookFlushPause func()
 // flushCredits grants the producer every credit accumulated since the last
 // grant in one CREDIT frame. With demand set a frame is sent even when no
 // credits are owed: CREDIT(0) is the pure demand ping a consumer about to
-// block sends so a batching server flushes its partial run (a pre-batching
-// server deposits zero, harmlessly).
+// block sends so the server flushes its partial run.
 //
 // The grant is pinned to the stream incarnation it was captured under:
 // debt is zeroed under p.mu, but the CREDIT write happens later, and a
-// redial (version downgrade, crash recovery, migration) can swap p.conn in
-// between. A fresh stream already opens with a full-buffer grant, so a
-// stale grant landing on it would over-credit the producer past the §3B
-// bound — the epoch check drops it instead.
+// redial (crash recovery, migration) can swap the stream in between. A
+// fresh stream already opens with a full-buffer grant, so a stale grant
+// landing on it would over-credit the producer past the §3B bound — the
+// epoch check drops it instead.
 func (p *RemotePipe) flushCredits(demand bool) {
 	p.mu.Lock()
 	debt := p.debt
@@ -680,7 +410,7 @@ func (p *RemotePipe) flushCredits(demand bool) {
 	if testHookFlushPause != nil {
 		testHookFlushPause()
 	}
-	p.sendFrameEpoch(frameCredit, creditPayload(debt), epoch) // best effort; loss surfaces in readLoop
+	p.sendFrameEpoch(frameCredit, creditPayload(debt), epoch) // best effort; loss surfaces in the session's read loop
 }
 
 // sendFrame serializes control-frame writes against the current stream.
@@ -693,22 +423,22 @@ func (p *RemotePipe) sendFrame(typ byte, payload []byte) error {
 
 // sendFrameEpoch writes a control frame only if the stream incarnation is
 // still the one the frame was composed for; a frame that raced a redial is
-// dropped, not delivered to the wrong stream. (The transport is captured
-// together with the epoch, so a frame that loses the race after the check
-// goes to the old incarnation's transport — a dead connection or a
-// finished session stream id, both of which discard it.)
+// dropped, not delivered to the wrong stream. (The session and stream id
+// are captured together with the epoch, so a frame that loses the race
+// after the check goes to the old incarnation's — a dead connection or a
+// finished stream id, both of which discard it.)
 func (p *RemotePipe) sendFrameEpoch(typ byte, payload []byte, epoch uint64) error {
 	p.mu.Lock()
-	tr := p.tr
+	sess, sid := p.sess, p.sid
 	cur := p.epoch
 	p.mu.Unlock()
-	if tr == nil {
+	if sess == nil {
 		return errors.New("remote: stream not open")
 	}
 	if cur != epoch {
 		return nil // stale frame for a dead incarnation: drop silently
 	}
-	return tr.send(typ, payload)
+	return sess.io.enqueue(typ, sid, payload)
 }
 
 // Next takes the next remote result, failing when the serving generator
@@ -728,17 +458,11 @@ func (p *RemotePipe) Next() (value.V, bool) {
 		p.mu.Unlock()
 		return v, true
 	}
-	if !p.started {
-		if err := p.start(); err != nil {
-			p.started = true // don't re-dial every Next; Restart resets
-			p.err = err
-			p.out = queue.NewArrayBlocking[value.V](1)
-			p.out.Close()
-			p.mu.Unlock()
-			return nil, false
-		}
+	if !p.ensureStarted() {
+		p.mu.Unlock()
+		return nil, false
 	}
-	out, tr := p.out, p.tr
+	out, sess, sid := p.out, p.sess, p.sid
 	batched := p.batch > 0
 	ih := p.ih
 	p.mu.Unlock()
@@ -752,10 +476,10 @@ func (p *RemotePipe) Next() (value.V, bool) {
 	if d := p.cfg.Deadline; d > 0 {
 		timer = time.AfterFunc(d, func() {
 			p.fail(ErrDeadline)
-			if tr != nil {
+			if sess != nil {
 				// Tear down this stream only: on a shared session the
 				// per-stream close leaves siblings undisturbed.
-				tr.close()
+				sess.closeStream(sid)
 			}
 			out.Close()
 		})
@@ -775,14 +499,6 @@ func (p *RemotePipe) Next() (value.V, bool) {
 	}
 	if err != nil {
 		p.mu.Lock()
-		if p.redial {
-			// The server named a lower protocol version; reopen there
-			// transparently.
-			p.redial = false
-			p.detachLocked()
-			p.mu.Unlock()
-			return p.Next()
-		}
 		serr := p.err
 		if p.recoverableLocked(serr) {
 			var re *RemoteError
@@ -841,28 +557,34 @@ func (p *RemotePipe) Err() error {
 func (p *RemotePipe) StartEager() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.ensureStarted()
+}
+
+// ensureStarted opens the stream unless one is open. A failure leaves the
+// pipe started on a closed queue with the error recorded, so every Next
+// fails at once and nothing is dialed again until Restart. Caller holds
+// p.mu.
+func (p *RemotePipe) ensureStarted() bool {
 	if p.started {
-		return
+		return true
 	}
-	if err := p.start(); err != nil {
+	err := p.start()
+	if err != nil {
 		p.started = true
 		p.err = err
 		p.out = queue.NewArrayBlocking[value.V](1)
 		p.out.Close()
 	}
+	return err == nil
 }
 
 // detachLocked abandons the current stream's client state so the next
 // Next opens a fresh one; the stream's teardown (triggered by the queue
-// close that got us here) owns the connection. Caller holds p.mu.
+// close that got us here) owns the session. Caller holds p.mu.
 func (p *RemotePipe) detachLocked() {
 	p.started = false
 	p.err = nil
-	if p.pingStop != nil {
-		close(p.pingStop)
-		p.pingStop = nil
-	}
-	p.tr = nil
+	p.sess = nil
 }
 
 // recoverableLocked reports whether a terminated stream should be redialed
@@ -915,13 +637,13 @@ func (p *RemotePipe) reconnect() bool {
 // Migrate moves the live stream to the junicond at target mid-iteration
 // with no values lost or duplicated: demand a snapshot from the source
 // (SNAPREQ), drain everything the source already shipped into the replay
-// buffer, cut the connection, and let the next Next open the target with
+// buffer, cancel the stream, and let the next Next open the target with
 // RESUME (or deterministic replay when the source refused to snapshot).
 // The §3B credit window caps what can be in flight during the cutover, so
 // the drain is bounded by the pipe's buffer.
 func (p *RemotePipe) Migrate(target string) error {
 	p.mu.Lock()
-	if !p.started || p.tr == nil || p.err != nil {
+	if !p.started || p.sess == nil || p.err != nil {
 		// Nothing live to hand over: just point the pipe at the target.
 		// With results already delivered, the next Next resumes there.
 		p.addr = target
@@ -931,11 +653,8 @@ func (p *RemotePipe) Migrate(target string) error {
 	ih := p.ih
 	out := p.out
 	done := p.done
-	var ch chan struct{}
-	if p.openedVer >= 4 {
-		ch = make(chan struct{})
-		p.snapWait = ch
-	}
+	ch := make(chan struct{})
+	p.snapWait = ch
 	p.mu.Unlock()
 	ih.Migrating()
 	if telemetry.On() {
@@ -952,24 +671,22 @@ func (p *RemotePipe) Migrate(target string) error {
 			replay = append(replay, v)
 		}
 	}
-	if ch != nil {
-		p.sendFrame(frameSnapReq, nil)
-		// Wait for the snapshot answer while draining the queue: the
-		// producer may need the read loop unblocked (queue full) before it
-		// can reach the SNAPREQ, and every value it ships before the
-		// SNAPSHOT marker must be in hand for the resume arithmetic.
-		deadline := time.Now().Add(p.cfg.recoverWait())
-		for waiting := true; waiting; {
-			drain()
-			select {
-			case <-ch:
-				waiting = false
-			case <-done:
-				waiting = false
-			case <-time.After(time.Millisecond):
-				if time.Now().After(deadline) {
-					waiting = false // no answer: fall back to replay recovery
-				}
+	p.sendFrame(frameSnapReq, nil)
+	// Wait for the snapshot answer while draining the queue: the producer
+	// may need the read loop unblocked (queue full) before it can reach the
+	// SNAPREQ, and every value it ships before the SNAPSHOT marker must be
+	// in hand for the resume arithmetic.
+	deadline := time.Now().Add(p.cfg.recoverWait())
+	for waiting := true; waiting; {
+		drain()
+		select {
+		case <-ch:
+			waiting = false
+		case <-done:
+			waiting = false
+		case <-time.After(time.Millisecond):
+			if time.Now().After(deadline) {
+				waiting = false // no answer: fall back to replay recovery
 			}
 		}
 	}
@@ -977,21 +694,14 @@ func (p *RemotePipe) Migrate(target string) error {
 	// The SNAPSHOT frame is ordered after every value its count covers, so
 	// after this final drain delivered+replay >= lastSnapAt — the resume
 	// skip is never negative.
-	p.sendFrame(frameCancel, nil)
 	p.mu.Lock()
-	tr := p.tr
-	p.tr = nil
-	if p.pingStop != nil {
-		close(p.pingStop)
-		p.pingStop = nil
-	}
+	sess, sid := p.sess, p.sid
+	p.sess = nil
 	p.mu.Unlock()
-	if tr != nil {
-		tr.close()
+	if sess != nil {
+		sess.closeStream(sid)
 	}
-	if done != nil {
-		<-done // readLoop finished: the queue is closed, nothing more arrives
-	}
+	<-done // the stream left the demux table: the queue is closed, nothing more arrives
 	drain()
 	p.mu.Lock()
 	p.started = false
@@ -1002,16 +712,17 @@ func (p *RemotePipe) Migrate(target string) error {
 	return nil
 }
 
-// KillConn severs the transport abruptly — no CANCEL, no teardown of the
-// local state machine — exactly what a crashed peer or cut network looks
-// like. It is the chaos hook the kill/recovery tests drive; real code has
+// KillConn severs the stream's connection abruptly — no CANCEL, no
+// teardown of the local state machine — exactly what a crashed peer or cut
+// network looks like; on a pooled session every sibling stream loses it
+// too. It is the chaos hook the kill/recovery tests drive; real code has
 // no reason to call it.
 func (p *RemotePipe) KillConn() {
 	p.mu.Lock()
-	tr := p.tr
+	sess := p.sess
 	p.mu.Unlock()
-	if tr != nil {
-		tr.kill()
+	if sess != nil {
+		sess.Kill()
 	}
 }
 
@@ -1034,13 +745,9 @@ func (p *RemotePipe) SnapshotRefusal() string {
 
 // stopLocked cancels the current stream. Caller holds p.mu.
 func (p *RemotePipe) stopLocked() {
-	if p.tr != nil {
-		p.tr.close()
-		p.tr = nil
-	}
-	if p.pingStop != nil {
-		close(p.pingStop)
-		p.pingStop = nil
+	if p.sess != nil {
+		p.sess.closeStream(p.sid)
+		p.sess = nil
 	}
 	if p.out != nil {
 		p.out.Close()
@@ -1089,7 +796,7 @@ func (p *RemotePipe) Refresh() core.Stepper {
 	if p.started {
 		p.stopLocked()
 	}
-	return &RemotePipe{addr: p.addr, cfg: p.cfg, spec: p.spec}
+	return &RemotePipe{addr: p.addr, cfg: p.cfg, spec: p.spec, argErr: p.argErr, dialer: p.dialer}
 }
 
 // Stream reports the telemetry stream ID sent in the OPEN frame — 0

@@ -15,10 +15,10 @@ import (
 // heartbeat timers rather than n — the "engines as lightweight agents
 // behind one channel" economics the mesh roadmap needs.
 //
-// Addresses whose daemon predates protocol v5 are detected on the first
-// dial and remembered: pipes there silently fall back to the classic
-// one-connection-per-stream transport, so a mixed-version fleet works
-// unchanged.
+// The package-level Open and OpenSource go through the same type: each
+// pipe gets a private Dialer (cap 1, the pipe's Config.Heartbeat and
+// Config.DialTimeout) whose session ends with the pipe's stream. How many
+// streams share a connection is the Dialer's business, never the wire's.
 //
 // The zero value is ready to use. A Dialer is safe for concurrent use.
 type Dialer struct {
@@ -28,16 +28,27 @@ type Dialer struct {
 	StreamsPerConn int
 	// Heartbeat is the per-connection PING interval; <= 0 selects
 	// DefaultHeartbeat. Liveness is per connection: one timer however many
-	// streams the session carries.
+	// streams the session carries, and the Config.Heartbeat of the pipes
+	// opened through this Dialer is not consulted.
 	Heartbeat time.Duration
-	// DialTimeout bounds session establishment (TCP dial + v5 handshake);
-	// <= 0 selects DefaultDialTimeout.
+	// DialTimeout bounds session establishment (TCP dial + handshake);
+	// <= 0 selects DefaultDialTimeout. As with Heartbeat, it is this field
+	// and not Config.DialTimeout that governs a pooled pipe.
 	DialTimeout time.Duration
+
+	// private marks the Dialer behind one package-level pipe: its sessions
+	// carry that pipe's one stream and close when it ends.
+	private bool
 
 	mu       sync.Mutex
 	sessions map[string][]*Session
-	noMux    map[string]bool // addresses that rejected the v5 handshake
 	closed   bool
+}
+
+// privateDialer is the Dialer a package-level Open or OpenSource pipe
+// owns: one stream per connection, liveness and dial bound from cfg.
+func privateDialer(cfg Config) *Dialer {
+	return &Dialer{StreamsPerConn: 1, Heartbeat: cfg.Heartbeat, DialTimeout: cfg.DialTimeout, private: true}
 }
 
 func (d *Dialer) streamsPerConn() int {
@@ -62,35 +73,26 @@ func (d *Dialer) dialTimeout() time.Duration {
 }
 
 // Open is remote.Open through the pool: the returned pipe opens its
-// stream on a shared session (or a dedicated connection when the server
-// is pre-v5). Semantics are otherwise identical.
+// stream on a shared session. Semantics are otherwise identical.
 func (d *Dialer) Open(addr, name string, args []value.V, cfg Config) *RemotePipe {
-	p := Open(addr, name, args, cfg)
-	p.dialer = d
-	return p
+	return newPipe(d, addr, cfg, openReq{mode: openNamed, name: name}, args)
 }
 
 // OpenSource is remote.OpenSource through the pool.
 func (d *Dialer) OpenSource(addr, program, expr string, args []value.V, cfg Config) *RemotePipe {
-	p := OpenSource(addr, program, expr, args, cfg)
-	p.dialer = d
-	return p
+	return newPipe(d, addr, cfg, openReq{mode: openSource, program: program, expr: expr}, args)
 }
 
 // session returns a pooled session for addr with one stream slot
 // reserved, dialing a new connection only when every live session is at
 // the cap. Dialing happens under the pool lock deliberately: a thousand
 // concurrent opens must produce ceil(n/cap) connections, not a thundering
-// herd of dials. Returns errMuxUnsupported (cached per address) when the
-// daemon there is pre-v5.
+// herd of dials.
 func (d *Dialer) session(addr string) (*Session, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil, errors.New("remote: dialer closed")
-	}
-	if d.noMux[addr] {
-		return nil, errMuxUnsupported
 	}
 	if d.sessions == nil {
 		d.sessions = make(map[string][]*Session)
@@ -115,12 +117,6 @@ func (d *Dialer) session(addr string) (*Session, error) {
 	}
 	s, err := dialSession(d, addr)
 	if err != nil {
-		if errors.Is(err, errMuxUnsupported) {
-			if d.noMux == nil {
-				d.noMux = make(map[string]bool)
-			}
-			d.noMux[addr] = true
-		}
 		return nil, err
 	}
 	s.tryReserve(limit)

@@ -15,9 +15,18 @@ import (
 	"junicon/internal/wire"
 )
 
-// fakeServer accepts one connection and hands it to behave on its own
-// goroutine.
-func fakeServer(t *testing.T, behave func(conn net.Conn)) string {
+// fakePeer is the server end of one connection a fake server accepted,
+// after the handshake and the client's first stream OPEN.
+type fakePeer struct {
+	net.Conn
+	fr  *frameReader
+	sid uint32 // the stream the client opened
+}
+
+// fakeServer accepts one connection, answers the session handshake, waits
+// for the stream OPEN and hands the peer to behave on its own goroutine. A
+// client that gets no further notices the teardown.
+func fakeServer(t *testing.T, behave func(p *fakePeer)) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -29,35 +38,57 @@ func fakeServer(t *testing.T, behave func(conn net.Conn)) string {
 		if err != nil {
 			return
 		}
-		behave(conn)
+		defer conn.Close()
+		if typ, _, err := readFrame(conn); err != nil || typ != frameOpen || writeFrame(conn, frameHello, nil) != nil {
+			return
+		}
+		p := &fakePeer{Conn: conn, fr: newFrameReader(conn, 0)}
+		defer p.fr.release()
+		typ, sid, _, err := p.fr.readMux()
+		if err != nil || typ != frameOpen {
+			return
+		}
+		p.sid = sid
+		behave(p)
 	}()
 	return l.Addr().String()
 }
 
-// expectOpen consumes the OPEN frame, failing silently (the client will
-// notice the teardown).
-func expectOpen(conn net.Conn) bool {
-	typ, _, err := readFrame(conn)
-	return err == nil && typ == frameOpen
+// send writes one frame on the peer's stream.
+func (p *fakePeer) send(typ byte, payload []byte) error {
+	_, err := p.Write(appendMuxFrame(nil, typ, p.sid, payload))
+	return err
 }
 
 // sendValues writes n integer VALUE frames.
-func sendValues(conn net.Conn, n int) {
+func (p *fakePeer) sendValues(n int) {
 	for i := 1; i <= n; i++ {
 		data, _ := wire.Marshal(value.NewInt(int64(i)))
-		if writeFrame(conn, frameValue, data) != nil {
+		if p.send(frameValue, data) != nil {
 			return
 		}
 	}
 }
 
-func TestServerCrashMidStream(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if !expectOpen(conn) {
+// hold keeps the connection open — the client must fail on what it was
+// sent, not on a connection error — answering pings until the client
+// leaves.
+func (p *fakePeer) hold() {
+	for {
+		typ, sid, _, err := p.fr.readMux()
+		if err != nil {
 			return
 		}
-		sendValues(conn, 2)
-		conn.Close() // crash: no EOS, no ERR, connection just dies
+		if typ == framePing && sid == 0 {
+			p.Write(appendMuxFrame(nil, framePong, 0, nil))
+		}
+	}
+}
+
+func TestServerCrashMidStream(t *testing.T) {
+	addr := fakeServer(t, func(p *fakePeer) {
+		p.sendValues(2)
+		p.Close() // crash: no EOS, no ERR, connection just dies
 	})
 	p := Open(addr, "whatever", nil, testConfig())
 	defer p.Stop()
@@ -78,56 +109,10 @@ func TestServerCrashMidStream(t *testing.T) {
 	})
 }
 
-func TestDeadlineExpirySurfacesAsErr(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if !expectOpen(conn) {
-			return
-		}
-		sendValues(conn, 1)
-		// Stall forever, but keep the connection alive by answering pings.
-		for {
-			typ, _, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			if typ == framePing {
-				if writeFrame(conn, framePong, nil) != nil {
-					return
-				}
-			}
-		}
-	})
-	cfg := testConfig()
-	cfg.Deadline = 150 * time.Millisecond
-	p := Open(addr, "whatever", nil, cfg)
-	defer p.Stop()
-	within(t, 5*time.Second, "deadline", func() {
-		if _, ok := p.Next(); !ok {
-			t.Error("first value should arrive")
-		}
-		start := time.Now()
-		if _, ok := p.Next(); ok {
-			t.Error("stalled stream produced a value")
-		}
-		if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-			t.Errorf("Next failed after %v, before the deadline", elapsed)
-		}
-	})
-	if p.Err() != ErrDeadline {
-		t.Fatalf("want ErrDeadline, got %v", p.Err())
-	}
-}
-
 func TestMalformedValuePayloadSurfacesAsErr(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if !expectOpen(conn) {
-			return
-		}
-		writeFrame(conn, frameValue, []byte{0xee, 0xff, 0x01}) // unknown wire tag
-		// Keep the conn open: the client must fail on the bad frame
-		// itself, not on a subsequent connection error.
-		time.Sleep(2 * time.Second)
-		conn.Close()
+	addr := fakeServer(t, func(p *fakePeer) {
+		p.send(frameValue, []byte{0xee, 0xff, 0x01}) // unknown wire tag
+		p.hold()
 	})
 	p := Open(addr, "whatever", nil, testConfig())
 	defer p.Stop()
@@ -142,13 +127,9 @@ func TestMalformedValuePayloadSurfacesAsErr(t *testing.T) {
 }
 
 func TestUnexpectedFrameTypeSurfacesAsErr(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if !expectOpen(conn) {
-			return
-		}
-		writeFrame(conn, 0x7f, []byte("junk")) // not a protocol frame type
-		time.Sleep(2 * time.Second)
-		conn.Close()
+	addr := fakeServer(t, func(p *fakePeer) {
+		p.send(0x7f, []byte("junk")) // not a protocol frame type
+		p.hold()
 	})
 	p := Open(addr, "whatever", nil, testConfig())
 	defer p.Stop()
@@ -163,15 +144,12 @@ func TestUnexpectedFrameTypeSurfacesAsErr(t *testing.T) {
 }
 
 func TestOversizedFramePrefixSurfacesAsErr(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if !expectOpen(conn) {
-			return
-		}
+	addr := fakeServer(t, func(p *fakePeer) {
 		// A length prefix over MaxFrame: the client must reject it before
 		// allocating, not try to read 4GiB.
-		conn.Write([]byte{frameValue, 0xff, 0xff, 0xff, 0xff})
+		hdr := muxHeader(frameValue, p.sid, 0)
+		p.Write(append(hdr[:5], 0xff, 0xff, 0xff, 0xff))
 		time.Sleep(2 * time.Second)
-		conn.Close()
 	})
 	p := Open(addr, "whatever", nil, testConfig())
 	defer p.Stop()
@@ -186,14 +164,10 @@ func TestOversizedFramePrefixSurfacesAsErr(t *testing.T) {
 }
 
 func TestSilentPeerIsDetectedByLiveness(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if !expectOpen(conn) {
-			return
-		}
+	addr := fakeServer(t, func(p *fakePeer) {
 		// Say nothing, answer nothing: a machine that froze with the
 		// TCP connection still established.
 		time.Sleep(5 * time.Second)
-		conn.Close()
 	})
 	cfg := testConfig() // heartbeat 25ms → liveness window 100ms
 	p := Open(addr, "whatever", nil, cfg)
@@ -217,13 +191,11 @@ func TestMalformedFrameOnServerSideDropsStreamNotDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	rawSession(t, conn)
 	open := &openReq{mode: openNamed, credit: 4, name: "range"}
-	args, _ := wire.Marshal(value.NewList(value.NewInt(1), value.NewInt(3)))
-	open.args = args
-	if err := writeFrame(conn, frameOpen, open.marshal()); err != nil {
-		t.Fatal(err)
-	}
-	conn.Write([]byte{0x99, 0x00, 0x00, 0x00, 0x02, 0xab, 0xcd}) // garbage frame
+	open.args, _ = wire.Marshal(value.NewList(value.NewInt(1), value.NewInt(3)))
+	conn.Write(appendMuxFrame(nil, frameOpen, 1, open.marshal()))
+	conn.Write(appendMuxFrame(nil, 0x99, 1, []byte{0xab, 0xcd})) // garbage frame
 	deadline := time.Now().Add(5 * time.Second)
 	for s.ActiveStreams() != 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

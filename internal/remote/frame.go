@@ -8,28 +8,56 @@
 //
 // # Protocol
 //
-// One connection carries one stream. The client sends OPEN naming either a
-// registered generator (plus arguments) or a vetted Junicon source
-// program; the server runs the generator and streams results back:
+// One TCP connection is a session carrying many logical streams. The
+// client opens it with a handshake in plain [type][len] framing — an OPEN
+// in mode openMux, answered by HELLO (or by ERR and a close: wrong
+// protocol version, connection limit). From the byte after HELLO every
+// frame in both directions carries a stream id: [type:1][stream:4 BE]
+// [len:4 BE][payload]. Stream id 0 is the connection itself; every other id
+// is one stream, opened by the client with an OPEN naming a registered
+// generator (plus arguments) or a vetted Junicon source program, or with a
+// RESUME carrying a checkpoint snapshot to restore:
 //
 //	client                          server
-//	  | OPEN{name|source, args, credit}
+//	  | OPEN{mux, streams hint}       |   plain framing
 //	  |------------------------------>|
-//	  |<------------------- VALUE ... |   (at most `credit` unacknowledged)
-//	  | CREDIT{1}                     |   (after each consumed value)
+//	  |<------------------------ HELLO|   mux framing from here on
+//	  | sid: OPEN{name|source, args, credit, batch, interval, skip}
 //	  |------------------------------>|
-//	  |<------------------------- EOS |   (generator failed = clean end)
-//	  |<------------------------- ERR |   (producer error, vet rejection)
-//	  | PING / PONG in both gaps      |   (liveness)
-//	  | CANCEL                        |   (consumer stopped the pipe)
+//	  |<------ sid: VALUE / VALUES ...|   (at most `credit` values unacknowledged)
+//	  | sid: CREDIT{n}                |   (n consumed values; n=0 is pure demand)
+//	  |------------------------------>|
+//	  |<------------------ sid: EOS   |   (generator failed = clean end)
+//	  |<------------------ sid: ERR   |   (producer error, refused OPEN)
+//	  | sid: CANCEL                   |   (consumer stopped the pipe)
+//	  | 0: PING / PONG in both gaps   |   (liveness, once per connection)
 //
-// Flow control is credit-based: the server may have at most as many
-// unacknowledged VALUE frames in flight as the client has granted credits,
-// and the client grants exactly its pipe buffer up front then one credit
-// per consumed value. The pipe's buffer bound therefore throttles the
-// remote producer exactly as §3B's bounded queue throttles a local
-// threaded co-expression — a RemotePipe with buffer 1 degenerates to a
-// remote future/M-var, just as locally.
+// A package-level Open owns a private session carrying its one stream and
+// closes the connection when the stream ends; a Dialer pools sessions per
+// address and shares each among up to StreamsPerConn streams. An ERR or
+// EOS ends one stream, never its siblings; frames for an id that has
+// finished are dropped, since a flush can race a cancel.
+//
+// Flow control is credit-based and per stream: the server may have at most
+// as many unacknowledged values in flight as the client has granted
+// credits, and the client grants exactly its pipe buffer up front then one
+// credit per consumed value (coalesced into runs when the stream is
+// batched). The pipe's buffer bound therefore throttles the remote
+// producer exactly as §3B's bounded queue throttles a local threaded
+// co-expression — a RemotePipe with buffer 1 degenerates to a remote
+// future/M-var, just as locally — and one slow consumer fills its own
+// window, never the connection's demux loop.
+//
+// Durability rides the same cadence. With a checkpoint interval in its
+// OPEN the server emits a SNAPSHOT (blob or refusal) after every interval
+// delivered values, so the credit window also bounds checkpoint lag;
+// SNAPREQ forces one immediately (the migration handshake). A lost stream
+// is reopened with RESUME from the last snapshot, or with an OPEN whose
+// skip count replays the delivered prefix.
+//
+// Liveness is per connection: each end pings stream 0 every heartbeat and
+// treats a peer silent for several intervals (the server: IdleTimeout) as
+// lost, which fails every stream on the session.
 //
 // Failure propagates faithfully: the serving generator's Icon failure
 // becomes EOS (the remote pipe's Next fails, Err() == nil); a producer
@@ -42,9 +70,9 @@
 // A stream should cost its messages, not the framing around them. Frames
 // are written through a coalescing writer (one Write per batch that
 // gathered, session.go) and read through a frameReader (one Read and one
-// liveness-deadline arm per batch that arrived, below). Only the one-shot
+// liveness-deadline arm per batch that arrived, below). Only the two
 // handshake frames are read exact-length, by readFrame, so that not a byte
-// is buffered across the hand-off to a read loop or a change of framing.
+// is buffered across the switch of framing.
 package remote
 
 import (
@@ -52,8 +80,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,9 +88,9 @@ import (
 )
 
 // Wire-level telemetry: every frame written or read in this process
-// (client and server sides both funnel through writeFrame/readFrame)
-// counts frames and bytes when telemetry is enabled — the disabled path
-// is one atomic load per frame. remote.rx.reads counts the frameReader's
+// (either end, handshake or session) counts frames and bytes when
+// telemetry is enabled — the disabled path is one atomic load per frame.
+// remote.rx.reads counts the frameReader's
 // fills (Read calls on the connection), so frames_rx ÷ rx.reads is the
 // receive-side coalescing factor, the mirror of frames_tx ÷ mux.flushes.
 var (
@@ -100,7 +126,7 @@ const (
 	framePong   byte = 0x07 // either: probe answer
 	frameCancel byte = 0x08 // client→server: stop the stream
 	frameValues byte = 0x09 // server→client: a batch of wire-encoded results
-	// Durable-generator frames (protocol v4). SNAPSHOT piggybacks on the
+	// Durable-generator frames. SNAPSHOT piggybacks on the
 	// credit-grant cadence — the server emits one after every checkpoint
 	// interval of delivered values, so §3B flow control bounds checkpoint
 	// lag exactly as it bounds queue depth. RESUME is an alternative opening
@@ -109,10 +135,8 @@ const (
 	frameSnapshot byte = 0x0a // server→client: checkpoint blob or refusal
 	frameResume   byte = 0x0b // client→server: open by restoring a snapshot
 	frameSnapReq  byte = 0x0c // client→server: demand a snapshot now
-	// frameHello (protocol v5) is the server's answer to a session OPEN
-	// (mode openMux at version 5): from the byte after it, both directions
-	// switch to multiplexed framing — every frame gains a stream-id header
-	// and one connection carries many logical streams.
+	// frameHello is the server's answer to the session OPEN (mode openMux):
+	// from the byte after it, both directions use multiplexed framing.
 	frameHello byte = 0x0d
 )
 
@@ -166,9 +190,9 @@ var frameBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// writeFrame emits one frame: 1-byte type, 4-byte big-endian payload
-// length, payload. Callers serialize access to w. Small frames are staged
-// in a pooled buffer and written in one call.
+// writeFrame emits one handshake-framed frame: 1-byte type, 4-byte
+// big-endian payload length, payload. Small frames are staged in a pooled
+// buffer and written in one call.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("remote: %s payload %d exceeds MaxFrame", frameName(typ), len(payload))
@@ -197,11 +221,10 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return nil
 }
 
-// readFrame reads one classic frame with exact-length reads, rejecting an
-// oversized length prefix before allocating. It is kept for the one-shot
-// handshake reads (and raw protocol tests): it consumes not one byte past
-// its frame, so the connection can be handed to a frameReader — or switch
-// framing — right after it. The read loops all go through a frameReader.
+// readFrame reads one handshake-framed frame with exact-length reads,
+// rejecting an oversized length prefix before allocating. It consumes not
+// one byte past its frame, so the connection can switch to multiplexed
+// framing — and be handed to a frameReader — right after it.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -324,23 +347,34 @@ func (f *frameReader) need(n int) error {
 	return nil
 }
 
-// next parses one frame whose header is hlen bytes — [type][len] classic,
-// [type][stream][len] multiplexed — rejecting an oversized length prefix
-// before anything is read or allocated for it.
-func (f *frameReader) next(hlen int) (typ byte, sid uint32, payload []byte, err error) {
-	if err = f.need(hlen); err != nil {
+// muxHeaderLen is the multiplexed frame header size: [type:1][stream:4 BE]
+// [len:4 BE].
+const muxHeaderLen = 9
+
+// muxHeader encodes a multiplexed frame's header; the session writer
+// appends it and the payload to its pending buffer as one unit.
+func muxHeader(typ byte, sid uint32, n int) (h [muxHeaderLen]byte) {
+	h[0] = typ
+	binary.BigEndian.PutUint32(h[1:], sid)
+	binary.BigEndian.PutUint32(h[5:], uint32(n))
+	return h
+}
+
+// readMux parses one multiplexed frame (type, stream id, payload),
+// rejecting an oversized length prefix before anything is read or
+// allocated for it.
+func (f *frameReader) readMux() (typ byte, sid uint32, payload []byte, err error) {
+	if err = f.need(muxHeaderLen); err != nil {
 		return 0, 0, nil, err
 	}
-	hdr := f.buf[f.lo : f.lo+hlen]
+	hdr := f.buf[f.lo : f.lo+muxHeaderLen]
 	typ = hdr[0]
-	if hlen == muxHeaderLen {
-		sid = binary.BigEndian.Uint32(hdr[1:5])
-	}
-	n := int(binary.BigEndian.Uint32(hdr[hlen-4:]))
+	sid = binary.BigEndian.Uint32(hdr[1:5])
+	n := int(binary.BigEndian.Uint32(hdr[5:]))
 	if n > MaxFrame {
 		return 0, 0, nil, fmt.Errorf("remote: frame length %d exceeds MaxFrame", n)
 	}
-	f.lo += hlen
+	f.lo += muxHeaderLen
 	if n <= fillSize {
 		if err = f.need(n); err != nil {
 			return 0, 0, nil, err
@@ -366,86 +400,36 @@ func (f *frameReader) next(hlen int) (typ byte, sid uint32, payload []byte, err 
 			got += f.fill(payload[got:])
 		}
 	}
-	countRx(hlen + n)
+	countRx(muxHeaderLen + n)
 	return typ, sid, payload, nil
-}
-
-// read reads one classic frame (type, length, payload).
-func (f *frameReader) read() (byte, []byte, error) {
-	typ, _, payload, err := f.next(5)
-	return typ, payload, err
-}
-
-// ---- multiplexed framing (protocol v5) ----
-//
-// After the session handshake (a classic OPEN in mode openMux answered by
-// a classic HELLO), every frame in both directions carries a stream id
-// between the type and the length: [type:1][stream:4 BE][len:4 BE]
-// [payload]. Stream id 0 is the connection itself — PING/PONG liveness is
-// per-connection under v5, not per-stream.
-
-// muxHeaderLen is the multiplexed frame header size.
-const muxHeaderLen = 9
-
-// muxHeader encodes a multiplexed frame's header; the session writer
-// appends it and the payload to its pending buffer as one unit.
-func muxHeader(typ byte, sid uint32, n int) (h [muxHeaderLen]byte) {
-	h[0] = typ
-	binary.BigEndian.PutUint32(h[1:], sid)
-	binary.BigEndian.PutUint32(h[5:], uint32(n))
-	return h
-}
-
-// readMux reads one multiplexed frame (type, stream id, payload).
-func (f *frameReader) readMux() (byte, uint32, []byte, error) {
-	return f.next(muxHeaderLen)
 }
 
 // ---- OPEN payload ----
 
-// openVersion guards against skew between mixed-version peers. Version 2
-// added the client's telemetry stream ID after the credit grant; version 3
-// added the client's batch capability — the largest VALUES frame element
-// count it accepts, 0 meaning per-value VALUE frames only. Lower-version
-// peers (missing fields) are still accepted and read as zero values, and
-// a server capped below the client's version (Server.MaxProtocol) rejects
-// the OPEN with a versioned message the client recognizes and redials down
-// from. Version 4 added durable generators: the checkpoint interval and
-// recovery skip count in OPEN, the RESUME opening frame, and the
-// SNAPSHOT/SNAPREQ exchange.
-//
-// Version 5 added multiplexed sessions. It is deliberately NOT the
-// version individual stream opens marshal at: a stream OPEN still speaks
-// openVersion (4) whether it travels on a dedicated connection or inside
-// a session, so plain RemotePipe behaviour is byte-identical to v4.
-// Version 5 appears on the wire only as the session handshake — an OPEN
-// in mode openMux at sessionVersion — which a pre-v5 server rejects with
-// the same versioned message every other downgrade uses, and the Dialer
-// recognizes to fall back to one connection per stream.
-const (
-	openVersion    = 4
-	sessionVersion = 5
-)
+// protocolVersion is the one wire version this package speaks. It leads
+// every OPEN payload — the session handshake and each stream's OPEN or
+// RESUME alike — and a peer that sends any other is refused with an ERR
+// naming both numbers.
+const protocolVersion = 5
 
 // Open modes.
 const (
 	openNamed  byte = 0 // a generator registered on the server
 	openSource byte = 1 // a vetted Junicon source program + expression
-	openResume byte = 2 // a checkpoint snapshot to restore (v4)
-	openMux    byte = 3 // a multiplexed session handshake (v5); no generator
+	openResume byte = 2 // a checkpoint snapshot to restore
+	openMux    byte = 3 // the session handshake; names no generator
 )
 
 // openReq is the decoded OPEN payload.
 type openReq struct {
-	mode    byte
-	version byte   // wire version to marshal as; 0 means openVersion
-	credit  uint64 // initial credit grant == client pipe buffer
-	stream  uint64 // client telemetry stream ID; 0 = unobserved client
-	batch   uint64 // max VALUES batch the client accepts; 0 = no batching
-	// v4 durability fields. interval asks the server to emit a SNAPSHOT
-	// after every interval delivered values (0 = never). skip asks the
-	// server to discard that many leading values before the first delivery
-	// — crash recovery replays deterministically up to the resume point.
+	mode   byte
+	credit uint64 // initial credit grant == client pipe buffer
+	stream uint64 // client telemetry stream ID; 0 = unobserved client
+	batch  uint64 // max VALUES batch the client accepts; 0 = per-value VALUE frames
+	// Durability fields. interval asks the server to emit a SNAPSHOT after
+	// every interval delivered values (0 = never). skip asks the server to
+	// discard that many leading values before the first delivery — crash
+	// recovery replays deterministically up to the resume point.
 	interval uint64
 	skip     uint64
 	name     string // openNamed
@@ -466,20 +450,12 @@ func appendString(b []byte, s string) []byte {
 }
 
 func (o *openReq) marshal() []byte {
-	ver := o.version
-	if ver == 0 {
-		ver = openVersion
-	}
-	b := []byte{ver, o.mode}
+	b := []byte{protocolVersion, o.mode}
 	b = appendUvarint(b, o.credit)
 	b = appendUvarint(b, o.stream)
-	if ver >= 3 {
-		b = appendUvarint(b, o.batch)
-	}
-	if ver >= 4 {
-		b = appendUvarint(b, o.interval)
-		b = appendUvarint(b, o.skip)
-	}
+	b = appendUvarint(b, o.batch)
+	b = appendUvarint(b, o.interval)
+	b = appendUvarint(b, o.skip)
 	switch o.mode {
 	case openNamed:
 		b = appendString(b, o.name)
@@ -490,8 +466,8 @@ func (o *openReq) marshal() []byte {
 		b = appendUvarint(b, uint64(len(o.blob)))
 		b = append(b, o.blob...)
 	case openMux:
-		// A session handshake names no generator: credit carries the
-		// client's streams-per-conn hint and stream its connection id.
+		// The handshake names no generator: credit carries the client's
+		// streams-per-conn hint and stream its connection id.
 	}
 	return append(b, o.args...)
 }
@@ -545,37 +521,21 @@ func (r *byteReader) bytes() ([]byte, error) {
 	return b, nil
 }
 
-func parseOpen(payload []byte, maxVer byte) (*openReq, error) {
+func parseOpen(payload []byte) (*openReq, error) {
 	r := &byteReader{buf: payload}
 	ver, err := r.byte()
 	if err != nil {
 		return nil, err
 	}
-	if ver < 1 || ver > maxVer {
-		return nil, fmt.Errorf("remote: protocol version %d, want <= %d", ver, maxVer)
+	if ver != protocolVersion {
+		return nil, fmt.Errorf("remote: protocol version %d, want %d", ver, protocolVersion)
 	}
-	o := &openReq{version: ver}
+	o := &openReq{}
 	if o.mode, err = r.byte(); err != nil {
 		return nil, err
 	}
-	if o.credit, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	if ver >= 2 {
-		if o.stream, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	if ver >= 3 {
-		if o.batch, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	if ver >= 4 {
-		if o.interval, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if o.skip, err = r.uvarint(); err != nil {
+	for _, field := range []*uint64{&o.credit, &o.stream, &o.batch, &o.interval, &o.skip} {
+		if *field, err = r.uvarint(); err != nil {
 			return nil, err
 		}
 	}
@@ -592,16 +552,10 @@ func parseOpen(payload []byte, maxVer byte) (*openReq, error) {
 			return nil, err
 		}
 	case openResume:
-		if ver < 4 {
-			return nil, fmt.Errorf("remote: RESUME requires protocol version 4, got %d", ver)
-		}
 		if o.blob, err = r.bytes(); err != nil {
 			return nil, err
 		}
 	case openMux:
-		if ver < sessionVersion {
-			return nil, fmt.Errorf("remote: multiplexed session requires protocol version %d, got %d", sessionVersion, ver)
-		}
 	default:
 		return nil, fmt.Errorf("remote: unknown OPEN mode %d", o.mode)
 	}
@@ -636,25 +590,6 @@ func parseSnapshot(payload []byte) (produced uint64, ok bool, rest []byte, err e
 		return 0, false, nil, errors.New("remote: bad SNAPSHOT payload")
 	}
 	return produced, okb != 0, payload[r.pos:], nil
-}
-
-// versionCap parses the version ceiling out of a server's versioned
-// rejection message ("remote: protocol version %d, want <= %d"). Both
-// downgrade paths key on it: the per-stream redial (noteDowngrade) and
-// the Dialer's v5→v4 session fallback. ok is false for any other message.
-func versionCap(msg string) (byte, bool) {
-	if !strings.Contains(msg, "protocol version") {
-		return 0, false
-	}
-	i := strings.LastIndex(msg, "want <= ")
-	if i < 0 {
-		return 0, false
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(msg[i+len("want <= "):]))
-	if err != nil || n < 1 || n > 255 {
-		return 0, false
-	}
-	return byte(n), true
 }
 
 // creditPayload encodes a CREDIT grant.

@@ -13,8 +13,8 @@ import (
 
 // The buffered frameReader must be indistinguishable, frame for frame and
 // error for error, from exact-length reads — whatever way the transport
-// happens to chop the byte stream up. The reference is readFrame itself
-// for classic framing and its nine-byte-header twin below for mux framing.
+// happens to chop the byte stream up. The reference is readFrame's
+// nine-byte-header twin below.
 
 // appendMuxFrame appends one multiplexed frame to dst, as a raw peer in
 // these tests puts it on the wire.
@@ -32,11 +32,7 @@ type decoded struct {
 
 // refNext is the unbuffered reference: header, MaxFrame check, payload,
 // each an exact-length read.
-func refNext(r io.Reader, hlen int) (byte, uint32, []byte, error) {
-	if hlen == 5 {
-		typ, payload, err := readFrame(r)
-		return typ, 0, payload, err
-	}
+func refNext(r io.Reader) (byte, uint32, []byte, error) {
 	var hdr [muxHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
@@ -83,10 +79,16 @@ func summary(d decoded) string {
 }
 
 // viaReader decodes data through a frameReader fed by r.
-func viaReader(r io.Reader, hlen int) []decoded {
+func viaReader(r io.Reader) []decoded {
 	fr := newFrameReader(r, 0)
 	defer fr.release()
-	return decodeAll(func() (byte, uint32, []byte, error) { return fr.next(hlen) })
+	return decodeAll(fr.readMux)
+}
+
+// viaExact decodes data with the exact-length reference.
+func viaExact(data []byte) []decoded {
+	ref := bytes.NewReader(data)
+	return decodeAll(func() (byte, uint32, []byte, error) { return refNext(ref) })
 }
 
 // chunkReader hands out data in the given chunk sizes, cycling; a zero
@@ -115,7 +117,7 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 // exactly the fill buffer, one a byte over it (the first on the grow
 // path), one of MaxFrame, small frames between them so buffered and
 // direct reads alternate, and last a header announcing MaxFrame+1.
-func frameSeq(hlen int, withMax bool) []byte {
+func frameSeq(withMax bool) []byte {
 	pattern := func(n int) []byte {
 		p := make([]byte, n)
 		for i := range p {
@@ -124,15 +126,7 @@ func frameSeq(hlen int, withMax bool) []byte {
 		return p
 	}
 	var b []byte
-	add := func(typ byte, sid uint32, payload []byte) {
-		if hlen == 5 {
-			b = append(b, typ)
-			b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
-			b = append(b, payload...)
-		} else {
-			b = appendMuxFrame(b, typ, sid, payload)
-		}
-	}
+	add := func(typ byte, sid uint32, payload []byte) { b = appendMuxFrame(b, typ, sid, payload) }
 	add(framePing, 0, nil)
 	add(frameValue, 1, pattern(3))
 	add(frameEOS, 1, nil)
@@ -144,59 +138,48 @@ func frameSeq(hlen int, withMax bool) []byte {
 		add(frameOpen, 6, pattern(MaxFrame))
 		add(frameCredit, 7, pattern(1))
 	}
-	add(frameValue, 8, pattern(fillSize-hlen)) // header + payload fill the buffer exactly
+	add(frameValue, 8, pattern(fillSize-muxHeaderLen)) // header + payload fill the buffer exactly
 	for i := 0; i < 300; i++ {
 		add(frameCredit, uint32(i), pattern(i%4))
 	}
-	over := make([]byte, hlen)
-	over[0] = frameValue
-	binary.BigEndian.PutUint32(over[hlen-4:], MaxFrame+1)
-	return append(b, over...)
+	over := muxHeader(frameValue, 9, MaxFrame+1)
+	return append(b, over[:]...)
 }
 
 func TestFrameReaderMatchesUnbufferedReads(t *testing.T) {
 	seed := time.Now().UnixNano()
 	t.Logf("random chunking seed %d", seed)
-	for _, framing := range []struct {
-		name string
-		hlen int
-	}{{"classic", 5}, {"mux", muxHeaderLen}} {
-		t.Run(framing.name, func(t *testing.T) {
-			hlen := framing.hlen
-			data := frameSeq(hlen, true)
-			ref := bytes.NewReader(data)
-			want := decodeAll(func() (byte, uint32, []byte, error) { return refNext(ref, hlen) })
-			if n := len(want); n < 300 || want[n-1].err == "" || want[n-1].err == io.EOF.Error() {
-				t.Fatalf("reference decode ended %s after %d results", summary(want[n-1]), n)
-			}
+	t.Run("mux", func(t *testing.T) {
+		const hlen = muxHeaderLen
+		data := frameSeq(true)
+		want := viaExact(data)
+		if n := len(want); n < 300 || want[n-1].err == "" || want[n-1].err == io.EOF.Error() {
+			t.Fatalf("reference decode ended %s after %d results", summary(want[n-1]), n)
+		}
 
-			sameDecode(t, "one Read carrying every frame", viaReader(bytes.NewReader(data), hlen), want)
-			sameDecode(t, "HalfReader", viaReader(iotest.HalfReader(bytes.NewReader(data)), hlen), want)
-			sameDecode(t, "DataErrReader", viaReader(iotest.DataErrReader(bytes.NewReader(data)), hlen), want)
-			rng := rand.New(rand.NewSource(seed))
-			for round := 0; round < 4; round++ {
-				sizes := make([]byte, 1+rng.Intn(64))
-				rng.Read(sizes)
-				sameDecode(t, fmt.Sprintf("random chunking, round %d", round),
-					viaReader(&chunkReader{data: data, sizes: sizes}, hlen), want)
-			}
+		sameDecode(t, "one Read carrying every frame", viaReader(bytes.NewReader(data)), want)
+		sameDecode(t, "HalfReader", viaReader(iotest.HalfReader(bytes.NewReader(data))), want)
+		sameDecode(t, "DataErrReader", viaReader(iotest.DataErrReader(bytes.NewReader(data))), want)
+		rng := rand.New(rand.NewSource(seed))
+		for round := 0; round < 4; round++ {
+			sizes := make([]byte, 1+rng.Intn(64))
+			rng.Read(sizes)
+			sameDecode(t, fmt.Sprintf("random chunking, round %d", round),
+				viaReader(&chunkReader{data: data, sizes: sizes}), want)
+		}
 
-			// A byte at a time, 32 MiB of payload is 32 M Reads; the same
-			// sequence without the MaxFrame frame exercises every boundary.
-			small := frameSeq(hlen, false)
-			ref = bytes.NewReader(small)
-			want = decodeAll(func() (byte, uint32, []byte, error) { return refNext(ref, hlen) })
-			sameDecode(t, "OneByteReader", viaReader(iotest.OneByteReader(bytes.NewReader(small)), hlen), want)
+		// A byte at a time, 32 MiB of payload is 32 M Reads; the same
+		// sequence without the MaxFrame frame exercises every boundary.
+		small := frameSeq(false)
+		sameDecode(t, "OneByteReader", viaReader(iotest.OneByteReader(bytes.NewReader(small))), viaExact(small))
 
-			// A stream cut inside a header, between a header and its payload,
-			// and inside a payload ends the way exact-length reads end it.
-			for _, cut := range []int{hlen - 2, 2 * hlen, 2*hlen + 1, len(small) - 3} {
-				ref = bytes.NewReader(small[:cut])
-				want = decodeAll(func() (byte, uint32, []byte, error) { return refNext(ref, hlen) })
-				sameDecode(t, fmt.Sprintf("cut at %d", cut), viaReader(iotest.HalfReader(bytes.NewReader(small[:cut])), hlen), want)
-			}
-		})
-	}
+		// A stream cut inside a header, between a header and its payload,
+		// and inside a payload ends the way exact-length reads end it.
+		for _, cut := range []int{hlen - 2, 2 * hlen, 2*hlen + 1, len(small) - 3} {
+			sameDecode(t, fmt.Sprintf("cut at %d", cut),
+				viaReader(iotest.HalfReader(bytes.NewReader(small[:cut]))), viaExact(small[:cut]))
+		}
+	})
 }
 
 // TestFrameReaderManyFramesOneRead: hundreds of frames delivered by one
@@ -253,22 +236,19 @@ func TestFillBuffersComeBack(t *testing.T) {
 	}
 }
 
-// FuzzFrameReader: for any bytes under any chunking, both framings decode
-// exactly as the exact-length reference does.
+// FuzzFrameReader: any bytes under any chunking decode exactly as the
+// exact-length reference does.
 func FuzzFrameReader(f *testing.F) {
-	for _, hlen := range []int{5, muxHeaderLen} {
-		seq := frameSeq(hlen, false)
-		f.Add(seq[:200], []byte{1})
-		f.Add(seq[len(seq)-400:], []byte{3, 200, 0, 9})
-		f.Add(seq[:fillSize+hlen+50], []byte{255, 255, 7})
-	}
-	f.Add([]byte{frameValue, 0xff, 0xff, 0xff, 0xff}, []byte{2})
-	f.Add([]byte{frameValue, 0, 0, 0, 0, 0x02, 0x00, 0x00}, []byte{})
+	seq := frameSeq(false)
+	f.Add(seq[:200], []byte{1})
+	f.Add(seq[len(seq)-400:], []byte{3, 200, 0, 9})
+	f.Add(seq[:fillSize+muxHeaderLen+50], []byte{255, 255, 7})
+	f.Add([]byte{frameValue, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}, []byte{2})
+	f.Add([]byte{frameValue, 0, 0, 0, 1, 0, 0, 0, 0, 0x02, 0x00, 0x00}, []byte{})
+	f.Add(seq[:muxHeaderLen-2], []byte{4})                       // cut inside a header
+	f.Add(seq[:2*muxHeaderLen+1], []byte{1, 5})                  // cut inside a payload
+	f.Add(seq[fillSize:fillSize+3*muxHeaderLen], []byte{0, 128}) // starts mid-frame: garbage headers
 	f.Fuzz(func(t *testing.T, data, sizes []byte) {
-		for _, hlen := range []int{5, muxHeaderLen} {
-			ref := bytes.NewReader(data)
-			want := decodeAll(func() (byte, uint32, []byte, error) { return refNext(ref, hlen) })
-			sameDecode(t, fmt.Sprintf("hlen %d", hlen), viaReader(&chunkReader{data: data, sizes: sizes}, hlen), want)
-		}
+		sameDecode(t, "fuzz", viaReader(&chunkReader{data: data, sizes: sizes}), viaExact(data))
 	})
 }

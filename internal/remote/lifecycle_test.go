@@ -1,0 +1,230 @@
+package remote
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"junicon/internal/core"
+	"junicon/internal/value"
+)
+
+// The lifecycle table. There is one way onto the wire, so every way a
+// stream's life can go — EOS, Stop mid-stream, Restart, Deadline, KillConn
+// with Recover, Migrate, producer error — is one case, run once per
+// constructor: the package-level Open/OpenSource (a private session per
+// pipe) and a Dialer's (a pooled one). The cases are the tests below; the
+// constructors are this file's one table.
+
+// openFunc is the shape Open and Dialer.Open share.
+type openFunc = func(addr, name string, args []value.V, cfg Config) *RemotePipe
+
+// constructors names both ways to make a named-generator pipe, for tests
+// that need no server of their own.
+func constructors(d *Dialer) map[string]openFunc {
+	return map[string]openFunc{"Open": Open, "Dialer": d.Open}
+}
+
+// opener is one row: two servers (B is the migration target) and the
+// constructors under test.
+type opener struct {
+	srv, srvB   *Server
+	addr, addrB string
+	open        openFunc
+	openSource  func(addr, program, expr string, args []value.V, cfg Config) *RemotePipe
+}
+
+// overConstructors runs body once per constructor against fresh servers.
+// A package-level pipe owns its connection, so its row also asserts what
+// one connection per stream used to give for free: once the pipe has
+// ended, no connection, no stream and no goroutine of it is left on
+// either end.
+func overConstructors(t *testing.T, mutate func(*Server), body func(t *testing.T, o opener)) {
+	servers := func(t *testing.T) opener {
+		srv, addr := startServer(t, mutate)
+		srvB, addrB := startServer(t, mutate)
+		return opener{srv: srv, srvB: srvB, addr: addr, addrB: addrB}
+	}
+	t.Run("Open", func(t *testing.T) {
+		o := servers(t)
+		o.open, o.openSource = Open, OpenSource
+		base := runtime.NumGoroutine()
+		body(t, o)
+		eventually(t, "connections, streams and goroutines released", func() bool {
+			return o.srv.ActiveConns()+o.srvB.ActiveConns() == 0 &&
+				o.srv.ActiveStreams()+o.srvB.ActiveStreams() == 0 &&
+				runtime.NumGoroutine() <= base
+		})
+	})
+	t.Run("Dialer", func(t *testing.T) {
+		o := servers(t)
+		cfg := testConfig()
+		d := &Dialer{Heartbeat: cfg.Heartbeat, DialTimeout: cfg.DialTimeout}
+		defer d.Close()
+		o.open, o.openSource = d.Open, d.OpenSource
+		body(t, o)
+	})
+}
+
+func TestRemoteFailureIsCleanEOS(t *testing.T) {
+	overConstructors(t, nil, func(t *testing.T, o opener) {
+		p := o.open(o.addr, "fail", nil, testConfig())
+		defer p.Stop()
+		within(t, 5*time.Second, "next", func() {
+			if _, ok := p.Next(); ok {
+				t.Error("empty generator produced a value")
+			}
+		})
+		if err := p.Err(); err != nil {
+			t.Fatalf("Icon failure is not an error; got %v", err)
+		}
+	})
+}
+
+// TestStreamAccounting stops a pipe mid-stream.
+func TestStreamAccounting(t *testing.T) {
+	overConstructors(t, nil, func(t *testing.T, o opener) {
+		p := o.open(o.addr, "range", []value.V{value.NewInt(1), value.NewInt(1000)}, testConfig())
+		p.StartEager()
+		within(t, 5*time.Second, "first value", func() { p.Next() })
+		if o.srv.ActiveStreams() != 1 || o.srv.ActiveConns() != 1 {
+			t.Fatalf("mid-stream accounting: streams=%d conns=%d", o.srv.ActiveStreams(), o.srv.ActiveConns())
+		}
+		p.Stop()
+		eventually(t, "producer released after Stop", func() bool { return o.srv.ActiveStreams() == 0 })
+		if o.srv.Served() != 1 {
+			t.Fatalf("served=%d, want 1", o.srv.Served())
+		}
+	})
+}
+
+func TestRestartReopensFreshStream(t *testing.T) {
+	overConstructors(t, nil, func(t *testing.T, o opener) {
+		p := o.open(o.addr, "range", []value.V{value.NewInt(1), value.NewInt(3)}, testConfig())
+		defer p.Stop()
+		within(t, 10*time.Second, "restart cycle", func() {
+			first := drainInts(t, p, 2)
+			p.Restart()
+			second := drainInts(t, p, 100)
+			if len(first) != 2 || len(second) != 3 || second[0] != 1 {
+				t.Errorf("restart: first %v, second %v", first, second)
+			}
+		})
+		if p.Err() != nil {
+			t.Fatalf("restart left err: %v", p.Err())
+		}
+	})
+}
+
+func TestDeadlineExpirySurfacesAsErr(t *testing.T) {
+	overConstructors(t, nil, func(t *testing.T, o opener) {
+		release := make(chan struct{})
+		o.srv.Register("stall", func([]value.V) (core.Gen, error) {
+			return core.NewGen(func(yield func(value.V) bool) {
+				yield(value.NewInt(1))
+				<-release // a live peer with nothing to say
+			}), nil
+		})
+		cfg := testConfig()
+		cfg.Deadline = 150 * time.Millisecond
+		cfg.Batch = -1 // a value stuck behind a stalled generator would wait in a batch
+		p := o.open(o.addr, "stall", nil, cfg)
+		defer p.Stop()
+		within(t, 5*time.Second, "deadline", func() {
+			if _, ok := p.Next(); !ok {
+				t.Error("first value should arrive")
+			}
+			start := time.Now()
+			if _, ok := p.Next(); ok {
+				t.Error("stalled stream produced a value")
+			}
+			if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
+				t.Errorf("Next failed after %v, before the deadline", elapsed)
+			}
+		})
+		if p.Err() != ErrDeadline {
+			t.Fatalf("want ErrDeadline, got %v", p.Err())
+		}
+		close(release) // a producer inside its generator is not the server's to stop
+	})
+}
+
+// TestCrashRecoveryResumesSequence is the protocol-level crash drill: kill
+// the connection mid-stream and require the recovered pipe to deliver the
+// exact remaining suffix — via RESUME when a checkpoint landed, via replay
+// otherwise.
+func TestCrashRecoveryResumesSequence(t *testing.T) {
+	for _, interval := range []int{0, 3} {
+		name := "replay"
+		if interval > 0 {
+			name = "snapshot"
+		}
+		t.Run(name, func(t *testing.T) {
+			overConstructors(t, func(s *Server) { s.AllowSource = true }, func(t *testing.T, o opener) {
+				cfg := testConfig()
+				cfg.Recover = true
+				cfg.CheckpointEvery = interval
+				cfg.RecoverWait = 5 * time.Second
+				p := o.openSource(o.addr, towerProgram, "gen(1, 30)", nil, cfg)
+				defer p.Stop()
+				got := drainInts(t, p, 11)
+				p.KillConn()
+				within(t, 10*time.Second, "recovery drain", func() {
+					got = append(got, drainInts(t, p, 100)...)
+				})
+				if p.Err() != nil {
+					t.Fatalf("err after recovery: %v", p.Err())
+				}
+				assertInts(t, got, wantRange(1, 30))
+			})
+		})
+	}
+}
+
+// TestLiveMigrationMovesStream: iterate a stream on node A, migrate to
+// node B mid-iteration, and require one unbroken sequence. Both the
+// snapshot handshake (SNAPREQ) and the resulting RESUME-on-B land here.
+func TestLiveMigrationMovesStream(t *testing.T) {
+	overConstructors(t, func(s *Server) { s.AllowSource = true }, func(t *testing.T, o opener) {
+		cfg := testConfig()
+		cfg.CheckpointEvery = 4
+		p := o.openSource(o.addr, towerProgram, "gen(1, 40)", nil, cfg)
+		defer p.Stop()
+		got := drainInts(t, p, 13)
+		within(t, 10*time.Second, "migration", func() {
+			if err := p.Migrate(o.addrB); err != nil {
+				t.Errorf("migrate: %v", err)
+			}
+		})
+		within(t, 10*time.Second, "post-migration drain", func() {
+			got = append(got, drainInts(t, p, 100)...)
+		})
+		if p.Err() != nil {
+			t.Fatalf("err after migration: %v", p.Err())
+		}
+		assertInts(t, got, wantRange(1, 40))
+		// The target genuinely served the tail: node B saw a stream.
+		if o.srvB.Served() == 0 {
+			t.Fatal("target node served no stream")
+		}
+	})
+}
+
+func TestProducerRuntimeErrorPropagates(t *testing.T) {
+	overConstructors(t, nil, func(t *testing.T, o opener) {
+		p := o.open(o.addr, "boom", nil, testConfig())
+		defer p.Stop()
+		within(t, 5*time.Second, "drain", func() {
+			if got := drainInts(t, p, 100); len(got) != 1 {
+				t.Errorf("want the one good value before the error, got %v", got)
+			}
+		})
+		err, ok := p.Err().(*RemoteError)
+		if !ok {
+			t.Fatalf("want *RemoteError, got %v", p.Err())
+		}
+		if err.Msg == "" {
+			t.Fatal("empty error message")
+		}
+	})
+}

@@ -11,14 +11,7 @@ import (
 	"junicon/internal/value"
 )
 
-// eqInt64s is a local helper; durable_test's eqInts works on the same
-// shape but lives in another file — keep this one self-describing.
-func muxDrainAll(t *testing.T, p *RemotePipe, max int) []int64 {
-	t.Helper()
-	return drainInts(t, p, max)
-}
-
-// TestMuxedManyStreamsShareOneConn is the tentpole's contract: many
+// TestMuxedManyStreamsShareOneConn is the pool's contract: many
 // pipes opened through one Dialer ride one TCP connection, each
 // delivering its exact sequence.
 func TestMuxedManyStreamsShareOneConn(t *testing.T) {
@@ -120,29 +113,6 @@ func TestMuxedRefusedOpenLeavesSiblings(t *testing.T) {
 	within(t, 5*time.Second, "sibling drain", func() { rest = drainInts(t, sib, 100) })
 	if sib.Err() != nil || len(rest) != 27 {
 		t.Fatalf("sibling hurt by refusal: err=%v rest=%d", sib.Err(), len(rest))
-	}
-}
-
-// TestMuxedDowngradeToClassic: a Dialer against a pre-v5 server falls
-// back to one connection per stream, silently, and remembers.
-func TestMuxedDowngradeToClassic(t *testing.T) {
-	srv, addr := startServer(t, func(s *Server) { s.MaxProtocol = 4 })
-	d := &Dialer{}
-	defer d.Close()
-
-	for i := 0; i < 3; i++ {
-		p := d.Open(addr, "range", []value.V{value.NewInt(1), value.NewInt(5)}, testConfig())
-		got := drainInts(t, p, 10)
-		if p.Err() != nil || len(got) != 5 {
-			t.Fatalf("downgraded stream %d: err=%v n=%d", i, p.Err(), len(got))
-		}
-		p.Stop()
-	}
-	if d.Sessions() != 0 {
-		t.Fatalf("sessions = %d against a v4 server, want 0", d.Sessions())
-	}
-	if srv.Served() != 3 {
-		t.Fatalf("served = %d, want 3 classic streams", srv.Served())
 	}
 }
 

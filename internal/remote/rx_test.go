@@ -18,11 +18,11 @@ import (
 // outlive their fill, fill buffers must come back, and the liveness window
 // must cost one deadline arm per fill while still dropping a silent peer.
 
-// rawSession completes a v5 handshake on conn and returns a frame reader
+// rawSession completes the session handshake on conn and returns a frame reader
 // for the server's answers.
 func rawSession(t *testing.T, conn net.Conn) *frameReader {
 	t.Helper()
-	hello := &openReq{mode: openMux, version: sessionVersion, credit: 16, stream: 99}
+	hello := &openReq{mode: openMux, credit: 16, stream: 99}
 	if err := writeFrame(conn, frameOpen, hello.marshal()); err != nil {
 		t.Fatalf("handshake write: %v", err)
 	}
@@ -75,7 +75,8 @@ func TestOpenArgsSurviveBufferReuse(t *testing.T) {
 	for i := range args {
 		args[i] = value.String(fmt.Sprintf("argument-%04d-%s", i, "abcdefghij"))
 	}
-	open := &openReq{mode: openNamed, name: "echo", credit: 0, args: marshalArgs(args)}
+	open := &openReq{mode: openNamed, name: "echo", credit: 0}
+	open.args, _ = wire.Marshal(value.NewList(args...))
 	first := appendMuxFrame(nil, frameOpen, 1, open.marshal())
 	if len(first) < fillSize/2 || len(first) > fillSize {
 		t.Fatalf("OPEN frame is %d bytes; the test wants a large one that still fits the %d-byte fill buffer", len(first), fillSize)
@@ -138,7 +139,7 @@ func TestOpenArgsSurviveBufferReuse(t *testing.T) {
 // pool is zero with nothing live — every read loop an earlier test started
 // has handed its buffer back — two with one session up (one per end), and
 // zero again once the client session is closed and the server has torn
-// its side down. The same for a classic connection's two read loops.
+// its side down. The same for a package-level pipe's private session.
 func TestSessionFillBuffersComeBack(t *testing.T) {
 	idle := func() bool { return fillOut.Load() == 0 }
 	eventually(t, "earlier tests' fill buffers returned", idle)
@@ -167,10 +168,10 @@ func TestSessionFillBuffersComeBack(t *testing.T) {
 		t.Fatal(p.Err())
 	}
 	if got := fillOut.Load(); got != 2 {
-		t.Fatalf("fillOut %d with one classic stream, want 2", got)
+		t.Fatalf("fillOut %d with one private session, want 2", got)
 	}
 	p.Stop()
-	eventually(t, "classic fill buffers returned", idle)
+	eventually(t, "private session's fill buffers returned", idle)
 }
 
 // armCounter counts SetReadDeadline calls on a connection.
@@ -264,11 +265,11 @@ func silentPeer(t *testing.T, idle time.Duration, speak func(conn net.Conn)) tim
 	return time.Since(silentFrom)
 }
 
-// TestServerIdleTimeoutDropsSilentPeer: the idle window, now armed per
-// fill, still drops a peer that stops talking — on a classic connection,
-// on a session, and when the silence starts between a frame's header and
-// the end of its payload (for a payload that fits the fill buffer, and for
-// one on the direct path).
+// TestServerIdleTimeoutDropsSilentPeer: the idle window, armed per fill,
+// drops a peer that stops talking — before the handshake, on a session,
+// and when the silence starts between a frame's header and the end of its
+// payload (for a payload that fits the fill buffer, and for one on the
+// direct path).
 func TestServerIdleTimeoutDropsSilentPeer(t *testing.T) {
 	const idle = 100 * time.Millisecond
 	session := func(then func(conn net.Conn)) func(net.Conn) {
@@ -287,11 +288,7 @@ func TestServerIdleTimeoutDropsSilentPeer(t *testing.T) {
 		name  string
 		speak func(net.Conn)
 	}{
-		{"classic", func(conn net.Conn) {
-			open := &openReq{mode: openNamed, name: "range", credit: 0,
-				args: marshalArgs([]value.V{value.NewInt(1), value.NewInt(3)})}
-			writeFrame(conn, frameOpen, open.marshal())
-		}},
+		{"before handshake", func(net.Conn) {}},
 		{"session", session(func(net.Conn) {})},
 		{"mid-payload", session(partial(1000))},
 		{"mid-payload, direct path", session(partial(4 * fillSize))},

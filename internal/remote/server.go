@@ -46,8 +46,9 @@ var (
 
 // Server defaults.
 const (
-	// DefaultMaxConns bounds concurrently served streams (one per
-	// connection); excess connections are refused with an ERR frame.
+	// DefaultMaxConns bounds concurrently served connections — each a
+	// session carrying however many streams its client multiplexes onto
+	// it; excess connections are refused with an ERR frame.
 	DefaultMaxConns = 64
 	// DefaultIdleTimeout is how long the server waits for any client frame
 	// (credits, pings, cancel) before declaring the client lost. Client
@@ -81,12 +82,6 @@ type Server struct {
 	// IdleTimeout bounds the gap between client frames; <= 0 selects
 	// DefaultIdleTimeout.
 	IdleTimeout time.Duration
-	// MaxProtocol caps the OPEN version this server accepts; 0 (or any
-	// out-of-range value) means the newest. Setting 2 emulates a
-	// pre-batching server: v3 OPENs are rejected with the versioned
-	// message newer clients recognize and redial down from — the knob the
-	// interop tests (and junicond -no-batch) use.
-	MaxProtocol int
 	// CheckpointDir, when set, persists the latest checkpoint snapshot of
 	// every stream that produces one (interval or SNAPREQ) to
 	// <dir>/<stream>.snap via atomic rename — the durable server-side copy
@@ -176,26 +171,6 @@ func (s *Server) maxConns() int {
 	return s.MaxConns
 }
 
-// maxStream is the version ceiling for individual stream opens (classic
-// connections and per-stream OPENs inside a session).
-func (s *Server) maxStream() byte {
-	if s.MaxProtocol >= 1 && s.MaxProtocol <= openVersion {
-		return byte(s.MaxProtocol)
-	}
-	return openVersion
-}
-
-// maxSession is the version ceiling for the first frame of a connection,
-// which may be a v5 session handshake. MaxProtocol below sessionVersion
-// (junicond -no-mux sets 4) refuses sessions with the standard versioned
-// message, which Dialers recognize and fall back from.
-func (s *Server) maxSession() byte {
-	if s.MaxProtocol >= 1 && s.MaxProtocol <= sessionVersion {
-		return byte(s.MaxProtocol)
-	}
-	return sessionVersion
-}
-
 func (s *Server) idleTimeout() time.Duration {
 	if s.IdleTimeout <= 0 {
 		return DefaultIdleTimeout
@@ -224,8 +199,8 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(l)
 }
 
-// Serve accepts connections on l until Close. Each connection carries one
-// stream.
+// Serve accepts connections on l until Close. Each connection is one
+// session.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -301,8 +276,8 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// stream is the per-connection credit account shared by the connection
-// reader (deposits) and the producer goroutine (withdrawals).
+// stream is the per-stream credit account shared by the session's reader
+// (deposits) and the stream's producer goroutine (withdrawals).
 type stream struct {
 	mu        sync.Mutex
 	cond      sync.Cond
@@ -373,40 +348,9 @@ func (st *stream) requestSnap() {
 	st.mu.Unlock()
 }
 
-// streamWriter abstracts how one served stream's frames reach its
-// client: a dedicated connection (classic, one stream per conn) or a
-// stream id on a shared session writer.
-type streamWriter interface {
-	writeStream(typ byte, payload []byte) error
-}
-
-// connWriter writes classic frames on a dedicated connection,
-// serializing the producer's VALUE/EOS/ERR against the reader's PONG.
-type connWriter struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-func (w *connWriter) writeStream(typ byte, payload []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return writeFrame(w.conn, typ, payload)
-}
-
-// muxWriter tags a stream's frames with its id and hands them to the
-// session's shared writer; serialization is the enqueue's.
-type muxWriter struct {
-	io  *muxIO
-	sid uint32
-}
-
-func (w *muxWriter) writeStream(typ byte, payload []byte) error {
-	return w.io.enqueue(typ, w.sid, payload)
-}
-
-// servedStream is the connection reader's control surface over one
-// producer goroutine: the credit account, the on-demand flush, the
-// teardown reason, and completion.
+// servedStream is the session reader's control surface over one producer
+// goroutine: the credit account, the on-demand flush, the teardown reason,
+// and completion.
 type servedStream struct {
 	st        *stream
 	flush     func() error
@@ -414,96 +358,41 @@ type servedStream struct {
 	done      chan struct{}
 }
 
-// handleConn runs one connection: its first frame is either a classic
-// stream OPEN (one stream per connection, protocols v1–v4) or a v5
-// session handshake carrying many logical streams.
+// handleConn runs one connection. Its first frame must be the session
+// OPEN at the one protocol version this package speaks; anything else —
+// a stream OPEN or RESUME with no session around it, any other version —
+// is answered with one ERR saying what was received and what is
+// supported, and the connection is closed.
 func (s *Server) handleConn(conn net.Conn) {
-	idle := s.idleTimeout()
-	conn.SetReadDeadline(time.Now().Add(idle))
+	conn.SetReadDeadline(time.Now().Add(s.idleTimeout()))
 	typ, payload, err := readFrame(conn)
+	var hello *openReq
 	if err != nil || (typ != frameOpen && typ != frameResume) {
-		writeFrame(conn, frameErr, []byte("expected OPEN or RESUME frame"))
-		return
+		err = errors.New("expected OPEN frame")
+	} else if hello, err = parseOpen(payload); err == nil && (typ != frameOpen || hello.mode != openMux) {
+		err = fmt.Errorf("remote: a connection opens with the session OPEN of protocol version %d, got a stream %s", protocolVersion, frameName(typ))
 	}
-	open, err := parseOpen(payload, s.maxSession())
 	if err != nil {
 		writeFrame(conn, frameErr, []byte(err.Error()))
-		return
-	}
-	if open.mode == openMux {
-		s.serveSession(conn, open)
-		return
-	}
-	if open.version > s.maxStream() {
-		// A classic stream open above the stream ceiling (possible when the
-		// session ceiling is higher): the same versioned rejection
-		// parseOpen produces, which downgrade-aware clients recognize.
-		writeFrame(conn, frameErr,
-			[]byte(fmt.Sprintf("remote: protocol version %d, want <= %d", open.version, s.maxStream())))
-		return
-	}
-	if (typ == frameResume) != (open.mode == openResume) {
-		writeFrame(conn, frameErr, []byte("RESUME frame and resume mode must pair"))
-		return
-	}
-	w := &connWriter{conn: conn}
-	ss := s.openStream(w, open, conn.RemoteAddr().String(), 0)
-	if ss == nil {
-		return // refused; ERR already sent
-	}
-
-	// Connection reader: credits, pings, cancel; any read error (including
-	// the idle deadline the reader arms per fill) or protocol violation
-	// cancels the stream.
-	fr := newFrameReader(conn, idle)
-	defer fr.release()
-reader:
-	for {
-		typ, payload, err := fr.read()
-		if err != nil {
-			ss.setReason("connection lost")
-			break
+		s.log().Warn("connection refused",
+			"remote", conn.RemoteAddr().String(),
+			"reason", err.Error())
+		if telemetry.On() {
+			cServerRefused.Inc()
 		}
-		switch typ {
-		case frameCredit:
-			n, err := parseCredit(payload)
-			if err != nil {
-				ss.setReason("protocol violation")
-				break reader
-			}
-			ss.st.deposit(n)
-			// A CREDIT frame is the demand signal: the client drained its
-			// queue far enough to grant more, so any buffered run should
-			// travel now. A write failure surfaces on the next read.
-			ss.flush()
-		case framePing:
-			w.writeStream(framePong, nil)
-		case frameSnapReq:
-			ss.st.requestSnap()
-		case frameCancel:
-			ss.st.cancel()
-		default:
-			// Protocol violation: drop the stream.
-			ss.setReason("protocol violation")
-			break reader
-		}
+		return
 	}
-	// Connection lost or cancelled: stop the producer (closing the conn
-	// unblocks any in-flight write) and wait for it so stream accounting
-	// is exact.
-	ss.st.cancel()
-	conn.Close()
-	<-ss.done
+	s.serveSession(conn, hello)
 }
 
 // openStream resolves an OPEN to the generator it names and spawns its
 // producer. A rejected open (unknown generator, vet error, bad resume
-// blob) answers ERR on w and returns nil — which on a session fails one
+// blob) answers ERR on the stream id and returns nil — it fails one
 // logical stream, never the connection.
-func (s *Server) openStream(w streamWriter, open *openReq, remoteAddr string, connID uint64) *servedStream {
+func (s *Server) openStream(mio *muxIO, sid uint32, open *openReq, remoteAddr string, connID uint64) *servedStream {
 	gen, smeta, base, err := s.buildGenerator(open)
 	if err != nil {
-		w.writeStream(frameErr, []byte(err.Error()))
+		mio.enqueue(frameErr, sid, []byte(err.Error()))
 		s.log().Warn("stream refused",
 			"remote", remoteAddr,
 			"reason", err.Error())
@@ -512,16 +401,17 @@ func (s *Server) openStream(w streamWriter, open *openReq, remoteAddr string, co
 		}
 		return nil
 	}
-	return s.startStream(w, open, gen, smeta, base, remoteAddr, connID)
+	return s.startStream(mio, sid, open, gen, smeta, base, remoteAddr, connID)
 }
 
-// startStream spawns the producer goroutine serving one opened stream
-// over w: iterate the generator to failure, one value per credit.
-// Runtime errors and panics become ERR frames, mirroring pipe.Pipe's
-// producer containment. Completion (accounting, unregistration, the
-// stream-done log) rides the producer's exit, so on a shared session
-// each stream retires independently of its siblings.
-func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta checkpoint.Meta, base uint64, remoteAddr string, connID uint64) *servedStream {
+// startStream spawns the producer goroutine serving one opened stream as
+// sid on the session's shared writer: iterate the generator to failure,
+// one value per credit. Runtime errors and panics become ERR frames,
+// mirroring pipe.Pipe's producer containment. Completion (accounting,
+// unregistration, the stream-done log) rides the producer's exit, so each
+// stream retires independently of its siblings.
+func (s *Server) startStream(mio *muxIO, sid uint32, open *openReq, gen core.Gen, smeta checkpoint.Meta, base uint64, remoteAddr string, connID uint64) *servedStream {
+	send := func(typ byte, payload []byte) error { return mio.enqueue(typ, sid, payload) }
 	// The generator this stream serves, for logs and trace labels.
 	what := open.name
 	switch open.mode {
@@ -532,7 +422,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 	}
 	st := newStream(open.credit)
 
-	// Batched delivery (OPEN v3): when the client advertises a batch
+	// Batched delivery: when the client advertises a batch
 	// capability > 1, marshaled values accumulate in pending and ship as
 	// one VALUES frame. Credit accounting stays per value — the producer
 	// still acquires one credit per value before generating it, so the
@@ -544,15 +434,15 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 	// block), stall (credits exhausted: everything the client allows is
 	// in hand, so ship it before waiting), and EOS/ERR (flush the run
 	// before the terminal frame). bmu is held across the frame write so
-	// racing flushes emit runs in production order; the stream writer's
+	// racing flushes emit runs in production order; the session writer's
 	// own serialization nests inside bmu. encBuf is the recycled batch
-	// encoding scratch — both writer kinds are done with the payload when
-	// writeStream returns, so reuse across flushes is safe.
+	// encoding scratch — enqueue has copied the payload when it returns,
+	// so reuse across flushes is safe.
 	batch := int(open.batch)
 	if batch > MaxServerBatch {
 		batch = MaxServerBatch
 	}
-	if open.version < 3 || batch <= 1 {
+	if batch <= 1 {
 		batch = 0 // per-value mode
 	}
 	var bmu sync.Mutex
@@ -572,7 +462,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 			hServerFlush.Observe(int64(len(pending)))
 		}
 		pending = pending[:0]
-		return w.writeStream(frameValues, encBuf)
+		return send(frameValues, encBuf)
 	}
 	serial := s.served.Add(1) // names the snapshot file of an unobserved stream
 	s.streams.Add(1)
@@ -648,7 +538,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 		}
 		sendErr := func(msg string) {
 			flush() // values produced before the error must precede it
-			w.writeStream(frameErr, []byte(msg))
+			send(frameErr, []byte(msg))
 		}
 		// takeSnap checkpoints the stream between Next calls (only this
 		// goroutine drives gen, so the frame is suspended and consistent)
@@ -664,7 +554,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 			}
 			total := base + open.skip + uint64(sent.Load())
 			answer := func(ok bool, rest []byte) error {
-				return w.writeStream(frameSnapshot, snapshotPayload(total, ok, rest))
+				return send(frameSnapshot, snapshotPayload(total, ok, rest))
 			}
 			if smeta.Expr == "" {
 				answer(false, []byte("named generator has no source expression to restore from"))
@@ -711,7 +601,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 			for skipped := uint64(0); skipped < open.skip; skipped++ {
 				if _, ok := gen.Next(); !ok {
 					flush()
-					w.writeStream(frameEOS, nil)
+					send(frameEOS, nil)
 					setReason("eos during recovery skip")
 					return nil
 				}
@@ -769,7 +659,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 						telemetry.EmitSpan(open.stream, telemetry.KindFail, "serve:"+what, 0, genStart)
 					}
 					flush() // the final partial run precedes EOS
-					w.writeStream(frameEOS, nil)
+					send(frameEOS, nil)
 					setReason("eos")
 					return nil
 				}
@@ -795,7 +685,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 						werr = flush()
 					}
 				} else {
-					werr = w.writeStream(frameValue, data)
+					werr = send(frameValue, data)
 				}
 				if werr != nil {
 					setReason("connection lost")
@@ -826,8 +716,9 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 	return &servedStream{st: st, flush: flush, setReason: setReason, done: prodDone}
 }
 
-// serveSession runs a v5 multiplexed connection: one shared writer, one
-// demux reader, many logical streams riding the startStream producers.
+// serveSession runs one connection after its handshake: one shared
+// writer, one demux reader, many logical streams riding the startStream
+// producers.
 //
 // Why the demux never head-of-line blocks: handleStreamFrame on the
 // client delivers into a queue the client itself sized, and credit
@@ -837,7 +728,7 @@ func (s *Server) startStream(w streamWriter, open *openReq, gen core.Gen, smeta 
 // work is a credit deposit or a cancel, both non-blocking.
 func (s *Server) serveSession(conn net.Conn, hello *openReq) {
 	remoteAddr := conn.RemoteAddr().String()
-	// HELLO answers the handshake in classic framing; everything after it
+	// HELLO answers the handshake in its plain framing; everything after it
 	// on this connection is mux-framed.
 	if err := writeFrame(conn, frameHello, nil); err != nil {
 		return
@@ -902,7 +793,7 @@ loop:
 			// parseOpen aliases args/program/expr sub-slices of its input,
 			// and the reader's buffer is recycled on the next frame — copy
 			// before parsing so the stream owns its open for its lifetime.
-			open, perr := parseOpen(append([]byte(nil), payload...), s.maxStream())
+			open, perr := parseOpen(append([]byte(nil), payload...))
 			if perr != nil {
 				mio.enqueue(frameErr, sid, []byte(perr.Error()))
 				continue
@@ -915,7 +806,7 @@ loop:
 				mio.enqueue(frameErr, sid, []byte("nested session open"))
 				continue
 			}
-			ss := s.openStream(&muxWriter{io: mio, sid: sid}, open, remoteAddr, connID)
+			ss := s.openStream(mio, sid, open, remoteAddr, connID)
 			if ss == nil {
 				continue // refused; ERR already sent on sid
 			}

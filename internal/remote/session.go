@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -16,15 +15,13 @@ import (
 	"junicon/internal/wire"
 )
 
-// Multiplexed sessions (protocol v5): one TCP connection carrying many
-// logical streams. The handshake is a classic-framed OPEN in mode openMux
-// answered by a classic HELLO; from there every frame in both directions
-// carries a stream id (readMux/muxHeader), a single shared writer
-// goroutine per connection coalesces all streams' frames into large
-// writes (PR 4's Nagle-style batching, stretched across the whole
-// connection), credit accounting stays per stream — the §3B buffer bound
-// throttles each producer independently — and PING/PONG liveness runs
-// once per connection on stream id 0 instead of once per stream.
+// Sessions: one TCP connection carrying many logical streams (the wire
+// format is frame.go's package comment). A single shared writer goroutine
+// per connection coalesces all streams' frames into large writes — the
+// batched pipe's Nagle-style batching, stretched across the whole
+// connection — credit accounting stays per stream, so the §3B buffer bound
+// throttles each producer independently, and PING/PONG liveness runs once
+// per connection on stream id 0.
 //
 // The receive side is coalesced the same way: each end's demux loop reads
 // through a frameReader, which takes whatever the peer's flushes delivered
@@ -51,15 +48,10 @@ var muxSessions atomic.Int64
 // onto one session before dialing another connection.
 const DefaultStreamsPerConn = 256
 
-// maxSessionPending bounds the shared writer's pending buffer. When the
+// sessionPendingMax bounds the shared writer's pending buffer. When the
 // connection cannot drain this much, enqueue blocks — the per-connection
 // backpressure the watchdog diagnoses as conn-backpressure.
-var maxSessionPending = 8 << 20
-
-// errMuxUnsupported reports that the far daemon predates protocol v5.
-// The Dialer caches it per address and opens dedicated v4 connections
-// there instead — the transparent downgrade.
-var errMuxUnsupported = errors.New("remote: server does not support multiplexed sessions")
+var sessionPendingMax = 8 << 20
 
 // muxIO is a session's shared write side, symmetric between client and
 // server: frames from every stream append to one combine.Writer, whose
@@ -74,12 +66,12 @@ type muxIO struct {
 
 func newMuxIO(conn net.Conn, ih *inspect.Handle) *muxIO {
 	m := &muxIO{conn: conn, ih: ih}
-	m.w = combine.New(flushWriter{m}, maxSessionPending)
+	m.w = combine.New(flushWriter{m}, sessionPendingMax)
 	return m
 }
 
 // enqueue appends one multiplexed frame and wakes the writer. It blocks
-// while the pending buffer is over maxSessionPending — the connection is
+// while the pending buffer is over sessionPendingMax — the connection is
 // not draining, so every producer on it stalls together (the watchdog's
 // conn-backpressure cause).
 func (m *muxIO) enqueue(typ byte, sid uint32, payload []byte) error {
@@ -126,11 +118,11 @@ func (m *muxIO) fail(err error) {
 }
 
 // muxRx is the client-side receive state of one logical stream on a
-// session — what the dedicated-connection path keeps on its readLoop
-// goroutine's stack lives here instead, because the session's single read
-// goroutine demultiplexes frames for every stream.
+// session: the session's single read goroutine demultiplexes frames for
+// every stream, so what a stream's reader needs between frames lives here.
 type muxRx struct {
 	p        *RemotePipe
+	epoch    uint64 // the pipe incarnation this stream is
 	sid      uint32
 	stream   uint64 // telemetry stream ID (the OPEN's, stitching traces)
 	label    string // span label, captured at open (addr can change later)
@@ -140,6 +132,10 @@ type muxRx struct {
 	received atomic.Int64
 	start    time.Time
 }
+
+// fail records err as the stream's, unless the pipe has moved on to a
+// later incarnation.
+func (rx *muxRx) fail(err error) { rx.p.failEpoch(err, rx.epoch) }
 
 // close completes the stream's local state. Exactly-once is guaranteed by
 // the demux table: an rx is only ever reachable through it, and finish
@@ -169,27 +165,21 @@ type Session struct {
 	streams map[uint32]*muxRx
 	pending int // reserved-but-not-yet-opened slots (Dialer cap accounting)
 	nextSID uint32
-	opened  uint64
 	closed  bool
 
 	vals []value.V // VALUES decode scratch; read goroutine only
 }
 
-// dialSession dials addr and performs the v5 handshake. A pre-v5 server
-// rejects the versioned OPEN with the standard downgrade message, which
-// surfaces as errMuxUnsupported; anything else is a real dial failure.
+// dialSession dials addr and performs the handshake. A server that answers
+// ERR — wrong protocol version, connection limit — is reported as the
+// *RemoteError it sent: nothing is retried and no verdict is kept.
 func dialSession(d *Dialer, addr string) (*Session, error) {
 	conn, err := net.DialTimeout("tcp", addr, d.dialTimeout())
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
 	}
 	id := telemetry.NextStream()
-	hello := openReq{
-		mode:    openMux,
-		version: sessionVersion,
-		credit:  uint64(d.streamsPerConn()),
-		stream:  id,
-	}
+	hello := openReq{mode: openMux, credit: uint64(d.streamsPerConn()), stream: id}
 	if err := writeFrame(conn, frameOpen, hello.marshal()); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("remote: session open %s: %w", addr, err)
@@ -204,9 +194,6 @@ func dialSession(d *Dialer, addr string) (*Session, error) {
 	case frameHello:
 	case frameErr:
 		conn.Close()
-		if n, ok := versionCap(string(payload)); ok && n < sessionVersion {
-			return nil, errMuxUnsupported
-		}
 		return nil, &RemoteError{Msg: string(payload)}
 	default:
 		conn.Close()
@@ -230,26 +217,6 @@ func dialSession(d *Dialer, addr string) (*Session, error) {
 	go s.readLoop()
 	go s.pingLoop()
 	return s, nil
-}
-
-// Addr reports the session's dialed address.
-func (s *Session) Addr() string { return s.addr }
-
-// ID reports the session's connection id (telemetry stream-ID space).
-func (s *Session) ID() uint64 { return s.id }
-
-// Streams reports the live logical stream count.
-func (s *Session) Streams() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.streams)
-}
-
-// count reports live plus reserved streams — the Dialer's pooling key.
-func (s *Session) count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.streams) + s.pending
 }
 
 // tryReserve claims a stream slot under limit, counting live and claimed
@@ -281,7 +248,6 @@ func (s *Session) openStream(rx *muxRx, typ byte, payload []byte) (uint32, error
 	sid := s.nextSID
 	rx.sid = sid
 	s.streams[sid] = rx
-	s.opened++
 	s.mu.Unlock()
 	if telemetry.On() {
 		cMuxStreams.Inc()
@@ -296,7 +262,8 @@ func (s *Session) openStream(rx *muxRx, typ byte, payload []byte) (uint32, error
 }
 
 // finish completes one logical stream: remove it from the demux table and
-// close its local state. Late frames for the id simply miss the table.
+// close its local state. Late frames for the id simply miss the table. A
+// package-level pipe's private session ends with its stream.
 func (s *Session) finish(sid uint32) {
 	s.mu.Lock()
 	rx := s.streams[sid]
@@ -304,6 +271,9 @@ func (s *Session) finish(sid uint32) {
 	s.mu.Unlock()
 	if rx != nil {
 		rx.close()
+	}
+	if s.d.private {
+		s.Close()
 	}
 }
 
@@ -350,7 +320,7 @@ func (s *Session) teardown(err error) {
 	s.mu.Unlock()
 	s.io.fail(err)
 	for _, rx := range streams {
-		rx.p.fail(err)
+		rx.fail(err)
 		rx.close()
 	}
 	s.ih.Close()
@@ -358,9 +328,7 @@ func (s *Session) teardown(err error) {
 		gMuxSess.Set(n)
 	}
 	close(s.done)
-	if s.d != nil {
-		s.d.drop(s.addr, s)
-	}
+	s.d.drop(s.addr, s)
 }
 
 // readLoop demultiplexes inbound frames onto the per-stream receive
@@ -404,9 +372,9 @@ loop:
 	s.teardown(ferr)
 }
 
-// handleStreamFrame applies one inbound frame to a logical stream — the
-// session-side mirror of RemotePipe.readLoop's switch. Returns false when
-// the stream is finished (EOS, ERR, consumer gone, malformed frame).
+// handleStreamFrame applies one inbound frame to a logical stream. Returns
+// false when the stream is finished (EOS, ERR, consumer gone, malformed
+// frame).
 //
 // The put into the stream's bounded queue cannot stall the demux loop in
 // a conforming exchange: the §3B credit protocol guarantees the server
@@ -414,12 +382,11 @@ loop:
 // so one slow consumer's stream fills its own window and stalls its own
 // producer (on the server, in acquire) — never its siblings' frames.
 func (s *Session) handleStreamFrame(rx *muxRx, typ byte, payload []byte) bool {
-	p := rx.p
 	switch typ {
 	case frameValue:
 		v, err := wire.Unmarshal(payload)
 		if err != nil {
-			p.fail(fmt.Errorf("remote: malformed value frame: %w", err))
+			rx.fail(fmt.Errorf("remote: malformed value frame: %w", err))
 			return false
 		}
 		rx.received.Add(1)
@@ -435,7 +402,7 @@ func (s *Session) handleStreamFrame(rx *muxRx, typ byte, payload []byte) bool {
 		var err error
 		s.vals, err = wire.UnmarshalBatchInto(s.vals[:0], payload, wire.DefaultLimits)
 		if err != nil {
-			p.fail(fmt.Errorf("remote: malformed batch frame: %w", err))
+			rx.fail(fmt.Errorf("remote: malformed batch frame: %w", err))
 			return false
 		}
 		rx.received.Add(int64(len(s.vals)))
@@ -452,24 +419,24 @@ func (s *Session) handleStreamFrame(rx *muxRx, typ byte, payload []byte) bool {
 	case frameSnapshot:
 		produced, ok, rest, err := parseSnapshot(payload)
 		if err != nil {
-			p.fail(err)
+			rx.fail(err)
 			return false
 		}
-		p.noteSnapshot(produced, ok, rest)
+		rx.p.noteSnapshot(produced, ok, rest)
 	case frameErr:
-		p.fail(&RemoteError{Msg: string(payload)})
+		rx.fail(&RemoteError{Msg: string(payload)})
 		return false
 	case framePing, framePong:
-		// tolerated on a stream id, as on dedicated connections
+		// liveness belongs to stream 0; tolerated on a stream id
 	default:
-		p.fail(fmt.Errorf("remote: unexpected %s frame", frameName(typ)))
+		rx.fail(fmt.Errorf("remote: unexpected %s frame", frameName(typ)))
 		return false
 	}
 	return true
 }
 
 // pingLoop keeps the connection alive — one heartbeat per connection,
-// however many streams it carries, where v4 paid one per stream.
+// however many streams it carries.
 func (s *Session) pingLoop() {
 	t := time.NewTicker(s.hb)
 	defer t.Stop()

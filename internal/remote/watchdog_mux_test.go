@@ -25,9 +25,9 @@ func TestWatchdogConnBackpressure(t *testing.T) {
 	})
 	// Shrink the shared writer's pending bound so the wedge needs only the
 	// socket buffers' worth of unread data, not 8MB.
-	oldPending := maxSessionPending
-	maxSessionPending = 64 << 10
-	t.Cleanup(func() { maxSessionPending = oldPending })
+	oldPending := sessionPendingMax
+	sessionPendingMax = 64 << 10
+	t.Cleanup(func() { sessionPendingMax = oldPending })
 
 	_, addr := startServer(t, func(s *Server) {
 		s.Register("flood", func(args []value.V) (core.Gen, error) {
@@ -35,7 +35,7 @@ func TestWatchdogConnBackpressure(t *testing.T) {
 		})
 	})
 
-	// A raw v5 peer: complete the session handshake, open one stream with
+	// A raw peer: complete the session handshake, open one stream with
 	// an enormous credit window, then never read another byte. The server
 	// producer free-runs into the shared writer until the TCP buffers and
 	// the pending bound fill.
@@ -44,14 +44,7 @@ func TestWatchdogConnBackpressure(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	hello := &openReq{mode: openMux, version: sessionVersion, credit: 16, stream: 77}
-	if err := writeFrame(conn, frameOpen, hello.marshal()); err != nil {
-		t.Fatalf("handshake write: %v", err)
-	}
-	typ, _, err := readFrame(conn)
-	if err != nil || typ != frameHello {
-		t.Fatalf("handshake reply: typ=%d err=%v", typ, err)
-	}
+	rawSession(t, conn)
 	open := &openReq{mode: openNamed, name: "flood", credit: 1 << 30, batch: 64, stream: 78}
 	if _, err := conn.Write(appendMuxFrame(nil, frameOpen, 1, open.marshal())); err != nil {
 		t.Fatalf("stream open: %v", err)
