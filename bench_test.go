@@ -253,7 +253,7 @@ func BenchmarkAblationTranslated_Sequential(b *testing.B) {
 	}
 }
 
-// ---- Ablation: facts-driven optimization on vs off (BENCH_analyze.json) ----
+// ---- Ablation: facts-driven optimization on vs off ----
 //
 // Each pair runs one embedded workload through the interpreter with the
 // interprocedural fact engine off (the seed behaviour) and on. The On
@@ -503,30 +503,35 @@ func BenchmarkInterpEvalExpression(b *testing.B) {
 	}
 }
 
-// ---- Ablation E: pipe transport queue type ----
+// ---- Ablation E: pipe transport queue capacity ----
+//
+// There is one queue; what §3B varies is its buffer size. The sweep runs
+// the same single-stage pipe over the four capacities the constructors
+// configure: rendezvous (0), M-var (1), a bounded buffer (64), unbounded.
 
-func benchQueueType(b *testing.B, mk func() queue.Queue[value.V]) {
-	lines, _ := corpora()
-	b.ResetTimer()
+func benchQueueCapacity(b *testing.B, mk func() queue.Queue[value.V]) {
 	for i := 0; i < b.N; i++ {
 		// A single pipeline stage over the chosen transport.
 		src := core.NewFirstClass(core.IntRange(1, 2000))
 		p := pipe.NewWithQueue(src, mk)
 		core.Drain(p, 0)
 	}
-	_ = lines
 }
 
-func BenchmarkAblationQueueArray(b *testing.B) {
-	benchQueueType(b, func() queue.Queue[value.V] { return queue.NewArrayBlocking[value.V](64) })
+func BenchmarkAblationQueueRendezvous(b *testing.B) {
+	benchQueueCapacity(b, func() queue.Queue[value.V] { return queue.NewSynchronous[value.V]() })
 }
 
-func BenchmarkAblationQueueLinked(b *testing.B) {
-	benchQueueType(b, func() queue.Queue[value.V] { return queue.NewLinkedBlocking[value.V](64) })
+func BenchmarkAblationQueue_1(b *testing.B) {
+	benchQueueCapacity(b, func() queue.Queue[value.V] { return queue.NewMVar[value.V]() })
 }
 
-func BenchmarkAblationQueueSynchronous(b *testing.B) {
-	benchQueueType(b, func() queue.Queue[value.V] { return queue.NewSynchronous[value.V]() })
+func BenchmarkAblationQueue_64(b *testing.B) {
+	benchQueueCapacity(b, func() queue.Queue[value.V] { return queue.NewArrayBlocking[value.V](64) })
+}
+
+func BenchmarkAblationQueueUnbounded(b *testing.B) {
+	benchQueueCapacity(b, func() queue.Queue[value.V] { return queue.NewLinkedBlocking[value.V](0) })
 }
 
 func BenchmarkKernelScanTokenize(b *testing.B) {
@@ -556,10 +561,8 @@ def tokens(s) {
 
 // ---- Compiled execution: bytecode vm vs tree walk vs translation ----
 //
-// The BenchmarkVM* lanes feed BENCH_vm.json (regenerate with
-// `go test -bench 'BenchmarkVM' -benchmem . | go run ./cmd/benchjson
-// -o BENCH_vm.json`). Each workload runs under the tree-walking
-// evaluator and under WithVM — identical programs, identical traces
+// Each BenchmarkVM* workload runs under the tree-walking evaluator and
+// under WithVM — identical programs, identical traces
 // (the semtest Compiled lanes pin that) — so the pair isolates what
 // compiling to slot-framed bytecode buys. The Fig6 lanes add the
 // translated kernel composition as the ceiling: ahead-of-time Go

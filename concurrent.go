@@ -167,7 +167,7 @@ func NewPool(n int) *Pool { return pool.New(n) }
 // BlockingQueue is a bounded FIFO blocking queue of values — the transport
 // underneath pipes, exposed for direct coordination (§3B exposes the
 // queue "to permit further manipulation").
-type BlockingQueue = queue.ArrayBlocking[value.V]
+type BlockingQueue = queue.Blocking[value.V]
 
 // NewBlockingQueue returns a bounded blocking queue of values.
 func NewBlockingQueue(capacity int) *BlockingQueue {

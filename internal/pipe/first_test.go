@@ -69,20 +69,17 @@ func TestFirstStopsEagerProducer(t *testing.T) {
 	if got := steps.Load(); got != n {
 		t.Fatalf("producer advanced from %d to %d after First", n, got)
 	}
-	assertStoppedSoon(t, p, 4)
+	assertStopped(t, p)
 }
 
-// assertStoppedSoon drains a stopped pipe: values already committed to the
-// (now closed) transport queue may still arrive, but Next must fail within
-// that bounded leftover — it may never block or keep producing.
-func assertStoppedSoon(t *testing.T, p *Pipe, bound int) {
+// assertStopped: Stop discards what the producer had committed to the
+// transport queue along with the producer, so the very next Next fails —
+// it may never block, drain leftovers or keep producing.
+func assertStopped(t *testing.T, p *Pipe) {
 	t.Helper()
-	for i := 0; i <= bound; i++ {
-		if _, ok := p.Next(); !ok {
-			return
-		}
+	if v, ok := p.Next(); ok {
+		t.Fatalf("stopped pipe yielded %v", v)
 	}
-	t.Fatalf("stopped pipe still producing after %d values", bound)
 }
 
 // TestFirstReleasesBlockedBatchedProducer extends the Stop-unblocks
@@ -107,7 +104,7 @@ func TestFirstReleasesBlockedBatchedProducer(t *testing.T) {
 		t.Fatalf("First = %v %v, want 0 true", v, ok)
 	}
 	waitGoroutines(t, before)
-	assertStoppedSoon(t, p, 8)
+	assertStopped(t, p)
 }
 
 // TestStopReleasesProducerMidFlush: Stop with no Next at all — the closed
@@ -121,5 +118,5 @@ func TestStopReleasesProducerMidFlush(t *testing.T) {
 	waitSteps(t, &steps, 8)
 	p.Stop()
 	waitGoroutines(t, before)
-	assertStoppedSoon(t, p, 10)
+	assertStopped(t, p)
 }

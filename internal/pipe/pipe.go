@@ -434,28 +434,25 @@ func (p *Pipe) Restart() {
 func (p *Pipe) Stop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.started {
-		// Arrange for Next to fail immediately rather than spawn.
-		p.out = p.mkQueue()
-		p.out.Close()
-		p.started = true
-		p.cur.Store(&generation{out: p.out})
-		return
-	}
 	p.stopCurrentLocked()
+	p.started = true // a never-started pipe must now fail, not spawn
 }
 
-// stopCurrentLocked closes the current generation's transport and wakes
-// every batched-mode waiter; Next afterwards drains the closed queue and
-// fails. Caller holds p.mu.
+// stopCurrentLocked closes the current generation's transport, releasing
+// its producer, wakes every batched-mode waiter, and leaves a closed,
+// empty queue in its place: a closed queue drains before it fails, and the
+// stopped producer's buffered values must not stay reachable through Next.
+// Caller holds p.mu.
 func (p *Pipe) stopCurrentLocked() {
-	p.out.Close()
 	if g := p.cur.Load(); g != nil {
+		g.out.Close()
 		if g.b != nil {
 			g.b.stop()
 		}
 		g.h.Close()
 	}
+	p.out = queue.NewArrayBlocking[value.V](1)
+	p.out.Close()
 	p.cur.Store(&generation{out: p.out})
 }
 

@@ -34,7 +34,7 @@ var ErrShutdown = errors.New("pool: shut down")
 
 // Pool runs submitted tasks on a fixed set of worker goroutines.
 type Pool struct {
-	tasks *queue.LinkedBlocking[func()]
+	tasks *queue.Blocking[func()]
 	wg    sync.WaitGroup
 	size  int
 

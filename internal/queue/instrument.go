@@ -39,7 +39,12 @@ type instrumented[T any] struct {
 	name   string
 }
 
-func (iq *instrumented[T]) observe(put bool, start time.Time) {
+// observe records a transfer of n elements that began at start: element
+// counters move by n, blocked time and depth are sampled once, and tracing
+// emits a single span for the whole run. batch marks the batch operations,
+// whose run length also lands in the batch-size histogram — the
+// amortization actually won.
+func (iq *instrumented[T]) observe(put bool, start time.Time, n int, batch bool) {
 	on, tracing := telemetry.On(), telemetry.TraceOn()
 	if !on && !tracing {
 		return
@@ -47,12 +52,14 @@ func (iq *instrumented[T]) observe(put bool, start time.Time) {
 	blocked := time.Since(start).Nanoseconds()
 	depth := iq.q.Len()
 	if on {
+		count, blockedNs, size := cTakes, cTakeBlockedNs, hTakeBatch
 		if put {
-			cPuts.Inc()
-			cPutBlockedNs.Add(blocked)
-		} else {
-			cTakes.Inc()
-			cTakeBlockedNs.Add(blocked)
+			count, blockedNs, size = cPuts, cPutBlockedNs, hPutBatch
+		}
+		count.Add(int64(n))
+		blockedNs.Add(blocked)
+		if batch {
+			size.Observe(int64(n))
 		}
 		hDepth.Observe(int64(depth))
 		if c := iq.q.Cap(); c > 0 {
@@ -72,7 +79,7 @@ func (iq *instrumented[T]) Put(v T) error {
 	start := time.Now()
 	err := iq.q.Put(v)
 	if err == nil {
-		iq.observe(true, start)
+		iq.observe(true, start, 1, false)
 	}
 	return err
 }
@@ -81,7 +88,7 @@ func (iq *instrumented[T]) Take() (T, error) {
 	start := time.Now()
 	v, err := iq.q.Take()
 	if err == nil {
-		iq.observe(false, start)
+		iq.observe(false, start, 1, false)
 	}
 	return v, err
 }
@@ -89,7 +96,7 @@ func (iq *instrumented[T]) Take() (T, error) {
 func (iq *instrumented[T]) TryPut(v T) (bool, error) {
 	ok, err := iq.q.TryPut(v)
 	if ok {
-		iq.observe(true, time.Now())
+		iq.observe(true, time.Now(), 1, false)
 	}
 	return ok, err
 }
@@ -97,50 +104,16 @@ func (iq *instrumented[T]) TryPut(v T) (bool, error) {
 func (iq *instrumented[T]) TryTake() (T, bool, error) {
 	v, ok, err := iq.q.TryTake()
 	if ok {
-		iq.observe(false, time.Now())
+		iq.observe(false, time.Now(), 1, false)
 	}
 	return v, ok, err
-}
-
-// observeBatch records an n-element batch transfer: element counters move
-// by n, the batch-size histogram captures the amortization actually won,
-// and tracing emits a single span for the whole run.
-func (iq *instrumented[T]) observeBatch(put bool, start time.Time, n int) {
-	on, tracing := telemetry.On(), telemetry.TraceOn()
-	if !on && !tracing {
-		return
-	}
-	blocked := time.Since(start).Nanoseconds()
-	depth := iq.q.Len()
-	if on {
-		if put {
-			cPuts.Add(int64(n))
-			cPutBlockedNs.Add(blocked)
-			hPutBatch.Observe(int64(n))
-		} else {
-			cTakes.Add(int64(n))
-			cTakeBlockedNs.Add(blocked)
-			hTakeBatch.Observe(int64(n))
-		}
-		hDepth.Observe(int64(depth))
-		if c := iq.q.Cap(); c > 0 {
-			hOccupancy.Observe(int64(depth * 100 / c))
-		}
-	}
-	if tracing {
-		kind := telemetry.KindTake
-		if put {
-			kind = telemetry.KindPut
-		}
-		telemetry.EmitSpan(iq.stream, kind, iq.name, int64(depth), start)
-	}
 }
 
 func (iq *instrumented[T]) PutBatch(vs []T) (int, error) {
 	start := time.Now()
 	n, err := iq.q.PutBatch(vs)
 	if n > 0 {
-		iq.observeBatch(true, start, n)
+		iq.observe(true, start, n, true)
 	}
 	return n, err
 }
@@ -149,7 +122,7 @@ func (iq *instrumented[T]) TakeBatch(dst []T) (int, error) {
 	start := time.Now()
 	n, err := iq.q.TakeBatch(dst)
 	if n > 0 {
-		iq.observeBatch(false, start, n)
+		iq.observe(false, start, n, true)
 	}
 	return n, err
 }
@@ -157,7 +130,7 @@ func (iq *instrumented[T]) TakeBatch(dst []T) (int, error) {
 func (iq *instrumented[T]) TryTakeBatch(dst []T) (int, error) {
 	n, err := iq.q.TryTakeBatch(dst)
 	if n > 0 {
-		iq.observeBatch(false, time.Now(), n)
+		iq.observe(false, time.Now(), n, true)
 	}
 	return n, err
 }

@@ -108,6 +108,13 @@ func TestInstrumentBatchBlockedTime(t *testing.T) {
 			t.Errorf("PutBatch = %d, %v", n, err)
 		}
 	}()
+	// Start the hold only once the buffer is full: the producer has then
+	// taken its start stamp, however late its goroutine was scheduled.
+	for deadline := time.Now().Add(5 * time.Second); q.Len() < 2; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("producer never filled the buffer")
+		}
+	}
 	time.Sleep(hold)
 	dst := make([]int, 8)
 	for got := 0; got < 8; {
@@ -136,5 +143,17 @@ func TestInstrumentBatchBlockedTime(t *testing.T) {
 	}
 	if ns := counter(t, telemetry.Snapshot(), "queue.take_blocked_ns"); ns < hold.Nanoseconds() {
 		t.Errorf("take_blocked_ns = %d, want >= %d (consumer parked %v)", ns, hold.Nanoseconds(), hold)
+	}
+}
+
+// The wrapper must not hide the one capacity pipes treat differently: a
+// pipe handed an instrumented queue (pipe.NewWithQueue) asks it whether it
+// is a rendezvous before deciding to batch.
+func TestInstrumentForwardsRendezvous(t *testing.T) {
+	for name, mk := range implementations() {
+		r, ok := Instrument(mk(), 7, "test").(interface{ Rendezvous() bool })
+		if !ok || r.Rendezvous() != (name == "synchronous") {
+			t.Errorf("%s: instrumented Rendezvous() = %v (implemented: %v)", name, ok && r.Rendezvous(), ok)
+		}
 	}
 }

@@ -1,14 +1,27 @@
 // Package queue implements the blocking-queue substrate underneath
-// generator proxies (§3B): bounded array-backed and unbounded linked
-// blocking queues, a synchronous (rendezvous) queue, single-slot M-vars and
-// futures — the same family of "fundamental building blocks" the paper
-// cites (M-structures, M-Vars, Linda tuples, Java BlockingQueues).
+// generator proxies (§3B). The paper has one transport, "a blocking queue",
+// and varies only its buffer size; so does this package — one queue, four
+// capacities, all configurations of Blocking's ring-plus-condition core:
 //
-// All types are built from sync.Mutex and sync.Cond rather than Go channels
-// so that buffer bounding, fairness and close semantics are explicit,
-// testable and benchmarkable — and so the pipe package can expose its
-// transport "as a public field to permit further manipulation", as the
-// paper requires.
+//   - n (NewArrayBlocking, NewLinkedBlocking(n)): a bounded buffer. A full
+//     ring parks Put, which is how a pipe throttles its threaded
+//     co-expression ("bounding the output queue buffer size can also be
+//     used to throttle").
+//   - 1 (NewMVar): the M-var of Concurrent Haskell and M-structure of Id,
+//     "whose put and take operations wait until the channel is empty or
+//     full respectively"; a pipe over one degenerates to a future.
+//   - unbounded (NewLinkedBlocking(0)): the ring grows instead of parking
+//     Put, and gives the grown buffer back once it drains empty.
+//   - 0 (NewSynchronous): a rendezvous. One slot, but Put returns only
+//     after its element has been taken, so nothing is ever buffered: Len
+//     and Cap report 0 and TryPut never transfers.
+//
+// Future, the single-assignment variable, is the one relative that is not a
+// queue. Everything is built from sync.Mutex and sync.Cond rather than Go
+// channels so that buffer bounding, fairness and close semantics are
+// explicit, testable and benchmarkable — and so the pipe package can
+// expose its transport "as a public field to permit further manipulation",
+// as the paper requires.
 package queue
 
 import "errors"
@@ -17,7 +30,8 @@ import "errors"
 // the queue has drained.
 var ErrClosed = errors.New("queue: closed")
 
-// Queue is the blocking-queue protocol shared by all implementations.
+// Queue is the blocking-queue protocol: what Blocking implements and what
+// lets a wrapper (Instrument, semtest's SchedQueue) stand in for one.
 //
 // The batch operations move several elements per synchronization point:
 // PutBatch and TakeBatch acquire the queue's internal lock once per call

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,13 +9,8 @@ import (
 	"time"
 )
 
-// compile-time interface checks
-var (
-	_ Queue[int] = (*ArrayBlocking[int])(nil)
-	_ Queue[int] = (*LinkedBlocking[int])(nil)
-	_ Queue[int] = (*MVar[int])(nil)
-	_ Queue[int] = (*Synchronous[int])(nil)
-)
+// compile-time interface check
+var _ Queue[int] = (*Blocking[int])(nil)
 
 // each bounded/unbounded implementation under a name for table tests.
 func implementations() map[string]func() Queue[int] {
@@ -371,45 +367,200 @@ func TestManyProducersManyConsumers(t *testing.T) {
 }
 
 func TestPropRingBufferMatchesModel(t *testing.T) {
-	// Drive an ArrayBlocking with a random op sequence against a model
-	// slice, single-threaded.
-	f := func(ops []byte, capacity uint8) bool {
-		capn := int(capacity%7) + 1
-		q := NewArrayBlocking[int](capn)
-		var model []int
-		next := 0
-		for _, op := range ops {
-			if op%2 == 0 {
-				ok, _ := q.TryPut(next)
-				wantOK := len(model) < capn
-				if ok != wantOK {
-					return false
-				}
-				if ok {
-					model = append(model, next)
-				}
-				next++
-			} else {
-				v, ok, _ := q.TryTake()
-				wantOK := len(model) > 0
-				if ok != wantOK {
-					return false
-				}
-				if ok {
-					if v != model[0] {
+	// Drive each capacity with a random op sequence against a model slice,
+	// single-threaded. room is how many elements TryPut may have buffered:
+	// the bound, no limit when unbounded, and none at all for a rendezvous,
+	// whose non-blocking offer never transfers.
+	rows := map[string]struct {
+		mk   func(capn int) Queue[int]
+		room func(capn int) int
+	}{
+		"array":       {func(c int) Queue[int] { return NewArrayBlocking[int](c) }, func(c int) int { return c }},
+		"linked":      {func(c int) Queue[int] { return NewLinkedBlocking[int](c) }, func(c int) int { return c }},
+		"unbounded":   {func(int) Queue[int] { return NewLinkedBlocking[int](0) }, func(int) int { return math.MaxInt }},
+		"mvar":        {func(int) Queue[int] { return NewMVar[int]() }, func(int) int { return 1 }},
+		"synchronous": {func(int) Queue[int] { return NewSynchronous[int]() }, func(int) int { return 0 }},
+	}
+	for name, row := range rows {
+		t.Run(name, func(t *testing.T) {
+			f := func(ops []byte, capacity uint8) bool {
+				capn := int(capacity%7) + 1
+				q := row.mk(capn)
+				var model []int
+				next := 0
+				for _, op := range ops {
+					if op%2 == 0 {
+						ok, _ := q.TryPut(next)
+						wantOK := len(model) < row.room(capn)
+						if ok != wantOK {
+							return false
+						}
+						if ok {
+							model = append(model, next)
+						}
+						next++
+					} else {
+						v, ok, _ := q.TryTake()
+						wantOK := len(model) > 0
+						if ok != wantOK {
+							return false
+						}
+						if ok {
+							if v != model[0] {
+								return false
+							}
+							model = model[1:]
+						}
+					}
+					if q.Len() != len(model) {
 						return false
 					}
-					model = model[1:]
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestUnboundedGrowsAcrossWrapAndGivesBack: an unbounded ring that fills
+// with head != 0 must unwrap as it grows — FIFO holds across the old seam,
+// whether the overfill arrives by Put or as one PutBatch — and once it
+// drains empty the grown buffer goes back, so a burst does not pin its
+// high-water mark.
+func TestUnboundedGrowsAcrossWrapAndGivesBack(t *testing.T) {
+	overfill := map[string]func(t *testing.T, q *Blocking[int], vs []int){
+		"Put": func(t *testing.T, q *Blocking[int], vs []int) {
+			for _, v := range vs {
+				if err := q.Put(v); err != nil {
+					t.Fatalf("Put(%d): %v", v, err)
 				}
 			}
-			if q.Len() != len(model) {
-				return false
+		},
+		"PutBatch": func(t *testing.T, q *Blocking[int], vs []int) {
+			if n, err := q.PutBatch(vs); n != len(vs) || err != nil {
+				t.Fatalf("PutBatch = %d %v", n, err)
 			}
-		}
-		return true
+		},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	for name, put := range overfill {
+		t.Run(name, func(t *testing.T) {
+			q := NewLinkedBlocking[int](0)
+			seq := make([]int, 4*minRing)
+			for i := range seq {
+				seq[i] = i
+			}
+			put(t, q, seq[:minRing]) // exactly full
+			for want := 0; want < minRing/2; want++ {
+				if v, err := q.Take(); err != nil || v != want {
+					t.Fatalf("Take = %d %v, want %d", v, err, want)
+				}
+			}
+			put(t, q, seq[minRing:]) // wraps, then outgrows the ring with head mid-buffer
+			if len(q.buf) <= minRing {
+				t.Fatalf("ring did not grow: len %d holding %d", len(q.buf), q.Len())
+			}
+			for want := minRing / 2; want < len(seq); want++ {
+				if v, ok, err := q.TryTake(); !ok || err != nil || v != want {
+					t.Fatalf("TryTake = %d %v %v, want %d", v, ok, err, want)
+				}
+			}
+			if len(q.buf) != minRing {
+				t.Fatalf("drained ring kept %d slots, want %d given back", len(q.buf), minRing)
+			}
+			put(t, q, seq[:1]) // and it still works
+			if v, err := q.Take(); err != nil || v != 0 {
+				t.Fatalf("Take after give-back = %d %v", v, err)
+			}
+		})
+	}
+}
+
+// parked waits until a rendezvous queue holds an offer no taker has
+// accepted yet (white-box: Len reports 0 for it by contract).
+func parked(t *testing.T, q *Blocking[int]) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		q.mu.Lock()
+		n := q.n
+		q.mu.Unlock()
+		if n == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no offer parked within 5s")
+		}
+	}
+}
+
+// TestRendezvousCloseWithdrawsOffer: a putter whose offer Close cut short
+// is told ErrClosed, so that element must not also be takeable — for a
+// scalar Put, and for a PutBatch, which reports exactly the hand-offs that
+// completed before the cut.
+func TestRendezvousCloseWithdrawsOffer(t *testing.T) {
+	for name, completed := range map[string]int{"Put": 0, "PutBatch": 2} {
+		t.Run(name, func(t *testing.T) {
+			q := NewSynchronous[int]()
+			type res struct {
+				n   int
+				err error
+			}
+			done := make(chan res, 1)
+			go func() {
+				if name == "Put" {
+					done <- res{0, q.Put(1)}
+					return
+				}
+				n, err := q.PutBatch([]int{1, 2, 3, 4, 5})
+				done <- res{n, err}
+			}()
+			for want := 1; want <= completed; want++ {
+				if v, err := q.Take(); err != nil || v != want {
+					t.Fatalf("Take = %d %v, want %d", v, err, want)
+				}
+			}
+			parked(t, q)
+			q.Close()
+			if v, ok, err := q.TryTake(); ok || err != ErrClosed {
+				t.Fatalf("TryTake after Close = %d %v %v: the withdrawn offer is still takeable", v, ok, err)
+			}
+			if r := <-done; r.n != completed || r.err != ErrClosed {
+				t.Fatalf("putter saw %d %v, want %d ErrClosed", r.n, r.err, completed)
+			}
+		})
+	}
+}
+
+// TestRendezvousPutBatchHandsOffEachElement: batching cannot loosen a
+// rendezvous. PutBatch never has more than one element parked, and when it
+// returns every element — the last included — has been taken.
+func TestRendezvousPutBatchHandsOffEachElement(t *testing.T) {
+	q := NewSynchronous[int]()
+	const run = 50
+	vs := make([]int, run)
+	for i := range vs {
+		vs[i] = i
+	}
+	takenAtReturn := make(chan uint64, 1)
+	go func() {
+		if n, err := q.PutBatch(vs); n != run || err != nil {
+			t.Errorf("PutBatch = %d %v", n, err)
+		}
+		q.mu.Lock()
+		takenAtReturn <- q.taken
+		q.mu.Unlock()
+	}()
+	dst := make([]int, 8)
+	for want := 0; want < run; want++ {
+		n, err := q.TakeBatch(dst)
+		if err != nil || n != 1 || dst[0] != want {
+			t.Fatalf("TakeBatch = %d %v (first %d), want exactly element %d", n, err, dst[0], want)
+		}
+	}
+	if got := <-takenAtReturn; got != run {
+		t.Fatalf("PutBatch returned with %d of %d elements taken", got, run)
 	}
 }
 

@@ -560,6 +560,14 @@ func (p *RemotePipe) StartEager() {
 	p.ensureStarted()
 }
 
+// closedQueue is what a pipe that must fail every Next holds: a closed
+// queue with nothing to drain.
+func closedQueue() queue.Queue[value.V] {
+	q := queue.NewArrayBlocking[value.V](1)
+	q.Close()
+	return q
+}
+
 // ensureStarted opens the stream unless one is open. A failure leaves the
 // pipe started on a closed queue with the error recorded, so every Next
 // fails at once and nothing is dialed again until Restart. Caller holds
@@ -572,8 +580,7 @@ func (p *RemotePipe) ensureStarted() bool {
 	if err != nil {
 		p.started = true
 		p.err = err
-		p.out = queue.NewArrayBlocking[value.V](1)
-		p.out.Close()
+		p.out = closedQueue()
 	}
 	return err == nil
 }
@@ -624,7 +631,7 @@ func (p *RemotePipe) reconnect() bool {
 			p.mu.Lock()
 			p.started = true // stop re-dialing on every Next; Restart resets
 			if p.out == nil {
-				p.out = queue.NewArrayBlocking[value.V](1)
+				p.out = closedQueue()
 			}
 			p.out.Close()
 			p.mu.Unlock()
@@ -743,7 +750,10 @@ func (p *RemotePipe) SnapshotRefusal() string {
 	return p.snapReason
 }
 
-// stopLocked cancels the current stream. Caller holds p.mu.
+// stopLocked cancels the current stream and discards what it had delivered
+// but Next had not yet returned: a closed queue drains before it fails, so
+// neither the shipped values nor a migration's replay may outlive the stop.
+// Caller holds p.mu.
 func (p *RemotePipe) stopLocked() {
 	if p.sess != nil {
 		p.sess.closeStream(p.sid)
@@ -753,6 +763,7 @@ func (p *RemotePipe) stopLocked() {
 		p.out.Close()
 	}
 	p.ih.Close()
+	p.out, p.replay = closedQueue(), nil
 }
 
 // Stop terminates the stream without restarting; further Nexts fail until
@@ -760,13 +771,8 @@ func (p *RemotePipe) stopLocked() {
 func (p *RemotePipe) Stop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.started {
-		p.out = queue.NewArrayBlocking[value.V](1)
-		p.out.Close()
-		p.started = true
-		return
-	}
 	p.stopLocked()
+	p.started = true // a never-started pipe must now fail, not dial
 }
 
 // Restart cancels the stream and arranges for a fresh one — a fresh

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"junicon/internal/core"
+	"junicon/internal/pipe"
 	"junicon/internal/value"
 )
 
@@ -96,6 +97,55 @@ func TestStreamAccounting(t *testing.T) {
 			t.Fatalf("served=%d, want 1", o.srv.Served())
 		}
 	})
+}
+
+// TestStoppedPipeYieldsNothing: "further Nexts fail until Restart" means
+// the values a producer had already buffered are gone with it — a closed
+// queue drains before it fails, so Stop must not leave that queue in
+// place. One table, because the contract is one: local pipes per value
+// and batched, remote pipes over a private and a pooled session.
+func TestStoppedPipeYieldsNothing(t *testing.T) {
+	_, addr := startServer(t, nil)
+	cfg := testConfig()
+	d := &Dialer{Heartbeat: cfg.Heartbeat, DialTimeout: cfg.DialTimeout}
+	defer d.Close()
+	type stoppable interface {
+		value.Gen
+		Stop()
+	}
+	local := func(p *pipe.Pipe) (stoppable, func() int) {
+		return p, func() int { return p.Out().Len() }
+	}
+	remote := func(p *RemotePipe) (stoppable, func() int) {
+		return p, func() int {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return p.out.Len()
+		}
+	}
+	src := func() core.Stepper { return core.NewFirstClass(core.IntRange(42, 100)) }
+	args := []value.V{value.NewInt(42), value.NewInt(100)}
+	rows := map[string]func() (stoppable, func() int){
+		"pipe.New":        func() (stoppable, func() int) { return local(pipe.New(src(), cfg.Buffer)) },
+		"pipe.NewBatched": func() (stoppable, func() int) { return local(pipe.NewBatched(src(), cfg.Buffer, 4)) },
+		"remote.Open":     func() (stoppable, func() int) { return remote(Open(addr, "range", args, cfg)) },
+		"Dialer.Open":     func() (stoppable, func() int) { return remote(d.Open(addr, "range", args, cfg)) },
+	}
+	for name, mk := range rows {
+		t.Run(name, func(t *testing.T) {
+			p, buffered := mk()
+			within(t, 5*time.Second, "first value", func() {
+				if got := drainInts(t, p, 1); len(got) != 1 || got[0] != 42 {
+					t.Errorf("first Next = %v, want [42]", got)
+				}
+			})
+			eventually(t, "producer ran ahead into the buffer", func() bool { return buffered() > 0 })
+			p.Stop()
+			if v, ok := p.Next(); ok {
+				t.Fatalf("Next after Stop = %s with %d values still buffered, want failure", value.Image(v), buffered())
+			}
+		})
+	}
 }
 
 func TestRestartReopensFreshStream(t *testing.T) {
