@@ -48,24 +48,27 @@ func SimpleCoExpr(build func() Gen) *CoExpr { return coexpr.Simple(build) }
 // NewPipe creates a generator proxy (|>e) over a first-class iterator,
 // transporting results through a bounded blocking queue of the given size
 // (<= 0 selects the default of 1024; 1 yields future/M-var behaviour and
-// maximally throttles the producer, §3B).
+// maximally throttles the producer, §3B). The producer puts each value as
+// it exists; the consumer takes whatever has queued up, at most
+// min(buffer, 256) values, as one run per queue visit and Next serves from
+// it — so the producer is never more than buffer values queued plus one
+// run in the consumer's hands ahead.
 func NewPipe(src Stepper, buffer int) *Pipe { return pipe.New(src, buffer) }
 
 // PipeOf spawns a pipe over a plain generator: |>e over <>e.
 func PipeOf(g Gen, buffer int) *Pipe { return pipe.FromGen(g, buffer) }
 
-// NewBatchedPipe creates a pipe that moves results through its queue in
-// runs of up to batch with a Nagle-style adaptive flush: full runs are
-// flushed in one queue operation, while a waiting consumer receives the
-// partial run immediately, so slow generators keep per-value latency.
-// batch <= 1 behaves exactly like NewPipe. Observable semantics (ordering,
-// failure propagation, Stop/Restart) are identical to NewPipe; the
-// producer may run ahead by up to buffer+batch values.
+// NewBatchedPipe is NewPipe with the consumer's run capped at batch values:
+// batch 1 takes every value from the queue singly, batch <= 0 behaves
+// exactly like NewPipe. The cap tightens the throttle (buffer queued plus
+// batch in hand) and is otherwise a measurement knob — every pipe already
+// moves runs. Observable semantics (ordering, failure propagation,
+// Stop/Restart) are identical to NewPipe.
 func NewBatchedPipe(src Stepper, buffer, batch int) *Pipe {
 	return pipe.NewBatched(src, buffer, batch)
 }
 
-// BatchedPipeOf spawns a batched pipe over a plain generator.
+// BatchedPipeOf is PipeOf with the consumer's run capped at batch.
 func BatchedPipeOf(g Gen, buffer, batch int) *Pipe {
 	return pipe.FromGenBatched(g, buffer, batch)
 }
@@ -88,7 +91,7 @@ func Pipeline(src Gen, buffer int, stages ...func(Gen) Gen) Gen {
 	return pipe.Chain(src, buffer, stages...)
 }
 
-// BatchedPipeline is Pipeline with batched transport between stages.
+// BatchedPipeline is Pipeline with every stage's run capped at batch.
 func BatchedPipeline(src Gen, buffer, batch int, stages ...func(Gen) Gen) Gen {
 	return pipe.ChainBatched(src, buffer, batch, stages...)
 }

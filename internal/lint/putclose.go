@@ -10,8 +10,8 @@ import (
 // protocol) is that Close ends the stream: a Put or PutBatch sequenced
 // after a Close on the same receiver either returns ErrClosed — a value
 // silently dropped from the stream — or, in a racier arrangement, panics.
-// The batcher's flush path is exactly where this mistake is easy to make
-// (flush, close on EOS, then flush the leftover run).
+// A batching producer's end of stream is exactly where this mistake is easy
+// to make (flush, close on EOS, then flush the leftover run).
 //
 // The check is per-block and order-based: a statement-level x.Close()
 // followed by a later statement in the same block that mentions x.Put(…)

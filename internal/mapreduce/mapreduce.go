@@ -37,6 +37,18 @@
 // eldest undrained task is always either running or queued behind tasks
 // that can complete, so a producer blocked on a full output queue is
 // always eventually consumed.
+//
+// It is also what can serialize the pool: only the head of the line is
+// being drained, so a younger task runs until its output queue is full and
+// then parks, holding its worker, until every elder task has been drained.
+// The workers stay busy while the head drains only if the queues behind it
+// can absorb what they produce meanwhile — the lookahead rule:
+// (window − 1) × task bound ≥ one chunk's output, else workers park behind
+// the head of the line and the drive runs one worker at a time. A MapReduce
+// task yields one value and never parks. For MapFlat, with Config.Buffer
+// unset, the task bound is max(pipe.DefaultBuffer, 8 × ChunkSize), capped at
+// 64 Ki: a task's queue holds its whole chunk's results up to a fan-out of
+// 8 results per element, and the rule holds up to 8 × (window − 1).
 package mapreduce
 
 import (
@@ -192,8 +204,9 @@ func spawnMapPipe(f value.V, chunk value.V, buffer int, pl *pool.Pool) *pipe.Pip
 type Config struct {
 	// ChunkSize is the partition size (the paper uses 1000).
 	ChunkSize int
-	// Buffer bounds each task pipe's output queue; <= 0 selects the pipe
-	// default.
+	// Buffer bounds each MapFlat task pipe's output queue; <= 0 sizes it
+	// from ChunkSize so the in-order window can look one chunk ahead (see
+	// the package comment). A MapReduce task yields once and has one slot.
 	Buffer int
 	// Workers sets the worker-pool size for chunk tasks. 0 uses the shared
 	// process-wide pool (sized GOMAXPROCS); > 0 gives each drive cycle its
@@ -237,38 +250,19 @@ func (cfg Config) schedule() (pl *pool.Pool, window int, owned bool) {
 // order — Figure 4's mapReduce under the windowed schedule described in the
 // package comment.
 func (cfg Config) MapReduce(f, s, r value.V, init value.V) core.Gen {
-	return core.Defer(func() core.Gen {
-		return cfg.newWindow(s, func(pl *pool.Pool, c value.V) *pipe.Pipe {
-			return cfg.spawnReduce(pl, f, r, init, c)
-		})
+	return cfg.newWindow(s, func(pl *pool.Pool, c value.V) *pipe.Pipe {
+		return cfg.spawnReduce(pl, f, r, init, c)
 	})
 }
 
-// spawnReduce is the pipe body |> { var x = i; every (x = r(x, f(!c))); x }.
+// spawnReduce spawns the pipe |> { var x = i; every (x = r(x, f(!c))); x }.
+// The body yields exactly once, and "a pipe limited to a single result is a
+// future" (§3B): its queue has one slot.
 func (cfg Config) spawnReduce(pl *pool.Pool, f, r, init value.V, chunk value.V) *pipe.Pipe {
 	c := coexpr.New([]value.V{f, r, init, chunk}, func(env []*value.Var) core.Gen {
-		return core.NewGen(func(yield func(value.V) bool) {
-			x := env[2].Get()
-			elem := value.NewCell(value.NullV)
-			mapped := core.Product(
-				core.In(elem, chunkElems(env[3].Get())),
-				core.ApplyVal(env[0].Get(), elem.Get),
-			)
-			rf := env[1].Get()
-			var rargs [2]value.V
-			core.Each(mapped, func(m value.V) bool {
-				rargs[0], rargs[1] = x, m
-				red, ok := core.First(core.InvokeVal(rf, rargs[:]...))
-				if !ok {
-					return false
-				}
-				x = red
-				return true
-			})
-			yield(x)
-		})
+		return &reduceGen{env: env}
 	})
-	p := pipe.New(c, cfg.Buffer)
+	p := pipe.New(c, 1)
 	if pl != nil {
 		p.OnPool(pl)
 	}
@@ -276,18 +270,61 @@ func (cfg Config) spawnReduce(pl *pool.Pool, f, r, init value.V, chunk value.V) 
 	return p
 }
 
+// reduceGen is the reduce task's body over its shadowed environment
+// (f, r, i, c) in struct form: no coroutine, so a task stopped before its
+// result is taken leaves nothing behind.
+type reduceGen struct {
+	env  []*value.Var
+	done bool
+}
+
+func (g *reduceGen) Next() (value.V, bool) {
+	if g.done {
+		g.done = false // the result was delivered; now report failure
+		return nil, false
+	}
+	g.done = true
+	x := g.env[2].Get()
+	elem := value.NewCell(value.NullV)
+	mapped := core.Product(
+		core.In(elem, chunkElems(g.env[3].Get())),
+		core.ApplyVal(g.env[0].Get(), elem.Get),
+	)
+	rf := g.env[1].Get()
+	var rargs [2]value.V
+	core.Each(mapped, func(m value.V) bool {
+		rargs[0], rargs[1] = x, m
+		red, ok := core.First(core.InvokeVal(rf, rargs[:]...))
+		if !ok {
+			return false
+		}
+		x = red
+		return true
+	})
+	return x, true
+}
+
+func (g *reduceGen) Restart() { g.done = false }
+
 // MapFlat is the data-parallel variant of §VII: chunks are mapped in
 // concurrent pipes but NOT reduced per chunk; the mapped elements stream
 // back flattened and in order for a serial downstream reduction. It
 // "differ[s] in performing summation over the sequence returned from
 // flattening the chunks, thus splitting out the reduction".
 func (cfg Config) MapFlat(f, s value.V) core.Gen {
-	return core.Defer(func() core.Gen {
-		return cfg.newWindow(s, func(pl *pool.Pool, c value.V) *pipe.Pipe {
-			return spawnMapPipe(f, c, cfg.Buffer, pl)
-		})
+	buffer := cfg.Buffer
+	if buffer <= 0 {
+		// The lookahead rule of the package comment, for fan-outs up to 8.
+		buffer = min(max(pipe.DefaultBuffer, 8*cfg.ChunkSize), maxTaskBuffer)
+	}
+	return cfg.newWindow(s, func(pl *pool.Pool, c value.V) *pipe.Pipe {
+		return spawnMapPipe(f, c, buffer, pl)
 	})
 }
+
+// maxTaskBuffer caps the task queue MapFlat sizes from ChunkSize: the ring is
+// allocated up front, per task.
+const maxTaskBuffer = 64 << 10
 
 // windowTask is one in-flight chunk task: its pipe and the chunk list whose
 // backing slice is recycled once the task leaves the window.
@@ -296,14 +333,16 @@ type windowTask struct {
 	chunk value.V
 }
 
-// windowGen drives the windowed schedule. MapReduce/MapFlat build one per
-// cycle through their Defer wrapper; like every kernel generator it
-// auto-restarts, running a fresh cycle (with a fresh owned pool, if the
-// config asks for one) after reporting exhaustion.
+// windowGen drives the windowed schedule; it is the generator MapReduce and
+// MapFlat return, so a Restart from outside reaches the in-flight tasks.
+// Like every kernel generator it auto-restarts, running a fresh cycle (a
+// fresh invocation of the source, a fresh owned pool if the config asks for
+// one) after reporting exhaustion.
 type windowGen struct {
 	cfg      Config
 	spawn    func(pl *pool.Pool, chunk value.V) *pipe.Pipe
-	chunks   core.Gen
+	src      value.V
+	chunks   core.Gen   // chunks of this cycle's invocation of src; nil between cycles
 	pl       *pool.Pool // nil between cycles when owned
 	owned    bool
 	window   int
@@ -314,11 +353,7 @@ type windowGen struct {
 // newWindow builds the cycle generator: chunks of s, spawned through spawn,
 // drained in order under the window bound.
 func (cfg Config) newWindow(s value.V, spawn func(pl *pool.Pool, chunk value.V) *pipe.Pipe) core.Gen {
-	return &windowGen{
-		cfg:    cfg,
-		spawn:  spawn,
-		chunks: ChunkGen(core.InvokeVal(s), cfg.ChunkSize),
-	}
+	return &windowGen{cfg: cfg, spawn: spawn, src: s}
 }
 
 // fill tops the window up: pull chunks from the source and spawn their
@@ -326,6 +361,9 @@ func (cfg Config) newWindow(s value.V, spawn func(pl *pool.Pool, chunk value.V) 
 func (g *windowGen) fill() {
 	if g.pl == nil {
 		g.pl, g.window, g.owned = g.cfg.schedule()
+	}
+	if g.chunks == nil {
+		g.chunks = ChunkGen(core.InvokeVal(g.src), g.cfg.ChunkSize)
 	}
 	for !g.srcDone && len(g.inflight) < g.window {
 		c, ok := g.chunks.Next()
@@ -375,7 +413,7 @@ func (g *windowGen) endCycle() {
 		g.pl.Shutdown()
 	}
 	g.pl = nil
-	g.chunks.Restart()
+	g.chunks = nil
 	g.srcDone = false
 }
 
@@ -388,7 +426,7 @@ func (g *windowGen) Restart() {
 		t.p.Stop()
 	}
 	g.inflight = nil
-	g.chunks.Restart()
+	g.chunks = nil
 	g.srcDone = false
 	// An owned pool is kept: its stopped producers drain on their own, and
 	// the next cycle reuses the workers. It is shut down when a cycle runs

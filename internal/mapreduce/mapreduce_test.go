@@ -161,7 +161,7 @@ func TestMapReduceRestartable(t *testing.T) {
 		core.Each(g, func(v value.V) bool { total += intVal(v); return true })
 		return total
 	}
-	a, b := run(), run() // Defer rebuilds the whole task fleet per cycle
+	a, b := run(), run() // each cycle invokes the source and spawns its tasks afresh
 	if a != 385 || b != 385 {
 		t.Fatalf("runs = %d, %d; want 385", a, b)
 	}

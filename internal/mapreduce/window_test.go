@@ -1,7 +1,9 @@
 package mapreduce
 
 import (
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +19,18 @@ type chanGen struct{ ch chan value.V }
 
 func (g *chanGen) Next() (value.V, bool) { v, ok := <-g.ch; return v, ok }
 func (g *chanGen) Restart()              {}
+
+// eventually polls cond, yielding between polls, until it holds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
 
 var identity = core.ValProc("id", 1, func(a []value.V) value.V { return a[0] })
 
@@ -207,5 +221,112 @@ func TestConfigPoolNotShutDown(t *testing.T) {
 	}
 	if err := pl.Go(func() {}); err != nil {
 		t.Fatalf("caller's pool was shut down: %v", err)
+	}
+}
+
+// TestMapFlatLooksOneChunkAhead is the head-of-line regression test: the
+// window drains in chunk order, so while the consumer sits on task 1 the
+// worker running task 2 can only work as far as task 2's queue reaches.
+// With Buffer unset that must be the whole chunk at a fan-out of 8 (a
+// 1024-slot queue parked the worker after 128 of the 500 elements, and the
+// drive ran one worker at a time); a Buffer that is set is honoured exactly.
+func TestMapFlatLooksOneChunkAhead(t *testing.T) {
+	const chunk, fan = 500, 8
+	for _, row := range []struct {
+		buffer int
+		rest   int64 // elements task 2 gets through before it parks or ends
+	}{
+		{0, chunk},
+		{16, 3}, // two elements' results queued, the third's first in hand
+	} {
+		t.Run(fmt.Sprintf("Buffer=%d", row.buffer), func(t *testing.T) {
+			var late atomic.Int64 // elements of chunk 2 the mapper was applied to
+			fanout := value.NewProc("fanout", 1, func(args ...value.V) core.Gen {
+				if intVal(args[0]) > chunk {
+					late.Add(1)
+				}
+				vs := make([]value.V, fan)
+				for i := range vs {
+					vs[i] = args[0]
+				}
+				return core.ValuesOf(vs)
+			})
+			cfg := Config{ChunkSize: chunk, Buffer: row.buffer, Workers: 2, Window: 2}
+			g := cfg.MapFlat(fanout, sourceProc(2*chunk))
+			if v, ok := g.Next(); !ok || intVal(v) != 1 {
+				t.Fatalf("first result = %v %v, want 1", v, ok)
+			}
+			eventually(t, fmt.Sprintf("task 2 to get through %d elements", row.rest), func() bool {
+				if n := late.Load(); n > row.rest {
+					t.Fatalf("task 2 mapped %d elements, want it to rest at %d", n, row.rest)
+				}
+				return late.Load() == row.rest
+			})
+			if rest := core.Drain(g, 0); len(rest) != 2*chunk*fan-1 {
+				t.Fatalf("drained %d more results, want %d", len(rest), 2*chunk*fan-1)
+			}
+		})
+	}
+}
+
+// TestRestartMidCycleStrandsNothing: a reduce task stopped while it is still
+// mapping finds its queue closed when it comes to publish, and unwinds. Its
+// body is a plain struct generator, so that is all there is to unwind — as
+// a core.NewGen coroutine it was left suspended at its yield for good, one
+// goroutine per task the Restart caught in flight.
+func TestRestartMidCycleStrandsNothing(t *testing.T) {
+	pl := pool.New(2)
+	defer pl.Shutdown()
+	base := runtime.NumGoroutine()
+
+	gate := make(chan struct{})
+	var gated atomic.Int64
+	hold := core.ValProc("hold", 1, func(a []value.V) value.V {
+		if intVal(a[0]) > 2 { // every chunk after the first waits for the gate
+			gated.Add(1)
+			<-gate
+		}
+		return a[0]
+	})
+	cfg := Config{ChunkSize: 2, Pool: pl, Window: 6}
+	g := cfg.MapReduce(hold, sourceProc(100), sum2, value.IntV(0))
+	if v, ok := g.Next(); !ok || intVal(v) != 3 {
+		t.Fatalf("first chunk = %v %v, want 3", v, ok)
+	}
+	// Both workers are inside a task, parked at the gate; more tasks queue
+	// behind them. Restart stops them all mid-cycle.
+	eventually(t, "both workers at the gate", func() bool { return gated.Load() == 2 })
+	g.Restart()
+	close(gate)
+	eventually(t, "goroutines back to baseline", func() bool { return runtime.NumGoroutine() <= base })
+
+	// The generator is as restartable as ever.
+	if got := core.Drain(g, 0); len(got) != 50 {
+		t.Fatalf("cycle after Restart: %d chunks, want 50", len(got))
+	}
+}
+
+// TestRestartMidCycleReleasesWorkers: MapFlat producers parked on full task
+// queues hold their pool workers, so a Restart from outside must reach the
+// window and stop them — abandoned, they starved the next cycle's tasks of
+// workers for good.
+func TestRestartMidCycleReleasesWorkers(t *testing.T) {
+	pl := pool.New(2) // shut down on success only: Shutdown waits for wedged workers
+	cfg := Config{ChunkSize: 10, Buffer: 1, Pool: pl}
+	g := cfg.MapFlat(identity, sourceProc(100))
+	if v, ok := g.Next(); !ok || intVal(v) != 1 {
+		t.Fatalf("first result = %v %v, want 1", v, ok)
+	}
+	g.Restart()
+	done := make(chan int, 1)
+	go func() { done <- len(core.Drain(g, 0)) }()
+	select {
+	case n := <-done:
+		if n != 100 {
+			t.Fatalf("cycle after Restart: %d results, want 100", n)
+		}
+		pl.Shutdown()
+	case <-time.After(10 * time.Second):
+		t.Fatal("cycle after Restart never finished: the abandoned tasks still hold the workers")
 	}
 }

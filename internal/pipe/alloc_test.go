@@ -6,10 +6,10 @@ import (
 	"junicon/internal/core"
 )
 
-// TestBatchedRefillAllocLean guards the batched transport's per-value
-// allocation budget: draining interned-range integers through the batched
-// refill path must stay near zero allocations per value (the refill
-// buffer, batch runs, and consumer-side staging are all reused).
+// TestBatchedRefillAllocLean guards the hop's per-value allocation budget
+// with the run capped: draining interned-range integers must stay near zero
+// allocations per value (the run buffer is allocated once per producer
+// generation and reused by every refill).
 func TestBatchedRefillAllocLean(t *testing.T) {
 	const n = 1024
 	allocs := testing.AllocsPerRun(5, func() {
@@ -25,7 +25,7 @@ func TestBatchedRefillAllocLean(t *testing.T) {
 	}
 }
 
-// TestPlainPipeAllocLean is the same guard for the unbatched queue path.
+// TestPlainPipeAllocLean is the same guard with the run at its default.
 func TestPlainPipeAllocLean(t *testing.T) {
 	const n = 1024
 	allocs := testing.AllocsPerRun(5, func() {
@@ -38,5 +38,27 @@ func TestPlainPipeAllocLean(t *testing.T) {
 	})
 	if perValue := allocs / n; perValue > 0.2 {
 		t.Fatalf("plain pipe: %.3f allocs/value (%v total), want <= 0.2", perValue, allocs)
+	}
+}
+
+// TestRefreshedPipeKeepsDirectLoop: the proxy Refresh returns over a FromGen
+// pipe's source owns that source as the original did, so its producer runs
+// the same direct generator loop — not the Step path with its per-value
+// telemetry and inspection checks — within the same allocation budget.
+func TestRefreshedPipeKeepsDirectLoop(t *testing.T) {
+	const n = 1024
+	if fresh := FromGen(core.IntRange(1, n), 64).Refresh().(*Pipe); !fresh.ownSrc {
+		t.Fatal("Refresh dropped ownSrc: the refreshed producer takes the Step path")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		p := FromGen(core.IntRange(1, n), 64).Refresh().(*Pipe)
+		for {
+			if _, ok := p.Next(); !ok {
+				break
+			}
+		}
+	})
+	if perValue := allocs / n; perValue > 0.2 {
+		t.Fatalf("refreshed pipe: %.3f allocs/value (%v total), want <= 0.2", perValue, allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package pipe
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -23,28 +24,49 @@ func countingGen(steps *atomic.Int64) core.Gen {
 	})
 }
 
-// waitSteps blocks until the producer has taken at least n source steps.
+// seqGen is countingGen in struct form, its cursor atomic: unlike a
+// coroutine it may be restarted from the test's goroutine while a stopped
+// producer is still winding down on its own.
+type seqGen struct{ next, steps atomic.Int64 }
+
+func (g *seqGen) Next() (value.V, bool) {
+	g.steps.Add(1)
+	return value.NewInt(g.next.Add(1) - 1), true
+}
+
+func (g *seqGen) Restart() { g.next.Store(0) }
+
+// eventually polls cond, yielding between polls, until it holds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// waitSteps blocks until the producer has taken exactly n source steps —
+// the throttle's resting point; overshooting it is a failure.
 func waitSteps(t *testing.T, steps *atomic.Int64, n int64) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for steps.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("producer took %d steps, want >= %d", steps.Load(), n)
+	eventually(t, fmt.Sprintf("source step %d", n), func() bool {
+		got := steps.Load()
+		if got > n {
+			t.Fatalf("producer took %d steps, want it throttled at %d", got, n)
 		}
-		time.Sleep(time.Millisecond)
-	}
+		return got == n
+	})
 }
 
 // waitGoroutines waits for the goroutine count to drop back near base.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines base=%d now=%d: producer leaked", base, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	eventually(t, fmt.Sprintf("goroutines back to %d (producer leaked?)", base), func() bool {
+		return runtime.NumGoroutine() <= base+2
+	})
 }
 
 // TestFirstStopsEagerProducer: First is Next+Stop, and that must hold when
@@ -63,12 +85,6 @@ func TestFirstStopsEagerProducer(t *testing.T) {
 		t.Fatalf("First = %v %v, want 0 true", v, ok)
 	}
 	waitGoroutines(t, before)
-	// No further source progress after release: the producer unwound.
-	n := steps.Load()
-	time.Sleep(20 * time.Millisecond)
-	if got := steps.Load(); got != n {
-		t.Fatalf("producer advanced from %d to %d after First", n, got)
-	}
 	assertStopped(t, p)
 }
 
@@ -82,22 +98,16 @@ func assertStopped(t *testing.T, p *Pipe) {
 	}
 }
 
-// TestFirstReleasesBlockedBatchedProducer extends the Stop-unblocks
-// regression to the batch flush path: with batch > buffer the eager
-// producer fills a whole run and blocks inside its flush PutBatch; First
-// must take one value and release it.
+// TestFirstReleasesBlockedBatchedProducer: a run cap changes nothing on the
+// producer side — against buffer 2 the eager producer queues two values and
+// blocks in Put with the third in hand, whatever the cap; First takes its
+// one value (and a run with it) and must release the producer.
 func TestFirstReleasesBlockedBatchedProducer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var steps atomic.Int64
 	p := FromGenBatched(countingGen(&steps), 2, 4)
 	p.StartEager()
-	// The producer accumulates a full run of 4, then its flush delivers 2
-	// into the bounded queue and blocks for space: exactly 4 steps.
-	waitSteps(t, &steps, 4)
-	time.Sleep(20 * time.Millisecond)
-	if got := steps.Load(); got != 4 {
-		t.Fatalf("producer took %d steps against buffer 2 batch 4, want exactly 4", got)
-	}
+	waitSteps(t, &steps, 3)
 
 	v, ok := p.First()
 	if !ok || intVal(value.Deref(v)) != 0 {
@@ -107,16 +117,55 @@ func TestFirstReleasesBlockedBatchedProducer(t *testing.T) {
 	assertStopped(t, p)
 }
 
-// TestStopReleasesProducerMidFlush: Stop with no Next at all — the closed
-// queue must abort the in-flight PutBatch (partial delivery discarded with
-// the run, mirroring the unbatched producer's in-hand value).
-func TestStopReleasesProducerMidFlush(t *testing.T) {
-	before := runtime.NumGoroutine()
-	var steps atomic.Int64
-	p := FromGenBatched(countingGen(&steps), 1, 8)
-	p.StartEager()
-	waitSteps(t, &steps, 8)
-	p.Stop()
-	waitGoroutines(t, before)
-	assertStopped(t, p)
+// TestHeldRunIsDiscarded: the values of a run the consumer has taken from
+// the queue but not yet been handed belong to the stopped producer as much
+// as the queued ones do — Stop, First, Restart and Refresh must each leave
+// none of them deliverable.
+func TestHeldRunIsDiscarded(t *testing.T) {
+	// held returns a pipe over 0, 1, 2, … whose consumer has been handed 0
+	// and holds 1..7 as a run, with the producer parked again behind a
+	// refilled queue (8 more, one in hand).
+	held := func(t *testing.T) *Pipe {
+		src := &seqGen{}
+		p := FromGen(src, 8)
+		p.StartEager()
+		waitSteps(t, &src.steps, 9)
+		if v, ok := p.Next(); !ok || intVal(v) != 0 {
+			t.Fatalf("first Next = %v %v, want 0 true", v, ok)
+		}
+		waitSteps(t, &src.steps, 17)
+		if g := p.cur.Load(); g.n-g.i != 7 {
+			t.Fatalf("consumer holds %d values, want a run of 7", g.n-g.i)
+		}
+		return p
+	}
+	t.Run("Stop", func(t *testing.T) {
+		p := held(t)
+		p.Stop()
+		assertStopped(t, p)
+	})
+	t.Run("First", func(t *testing.T) {
+		p := held(t)
+		if v, ok := p.First(); !ok || intVal(v) != 1 {
+			t.Fatalf("First = %v %v, want the next value 1", v, ok)
+		}
+		assertStopped(t, p)
+	})
+	t.Run("Restart", func(t *testing.T) {
+		p := held(t)
+		defer p.Stop()
+		p.Restart()
+		if v, ok := p.Next(); !ok || intVal(v) != 0 {
+			t.Fatalf("Next after Restart = %v %v, want the fresh sequence's 0", v, ok)
+		}
+	})
+	t.Run("Refresh", func(t *testing.T) {
+		p := held(t)
+		fresh := p.Refresh().(*Pipe)
+		defer fresh.Stop()
+		assertStopped(t, p)
+		if v, ok := fresh.Next(); !ok || intVal(v) != 0 {
+			t.Fatalf("refreshed Next = %v %v, want the fresh sequence's 0", v, ok)
+		}
+	})
 }

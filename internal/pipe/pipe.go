@@ -11,10 +11,25 @@
 // bounding its buffer throttles the threaded co-expression. A pipe limited
 // to a single result is a future (see First).
 //
-// A pipe may run in batched mode (NewBatched): values move through the
-// queue in runs of up to B with a Nagle-style adaptive flush, amortizing
-// the per-value handshake without changing anything observable at the
-// Stepper surface — see batch.go for the protocol.
+// # Runs
+//
+// The run is the unit of the hop, on the consumer side only. The producer
+// publishes each value with its own Put, so a waiting consumer gets a value
+// the moment it exists. Next serves from a run it holds and, when the run
+// is empty, refills it with one blocking TakeBatch: whatever the producer
+// has queued by then, up to min(buffer, maxRun) values, crosses in one lock
+// round trip. A consumer that keeps pace takes runs of one; one that lags
+// takes long runs and stops contending with the producer for the queue
+// lock — the engine switch is amortized over chunks without changing the
+// lazy interface. A one-slot or rendezvous queue never holds more than one
+// value, so over those every run is one value long and the hand-off is per
+// value.
+//
+// The §3B throttle, with runs: never more than buffer values queued, plus
+// one run in the consumer's hands (plus the one value the producer has
+// computed and is blocked putting). Stop, Restart, Refresh and First
+// discard the held run with the producer; Size and the inspect/telemetry
+// counts advance per delivered value, not per run.
 package pipe
 
 import (
@@ -47,14 +62,51 @@ var (
 // DefaultBuffer is the output-queue bound used when none is given.
 const DefaultBuffer = 1024
 
+// maxRun caps the run a consumer takes from the queue in one visit: long
+// enough that the lock round trip vanishes from the per-value cost, short
+// enough that the run buffer stays a few KiB per started pipe.
+const maxRun = 256
+
 // generation is one producer incarnation: its transport queue, its
 // inspection handle (nil while inspection is off — see internal/inspect)
-// and, in batched mode, its batcher. Next loads it with a single atomic
-// read once the producer is running.
+// and the consumer's held run. Next loads it with a single atomic read
+// once the producer is running.
 type generation struct {
 	out queue.Queue[value.V]
 	h   *inspect.Handle // nil: uninspected
-	b   *batcher        // nil in per-value mode
+
+	// mu serializes consumers, serving and refilling alike, so the run
+	// buffer is reused without a publication protocol: between refills a
+	// Next is one uncontended lock and a slice index. Served slots are
+	// overwritten by later refills and cleared at exhaustion, not one by
+	// one: at most a run of dead references outlives its delivery.
+	mu   sync.Mutex
+	run  []value.V // run[i:n]: taken from out, not yet delivered
+	i, n int
+}
+
+func newGeneration(out queue.Queue[value.V], h *inspect.Handle, run int) *generation {
+	return &generation{out: out, h: h, run: make([]value.V, run)}
+}
+
+// refill takes the next run from the queue with one blocking TakeBatch —
+// park at once, no polling: a consumer that spins before parking starves
+// the producer it is waiting for when cores are scarce. It reports false
+// once the queue is closed and drained. Caller holds g.mu.
+func (g *generation) refill() bool {
+	// Consumer-side inspection: mark the take (cleared below) and retire
+	// the handle on exhaustion.
+	g.h.BlockedTake()
+	n, err := g.out.TakeBatch(g.run)
+	if err != nil {
+		clear(g.run)
+		g.i, g.n = 0, 0
+		g.h.Close()
+		return false
+	}
+	g.h.Running()
+	g.i, g.n = 0, n
+	return true
 }
 
 // Pipe is a generator proxy for a co-expression running in a separate
@@ -65,7 +117,7 @@ type Pipe struct {
 	src     core.Stepper
 	out     queue.Queue[value.V]
 	mkQueue func() queue.Queue[value.V]
-	batch   int        // > 1 enables batched transport
+	batch   int        // > 0 caps the consumer's run below min(buffer, maxRun)
 	pool    *pool.Pool // non-nil: producer runs on a pool worker, not its own goroutine
 	ownSrc  bool       // src is a FirstClass this package built (FromGen et al.)
 	started bool
@@ -97,16 +149,13 @@ func New(src core.Stepper, buffer int) *Pipe {
 	}
 }
 
-// NewBatched returns a pipe that moves values through its queue in runs of
-// up to batch, flushing adaptively (on fill, on EOS, and immediately when
-// the consumer is waiting). batch <= 1 is exactly New. The producer may run
-// ahead by up to buffer+batch values; Stop/Restart/Err/First semantics are
-// unchanged.
+// NewBatched is New with the consumer's run capped at batch values (see the
+// package comment): batch 1 takes every value from the queue singly,
+// batch <= 0 is exactly New. The producer may run ahead of the consumer by
+// buffer plus one run; Stop/Restart/Err/First semantics are unchanged.
 func NewBatched(src core.Stepper, buffer, batch int) *Pipe {
 	p := New(src, buffer)
-	if batch > 1 {
-		p.batch = batch
-	}
+	p.batch = batch
 	return p
 }
 
@@ -116,14 +165,12 @@ func NewWithQueue(src core.Stepper, mk func() queue.Queue[value.V]) *Pipe {
 	return &Pipe{src: src, mkQueue: mk}
 }
 
-// NewBatchedWithQueue combines NewWithQueue with batched transport — used
-// by the differential stress harness to batch over schedule-perturbed
-// queues. Zero-capacity (rendezvous) queues degrade to per-value hand-off.
+// NewBatchedWithQueue is NewWithQueue with the run capped at batch — used by
+// the differential stress harness to take runs from schedule-perturbed
+// queues.
 func NewBatchedWithQueue(src core.Stepper, mk func() queue.Queue[value.V], batch int) *Pipe {
 	p := NewWithQueue(src, mk)
-	if batch > 1 {
-		p.batch = batch
-	}
+	p.batch = batch
 	return p
 }
 
@@ -134,7 +181,7 @@ func FromGen(g core.Gen, buffer int) *Pipe {
 	return p
 }
 
-// FromGenBatched lifts a plain generator into a batched pipe.
+// FromGenBatched is FromGen with the run capped at batch.
 func FromGenBatched(g core.Gen, buffer, batch int) *Pipe {
 	p := NewBatched(core.NewFirstClass(g), buffer, batch)
 	p.ownSrc = true
@@ -166,20 +213,25 @@ func (p *Pipe) OnPool(pl *pool.Pool) *Pipe {
 	return p
 }
 
-// rendezvouser is implemented by queues with no buffer at all; batching
-// cannot amortize a rendezvous, and the batched protocol requires flushed
-// elements to become visible in the queue, so such transports stay on the
-// per-value path.
-type rendezvouser interface{ Rendezvous() bool }
+// runLen sizes the consumer's run for transport out: the queue's bound, or
+// maxRun where it reports none (unbounded, or a rendezvous, whose runs are
+// one value long whatever the buffer), cut to maxRun and to the pipe's cap.
+func (p *Pipe) runLen(out queue.Queue[value.V]) int {
+	n := out.Cap()
+	if n <= 0 || n > maxRun {
+		n = maxRun
+	}
+	if p.batch > 0 {
+		n = min(n, p.batch)
+	}
+	return n
+}
 
 // start spawns the producer goroutine. Caller holds p.mu.
 func (p *Pipe) start() {
 	p.out = p.mkQueue()
 	p.started = true
-	batch := p.batch
-	if r, ok := p.out.(rendezvouser); ok && r.Rendezvous() {
-		batch = 1
-	}
+	held := p.runLen(p.out)
 	// Observation is decided once per producer start: an unobserved pipe
 	// runs exactly the pre-telemetry code path.
 	observed := telemetry.Active()
@@ -199,15 +251,11 @@ func (p *Pipe) start() {
 			p.stream = telemetry.NextStream()
 		}
 		h = inspect.Register(p.stream, inspect.KindPipe,
-			fmt.Sprintf("pipe(cap=%d,batch=%d)", p.out.Cap(), batch))
+			fmt.Sprintf("pipe(cap=%d,run=%d)", p.out.Cap(), held))
 		probe := p.out
 		h.SetDepthProbe(func() (int, int) { return probe.Len(), probe.Cap() })
 	}
-	var b *batcher
-	if batch > 1 {
-		b = newBatcher(p.out, batch, observed, &p.results)
-	}
-	p.cur.Store(&generation{out: p.out, h: h, b: b})
+	p.cur.Store(newGeneration(p.out, h, held))
 	src, out, stream := p.src, p.out, p.stream
 	var gen core.Gen
 	if p.ownSrc && !observed && h == nil {
@@ -242,16 +290,10 @@ func (p *Pipe) start() {
 				if observed {
 					cPipeErrors.Inc()
 				}
-				// Values yielded before the error are already in the queue
-				// on the per-value path; the batched path must flush its
-				// published run first so error propagation delivers exactly
-				// the same prefix. finish never hangs here: a stopped pipe's
-				// closed queue aborts the flush with ErrClosed.
-				if b != nil {
-					b.finish()
-				} else {
-					out.Close()
-				}
+				// Values yielded before the error are already in the queue,
+				// and a closed queue drains before it fails: the consumer
+				// gets exactly that prefix.
+				out.Close()
 			}
 		}()
 		if gen != nil {
@@ -268,11 +310,7 @@ func (p *Pipe) start() {
 					v = value.NullV
 				}
 				v = value.Deref(v)
-				if b != nil {
-					if !b.offer(v) {
-						return // consumer stopped the pipe
-					}
-				} else if out.Put(v) != nil {
+				if out.Put(v) != nil {
 					return // consumer stopped the pipe
 				}
 			}
@@ -292,11 +330,7 @@ func (p *Pipe) start() {
 				if h != nil {
 					h.BlockedPut()
 				}
-				if b != nil {
-					if !b.offer(v) {
-						return // consumer stopped the pipe
-					}
-				} else if out.Put(v) != nil {
+				if out.Put(v) != nil {
 					return // consumer stopped the pipe
 				}
 				if h != nil {
@@ -312,11 +346,7 @@ func (p *Pipe) start() {
 		if h != nil {
 			h.Draining()
 		}
-		if b != nil {
-			b.finish()
-		} else {
-			out.Close()
-		}
+		out.Close()
 	}
 	if h != nil {
 		// Label the producer goroutine (or pooled worker, for the task's
@@ -336,11 +366,7 @@ func (p *Pipe) start() {
 				gProducersActive.Add(-1)
 				cPipeErrors.Inc()
 			}
-			if b != nil {
-				b.finish()
-			} else {
-				out.Close()
-			}
+			out.Close()
 		}
 		return
 	}
@@ -368,9 +394,9 @@ func (p *Pipe) StartEager() {
 	}
 }
 
-// Next takes the next produced value from the queue, failing when the
-// producer has iterated its co-expression to failure. The @ operation on a
-// pipe "is out.take()" (§3B).
+// Next delivers the next produced value, failing when the producer has
+// iterated its co-expression to failure. The @ operation on a pipe "is
+// out.take()" (§3B) — here one take per run, served a value at a time.
 func (p *Pipe) Next() (value.V, bool) {
 	g := p.cur.Load()
 	if g == nil {
@@ -381,33 +407,23 @@ func (p *Pipe) Next() (value.V, bool) {
 		g = p.cur.Load()
 		p.mu.Unlock()
 	}
-	if h := g.h; h != nil {
-		// Consumer-side inspection: record the topology edge once, mark
-		// the take (cleared below), and retire the handle on exhaustion.
+	h := g.h
+	if h != nil {
+		// The topology edge is recorded before the consumer lock, not in
+		// refill: a second consumer queues on g.mu behind the first one's
+		// blocked take, and the watchdog must still see whom it waits for.
 		inspect.NoteConsumeOnce(h)
-		h.BlockedTake()
 	}
-	if g.b != nil {
-		// The batcher advances p.results itself, once per refill.
-		v, ok := g.b.next()
-		if h := g.h; h != nil {
-			if ok {
-				h.Consumed(1)
-				h.Running()
-			} else {
-				h.Close()
-			}
-		}
-		return v, ok
-	}
-	v, err := g.out.Take()
-	if err != nil {
-		g.h.Close()
+	g.mu.Lock()
+	if g.i == g.n && !g.refill() {
+		g.mu.Unlock()
 		return nil, false
 	}
-	if h := g.h; h != nil {
+	v := g.run[g.i]
+	g.i++
+	g.mu.Unlock()
+	if h != nil {
 		h.Consumed(1)
-		h.Running()
 	}
 	p.results.Add(1)
 	return v, true
@@ -428,9 +444,9 @@ func (p *Pipe) Restart() {
 }
 
 // Stop terminates the producer without restarting; further Nexts fail until
-// Restart. Safe to call at any time — including while a batched producer is
-// blocked mid-flush: closing the queue releases its PutBatch, and the
-// discarded partial run mirrors the unbatched producer's in-hand value.
+// Restart. Safe to call at any time: closing the queue releases a producer
+// blocked in Put, whose in-hand value is discarded with the queued ones and
+// the consumer's held run.
 func (p *Pipe) Stop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -439,27 +455,24 @@ func (p *Pipe) Stop() {
 }
 
 // stopCurrentLocked closes the current generation's transport, releasing
-// its producer, wakes every batched-mode waiter, and leaves a closed,
-// empty queue in its place: a closed queue drains before it fails, and the
-// stopped producer's buffered values must not stay reachable through Next.
-// Caller holds p.mu.
+// its producer, and leaves a fresh generation over a closed, empty queue in
+// its place: a closed queue drains before it fails, and neither the stopped
+// producer's buffered values nor the run the consumer held may stay
+// reachable through Next. Caller holds p.mu.
 func (p *Pipe) stopCurrentLocked() {
 	if g := p.cur.Load(); g != nil {
 		g.out.Close()
-		if g.b != nil {
-			g.b.stop()
-		}
 		g.h.Close()
 	}
 	p.out = queue.NewArrayBlocking[value.V](1)
 	p.out.Close()
-	p.cur.Store(&generation{out: p.out})
+	p.cur.Store(newGeneration(p.out, nil, 1))
 }
 
 // Out exposes the transport queue — the paper makes the BlockingQueue "a
 // public field to permit further manipulation". It is nil until the
-// producer starts. In batched mode values appear in it one flush at a time;
-// a run being handed directly to a waiting consumer bypasses it.
+// producer starts. Values the consumer has taken as a run but not yet been
+// handed by Next are no longer in it.
 func (p *Pipe) Out() queue.Queue[value.V] {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -477,7 +490,9 @@ func (p *Pipe) Refresh() core.Stepper {
 	if p.started {
 		p.stopCurrentLocked()
 	}
-	return &Pipe{src: p.src.Refresh(), mkQueue: p.mkQueue, batch: p.batch, pool: p.pool}
+	// ownSrc carries over: FirstClass.Refresh returns its receiver, as
+	// private to the new proxy as it was to this one.
+	return &Pipe{src: p.src.Refresh(), mkQueue: p.mkQueue, batch: p.batch, pool: p.pool, ownSrc: p.ownSrc}
 }
 
 // Stream reports the pipe's telemetry stream ID — 0 unless the producer
@@ -488,10 +503,7 @@ func (p *Pipe) Stream() uint64 {
 	return p.stream
 }
 
-// Size reports the number of results taken so far (*P). In batched mode
-// the count advances one run at a time as values reach the consumer side,
-// so mid-iteration it may lead the delivered count by up to one batch; at
-// quiescence (exhaustion, Stop) it is exact.
+// Size reports the number of results delivered so far (*P).
 func (p *Pipe) Size() int {
 	return int(p.results.Load())
 }
@@ -504,7 +516,7 @@ func (p *Pipe) Image() string { return "pipe" }
 
 // First runs the pipe as a future: it takes the first result and stops the
 // producer — also when the pipe was started eagerly (StartEager), so a
-// producer blocked on a full queue or mid-batch-flush is always released
+// producer blocked on a full queue is always released
 // after the single result is in hand. ok is false when the piped expression
 // failed without a result.
 func (p *Pipe) First() (value.V, bool) {
@@ -525,7 +537,7 @@ func Chain(src core.Gen, buffer int, stages ...func(core.Gen) core.Gen) core.Gen
 	return g
 }
 
-// ChainBatched is Chain with batched transport between stages.
+// ChainBatched is Chain with every stage's run capped at batch.
 func ChainBatched(src core.Gen, buffer, batch int, stages ...func(core.Gen) core.Gen) core.Gen {
 	g := src
 	for _, stage := range stages {

@@ -1,6 +1,7 @@
 package pipe
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -97,25 +98,49 @@ func TestProducerRunsConcurrently(t *testing.T) {
 	core.Drain(p, 0)
 }
 
+// TestBufferBoundThrottlesProducer pins the §3B throttle as runs leave it:
+// never more than buffer values queued, plus the one the producer is
+// blocked putting, plus what is left of one run in the consumer's hands —
+// produced − delivered <= buffer + run at every Next, where run is
+// min(buffer, cap). For buffer 1 that is the per-value pipe's bound of 2,
+// and a rendezvous stays at 1: nothing is ever buffered or held.
 func TestBufferBoundThrottlesProducer(t *testing.T) {
-	// With an MVar-like buffer of 1, the producer cannot run more than one
-	// element ahead (plus the one in flight inside Step).
-	var produced atomic.Int32
-	g := core.NewGen(func(yield func(core.V) bool) {
-		for i := 0; i < 100; i++ {
-			produced.Add(1)
-			if !yield(value.NewInt(int64(i))) {
-				return
+	check := func(name string, buffer, run int, mk func(g core.Gen) *Pipe) {
+		t.Run(name, func(t *testing.T) {
+			var steps atomic.Int64
+			p := mk(countingGen(&steps))
+			defer p.Stop()
+			bound := int64(buffer + run)
+			// With no consumer at all: a full queue and one value in hand.
+			p.StartEager()
+			waitSteps(t, &steps, int64(buffer+1))
+			for d := int64(1); d <= 1000; d++ {
+				if v, ok := p.Next(); !ok || intVal(v) != d-1 {
+					t.Fatalf("Next %d = %v %v", d, v, ok)
+				}
+				if ahead := steps.Load() - d; ahead > bound {
+					t.Fatalf("after %d delivered the producer is %d ahead, bound %d", d, ahead, bound)
+				}
+				if d == 1 {
+					// The bound is attained, so it is the bound: the first
+					// refill found the queue full and took a whole run,
+					// and the producer refilled the queue behind it.
+					waitSteps(t, &steps, 1+bound)
+				}
 			}
-		}
-	})
-	p := FromGen(g, 1)
-	p.Next() // start producer, take one
-	time.Sleep(20 * time.Millisecond)
-	if n := produced.Load(); n > 3 {
-		t.Fatalf("producer ran %d elements ahead despite buffer 1", n)
+		})
 	}
-	p.Stop()
+	for _, buffer := range []int{1, 2, 8, 64} {
+		for _, batch := range []int{1, 8, 64} {
+			check(fmt.Sprintf("buffer=%d/cap=%d", buffer, batch), buffer, min(buffer, batch),
+				func(g core.Gen) *Pipe { return FromGenBatched(g, buffer, batch) })
+		}
+	}
+	check("buffer=8/uncapped", 8, 8, func(g core.Gen) *Pipe { return FromGen(g, 8) })
+	check("buffer=1024/uncapped", 1024, maxRun, func(g core.Gen) *Pipe { return FromGen(g, 1024) })
+	check("rendezvous", 0, 1, func(g core.Gen) *Pipe {
+		return NewWithQueue(core.NewFirstClass(g), func() queue.Queue[value.V] { return queue.NewSynchronous[value.V]() })
+	})
 }
 
 func TestPipeOverCoExpressionShadowsEnvironment(t *testing.T) {

@@ -9,8 +9,7 @@ import (
 // Batch-API tests. The contract under test (queue.go): PutBatch delivers
 // the whole run or blocks, returning a partial count only at Close, with
 // the partially delivered prefix remaining takeable; TakeBatch blocks for
-// at least one element, then fills dst without further blocking; TryTakeBatch
-// never blocks and reports ErrClosed only once closed and drained.
+// at least one element, then fills dst without further blocking.
 
 func TestBatchFIFOSingleThreaded(t *testing.T) {
 	for name, mk := range implementations() {
@@ -64,9 +63,6 @@ func TestTakeBatchDrainsAfterClose(t *testing.T) {
 		}
 		if _, err := q.TakeBatch(dst); err != ErrClosed {
 			t.Fatalf("%s: drained TakeBatch err = %v, want ErrClosed", name, err)
-		}
-		if _, err := q.TryTakeBatch(dst); err != ErrClosed {
-			t.Fatalf("%s: drained TryTakeBatch err = %v, want ErrClosed", name, err)
 		}
 	}
 }

@@ -199,16 +199,6 @@ func (q *Blocking[T]) TakeBatch(dst []T) (int, error) {
 	return q.dequeueRun(dst), nil
 }
 
-// TryTakeBatch dequeues up to len(dst) elements without blocking.
-func (q *Blocking[T]) TryTakeBatch(dst []T) (int, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.n == 0 && q.closed {
-		return 0, ErrClosed
-	}
-	return q.dequeueRun(dst), nil
-}
-
 // Len returns the number of buffered elements; a rendezvous queue's parked
 // offer is not buffered.
 func (q *Blocking[T]) Len() int {
@@ -227,11 +217,6 @@ func (q *Blocking[T]) Cap() int {
 	}
 	return len(q.buf)
 }
-
-// Rendezvous reports whether the queue is bufferless: every transfer is a
-// pairwise hand-off. Transports use this to know that batching has nothing
-// to amortize here.
-func (q *Blocking[T]) Rendezvous() bool { return q.handoff }
 
 // Close marks the queue closed and wakes all waiters. A rendezvous offer
 // still parked is withdrawn — its Put reports ErrClosed, so it must not

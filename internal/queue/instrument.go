@@ -127,20 +127,6 @@ func (iq *instrumented[T]) TakeBatch(dst []T) (int, error) {
 	return n, err
 }
 
-func (iq *instrumented[T]) TryTakeBatch(dst []T) (int, error) {
-	n, err := iq.q.TryTakeBatch(dst)
-	if n > 0 {
-		iq.observe(false, time.Now(), n, true)
-	}
-	return n, err
-}
-
 func (iq *instrumented[T]) Len() int { return iq.q.Len() }
 func (iq *instrumented[T]) Cap() int { return iq.q.Cap() }
 func (iq *instrumented[T]) Close()   { iq.q.Close() }
-
-// Rendezvous forwards the wrapped queue's bufferless marker.
-func (iq *instrumented[T]) Rendezvous() bool {
-	r, ok := iq.q.(interface{ Rendezvous() bool })
-	return ok && r.Rendezvous()
-}

@@ -145,15 +145,3 @@ func TestInstrumentBatchBlockedTime(t *testing.T) {
 		t.Errorf("take_blocked_ns = %d, want >= %d (consumer parked %v)", ns, hold.Nanoseconds(), hold)
 	}
 }
-
-// The wrapper must not hide the one capacity pipes treat differently: a
-// pipe handed an instrumented queue (pipe.NewWithQueue) asks it whether it
-// is a rendezvous before deciding to batch.
-func TestInstrumentForwardsRendezvous(t *testing.T) {
-	for name, mk := range implementations() {
-		r, ok := Instrument(mk(), 7, "test").(interface{ Rendezvous() bool })
-		if !ok || r.Rendezvous() != (name == "synchronous") {
-			t.Errorf("%s: instrumented Rendezvous() = %v (implemented: %v)", name, ok && r.Rendezvous(), ok)
-		}
-	}
-}

@@ -35,8 +35,9 @@ var ErrClosed = errors.New("queue: closed")
 //
 // The batch operations move several elements per synchronization point:
 // PutBatch and TakeBatch acquire the queue's internal lock once per call
-// rather than once per element, which is what lets a batched pipe amortize
-// the per-value queue handshake (the dominant cost of the §3B transport).
+// rather than once per element, which is what lets a pipe's consumer take
+// a run of values for one queue handshake (the dominant cost of the §3B
+// transport).
 // Batching never weakens the protocol: elements stay FIFO, the buffer
 // bound still throttles, and Close still drains before failing.
 type Queue[T any] interface {
@@ -58,10 +59,6 @@ type Queue[T any] interface {
 	// After Close it drains the remaining elements batch by batch and then
 	// fails with ErrClosed.
 	TakeBatch(dst []T) (n int, err error)
-	// TryTakeBatch dequeues up to len(dst) elements without blocking; n is
-	// 0 when the queue is momentarily empty. err is ErrClosed only once the
-	// queue is closed and drained.
-	TryTakeBatch(dst []T) (n int, err error)
 	// Len returns the number of buffered elements.
 	Len() int
 	// Cap returns the buffer capacity; <= 0 means unbounded (or zero for a

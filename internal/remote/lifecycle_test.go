@@ -102,8 +102,10 @@ func TestStreamAccounting(t *testing.T) {
 // TestStoppedPipeYieldsNothing: "further Nexts fail until Restart" means
 // the values a producer had already buffered are gone with it — a closed
 // queue drains before it fails, so Stop must not leave that queue in
-// place. One table, because the contract is one: local pipes per value
-// and batched, remote pipes over a private and a pooled session.
+// place — nor the run the consumer has already taken out of it. One table,
+// because the contract is one: local pipes with the run at its default,
+// capped, and caught mid-run; remote pipes over a private and a pooled
+// session.
 func TestStoppedPipeYieldsNothing(t *testing.T) {
 	_, addr := startServer(t, nil)
 	cfg := testConfig()
@@ -128,8 +130,19 @@ func TestStoppedPipeYieldsNothing(t *testing.T) {
 	rows := map[string]func() (stoppable, func() int){
 		"pipe.New":        func() (stoppable, func() int) { return local(pipe.New(src(), cfg.Buffer)) },
 		"pipe.NewBatched": func() (stoppable, func() int) { return local(pipe.NewBatched(src(), cfg.Buffer, 4)) },
-		"remote.Open":     func() (stoppable, func() int) { return remote(Open(addr, "range", args, cfg)) },
-		"Dialer.Open":     func() (stoppable, func() int) { return remote(d.Open(addr, "range", args, cfg)) },
+		"pipe.New, run held": func() (stoppable, func() int) {
+			// Started ahead of the first Next the producer fills the queue,
+			// so that Next takes a whole run and Stop finds all but one of
+			// its values still in the consumer's hands.
+			p := pipe.New(src(), cfg.Buffer)
+			p.StartEager()
+			for p.Out().Len() < cfg.Buffer {
+				runtime.Gosched()
+			}
+			return local(p)
+		},
+		"remote.Open": func() (stoppable, func() int) { return remote(Open(addr, "range", args, cfg)) },
+		"Dialer.Open": func() (stoppable, func() int) { return remote(d.Open(addr, "range", args, cfg)) },
 	}
 	for name, mk := range rows {
 		t.Run(name, func(t *testing.T) {

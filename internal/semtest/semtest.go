@@ -76,9 +76,10 @@ func (r Result) String() string {
 type GridCell struct{ Buffer, Batch int }
 
 // Grid is the standard buffer × batch-size sweep: buffers from
-// future-sized to generous, batch sizes straddling every flush boundary
-// (1 = degenerate, 2 = constant flushing, batch > buffer = flush blocks
-// for space, batch ≫ stream = EOS-mid-batch).
+// future-sized to generous, batch sizes straddling every run boundary. On a
+// local pipe batch caps the consumer's run (1 = per-value takes, batch >
+// buffer = the buffer is the cap, batch ≫ stream = EOS mid-run); on a
+// remote one it sizes the server's flush.
 func Grid() []GridCell {
 	var cells []GridCell
 	for _, buffer := range []int{1, 2, 64} {
@@ -200,8 +201,8 @@ func drainPipe(g interface {
 	return r
 }
 
-// Batched evaluates the case through a batched pipe with the given buffer
-// and batch size.
+// Batched evaluates the case through a pipe with the given buffer and run
+// cap.
 func Batched(c Case, buffer, batch int) (Result, error) {
 	in, err := newInterp(c)
 	if err != nil {
@@ -229,7 +230,7 @@ func Pooled(c Case, pl *pool.Pool, buffer, batch int) (Result, error) {
 	return drainPipe(pipe.FromGenBatched(g, buffer, batch).OnPool(pl), c.max()), nil
 }
 
-// BatchedWithQueue evaluates the case through a batched pipe over a
+// BatchedWithQueue evaluates the case through a run-capped pipe over a
 // caller-supplied transport queue — the stress mode's entry point, letting
 // a schedule-injecting wrapper sit at the queue boundary.
 func BatchedWithQueue(c Case, mk func() queue.Queue[value.V], batch int) (Result, error) {
@@ -261,14 +262,15 @@ func Remote(c Case, addr string, cfg remote.Config) (Result, error) {
 	return r, nil
 }
 
-// SchedQueue wraps a transport queue and injects pauses at its batch
-// boundaries from a deterministically seeded schedule. With a capacity-1
-// or capacity-2 inner queue this forces the interleavings the batcher's
-// flush protocol must survive: flush-on-block (PutBatch stalls for space
-// mid-run), consumer steals racing the flush, EOS flushing a partial run
-// into a paused consumer, and Stop arriving while a PutBatch is parked.
-// The schedule (which operations pause, and for how long) is a pure
-// function of the seed, so a failing interleaving is replayable.
+// SchedQueue wraps a transport queue and injects pauses ahead of the two
+// operations a pipe moves values with — the producer's Put and the
+// consumer's TakeBatch — from a deterministically seeded schedule. Over a
+// small inner queue this forces the interleavings the hop must survive:
+// Put stalling for space behind a paused consumer, runs of every length
+// from one to the cap, EOS landing while a run is in the consumer's hands,
+// and Stop arriving while a Put is parked. The schedule (which operations
+// pause, and for how long) is a pure function of the seed, so a failing
+// interleaving is replayable. Everything else is the inner queue's own.
 type SchedQueue struct {
 	queue.Queue[value.V]
 	mu  sync.Mutex
@@ -301,24 +303,7 @@ func (s *SchedQueue) Put(v value.V) error {
 	return s.Queue.Put(v)
 }
 
-func (s *SchedQueue) Take() (value.V, error) {
-	s.pause()
-	return s.Queue.Take()
-}
-
-func (s *SchedQueue) PutBatch(vs []value.V) (int, error) {
-	s.pause()
-	n, err := s.Queue.PutBatch(vs)
-	s.pause()
-	return n, err
-}
-
 func (s *SchedQueue) TakeBatch(dst []value.V) (int, error) {
 	s.pause()
 	return s.Queue.TakeBatch(dst)
-}
-
-func (s *SchedQueue) TryTakeBatch(dst []value.V) (int, error) {
-	s.pause()
-	return s.Queue.TryTakeBatch(dst)
 }
