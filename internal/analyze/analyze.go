@@ -121,12 +121,15 @@ func Program(p *ast.Program, opts Options) []Diag {
 
 // ProgramFacts runs the full analysis — the per-scope passes of PR 1 plus
 // the interprocedural fact engine and the pipe-graph pass — returning both
-// the diagnostics and the computed whole-program facts for the runtime to
-// consume.
+// the diagnostics and the computed whole-program facts. The facts are
+// computed from scratch, the whole program as one batch: the reference
+// that facts grown batch by batch (Facts.ExtendDecls, the evaluators'
+// path) must equal.
 func ProgramFacts(p *ast.Program, opts Options) ([]Diag, *Facts) {
 	a := &Analyzer{opts: opts}
 	a.collectGlobals(p)
-	facts, cg := computeFacts(a, p, opts)
+	facts := NewFacts()
+	facts.ExtendDecls(p.Decls, opts)
 
 	// Top-level statements execute in the shared global scope: analyze
 	// them as one scope whose locals are the globals themselves.
@@ -145,7 +148,7 @@ func ProgramFacts(p *ast.Program, opts Options) ([]Diag, *Facts) {
 			a.statement(top, x)
 		}
 	}
-	a.pipeGraph(p, facts, cg)
+	a.pipeGraph(p, facts)
 
 	sort.SliceStable(a.diags, func(i, j int) bool {
 		pi, pj := a.diags[i].Pos, a.diags[j].Pos

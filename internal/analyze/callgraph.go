@@ -1,8 +1,6 @@
 package analyze
 
 import (
-	"sort"
-
 	"junicon/internal/ast"
 )
 
@@ -53,7 +51,10 @@ type CreateSite struct {
 	BoundTo string
 }
 
-// CallGraph is the whole-program call structure.
+// CallGraph is the whole-program call structure. It grows a batch of
+// declarations at a time (Facts.ExtendDecls): edges are resolved against
+// the procedures known when the caller is added, and late remembers what
+// a later definition would resolve differently.
 type CallGraph struct {
 	// Procs maps procedure (and method) names to their declarations.
 	Procs map[string]*ast.ProcDecl
@@ -64,104 +65,107 @@ type CallGraph struct {
 	// undeclared names or undeclared natives — their effect summaries
 	// must assume the top of the lattice for those sites.
 	Unknown map[string]bool
-	// Creates lists every generator-creation site, in source order.
+	// Creates lists every generator-creation site, each owner's in source
+	// order. Filled by addCreates, for the pipe-graph diagnostics only.
 	Creates []CreateSite
+	// late holds the non-local callee names that resolved to no procedure
+	// (a builtin, a record constructor, a host value, nothing yet): a
+	// declaration of one of them rebinds sites already in the graph.
+	late map[string]bool
 }
 
-// Callees returns the sorted callee set of one caller.
-func (cg *CallGraph) Callees(caller string) []string {
-	var out []string
-	for c := range cg.Calls[caller] {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// buildCallGraph collects the graph for a program. localNames reports, per
-// procedure, the names bound locally (parameters plus assigned/declared
-// names) — a call through one of those is a call through a value, not a
-// reference to the global procedure of the same name.
-func buildCallGraph(p *ast.Program) *CallGraph {
-	cg := &CallGraph{
+func newCallGraph() *CallGraph {
+	return &CallGraph{
 		Procs:   map[string]*ast.ProcDecl{},
 		Calls:   map[string]map[string]bool{},
 		Unknown: map[string]bool{},
+		late:    map[string]bool{},
 	}
-	for _, d := range p.Decls {
-		switch x := d.(type) {
-		case *ast.ProcDecl:
-			cg.Procs[x.Name] = x
-		case *ast.ClassDecl:
-			for _, m := range x.Methods {
-				cg.Procs[m.Name] = m
-			}
-		}
-	}
-	for name, decl := range cg.Procs {
-		cg.collect(name, decl.Body, localsOf(decl))
-	}
-	for _, d := range p.Decls {
-		switch d.(type) {
-		case *ast.ProcDecl, *ast.ClassDecl, *ast.RecordDecl, *ast.GlobalDecl:
-		default:
-			cg.collect(TopLevel, d, map[string]bool{})
-		}
-	}
-	return cg
 }
 
-// localsOf computes the locally bound name set of a procedure: parameters,
-// declared locals/statics, assignment targets and bound-iteration
-// temporaries.
-func localsOf(p *ast.ProcDecl) map[string]bool {
-	locals := map[string]bool{}
+// procCtx is the name-resolution context of one analyzed body, computed
+// once per declaration: every pass of the fact engine over a procedure
+// (call edges, each fixpoint round, the caching pass) resolves names
+// through the same two sets.
+type procCtx struct {
+	name string
+	// locals are the locally bound names: parameters, declared
+	// locals/statics, assignment targets and bound-iteration temporaries.
+	// A call through one of them is a call through a value, not a
+	// reference to the global procedure of the same name.
+	locals map[string]bool
+	// statics is the subset of locals declared `static`: they outlive the
+	// invocation, so touching one is an effect of calling the procedure.
+	statics map[string]bool
+}
+
+// topLevelCtx is the context of top-level statements and standalone
+// expressions: they run in the global scope, so nothing is local.
+var topLevelCtx = &procCtx{name: TopLevel}
+
+// newProcCtx collects a procedure's name sets in one walk of its body.
+func newProcCtx(p *ast.ProcDecl) *procCtx {
+	cx := &procCtx{name: p.Name, locals: map[string]bool{}}
 	for _, param := range p.Params {
-		locals[param] = true
+		cx.locals[param] = true
 	}
-	for n := range declaredNames(p.Body) {
-		locals[n] = true
-	}
-	for n := range assignedNames(p.Body) {
-		locals[n] = true
-	}
-	return locals
+	ast.Walk(p.Body, func(n ast.Node) bool {
+		if x, ok := n.(*ast.VarDecl); ok {
+			for _, name := range x.Names {
+				cx.locals[name] = true
+				if x.Kind == "static" {
+					if cx.statics == nil {
+						cx.statics = map[string]bool{}
+					}
+					cx.statics[name] = true
+				}
+			}
+			return true
+		}
+		eachAssigned(n, func(name string) { cx.locals[name] = true })
+		return true
+	})
+	return cx
 }
 
-// collect walks one caller's body recording edges and creation sites.
-func (cg *CallGraph) collect(caller string, body ast.Node, locals map[string]bool) {
-	addEdge := func(callee string) {
-		if cg.Calls[caller] == nil {
-			cg.Calls[caller] = map[string]bool{}
-		}
-		cg.Calls[caller][callee] = true
-	}
+// addCalls walks one caller's body recording its call edges.
+func (cg *CallGraph) addCalls(cx *procCtx, body ast.Node) {
+	caller := cx.name
 	ast.Walk(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.Call:
-			name, ok := identName(x.Fun)
-			switch {
-			case !ok:
-				// Calls through computed expressions resolve dynamically.
-				// A call through a bound-iteration temporary introduced by
-				// normalization (§5A) re-points at whatever the temporary
-				// iterates; the normal form keeps the callee adjacent, so
-				// resolve through a directly preceding BindIn when the
-				// caller's product is in scope — otherwise unknown.
-				cg.Unknown[caller] = true
-			case cg.Procs[name] != nil && !locals[name]:
-				addEdge(name)
-			case builtinNames()[name] && !locals[name]:
-				// Builtin: effects come from the builtin table, not an edge.
-			default:
+		x, ok := n.(*ast.Call)
+		if !ok {
+			return true
+		}
+		name, ok := identName(x.Fun)
+		switch {
+		case !ok || cx.locals[name]:
+			// A computed callee, or a call through a local value
+			// (normalization temporaries included): resolved dynamically.
+			cg.Unknown[caller] = true
+		case cg.Procs[name] != nil:
+			if cg.Calls[caller] == nil {
+				cg.Calls[caller] = map[string]bool{}
+			}
+			cg.Calls[caller][name] = true
+		default:
+			cg.late[name] = true
+			// A builtin's effects come from the builtin table, not an
+			// edge; anything else is unknown.
+			if !builtinNames()[name] {
 				cg.Unknown[caller] = true
 			}
-		case *ast.NativeCall:
-			// Host natives are opaque unless the embedder declares facts
-			// for them (Options.NativeFacts); record the site by name so
-			// the effect pass can consult the declaration.
-			// (No edge: natives are not analyzed procedures.)
-		case *ast.Unary:
+		}
+		return true
+	})
+}
+
+// addCreates walks one owner's body recording its generator-creation
+// sites, then attaches BoundTo names to the sites directly assigned to a
+// variable (x := |> e, local x := |> e).
+func (cg *CallGraph) addCreates(owner string, body ast.Node) {
+	first := len(cg.Creates)
+	ast.Walk(body, func(n ast.Node) bool {
+		if x, ok := n.(*ast.Unary); ok {
 			switch x.Op {
 			case "<>", "|<>", "|>":
 				kind := CreateGen
@@ -170,21 +174,23 @@ func (cg *CallGraph) collect(caller string, body ast.Node, locals map[string]boo
 				} else if x.Op == "|>" {
 					kind = CreatePipe
 				}
-				cg.Creates = append(cg.Creates, CreateSite{Kind: kind, Node: x, In: caller})
+				cg.Creates = append(cg.Creates, CreateSite{Kind: kind, Node: x, In: owner})
 			}
 		}
 		return true
 	})
-	// Second pass: attach BoundTo names to creation sites directly
-	// assigned to a variable (x := |> e, local x := |> e).
+	sites := cg.Creates[first:]
+	if len(sites) == 0 {
+		return
+	}
 	bind := func(target string, src ast.Node) {
 		u, ok := src.(*ast.Unary)
 		if !ok {
 			return
 		}
-		for i := range cg.Creates {
-			if cg.Creates[i].Node == u && cg.Creates[i].In == caller {
-				cg.Creates[i].BoundTo = target
+		for i := range sites {
+			if sites[i].Node == u {
+				sites[i].BoundTo = target
 			}
 		}
 	}
@@ -207,11 +213,11 @@ func (cg *CallGraph) collect(caller string, body ast.Node, locals map[string]boo
 	})
 }
 
-// recursiveSet returns the names reachable from themselves in the call
-// graph — every procedure on a call cycle.
-func (cg *CallGraph) recursiveSet() map[string]bool {
+// recursiveAmong returns those of names that are reachable from
+// themselves in the call graph — the procedures on a call cycle.
+func (cg *CallGraph) recursiveAmong(names []string) map[string]bool {
 	out := map[string]bool{}
-	for name := range cg.Procs {
+	for _, name := range names {
 		if cg.reaches(name, name, map[string]bool{}) {
 			out[name] = true
 		}

@@ -9,77 +9,156 @@ import (
 
 // effects.go is the interprocedural fact computation: a fixpoint over the
 // call graph that assigns every procedure an effect summary and a
-// yield-count bound, then a final caching pass that records facts for
-// every node of the program. Soundness discipline: unknown callees and
-// host natives are the top of the lattice; recursive generator procedures
-// are pinned to unbounded yields before the fixpoint runs, so exact
-// bounds never under-approximate a sequence the runtime would fuse.
+// yield-count bound, then a caching pass that records facts for every node
+// of the program. Soundness discipline: unknown callees and host natives
+// are the top of the lattice; recursive generator procedures are pinned to
+// unbounded yields before the fixpoint runs, so exact bounds never
+// under-approximate a sequence the runtime would fuse.
+//
+// The computation is incremental in the unit programs arrive in
+// (ExtendDecls, one LoadProgram batch at a time): a summary depends only
+// on the procedure's own body and its callees' summaries, and a procedure
+// already in the table cannot call one that did not exist when its edges
+// were resolved — unless a batch defines a name an earlier call site left
+// unresolved, or redefines a procedure. Only then are the tables thrown
+// away and recomputed over everything loaded; otherwise the fixpoint runs
+// over the batch alone, against summaries that are already final, and
+// yields the tables one run over the whole program would.
 
 // factsComp carries one fact-computation run.
 type factsComp struct {
-	a     *Analyzer
-	cg    *CallGraph
-	opts  Options
-	table map[string]*ProcFacts
-	// nodes is nil during the fixpoint; the final pass swaps in the cache
-	// so every visited subtree records its facts.
-	nodes map[ast.Node]GenFacts
-	rec   map[string]bool
+	*Facts
+	opts Options
+	// cache is nil during the fixpoint; the caching pass swaps in the
+	// node cache so every visited subtree records its facts.
+	cache map[ast.Node]GenFacts
 }
 
-// procCtx is the name-resolution context of one analyzed body.
-type procCtx struct {
-	name   string
-	locals map[string]bool
+// ExtendDecls analyzes one more batch of top-level nodes — procedure,
+// method, record and global declarations plus top-level statements, in
+// program order — against everything the receiver has analyzed before.
+// Afterwards the procedure table and node cache equal what ProgramFacts
+// computes for all the declarations so far followed by this batch's
+// statements. Statements are cached like ExtendExpr's expressions: until
+// the next ExtendDecls or ExtendExpr call.
+func (f *Facts) ExtendDecls(batch []ast.Node, opts Options) {
+	var stmts []ast.Node
+	fresh := len(f.decls)
+	rebound := false
+	add := func(p *ast.ProcDecl) {
+		if f.cg.Procs[p.Name] != nil || f.cg.late[p.Name] {
+			rebound = true
+		}
+		f.cg.Procs[p.Name] = p
+		f.decls = append(f.decls, p)
+	}
+	for _, d := range batch {
+		switch x := d.(type) {
+		case *ast.ProcDecl:
+			add(x)
+		case *ast.ClassDecl:
+			for _, m := range x.Methods {
+				add(m)
+			}
+		case *ast.RecordDecl, *ast.GlobalDecl:
+			// no code of their own
+		default:
+			stmts = append(stmts, d)
+		}
+	}
+	if rebound {
+		// A call site analyzed earlier now resolves differently (late
+		// binding, REPL redefinition): start over, keeping only the
+		// winning declaration of each name and its name sets.
+		f.cg = newCallGraph()
+		f.procs = map[string]*ProcFacts{}
+		f.nodes = map[ast.Node]GenFacts{}
+		for _, p := range f.decls {
+			f.cg.Procs[p.Name] = p
+		}
+		live := f.decls[:0]
+		for _, p := range f.decls {
+			if f.cg.Procs[p.Name] == p {
+				live = append(live, p)
+			} else {
+				delete(f.ctx, p)
+			}
+		}
+		f.decls, fresh = live, 0
+	}
+	fc := &factsComp{Facts: f, opts: opts}
+	fc.solve(f.decls[fresh:])
+	fc.cacheStatements(stmts)
 }
 
-// computeFacts runs the interprocedural engine over a program whose
-// globals the analyzer has already collected.
-func computeFacts(a *Analyzer, p *ast.Program, opts Options) (*Facts, *CallGraph) {
-	cg := buildCallGraph(p)
-	fc := &factsComp{a: a, cg: cg, opts: opts, table: map[string]*ProcFacts{}}
-	fc.rec = cg.recursiveSet()
+// ExtendExpr computes and caches facts for one more top-level expression
+// against the already-computed interprocedural tables — the incremental
+// path for the REPL and EvalGen: declarations are analyzed once at load
+// time; each evaluated expression then extends the node cache without
+// re-running the whole-program fixpoint.
+func (f *Facts) ExtendExpr(n ast.Node, opts Options) {
+	if f == nil || n == nil {
+		return
+	}
+	fc := &factsComp{Facts: f, opts: opts}
+	fc.cacheStatements([]ast.Node{n})
+}
+
+// solve summarizes the given procedures — already in the call graph's
+// Procs, their callees either among them or summarized earlier — and
+// caches the facts of every node of their bodies.
+func (fc *factsComp) solve(decls []*ast.ProcDecl) {
+	if len(decls) == 0 {
+		return
+	}
+	names := make([]string, len(decls))
+	for i, p := range decls {
+		names[i] = p.Name
+		if fc.ctx[p] == nil { // a re-run finds them in place
+			fc.ctx[p] = newProcCtx(p)
+		}
+	}
+	sort.Strings(names)
+	// Edges once every procedure of the batch is in Procs, so mutual
+	// recursion inside a batch resolves.
+	for _, p := range decls {
+		fc.cg.addCalls(fc.ctx[p], p.Body)
+	}
+	rec := fc.cg.recursiveAmong(names)
 
 	// Bottom-initialize, pinning recursive procedures to their sound
 	// summaries: generator recursion (any suspend in the body) yields
 	// unboundedly; return-only recursion yields at most once.
-	for name, decl := range cg.Procs {
-		pf := &ProcFacts{Name: name, GenFacts: GenFacts{Yields: boundNone}}
-		if fc.rec[name] {
+	for _, p := range decls {
+		pf := &ProcFacts{Name: p.Name, GenFacts: GenFacts{Yields: boundNone}}
+		if rec[p.Name] {
 			pf.Recursive = true
-			if containsSuspend(decl.Body) {
+			if containsSuspend(p.Body) {
 				pf.Yields = boundUnbounded
 			} else {
 				pf.Yields = boundOpt
 			}
 		}
-		fc.table[name] = pf
+		fc.procs[p.Name] = pf
 	}
 
 	// Fixpoint: effects join monotonically; yields of non-recursive
 	// procedures settle once their callees have (DAG depth bounds the
 	// iteration count, +1 to detect stability).
-	names := make([]string, 0, len(cg.Procs))
-	for n := range cg.Procs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	for iter := 0; iter <= len(names)+1; iter++ {
 		changed := false
 		for _, name := range names {
-			old := *fc.table[name]
+			old := *fc.procs[name]
 			got := fc.summarize(name)
 			next := old
 			next.Effects |= got.Effects
-			if fc.rec[name] {
-				// Yields stay pinned; only effects refine.
-			} else {
+			if !rec[name] { // a recursive procedure's yields stay pinned
 				next.Yields = got.Yields
 			}
 			next.Restartable = (next.Effects &^ EffControl).Fusable()
 			if next.Effects != old.Effects || next.Yields != old.Yields ||
 				next.Restartable != old.Restartable {
-				*fc.table[name] = next
+				*fc.procs[name] = next
 				changed = true
 			}
 		}
@@ -88,28 +167,28 @@ func computeFacts(a *Analyzer, p *ast.Program, opts Options) (*Facts, *CallGraph
 		}
 	}
 
-	// Final pass with the node cache on: every subtree the runtime might
-	// ask about records its facts, including top-level statements and
-	// create-site bodies.
-	fc.nodes = map[ast.Node]GenFacts{}
-	for _, name := range names {
-		decl := cg.Procs[name]
-		cx := &procCtx{name: name, locals: localsOf(decl)}
-		fc.stmtEffects(decl.Body, cx)
-		fc.procYields(decl.Body.Stmts, cx)
+	// Caching pass: every subtree the runtime might ask about records its
+	// facts, create-site bodies included.
+	fc.cache = fc.nodes
+	for _, p := range decls {
+		cx := fc.ctx[p]
+		fc.stmtEffects(p.Body, cx)
+		fc.procYields(p.Body.Stmts, cx)
+		markDemand(p.Body, fc.cache)
 	}
-	topCx := &procCtx{name: TopLevel, locals: map[string]bool{}}
-	for _, d := range p.Decls {
-		switch d.(type) {
-		case *ast.ProcDecl, *ast.RecordDecl, *ast.GlobalDecl, *ast.ClassDecl:
-		default:
-			fc.expr(d, topCx)
-		}
-	}
-	// Demandedness: re-walk marking expressions driven to exhaustion.
-	markDemand(p, fc.nodes)
+	fc.cache = nil
+}
 
-	return &Facts{procs: fc.table, nodes: fc.nodes}, cg
+// cacheStatements records the facts of top-level statements in the
+// transient cache, replacing its previous contents.
+func (fc *factsComp) cacheStatements(stmts []ast.Node) {
+	fc.exprNodes = make(map[ast.Node]GenFacts)
+	fc.cache = fc.exprNodes
+	for _, s := range stmts {
+		fc.expr(s, topLevelCtx)
+		markDemand(s, fc.cache)
+	}
+	fc.cache = nil
 }
 
 // containsSuspend reports whether a body suspends anywhere (nested create
@@ -135,7 +214,7 @@ func containsSuspend(n ast.Node) bool {
 // summarize computes one procedure's summary from the current table.
 func (fc *factsComp) summarize(name string) GenFacts {
 	decl := fc.cg.Procs[name]
-	cx := &procCtx{name: name, locals: localsOf(decl)}
+	cx := fc.ctx[decl]
 	eff := fc.stmtEffects(decl.Body, cx)
 	yields, _ := fc.procYields(decl.Body.Stmts, cx)
 	if fc.cg.Unknown[name] {
@@ -147,10 +226,10 @@ func (fc *factsComp) summarize(name string) GenFacts {
 	return GenFacts{Effects: eff, Yields: yields}
 }
 
-// record caches facts for a node on the final pass.
+// record caches facts for a node on the caching pass.
 func (fc *factsComp) record(n ast.Node, g GenFacts) GenFacts {
-	if fc.nodes != nil && n != nil {
-		fc.nodes[n] = g
+	if fc.cache != nil && n != nil {
+		fc.cache[n] = g
 	}
 	return g
 }
@@ -421,10 +500,11 @@ func (fc *factsComp) joinAll(cx *procCtx, ns ...ast.Node) GenFacts {
 }
 
 // readFacts classifies an identifier read. Any non-local name — global,
-// builtin, host-known or auto-created at first use — reads shared state.
+// builtin, host-known or auto-created at first use — reads shared state,
+// and so does a static: it holds what an earlier invocation left there.
 func (fc *factsComp) readFacts(name string, cx *procCtx) GenFacts {
 	g := GenFacts{Yields: boundOne}
-	if !cx.locals[name] {
+	if !cx.locals[name] || cx.statics[name] {
 		g.Effects = EffReadsGlobals
 	}
 	return g
@@ -434,7 +514,9 @@ func (fc *factsComp) readFacts(name string, cx *procCtx) GenFacts {
 func (fc *factsComp) writeEffect(target ast.Node, cx *procCtx) Effects {
 	switch t := target.(type) {
 	case *ast.Ident:
-		if cx.locals[t.Name] {
+		// A static outlives the invocation: writing one is visible to the
+		// next call, exactly like writing a global.
+		if cx.locals[t.Name] && !cx.statics[t.Name] {
 			return EffPure
 		}
 		return EffWritesGlobals
@@ -596,7 +678,7 @@ func (fc *factsComp) callFacts(x *ast.Call, cx *procCtx) GenFacts {
 	}
 	name, ok := identName(x.Fun)
 	if ok && !cx.locals[name] {
-		if pf, have := fc.table[name]; have {
+		if pf, have := fc.procs[name]; have {
 			fc.expr(x.Fun, cx)
 			return GenFacts{
 				Effects: args.Effects | pf.Effects | EffReadsGlobals,
@@ -810,22 +892,7 @@ func (fc *factsComp) stmtEffects(s ast.Node, cx *procCtx) Effects {
 // iterated expression of every-loops and operands of promotion. The flag
 // rides the cached record, so consumers can distinguish a generator whose
 // full sequence is demanded from one in a bounded position.
-// ExtendExpr computes and caches facts for one more top-level expression
-// against the already-computed interprocedural tables — the incremental
-// path for the REPL and EvalGen: declarations are analyzed once at load
-// time; each evaluated expression then extends the node cache without
-// re-running the whole-program fixpoint.
-func (f *Facts) ExtendExpr(n ast.Node, opts Options) {
-	if f == nil || n == nil {
-		return
-	}
-	f.exprNodes = make(map[ast.Node]GenFacts)
-	fc := &factsComp{opts: opts, table: f.procs, nodes: f.exprNodes}
-	fc.expr(n, &procCtx{name: TopLevel, locals: map[string]bool{}})
-	markDemand(&ast.Program{Decls: []ast.Node{n}}, fc.nodes)
-}
-
-func markDemand(p *ast.Program, nodes map[ast.Node]GenFacts) {
+func markDemand(root ast.Node, nodes map[ast.Node]GenFacts) {
 	mark := func(n ast.Node) {
 		if n == nil {
 			return
@@ -835,7 +902,7 @@ func markDemand(p *ast.Program, nodes map[ast.Node]GenFacts) {
 			nodes[n] = g
 		}
 	}
-	ast.Walk(p, func(n ast.Node) bool {
+	ast.Walk(root, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Every:
 			mark(x.E)

@@ -288,17 +288,35 @@ type ProcFacts struct {
 // Facts is the whole-program fact table: procedure summaries from the
 // interprocedural fixpoint plus a per-node cache filled on the final pass,
 // so consumers can ask about any subtree of the analyzed program by node
-// identity.
+// identity. It grows with the program: ExtendDecls adds a batch of
+// declarations, ExtendExpr one evaluated expression.
 type Facts struct {
 	procs map[string]*ProcFacts
 	nodes map[ast.Node]GenFacts
-	// exprNodes is the node cache of the most recent ExtendExpr call: the
-	// facts of one evaluated expression, replaced wholesale on the next
+	// decls is every procedure analyzed so far, one per name, in load
+	// order — what a from-scratch recomputation runs over — with the call
+	// graph over them and each one's name sets.
+	decls []*ast.ProcDecl
+	cg    *CallGraph
+	ctx   map[*ast.ProcDecl]*procCtx
+	// exprNodes is the node cache of what was analyzed last to be
+	// evaluated at once — one ExtendExpr expression, or the top-level
+	// statements of one ExtendDecls batch — replaced wholesale on the next
 	// call. Kept apart from nodes so a long-lived interpreter evaluating
 	// many expressions does not grow the persistent cache without bound —
 	// each parsed tree has fresh node identities, so entries for earlier
 	// evaluations could never be looked up again.
 	exprNodes map[ast.Node]GenFacts
+}
+
+// NewFacts returns the fact table of the empty program.
+func NewFacts() *Facts {
+	return &Facts{
+		procs: map[string]*ProcFacts{},
+		nodes: map[ast.Node]GenFacts{},
+		cg:    newCallGraph(),
+		ctx:   map[*ast.ProcDecl]*procCtx{},
+	}
 }
 
 // Proc returns the summary of a named procedure.

@@ -25,7 +25,14 @@ import (
 //   - JV014: limit applied to an effectful generator that provably yields
 //     more than the limit — truncation silently drops the side effects of
 //     the never-produced results.
-func (a *Analyzer) pipeGraph(p *ast.Program, facts *Facts, cg *CallGraph) {
+func (a *Analyzer) pipeGraph(p *ast.Program, facts *Facts) {
+	cg := facts.cg
+	for name, decl := range cg.Procs {
+		cg.addCreates(name, decl.Body)
+	}
+	for _, d := range topLevelRoots(p) {
+		cg.addCreates(TopLevel, d)
+	}
 	owners := map[string][]CreateSite{}
 	for _, s := range cg.Creates {
 		owners[s.In] = append(owners[s.In], s)

@@ -275,25 +275,32 @@ func identName(n ast.Node) (string, bool) {
 	return "", false
 }
 
+// eachAssigned calls f with the simple names node n itself assigns: the
+// target of an assignment operator (both operands of a swap) or the
+// temporary of a bound iteration.
+func eachAssigned(n ast.Node, f func(name string)) {
+	switch x := n.(type) {
+	case *ast.Binary:
+		if isAssignOp(x.Op) {
+			if name, ok := identName(x.L); ok {
+				f(name)
+			}
+			if x.Op == ":=:" || x.Op == "<->" {
+				if name, ok := identName(x.R); ok {
+					f(name)
+				}
+			}
+		}
+	case *ast.BindIn:
+		f(x.Tmp)
+	}
+}
+
 // assignedNames collects the simple names a subtree assigns.
 func assignedNames(n ast.Node) map[string]bool {
 	out := map[string]bool{}
 	ast.Walk(n, func(m ast.Node) bool {
-		switch x := m.(type) {
-		case *ast.Binary:
-			if isAssignOp(x.Op) {
-				if name, ok := identName(x.L); ok {
-					out[name] = true
-				}
-				if x.Op == ":=:" || x.Op == "<->" {
-					if name, ok := identName(x.R); ok {
-						out[name] = true
-					}
-				}
-			}
-		case *ast.BindIn:
-			out[x.Tmp] = true
-		}
+		eachAssigned(m, func(name string) { out[name] = true })
 		return true
 	})
 	return out

@@ -2,7 +2,12 @@ package ast_test
 
 import (
 	"fmt"
+	goast "go/ast"
+	goparser "go/parser"
+	"go/token"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"junicon/internal/ast"
@@ -121,6 +126,149 @@ func TestChildrenCoversNodeFields(t *testing.T) {
 		}
 		if len(got) > len(want) {
 			t.Errorf("%T: Children returned %d nodes, fields hold %d", n, len(got), len(want))
+		}
+	}
+}
+
+// sparseExemplars are the node kinds with optional children, with those
+// children absent: the shapes in which a visitor and the XML form could
+// disagree about what "no child" means.
+func sparseExemplars() []ast.Node {
+	return []ast.Node{
+		&ast.ToBy{Lo: ident("a"), Hi: ident("b")},
+		&ast.NativeCall{Name: "n", Args: []ast.Node{ident("a")}},
+		&ast.Slice{X: ident("a"), I: ident("i")},
+		&ast.If{Cond: ident("c"), Then: ident("t")},
+		&ast.While{Cond: ident("c")},
+		&ast.Every{E: ident("g")},
+		&ast.Case{Subject: ident("s"), Clauses: []ast.CaseClause{
+			{Sel: ident("v"), Body: ident("b")},
+			{Body: ident("d")},
+		}},
+		&ast.Return{},
+		&ast.Suspend{E: ident("e")},
+		&ast.Break{},
+		&ast.VarDecl{Kind: "local", Names: []string{"x", "y", "z"}, Inits: []ast.Node{nil, ident("i"), nil}},
+		&ast.ListLit{},
+		&ast.Block{},
+	}
+}
+
+// TestEachChildMatchesXMLParts pins the allocation-free visitor that Walk
+// and Children run on to the XML serializer's decomposition, which is the
+// canonical term form: same children, same order, for every node kind.
+func TestEachChildMatchesXMLParts(t *testing.T) {
+	for _, n := range append(exemplars(), sparseExemplars()...) {
+		got := ast.Children(n) // eachChild, collected
+		want := ast.XMLChildren(n)
+		if len(got) != len(want) {
+			t.Errorf("%T: visitor sees %d children, XML form %d", n, len(got), len(want))
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%T: child %d is %s, XML form has %s", n, i, describe(got[i]), describe(want[i]))
+			}
+		}
+	}
+}
+
+// TestWalkDoesNotAllocate holds the traversal to its budget: nothing per
+// node, nothing per call.
+func TestWalkDoesNotAllocate(t *testing.T) {
+	prog, err := parser.ParseProgram(positionAuditSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm := transform.Normalize(prog)
+	nodes := 0
+	count := func(ast.Node) bool { nodes++; return true }
+	if allocs := testing.AllocsPerRun(10, func() { ast.Walk(norm, count) }); allocs != 0 {
+		t.Errorf("Walk allocates %.0f objects over a %d-node tree, want 0", allocs, nodes/11)
+	}
+}
+
+// nodeTypes lists the types with an xmlName method — the Node
+// implementations — by reading this package's source.
+func nodeTypes(t *testing.T, files map[string]*goast.File) []string {
+	t.Helper()
+	var out []string
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*goast.FuncDecl)
+			if !ok || fd.Name.Name != "xmlName" || fd.Recv == nil {
+				continue
+			}
+			if star, ok := fd.Recv.List[0].Type.(*goast.StarExpr); ok {
+				out = append(out, star.X.(*goast.Ident).Name)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// switchCases lists the pointer types a function's first type switch has
+// cases for.
+func switchCases(t *testing.T, files map[string]*goast.File, fn string) []string {
+	t.Helper()
+	var out []string
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*goast.FuncDecl)
+			if !ok || fd.Name.Name != fn || fd.Recv != nil {
+				continue
+			}
+			goast.Inspect(fd.Body, func(n goast.Node) bool {
+				ts, ok := n.(*goast.TypeSwitchStmt)
+				if !ok || out != nil {
+					return out == nil
+				}
+				for _, c := range ts.Body.List {
+					for _, e := range c.(*goast.CaseClause).List {
+						if star, ok := e.(*goast.StarExpr); ok {
+							out = append(out, star.X.(*goast.Ident).Name)
+						}
+					}
+				}
+				return false
+			})
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestEveryNodeTypeHasAVisitorCase reads the package's own source: every
+// type that implements Node must be named in a case of eachChild (leaves
+// too — a type that falls through the switch has its subtree silently
+// skipped by every analysis pass), in a case of parts, and among the
+// exemplars the audits above run over.
+func TestEveryNodeTypeHasAVisitorCase(t *testing.T) {
+	files := map[string]*goast.File{}
+	for _, name := range []string{"ast.go", "walk.go", "xml.go"} {
+		f, err := goparser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = f
+	}
+	types := nodeTypes(t, files)
+	if len(types) < 30 {
+		t.Fatalf("found only %d node types: %v", len(types), types)
+	}
+	var shown []string
+	for _, n := range exemplars() {
+		shown = append(shown, strings.TrimPrefix(fmt.Sprintf("%T", n), "*ast."))
+	}
+	sort.Strings(shown)
+	for where, have := range map[string][]string{
+		"eachChild":   switchCases(t, files, "eachChild"),
+		"parts":       switchCases(t, files, "parts"),
+		"exemplars()": shown,
+	} {
+		if got, want := strings.Join(have, " "), strings.Join(types, " "); got != want {
+			t.Errorf("%s does not cover the node types exactly:\n have %s\n want %s", where, got, want)
 		}
 	}
 }

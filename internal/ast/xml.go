@@ -188,32 +188,3 @@ func parts(n Node) ([]attr, []child) {
 		return []attr{{"unknown", fmt.Sprintf("%T", n)}}, nil
 	}
 }
-
-// Children returns a node's direct children in syntax order (nil children
-// omitted) — the generic traversal hook used by Walk and by analysis
-// passes that need custom recursion.
-func Children(n Node) []Node {
-	if n == nil {
-		return nil
-	}
-	_, cs := parts(n)
-	out := make([]Node, 0, len(cs))
-	for _, c := range cs {
-		if c.node != nil {
-			out = append(out, c.node)
-		}
-	}
-	return out
-}
-
-// Walk applies f to n and every descendant in pre-order; f returning false
-// prunes the subtree.
-func Walk(n Node, f func(Node) bool) {
-	if n == nil || !f(n) {
-		return
-	}
-	_, children := parts(n)
-	for _, c := range children {
-		Walk(c.node, f)
-	}
-}

@@ -53,39 +53,50 @@ func Product(gens ...Gen) Gen {
 
 // fusedProduct is the fact-driven fast path for a product whose leading
 // terms are statically pure and yield at most once (analyze.FusablePrefix):
-// the prefix is evaluated a single time per lifetime instead of being
-// re-driven by the backtracking machinery on every cycle. Purity makes the
-// elided re-evaluations unobservable — a pure term re-Nexted after its
-// single result deterministically fails, and a pure term that failed once
-// fails forever — so the trace is identical to Product's.
+// the prefix is evaluated a single time per cycle instead of being
+// re-driven by the backtracking machinery on every result of the tail.
+// Purity makes the elided re-evaluations unobservable — a pure term
+// re-Nexted after its single result deterministically fails, and a pure
+// term that failed once fails for the rest of the cycle — so the trace is
+// identical to Product's. A cycle ends when the product fails; the next
+// one (repeated alternation, an enclosing loop) evaluates the prefix
+// afresh, because what it reads may have changed in between.
 type fusedProduct struct {
-	prefix []Gen
-	tail   Gen
-	state  int8 // 0 unevaluated, 1 prefix succeeded, 2 prefix failed
+	prefix   []Gen
+	tail     Gen
+	prefixOK bool // the prefix succeeded in this cycle
 }
 
 func (p *fusedProduct) Next() (V, bool) {
-	switch p.state {
-	case 0:
+	if !p.prefixOK {
 		for _, g := range p.prefix {
 			if _, ok := g.Next(); !ok {
-				p.state = 2
+				p.endCycle()
 				return nil, false
 			}
 		}
-		p.state = 1
-	case 2:
-		return nil, false
+		p.prefixOK = true
 	}
-	return p.tail.Next()
+	v, ok := p.tail.Next()
+	if !ok {
+		p.endCycle()
+	}
+	return v, ok
 }
 
-func (p *fusedProduct) Restart() {
+// endCycle rewinds the prefix terms that have yielded their one result, so
+// the next cycle starts them from the beginning as Product's backtracking
+// would have left them.
+func (p *fusedProduct) endCycle() {
 	for _, g := range p.prefix {
 		g.Restart()
 	}
+	p.prefixOK = false
+}
+
+func (p *fusedProduct) Restart() {
+	p.endCycle()
 	p.tail.Restart()
-	p.state = 0
 }
 
 // FusedProduct composes a product whose prefix terms are evaluated once

@@ -66,10 +66,13 @@ type Interp struct {
 	// whole-program facts over the normalized trees and eval fuses pure
 	// ≤1-yield product prefixes, inlines pure pipes and sizes pipe buffers
 	// from yield bounds. decls accumulates normalized declarations across
-	// loads so facts stay interprocedural in the REPL.
-	optimize bool
-	facts    *analyze.Facts
-	decls    []ast.Node
+	// loads; facts (empty until then) has analyzed the first factsSeen of
+	// them — the tree walk computes none, so a later SetVM(true) has
+	// catching up to do.
+	optimize  bool
+	facts     *analyze.Facts
+	decls     []ast.Node
+	factsSeen int
 
 	// Compiled execution (the bytecode vm): when vm is set, loaded
 	// procedures and evaluated expressions run as slot-framed bytecode
@@ -98,7 +101,7 @@ func WithOptimize() Option { return func(in *Interp) { in.optimize = true } }
 
 // New returns an interpreter with the builtin library loaded.
 func New(opts ...Option) *Interp {
-	in := &Interp{out: os.Stdout, natives: map[string]*value.Native{}}
+	in := &Interp{out: os.Stdout, natives: map[string]*value.Native{}, facts: analyze.NewFacts()}
 	for _, o := range opts {
 		o(in)
 	}
@@ -177,7 +180,7 @@ func (in *Interp) LoadProgram(src string) error {
 		}
 	}
 	if in.optimize || in.vm {
-		in.refreshFacts(norm.Decls)
+		in.extendFacts(norm.Decls)
 	}
 	err = core.Protect(func() {
 		for _, d := range norm.Decls {
@@ -192,16 +195,17 @@ func (in *Interp) LoadProgram(src string) error {
 	return err
 }
 
-// refreshFacts recomputes whole-program facts over every declaration
-// loaded so far plus the given extra nodes. Facts are keyed by node
-// identity, so recomputation re-covers earlier declarations' trees (their
-// procedure bodies are compiled lazily, at call time) and the extra nodes
-// about to be evaluated. Diagnostics are discarded here — vet reporting
-// is the REPL's and Vet's job, not the evaluator's.
-func (in *Interp) refreshFacts(extra []ast.Node) {
-	nodes := make([]ast.Node, 0, len(in.decls)+len(extra))
-	nodes = append(nodes, in.decls...)
-	for _, n := range extra {
+// extendFacts brings the whole-program facts up to date with every
+// declaration loaded so far, and caches the facts of the top-level
+// statements among batch, which are about to be evaluated. Facts are keyed
+// by node identity and declarations are analyzed once, when they arrive
+// (their bodies are evaluated or compiled lazily, at call time); only a
+// batch that rebinds an earlier call site re-runs the analysis
+// (analyze.Facts.ExtendDecls). Diagnostics are not computed here — vet
+// reporting is the REPL's and Vet's job, not the evaluator's.
+func (in *Interp) extendFacts(batch []ast.Node) {
+	nodes := in.decls[in.factsSeen:len(in.decls):len(in.decls)]
+	for _, n := range batch {
 		switch n.(type) {
 		case *ast.ProcDecl, *ast.ClassDecl, *ast.RecordDecl, *ast.GlobalDecl:
 			// already accumulated in in.decls
@@ -209,8 +213,8 @@ func (in *Interp) refreshFacts(extra []ast.Node) {
 			nodes = append(nodes, n)
 		}
 	}
-	p := &ast.Program{Decls: nodes}
-	_, in.facts = analyze.ProgramFacts(p, in.factsOptions())
+	in.facts.ExtendDecls(nodes, in.factsOptions())
+	in.factsSeen = len(in.decls)
 }
 
 // factsOptions builds the analyze options for this interpreter: a name is
@@ -222,6 +226,16 @@ func (in *Interp) factsOptions() analyze.Options {
 			return ok
 		},
 	}
+}
+
+// exprFacts caches the facts of one expression about to be evaluated. The
+// interprocedural tables are already final for everything loaded, so only
+// the node cache grows.
+func (in *Interp) exprFacts(norm ast.Node) {
+	if in.factsSeen < len(in.decls) {
+		in.extendFacts(nil)
+	}
+	in.facts.ExtendExpr(norm, in.factsOptions())
 }
 
 func (in *Interp) loadDecl(d ast.Node) {
@@ -266,14 +280,7 @@ func (in *Interp) EvalGen(src string) (core.Gen, error) {
 	}
 	norm := transform.Normalize(e)
 	if in.optimize {
-		if in.facts != nil {
-			// Declarations are unchanged since the last LoadProgram: the
-			// interprocedural tables stay valid, so extend the node cache
-			// with just this expression instead of re-running the fixpoint.
-			in.facts.ExtendExpr(norm, in.factsOptions())
-		} else {
-			in.refreshFacts([]ast.Node{norm})
-		}
+		in.exprFacts(norm)
 	}
 	if g := in.compileEval(norm); g != nil {
 		return g, nil

@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 
-	"junicon/internal/ast"
 	"junicon/internal/checkpoint"
 	"junicon/internal/core"
 	"junicon/internal/parser"
@@ -37,11 +36,7 @@ func (in *Interp) ExprMachine(src string) (*vm.Machine, error) {
 	}
 	norm := transform.Normalize(e)
 	if in.optimize {
-		if in.facts != nil {
-			in.facts.ExtendExpr(norm, in.factsOptions())
-		} else {
-			in.refreshFacts([]ast.Node{norm})
-		}
+		in.exprFacts(norm)
 	}
 	return vm.CompileExpr(norm, in.compileEnv(true))
 }

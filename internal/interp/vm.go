@@ -62,7 +62,7 @@ func (in *Interp) noteFallback(unit string, err error) {
 func (in *Interp) SetVM(on bool) {
 	in.vm = on
 	if on {
-		in.refreshFacts(nil)
+		in.extendFacts(nil)
 		for _, d := range in.decls {
 			switch x := d.(type) {
 			case *ast.ProcDecl:
@@ -104,9 +104,6 @@ func (in *Interp) compileEnv(topLevel bool) compile.Env {
 			return n, ok
 		},
 		CallDirect: func(name string) bool {
-			if in.facts == nil {
-				return false
-			}
 			pf, ok := in.facts.Proc(name)
 			return ok && pf.Effects.Fusable() && pf.Yields.AtMost(1)
 		},
@@ -214,12 +211,13 @@ func (in *Interp) DisassembleProgram(src string, w io.Writer) error {
 			switch d.(type) {
 			case *ast.ProcDecl, *ast.RecordDecl, *ast.GlobalDecl, *ast.ClassDecl:
 				in.loadDecl(d)
+				in.decls = append(in.decls, d)
 			}
 		}
 	}); err != nil {
 		return err
 	}
-	in.refreshFacts(norm.Decls)
+	in.extendFacts(norm.Decls)
 	stmtN := 0
 	for _, d := range norm.Decls {
 		switch x := d.(type) {
@@ -254,7 +252,7 @@ func (in *Interp) DisassembleExpr(src string, w io.Writer) error {
 	}
 	norm := transform.Normalize(e)
 	if in.optimize || in.vm {
-		in.refreshFacts([]ast.Node{norm})
+		in.exprFacts(norm)
 	}
 	code, err := compile.Expr(norm, in.compileEnv(true))
 	if err != nil {

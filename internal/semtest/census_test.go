@@ -87,6 +87,26 @@ func hostSources(t *testing.T, path string) []censusSource {
 	return out
 }
 
+// readFile and repoGlob read what the repository ships; a pattern is
+// relative to the module root and must match something.
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+func repoGlob(t *testing.T, pattern string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", pattern))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no files match %s (err=%v)", pattern, err)
+	}
+	return paths
+}
+
 // TestFallbackCensus is the gate on ROADMAP item 3's "whole-unit fallback
 // stops being a normal path": everything the repository ships as Junicon —
 // testdata/, the examples' embedded programs and expressions, the
@@ -96,22 +116,9 @@ func hostSources(t *testing.T, path string) []censusSource {
 // The benchmark's fallback set, which existed to price the fallback, must
 // not fall back at all: each of its procedures has a compiled Machine.
 func TestFallbackCensus(t *testing.T) {
-	root := filepath.Join("..", "..")
 	var sources []censusSource
-	read := func(path string) string {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("census: %v", err)
-		}
-		return string(data)
-	}
-	glob := func(pattern string) []string {
-		paths, err := filepath.Glob(filepath.Join(root, pattern))
-		if err != nil || len(paths) == 0 {
-			t.Fatalf("census: no files match %s (err=%v)", pattern, err)
-		}
-		return paths
-	}
+	read := func(path string) string { return readFile(t, path) }
+	glob := func(pattern string) []string { return repoGlob(t, pattern) }
 	for _, path := range glob("testdata/*.jn") {
 		sources = append(sources, censusSource{where: path, src: read(path)})
 	}
@@ -147,7 +154,7 @@ func TestFallbackCensus(t *testing.T) {
 		}
 	}
 
-	allowed := censusAllowlist(t, filepath.Join(root, "internal", "compile", "testdata", "fallback_allowlist.txt"))
+	allowed := censusAllowlist(t, filepath.Join("..", "..", "internal", "compile", "testdata", "fallback_allowlist.txt"))
 	// One interpreter per file, so an expression sees the program its file
 	// loaded before it. Host natives (x::split()) are stubbed, so units
 	// calling them are compiled rather than skipped; what the stubs make a

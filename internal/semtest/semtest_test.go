@@ -86,6 +86,9 @@ def fields(s) {
   };
 }
 def scanned(s) { suspend s ? (tab(upto(',')) || "|" || (="," & tab(0 | -1))); }
+def perCycle() { x := 0; every v := (|([x, 7][1])) \ 3 do { suspend v; x +:= 1; }; }
+global count
+def counted() { count := (\count | 0) + 1; return count; }
 `
 	cases = append(cases,
 		Case{Name: "revassign/undo-one-result", Program: lowered, Expr: "undoOne()"},
@@ -93,6 +96,19 @@ def scanned(s) { suspend s ? (tab(upto(',')) || "|" || (="," & tab(0 | -1))); }
 		Case{Name: "revassign/first-above", Program: lowered, Expr: "firstAbove(3 to 11 by 4)"},
 		Case{Name: "revassign/swap", Program: lowered, Expr: "swapped(1 to 2, 7)"},
 		Case{Name: "static/ticks", Program: lowered, Expr: "ticks(4) | tick()"},
+		// The two -O wrong answers of ROADMAP 3c. A write to a static was
+		// classed a local effect, so tick() looked pure and -O fused the
+		// call into a run-once prefix: 11 11 11 11 and 1 1 1. The list
+		// form had a root cause of its own, which fused/prefix-per-cycle
+		// shows without any static: a fused prefix was evaluated once per
+		// lifetime, not once per cycle, so repeated alternation re-read a
+		// stale x (0 0 0) — and, in fused/global-write, re-used the one
+		// result of a procedure that assigns a declared global, which the
+		// facts class as a local write to this day (11 11 11).
+		Case{Name: "static/fused-call", Program: lowered, Expr: "(|(tick() + 10)) \\ 4"},
+		Case{Name: "static/fused-list", Program: lowered, Expr: "(|([tick(), 7][1])) \\ 3"},
+		Case{Name: "fused/prefix-per-cycle", Program: lowered, Expr: "perCycle()"},
+		Case{Name: "fused/global-write", Program: lowered, Expr: "(|(counted() + 10)) \\ 3"},
 		Case{Name: "coexpr/stepped", Program: lowered, Expr: "stepped(5)"},
 		Case{Name: "scan/statement", Program: lowered, Expr: "fields(\"ab skip cd,ef stop gh\")"},
 		Case{Name: "scan/expression", Program: lowered, Expr: "scanned(\"a,b\" | \"no\" | \"x,y,z\")"},

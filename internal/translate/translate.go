@@ -67,8 +67,10 @@ func TranslateProgram(src string, opts Options) (string, error) {
 	e := newEmitter(opts)
 	if opts.Optimize {
 		// Facts are computed over the normalized tree — the one being
-		// emitted — so the emitter can consult them by node identity.
-		_, e.facts = analyze.ProgramFacts(norm, analyze.Options{Known: opts.Known})
+		// emitted — so the emitter can consult them by node identity. The
+		// vet gate above owns the diagnostics.
+		e.facts = analyze.NewFacts()
+		e.facts.ExtendDecls(norm.Decls, analyze.Options{Known: opts.Known})
 	}
 	out, err := e.program(norm)
 	if err != nil {
