@@ -451,8 +451,8 @@ func remoteBenchServer(b *testing.B) string {
 }
 
 // benchRemoteBatch streams b.N integers over loopback TCP with the given
-// VALUES-frame batch capability. Batch 1 negotiates the pre-batching
-// per-value protocol, so it doubles as the before/after baseline.
+// VALUES run cap. Batch 1 is runs of one — a frame and a credit grant per
+// value — so it doubles as the unbatched baseline.
 func benchRemoteBatch(b *testing.B, batch int) {
 	addr := remoteBenchServer(b)
 	p := remote.Open(addr, "range",

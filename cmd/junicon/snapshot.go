@@ -15,7 +15,7 @@ import (
 // :snap / :resume capture a suspended compiled generator into a versioned
 // snapshot file and resume it later — in another invocation, another
 // session, or another machine (the same blob rides the remote protocol's
-// RESUME frames).
+// resume-mode OPEN).
 
 // snapshotExpr evaluates expr on in (compiled execution forced on),
 // prints up to max results, then snapshots the generator's remaining

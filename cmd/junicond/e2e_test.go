@@ -171,7 +171,7 @@ func TestE2ETwoDaemonsBatchingInterop(t *testing.T) {
 		want[i] = int64(i + 1)
 	}
 	for _, addr := range []string{startDaemon(t, "-quiet=false"), startDaemon(t)} {
-		// Batching on by default, then a client that takes one VALUE frame
+		// Batching on by default, then a client that takes one VALUES frame
 		// per value: the same daemon serves both, the same sequence.
 		for _, cfg := range []remote.Config{{Buffer: 64}, {Buffer: 64, Batch: -1}} {
 			if got := drainRange(t, addr, cfg, n); !slices.Equal(got, want) {

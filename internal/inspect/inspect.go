@@ -54,9 +54,10 @@ const (
 	KindRemoteClient = "remote-client"
 	KindRemoteServer = "remote-server"
 	KindPool         = "pool"
-	// KindSession is a multiplexed connection (protocol v5): its handle's
-	// state is the shared writer's (blocked-put = wedged in the socket
-	// write), and its produced count is flushes, not values.
+	// KindSession is a multiplexed connection (internal/remote's Session,
+	// either end): its handle's state is the shared writer's (blocked-put =
+	// wedged in the socket write), and its produced count is flushes, not
+	// values.
 	KindSession = "session"
 )
 

@@ -9,7 +9,6 @@ package remote
 
 import (
 	"bytes"
-	"io"
 	"net"
 	"testing"
 
@@ -44,7 +43,7 @@ func encodedValuesFrame(t testing.TB, n int) []byte {
 		}
 		items = append(items, data)
 	}
-	return appendMuxFrame(nil, frameValues, 7, wire.EncodeBatch(items))
+	return appendMuxFrame(nil, frameValues, 7, wire.AppendBatch(nil, items))
 }
 
 // TestFrameReaderZeroAllocSteadyState: reading VALUES frames through a
@@ -62,22 +61,6 @@ func TestFrameReaderZeroAllocSteadyState(t *testing.T) {
 	read()
 	if avg := testing.AllocsPerRun(200, read); avg > 0 {
 		t.Errorf("frameReader.readMux allocates %.2f/op steady-state, want 0", avg)
-	}
-}
-
-// TestWriteFrameZeroAllocSmallPayload: writeFrame stages header+payload
-// in a pooled buffer for payloads under frameCopyLimit — zero allocations
-// and exactly one Write per frame.
-func TestWriteFrameZeroAllocSmallPayload(t *testing.T) {
-	payload := bytes.Repeat([]byte{0xab}, 4096)
-	write := func() {
-		if err := writeFrame(io.Discard, frameValues, payload); err != nil {
-			t.Fatalf("writeFrame: %v", err)
-		}
-	}
-	write()
-	if avg := testing.AllocsPerRun(200, write); avg > 0 {
-		t.Errorf("writeFrame allocates %.2f/op steady-state, want 0", avg)
 	}
 }
 

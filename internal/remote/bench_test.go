@@ -21,7 +21,7 @@ func (c *countingConn) Read(p []byte) (int, error) {
 
 // BenchmarkSessionDemux is the per-layer benchmark of the receive hop: a
 // peer's coalesced flushes — one short stream's traffic each, the
-// VALUE/VALUES/CREDIT/EOS mix a storm puts on a session — pushed through
+// VALUES (runs of one and of sixteen)/CREDIT/EOS mix a storm puts on a session — pushed through
 // a pipe-backed connection into readMux. One op is one frame; reads/frame
 // is the coalescing factor (two at the parent commit's unbuffered reader,
 // whatever a flush carries here).
@@ -36,11 +36,11 @@ func BenchmarkSessionDemux(b *testing.B) {
 	var flush []byte
 	for sid := uint32(1); sid <= 4; sid++ {
 		for _, one := range ints(4) {
-			flush = appendMuxFrame(flush, frameValue, sid, one)
+			flush = appendMuxFrame(flush, frameValues, sid, wire.AppendBatch(nil, [][]byte{one}))
 		}
-		flush = appendMuxFrame(flush, frameValues, sid, wire.EncodeBatch(ints(16)))
+		flush = appendMuxFrame(flush, frameValues, sid, wire.AppendBatch(nil, ints(16)))
 		flush = appendMuxFrame(flush, frameCredit, sid, creditPayload(16))
-		flush = appendMuxFrame(flush, frameValues, sid, wire.EncodeBatch(ints(16)))
+		flush = appendMuxFrame(flush, frameValues, sid, wire.AppendBatch(nil, ints(16)))
 		flush = appendMuxFrame(flush, frameEOS, sid, nil)
 	}
 

@@ -3,8 +3,8 @@ package remote
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"junicon/internal/core"
@@ -37,9 +37,8 @@ const (
 	// DefaultHeartbeat is the PING interval keeping idle streams alive and
 	// detecting dead peers.
 	DefaultHeartbeat = 2 * time.Second
-	// DefaultBatch is the VALUES-frame batch capability advertised when
-	// Config.Batch is zero: the server may pack up to this many values
-	// into one frame.
+	// DefaultBatch is the VALUES run cap asked for when Config.Batch is
+	// zero: the server may pack up to this many values into one frame.
 	DefaultBatch = 64
 	// DefaultRecoverWait bounds how long a recovering pipe keeps redialing
 	// a lost server before giving up and surfacing the original error.
@@ -57,8 +56,11 @@ var errConnLost = errors.New("remote: connection lost")
 // RemoteError is a server-reported stream error: the serving generator
 // raised a runtime error or panicked (the remote analogue of pipe.Pipe's
 // producer error), or the server rejected the OPEN (unknown generator,
-// vet errors, connection limit).
-type RemoteError struct{ Msg string }
+// vet errors, connection limit). Class says which; Msg is for people.
+type RemoteError struct {
+	Class ErrClass
+	Msg   string
+}
 
 func (e *RemoteError) Error() string { return "remote: server error: " + e.Msg }
 
@@ -68,28 +70,15 @@ type Config struct {
 	// bounded queue size (§3B throttling). <= 0 selects DefaultBuffer;
 	// 1 yields remote future/M-var behaviour.
 	Buffer int
-	// DialTimeout bounds connection establishment (TCP dial plus the
-	// session handshake) for a pipe made by the package-level Open or
-	// OpenSource; <= 0 selects DefaultDialTimeout. A pipe made through a
-	// Dialer shares pooled connections and is governed by
-	// Dialer.DialTimeout instead.
-	DialTimeout time.Duration
 	// Deadline bounds each Next call; 0 means no per-call deadline. On
 	// expiry the stream is torn down and Err reports ErrDeadline.
 	Deadline time.Duration
-	// Heartbeat is the connection's PING interval for a pipe made by the
-	// package-level Open or OpenSource; <= 0 selects DefaultHeartbeat. A
-	// peer silent for several intervals is treated as lost. Liveness is
-	// per connection, so a pipe made through a Dialer is governed by
-	// Dialer.Heartbeat instead.
-	Heartbeat time.Duration
-	// Batch is the VALUES-frame capability advertised at OPEN: the server
-	// may deliver up to Batch values per frame, and the client coalesces
-	// its per-value credit grants into runs of the same size. 0 selects
-	// DefaultBatch; negative disables batching entirely (the pipe
-	// advertises batch 0 and receives one VALUE frame per value).
-	// Credit accounting is per value either way, so the Buffer bound —
-	// §3B's throttle — is unchanged by batching.
+	// Batch caps the VALUES run asked for at OPEN: the server may deliver
+	// up to Batch values per frame, and the client coalesces its per-value
+	// credit grants into runs of the same size. 0 selects DefaultBatch;
+	// negative means runs of one — a frame and a grant per value. Credit
+	// accounting is per value either way, so the Buffer bound — §3B's
+	// throttle — is unchanged by batching.
 	Batch int
 	// CheckpointEvery asks the server to checkpoint the stream after every
 	// N delivered values (a SNAPSHOT frame piggybacked on the credit
@@ -106,30 +95,6 @@ type Config struct {
 	// RecoverWait bounds total redial time per recovery; <= 0 selects
 	// DefaultRecoverWait.
 	RecoverWait time.Duration
-}
-
-func (c Config) buffer() int {
-	if c.Buffer <= 0 {
-		return DefaultBuffer
-	}
-	return c.Buffer
-}
-
-func (c Config) batch() int {
-	if c.Batch < 0 {
-		return 0
-	}
-	if c.Batch == 0 {
-		return DefaultBatch
-	}
-	return c.Batch
-}
-
-func (c Config) recoverWait() time.Duration {
-	if c.RecoverWait <= 0 {
-		return DefaultRecoverWait
-	}
-	return c.RecoverWait
 }
 
 // RemotePipe is a generator proxy whose producer runs in another process:
@@ -156,18 +121,18 @@ type RemotePipe struct {
 	// was opened through, or — for the package-level constructors — a
 	// private one whose sessions carry this one stream and close with it.
 	// sess and sid are the current stream incarnation's place on the wire;
-	// sess is nil when none is live.
+	// sess is nil when none is live. out is its queue: nil while the pipe
+	// is unopened, closed and empty once it has halted.
 	dialer  *Dialer
 	sess    *Session
 	sid     uint32
 	out     queue.Queue[value.V]
-	started bool
 	err     error
 	results int
 	stream  uint64 // telemetry stream ID, propagated in OPEN; 0 = unobserved
-	// batch is the capability sent in the current stream's OPEN (0 when
-	// batching is off); debt counts values consumed but not yet credited
-	// back — coalesced into one CREDIT frame per run.
+	// batch is the run cap sent in the current stream's OPEN; debt counts
+	// values consumed but not yet credited back — coalesced into one CREDIT
+	// frame per run.
 	batch int
 	debt  uint64
 	// Durability state. epoch counts stream incarnations — a credit grant
@@ -201,11 +166,15 @@ var (
 // Open returns a remote pipe over the generator registered under name on
 // the server at addr, applied to args. No connection is made until the
 // first Next; the pipe then owns a private session carrying its one
-// stream, dialed with cfg.DialTimeout, kept alive at cfg.Heartbeat, and
-// closed when the stream ends. Dialer.Open shares connections instead.
+// stream, dialed and kept alive at the Dialer defaults and closed when the
+// stream ends. Dialer.Open shares connections instead.
 func Open(addr, name string, args []value.V, cfg Config) *RemotePipe {
-	return privateDialer(cfg).Open(addr, name, args, cfg)
+	return privateDialer().Open(addr, name, args, cfg)
 }
+
+// privateDialer is the Dialer a package-level Open or OpenSource pipe
+// owns: one stream per connection.
+func privateDialer() *Dialer { return &Dialer{StreamsPerConn: 1, private: true} }
 
 // OpenSource returns a remote pipe over a Junicon source stream: program
 // holds declarations (may be empty), expr is the generator expression the
@@ -213,7 +182,7 @@ func Open(addr, name string, args []value.V, cfg Config) *RemotePipe {
 // analyzer before running it and rejects error-level findings. The
 // connection is the pipe's own, as for Open.
 func OpenSource(addr, program, expr string, args []value.V, cfg Config) *RemotePipe {
-	return privateDialer(cfg).OpenSource(addr, program, expr, args, cfg)
+	return privateDialer().OpenSource(addr, program, expr, args, cfg)
 }
 
 // newPipe encodes the argument vector as one wire list into spec. An
@@ -228,34 +197,14 @@ func newPipe(d *Dialer, addr string, cfg Config, spec openReq, args []value.V) *
 	return p
 }
 
-// fail records the first fatal stream error.
-func (p *RemotePipe) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-// failEpoch is fail for the session's read loop and teardown, which can
-// outlive the incarnation they speak for: a connection loss noticed only
-// after Restart has opened the next stream must not fail that one.
-func (p *RemotePipe) failEpoch(err error, epoch uint64) {
-	p.mu.Lock()
-	if p.err == nil && p.epoch == epoch {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-// composeOpen builds the OPEN (or RESUME, for a continuation) for a new
-// stream incarnation. Caller holds p.mu.
-func (p *RemotePipe) composeOpen() (openReq, byte) {
+// composeOpen builds the OPEN for a new stream incarnation. Caller holds
+// p.mu.
+func (p *RemotePipe) composeOpen() openReq {
 	open := p.spec
-	open.credit = uint64(p.cfg.buffer())
+	open.credit = uint64(or(p.cfg.Buffer, DefaultBuffer))
 	open.stream = p.stream
-	if b := p.cfg.batch(); b > 1 {
-		open.batch = uint64(b)
+	if open.batch = 1; p.cfg.Batch >= 0 {
+		open.batch = uint64(or(p.cfg.Batch, DefaultBatch))
 	}
 	if p.cfg.CheckpointEvery > 0 {
 		open.interval = uint64(p.cfg.CheckpointEvery)
@@ -265,19 +214,17 @@ func (p *RemotePipe) composeOpen() (openReq, byte) {
 	// checkpoint when one covers the delivered prefix (skip bridges the
 	// values delivered past the snapshot); otherwise ask the server to
 	// re-run the generator and skip the whole delivered prefix.
-	typ := frameOpen
 	if p.results > 0 {
 		if p.lastSnap != nil && uint64(p.results) >= p.lastSnapAt {
 			open.mode = openResume
 			open.name, open.program, open.expr = "", "", ""
 			open.blob = p.lastSnap
 			open.skip = uint64(p.results) - p.lastSnapAt
-			typ = frameResume
 		} else {
 			open.skip = uint64(p.results)
 		}
 	}
-	return open, typ
+	return open
 }
 
 // armLocal initializes the local consumer state for a fresh stream
@@ -286,7 +233,7 @@ func (p *RemotePipe) composeOpen() (openReq, byte) {
 func (p *RemotePipe) armLocal(observed bool, credit, connID uint64) {
 	p.debt = 0
 	p.snapWait = nil
-	p.out = queue.NewArrayBlocking[value.V](p.cfg.buffer())
+	p.out = queue.NewArrayBlocking[value.V](int(credit))
 	if observed {
 		p.out = queue.Instrument(p.out, p.stream, "remote")
 		cClientStreams.Inc()
@@ -304,20 +251,17 @@ func (p *RemotePipe) armLocal(observed bool, credit, connID uint64) {
 		}
 		probe := p.out
 		p.ih.SetDepthProbe(func() (int, int) { return probe.Len(), probe.Cap() })
-	} else {
-		p.ih = nil
 	}
 	if p.results > 0 && telemetry.On() {
 		cClientRecoveries.Inc()
 	}
-	p.started = true
-	p.err = nil
 	p.done = make(chan struct{})
 }
 
 // start opens the stream as a logical stream on a session from the pipe's
 // dialer — dialing one when the pool has no room, always for a
-// package-level pipe. Caller holds p.mu.
+// package-level pipe. Caller holds p.mu, on a pipe that reset left
+// unopened.
 func (p *RemotePipe) start() error {
 	if p.argErr != nil {
 		return p.argErr
@@ -330,7 +274,7 @@ func (p *RemotePipe) start() error {
 	if err != nil {
 		return err
 	}
-	open, typ := p.composeOpen()
+	open := p.composeOpen()
 	p.batch = int(open.batch)
 	p.epoch++
 	p.armLocal(observed, open.credit, sess.id)
@@ -344,18 +288,44 @@ func (p *RemotePipe) start() error {
 		done:   p.done,
 		start:  time.Now(),
 	}
-	sid, err := sess.openStream(rx, typ, open.marshal())
-	if err != nil {
-		// The session died between reserve and open. Unwind the armed
-		// state; the error already wraps errConnLost, so Recover redials.
-		p.started = false
-		p.out.Close()
-		p.ih.Close()
-		p.ih = nil
+	if err := sess.openStream(rx, &open); err != nil {
+		// The session died between reserve and open. The error already
+		// wraps errConnLost, so Recover redials.
+		p.reset(true)
 		return err
 	}
-	p.sess, p.sid = sess, sid
+	p.sess, p.sid = sess, rx.sid
 	return nil
+}
+
+// reset ends the current stream incarnation — cancelling it if it is still
+// live, closing its queue and handle — and leaves the pipe unopened and
+// without error, so the next Next opens a stream: with keepPosition a
+// continuation at (results, last snapshot, replay), without it a fresh
+// evaluation. Every way an incarnation ends (Stop, Restart, Refresh,
+// recovery, Migrate's cut-over, a failed start) comes through here, so the
+// fields that say which stream this is change together. Caller holds p.mu.
+func (p *RemotePipe) reset(keepPosition bool) {
+	if p.sess != nil {
+		p.sess.closeStream(p.sid) // a no-op for a stream that has left its session's table
+	}
+	if p.out != nil {
+		p.out.Close()
+	}
+	p.ih.Close()
+	p.sess, p.out, p.ih, p.err = nil, nil, nil, nil
+	if !keepPosition {
+		p.results, p.lastSnap, p.lastSnapAt, p.snapReason, p.replay = 0, nil, 0, "", nil
+	}
+}
+
+// halt leaves a reset pipe on a closed, empty queue with err recorded:
+// every Next fails at once and nothing is dialed again until Restart.
+// Caller holds p.mu.
+func (p *RemotePipe) halt(err error) {
+	p.out = queue.NewArrayBlocking[value.V](1)
+	p.out.Close()
+	p.err = err
 }
 
 // noteSnapshot records a SNAPSHOT answer: the latest checkpoint blob (or
@@ -393,7 +363,10 @@ var testHookFlushPause func()
 // redial (crash recovery, migration) can swap the stream in between. A
 // fresh stream already opens with a full-buffer grant, so a stale grant
 // landing on it would over-credit the producer past the §3B bound — the
-// epoch check drops it instead.
+// epoch check drops it instead. (Session and stream id are read together
+// with the epoch, so a grant that loses the race after the check goes to
+// the old incarnation's — a dead connection or a finished stream id, both
+// of which discard it.)
 func (p *RemotePipe) flushCredits(demand bool) {
 	p.mu.Lock()
 	debt := p.debt
@@ -410,35 +383,12 @@ func (p *RemotePipe) flushCredits(demand bool) {
 	if testHookFlushPause != nil {
 		testHookFlushPause()
 	}
-	p.sendFrameEpoch(frameCredit, creditPayload(debt), epoch) // best effort; loss surfaces in the session's read loop
-}
-
-// sendFrame serializes control-frame writes against the current stream.
-func (p *RemotePipe) sendFrame(typ byte, payload []byte) error {
 	p.mu.Lock()
-	epoch := p.epoch
+	sess, sid, current := p.sess, p.sid, p.epoch == epoch
 	p.mu.Unlock()
-	return p.sendFrameEpoch(typ, payload, epoch)
-}
-
-// sendFrameEpoch writes a control frame only if the stream incarnation is
-// still the one the frame was composed for; a frame that raced a redial is
-// dropped, not delivered to the wrong stream. (The session and stream id
-// are captured together with the epoch, so a frame that loses the race
-// after the check goes to the old incarnation's — a dead connection or a
-// finished stream id, both of which discard it.)
-func (p *RemotePipe) sendFrameEpoch(typ byte, payload []byte, epoch uint64) error {
-	p.mu.Lock()
-	sess, sid := p.sess, p.sid
-	cur := p.epoch
-	p.mu.Unlock()
-	if sess == nil {
-		return errors.New("remote: stream not open")
+	if sess != nil && current {
+		sess.io.enqueue(frameCredit, sid, creditPayload(debt)) // best effort; loss surfaces in the session loop
 	}
-	if cur != epoch {
-		return nil // stale frame for a dead incarnation: drop silently
-	}
-	return sess.io.enqueue(typ, sid, payload)
 }
 
 // Next takes the next remote result, failing when the serving generator
@@ -458,13 +408,11 @@ func (p *RemotePipe) Next() (value.V, bool) {
 		p.mu.Unlock()
 		return v, true
 	}
-	if !p.ensureStarted() {
-		p.mu.Unlock()
-		return nil, false
-	}
-	out, sess, sid := p.out, p.sess, p.sid
-	batched := p.batch > 0
-	ih := p.ih
+	p.ensureStarted()
+	out, sess, sid, ih := p.out, p.sess, p.sid, p.ih
+	// A run cap of one is never partial: only a longer one can leave
+	// values waiting on the server for a demand ping.
+	demand := p.batch > 1
 	p.mu.Unlock()
 
 	if ih != nil {
@@ -475,7 +423,11 @@ func (p *RemotePipe) Next() (value.V, bool) {
 	var timer *time.Timer
 	if d := p.cfg.Deadline; d > 0 {
 		timer = time.AfterFunc(d, func() {
-			p.fail(ErrDeadline)
+			p.mu.Lock()
+			if p.err == nil {
+				p.err = ErrDeadline
+			}
+			p.mu.Unlock()
 			if sess != nil {
 				// Tear down this stream only: on a shared session the
 				// per-stream close leaves siblings undisturbed.
@@ -486,7 +438,7 @@ func (p *RemotePipe) Next() (value.V, bool) {
 	}
 	v, ok, err := out.TryTake()
 	if err == nil && !ok {
-		if batched {
+		if demand {
 			// About to block on an empty queue: hand back whatever credits
 			// we owe and signal demand, so the server ships its partial run
 			// instead of waiting to fill a batch.
@@ -499,41 +451,29 @@ func (p *RemotePipe) Next() (value.V, bool) {
 	}
 	if err != nil {
 		p.mu.Lock()
-		serr := p.err
-		if p.recoverableLocked(serr) {
-			var re *RemoteError
-			if errors.As(serr, &re) && strings.Contains(re.Msg, "resume rejected") {
-				// The snapshot didn't take (stale blob, resume disabled):
-				// drop it and recover by deterministic replay instead.
-				p.lastSnap = nil
-				p.lastSnapAt = 0
-			}
-			p.detachLocked()
-			p.mu.Unlock()
-			if p.reconnect() {
-				return p.Next()
-			}
-			return nil, false
-		}
+		recovering := p.recoverLocked()
 		p.mu.Unlock()
+		if recovering && p.reconnect() {
+			return p.Next()
+		}
 		return nil, false
 	}
 	p.mu.Lock()
 	p.results++
 	p.debt++
-	grant := !batched || p.debt >= uint64(p.batch)
+	// One CREDIT per run: a batch's worth of grants coalesce into one
+	// frame, with the pre-block demand ping above covering the tail. A run
+	// cap of one is the per-value ACK clock.
+	grant := p.debt >= uint64(p.batch)
 	if ih != nil {
 		ih.Running()
 		ih.Consumed(1)
 		// The credit balance is the window minus uncredited consumption:
 		// what the server may still send before its next stall.
-		ih.SetCredit(int64(uint64(p.cfg.buffer()) - p.debt))
+		ih.SetCredit(int64(uint64(or(p.cfg.Buffer, DefaultBuffer)) - p.debt))
 	}
 	p.mu.Unlock()
 	if grant {
-		// Unbatched streams credit every value (the original per-value
-		// ACK clock); batched streams coalesce a batch's worth into one
-		// frame, with the pre-block demand ping above covering the tail.
 		p.flushCredits(false)
 	}
 	return v, true
@@ -560,82 +500,55 @@ func (p *RemotePipe) StartEager() {
 	p.ensureStarted()
 }
 
-// closedQueue is what a pipe that must fail every Next holds: a closed
-// queue with nothing to drain.
-func closedQueue() queue.Queue[value.V] {
-	q := queue.NewArrayBlocking[value.V](1)
-	q.Close()
-	return q
-}
-
-// ensureStarted opens the stream unless one is open. A failure leaves the
-// pipe started on a closed queue with the error recorded, so every Next
-// fails at once and nothing is dialed again until Restart. Caller holds
-// p.mu.
-func (p *RemotePipe) ensureStarted() bool {
-	if p.started {
-		return true
+// ensureStarted opens the stream unless one is open; a failure halts the
+// pipe. Caller holds p.mu.
+func (p *RemotePipe) ensureStarted() {
+	if p.out == nil {
+		if err := p.start(); err != nil {
+			p.halt(err)
+		}
 	}
-	err := p.start()
-	if err != nil {
-		p.started = true
-		p.err = err
-		p.out = closedQueue()
-	}
-	return err == nil
 }
 
-// detachLocked abandons the current stream's client state so the next
-// Next opens a fresh one; the stream's teardown (triggered by the queue
-// close that got us here) owns the session. Caller holds p.mu.
-func (p *RemotePipe) detachLocked() {
-	p.started = false
-	p.err = nil
-	p.sess = nil
-}
-
-// recoverableLocked reports whether a terminated stream should be redialed
-// and resumed rather than surfaced: only under Config.Recover, and only
-// for connection loss or a rejected resume (which retries as replay). A
-// server-side producer error, a vet rejection, or a consumer deadline is
-// final either way. Caller holds p.mu.
-func (p *RemotePipe) recoverableLocked(err error) bool {
-	if !p.cfg.Recover || err == nil {
+// recoverLocked decides whether a terminated stream is redialed and
+// resumed rather than surfaced, and if so resets the pipe for it: only
+// under Config.Recover, and only for connection loss or a rejected resume —
+// whose snapshot didn't take (stale blob, resume disabled on the target)
+// and is dropped, so the retry recovers by deterministic replay instead. A
+// server-side producer error, a refused OPEN or a consumer deadline is
+// final either way, and so is whatever halted a pipe that has no stream.
+// Caller holds p.mu.
+func (p *RemotePipe) recoverLocked() bool {
+	if !p.cfg.Recover || p.err == nil || p.sess == nil {
 		return false
 	}
-	if errors.Is(err, errConnLost) {
-		return true
-	}
 	var re *RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "resume rejected")
+	if errors.As(p.err, &re) && re.Class == ClassResumeRejected {
+		p.lastSnap, p.lastSnapAt = nil, 0
+	} else if !errors.Is(p.err, errConnLost) {
+		return false
+	}
+	p.reset(true)
+	return true
 }
 
 // reconnect redials until a stream opens or RecoverWait elapses — the
 // window a crashed server (junicond restarting under a supervisor) has to
-// come back. Returns false with the final dial error recorded.
+// come back. Returns false with the pipe halted on the final dial error.
 func (p *RemotePipe) reconnect() bool {
-	deadline := time.Now().Add(p.cfg.recoverWait())
+	deadline := time.Now().Add(or(p.cfg.RecoverWait, DefaultRecoverWait))
 	for {
 		p.mu.Lock()
-		if p.started {
-			p.mu.Unlock()
-			return true
-		}
-		err := p.start()
-		p.mu.Unlock()
-		if err == nil {
-			return true
-		}
-		if time.Now().After(deadline) {
-			p.fail(err)
-			p.mu.Lock()
-			p.started = true // stop re-dialing on every Next; Restart resets
-			if p.out == nil {
-				p.out = closedQueue()
+		var err error
+		if p.out == nil {
+			if err = p.start(); err != nil && time.Now().After(deadline) {
+				p.halt(err) // stop re-dialing on every Next; Restart resets
 			}
-			p.out.Close()
-			p.mu.Unlock()
-			return false
+		}
+		opened := p.out != nil
+		p.mu.Unlock()
+		if opened {
+			return err == nil
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -650,16 +563,14 @@ func (p *RemotePipe) reconnect() bool {
 // the drain is bounded by the pipe's buffer.
 func (p *RemotePipe) Migrate(target string) error {
 	p.mu.Lock()
-	if !p.started || p.sess == nil || p.err != nil {
+	if p.sess == nil || p.err != nil {
 		// Nothing live to hand over: just point the pipe at the target.
 		// With results already delivered, the next Next resumes there.
 		p.addr = target
 		p.mu.Unlock()
 		return nil
 	}
-	ih := p.ih
-	out := p.out
-	done := p.done
+	ih, out, done, sess, sid := p.ih, p.out, p.done, p.sess, p.sid
 	ch := make(chan struct{})
 	p.snapWait = ch
 	p.mu.Unlock()
@@ -678,12 +589,12 @@ func (p *RemotePipe) Migrate(target string) error {
 			replay = append(replay, v)
 		}
 	}
-	p.sendFrame(frameSnapReq, nil)
+	sess.io.enqueue(frameSnapReq, sid, nil)
 	// Wait for the snapshot answer while draining the queue: the producer
 	// may need the read loop unblocked (queue full) before it can reach the
 	// SNAPREQ, and every value it ships before the SNAPSHOT marker must be
 	// in hand for the resume arithmetic.
-	deadline := time.Now().Add(p.cfg.recoverWait())
+	deadline := time.Now().Add(or(p.cfg.RecoverWait, DefaultRecoverWait))
 	for waiting := true; waiting; {
 		drain()
 		select {
@@ -701,18 +612,11 @@ func (p *RemotePipe) Migrate(target string) error {
 	// The SNAPSHOT frame is ordered after every value its count covers, so
 	// after this final drain delivered+replay >= lastSnapAt — the resume
 	// skip is never negative.
-	p.mu.Lock()
-	sess, sid := p.sess, p.sid
-	p.sess = nil
-	p.mu.Unlock()
-	if sess != nil {
-		sess.closeStream(sid)
-	}
-	<-done // the stream left the demux table: the queue is closed, nothing more arrives
+	sess.closeStream(sid)
+	<-done // the stream left the table: the queue is closed, nothing more arrives
 	drain()
 	p.mu.Lock()
-	p.started = false
-	p.err = nil
+	p.reset(true)
 	p.addr = target
 	p.replay = append(p.replay, replay...)
 	p.mu.Unlock()
@@ -729,7 +633,7 @@ func (p *RemotePipe) KillConn() {
 	sess := p.sess
 	p.mu.Unlock()
 	if sess != nil {
-		sess.Kill()
+		sess.io.conn.Close()
 	}
 }
 
@@ -750,29 +654,23 @@ func (p *RemotePipe) SnapshotRefusal() string {
 	return p.snapReason
 }
 
-// stopLocked cancels the current stream and discards what it had delivered
-// but Next had not yet returned: a closed queue drains before it fails, so
-// neither the shipped values nor a migration's replay may outlive the stop.
-// Caller holds p.mu.
+// stopLocked ends the stream and halts the pipe, discarding what the
+// stream had delivered but Next had not yet returned: a closed queue drains
+// before it fails, so neither the shipped values nor a migration's replay
+// may outlive the stop. Caller holds p.mu.
 func (p *RemotePipe) stopLocked() {
-	if p.sess != nil {
-		p.sess.closeStream(p.sid)
-		p.sess = nil
-	}
-	if p.out != nil {
-		p.out.Close()
-	}
-	p.ih.Close()
-	p.out, p.replay = closedQueue(), nil
+	p.reset(true)
+	p.replay = nil
+	p.halt(nil)
 }
 
 // Stop terminates the stream without restarting; further Nexts fail until
-// Restart. Safe to call at any time, including concurrently with Next.
+// Restart — also on a pipe that never started, which must now fail, not
+// dial. Safe to call at any time, including concurrently with Next.
 func (p *RemotePipe) Stop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stopLocked()
-	p.started = true // a never-started pipe must now fail, not dial
 }
 
 // Restart cancels the stream and arranges for a fresh one — a fresh
@@ -780,16 +678,7 @@ func (p *RemotePipe) Stop() {
 func (p *RemotePipe) Restart() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.started {
-		p.stopLocked()
-		p.started = false
-	}
-	p.err = nil
-	p.results = 0
-	p.lastSnap = nil
-	p.lastSnapAt = 0
-	p.snapReason = ""
-	p.replay = nil
+	p.reset(false)
 }
 
 // Step implements the activation operator @ on the remote pipe.
@@ -799,18 +688,10 @@ func (p *RemotePipe) Step(value.V) (value.V, bool) { return p.Next() }
 func (p *RemotePipe) Refresh() core.Stepper {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.started {
+	if p.out != nil {
 		p.stopLocked()
 	}
 	return &RemotePipe{addr: p.addr, cfg: p.cfg, spec: p.spec, argErr: p.argErr, dialer: p.dialer}
-}
-
-// Stream reports the telemetry stream ID sent in the OPEN frame — 0
-// unless the stream opened while telemetry was active.
-func (p *RemotePipe) Stream() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stream
 }
 
 // Size reports the number of results taken so far (*P).
@@ -825,3 +706,99 @@ func (p *RemotePipe) Type() string { return "co-expression" }
 
 // Image identifies the value as a remote pipe.
 func (p *RemotePipe) Image() string { return fmt.Sprintf("remote-pipe(%s)", p.addr) }
+
+// muxRx is one stream incarnation as its session sees it: the entry under
+// its stream id in the table, holding what the session's read goroutine
+// needs to deliver frames to the pipe between the consumer's Nexts.
+type muxRx struct {
+	p        *RemotePipe
+	epoch    uint64 // the pipe incarnation this stream is
+	sess     *Session
+	sid      uint32
+	stream   uint64 // telemetry stream ID (the OPEN's, stitching traces)
+	label    string // span label, captured at open (addr can change later)
+	out      queue.Queue[value.V]
+	ih       *inspect.Handle
+	done     chan struct{}
+	received atomic.Int64
+	start    time.Time
+}
+
+// clientRole is the dialing end of a session: it accepts what a server
+// says about a stream, and a frame for a stream no longer in the table is
+// dropped.
+var clientRole = role{frames: &[256]handler{
+	frameValues:   on((*muxRx).onValues),
+	frameEOS:      on((*muxRx).onEOS),
+	frameErr:      on((*muxRx).onErr),
+	frameSnapshot: on((*muxRx).onSnapshot),
+}}
+
+// fail records err as the stream's, unless the pipe has moved on to a
+// later incarnation: a connection loss noticed only after Restart has
+// opened the next stream must not fail that one.
+func (rx *muxRx) fail(err error) {
+	rx.p.mu.Lock()
+	if rx.p.err == nil && rx.p.epoch == rx.epoch {
+		rx.p.err = err
+	}
+	rx.p.mu.Unlock()
+}
+
+// end completes the stream's local state. Exactly-once is the table's: an
+// rx is only reachable through it, and whoever removes it ends it.
+func (rx *muxRx) end(err error) {
+	if err != nil {
+		rx.fail(err)
+	}
+	close(rx.done)
+	rx.out.Close()
+	rx.ih.Close()
+	if rx.stream != 0 {
+		telemetry.EmitSpan(rx.stream, telemetry.KindStreamEnd, rx.label, rx.received.Load(), rx.start)
+	}
+}
+
+// abandon fails the stream on a frame it cannot use and tells the server
+// to stop producing for it.
+func (rx *muxRx) abandon(err error) (bool, error) {
+	rx.fail(err)
+	rx.sess.io.enqueue(frameCancel, rx.sid, nil)
+	return true, nil
+}
+
+func (rx *muxRx) onValues(payload []byte) (bool, error) {
+	s := rx.sess
+	var err error
+	if s.vals, err = wire.UnmarshalBatchInto(s.vals[:0], payload, wire.DefaultLimits); err != nil {
+		return rx.abandon(fmt.Errorf("remote: malformed VALUES frame: %w", err))
+	}
+	n := int64(len(s.vals))
+	rx.received.Add(n)
+	if rx.stream != 0 && telemetry.On() {
+		cClientValues.Add(n)
+	}
+	if _, err := rx.out.PutBatch(s.vals); err != nil {
+		// The consumer closed the queue under the stream (Stop, deadline).
+		s.io.enqueue(frameCancel, rx.sid, nil)
+		return true, nil
+	}
+	rx.ih.Produced(n)
+	return false, nil
+}
+
+func (rx *muxRx) onEOS([]byte) (bool, error) { return true, nil }
+
+func (rx *muxRx) onErr(payload []byte) (bool, error) {
+	rx.fail(parseErr(payload))
+	return true, nil
+}
+
+func (rx *muxRx) onSnapshot(payload []byte) (bool, error) {
+	produced, ok, rest, err := parseSnapshot(payload)
+	if err != nil {
+		return rx.abandon(err)
+	}
+	rx.p.noteSnapshot(produced, ok, rest)
+	return false, nil
+}

@@ -2,9 +2,13 @@ package remote
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"sync"
 	"time"
 
+	"junicon/internal/inspect"
+	"junicon/internal/telemetry"
 	"junicon/internal/value"
 )
 
@@ -16,9 +20,9 @@ import (
 // behind one channel" economics the mesh roadmap needs.
 //
 // The package-level Open and OpenSource go through the same type: each
-// pipe gets a private Dialer (cap 1, the pipe's Config.Heartbeat and
-// Config.DialTimeout) whose session ends with the pipe's stream. How many
-// streams share a connection is the Dialer's business, never the wire's.
+// pipe gets a private Dialer (cap 1, default heartbeat and dial bound)
+// whose session ends with the pipe's stream. How many streams share a
+// connection is the Dialer's business, never the wire's.
 //
 // The zero value is ready to use. A Dialer is safe for concurrent use.
 type Dialer struct {
@@ -27,13 +31,12 @@ type Dialer struct {
 	// DefaultStreamsPerConn.
 	StreamsPerConn int
 	// Heartbeat is the per-connection PING interval; <= 0 selects
-	// DefaultHeartbeat. Liveness is per connection: one timer however many
-	// streams the session carries, and the Config.Heartbeat of the pipes
-	// opened through this Dialer is not consulted.
+	// DefaultHeartbeat. A server silent for four intervals is lost.
+	// Liveness is per connection: one timer however many streams the
+	// session carries.
 	Heartbeat time.Duration
 	// DialTimeout bounds session establishment (TCP dial + handshake);
-	// <= 0 selects DefaultDialTimeout. As with Heartbeat, it is this field
-	// and not Config.DialTimeout that governs a pooled pipe.
+	// <= 0 selects DefaultDialTimeout.
 	DialTimeout time.Duration
 
 	// private marks the Dialer behind one package-level pipe: its sessions
@@ -45,31 +48,13 @@ type Dialer struct {
 	closed   bool
 }
 
-// privateDialer is the Dialer a package-level Open or OpenSource pipe
-// owns: one stream per connection, liveness and dial bound from cfg.
-func privateDialer(cfg Config) *Dialer {
-	return &Dialer{StreamsPerConn: 1, Heartbeat: cfg.Heartbeat, DialTimeout: cfg.DialTimeout, private: true}
-}
-
-func (d *Dialer) streamsPerConn() int {
-	if d.StreamsPerConn <= 0 {
-		return DefaultStreamsPerConn
+// or returns v, or def when v is not positive: every "<= 0 selects the
+// default" knob of Config, Dialer and Server.
+func or[T ~int | ~int64](v, def T) T {
+	if v <= 0 {
+		return def
 	}
-	return d.StreamsPerConn
-}
-
-func (d *Dialer) heartbeat() time.Duration {
-	if d.Heartbeat <= 0 {
-		return DefaultHeartbeat
-	}
-	return d.Heartbeat
-}
-
-func (d *Dialer) dialTimeout() time.Duration {
-	if d.DialTimeout <= 0 {
-		return DefaultDialTimeout
-	}
-	return d.DialTimeout
+	return v
 }
 
 // Open is remote.Open through the pool: the returned pipe opens its
@@ -97,23 +82,11 @@ func (d *Dialer) session(addr string) (*Session, error) {
 	if d.sessions == nil {
 		d.sessions = make(map[string][]*Session)
 	}
-	limit := d.streamsPerConn()
-	live := d.sessions[addr][:0]
-	var pick *Session
+	limit := or(d.StreamsPerConn, DefaultStreamsPerConn)
 	for _, s := range d.sessions[addr] {
-		select {
-		case <-s.done:
-			continue // dead: prune
-		default:
+		if s.tryReserve(limit) { // never a dead one's: drop is about to forget it
+			return s, nil
 		}
-		live = append(live, s)
-		if pick == nil && s.tryReserve(limit) {
-			pick = s
-		}
-	}
-	d.sessions[addr] = live
-	if pick != nil {
-		return pick, nil
 	}
 	s, err := dialSession(d, addr)
 	if err != nil {
@@ -124,7 +97,7 @@ func (d *Dialer) session(addr string) (*Session, error) {
 	return s, nil
 }
 
-// drop forgets a dead session; its teardown calls this.
+// drop forgets a dead session; the end of its loop calls this.
 func (d *Dialer) drop(addr string, dead *Session) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -168,5 +141,101 @@ func (d *Dialer) Close() {
 	d.mu.Unlock()
 	for _, s := range all {
 		s.Close()
+	}
+}
+
+// dialSession dials addr and performs the handshake. A server that answers
+// ERR — wrong protocol version, connection limit — is reported as the
+// *RemoteError it sent: nothing is retried and no verdict is kept.
+func dialSession(d *Dialer, addr string) (*Session, error) {
+	timeout := or(d.DialTimeout, DefaultDialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
+	}
+	id := telemetry.NextStream()
+	hello := openReq{mode: openMux, credit: uint64(or(d.StreamsPerConn, DefaultStreamsPerConn)), stream: id}
+	var typ byte
+	var payload []byte
+	if err = writeFrame(conn, frameOpen, hello.marshal()); err == nil {
+		conn.SetReadDeadline(time.Now().Add(timeout))
+		typ, payload, err = readFrame(conn)
+	}
+	switch {
+	case err != nil:
+		err = fmt.Errorf("remote: session open %s: %w", addr, err)
+	case typ == frameErr:
+		err = parseErr(payload)
+	case typ != frameHello:
+		err = fmt.Errorf("remote: session open %s: unexpected %s frame", addr, frameName(typ))
+	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	conn.SetReadDeadline(time.Time{})
+	ih := inspect.Register(id, inspect.KindSession, "session:"+addr)
+	ih.SetConn(id)
+	// A peer silent for several heartbeat intervals is lost: PONGs answer
+	// our PINGs, so a fill normally returns at least once per interval.
+	hb := or(d.Heartbeat, DefaultHeartbeat)
+	s := newSession(conn, &clientRole, ih, 4*hb)
+	s.id, s.private = id, d.private
+	go func() {
+		s.run()
+		d.drop(addr, s)
+	}()
+	go s.pingLoop(hb)
+	return s, nil
+}
+
+// tryReserve claims a stream slot under limit, counting live and claimed
+// slots both, so concurrent opens cannot overshoot the streams-per-conn
+// cap; openStream consumes the claim.
+func (s *Session) tryReserve(limit int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || len(s.streams)+s.pending >= limit {
+		return false
+	}
+	s.pending++
+	return true
+}
+
+// openStream enters the stream's receive state into the table under a
+// fresh id and enqueues its OPEN. rx must be fully armed before the call:
+// frames may land the moment the OPEN reaches the wire.
+func (s *Session) openStream(rx *muxRx, open *openReq) error {
+	s.mu.Lock()
+	s.pending--
+	s.nextSID++
+	rx.sess, rx.sid = s, s.nextSID
+	s.mu.Unlock()
+	if !s.add(rx.sid, rx) {
+		return fmt.Errorf("%w: session closed", errConnLost)
+	}
+	if telemetry.On() {
+		cMuxStreams.Inc()
+	}
+	err := s.io.enqueue(frameOpen, rx.sid, open.marshal())
+	if err != nil && s.remove(rx.sid, rx) {
+		rx.end(nil)
+	}
+	return err
+}
+
+// closeStream cancels one logical stream (consumer-side Stop): a
+// best-effort CANCEL so the server releases its producer promptly, then
+// local completion. Siblings on the session are untouched. A stream that
+// already left the table (EOS, ERR, teardown) needs no CANCEL — its server
+// producer is gone, and skipping the frame keeps the stop-after-drain path
+// off the wire entirely.
+func (s *Session) closeStream(sid uint32) {
+	s.mu.Lock()
+	st := s.streams[sid]
+	s.mu.Unlock()
+	if st != nil {
+		s.io.enqueue(frameCancel, sid, nil)
+		s.finish(sid, st)
 	}
 }

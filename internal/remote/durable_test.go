@@ -267,7 +267,7 @@ func TestFreshGrantStillFlows(t *testing.T) {
 	})
 }
 
-// TestV4OpenCodecRoundTrip pins the OPEN fields and the RESUME frame codec
+// TestV4OpenCodecRoundTrip pins the OPEN fields, resume mode included,
 // at the byte level: one layout, led by the one version. (The name is from
 // the protocol revision that added the durability fields.)
 func TestV4OpenCodecRoundTrip(t *testing.T) {
@@ -291,7 +291,7 @@ func TestV4OpenCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Any other version is refused by number, whatever follows it.
-	for _, ver := range []byte{0, 1, 4, 6} {
+	for _, ver := range []byte{0, 1, 4, 5, 7} {
 		payload := (&openReq{mode: openNamed, name: "x"}).marshal()
 		payload[0] = ver
 		if _, err := parseOpen(payload); err == nil ||

@@ -60,11 +60,11 @@ func (p *fakePeer) send(typ byte, payload []byte) error {
 	return err
 }
 
-// sendValues writes n integer VALUE frames.
+// sendValues writes n integers, each a VALUES run of one.
 func (p *fakePeer) sendValues(n int) {
 	for i := 1; i <= n; i++ {
 		data, _ := wire.Marshal(value.NewInt(int64(i)))
-		if p.send(frameValue, data) != nil {
+		if p.send(frameValues, wire.AppendBatch(nil, [][]byte{data})) != nil {
 			return
 		}
 	}
@@ -111,7 +111,7 @@ func TestServerCrashMidStream(t *testing.T) {
 
 func TestMalformedValuePayloadSurfacesAsErr(t *testing.T) {
 	addr := fakeServer(t, func(p *fakePeer) {
-		p.send(frameValue, []byte{0xee, 0xff, 0x01}) // unknown wire tag
+		p.send(frameValues, []byte{1, 3, 0xee, 0xff, 0x01}) // a run of one, with an unknown wire tag
 		p.hold()
 	})
 	p := Open(addr, "whatever", nil, testConfig())
@@ -147,7 +147,7 @@ func TestOversizedFramePrefixSurfacesAsErr(t *testing.T) {
 	addr := fakeServer(t, func(p *fakePeer) {
 		// A length prefix over MaxFrame: the client must reject it before
 		// allocating, not try to read 4GiB.
-		hdr := muxHeader(frameValue, p.sid, 0)
+		hdr := muxHeader(frameValues, p.sid, 0)
 		p.Write(append(hdr[:5], 0xff, 0xff, 0xff, 0xff))
 		time.Sleep(2 * time.Second)
 	})
@@ -169,8 +169,8 @@ func TestSilentPeerIsDetectedByLiveness(t *testing.T) {
 		// TCP connection still established.
 		time.Sleep(5 * time.Second)
 	})
-	cfg := testConfig() // heartbeat 25ms → liveness window 100ms
-	p := Open(addr, "whatever", nil, cfg)
+	// heartbeat 25ms → liveness window 100ms
+	p := testDialer(true).Open(addr, "whatever", nil, testConfig())
 	defer p.Stop()
 	within(t, 3*time.Second, "liveness detection", func() {
 		if _, ok := p.Next(); ok {

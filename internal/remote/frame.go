@@ -9,55 +9,62 @@
 // # Protocol
 //
 // One TCP connection is a session carrying many logical streams. The
-// client opens it with a handshake in plain [type][len] framing — an OPEN
-// in mode openMux, answered by HELLO (or by ERR and a close: wrong
-// protocol version, connection limit). From the byte after HELLO every
-// frame in both directions carries a stream id: [type:1][stream:4 BE]
-// [len:4 BE][payload]. Stream id 0 is the connection itself; every other id
-// is one stream, opened by the client with an OPEN naming a registered
-// generator (plus arguments) or a vetted Junicon source program, or with a
-// RESUME carrying a checkpoint snapshot to restore:
+// client opens it with a handshake of two small frames in plain
+// [type][len] framing — an OPEN in mode openMux, answered by HELLO (or by
+// ERR and a close: wrong protocol version, connection limit, a handshake
+// longer than maxHandshake). From the byte after HELLO every frame in both
+// directions carries a stream id: [type:1][stream:4 BE][len:4 BE][payload].
+// Stream id 0 is the connection itself; every other id is one stream,
+// opened by the client with an OPEN whose mode names what to serve — a
+// registered generator (plus arguments), a vetted Junicon source program,
+// or a checkpoint snapshot to restore:
 //
 //	client                          server
 //	  | OPEN{mux, streams hint}       |   plain framing
 //	  |------------------------------>|
 //	  |<------------------------ HELLO|   mux framing from here on
-//	  | sid: OPEN{name|source, args, credit, batch, interval, skip}
+//	  | sid: OPEN{named|source|resume, args, credit, batch, interval, skip}
 //	  |------------------------------>|
-//	  |<------ sid: VALUE / VALUES ...|   (at most `credit` values unacknowledged)
+//	  |<----------- sid: VALUES{n>=1} |   (at most `credit` values unacknowledged)
 //	  | sid: CREDIT{n}                |   (n consumed values; n=0 is pure demand)
 //	  |------------------------------>|
 //	  |<------------------ sid: EOS   |   (generator failed = clean end)
-//	  |<------------------ sid: ERR   |   (producer error, refused OPEN)
+//	  |<------ sid: ERR{class, msg}   |   (producer error, refused OPEN)
 //	  | sid: CANCEL                   |   (consumer stopped the pipe)
 //	  | 0: PING / PONG in both gaps   |   (liveness, once per connection)
+//
+// Every fact has one encoding: a value travels in a VALUES run (of one,
+// when the stream's batch is 1), a resume is an OPEN mode, and why a stream
+// failed is the class byte leading its ERR payload, never its prose.
 //
 // A package-level Open owns a private session carrying its one stream and
 // closes the connection when the stream ends; a Dialer pools sessions per
 // address and shares each among up to StreamsPerConn streams. An ERR or
 // EOS ends one stream, never its siblings; frames for an id that has
-// finished are dropped, since a flush can race a cancel.
+// finished are dropped, since a flush can race a cancel; a frame type the
+// receiving end's table (session.go) does not hold ends the session.
 //
 // Flow control is credit-based and per stream: the server may have at most
 // as many unacknowledged values in flight as the client has granted
 // credits, and the client grants exactly its pipe buffer up front then one
-// credit per consumed value (coalesced into runs when the stream is
-// batched). The pipe's buffer bound therefore throttles the remote
-// producer exactly as §3B's bounded queue throttles a local threaded
-// co-expression — a RemotePipe with buffer 1 degenerates to a remote
-// future/M-var, just as locally — and one slow consumer fills its own
-// window, never the connection's demux loop.
+// credit per consumed value (coalesced into one CREDIT per batch). The
+// pipe's buffer bound therefore throttles the remote producer exactly as
+// §3B's bounded queue throttles a local threaded co-expression — a
+// RemotePipe with buffer 1 degenerates to a remote future/M-var, just as
+// locally — and one slow consumer fills its own window, never the
+// connection's demux loop.
 //
 // Durability rides the same cadence. With a checkpoint interval in its
 // OPEN the server emits a SNAPSHOT (blob or refusal) after every interval
 // delivered values, so the credit window also bounds checkpoint lag;
 // SNAPREQ forces one immediately (the migration handshake). A lost stream
-// is reopened with RESUME from the last snapshot, or with an OPEN whose
-// skip count replays the delivered prefix.
+// is reopened in mode openResume from the last snapshot, or with an OPEN
+// whose skip count replays the delivered prefix.
 //
-// Liveness is per connection: each end pings stream 0 every heartbeat and
-// treats a peer silent for several intervals (the server: IdleTimeout) as
-// lost, which fails every stream on the session.
+// Liveness is per connection: the client pings stream 0 every heartbeat
+// and treats a server silent for several intervals as lost; the server
+// drops a client silent for IdleTimeout. Either fails every stream on the
+// session.
 //
 // Failure propagates faithfully: the serving generator's Icon failure
 // becomes EOS (the remote pipe's Next fails, Err() == nil); a producer
@@ -72,7 +79,8 @@
 // gathered, session.go) and read through a frameReader (one Read and one
 // liveness-deadline arm per batch that arrived, below). Only the two
 // handshake frames are read exact-length, by readFrame, so that not a byte
-// is buffered across the switch of framing.
+// is buffered across the switch of framing — and none allocated for a
+// length over maxHandshake.
 package remote
 
 import (
@@ -85,6 +93,7 @@ import (
 	"time"
 
 	"junicon/internal/telemetry"
+	"junicon/internal/wire"
 )
 
 // Wire-level telemetry: every frame written or read in this process
@@ -115,25 +124,24 @@ func countRx(n int) {
 	}
 }
 
-// Frame types. Append-only, like the wire codec's tag space.
+// Frame types. Append-only, like the wire codec's tag space: 0x03 (a lone
+// value, now a VALUES run of one) and 0x0b (a resume, now an OPEN mode)
+// were retired with protocol v5 and stay unassigned.
 const (
 	frameOpen   byte = 0x01 // client→server: open a stream
 	frameCredit byte = 0x02 // client→server: grant n more credits
-	frameValue  byte = 0x03 // server→client: one wire-encoded result
 	frameEOS    byte = 0x04 // server→client: generator failed (clean end)
-	frameErr    byte = 0x05 // either: fatal stream error, payload = message
+	frameErr    byte = 0x05 // either: fatal stream error, payload = class + message
 	framePing   byte = 0x06 // either: liveness probe
 	framePong   byte = 0x07 // either: probe answer
 	frameCancel byte = 0x08 // client→server: stop the stream
-	frameValues byte = 0x09 // server→client: a batch of wire-encoded results
+	frameValues byte = 0x09 // server→client: a run of wire-encoded results
 	// Durable-generator frames. SNAPSHOT piggybacks on the
 	// credit-grant cadence — the server emits one after every checkpoint
 	// interval of delivered values, so §3B flow control bounds checkpoint
-	// lag exactly as it bounds queue depth. RESUME is an alternative opening
-	// frame carrying a snapshot blob; SNAPREQ forces an immediate snapshot
-	// (the migration handshake).
+	// lag exactly as it bounds queue depth. SNAPREQ forces an immediate
+	// snapshot (the migration handshake).
 	frameSnapshot byte = 0x0a // server→client: checkpoint blob or refusal
-	frameResume   byte = 0x0b // client→server: open by restoring a snapshot
 	frameSnapReq  byte = 0x0c // client→server: demand a snapshot now
 	// frameHello is the server's answer to the session OPEN (mode openMux):
 	// from the byte after it, both directions use multiplexed framing.
@@ -144,95 +152,48 @@ const (
 // treated as a protocol error, protecting both sides from hostile peers.
 const MaxFrame = 32 << 20
 
+// maxHandshake bounds the payload of the two plain-framed handshake frames
+// (a session OPEN is a dozen bytes, its answer a HELLO or a one-line ERR):
+// a peer that claims more is refused on the header, before any allocation.
+const maxHandshake = 4 << 10
+
+var frameNames = [256]string{
+	frameOpen: "OPEN", frameCredit: "CREDIT", frameEOS: "EOS", frameErr: "ERR",
+	framePing: "PING", framePong: "PONG", frameCancel: "CANCEL", frameValues: "VALUES",
+	frameSnapshot: "SNAPSHOT", frameSnapReq: "SNAPREQ", frameHello: "HELLO",
+}
+
 // frameName makes protocol errors readable.
 func frameName(t byte) string {
-	switch t {
-	case frameOpen:
-		return "OPEN"
-	case frameCredit:
-		return "CREDIT"
-	case frameValue:
-		return "VALUE"
-	case frameEOS:
-		return "EOS"
-	case frameErr:
-		return "ERR"
-	case framePing:
-		return "PING"
-	case framePong:
-		return "PONG"
-	case frameCancel:
-		return "CANCEL"
-	case frameValues:
-		return "VALUES"
-	case frameSnapshot:
-		return "SNAPSHOT"
-	case frameResume:
-		return "RESUME"
-	case frameSnapReq:
-		return "SNAPREQ"
-	case frameHello:
-		return "HELLO"
+	if name := frameNames[t]; name != "" {
+		return name
 	}
 	return fmt.Sprintf("frame %#x", t)
 }
 
-// frameCopyLimit is the payload size up to which writeFrame stages the
-// header and payload in one recycled buffer for a single Write call —
-// halving syscalls on the steady VALUES path. Larger payloads are written
-// header-then-payload: copying megabytes to save one syscall is a loss.
-const frameCopyLimit = 64 << 10
-
-// frameBufPool recycles writeFrame's staging buffers. Buffers are bounded
-// by frameCopyLimit + header, so the pool never pins large payloads.
-var frameBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
-// writeFrame emits one handshake-framed frame: 1-byte type, 4-byte
-// big-endian payload length, payload. Small frames are staged in a pooled
-// buffer and written in one call.
+// writeFrame emits one handshake-framed frame in one Write: 1-byte type,
+// 4-byte big-endian payload length, payload.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("remote: %s payload %d exceeds MaxFrame", frameName(typ), len(payload))
-	}
-	var err error
-	if len(payload) <= frameCopyLimit {
-		bp := frameBufPool.Get().(*[]byte)
-		b := (*bp)[:0]
-		b = append(b, typ)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
-		b = append(b, payload...)
-		_, err = w.Write(b)
-		*bp = b[:0]
-		frameBufPool.Put(bp)
-	} else {
-		hdr := [5]byte{typ}
-		binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-		if _, err = w.Write(hdr[:]); err == nil {
-			_, err = w.Write(payload)
-		}
-	}
-	if err != nil {
+	b := binary.BigEndian.AppendUint32([]byte{typ}, uint32(len(payload)))
+	if _, err := w.Write(append(b, payload...)); err != nil {
 		return err
 	}
-	countTx(5 + len(payload))
+	countTx(len(b) + len(payload))
 	return nil
 }
 
 // readFrame reads one handshake-framed frame with exact-length reads,
-// rejecting an oversized length prefix before allocating. It consumes not
-// one byte past its frame, so the connection can switch to multiplexed
-// framing — and be handed to a frameReader — right after it.
+// rejecting a length prefix over maxHandshake before allocating. It
+// consumes not one byte past its frame, so the connection can switch to
+// multiplexed framing — and be handed to a frameReader — right after it.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("remote: frame length %d exceeds MaxFrame", n)
+	if n > maxHandshake {
+		return 0, nil, fmt.Errorf("remote: handshake frame length %d exceeds %d", n, maxHandshake)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -407,10 +368,10 @@ func (f *frameReader) readMux() (typ byte, sid uint32, payload []byte, err error
 // ---- OPEN payload ----
 
 // protocolVersion is the one wire version this package speaks. It leads
-// every OPEN payload — the session handshake and each stream's OPEN or
-// RESUME alike — and a peer that sends any other is refused with an ERR
-// naming both numbers.
-const protocolVersion = 5
+// every OPEN payload — the session handshake and each stream's OPEN alike
+// — and a peer that sends any other is refused with an ERR naming both
+// numbers.
+const protocolVersion = 6
 
 // Open modes.
 const (
@@ -425,7 +386,7 @@ type openReq struct {
 	mode   byte
 	credit uint64 // initial credit grant == client pipe buffer
 	stream uint64 // client telemetry stream ID; 0 = unobserved client
-	batch  uint64 // max VALUES batch the client accepts; 0 = per-value VALUE frames
+	batch  uint64 // longest VALUES run the client asks for; 0 and 1 both mean runs of one
 	// Durability fields. interval asks the server to emit a SNAPSHOT after
 	// every interval delivered values (0 = never). skip asks the server to
 	// discard that many leading values before the first delivery — crash
@@ -439,32 +400,19 @@ type openReq struct {
 	args     []byte // wire-encoded argument list (decoded lazily server-side)
 }
 
-func appendUvarint(b []byte, u uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(b, tmp[:binary.PutUvarint(tmp[:], u)]...)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 func (o *openReq) marshal() []byte {
 	b := []byte{protocolVersion, o.mode}
-	b = appendUvarint(b, o.credit)
-	b = appendUvarint(b, o.stream)
-	b = appendUvarint(b, o.batch)
-	b = appendUvarint(b, o.interval)
-	b = appendUvarint(b, o.skip)
+	for _, field := range []uint64{o.credit, o.stream, o.batch, o.interval, o.skip} {
+		b = binary.AppendUvarint(b, field)
+	}
 	switch o.mode {
 	case openNamed:
-		b = appendString(b, o.name)
+		b = wire.AppendString(b, o.name)
 	case openSource:
-		b = appendString(b, o.program)
-		b = appendString(b, o.expr)
+		b = wire.AppendString(b, o.program)
+		b = wire.AppendString(b, o.expr)
 	case openResume:
-		b = appendUvarint(b, uint64(len(o.blob)))
-		b = append(b, o.blob...)
+		b = append(binary.AppendUvarint(b, uint64(len(o.blob))), o.blob...)
 	case openMux:
 		// The handshake names no generator: credit carries the client's
 		// streams-per-conn hint and stream its connection id.
@@ -472,95 +420,82 @@ func (o *openReq) marshal() []byte {
 	return append(b, o.args...)
 }
 
-type byteReader struct {
-	buf []byte
-	pos int
-}
+// payloadLimits lets a field of a frame payload be as long as the frame,
+// which MaxFrame has already bounded.
+var payloadLimits = wire.Limits{MaxBytes: MaxFrame}
 
-func (r *byteReader) byte() (byte, error) {
-	if r.pos >= len(r.buf) {
-		return 0, errors.New("remote: truncated OPEN payload")
-	}
-	c := r.buf[r.pos]
-	r.pos++
-	return c, nil
-}
-
-func (r *byteReader) uvarint() (uint64, error) {
-	u, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, errors.New("remote: bad uvarint in OPEN payload")
-	}
-	r.pos += n
-	return u, nil
-}
-
-func (r *byteReader) string() (string, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if u > uint64(len(r.buf)-r.pos) {
-		return "", errors.New("remote: truncated string in OPEN payload")
-	}
-	s := string(r.buf[r.pos : r.pos+int(u)])
-	r.pos += int(u)
-	return s, nil
-}
-
-func (r *byteReader) bytes() ([]byte, error) {
-	u, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if u > uint64(len(r.buf)-r.pos) {
-		return nil, errors.New("remote: truncated bytes in OPEN payload")
-	}
-	b := r.buf[r.pos : r.pos+int(u)]
-	r.pos += int(u)
-	return b, nil
-}
-
+// parseOpen decodes an OPEN payload. The strings are copies; blob and args
+// alias payload.
 func parseOpen(payload []byte) (*openReq, error) {
-	r := &byteReader{buf: payload}
-	ver, err := r.byte()
+	r := wire.NewReader(payload, payloadLimits)
+	ver, err := r.Byte()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("remote: OPEN payload: %w", err)
 	}
 	if ver != protocolVersion {
 		return nil, fmt.Errorf("remote: protocol version %d, want %d", ver, protocolVersion)
 	}
 	o := &openReq{}
-	if o.mode, err = r.byte(); err != nil {
-		return nil, err
-	}
+	o.mode, err = r.Byte()
 	for _, field := range []*uint64{&o.credit, &o.stream, &o.batch, &o.interval, &o.skip} {
-		if *field, err = r.uvarint(); err != nil {
-			return nil, err
+		if err == nil {
+			*field, err = r.Uvarint()
 		}
 	}
-	switch o.mode {
-	case openNamed:
-		if o.name, err = r.string(); err != nil {
-			return nil, err
+	if err == nil {
+		switch o.mode {
+		case openNamed:
+			o.name, err = r.Str()
+		case openSource:
+			if o.program, err = r.Str(); err == nil {
+				o.expr, err = r.Str()
+			}
+		case openResume:
+			o.blob, err = r.Bytes()
+		case openMux:
+		default:
+			err = fmt.Errorf("unknown mode %d", o.mode)
 		}
-	case openSource:
-		if o.program, err = r.string(); err != nil {
-			return nil, err
-		}
-		if o.expr, err = r.string(); err != nil {
-			return nil, err
-		}
-	case openResume:
-		if o.blob, err = r.bytes(); err != nil {
-			return nil, err
-		}
-	case openMux:
-	default:
-		return nil, fmt.Errorf("remote: unknown OPEN mode %d", o.mode)
 	}
-	o.args = payload[r.pos:]
+	if err != nil {
+		return nil, fmt.Errorf("remote: OPEN payload: %w", err)
+	}
+	o.args = r.Rest()
 	return o, nil
+}
+
+// ---- ERR payload ----
+
+// ErrClass says why the server failed or refused a stream. It leads every
+// ERR payload, so what the client does next — give up, or drop a snapshot
+// and replay — never depends on the wording of the message after it.
+type ErrClass byte
+
+const (
+	// ClassRefused: the server would not open the stream or the session
+	// (unknown generator, vet errors, source disabled, connection limit).
+	ClassRefused ErrClass = 1
+	// ClassResumeRejected: the server would not restore the snapshot a
+	// resume-mode OPEN carried; a recovering pipe drops it and replays.
+	ClassResumeRejected ErrClass = 2
+	// ClassProducer: the serving generator raised a runtime error,
+	// panicked, or produced a value the codec cannot carry.
+	ClassProducer ErrClass = 3
+	// ClassProtocol: the peer did not speak this protocol (wrong version,
+	// malformed OPEN, a handshake that is no handshake).
+	ClassProtocol ErrClass = 4
+)
+
+func errPayload(class ErrClass, msg string) []byte { return append([]byte{byte(class)}, msg...) }
+
+// parseErr decodes an ERR payload. A first byte that is no class is the
+// first letter of a message: a peer older than the class byte refusing the
+// handshake, whose words — they name both versions — are reported whole.
+func parseErr(payload []byte) *RemoteError {
+	if len(payload) == 0 || payload[0] == 0 || payload[0] > byte(ClassProtocol) {
+		return &RemoteError{Class: ClassProtocol, Msg: string(payload)}
+	}
+	return &RemoteError{Class: ErrClass(payload[0]), Msg: string(payload[1:])}
 }
 
 // ---- SNAPSHOT payload ----
@@ -571,7 +506,7 @@ func parseOpen(payload []byte) (*openReq, error) {
 // answer, not an error — the stream keeps flowing and the client falls
 // back to replay recovery.
 func snapshotPayload(produced uint64, ok bool, rest []byte) []byte {
-	b := appendUvarint(nil, produced)
+	b := binary.AppendUvarint(nil, produced)
 	if ok {
 		b = append(b, 1)
 	} else {
@@ -581,19 +516,20 @@ func snapshotPayload(produced uint64, ok bool, rest []byte) []byte {
 }
 
 func parseSnapshot(payload []byte) (produced uint64, ok bool, rest []byte, err error) {
-	r := &byteReader{buf: payload}
-	if produced, err = r.uvarint(); err != nil {
-		return 0, false, nil, errors.New("remote: bad SNAPSHOT payload")
+	r := wire.NewReader(payload, payloadLimits)
+	if produced, err = r.Uvarint(); err == nil {
+		var okb byte
+		okb, err = r.Byte()
+		ok = okb != 0
 	}
-	okb, err := r.byte()
 	if err != nil {
 		return 0, false, nil, errors.New("remote: bad SNAPSHOT payload")
 	}
-	return produced, okb != 0, payload[r.pos:], nil
+	return produced, ok, r.Rest(), nil
 }
 
 // creditPayload encodes a CREDIT grant.
-func creditPayload(n uint64) []byte { return appendUvarint(nil, n) }
+func creditPayload(n uint64) []byte { return binary.AppendUvarint(nil, n) }
 
 func parseCredit(payload []byte) (uint64, error) {
 	u, n := binary.Uvarint(payload)

@@ -128,7 +128,7 @@ func frameSeq(withMax bool) []byte {
 	var b []byte
 	add := func(typ byte, sid uint32, payload []byte) { b = appendMuxFrame(b, typ, sid, payload) }
 	add(framePing, 0, nil)
-	add(frameValue, 1, pattern(3))
+	add(frameValues, 1, pattern(3))
 	add(frameEOS, 1, nil)
 	add(frameValues, 2, pattern(fillSize))
 	add(frameCredit, 3, pattern(2))
@@ -138,11 +138,11 @@ func frameSeq(withMax bool) []byte {
 		add(frameOpen, 6, pattern(MaxFrame))
 		add(frameCredit, 7, pattern(1))
 	}
-	add(frameValue, 8, pattern(fillSize-muxHeaderLen)) // header + payload fill the buffer exactly
+	add(frameValues, 8, pattern(fillSize-muxHeaderLen)) // header + payload fill the buffer exactly
 	for i := 0; i < 300; i++ {
 		add(frameCredit, uint32(i), pattern(i%4))
 	}
-	over := muxHeader(frameValue, 9, MaxFrame+1)
+	over := muxHeader(frameValues, 9, MaxFrame+1)
 	return append(b, over[:]...)
 }
 
@@ -243,8 +243,8 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(seq[:200], []byte{1})
 	f.Add(seq[len(seq)-400:], []byte{3, 200, 0, 9})
 	f.Add(seq[:fillSize+muxHeaderLen+50], []byte{255, 255, 7})
-	f.Add([]byte{frameValue, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}, []byte{2})
-	f.Add([]byte{frameValue, 0, 0, 0, 1, 0, 0, 0, 0, 0x02, 0x00, 0x00}, []byte{})
+	f.Add([]byte{frameValues, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}, []byte{2})
+	f.Add([]byte{frameValues, 0, 0, 0, 1, 0, 0, 0, 0, 0x02, 0x00, 0x00}, []byte{})
 	f.Add(seq[:muxHeaderLen-2], []byte{4})                       // cut inside a header
 	f.Add(seq[:2*muxHeaderLen+1], []byte{1, 5})                  // cut inside a payload
 	f.Add(seq[fillSize:fillSize+3*muxHeaderLen], []byte{0, 128}) // starts mid-frame: garbage headers

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,8 +60,7 @@ func overConstructors(t *testing.T, mutate func(*Server), body func(t *testing.T
 	})
 	t.Run("Dialer", func(t *testing.T) {
 		o := servers(t)
-		cfg := testConfig()
-		d := &Dialer{Heartbeat: cfg.Heartbeat, DialTimeout: cfg.DialTimeout}
+		d := testDialer(false)
 		defer d.Close()
 		o.open, o.openSource = d.Open, d.OpenSource
 		body(t, o)
@@ -109,7 +109,7 @@ func TestStreamAccounting(t *testing.T) {
 func TestStoppedPipeYieldsNothing(t *testing.T) {
 	_, addr := startServer(t, nil)
 	cfg := testConfig()
-	d := &Dialer{Heartbeat: cfg.Heartbeat, DialTimeout: cfg.DialTimeout}
+	d := testDialer(false)
 	defer d.Close()
 	type stoppable interface {
 		value.Gen
@@ -214,7 +214,7 @@ func TestDeadlineExpirySurfacesAsErr(t *testing.T) {
 
 // TestCrashRecoveryResumesSequence is the protocol-level crash drill: kill
 // the connection mid-stream and require the recovered pipe to deliver the
-// exact remaining suffix — via RESUME when a checkpoint landed, via replay
+// exact remaining suffix — via resume when a checkpoint landed, via replay
 // otherwise.
 func TestCrashRecoveryResumesSequence(t *testing.T) {
 	for _, interval := range []int{0, 3} {
@@ -246,7 +246,7 @@ func TestCrashRecoveryResumesSequence(t *testing.T) {
 
 // TestLiveMigrationMovesStream: iterate a stream on node A, migrate to
 // node B mid-iteration, and require one unbroken sequence. Both the
-// snapshot handshake (SNAPREQ) and the resulting RESUME-on-B land here.
+// snapshot handshake (SNAPREQ) and the resulting resume on B land here.
 func TestLiveMigrationMovesStream(t *testing.T) {
 	overConstructors(t, func(s *Server) { s.AllowSource = true }, func(t *testing.T, o opener) {
 		cfg := testConfig()
@@ -288,6 +288,31 @@ func TestProducerRuntimeErrorPropagates(t *testing.T) {
 		}
 		if err.Msg == "" {
 			t.Fatal("empty error message")
+		}
+	})
+}
+
+// TestErrorProseIsNotSniffed: what a stream's ERR means is its class byte,
+// never its wording. A served expression whose runtime error quotes the
+// words a refused resume once carried is a producer error like any other:
+// under Recover the pipe delivers what came before it, fails, and dials
+// nothing again. (The client used to grep those words out of the message,
+// take the error for a rejected resume, and redial and replay forever.)
+func TestErrorProseIsNotSniffed(t *testing.T) {
+	overConstructors(t, func(s *Server) { s.AllowSource = true }, func(t *testing.T, o opener) {
+		cfg := testConfig()
+		cfg.Recover = true
+		p := o.openSource(o.addr, "", `(1 to 3) | (1 + "resume rejected")`, nil, cfg)
+		defer p.Stop()
+		within(t, 5*time.Second, "drain to the producer error", func() {
+			assertInts(t, drainInts(t, p, 100), wantRange(1, 3))
+		})
+		re, ok := p.Err().(*RemoteError)
+		if !ok || re.Class != ClassProducer || !strings.Contains(re.Msg, "resume rejected") {
+			t.Fatalf("Err = %#v, want a producer-class *RemoteError quoting the operand", p.Err())
+		}
+		if got := o.srv.Served(); got != 1 {
+			t.Fatalf("server opened %d streams for one pipe, want 1", got)
 		}
 	})
 }

@@ -15,10 +15,19 @@ import (
 	"junicon/internal/wire"
 )
 
-// testConfig keeps test streams snappy: small heartbeat so liveness
-// detection fires in milliseconds, not seconds.
-func testConfig() Config {
-	return Config{Buffer: 8, Heartbeat: 25 * time.Millisecond, DialTimeout: time.Second}
+// testConfig is a small credit window: eight values in flight.
+func testConfig() Config { return Config{Buffer: 8} }
+
+// testDialer keeps test sessions snappy: a small heartbeat, so liveness
+// detection fires in milliseconds, not seconds. A package-level Open has
+// no such knob — its private Dialer runs at the defaults — so a test that
+// wants one stream per connection and a fast heartbeat asks for private.
+func testDialer(private bool) *Dialer {
+	d := &Dialer{Heartbeat: 25 * time.Millisecond, DialTimeout: time.Second}
+	if private {
+		d.StreamsPerConn, d.private = 1, true
+	}
+	return d
 }
 
 // startServer runs a server with the standard test registry on a loopback
@@ -404,9 +413,7 @@ func TestDialFailureSurfacesAsError(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close()
-	cfg := testConfig()
-	cfg.DialTimeout = 500 * time.Millisecond
-	p := Open(addr, "range", nil, cfg)
+	p := Open(addr, "range", nil, testConfig())
 	within(t, 5*time.Second, "dial failure", func() {
 		if _, ok := p.Next(); ok {
 			t.Error("unreachable server produced a value")

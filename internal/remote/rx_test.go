@@ -35,7 +35,7 @@ func rawSession(t *testing.T, conn net.Conn) *frameReader {
 }
 
 // eventually polls cond until it holds or the deadline passes.
-func eventually(t *testing.T, what string, cond func() bool) {
+func eventually(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); !cond(); {
 		if time.Now().After(deadline) {
@@ -116,14 +116,12 @@ func TestOpenArgsSurviveBufferReuse(t *testing.T) {
 		if typ == frameEOS {
 			break
 		}
-		if typ != frameValue {
+		if typ != frameValues {
 			t.Fatalf("frame %s on the echo stream: %q", frameName(typ), payload)
 		}
-		v, err := wire.Unmarshal(payload)
-		if err != nil {
+		if got, err = wire.UnmarshalBatchInto(got, payload, wire.DefaultLimits); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, v)
 	}
 	if len(got) != nargs {
 		t.Fatalf("%d values echoed, want %d", len(got), nargs)
@@ -144,7 +142,7 @@ func TestSessionFillBuffersComeBack(t *testing.T) {
 	idle := func() bool { return fillOut.Load() == 0 }
 	eventually(t, "earlier tests' fill buffers returned", idle)
 	srv, addr := startServer(t, nil)
-	d := &Dialer{Heartbeat: 25 * time.Millisecond}
+	d := testDialer(false)
 	var pipes []*RemotePipe
 	for i := 0; i < 4; i++ {
 		p := d.Open(addr, "range", []value.V{value.NewInt(1), value.NewInt(1000)}, Config{Buffer: 4})

@@ -56,8 +56,12 @@ const (
 	// approaches it.
 	DefaultIdleTimeout = 30 * time.Second
 	// MaxServerBatch caps the VALUES run the server accumulates regardless
-	// of what the client advertises, bounding per-stream buffered bytes.
+	// of what the client asks for, bounding per-stream buffered bytes.
 	MaxServerBatch = 1024
+	// refusalTimeout is how long a peer being turned away at the connection
+	// limit has to send its OPEN and take the ERR. MaxConns does not count
+	// these connections, so they are kept short and (readFrame) small.
+	refusalTimeout = 2 * time.Second
 )
 
 // A Generator constructs the generator a named OPEN serves. It is called
@@ -126,14 +130,6 @@ func (s *Server) Names() []string {
 	return out
 }
 
-// lookup finds a registered generator.
-func (s *Server) lookup(name string) (Generator, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.gens[name]
-	return g, ok
-}
-
 // ActiveConns reports currently accepted connections.
 func (s *Server) ActiveConns() int { return int(s.conns.Load()) }
 
@@ -164,20 +160,6 @@ func streamID(id uint64) string {
 	return strconv.FormatUint(id, 16)
 }
 
-func (s *Server) maxConns() int {
-	if s.MaxConns <= 0 {
-		return DefaultMaxConns
-	}
-	return s.MaxConns
-}
-
-func (s *Server) idleTimeout() time.Duration {
-	if s.IdleTimeout <= 0 {
-		return DefaultIdleTimeout
-	}
-	return s.IdleTimeout
-}
-
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in a background
 // goroutine, returning the bound address. It is the convenience entry for
 // tests, benchmarks and in-process workers.
@@ -188,15 +170,6 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	}
 	go s.Serve(l)
 	return l.Addr(), nil
-}
-
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // Serve accepts connections on l until Close. Each connection is one
@@ -221,24 +194,18 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		if int(s.conns.Load()) >= s.maxConns() {
+		if limit := or(s.MaxConns, DefaultMaxConns); int(s.conns.Load()) >= limit {
 			// Refuse politely: drain the OPEN first so the client's write
 			// never hits a reset connection, then send ERR. The client
 			// surfaces the refusal via Err().
-			s.log().Warn("connection refused",
-				"remote", conn.RemoteAddr().String(),
-				"reason", "connection limit",
-				"limit", s.maxConns())
-			if telemetry.On() {
-				cServerRefused.Inc()
-			}
+			s.refused("connection refused", conn.RemoteAddr().String(), fmt.Errorf("connection limit %d", limit))
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
 				defer conn.Close()
-				conn.SetReadDeadline(time.Now().Add(s.idleTimeout()))
+				conn.SetReadDeadline(time.Now().Add(refusalTimeout))
 				readFrame(conn)
-				writeFrame(conn, frameErr, []byte("server at connection limit"))
+				writeFrame(conn, frameErr, errPayload(ClassRefused, "server at connection limit"))
 			}()
 			continue
 		}
@@ -276,197 +243,165 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// stream is the per-stream credit account shared by the session's reader
-// (deposits) and the stream's producer goroutine (withdrawals).
-type stream struct {
+// handleConn runs one connection. Its first frame must be the session
+// OPEN at the one protocol version this package speaks; anything else — a
+// stream OPEN with no session around it, any other version, a frame over
+// maxHandshake — is answered with one ERR saying what was received and
+// what is supported, and the connection is closed.
+func (s *Server) handleConn(conn net.Conn) {
+	remoteAddr := conn.RemoteAddr().String()
+	idle := or(s.IdleTimeout, DefaultIdleTimeout)
+	conn.SetReadDeadline(time.Now().Add(idle))
+	typ, payload, err := readFrame(conn)
+	var hello *openReq
+	if err != nil {
+		err = fmt.Errorf("expected OPEN frame: %v", err)
+	} else if typ != frameOpen {
+		err = fmt.Errorf("expected OPEN frame, got %s", frameName(typ))
+	} else if hello, err = parseOpen(payload); err == nil && hello.mode != openMux {
+		err = fmt.Errorf("remote: a connection opens with the session OPEN of protocol version %d, got a stream OPEN", protocolVersion)
+	}
+	if err != nil {
+		writeFrame(conn, frameErr, errPayload(ClassProtocol, err.Error()))
+		s.refused("connection refused", remoteAddr, err)
+		return
+	}
+	// HELLO answers the handshake in its plain framing; everything after it
+	// on this connection is mux-framed.
+	if err := writeFrame(conn, frameHello, nil); err != nil {
+		return
+	}
+	ih := inspect.Register(0, inspect.KindSession, "session:"+remoteAddr+" (serve)")
+	ih.SetConn(hello.stream)
+	sess := newSession(conn, &role{frames: serverFrames, orphan: s.openStream}, ih, idle)
+	sess.id = hello.stream
+	s.log().Info("session open",
+		"remote", remoteAddr,
+		"conn", streamID(sess.id),
+		"streams_hint", hello.credit)
+	err = sess.run()
+	s.log().Info("session done",
+		"remote", remoteAddr,
+		"conn", streamID(sess.id),
+		"reason", err.Error())
+}
+
+// refused logs and counts a peer or a stream turned away.
+func (s *Server) refused(what, remoteAddr string, err error) {
+	s.log().Warn(what, "remote", remoteAddr, "reason", err.Error())
+	if telemetry.On() {
+		cServerRefused.Inc()
+	}
+}
+
+// serverFrames is the serving end of a session: it accepts what a client
+// says about a stream it opened. An OPEN arrives for an id outside the
+// table (openStream, the role's orphan); one for a live id is a violation.
+var serverFrames = &[256]handler{
+	frameOpen:    on((*served).onOpen),
+	frameCredit:  on((*served).onCredit),
+	frameSnapReq: on((*served).onSnapReq),
+	frameCancel:  on((*served).onCancel),
+}
+
+// openStream is the server role's orphan: an OPEN for an id not in the
+// table resolves to the generator it names and becomes a served stream. A
+// rejected open (unknown generator, vet error, bad resume blob) answers ERR
+// on the stream id — it fails one logical stream, never the connection.
+func (s *Server) openStream(sess *Session, typ byte, sid uint32, payload []byte) {
+	if typ != frameOpen {
+		return // the tail of a finished stream
+	}
+	// parseOpen aliases args and blob sub-slices of its input, and the
+	// reader's buffer is recycled on the next frame — copy before parsing
+	// so the stream owns its open for its lifetime.
+	open, err := parseOpen(append([]byte(nil), payload...))
+	if err == nil && open.mode == openMux {
+		err = errors.New("nested session open")
+	}
+	class := ClassProtocol
+	if err == nil {
+		// A snapshot that does not restore is the client's cue to drop it
+		// and retry with deterministic replay instead.
+		if class = ClassRefused; open.mode == openResume {
+			class = ClassResumeRejected
+		}
+		st := &served{srv: s, sess: sess, sid: sid, open: open}
+		if st.gen, st.meta, st.base, err = s.buildGenerator(open); err == nil {
+			st.start()
+			return
+		}
+	}
+	sess.io.enqueue(frameErr, sid, errPayload(class, err.Error()))
+	s.refused("stream refused", sess.io.conn.RemoteAddr().String(), err)
+}
+
+// served is one stream on the server: the credit account the session's
+// handlers deposit into, the run of encoded values waiting for a flush,
+// and the producer goroutine that turns credits into values. Every stream
+// gets one producer, and its exit retires the stream (accounting, the
+// table entry, the stream-done log), so each retires independently of its
+// siblings.
+type served struct {
+	srv    *Server
+	sess   *Session
+	sid    uint32
+	open   *openReq
+	what   string // the generator served, for logs and trace labels
+	gen    core.Gen
+	meta   checkpoint.Meta // what this stream's snapshots carry
+	base   uint64          // values a restored snapshot had already delivered
+	serial int64           // names the snapshot file of an unobserved stream
+	ih     *inspect.Handle
+	opened time.Time
+	sent   uint64 // values delivered by this incarnation; producer only
+
+	// The credit account: the demux deposits, the producer withdraws. A
+	// wait in acquire is a credit stall — the client's buffer bound
+	// throttling this producer across the wire.
 	mu        sync.Mutex
 	cond      sync.Cond
 	credits   uint64
 	cancelled bool
-	snapReq   bool // a SNAPREQ frame awaits a forced snapshot answer
+	snapReq   bool   // a SNAPREQ awaits a forced snapshot answer
+	reason    string // why the stream ended; the first to say wins
+
+	// The run: marshaled values accumulate in pending and ship as one
+	// VALUES frame of at most batch. Credit accounting stays per value —
+	// the producer acquires one credit before generating each — so the §3B
+	// bounded-buffer backpressure does not depend on the run length. The
+	// flush policy is the batched pipe's, translated to the wire: fill
+	// (batch values buffered), demand (a CREDIT frame is the client
+	// draining its queue, and a zero-credit CREDIT a pure demand ping from
+	// a client about to block), stall (credits exhausted: everything the
+	// client allows is in hand) and EOS/ERR (the run precedes the terminal
+	// frame). rmu is held across the frame write so racing flushes — the
+	// producer's and the demux's — emit runs in production order; the
+	// session writer's own serialization nests inside it. encBuf is the
+	// recycled encoding scratch: enqueue has copied the payload when it
+	// returns.
+	rmu     sync.Mutex
+	batch   int
+	pending [][]byte
+	encBuf  []byte
 }
 
-func newStream(initial uint64) *stream {
-	st := &stream{credits: initial}
-	st.cond.L = &st.mu
-	return st
-}
-
-// acquire blocks until one credit is available, the stream is cancelled,
-// or a forced snapshot is demanded; it reports whether a credit was taken,
-// whether it had to wait, and whether a SNAPREQ must be answered first
-// (snap consumes the request; no credit is taken). A wait is a credit
-// stall: the client's buffer bound throttling this producer across the
-// wire. Checking snapReq before the credit balance guarantees a migrating
-// client — which has stopped consuming — always gets its snapshot answer
-// instead of the producer racing ahead on leftover credits.
-func (st *stream) acquire() (ok, waited, snap bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for st.credits == 0 && !st.cancelled && !st.snapReq {
-		waited = true
-		st.cond.Wait()
-	}
-	if st.cancelled {
-		return false, waited, false
-	}
-	if st.snapReq {
-		st.snapReq = false
-		return false, waited, true
-	}
-	st.credits--
-	return true, waited, false
-}
-
-// available reports the current credit balance without taking any — the
-// producer flushes its pending batch before a stall, not after.
-func (st *stream) available() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.credits
-}
-
-func (st *stream) deposit(n uint64) {
-	st.mu.Lock()
-	st.credits += n
-	st.cond.Broadcast()
-	st.mu.Unlock()
-}
-
-func (st *stream) cancel() {
-	st.mu.Lock()
-	st.cancelled = true
-	st.cond.Broadcast()
-	st.mu.Unlock()
-}
-
-// requestSnap demands a forced snapshot from the producer (SNAPREQ).
-func (st *stream) requestSnap() {
-	st.mu.Lock()
-	st.snapReq = true
-	st.cond.Broadcast()
-	st.mu.Unlock()
-}
-
-// servedStream is the session reader's control surface over one producer
-// goroutine: the credit account, the on-demand flush, the teardown reason,
-// and completion.
-type servedStream struct {
-	st        *stream
-	flush     func() error
-	setReason func(string)
-	done      chan struct{}
-}
-
-// handleConn runs one connection. Its first frame must be the session
-// OPEN at the one protocol version this package speaks; anything else —
-// a stream OPEN or RESUME with no session around it, any other version —
-// is answered with one ERR saying what was received and what is
-// supported, and the connection is closed.
-func (s *Server) handleConn(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(s.idleTimeout()))
-	typ, payload, err := readFrame(conn)
-	var hello *openReq
-	if err != nil || (typ != frameOpen && typ != frameResume) {
-		err = errors.New("expected OPEN frame")
-	} else if hello, err = parseOpen(payload); err == nil && (typ != frameOpen || hello.mode != openMux) {
-		err = fmt.Errorf("remote: a connection opens with the session OPEN of protocol version %d, got a stream %s", protocolVersion, frameName(typ))
-	}
-	if err != nil {
-		writeFrame(conn, frameErr, []byte(err.Error()))
-		s.log().Warn("connection refused",
-			"remote", conn.RemoteAddr().String(),
-			"reason", err.Error())
-		if telemetry.On() {
-			cServerRefused.Inc()
-		}
-		return
-	}
-	s.serveSession(conn, hello)
-}
-
-// openStream resolves an OPEN to the generator it names and spawns its
-// producer. A rejected open (unknown generator, vet error, bad resume
-// blob) answers ERR on the stream id and returns nil — it fails one
-// logical stream, never the connection.
-func (s *Server) openStream(mio *muxIO, sid uint32, open *openReq, remoteAddr string, connID uint64) *servedStream {
-	gen, smeta, base, err := s.buildGenerator(open)
-	if err != nil {
-		mio.enqueue(frameErr, sid, []byte(err.Error()))
-		s.log().Warn("stream refused",
-			"remote", remoteAddr,
-			"reason", err.Error())
-		if telemetry.On() {
-			cServerRefused.Inc()
-		}
-		return nil
-	}
-	return s.startStream(mio, sid, open, gen, smeta, base, remoteAddr, connID)
-}
-
-// startStream spawns the producer goroutine serving one opened stream as
-// sid on the session's shared writer: iterate the generator to failure,
-// one value per credit. Runtime errors and panics become ERR frames,
-// mirroring pipe.Pipe's producer containment. Completion (accounting,
-// unregistration, the stream-done log) rides the producer's exit, so each
-// stream retires independently of its siblings.
-func (s *Server) startStream(mio *muxIO, sid uint32, open *openReq, gen core.Gen, smeta checkpoint.Meta, base uint64, remoteAddr string, connID uint64) *servedStream {
-	send := func(typ byte, payload []byte) error { return mio.enqueue(typ, sid, payload) }
-	// The generator this stream serves, for logs and trace labels.
-	what := open.name
-	switch open.mode {
+// start registers the stream — accounting, introspection, the table — and
+// spawns its producer.
+func (st *served) start() {
+	s, open := st.srv, st.open
+	switch st.what = open.name; open.mode {
 	case openSource:
-		what = "source"
+		st.what = "source"
 	case openResume:
-		what = "resume"
+		st.what = "resume"
 	}
-	st := newStream(open.credit)
-
-	// Batched delivery: when the client advertises a batch
-	// capability > 1, marshaled values accumulate in pending and ship as
-	// one VALUES frame. Credit accounting stays per value — the producer
-	// still acquires one credit per value before generating it, so the
-	// §3B bounded-buffer backpressure is byte-for-byte the per-value
-	// protocol's. The flush policy is the batched pipe's, translated to
-	// the wire: fill (batch values buffered), demand (a CREDIT frame is
-	// the client draining its queue — the reader flushes on arrival, and
-	// a zero-credit CREDIT is a pure demand ping from a client about to
-	// block), stall (credits exhausted: everything the client allows is
-	// in hand, so ship it before waiting), and EOS/ERR (flush the run
-	// before the terminal frame). bmu is held across the frame write so
-	// racing flushes emit runs in production order; the session writer's
-	// own serialization nests inside bmu. encBuf is the recycled batch
-	// encoding scratch — enqueue has copied the payload when it returns,
-	// so reuse across flushes is safe.
-	batch := int(open.batch)
-	if batch > MaxServerBatch {
-		batch = MaxServerBatch
-	}
-	if batch <= 1 {
-		batch = 0 // per-value mode
-	}
-	var bmu sync.Mutex
-	var pending [][]byte
-	var encBuf []byte
-	flush := func() error {
-		if batch == 0 {
-			return nil
-		}
-		bmu.Lock()
-		defer bmu.Unlock()
-		if len(pending) == 0 {
-			return nil
-		}
-		encBuf = wire.AppendBatch(encBuf[:0], pending)
-		if telemetry.On() {
-			hServerFlush.Observe(int64(len(pending)))
-		}
-		pending = pending[:0]
-		return send(frameValues, encBuf)
-	}
-	serial := s.served.Add(1) // names the snapshot file of an unobserved stream
+	st.cond.L = &st.mu
+	st.credits = open.credit
+	st.batch = min(max(int(open.batch), 1), MaxServerBatch)
+	st.opened = time.Now()
+	st.serial = s.served.Add(1)
 	s.streams.Add(1)
-	opened := time.Now()
 	if telemetry.On() {
 		cServerStreams.Inc()
 		gServerStreams.Set(s.streams.Load())
@@ -476,12 +411,11 @@ func (s *Server) startStream(mio *muxIO, sid uint32, open *openReq, gen core.Gen
 	// client's logs and traces. The credit balance is the one number a
 	// stalled distributed pipeline turns on: zero + blocked-put is credit
 	// starvation, which the watchdog diagnoses by name.
-	var ih *inspect.Handle
 	if inspect.On() {
-		ih = inspect.Register(open.stream, inspect.KindRemoteServer,
-			"serve:"+what+"<-"+remoteAddr)
-		ih.SetCredit(int64(open.credit))
-		ih.SetConn(connID)
+		st.ih = inspect.Register(open.stream, inspect.KindRemoteServer,
+			"serve:"+st.what+"<-"+st.sess.io.conn.RemoteAddr().String())
+		st.ih.SetCredit(int64(open.credit))
+		st.ih.SetConn(st.sess.id)
 	}
 	// A resumed stream (snapshot restore or replay skip) is a recovery:
 	// mark the handle so /debug/streams shows which streams survived, and
@@ -491,406 +425,330 @@ func (s *Server) startStream(mio *muxIO, sid uint32, open *openReq, gen core.Gen
 		if open.mode != openResume {
 			checkpoint.MarkRestored()
 		}
-		ih.NoteResumed()
+		st.ih.NoteResumed()
 	}
 	// The stream ID arrived in the OPEN frame: server-side events carry
 	// the client's ID, which is what stitches the two processes' traces.
-	telemetry.Emit(open.stream, telemetry.KindStreamOpen, "serve:"+what, int64(open.credit))
+	telemetry.Emit(open.stream, telemetry.KindStreamOpen, "serve:"+st.what, int64(open.credit))
 	s.log().Info("stream open",
-		"remote", remoteAddr,
-		"generator", what,
+		"remote", st.sess.io.conn.RemoteAddr().String(),
+		"generator", st.what,
 		"stream", streamID(open.stream),
 		"credit", open.credit)
+	// Only the session loop, which is where this runs, tears the session
+	// down: the table is open and the wait for producers has not begun.
+	st.sess.add(st.sid, st)
+	st.sess.producers.Add(1)
+	go st.run()
+}
 
-	prodDone := make(chan struct{})
-	var sent atomic.Int64
-	var reason atomic.Pointer[string]
-	setReason := func(r string) { reason.CompareAndSwap(nil, &r) }
-	go func() {
-		defer func() {
-			s.streams.Add(-1)
-			if telemetry.On() {
-				gServerStreams.Set(s.streams.Load())
-			}
-			inspect.Unregister(ih)
-			why := "done"
-			if r := reason.Load(); r != nil {
-				why = *r
-			}
-			telemetry.EmitSpan(open.stream, telemetry.KindStreamEnd, "serve:"+what, sent.Load(), opened)
-			s.log().Info("stream done",
-				"remote", remoteAddr,
-				"generator", what,
-				"stream", streamID(open.stream),
-				"values", sent.Load(),
-				"reason", why,
-				"dur", time.Since(opened))
-			close(prodDone)
-		}()
-		if ih != nil {
-			// Label this goroutine with the stream ID so the watchdog can
-			// pull its stack out of the goroutine profile when diagnosing a
-			// stall, and bind it as the stream's producer for edge tracking.
-			defer inspect.BindProducer(ih)()
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-				pprof.Labels(inspect.ProducerLabel, inspect.StreamID(ih.ID()))))
-			defer pprof.SetGoroutineLabels(context.Background())
+// The frames a client sends about a live stream.
+
+func (st *served) onOpen([]byte) (bool, error) {
+	return false, errors.New("remote: protocol violation: OPEN for a stream id in use")
+}
+
+func (st *served) onCredit(payload []byte) (bool, error) {
+	n, err := parseCredit(payload)
+	if err != nil {
+		return false, err
+	}
+	st.mu.Lock()
+	st.credits += n
+	st.cond.Broadcast()
+	st.mu.Unlock()
+	st.flush() // a grant is the client draining its queue: demand
+	return false, nil
+}
+
+func (st *served) onSnapReq([]byte) (bool, error) {
+	st.mu.Lock()
+	st.snapReq = true
+	st.cond.Broadcast()
+	st.mu.Unlock()
+	return false, nil
+}
+
+func (st *served) onCancel([]byte) (bool, error) { return true, nil }
+
+// end stops the producer: the client cancelled, or the session is gone.
+func (st *served) end(err error) {
+	why := "cancelled"
+	if err != nil {
+		why = "connection lost"
+	}
+	st.mu.Lock()
+	st.cancelled = true
+	st.cond.Broadcast()
+	st.mu.Unlock()
+	st.setReason(why)
+}
+
+// setReason records why the stream ended unless someone already has, and
+// returns the reason that stands.
+func (st *served) setReason(why string) string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.reason == "" {
+		st.reason = why
+	}
+	return st.reason
+}
+
+// acquire blocks until one credit is available, the stream is cancelled,
+// or a forced snapshot is demanded; it reports whether a credit was taken,
+// or whether instead a SNAPREQ must be answered first (snap consumes the
+// request; no credit is taken). Checking snapReq before the credit balance
+// guarantees a migrating client — which has stopped consuming — always
+// gets its snapshot answer instead of the producer racing ahead on
+// leftover credits. A wait here is the credit stall telemetry reports.
+func (st *served) acquire() (ok, snap bool) {
+	var stallStart time.Time
+	if telemetry.Active() {
+		stallStart = time.Now()
+	}
+	st.ih.BlockedPut()
+	st.mu.Lock()
+	waited := false
+	for st.credits == 0 && !st.cancelled && !st.snapReq {
+		waited = true
+		st.cond.Wait()
+	}
+	switch {
+	case st.cancelled:
+	case st.snapReq:
+		st.snapReq, snap = false, true
+	default:
+		st.credits--
+		ok = true
+	}
+	left := st.credits
+	st.mu.Unlock()
+	st.ih.Running()
+	st.ih.SetCredit(int64(left))
+	if waited && telemetry.Active() {
+		// The client's credit window throttled us: the §3B bounded-queue
+		// backpressure, observed across the wire.
+		if telemetry.On() {
+			cCreditStalls.Inc()
+			cCreditStallNs.Add(time.Since(stallStart).Nanoseconds())
 		}
-		sendErr := func(msg string) {
-			flush() // values produced before the error must precede it
-			send(frameErr, []byte(msg))
+		telemetry.EmitSpan(st.open.stream, telemetry.KindCreditStall, "serve:"+st.what, 0, stallStart)
+	}
+	return ok, snap
+}
+
+func (st *served) send(typ byte, payload []byte) error {
+	return st.sess.io.enqueue(typ, st.sid, payload)
+}
+
+// put adds one marshaled value to the run and ships the run once full.
+func (st *served) put(data []byte) error {
+	st.rmu.Lock()
+	st.pending = append(st.pending, data)
+	full := len(st.pending) >= st.batch
+	st.rmu.Unlock()
+	if full {
+		return st.flush()
+	}
+	return nil
+}
+
+// flush ships the run, if there is one, as one VALUES frame.
+func (st *served) flush() error {
+	st.rmu.Lock()
+	defer st.rmu.Unlock()
+	if len(st.pending) == 0 {
+		return nil
+	}
+	st.encBuf = wire.AppendBatch(st.encBuf[:0], st.pending)
+	if telemetry.On() {
+		hServerFlush.Observe(int64(len(st.pending)))
+	}
+	st.pending = st.pending[:0]
+	return st.send(frameValues, st.encBuf)
+}
+
+// terminate ships the run and then the stream's last frame: the values
+// produced before an EOS or an ERR must precede it.
+func (st *served) terminate(typ byte, payload []byte, why string) {
+	st.flush()
+	st.send(typ, payload)
+	st.setReason(why)
+}
+
+// position is the stream's absolute delivered count: what a restored
+// snapshot had delivered, what a recovery skipped, what went out here.
+func (st *served) position() uint64 { return st.base + st.open.skip + st.sent }
+
+// snapshot checkpoints the stream between Next calls (only the producer
+// drives gen, so the frame is suspended and consistent) and answers with
+// one SNAPSHOT frame — the blob on success, the refusal reason otherwise.
+// The flush first means every delivered value the snapshot accounts for
+// precedes the marker on the wire. It returns false when interval
+// snapshotting should stop (refusal is sticky; a forced SNAPREQ still
+// always gets an answer).
+func (st *served) snapshot() bool {
+	if st.flush() != nil {
+		return false
+	}
+	answer := func(ok bool, rest []byte) error {
+		return st.send(frameSnapshot, snapshotPayload(st.position(), ok, rest))
+	}
+	if st.meta.Expr == "" {
+		answer(false, []byte("named generator has no source expression to restore from"))
+		return false
+	}
+	meta := st.meta
+	meta.Produced = st.position()
+	blob, err := checkpoint.Snapshot(st.gen, meta)
+	if err != nil {
+		answer(false, []byte(err.Error()))
+		return false
+	}
+	if answer(true, blob) != nil {
+		return false
+	}
+	if dir := st.srv.CheckpointDir; dir != "" {
+		file := fmt.Sprintf("%016x", st.open.stream)
+		if st.open.stream == 0 {
+			file = fmt.Sprintf("conn-%d", st.serial)
 		}
-		// takeSnap checkpoints the stream between Next calls (only this
-		// goroutine drives gen, so the frame is suspended and consistent)
-		// and answers with one SNAPSHOT frame — the blob on success, the
-		// refusal reason otherwise. The batch flush first means every
-		// delivered value the snapshot accounts for precedes the marker on
-		// the wire. Returns false when interval snapshotting should stop
-		// (refusal is sticky; a forced SNAPREQ still always gets an answer).
-		interval := open.interval
-		takeSnap := func() bool {
-			if flush() != nil {
-				return false
-			}
-			total := base + open.skip + uint64(sent.Load())
-			answer := func(ok bool, rest []byte) error {
-				return send(frameSnapshot, snapshotPayload(total, ok, rest))
-			}
-			if smeta.Expr == "" {
-				answer(false, []byte("named generator has no source expression to restore from"))
-				return false
-			}
-			meta := smeta
-			meta.Produced = total
-			blob, serr := checkpoint.Snapshot(gen, meta)
-			if serr != nil {
-				answer(false, []byte(serr.Error()))
-				return false
-			}
-			if werr := answer(true, blob); werr != nil {
-				return false
-			}
-			if s.CheckpointDir != "" {
-				snapFile := fmt.Sprintf("%016x", open.stream)
-				if open.stream == 0 {
-					snapFile = fmt.Sprintf("conn-%d", serial)
-				}
-				if perr := persistSnapshot(s.CheckpointDir, snapFile, blob); perr != nil {
-					s.log().Warn("checkpoint persist failed", "file", snapFile, "err", perr.Error())
-				}
-			}
-			return true
+		if err := persistSnapshot(dir, file, blob); err != nil {
+			st.srv.log().Warn("checkpoint persist failed", "file", file, "err", err.Error())
 		}
-		// Contain panics like pipe.start does: an Icon runtime error or a
-		// foreign panic in a served generator must not crash the daemon —
-		// it becomes an ERR frame, the remote Pipe.Err.
-		err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					if re, ok := r.(*value.RuntimeError); ok {
-						err = re
-					} else {
-						err = fmt.Errorf("producer panic: %v", r)
-					}
-				}
-			}()
-			// Recovery skip: replay the deterministic prefix the client
-			// already delivered before its crash (or beyond its last
-			// snapshot), discarding without consuming credits — the skipped
-			// values were paid for by the previous incarnation's credits.
-			for skipped := uint64(0); skipped < open.skip; skipped++ {
-				if _, ok := gen.Next(); !ok {
-					flush()
-					send(frameEOS, nil)
-					setReason("eos during recovery skip")
-					return nil
-				}
+	}
+	return true
+}
+
+// run is the producer goroutine: produce until the stream ends, report a
+// producer error as the stream's ERR, retire.
+func (st *served) run() {
+	defer st.sess.producers.Done()
+	defer st.retire()
+	if st.ih != nil {
+		// Label this goroutine with the stream ID so the watchdog can pull
+		// its stack out of the goroutine profile when diagnosing a stall,
+		// and bind it as the stream's producer for edge tracking.
+		defer inspect.BindProducer(st.ih)()
+		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+			pprof.Labels(inspect.ProducerLabel, inspect.StreamID(st.ih.ID()))))
+		defer pprof.SetGoroutineLabels(context.Background())
+	}
+	if err := st.produce(); err != nil {
+		st.terminate(frameErr, errPayload(ClassProducer, err.Error()), "producer error: "+err.Error())
+	}
+}
+
+// retire is the producer's exit: the stream leaves the table and the
+// server's accounting, and says why.
+func (st *served) retire() {
+	s := st.srv
+	st.sess.remove(st.sid, st)
+	s.streams.Add(-1)
+	if telemetry.On() {
+		gServerStreams.Set(s.streams.Load())
+	}
+	inspect.Unregister(st.ih)
+	telemetry.EmitSpan(st.open.stream, telemetry.KindStreamEnd, "serve:"+st.what, int64(st.sent), st.opened)
+	s.log().Info("stream done",
+		"remote", st.sess.io.conn.RemoteAddr().String(),
+		"generator", st.what,
+		"stream", streamID(st.open.stream),
+		"values", st.sent,
+		"reason", st.setReason("done"),
+		"dur", time.Since(st.opened))
+}
+
+// produce iterates the generator to failure, one value per credit. Panics
+// are contained like pipe.start does: an Icon runtime error or a foreign
+// panic in a served generator must not crash the daemon — it is returned,
+// and becomes the ERR frame that is the remote Pipe.Err.
+func (st *served) produce() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if re, ok := r.(*value.RuntimeError); ok {
+				err = re
+			} else {
+				err = fmt.Errorf("producer panic: %v", r)
 			}
-			snapOK := true
-			for {
-				var stallStart time.Time
-				if telemetry.Active() {
-					stallStart = time.Now()
-				}
-				if batch > 0 && st.available() == 0 {
-					// About to stall on credits: the client has authorized
-					// nothing more, so the buffered run is as full as it can
-					// get — ship it rather than sit on it.
-					if flush() != nil {
-						setReason("connection lost")
-						return nil
-					}
-				}
-				if ih != nil {
-					ih.BlockedPut()
-				}
-				ok, waited, snap := st.acquire()
-				if ih != nil {
-					ih.Running()
-					ih.SetCredit(int64(st.available()))
-				}
-				if waited && telemetry.Active() {
-					// The client's credit window throttled us: the §3B
-					// bounded-queue backpressure, observed across the wire.
-					if telemetry.On() {
-						cCreditStalls.Inc()
-						cCreditStallNs.Add(time.Since(stallStart).Nanoseconds())
-					}
-					telemetry.EmitSpan(open.stream, telemetry.KindCreditStall, "serve:"+what, 0, stallStart)
-				}
-				if snap {
-					// SNAPREQ: the migration handshake. Always answered —
-					// with the blob or a refusal — so Migrate never hangs.
-					takeSnap()
-					continue
-				}
-				if !ok {
-					setReason("cancelled")
-					return nil
-				}
-				tracing := telemetry.TraceOn()
-				var genStart time.Time
-				if tracing {
-					genStart = time.Now()
-				}
-				v, ok := gen.Next()
-				if !ok {
-					if tracing {
-						telemetry.EmitSpan(open.stream, telemetry.KindFail, "serve:"+what, 0, genStart)
-					}
-					flush() // the final partial run precedes EOS
-					send(frameEOS, nil)
-					setReason("eos")
-					return nil
-				}
-				if tracing {
-					telemetry.EmitSpan(open.stream, telemetry.KindValue, "serve:"+what, sent.Load(), genStart)
-				}
-				data, merr := wire.Marshal(value.Deref(v))
-				if merr != nil {
-					// Values are marshaled at produce time, so an unencodable
-					// value behaves exactly as in per-value mode: everything
-					// before it is delivered (sendErr flushes), then ERR.
-					sendErr("encode: " + merr.Error())
-					setReason("encode error")
-					return nil
-				}
-				var werr error
-				if batch > 0 {
-					bmu.Lock()
-					pending = append(pending, data)
-					full := len(pending) >= batch
-					bmu.Unlock()
-					if full {
-						werr = flush()
-					}
-				} else {
-					werr = send(frameValue, data)
-				}
-				if werr != nil {
-					setReason("connection lost")
-					return nil // connection gone; reader tears down
-				}
-				sent.Add(1)
-				if ih != nil {
-					ih.Produced(1)
-				}
-				if telemetry.On() {
-					cServerValues.Inc()
-				}
-				// Interval checkpointing piggybacks on the credit cadence:
-				// a snapshot lands after every interval delivered values, so
-				// the client's buffer bound also bounds checkpoint lag.
-				if interval > 0 && snapOK &&
-					(base+open.skip+uint64(sent.Load()))%interval == 0 {
-					snapOK = takeSnap()
-				}
-			}
-		}()
-		if err != nil {
-			sendErr(err.Error())
-			setReason("producer error: " + err.Error())
 		}
 	}()
-
-	return &servedStream{st: st, flush: flush, setReason: setReason, done: prodDone}
-}
-
-// serveSession runs one connection after its handshake: one shared
-// writer, one demux reader, many logical streams riding the startStream
-// producers.
-//
-// Why the demux never head-of-line blocks: handleStreamFrame on the
-// client delivers into a queue the client itself sized, and credit
-// accounting guarantees the server never has more values in flight per
-// stream than that queue has room for — so the per-stream Put the demux
-// performs cannot stall siblings. Symmetrically here, the only per-frame
-// work is a credit deposit or a cancel, both non-blocking.
-func (s *Server) serveSession(conn net.Conn, hello *openReq) {
-	remoteAddr := conn.RemoteAddr().String()
-	// HELLO answers the handshake in its plain framing; everything after it
-	// on this connection is mux-framed.
-	if err := writeFrame(conn, frameHello, nil); err != nil {
-		return
-	}
-	connID := hello.stream
-	var ih *inspect.Handle
-	if inspect.On() {
-		ih = inspect.Register(telemetry.NextStream(), inspect.KindSession,
-			"session:"+remoteAddr+" (serve)")
-		ih.SetConn(connID)
-	}
-	muxSessions.Add(1)
-	if telemetry.On() {
-		gMuxSess.Set(muxSessions.Load())
-	}
-	mio := newMuxIO(conn, ih)
-	s.log().Info("session open",
-		"remote", remoteAddr,
-		"conn", streamID(connID),
-		"streams_hint", hello.credit)
-
-	streams := make(map[uint32]*servedStream)
-	var smu sync.Mutex
-	// Finished streams are reaped lazily: each OPEN that finds the table
-	// past the high-water mark sweeps out entries whose producer has
-	// retired. Amortized O(1) per stream, no goroutine per stream, and the
-	// table stays within 2× the live count — what a session storm of
-	// millions of short streams needs.
-	sweepAt := 64
-	fr := newFrameReader(conn, s.idleTimeout())
-	defer fr.release()
-	var serr error
-loop:
-	for {
-		typ, sid, payload, err := fr.readMux()
-		if err != nil {
-			serr = err
-			break
+	label := "serve:" + st.what
+	// Recovery skip: replay the deterministic prefix the client already
+	// delivered before its crash (or beyond its last snapshot), discarding
+	// without consuming credits — the skipped values were paid for by the
+	// previous incarnation's credits.
+	for skipped := uint64(0); skipped < st.open.skip; skipped++ {
+		if _, ok := st.gen.Next(); !ok {
+			st.terminate(frameEOS, nil, "eos during recovery skip")
+			return nil
 		}
-		if sid == 0 {
-			// Connection-level liveness.
-			switch typ {
-			case framePing:
-				mio.enqueue(framePong, 0, nil)
-			case framePong:
-				// Answer to our own ping; nothing to do.
-			default:
-				serr = errors.New("protocol violation on stream 0")
-				break loop
-			}
+	}
+	snapOK := true
+	for {
+		// About to stall on credits: the client has authorized nothing
+		// more, so the run is as full as it can get — ship it rather than
+		// sit on it, before the stall and not after.
+		st.mu.Lock()
+		dry := st.credits == 0
+		st.mu.Unlock()
+		if dry && st.flush() != nil {
+			st.setReason("connection lost")
+			return nil
+		}
+		ok, snap := st.acquire()
+		if snap {
+			// SNAPREQ: the migration handshake. Always answered — with the
+			// blob or a refusal — so Migrate never hangs.
+			st.snapshot()
 			continue
 		}
-		switch typ {
-		case frameOpen, frameResume:
-			smu.Lock()
-			_, dup := streams[sid]
-			smu.Unlock()
-			if dup {
-				serr = errors.New("duplicate stream id in OPEN")
-				break loop
+		if !ok {
+			return nil // cancelled; whoever cancelled said why
+		}
+		tracing := telemetry.TraceOn()
+		var genStart time.Time
+		if tracing {
+			genStart = time.Now()
+		}
+		v, ok := st.gen.Next()
+		if !ok {
+			if tracing {
+				telemetry.EmitSpan(st.open.stream, telemetry.KindFail, label, 0, genStart)
 			}
-			// parseOpen aliases args/program/expr sub-slices of its input,
-			// and the reader's buffer is recycled on the next frame — copy
-			// before parsing so the stream owns its open for its lifetime.
-			open, perr := parseOpen(append([]byte(nil), payload...))
-			if perr != nil {
-				mio.enqueue(frameErr, sid, []byte(perr.Error()))
-				continue
-			}
-			if (typ == frameResume) != (open.mode == openResume) {
-				mio.enqueue(frameErr, sid, []byte("RESUME frame and resume mode must pair"))
-				continue
-			}
-			if open.mode == openMux {
-				mio.enqueue(frameErr, sid, []byte("nested session open"))
-				continue
-			}
-			ss := s.openStream(mio, sid, open, remoteAddr, connID)
-			if ss == nil {
-				continue // refused; ERR already sent on sid
-			}
-			smu.Lock()
-			streams[sid] = ss
-			if len(streams) >= sweepAt {
-				for id, old := range streams {
-					select {
-					case <-old.done:
-						delete(streams, id)
-					default:
-					}
-				}
-				sweepAt = 2*len(streams) + 64
-			}
-			smu.Unlock()
-		case frameCredit:
-			n, perr := parseCredit(payload)
-			if perr != nil {
-				serr = errors.New("protocol violation in CREDIT")
-				break loop
-			}
-			smu.Lock()
-			ss := streams[sid]
-			smu.Unlock()
-			// A frame for an unknown sid is a finished stream's tail in
-			// flight — ignore, per the mux framing contract.
-			if ss != nil {
-				ss.st.deposit(n)
-				ss.flush()
-			}
-		case frameSnapReq:
-			smu.Lock()
-			ss := streams[sid]
-			smu.Unlock()
-			if ss != nil {
-				ss.st.requestSnap()
-			}
-		case frameCancel:
-			smu.Lock()
-			ss := streams[sid]
-			smu.Unlock()
-			if ss != nil {
-				ss.st.cancel()
-			}
-		default:
-			serr = fmt.Errorf("protocol violation: frame %s on session", frameName(typ))
-			break loop
+			st.terminate(frameEOS, nil, "eos")
+			return nil
+		}
+		if tracing {
+			telemetry.EmitSpan(st.open.stream, telemetry.KindValue, label, int64(st.sent), genStart)
+		}
+		// Values are marshaled at produce time, so everything before an
+		// unencodable one is delivered, then ERR.
+		data, err := wire.Marshal(value.Deref(v))
+		if err != nil {
+			st.terminate(frameErr, errPayload(ClassProducer, "encode: "+err.Error()), "encode error")
+			return nil
+		}
+		if st.put(data) != nil {
+			st.setReason("connection lost")
+			return nil // connection gone; the session loop tears down
+		}
+		st.sent++
+		st.ih.Produced(1)
+		if telemetry.On() {
+			cServerValues.Inc()
+		}
+		// Interval checkpointing piggybacks on the credit cadence: a
+		// snapshot lands after every interval delivered values, so the
+		// client's buffer bound also bounds checkpoint lag.
+		if every := st.open.interval; every > 0 && snapOK && st.position()%every == 0 {
+			snapOK = st.snapshot()
 		}
 	}
-	// Teardown: poison the shared writer FIRST so producers blocked in
-	// enqueue unblock with an error, then cancel every stream and wait for
-	// each producer so stream accounting is exact before the session
-	// handle closes.
-	if serr == nil {
-		serr = errors.New("session closed")
-	}
-	mio.fail(serr)
-	smu.Lock()
-	live := make([]*servedStream, 0, len(streams))
-	for _, ss := range streams {
-		live = append(live, ss)
-	}
-	smu.Unlock()
-	for _, ss := range live {
-		ss.setReason("connection lost")
-		ss.st.cancel()
-	}
-	for _, ss := range live {
-		<-ss.done
-	}
-	ih.Close()
-	muxSessions.Add(-1)
-	if telemetry.On() {
-		gMuxSess.Set(muxSessions.Load())
-	}
-	s.log().Info("session done",
-		"remote", remoteAddr,
-		"conn", streamID(connID),
-		"reason", serr.Error())
 }
 
-// buildGenerator resolves an OPEN or RESUME request to the generator it
-// serves, the metadata future snapshots of this stream carry, and — for a
+// buildGenerator resolves an OPEN to the generator it serves, the metadata future snapshots of this stream carry, and — for a
 // restored snapshot — the count of values its generator already delivered
 // in a previous incarnation (the stream's absolute position is base +
 // skip + values sent here).
@@ -901,7 +759,9 @@ func (s *Server) buildGenerator(open *openReq) (gen core.Gen, smeta checkpoint.M
 	}
 	switch open.mode {
 	case openNamed:
-		g, ok := s.lookup(open.name)
+		s.mu.Lock()
+		g, ok := s.gens[open.name]
+		s.mu.Unlock()
 		if !ok {
 			return nil, smeta, 0, fmt.Errorf("unknown generator %q (registered: %s)", open.name, strings.Join(s.Names(), ", "))
 		}
@@ -919,23 +779,21 @@ func (s *Server) buildGenerator(open *openReq) (gen core.Gen, smeta checkpoint.M
 		return gen, checkpoint.Meta{Program: open.program, Expr: open.expr, Args: args}, 0, err
 	case openResume:
 		// A snapshot blob carries arbitrary source, so restoring is gated
-		// exactly like source streams, with the same vet. The "resume
-		// rejected" prefix is the client's cue to drop a stale blob and
-		// retry with deterministic replay instead.
+		// exactly like source streams, with the same vet.
 		if !s.AllowSource {
-			return nil, smeta, 0, fmt.Errorf("resume rejected: source streams are disabled on this server")
+			return nil, smeta, 0, fmt.Errorf("source streams are disabled on this server")
 		}
 		meta, err := checkpoint.Peek(open.blob)
 		if err != nil {
-			return nil, smeta, 0, fmt.Errorf("resume rejected: %w", err)
+			return nil, smeta, 0, err
 		}
 		in, err := s.sourceInterp(meta.Program, meta.Expr, meta.Args)
 		if err != nil {
-			return nil, smeta, 0, fmt.Errorf("resume rejected: %w", err)
+			return nil, smeta, 0, err
 		}
 		gen, meta, err = in.RestoreSnapshot(open.blob)
 		if err != nil {
-			return nil, smeta, 0, fmt.Errorf("resume rejected: %w", err)
+			return nil, smeta, 0, err
 		}
 		return gen, checkpoint.Meta{Program: meta.Program, Expr: meta.Expr, Name: meta.Name, Args: meta.Args}, meta.Produced, nil
 	}

@@ -9,10 +9,8 @@ import (
 
 	"junicon/internal/combine"
 	"junicon/internal/inspect"
-	"junicon/internal/queue"
 	"junicon/internal/telemetry"
 	"junicon/internal/value"
-	"junicon/internal/wire"
 )
 
 // Sessions: one TCP connection carrying many logical streams (the wire
@@ -23,12 +21,12 @@ import (
 // throttles each producer independently, and PING/PONG liveness runs once
 // per connection on stream id 0.
 //
-// The receive side is coalesced the same way: each end's demux loop reads
+// The receive side is coalesced the same way: the session loop reads
 // through a frameReader, which takes whatever the peer's flushes delivered
 // in one Read and parses every frame in it, arming the liveness deadline
 // once per Read rather than once per frame. A frame's payload is a view
-// into that reader's buffer and is gone at the next read, so the loops
-// decode (or, for an OPEN the stream keeps, copy) before reading on.
+// into that reader's buffer and is gone at the next read, so handlers
+// decode (or, for an OPEN the stream keeps, copy) before returning.
 
 // Session-level telemetry. The flush histogram is the headline: how many
 // bytes each coalesced write carried tells you whether the shared writer
@@ -117,187 +115,169 @@ func (m *muxIO) fail(err error) {
 	m.conn.Close()
 }
 
-// muxRx is the client-side receive state of one logical stream on a
-// session: the session's single read goroutine demultiplexes frames for
-// every stream, so what a stream's reader needs between frames lives here.
-type muxRx struct {
-	p        *RemotePipe
-	epoch    uint64 // the pipe incarnation this stream is
-	sid      uint32
-	stream   uint64 // telemetry stream ID (the OPEN's, stitching traces)
-	label    string // span label, captured at open (addr can change later)
-	out      queue.Queue[value.V]
-	ih       *inspect.Handle
-	done     chan struct{}
-	received atomic.Int64
-	start    time.Time
+// stream is what a session's table holds under a stream id: the server's
+// served, the client's muxRx.
+type stream interface {
+	// end releases the stream once it has left the table. err is the
+	// session's death; nil means the stream ended by itself (EOS, ERR,
+	// CANCEL) and its siblings live on.
+	end(err error)
 }
 
-// fail records err as the stream's, unless the pipe has moved on to a
-// later incarnation.
-func (rx *muxRx) fail(err error) { rx.p.failEpoch(err, rx.epoch) }
+// A handler applies one inbound frame to the live stream it names. It
+// reports whether that finished the stream, which then leaves the table;
+// a non-nil err is a violation of the protocol and ends the session.
+//
+// No handler blocks the loop. On the server a frame is a credit deposit, a
+// flag or a cancel; on the client the put into the stream's bounded queue
+// cannot stall in a conforming exchange, since the §3B credit protocol
+// never lets the server have more in flight than that queue has room for:
+// a slow consumer stalls its own producer, never its siblings' frames.
+type handler func(st stream, payload []byte) (finished bool, err error)
 
-// close completes the stream's local state. Exactly-once is guaranteed by
-// the demux table: an rx is only ever reachable through it, and finish
-// removes it before closing.
-func (rx *muxRx) close() {
-	close(rx.done)
-	rx.out.Close()
-	rx.ih.Close()
-	if rx.stream != 0 {
-		telemetry.EmitSpan(rx.stream, telemetry.KindStreamEnd, rx.label, rx.received.Load(), rx.start)
-	}
+// on adapts a method of one role's stream type to the table's signature.
+func on[S stream](f func(S, []byte) (bool, error)) handler {
+	return func(st stream, payload []byte) (bool, error) { return f(st.(S), payload) }
 }
 
-// Session is one multiplexed connection on the client side: the shared
-// writer, the demultiplexing read loop, the per-connection heartbeat, and
-// the table of live logical streams.
+// role is everything that differs between the two ends of a session.
+type role struct {
+	// frames maps a frame type to what it does to a live stream. A type
+	// with no handler is not this end's to receive, on any stream id: it
+	// ends the session.
+	frames *[256]handler
+	// orphan is handed an accepted frame whose stream id is not in the
+	// table: on the server an OPEN there creates the stream. Everything
+	// else, and everything on the client (nil), is the tail of a finished
+	// stream and is dropped.
+	orphan func(s *Session, typ byte, sid uint32, payload []byte)
+}
+
+// Session is one multiplexed connection, at either end: the shared writer,
+// the demultiplexing read loop, stream-0 liveness, the table of live
+// streams, and the teardown that fails them together.
 type Session struct {
-	addr string
-	id   uint64 // connection id: labels, /debug/streams grouping
-	hb   time.Duration
 	io   *muxIO
-	ih   *inspect.Handle
-	d    *Dialer
-	done chan struct{}
+	role *role
+	id   uint64        // connection id: labels, /debug/streams grouping
+	idle time.Duration // a peer silent this long is lost
+	done chan struct{} // closed by teardown
+	// producers counts the goroutines the table's streams own (the server's
+	// one per stream); teardown returns only when they have.
+	producers sync.WaitGroup
 
 	mu      sync.Mutex
-	streams map[uint32]*muxRx
-	pending int // reserved-but-not-yet-opened slots (Dialer cap accounting)
-	nextSID uint32
+	streams map[uint32]stream
 	closed  bool
+
+	// The dialing end allocates stream ids and keeps the Dialer's cap.
+	private bool // a package-level pipe's own: ends with its one stream
+	pending int  // reserved-but-not-yet-opened slots (Dialer cap accounting)
+	nextSID uint32
 
 	vals []value.V // VALUES decode scratch; read goroutine only
 }
 
-// dialSession dials addr and performs the handshake. A server that answers
-// ERR — wrong protocol version, connection limit — is reported as the
-// *RemoteError it sent: nothing is retried and no verdict is kept.
-func dialSession(d *Dialer, addr string) (*Session, error) {
-	conn, err := net.DialTimeout("tcp", addr, d.dialTimeout())
-	if err != nil {
-		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
-	}
-	id := telemetry.NextStream()
-	hello := openReq{mode: openMux, credit: uint64(d.streamsPerConn()), stream: id}
-	if err := writeFrame(conn, frameOpen, hello.marshal()); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("remote: session open %s: %w", addr, err)
-	}
-	conn.SetReadDeadline(time.Now().Add(d.dialTimeout()))
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("remote: session open %s: %w", addr, err)
-	}
-	switch typ {
-	case frameHello:
-	case frameErr:
-		conn.Close()
-		return nil, &RemoteError{Msg: string(payload)}
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("remote: session open %s: unexpected %s frame", addr, frameName(typ))
-	}
-	conn.SetReadDeadline(time.Time{})
-	s := &Session{
-		addr:    addr,
-		id:      id,
-		hb:      d.heartbeat(),
-		d:       d,
-		done:    make(chan struct{}),
-		streams: make(map[uint32]*muxRx),
-	}
-	s.ih = inspect.Register(id, inspect.KindSession, "session:"+addr)
-	s.ih.SetConn(id)
-	s.io = newMuxIO(conn, s.ih)
+// newSession wraps a connection whose handshake is done.
+func newSession(conn net.Conn, r *role, ih *inspect.Handle, idle time.Duration) *Session {
 	if n := muxSessions.Add(1); telemetry.On() {
 		gMuxSess.Set(n)
 	}
-	go s.readLoop()
-	go s.pingLoop()
-	return s, nil
+	return &Session{
+		io:      newMuxIO(conn, ih),
+		role:    r,
+		idle:    idle,
+		done:    make(chan struct{}),
+		streams: make(map[uint32]stream),
+	}
 }
 
-// tryReserve claims a stream slot under limit, counting live and claimed
-// slots both, so concurrent opens cannot overshoot the streams-per-conn
-// cap; openStream consumes the claim.
-func (s *Session) tryReserve(limit int) bool {
+// run is the session loop: read frames until the connection or the
+// protocol breaks, then tear down. It returns what broke.
+func (s *Session) run() error {
+	fr := newFrameReader(s.io.conn, s.idle)
+	defer fr.release()
+	for {
+		typ, sid, payload, err := fr.readMux()
+		if err != nil {
+			err = fmt.Errorf("%w: %v", errConnLost, err)
+		} else {
+			err = s.dispatch(typ, sid, payload)
+		}
+		if err != nil {
+			s.teardown(err)
+			return err
+		}
+	}
+}
+
+// dispatch routes one frame: stream id 0 is the connection's liveness,
+// every other id a stream looked up in the table.
+func (s *Session) dispatch(typ byte, sid uint32, payload []byte) error {
+	if sid == 0 {
+		switch typ {
+		case framePing:
+			s.io.enqueue(framePong, 0, nil)
+		case framePong:
+		default:
+			return fmt.Errorf("remote: protocol violation: %s frame on stream 0", frameName(typ))
+		}
+		return nil
+	}
+	h := s.role.frames[typ]
+	if h == nil {
+		return fmt.Errorf("remote: protocol violation: unexpected %s frame on stream %d", frameName(typ), sid)
+	}
+	s.mu.Lock()
+	st := s.streams[sid]
+	s.mu.Unlock()
+	if st == nil {
+		if s.role.orphan != nil {
+			s.role.orphan(s, typ, sid, payload)
+		}
+		return nil
+	}
+	finished, err := h(st, payload)
+	if finished {
+		s.finish(sid, st)
+	}
+	return err
+}
+
+// add enters a stream into the table; false when the session is gone.
+func (s *Session) add(sid uint32, st stream) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || len(s.streams)+s.pending >= limit {
+	if !s.closed {
+		s.streams[sid] = st
+	}
+	return !s.closed
+}
+
+// remove takes st out of the table and reports whether it was there: of
+// the ways a stream can end (a terminal frame, a cancel, its producer's
+// exit, teardown) exactly one finds it.
+func (s *Session) remove(sid uint32, st stream) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.streams[sid] != st {
 		return false
 	}
-	s.pending++
+	delete(s.streams, sid)
 	return true
 }
 
-// openStream registers the stream's receive state and enqueues its OPEN
-// (or RESUME). rx must be fully armed before the call: frames may land
-// the moment the OPEN reaches the wire.
-func (s *Session) openStream(rx *muxRx, typ byte, payload []byte) (uint32, error) {
-	s.mu.Lock()
-	if s.pending > 0 {
-		s.pending--
-	}
-	if s.closed {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: session closed", errConnLost)
-	}
-	s.nextSID++
-	sid := s.nextSID
-	rx.sid = sid
-	s.streams[sid] = rx
-	s.mu.Unlock()
-	if telemetry.On() {
-		cMuxStreams.Inc()
-	}
-	if err := s.io.enqueue(typ, sid, payload); err != nil {
-		s.mu.Lock()
-		delete(s.streams, sid)
-		s.mu.Unlock()
-		return 0, err
-	}
-	return sid, nil
-}
-
-// finish completes one logical stream: remove it from the demux table and
-// close its local state. Late frames for the id simply miss the table. A
+// finish completes one stream that ended by itself: out of the table, so
+// late frames for the id are orphans, then its local state released. A
 // package-level pipe's private session ends with its stream.
-func (s *Session) finish(sid uint32) {
-	s.mu.Lock()
-	rx := s.streams[sid]
-	delete(s.streams, sid)
-	s.mu.Unlock()
-	if rx != nil {
-		rx.close()
+func (s *Session) finish(sid uint32, st stream) {
+	if s.remove(sid, st) {
+		st.end(nil)
 	}
-	if s.d.private {
+	if s.private {
 		s.Close()
 	}
 }
-
-// closeStream cancels one logical stream (consumer-side Stop): a
-// best-effort CANCEL so the server releases its producer promptly, then
-// local completion. Siblings on the session are untouched. A stream that
-// already left the demux table (EOS, ERR, teardown) needs no CANCEL —
-// its server producer is gone, and skipping the frame keeps the
-// stop-after-drain path off the wire entirely.
-func (s *Session) closeStream(sid uint32) {
-	s.mu.Lock()
-	_, live := s.streams[sid]
-	s.mu.Unlock()
-	if !live {
-		return
-	}
-	s.io.enqueue(frameCancel, sid, nil)
-	s.finish(sid)
-}
-
-// Kill severs the connection abruptly — the chaos hook. Every stream on
-// the session fails with connection loss, exactly as a crashed peer
-// looks.
-func (s *Session) Kill() { s.io.conn.Close() }
 
 // Close fails open streams and closes the connection. The Dialer calls
 // this on Close; streams ending normally never do.
@@ -306,8 +286,10 @@ func (s *Session) Close() {
 }
 
 // teardown fails every open stream and retires the session. Idempotent;
-// runs from the read loop (connection loss or protocol violation) or
-// Close.
+// runs from the session loop (connection loss or protocol violation) or
+// Close. The shared writer is poisoned first, so producers blocked in
+// enqueue unblock; then every stream is ended and its producer waited for,
+// so stream accounting is exact before the session handle closes.
 func (s *Session) teardown(err error) {
 	s.mu.Lock()
 	if s.closed {
@@ -316,129 +298,24 @@ func (s *Session) teardown(err error) {
 	}
 	s.closed = true
 	streams := s.streams
-	s.streams = make(map[uint32]*muxRx)
+	s.streams = nil
 	s.mu.Unlock()
 	s.io.fail(err)
-	for _, rx := range streams {
-		rx.fail(err)
-		rx.close()
+	for _, st := range streams {
+		st.end(err)
 	}
-	s.ih.Close()
+	s.producers.Wait()
+	s.io.ih.Close()
 	if n := muxSessions.Add(-1); telemetry.On() {
 		gMuxSess.Set(n)
 	}
 	close(s.done)
-	s.d.drop(s.addr, s)
 }
 
-// readLoop demultiplexes inbound frames onto the per-stream receive
-// state. Stream id 0 is connection liveness; everything else dispatches
-// by id, and ids missing from the table (finished streams) are dropped —
-// a server flush can legitimately race a cancel.
-func (s *Session) readLoop() {
-	// A peer silent for several heartbeat intervals is lost: PONGs answer
-	// our PINGs, so a fill normally returns at least once per interval.
-	fr := newFrameReader(s.io.conn, 4*s.hb)
-	defer fr.release()
-	var ferr error
-loop:
-	for {
-		typ, sid, payload, err := fr.readMux()
-		if err != nil {
-			ferr = fmt.Errorf("%w: %v", errConnLost, err)
-			break
-		}
-		if sid == 0 {
-			switch typ {
-			case framePing:
-				s.io.enqueue(framePong, 0, nil)
-			case framePong:
-			default:
-				ferr = fmt.Errorf("remote: unexpected session-level %s frame", frameName(typ))
-				break loop
-			}
-			continue
-		}
-		s.mu.Lock()
-		rx := s.streams[sid]
-		s.mu.Unlock()
-		if rx == nil {
-			continue
-		}
-		if !s.handleStreamFrame(rx, typ, payload) {
-			s.finish(sid)
-		}
-	}
-	s.teardown(ferr)
-}
-
-// handleStreamFrame applies one inbound frame to a logical stream. Returns
-// false when the stream is finished (EOS, ERR, consumer gone, malformed
-// frame).
-//
-// The put into the stream's bounded queue cannot stall the demux loop in
-// a conforming exchange: the §3B credit protocol guarantees the server
-// never has more values in flight than the client's queue has room for,
-// so one slow consumer's stream fills its own window and stalls its own
-// producer (on the server, in acquire) — never its siblings' frames.
-func (s *Session) handleStreamFrame(rx *muxRx, typ byte, payload []byte) bool {
-	switch typ {
-	case frameValue:
-		v, err := wire.Unmarshal(payload)
-		if err != nil {
-			rx.fail(fmt.Errorf("remote: malformed value frame: %w", err))
-			return false
-		}
-		rx.received.Add(1)
-		if rx.stream != 0 && telemetry.On() {
-			cClientValues.Inc()
-		}
-		if rx.out.Put(v) != nil {
-			s.io.enqueue(frameCancel, rx.sid, nil)
-			return false
-		}
-		rx.ih.Produced(1)
-	case frameValues:
-		var err error
-		s.vals, err = wire.UnmarshalBatchInto(s.vals[:0], payload, wire.DefaultLimits)
-		if err != nil {
-			rx.fail(fmt.Errorf("remote: malformed batch frame: %w", err))
-			return false
-		}
-		rx.received.Add(int64(len(s.vals)))
-		if rx.stream != 0 && telemetry.On() {
-			cClientValues.Add(int64(len(s.vals)))
-		}
-		if _, err := rx.out.PutBatch(s.vals); err != nil {
-			s.io.enqueue(frameCancel, rx.sid, nil)
-			return false
-		}
-		rx.ih.Produced(int64(len(s.vals)))
-	case frameEOS:
-		return false
-	case frameSnapshot:
-		produced, ok, rest, err := parseSnapshot(payload)
-		if err != nil {
-			rx.fail(err)
-			return false
-		}
-		rx.p.noteSnapshot(produced, ok, rest)
-	case frameErr:
-		rx.fail(&RemoteError{Msg: string(payload)})
-		return false
-	case framePing, framePong:
-		// liveness belongs to stream 0; tolerated on a stream id
-	default:
-		rx.fail(fmt.Errorf("remote: unexpected %s frame", frameName(typ)))
-		return false
-	}
-	return true
-}
-
-// pingLoop keeps the connection alive — one heartbeat per connection,
-// however many streams it carries.
-func (s *Session) pingLoop() {
-	t := time.NewTicker(s.hb)
+// pingLoop keeps the connection alive from the dialing end — one heartbeat
+// per connection, however many streams it carries.
+func (s *Session) pingLoop(every time.Duration) {
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {

@@ -52,7 +52,7 @@ func vetRejected(p *remote.RemotePipe, r Result) error {
 
 // Killed evaluates the case as a recoverable source stream against addr,
 // abruptly severs the transport just before value number `after` would be
-// delivered, and lets the v4 recovery machinery (snapshot RESUME when
+// delivered, and lets the recovery machinery (snapshot resume when
 // cfg.CheckpointEvery produced one, deterministic replay otherwise) finish
 // the iteration. The combined trace must equal the sequential reference.
 func Killed(c Case, addr string, cfg remote.Config, after int) (Result, error) {

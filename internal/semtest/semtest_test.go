@@ -167,7 +167,7 @@ func TestDifferentialCorpusGrid(t *testing.T) {
 			}
 			for _, cfg := range []remote.Config{
 				{Buffer: 1, Batch: 2},
-				{Buffer: 8, Batch: -1}, // per-value VALUE frames
+				{Buffer: 8, Batch: -1}, // runs of one
 				{Buffer: 64},           // DefaultBatch
 			} {
 				got, err := Remote(c, addr, cfg)

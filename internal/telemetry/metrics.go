@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -221,18 +220,6 @@ func Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-// MetricNames returns the registered metric names, sorted.
-func MetricNames() []string {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	names := make([]string, 0, len(registry.m))
-	for n := range registry.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ResetMetrics zeroes every registered metric. Intended for tests and

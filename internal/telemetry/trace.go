@@ -26,7 +26,7 @@ const (
 	KindStreamOpen  // stream opened (client dial / server accept), Arg = credit
 	KindStreamEnd   // stream ended; Dur = lifetime, Arg = values transferred
 	KindCreditStall // server producer waited for credit; Dur = stall
-	KindValue       // one VALUE frame produced server-side; Dur = gen.Next time
+	KindValue       // one value produced server-side; Dur = gen.Next time
 	// Host-level span (CLI eval, coordinator run).
 	KindSpan
 )

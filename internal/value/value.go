@@ -94,15 +94,6 @@ func IntV(i int64) V {
 	return Integer{small: i}
 }
 
-// BoxInt boxes an Integer as a V, returning the interned box when the value
-// is small. Use on paths that already hold an Integer (e.g. coercions).
-func BoxInt(n Integer) V {
-	if n.big == nil && n.small >= internLo && n.small <= internHi {
-		return internedInts[n.small-internLo]
-	}
-	return n
-}
-
 // BigV returns b boxed as a V, demoting to the unboxed (and possibly
 // interned) small form when b fits in an int64. The caller must not mutate
 // b afterwards.

@@ -17,15 +17,9 @@ import (
 // against the remaining payload before any allocation, so a forged count
 // or length cannot force unbounded work.
 
-// EncodeBatch frames already-marshaled values into one batch payload.
-func EncodeBatch(items [][]byte) []byte {
-	return AppendBatch(nil, items)
-}
-
-// AppendBatch appends the batch framing of items to dst and returns the
-// extended buffer — the scratch-reuse form of EncodeBatch, so a server
-// flushing thousands of runs can recycle one buffer instead of allocating
-// per flush.
+// AppendBatch appends the batch framing of the already-marshaled items to
+// dst and returns the extended buffer, so a server flushing thousands of
+// runs can recycle one buffer instead of allocating per flush.
 func AppendBatch(dst []byte, items [][]byte) []byte {
 	size := binary.MaxVarintLen64
 	for _, it := range items {
@@ -44,106 +38,30 @@ func AppendBatch(dst []byte, items [][]byte) []byte {
 	return dst
 }
 
-// DecodeBatch splits a batch payload into its still-encoded elements. The
-// returned slices alias data; they are not copied. The whole payload must
-// be consumed.
-func DecodeBatch(data []byte, lim Limits) ([][]byte, error) {
-	pos := 0
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("wire: bad batch count")
-	}
-	pos += n
-	if count > uint64(lim.MaxElems) {
-		return nil, ErrTooLarge
-	}
-	if count > uint64(len(data)-pos) {
-		// Each element costs at least one length byte; a count beyond the
-		// remaining payload is forged.
-		return nil, fmt.Errorf("wire: batch count %d exceeds payload", count)
-	}
-	items := make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		sz, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("wire: bad length for batch element %d", i)
-		}
-		pos += n
-		if sz > uint64(lim.MaxBytes) {
-			return nil, ErrTooLarge
-		}
-		if sz > uint64(len(data)-pos) {
-			return nil, fmt.Errorf("wire: truncated batch element %d", i)
-		}
-		items = append(items, data[pos:pos+int(sz)])
-		pos += int(sz)
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after batch", len(data)-pos)
-	}
-	return items, nil
-}
-
-// MarshalBatch encodes vs into one batch payload under DefaultLimits.
-func MarshalBatch(vs []value.V) ([]byte, error) {
-	items := make([][]byte, len(vs))
-	for i, v := range vs {
-		data, err := Marshal(v)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = data
-	}
-	return EncodeBatch(items), nil
-}
-
-// UnmarshalBatch decodes a batch payload into values under lim.
-func UnmarshalBatch(data []byte, lim Limits) ([]value.V, error) {
-	vs, err := UnmarshalBatchInto(nil, data, lim)
-	if err != nil {
-		return nil, err
-	}
-	return vs, nil
-}
-
-// UnmarshalBatchInto decodes a batch payload, appending the values to dst
-// — the scratch-reuse form of UnmarshalBatch for long-lived read loops.
-// The decoded values never alias data (the codec copies everything it
-// keeps), so the caller may recycle both dst and data freely.
+// UnmarshalBatchInto decodes a batch payload under lim, appending the
+// values to dst, so a long-lived read loop recycles one slice. The whole
+// payload must be consumed. The decoded values never alias data (the codec
+// copies everything it keeps), so the caller may recycle both dst and data
+// freely.
 func UnmarshalBatchInto(dst []value.V, data []byte, lim Limits) ([]value.V, error) {
-	pos := 0
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return dst, fmt.Errorf("wire: bad batch count")
+	r := Reader{buf: data, lim: lim}
+	count, err := r.count()
+	if err != nil {
+		return dst, fmt.Errorf("wire: batch count: %w", err)
 	}
-	pos += n
-	if count > uint64(lim.MaxElems) {
-		return dst, ErrTooLarge
-	}
-	if count > uint64(len(data)-pos) {
-		return dst, fmt.Errorf("wire: batch count %d exceeds payload", count)
-	}
-	for i := uint64(0); i < count; i++ {
-		sz, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return dst, fmt.Errorf("wire: bad length for batch element %d", i)
+	for i := 0; i < count; i++ {
+		elem, err := r.Bytes()
+		if err != nil {
+			return dst, fmt.Errorf("wire: batch element %d: %w", i, err)
 		}
-		pos += n
-		if sz > uint64(lim.MaxBytes) {
-			return dst, ErrTooLarge
-		}
-		if sz > uint64(len(data)-pos) {
-			return dst, fmt.Errorf("wire: truncated batch element %d", i)
-		}
-		v, err := UnmarshalLimits(data[pos:pos+int(sz)], lim)
+		v, err := UnmarshalLimits(elem, lim)
 		if err != nil {
 			return dst, fmt.Errorf("wire: batch element %d: %w", i, err)
 		}
 		dst = append(dst, v)
-		pos += int(sz)
 	}
-	if pos != len(data) {
-		return dst, fmt.Errorf("wire: %d trailing bytes after batch", len(data)-pos)
+	if r.pos != len(data) {
+		return dst, fmt.Errorf("wire: %d trailing bytes after batch", len(data)-r.pos)
 	}
 	return dst, nil
 }

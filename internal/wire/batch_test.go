@@ -7,6 +7,20 @@ import (
 	"junicon/internal/value"
 )
 
+// marshalBatch encodes vs the way the server's flush does: each value
+// marshaled, the run framed by AppendBatch.
+func marshalBatch(vs []value.V) ([]byte, error) {
+	items := make([][]byte, len(vs))
+	for i, v := range vs {
+		data, err := Marshal(v)
+		if err != nil {
+			return nil, err
+		}
+		items[i] = data
+	}
+	return AppendBatch(nil, items), nil
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	cases := [][]value.V{
 		{},
@@ -19,13 +33,13 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	cases = append(cases, long)
 	for _, vs := range cases {
-		data, err := MarshalBatch(vs)
+		data, err := marshalBatch(vs)
 		if err != nil {
-			t.Fatalf("MarshalBatch(%d values): %v", len(vs), err)
+			t.Fatalf("marshalBatch(%d values): %v", len(vs), err)
 		}
-		got, err := UnmarshalBatch(data, DefaultLimits)
+		got, err := UnmarshalBatchInto(nil, data, DefaultLimits)
 		if err != nil {
-			t.Fatalf("UnmarshalBatch(%d values): %v", len(vs), err)
+			t.Fatalf("UnmarshalBatchInto(%d values): %v", len(vs), err)
 		}
 		if len(got) != len(vs) {
 			t.Fatalf("batch of %d decoded as %d", len(vs), len(got))
@@ -40,7 +54,7 @@ func TestBatchRoundTrip(t *testing.T) {
 
 func TestDecodeBatchRejectsForgeries(t *testing.T) {
 	one, _ := Marshal(value.NewInt(7))
-	good := EncodeBatch([][]byte{one, one})
+	good := AppendBatch(nil, [][]byte{one, one})
 	cases := []struct {
 		name string
 		data []byte
@@ -57,13 +71,13 @@ func TestDecodeBatchRejectsForgeries(t *testing.T) {
 	}
 	lim := Limits{MaxBytes: 1 << 16, MaxElems: 1 << 10, MaxDepth: 16}
 	for _, c := range cases {
-		if _, err := DecodeBatch(c.data, lim); err == nil {
+		if _, err := UnmarshalBatchInto(nil, c.data, lim); err == nil {
 			t.Errorf("%s: decoded without error", c.name)
 		}
 	}
 	// A zero-count batch is legal (an empty flush would encode this way):
 	// it decodes to no elements, not an error.
-	vs, err := UnmarshalBatch(binary.AppendUvarint(nil, 0), lim)
+	vs, err := UnmarshalBatchInto(nil, binary.AppendUvarint(nil, 0), lim)
 	if err != nil || len(vs) != 0 {
 		t.Errorf("zero-count batch: %v, %d elements", err, len(vs))
 	}
@@ -75,7 +89,7 @@ func TestDecodeBatchRejectsForgeries(t *testing.T) {
 // a re-encode round trip element for element.
 func FuzzDecodeBatch(f *testing.F) {
 	mk := func(vs ...value.V) []byte {
-		data, err := MarshalBatch(vs)
+		data, err := marshalBatch(vs)
 		if err != nil {
 			f.Fatalf("seed marshal: %v", err)
 		}
@@ -100,15 +114,15 @@ func FuzzDecodeBatch(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lim := Limits{MaxBytes: 1 << 16, MaxElems: 1 << 12, MaxDepth: 32}
-		vs, err := UnmarshalBatch(data, lim)
+		vs, err := UnmarshalBatchInto(nil, data, lim)
 		if err != nil {
 			return
 		}
-		re, err := MarshalBatch(vs)
+		re, err := marshalBatch(vs)
 		if err != nil {
 			t.Fatalf("re-marshal of decoded batch failed: %v", err)
 		}
-		vs2, err := UnmarshalBatch(re, lim)
+		vs2, err := UnmarshalBatchInto(nil, re, lim)
 		if err != nil {
 			t.Fatalf("re-unmarshal failed: %v", err)
 		}

@@ -147,7 +147,7 @@ func Unmarshal(data []byte) (value.V, error) { return UnmarshalLimits(data, Defa
 
 // UnmarshalLimits decodes one value under explicit limits.
 func UnmarshalLimits(data []byte, lim Limits) (value.V, error) {
-	r := &reader{buf: data, lim: lim}
+	r := &Reader{buf: data, lim: lim}
 	v, err := r.value(0)
 	if err != nil {
 		return nil, err
@@ -173,8 +173,14 @@ func putVarint(b *bytes.Buffer, i int64) {
 }
 
 func putString(b *bytes.Buffer, s string) {
-	putUvarint(b, uint64(len(s)))
-	b.WriteString(s)
+	b.Write(AppendString(b.AvailableBuffer(), s))
+}
+
+// AppendString appends s as the codec frames every string: a uvarint
+// length, then the bytes. Exported with Reader for the remote protocol's
+// frame payloads, which are built from the same two primitives.
+func AppendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
 func encode(b *bytes.Buffer, v value.V, lim Limits, depth int, strict bool) error {
@@ -277,13 +283,24 @@ func encode(b *bytes.Buffer, v value.V, lim Limits, depth int, strict bool) erro
 
 // ---- decoding ----
 
-type reader struct {
+// Reader is the bounds-checked cursor every decode in this package runs
+// on: each length prefix is checked against the limits and the bytes that
+// remain before anything is sliced or allocated. The remote protocol parses
+// its frame payloads (OPEN, SNAPSHOT) with it too.
+type Reader struct {
 	buf []byte
 	pos int
 	lim Limits
 }
 
-func (r *reader) byte() (byte, error) {
+// NewReader reads data under lim.
+func NewReader(data []byte, lim Limits) *Reader { return &Reader{buf: data, lim: lim} }
+
+// Rest returns the bytes not yet read. Like Bytes, it aliases the input.
+func (r *Reader) Rest() []byte { return r.buf[r.pos:] }
+
+// Byte reads one byte.
+func (r *Reader) Byte() (byte, error) {
 	if r.pos >= len(r.buf) {
 		return 0, errors.New("wire: truncated value")
 	}
@@ -292,7 +309,8 @@ func (r *reader) byte() (byte, error) {
 	return c, nil
 }
 
-func (r *reader) uvarint() (uint64, error) {
+// Uvarint reads one unsigned varint.
+func (r *Reader) Uvarint() (uint64, error) {
 	u, n := binary.Uvarint(r.buf[r.pos:])
 	if n <= 0 {
 		return 0, errors.New("wire: bad uvarint")
@@ -301,7 +319,7 @@ func (r *reader) uvarint() (uint64, error) {
 	return u, nil
 }
 
-func (r *reader) varint() (int64, error) {
+func (r *Reader) varint() (int64, error) {
 	i, n := binary.Varint(r.buf[r.pos:])
 	if n <= 0 {
 		return 0, errors.New("wire: bad varint")
@@ -310,10 +328,10 @@ func (r *reader) varint() (int64, error) {
 	return i, nil
 }
 
-// bytesN reads a length-prefixed byte payload, enforcing MaxBytes and
-// remaining-buffer bounds before allocating.
-func (r *reader) bytesN() ([]byte, error) {
-	u, err := r.uvarint()
+// Bytes reads a length-prefixed byte payload, enforcing MaxBytes and
+// remaining-buffer bounds before allocating. The result aliases the input.
+func (r *Reader) Bytes() ([]byte, error) {
+	u, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -329,16 +347,17 @@ func (r *reader) bytesN() ([]byte, error) {
 	return out, nil
 }
 
-func (r *reader) string() (string, error) {
-	b, err := r.bytesN()
+// Str reads a length-prefixed string: Bytes, copied.
+func (r *Reader) Str() (string, error) {
+	b, err := r.Bytes()
 	return string(b), err
 }
 
 // count reads an element count, bounding it both by MaxElems and by the
 // bytes actually remaining (each element takes at least one tag byte), so
 // a forged huge count cannot pre-allocate unbounded memory.
-func (r *reader) count() (int, error) {
-	u, err := r.uvarint()
+func (r *Reader) count() (int, error) {
+	u, err := r.Uvarint()
 	if err != nil {
 		return 0, err
 	}
@@ -348,11 +367,11 @@ func (r *reader) count() (int, error) {
 	return int(u), nil
 }
 
-func (r *reader) value(depth int) (value.V, error) {
+func (r *Reader) value(depth int) (value.V, error) {
 	if depth > r.lim.MaxDepth {
 		return nil, ErrTooDeep
 	}
-	tag, err := r.byte()
+	tag, err := r.Byte()
 	if err != nil {
 		return nil, err
 	}
@@ -366,11 +385,11 @@ func (r *reader) value(depth int) (value.V, error) {
 		}
 		return value.NewInt(i), nil
 	case tagBig:
-		sign, err := r.byte()
+		sign, err := r.Byte()
 		if err != nil {
 			return nil, err
 		}
-		mag, err := r.bytesN()
+		mag, err := r.Bytes()
 		if err != nil {
 			return nil, err
 		}
@@ -389,13 +408,13 @@ func (r *reader) value(depth int) (value.V, error) {
 		r.pos += 8
 		return value.Real(math.Float64frombits(bits)), nil
 	case tagString:
-		s, err := r.string()
+		s, err := r.Str()
 		if err != nil {
 			return nil, err
 		}
 		return value.String(s), nil
 	case tagCset:
-		s, err := r.string()
+		s, err := r.Str()
 		if err != nil {
 			return nil, err
 		}
@@ -451,7 +470,7 @@ func (r *reader) value(depth int) (value.V, error) {
 		}
 		return s, nil
 	case tagRecord:
-		name, err := r.string()
+		name, err := r.Str()
 		if err != nil {
 			return nil, err
 		}
@@ -461,7 +480,7 @@ func (r *reader) value(depth int) (value.V, error) {
 		}
 		fields := make([]string, n)
 		for i := range fields {
-			if fields[i], err = r.string(); err != nil {
+			if fields[i], err = r.Str(); err != nil {
 				return nil, err
 			}
 		}
@@ -473,11 +492,11 @@ func (r *reader) value(depth int) (value.V, error) {
 		}
 		return value.NewRecord(name, fields, values), nil
 	case tagOpaque:
-		kind, err := r.string()
+		kind, err := r.Str()
 		if err != nil {
 			return nil, err
 		}
-		desc, err := r.string()
+		desc, err := r.Str()
 		if err != nil {
 			return nil, err
 		}
