@@ -253,32 +253,35 @@ func BenchmarkAblationTranslated_Sequential(b *testing.B) {
 	}
 }
 
-// ---- Ablation: facts-driven optimization on vs off ----
+// ---- Ablation: |> provisioned from facts (-O) on vs off ----
 //
-// Each pair runs one embedded workload through the interpreter with the
-// interprocedural fact engine off (the seed behaviour) and on. The On
-// lanes include the cost of computing facts per evaluation — the win has
-// to pay for its own analysis. The differential suite (semtest's Fused
-// lanes) pins that every pair produces identical traces; these pin what
-// the optimization buys:
+// Each pair runs one embedded workload through the tree walk without and
+// with interp.WithOptimize. The On lanes include the cost of computing
+// facts per evaluation — the win has to pay for its own analysis. The
+// differential suite (semtest's Optimized lanes) pins that every pair
+// produces identical traces; these pin what each decision buys:
 //
-//   - Fig6HashPipe is the Figure 6 pipeline decomposition with the hash
+//   - HashPipe is the Figure 6 pipeline decomposition with the hash
 //     stage in pure Junicon (stream of items |> light arithmetic hash,
 //     drained): facts prove the producer pure, so the pipe inlines —
 //     no goroutine, no queue round-trips.
-//   - Product exercises prefix fusion over a surface product chain; the
-//     pure ≤1-yield prefix evaluates once instead of per backtrack cycle.
+//   - ShortPipe is a short effectful producer (ten writes of a global):
+//     facts bound its yields, so the queue holds the whole sequence —
+//     eleven slots instead of pipe.DefaultBuffer; B/op is the number.
 //   - The Fig6WordCount/Fig6Pipeline lanes run Figure 3's mixed-language
-//     program, whose host native stages are effect-opaque — no fast path
-//     may engage — pinning that the optimizer does not regress the
-//     workloads it cannot prove anything about.
+//     program, whose host native stages are effect-opaque — its |> is
+//     provisioned as without facts — pinning that -O does not regress
+//     the workloads it cannot prove anything about.
 
-func benchAnalyzeExpr(b *testing.B, expr string, optimize bool) {
+func benchFactsExpr(b *testing.B, program, expr string, optimize bool) {
 	var opts []junicon.InterpOption
 	if optimize {
 		opts = append(opts, junicon.WithOptimize())
 	}
 	in := junicon.NewInterp(io.Discard, opts...)
+	if err := in.LoadProgram(program); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -295,17 +298,21 @@ func benchAnalyzeExpr(b *testing.B, expr string, optimize bool) {
 }
 
 const (
-	hashPipeExpr     = `!(|> ((1 to 2000) * 31))`
-	fusedProductExpr = `(2 * 3) & (4 + 5) & (1 to 20000)`
+	hashPipeExpr  = `!(|> ((1 to 2000) * 31))`
+	shortPipeExpr = `!(|> (g := (1 to 10)))`
 )
 
-func BenchmarkAnalyzeFusion_Fig6HashPipe_Off(b *testing.B) { benchAnalyzeExpr(b, hashPipeExpr, false) }
-func BenchmarkAnalyzeFusion_Fig6HashPipe_On(b *testing.B)  { benchAnalyzeExpr(b, hashPipeExpr, true) }
+func BenchmarkAblationFacts_HashPipe_Off(b *testing.B) { benchFactsExpr(b, "", hashPipeExpr, false) }
+func BenchmarkAblationFacts_HashPipe_On(b *testing.B)  { benchFactsExpr(b, "", hashPipeExpr, true) }
 
-func BenchmarkAnalyzeFusion_Product_Off(b *testing.B) { benchAnalyzeExpr(b, fusedProductExpr, false) }
-func BenchmarkAnalyzeFusion_Product_On(b *testing.B)  { benchAnalyzeExpr(b, fusedProductExpr, true) }
+func BenchmarkAblationFacts_ShortPipe_Off(b *testing.B) {
+	benchFactsExpr(b, "global g", shortPipeExpr, false)
+}
+func BenchmarkAblationFacts_ShortPipe_On(b *testing.B) {
+	benchFactsExpr(b, "global g", shortPipeExpr, true)
+}
 
-func benchAnalyzeWordCount(b *testing.B, pipeline, optimize bool) {
+func benchFactsWordCount(b *testing.B, pipeline, optimize bool) {
 	lines, _ := corpora()
 	small := lines[:50]
 	var opts []interp.Option
@@ -332,17 +339,17 @@ func benchAnalyzeWordCount(b *testing.B, pipeline, optimize bool) {
 	}
 }
 
-func BenchmarkAnalyzeFusion_Fig6WordCount_Off(b *testing.B) {
-	benchAnalyzeWordCount(b, false, false)
+func BenchmarkAblationFacts_Fig6WordCount_Off(b *testing.B) {
+	benchFactsWordCount(b, false, false)
 }
-func BenchmarkAnalyzeFusion_Fig6WordCount_On(b *testing.B) {
-	benchAnalyzeWordCount(b, false, true)
+func BenchmarkAblationFacts_Fig6WordCount_On(b *testing.B) {
+	benchFactsWordCount(b, false, true)
 }
-func BenchmarkAnalyzeFusion_Fig6Pipeline_Off(b *testing.B) {
-	benchAnalyzeWordCount(b, true, false)
+func BenchmarkAblationFacts_Fig6Pipeline_Off(b *testing.B) {
+	benchFactsWordCount(b, true, false)
 }
-func BenchmarkAnalyzeFusion_Fig6Pipeline_On(b *testing.B) {
-	benchAnalyzeWordCount(b, true, true)
+func BenchmarkAblationFacts_Fig6Pipeline_On(b *testing.B) {
+	benchFactsWordCount(b, true, true)
 }
 
 // ---- Kernel and substrate microbenchmarks ----

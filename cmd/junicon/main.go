@@ -13,10 +13,9 @@
 //	junicon -vet prog.jn …           static checks only; exit 1 on errors
 //	junicon -vet -Werror prog.jn     … treating warnings as errors
 //	junicon -vet -facts prog.jn      … also dump interprocedural facts
-//	junicon -O prog.jn               run with facts-driven optimization
+//	junicon -O prog.jn               tree walk provisions |> from facts, as -vm does
 //	junicon -vm prog.jn              run with compiled execution (bytecode vm)
 //	junicon -dis prog.jn             print bytecode listings (also -dis -e 'expr')
-//	junicon -emit -O -pkg gen p.jn   emit optimized Go translation
 //	junicon -xml 'expr'              print the parsed XML term form
 //	junicon -trace=run.json prog.jn  write a telemetry trace of the run
 //	junicon -metrics -e 'expr'       print runtime metrics after the run
@@ -61,7 +60,7 @@ func main() {
 		vet       = flag.Bool("vet", false, "run static checks only; report diagnostics without executing")
 		werror    = flag.Bool("Werror", false, "with -vet, treat warnings as errors")
 		facts     = flag.Bool("facts", false, "with -vet, dump the interprocedural generator facts per file")
-		optimize  = flag.Bool("O", false, "enable facts-driven optimization (fusion, pipe inlining, buffer sizing)")
+		optimize  = flag.Bool("O", false, "provision |> from interprocedural facts in the tree walk, as -vm already does (inline when pure, sized queue when bounded); -emit ignores it")
 		useVM     = flag.Bool("vm", false, "enable compiled execution (bytecode vm with slot-based resumable frames)")
 		dis       = flag.Bool("dis", false, "disassemble instead of running: print bytecode listings for a file (or -e expression)")
 		profile   = flag.String("profile", "", "write a pprof-format VM execution profile to this file when the program ends (implies -vm)")
@@ -162,7 +161,7 @@ func main() {
 
 	if *emit {
 		var out string
-		topts := junicon.TranslateOptions{Package: *pkg, Optimize: *optimize}
+		topts := junicon.TranslateOptions{Package: *pkg}
 		if mixed {
 			out, err = junicon.TranslateMixed(src, topts)
 		} else {

@@ -22,11 +22,11 @@ type Interp = interp.Interp
 // InterpOption configures an interpreter built by NewInterp.
 type InterpOption = interp.Option
 
-// WithOptimize enables facts-driven evaluation: the interpreter computes
-// interprocedural generator facts over loaded programs and uses them to
-// fuse pure single-yield product prefixes, inline statically pure pipes
-// and size pipe buffers from yield bounds. Semantically a no-op — the
-// differential suite pins optimized traces to the unoptimized reference.
+// WithOptimize has the tree walk provision |> sites from interprocedural
+// facts over the loaded programs, as WithVM already does: a statically
+// pure body runs inline, a bounded one gets a queue sized to its whole
+// sequence. Semantically a no-op — the differential suite pins optimized
+// traces to the unoptimized reference.
 func WithOptimize() InterpOption { return interp.WithOptimize() }
 
 // WithVM enables compiled execution: loaded procedures and evaluated

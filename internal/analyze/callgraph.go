@@ -90,9 +90,10 @@ func newCallGraph() *CallGraph {
 type procCtx struct {
 	name string
 	// locals are the locally bound names: parameters, declared
-	// locals/statics, assignment targets and bound-iteration temporaries.
-	// A call through one of them is a call through a value, not a
-	// reference to the global procedure of the same name.
+	// locals/statics, bound-iteration temporaries and assignment targets
+	// the program does not declare global. A call through one of them is
+	// a call through a value, not a reference to the global procedure of
+	// the same name.
 	locals map[string]bool
 	// statics is the subset of locals declared `static`: they outlive the
 	// invocation, so touching one is an effect of calling the procedure.
@@ -104,7 +105,10 @@ type procCtx struct {
 var topLevelCtx = &procCtx{name: TopLevel}
 
 // newProcCtx collects a procedure's name sets in one walk of its body.
-func newProcCtx(p *ast.ProcDecl) *procCtx {
+// Assignment makes a name local unless it is one of the program's declared
+// globals — exactly the names |<> and |> do not shadow, so a write to one
+// is visible outside whatever the procedure creates.
+func newProcCtx(p *ast.ProcDecl, globals map[string]bool) *procCtx {
 	cx := &procCtx{name: p.Name, locals: map[string]bool{}}
 	for _, param := range p.Params {
 		cx.locals[param] = true
@@ -122,7 +126,11 @@ func newProcCtx(p *ast.ProcDecl) *procCtx {
 			}
 			return true
 		}
-		eachAssigned(n, func(name string) { cx.locals[name] = true })
+		eachAssigned(n, func(name string) {
+			if !globals[name] {
+				cx.locals[name] = true
+			}
+		})
 		return true
 	})
 	return cx

@@ -9,28 +9,31 @@ import (
 
 // effects.go is the interprocedural fact computation: a fixpoint over the
 // call graph that assigns every procedure an effect summary and a
-// yield-count bound, then a caching pass that records facts for every node
-// of the program. Soundness discipline: unknown callees and host natives
-// are the top of the lattice; recursive generator procedures are pinned to
-// unbounded yields before the fixpoint runs, so exact bounds never
-// under-approximate a sequence the runtime would fuse.
+// yield-count bound, then a caching pass that records the facts of the
+// nodes a consumer asks about by identity: the body of every |> (its
+// provisioning, JV012) and the left operand of every limit (JV014).
+// Soundness discipline: unknown callees and host natives are the top of
+// the lattice; recursive generator procedures are pinned to unbounded
+// yields before the fixpoint runs, so exact bounds never under-approximate
+// a sequence the runtime would provision a queue for.
 //
 // The computation is incremental in the unit programs arrive in
 // (ExtendDecls, one LoadProgram batch at a time): a summary depends only
 // on the procedure's own body and its callees' summaries, and a procedure
 // already in the table cannot call one that did not exist when its edges
 // were resolved — unless a batch defines a name an earlier call site left
-// unresolved, or redefines a procedure. Only then are the tables thrown
-// away and recomputed over everything loaded; otherwise the fixpoint runs
-// over the batch alone, against summaries that are already final, and
-// yields the tables one run over the whole program would.
+// unresolved, redefines a procedure, or declares global a name an earlier
+// procedure took for its own by assigning it. Only then are the tables
+// thrown away and recomputed over everything loaded; otherwise the
+// fixpoint runs over the batch alone, against summaries that are already
+// final, and yields the tables one run over the whole program would.
 
 // factsComp carries one fact-computation run.
 type factsComp struct {
 	*Facts
 	opts Options
 	// cache is nil during the fixpoint; the caching pass swaps in the
-	// node cache so every visited subtree records its facts.
+	// node cache that record fills.
 	cache map[ast.Node]GenFacts
 }
 
@@ -52,24 +55,45 @@ func (f *Facts) ExtendDecls(batch []ast.Node, opts Options) {
 		f.cg.Procs[p.Name] = p
 		f.decls = append(f.decls, p)
 	}
+	// A declared global is never a local, whichever arrives first: a
+	// procedure analyzed before the declaration that counted the name
+	// among its locals gets fresh name sets and the tables a re-run.
+	declare := func(names []string) {
+		for _, name := range names {
+			if f.globals[name] {
+				continue
+			}
+			f.globals[name] = true
+			for p, cx := range f.ctx {
+				if cx.locals[name] {
+					delete(f.ctx, p)
+					rebound = true
+				}
+			}
+		}
+	}
 	for _, d := range batch {
 		switch x := d.(type) {
 		case *ast.ProcDecl:
 			add(x)
 		case *ast.ClassDecl:
+			declare(x.Fields) // flattened into globals at load
 			for _, m := range x.Methods {
 				add(m)
 			}
-		case *ast.RecordDecl, *ast.GlobalDecl:
-			// no code of their own
+		case *ast.GlobalDecl:
+			declare(x.Names)
+		case *ast.RecordDecl:
+			// no code of its own
 		default:
 			stmts = append(stmts, d)
 		}
 	}
 	if rebound {
-		// A call site analyzed earlier now resolves differently (late
-		// binding, REPL redefinition): start over, keeping only the
-		// winning declaration of each name and its name sets.
+		// A name analyzed earlier now resolves differently (late binding,
+		// REPL redefinition, a global declared after its writer): start
+		// over, keeping only the winning declaration of each name and the
+		// name sets that still hold.
 		f.cg = newCallGraph()
 		f.procs = map[string]*ProcFacts{}
 		f.nodes = map[ast.Node]GenFacts{}
@@ -106,7 +130,7 @@ func (f *Facts) ExtendExpr(n ast.Node, opts Options) {
 
 // solve summarizes the given procedures — already in the call graph's
 // Procs, their callees either among them or summarized earlier — and
-// caches the facts of every node of their bodies.
+// caches the facts their bodies will be asked for.
 func (fc *factsComp) solve(decls []*ast.ProcDecl) {
 	if len(decls) == 0 {
 		return
@@ -115,7 +139,7 @@ func (fc *factsComp) solve(decls []*ast.ProcDecl) {
 	for i, p := range decls {
 		names[i] = p.Name
 		if fc.ctx[p] == nil { // a re-run finds them in place
-			fc.ctx[p] = newProcCtx(p)
+			fc.ctx[p] = newProcCtx(p, fc.globals)
 		}
 	}
 	sort.Strings(names)
@@ -155,9 +179,7 @@ func (fc *factsComp) solve(decls []*ast.ProcDecl) {
 			if !rec[name] { // a recursive procedure's yields stay pinned
 				next.Yields = got.Yields
 			}
-			next.Restartable = (next.Effects &^ EffControl).Fusable()
-			if next.Effects != old.Effects || next.Yields != old.Yields ||
-				next.Restartable != old.Restartable {
+			if next.Effects != old.Effects || next.Yields != old.Yields {
 				*fc.procs[name] = next
 				changed = true
 			}
@@ -167,14 +189,11 @@ func (fc *factsComp) solve(decls []*ast.ProcDecl) {
 		}
 	}
 
-	// Caching pass: every subtree the runtime might ask about records its
-	// facts, create-site bodies included.
+	// Caching pass: one more walk of each body (stmtEffects reaches every
+	// expression), against the final table.
 	fc.cache = fc.nodes
 	for _, p := range decls {
-		cx := fc.ctx[p]
-		fc.stmtEffects(p.Body, cx)
-		fc.procYields(p.Body.Stmts, cx)
-		markDemand(p.Body, fc.cache)
+		fc.stmtEffects(p.Body, fc.ctx[p])
 	}
 	fc.cache = nil
 }
@@ -186,7 +205,6 @@ func (fc *factsComp) cacheStatements(stmts []ast.Node) {
 	fc.cache = fc.exprNodes
 	for _, s := range stmts {
 		fc.expr(s, topLevelCtx)
-		markDemand(s, fc.cache)
 	}
 	fc.cache = nil
 }
@@ -226,7 +244,8 @@ func (fc *factsComp) summarize(name string) GenFacts {
 	return GenFacts{Effects: eff, Yields: yields}
 }
 
-// record caches facts for a node on the caching pass.
+// record caches, on the caching pass, the facts of a node a consumer
+// looks up by identity (Facts.At).
 func (fc *factsComp) record(n ast.Node, g GenFacts) GenFacts {
 	if fc.cache != nil && n != nil {
 		fc.cache[n] = g
@@ -298,20 +317,20 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 		return GenFacts{Yields: boundNone}
 
 	case *ast.IntLit, *ast.RealLit, *ast.StrLit, *ast.CsetLit:
-		return fc.record(n, GenFacts{Yields: boundOne})
+		return GenFacts{Yields: boundOne}
 
 	case *ast.Keyword:
 		if x.Name == "fail" {
-			return fc.record(n, GenFacts{Yields: boundNone})
+			return GenFacts{Yields: boundNone}
 		}
-		return fc.record(n, GenFacts{Yields: boundOne})
+		return GenFacts{Yields: boundOne}
 
 	case *ast.Ident:
-		return fc.record(n, fc.readFacts(x.Name, cx))
+		return fc.readFacts(x.Name, cx)
 	case *ast.TmpRef:
 		// Normalization temporaries are bound by their BindIn term within
 		// the enclosing FlatProduct — locals by construction, never globals.
-		return fc.record(n, GenFacts{Yields: boundOne})
+		return GenFacts{Yields: boundOne}
 
 	case *ast.ListLit:
 		g := GenFacts{Yields: boundOne}
@@ -322,13 +341,13 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 				g.Yields.Min = 0
 			}
 		}
-		return fc.record(n, g)
+		return g
 
 	case *ast.Binary:
-		return fc.record(n, fc.binaryFacts(x, cx))
+		return fc.binaryFacts(x, cx)
 
 	case *ast.Unary:
-		return fc.record(n, fc.unaryFacts(x, cx))
+		return fc.unaryFacts(x, cx)
 
 	case *ast.ToBy:
 		lo := fc.expr(x.Lo, cx)
@@ -341,10 +360,10 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 			operands = operands.Mul(by.Yields)
 		}
 		g.Yields = operands.Mul(rangeCount(x))
-		return fc.record(n, g)
+		return g
 
 	case *ast.Call:
-		return fc.record(n, fc.callFacts(x, cx))
+		return fc.callFacts(x, cx)
 
 	case *ast.NativeCall:
 		g := GenFacts{Effects: EffUnknown, Yields: boundOpt}
@@ -363,25 +382,25 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 			g.Effects |= af.Effects
 			g.Yields = af.Yields.Mul(g.Yields)
 		}
-		return fc.record(n, g)
+		return g
 
 	case *ast.Index:
 		xf := fc.expr(x.X, cx)
 		idx := fc.expr(x.I, cx)
 		b := xf.Yields.Mul(idx.Yields)
 		b.Min = 0 // subscripts fail out of range
-		return fc.record(n, GenFacts{Effects: xf.Effects | idx.Effects, Yields: b})
+		return GenFacts{Effects: xf.Effects | idx.Effects, Yields: b}
 
 	case *ast.Slice:
 		g := fc.joinAll(cx, x.X, x.I, x.J)
 		g.Yields.Min = 0
-		return fc.record(n, g)
+		return g
 
 	case *ast.Field:
 		xf := fc.expr(x.X, cx)
 		b := xf.Yields
 		b.Min = 0
-		return fc.record(n, GenFacts{Effects: xf.Effects, Yields: b})
+		return GenFacts{Effects: xf.Effects, Yields: b}
 
 	case *ast.If:
 		cond := fc.expr(x.Cond, cx)
@@ -392,20 +411,20 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 		if x.Else == nil || !cond.Yields.CannotFail() {
 			g.Yields.Min = 0
 		}
-		return fc.record(n, g)
+		return g
 
 	case *ast.While:
 		g := fc.joinAll(cx, x.Cond, x.Body)
 		g.Yields = boundNone // loops fail as expressions
-		return fc.record(n, g)
+		return g
 	case *ast.Every:
 		g := fc.joinAll(cx, x.E, x.Body)
 		g.Yields = boundNone
-		return fc.record(n, g)
+		return g
 	case *ast.Repeat:
 		g := fc.joinAll(cx, x.Body)
 		g.Yields = boundNone
-		return fc.record(n, g)
+		return g
 
 	case *ast.Case:
 		subj := fc.expr(x.Subject, cx)
@@ -419,11 +438,11 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 			g.Yields = g.Yields.Join(cf.Yields)
 		}
 		g.Yields.Min = 0
-		return fc.record(n, g)
+		return g
 
 	case *ast.Block:
 		if len(x.Stmts) == 0 {
-			return fc.record(n, GenFacts{Yields: boundOne})
+			return GenFacts{Yields: boundOne}
 		}
 		g := GenFacts{}
 		for _, s := range x.Stmts {
@@ -432,7 +451,7 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 		// Bounded failures of leading statements are discarded; the
 		// block's sequence is the last statement's.
 		g.Yields = fc.expr(x.Stmts[len(x.Stmts)-1], cx).Yields
-		return fc.record(n, g)
+		return g
 
 	case *ast.VarDecl:
 		g := GenFacts{Yields: boundOne}
@@ -441,16 +460,15 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 				g.Effects |= fc.expr(init, cx).Effects
 			}
 		}
-		return fc.record(n, g)
+		return g
 
 	case *ast.Initial:
 		g := fc.joinAll(cx, x.Body)
 		g.Yields = boundOne
-		return fc.record(n, g)
+		return g
 
 	case *ast.BindIn:
-		ef := fc.expr(x.E, cx)
-		return fc.record(n, ef)
+		return fc.expr(x.E, cx)
 
 	case *ast.FlatProduct:
 		g := GenFacts{Yields: boundOne}
@@ -459,29 +477,29 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 			g.Effects |= tf.Effects
 			g.Yields = g.Yields.Mul(tf.Yields)
 		}
-		return fc.record(n, g)
+		return g
 
 	case *ast.Break:
 		g := fc.joinAll(cx, x.E)
 		g.Effects |= EffControl
 		g.Yields = boundNone
-		return fc.record(n, g)
+		return g
 	case *ast.NextStmt:
-		return fc.record(n, GenFacts{Effects: EffControl, Yields: boundNone})
+		return GenFacts{Effects: EffControl, Yields: boundNone}
 	case *ast.Fail:
-		return fc.record(n, GenFacts{Effects: EffControl, Yields: boundNone})
+		return GenFacts{Effects: EffControl, Yields: boundNone}
 	case *ast.Return:
 		g := fc.joinAll(cx, x.E)
 		g.Effects |= EffControl
 		g.Yields = boundOpt
-		return fc.record(n, g)
+		return g
 	case *ast.Suspend:
 		g := fc.joinAll(cx, x.E, x.Body)
 		g.Effects |= EffControl
-		return fc.record(n, g)
+		return g
 	}
 	// Unknown node kind: top.
-	return fc.record(n, GenFacts{Effects: EffUnknown, Yields: boundUnbounded})
+	return GenFacts{Effects: EffUnknown, Yields: boundUnbounded}
 }
 
 // joinAll joins the effects of several subexpressions (nil skipped),
@@ -543,7 +561,7 @@ func (fc *factsComp) binaryFacts(x *ast.Binary, cx *procCtx) GenFacts {
 	case "|":
 		return GenFacts{Effects: eff, Yields: l.Yields.Add(r.Yields)}
 	case "\\":
-		b := l.Yields
+		b := fc.record(x.L, l).Yields // JV014 asks what the limit cuts
 		if lim, ok := intConst(x.R); ok {
 			if lim < 0 {
 				lim = 0
@@ -617,15 +635,16 @@ func (fc *factsComp) unaryFacts(x *ast.Unary, cx *procCtx) GenFacts {
 	switch x.Op {
 	case "<>", "|<>":
 		// Creation defers the body; the creation expression itself is a
-		// pure single value. The body's facts are still computed (and
-		// cached) — they are the facts of the created generator.
+		// pure single value. The body is still walked, for the |> sites
+		// and limits inside it.
 		fc.expr(x.X, cx)
 		return GenFacts{Yields: boundOne}
 	case "|>":
 		// A pipe starts its producer eagerly: creating it performs the
 		// body's effects (asynchronously), though the creation expression
-		// still yields exactly the pipe.
-		body := fc.expr(x.X, cx)
+		// still yields exactly the pipe. PipeStrategy and JV012 ask for
+		// the body's facts.
+		body := fc.record(x.X, fc.expr(x.X, cx))
 		return GenFacts{Effects: body.Effects, Yields: boundOne}
 	}
 
@@ -884,33 +903,4 @@ func (fc *factsComp) stmtEffects(s ast.Node, cx *procCtx) Effects {
 		return fc.stmtEffects(x.Body, cx)
 	}
 	return fc.expr(s, cx).Effects
-}
-
-// ---------- demandedness ----------
-
-// markDemand flags expressions the program drives to exhaustion: the
-// iterated expression of every-loops and operands of promotion. The flag
-// rides the cached record, so consumers can distinguish a generator whose
-// full sequence is demanded from one in a bounded position.
-func markDemand(root ast.Node, nodes map[ast.Node]GenFacts) {
-	mark := func(n ast.Node) {
-		if n == nil {
-			return
-		}
-		if g, ok := nodes[n]; ok {
-			g.Demanded = true
-			nodes[n] = g
-		}
-	}
-	ast.Walk(root, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.Every:
-			mark(x.E)
-		case *ast.Unary:
-			if x.Op == "!" {
-				mark(x.X)
-			}
-		}
-		return true
-	})
 }

@@ -9,12 +9,11 @@ import (
 )
 
 // This file defines the whole-program fact lattice the interprocedural
-// engine computes (effects.go) and the runtime consumes (interp, translate,
-// pipe): per-generator effect summaries, yield-count bounds, restartability
-// and demandedness. The passes of PR 1 only *warn*; facts additionally
-// *drive* the evaluator — pure ≤1-yield chains fuse into direct calls,
-// pipe buffers size themselves from yield bounds, and provably tiny pure
-// producers skip goroutines entirely. The semtest Fused evaluator is the
+// engine computes (effects.go) and its consumers read: per-generator
+// effect summaries and yield-count bounds. The passes of PR 1 only *warn*
+// from them (JV012, JV014); the evaluators additionally *provision* |>
+// sites from them (provision.go) and the VM dispatches calls to pure
+// ≤1-yield procedures directly. The semtest -O and VM lanes are the
 // executable proof that none of this can change a trace.
 
 // Effects is the effect summary of a generator expression: which classes
@@ -45,16 +44,12 @@ const (
 	EffUnknown
 	// EffUndo marks an effect the expression takes back when it is resumed
 	// (x <- e, x <-> y): its last result still has a resumption that
-	// matters, so it may be neither fused into a run-once prefix nor have
-	// its restart elided, however few results it yields.
+	// matters, however few results it yields.
 	EffUndo
 )
 
 // EffPure is the bottom of the effect lattice.
 const EffPure Effects = 0
-
-// Pure reports a fully effect-free summary.
-func (e Effects) Pure() bool { return e == EffPure }
 
 // Fusable reports whether the runtime may re-order, elide or inline
 // evaluations of the expression without changing any trace: no writes, no
@@ -127,9 +122,6 @@ var (
 	boundFinite    = Bound{0, BoundFinite}
 	boundUnbounded = Bound{0, BoundUnbounded}
 )
-
-// Finite reports whether the sequence provably terminates.
-func (b Bound) Finite() bool { return b.Max != BoundUnbounded }
 
 // AtMost reports whether the cycle provably yields no more than n results.
 func (b Bound) AtMost(n int) bool { return b.Max >= 0 && b.Max <= n }
@@ -250,31 +242,11 @@ func (b Bound) Cap(n int) Bound {
 type GenFacts struct {
 	Effects Effects
 	Yields  Bound
-	// Restartable reports that re-driving the expression from the start is
-	// statically safe and reproducible: a Fusable effect summary. The
-	// runtime may elide restart bookkeeping when it is false, and may
-	// re-run the sequence when it is true.
-	Restartable bool
-	// Demanded reports that the expression sits in a position that drives
-	// it to exhaustion (an every-control, a promotion) rather than a
-	// bounded position that takes at most one result.
-	Demanded bool
 }
-
-// Fusable reports that the whole expression may be inlined/fused: effect
-// summary permits it and the yield count is statically finite.
-func (g GenFacts) Fusable() bool { return g.Effects.Fusable() && g.Yields.Finite() }
 
 // String renders the record for the -facts dump.
 func (g GenFacts) String() string {
-	s := fmt.Sprintf("effects=%s yields=%s", g.Effects, g.Yields)
-	if g.Restartable {
-		s += " restartable"
-	}
-	if g.Demanded {
-		s += " demanded"
-	}
-	return s
+	return fmt.Sprintf("effects=%s yields=%s", g.Effects, g.Yields)
 }
 
 // ProcFacts is the interprocedural summary of one procedure: the facts of
@@ -286,13 +258,16 @@ type ProcFacts struct {
 }
 
 // Facts is the whole-program fact table: procedure summaries from the
-// interprocedural fixpoint plus a per-node cache filled on the final pass,
-// so consumers can ask about any subtree of the analyzed program by node
-// identity. It grows with the program: ExtendDecls adds a batch of
+// interprocedural fixpoint plus a node cache filled on the final pass,
+// holding the nodes consumers ask about by identity — |> bodies and limit
+// operands. It grows with the program: ExtendDecls adds a batch of
 // declarations, ExtendExpr one evaluated expression.
 type Facts struct {
 	procs map[string]*ProcFacts
 	nodes map[ast.Node]GenFacts
+	// globals is every name declared global so far (global declarations
+	// and class fields): never a procedure's local, however it is used.
+	globals map[string]bool
 	// decls is every procedure analyzed so far, one per name, in load
 	// order — what a from-scratch recomputation runs over — with the call
 	// graph over them and each one's name sets.
@@ -312,10 +287,11 @@ type Facts struct {
 // NewFacts returns the fact table of the empty program.
 func NewFacts() *Facts {
 	return &Facts{
-		procs: map[string]*ProcFacts{},
-		nodes: map[ast.Node]GenFacts{},
-		cg:    newCallGraph(),
-		ctx:   map[*ast.ProcDecl]*procCtx{},
+		procs:   map[string]*ProcFacts{},
+		nodes:   map[ast.Node]GenFacts{},
+		globals: map[string]bool{},
+		cg:      newCallGraph(),
+		ctx:     map[*ast.ProcDecl]*procCtx{},
 	}
 }
 
@@ -331,7 +307,8 @@ func (f *Facts) Proc(name string) (ProcFacts, bool) {
 	return *p, true
 }
 
-// At returns the facts of a node of the analyzed program (by identity).
+// At returns the cached facts of a node of the analyzed program (by
+// identity): a |> body or the left operand of a limit.
 func (f *Facts) At(n ast.Node) (GenFacts, bool) {
 	if f == nil {
 		return GenFacts{}, false

@@ -51,66 +51,6 @@ func Product(gens ...Gen) Gen {
 	return g
 }
 
-// fusedProduct is the fact-driven fast path for a product whose leading
-// terms are statically pure and yield at most once (analyze.FusablePrefix):
-// the prefix is evaluated a single time per cycle instead of being
-// re-driven by the backtracking machinery on every result of the tail.
-// Purity makes the elided re-evaluations unobservable — a pure term
-// re-Nexted after its single result deterministically fails, and a pure
-// term that failed once fails for the rest of the cycle — so the trace is
-// identical to Product's. A cycle ends when the product fails; the next
-// one (repeated alternation, an enclosing loop) evaluates the prefix
-// afresh, because what it reads may have changed in between.
-type fusedProduct struct {
-	prefix   []Gen
-	tail     Gen
-	prefixOK bool // the prefix succeeded in this cycle
-}
-
-func (p *fusedProduct) Next() (V, bool) {
-	if !p.prefixOK {
-		for _, g := range p.prefix {
-			if _, ok := g.Next(); !ok {
-				p.endCycle()
-				return nil, false
-			}
-		}
-		p.prefixOK = true
-	}
-	v, ok := p.tail.Next()
-	if !ok {
-		p.endCycle()
-	}
-	return v, ok
-}
-
-// endCycle rewinds the prefix terms that have yielded their one result, so
-// the next cycle starts them from the beginning as Product's backtracking
-// would have left them.
-func (p *fusedProduct) endCycle() {
-	for _, g := range p.prefix {
-		g.Restart()
-	}
-	p.prefixOK = false
-}
-
-func (p *fusedProduct) Restart() {
-	p.endCycle()
-	p.tail.Restart()
-}
-
-// FusedProduct composes a product whose prefix terms are evaluated once
-// and whose tail supplies the iteration. The caller guarantees — by
-// static analysis — that every prefix term is effect-free and yields at
-// most one result; under any other terms the trace differs from
-// Product's.
-func FusedProduct(prefix []Gen, tail Gen) Gen {
-	if len(prefix) == 0 {
-		return tail
-	}
-	return &fusedProduct{prefix: prefix, tail: tail}
-}
-
 // inGen implements bound iteration (x in e): each result of e is assigned to
 // the reified variable before being yielded, chaining the pieces of a
 // flattened primary together (§5A).

@@ -77,45 +77,6 @@ func TestProductFailurePropagates(t *testing.T) {
 	eqInts(t, ints(t, g))
 }
 
-// A fused prefix is evaluated once per cycle, not once per lifetime: a
-// generator that has failed starts over on the next Next (auto-restart),
-// and what the prefix reads may have changed by then. Product re-reads it;
-// so must FusedProduct, or repeated alternation over a fused product sees
-// stale values (semtest corpus, fused/prefix-per-cycle).
-func TestFusedProductEvaluatesPrefixPerCycle(t *testing.T) {
-	cell := value.NewCell(value.NewInt(0))
-	evals := 0
-	read := func() Gen {
-		return Defer(func() Gen { evals++; return Unit(cell.Get()) })
-	}
-	tmp := value.NewCell(value.NullV)
-	for name, mk := range map[string]func() Gen{
-		"product": func() Gen { return Product(In(tmp, read()), Unit(tmp)) },
-		"fused":   func() Gen { return FusedProduct([]Gen{In(tmp, read())}, Unit(tmp)) },
-	} {
-		cell.Set(value.NewInt(0))
-		evals = 0
-		g := mk()
-		var got []int64
-		for cycle := int64(1); cycle <= 3; cycle++ {
-			got = append(got, ints(t, g)...) // one cycle: to failure
-			cell.Set(value.NewInt(cycle))
-		}
-		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Errorf("%s: three cycles read %v, want [0 1 2]", name, got)
-		}
-		if evals != 3 {
-			t.Errorf("%s: prefix evaluated %d times over three cycles, want 3", name, evals)
-		}
-	}
-	// Within a cycle the prefix still runs once, however long the tail.
-	evals = 0
-	eqInts(t, ints(t, FusedProduct([]Gen{read()}, IntRange(1, 4))), 1, 2, 3, 4)
-	if evals != 1 {
-		t.Errorf("prefix evaluated %d times in one cycle, want 1", evals)
-	}
-}
-
 func TestAltConcatenatesSequences(t *testing.T) {
 	g := Alt(IntRange(1, 2), IntRange(8, 9))
 	eqInts(t, ints(t, g), 1, 2, 8, 9)

@@ -58,11 +58,6 @@ func (in *Interp) eval(n ast.Node, env *Env) core.Gen {
 		for i, t := range x.Terms {
 			terms[i] = in.eval(t, env)
 		}
-		// Facts-driven fusion: a statically pure ≤1-yield prefix is
-		// evaluated once instead of being re-driven per backtrack cycle.
-		if k := in.facts.FusablePrefix(x.Terms); k > 0 {
-			return core.FusedProduct(terms[:k], core.Product(terms[k:]...))
-		}
 		return core.Product(terms...)
 	case *ast.BindIn:
 		cell := env.Define(x.Tmp, value.NullV)
@@ -216,33 +211,10 @@ func (in *Interp) keyword(k *ast.Keyword) core.Gen {
 	panic("unreachable")
 }
 
-// productChain flattens the left spine of a surface product chain:
-// `a & b & c` parses left-associative, so the terms sit down the L edges.
-func productChain(x *ast.Binary) []ast.Node {
-	if l, ok := x.L.(*ast.Binary); ok && l.Op == "&" {
-		return append(productChain(l), x.R)
-	}
-	return []ast.Node{x.L, x.R}
-}
-
 // binary compiles binary operators.
 func (in *Interp) binary(x *ast.Binary, env *Env) core.Gen {
 	switch x.Op {
 	case "&":
-		// Facts-driven fusion over the surface chain: `&` parses
-		// left-associative and normalization keeps the nested Binary
-		// shape, so flatten the left spine and apply the same prefix
-		// decision FlatProduct gets.
-		if in.optimize {
-			nodes := productChain(x)
-			if k := in.facts.FusablePrefix(nodes); k > 0 {
-				gens := make([]core.Gen, len(nodes))
-				for i, n := range nodes {
-					gens[i] = in.eval(n, env)
-				}
-				return core.FusedProduct(gens[:k], core.Product(gens[k:]...))
-			}
-		}
 		return core.Product(in.eval(x.L, env), in.eval(x.R, env))
 	case "|":
 		return core.Alt(in.eval(x.L, env), in.eval(x.R, env))
@@ -362,8 +334,9 @@ func (in *Interp) unary(x *ast.Unary, env *Env) core.Gen {
 			return core.Unit(in.makeCoexpr(x.X, env))
 		})
 	case "|>":
-		// Facts-driven provisioning: strictly pure producers run inline
-		// (no goroutine, no queue); bounded producers get a queue sized to
+		// Provisioned from facts when there are any (WithOptimize, or a
+		// VM fallback unit): strictly pure producers run inline (no
+		// goroutine, no queue); bounded producers get a queue sized to
 		// their whole sequence instead of the default.
 		strategy := in.facts.PipeStrategy(x.X)
 		if strategy.Inline {

@@ -61,14 +61,15 @@ type Interp struct {
 	tracer   *core.Tracer
 	out      io.Writer
 
-	// Facts-driven optimization (interprocedural analysis consumed by the
-	// evaluator): when optimize is set, LoadProgram/EvalGen compute
-	// whole-program facts over the normalized trees and eval fuses pure
-	// ≤1-yield product prefixes, inlines pure pipes and sizes pipe buffers
-	// from yield bounds. decls accumulates normalized declarations across
-	// loads; facts (empty until then) has analyzed the first factsSeen of
-	// them — the tree walk computes none, so a later SetVM(true) has
-	// catching up to do.
+	// Whole-program facts (internal/analyze), computed over the normalized
+	// trees when optimize or vm is set. The VM reads them for its call1
+	// dispatch and to provision |> sites; optimize (WithOptimize) has the
+	// tree walk provision |> the same way — inline when the body is pure,
+	// a whole-sequence queue when its yields are bounded — and nothing
+	// else. decls accumulates normalized declarations across loads; facts
+	// (empty until then) has analyzed the first factsSeen of them — the
+	// plain tree walk computes none, so a later SetVM(true) has catching
+	// up to do.
 	optimize  bool
 	facts     *analyze.Facts
 	decls     []ast.Node
@@ -94,9 +95,10 @@ type Option func(*Interp)
 // WithOutput directs write()/writes() output to w.
 func WithOutput(w io.Writer) Option { return func(in *Interp) { in.out = w } }
 
-// WithOptimize enables facts-driven evaluation: statically justified
-// fusion, pipe inlining and buffer sizing. Semantically a no-op — the
-// semtest Fused lane pins that traces are identical either way.
+// WithOptimize has the tree walk provision |> sites from whole-program
+// facts, as the VM already does: a pure body runs inline, a bounded one
+// gets a queue sized to its whole sequence. Semantically a no-op — the
+// semtest Optimized lanes pin that traces are identical either way.
 func WithOptimize() Option { return func(in *Interp) { in.optimize = true } }
 
 // New returns an interpreter with the builtin library loaded.

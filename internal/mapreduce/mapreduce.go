@@ -74,11 +74,6 @@ func sharedPool() *pool.Pool {
 	return shared
 }
 
-// chunkBufs recycles chunk backing slices: a chunk list dies as soon as its
-// task pipe has drained it, so the backing array is returned to the pool
-// when the task leaves the window.
-var chunkBufs sync.Pool
-
 // Chunk partitions the results of stepping co-expression e into lists of at
 // most size elements — the chunk generator function of Figure 4.
 func Chunk(e core.Stepper, size int) core.Gen {
@@ -88,20 +83,13 @@ func Chunk(e core.Stepper, size int) core.Gen {
 	return &chunkGen{e: e, size: size}
 }
 
-// chunkGen is the struct form of Figure 4's chunk(e): no coroutine, and the
-// backing slices come preallocated from the recycler.
+// chunkGen is the struct form of Figure 4's chunk(e): no coroutine, one
+// backing slice allocated per chunk.
 type chunkGen struct {
 	e    core.Stepper
 	size int
 	buf  []value.V
 	done bool
-}
-
-func (g *chunkGen) take() []value.V {
-	if b, ok := chunkBufs.Get().([]value.V); ok && cap(b) >= g.size {
-		return b[:0]
-	}
-	return make([]value.V, 0, g.size)
 }
 
 func (g *chunkGen) Next() (value.V, bool) {
@@ -110,7 +98,7 @@ func (g *chunkGen) Next() (value.V, bool) {
 		return nil, false
 	}
 	if g.buf == nil {
-		g.buf = g.take()
+		g.buf = make([]value.V, 0, g.size)
 	}
 	for {
 		v, ok := g.e.Step(value.NullV) // put(chunk, @e)
@@ -120,7 +108,7 @@ func (g *chunkGen) Next() (value.V, bool) {
 		g.buf = append(g.buf, value.Deref(v))
 		if len(g.buf) >= g.size {
 			out := value.NewListOf(g.buf)
-			g.buf = g.take()
+			g.buf = make([]value.V, 0, g.size)
 			return out, true
 		}
 	}
@@ -131,9 +119,6 @@ func (g *chunkGen) Next() (value.V, bool) {
 		return value.NewListOf(out), true
 	}
 	// Exhausted on a chunk boundary: fail now, auto-restarted next call.
-	if cap(out) > 0 {
-		chunkBufs.Put(out[:0])
-	}
 	return nil, false
 }
 
@@ -145,20 +130,6 @@ func (g *chunkGen) Restart() {
 // ChunkGen is Chunk over a plain generator: chunk(<>s).
 func ChunkGen(src core.Gen, size int) core.Gen {
 	return Chunk(core.NewFirstClass(src), size)
-}
-
-// recycleChunk returns a drained chunk's backing slice to the recycler. The
-// elements have been delivered by value (chunkElems), so nothing retains
-// the array.
-func recycleChunk(c value.V) {
-	if l, ok := c.(*value.List); ok {
-		if buf := l.Elems(); cap(buf) > 0 {
-			for i := range buf {
-				buf[i] = nil
-			}
-			chunkBufs.Put(buf[:0]) //nolint:staticcheck // slice header churn is fine here
-		}
-	}
 }
 
 // chunkElems promotes a chunk for kernel-internal iteration: elements by
@@ -326,13 +297,6 @@ func (cfg Config) MapFlat(f, s value.V) core.Gen {
 // allocated up front, per task.
 const maxTaskBuffer = 64 << 10
 
-// windowTask is one in-flight chunk task: its pipe and the chunk list whose
-// backing slice is recycled once the task leaves the window.
-type windowTask struct {
-	p     *pipe.Pipe
-	chunk value.V
-}
-
 // windowGen drives the windowed schedule; it is the generator MapReduce and
 // MapFlat return, so a Restart from outside reaches the in-flight tasks.
 // Like every kernel generator it auto-restarts, running a fresh cycle (a
@@ -346,7 +310,7 @@ type windowGen struct {
 	pl       *pool.Pool // nil between cycles when owned
 	owned    bool
 	window   int
-	inflight []windowTask
+	inflight []*pipe.Pipe // one task pipe per chunk, eldest first
 	srcDone  bool
 }
 
@@ -371,8 +335,7 @@ func (g *windowGen) fill() {
 			g.srcDone = true
 			return
 		}
-		c = value.Deref(c)
-		g.inflight = append(g.inflight, windowTask{p: g.spawn(g.pl, c), chunk: c})
+		g.inflight = append(g.inflight, g.spawn(g.pl, value.Deref(c)))
 	}
 }
 
@@ -383,26 +346,22 @@ func (g *windowGen) Next() (value.V, bool) {
 			g.endCycle()
 			return nil, false
 		}
-		v, ok := g.inflight[0].p.Next()
+		v, ok := g.inflight[0].Next()
 		if ok {
 			return v, true
 		}
 		// Eldest task exhausted (a producer error truncates its chunk's
 		// results, exactly as draining the Figure 4 task list did): retire
-		// it, recycle its chunk, move to the next task in chunk order.
+		// it, move to the next task in chunk order.
 		g.retire()
 	}
 }
 
-// retire drops the eldest task from the window and recycles its chunk. The
-// task's producer has already exited — it closes its transport only after
-// its final access to the chunk — so the backing slice is free.
+// retire drops the eldest task from the window.
 func (g *windowGen) retire() {
-	t := g.inflight[0]
 	n := copy(g.inflight, g.inflight[1:])
-	g.inflight[n] = windowTask{}
+	g.inflight[n] = nil
 	g.inflight = g.inflight[:n]
-	recycleChunk(t.chunk)
 }
 
 // endCycle reports exhaustion and rewinds for a possible next cycle. All of
@@ -418,12 +377,10 @@ func (g *windowGen) endCycle() {
 }
 
 // Restart aborts the cycle: in-flight producers are stopped (releasing
-// their pool workers) before the cycle state is reset. Stopped tasks'
-// chunks are NOT recycled — a stopped producer may still be reading its
-// chunk while it winds down.
+// their pool workers) before the cycle state is reset.
 func (g *windowGen) Restart() {
-	for _, t := range g.inflight {
-		t.p.Stop()
+	for _, p := range g.inflight {
+		p.Stop()
 	}
 	g.inflight = nil
 	g.chunks = nil

@@ -14,11 +14,11 @@ import (
 
 // The evaluators grow their whole-program facts one LoadProgram batch at a
 // time (analyze.Facts.ExtendDecls) and re-run the interprocedural fixpoint
-// only when a batch rebinds a call site analyzed earlier. These tests are
-// the differential statement that batching is invisible: however a program
-// is cut into batches, the procedure table and the facts of every node
-// equal what one from-scratch analyze.ProgramFacts call computes over the
-// whole program. Same facts ⇒ same fused prefixes, same OpCall1 sites.
+// only when a batch rebinds a name analyzed earlier. These tests are the
+// differential statement that batching is invisible: however a program is
+// cut into batches, the procedure table and the cached node facts equal
+// what one from-scratch analyze.ProgramFacts call computes over the whole
+// program. Same facts ⇒ same |> provisioning, same OpCall1 sites.
 
 // factsSource is one shipped program as the analysis sees it: normalized
 // top-level nodes, in order.
@@ -197,9 +197,20 @@ func TestIncrementalFactsEqualFromScratch(t *testing.T) {
 	if len(programs) < 40 {
 		t.Fatalf("found only %d programs", len(programs))
 	}
+	// No shipped program declares a global after the procedure that
+	// writes it; this row does, so its splits put the declaration in a
+	// later batch than the writer and the writer's caller.
+	lateGlobal, _ := normalizedProgram(t, "late global",
+		`def bump() { g := g + 1; return g; }  def twice() { return bump() + bump(); }  global g`, "")
+	programs = append(programs, lateGlobal)
 	total := 0
 	for _, p := range programs {
 		_, oracle := analyze.ProgramFacts(&jast.Program{Decls: p.nodes}, analyze.Options{})
+		if p.where == lateGlobal.where {
+			if pf, _ := oracle.Proc("twice"); pf.Effects&analyze.EffWritesGlobals == 0 {
+				t.Errorf("%s: twice is %v, want writes-globals (the row is vacuous otherwise)", p.where, pf.GenFacts)
+			}
+		}
 		for _, sizes := range splits(len(p.nodes)) {
 			total++
 			got, stmts := loadInBatches(p.nodes, sizes)
@@ -210,6 +221,42 @@ func TestIncrementalFactsEqualFromScratch(t *testing.T) {
 		}
 	}
 	t.Logf("%d programs, %d splits", len(programs), total)
+}
+
+// TestFactsCachedWhereAsked: the node cache holds what its consumers look
+// up — the body of every |> (analyze.Facts.PipeStrategy, JV012) and the
+// left operand of every limit (JV014) — in every shipped program, wherever
+// the site sits (a statement, a suspend, a nested create body).
+func TestFactsCachedWhereAsked(t *testing.T) {
+	asked := 0
+	for _, p := range shippedPrograms(t) {
+		_, facts := analyze.ProgramFacts(&jast.Program{Decls: p.nodes}, analyze.Options{})
+		for _, root := range p.nodes {
+			jast.Walk(root, func(n jast.Node) bool {
+				var site jast.Node
+				switch x := n.(type) {
+				case *jast.Unary:
+					if x.Op == "|>" {
+						site = x.X
+					}
+				case *jast.Binary:
+					if x.Op == "\\" {
+						site = x.L
+					}
+				}
+				if site != nil {
+					asked++
+					if _, ok := facts.At(site); !ok {
+						t.Errorf("%s: %T at %d:%d has no cached facts", p.where, site, site.Pos().Line, site.Pos().Col)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if asked < 20 {
+		t.Fatalf("only %d sites in the shipped programs", asked)
+	}
 }
 
 // TestIncrementalFactsRebinding covers the cases the fixpoint must be
@@ -300,6 +347,15 @@ func TestIncrementalFactsRebinding(t *testing.T) {
 				`def a(x) { return b(x); }  def b(x) { write(x); return x; }  def b(x) { return x; }`,
 			},
 			want: []want{{proc: "a", pure: true}, {proc: "b", pure: true}},
+		},
+		{
+			name: "a global declared after the procedure that writes it",
+			batches: []string{
+				`def bump() { g := g + 1; return g; }  def twice() { return bump() + bump(); }`,
+				`def other(x) { return x; }`,
+				`global g`,
+			},
+			want: []want{{proc: "bump"}, {proc: "twice"}, {proc: "other", pure: true}},
 		},
 		{
 			name: "methods are procedures",

@@ -103,9 +103,9 @@ func newInterp(c Case, opts ...interp.Option) (*interp.Interp, error) {
 	return in, nil
 }
 
-// fusedGen evaluates the case on a facts-optimizing interpreter (fusion,
-// pipe inlining, buffer sizing on) and returns the generator.
-func fusedGen(c Case) (core.Gen, error) {
+// optimizedGen evaluates the case on an interp.WithOptimize interpreter
+// (|> sites provisioned from facts) and returns the generator.
+func optimizedGen(c Case) (core.Gen, error) {
 	in, err := newInterp(c, interp.WithOptimize())
 	if err != nil {
 		return nil, err
@@ -148,32 +148,32 @@ func Sequential(c Case) (Result, error) {
 	return drainGen(g, c.max()), nil
 }
 
-// Fused evaluates the case on the kernel with facts-driven optimization
-// enabled — statically justified product fusion, pipe inlining and buffer
-// sizing. The optimizer's contract is that it is invisible: the trace must
-// equal the Sequential reference on every case.
-func Fused(c Case) (Result, error) {
-	g, err := fusedGen(c)
+// Optimized evaluates the case on the kernel under interp.WithOptimize —
+// pure |> bodies inlined, bounded ones given a whole-sequence queue. The
+// contract of -O is that it is invisible: the trace must equal the
+// Sequential reference on every case.
+func Optimized(c Case) (Result, error) {
+	g, err := optimizedGen(c)
 	if err != nil {
 		return Result{}, err
 	}
 	return drainGen(g, c.max()), nil
 }
 
-// FusedBatched is Batched with the optimizing interpreter underneath: the
-// fused generator drains through a batched pipe, so fusion composes with
+// OptimizedBatched is Batched with the -O interpreter underneath: its
+// generator drains through a batched pipe, so provisioning composes with
 // every buffer × batch cell of the transport grid.
-func FusedBatched(c Case, buffer, batch int) (Result, error) {
-	g, err := fusedGen(c)
+func OptimizedBatched(c Case, buffer, batch int) (Result, error) {
+	g, err := optimizedGen(c)
 	if err != nil {
 		return Result{}, err
 	}
 	return drainPipe(pipe.FromGenBatched(g, buffer, batch), c.max()), nil
 }
 
-// FusedPooled is Pooled with the optimizing interpreter underneath.
-func FusedPooled(c Case, pl *pool.Pool, buffer, batch int) (Result, error) {
-	g, err := fusedGen(c)
+// OptimizedPooled is Pooled with the -O interpreter underneath.
+func OptimizedPooled(c Case, pl *pool.Pool, buffer, batch int) (Result, error) {
+	g, err := optimizedGen(c)
 	if err != nil {
 		return Result{}, err
 	}

@@ -57,7 +57,7 @@ func corpus(t *testing.T) []Case {
 		Case{Name: "scanner/pairs", Program: load("scanner.jn"), Expr: "pairs(\"a=1;b=22;c=333;\")"},
 	)
 	// One case per construct the bytecode compiler lowered in PR 12, so
-	// every lane — Fused*, Compiled*, Remote, Muxed, Killed, Migrated — pins
+	// every lane — Optimized*, Compiled*, Remote, Muxed, Killed, Migrated — pins
 	// it against the tree walk. revassign/undo-one-result is the divergence
 	// PR 11 found: -O fused `x_N in (x <- 5)` as a one-result term and never
 	// resumed it, so the undo never ran (0 under the tree walk, 5 under -O
@@ -96,15 +96,12 @@ def counted() { count := (\count | 0) + 1; return count; }
 		Case{Name: "revassign/first-above", Program: lowered, Expr: "firstAbove(3 to 11 by 4)"},
 		Case{Name: "revassign/swap", Program: lowered, Expr: "swapped(1 to 2, 7)"},
 		Case{Name: "static/ticks", Program: lowered, Expr: "ticks(4) | tick()"},
-		// The two -O wrong answers of ROADMAP 3c. A write to a static was
-		// classed a local effect, so tick() looked pure and -O fused the
-		// call into a run-once prefix: 11 11 11 11 and 1 1 1. The list
-		// form had a root cause of its own, which fused/prefix-per-cycle
-		// shows without any static: a fused prefix was evaluated once per
-		// lifetime, not once per cycle, so repeated alternation re-read a
-		// stale x (0 0 0) — and, in fused/global-write, re-used the one
-		// result of a procedure that assigns a declared global, which the
-		// facts class as a local write to this day (11 11 11).
+		// Repeated alternation over a call or a read whose value changes
+		// between cycles — a static counter, a local the loop body moves,
+		// a declared global a procedure assigns: each cycle must re-read
+		// (11 12 13 14, not 11 11 11 11). The cases keep the names the
+		// test floor knows them by: they were written against -O's
+		// product-prefix fusion, which evaluated such a prefix once.
 		Case{Name: "static/fused-call", Program: lowered, Expr: "(|(tick() + 10)) \\ 4"},
 		Case{Name: "static/fused-list", Program: lowered, Expr: "(|([tick(), 7][1])) \\ 3"},
 		Case{Name: "fused/prefix-per-cycle", Program: lowered, Expr: "perCycle()"},
@@ -210,12 +207,12 @@ func TestDifferentialPooledGrid(t *testing.T) {
 	}
 }
 
-// TestDifferentialFusedGrid is the optimizer's semantic gate: every corpus
-// case evaluated with facts-driven optimization on — directly, through
-// every buffer × batch cell of the transport grid, and on pooled workers —
-// must reproduce the unoptimized sequential trace exactly. Any divergence
-// means a fusion, inlining or buffer-sizing decision changed the language,
-// not just its speed.
+// TestDifferentialFusedGrid is -O's semantic gate (the test floor pins
+// the name, which predates what -O now means): every corpus case evaluated
+// under interp.WithOptimize — directly, through every buffer × batch cell
+// of the transport grid, and on pooled workers — must reproduce the
+// sequential trace exactly. Any divergence means an inlining or
+// buffer-sizing decision changed the language, not just its speed.
 func TestDifferentialFusedGrid(t *testing.T) {
 	pl := pool.New(4)
 	defer pl.Shutdown()
@@ -223,37 +220,36 @@ func TestDifferentialFusedGrid(t *testing.T) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			ref := reference(t, c)
-			got, err := Fused(c)
+			got, err := Optimized(c)
 			if err != nil {
-				t.Fatalf("fused: %v", err)
+				t.Fatalf("-O: %v", err)
 			}
 			if !got.Equal(ref) {
-				t.Fatalf("fused diverged:\nref = %s\ngot = %s", ref, got)
+				t.Fatalf("-O diverged:\nref = %s\ngot = %s", ref, got)
 			}
 			for _, cell := range Grid() {
-				got, err := FusedBatched(c, cell.Buffer, cell.Batch)
+				got, err := OptimizedBatched(c, cell.Buffer, cell.Batch)
 				if err != nil {
-					t.Fatalf("fused batched %+v: %v", cell, err)
+					t.Fatalf("-O batched %+v: %v", cell, err)
 				}
 				if !got.Equal(ref) {
-					t.Fatalf("fused batched %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
+					t.Fatalf("-O batched %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
 				}
-				got, err = FusedPooled(c, pl, cell.Buffer, cell.Batch)
+				got, err = OptimizedPooled(c, pl, cell.Buffer, cell.Batch)
 				if err != nil {
-					t.Fatalf("fused pooled %+v: %v", cell, err)
+					t.Fatalf("-O pooled %+v: %v", cell, err)
 				}
 				if !got.Equal(ref) {
-					t.Fatalf("fused pooled %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
+					t.Fatalf("-O pooled %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
 				}
 			}
 		})
 	}
 }
 
-// TestFusedRandomExpressions extends the property-based sweep to the
-// optimizer: random finite-generator expressions evaluated fused must match
-// the unoptimized reference. The grammar's products and procedure calls
-// exercise the fusion prefix logic far beyond the hand-written corpus.
+// TestFusedRandomExpressions extends the property-based sweep to -O (named
+// like the grid): random finite-generator expressions evaluated under
+// interp.WithOptimize must match the sequential reference.
 func TestFusedRandomExpressions(t *testing.T) {
 	const prelude = `
 def gen(a, b) { suspend a to b; }
@@ -265,14 +261,14 @@ def double(x) { return x * 2; }
 	}
 	eg := &exprGen{rng: rand.New(rand.NewSource(7))}
 	for i := 0; i < iterations; i++ {
-		c := Case{Name: fmt.Sprintf("fused-rand-%d", i), Program: prelude, Expr: eg.expr(3)}
+		c := Case{Name: fmt.Sprintf("opt-rand-%d", i), Program: prelude, Expr: eg.expr(3)}
 		ref := reference(t, c)
-		got, err := Fused(c)
+		got, err := Optimized(c)
 		if err != nil {
-			t.Fatalf("%s (%s) fused: %v", c.Name, c.Expr, err)
+			t.Fatalf("%s (%s) -O: %v", c.Name, c.Expr, err)
 		}
 		if !got.Equal(ref) {
-			t.Fatalf("%s: %s\nfused diverged:\nref = %s\ngot = %s", c.Name, c.Expr, ref, got)
+			t.Fatalf("%s: %s\n-O diverged:\nref = %s\ngot = %s", c.Name, c.Expr, ref, got)
 		}
 	}
 }

@@ -55,12 +55,6 @@ func (e *emitter) expr(n ast.Node) string {
 		for i, t := range x.Terms {
 			terms[i] = e.expr(t)
 		}
-		// Facts-driven fusion (Options.Optimize): a pure ≤1-yield prefix
-		// is evaluated once instead of re-driven per backtrack cycle.
-		if k := e.facts.FusablePrefix(x.Terms); k > 0 {
-			return fmt.Sprintf("core.FusedProduct([]core.Gen{\n%s}, core.Product(\n%s))",
-				indentArgs(terms[:k]), indentArgs(terms[k:]))
-		}
 		return fmt.Sprintf("core.Product(\n%s)", indentArgs(terms))
 	case *ast.BindIn:
 		return fmt.Sprintf("core.In(%s, %s)", e.cellRef(x.Tmp), e.expr(x.E))
@@ -363,21 +357,9 @@ func (e *emitter) coexprCreate(body ast.Node, piped bool) string {
 	if !piped {
 		return fmt.Sprintf("core.Defer(func() core.Gen {\n\treturn core.Unit(%s)\n})", create)
 	}
-	// Facts-driven provisioning (Options.Optimize): strictly pure
-	// producers run inline, bounded producers get a whole-sequence queue.
-	strategy := e.facts.PipeStrategy(body)
-	if strategy.Inline {
-		return fmt.Sprintf(
-			"core.Defer(func() core.Gen {\n\treturn core.Unit(pipe.NewInline(%s))\n})",
-			create)
-	}
-	buffer := "pipe.DefaultBuffer"
-	if strategy.Buffer > 0 {
-		buffer = fmt.Sprintf("%d", strategy.Buffer)
-	}
 	return fmt.Sprintf(
-		"core.Defer(func() core.Gen {\n\tp := pipe.New(%s, %s)\n\tp.StartEager()\n\treturn core.Unit(p)\n})",
-		create, buffer)
+		"core.Defer(func() core.Gen {\n\tp := pipe.New(%s, pipe.DefaultBuffer)\n\tp.StartEager()\n\treturn core.Unit(p)\n})",
+		create)
 }
 
 // referencedCells lists procedure cells the body references, first-use

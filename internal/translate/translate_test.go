@@ -276,37 +276,3 @@ func TestTranslatedStaticsAndInitial(t *testing.T) {
 		t.Fatalf("third tick = %v", got)
 	}
 }
-
-// TestOptimizedTranslationShape pins the facts-driven emission forms of
-// Options.Optimize: a statically pure pipe body compiles to an inline
-// proxy (no goroutine, no queue) and a pure ≤1-yield product prefix to
-// core.FusedProduct — and that without Optimize neither form appears.
-func TestOptimizedTranslationShape(t *testing.T) {
-	const src = `
-def fusedSite (xs) {
-  suspend ! (|> ((1 to 3) * 2));
-}
-def prefixSite (g) {
-  suspend g(1 + 2, 3 * 4);
-}
-`
-	plain, err := translate.TranslateProgram(src, translate.Options{Package: "gen"})
-	if err != nil {
-		t.Fatalf("translate: %v", err)
-	}
-	for _, banned := range []string{"pipe.NewInline(", "core.FusedProduct("} {
-		if strings.Contains(plain, banned) {
-			t.Errorf("unoptimized output contains %q", banned)
-		}
-	}
-
-	opt, err := translate.TranslateProgram(src, translate.Options{Package: "gen", Optimize: true})
-	if err != nil {
-		t.Fatalf("translate optimized: %v", err)
-	}
-	for _, want := range []string{"pipe.NewInline(", "core.FusedProduct("} {
-		if !strings.Contains(opt, want) {
-			t.Errorf("optimized output missing %q\n----\n%s", want, opt)
-		}
-	}
-}

@@ -29,7 +29,7 @@ def sumHash (sofar, hash) { return sofar + hash; }
 // NewInterpreter returns an interpreter loaded with the Figure 3 program:
 // the corpus bound to the global lines, and the host stages wordToNumber,
 // hashNumber and split registered as natives. Extra options pass through
-// (interp.WithOptimize for the facts-driven ablation).
+// (interp.WithOptimize for the facts ablation).
 func NewInterpreter(lines []string, w Weight, opts ...interp.Option) (*interp.Interp, error) {
 	in := interp.New(append([]interp.Option{interp.WithOutput(io.Discard)}, opts...)...)
 	in.RegisterNative("wordToNumber", wordToNumberProc(w).Fn)
@@ -58,7 +58,7 @@ func NewInterpreter(lines []string, w Weight, opts ...interp.Option) (*interp.In
 
 // SequentialExpr and PipelineExpr are Figure 3's driver expressions: the
 // word-count sum without and with the generator proxy pipe. Exported so
-// the facts-driven ablation can evaluate them repeatedly against one
+// the facts ablation can evaluate them repeatedly against one
 // loaded interpreter (the embedding steady state: load once, eval many).
 const (
 	SequentialExpr = `this::hashNumber(this::wordToNumber(splitWords(readLines())))`
@@ -67,10 +67,10 @@ const (
 
 // InterpretedSequential runs the sequential word-count through the
 // interpreter: the expression of Figure 3's runPipeline without the pipe.
-// Extra options pass through to the interpreter (the facts-driven ablation
-// runs this same workload with interp.WithOptimize, pinning that the
-// optimizer cannot regress a path it has nothing to prove about — the
-// native stages are effect-opaque, so no fast path may engage).
+// Extra options pass through to the interpreter (the facts ablation runs
+// this same workload with interp.WithOptimize, pinning that -O cannot
+// regress a path it has nothing to prove about — the native stages are
+// effect-opaque, so the |> is provisioned exactly as without it).
 func InterpretedSequential(lines []string, w Weight, opts ...interp.Option) (float64, error) {
 	in, err := NewInterpreter(lines, w, opts...)
 	if err != nil {

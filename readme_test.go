@@ -1,0 +1,78 @@
+package junicon_test
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestREADMEFlagsExist: every -flag the README shows on a command line of
+// junicon, junicond, junistorm or fig6 is one that command defines. The
+// defined set is read from the command itself — built, run with -h, whose
+// usage text is flag.PrintDefaults, i.e. flag.VisitAll — so a flag
+// removed from a command and left in the README fails here.
+func TestREADMEFlagsExist(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A command word, then the blank-separated words after it up to a
+	// backtick or a # comment; the words that start -letter are its flags.
+	invocation := regexp.MustCompile("\\b(junicond|junistorm|junicon|fig6)\\b((?:[ \\t]+[^\\s`#]+)+)")
+	named := map[string]map[string]bool{}
+	for _, m := range invocation.FindAllStringSubmatch(string(readme), -1) {
+		for _, word := range strings.Fields(m[2]) {
+			if len(word) < 2 || word[0] != '-' || !isLetter(word[1]) {
+				continue
+			}
+			name, _, _ := strings.Cut(word[1:], "=")
+			if named[m[1]] == nil {
+				named[m[1]] = map[string]bool{}
+			}
+			named[m[1]][strings.TrimRight(name, ".,;:)")] = true
+		}
+	}
+	for _, cmd := range []string{"junicon", "junicond", "junistorm", "fig6"} {
+		if len(named[cmd]) == 0 {
+			t.Errorf("README names no flag of %s: the extraction is broken", cmd)
+			continue
+		}
+		defined := definedFlags(t, cmd)
+		var missing []string
+		for name := range named[cmd] {
+			if !defined[name] {
+				missing = append(missing, "-"+name)
+			}
+		}
+		sort.Strings(missing)
+		if len(missing) > 0 {
+			t.Errorf("README names flags %s does not define: %s", cmd, strings.Join(missing, " "))
+		}
+	}
+}
+
+func isLetter(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
+
+// definedFlags builds cmd/<name> and reads its flag set off its -h text.
+func definedFlags(t *testing.T, name string) map[string]bool {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), name)
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); err != nil {
+		t.Fatalf("build %s: %v\n%s", name, err, out)
+	}
+	usage, _ := exec.Command(bin, "-h").CombinedOutput() // -h exits non-zero by design
+	defined := map[string]bool{}
+	for _, line := range strings.Split(string(usage), "\n") {
+		if f := strings.Fields(line); strings.HasPrefix(line, "  -") && len(f) > 0 {
+			defined[strings.TrimPrefix(f[0], "-")] = true
+		}
+	}
+	if len(defined) == 0 {
+		t.Fatalf("%s -h lists no flags:\n%s", name, usage)
+	}
+	return defined
+}

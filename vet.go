@@ -37,14 +37,14 @@ func Vet(src string, known func(name string) bool) ([]Diag, error) {
 }
 
 // Facts is the interprocedural fact table the analyzer computes alongside
-// its diagnostics: per-procedure effect summaries, yield-count bounds,
-// restartability and demandedness. The same table drives the evaluator's
-// and translator's optimizations; Fdump renders it for inspection.
+// its diagnostics: per-procedure effect summaries and yield-count bounds.
+// The same table provisions the evaluators' |> sites and picks the VM's
+// direct calls; Fdump renders it for inspection.
 type Facts = analyze.Facts
 
 // VetFacts is Vet plus the fact table: it parses a Junicon program and
 // returns both the static diagnostics and the interprocedural generator
-// facts the optimizer would act on (junicon -vet -facts).
+// facts the evaluators would act on (junicon -vet -facts).
 func VetFacts(src string, known func(name string) bool) ([]Diag, *Facts, error) {
 	prog, err := parser.ParseProgram(src)
 	if err != nil {

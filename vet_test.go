@@ -1,6 +1,8 @@
 package junicon_test
 
 import (
+	"bytes"
+	"flag"
 	"go/ast"
 	goparser "go/parser"
 	"go/token"
@@ -11,6 +13,8 @@ import (
 
 	"junicon"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/**/*.facts.golden from the current fact engine (review the diff by hand)")
 
 const badActivation = `
 def f() {
@@ -185,5 +189,58 @@ func TestTranslateGateAbortsOnErrors(t *testing.T) {
 	}
 	if warnings.String() != "" {
 		t.Fatalf("NoVet still produced diagnostics: %q", warnings.String())
+	}
+}
+
+// TestFactGoldens pins what the fact engine concludes about every shipped
+// corpus program — testdata/*.jn and the ledger's benchmark/programs/**,
+// read in place — as the junicon -vet -facts dump, one golden per program
+// under testdata/, so a change to the engine is reviewed as a diff of its
+// conclusions. Regenerate with -update.
+func TestFactGoldens(t *testing.T) {
+	var files []string
+	for _, pattern := range []string{"testdata/*.jn", "benchmark/programs/*/*.jn"} {
+		found, err := filepath.Glob(filepath.FromSlash(pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, found...)
+	}
+	if len(files) < 6 {
+		t.Fatalf("found only %d corpus programs", len(files))
+	}
+	for _, file := range files {
+		t.Run(filepath.ToSlash(file), func(t *testing.T) {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, facts, err := junicon.VetFacts(string(src), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			facts.Fdump(&got)
+			// testdata/x.jn → testdata/x.facts.golden; a ledger program's
+			// golden mirrors its path under testdata/.
+			rel := strings.TrimPrefix(filepath.ToSlash(file), "testdata/")
+			golden := filepath.Join("testdata", filepath.FromSlash(strings.TrimSuffix(rel, ".jn")+".facts.golden"))
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run go test -run TestFactGoldens -update .)", err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("facts changed (go test -run TestFactGoldens -update . and review the diff)\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
+			}
+		})
 	}
 }
