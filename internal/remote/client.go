@@ -106,6 +106,14 @@ type Config struct {
 // first use); Restart cancels the stream and re-opens a fresh one, which
 // re-evaluates the remote generator from the start — the network analogue
 // of ^ over a refreshed co-expression.
+//
+// The pipe holds what survives a reopen — where it dials, what it asks for,
+// how far it has got — and one pointer, cur, to the stream incarnation that
+// does not. Every incarnation ends in reset and every one after the first
+// begins in reopen; anything captured from an incarnation (a credit grant,
+// a deadline timer, a SNAPSHOT answer, a late ERR, a teardown) can only
+// speak to that incarnation, and p.cur == rx is the one test of whether it
+// is still the pipe's. There is no epoch to compare.
 type RemotePipe struct {
 	mu   sync.Mutex
 	addr string
@@ -120,41 +128,25 @@ type RemotePipe struct {
 	// dialer is where the pipe's sessions come from: the pooling Dialer it
 	// was opened through, or — for the package-level constructors — a
 	// private one whose sessions carry this one stream and close with it.
-	// sess and sid are the current stream incarnation's place on the wire;
-	// sess is nil when none is live. out is its queue: nil while the pipe
-	// is unopened, closed and empty once it has halted.
-	dialer  *Dialer
-	sess    *Session
-	sid     uint32
-	out     queue.Queue[value.V]
+	dialer *Dialer
+	// cur is the current stream incarnation: nil while the pipe is unopened,
+	// stopped (every Next then fails until Restart) or between a reopen's
+	// dials (redial is then the timer that reopen waits on).
+	cur     *muxRx
+	stopped bool
+	redial  *time.Timer
 	err     error
 	results int
 	stream  uint64 // telemetry stream ID, propagated in OPEN; 0 = unobserved
-	// batch is the run cap sent in the current stream's OPEN; debt counts
-	// values consumed but not yet credited back — coalesced into one CREDIT
-	// frame per run.
-	batch int
-	debt  uint64
-	// Durability state. epoch counts stream incarnations — a credit grant
-	// captured under one epoch is dropped rather than written to a
-	// different incarnation's stream (the redial double-grant race).
-	// lastSnap/lastSnapAt hold the most recent checkpoint blob and the
-	// delivered count it corresponds to; snapWait is signaled when a
-	// SNAPSHOT answer (blob or refusal) lands; replay buffers values
-	// drained off a dying stream during migration, delivered before the
-	// target stream's.
-	epoch      uint64
+	// The position a reopen continues from, beside results: lastSnap and
+	// lastSnapAt are the most recent checkpoint blob and the delivered count
+	// it corresponds to (snapReason the server's refusal to take one); replay
+	// buffers values drained off a dying stream during migration, delivered
+	// before the target stream's.
 	lastSnap   []byte
 	lastSnapAt uint64
 	snapReason string
-	snapWait   chan struct{}
 	replay     []value.V
-	// ih is the live-introspection handle for the current stream; nil when
-	// inspection was off at open time. Each (re)open registers afresh.
-	ih *inspect.Handle
-	// done is closed when the current incarnation's stream has left its
-	// session's demux table: nothing more will arrive for it.
-	done chan struct{}
 }
 
 var (
@@ -206,63 +198,34 @@ func (p *RemotePipe) composeOpen() openReq {
 	if open.batch = 1; p.cfg.Batch >= 0 {
 		open.batch = uint64(or(p.cfg.Batch, DefaultBatch))
 	}
-	if p.cfg.CheckpointEvery > 0 {
-		open.interval = uint64(p.cfg.CheckpointEvery)
-	}
-	// Continuation: a (re)open with results already delivered is a
+	open.interval = uint64(max(p.cfg.CheckpointEvery, 0))
+	// Continuation: an open with values already delivered — or drained into
+	// replay, which Next delivers before it touches the stream — is a
 	// recovery or migration, not a fresh evaluation. Resume from the last
 	// checkpoint when one covers the delivered prefix (skip bridges the
 	// values delivered past the snapshot); otherwise ask the server to
 	// re-run the generator and skip the whole delivered prefix.
-	if p.results > 0 {
-		if p.lastSnap != nil && uint64(p.results) >= p.lastSnapAt {
+	if at := uint64(p.results + len(p.replay)); at > 0 {
+		if p.lastSnap != nil && at >= p.lastSnapAt {
 			open.mode = openResume
 			open.name, open.program, open.expr = "", "", ""
 			open.blob = p.lastSnap
-			open.skip = uint64(p.results) - p.lastSnapAt
+			open.skip = at - p.lastSnapAt
 		} else {
-			open.skip = uint64(p.results)
+			open.skip = at
 		}
 	}
 	return open
 }
 
-// armLocal initializes the local consumer state for a fresh stream
-// incarnation: bounded queue, telemetry, live-introspection handle.
-// Caller holds p.mu and has already set batch/epoch.
-func (p *RemotePipe) armLocal(observed bool, credit, connID uint64) {
-	p.debt = 0
-	p.snapWait = nil
-	p.out = queue.NewArrayBlocking[value.V](int(credit))
-	if observed {
-		p.out = queue.Instrument(p.out, p.stream, "remote")
-		cClientStreams.Inc()
-		telemetry.Emit(p.stream, telemetry.KindStreamOpen, "remote:"+p.addr, int64(credit))
-	}
-	if inspect.On() {
-		if p.stream == 0 {
-			p.stream = telemetry.NextStream()
-		}
-		p.ih = inspect.Register(p.stream, inspect.KindRemoteClient, "remote:"+p.addr)
-		p.ih.SetCredit(int64(credit))
-		p.ih.SetConn(connID)
-		if p.results > 0 {
-			p.ih.NoteResumed()
-		}
-		probe := p.out
-		p.ih.SetDepthProbe(func() (int, int) { return probe.Len(), probe.Cap() })
-	}
-	if p.results > 0 && telemetry.On() {
-		cClientRecoveries.Inc()
-	}
-	p.done = make(chan struct{})
-}
-
-// start opens the stream as a logical stream on a session from the pipe's
-// dialer — dialing one when the pool has no room, always for a
-// package-level pipe. Caller holds p.mu, on a pipe that reset left
-// unopened.
-func (p *RemotePipe) start() error {
+// begin makes one attempt at the next incarnation: a logical stream on a
+// session from the pipe's dialer — dialing one when the pool has no room,
+// always for a package-level pipe — with its bounded queue, telemetry and
+// live-introspection handle armed before the OPEN reaches the wire. This
+// is the one place a stream is opened: a pipe's first stream and every
+// reopen come through it. Caller holds p.mu, on a pipe that reset left
+// without an incarnation.
+func (p *RemotePipe) begin() error {
 	if p.argErr != nil {
 		return p.argErr
 	}
@@ -275,76 +238,106 @@ func (p *RemotePipe) start() error {
 		return err
 	}
 	open := p.composeOpen()
-	p.batch = int(open.batch)
-	p.epoch++
-	p.armLocal(observed, open.credit, sess.id)
 	rx := &muxRx{
-		p:      p,
-		epoch:  p.epoch,
-		stream: p.stream,
-		label:  "remote:" + p.addr,
-		out:    p.out,
-		ih:     p.ih,
-		done:   p.done,
-		start:  time.Now(),
+		p:     p,
+		label: "remote:" + p.addr,
+		out:   queue.NewArrayBlocking[value.V](int(open.credit)),
+		batch: int(open.batch),
+		done:  make(chan struct{}),
+		start: time.Now(),
 	}
+	resumed := open.skip > 0 || open.mode == openResume
+	if observed {
+		rx.out = queue.Instrument(rx.out, p.stream, "remote")
+		cClientStreams.Inc()
+		telemetry.Emit(p.stream, telemetry.KindStreamOpen, rx.label, int64(open.credit))
+	}
+	if inspect.On() {
+		if p.stream == 0 {
+			p.stream = telemetry.NextStream() // the handle's alone: the OPEN is composed
+		}
+		rx.ih = inspect.Register(p.stream, inspect.KindRemoteClient, rx.label)
+		rx.ih.SetCredit(int64(open.credit))
+		rx.ih.SetConn(sess.id)
+		if resumed {
+			rx.ih.NoteResumed()
+		}
+		rx.ih.SetDepthProbe(func() (int, int) { return rx.out.Len(), rx.out.Cap() })
+	}
+	if resumed && telemetry.On() {
+		cClientRecoveries.Inc()
+	}
+	rx.stream = p.stream
 	if err := sess.openStream(rx, &open); err != nil {
-		// The session died between reserve and open. The error already
-		// wraps errConnLost, so Recover redials.
-		p.reset(true)
+		// The session died under the reservation and openStream has ended
+		// rx. The error wraps errConnLost, so a reopen under Recover redials.
 		return err
 	}
-	p.sess, p.sid = sess, rx.sid
+	p.cur = rx
 	return nil
 }
 
 // reset ends the current stream incarnation — cancelling it if it is still
-// live, closing its queue and handle — and leaves the pipe unopened and
+// live, which closes its queue and handle; one that has left its session's
+// table was ended by whoever took it out — and leaves the pipe unopened and
 // without error, so the next Next opens a stream: with keepPosition a
 // continuation at (results, last snapshot, replay), without it a fresh
 // evaluation. Every way an incarnation ends (Stop, Restart, Refresh,
-// recovery, Migrate's cut-over, a failed start) comes through here, so the
-// fields that say which stream this is change together. Caller holds p.mu.
+// recovery, Migrate's cut-over) comes through here, and a reopen waiting
+// out the pause between two dials is woken to find the pipe taken from it.
+// Caller holds p.mu.
 func (p *RemotePipe) reset(keepPosition bool) {
-	if p.sess != nil {
-		p.sess.closeStream(p.sid) // a no-op for a stream that has left its session's table
+	if p.cur != nil {
+		p.cur.sess.closeStream(p.cur.sid)
 	}
-	if p.out != nil {
-		p.out.Close()
+	if p.redial != nil {
+		p.redial.Reset(0)
 	}
-	p.ih.Close()
-	p.sess, p.out, p.ih, p.err = nil, nil, nil, nil
+	p.cur, p.redial, p.stopped, p.err = nil, nil, false, nil
 	if !keepPosition {
 		p.results, p.lastSnap, p.lastSnapAt, p.snapReason, p.replay = 0, nil, 0, "", nil
 	}
 }
 
-// halt leaves a reset pipe on a closed, empty queue with err recorded:
-// every Next fails at once and nothing is dialed again until Restart.
-// Caller holds p.mu.
-func (p *RemotePipe) halt(err error) {
-	p.out = queue.NewArrayBlocking[value.V](1)
-	p.out.Close()
-	p.err = err
-}
+// halt leaves a reset pipe stopped with err recorded: every Next fails at
+// once and nothing is dialed again until Restart. Caller holds p.mu.
+func (p *RemotePipe) halt(err error) { p.stopped, p.err = true, err }
 
-// noteSnapshot records a SNAPSHOT answer: the latest checkpoint blob (or
-// the server's refusal) plus the delivered count it corresponds to, and
-// wakes a Migrate waiting on it.
-func (p *RemotePipe) noteSnapshot(produced uint64, ok bool, rest []byte) {
-	p.mu.Lock()
-	if ok {
-		p.lastSnap = append([]byte(nil), rest...)
-		p.lastSnapAt = produced
-		p.snapReason = ""
-	} else {
-		p.snapReason = string(rest)
-	}
-	ch := p.snapWait
-	p.snapWait = nil
-	p.mu.Unlock()
-	if ch != nil {
-		close(ch)
+// redialEvery is the pause between a reopen's dials.
+var redialEvery = 100 * time.Millisecond
+
+// reopen is the one way an incarnation follows another: it ends the current
+// one, keeping the position, and opens a stream on addr at that position —
+// composeOpen's arithmetic over the delivered count, the last snapshot and
+// the replay buffer. Next's recovery and Migrate, of a live stream or a
+// dead one, all come through here. Under Config.Recover a failed dial is
+// retried until RecoverWait has passed — the window a crashed server
+// (junicond restarting under a supervisor) has to come back; the last error
+// halts the pipe. The pause between dials is one timer that reset fires, so
+// a Stop or Restart ends the reopen at once and keeps the pipe. Caller holds
+// p.mu, which is released for the pause.
+func (p *RemotePipe) reopen(addr string) error {
+	p.reset(true)
+	p.addr = addr
+	deadline := time.Now().Add(or(p.cfg.RecoverWait, DefaultRecoverWait))
+	for {
+		err := p.begin()
+		if err == nil {
+			return nil
+		}
+		if !p.cfg.Recover || time.Now().After(deadline) {
+			p.halt(err) // no dial on every Next: Restart resets
+			return err
+		}
+		pause := time.NewTimer(redialEvery)
+		p.redial = pause
+		p.mu.Unlock()
+		<-pause.C
+		p.mu.Lock()
+		if p.redial != pause {
+			return errors.New("remote: stopped or restarted while reopening")
+		}
+		p.redial = nil
 	}
 }
 
@@ -358,125 +351,118 @@ var testHookFlushPause func()
 // credits are owed: CREDIT(0) is the pure demand ping a consumer about to
 // block sends so the server flushes its partial run.
 //
-// The grant is pinned to the stream incarnation it was captured under:
-// debt is zeroed under p.mu, but the CREDIT write happens later, and a
-// redial (crash recovery, migration) can swap the stream in between. A
-// fresh stream already opens with a full-buffer grant, so a stale grant
-// landing on it would over-credit the producer past the §3B bound — the
-// epoch check drops it instead. (Session and stream id are read together
-// with the epoch, so a grant that loses the race after the check goes to
-// the old incarnation's — a dead connection or a finished stream id, both
-// of which discard it.)
-func (p *RemotePipe) flushCredits(demand bool) {
-	p.mu.Lock()
-	debt := p.debt
-	p.debt = 0
-	stream := p.stream
-	epoch := p.epoch
-	p.mu.Unlock()
+// The debt is zeroed under p.mu and the CREDIT written later, and a reopen
+// can swap the incarnation in between. The next one already opens with a
+// full-buffer grant, so a stale grant landing on it would credit the
+// producer past the §3B bound; it cannot, because the grant goes to the
+// session and stream id of the incarnation it was counted on — by then a
+// dead connection or a finished stream id, both of which discard it.
+func (rx *muxRx) flushCredits(demand bool) {
+	rx.p.mu.Lock()
+	debt := rx.debt
+	rx.debt = 0
+	rx.p.mu.Unlock()
 	if debt == 0 && !demand {
 		return
 	}
-	if stream != 0 && telemetry.On() {
+	if rx.stream != 0 && telemetry.On() {
 		cCreditsSent.Inc()
 	}
 	if testHookFlushPause != nil {
 		testHookFlushPause()
 	}
-	p.mu.Lock()
-	sess, sid, current := p.sess, p.sid, p.epoch == epoch
-	p.mu.Unlock()
-	if sess != nil && current {
-		sess.io.enqueue(frameCredit, sid, creditPayload(debt)) // best effort; loss surfaces in the session loop
+	rx.sess.io.enqueue(frameCredit, rx.sid, creditPayload(debt)) // best effort; loss surfaces in the session loop
+}
+
+// take waits for the incarnation's next value, up to the per-call deadline.
+func (rx *muxRx) take(deadline time.Duration) (value.V, error) {
+	inspect.NoteConsumeOnce(rx.ih) // nil-safe, as every handle method is
+	rx.ih.BlockedTake()
+	if deadline > 0 {
+		defer time.AfterFunc(deadline, rx.expire).Stop()
 	}
+	v, ok, err := rx.out.TryTake()
+	// A run cap of one is never partial: only a longer one can leave values
+	// waiting on the server for a demand ping.
+	if err == nil && !ok {
+		if rx.batch > 1 {
+			// About to block on an empty queue: hand back whatever credits
+			// we owe and signal demand, so the server ships its partial run
+			// instead of waiting to fill a batch.
+			rx.flushCredits(true)
+		}
+		v, err = rx.out.Take()
+	}
+	return v, err
+}
+
+// expire is a Next's deadline passing: the stream fails and is torn down —
+// this stream only: on a shared session the per-stream close leaves
+// siblings undisturbed.
+func (rx *muxRx) expire() {
+	rx.fail(ErrDeadline)
+	rx.sess.closeStream(rx.sid)
 }
 
 // Next takes the next remote result, failing when the serving generator
 // has failed (EOS), the stream errored, or the per-call deadline expired.
 // Each consumed value grants the producer one replacement credit, so at
 // most Buffer values are ever in flight — the §3B throttle, across the
-// wire.
+// wire. A stream that dies of something a reopen cures is reopened in
+// place and the wait goes on.
 func (p *RemotePipe) Next() (value.V, bool) {
-	p.mu.Lock()
-	if len(p.replay) > 0 {
-		// Values drained off the previous incarnation during migration:
-		// deliver them before touching the new stream. Their credits were
-		// spent on the old connection, so no grant is owed here.
-		v := p.replay[0]
-		p.replay = p.replay[1:]
-		p.results++
+	for {
+		p.mu.Lock()
+		if len(p.replay) > 0 {
+			// Values drained off the previous incarnation during migration:
+			// deliver them before touching the new stream. Their credits were
+			// spent on the old connection, so no grant is owed here.
+			v := p.replay[0]
+			p.replay = p.replay[1:]
+			p.results++
+			p.mu.Unlock()
+			return v, true
+		}
+		p.ensureStarted()
+		rx := p.cur
 		p.mu.Unlock()
-		return v, true
-	}
-	p.ensureStarted()
-	out, sess, sid, ih := p.out, p.sess, p.sid, p.ih
-	// A run cap of one is never partial: only a longer one can leave
-	// values waiting on the server for a demand ping.
-	demand := p.batch > 1
-	p.mu.Unlock()
-
-	if ih != nil {
-		inspect.NoteConsumeOnce(ih)
-		ih.BlockedTake()
-	}
-
-	var timer *time.Timer
-	if d := p.cfg.Deadline; d > 0 {
-		timer = time.AfterFunc(d, func() {
-			p.mu.Lock()
-			if p.err == nil {
-				p.err = ErrDeadline
+		if rx == nil {
+			return nil, false
+		}
+		v, err := rx.take(p.cfg.Deadline)
+		p.mu.Lock()
+		if p.cur != rx {
+			// Ended under this Next (Stop, Restart, a Migrate): what it said is
+			// not the pipe's to return. Go round on whatever the pipe is now.
+			p.mu.Unlock()
+			continue
+		}
+		if err == nil {
+			p.results++
+			rx.debt++
+			// One CREDIT per run: a batch's worth of grants coalesce into one
+			// frame, with take's demand ping covering the tail. A run cap of
+			// one is the per-value ACK clock.
+			grant := rx.debt >= uint64(rx.batch)
+			if rx.ih != nil {
+				rx.ih.Running()
+				rx.ih.Consumed(1)
+				// The credit balance is the window minus uncredited consumption:
+				// what the server may still send before its next stall.
+				rx.ih.SetCredit(int64(uint64(or(p.cfg.Buffer, DefaultBuffer)) - rx.debt))
 			}
 			p.mu.Unlock()
-			if sess != nil {
-				// Tear down this stream only: on a shared session the
-				// per-stream close leaves siblings undisturbed.
-				sess.closeStream(sid)
+			if grant {
+				rx.flushCredits(false)
 			}
-			out.Close()
-		})
-	}
-	v, ok, err := out.TryTake()
-	if err == nil && !ok {
-		if demand {
-			// About to block on an empty queue: hand back whatever credits
-			// we owe and signal demand, so the server ships its partial run
-			// instead of waiting to fill a batch.
-			p.flushCredits(true)
+			return v, true
 		}
-		v, err = out.Take()
-	}
-	if timer != nil {
-		timer.Stop()
-	}
-	if err != nil {
-		p.mu.Lock()
-		recovering := p.recoverLocked()
+		reopened := p.recoverable() && p.reopen(p.addr) == nil
 		p.mu.Unlock()
-		if recovering && p.reconnect() {
-			return p.Next()
+		if !reopened {
+			return nil, false
 		}
-		return nil, false
 	}
-	p.mu.Lock()
-	p.results++
-	p.debt++
-	// One CREDIT per run: a batch's worth of grants coalesce into one
-	// frame, with the pre-block demand ping above covering the tail. A run
-	// cap of one is the per-value ACK clock.
-	grant := p.debt >= uint64(p.batch)
-	if ih != nil {
-		ih.Running()
-		ih.Consumed(1)
-		// The credit balance is the window minus uncredited consumption:
-		// what the server may still send before its next stall.
-		ih.SetCredit(int64(uint64(or(p.cfg.Buffer, DefaultBuffer)) - p.debt))
-	}
-	p.mu.Unlock()
-	if grant {
-		p.flushCredits(false)
-	}
-	return v, true
 }
 
 // Err reports the error that terminated the stream, if any: a
@@ -500,126 +486,79 @@ func (p *RemotePipe) StartEager() {
 	p.ensureStarted()
 }
 
-// ensureStarted opens the stream unless one is open; a failure halts the
-// pipe. Caller holds p.mu.
+// ensureStarted opens the first stream of an unopened pipe — one that is
+// neither stopped nor a reopen's between dials; a failure halts the pipe.
+// Caller holds p.mu.
 func (p *RemotePipe) ensureStarted() {
-	if p.out == nil {
-		if err := p.start(); err != nil {
+	if p.cur == nil && !p.stopped && p.redial == nil {
+		if err := p.begin(); err != nil {
 			p.halt(err)
 		}
 	}
 }
 
-// recoverLocked decides whether a terminated stream is redialed and
-// resumed rather than surfaced, and if so resets the pipe for it: only
-// under Config.Recover, and only for connection loss or a rejected resume —
-// whose snapshot didn't take (stale blob, resume disabled on the target)
-// and is dropped, so the retry recovers by deterministic replay instead. A
-// server-side producer error, a refused OPEN or a consumer deadline is
-// final either way, and so is whatever halted a pipe that has no stream.
-// Caller holds p.mu.
-func (p *RemotePipe) recoverLocked() bool {
-	if !p.cfg.Recover || p.err == nil || p.sess == nil {
-		return false
-	}
+// recoverable decides whether what ended the current incarnation is cured
+// by a reopen rather than surfaced: only under Config.Recover, and only
+// connection loss or a rejected resume — whose snapshot didn't take (stale
+// blob, resume disabled on the target) and is dropped, so the reopen
+// recovers by deterministic replay instead. A server-side producer error,
+// a refused OPEN or a consumer deadline is final either way. Caller holds
+// p.mu.
+func (p *RemotePipe) recoverable() bool {
 	var re *RemoteError
 	if errors.As(p.err, &re) && re.Class == ClassResumeRejected {
 		p.lastSnap, p.lastSnapAt = nil, 0
 	} else if !errors.Is(p.err, errConnLost) {
 		return false
 	}
-	p.reset(true)
-	return true
+	return p.cfg.Recover
 }
 
-// reconnect redials until a stream opens or RecoverWait elapses — the
-// window a crashed server (junicond restarting under a supervisor) has to
-// come back. Returns false with the pipe halted on the final dial error.
-func (p *RemotePipe) reconnect() bool {
-	deadline := time.Now().Add(or(p.cfg.RecoverWait, DefaultRecoverWait))
-	for {
-		p.mu.Lock()
-		var err error
-		if p.out == nil {
-			if err = p.start(); err != nil && time.Now().After(deadline) {
-				p.halt(err) // stop re-dialing on every Next; Restart resets
-			}
-		}
-		opened := p.out != nil
-		p.mu.Unlock()
-		if opened {
-			return err == nil
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// Migrate moves the live stream to the junicond at target mid-iteration
-// with no values lost or duplicated: demand a snapshot from the source
-// (SNAPREQ), drain everything the source already shipped into the replay
-// buffer, cancel the stream, and let the next Next open the target with
-// RESUME (or deterministic replay when the source refused to snapshot).
-// The §3B credit window caps what can be in flight during the cutover, so
-// the drain is bounded by the pipe's buffer.
+// Migrate moves the stream to the junicond at target mid-iteration with no
+// values lost or duplicated: demand a snapshot from the source (SNAPREQ),
+// cancel the stream, drain everything the source already shipped into the
+// replay buffer, and reopen at the target — a resume-mode OPEN, or
+// deterministic replay when the source refused to snapshot or had already
+// died. The §3B credit window caps what can be in flight during the
+// cutover, so the drain is bounded by the pipe's buffer — and the session
+// loop's put into that buffer never waits on this consumer, so the answer
+// is awaited without draining.
 func (p *RemotePipe) Migrate(target string) error {
 	p.mu.Lock()
-	if p.sess == nil || p.err != nil {
-		// Nothing live to hand over: just point the pipe at the target.
-		// With results already delivered, the next Next resumes there.
-		p.addr = target
+	defer p.mu.Unlock()
+	if rx := p.cur; rx != nil {
+		answered := make(chan struct{})
+		rx.snapWait = answered
 		p.mu.Unlock()
-		return nil
-	}
-	ih, out, done, sess, sid := p.ih, p.out, p.done, p.sess, p.sid
-	ch := make(chan struct{})
-	p.snapWait = ch
-	p.mu.Unlock()
-	ih.Migrating()
-	if telemetry.On() {
-		cClientMigrations.Inc()
-	}
-
-	var replay []value.V
-	drain := func() {
-		for {
-			v, ok, err := out.TryTake()
-			if err != nil || !ok {
-				return
-			}
-			replay = append(replay, v)
+		rx.ih.Migrating()
+		if telemetry.On() {
+			cClientMigrations.Inc()
 		}
-	}
-	sess.io.enqueue(frameSnapReq, sid, nil)
-	// Wait for the snapshot answer while draining the queue: the producer
-	// may need the read loop unblocked (queue full) before it can reach the
-	// SNAPREQ, and every value it ships before the SNAPSHOT marker must be
-	// in hand for the resume arithmetic.
-	deadline := time.Now().Add(or(p.cfg.RecoverWait, DefaultRecoverWait))
-	for waiting := true; waiting; {
-		drain()
+		rx.sess.io.enqueue(frameSnapReq, rx.sid, nil)
+		giveUp := time.NewTimer(or(p.cfg.RecoverWait, DefaultRecoverWait))
 		select {
-		case <-ch:
-			waiting = false
-		case <-done:
-			waiting = false
-		case <-time.After(time.Millisecond):
-			if time.Now().After(deadline) {
-				waiting = false // no answer: fall back to replay recovery
+		case <-answered:
+		case <-rx.done: // dead already, or dying: no answer will come
+		case <-giveUp.C: // no answer: fall back to replay recovery
+		}
+		giveUp.Stop()
+		// Cut over: stop the source stream and collect everything it shipped.
+		// The SNAPSHOT frame is ordered after every value its count covers, so
+		// delivered+replay >= lastSnapAt — the resume skip is never negative.
+		rx.sess.closeStream(rx.sid)
+		<-rx.done // out of the table, queue closed: nothing more arrives
+		p.mu.Lock()
+		if p.cur == rx {
+			for v, ok, _ := rx.out.TryTake(); ok; v, ok, _ = rx.out.TryTake() {
+				p.replay = append(p.replay, v)
 			}
+			return p.reopen(target)
 		}
 	}
-	// Cut over: stop the source stream and collect everything it shipped.
-	// The SNAPSHOT frame is ordered after every value its count covers, so
-	// after this final drain delivered+replay >= lastSnapAt — the resume
-	// skip is never negative.
-	sess.closeStream(sid)
-	<-done // the stream left the table: the queue is closed, nothing more arrives
-	drain()
-	p.mu.Lock()
-	p.reset(true)
+	// Unopened, stopped, between a reopen's dials, or taken by a Stop or
+	// Restart meanwhile: nothing to hand over, and whatever opens the next
+	// stream opens it at the target.
 	p.addr = target
-	p.replay = append(p.replay, replay...)
-	p.mu.Unlock()
 	return nil
 }
 
@@ -630,10 +569,9 @@ func (p *RemotePipe) Migrate(target string) error {
 // no reason to call it.
 func (p *RemotePipe) KillConn() {
 	p.mu.Lock()
-	sess := p.sess
-	p.mu.Unlock()
-	if sess != nil {
-		sess.io.conn.Close()
+	defer p.mu.Unlock()
+	if p.cur != nil {
+		p.cur.sess.io.conn.Close()
 	}
 }
 
@@ -656,8 +594,8 @@ func (p *RemotePipe) SnapshotRefusal() string {
 
 // stopLocked ends the stream and halts the pipe, discarding what the
 // stream had delivered but Next had not yet returned: a closed queue drains
-// before it fails, so neither the shipped values nor a migration's replay
-// may outlive the stop. Caller holds p.mu.
+// before it fails, so the pipe lets go of the queue, and of a migration's
+// replay with it. Caller holds p.mu.
 func (p *RemotePipe) stopLocked() {
 	p.reset(true)
 	p.replay = nil
@@ -688,7 +626,7 @@ func (p *RemotePipe) Step(value.V) (value.V, bool) { return p.Next() }
 func (p *RemotePipe) Refresh() core.Stepper {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.out != nil {
+	if p.cur != nil {
 		p.stopLocked()
 	}
 	return &RemotePipe{addr: p.addr, cfg: p.cfg, spec: p.spec, argErr: p.argErr, dialer: p.dialer}
@@ -707,19 +645,28 @@ func (p *RemotePipe) Type() string { return "co-expression" }
 // Image identifies the value as a remote pipe.
 func (p *RemotePipe) Image() string { return fmt.Sprintf("remote-pipe(%s)", p.addr) }
 
-// muxRx is one stream incarnation as its session sees it: the entry under
-// its stream id in the table, holding what the session's read goroutine
-// needs to deliver frames to the pipe between the consumer's Nexts.
+// muxRx is one stream incarnation — everything about a pipe that a reopen
+// replaces — and the entry under its stream id in its session's table,
+// where the session's read goroutine finds it to deliver frames between
+// the consumer's Nexts.
 type muxRx struct {
-	p        *RemotePipe
-	epoch    uint64 // the pipe incarnation this stream is
-	sess     *Session
-	sid      uint32
-	stream   uint64 // telemetry stream ID (the OPEN's, stitching traces)
-	label    string // span label, captured at open (addr can change later)
-	out      queue.Queue[value.V]
-	ih       *inspect.Handle
-	done     chan struct{}
+	p      *RemotePipe
+	sess   *Session
+	sid    uint32
+	stream uint64 // telemetry stream ID (the OPEN's, stitching traces)
+	label  string // span label, captured at open (addr can change later)
+	out    queue.Queue[value.V]
+	ih     *inspect.Handle // live introspection; nil when it was off at open
+	// done is closed once the stream has left its session's table and its
+	// queue is closed: nothing more will arrive for it.
+	done chan struct{}
+	// batch is the run cap sent in the OPEN; debt counts values consumed but
+	// not yet credited back, coalesced into one CREDIT frame per run;
+	// snapWait is closed when a SNAPSHOT answer (blob or refusal) lands for
+	// the Migrate that asked. debt and snapWait are guarded by p.mu.
+	batch    int
+	debt     uint64
+	snapWait chan struct{}
 	received atomic.Int64
 	start    time.Time
 }
@@ -734,12 +681,12 @@ var clientRole = role{frames: &[256]handler{
 	frameSnapshot: on((*muxRx).onSnapshot),
 }}
 
-// fail records err as the stream's, unless the pipe has moved on to a
-// later incarnation: a connection loss noticed only after Restart has
-// opened the next stream must not fail that one.
+// fail records err as the stream's, unless the pipe has moved on from this
+// incarnation: a connection loss noticed only after Restart has opened the
+// next stream must not fail that one.
 func (rx *muxRx) fail(err error) {
 	rx.p.mu.Lock()
-	if rx.p.err == nil && rx.p.epoch == rx.epoch {
+	if rx.p.err == nil && rx.p.cur == rx {
 		rx.p.err = err
 	}
 	rx.p.mu.Unlock()
@@ -751,8 +698,8 @@ func (rx *muxRx) end(err error) {
 	if err != nil {
 		rx.fail(err)
 	}
-	close(rx.done)
 	rx.out.Close()
+	close(rx.done)
 	rx.ih.Close()
 	if rx.stream != 0 {
 		telemetry.EmitSpan(rx.stream, telemetry.KindStreamEnd, rx.label, rx.received.Load(), rx.start)
@@ -779,9 +726,7 @@ func (rx *muxRx) onValues(payload []byte) (bool, error) {
 		cClientValues.Add(n)
 	}
 	if _, err := rx.out.PutBatch(s.vals); err != nil {
-		// The consumer closed the queue under the stream (Stop, deadline).
-		s.io.enqueue(frameCancel, rx.sid, nil)
-		return true, nil
+		return true, nil // only end closes the queue: the stream has left the table under this frame
 	}
 	rx.ih.Produced(n)
 	return false, nil
@@ -799,6 +744,24 @@ func (rx *muxRx) onSnapshot(payload []byte) (bool, error) {
 	if err != nil {
 		return rx.abandon(err)
 	}
-	rx.p.noteSnapshot(produced, ok, rest)
+	// An answer dispatched for a stream the pipe has since reset is not the
+	// next incarnation's checkpoint, nor the answer its Migrate waits on.
+	p := rx.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cur != rx {
+		return false, nil
+	}
+	if ok {
+		p.lastSnap = append([]byte(nil), rest...)
+		p.lastSnapAt = produced
+		p.snapReason = ""
+	} else {
+		p.snapReason = string(rest)
+	}
+	if rx.snapWait != nil {
+		close(rx.snapWait)
+		rx.snapWait = nil
+	}
 	return false, nil
 }

@@ -3,6 +3,7 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -191,11 +192,13 @@ func dialSession(d *Dialer, addr string) (*Session, error) {
 
 // tryReserve claims a stream slot under limit, counting live and claimed
 // slots both, so concurrent opens cannot overshoot the streams-per-conn
-// cap; openStream consumes the claim.
+// cap; openStream consumes the claim. A session whose stream ids are spent
+// has no slot to give — the id after the last is 0, the connection's own —
+// so the Dialer dials the next one.
 func (s *Session) tryReserve(limit int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || len(s.streams)+s.pending >= limit {
+	if s.closed || len(s.streams)+s.pending >= limit || uint64(s.nextSID)+uint64(s.pending) >= math.MaxUint32 {
 		return false
 	}
 	s.pending++
@@ -204,7 +207,8 @@ func (s *Session) tryReserve(limit int) bool {
 
 // openStream enters the stream's receive state into the table under a
 // fresh id and enqueues its OPEN. rx must be fully armed before the call:
-// frames may land the moment the OPEN reaches the wire.
+// frames may land the moment the OPEN reaches the wire. On an error rx is
+// in no table and has been ended.
 func (s *Session) openStream(rx *muxRx, open *openReq) error {
 	s.mu.Lock()
 	s.pending--
@@ -212,6 +216,7 @@ func (s *Session) openStream(rx *muxRx, open *openReq) error {
 	rx.sess, rx.sid = s, s.nextSID
 	s.mu.Unlock()
 	if !s.add(rx.sid, rx) {
+		rx.end(nil)
 		return fmt.Errorf("%w: session closed", errConnLost)
 	}
 	if telemetry.On() {

@@ -174,14 +174,28 @@ func TestCheckpointDirPersists(t *testing.T) {
 	})
 }
 
+// incarnationOn is a bare incarnation of p on conn's session under stream
+// id 1, current: what flushCredits needs and no more.
+func incarnationOn(t *testing.T, p *RemotePipe, conn net.Conn, debt uint64) *muxRx {
+	sess := &Session{io: newMuxIO(conn, nil)}
+	t.Cleanup(func() { sess.io.fail(errConnLost) })
+	rx := &muxRx{p: p, sess: sess, sid: 1, debt: debt}
+	p.mu.Lock()
+	p.cur = rx
+	p.mu.Unlock()
+	return rx
+}
+
 // TestRedialCreditGrantCannotDoubleGrant pins the credit/redial race: a
 // CREDIT grant captures its debt under p.mu, then writes later — and a
-// redial (recovery, migration) can swap the session in between. The new incarnation already opened with a full-buffer grant, so
-// the stale grant landing on its connection would raise the server's
-// credit window above the §3B bound. The epoch check must drop it.
+// reopen (recovery, migration) can swap the incarnation in between. The new
+// incarnation already opened with a full-buffer grant, so the stale grant
+// landing on its connection would raise the server's credit window above
+// the §3B bound. A grant is its incarnation's: it goes to the session and
+// stream id it was counted on, never to whatever the pipe holds now.
 //
-// Without the epoch validation in sendFrameEpoch this test fails: the
-// stale CREDIT(3) frame arrives on conn B.
+// Routed through the pipe's current incarnation instead, the stale
+// CREDIT(3) frame arrives on conn B and this test fails.
 func TestRedialCreditGrantCannotDoubleGrant(t *testing.T) {
 	aClient, aServer := net.Pipe()
 	bClient, bServer := net.Pipe()
@@ -190,28 +204,20 @@ func TestRedialCreditGrantCannotDoubleGrant(t *testing.T) {
 	defer bClient.Close()
 	defer bServer.Close()
 
-	onConn := func(c net.Conn) *Session {
-		s := &Session{io: newMuxIO(c, nil)}
-		t.Cleanup(func() { s.io.fail(errConnLost) })
-		return s
-	}
-	p := &RemotePipe{addr: "test", sess: onConn(aClient), sid: 1, epoch: 1, debt: 3}
+	p := &RemotePipe{addr: "test"}
+	old := incarnationOn(t, p, aClient, 3)
 
-	// Interleave a redial between the debt capture and the CREDIT write:
+	// Interleave a reopen between the debt capture and the CREDIT write:
 	// exactly what Next's recovery path does when the connection drops
 	// while a grant is in flight.
-	testHookFlushPause = func() {
-		p.mu.Lock()
-		p.sess = onConn(bClient)
-		p.epoch++ // the reopened stream's incarnation
-		p.mu.Unlock()
-	}
+	var live *muxRx
+	testHookFlushPause = func() { live = incarnationOn(t, p, bClient, 0) }
 	defer func() { testHookFlushPause = nil }()
 
 	flushed := make(chan struct{})
 	go func() {
 		defer close(flushed)
-		p.flushCredits(false)
+		old.flushCredits(false)
 	}()
 
 	// The stale grant must NOT arrive on the new connection.
@@ -222,25 +228,24 @@ func TestRedialCreditGrantCannotDoubleGrant(t *testing.T) {
 	}
 	within(t, time.Second, "flushCredits return", func() { <-flushed })
 
-	// And the debt was genuinely consumed — not silently re-queued where a
-	// later flush would double-grant it after all.
+	// And the debt was genuinely consumed — not silently re-queued, on
+	// either incarnation, where a later flush would double-grant it after
+	// all.
 	p.mu.Lock()
-	debt := p.debt
+	debt := old.debt + live.debt
 	p.mu.Unlock()
 	if debt != 0 {
 		t.Fatalf("debt %d re-queued after drop; stale credits must vanish", debt)
 	}
 }
 
-// TestFreshGrantStillFlows sanity-checks the fix's other side: a grant
-// whose epoch matches the live connection is written normally.
+// TestFreshGrantStillFlows sanity-checks the other side: a grant counted on
+// the live incarnation is written normally.
 func TestFreshGrantStillFlows(t *testing.T) {
 	aClient, aServer := net.Pipe()
 	defer aClient.Close()
 	defer aServer.Close()
-	sess := &Session{io: newMuxIO(aClient, nil)}
-	defer sess.io.fail(errConnLost)
-	p := &RemotePipe{addr: "test", sess: sess, sid: 1, epoch: 1, debt: 5}
+	rx := incarnationOn(t, &RemotePipe{addr: "test"}, aClient, 5)
 
 	got := make(chan []byte, 1)
 	go func() {
@@ -253,7 +258,7 @@ func TestFreshGrantStillFlows(t *testing.T) {
 		}
 		got <- append([]byte(nil), payload...)
 	}()
-	p.flushCredits(false)
+	rx.flushCredits(false)
 	within(t, time.Second, "credit arrival", func() {
 		payload := <-got
 		if payload == nil {

@@ -122,7 +122,10 @@ func TestStoppedPipeYieldsNothing(t *testing.T) {
 		return p, func() int {
 			p.mu.Lock()
 			defer p.mu.Unlock()
-			return p.out.Len()
+			if p.cur == nil {
+				return 0 // stopped: the pipe has let go of the queue
+			}
+			return p.cur.out.Len()
 		}
 	}
 	src := func() core.Stepper { return core.NewFirstClass(core.IntRange(42, 100)) }

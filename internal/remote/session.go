@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -269,12 +270,16 @@ func (s *Session) remove(sid uint32, st stream) bool {
 
 // finish completes one stream that ended by itself: out of the table, so
 // late frames for the id are orphans, then its local state released. A
-// package-level pipe's private session ends with its stream.
+// package-level pipe's private session ends with its stream, and a pooled
+// one that has spent its stream ids with its last.
 func (s *Session) finish(sid uint32, st stream) {
 	if s.remove(sid, st) {
 		st.end(nil)
 	}
-	if s.private {
+	s.mu.Lock()
+	spent := s.nextSID == math.MaxUint32 && len(s.streams)+s.pending == 0
+	s.mu.Unlock()
+	if s.private || spent {
 		s.Close()
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"junicon/internal/remote"
 )
 
 // TestREADMEFlagsExist: every -flag the README shows on a command line of
@@ -75,4 +78,51 @@ func definedFlags(t *testing.T, name string) map[string]bool {
 		t.Fatalf("%s -h lists no flags:\n%s", name, usage)
 	}
 	return defined
+}
+
+// TestREADMEFieldTablesMatch: the README's remote.Config and remote.Dialer
+// tables and the structs say the same thing. Every exported field has a
+// row, and every back-ticked name in a table's first column is a field, so
+// an option added, renamed or removed fails here until the table follows.
+func TestREADMEFieldTablesMatch(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lead, typ := range map[string]reflect.Type{
+		"`remote.Config` is the whole per-pipe surface:": reflect.TypeOf(remote.Config{}),
+		"is `remote.Dialer`'s;":                          reflect.TypeOf((*remote.Dialer)(nil)).Elem(),
+	} {
+		_, after, found := strings.Cut(string(readme), lead)
+		if !found {
+			t.Errorf("README has no table led by %q", lead)
+			continue
+		}
+		// The table is the first run of | lines after the lead; its first
+		// column names the fields, back-ticked.
+		named := map[string]bool{}
+		inTable := false
+		for _, line := range strings.Split(after, "\n") {
+			if !strings.HasPrefix(line, "|") {
+				if inTable {
+					break
+				}
+				continue
+			}
+			inTable = true
+			for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(strings.Split(line, "|")[1], -1) {
+				named[m[1]] = true
+			}
+		}
+		for i := range typ.NumField() {
+			if f := typ.Field(i); f.IsExported() && !named[f.Name] {
+				t.Errorf("%s.%s has no row in the README table", typ, f.Name)
+			} else {
+				delete(named, f.Name)
+			}
+		}
+		for name := range named {
+			t.Errorf("the README's %s table names %s, which is not a field", typ, name)
+		}
+	}
 }
