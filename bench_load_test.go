@@ -1,7 +1,6 @@
 package junicon_test
 
 import (
-	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -32,11 +31,7 @@ func vmSetSources(tb testing.TB) []string {
 	sort.Strings(files)
 	srcs := make([]string, len(files))
 	for i, f := range files {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		srcs[i] = string(b)
+		srcs[i] = readFile(tb, f)
 	}
 	return srcs
 }

@@ -1,27 +1,27 @@
-// Package analyze is a multi-pass static analyzer for Junicon syntax
-// trees — the semantic checking layer that sits between parsing/
-// normalization and execution in the Figure 5 pipeline. Nothing in the
-// original pipeline rejects programs that are statically wrong under Icon
-// semantics or the calculus of concurrent generators (Figure 1): activating
-// an integer, refreshing a pipe, or reading a variable that can never be
-// bound all surface only as silent runtime failure. The analyzer finds
-// those statically and reports them as structured diagnostics.
+// Package analyze is the static analyzer for Junicon syntax trees — the
+// semantic checking layer that sits between parsing/normalization and
+// execution in the Figure 5 pipeline. Nothing in the original pipeline
+// rejects programs that are statically wrong under Icon semantics or the
+// calculus of concurrent generators (Figure 1): activating an integer,
+// refreshing a pipe, or reading a variable that can never be bound all
+// surface only as silent runtime failure. The analyzer finds those
+// statically and reports them as structured diagnostics, and computes the
+// whole-program facts the evaluators provision pipes from.
 //
-// The analyzer runs four passes over a program:
+// Each scope — a procedure body, or the top-level statements, which share
+// the global scope — is walked twice:
 //
-//  1. scope      — collects the symbol table: global declarations,
-//     procedure parameters and locals, Icon's assigned-means-local rule.
-//  2. dataflow   — per-scope goal-directed dataflow: reads of variables
-//     that can never be bound (JV001), assignment to non-variable
-//     operands (JV002), unreachable statements (JV010).
-//  3. bounded    — boundedness-aware sequence analysis: alternation arms
-//     unreachable after an expression that cannot fail (JV003),
-//     non-positive limits (JV004), zero to-by increments (JV009).
-//  4. concurrency — the Figure 1 calculus: activation of values that are
-//     statically not co-expressions (JV005), refresh of pipes, which the
-//     calculus leaves undefined (JV006), self-activating pipes that
-//     degenerate to deadlock under bounded buffers (JV007), and mutations
-//     of snapshotted co-expression locals (JV008).
+//  1. collect (scope.go) builds the scope's one symbol table: parameters,
+//     declared, assigned and static names under Icon's assigned-means-local
+//     rule and, for the diagnostics, each name's kinds and the sites where
+//     it is read, bound and drained, and the <>/|<>/|> creation sites.
+//  2. expr (effects.go), once per fixpoint round and once to cache, computes
+//     each node's effects, its result bound and its share of the enclosing
+//     procedure's results.
+//
+// The diagnostics are read off those tables and facts, plus a walk of each
+// statement for the checks that need its syntax (dataflow.go, bounded.go,
+// concurrency.go) and the pipe graph (pipegraph.go).
 //
 // Both raw parser output and §5A normal forms (FlatProduct / BindIn /
 // TmpRef) are accepted, so the analyzer can gate the interpreter, the
@@ -29,9 +29,10 @@
 package analyze
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"junicon/internal/ast"
@@ -104,12 +105,20 @@ type Options struct {
 	NativeFacts func(name string) (GenFacts, bool)
 }
 
-// Analyzer carries one run's state: options, the collected symbol table,
+// analyzer carries one diagnostics run: options, the program-level names,
 // and the accumulated diagnostics.
-type Analyzer struct {
+type analyzer struct {
 	opts    Options
 	globals map[string]bool // program-level names: globals, procs, records, classes
-	diags   []Diag
+	diags   []ranked
+	unit    int // the scope or statement being checked
+}
+
+// ranked is a diagnostic with its place among those at the same position:
+// by unit, then by phase (see phase).
+type ranked struct {
+	Diag
+	key int
 }
 
 // Program analyzes a whole translation unit and returns its diagnostics
@@ -119,60 +128,55 @@ func Program(p *ast.Program, opts Options) []Diag {
 	return diags
 }
 
-// ProgramFacts runs the full analysis — the per-scope passes of PR 1 plus
-// the interprocedural fact engine and the pipe-graph pass — returning both
-// the diagnostics and the computed whole-program facts. The facts are
-// computed from scratch, the whole program as one batch: the reference
-// that facts grown batch by batch (Facts.ExtendDecls, the evaluators'
-// path) must equal.
+// ProgramFacts runs the full analysis, returning both the diagnostics and
+// the computed whole-program facts. The facts are computed from scratch,
+// the whole program as one batch: the reference that facts grown batch by
+// batch (Facts.ExtendDecls, the evaluators' path) must equal.
 func ProgramFacts(p *ast.Program, opts Options) ([]Diag, *Facts) {
-	a := &Analyzer{opts: opts}
-	a.collectGlobals(p)
 	facts := NewFacts()
+	facts.vet = true
 	facts.ExtendDecls(p.Decls, opts)
 
-	// Top-level statements execute in the shared global scope: analyze
-	// them as one scope whose locals are the globals themselves.
-	top := newScopeFrom(a, p)
+	a := &analyzer{opts: opts}
+	roots := topLevelRoots(p)
+	top := topScope(roots)
+	a.collectGlobals(p, top)
+	stmt := 0
 	for _, d := range p.Decls {
 		switch x := d.(type) {
 		case *ast.ProcDecl:
-			a.proc(x)
+			a.proc(facts, x)
 		case *ast.ClassDecl:
 			for _, m := range x.Methods {
-				a.proc(m)
+				a.proc(facts, m)
 			}
 		case *ast.RecordDecl, *ast.GlobalDecl:
 			// declaration only
 		default:
-			a.statement(top, x)
+			a.check(top, x, top.rootSites(stmt))
+			stmt++
 		}
 	}
-	a.pipeGraph(p, facts)
+	a.unit++
+	a.pipeGraph(top, roots, facts)
+	a.truncatedEffects(p, facts)
 
-	sort.SliceStable(a.diags, func(i, j int) bool {
-		pi, pj := a.diags[i].Pos, a.diags[j].Pos
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		return pi.Col < pj.Col
+	slices.SortStableFunc(a.diags, func(x, y ranked) int {
+		return cmp.Or(cmp.Compare(x.Pos.Line, y.Pos.Line), cmp.Compare(x.Pos.Col, y.Pos.Col), cmp.Compare(x.key, y.key))
 	})
-	return a.diags, facts
+	var out []Diag
+	for _, d := range a.diags {
+		out = append(out, d.Diag)
+	}
+	return out, facts
 }
 
 // Expr analyzes a standalone expression (the REPL's unit of input) as a
 // bounded top-level statement.
 func Expr(n ast.Node, opts Options) []Diag {
-	diags, _ := ExprFacts(n, opts)
-	return diags
-}
-
-// ExprFacts analyzes a standalone expression and returns its facts along
-// with the diagnostics.
-func ExprFacts(n ast.Node, opts Options) ([]Diag, *Facts) {
 	p := &ast.Program{Decls: []ast.Node{n}}
 	p.P = n.Pos()
-	return ProgramFacts(p, opts)
+	return Program(p, opts)
 }
 
 // HasErrors reports whether any diagnostic is an Error.
@@ -199,27 +203,90 @@ func Fprint(w io.Writer, path string, lineOffset int, diags []Diag) {
 	}
 }
 
-func (a *Analyzer) diag(pos ast.Pos, code string, sev Severity, format string, args ...any) {
-	a.diags = append(a.diags, Diag{Pos: pos, Code: code, Severity: sev, Msg: fmt.Sprintf(format, args...)})
+func (a *analyzer) diag(pos ast.Pos, code string, sev Severity, format string, args ...any) {
+	d := Diag{Pos: pos, Code: code, Severity: sev, Msg: fmt.Sprintf(format, args...)}
+	a.diags = append(a.diags, ranked{d, a.unit*8 + phase(code)})
 }
 
-// proc runs the per-scope passes over one procedure. The body is analyzed
-// as a whole block: statement boundedness and unreachability are block
-// properties.
-func (a *Analyzer) proc(p *ast.ProcDecl) {
-	sc := newScope(a, p)
-	a.statement(sc, p.Body)
+// phase orders the diagnostics one unit reports at one position, whatever
+// order the walks find them in: dataflow, then boundedness, then the
+// concurrency checks — the order -vet's output and goldens pin.
+func phase(code string) int {
+	switch code {
+	case CodeNeverAssigned:
+		return 0
+	case CodeNonVariable:
+		return 1
+	case CodeUnreachable:
+		return 2
+	case CodeDeadAlternative, CodeBadLimit, CodeZeroStep:
+		return 3
+	}
+	return 4
 }
 
-// statement runs the per-scope passes over one statement of a scope.
-func (a *Analyzer) statement(sc *scope, n ast.Node) {
-	a.dataflow(sc, n)
-	a.bounded(sc, n, true)
-	a.concurrency(sc, n)
+// collectGlobals gathers program-level names: explicit globals, procedure
+// and record and class declarations, class fields (which the embedding
+// flattens into globals), and the names top-level statements bind (they
+// execute in the global scope).
+func (a *analyzer) collectGlobals(p *ast.Program, top *scope) {
+	a.globals = map[string]bool{}
+	for name, s := range top.syms {
+		if s&(symAssigned|symDeclared) != 0 {
+			a.globals[name] = true
+		}
+	}
+	for _, d := range p.Decls {
+		switch x := d.(type) {
+		case *ast.GlobalDecl:
+			for _, n := range x.Names {
+				a.globals[n] = true
+			}
+		case *ast.ProcDecl:
+			a.globals[x.Name] = true
+		case *ast.RecordDecl:
+			a.globals[x.Name] = true
+		case *ast.ClassDecl:
+			a.globals[x.Name] = true
+			for _, f := range x.Fields {
+				a.globals[f] = true
+			}
+			for _, m := range x.Methods {
+				a.globals[m.Name] = true
+			}
+		}
+	}
+}
+
+// proc checks one procedure, through the table the facts were computed
+// with (a losing duplicate definition has none: it gets its own).
+func (a *analyzer) proc(facts *Facts, p *ast.ProcDecl) {
+	sc := facts.ctx[p]
+	if sc == nil {
+		sc = newScope(p, facts.globals, true)
+	}
+	a.check(sc, p.Body, sc.sites)
+}
+
+// check runs the per-statement checks over one root of a scope: a
+// procedure body, or one top-level statement with its sites. The body is
+// checked as a whole block: statement boundedness and unreachability are
+// block properties.
+func (a *analyzer) check(sc *scope, root ast.Node, sites []site) {
+	a.unit++
+	a.reads(sc, sites)
+	a.bounded(root, true)
+	a.local(sc, root)
+}
+
+// bound reports whether name can ever be bound in scope sc: parameter,
+// declared local, assigned name, program global, builtin, or host-known.
+func (a *analyzer) bound(sc *scope, name string) bool {
+	return sc.has(name, symParam|symDeclared|symAssigned) || a.globals[name] || a.known(name)
 }
 
 // known reports whether name resolves outside the analyzed program.
-func (a *Analyzer) known(name string) bool {
+func (a *analyzer) known(name string) bool {
 	if builtinNames()[name] {
 		return true
 	}

@@ -5,7 +5,7 @@ import (
 	"junicon/internal/value"
 )
 
-// bounded is pass 3: boundedness-aware sequence analysis. Icon bounds
+// bounded is the boundedness-aware sequence analysis. Icon bounds
 // expressions in certain syntactic positions — a bounded expression
 // produces at most one result and is never resumed (§2A). The pass tracks
 // boundedness through the tree and reports
@@ -17,88 +17,81 @@ import (
 //     expression can produce no results at all;
 //   - JV009: `e1 to e2 by 0` — a zero increment raises error 211 at
 //     runtime on the first step.
-func (a *Analyzer) bounded(sc *scope, n ast.Node, inBounded bool) {
+func (a *analyzer) bounded(n ast.Node, inBounded bool) {
 	switch x := n.(type) {
 	case nil:
 		return
 	case *ast.Binary:
+		// Operands of products, assignments and operators are resumable;
+		// the arms of an alternation share its boundedness.
+		arms := false
 		switch x.Op {
 		case "|":
 			if inBounded && cannotFail(x.L) {
 				a.diag(x.R.Pos(), CodeDeadAlternative, Warning,
 					"unreachable alternative: the left arm cannot fail, so this bounded expression never resumes into the right arm")
 			}
-			a.bounded(sc, x.L, inBounded)
-			a.bounded(sc, x.R, inBounded)
+			arms = inBounded
 		case "\\":
 			if lim, ok := intConst(x.R); ok && lim <= 0 {
 				a.diag(x.P, CodeBadLimit, Warning,
 					"limit %d is never positive: the limited expression can produce no results", lim)
 			}
-			a.bounded(sc, x.L, false)
-			a.bounded(sc, x.R, false)
-		default:
-			// Operands of products, assignments and operators are resumable.
-			a.bounded(sc, x.L, false)
-			a.bounded(sc, x.R, false)
 		}
+		a.bounded(x.L, arms)
+		a.bounded(x.R, arms)
 	case *ast.Unary:
 		// not e bounds its operand: one success or failure decides it.
 		// Create expressions open a fresh (unbounded) generator body.
-		switch x.Op {
-		case "not":
-			a.bounded(sc, x.X, true)
-		default:
-			a.bounded(sc, x.X, false)
-		}
+		a.bounded(x.X, x.Op == "not")
 	case *ast.ToBy:
 		if by, ok := intConst(x.By); ok && by == 0 {
 			a.diag(x.P, CodeZeroStep, Error,
 				"to-by increment is zero: this raises a runtime error on the first step")
 		}
-		a.bounded(sc, x.Lo, false)
-		a.bounded(sc, x.Hi, false)
-		a.bounded(sc, x.By, false)
+		a.bounded(x.Lo, false)
+		a.bounded(x.Hi, false)
+		a.bounded(x.By, false)
 	case *ast.If:
-		a.bounded(sc, x.Cond, true)
-		a.bounded(sc, x.Then, inBounded)
-		a.bounded(sc, x.Else, inBounded)
+		a.bounded(x.Cond, true)
+		a.bounded(x.Then, inBounded)
+		a.bounded(x.Else, inBounded)
 	case *ast.While:
-		a.bounded(sc, x.Cond, true)
-		a.bounded(sc, x.Body, true)
+		a.bounded(x.Cond, true)
+		a.bounded(x.Body, true)
 	case *ast.Every:
-		a.bounded(sc, x.E, false) // generated to exhaustion, never bounded
-		a.bounded(sc, x.Body, true)
+		a.bounded(x.E, false) // generated to exhaustion, never bounded
+		a.bounded(x.Body, true)
 	case *ast.Repeat:
-		a.bounded(sc, x.Body, true)
+		a.bounded(x.Body, true)
 	case *ast.Suspend:
-		a.bounded(sc, x.E, false) // every result is suspended
-		a.bounded(sc, x.Body, true)
+		a.bounded(x.E, false) // every result is suspended
+		a.bounded(x.Body, true)
 	case *ast.Return:
-		a.bounded(sc, x.E, true)
+		a.bounded(x.E, true)
 	case *ast.Initial:
-		a.bounded(sc, x.Body, true)
+		a.bounded(x.Body, true)
 	case *ast.Block:
 		// Every statement of a compound is bounded except the last, whose
 		// boundedness is the block's own.
 		for i, s := range x.Stmts {
-			a.bounded(sc, s, i < len(x.Stmts)-1 || inBounded)
+			a.bounded(s, i < len(x.Stmts)-1 || inBounded)
 		}
 	case *ast.VarDecl:
 		for _, init := range x.Inits {
-			a.bounded(sc, init, true) // initializers take the first result
+			a.bounded(init, true) // initializers take the first result
 		}
 	case *ast.Case:
-		a.bounded(sc, x.Subject, true)
+		a.bounded(x.Subject, true)
 		for _, c := range x.Clauses {
 			// Selectors are alternatives: each is tried, so alternation in a
 			// selector is genuinely multi-valued — not bounded.
-			a.bounded(sc, c.Sel, false)
-			a.bounded(sc, c.Body, inBounded)
+			a.bounded(c.Sel, false)
+			a.bounded(c.Body, inBounded)
 		}
 	default:
 		for _, c := range ast.Children(n) {
-			a.bounded(sc, c, false)
+			a.bounded(c, false)
 		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"junicon/internal/ast"
 )
 
-// concurrency is pass 4: checks grounded in the calculus of concurrent
-// generators (Figure 1) and its degenerate forms (§4). It reports
+// local walks one root of a scope for the checks each node decides with
+// the scope's table at hand: JV002 and JV010 (dataflow.go) and the checks
+// grounded in the calculus of concurrent generators (Figure 1) and its
+// degenerate forms (§4):
 //
 //   - JV005: `@e` / `x @ e` where e is statically not a co-expression or
 //     pipe — activation of a plain value raises "co-expression expected";
@@ -19,155 +21,95 @@ import (
 //   - JV008: `|<>e` (or `|>e`) whose body assigns a variable it was
 //     declared to snapshot — the body mutates its private copy, so the
 //     update is invisible to the enclosing scope.
-func (a *Analyzer) concurrency(sc *scope, n ast.Node) {
-	ast.Walk(n, func(m ast.Node) bool {
+func (a *analyzer) local(sc *scope, root ast.Node) {
+	ast.Walk(root, func(m ast.Node) bool {
 		switch x := m.(type) {
+		case *ast.Block:
+			a.unreachable(x)
 		case *ast.Unary:
 			switch x.Op {
 			case "@":
-				a.checkActivation(sc, x.X)
+				a.checkCoexpr(sc, x.X, "activation", "@")
 			case "^":
 				a.checkRefresh(sc, x.X)
 			case "|<>", "|>":
-				a.checkShadowMutation(sc, x)
+				a.checkShadowMutation(sc, sc.createOf(x))
 			}
 		case *ast.Binary:
+			if isAssignOp(x.Op) {
+				a.checkTarget(x.L)
+				if x.Op == ":=:" || x.Op == "<->" {
+					a.checkTarget(x.R)
+				}
+			}
 			if x.Op == "@" {
-				a.checkActivation(sc, x.R)
+				a.checkCoexpr(sc, x.R, "activation", "@")
 			}
 			if x.Op == ":=" {
-				a.checkSelfActivation(x)
+				a.checkSelfActivation(sc, x)
 			}
 		}
 		return true
 	})
 }
 
-// checkActivation flags JV005 when the activated operand is statically a
-// plain value.
-func (a *Analyzer) checkActivation(sc *scope, e ast.Node) {
+// checkCoexpr flags JV005 when the activated or refreshed operand is
+// statically a plain value.
+func (a *analyzer) checkCoexpr(sc *scope, e ast.Node, what, op string) {
 	if name, ok := identName(e); ok {
-		if sc.onlyKind(name, kindValue) && !sc.params[name] && !a.globals[name] && !a.known(name) {
+		if sc.onlyKind(name, kindValue) && !sc.has(name, symParam) && !a.globals[name] && !a.known(name) {
 			a.diag(e.Pos(), CodeNotCoexpr, Error,
-				"activation of %q, which is never a co-expression or pipe in this scope", name)
+				"%s of %q, which is never a co-expression or pipe in this scope", what, name)
 		}
 		return
 	}
 	if exprKind(e) == kindValue {
 		a.diag(e.Pos(), CodeNotCoexpr, Error,
-			"activation of %s: @ requires a co-expression or pipe", describe(e))
+			"%s of %s: %s requires a co-expression or pipe", what, describe(e), op)
 	}
 }
 
-// checkRefresh flags JV006 when the refreshed operand is a pipe.
-func (a *Analyzer) checkRefresh(sc *scope, e ast.Node) {
-	isPipe := false
-	if u, ok := e.(*ast.Unary); ok && u.Op == "|>" {
-		isPipe = true
-	}
-	if name, ok := identName(e); ok && sc.onlyKind(name, kindPipe) {
-		isPipe = true
-	}
-	if isPipe {
+// checkRefresh flags JV006 when the refreshed operand is a pipe, and
+// JV005 when it is a plain value: refreshing one raises like activating it.
+func (a *analyzer) checkRefresh(sc *scope, e ast.Node) {
+	u, isCreate := e.(*ast.Unary)
+	name, isName := identName(e)
+	if (isCreate && u.Op == "|>") || (isName && sc.onlyKind(name, kindPipe)) {
 		a.diag(e.Pos(), CodePipeRefresh, Warning,
 			"refresh (^) of a pipe is undefined in the calculus of concurrent generators: re-create it with |> instead")
 	}
-	// Refreshing a plain value raises like activating one.
-	if name, ok := identName(e); ok {
-		if sc.onlyKind(name, kindValue) && !sc.params[name] && !a.globals[name] && !a.known(name) {
-			a.diag(e.Pos(), CodeNotCoexpr, Error,
-				"refresh of %q, which is never a co-expression or pipe in this scope", name)
-		}
-		return
-	}
-	if exprKind(e) == kindValue {
-		a.diag(e.Pos(), CodeNotCoexpr, Error,
-			"refresh of %s: ^ requires a co-expression or pipe", describe(e))
-	}
+	a.checkCoexpr(sc, e, "refresh", "^")
 }
 
 // checkSelfActivation flags JV007 on `x := |> body` where body activates
 // or promotes x.
-func (a *Analyzer) checkSelfActivation(assign *ast.Binary) {
+func (a *analyzer) checkSelfActivation(sc *scope, assign *ast.Binary) {
 	name, ok := identName(assign.L)
-	if !ok {
+	create, isCreate := assign.R.(*ast.Unary)
+	if !ok || !isCreate || create.Op != "|>" {
 		return
 	}
-	create, ok := assign.R.(*ast.Unary)
-	if !ok || create.Op != "|>" {
-		return
+	for _, s := range sc.drains(sc.createOf(create)) {
+		if s.name == name {
+			a.diag(s.node.Pos(), CodeSelfActivation, Warning,
+				"pipe assigned to %q consumes itself inside its own producer: a bounded pipe (buffer 1: the future/M-var degeneration) deadlocks here", name)
+		}
 	}
-	ast.Walk(create.X, func(m ast.Node) bool {
-		var operand ast.Node
-		switch x := m.(type) {
-		case *ast.Unary:
-			if x.Op == "@" || x.Op == "!" {
-				operand = x.X
-			}
-		case *ast.Binary:
-			if x.Op == "@" {
-				operand = x.R
-			}
-		}
-		if operand != nil {
-			if opName, ok := identName(operand); ok && opName == name {
-				a.diag(operand.Pos(), CodeSelfActivation, Warning,
-					"pipe assigned to %q consumes itself inside its own producer: a bounded pipe (buffer 1: the future/M-var degeneration) deadlocks here", name)
-			}
-		}
-		return true
-	})
 }
 
 // checkShadowMutation flags JV008 on assignments inside a shadowed create
 // expression (|<>e, |>e) whose targets are variables of the enclosing
-// scope — exactly the names the co-expression snapshots at creation.
-func (a *Analyzer) checkShadowMutation(sc *scope, create *ast.Unary) {
-	body := create.X
-	// Names declared local inside the body belong to the body.
-	inner := declaredNames(body)
+// scope — exactly the names the co-expression snapshots at creation. A
+// nested shadowed create owns its own assignments, and names declared
+// local inside the body belong to the body.
+func (a *analyzer) checkShadowMutation(sc *scope, c *create) {
 	reported := map[string]bool{}
-	ast.Walk(body, func(m ast.Node) bool {
-		if u, ok := m.(*ast.Unary); ok && (u.Op == "|<>" || u.Op == "|>") {
-			// A nested shadowed create owns its assignments; the enclosing
-			// statement walk reaches it and runs its own shadow check.
-			return false
+	for _, s := range sc.sites {
+		if s.in != c || s.use&useTarget == 0 || reported[s.name] || sc.usedIn(s.name, useDecl, c, true) || !sc.outer(s.name, c) {
+			continue
 		}
-		x, ok := m.(*ast.Binary)
-		if !ok || !isAssignOp(x.Op) {
-			return true
-		}
-		targets := []ast.Node{x.L}
-		if x.Op == ":=:" || x.Op == "<->" {
-			targets = append(targets, x.R)
-		}
-		for _, t := range targets {
-			name, ok := identName(t)
-			if !ok || inner[name] || reported[name] {
-				continue
-			}
-			if sc.outer(name, create) {
-				reported[name] = true
-				a.diag(t.Pos(), CodeShadowMutation, Warning,
-					"%s snapshots %q: this assignment mutates the co-expression's private copy and is invisible to the enclosing scope", create.Op, name)
-			}
-		}
-		return true
-	})
-}
-
-// outer reports whether name is a variable of the scope outside the given
-// create expression: a parameter or declared local, or a name assigned
-// somewhere in the scope outside the create body.
-func (sc *scope) outer(name string, create *ast.Unary) bool {
-	if sc.params[name] || sc.declared[name] {
-		return true
+		reported[s.name] = true
+		a.diag(s.node.Pos(), CodeShadowMutation, Warning,
+			"%s snapshots %q: this assignment mutates the co-expression's private copy and is invisible to the enclosing scope", c.node.Op, s.name)
 	}
-	if !sc.assigned[name] {
-		return false
-	}
-	// Assigned somewhere in the scope — discount assignments inside this
-	// create body itself (a name assigned only inside the body is private
-	// to it, not snapshotted).
-	return sc.assignedOutside(name, create)
 }

@@ -4,7 +4,7 @@ import (
 	"junicon/internal/ast"
 )
 
-// dataflow is pass 2: goal-directed dataflow over one scope. It reports
+// dataflow.go holds the goal-directed dataflow checks over one scope:
 //
 //   - JV001: a read of a variable that no assignment in the program can
 //     ever bind — under Icon's default-local rule the read can only ever
@@ -15,81 +15,25 @@ import (
 //     raises "variable expected" at runtime;
 //   - JV010: statements that can never execute because every path before
 //     them leaves the enclosing block (return / fail / break / next).
-func (a *Analyzer) dataflow(sc *scope, n ast.Node) {
-	a.reads(sc, n)
-	a.assignTargets(sc, n)
-	a.unreachable(n)
-}
 
-// reads flags JV001 on identifier reads that can never be bound.
-func (a *Analyzer) reads(sc *scope, n ast.Node) {
+// reads flags JV001 on the first read of each name in a root's sites that
+// can never be bound.
+func (a *analyzer) reads(sc *scope, sites []site) {
 	seen := map[string]bool{}
-	var walk func(m ast.Node, writing bool)
-	walk = func(m ast.Node, writing bool) {
-		switch x := m.(type) {
-		case nil:
-			return
-		case *ast.Ident:
-			if writing || seen[x.Name] || sc.bound(x.Name) {
-				return
-			}
-			seen[x.Name] = true
-			a.diag(x.P, CodeNeverAssigned, Warning,
-				"variable %q is read but never assigned: it can only ever be &null", x.Name)
-		case *ast.Binary:
-			if isAssignOp(x.Op) {
-				// The target position writes; everything beneath it that is
-				// not the written name itself still reads (q[c] := r reads q
-				// and c).
-				walk(x.L, true)
-				writing := x.Op == ":=:" || x.Op == "<->"
-				walk(x.R, writing)
-				return
-			}
-			walk(x.L, false)
-			walk(x.R, false)
-		case *ast.Unary:
-			// /x and \x in target position still assign x itself; !L in
-			// target position assigns L's elements but reads L.
-			walk(x.X, writing && (x.Op == "/" || x.Op == "\\"))
-		case *ast.Index:
-			walk(x.X, false)
-			walk(x.I, false)
-		case *ast.Slice:
-			walk(x.X, false)
-			walk(x.I, false)
-			walk(x.J, false)
-		case *ast.Field:
-			walk(x.X, false)
-		default:
-			for _, c := range ast.Children(m) {
-				walk(c, false)
-			}
+	for _, s := range sites {
+		if s.use&useCheck == 0 || seen[s.name] || a.bound(sc, s.name) {
+			continue
 		}
+		seen[s.name] = true
+		a.diag(s.node.Pos(), CodeNeverAssigned, Warning,
+			"variable %q is read but never assigned: it can only ever be &null", s.name)
 	}
-	walk(n, false)
-}
-
-// assignTargets flags JV002 on assignments whose target can never denote a
-// variable.
-func (a *Analyzer) assignTargets(sc *scope, n ast.Node) {
-	ast.Walk(n, func(m ast.Node) bool {
-		x, ok := m.(*ast.Binary)
-		if !ok || !isAssignOp(x.Op) {
-			return true
-		}
-		a.checkTarget(x.L)
-		if x.Op == ":=:" || x.Op == "<->" {
-			a.checkTarget(x.R)
-		}
-		return true
-	})
 }
 
 // checkTarget reports JV002 when the node is statically a non-variable.
 // Only certainly-wrong targets are flagged: calls, subscripts and fields
 // may produce variable references, so they pass.
-func (a *Analyzer) checkTarget(n ast.Node) {
+func (a *analyzer) checkTarget(n ast.Node) {
 	switch x := n.(type) {
 	case *ast.IntLit, *ast.RealLit, *ast.StrLit, *ast.CsetLit, *ast.ListLit, *ast.ToBy:
 		a.diag(n.Pos(), CodeNonVariable, Error,
@@ -114,26 +58,16 @@ func (a *Analyzer) checkTarget(n ast.Node) {
 	}
 }
 
-// unreachable flags JV010 on block statements following an unconditional
-// control transfer.
-func (a *Analyzer) unreachable(n ast.Node) {
-	ast.Walk(n, func(m ast.Node) bool {
-		b, ok := m.(*ast.Block)
-		if !ok {
-			return true
+// unreachable flags JV010 on the first statement of a block that follows
+// an unconditional control transfer.
+func (a *analyzer) unreachable(b *ast.Block) {
+	for i, s := range b.Stmts[:max(len(b.Stmts)-1, 0)] {
+		if transfersControl(s) {
+			a.diag(b.Stmts[i+1].Pos(), CodeUnreachable, Warning,
+				"unreachable: the preceding %s always leaves this block", describe(s))
+			return // one report per block is enough
 		}
-		for i, s := range b.Stmts {
-			if i == len(b.Stmts)-1 {
-				break
-			}
-			if transfersControl(s) {
-				a.diag(b.Stmts[i+1].Pos(), CodeUnreachable, Warning,
-					"unreachable: the preceding %s always leaves this block", describe(s))
-				break // one report per block is enough
-			}
-		}
-		return true
-	})
+	}
 }
 
 // transfersControl reports whether a statement unconditionally leaves the

@@ -11,7 +11,9 @@ import (
 // call graph that assigns every procedure an effect summary and a
 // yield-count bound, then a caching pass that records the facts of the
 // nodes a consumer asks about by identity: the body of every |> (its
-// provisioning, JV012) and the left operand of every limit (JV014).
+// provisioning, JV012) and the left operand of every limit (JV014). Both
+// are walks of expr, which computes a node's facts as an expression and
+// its share of the enclosing procedure's results in one record.
 // Soundness discipline: unknown callees and host natives are the top of
 // the lattice; recursive generator procedures are pinned to unbounded
 // yields before the fixpoint runs, so exact bounds never under-approximate
@@ -49,23 +51,23 @@ func (f *Facts) ExtendDecls(batch []ast.Node, opts Options) {
 	fresh := len(f.decls)
 	rebound := false
 	add := func(p *ast.ProcDecl) {
-		if f.cg.Procs[p.Name] != nil || f.cg.late[p.Name] {
+		if f.cg.procs[p.Name] != nil || f.cg.late[p.Name] {
 			rebound = true
 		}
-		f.cg.Procs[p.Name] = p
+		f.cg.procs[p.Name] = p
 		f.decls = append(f.decls, p)
 	}
 	// A declared global is never a local, whichever arrives first: a
 	// procedure analyzed before the declaration that counted the name
-	// among its locals gets fresh name sets and the tables a re-run.
+	// among its locals gets a fresh table and the tables a re-run.
 	declare := func(names []string) {
 		for _, name := range names {
 			if f.globals[name] {
 				continue
 			}
 			f.globals[name] = true
-			for p, cx := range f.ctx {
-				if cx.locals[name] {
+			for p, sc := range f.ctx {
+				if sc.has(name, symLocal) {
 					delete(f.ctx, p)
 					rebound = true
 				}
@@ -93,16 +95,16 @@ func (f *Facts) ExtendDecls(batch []ast.Node, opts Options) {
 		// A name analyzed earlier now resolves differently (late binding,
 		// REPL redefinition, a global declared after its writer): start
 		// over, keeping only the winning declaration of each name and the
-		// name sets that still hold.
+		// tables that still hold.
 		f.cg = newCallGraph()
 		f.procs = map[string]*ProcFacts{}
 		f.nodes = map[ast.Node]GenFacts{}
 		for _, p := range f.decls {
-			f.cg.Procs[p.Name] = p
+			f.cg.procs[p.Name] = p
 		}
 		live := f.decls[:0]
 		for _, p := range f.decls {
-			if f.cg.Procs[p.Name] == p {
+			if f.cg.procs[p.Name] == p {
 				live = append(live, p)
 			} else {
 				delete(f.ctx, p)
@@ -129,7 +131,7 @@ func (f *Facts) ExtendExpr(n ast.Node, opts Options) {
 }
 
 // solve summarizes the given procedures — already in the call graph's
-// Procs, their callees either among them or summarized earlier — and
+// procs, their callees either among them or summarized earlier — and
 // caches the facts their bodies will be asked for.
 func (fc *factsComp) solve(decls []*ast.ProcDecl) {
 	if len(decls) == 0 {
@@ -139,14 +141,14 @@ func (fc *factsComp) solve(decls []*ast.ProcDecl) {
 	for i, p := range decls {
 		names[i] = p.Name
 		if fc.ctx[p] == nil { // a re-run finds them in place
-			fc.ctx[p] = newProcCtx(p, fc.globals)
+			fc.ctx[p] = newScope(p, fc.globals, fc.vet)
 		}
 	}
 	sort.Strings(names)
-	// Edges once every procedure of the batch is in Procs, so mutual
+	// Edges once every procedure of the batch is in procs, so mutual
 	// recursion inside a batch resolves.
 	for _, p := range decls {
-		fc.cg.addCalls(fc.ctx[p], p.Body)
+		fc.cg.addCalls(p, fc.ctx[p])
 	}
 	rec := fc.cg.recursiveAmong(names)
 
@@ -157,7 +159,7 @@ func (fc *factsComp) solve(decls []*ast.ProcDecl) {
 		pf := &ProcFacts{Name: p.Name, GenFacts: GenFacts{Yields: boundNone}}
 		if rec[p.Name] {
 			pf.Recursive = true
-			if containsSuspend(p.Body) {
+			if fc.ctx[p].suspends {
 				pf.Yields = boundUnbounded
 			} else {
 				pf.Yields = boundOpt
@@ -189,14 +191,17 @@ func (fc *factsComp) solve(decls []*ast.ProcDecl) {
 		}
 	}
 
-	// Caching pass: one more walk of each body (stmtEffects reaches every
-	// expression), against the final table.
+	// Caching pass: one more walk of each body, against the final table.
 	fc.cache = fc.nodes
 	for _, p := range decls {
-		fc.stmtEffects(p.Body, fc.ctx[p])
+		fc.expr(p.Body, fc.ctx[p])
 	}
 	fc.cache = nil
 }
+
+// topLevel is the table the facts of top-level statements and standalone
+// expressions read: they run in the global scope, so nothing is local.
+var topLevel = &scope{}
 
 // cacheStatements records the facts of top-level statements in the
 // transient cache, replacing its previous contents.
@@ -204,51 +209,31 @@ func (fc *factsComp) cacheStatements(stmts []ast.Node) {
 	fc.exprNodes = make(map[ast.Node]GenFacts)
 	fc.cache = fc.exprNodes
 	for _, s := range stmts {
-		fc.expr(s, topLevelCtx)
+		fc.expr(s, topLevel)
 	}
 	fc.cache = nil
 }
 
-// containsSuspend reports whether a body suspends anywhere (nested create
-// bodies excluded: their suspensions belong to the created generator).
-func containsSuspend(n ast.Node) bool {
-	found := false
-	ast.Walk(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if u, ok := m.(*ast.Unary); ok && (u.Op == "<>" || u.Op == "|<>" || u.Op == "|>") {
-			return false
-		}
-		if _, ok := m.(*ast.Suspend); ok {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// summarize computes one procedure's summary from the current table.
+// summarize computes one procedure's summary from the current table: the
+// body's effects and the results its statements suspend and return.
 func (fc *factsComp) summarize(name string) GenFacts {
-	decl := fc.cg.Procs[name]
-	cx := fc.ctx[decl]
-	eff := fc.stmtEffects(decl.Body, cx)
-	yields, _ := fc.procYields(decl.Body.Stmts, cx)
-	if fc.cg.Unknown[name] {
+	decl := fc.cg.procs[name]
+	body := fc.expr(decl.Body, fc.ctx[decl])
+	eff := body.Effects
+	if fc.cg.unknown[name] {
 		eff |= EffUnknown
 	}
 	// Control transfers inside the body resolve inside the invocation;
 	// they are not effects of calling the procedure.
 	eff &^= EffControl
-	return GenFacts{Effects: eff, Yields: yields}
+	return GenFacts{Effects: eff, Yields: body.sus}
 }
 
 // record caches, on the caching pass, the facts of a node a consumer
 // looks up by identity (Facts.At).
-func (fc *factsComp) record(n ast.Node, g GenFacts) GenFacts {
+func (fc *factsComp) record(n ast.Node, g fact) fact {
 	if fc.cache != nil && n != nil {
-		fc.cache[n] = g
+		fc.cache[n] = g.GenFacts
 	}
 	return g
 }
@@ -299,43 +284,54 @@ var builtinFacts = sync.OnceValue(func() map[string]GenFacts {
 	return m
 })
 
-// builtinFactsFor returns the summary of a builtin, defaulting to a pure
-// optional single value for unlisted library functions.
-func builtinFactsFor(name string) GenFacts {
-	if f, ok := builtinFacts()[name]; ok {
-		return f
-	}
-	return GenFacts{Yields: boundOpt}
-}
-
 // ---------- expression facts ----------
 
-// expr computes (and on the final pass caches) the facts of an expression.
-func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
+// fact is what one walk of a node computes: its facts as an expression
+// and, as a statement of a procedure body, its share of the procedure's
+// own results.
+type fact struct {
+	GenFacts
+	sus  Bound // results it suspends or returns to the procedure's caller
+	ends bool  // it unconditionally ends the invocation
+}
+
+func gf(e Effects, y Bound) fact { return fact{GenFacts: GenFacts{e, y}} }
+
+// expr computes (and on the caching pass caches) the facts of a node.
+// Only the statement forms — blocks, conditionals, loops, case, initial,
+// suspend, return and fail — have a share of the procedure's results, and
+// only through their statement parts.
+func (fc *factsComp) expr(n ast.Node, sc *scope) fact {
 	switch x := n.(type) {
 	case nil:
-		return GenFacts{Yields: boundNone}
+		return gf(EffPure, boundNone)
 
 	case *ast.IntLit, *ast.RealLit, *ast.StrLit, *ast.CsetLit:
-		return GenFacts{Yields: boundOne}
+		return gf(EffPure, boundOne)
 
 	case *ast.Keyword:
 		if x.Name == "fail" {
-			return GenFacts{Yields: boundNone}
+			return gf(EffPure, boundNone)
 		}
-		return GenFacts{Yields: boundOne}
+		return gf(EffPure, boundOne)
 
 	case *ast.Ident:
-		return fc.readFacts(x.Name, cx)
+		// Any non-local name — global, builtin, host-known or auto-created
+		// at first use — reads shared state, and so does a static: it
+		// holds what an earlier invocation left there.
+		if sc.syms[x.Name]&(symLocal|symStatic) != symLocal {
+			return gf(EffReadsGlobals, boundOne)
+		}
+		return gf(EffPure, boundOne)
 	case *ast.TmpRef:
 		// Normalization temporaries are bound by their BindIn term within
 		// the enclosing FlatProduct — locals by construction, never globals.
-		return GenFacts{Yields: boundOne}
+		return gf(EffPure, boundOne)
 
 	case *ast.ListLit:
-		g := GenFacts{Yields: boundOne}
+		g := gf(EffPure, boundOne)
 		for _, e := range x.Elems {
-			ef := fc.expr(e, cx)
+			ef := fc.expr(e, sc)
 			g.Effects |= ef.Effects
 			if !ef.Yields.CannotFail() {
 				g.Yields.Min = 0
@@ -344,18 +340,18 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 		return g
 
 	case *ast.Binary:
-		return fc.binaryFacts(x, cx)
+		return fc.binaryFacts(x, sc)
 
 	case *ast.Unary:
-		return fc.unaryFacts(x, cx)
+		return fc.unaryFacts(x, sc)
 
 	case *ast.ToBy:
-		lo := fc.expr(x.Lo, cx)
-		hi := fc.expr(x.Hi, cx)
-		g := GenFacts{Effects: lo.Effects | hi.Effects}
+		lo := fc.expr(x.Lo, sc)
+		hi := fc.expr(x.Hi, sc)
+		g := gf(lo.Effects|hi.Effects, boundNone)
 		operands := lo.Yields.Mul(hi.Yields)
 		if x.By != nil {
-			by := fc.expr(x.By, cx)
+			by := fc.expr(x.By, sc)
 			g.Effects |= by.Effects
 			operands = operands.Mul(by.Yields)
 		}
@@ -363,178 +359,201 @@ func (fc *factsComp) expr(n ast.Node, cx *procCtx) GenFacts {
 		return g
 
 	case *ast.Call:
-		return fc.callFacts(x, cx)
+		return fc.callFacts(x, sc)
 
 	case *ast.NativeCall:
-		g := GenFacts{Effects: EffUnknown, Yields: boundOpt}
+		g := gf(EffUnknown, boundOpt)
 		if fc.opts.NativeFacts != nil {
 			if nf, ok := fc.opts.NativeFacts(x.Name); ok {
-				g = nf
+				g.GenFacts = nf
 			}
 		}
 		if x.Recv != nil {
-			rf := fc.expr(x.Recv, cx)
+			rf := fc.expr(x.Recv, sc)
 			g.Effects |= rf.Effects
 			g.Yields = rf.Yields.Mul(g.Yields)
 		}
 		for _, a := range x.Args {
-			af := fc.expr(a, cx)
+			af := fc.expr(a, sc)
 			g.Effects |= af.Effects
 			g.Yields = af.Yields.Mul(g.Yields)
 		}
 		return g
 
 	case *ast.Index:
-		xf := fc.expr(x.X, cx)
-		idx := fc.expr(x.I, cx)
+		xf := fc.expr(x.X, sc)
+		idx := fc.expr(x.I, sc)
 		b := xf.Yields.Mul(idx.Yields)
 		b.Min = 0 // subscripts fail out of range
-		return GenFacts{Effects: xf.Effects | idx.Effects, Yields: b}
+		return gf(xf.Effects|idx.Effects, b)
 
 	case *ast.Slice:
-		g := fc.joinAll(cx, x.X, x.I, x.J)
+		g := fc.joinAll(sc, x.X, x.I, x.J)
 		g.Yields.Min = 0
 		return g
 
 	case *ast.Field:
-		xf := fc.expr(x.X, cx)
+		xf := fc.expr(x.X, sc)
 		b := xf.Yields
 		b.Min = 0
-		return GenFacts{Effects: xf.Effects, Yields: b}
+		return gf(xf.Effects, b)
 
 	case *ast.If:
-		cond := fc.expr(x.Cond, cx)
-		then := fc.expr(x.Then, cx)
-		els := fc.expr(x.Else, cx) // nil → {0,0}
-		g := GenFacts{Effects: cond.Effects | then.Effects | els.Effects}
-		g.Yields = then.Yields.Join(els.Yields)
+		cond := fc.expr(x.Cond, sc)
+		then := fc.expr(x.Then, sc)
+		els := fc.expr(x.Else, sc) // nil → {0,0}
+		g := gf(cond.Effects|then.Effects|els.Effects, then.Yields.Join(els.Yields))
 		if x.Else == nil || !cond.Yields.CannotFail() {
 			g.Yields.Min = 0
+		}
+		g.sus = then.sus.Join(els.sus)
+		if x.Else == nil || !cannotFail(x.Cond) {
+			g.sus.Min = 0
+		} else {
+			g.ends = then.ends && els.ends
 		}
 		return g
 
 	case *ast.While:
-		g := fc.joinAll(cx, x.Cond, x.Body)
-		g.Yields = boundNone // loops fail as expressions
-		return g
-	case *ast.Every:
-		g := fc.joinAll(cx, x.E, x.Body)
-		g.Yields = boundNone
-		return g
+		cond, body := fc.expr(x.Cond, sc), fc.expr(x.Body, sc)
+		return loop(cond.Effects|body.Effects, body)
 	case *ast.Repeat:
-		g := fc.joinAll(cx, x.Body)
-		g.Yields = boundNone
+		body := fc.expr(x.Body, sc)
+		return loop(body.Effects, body)
+	case *ast.Every:
+		src, per := fact{}, boundNone
+		if sus, ok := x.E.(*ast.Suspend); ok {
+			// `every suspend e` merges into per-result suspension.
+			e, b := fc.expr(sus.E, sc), fc.expr(sus.Body, sc)
+			src, per = gf(e.Effects|b.Effects|EffControl, e.Yields), exactly(1)
+		} else {
+			src = fc.expr(x.E, sc)
+		}
+		body := fc.expr(x.Body, sc)
+		g := gf(src.Effects|body.Effects, boundNone) // loops fail as expressions
+		g.sus = src.Yields.Mul(per.Add(body.sus))
+		g.sus.Min = 0
 		return g
 
 	case *ast.Case:
-		subj := fc.expr(x.Subject, cx)
-		g := GenFacts{Effects: subj.Effects, Yields: boundNone}
+		g := gf(fc.expr(x.Subject, sc).Effects, boundNone)
 		for _, c := range x.Clauses {
 			if c.Sel != nil {
-				g.Effects |= fc.expr(c.Sel, cx).Effects
+				g.Effects |= fc.expr(c.Sel, sc).Effects
 			}
-			cf := fc.expr(c.Body, cx)
+			cf := fc.expr(c.Body, sc)
 			g.Effects |= cf.Effects
 			g.Yields = g.Yields.Join(cf.Yields)
+			g.sus = g.sus.Join(cf.sus)
 		}
 		g.Yields.Min = 0
+		g.sus.Min = 0
 		return g
 
 	case *ast.Block:
 		if len(x.Stmts) == 0 {
-			return GenFacts{Yields: boundOne}
+			return gf(EffPure, boundOne)
 		}
-		g := GenFacts{}
+		var g fact
 		for _, s := range x.Stmts {
-			g.Effects |= fc.expr(s, cx).Effects
+			sf := fc.expr(s, sc)
+			g.Effects |= sf.Effects
+			// Bounded failures of leading statements are discarded; the
+			// block's sequence is the last statement's.
+			g.Yields = sf.Yields
+			if !g.ends {
+				g.sus, g.ends = g.sus.Add(sf.sus), sf.ends
+			}
 		}
-		// Bounded failures of leading statements are discarded; the
-		// block's sequence is the last statement's.
-		g.Yields = fc.expr(x.Stmts[len(x.Stmts)-1], cx).Yields
 		return g
 
 	case *ast.VarDecl:
-		g := GenFacts{Yields: boundOne}
+		g := gf(EffPure, boundOne)
 		for _, init := range x.Inits {
 			if init != nil {
-				g.Effects |= fc.expr(init, cx).Effects
+				g.Effects |= fc.expr(init, sc).Effects
 			}
 		}
 		return g
 
 	case *ast.Initial:
-		g := fc.joinAll(cx, x.Body)
-		g.Yields = boundOne
+		body := fc.expr(x.Body, sc)
+		g := gf(body.Effects, boundOne)
+		g.sus = body.sus
+		g.sus.Min = 0
 		return g
 
 	case *ast.BindIn:
-		return fc.expr(x.E, cx)
+		return fact{GenFacts: fc.expr(x.E, sc).GenFacts}
 
 	case *ast.FlatProduct:
-		g := GenFacts{Yields: boundOne}
+		g := gf(EffPure, boundOne)
 		for _, t := range x.Terms {
-			tf := fc.expr(t, cx)
+			tf := fc.expr(t, sc)
 			g.Effects |= tf.Effects
 			g.Yields = g.Yields.Mul(tf.Yields)
 		}
 		return g
 
 	case *ast.Break:
-		g := fc.joinAll(cx, x.E)
-		g.Effects |= EffControl
-		g.Yields = boundNone
-		return g
+		return gf(fc.expr(x.E, sc).Effects|EffControl, boundNone)
 	case *ast.NextStmt:
-		return GenFacts{Effects: EffControl, Yields: boundNone}
+		return gf(EffControl, boundNone)
 	case *ast.Fail:
-		return GenFacts{Effects: EffControl, Yields: boundNone}
+		g := gf(EffControl, boundNone)
+		g.ends = true
+		return g
 	case *ast.Return:
-		g := fc.joinAll(cx, x.E)
-		g.Effects |= EffControl
-		g.Yields = boundOpt
+		g := gf(fc.expr(x.E, sc).Effects|EffControl, boundOpt)
+		g.sus, g.ends = boundOpt, true
+		if x.E == nil || cannotFail(x.E) {
+			g.sus = boundOne
+		}
 		return g
 	case *ast.Suspend:
-		g := fc.joinAll(cx, x.E, x.Body)
-		g.Effects |= EffControl
+		e, body := fc.expr(x.E, sc), fc.expr(x.Body, sc)
+		g := gf(e.Effects|body.Effects|EffControl, boundNone.Join(e.Yields).Join(body.Yields))
+		g.sus = e.Yields
+		if x.Body != nil {
+			g.sus = g.sus.Add(g.sus.Mul(body.sus))
+		}
 		return g
 	}
 	// Unknown node kind: top.
-	return GenFacts{Effects: EffUnknown, Yields: boundUnbounded}
+	return gf(EffUnknown, boundUnbounded)
 }
 
-// joinAll joins the effects of several subexpressions (nil skipped),
-// returning a record whose bound is the join of theirs.
-func (fc *factsComp) joinAll(cx *procCtx, ns ...ast.Node) GenFacts {
-	g := GenFacts{Yields: boundNone}
+// loop is the fact of a while or repeat loop: it fails as an expression,
+// and a body that suspends at all may suspend without bound.
+func loop(eff Effects, body fact) fact {
+	g := gf(eff, boundNone)
+	if body.sus.Max != 0 {
+		g.sus = boundUnbounded
+	}
+	return g
+}
+
+// joinAll joins the facts of several subexpressions (nil skipped).
+func (fc *factsComp) joinAll(sc *scope, ns ...ast.Node) fact {
+	g := gf(EffPure, boundNone)
 	for _, n := range ns {
 		if n == nil {
 			continue
 		}
-		nf := fc.expr(n, cx)
+		nf := fc.expr(n, sc)
 		g.Effects |= nf.Effects
 		g.Yields = g.Yields.Join(nf.Yields)
 	}
 	return g
 }
 
-// readFacts classifies an identifier read. Any non-local name — global,
-// builtin, host-known or auto-created at first use — reads shared state,
-// and so does a static: it holds what an earlier invocation left there.
-func (fc *factsComp) readFacts(name string, cx *procCtx) GenFacts {
-	g := GenFacts{Yields: boundOne}
-	if !cx.locals[name] || cx.statics[name] {
-		g.Effects = EffReadsGlobals
-	}
-	return g
-}
-
 // writeEffect classifies an assignment target.
-func (fc *factsComp) writeEffect(target ast.Node, cx *procCtx) Effects {
+func writeEffect(target ast.Node, sc *scope) Effects {
 	switch t := target.(type) {
 	case *ast.Ident:
 		// A static outlives the invocation: writing one is visible to the
 		// next call, exactly like writing a global.
-		if cx.locals[t.Name] && !cx.statics[t.Name] {
+		if sc.syms[t.Name]&(symLocal|symStatic) == symLocal {
 			return EffPure
 		}
 		return EffWritesGlobals
@@ -551,15 +570,15 @@ func (fc *factsComp) writeEffect(target ast.Node, cx *procCtx) Effects {
 	return EffUnknown
 }
 
-func (fc *factsComp) binaryFacts(x *ast.Binary, cx *procCtx) GenFacts {
-	l := fc.expr(x.L, cx)
-	r := fc.expr(x.R, cx)
+func (fc *factsComp) binaryFacts(x *ast.Binary, sc *scope) fact {
+	l := fc.expr(x.L, sc)
+	r := fc.expr(x.R, sc)
 	eff := l.Effects | r.Effects
 	switch x.Op {
 	case "&":
-		return GenFacts{Effects: eff, Yields: l.Yields.Mul(r.Yields)}
+		return gf(eff, l.Yields.Mul(r.Yields))
 	case "|":
-		return GenFacts{Effects: eff, Yields: l.Yields.Add(r.Yields)}
+		return gf(eff, l.Yields.Add(r.Yields))
 	case "\\":
 		b := fc.record(x.L, l).Yields // JV014 asks what the limit cuts
 		if lim, ok := intConst(x.R); ok {
@@ -574,51 +593,48 @@ func (fc *factsComp) binaryFacts(x *ast.Binary, cx *procCtx) GenFacts {
 		} else {
 			b.Min = 0
 		}
-		return GenFacts{Effects: eff, Yields: b}
+		return gf(eff, b)
 	case ":=", "<-":
-		eff |= fc.writeEffect(x.L, cx)
+		eff |= writeEffect(x.L, sc)
 		b := r.Yields
 		if x.Op == "<-" {
 			b.Min = 0 // reversible assignment restores and fails on backtrack
 			eff |= EffUndo
 		}
-		return GenFacts{Effects: eff, Yields: b}
+		return gf(eff, b)
 	case ":=:", "<->":
-		eff |= fc.writeEffect(x.L, cx) | fc.writeEffect(x.R, cx)
+		eff |= writeEffect(x.L, sc) | writeEffect(x.R, sc)
 		if x.Op == "<->" {
 			eff |= EffUndo
 		}
-		return GenFacts{Effects: eff, Yields: boundOpt}
-	case "@":
-		// Activation drives an arbitrary co-expression: unknown effects,
-		// one value or failure per activation.
-		return GenFacts{Effects: eff | EffUnknown, Yields: boundUnbounded}
+		return gf(eff, boundOpt)
 	case "?":
 		// Scanning: the body runs against a swapped scan environment.
 		b := r.Yields
 		b.Min = 0
-		return GenFacts{Effects: eff | EffHeap, Yields: b}
+		return gf(eff|EffHeap, b)
 	}
 	if isAssignOp(x.Op) { // augmented assignment op:=
-		eff |= fc.writeEffect(x.L, cx)
+		eff |= writeEffect(x.L, sc)
 		b := l.Yields.Mul(r.Yields)
 		b.Min = 0
-		return GenFacts{Effects: eff, Yields: b}
+		return gf(eff, b)
 	}
 	if isValueOp(x.Op) {
 		b := l.Yields.Mul(r.Yields)
 		if comparisonOp(x.Op) {
 			b.Min = 0 // comparisons fail
 		}
-		return GenFacts{Effects: eff, Yields: b}
+		return gf(eff, b)
 	}
 	switch x.Op {
 	case "===", "~===":
 		b := l.Yields.Mul(r.Yields)
 		b.Min = 0
-		return GenFacts{Effects: eff, Yields: b}
+		return gf(eff, b)
 	}
-	return GenFacts{Effects: eff | EffUnknown, Yields: boundUnbounded}
+	// Activation (x @ e) drives an arbitrary co-expression.
+	return gf(eff|EffUnknown, boundUnbounded)
 }
 
 // comparisonOp reports value operators that may fail (comparisons), as
@@ -631,90 +647,81 @@ func comparisonOp(op string) bool {
 	return false
 }
 
-func (fc *factsComp) unaryFacts(x *ast.Unary, cx *procCtx) GenFacts {
+func (fc *factsComp) unaryFacts(x *ast.Unary, sc *scope) fact {
 	switch x.Op {
 	case "<>", "|<>":
 		// Creation defers the body; the creation expression itself is a
 		// pure single value. The body is still walked, for the |> sites
 		// and limits inside it.
-		fc.expr(x.X, cx)
-		return GenFacts{Yields: boundOne}
+		fc.expr(x.X, sc)
+		return gf(EffPure, boundOne)
 	case "|>":
 		// A pipe starts its producer eagerly: creating it performs the
 		// body's effects (asynchronously), though the creation expression
 		// still yields exactly the pipe. PipeStrategy and JV012 ask for
 		// the body's facts.
-		body := fc.record(x.X, fc.expr(x.X, cx))
-		return GenFacts{Effects: body.Effects, Yields: boundOne}
+		body := fc.record(x.X, fc.expr(x.X, sc))
+		return gf(body.Effects, boundOne)
 	}
 
-	o := fc.expr(x.X, cx)
+	o := fc.expr(x.X, sc)
 	switch x.Op {
 	case "!":
-		k := exprKind(x.X)
-		if k == kindCoexpr || k == kindPipe {
-			return GenFacts{Effects: o.Effects | EffUnknown, Yields: boundUnbounded}
-		}
-		if k == kindValue {
+		if exprKind(x.X) == kindValue {
 			// Promotion of a collection or string: finite.
-			return GenFacts{Effects: o.Effects, Yields: boundFinite}
+			return gf(o.Effects, boundFinite)
 		}
-		return GenFacts{Effects: o.Effects | EffUnknown, Yields: boundUnbounded}
-	case "@":
-		return GenFacts{Effects: o.Effects | EffUnknown, Yields: boundUnbounded}
-	case "^":
-		return GenFacts{Effects: o.Effects, Yields: o.Yields}
-	case "*", "-", "+", "~":
-		return GenFacts{Effects: o.Effects, Yields: o.Yields}
+	case "^", "*", "-", "+", "~":
+		return gf(o.Effects, o.Yields)
 	case "/", "\\":
 		b := o.Yields
 		b.Min = 0
-		return GenFacts{Effects: o.Effects, Yields: b}
+		return gf(o.Effects, b)
 	case "?":
 		b := o.Yields
 		b.Min = 0
-		return GenFacts{Effects: o.Effects | EffRandom, Yields: b}
+		return gf(o.Effects|EffRandom, b)
 	case "=":
-		return GenFacts{Effects: o.Effects | EffHeap, Yields: boundFinite}
+		return gf(o.Effects|EffHeap, boundFinite)
 	case "|":
 		if o.Yields.Max == 0 {
-			return GenFacts{Effects: o.Effects, Yields: boundNone}
+			return gf(o.Effects, boundNone)
 		}
-		return GenFacts{Effects: o.Effects, Yields: boundUnbounded}
+		return gf(o.Effects, boundUnbounded)
 	case "not":
-		return GenFacts{Effects: o.Effects, Yields: boundOpt}
+		return gf(o.Effects, boundOpt)
 	}
-	return GenFacts{Effects: o.Effects | EffUnknown, Yields: boundUnbounded}
+	// Activation, or promotion of anything but a plain value, drives an
+	// arbitrary co-expression.
+	return gf(o.Effects|EffUnknown, boundUnbounded)
 }
 
 // callFacts resolves an invocation's facts.
-func (fc *factsComp) callFacts(x *ast.Call, cx *procCtx) GenFacts {
-	args := GenFacts{Yields: boundOne}
+func (fc *factsComp) callFacts(x *ast.Call, sc *scope) fact {
+	args := gf(EffPure, boundOne)
 	for _, a := range x.Args {
-		af := fc.expr(a, cx)
+		af := fc.expr(a, sc)
 		args.Effects |= af.Effects
 		args.Yields = args.Yields.Mul(af.Yields)
 	}
 	name, ok := identName(x.Fun)
-	if ok && !cx.locals[name] {
+	if ok && !sc.has(name, symLocal) {
 		if pf, have := fc.procs[name]; have {
-			fc.expr(x.Fun, cx)
-			return GenFacts{
-				Effects: args.Effects | pf.Effects | EffReadsGlobals,
-				Yields:  args.Yields.Mul(pf.Yields),
-			}
+			fc.expr(x.Fun, sc)
+			return gf(args.Effects|pf.Effects|EffReadsGlobals, args.Yields.Mul(pf.Yields))
 		}
 		if builtinNames()[name] {
-			bf := builtinFactsFor(name)
-			fc.expr(x.Fun, cx)
-			return GenFacts{
-				Effects: args.Effects | bf.Effects,
-				Yields:  args.Yields.Mul(bf.Yields),
+			// Unlisted library functions are pure optional single values.
+			bf, listed := builtinFacts()[name]
+			if !listed {
+				bf = GenFacts{Yields: boundOpt}
 			}
+			fc.expr(x.Fun, sc)
+			return gf(args.Effects|bf.Effects, args.Yields.Mul(bf.Yields))
 		}
 	}
-	ff := fc.expr(x.Fun, cx)
-	return GenFacts{Effects: args.Effects | ff.Effects | EffUnknown, Yields: boundUnbounded}
+	ff := fc.expr(x.Fun, sc)
+	return gf(args.Effects|ff.Effects|EffUnknown, boundUnbounded)
 }
 
 // rangeCount computes the per-operand-triple yield count of a to-by.
@@ -739,168 +746,4 @@ func rangeCount(x *ast.ToBy) Bound {
 		return boundFinite
 	}
 	return exactly(int(count))
-}
-
-// ---------- procedure yields ----------
-
-// procYields computes a procedure's per-invocation yield bound from its
-// statement list: contributions of suspends plus a terminal return.
-func (fc *factsComp) procYields(stmts []ast.Node, cx *procCtx) (Bound, bool) {
-	total := boundNone
-	for _, s := range stmts {
-		b, terminated := fc.stmtYields(s, cx)
-		total = total.Add(b)
-		if terminated {
-			return total, true
-		}
-	}
-	// Falling off the end fails the procedure — no further results, and
-	// the accumulated minimum stands (those suspensions already happened).
-	return total, false
-}
-
-// stmtYields computes one statement's yield contribution and whether it
-// unconditionally terminates the invocation.
-func (fc *factsComp) stmtYields(s ast.Node, cx *procCtx) (Bound, bool) {
-	switch x := s.(type) {
-	case *ast.Suspend:
-		b := fc.expr(x.E, cx).Yields
-		if x.Body != nil {
-			body, _ := fc.stmtYields(x.Body, cx)
-			b = b.Add(b.Mul(body))
-		}
-		return b, false
-	case *ast.Return:
-		if x.E == nil {
-			return boundOne, true
-		}
-		fc.expr(x.E, cx)
-		if cannotFail(x.E) {
-			return boundOne, true
-		}
-		return boundOpt, true
-	case *ast.Fail:
-		return boundNone, true
-	case *ast.Block:
-		return fc.procYields(x.Stmts, cx)
-	case *ast.If:
-		then, tdone := fc.stmtYields(x.Then, cx)
-		var els Bound
-		edone := false
-		if x.Else != nil {
-			els, edone = fc.stmtYields(x.Else, cx)
-		}
-		j := then.Join(els)
-		if x.Else == nil || !cannotFail(x.Cond) {
-			j.Min = 0
-		}
-		return j, tdone && edone && x.Else != nil && cannotFail(x.Cond)
-	case *ast.While, *ast.Repeat:
-		var body ast.Node
-		if w, ok := x.(*ast.While); ok {
-			body = w.Body
-		} else {
-			body = x.(*ast.Repeat).Body
-		}
-		if body == nil {
-			return boundNone, false
-		}
-		b, _ := fc.stmtYields(body, cx)
-		if b.Max == 0 {
-			return boundNone, false
-		}
-		return boundUnbounded, false
-	case *ast.Every:
-		// `every suspend e` merges into per-result suspension.
-		per := boundNone
-		src := fc.expr(x.E, cx).Yields
-		if sus, ok := x.E.(*ast.Suspend); ok {
-			src = fc.expr(sus.E, cx).Yields
-			per = exactly(1)
-		}
-		if x.Body != nil {
-			b, _ := fc.stmtYields(x.Body, cx)
-			per = per.Add(b)
-		}
-		out := src.Mul(per)
-		out.Min = 0
-		return out, false
-	case *ast.Case:
-		out := boundNone
-		for _, c := range x.Clauses {
-			b, _ := fc.stmtYields(c.Body, cx)
-			out = out.Join(b)
-		}
-		out.Min = 0
-		return out, false
-	case *ast.Initial:
-		b, _ := fc.stmtYields(x.Body, cx)
-		b.Min = 0
-		return b, false
-	}
-	// Expression statements (bounded) yield nothing to the caller.
-	return boundNone, false
-}
-
-// stmtEffects joins the effect summaries of a statement's expressions,
-// descending the structural statement forms so control-transfer nodes in
-// statement position do not poison the summary with EffControl.
-func (fc *factsComp) stmtEffects(s ast.Node, cx *procCtx) Effects {
-	switch x := s.(type) {
-	case nil:
-		return EffPure
-	case *ast.Block:
-		eff := EffPure
-		for _, st := range x.Stmts {
-			eff |= fc.stmtEffects(st, cx)
-		}
-		return eff
-	case *ast.If:
-		return fc.expr(x.Cond, cx).Effects |
-			fc.stmtEffects(x.Then, cx) | fc.stmtEffects(x.Else, cx)
-	case *ast.While:
-		return fc.expr(x.Cond, cx).Effects | fc.stmtEffects(x.Body, cx)
-	case *ast.Every:
-		eff := fc.stmtEffects(x.Body, cx)
-		if sus, ok := x.E.(*ast.Suspend); ok {
-			return eff | fc.expr(sus.E, cx).Effects | fc.stmtEffects(sus.Body, cx)
-		}
-		return eff | fc.expr(x.E, cx).Effects
-	case *ast.Repeat:
-		return fc.stmtEffects(x.Body, cx)
-	case *ast.Suspend:
-		return fc.expr(x.E, cx).Effects | fc.stmtEffects(x.Body, cx)
-	case *ast.Return:
-		if x.E == nil {
-			return EffPure
-		}
-		return fc.expr(x.E, cx).Effects
-	case *ast.Fail, *ast.NextStmt:
-		return EffPure
-	case *ast.Break:
-		if x.E == nil {
-			return EffPure
-		}
-		return fc.expr(x.E, cx).Effects
-	case *ast.Case:
-		eff := fc.expr(x.Subject, cx).Effects
-		for _, c := range x.Clauses {
-			if c.Sel != nil {
-				eff |= fc.expr(c.Sel, cx).Effects
-			}
-			eff |= fc.stmtEffects(c.Body, cx)
-		}
-		return eff
-	case *ast.VarDecl:
-		eff := EffPure
-		for _, init := range x.Inits {
-			if init != nil {
-				eff |= fc.expr(init, cx).Effects
-			}
-		}
-		return eff
-	case *ast.Initial:
-		return fc.stmtEffects(x.Body, cx)
-	}
-	return fc.expr(s, cx).Effects
 }

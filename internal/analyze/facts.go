@@ -10,7 +10,7 @@ import (
 
 // This file defines the whole-program fact lattice the interprocedural
 // engine computes (effects.go) and its consumers read: per-generator
-// effect summaries and yield-count bounds. The passes of PR 1 only *warn*
+// effect summaries and yield-count bounds. The diagnostics only *warn*
 // from them (JV012, JV014); the evaluators additionally *provision* |>
 // sites from them (provision.go) and the VM dispatches calls to pure
 // ≤1-yield procedures directly. The semtest -O and VM lanes are the
@@ -111,9 +111,7 @@ type Bound struct {
 	Max int
 }
 
-// Handy constructors.
 func exactly(n int) Bound { return Bound{Min: n, Max: n} }
-func atMost(n int) Bound  { return Bound{Min: 0, Max: n} }
 
 var (
 	boundNone      = Bound{0, 0}
@@ -270,10 +268,13 @@ type Facts struct {
 	globals map[string]bool
 	// decls is every procedure analyzed so far, one per name, in load
 	// order — what a from-scratch recomputation runs over — with the call
-	// graph over them and each one's name sets.
+	// graph over them and each one's symbol table.
 	decls []*ast.ProcDecl
-	cg    *CallGraph
-	ctx   map[*ast.ProcDecl]*procCtx
+	cg    *callGraph
+	ctx   map[*ast.ProcDecl]*scope
+	// vet makes the symbol tables the diagnostics' (ProgramFacts): with
+	// kinds and sites, which the evaluators' load path does not pay for.
+	vet bool
 	// exprNodes is the node cache of what was analyzed last to be
 	// evaluated at once — one ExtendExpr expression, or the top-level
 	// statements of one ExtendDecls batch — replaced wholesale on the next
@@ -291,7 +292,7 @@ func NewFacts() *Facts {
 		nodes:   map[ast.Node]GenFacts{},
 		globals: map[string]bool{},
 		cg:      newCallGraph(),
-		ctx:     map[*ast.ProcDecl]*procCtx{},
+		ctx:     map[*ast.ProcDecl]*scope{},
 	}
 }
 

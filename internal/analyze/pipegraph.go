@@ -1,17 +1,19 @@
 package analyze
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
 	"junicon/internal/ast"
 )
 
-// pipegraph is pass 5: the pipe-topology pass. Where pass 4 checks single
-// sites (activation of a non-co-expression, a pipe consuming itself), this
-// pass looks at the graph the creation sites form — which pipe feeds
-// which, how much each producer can yield (from the interprocedural
-// facts), and whether anything ever drains an engine — and reports
+// pipeGraph is the pipe-topology pass. Where the local checks look at
+// single sites (activation of a non-co-expression, a pipe consuming
+// itself), this pass looks at the graph the creation sites of each scope
+// form — which pipe feeds which, how much each producer can yield (from
+// the interprocedural facts), and whether anything ever drains an engine
+// — and reports
 //
 //   - JV011: two or more pipes whose producers activate each other. Every
 //     edge of the cycle waits on a bounded queue (§3B), so no buffer
@@ -25,44 +27,24 @@ import (
 //   - JV014: limit applied to an effectful generator that provably yields
 //     more than the limit — truncation silently drops the side effects of
 //     the never-produced results.
-func (a *Analyzer) pipeGraph(p *ast.Program, facts *Facts) {
-	cg := facts.cg
-	for name, decl := range cg.Procs {
-		cg.addCreates(name, decl.Body)
-	}
-	for _, d := range topLevelRoots(p) {
-		cg.addCreates(TopLevel, d)
-	}
-	owners := map[string][]CreateSite{}
-	for _, s := range cg.Creates {
-		owners[s.In] = append(owners[s.In], s)
-	}
-	var procRoots []ast.Node
-	for name := range cg.Procs {
-		procRoots = append(procRoots, cg.Procs[name].Body)
-	}
-	topRoots := topLevelRoots(p)
-
-	names := make([]string, 0, len(owners))
-	for o := range owners {
-		names = append(names, o)
+func (a *analyzer) pipeGraph(top *scope, roots []ast.Node, facts *Facts) {
+	names := make([]string, 0, len(facts.cg.procs))
+	for name := range facts.cg.procs {
+		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, owner := range names {
-		sites := owners[owner]
-		roots := topRoots
-		reads := append(append([]ast.Node{}, topRoots...), procRoots...)
-		if owner != TopLevel {
-			roots = []ast.Node{cg.Procs[owner].Body}
-			// A proc-local engine cannot escape the invocation except by
-			// being returned/suspended — returns count as reads below.
-			reads = roots
-		}
-		a.pipeCycles(sites)
-		a.deadEngines(sites, reads)
-		a.unboundedAccumulation(sites, roots, facts)
+	scopes, rootsOf := []*scope{top}, [][]ast.Node{roots}
+	for _, name := range names {
+		p := facts.cg.procs[name]
+		// A proc-local engine cannot escape the invocation except by being
+		// returned or suspended, which reads it.
+		scopes, rootsOf = append(scopes, facts.ctx[p]), append(rootsOf, []ast.Node{p.Body})
 	}
-	a.truncatedEffects(p, facts)
+	for i, sc := range scopes {
+		a.pipeCycles(sc)
+		a.deadEngines(sc, scopes)
+		a.unboundedAccumulation(sc, rootsOf[i], facts)
+	}
 }
 
 // topLevelRoots lists the program's top-level statements.
@@ -95,30 +77,25 @@ func consumedOperand(n ast.Node) (ast.Node, bool) {
 
 // pipeCycles reports JV011 for activation cycles of length >= 2 among the
 // named pipes of one scope (self-loops are JV007's).
-func (a *Analyzer) pipeCycles(sites []CreateSite) {
-	byName := map[string]CreateSite{}
-	for _, s := range sites {
-		if s.Kind == CreatePipe && s.BoundTo != "" {
-			byName[s.BoundTo] = s
+func (a *analyzer) pipeCycles(sc *scope) {
+	byName := map[string]*create{}
+	for _, c := range sc.creates {
+		if c.node.Op == "|>" && c.to != "" {
+			byName[c.to] = c
 		}
 	}
 	if len(byName) < 2 {
 		return
 	}
 	edges := map[string][]string{}
-	for name, s := range byName {
+	for name, c := range byName {
 		seen := map[string]bool{}
-		ast.Walk(s.Node.X, func(m ast.Node) bool {
-			if operand, ok := consumedOperand(m); ok {
-				if on, ok := identName(operand); ok && on != name && !seen[on] {
-					if _, isPipe := byName[on]; isPipe {
-						seen[on] = true
-						edges[name] = append(edges[name], on)
-					}
-				}
+		for _, s := range sc.drains(c) {
+			if on := s.name; on != name && !seen[on] && byName[on] != nil {
+				seen[on] = true
+				edges[name] = append(edges[name], on)
 			}
-			return true
-		})
+		}
 		sort.Strings(edges[name])
 	}
 	vars := make([]string, 0, len(byName))
@@ -131,19 +108,12 @@ func (a *Analyzer) pipeCycles(sites []CreateSite) {
 		if cyc == nil {
 			continue
 		}
-		min := cyc[0]
-		for _, c := range cyc {
-			if c < min {
-				min = c
-			}
-		}
-		if min != v {
+		if slices.Min(cyc) != v {
 			continue // report each cycle once, at its least member
 		}
-		site := byName[v]
-		a.diag(site.Node.Pos(), CodePipeCycle, Warning,
+		a.diag(byName[v].node.Pos(), CodePipeCycle, Warning,
 			"pipes %s activate each other in a cycle: every link waits on a bounded queue, so no buffer sizes satisfy the queue invariant — guaranteed deadlock",
-			strings.Join(quoted(cyc), " -> ")+" -> "+quoted(cyc[:1])[0])
+			`"`+strings.Join(append(cyc, cyc[0]), `" -> "`)+`"`)
 	}
 }
 
@@ -168,80 +138,34 @@ func cycleThrough(v string, edges map[string][]string) []string {
 	return dfs(v, []string{v}, map[string]bool{v: true})
 }
 
-func quoted(names []string) []string {
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = "\"" + n + "\""
-	}
-	return out
-}
-
 // deadEngines reports JV013 for creation sites bound to a name that is
-// never read outside the creation itself.
-func (a *Analyzer) deadEngines(sites []CreateSite, reads []ast.Node) {
-	for _, s := range sites {
-		if s.BoundTo == "" {
+// never read outside the creation itself. A top-level engine is a global:
+// any procedure may read it.
+func (a *analyzer) deadEngines(sc *scope, scopes []*scope) {
+	for _, c := range sc.creates {
+		if c.to == "" || sc.usedIn(c.to, useRead, c, false) {
 			continue
 		}
-		if a.nameRead(s.BoundTo, s.Node, reads) {
+		if sc == scopes[0] && slices.ContainsFunc(scopes[1:], func(p *scope) bool { return p.usedIn(c.to, useRead, nil, false) }) {
 			continue
 		}
-		a.diag(s.Node.Pos(), CodeDeadEngine, Warning,
+		a.diag(c.node.Pos(), CodeDeadEngine, Warning,
 			"%s bound to %q is never activated, promoted or passed on: a dead engine%s",
-			s.Kind, s.BoundTo,
-			map[bool]string{true: " whose producer goroutine outlives any consumer", false: ""}[s.Kind == CreatePipe])
+			c.node.Op, c.to,
+			map[bool]string{true: " whose producer goroutine outlives any consumer", false: ""}[c.node.Op == "|>"])
 	}
-}
-
-// nameRead reports whether name occurs as a read (not an assignment
-// target) in the given roots, outside the subtree of exclude.
-func (a *Analyzer) nameRead(name string, exclude ast.Node, roots []ast.Node) bool {
-	found := false
-	for _, root := range roots {
-		targets := map[ast.Node]bool{}
-		ast.Walk(root, func(m ast.Node) bool {
-			if b, ok := m.(*ast.Binary); ok && isAssignOp(b.Op) {
-				targets[b.L] = true
-				if b.Op == ":=:" || b.Op == "<->" {
-					// Swaps read both sides.
-					delete(targets, b.L)
-				}
-			}
-			return true
-		})
-		ast.Walk(root, func(m ast.Node) bool {
-			if m == exclude || found {
-				return false
-			}
-			if targets[m] {
-				return false
-			}
-			if n, ok := identName(m); ok && n == name {
-				if _, isLeaf := m.(*ast.Ident); isLeaf {
-					found = true
-				} else if _, isTmp := m.(*ast.TmpRef); isTmp {
-					found = true
-				}
-			}
-			return !found
-		})
-		if found {
-			return true
-		}
-	}
-	return found
 }
 
 // unboundedAccumulation reports JV012 when a loop drains a provably
 // unbounded pipe while accumulating into a structure.
-func (a *Analyzer) unboundedAccumulation(sites []CreateSite, roots []ast.Node, facts *Facts) {
+func (a *analyzer) unboundedAccumulation(sc *scope, roots []ast.Node, facts *Facts) {
 	unbounded := map[string]bool{}
-	for _, s := range sites {
-		if s.Kind != CreatePipe || s.BoundTo == "" {
+	for _, c := range sc.creates {
+		if c.node.Op != "|>" || c.to == "" {
 			continue
 		}
-		if g, ok := facts.At(s.Node.X); ok && g.Yields.Max == BoundUnbounded {
-			unbounded[s.BoundTo] = true
+		if g, ok := facts.At(c.node.X); ok && g.Yields.Max == BoundUnbounded {
+			unbounded[c.to] = true
 		}
 	}
 	if len(unbounded) == 0 {
@@ -327,7 +251,7 @@ func callName(c *ast.Call) string {
 // truncatedEffects reports JV014: a constant limit on a generator whose
 // effect summary includes observable output (IO or global writes) and
 // whose yield bound provably exceeds the limit.
-func (a *Analyzer) truncatedEffects(p *ast.Program, facts *Facts) {
+func (a *analyzer) truncatedEffects(p *ast.Program, facts *Facts) {
 	ast.Walk(p, func(n ast.Node) bool {
 		x, ok := n.(*ast.Binary)
 		if !ok || x.Op != "\\" {

@@ -106,6 +106,11 @@ func Children(n Node) []Node {
 	return out
 }
 
+// EachChild calls visit on n's direct children in syntax order (nil
+// children omitted), without allocating — for passes that recurse with a
+// context of their own.
+func EachChild(n Node, visit func(Node)) { eachChild(n, visit) }
+
 // Walk applies f to n and every descendant in pre-order; f returning false
 // prunes the subtree.
 func Walk(n Node, f func(Node) bool) {

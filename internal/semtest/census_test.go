@@ -89,7 +89,7 @@ func hostSources(t *testing.T, path string) []censusSource {
 
 // readFile and repoGlob read what the repository ships; a pattern is
 // relative to the module root and must match something.
-func readFile(t *testing.T, path string) string {
+func readFile(t testing.TB, path string) string {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -98,7 +98,7 @@ func readFile(t *testing.T, path string) string {
 	return string(data)
 }
 
-func repoGlob(t *testing.T, pattern string) []string {
+func repoGlob(t testing.TB, pattern string) []string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("..", "..", pattern))
 	if err != nil || len(paths) == 0 {

@@ -410,3 +410,54 @@ func TestIncrementalFactsRebinding(t *testing.T) {
 		})
 	}
 }
+
+// FuzzFactsIncremental extends TestIncrementalFactsEqualFromScratch from
+// the listed splits to every split. For any program that parses, the
+// from-scratch analysis of its raw and normalized forms does not panic,
+// and feeding its normalized top-level nodes to a fact table in batches —
+// bit i%64 of cuts set: a batch ends after node i — gives the same
+// procedure table (Fdump) and the same cached facts, |> bodies and limit
+// operands included, as one from-scratch ProgramFacts call.
+func FuzzFactsIncremental(f *testing.F) {
+	for _, pattern := range []string{"testdata/*.jn", "benchmark/programs/*/*.jn", "internal/analyze/testdata/*.jn"} {
+		for i, path := range repoGlob(f, pattern) {
+			f.Add(readFile(f, path), uint64(i+1)*0x9e3779b97f4a7c15)
+		}
+	}
+	// The shapes that make a later batch rebind an earlier one, cut after
+	// every node: a forward call, a redefinition, a builtin's name taken,
+	// a global declared after its writer.
+	for _, src := range []string{
+		"def a(x) { return b(x) + 1; }\ndef b(x) { write(x); return x; }",
+		"def leaf(x) { return x; }\ndef caller(x) { return leaf(x); }\ndef leaf(x) { write(x); return x; }",
+		"def shout(x) { return image(x); }\ndef image(x) { write(x); return x; }",
+		"def bump() { g := g + 1; return g; }\ndef twice() { return bump() + bump(); }\nglobal g",
+	} {
+		f.Add(src, ^uint64(0))
+	}
+	f.Fuzz(func(t *testing.T, src string, cuts uint64) {
+		prog, err := jparser.ParseProgram(src)
+		if err != nil {
+			t.Skip("does not parse")
+		}
+		analyze.ProgramFacts(prog, analyze.Options{})
+		nodes := transform.Normalize(prog).(*jast.Program).Decls
+		_, want := analyze.ProgramFacts(&jast.Program{Decls: nodes}, analyze.Options{})
+		var sizes []int
+		for i, size := 0, 0; i < len(nodes); i++ {
+			if size++; cuts>>(i%64)&1 != 0 || i == len(nodes)-1 {
+				sizes, size = append(sizes, size), 0
+			}
+		}
+		got, stmts := loadInBatches(nodes, sizes)
+		var gd, wd strings.Builder
+		got.Fdump(&gd)
+		want.Fdump(&wd)
+		if gd.String() != wd.String() {
+			t.Fatalf("in batches of %v:\n%s\nwant:\n%s", sizes, gd.String(), wd.String())
+		}
+		if diffs := diffFacts(got, want, nodes, stmts); len(diffs) > 0 {
+			t.Fatalf("in batches of %v: %d differences, first: %s", sizes, len(diffs), diffs[0])
+		}
+	})
+}

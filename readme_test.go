@@ -1,15 +1,21 @@
 package junicon_test
 
 import (
+	goast "go/ast"
+	goparser "go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"junicon/internal/analyze"
+	"junicon/internal/parser"
 	"junicon/internal/remote"
 )
 
@@ -19,15 +25,12 @@ import (
 // usage text is flag.PrintDefaults, i.e. flag.VisitAll — so a flag
 // removed from a command and left in the README fails here.
 func TestREADMEFlagsExist(t *testing.T) {
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
+	readme := readFile(t, "README.md")
 	// A command word, then the blank-separated words after it up to a
 	// backtick or a # comment; the words that start -letter are its flags.
 	invocation := regexp.MustCompile("\\b(junicond|junistorm|junicon|fig6)\\b((?:[ \\t]+[^\\s`#]+)+)")
 	named := map[string]map[string]bool{}
-	for _, m := range invocation.FindAllStringSubmatch(string(readme), -1) {
+	for _, m := range invocation.FindAllStringSubmatch(readme, -1) {
 		for _, word := range strings.Fields(m[2]) {
 			if len(word) < 2 || word[0] != '-' || !isLetter(word[1]) {
 				continue
@@ -85,15 +88,12 @@ func definedFlags(t *testing.T, name string) map[string]bool {
 // row, and every back-ticked name in a table's first column is a field, so
 // an option added, renamed or removed fails here until the table follows.
 func TestREADMEFieldTablesMatch(t *testing.T) {
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
+	readme := readFile(t, "README.md")
 	for lead, typ := range map[string]reflect.Type{
 		"`remote.Config` is the whole per-pipe surface:": reflect.TypeOf(remote.Config{}),
 		"is `remote.Dialer`'s;":                          reflect.TypeOf((*remote.Dialer)(nil)).Elem(),
 	} {
-		_, after, found := strings.Cut(string(readme), lead)
+		_, after, found := strings.Cut(readme, lead)
 		if !found {
 			t.Errorf("README has no table led by %q", lead)
 			continue
@@ -125,4 +125,86 @@ func TestREADMEFieldTablesMatch(t *testing.T) {
 			t.Errorf("the README's %s table names %s, which is not a field", typ, name)
 		}
 	}
+}
+
+// TestREADMEDiagnosticTable: the README's JV table lists exactly the
+// analyzer's Code* constants, each with the severity the analyzer's
+// fixtures emit it at, so a code added, removed or re-graded fails here
+// until the table follows.
+func TestREADMEDiagnosticTable(t *testing.T) {
+	readme := readFile(t, "README.md")
+	table := map[string]string{}
+	for _, m := range regexp.MustCompile(`(?m)^\| (JV\d{3}) \| (\w+) \|`).FindAllStringSubmatch(readme, -1) {
+		table[m[1]] = m[2]
+	}
+	// Every non-test file of the package, so a code declared outside
+	// analyze.go is not missed.
+	sources, _ := filepath.Glob(filepath.Join("internal", "analyze", "*.go"))
+	codes := map[string]bool{}
+	for _, path := range sources {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := goparser.ParseFile(token.NewFileSet(), path, readFile(t, path), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goast.Inspect(src, func(n goast.Node) bool {
+			if vs, ok := n.(*goast.ValueSpec); ok && len(vs.Names) == len(vs.Values) {
+				for i, name := range vs.Names {
+					if lit, ok := vs.Values[i].(*goast.BasicLit); ok && strings.HasPrefix(name.Name, "Code") {
+						code, _ := strconv.Unquote(lit.Value)
+						codes[code] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(codes) == 0 {
+		t.Fatal("found no Code* constants in internal/analyze")
+	}
+	emitted := map[string]map[string]bool{}
+	fixtures, _ := filepath.Glob(filepath.Join("internal", "analyze", "testdata", "*.jn"))
+	for _, path := range fixtures {
+		prog, err := parser.ParseProgram(readFile(t, path))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, d := range analyze.Program(prog, analyze.Options{}) {
+			if emitted[d.Code] == nil {
+				emitted[d.Code] = map[string]bool{}
+			}
+			emitted[d.Code][d.Severity.String()] = true
+		}
+	}
+	for code := range codes {
+		sev, listed := table[code]
+		switch {
+		case !listed:
+			t.Errorf("%s has no row in the README's JV table", code)
+		case len(emitted[code]) != 1 || !emitted[code][sev]:
+			t.Errorf("the README grades %s %s; the fixtures emit it as %v", code, sev, emitted[code])
+		}
+	}
+	for code := range table {
+		if !codes[code] {
+			t.Errorf("the README's JV table lists %s, which the analyzer does not define", code)
+		}
+	}
+	for code := range emitted {
+		if !codes[code] {
+			t.Errorf("the fixtures emit %s, which is no Code* constant found in internal/analyze", code)
+		}
+	}
+}
+
+// readFile is the file's contents; a read error fails the test.
+func readFile(t testing.TB, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

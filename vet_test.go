@@ -116,11 +116,7 @@ func TestCorpusVetClean(t *testing.T) {
 		t.Fatalf("no testdata corpus: %v", err)
 	}
 	for _, file := range files {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vetOne(t, file, string(src))
+		vetOne(t, file, readFile(t, file))
 	}
 	// Raw string literals in the examples: anything that parses as a
 	// Junicon program is corpus; literals in other languages (host text,
@@ -211,11 +207,7 @@ func TestFactGoldens(t *testing.T) {
 	}
 	for _, file := range files {
 		t.Run(filepath.ToSlash(file), func(t *testing.T) {
-			src, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, facts, err := junicon.VetFacts(string(src), nil)
+			_, facts, err := junicon.VetFacts(readFile(t, file), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
