@@ -123,8 +123,7 @@ func repl(in *junicon.Interp, input io.Reader, out io.Writer, prompt bool) {
 // inspection, so streams started afterwards register; a session that has
 // not run any transported generators yet shows an empty table.
 func printStreams(out io.Writer) {
-	if !inspect.On() {
-		inspect.Enable()
+	if !inspect.Enable() {
 		fmt.Fprintln(out, "-- inspection enabled; streams started from now on are tracked")
 	}
 	rows := inspect.Snapshot()

@@ -66,7 +66,6 @@ func main() {
 		idleTimeout = flag.Duration("idle-timeout", remote.DefaultIdleTimeout, "client silence tolerated before dropping a stream")
 		quiet       = flag.Bool("quiet", false, "suppress per-stream logging")
 		logJSON     = flag.Bool("log-json", false, "emit logs as JSON (default: text)")
-		traceBuf    = flag.Int("trace-buf", telemetry.DefaultRingSize, "trace ring capacity (events) for /debug/trace")
 		stallAfter  = flag.Duration("stall-threshold", 10*time.Second, "watchdog: diagnose streams blocked without activity this long (with -debug-addr)")
 	)
 	flag.Parse()
@@ -101,11 +100,11 @@ func main() {
 
 	if *debugAddr != "" {
 		telemetry.SetMetrics(true)
-		telemetry.StartTrace(*traceBuf)
+		telemetry.StartTrace(telemetry.DefaultRingSize)
 		telemetry.PublishExpvar()
 		// Live introspection rides on the same opt-in: every stream opened
-		// from here on registers a handle, the watchdog diagnoses stalls,
-		// and /debug/streams renders the topology.
+		// from here on is listed, the watchdog diagnoses stalls, and
+		// /debug/streams renders the topology.
 		inspect.Enable()
 		inspect.StartWatchdog(inspect.WatchdogConfig{
 			Threshold: *stallAfter,

@@ -42,13 +42,9 @@ const (
 	headerSize = 9
 )
 
-// Counters: snapshots taken, restores performed (including replay-based
-// recoveries reported via MarkRestored), refusals issued.
-var (
-	cSnapshots = telemetry.NewCounter("checkpoint.snapshots")
-	cRestores  = telemetry.NewCounter("checkpoint.restores")
-	cRefusals  = telemetry.NewCounter("checkpoint.refusals")
-)
+// cRestores counts restores performed, including replay-based recoveries
+// reported via MarkRestored.
+var cRestores = telemetry.NewCounter("checkpoint.restores")
 
 // snapLimits bounds snapshot decoding. Nesting runs ~4 levels of lists
 // per call-tower frame, so the depth limit comfortably covers the vm's
@@ -78,12 +74,7 @@ func IsRefused(err error) bool {
 	return errors.As(err, &r)
 }
 
-func refusal(reason string) error {
-	if telemetry.On() {
-		cRefusals.Inc()
-	}
-	return &Refused{Reason: reason}
-}
+func refusal(reason string) error { return &Refused{Reason: reason} }
 
 // MarkRestored counts a recovery that resumed a stream without a blob —
 // the deterministic-replay fallback. Snapshot-based restores count
@@ -144,11 +135,7 @@ func Snapshot(g core.Gen, meta Meta) ([]byte, error) {
 	copy(blob, magic)
 	blob[4] = version
 	binary.BigEndian.PutUint32(blob[5:9], crc32.ChecksumIEEE(body))
-	blob = append(blob, body...)
-	if telemetry.On() {
-		cSnapshots.Inc()
-	}
-	return blob, nil
+	return append(blob, body...), nil
 }
 
 // Peek decodes a blob's metadata without restoring it — what a server

@@ -4,20 +4,10 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"junicon/internal/telemetry"
 	"junicon/internal/value"
 )
-
-// Monitoring hooks — the paper's closing future-work item ("program
-// monitoring and debugging within a transformational framework is an area
-// to be further explored", §9). Because every construct is an iterator,
-// one wrapper suffices to observe any expression: Traced interposes on the
-// kernel protocol and reports resume/yield/fail/restart events to two
-// sinks sharing one event model — an optional callback (the original
-// stderr-style hook) and the process-wide telemetry ring, where each
-// wrapped generator owns a stream ID and each Next becomes a span.
 
 // Kernel protocol counters. The drive loops (Drain, Each, Count, First)
 // and FirstClass.Step — the consumer- and producer-side chokepoints every
@@ -38,110 +28,6 @@ func countNext(ok bool) {
 	} else {
 		cFails.Inc()
 	}
-}
-
-// Event classifies a trace event.
-type Event int
-
-// Trace events.
-const (
-	EvResume  Event = iota // Next called
-	EvYield                // Next produced a value
-	EvFail                 // Next reported failure
-	EvRestart              // Restart called
-)
-
-func (e Event) String() string {
-	switch e {
-	case EvResume:
-		return "resume"
-	case EvYield:
-		return "yield"
-	case EvFail:
-		return "fail"
-	case EvRestart:
-		return "restart"
-	}
-	return "?"
-}
-
-// TraceFunc receives trace events; v is non-nil only for EvYield.
-type TraceFunc func(label string, ev Event, v V)
-
-// Traced wraps g so every protocol operation reports to f and, when a
-// telemetry trace ring is installed, emits span events under the
-// generator's stream ID.
-func Traced(label string, g Gen, f TraceFunc) Gen {
-	return &tracedGen{label: label, g: g, f: f}
-}
-
-// Instrument wraps g for telemetry only: the generalization of Traced
-// into the event model, with no callback. Each Next becomes a yield/fail
-// span in the trace ring; with tracing off the wrapper costs one atomic
-// load per operation.
-func Instrument(label string, g Gen) Gen {
-	return &tracedGen{label: label, g: g}
-}
-
-// InstrumentStream is Instrument under a caller-chosen stream ID — used
-// to tie a generator's events to an enclosing stream (a pipe, a remote
-// stream) rather than allocating its own.
-func InstrumentStream(label string, stream uint64, g Gen) Gen {
-	return &tracedGen{label: label, stream: stream, g: g}
-}
-
-type tracedGen struct {
-	label  string
-	stream uint64
-	g      Gen
-	f      TraceFunc // optional callback sink; may be nil
-}
-
-// sid lazily allocates the stream ID the first time an event is actually
-// emitted, so wrapping while telemetry is off stays free.
-func (t *tracedGen) sid() uint64 {
-	if t.stream == 0 {
-		t.stream = telemetry.NextStream()
-	}
-	return t.stream
-}
-
-func (t *tracedGen) Next() (V, bool) {
-	if t.f != nil {
-		t.f(t.label, EvResume, nil)
-	}
-	tracing := telemetry.TraceOn()
-	var start time.Time
-	if tracing {
-		start = time.Now()
-	}
-	v, ok := t.g.Next()
-	if ok {
-		if t.f != nil {
-			t.f(t.label, EvYield, value.Deref(v))
-		}
-		if tracing {
-			telemetry.EmitSpan(t.sid(), telemetry.KindYield, t.label, 0, start)
-		}
-	} else {
-		if t.f != nil {
-			t.f(t.label, EvFail, nil)
-		}
-		if tracing {
-			telemetry.EmitSpan(t.sid(), telemetry.KindFail, t.label, 0, start)
-		}
-	}
-	return v, ok
-}
-
-func (t *tracedGen) Restart() {
-	if t.f != nil {
-		t.f(t.label, EvRestart, nil)
-	}
-	if telemetry.TraceOn() {
-		telemetry.Emit(t.sid(), telemetry.KindRestart, t.label, 0)
-	}
-	t.g.Restart()
 }
 
 // Tracer accumulates procedure-level trace output in Icon's &trace style:

@@ -7,126 +7,13 @@ import (
 	"junicon/internal/value"
 )
 
-// event is a recorded callback invocation.
-type cbEvent struct {
-	label string
-	ev    Event
-	v     V
-}
-
-func TestTracedFailAndRestart(t *testing.T) {
-	var got []cbEvent
-	g := Traced("r", IntRange(1, 2), func(label string, ev Event, v V) {
-		got = append(got, cbEvent{label, ev, v})
-	})
-
-	// Drive past failure: auto-restart means failure is followed by a
-	// fresh sequence, and the callback must see the fail, not mask it.
-	for i := 0; i < 2; i++ {
-		if _, ok := g.Next(); !ok {
-			t.Fatalf("round 1 Next %d failed", i)
-		}
-	}
-	if _, ok := g.Next(); ok {
-		t.Fatal("exhausted generator should fail")
-	}
-	g.Restart()
-	if v, ok := g.Next(); !ok || mustInt(t, v) != 1 {
-		t.Fatalf("after Restart, Next = %v, %v", v, ok)
-	}
-
-	want := []struct {
-		ev Event
-		v  int64 // yield value; 0 = none
-	}{
-		{EvResume, 0}, {EvYield, 1},
-		{EvResume, 0}, {EvYield, 2},
-		{EvResume, 0}, {EvFail, 0},
-		{EvRestart, 0},
-		{EvResume, 0}, {EvYield, 1},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d events, want %d: %v", len(got), len(want), got)
-	}
-	for i, w := range want {
-		if got[i].ev != w.ev {
-			t.Errorf("event %d = %v, want %v", i, got[i].ev, w.ev)
-		}
-		if got[i].label != "r" {
-			t.Errorf("event %d label = %q", i, got[i].label)
-		}
-		if w.ev == EvYield && mustInt(t, got[i].v) != w.v {
-			t.Errorf("event %d yield = %v, want %d", i, got[i].v, w.v)
-		}
-		if w.ev != EvYield && got[i].v != nil {
-			t.Errorf("event %d carries value %v, want nil", i, got[i].v)
-		}
-	}
-}
-
-func TestTracedEmitsTelemetry(t *testing.T) {
-	telemetry.StartTrace(1024)
-	defer telemetry.StopTrace()
-
-	g := Traced("tele", IntRange(1, 2), nil)
-	Drain(g, 0)
-	g.Restart()
-
-	evs := telemetry.DrainTrace()
-	var yields, fails, restarts int
-	var stream uint64
-	for _, ev := range evs {
-		if ev.Name != "tele" {
-			continue
-		}
-		if stream == 0 {
-			stream = ev.Stream
-		}
-		if ev.Stream != stream || ev.Stream == 0 {
-			t.Fatalf("stream ID not stable: %x vs %x", ev.Stream, stream)
-		}
-		switch ev.Kind {
-		case telemetry.KindYield:
-			yields++
-		case telemetry.KindFail:
-			fails++
-		case telemetry.KindRestart:
-			restarts++
-		}
-	}
-	if yields != 2 || fails != 1 || restarts != 1 {
-		t.Fatalf("yields/fails/restarts = %d/%d/%d, want 2/1/1", yields, fails, restarts)
-	}
-}
-
-func TestInstrumentStream(t *testing.T) {
-	telemetry.StartTrace(64)
-	defer telemetry.StopTrace()
-
-	const stream = 0xABCD0001
-	g := InstrumentStream("fixed", stream, IntRange(1, 1))
-	Drain(g, 0)
-
-	found := false
-	for _, ev := range telemetry.DrainTrace() {
-		if ev.Name == "fixed" {
-			found = true
-			if ev.Stream != stream {
-				t.Fatalf("stream = %x, want %x", ev.Stream, stream)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no events from instrumented generator")
-	}
-}
-
 func TestKernelCounters(t *testing.T) {
 	telemetry.ResetMetrics()
 	telemetry.SetMetrics(true)
 	defer telemetry.SetMetrics(false)
 
 	Drain(IntRange(1, 3), 0) // 3 yields + 1 fail
+	NewFirstClass(IntRange(1, 3)).Refresh()
 
 	snap := telemetry.Snapshot()
 	if n := snap["kernel.yields"].(int64); n != 3 {
@@ -137,6 +24,9 @@ func TestKernelCounters(t *testing.T) {
 	}
 	if n := snap["kernel.resumes"].(int64); n != 4 {
 		t.Errorf("kernel.resumes = %d, want 4", n)
+	}
+	if n := snap["kernel.restarts"].(int64); n != 1 {
+		t.Errorf("kernel.restarts = %d, want 1", n)
 	}
 }
 

@@ -25,7 +25,7 @@ type StreamsPayload struct {
 type ConnGroup struct {
 	Conn      string `json:"conn"`
 	Streams   int    `json:"streams"`  // logical streams on the connection
-	Sessions  int    `json:"sessions"` // session handles (normally 1 per end)
+	Sessions  int    `json:"sessions"` // session records (normally 1 per end)
 	Blocked   int    `json:"blocked"`  // streams in a blocked state
 	Produced  int64  `json:"produced"` // values across the group's streams
 	Diagnosis string `json:"diagnosis,omitempty"`

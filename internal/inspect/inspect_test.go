@@ -23,9 +23,9 @@ func withInspect(t *testing.T) {
 func TestRegisterDisabledIsNil(t *testing.T) {
 	inspect.Reset()
 	inspect.Disable()
-	h := inspect.Register(0, inspect.KindPipe, "off")
+	h := inspect.Open(0, inspect.KindPipe, "off")
 	if h != nil {
-		t.Fatalf("Register while disabled = %v, want nil", h)
+		t.Fatalf("Open with every sink off = %v, want nil", h)
 	}
 	// Every method must be a nil-safe no-op.
 	h.Produced(1)
@@ -36,8 +36,9 @@ func TestRegisterDisabledIsNil(t *testing.T) {
 	h.Running()
 	h.Draining()
 	h.SetDepthProbe(func() (int, int) { return 0, 0 })
+	h.NoteConsume()
+	h.Bind()()
 	h.Close()
-	inspect.Unregister(h)
 	if h.ID() != 0 {
 		t.Fatalf("nil handle ID = %d, want 0", h.ID())
 	}
@@ -48,12 +49,12 @@ func TestRegisterDisabledIsNil(t *testing.T) {
 
 func TestRegisterSnapshotClose(t *testing.T) {
 	withInspect(t)
-	h := inspect.Register(0, inspect.KindPipe, "pipe(cap=4)")
+	h := inspect.Open(0, inspect.KindPipe, "pipe(cap=4)")
 	if h == nil {
-		t.Fatal("Register returned nil while enabled")
+		t.Fatal("Open returned nil while the registry is on")
 	}
 	if h.ID() == 0 {
-		t.Fatal("Register(0, ...) did not allocate a stream ID")
+		t.Fatal("Open(0, ...) did not allocate a stream ID")
 	}
 	h.Produced(5)
 	h.Consumed(3)
@@ -92,18 +93,20 @@ func TestRegisterSnapshotClose(t *testing.T) {
 
 func TestConsumeEdge(t *testing.T) {
 	withInspect(t)
-	producer := inspect.Register(0, inspect.KindPipe, "downstream")
-	upstream := inspect.Register(0, inspect.KindPipe, "upstream")
+	producer := inspect.Open(0, inspect.KindPipe, "downstream")
+	upstream := inspect.Open(0, inspect.KindPipe, "upstream")
+	defer producer.Close()
+	defer upstream.Close()
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		release := inspect.BindProducer(producer)
+		release := producer.Bind()
 		defer release()
 		// The producer goroutine consumes from upstream: the edge recorded
 		// is "producer's stream consumes from upstream's stream".
-		inspect.NoteConsumeOnce(upstream)
-		inspect.NoteConsumeOnce(upstream) // once-per-generation: second is a no-op
+		upstream.NoteConsume()
+		upstream.NoteConsume() // once recorded, the second is a no-op
 	}()
 	<-done
 
@@ -125,7 +128,7 @@ func TestConsumeEdge(t *testing.T) {
 func TestRecentRingBounded(t *testing.T) {
 	withInspect(t)
 	for i := 0; i < 100; i++ {
-		inspect.Register(0, inspect.KindPipe, "burst").Close()
+		inspect.Open(0, inspect.KindPipe, "burst").Close()
 	}
 	snap := inspect.Snapshot()
 	if len(snap) > 64 {
@@ -140,7 +143,7 @@ func TestRecentRingBounded(t *testing.T) {
 
 func TestHandlerJSON(t *testing.T) {
 	withInspect(t)
-	h := inspect.Register(0, inspect.KindPool, "pool(workers=2)")
+	h := inspect.Open(0, inspect.KindPool, "pool(workers=2)")
 	defer h.Close()
 	h.Produced(9)
 

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"junicon/internal/telemetry"
 )
 
 // The stall watchdog: a scanner over the live registry that flags streams
@@ -30,11 +28,9 @@ import (
 //     window and stopped granting;
 //   - any other producer stuck in blocked-put that long has an abandoned
 //     consumer: a consuming goroutine would have freed queue space (and
-//     touched the handle) well within the threshold;
+//     touched the record) well within the threshold;
 //   - a lone blocked-take is never flagged — a consumer waiting on a slow
 //     producer is ordinary demand, not a stall.
-
-var cStallsDiagnosed = telemetry.NewCounter("inspect.stalls_diagnosed")
 
 // Stall causes.
 const (
@@ -44,7 +40,7 @@ const (
 	// CauseConnBackpressure: a multiplexed session's shared writer is
 	// wedged in the socket write (the peer stopped reading), so every
 	// stream on that connection stalls together. Diagnosed on the session
-	// handle and on each stuck stream riding it.
+	// record and on each stuck stream riding it.
 	CauseConnBackpressure = "conn-backpressure"
 )
 
@@ -87,12 +83,6 @@ func lookupDiagnosis(id uint64) (Diagnosis, bool) {
 func clearDiagnosis(id uint64) {
 	diag.mu.Lock()
 	delete(diag.m, id)
-	diag.mu.Unlock()
-}
-
-func clearDiagnoses() {
-	diag.mu.Lock()
-	diag.m = make(map[uint64]Diagnosis)
 	diag.mu.Unlock()
 }
 
@@ -192,7 +182,7 @@ func (w *Watchdog) Scan() []Diagnosis {
 		if st != StateBlockedPut && st != StateBlockedTake {
 			continue
 		}
-		if now.UnixNano()-h.lastActive.Load() < threshold.Nanoseconds() {
+		if h.idleNs(now) < threshold.Nanoseconds() {
 			clearDiagnosis(h.id) // it moved; any stale diagnosis is over
 			continue
 		}
@@ -235,7 +225,7 @@ func (w *Watchdog) Scan() []Diagnosis {
 		}
 	}
 
-	// A multiplexed session handle stuck in blocked-put is a shared writer
+	// A multiplexed session record stuck in blocked-put is a shared writer
 	// wedged in its socket write: the whole connection is backpressured,
 	// and every stale stream riding it shares that cause (including ones
 	// in blocked-take — their values are stuck behind the wedged writer,
@@ -279,7 +269,7 @@ func (w *Watchdog) Scan() []Diagnosis {
 			Label:     c.h.label,
 			Cause:     cause,
 			State:     stateName(c.state),
-			IdleNs:    now.UnixNano() - c.h.lastActive.Load(),
+			IdleNs:    c.h.idleNs(now),
 			Produced:  c.h.produced.Load(),
 			Consumed:  c.h.consumed.Load(),
 			Credit:    c.h.credit.Load(),
@@ -292,20 +282,17 @@ func (w *Watchdog) Scan() []Diagnosis {
 		}
 		_, known := lookupDiagnosis(id)
 		recordDiagnosis(id, d)
-		if !known {
-			cStallsDiagnosed.Inc()
-			if w.cfg.Log != nil {
-				w.cfg.Log.Warn("stream stalled",
-					"stream", d.Stream,
-					"kind", d.Kind,
-					"label", d.Label,
-					"cause", d.Cause,
-					"state", d.State,
-					"idle", time.Duration(d.IdleNs),
-					"produced", d.Produced,
-					"consumed", d.Consumed,
-					"credit", d.Credit)
-			}
+		if !known && w.cfg.Log != nil {
+			w.cfg.Log.Warn("stream stalled",
+				"stream", d.Stream,
+				"kind", d.Kind,
+				"label", d.Label,
+				"cause", d.Cause,
+				"state", d.State,
+				"idle", time.Duration(d.IdleNs),
+				"produced", d.Produced,
+				"consumed", d.Consumed,
+				"credit", d.Credit)
 		}
 		out = append(out, d)
 	}

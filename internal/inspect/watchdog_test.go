@@ -205,3 +205,44 @@ func TestWatchdogHealthySlowStreamsNotFlagged(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestWatchdogSlowConsumerHoldingRun: a live consumer working through a
+// held run for longer than the threshold, while its producer sits parked
+// on the full queue, is not an abandoned consumer — its consumption keeps
+// the record fresh even though the producer has not moved.
+func TestWatchdogSlowConsumerHoldingRun(t *testing.T) {
+	withInspect(t)
+	w := newScanner(t, false)
+
+	// A run of 8 taken a value per 15ms keeps the producer parked for
+	// 120ms, past the 50ms threshold, between two refills.
+	p := pipe.FromGen(core.IntRange(1, 1_000_000), 8)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+		p.Stop()
+	})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(15 * time.Millisecond):
+			}
+			if _, ok := p.Next(); !ok {
+				return
+			}
+		}
+	}()
+
+	deadline := time.Now().Add(6 * stallThreshold)
+	for time.Now().Before(deadline) {
+		if ds := w.Scan(); len(ds) != 0 {
+			t.Fatalf("slow but live consumer diagnosed: %+v", ds)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -453,33 +453,6 @@ def half(n) {
 	}
 }
 
-func TestTracedGeneratorEvents(t *testing.T) {
-	var events []string
-	g := core.Traced("range", core.IntRange(1, 2), func(label string, ev core.Event, v value.V) {
-		s := label + ":" + ev.String()
-		if v != nil {
-			s += ":" + value.Image(v)
-		}
-		events = append(events, s)
-	})
-	core.Drain(g, 0)
-	g.Restart()
-	want := []string{
-		"range:resume", "range:yield:1",
-		"range:resume", "range:yield:2",
-		"range:resume", "range:fail",
-		"range:restart",
-	}
-	if len(events) != len(want) {
-		t.Fatalf("events = %v", events)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("events = %v", events)
-		}
-	}
-}
-
 func TestEverySuspendIdiom(t *testing.T) {
 	in := New()
 	if err := in.LoadProgram(`

@@ -31,10 +31,6 @@ type Fallback struct {
 	Reason string // compile.Unsupported.Reason
 }
 
-// cFallbacks counts rejected units process-wide; the trace carries each
-// one's reason. Driving it to zero is ROADMAP item 3.
-var cFallbacks = telemetry.NewCounter("vm.fallbacks")
-
 // Fallbacks lists the distinct (unit, reason) pairs this interpreter's
 // compiler has rejected so far, in order.
 func (in *Interp) Fallbacks() []Fallback { return in.vmFallbacks }
@@ -46,9 +42,7 @@ func (in *Interp) noteFallback(unit string, err error) {
 	if errors.As(err, &u) {
 		fb.Reason = u.Reason
 	}
-	if telemetry.On() {
-		cFallbacks.Inc()
-	}
+	// The trace carries each rejection's reason.
 	telemetry.Emit(0, telemetry.KindSpan, "vm.fallback "+unit+": "+fb.Reason, 0)
 	if !slices.Contains(in.vmFallbacks, fb) {
 		in.vmFallbacks = append(in.vmFallbacks, fb)

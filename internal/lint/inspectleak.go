@@ -5,26 +5,25 @@ import (
 	"go/ast"
 )
 
-// inspectLeak reports introspection handles registered and then abandoned.
-// An inspect.Register handle sits in the live registry until Close or
-// Unregister retires it; a handle whose variable dies unreleased stays in
-// /debug/streams forever as a phantom "running" stream — a leak not of a
-// goroutine but of observability itself, polluting every later topology
-// snapshot and giving the stall watchdog a permanently idle stream to
-// mis-diagnose.
+// inspectLeak reports observation records opened and then abandoned. An
+// inspect.Open record sits in the live registry until Close retires it; a
+// record whose variable dies unclosed stays in /debug/streams forever as a
+// phantom "running" stream — a leak not of a goroutine but of
+// observability itself, polluting every later topology snapshot and giving
+// the stall watchdog a permanently idle stream to mis-diagnose — and never
+// emits its stream-end.
 //
 // The check mirrors pipestop's two-pass shape: a creation is an assignment
-// whose right side calls inspect.Register; release is h.Close() in
-// receiver position or inspect.Unregister(h) with the handle as argument.
-// Any other appearance of the variable (argument, return, field store)
-// is an escape and silences the check — whoever received the handle owns
-// its retirement. Nil comparisons (`if h != nil`) are neutral: they are
-// the idiomatic guard around a handle from a disabled registry, not a
-// transfer of ownership. A Register call whose result is discarded is
-// always a finding — a handle nobody holds can never be closed.
+// whose right side calls inspect.Open; release is h.Close() in receiver
+// position. Any other appearance of the variable (argument, return, field
+// store) is an escape and silences the check — whoever received the record
+// owns its closing. Nil comparisons (`if h != nil`) are neutral: they are
+// the idiomatic test of a record opened while every sink was off, not a
+// transfer of ownership. An Open call whose result is discarded is always
+// a finding — a record nobody holds can never be closed.
 var inspectLeak = &Analyzer{
 	Name: "inspectleak",
-	Doc:  "introspection handle registered but never closed, unregistered or passed on",
+	Doc:  "observation record opened but never closed or passed on",
 	Run:  runInspectLeak,
 }
 
@@ -43,9 +42,9 @@ func runInspectLeak(f *File) []Finding {
 func inspectLeakFunc(f *File, body *ast.BlockStmt) []Finding {
 	var out []Finding
 
-	// Pass 1: creations. h := inspect.Register(…) binds h to a live
-	// registry entry; a Register whose result is dropped (statement
-	// position, or assigned to _) is flagged on the spot.
+	// Pass 1: creations. h := inspect.Open(…) binds h to a record; an Open
+	// whose result is dropped (statement position, or assigned to _) is
+	// flagged on the spot.
 	created := map[string]ast.Node{} // name -> creation site
 	neutral := map[ast.Node]bool{}   // ident nodes that are not value uses
 	bindLHS := func(lhs []ast.Expr, rhs []ast.Expr) {
@@ -55,7 +54,7 @@ func inspectLeakFunc(f *File, body *ast.BlockStmt) []Finding {
 				continue
 			}
 			neutral[id] = true
-			if i >= len(rhs) || !callsRegister(rhs[i]) {
+			if i >= len(rhs) || !callsOpen(rhs[i]) {
 				continue
 			}
 			if id.Name == "_" {
@@ -86,9 +85,9 @@ func inspectLeakFunc(f *File, body *ast.BlockStmt) []Finding {
 			}
 			bindLHS(lhs, x.Values)
 		case *ast.ExprStmt:
-			// Only a bare Register call is a discard; a chained
-			// inspect.Register(…).Close() releases inline.
-			if name, call := pkgCall(x.X, "inspect"); call != nil && name == "Register" {
+			// Only a bare Open call is a discard; a chained
+			// inspect.Open(…).Close() releases inline.
+			if name, call := pkgCall(x.X, "inspect"); call != nil && name == "Open" {
 				out = append(out, discardFinding(f, x.X))
 			}
 		}
@@ -98,25 +97,13 @@ func inspectLeakFunc(f *File, body *ast.BlockStmt) []Finding {
 		return out
 	}
 
-	// Pass 2: uses. Receiver position classifies by method; a tracked
-	// handle as an argument to inspect.Unregister is a release; a nil
-	// comparison is the disabled-registry guard and stays neutral; any
-	// other appearance is an escape.
+	// Pass 2: uses. Receiver position classifies by method; a nil
+	// comparison is the every-sink-off test and stays neutral; any other
+	// appearance is an escape.
 	released := map[string]bool{}
 	escaped := map[string]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.CallExpr:
-			if name, call := pkgCall(n, "inspect"); call != nil && name == "Unregister" {
-				for _, arg := range call.Args {
-					if id, ok := arg.(*ast.Ident); ok {
-						if _, tracked := created[id.Name]; tracked {
-							neutral[id] = true
-							released[id.Name] = true
-						}
-					}
-				}
-			}
 		case *ast.SelectorExpr:
 			if id, ok := x.X.(*ast.Ident); ok {
 				if _, tracked := created[id.Name]; tracked {
@@ -127,8 +114,8 @@ func inspectLeakFunc(f *File, body *ast.BlockStmt) []Finding {
 				}
 			}
 		case *ast.BinaryExpr:
-			// h == nil / h != nil: the guard around a handle from a
-			// disabled registry, not a use.
+			// h == nil / h != nil: the test of a record opened while every
+			// sink was off, not a use.
 			for _, side := range []ast.Expr{x.X, x.Y} {
 				if id, ok := side.(*ast.Ident); ok {
 					if _, tracked := created[id.Name]; tracked && isNil(x.X) != isNil(x.Y) {
@@ -158,8 +145,8 @@ func inspectLeakFunc(f *File, body *ast.BlockStmt) []Finding {
 			Pos:   position(f, site),
 			Check: "inspectleak",
 			Msg: fmt.Sprintf(
-				"handle %q is never closed, unregistered or passed on: it stays in the live stream registry forever (call %s.Close or inspect.Unregister(%s))",
-				name, name, name),
+				"record %q is never closed or passed on: it stays in the live stream registry forever (call %s.Close)",
+				name, name),
 		})
 	}
 	return out
@@ -169,20 +156,20 @@ func discardFinding(f *File, site ast.Node) Finding {
 	return Finding{
 		Pos:   position(f, site),
 		Check: "inspectleak",
-		Msg:   "inspect.Register result discarded: a handle nobody holds can never be closed or unregistered",
+		Msg:   "inspect.Open result discarded: a record nobody holds can never be closed",
 	}
 }
 
-// callsRegister reports whether the expression contains an
-// inspect.Register call (outside nested function literals, whose handles
-// belong to their own scope).
-func callsRegister(e ast.Expr) bool {
+// callsOpen reports whether the expression contains an inspect.Open call
+// (outside nested function literals, whose records belong to their own
+// scope).
+func callsOpen(e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		if found {
 			return false
 		}
-		if name, call := pkgCall(n, "inspect"); call != nil && name == "Register" {
+		if name, call := pkgCall(n, "inspect"); call != nil && name == "Open" {
 			found = true
 		}
 		_, isLit := n.(*ast.FuncLit)

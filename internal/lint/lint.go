@@ -1,8 +1,8 @@
 // Package lint is a go/analysis-style checker suite for the HOST side of
-// the embedding: Go code that drives pipes, transport queues and telemetry
-// has invariants the Go compiler cannot see — a pipe's producer goroutine
-// must be released, a closed queue accepts no more values, metric-registry
-// lookups do not belong in hot loops. The analyzers here are purely
+// the embedding: Go code that drives pipes, transport queues and observation
+// records has invariants the Go compiler cannot see — a pipe's producer
+// goroutine must be released, a closed queue accepts no more values, an
+// observation record is closed. The analyzers here are purely
 // syntactic (go/ast over single files, no type information and no
 // golang.org/x/tools dependency), so they run anywhere the Go toolchain
 // runs; cmd/junilint is the driver.
@@ -48,7 +48,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{pipeStop, putAfterClose, telemetryGuard, inspectLeak, snapGuard}
+	return []*Analyzer{pipeStop, putAfterClose, inspectLeak, snapGuard}
 }
 
 // CheckSource parses src (named path for positions) and runs the suite,

@@ -133,107 +133,24 @@ func ok(a, b queue.Queue[int]) { a.Close(); b.Put(1) }`,
 	}
 }
 
-func TestTelemetryRegistryInLoop(t *testing.T) {
-	wantChecks(t, `package p
-
-func hot(vs []int) {
-	for range vs {
-		telemetry.NewCounter("pipe.values").Inc()
-	}
-}
-`, "telemetryguard")
-}
-
-func TestTelemetryUnguardedEmit(t *testing.T) {
-	wantChecks(t, `package p
-
-func hot(vs []int) {
-	for i := range vs {
-		telemetry.Emit(1, telemetry.KindYield, "x", int64(i))
-	}
-}
-`, "telemetryguard")
-}
-
-func TestTelemetryGuardedEmitClean(t *testing.T) {
-	cases := []string{
-		// Direct gate inside the loop.
-		`package p
-func ok(vs []int) {
-	for i := range vs {
-		if telemetry.TraceOn() {
-			telemetry.Emit(1, telemetry.KindYield, "x", int64(i))
-		}
-	}
-}`,
-		// Snapshot idiom: gate hoisted out of the loop into a variable.
-		`package p
-func ok(vs []int) {
-	observed := telemetry.Active()
-	for i := range vs {
-		if observed {
-			telemetry.Emit(1, telemetry.KindYield, "x", int64(i))
-		}
-	}
-}`,
-		// Whole loop under the gate.
-		`package p
-func ok(vs []int) {
-	if telemetry.On() {
-		for i := range vs {
-			telemetry.Emit(1, telemetry.KindYield, "x", int64(i))
-		}
-	}
-}`,
-		// Counter hoisted to a package var: the intended shape.
-		`package p
-var c = telemetry.NewCounter("pipe.values")
-func ok(vs []int) {
-	for range vs {
-		c.Inc()
-	}
-}`,
-	}
-	for _, src := range cases {
-		wantChecks(t, src)
-	}
-}
-
-func TestTelemetryGuardElseBranchNotGuarded(t *testing.T) {
-	// The else branch of a gate is the telemetry-off path: emitting there
-	// is exactly backwards and must still be flagged.
-	wantChecks(t, `package p
-
-func hot(vs []int) {
-	for i := range vs {
-		if telemetry.TraceOn() {
-			_ = i
-		} else {
-			telemetry.Emit(1, telemetry.KindYield, "x", int64(i))
-		}
-	}
-}
-`, "telemetryguard")
-}
-
 func TestInspectLeak(t *testing.T) {
 	wantChecks(t, `package p
 
 func leak(id uint64) {
-	h := inspect.Register(id, inspect.KindPipe, "leaky")
+	h := inspect.Open(id, inspect.KindPipe, "leaky")
 	h.Produced(1)
 }
 `, "inspectleak")
 }
 
 func TestInspectLeakDiscardedResult(t *testing.T) {
-	// A handle nobody holds can never be retired: statement position and
+	// A record nobody holds can never be closed: statement position and
 	// blank assignment are both flagged.
 	wantChecks(t, `package p
 
 func drop(id uint64) {
-	inspect.Register(id, inspect.KindPipe, "dropped")
-	_ = inspect.Register(id, inspect.KindPipe, "blanked")
+	inspect.Open(id, inspect.KindPipe, "dropped")
+	_ = inspect.Open(id, inspect.KindPipe, "blanked")
 }
 `, "inspectleak", "inspectleak")
 }
@@ -242,13 +159,11 @@ func TestInspectLeakReleased(t *testing.T) {
 	for _, release := range []string{
 		"defer h.Close()",
 		"h.Close()",
-		"defer inspect.Unregister(h)",
-		"inspect.Unregister(h)",
 	} {
 		wantChecks(t, `package p
 
 func ok(id uint64) {
-	h := inspect.Register(id, inspect.KindPipe, "tracked")
+	h := inspect.Open(id, inspect.KindPipe, "tracked")
 	`+release+`
 	h.Produced(1)
 }
@@ -257,12 +172,12 @@ func ok(id uint64) {
 }
 
 func TestInspectLeakNilGuardStillLeaks(t *testing.T) {
-	// The disabled-registry nil guard is not a release: a handle that is
-	// only ever nil-checked and used through methods still leaks.
+	// The every-sink-off nil test is not a release: a record that is only
+	// ever nil-checked and used through methods still leaks.
 	wantChecks(t, `package p
 
 func leak(id uint64) {
-	h := inspect.Register(id, inspect.KindPipe, "guarded")
+	h := inspect.Open(id, inspect.KindPipe, "guarded")
 	if h != nil {
 		h.Produced(1)
 	}
@@ -274,13 +189,13 @@ func TestInspectLeakEscapes(t *testing.T) {
 	cases := []string{
 		// Returned: the caller owns the retirement.
 		`package p
-func mk(id uint64) *inspect.Handle { h := inspect.Register(id, inspect.KindPipe, "x"); return h }`,
+func mk(id uint64) *inspect.Handle { h := inspect.Open(id, inspect.KindPipe, "x"); return h }`,
 		// Passed as an argument.
 		`package p
-func hand(id uint64) { h := inspect.Register(id, inspect.KindPipe, "x"); watch(h) }`,
+func hand(id uint64) { h := inspect.Open(id, inspect.KindPipe, "x"); watch(h) }`,
 		// Stored in a struct field.
 		`package p
-func store(id uint64, s *S) { h := inspect.Register(id, inspect.KindPipe, "x"); s.h = h }`,
+func store(id uint64, s *S) { h := inspect.Open(id, inspect.KindPipe, "x"); s.h = h }`,
 	}
 	for _, src := range cases {
 		wantChecks(t, src)

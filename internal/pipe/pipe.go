@@ -28,35 +28,20 @@
 // The §3B throttle, with runs: never more than buffer values queued, plus
 // one run in the consumer's hands (plus the one value the producer has
 // computed and is blocked putting). Stop, Restart, Refresh and First
-// discard the held run with the producer; Size and the inspect/telemetry
-// counts advance per delivered value, not per run.
+// discard the held run with the producer; Size and the record's counts
+// (internal/inspect) advance per delivered value, not per run.
 package pipe
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"junicon/internal/core"
 	"junicon/internal/inspect"
 	"junicon/internal/pool"
 	"junicon/internal/queue"
-	"junicon/internal/telemetry"
 	"junicon/internal/value"
-)
-
-// Pipe telemetry: producer lifecycle counters plus, per started pipe, an
-// instrumented transport queue (blocked time, depth, occupancy — see
-// queue.Instrument). Instrumentation is decided once per producer start,
-// so pipes started while telemetry is off carry zero overhead.
-var (
-	cProducersStarted = telemetry.NewCounter("pipe.producers_started")
-	gProducersActive  = telemetry.NewGauge("pipe.producers_active")
-	cPipeValues       = telemetry.NewCounter("pipe.values")
-	cPipeErrors       = telemetry.NewCounter("pipe.producer_errors")
 )
 
 // DefaultBuffer is the output-queue bound used when none is given.
@@ -67,13 +52,13 @@ const DefaultBuffer = 1024
 // enough that the run buffer stays a few KiB per started pipe.
 const maxRun = 256
 
-// generation is one producer incarnation: its transport queue, its
-// inspection handle (nil while inspection is off — see internal/inspect)
-// and the consumer's held run. Next loads it with a single atomic read
+// generation is one producer incarnation: its transport queue, its record
+// (nil while every observation sink is off — see internal/inspect) and the
+// consumer's held run. Next loads it with a single atomic read
 // once the producer is running.
 type generation struct {
 	out queue.Queue[value.V]
-	h   *inspect.Handle // nil: uninspected
+	h   *inspect.Handle // nil: unobserved
 
 	// mu serializes consumers, serving and refilling alike, so the run
 	// buffer is reused without a publication protocol: between refills a
@@ -94,8 +79,10 @@ func newGeneration(out queue.Queue[value.V], h *inspect.Handle, run int) *genera
 // the producer it is waiting for when cores are scarce. It reports false
 // once the queue is closed and drained. Caller holds g.mu.
 func (g *generation) refill() bool {
-	// Consumer-side inspection: mark the take (cleared below) and retire
-	// the handle on exhaustion.
+	// The consumer edge is looked up once per run, never per value; the
+	// take bracket opened here is closed by the Consumed of the value the
+	// run delivers, and the record by exhaustion.
+	g.h.NoteConsume()
 	g.h.BlockedTake()
 	n, err := g.out.TakeBatch(g.run)
 	if err != nil {
@@ -104,7 +91,6 @@ func (g *generation) refill() bool {
 		g.h.Close()
 		return false
 	}
-	g.h.Running()
 	g.i, g.n = 0, n
 	return true
 }
@@ -122,7 +108,6 @@ type Pipe struct {
 	ownSrc  bool       // src is a FirstClass this package built (FromGen et al.)
 	started bool
 	err     error
-	stream  uint64 // telemetry stream ID; 0 until an observed start
 
 	cur     atomic.Pointer[generation]
 	results atomic.Int64
@@ -231,51 +216,23 @@ func (p *Pipe) runLen(out queue.Queue[value.V]) int {
 func (p *Pipe) start() {
 	p.out = p.mkQueue()
 	p.started = true
-	held := p.runLen(p.out)
-	// Observation is decided once per producer start: an unobserved pipe
-	// runs exactly the pre-telemetry code path.
-	observed := telemetry.Active()
-	if observed {
-		if p.stream == 0 {
-			p.stream = telemetry.NextStream()
-		}
-		p.out = queue.Instrument(p.out, p.stream, "pipe")
-		cProducersStarted.Inc()
-		gProducersActive.Add(1)
-	}
-	// Inspection is decided the same way: an uninspected pipe carries a
-	// nil handle and the hot paths pay one nil check per value.
-	var h *inspect.Handle
-	if inspect.On() {
-		if p.stream == 0 {
-			p.stream = telemetry.NextStream()
-		}
-		h = inspect.Register(p.stream, inspect.KindPipe,
-			fmt.Sprintf("pipe(cap=%d,run=%d)", p.out.Cap(), held))
+	// Observation is decided once per producer start: with every sink off
+	// the record is nil and an own source runs the unobserved direct loop.
+	h := inspect.Open(0, inspect.KindPipe, "pipe")
+	if h != nil {
 		probe := p.out
 		h.SetDepthProbe(func() (int, int) { return probe.Len(), probe.Cap() })
 	}
-	p.cur.Store(newGeneration(p.out, h, held))
-	src, out, stream := p.src, p.out, p.stream
+	p.cur.Store(newGeneration(p.out, h, p.runLen(p.out)))
+	src, out := p.src, p.out
 	var gen core.Gen
-	if p.ownSrc && !observed && h == nil {
+	if p.ownSrc && h == nil {
 		if fc, ok := src.(*core.FirstClass); ok {
 			gen = fc.G
 		}
 	}
 	run := func() {
-		if h != nil {
-			defer inspect.BindProducer(h)()
-		}
-		var startTime time.Time
-		var produced int64
-		if observed {
-			startTime = time.Now()
-			defer func() {
-				gProducersActive.Add(-1)
-				telemetry.EmitSpan(stream, telemetry.KindProducer, "pipe", produced, startTime)
-			}()
-		}
+		defer h.Bind()()
 		// An Icon runtime error raised inside the piped expression must
 		// not crash the host: record it, fail the consumer side.
 		defer func() {
@@ -287,9 +244,6 @@ func (p *Pipe) start() {
 					p.err = fmt.Errorf("pipe: producer panic: %v", r)
 				}
 				p.mu.Unlock()
-				if observed {
-					cPipeErrors.Inc()
-				}
 				// Values yielded before the error are already in the queue,
 				// and a closed queue drains before it fails: the consumer
 				// gets exactly that prefix.
@@ -298,9 +252,9 @@ func (p *Pipe) start() {
 		}()
 		if gen != nil {
 			// Own-source, unobserved fast loop: iterate the generator
-			// directly, skipping the FirstClass Step indirection and the
-			// per-value telemetry checks. Semantically identical — the
-			// wrapping FirstClass is not reachable outside this pipe.
+			// directly, skipping the FirstClass Step indirection. Semantically
+			// identical — the wrapping FirstClass is not reachable outside
+			// this pipe.
 			for {
 				v, ok := gen.Next()
 				if !ok {
@@ -324,9 +278,9 @@ func (p *Pipe) start() {
 					v = value.NullV
 				}
 				v = value.Deref(v)
-				// The blocked-put mark is set unconditionally before the
-				// (possibly blocking) publish and cleared after: only
-				// staleness makes it meaningful to the watchdog.
+				// The put bracket opens before the (possibly blocking)
+				// publish and closes after it: only staleness makes the
+				// blocked-put mark meaningful to the watchdog.
 				if h != nil {
 					h.BlockedPut()
 				}
@@ -334,38 +288,18 @@ func (p *Pipe) start() {
 					return // consumer stopped the pipe
 				}
 				if h != nil {
-					h.Running()
 					h.Produced(1)
-				}
-				if observed {
-					produced++
-					cPipeValues.Inc()
 				}
 			}
 		}
-		if h != nil {
-			h.Draining()
-		}
+		h.Draining()
 		out.Close()
-	}
-	if h != nil {
-		// Label the producer goroutine (or pooled worker, for the task's
-		// duration) with the stream ID, so the watchdog — and a human at
-		// /debug/pprof/goroutine?debug=1 — can find the goroutine serving
-		// a stuck stream.
-		inner := run
-		labels := pprof.Labels(inspect.ProducerLabel, inspect.StreamID(h.ID()))
-		run = func() { pprof.Do(context.Background(), labels, func(context.Context) { inner() }) }
 	}
 	if p.pool != nil {
 		if err := p.pool.Go(run); err != nil {
 			// The pool is shut down; the producer can never run. Record the
 			// cause and close the transport so the consumer fails promptly.
 			p.err = err
-			if observed {
-				gProducersActive.Add(-1)
-				cPipeErrors.Inc()
-			}
 			out.Close()
 		}
 		return
@@ -407,14 +341,13 @@ func (p *Pipe) Next() (value.V, bool) {
 		g = p.cur.Load()
 		p.mu.Unlock()
 	}
-	h := g.h
-	if h != nil {
-		// The topology edge is recorded before the consumer lock, not in
-		// refill: a second consumer queues on g.mu behind the first one's
-		// blocked take, and the watchdog must still see whom it waits for.
-		inspect.NoteConsumeOnce(h)
+	if !g.mu.TryLock() {
+		// Another consumer holds the run, perhaps parked in its take: the
+		// edge is recorded before queueing behind it, so the watchdog still
+		// sees whom this goroutine waits for.
+		g.h.NoteConsume()
+		g.mu.Lock()
 	}
-	g.mu.Lock()
 	if g.i == g.n && !g.refill() {
 		g.mu.Unlock()
 		return nil, false
@@ -422,8 +355,8 @@ func (p *Pipe) Next() (value.V, bool) {
 	v := g.run[g.i]
 	g.i++
 	g.mu.Unlock()
-	if h != nil {
-		h.Consumed(1)
+	if g.h != nil {
+		g.h.Consumed(1)
 	}
 	p.results.Add(1)
 	return v, true
@@ -493,14 +426,6 @@ func (p *Pipe) Refresh() core.Stepper {
 	// ownSrc carries over: FirstClass.Refresh returns its receiver, as
 	// private to the new proxy as it was to this one.
 	return &Pipe{src: p.src.Refresh(), mkQueue: p.mkQueue, batch: p.batch, pool: p.pool, ownSrc: p.ownSrc}
-}
-
-// Stream reports the pipe's telemetry stream ID — 0 unless the producer
-// started while telemetry or inspection was active.
-func (p *Pipe) Stream() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stream
 }
 
 // Size reports the number of results delivered so far (*P).

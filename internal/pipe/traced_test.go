@@ -8,12 +8,12 @@ import (
 	"junicon/internal/value"
 )
 
-// TestTracedChainConcurrent exercises trace emission under real
-// concurrency: a 3-stage Chain runs each stage in its own producer
-// goroutine, every stage instrumented, with metrics and the trace ring
-// both live. Under -race this is the tier-1 guarantee that the telemetry
-// path — ring writes, counter ticks, per-queue instrumentation — is safe
-// when many goroutines observe at once.
+// TestTracedChainConcurrent exercises the records under real concurrency:
+// a 3-stage Chain runs each stage in its own producer goroutine with metrics
+// and the trace ring both live. Under -race this is the tier-1 guarantee
+// that the observation path — ring writes, counter ticks, the wait brackets
+// — is safe when many goroutines observe at once; and every stage's record
+// must tell its own stream's whole story.
 func TestTracedChainConcurrent(t *testing.T) {
 	telemetry.ResetMetrics()
 	telemetry.SetMetrics(true)
@@ -23,16 +23,11 @@ func TestTracedChainConcurrent(t *testing.T) {
 		telemetry.StopTrace()
 	}()
 
-	inc := func(label string) func(core.Gen) core.Gen {
-		return func(in core.Gen) core.Gen {
-			return core.Instrument(label, core.Op1(func(v value.V) value.V {
-				return value.Add(v, value.NewInt(1))
-			}, in))
-		}
+	inc := func(in core.Gen) core.Gen {
+		return core.Op1(func(v value.V) value.V { return value.Add(v, value.NewInt(1)) }, in)
 	}
 	const n = 500
-	g := Chain(core.IntRange(1, n), 8, inc("s1"), inc("s2"), inc("s3"))
-	got := core.Drain(g, 0)
+	got := core.Drain(Chain(core.IntRange(1, n), 8, inc, inc, inc), 0)
 	if len(got) != n {
 		t.Fatalf("drained %d values, want %d", len(got), n)
 	}
@@ -42,39 +37,27 @@ func TestTracedChainConcurrent(t *testing.T) {
 		}
 	}
 
-	// Every stage must have emitted its yields on its own stream.
-	streams := map[string]map[uint64]int{}
+	// Each stage's pipe put every value exactly once, on a stream of its own.
+	produced := map[uint64]int64{}
 	for _, ev := range telemetry.DrainTrace() {
-		if ev.Kind == telemetry.KindYield {
-			if streams[ev.Name] == nil {
-				streams[ev.Name] = map[uint64]int{}
-			}
-			streams[ev.Name][ev.Stream]++
+		if ev.Kind == telemetry.KindPut || ev.Kind == telemetry.KindValue {
+			produced[ev.Stream] += ev.Arg
 		}
 	}
-	for _, label := range []string{"s1", "s2", "s3"} {
-		byStream := streams[label]
-		if len(byStream) != 1 {
-			t.Fatalf("stage %s yielded on %d streams, want 1", label, len(byStream))
-		}
-		for _, count := range byStream {
-			if count != n {
-				t.Errorf("stage %s yields = %d, want %d", label, count, n)
-			}
+	if len(produced) != 3 {
+		t.Fatalf("values produced on %d streams, want 3", len(produced))
+	}
+	for stream, count := range produced {
+		if count != n {
+			t.Errorf("stream %x produced %d values, want %d", stream, count, n)
 		}
 	}
-
-	// The three inter-stage queues ran instrumented: every value crossed
-	// each of them exactly once.
 	snap := telemetry.Snapshot()
-	if puts := snap["queue.puts"].(int64); puts < 3*n {
-		t.Errorf("queue.puts = %d, want >= %d", puts, 3*n)
+	if values := snap["pipe.values"].(int64); values != 3*n {
+		t.Errorf("pipe.values = %d, want %d", values, 3*n)
 	}
 	if started := snap["pipe.producers_started"].(int64); started != 3 {
 		t.Errorf("pipe.producers_started = %d, want 3", started)
-	}
-	if active := snap["pipe.producers_active"].(int64); active != 0 {
-		t.Errorf("pipe.producers_active = %d after drain, want 0", active)
 	}
 }
 

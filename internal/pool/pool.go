@@ -18,16 +18,9 @@ import (
 	"junicon/internal/telemetry"
 )
 
-// Pool telemetry: queue depth and busy-worker gauges plus a task wait-time
-// histogram (submit → start of execution). Metrics aggregate across all
-// pools in the process; observation is decided per task at submit time, so
-// an unobserved pool pays one atomic load per submission.
-var (
-	cPoolTasks = telemetry.NewCounter("pool.tasks")
-	gPoolDepth = telemetry.NewGauge("pool.queue_depth")
-	gPoolBusy  = telemetry.NewGauge("pool.workers_busy")
-	hPoolWait  = telemetry.NewHistogram("pool.task_wait_ns")
-)
+// hPoolWait is the task wait-time histogram (submit → start of execution),
+// across all pools in the process, fed through each pool's record.
+var hPoolWait = telemetry.NewHistogram("pool.task_wait_ns")
 
 // ErrShutdown is reported by Submit after Shutdown.
 var ErrShutdown = errors.New("pool: shut down")
@@ -38,10 +31,10 @@ type Pool struct {
 	wg    sync.WaitGroup
 	size  int
 
-	// ih is the pool's live-introspection handle, registered lazily on the
-	// first submission while inspection is enabled. Produced counts
-	// completed tasks; the depth probe reports the task backlog.
-	ih atomic.Pointer[inspect.Handle]
+	// rec is the pool's record, opened on the first submission made while
+	// any observation is on. Produced counts tasks run (pool.tasks); the
+	// depth probe reports the backlog.
+	rec atomic.Pointer[inspect.Handle]
 
 	mu   sync.Mutex
 	down bool
@@ -63,52 +56,34 @@ func New(n int) *Pool {
 // Size reports the number of worker goroutines.
 func (p *Pool) Size() int { return p.size }
 
-// handle returns the pool's introspection handle, registering it on first
-// use while inspection is enabled. Lazy registration means a pool created
-// before Enable still shows up once it takes work.
-func (p *Pool) handle() *inspect.Handle {
-	if h := p.ih.Load(); h != nil {
+// record returns the pool's record, opening it on first use while any
+// observation is on, so a pool created before shows up once it takes work.
+func (p *Pool) record() *inspect.Handle {
+	if h := p.rec.Load(); h != nil {
 		return h
 	}
-	if !inspect.On() {
+	h := inspect.Open(0, inspect.KindPool, "pool")
+	if h == nil {
 		return nil
 	}
-	h := inspect.Register(0, inspect.KindPool, fmt.Sprintf("pool(workers=%d)", p.size))
 	h.SetDepthProbe(func() (int, int) { return p.tasks.Len(), p.size })
-	if !p.ih.CompareAndSwap(nil, h) {
-		inspect.Unregister(h) // another submitter won the race
-		return p.ih.Load()
+	if !p.rec.CompareAndSwap(nil, h) {
+		h.Close() // another submitter won the race
+		return p.rec.Load()
 	}
 	return h
 }
 
-// enqueue puts a task on the work queue, wrapping it with metric updates
-// when telemetry is on at submission time.
+// enqueue puts a task on the work queue, wrapped to report its wait and its
+// completion to the pool's record when there is one.
 func (p *Pool) enqueue(task func()) error {
-	if h := p.handle(); h != nil {
-		inner := task
+	if h := p.record(); h != nil {
+		inner, queued := task, time.Now()
 		task = func() {
+			h.Observe(hPoolWait, time.Since(queued).Nanoseconds())
 			inner()
 			h.Produced(1)
 		}
-	}
-	if telemetry.On() {
-		cPoolTasks.Inc()
-		gPoolDepth.Add(1)
-		inner := task
-		start := time.Now()
-		task = func() {
-			gPoolDepth.Add(-1)
-			hPoolWait.Observe(time.Since(start).Nanoseconds())
-			gPoolBusy.Add(1)
-			defer gPoolBusy.Add(-1)
-			inner()
-		}
-		if err := p.tasks.Put(task); err != nil {
-			gPoolDepth.Add(-1) // never enqueued
-			return replaceClosed(err)
-		}
-		return nil
 	}
 	return replaceClosed(p.tasks.Put(task))
 }
@@ -186,5 +161,5 @@ func (p *Pool) Shutdown() {
 	// Drain-then-fail close semantics let queued tasks finish.
 	p.tasks.Close()
 	p.wg.Wait()
-	p.ih.Load().Close()
+	p.rec.Load().Close()
 }

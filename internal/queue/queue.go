@@ -31,7 +31,7 @@ import "errors"
 var ErrClosed = errors.New("queue: closed")
 
 // Queue is the blocking-queue protocol: what Blocking implements and what
-// lets a wrapper (Instrument, semtest's SchedQueue) stand in for one.
+// lets a wrapper (semtest's SchedQueue) stand in for one.
 //
 // The batch operations move several elements per synchronization point:
 // PutBatch and TakeBatch acquire the queue's internal lock once per call

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"junicon/internal/core"
@@ -15,17 +14,8 @@ import (
 	"junicon/internal/wire"
 )
 
-// Client-side stream telemetry. The stream ID allocated at open time is
-// sent in the OPEN frame, so the server's producer events carry the same
-// ID as this client's consumer events — the hook that lets a distributed
-// trace be stitched across the process boundary.
-var (
-	cClientStreams    = telemetry.NewCounter("remote.client.streams_opened")
-	cClientValues     = telemetry.NewCounter("remote.client.values")
-	cCreditsSent      = telemetry.NewCounter("remote.client.credits_sent")
-	cClientRecoveries = telemetry.NewCounter("remote.client.recoveries")
-	cClientMigrations = telemetry.NewCounter("remote.client.migrations")
-)
+// cCreditsSent counts CREDIT frames, fed through each incarnation's record.
+var cCreditsSent = telemetry.NewCounter("remote.client.credits_sent")
 
 // Defaults for Config zero values.
 const (
@@ -137,7 +127,7 @@ type RemotePipe struct {
 	redial  *time.Timer
 	err     error
 	results int
-	stream  uint64 // telemetry stream ID, propagated in OPEN; 0 = unobserved
+	stream  uint64 // the record's stream ID, propagated in OPEN; 0 = unobserved
 	// The position a reopen continues from, beside results: lastSnap and
 	// lastSnapAt are the most recent checkpoint blob and the delivered count
 	// it corresponds to (snapReason the server's refusal to take one); replay
@@ -220,54 +210,40 @@ func (p *RemotePipe) composeOpen() openReq {
 
 // begin makes one attempt at the next incarnation: a logical stream on a
 // session from the pipe's dialer — dialing one when the pool has no room,
-// always for a package-level pipe — with its bounded queue, telemetry and
-// live-introspection handle armed before the OPEN reaches the wire. This
-// is the one place a stream is opened: a pipe's first stream and every
-// reopen come through it. Caller holds p.mu, on a pipe that reset left
-// without an incarnation.
+// always for a package-level pipe — with its bounded queue and its record
+// armed before the OPEN reaches the wire. This is the one place a stream
+// is opened: a pipe's first stream and every reopen come through it.
+// Caller holds p.mu, on a pipe that reset left without an incarnation.
 func (p *RemotePipe) begin() error {
 	if p.argErr != nil {
 		return p.argErr
-	}
-	observed := telemetry.Active()
-	if observed && p.stream == 0 {
-		p.stream = telemetry.NextStream()
 	}
 	sess, err := p.dialer.session(p.addr)
 	if err != nil {
 		return err
 	}
+	// The record's ID is the stream's, and the OPEN carries it: the
+	// server's record adopts it, which stitches the two sides' traces.
+	ih := inspect.Open(p.stream, inspect.KindRemoteClient, "remote:"+p.addr)
+	if ih != nil {
+		p.stream = ih.ID()
+	}
 	open := p.composeOpen()
 	rx := &muxRx{
 		p:     p,
-		label: "remote:" + p.addr,
+		ih:    ih,
 		out:   queue.NewArrayBlocking[value.V](int(open.credit)),
 		batch: int(open.batch),
 		done:  make(chan struct{}),
-		start: time.Now(),
 	}
-	resumed := open.skip > 0 || open.mode == openResume
-	if observed {
-		rx.out = queue.Instrument(rx.out, p.stream, "remote")
-		cClientStreams.Inc()
-		telemetry.Emit(p.stream, telemetry.KindStreamOpen, rx.label, int64(open.credit))
-	}
-	if inspect.On() {
-		if p.stream == 0 {
-			p.stream = telemetry.NextStream() // the handle's alone: the OPEN is composed
+	if ih != nil {
+		ih.SetCredit(int64(open.credit))
+		ih.SetConn(sess.id)
+		ih.SetDepthProbe(func() (int, int) { return rx.out.Len(), rx.out.Cap() })
+		if open.skip > 0 || open.mode == openResume {
+			ih.NoteResumed()
 		}
-		rx.ih = inspect.Register(p.stream, inspect.KindRemoteClient, rx.label)
-		rx.ih.SetCredit(int64(open.credit))
-		rx.ih.SetConn(sess.id)
-		if resumed {
-			rx.ih.NoteResumed()
-		}
-		rx.ih.SetDepthProbe(func() (int, int) { return rx.out.Len(), rx.out.Cap() })
 	}
-	if resumed && telemetry.On() {
-		cClientRecoveries.Inc()
-	}
-	rx.stream = p.stream
 	if err := sess.openStream(rx, &open); err != nil {
 		// The session died under the reservation and openStream has ended
 		// rx. The error wraps errConnLost, so a reopen under Recover redials.
@@ -278,7 +254,7 @@ func (p *RemotePipe) begin() error {
 }
 
 // reset ends the current stream incarnation — cancelling it if it is still
-// live, which closes its queue and handle; one that has left its session's
+// live, which closes its queue and record; one that has left its session's
 // table was ended by whoever took it out — and leaves the pipe unopened and
 // without error, so the next Next opens a stream: with keepPosition a
 // continuation at (results, last snapshot, replay), without it a fresh
@@ -365,9 +341,7 @@ func (rx *muxRx) flushCredits(demand bool) {
 	if debt == 0 && !demand {
 		return
 	}
-	if rx.stream != 0 && telemetry.On() {
-		cCreditsSent.Inc()
-	}
+	rx.ih.Count(cCreditsSent, 1)
 	if testHookFlushPause != nil {
 		testHookFlushPause()
 	}
@@ -376,7 +350,6 @@ func (rx *muxRx) flushCredits(demand bool) {
 
 // take waits for the incarnation's next value, up to the per-call deadline.
 func (rx *muxRx) take(deadline time.Duration) (value.V, error) {
-	inspect.NoteConsumeOnce(rx.ih) // nil-safe, as every handle method is
 	rx.ih.BlockedTake()
 	if deadline > 0 {
 		defer time.AfterFunc(deadline, rx.expire).Stop()
@@ -385,6 +358,7 @@ func (rx *muxRx) take(deadline time.Duration) (value.V, error) {
 	// A run cap of one is never partial: only a longer one can leave values
 	// waiting on the server for a demand ping.
 	if err == nil && !ok {
+		rx.ih.NoteConsume() // about to wait: whom for is the watchdog's question
 		if rx.batch > 1 {
 			// About to block on an empty queue: hand back whatever credits
 			// we owe and signal demand, so the server ships its partial run
@@ -445,7 +419,6 @@ func (p *RemotePipe) Next() (value.V, bool) {
 			// one is the per-value ACK clock.
 			grant := rx.debt >= uint64(rx.batch)
 			if rx.ih != nil {
-				rx.ih.Running()
 				rx.ih.Consumed(1)
 				// The credit balance is the window minus uncredited consumption:
 				// what the server may still send before its next stall.
@@ -531,9 +504,6 @@ func (p *RemotePipe) Migrate(target string) error {
 		rx.snapWait = answered
 		p.mu.Unlock()
 		rx.ih.Migrating()
-		if telemetry.On() {
-			cClientMigrations.Inc()
-		}
 		rx.sess.io.enqueue(frameSnapReq, rx.sid, nil)
 		giveUp := time.NewTimer(or(p.cfg.RecoverWait, DefaultRecoverWait))
 		select {
@@ -650,13 +620,11 @@ func (p *RemotePipe) Image() string { return fmt.Sprintf("remote-pipe(%s)", p.ad
 // where the session's read goroutine finds it to deliver frames between
 // the consumer's Nexts.
 type muxRx struct {
-	p      *RemotePipe
-	sess   *Session
-	sid    uint32
-	stream uint64 // telemetry stream ID (the OPEN's, stitching traces)
-	label  string // span label, captured at open (addr can change later)
-	out    queue.Queue[value.V]
-	ih     *inspect.Handle // live introspection; nil when it was off at open
+	p    *RemotePipe
+	sess *Session
+	sid  uint32
+	out  queue.Queue[value.V]
+	ih   *inspect.Handle // the incarnation's record; nil when it was unobserved
 	// done is closed once the stream has left its session's table and its
 	// queue is closed: nothing more will arrive for it.
 	done chan struct{}
@@ -667,8 +635,6 @@ type muxRx struct {
 	batch    int
 	debt     uint64
 	snapWait chan struct{}
-	received atomic.Int64
-	start    time.Time
 }
 
 // clientRole is the dialing end of a session: it accepts what a server
@@ -701,9 +667,6 @@ func (rx *muxRx) end(err error) {
 	rx.out.Close()
 	close(rx.done)
 	rx.ih.Close()
-	if rx.stream != 0 {
-		telemetry.EmitSpan(rx.stream, telemetry.KindStreamEnd, rx.label, rx.received.Load(), rx.start)
-	}
 }
 
 // abandon fails the stream on a frame it cannot use and tells the server
@@ -720,15 +683,10 @@ func (rx *muxRx) onValues(payload []byte) (bool, error) {
 	if s.vals, err = wire.UnmarshalBatchInto(s.vals[:0], payload, wire.DefaultLimits); err != nil {
 		return rx.abandon(fmt.Errorf("remote: malformed VALUES frame: %w", err))
 	}
-	n := int64(len(s.vals))
-	rx.received.Add(n)
-	if rx.stream != 0 && telemetry.On() {
-		cClientValues.Add(n)
-	}
 	if _, err := rx.out.PutBatch(s.vals); err != nil {
 		return true, nil // only end closes the queue: the stream has left the table under this frame
 	}
-	rx.ih.Produced(n)
+	rx.ih.Produced(int64(len(s.vals)))
 	return false, nil
 }
 

@@ -154,7 +154,11 @@ func dialSession(d *Dialer, addr string) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
 	}
+	// The connection ID travels in the session OPEN whether or not this
+	// process observes: the server groups and logs the connection's streams
+	// by it. The session's record, opened before the handshake, adopts it.
 	id := telemetry.NextStream()
+	ih := inspect.Open(id, inspect.KindSession, "session:"+addr)
 	hello := openReq{mode: openMux, credit: uint64(or(d.StreamsPerConn, DefaultStreamsPerConn)), stream: id}
 	var typ byte
 	var payload []byte
@@ -171,11 +175,11 @@ func dialSession(d *Dialer, addr string) (*Session, error) {
 		err = fmt.Errorf("remote: session open %s: unexpected %s frame", addr, frameName(typ))
 	}
 	if err != nil {
+		ih.Close()
 		conn.Close()
 		return nil, err
 	}
 	conn.SetReadDeadline(time.Time{})
-	ih := inspect.Register(id, inspect.KindSession, "session:"+addr)
 	ih.SetConn(id)
 	// A peer silent for several heartbeat intervals is lost: PONGs answer
 	// our PINGs, so a fill normally returns at least once per interval.
@@ -218,9 +222,6 @@ func (s *Session) openStream(rx *muxRx, open *openReq) error {
 	if !s.add(rx.sid, rx) {
 		rx.end(nil)
 		return fmt.Errorf("%w: session closed", errConnLost)
-	}
-	if telemetry.On() {
-		cMuxStreams.Inc()
 	}
 	err := s.io.enqueue(frameOpen, rx.sid, open.marshal())
 	if err != nil && s.remove(rx.sid, rx) {

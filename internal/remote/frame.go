@@ -106,7 +106,6 @@ var (
 	cFramesTx = telemetry.NewCounter("remote.frames_tx")
 	cBytesTx  = telemetry.NewCounter("remote.bytes_tx")
 	cFramesRx = telemetry.NewCounter("remote.frames_rx")
-	cBytesRx  = telemetry.NewCounter("remote.bytes_rx")
 	cRxReads  = telemetry.NewCounter("remote.rx.reads")
 )
 
@@ -117,10 +116,9 @@ func countTx(n int) {
 	}
 }
 
-func countRx(n int) {
+func countRx() {
 	if telemetry.On() {
 		cFramesRx.Inc()
-		cBytesRx.Add(int64(n))
 	}
 }
 
@@ -199,7 +197,7 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	countRx(5 + int(n))
+	countRx()
 	return hdr[0], payload, nil
 }
 
@@ -361,7 +359,7 @@ func (f *frameReader) readMux() (typ byte, sid uint32, payload []byte, err error
 			got += f.fill(payload[got:])
 		}
 	}
-	countRx(muxHeaderLen + n)
+	countRx()
 	return typ, sid, payload, nil
 }
 

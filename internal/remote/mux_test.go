@@ -2,12 +2,14 @@ package remote
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"junicon/internal/core"
+	"junicon/internal/telemetry"
 	"junicon/internal/value"
 )
 
@@ -246,5 +248,26 @@ func TestMuxedDeadlineLeavesSiblings(t *testing.T) {
 	within(t, 5*time.Second, "sibling drain", func() { rest = drainInts(t, sib, 100) })
 	if sib.Err() != nil || len(rest) != 58 {
 		t.Fatalf("sibling hurt by neighbor timeout: err=%v rest=%d", sib.Err(), len(rest))
+	}
+}
+
+// TestSessionGaugeIsLive: remote.mux.sessions is a view of the live session
+// count, so a session opened while metrics were off is counted the moment
+// they come on — not left at the stale copy of the last open or close.
+func TestSessionGaugeIsLive(t *testing.T) {
+	telemetry.SetMetrics(false)
+	sessions := func() int64 { return telemetry.Snapshot()["remote.mux.sessions"].(int64) }
+	base := sessions()
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	s := newSession(conn, &clientRole, nil, 0)
+	telemetry.SetMetrics(true)
+	defer telemetry.SetMetrics(false)
+	if got := sessions(); got != base+1 {
+		t.Fatalf("remote.mux.sessions = %d with one session open, want %d", got, base+1)
+	}
+	s.Close()
+	if got := sessions(); got != base {
+		t.Fatalf("remote.mux.sessions = %d after it closed, want %d", got, base)
 	}
 }

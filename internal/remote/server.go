@@ -1,7 +1,7 @@
 package remote
 
 import (
-	"context"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -9,9 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,25 +21,8 @@ import (
 	"junicon/internal/inspect"
 	"junicon/internal/interp"
 	"junicon/internal/parser"
-	"junicon/internal/telemetry"
 	"junicon/internal/value"
 	"junicon/internal/wire"
-)
-
-// Server-side stream telemetry. Credit stalls are the headline metric:
-// a stall is the server's producer goroutine blocked because the client
-// has consumed its whole credit window — the remote form of §3B's
-// bounded queue throttling the producer, and the first thing to look at
-// when a distributed pipeline underperforms.
-var (
-	gServerConns   = telemetry.NewGauge("remote.server.active_conns")
-	gServerStreams = telemetry.NewGauge("remote.server.active_streams")
-	cServerStreams = telemetry.NewCounter("remote.server.streams_total")
-	cServerRefused = telemetry.NewCounter("remote.server.refused")
-	cServerValues  = telemetry.NewCounter("remote.server.values")
-	cCreditStalls  = telemetry.NewCounter("remote.server.credit_stalls")
-	cCreditStallNs = telemetry.NewCounter("remote.server.credit_stall_ns")
-	hServerFlush   = telemetry.NewHistogram("remote.server.flush_size")
 )
 
 // Server defaults.
@@ -151,15 +132,6 @@ func (s *Server) log() *slog.Logger {
 
 var discardLogger = slog.New(slog.DiscardHandler)
 
-// streamID renders a telemetry stream ID the way traces serialize it
-// (hex), so log lines and trace events grep the same.
-func streamID(id uint64) string {
-	if id == 0 {
-		return ""
-	}
-	return strconv.FormatUint(id, 16)
-}
-
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in a background
 // goroutine, returning the bound address. It is the convenience entry for
 // tests, benchmarks and in-process workers.
@@ -210,18 +182,10 @@ func (s *Server) Serve(l net.Listener) error {
 			continue
 		}
 		s.conns.Add(1)
-		if telemetry.On() {
-			gServerConns.Set(s.conns.Load())
-		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer func() {
-				s.conns.Add(-1)
-				if telemetry.On() {
-					gServerConns.Set(s.conns.Load())
-				}
-			}()
+			defer s.conns.Add(-1)
 			defer conn.Close()
 			s.handleConn(conn)
 		}()
@@ -271,27 +235,25 @@ func (s *Server) handleConn(conn net.Conn) {
 	if err := writeFrame(conn, frameHello, nil); err != nil {
 		return
 	}
-	ih := inspect.Register(0, inspect.KindSession, "session:"+remoteAddr+" (serve)")
-	ih.SetConn(hello.stream)
+	ih := inspect.Open(0, inspect.KindSession, "session:"+remoteAddr+" (serve)")
 	sess := newSession(conn, &role{frames: serverFrames, orphan: s.openStream}, ih, idle)
-	sess.id = hello.stream
+	// A peer that sent no connection ID is grouped under this end's record.
+	sess.id = cmp.Or(hello.stream, ih.ID())
+	ih.SetConn(sess.id)
 	s.log().Info("session open",
 		"remote", remoteAddr,
-		"conn", streamID(sess.id),
+		"conn", inspect.StreamID(sess.id),
 		"streams_hint", hello.credit)
 	err = sess.run()
 	s.log().Info("session done",
 		"remote", remoteAddr,
-		"conn", streamID(sess.id),
+		"conn", inspect.StreamID(sess.id),
 		"reason", err.Error())
 }
 
-// refused logs and counts a peer or a stream turned away.
+// refused logs a peer or a stream turned away.
 func (s *Server) refused(what, remoteAddr string, err error) {
 	s.log().Warn(what, "remote", remoteAddr, "reason", err.Error())
-	if telemetry.On() {
-		cServerRefused.Inc()
-	}
 }
 
 // serverFrames is the serving end of a session: it accepts what a client
@@ -386,7 +348,7 @@ type served struct {
 	encBuf  []byte
 }
 
-// start registers the stream — accounting, introspection, the table — and
+// start registers the stream — accounting, its record, the table — and
 // spawns its producer.
 func (st *served) start() {
 	s, open := st.srv, st.open
@@ -402,23 +364,17 @@ func (st *served) start() {
 	st.opened = time.Now()
 	st.serial = s.served.Add(1)
 	s.streams.Add(1)
-	if telemetry.On() {
-		cServerStreams.Inc()
-		gServerStreams.Set(s.streams.Load())
-	}
-	// Live-introspection handle for this stream, keyed by the client's
-	// stream ID so /debug/streams on the server correlates with the
-	// client's logs and traces. The credit balance is the one number a
-	// stalled distributed pipeline turns on: zero + blocked-put is credit
-	// starvation, which the watchdog diagnoses by name.
-	if inspect.On() {
-		st.ih = inspect.Register(open.stream, inspect.KindRemoteServer,
-			"serve:"+st.what+"<-"+st.sess.io.conn.RemoteAddr().String())
-		st.ih.SetCredit(int64(open.credit))
-		st.ih.SetConn(st.sess.id)
-	}
+	// The stream's record adopts the client's stream ID from the OPEN, so
+	// the server's trace and /debug/streams stitch to the client's. The
+	// credit balance is the one number a stalled distributed pipeline turns
+	// on: zero + blocked-put is credit starvation, which the watchdog
+	// diagnoses by name; the label names the client it serves.
+	peer := st.sess.io.conn.RemoteAddr().String()
+	st.ih = inspect.Open(open.stream, inspect.KindRemoteServer, "serve:"+st.what+"<-"+peer)
+	st.ih.SetCredit(int64(open.credit))
+	st.ih.SetConn(st.sess.id)
 	// A resumed stream (snapshot restore or replay skip) is a recovery:
-	// mark the handle so /debug/streams shows which streams survived, and
+	// mark the record so /debug/streams shows which streams survived, and
 	// count replay recoveries under the same counter as snapshot restores
 	// (which count inside checkpoint.Restore).
 	if open.mode == openResume || open.skip > 0 {
@@ -427,13 +383,10 @@ func (st *served) start() {
 		}
 		st.ih.NoteResumed()
 	}
-	// The stream ID arrived in the OPEN frame: server-side events carry
-	// the client's ID, which is what stitches the two processes' traces.
-	telemetry.Emit(open.stream, telemetry.KindStreamOpen, "serve:"+st.what, int64(open.credit))
 	s.log().Info("stream open",
-		"remote", st.sess.io.conn.RemoteAddr().String(),
+		"remote", peer,
 		"generator", st.what,
-		"stream", streamID(open.stream),
+		"stream", inspect.StreamID(open.stream),
 		"credit", open.credit)
 	// Only the session loop, which is where this runs, tears the session
 	// down: the table is open and the wait for producers has not begun.
@@ -501,17 +454,16 @@ func (st *served) setReason(why string) string {
 // request; no credit is taken). Checking snapReq before the credit balance
 // guarantees a migrating client — which has stopped consuming — always
 // gets its snapshot answer instead of the producer racing ahead on
-// leftover credits. A wait here is the credit stall telemetry reports.
+// leftover credits. A wait here is a credit stall — the client's buffer
+// bound throttling this producer across the wire, §3B's backpressure — and
+// the record's put bracket is exactly that wait.
 func (st *served) acquire() (ok, snap bool) {
-	var stallStart time.Time
-	if telemetry.Active() {
-		stallStart = time.Now()
-	}
-	st.ih.BlockedPut()
 	st.mu.Lock()
-	waited := false
+	stalled := st.credits == 0 && !st.cancelled && !st.snapReq
+	if stalled {
+		st.ih.BlockedPut()
+	}
 	for st.credits == 0 && !st.cancelled && !st.snapReq {
-		waited = true
 		st.cond.Wait()
 	}
 	switch {
@@ -524,17 +476,10 @@ func (st *served) acquire() (ok, snap bool) {
 	}
 	left := st.credits
 	st.mu.Unlock()
-	st.ih.Running()
-	st.ih.SetCredit(int64(left))
-	if waited && telemetry.Active() {
-		// The client's credit window throttled us: the §3B bounded-queue
-		// backpressure, observed across the wire.
-		if telemetry.On() {
-			cCreditStalls.Inc()
-			cCreditStallNs.Add(time.Since(stallStart).Nanoseconds())
-		}
-		telemetry.EmitSpan(st.open.stream, telemetry.KindCreditStall, "serve:"+st.what, 0, stallStart)
+	if stalled {
+		st.ih.Running()
 	}
+	st.ih.SetCredit(int64(left))
 	return ok, snap
 }
 
@@ -562,9 +507,6 @@ func (st *served) flush() error {
 		return nil
 	}
 	st.encBuf = wire.AppendBatch(st.encBuf[:0], st.pending)
-	if telemetry.On() {
-		hServerFlush.Observe(int64(len(st.pending)))
-	}
 	st.pending = st.pending[:0]
 	return st.send(frameValues, st.encBuf)
 }
@@ -626,15 +568,7 @@ func (st *served) snapshot() bool {
 func (st *served) run() {
 	defer st.sess.producers.Done()
 	defer st.retire()
-	if st.ih != nil {
-		// Label this goroutine with the stream ID so the watchdog can pull
-		// its stack out of the goroutine profile when diagnosing a stall,
-		// and bind it as the stream's producer for edge tracking.
-		defer inspect.BindProducer(st.ih)()
-		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-			pprof.Labels(inspect.ProducerLabel, inspect.StreamID(st.ih.ID()))))
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
+	defer st.ih.Bind()()
 	if err := st.produce(); err != nil {
 		st.terminate(frameErr, errPayload(ClassProducer, err.Error()), "producer error: "+err.Error())
 	}
@@ -646,15 +580,11 @@ func (st *served) retire() {
 	s := st.srv
 	st.sess.remove(st.sid, st)
 	s.streams.Add(-1)
-	if telemetry.On() {
-		gServerStreams.Set(s.streams.Load())
-	}
-	inspect.Unregister(st.ih)
-	telemetry.EmitSpan(st.open.stream, telemetry.KindStreamEnd, "serve:"+st.what, int64(st.sent), st.opened)
+	st.ih.Close()
 	s.log().Info("stream done",
 		"remote", st.sess.io.conn.RemoteAddr().String(),
 		"generator", st.what,
-		"stream", streamID(st.open.stream),
+		"stream", inspect.StreamID(st.open.stream),
 		"values", st.sent,
 		"reason", st.setReason("done"),
 		"dur", time.Since(st.opened))
@@ -674,7 +604,6 @@ func (st *served) produce() (err error) {
 			}
 		}
 	}()
-	label := "serve:" + st.what
 	// Recovery skip: replay the deterministic prefix the client already
 	// delivered before its crash (or beyond its last snapshot), discarding
 	// without consuming credits — the skipped values were paid for by the
@@ -707,21 +636,10 @@ func (st *served) produce() (err error) {
 		if !ok {
 			return nil // cancelled; whoever cancelled said why
 		}
-		tracing := telemetry.TraceOn()
-		var genStart time.Time
-		if tracing {
-			genStart = time.Now()
-		}
 		v, ok := st.gen.Next()
 		if !ok {
-			if tracing {
-				telemetry.EmitSpan(st.open.stream, telemetry.KindFail, label, 0, genStart)
-			}
 			st.terminate(frameEOS, nil, "eos")
 			return nil
-		}
-		if tracing {
-			telemetry.EmitSpan(st.open.stream, telemetry.KindValue, label, int64(st.sent), genStart)
 		}
 		// Values are marshaled at produce time, so everything before an
 		// unencodable one is delivered, then ERR.
@@ -736,9 +654,6 @@ func (st *served) produce() (err error) {
 		}
 		st.sent++
 		st.ih.Produced(1)
-		if telemetry.On() {
-			cServerValues.Inc()
-		}
 		// Interval checkpointing piggybacks on the credit cadence: a
 		// snapshot lands after every interval delivered values, so the
 		// client's buffer bound also bounds checkpoint lag.

@@ -31,17 +31,13 @@ import (
 
 // Session-level telemetry. The flush histogram is the headline: how many
 // bytes each coalesced write carried tells you whether the shared writer
-// is actually amortizing syscalls across streams.
+// is actually amortizing syscalls across streams. muxSessions counts live
+// sessions process-wide (both ends); remote.mux.sessions is a view of it.
 var (
-	cMuxFlushes = telemetry.NewCounter("remote.mux.flushes")
 	hMuxFlush   = telemetry.NewHistogram("remote.mux.flush_bytes")
-	gMuxSess    = telemetry.NewGauge("remote.mux.sessions")
-	cMuxStreams = telemetry.NewCounter("remote.mux.streams_total")
+	muxSessions atomic.Int64
+	_           = telemetry.NewGauge("remote.mux.sessions", muxSessions.Load)
 )
-
-// muxSessions counts live sessions process-wide (both ends), mirrored
-// into the gauge when telemetry is on.
-var muxSessions atomic.Int64
 
 // DefaultStreamsPerConn caps the logical streams a Dialer multiplexes
 // onto one session before dialing another connection.
@@ -59,7 +55,7 @@ var sessionPendingMax = 8 << 20
 // exactly as a batched pipe coalesces values into runs.
 type muxIO struct {
 	conn net.Conn
-	ih   *inspect.Handle // the session handle: the writer's visible state
+	ih   *inspect.Handle // the session's record: the writer's visible state
 	w    *combine.Writer
 }
 
@@ -86,8 +82,8 @@ func (m *muxIO) enqueue(typ byte, sid uint32, payload []byte) error {
 }
 
 // flushWriter is what the combining writer writes through: one coalesced
-// flush onto the connection. The blocked-put bracket around conn.Write is
-// what makes a stuck connection diagnosable — the session handle sitting
+// flush onto the connection. The put bracket around conn.Write is what
+// makes a stuck connection diagnosable — the session record sitting
 // in blocked-put past the stall threshold is the shared writer wedged on a
 // peer that stopped reading.
 type flushWriter struct{ m *muxIO }
@@ -96,12 +92,8 @@ func (f flushWriter) Write(batch []byte) (int, error) {
 	m := f.m
 	m.ih.BlockedPut()
 	n, err := m.conn.Write(batch)
-	m.ih.Running()
-	m.ih.Produced(1) // one flush; touches lastActive for staleness
-	if telemetry.On() {
-		cMuxFlushes.Inc()
-		hMuxFlush.Observe(int64(len(batch)))
-	}
+	m.ih.Produced(1) // one flush (remote.mux.flushes); touches lastActive for staleness
+	m.ih.Observe(hMuxFlush, int64(len(batch)))
 	if err != nil {
 		err = fmt.Errorf("%w: %v", errConnLost, err)
 	}
@@ -181,9 +173,7 @@ type Session struct {
 
 // newSession wraps a connection whose handshake is done.
 func newSession(conn net.Conn, r *role, ih *inspect.Handle, idle time.Duration) *Session {
-	if n := muxSessions.Add(1); telemetry.On() {
-		gMuxSess.Set(n)
-	}
+	muxSessions.Add(1)
 	return &Session{
 		io:      newMuxIO(conn, ih),
 		role:    r,
@@ -294,7 +284,7 @@ func (s *Session) Close() {
 // runs from the session loop (connection loss or protocol violation) or
 // Close. The shared writer is poisoned first, so producers blocked in
 // enqueue unblock; then every stream is ended and its producer waited for,
-// so stream accounting is exact before the session handle closes.
+// so stream accounting is exact before the session's record closes.
 func (s *Session) teardown(err error) {
 	s.mu.Lock()
 	if s.closed {
@@ -311,9 +301,7 @@ func (s *Session) teardown(err error) {
 	}
 	s.producers.Wait()
 	s.io.ih.Close()
-	if n := muxSessions.Add(-1); telemetry.On() {
-		gMuxSess.Set(n)
-	}
+	muxSessions.Add(-1)
 	close(s.done)
 }
 

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,11 +13,17 @@ import (
 
 // TestWatchdogConnBackpressure: a session peer that stops reading wedges
 // the shared writer in its socket write; the watchdog must name the new
-// cause on the session handle. This is the stall shape none of the older
-// causes cover — credits are plentiful and the consumer is "present",
+// cause on the session record and on a stream stuck behind it. This is the
+// stall shape none of the older causes cover — the consumer is "present",
 // but the connection itself is the bottleneck, and every stream on it
-// stalls together.
+// stalls together. A peer whose session OPEN carries no connection ID (one
+// that observes nothing) must be diagnosed the same way.
 func TestWatchdogConnBackpressure(t *testing.T) {
+	t.Run("conn-id", func(t *testing.T) { connBackpressure(t, 99) })
+	t.Run("no-conn-id", func(t *testing.T) { connBackpressure(t, 0) })
+}
+
+func connBackpressure(t *testing.T, connID uint64) {
 	inspect.Reset()
 	inspect.Enable()
 	t.Cleanup(func() {
@@ -35,20 +42,42 @@ func TestWatchdogConnBackpressure(t *testing.T) {
 		})
 	})
 
-	// A raw peer: complete the session handshake, open one stream with
-	// an enormous credit window, then never read another byte. The server
-	// producer free-runs into the shared writer until the TCP buffers and
-	// the pending bound fill.
+	// A raw peer: complete the session handshake, then never read a byte.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	rawSession(t, conn)
-	open := &openReq{mode: openNamed, name: "flood", credit: 1 << 30, batch: 64, stream: 78}
-	if _, err := conn.Write(appendMuxFrame(nil, frameOpen, 1, open.marshal())); err != nil {
-		t.Fatalf("stream open: %v", err)
+	hello := &openReq{mode: openMux, credit: 16, stream: connID}
+	if err := writeFrame(conn, frameOpen, hello.marshal()); err != nil {
+		t.Fatalf("handshake write: %v", err)
 	}
+	if typ, _, err := readFrame(conn); err != nil || typ != frameHello {
+		t.Fatalf("handshake reply: typ=%#x err=%v", typ, err)
+	}
+	openStream := func(sid uint32, open *openReq) {
+		t.Helper()
+		if _, err := conn.Write(appendMuxFrame(nil, frameOpen, sid, open.marshal())); err != nil {
+			t.Fatalf("stream open: %v", err)
+		}
+	}
+	// First a stream that spends its small window and waits for credit,
+	// then one with an enormous window whose producer free-runs into the
+	// shared writer until the TCP buffers and the pending bound fill.
+	openStream(1, &openReq{mode: openNamed, name: "flood", credit: 8, batch: 1, stream: 77})
+	starved := func() (inspect.StreamInfo, bool) {
+		for _, in := range inspect.Snapshot() {
+			if in.ID == inspect.StreamID(77) && in.Kind == inspect.KindRemoteServer {
+				return in, true
+			}
+		}
+		return inspect.StreamInfo{}, false
+	}
+	eventually(t, "the first stream waits for credit", func() bool {
+		in, ok := starved()
+		return ok && in.State == "blocked-put" && in.Produced == 8
+	})
+	openStream(2, &openReq{mode: openNamed, name: "flood", credit: 1 << 30, batch: 64, stream: 78})
 
 	w := inspect.StartWatchdog(inspect.WatchdogConfig{
 		Period:    time.Hour, // manual Scan only
@@ -58,22 +87,25 @@ func TestWatchdogConnBackpressure(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
+		causes := map[string]string{}
 		for _, d := range w.Scan() {
-			if d.Cause == inspect.CauseConnBackpressure {
-				if d.Kind != inspect.KindSession {
-					t.Fatalf("conn-backpressure on kind %q, want session", d.Kind)
-				}
-				// The group view must surface the same diagnosis keyed by
-				// the connection, so /debug/streams tells the story at a
-				// glance.
-				groups := inspect.ConnGroups(inspect.Snapshot())
-				for _, g := range groups {
-					if g.Diagnosis == inspect.CauseConnBackpressure {
-						return
-					}
-				}
-				t.Fatalf("no conn group carries the diagnosis: %+v", groups)
+			causes[d.Kind] = d.Cause
+		}
+		if causes[inspect.KindSession] == inspect.CauseConnBackpressure {
+			// The stream stuck behind the wedged writer shares the cause, and
+			// the group view surfaces it keyed by the connection, so
+			// /debug/streams tells the story at a glance.
+			if in, _ := starved(); in.Conn == "" || in.Diagnosis != inspect.CauseConnBackpressure {
+				t.Fatalf("starved stream: conn %q, diagnosis %q; want a conn and %s", in.Conn, in.Diagnosis, inspect.CauseConnBackpressure)
+			} else if !strings.HasPrefix(in.Label, "serve:flood<-") {
+				t.Fatalf("served label %q does not name its peer", in.Label)
 			}
+			for _, g := range inspect.ConnGroups(inspect.Snapshot()) {
+				if g.Diagnosis == inspect.CauseConnBackpressure {
+					return
+				}
+			}
+			t.Fatalf("no conn group carries the diagnosis: %+v", inspect.ConnGroups(inspect.Snapshot()))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -10,8 +10,8 @@ import (
 
 func sampleEvents() []Event {
 	return []Event{
-		{TS: 1000, Dur: 500, Stream: 0xAB00000001, Kind: KindYield, Name: "range", Arg: 1},
-		{TS: 2000, Stream: 0xAB00000001, Kind: KindRestart, Name: "range"},
+		{TS: 1000, Dur: 500, Stream: 0xAB00000001, Kind: KindValue, Name: "range", Arg: 1},
+		{TS: 2000, Stream: 0xAB00000001, Kind: KindStreamOpen, Name: "range"},
 		{TS: 3000, Dur: 100, Kind: KindSpan, Name: "eval"},
 	}
 }
@@ -28,7 +28,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("read %d events, want 3", len(got))
 	}
-	if got[0].Proc != "workerA" || got[0].Kind != "yield" || got[0].Stream != "ab00000001" {
+	if got[0].Proc != "workerA" || got[0].Kind != "value" || got[0].Stream != "ab00000001" {
 		t.Fatalf("unexpected first event %+v", got[0])
 	}
 	if got[2].Stream != "" {
@@ -99,7 +99,7 @@ func TestDebugHandler(t *testing.T) {
 	NewCounter("test.http.counter").Add(9)
 	StartTrace(128)
 	defer StopTrace()
-	Emit(5, KindYield, "g", 1)
+	Emit(5, KindValue, "g", 1)
 
 	h := Handler("test-proc")
 
@@ -125,7 +125,7 @@ func TestDebugHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != 1 || evs[0].Proc != "test-proc" || evs[0].Kind != "yield" {
+	if len(evs) != 1 || evs[0].Proc != "test-proc" || evs[0].Kind != "value" {
 		t.Fatalf("unexpected /debug/trace payload %+v", evs)
 	}
 }

@@ -18,17 +18,10 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is an instantaneous atomic value (active connections, depth).
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
+// Gauge is an instantaneous value read at Snapshot time from the state its
+// owner keeps (a live count): a view, never a copy, so it cannot go stale
+// while metrics are off, and ResetMetrics leaves it alone.
+type Gauge func() int64
 
 // Histogram accumulates non-negative observations into log₂ buckets:
 // bucket i counts values whose bit length is i, i.e. v in [2^(i-1), 2^i).
@@ -194,8 +187,10 @@ func NewCounter(name string) *Counter {
 	return registerOrGet(name, func() *Counter { return &Counter{} })
 }
 
-// NewGauge returns the gauge registered under name.
-func NewGauge(name string) *Gauge { return registerOrGet(name, func() *Gauge { return &Gauge{} }) }
+// NewGauge registers load as the gauge under name.
+func NewGauge(name string, load func() int64) *Gauge {
+	return registerOrGet(name, func() *Gauge { g := Gauge(load); return &g })
+}
 
 // NewHistogram returns the histogram registered under name.
 func NewHistogram(name string) *Histogram {
@@ -214,7 +209,7 @@ func Snapshot() map[string]any {
 		case *Counter:
 			out[name] = v.Load()
 		case *Gauge:
-			out[name] = v.Load()
+			out[name] = (*v)()
 		case *Histogram:
 			out[name] = v.Snapshot()
 		}
@@ -222,16 +217,14 @@ func Snapshot() map[string]any {
 	return out
 }
 
-// ResetMetrics zeroes every registered metric. Intended for tests and
-// for delimiting measurement windows from the debug endpoint.
+// ResetMetrics zeroes every registered counter and histogram. Intended for
+// tests and for delimiting measurement windows from the debug endpoint.
 func ResetMetrics() {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	for _, m := range registry.m {
 		switch v := m.(type) {
 		case *Counter:
-			v.v.Store(0)
-		case *Gauge:
 			v.v.Store(0)
 		case *Histogram:
 			v.Reset()

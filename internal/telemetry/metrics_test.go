@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -12,11 +13,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Load(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := NewGauge("test.gauge")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Load(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+	// A gauge is a view of its owner's state: read at Snapshot time, and
+	// left alone by ResetMetrics.
+	var live atomic.Int64
+	NewGauge("test.gauge", live.Load)
+	live.Store(7)
+	ResetMetrics()
+	if got := Snapshot()["test.gauge"]; got != int64(7) {
+		t.Fatalf("gauge = %v, want 7", got)
 	}
 	// register-or-get converges on the same instance.
 	if NewCounter("test.counter") != c {
@@ -31,7 +35,7 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic registering a gauge under a counter name")
 		}
 	}()
-	NewGauge("test.mismatch")
+	NewGauge("test.mismatch", func() int64 { return 0 })
 }
 
 func TestHistogram(t *testing.T) {

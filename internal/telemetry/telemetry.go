@@ -1,15 +1,13 @@
-// Package telemetry is the observability substrate for the concurrent
+// Package telemetry is the metrics and trace substrate of the concurrent
 // generator runtime — the repo's answer to the paper's closing future-work
 // item ("program monitoring and debugging within a transformational
-// framework", §9). Because every construct in the system is an iterator,
-// three narrow observation points cover the whole runtime: the kernel
-// protocol (resume/yield/fail/restart), the queue transport underneath
-// pipes (put/take blocked time, depth), and the remote framing (frames,
-// bytes, credits). This package provides the shared substrate those
-// layers report into:
+// framework", §9). Transports do not report here directly: each observed
+// stream keeps one record (internal/inspect) that feeds this package's two
+// sinks, and only process-wide facts that belong to no stream (kernel
+// protocol resumes, frames, reads, checkpoints) are counted in place:
 //
-//   - a metrics registry of atomic counters, gauges and log₂-bucketed
-//     histograms (Snapshot, expvar exposure);
+//   - a metrics registry of atomic counters, read-time gauges and
+//     log₂-bucketed histograms (Snapshot, expvar exposure);
 //   - a lock-free trace-event ring of span-like records carrying stream
 //     IDs that are propagated across the remote protocol, so a
 //     distributed run can be stitched into one timeline;
@@ -22,10 +20,10 @@
 // # Cost model
 //
 // Everything is off by default, and the disabled path is deliberately
-// branch-cheap: instrumented code guards with On() / TraceOn() /
-// Active(), each a single atomic load plus a predictable branch, so the
-// kernel hot loop pays effectively nothing until observation is asked
-// for. The package has no dependencies outside the standard library.
+// branch-cheap: On() / TraceOn() / Active() are each a single atomic load
+// plus a predictable branch, so the kernel hot loop pays effectively
+// nothing until observation is asked for. The package has no dependencies
+// outside the standard library.
 package telemetry
 
 import (
@@ -47,14 +45,14 @@ func SetMetrics(on bool) { metricsOn.Store(on) }
 func On() bool { return metricsOn.Load() }
 
 // Active reports whether any observation — metrics or tracing — is on.
-// Instrumentation that pays a setup cost (stream IDs, wrapped queues)
-// checks Active once at construction time.
+// inspect.Open checks it once per stream to decide whether the stream
+// keeps a record at all.
 func Active() bool { return On() || TraceOn() }
 
 // ---- stream identifiers ----
 
 // Stream IDs tie the events of one logical generator stream together:
-// a pipe and its transport queue share one, and a remote pipe sends its
+// its record allocates one (inspect.Open), and a remote pipe sends its
 // ID in the OPEN frame so the server's producer events carry the same ID
 // — that is what lets a distributed trace be stitched end-to-end. The
 // high 32 bits are a per-process seed so IDs from different processes

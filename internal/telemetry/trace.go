@@ -5,45 +5,31 @@ import (
 	"time"
 )
 
-// Kind classifies a trace event. The set covers the three observation
-// layers: the kernel protocol, the queue transport and the remote wire.
+// Kind classifies a trace event. Every stream event comes from the one
+// record each observed stream keeps (internal/inspect); KindSpan is a
+// host-level span.
 type Kind uint8
 
 // Trace event kinds.
 const (
-	KindUnknown Kind = iota
-	// Kernel protocol (core.Traced / core.Instrument).
-	KindResume  // Next called (instant; spans use KindYield/KindFail)
-	KindYield   // Next produced a value; Dur = time inside Next
-	KindFail    // Next reported failure; Dur = time inside Next
-	KindRestart // Restart called
-	// Queue transport (queue.Instrument).
-	KindPut  // value enqueued; Dur = producer blocked time, Arg = depth after
-	KindTake // value dequeued; Dur = consumer blocked time, Arg = depth before
-	// Pipe lifecycle.
-	KindProducer // producer goroutine lifetime; Dur = run time, Arg = values
-	// Remote transport.
-	KindStreamOpen  // stream opened (client dial / server accept), Arg = credit
-	KindStreamEnd   // stream ended; Dur = lifetime, Arg = values transferred
-	KindCreditStall // server producer waited for credit; Dur = stall
-	KindValue       // one value produced server-side; Dur = gen.Next time
-	// Host-level span (CLI eval, coordinator run).
-	KindSpan
+	KindUnknown     Kind = iota
+	KindStreamOpen       // record opened
+	KindStreamEnd        // record closed; Dur = lifetime, Arg = values produced
+	KindPut              // a production that waited to put; Dur = the wait, Arg = values
+	KindValue            // a production that did not wait; Arg = values
+	KindTake             // a consumption that waited; Dur = the wait, Arg = values
+	KindCreditStall      // a served stream waited for credit; Dur = the stall
+	KindSpan             // host-level span (CLI eval, coordinator run)
 )
 
 var kindNames = [...]string{
 	KindUnknown:     "unknown",
-	KindResume:      "resume",
-	KindYield:       "yield",
-	KindFail:        "fail",
-	KindRestart:     "restart",
-	KindPut:         "put",
-	KindTake:        "take",
-	KindProducer:    "producer",
 	KindStreamOpen:  "stream-open",
 	KindStreamEnd:   "stream-end",
-	KindCreditStall: "credit-stall",
+	KindPut:         "put",
 	KindValue:       "value",
+	KindTake:        "take",
+	KindCreditStall: "credit-stall",
 	KindSpan:        "span",
 }
 

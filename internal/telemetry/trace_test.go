@@ -9,7 +9,7 @@ import (
 func TestRingAddDrain(t *testing.T) {
 	r := NewRing(64)
 	for i := int64(0); i < 10; i++ {
-		r.Add(Event{TS: i, Kind: KindYield, Name: "g", Arg: i})
+		r.Add(Event{TS: i, Kind: KindValue, Name: "g", Arg: i})
 	}
 	evs := r.Drain()
 	if len(evs) != 10 {
@@ -67,13 +67,13 @@ func TestGlobalTracer(t *testing.T) {
 	if TraceOn() {
 		t.Fatal("tracing unexpectedly on")
 	}
-	Emit(1, KindYield, "noop", 0) // must not panic while off
+	Emit(1, KindValue, "noop", 0) // must not panic while off
 	StartTrace(128)
 	defer StopTrace()
 	if !TraceOn() {
 		t.Fatal("StartTrace not observed")
 	}
-	Emit(7, KindYield, "g", 42)
+	Emit(7, KindValue, "g", 42)
 	start := time.Now().Add(-time.Millisecond)
 	EmitSpan(7, KindPut, "q", 3, start)
 	evs := DrainTrace()
@@ -84,7 +84,7 @@ func TestGlobalTracer(t *testing.T) {
 	if evs[0].Dur <= 0 {
 		t.Fatalf("span duration %d, want > 0", evs[0].Dur)
 	}
-	if evs[1].Stream != 7 || evs[1].Kind != KindYield || evs[1].Arg != 42 {
+	if evs[1].Stream != 7 || evs[1].Kind != KindValue || evs[1].Arg != 42 {
 		t.Fatalf("unexpected instant event %+v", evs[1])
 	}
 	if !TraceOn() {

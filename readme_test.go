@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -207,4 +208,64 @@ func readFile(t testing.TB, path string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestEveryMetricIsRead: every metric the runtime registers is read by
+// something that would notice it change — a test, by name or, from the
+// registering package, through the Go variable holding it; the ledger
+// (benchmark/*.go); CI (.github/workflows/ci.yml); or the report of the
+// command that registers it (a Load or Snapshot of its variable there). A
+// counter nobody reads is code, not observability: this fails until it is
+// read or deleted.
+func TestEveryMetricIsRead(t *testing.T) {
+	register := regexp.MustCompile(`(?:(\w+)\s*=\s*)?telemetry\.New(?:Counter|Gauge|Histogram)\("([^"]+)"`)
+	type site struct{ dir, v string }
+	sites := map[string][]site{}
+	var tests, ledger []string
+	filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, ".go"):
+		case strings.HasPrefix(path, "benchmark"+string(filepath.Separator)):
+			ledger = append(ledger, readFile(t, path))
+		case strings.HasSuffix(path, "_test.go"):
+			tests = append(tests, path)
+		default:
+			for _, m := range register.FindAllStringSubmatch(readFile(t, path), -1) {
+				sites[m[2]] = append(sites[m[2]], site{filepath.Dir(path), m[1]})
+			}
+		}
+		return nil
+	})
+	if len(sites) == 0 {
+		t.Fatal("found no registered metrics")
+	}
+	ci := readFile(t, filepath.Join(".github", "workflows", "ci.yml"))
+	read := func(name string, at site) bool {
+		quoted := strconv.Quote(name)
+		if strings.Contains(ci, name) || slices.ContainsFunc(ledger, func(src string) bool { return strings.Contains(src, quoted) }) {
+			return true
+		}
+		byVar := regexp.MustCompile(`\b` + at.v + `\b`)
+		for _, path := range tests {
+			src := readFile(t, path)
+			if strings.Contains(src, quoted) || at.v != "" && filepath.Dir(path) == at.dir && byVar.MatchString(src) {
+				return true
+			}
+		}
+		if at.v == "" || !strings.HasPrefix(at.dir, "cmd") {
+			return false
+		}
+		report := regexp.MustCompile(`\b` + at.v + `\.(Load|Snapshot)\(`)
+		sources, _ := filepath.Glob(filepath.Join(at.dir, "*.go"))
+		return slices.ContainsFunc(sources, func(path string) bool { return report.MatchString(readFile(t, path)) })
+	}
+	for name, at := range sites {
+		if !slices.ContainsFunc(at, func(s site) bool { return read(name, s) }) {
+			t.Errorf("metric %s (registered in %s) is read by no test, ledger, CI step or command report", name, at[0].dir)
+		}
+	}
 }
