@@ -232,6 +232,7 @@ def nested(s, t) {
 def scanned(s) { suspend s ? { &pos := 3; (1 to 3) + &pos }; }
 def stepped(limit) { c := |<> (1 to limit); while x := @c do suspend x; }
 def piped(limit) { p := |> (1 to limit); while x := @p do suspend x; }
+def running(lo, hi) { s := 5000; every i := lo to hi do { s +:= i; suspend s; }; }
 `
 
 // TestLoweredStateSnapshots is the durability contract of the new frame
@@ -260,6 +261,9 @@ func TestLoweredStateSnapshots(t *testing.T) {
 		{`scanned("abcdef")`, ""},
 		{"stepped(3)", "co-expression"},
 		{"piped(3)", "co-expression pipe"},
+		// Counter and accumulator past the interned integers, unboxed in
+		// the suspended frame's slots: the snapshot boxes them.
+		{"running(2000, 2006)", ""},
 	}
 	load := func() *interp.Interp {
 		in := interp.New(interp.WithOutput(io.Discard), interp.WithVM())

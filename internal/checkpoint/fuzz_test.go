@@ -106,9 +106,28 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // fresh interpreter, must deliver exactly the reference suffix. Refusals
 // (host generators, opaque values) are fine; wrong values are not.
 func FuzzExprSnapshotAtYield(f *testing.F) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 16; i++ {
-		f.Add(semtest.RandomExpr(rng, 3), uint8(i))
+	// The first sixteen seeds are what RandomExpr drew from source 11
+	// before its leaves reached the integer edges; its present draws come
+	// last, so every earlier seed keeps its place.
+	for i, expr := range []string{
+		"(5 to 5)",
+		`((5 to 7 by 2) * ((&null <= 2) \ 1))`,
+		`((3 to 1) | (not (if 4 then 5 else 2)))`,
+		"(5 to 10)",
+		`!"ab"`,
+		`![((2 to 2) > (5 to 4)), (7 to 2 by 1)]`,
+		`!"abab"`,
+		`((("b" \ 3) - ("c" + "b")) * ![(3 <= 5), (if &null then "c" else "c")])`,
+		`((("b" ~= 9) \ 0) | ((|(1 to 6)) \ 5))`,
+		`(not (not ("a" <= &null)))`,
+		`(!"abab" - (3 to 6 by 2))`,
+		`((((|1) \ 5) \ 3) > (((|&null) \ 5) - ("b" & "a")))`,
+		`((!["c", &null] \ 0) - (2 to 11))`,
+		"(6 to 4 by 1)",
+		`![((5 to 3 by 1) & (not 5)), (5 to 9)]`,
+		`((|((1 to 5 by 3) | (&null \ 0))) \ 5)`,
+	} {
+		f.Add(expr, uint8(i))
 	}
 	f.Add("summing(4) + gen(1, 2)", uint8(3))
 	// One seed per construct whose frame state PR 12 added (the procedures
@@ -125,6 +144,14 @@ func FuzzExprSnapshotAtYield(f *testing.F) {
 	srng := rand.New(rand.NewSource(17))
 	for i := 0; i < 16; i++ {
 		f.Add(semtest.StatefulExpr(srng, 2), uint8(i))
+	}
+	// A yield from a loop whose counter and accumulator are unboxed past
+	// the interned integers (the procedure is TestLoweredStateSnapshots'),
+	// then RandomExpr's draws with the integer edges among its leaves.
+	f.Add("running(2000, 2006)", uint8(3))
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 16; i++ {
+		f.Add(semtest.RandomExpr(rng, 3), uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, expr string, rawCut uint8) {
 		if len(expr) > 512 {

@@ -63,18 +63,21 @@ func CompiledPooled(c Case, pl *pool.Pool, buffer, batch int) (Result, error) {
 // repeated alternation, promotion, arithmetic and comparisons over
 // generators, if/else, not, and list formation. Every production
 // terminates (repeated alternation is always limited), so the result
-// sequence is finite; type errors are possible by construction (string
-// operands under arithmetic) and legitimate — a raised error is part of
-// the observable trace and must reproduce identically on every lane.
+// sequence is finite; type errors (string operands under arithmetic) and
+// division or remainder by zero are possible by construction and
+// legitimate — a raised error is part of the observable trace and must
+// reproduce identically on every lane.
 func RandomExpr(rng *rand.Rand, depth int) string {
 	if depth <= 0 {
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			return strconv.Itoa(rng.Intn(10))
 		case 1:
 			return strconv.Itoa(1 + rng.Intn(5))
 		case 2:
 			return `"` + string(rune('a'+rng.Intn(3))) + `"`
+		case 3:
+			return edgeLeaves[rng.Intn(len(edgeLeaves))]
 		default:
 			return "&null"
 		}
@@ -90,8 +93,12 @@ func RandomExpr(rng *rand.Rand, depth int) string {
 	case 3:
 		return "(" + sub() + " & " + sub() + ")"
 	case 4:
-		op := []string{"+", "-", "*"}[rng.Intn(3)]
-		return "(" + sub() + " " + op + " " + sub() + ")"
+		op := []string{"+", "-", "*", "/", "%"}[rng.Intn(5)]
+		rhs := sub()
+		if rng.Intn(2) == 0 {
+			rhs = edgeLeaves[rng.Intn(len(edgeLeaves))]
+		}
+		return "(" + sub() + " " + op + " " + rhs + ")"
 	case 5:
 		op := []string{"<", "<=", ">", "~="}[rng.Intn(4)]
 		return "(" + sub() + " " + op + " " + sub() + ")"
@@ -109,6 +116,16 @@ func RandomExpr(rng *rand.Rand, depth int) string {
 		return "(not " + sub() + ")"
 	}
 	return "1"
+}
+
+// edgeLeaves are the numbers at the edges of integer arithmetic: the int64
+// extremes and a power of two whose double overflows (promotion to big
+// integers), both sides of the interned small-integer window, and a real
+// (mixed operands). With / and % among the operators and 0 among the
+// small leaves, division and remainder by zero come up too.
+var edgeLeaves = []string{
+	"9223372036854775807", "(-9223372036854775807)", "4611686018427387904",
+	"1024", "1025", "(-256)", "(-257)", "2.5",
 }
 
 // StatefulPrelude declares what StatefulExpr's expressions call.

@@ -52,6 +52,9 @@ func corpus(t *testing.T) []Case {
 		Case{Name: "concurrent/refreshed", Program: concurrent, Expr: "refreshed(6)"},
 		Case{Name: "concurrent/restartPipe", Program: concurrent, Expr: "restartPipe(5)"},
 		Case{Name: "queens", Program: load("queens.jn"), Expr: "queens(5)"},
+		// place() suspends with its recursive call live: a compiled frame
+		// keeps the children cached at its call sites until it returns.
+		Case{Name: "queens/6", Program: load("queens.jn"), Expr: "queens(6)"},
 		Case{Name: "primes", Program: load("quickstart.jn"), Expr: "primesBelow(60)"},
 		Case{Name: "scanner/tokens", Program: load("scanner.jn"), Expr: "tokens(\"  12 abc x9  7 \")"},
 		Case{Name: "scanner/pairs", Program: load("scanner.jn"), Expr: "pairs(\"a=1;b=22;c=333;\")"},

@@ -16,19 +16,43 @@ import (
 )
 
 // TestSteadyStateAllocs pins the headline frame property: once a frame is
-// warm, suspending and resuming it allocates nothing. The ranges stay
-// inside the interned small-integer window so yielded values are free too.
+// warm, suspending and resuming it allocates nothing but the values that
+// leave it. Integers inside the frame stay unboxed, so a loop past the
+// interned small-integer window allocates no more than one inside it; what
+// the frame yields or returns is boxed on the way out, and boxes counts
+// those that fall outside the window.
 func TestSteadyStateAllocs(t *testing.T) {
 	in := interp.New(interp.WithOutput(io.Discard), interp.WithVM())
+	if err := in.LoadProgram(`
+def sumTo(n) { s := 0; every s +:= (1 to n); return s; }
+def lastBy3(n) { every x := 1 to n by 3; return x; }
+`); err != nil {
+		t.Fatal(err)
+	}
+	productBoxes := 0 // (1 to 60) * (1 to 60) yields its products boxed
+	for i := 1; i <= 60; i++ {
+		for j := 1; j <= 60; j++ {
+			if i*j > 1024 {
+				productBoxes++
+			}
+		}
+	}
 	cases := []struct {
-		name, expr string
-		results    int
+		name, expr     string
+		results, boxes int
 	}{
-		{"range", "1 to 256", 256},
-		{"range-by", "1 to 1000 by 4", 250},
-		{"product", "(1 to 16) * (1 to 16)", 256},
-		{"alternation", "(1 to 100) | (1 to 100)", 200},
-		{"limit", "(1 to 1000) \\ 100", 100},
+		{"range", "1 to 256", 256, 0},
+		{"range-by", "1 to 1000 by 4", 250, 0},
+		{"product", "(1 to 16) * (1 to 16)", 256, 0},
+		{"alternation", "(1 to 100) | (1 to 100)", 200, 0},
+		{"limit", "(1 to 1000) \\ 100", 100, 0},
+		// Counter and accumulator run far past 1024 in slots; only the
+		// returned total is boxed.
+		{"every-past-intern", "sumTo(4000)", 1, 1},
+		{"range-by-past-intern", "lastBy3(4000)", 1, 1},
+		// BenchmarkVMProduct's expression: every product above 1024 leaves
+		// the frame as a yield, so it keeps one box each.
+		{"product-past-intern", "(1 to 60) * (1 to 60)", 3600, productBoxes},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -38,16 +62,44 @@ func TestSteadyStateAllocs(t *testing.T) {
 			if warm != c.results {
 				t.Fatalf("warm drain produced %d results, want %d", warm, c.results)
 			}
-			// Auto-restarted steady-state drains must not allocate.
+			// Auto-restarted steady-state drains allocate only the boxes.
 			allocs := testing.AllocsPerRun(10, func() {
 				if n := drainCountFast(f); n != c.results {
 					t.Fatalf("steady drain produced %d results, want %d", n, c.results)
 				}
 			})
-			if allocs != 0 {
-				t.Errorf("steady-state drain allocates %.1f per run, want 0", allocs)
+			if allocs != float64(c.boxes) {
+				t.Errorf("steady-state drain allocates %.1f per run, want %d", allocs, c.boxes)
 			}
 		})
+	}
+}
+
+// TestRecursionReusesFrames pins the call-site frame release: a frame
+// that returns hands the child frames cached at its call sites back to
+// their pool. Each run drains fib(11) — 287 activations, never more than
+// 11 live — from a fresh caller frame, whose call-site cache starts empty,
+// so every activation's frame must come from the pool: the run pays only
+// for the caller frame itself (the frame, its slots and stack, aux cells
+// and choice stack, and its call site's argument scratch).
+func TestRecursionReusesFrames(t *testing.T) {
+	in := interp.New(interp.WithOutput(io.Discard), interp.WithVM())
+	if err := in.LoadProgram(`def fib(n) { if n < 2 then return n; return fib(n-1) + fib(n-2); }`); err != nil {
+		t.Fatal(err)
+	}
+	m, err := in.ExprMachine("fib(11)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainCount(t, m.NewFrame(), 1)
+	const callerFrame = 5
+	allocs := testing.AllocsPerRun(10, func() {
+		if n := drainCountFast(m.NewFrame()); n != 1 {
+			t.Fatalf("fib(11) produced %d results", n)
+		}
+	})
+	if allocs > callerFrame {
+		t.Errorf("a fresh fib(11) allocates %.1f per run, want at most the caller frame's %d", allocs, callerFrame)
 	}
 }
 

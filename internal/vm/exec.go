@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"junicon/internal/compile"
@@ -18,7 +19,7 @@ const (
 
 // ToBy fast-path modes.
 const (
-	tobyInt = 1 // unboxed int64 arithmetic, interned small-int yields
+	tobyInt = 1 // unboxed int64 arithmetic, the counter pushed unboxed
 	tobyGen = 2 // generic: core.Range generator
 )
 
@@ -71,21 +72,21 @@ func (f *Frame) next() (value.V, bool) {
 			f.push(value.NullV)
 			f.pc++
 		case compile.OpPop:
-			f.pop()
+			f.st = f.st[:len(f.st)-1]
 			f.pc++
 		case compile.OpPopN:
 			f.st = f.st[:len(f.st)-int(in.A)]
 			f.pc++
 		case compile.OpLoadSlot:
-			f.push(f.slots[in.A])
+			f.pushSlot(f.slots[in.A])
 			f.pc++
 		case compile.OpStoreSlot:
-			v := value.Deref(f.top())
+			v := f.st[len(f.st)-1].deref()
 			f.slots[in.A] = v
 			f.st[len(f.st)-1] = v
 			f.pc++
 		case compile.OpBindSlot:
-			f.slots[in.A] = value.Deref(f.top())
+			f.slots[in.A] = f.st[len(f.st)-1].deref()
 			f.pc++
 		case compile.OpLoadGlobal:
 			f.push(code.Globals[in.A].Get())
@@ -93,7 +94,7 @@ func (f *Frame) next() (value.V, bool) {
 		case compile.OpStoreGlobal:
 			v := value.Deref(f.top())
 			code.Globals[in.A].Set(v)
-			f.st[len(f.st)-1] = v
+			f.st[len(f.st)-1] = slot{v: v}
 			f.pc++
 
 		// ----- control -----
@@ -114,6 +115,7 @@ func (f *Frame) next() (value.V, bool) {
 		case compile.OpReturn:
 			v := value.Deref(f.pop())
 			f.cp = f.cp[:0]
+			f.releaseChildren()
 			f.pc++
 			if prof != nil {
 				prof.yields.Add(1)
@@ -123,6 +125,7 @@ func (f *Frame) next() (value.V, bool) {
 		case compile.OpReturnFail:
 			f.cp = f.cp[:0]
 			f.started = false
+			f.releaseChildren()
 			return nil, false
 		case compile.OpMark:
 			if f.resumed {
@@ -199,11 +202,31 @@ func (f *Frame) next() (value.V, bool) {
 
 		// ----- operators -----
 		case compile.OpArith:
+			n := len(f.st)
+			if r, ok := arithInt(in.A, f.st[n-2], f.st[n-1]); ok {
+				f.st[n-2] = intSlot(r)
+				f.st = f.st[:n-1]
+				f.pc++
+				continue
+			}
 			b := value.Deref(f.pop())
 			a := value.Deref(f.pop())
 			f.push(compile.ArithFns[in.A](a, b))
 			f.pc++
 		case compile.OpCmp:
+			n := len(f.st)
+			if holds, ok := cmpInt(in.A, f.st[n-2], f.st[n-1]); ok {
+				if !holds {
+					if !f.fail() {
+						return nil, false
+					}
+					continue
+				}
+				f.st[n-2] = f.st[n-1]
+				f.st = f.st[:n-1]
+				f.pc++
+				continue
+			}
 			b := value.Deref(f.pop())
 			a := value.Deref(f.pop())
 			v, ok := compile.CmpFns[in.A](a, b)
@@ -219,17 +242,17 @@ func (f *Frame) next() (value.V, bool) {
 			f.push(compile.UnaryFns[in.A](value.Deref(f.pop())))
 			f.pc++
 		case compile.OpNullTest:
-			if !value.IsNull(value.Deref(f.top())) {
+			if !value.IsNull(value.Deref(f.st[len(f.st)-1].v)) {
 				if !f.fail() {
 					return nil, false
 				}
 				continue
 			}
-			f.st[len(f.st)-1] = value.NullV
+			f.st[len(f.st)-1] = slot{v: value.NullV}
 			f.pc++
 		case compile.OpNonNullTest:
-			v := value.Deref(f.top())
-			if value.IsNull(v) {
+			v := f.st[len(f.st)-1].deref()
+			if value.IsNull(v.v) {
 				if !f.fail() {
 					return nil, false
 				}
@@ -251,7 +274,7 @@ func (f *Frame) next() (value.V, bool) {
 			}
 		case compile.OpCaseEq:
 			v := value.Deref(f.pop())
-			if !value.Equiv(f.slots[in.A], v) {
+			if !value.Equiv(f.slots[in.A].val(), v) {
 				if !f.fail() {
 					return nil, false
 				}
@@ -265,7 +288,7 @@ func (f *Frame) next() (value.V, bool) {
 			base := len(f.st) - n
 			elems := make([]value.V, n)
 			for i := 0; i < n; i++ {
-				elems[i] = value.Deref(f.st[base+i])
+				elems[i] = value.Deref(f.st[base+i].val())
 			}
 			f.st = f.st[:base]
 			// A fresh list per result: resuming a list-forming expression
@@ -333,27 +356,53 @@ func (f *Frame) next() (value.V, bool) {
 			f.push(r)
 			f.pc++
 		case compile.OpAugSlot:
+			n := len(f.st)
+			if r, ok := arithInt(in.C, f.slots[in.A], f.st[n-1]); ok {
+				f.slots[in.A] = intSlot(r)
+				f.st[n-1] = intSlot(r)
+				f.pc++
+				continue
+			}
 			v := value.Deref(f.pop())
-			r := compile.ArithFns[in.C](f.slots[in.A], v)
-			f.slots[in.A] = r
+			r := compile.ArithFns[in.C](f.slots[in.A].val(), v)
+			f.slots[in.A] = slot{v: r}
 			f.push(r)
 			f.pc++
 		case compile.OpCmpAugSlot:
+			n := len(f.st)
+			if holds, ok := cmpInt(in.C, f.slots[in.A], f.st[n-1]); ok {
+				if !holds {
+					if !f.fail() {
+						return nil, false
+					}
+					continue
+				}
+				f.slots[in.A] = f.st[n-1]
+				f.pc++
+				continue
+			}
 			v := value.Deref(f.pop())
-			r, ok := compile.CmpFns[in.C](f.slots[in.A], v)
+			r, ok := compile.CmpFns[in.C](f.slots[in.A].val(), v)
 			if !ok {
 				if !f.fail() {
 					return nil, false
 				}
 				continue
 			}
-			f.slots[in.A] = r
+			f.slots[in.A] = slot{v: r}
 			f.push(r)
 			f.pc++
 		case compile.OpAugGlobal:
-			v := value.Deref(f.pop())
 			cell := code.Globals[in.A]
-			r := compile.ArithFns[in.C](cell.Get(), v)
+			var r value.V
+			if x, ok := arithInt(in.C, slot{v: cell.Get()}, f.st[len(f.st)-1]); ok {
+				// The operand stays unboxed; only the result leaves.
+				f.st = f.st[:len(f.st)-1]
+				r = value.IntV(x)
+			} else {
+				v := value.Deref(f.pop())
+				r = compile.ArithFns[in.C](cell.Get(), v)
+			}
 			cell.Set(r)
 			f.push(r)
 			f.pc++
@@ -422,7 +471,7 @@ func (f *Frame) next() (value.V, bool) {
 			base := len(f.st) - n
 			a.args = a.args[:0]
 			for i := 0; i < n; i++ {
-				a.args = append(a.args, value.Deref(f.st[base+i]))
+				a.args = append(a.args, value.Deref(f.st[base+i].val()))
 			}
 			f.st = f.st[:base]
 			native := code.Consts[in.C].(*value.Native)
@@ -474,7 +523,7 @@ func (f *Frame) next() (value.V, bool) {
 		case compile.OpScanLeave:
 			a := &f.aux[in.B]
 			if in.A == compile.LeaveToResume {
-				f.st[len(f.st)-1] = value.Deref(f.top())
+				f.st[len(f.st)-1] = f.st[len(f.st)-1].deref()
 			}
 			code.Scan.Swap(a.scan.outer)
 			if in.A == compile.LeaveForGood {
@@ -502,7 +551,7 @@ func (f *Frame) armCall(a *auxCell, n int) {
 	base := len(f.st) - n
 	a.args = a.args[:0]
 	for i := 0; i < n; i++ {
-		a.args = append(a.args, value.Deref(f.st[base+i]))
+		a.args = append(a.args, value.Deref(f.st[base+i].val()))
 	}
 	f.st = f.st[:base]
 	fv := value.Deref(f.pop())
@@ -589,34 +638,34 @@ func (f *Frame) stepToBy(a *auxCell) bool {
 	if f.resumed {
 		f.resumed = false
 	} else {
-		by := value.Deref(f.pop())
-		hi := value.Deref(f.pop())
-		lo := value.Deref(f.pop())
+		n := len(f.st) - 3
+		lo, hi, by := f.st[n], f.st[n+1], f.st[n+2]
+		f.st = f.st[:n]
 		if li, hi64, by64, ok := smallRange(lo, hi, by); ok {
 			a.mode = tobyInt
 			a.i0, a.i1, a.i2 = li-by64, hi64, by64
 		} else {
 			a.mode = tobyGen
-			a.g = core.Range(lo, hi, by)
+			a.g = core.Range(value.Deref(lo.val()), value.Deref(hi.val()), value.Deref(by.val()))
 		}
 	}
-	var v value.V
+	var v slot
 	if a.mode == tobyInt {
 		cur := a.i0 + a.i2
 		if (a.i2 > 0 && cur > a.i1) || (a.i2 < 0 && cur < a.i1) {
 			return false
 		}
 		a.i0 = cur
-		v = value.IntV(cur)
+		v = intSlot(cur)
 	} else {
 		nv, ok := a.g.Next()
 		if !ok {
 			return false
 		}
-		v = nv
+		v = slot{v: nv}
 	}
 	f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st))})
-	f.push(v)
+	f.pushSlot(v)
 	f.pc++
 	return true
 }
@@ -634,16 +683,16 @@ func mustVar(t value.V) *value.Var {
 // smallRange reports lo/hi/by as unboxed int64s safe for native stepping:
 // all small integers, a non-zero increment, and no overflow possible at
 // the endpoints (core.Range's own guard conditions).
-func smallRange(lo, hi, by value.V) (l, h, b int64, ok bool) {
-	l, ok = smallInt(lo)
+func smallRange(lo, hi, by slot) (l, h, b int64, ok bool) {
+	l, ok = lo.deref().int()
 	if !ok {
 		return
 	}
-	h, ok = smallInt(hi)
+	h, ok = hi.deref().int()
 	if !ok {
 		return
 	}
-	b, ok = smallInt(by)
+	b, ok = by.deref().int()
 	if !ok || b == 0 {
 		return 0, 0, 0, false
 	}
@@ -659,11 +708,77 @@ func smallRange(lo, hi, by value.V) (l, h, b int64, ok bool) {
 	return l, h, b, true
 }
 
-func smallInt(v value.V) (int64, bool) {
-	i, ok := v.(value.Integer)
-	if !ok || i.IsBig() {
+// Operator indices of the int64 fast paths (compile.ArithNames and
+// compile.CmpNames order).
+const (
+	opAdd, opSub, opMul, opDiv, opMod = 0, 1, 2, 3, 4
+	opLt, opLe, opGt, opGe, opNe      = 0, 1, 2, 3, 4
+)
+
+// arithInt computes a op b in int64 when both are small integers and the
+// result is exact. Anything else — a real or string operand, overflow into
+// a big integer, division or remainder by zero — reports false and the
+// caller boxes and runs the kernel operator, so the fast path decides
+// nothing the kernel would decide differently.
+func arithInt(op int32, a, b slot) (int64, bool) {
+	x, ok := a.int()
+	if !ok {
 		return 0, false
 	}
-	n, _ := i.Int64()
-	return n, true
+	y, ok := b.int()
+	if !ok {
+		return 0, false
+	}
+	switch op {
+	case opAdd:
+		r := x + y
+		return r, (x^r)&(y^r) >= 0
+	case opSub:
+		r := x - y
+		return r, (x^y)&(x^r) >= 0
+	case opMul:
+		if x == 0 || y == 0 {
+			return 0, true
+		}
+		r := x * y
+		return r, r/y == x && !(x == math.MinInt64 && y == -1)
+	case opDiv:
+		if y == 0 || (x == math.MinInt64 && y == -1) {
+			return 0, false
+		}
+		return x / y, true
+	case opMod:
+		if y == 0 || (x == math.MinInt64 && y == -1) {
+			return 0, false
+		}
+		return x % y, true
+	}
+	return 0, false
+}
+
+// cmpInt decides a numeric comparison of two small integers: holds is its
+// outcome, ok false when the caller must run the kernel comparison.
+func cmpInt(op int32, a, b slot) (holds, ok bool) {
+	if op > opNe {
+		return false, false
+	}
+	x, ok := a.int()
+	if !ok {
+		return false, false
+	}
+	y, ok := b.int()
+	if !ok {
+		return false, false
+	}
+	switch op {
+	case opLt:
+		return x < y, true
+	case opLe:
+		return x <= y, true
+	case opGt:
+		return x > y, true
+	case opGe:
+		return x >= y, true
+	}
+	return x != y, true
 }

@@ -38,7 +38,7 @@ func mkPlace(t int32, refs []value.V, next *int) place {
 func (f *Frame) load(p place) value.V {
 	switch p.kind {
 	case compile.TargetSlot:
-		return f.slots[p.i]
+		return f.slots[p.i].val()
 	case compile.TargetGlobal:
 		return f.code.Globals[p.i].Get()
 	}
@@ -48,7 +48,7 @@ func (f *Frame) load(p place) value.V {
 func (f *Frame) store(p place, v value.V) {
 	switch p.kind {
 	case compile.TargetSlot:
-		f.slots[p.i] = v
+		f.slots[p.i] = slot{v: v}
 	case compile.TargetGlobal:
 		f.code.Globals[p.i].Set(v)
 	default:
@@ -63,7 +63,7 @@ func (f *Frame) popRefs(a *auxCell, n int) {
 	base := len(f.st) - n
 	a.args = a.args[:0]
 	for _, r := range f.st[base:] {
-		a.args = append(a.args, mustVar(r))
+		a.args = append(a.args, mustVar(r.val()))
 	}
 	f.st = f.st[:base]
 }
@@ -129,7 +129,11 @@ func (f *Frame) create(in compile.Instr) {
 	n := int(in.A)
 	base := len(f.st) - n
 	sub := f.owner.subs[in.B]
-	co := coexpr.New(f.st[base:], func(env []*value.Var) core.Gen {
+	locals := make([]value.V, n)
+	for i, s := range f.st[base:] {
+		locals[i] = s.val()
+	}
+	co := coexpr.New(locals, func(env []*value.Var) core.Gen {
 		fr := sub.NewFrame()
 		for _, cell := range env {
 			fr.args = append(fr.args, cell.Get())
@@ -195,7 +199,7 @@ func (f *Frame) scanEnd(in compile.Instr) bool {
 	}
 	// Dereference inside the environment: &subject and &pos must be read
 	// before the swap-out makes them read another scan.
-	f.st[len(f.st)-1] = value.Deref(f.top())
+	f.st[len(f.st)-1] = f.st[len(f.st)-1].deref()
 	h.Swap(a.scan.outer)
 	f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st)) - 1})
 	f.pc++

@@ -10,7 +10,16 @@
 // re-runs it from the top, exactly as the paper's iterators restart after
 // failure (§5B). Frames recycle through a per-Machine sync.Pool so the
 // steady-state cost of calling a compiled procedure is a reset, not an
-// allocation.
+// allocation: a frame hands the child frames cached at its call sites back
+// to their pools when it returns or is exhausted (nothing can resume them
+// then), and keeps them while it only suspends.
+//
+// Slots and operand-stack entries are typed: a small integer born in the
+// frame — a to-by counter, an int64 arithmetic result — stays unboxed, and
+// is boxed with value.IntV only where it leaves the frame: yield, return,
+// call and native arguments, globals, structure construction, every
+// generic operation, and snapshot capture. Outside the frame it is exactly
+// the value it always was.
 package vm
 
 import (
@@ -27,6 +36,48 @@ import (
 type choice struct {
 	pc, sp int32
 }
+
+// slot is one frame slot or operand-stack entry: the value v, or — when v
+// is the unboxed marker — the small integer n. Deref and IsNull pass the
+// marker through unchanged, so code that only dereferences or null-tests
+// an entry may do so on v without boxing it.
+type slot struct {
+	v value.V
+	n int64
+}
+
+// unboxed is the marker type of an unboxed integer slot. No value of it
+// leaves the package: every exit from the frame goes through slot.val.
+type unboxed struct{}
+
+func (unboxed) Type() string  { return "integer" }
+func (unboxed) Image() string { return "<unboxed>" }
+
+// intSlot is the unboxed small integer n.
+func intSlot(n int64) slot { return slot{v: unboxed{}, n: n} }
+
+// val returns the entry as a value, boxing an unboxed integer.
+func (s slot) val() value.V {
+	if _, ok := s.v.(unboxed); ok {
+		return value.IntV(s.n)
+	}
+	return s.v
+}
+
+// int reports the entry as a small integer: unboxed, or a boxed integer
+// that fits an int64. A reference is not one — its callers dereference.
+func (s slot) int() (int64, bool) {
+	switch x := s.v.(type) {
+	case unboxed:
+		return s.n, true
+	case value.Integer:
+		return x.Int64()
+	}
+	return 0, false
+}
+
+// deref dereferences the entry, keeping an unboxed integer unboxed.
+func (s slot) deref() slot { return slot{v: value.Deref(s.v), n: s.n} }
 
 // auxCell is the per-frame state of one resumable instruction (the B
 // operand names the cell). One flat struct serves every resumable opcode;
@@ -80,12 +131,15 @@ func New(code *compile.Code) *Machine {
 		m.scanVars = [2]*value.Var{core.SubjectVar(code.Scan), core.PosVar(code.Scan)}
 	}
 	m.pool.New = func() any {
+		// Slots and the operand stack's first entries share one array.
+		n := len(code.Slots)
+		buf := make([]slot, n+8)
 		return &Frame{
 			code:  code,
 			owner: m,
-			slots: make([]value.V, len(code.Slots)),
+			slots: buf[:n:n],
 			aux:   make([]auxCell, code.NumAux),
-			st:    make([]value.V, 0, 8),
+			st:    buf[n:n],
 			cp:    make([]choice, 0, 8),
 		}
 	}
@@ -112,9 +166,9 @@ type Frame struct {
 	code    *compile.Code
 	owner   *Machine
 	pc      int32
-	st      []value.V // operand stack
-	slots   []value.V // parameters, locals, normal-form temporaries
-	cp      []choice  // choice points, innermost last
+	st      []slot   // operand stack
+	slots   []slot   // parameters, locals, normal-form temporaries
+	cp      []choice // choice points, innermost last
 	aux     []auxCell
 	args    []value.V // call arguments, bound to the leading slots on begin
 	started bool      // a run is in progress (not yet exhausted)
@@ -139,14 +193,14 @@ func (f *Frame) begin() {
 	f.cp = f.cp[:0]
 	f.resumed = false
 	for i := range f.slots {
-		f.slots[i] = value.NullV
+		f.slots[i] = slot{v: value.NullV}
 	}
 	n := f.code.Params
 	if n > len(f.args) {
 		n = len(f.args)
 	}
 	for i := 0; i < n; i++ {
-		f.slots[i] = value.Deref(f.args[i])
+		f.slots[i] = slot{v: value.Deref(f.args[i])}
 	}
 	f.started = true
 	f.suspendedAt = 0
@@ -159,6 +213,7 @@ func (f *Frame) begin() {
 func (f *Frame) fail() bool {
 	if len(f.cp) == 0 {
 		f.started = false
+		f.releaseChildren()
 		return false
 	}
 	c := f.cp[len(f.cp)-1]
@@ -186,34 +241,45 @@ func (f *Frame) ResetCall(args []value.V) {
 // Recycle clears the frame's value references and returns it to its
 // Machine's pool. Only call when no live generator can reach the frame.
 func (f *Frame) Recycle() {
+	f.releaseChildren()
 	f.st = f.st[:0]
 	f.cp = f.cp[:0]
-	for i := range f.slots {
-		f.slots[i] = nil
-	}
+	clear(f.slots)
 	f.args = f.args[:0]
 	for i := range f.aux {
 		a := &f.aux[i]
 		a.v0, a.g, a.proc, a.scan = nil, nil, nil, nil
-		// Child frames cached at call sites go back to their own pools.
-		if a.frame != nil {
-			a.frame.Recycle()
-			a.frame = nil
-		}
 		a.args = a.args[:0]
 	}
 	f.started = false
 	f.owner.pool.Put(f)
 }
 
+// releaseChildren recycles the child frames cached at the frame's call
+// sites. It runs when the frame returns or is exhausted: its choice stack
+// is empty then, so no site can resume its child, and a new call re-arms
+// from the pool. Without it a child becomes garbage with its parent and
+// every activation of a recursion allocates afresh.
+func (f *Frame) releaseChildren() {
+	for i := range f.aux {
+		if a := &f.aux[i]; a.frame != nil {
+			a.frame.Recycle()
+			a.frame, a.proc, a.g = nil, nil, nil
+		}
+	}
+}
+
 // stack helpers — inlined by the compiler on the hot path.
 
-func (f *Frame) push(v value.V) { f.st = append(f.st, v) }
+func (f *Frame) push(v value.V) { f.st = append(f.st, slot{v: v}) }
 
+func (f *Frame) pushSlot(s slot) { f.st = append(f.st, s) }
+
+// pop removes the top entry and returns it as a value (boxed).
 func (f *Frame) pop() value.V {
 	v := f.st[len(f.st)-1]
 	f.st = f.st[:len(f.st)-1]
-	return v
+	return v.val()
 }
 
-func (f *Frame) top() value.V { return f.st[len(f.st)-1] }
+func (f *Frame) top() value.V { return f.st[len(f.st)-1].val() }

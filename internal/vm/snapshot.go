@@ -205,8 +205,8 @@ func capture(f *Frame, depth int) (*FrameSnap, error) {
 		Started:     f.started,
 		Resumed:     f.resumed,
 		Args:        append([]value.V(nil), f.args...),
-		Slots:       append([]value.V(nil), f.slots...),
-		Stack:       append([]value.V(nil), f.st...),
+		Slots:       boxAll(f.slots),
+		Stack:       boxAll(f.st),
 		Choices:     make([]ChoiceSnap, len(f.cp)),
 		Aux:         make([]AuxSnap, len(f.aux)),
 	}
@@ -357,8 +357,13 @@ func (m *Machine) rehydrate(s *FrameSnap, resolve func(name string) (*Machine, b
 	f.pc = pc
 	f.started = s.Started
 	f.resumed = s.Resumed
-	copy(f.slots, s.Slots)
-	f.st = append(f.st[:0], s.Stack...)
+	for i, v := range s.Slots {
+		f.slots[i] = slot{v: v}
+	}
+	f.st = f.st[:0]
+	for _, v := range s.Stack {
+		f.st = append(f.st, slot{v: v})
+	}
 	f.cp = f.cp[:0]
 	for _, c := range s.Choices {
 		f.cp = append(f.cp, choice{pc: c.PC, sp: c.SP})
@@ -433,4 +438,14 @@ func (m *Machine) rehydrate(s *FrameSnap, resolve func(name string) (*Machine, b
 		}
 	}
 	return f, nil
+}
+
+// boxAll copies slots or stack entries out as values, boxing the unboxed
+// integers: a snapshot carries exactly the values the frame would yield.
+func boxAll(ss []slot) []value.V {
+	out := make([]value.V, len(ss))
+	for i, s := range ss {
+		out[i] = s.val()
+	}
+	return out
 }

@@ -90,6 +90,16 @@ def gen(a, b) { suspend a to b; }
 def double(x) { return x * 2; }
 def addTo(x) { acc := x; return acc; }
 record point(x, y)
+def accum(n, step) { s := n; every 1 to 3 do { s +:= step; suspend s; }; }
+def shrink(n, step) { s := n; every 1 to 3 do { s -:= step; suspend s; }; }
+def grow(n, f) { s := n + 0; every 1 to 3 do { s *:= f; suspend s; }; }
+def divs(a) { every b := -3 to 3 do suspend (a + 0) / b; }
+def mods(a) { every b := (-3 to -1) | (1 to 3) | 0 do suspend (a + 0) % b; }
+def minInt() { x := -9223372036854775807 - 1; suspend x / -1; suspend x % -1; suspend x * -1; suspend x - 1; suspend x; }
+def mixed(a) { x := a + 1; suspend x * 2.5; suspend x / 2; suspend x % 0.5; x +:= 0.5; suspend x; }
+def peak(n) { m := 0; every m <:= (n - (1 to 5)) * 1000; return m; }
+def cmps(n) { every i := n to n + 3 do suspend (i < n + 2) | (i >= n + 3) | (i ~= n + 1); }
+def cmpAug(n) { m := n + 0; suspend m <:= n - 1; suspend m <:= n + 5000; suspend m <:= 2.5; suspend m >:= n + 2000; suspend m; }
 `
 	exprs := []string{
 		// Sequences and products.
@@ -142,6 +152,23 @@ record point(x, y)
 		"[1, 2, 3][2]",
 		"*\"hello\" + *[1, 2]",
 		"-(1 to 3)",
+		// The int64 fast paths at the edges where they hand over to the
+		// kernel operators, with the operands in frame slots: overflow
+		// into big integers (and MinInt64 / -1), division and remainder
+		// by zero, negative remainders, mixed integer/real operands and
+		// comparisons that fail.
+		"accum(9223372036854775800, 3)",
+		"accum(-9223372036854775800, -5)",
+		"shrink(-9223372036854775800, 5)",
+		"shrink(9223372036854775800, -5)",
+		"grow(4611686018427387904, 2)",
+		"grow(-3037000500, 3037000500)",
+		"divs(7)", "divs(-7)", "mods(7)", "mods(-7)", "mods(9223372036854775807)",
+		"minInt()",
+		"mixed(1024)", "mixed(-257)",
+		"peak(2000)", "peak(3)",
+		"cmps(1030)", "cmps(-9223372036854775807)",
+		"cmpAug(1025)", "cmpAug(0)",
 	}
 	vin := vmInterp(t, program)
 	pin := plainInterp(t, program)
