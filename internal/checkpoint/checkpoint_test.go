@@ -206,9 +206,9 @@ func TestErrCorruptSentinel(t *testing.T) {
 	}
 }
 
-// lowered declares one procedure per piece of frame state PR 12's
-// lowerings added: static cells, undo records, scanning environments, and
-// co-expression and pipe handles in slots.
+// lowered declares one procedure per piece of frame state the lowerings
+// added: static cells, undo records, scanning environments, co-expression
+// and pipe handles in slots, boxed cells shared with a bare <>, and ?x.
 const lowered = `
 global hits
 def tick() { static n; initial n := 0; n +:= 1; return n; }
@@ -233,6 +233,8 @@ def scanned(s) { suspend s ? { &pos := 3; (1 to 3) + &pos }; }
 def stepped(limit) { c := |<> (1 to limit); while x := @c do suspend x; }
 def piped(limit) { p := |> (1 to limit); while x := @p do suspend x; }
 def running(lo, hi) { s := 5000; every i := lo to hi do { s +:= i; suspend s; }; }
+def shared(k) { n := 0; g := <> (n +:= 1); every 1 to k do { @g; suspend n; }; }
+def drawn(k) { every i := 1 to k do suspend ?[i]; }
 `
 
 // TestLoweredStateSnapshots is the durability contract of the new frame
@@ -264,6 +266,11 @@ func TestLoweredStateSnapshots(t *testing.T) {
 		// Counter and accumulator past the interned integers, unboxed in
 		// the suspended frame's slots: the snapshot boxes them.
 		{"running(2000, 2006)", ""},
+		// The cells a bare <> shares with its creating frame would be
+		// severed by a copy: such a frame refuses by name. ?x leaves no
+		// state in the frame (it draws on the process's random stream).
+		{"shared(3)", "shared cells of a bare <>"},
+		{"drawn(4)", ""},
 	}
 	load := func() *interp.Interp {
 		in := interp.New(interp.WithOutput(io.Discard), interp.WithVM())

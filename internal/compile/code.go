@@ -1,11 +1,12 @@
 // Package compile lowers normalized Junicon syntax trees — the §5A normal
 // forms the transform package produces — into flat bytecode for the vm
-// package's slot-based resumable frames. Where the tree-walking
-// interpreter composes closure generators (interface dispatch per resume)
-// and the translator composes the same combinators in generated Go, the
-// compiler reduces suspend/resume to a saved program counter plus a choice
-// stack inside one reusable frame: goal-directed backtracking becomes
-// "pop the most recent choice point and re-enter its instruction".
+// package's slot-based resumable frames, and for the translate package,
+// which emits each code object as a Go state machine. Where the
+// tree-walking interpreter composes closure generators (interface
+// dispatch per resume), the compiler reduces suspend/resume to a saved
+// program counter plus a choice stack inside one reusable frame:
+// goal-directed backtracking becomes "pop the most recent choice point
+// and re-enter its instruction".
 //
 // Forms whose state looks as if it lived outside one frame lower onto the
 // same model: a static variable is a cell private to the code object, a
@@ -14,11 +15,15 @@
 // walk's scanGen does, and a co-expression or pipe body is a nested code
 // object whose frame the created value owns.
 //
-// The compiler is still partial: what it does not lower (a bare <> create,
-// ?x, most keywords — testdata/fallback_allowlist.txt is
-// the whole list) reports Unsupported, and the interpreter transparently
-// falls back to the tree walk for that unit — so compiled execution is a
-// pure optimization, never a semantic fork.
+// A bare <> body is a nested code object too, sharing the creating
+// frame's variables through boxed slots.
+//
+// What the compiler does not lower (keywords the tree walk does not
+// implement either, forms it raises on, names it cannot freeze at compile
+// time — testdata/fallback_allowlist.txt is the whole list, and the one
+// list of what the embedding supports) reports Unsupported: the
+// interpreter falls back to the tree walk for that unit, and the
+// translator refuses the program with the same reason.
 package compile
 
 import (
@@ -71,7 +76,7 @@ const (
 	OpUnary       // pop a; push unary[A](a)
 	OpNullTest    // pop a; push &null when null, else fail (/x)
 	OpNonNullTest // pop a; fail when null, else push the value (\x)
-	OpBang        // pop v; generate v's elements (aux B)
+	OpBang        // pop v; generate v's elements (aux B); A = 1 generates references (an assignment target)
 	OpToBy        // pop by, hi, lo; generate the range (aux B)
 	OpCaseEq      // pop v; continue when v === slots[A], else fail
 
@@ -115,6 +120,13 @@ const (
 	OpScanLeave  // leave the environment: A = LeaveForGood, or LeaveToResume (deref top first) around a yield or return
 	OpScanResume // after a yield: re-enter, outermost cell A taking the current environment as outer, innermost B's becoming current
 	OpScanVar    // push the &subject (A = 0) or &pos (A = 1) variable
+
+	// ----- boxed slots, references and ?x (appended: earlier opcodes keep their numbers) -----
+	OpLoadBox   // push the value of the cell in boxed slot A
+	OpStoreBox  // cell in slot A := deref(top); B = 0 replaces top by the stored value, B = 1 keeps it
+	OpBoxVar    // push the cell in boxed slot A itself (a reference)
+	OpGlobalVar // push the cell Globals[A] itself (a reference)
+	OpRandom    // pop v; push a random element of v, or fail when it has none
 
 	opCount
 )
@@ -160,6 +172,13 @@ type Code struct {
 	// Scan is the scanning context the unit's scan opcodes swap
 	// environments on; nil when the unit does not scan.
 	Scan *core.ScanHolder
+	// Boxes marks the slots that hold a cell instead of a value: a name a
+	// bare <> body shares with its creating scope, or one an assignment
+	// target reaches by reference. nil when no slot is boxed.
+	Boxes []bool
+	// Shares marks the body of a bare <>: its parameters are the creating
+	// frame's cells themselves, not copies of their values.
+	Shares bool
 }
 
 // Target operand kinds of OpRevAssign, OpSwap and OpRevSwap.

@@ -15,6 +15,7 @@ func Expr(n ast.Node, env Env) (code *Code, err error) {
 	c := newCompiler(env, false)
 	defer c.trap(&err)
 	c.root = n
+	c.boxed = boxNames(n)
 	c.expr(n)
 	c.emit(OpYield, 0, 0, 0)
 	c.emit(OpFail, 0, 0, 0)
@@ -31,6 +32,7 @@ func Proc(d *ast.ProcDecl, env Env) (code *Code, err error) {
 	defer c.trap(&err)
 	c.code.Name = d.Name
 	c.code.Params = len(d.Params)
+	c.boxed = boxNames(d.Body)
 	for _, p := range d.Params {
 		c.slot(p)
 	}
@@ -66,6 +68,8 @@ type compiler struct {
 	// the names it uses outside any create body (see captures).
 	root  ast.Node
 	outer map[string]bool
+	// boxed holds the names whose slots are cells (see boxNames).
+	boxed map[string]bool
 }
 
 // scanCtx is one lexically enclosing scanning expression or statement:
@@ -132,7 +136,7 @@ func (c *compiler) finish() *Code {
 // stackEffect is the net operand-stack change of one instruction.
 func stackEffect(i Instr) int {
 	switch i.Op {
-	case OpConst, OpNull, OpLoadSlot, OpLoadGlobal:
+	case OpConst, OpNull, OpLoadSlot, OpLoadGlobal, OpLoadBox, OpBoxVar, OpGlobalVar:
 		return 1
 	case OpPop, OpYield, OpReturn, OpLimitBegin, OpArith, OpCmp, OpCaseEq,
 		OpIndex, OpIndexVar, OpStoreVar, OpAugVar, OpCmpAugVar, OpScanBegin:
@@ -221,7 +225,18 @@ func (c *compiler) slot(name string) int32 {
 	c.slotIdx[name] = i
 	c.code.Slots = append(c.code.Slots, name)
 	c.resolved[name] = resSlot
+	if c.boxed[name] && c.code.Boxes == nil {
+		c.code.Boxes = make([]bool, i)
+	}
+	if c.code.Boxes != nil {
+		c.code.Boxes = append(c.code.Boxes, c.boxed[name])
+	}
 	return int32(i)
+}
+
+// boxedSlot reports whether slot i holds a cell.
+func (c *compiler) boxedSlot(i int32) bool {
+	return c.code.Boxes != nil && c.code.Boxes[i]
 }
 
 // hiddenSlot allocates an unnamed compiler-internal slot (case subjects).
@@ -309,5 +324,19 @@ func (c *compiler) resolve(n ast.Node, name string, tmp, store bool) (int8, int3
 // loadName emits a load of name.
 func (c *compiler) loadName(n ast.Node, name string, tmp bool) {
 	kind, i := c.resolve(n, name, tmp, false)
+	if kind == resSlot && c.boxedSlot(i) {
+		c.emit(OpLoadBox, i, 0, 0)
+		return
+	}
 	c.emit([...]Op{resSlot: OpLoadSlot, resGlobal: OpLoadGlobal, resConst: OpConst}[kind], i, 0, 0)
+}
+
+// storeSlot stores the top of stack into slot i (OpStoreSlot's contract),
+// through the cell when the slot is boxed.
+func (c *compiler) storeSlot(i int32) {
+	if c.boxedSlot(i) {
+		c.emit(OpStoreBox, i, 0, 0)
+		return
+	}
+	c.emit(OpStoreSlot, i, 0, 0)
 }

@@ -267,11 +267,7 @@ func TestUnsupportedReasons(t *testing.T) {
 		src, reason string
 		env         func([]ast.Node, bool) compile.Env
 	}{
-		{`def f() { g := <> (1 to 3); return g; }`, "first-class generator <> over the creating scope", testEnv},
-		{`def f(n) { return ?n; }`, "random element ?x", testEnv},
 		{`def f() { return &time; }`, "keyword &time", testEnv},
-		{`def f(L) { !L := 0; }`, "assignment target", testEnv},
-		{`def f(L) { every !L +:= 1; }`, "augmented assignment target", testEnv},
 		{`def f(x) { write := x; }`, "assignment to builtin write", testEnv},
 		{`def f(x) { return x::nosuch(); }`, "unregistered native ::nosuch", testEnv},
 		{`def f(x) { return x::nosuch(); }`, "native ::nosuch", noNatives},

@@ -66,6 +66,11 @@ var opNames = [opCount]string{
 	OpScanLeave:    "scan.leave",
 	OpScanResume:   "scan.resume",
 	OpScanVar:      "scan.var",
+	OpLoadBox:      "load.box",
+	OpStoreBox:     "store.box",
+	OpBoxVar:       "box.var",
+	OpGlobalVar:    "global.var",
+	OpRandom:       "random",
 }
 
 // Name returns the opcode's listing mnemonic.
@@ -144,9 +149,9 @@ func (c *Code) operands(in Instr) string {
 	switch in.Op {
 	case OpConst:
 		return fmt.Sprintf("%-6d ; %s", in.A, c.constImage(in.A))
-	case OpLoadSlot, OpStoreSlot, OpBindSlot:
+	case OpLoadSlot, OpStoreSlot, OpBindSlot, OpLoadBox, OpStoreBox, OpBoxVar:
 		return fmt.Sprintf("%-6d ; %s", in.A, c.slotName(in.A))
-	case OpLoadGlobal, OpStoreGlobal:
+	case OpLoadGlobal, OpStoreGlobal, OpGlobalVar:
 		return fmt.Sprintf("%-6d ; %s", in.A, c.globalName(in.A))
 	case OpJump:
 		return fmt.Sprintf("->%d", in.A)
@@ -157,6 +162,9 @@ func (c *Code) operands(in Instr) string {
 	case OpRepNote, OpCut, OpLimitBegin, OpLimitCheck:
 		return fmt.Sprintf("aux=%d", in.B)
 	case OpBang, OpToBy:
+		if in.A != 0 {
+			return fmt.Sprintf("aux=%-2d ; references", in.B)
+		}
 		return fmt.Sprintf("aux=%d", in.B)
 	case OpArith, OpAugVar:
 		return fmt.Sprintf("%-6d ; %s", in.A, opSpelling(ArithNames, int(in.A)))
@@ -197,6 +205,8 @@ func (c *Code) operands(in Instr) string {
 			kind = "inline pipe"
 		case in.C == PipeDefault:
 			kind = "pipe"
+		case in.C == CreateFirstClass:
+			kind = "first-class, shared cells"
 		case in.C > 0:
 			kind = fmt.Sprintf("pipe buffer=%d", in.C)
 		}

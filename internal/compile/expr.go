@@ -52,21 +52,14 @@ func (c *compiler) expr(n ast.Node) {
 
 	// ----- normalized forms -----
 	case *ast.FlatProduct:
-		if len(x.Terms) == 0 {
-			c.emit(OpNull, 0, 0, 0)
-			return
-		}
-		// Product compiles to plain sequencing: backtracking is global, so
-		// failure after a later term naturally resumes the nearest earlier
-		// choice point — exactly the product search order.
-		for _, t := range x.Terms[:len(x.Terms)-1] {
-			c.expr(t)
-			c.emit(OpPop, 0, 0, 0)
-		}
-		c.expr(x.Terms[len(x.Terms)-1])
+		c.product(x.Terms, c.expr)
 	case *ast.BindIn:
 		c.expr(x.E)
-		c.emit(OpBindSlot, c.slot(x.Tmp), 0, 0)
+		if i := c.slot(x.Tmp); c.boxedSlot(i) {
+			c.emit(OpStoreBox, i, 1, 0)
+		} else {
+			c.emit(OpBindSlot, i, 0, 0)
+		}
 
 	// ----- operators -----
 	case *ast.Binary:
@@ -177,19 +170,10 @@ func (c *compiler) keyword(k *ast.Keyword) {
 func (c *compiler) binary(x *ast.Binary) {
 	switch x.Op {
 	case "&":
-		c.expr(x.L)
-		c.emit(OpPop, 0, 0, 0)
-		c.expr(x.R)
+		c.product([]ast.Node{x.L, x.R}, c.expr)
 		return
 	case "|":
-		d := c.depth
-		fork := c.emit(OpFork, -1, 0, 0)
-		c.expr(x.L)
-		end := c.emit(OpJump, -1, 0, 0)
-		c.patchA(fork)
-		c.depth = d
-		c.expr(x.R)
-		c.patchA(end)
+		c.alternate(x.L, x.R, c.expr)
 		return
 	case ":=":
 		c.assign(x.L, x.R)
@@ -286,7 +270,8 @@ func (c *compiler) unary(x *ast.Unary) {
 		c.expr(x.X)
 		c.emit(OpUnary, int32(unaryIndex[x.Op]), 0, 0)
 	case "?":
-		c.unsupported(x, "random element ?x")
+		c.expr(x.X)
+		c.emit(OpRandom, 0, 0, 0)
 	case "=":
 		// =s is tabMatch(s), the scan library's reversible tab(match(s)).
 		tm, ok := c.env.LookupConst("tabMatch")
@@ -302,9 +287,7 @@ func (c *compiler) unary(x *ast.Unary) {
 	case "|<>", "|>":
 		c.create(x)
 	case "<>":
-		// The body shares the creating scope unshadowed: its variables
-		// would have to be boxed cells, not frame slots.
-		c.unsupported(x, "first-class generator <> over the creating scope")
+		c.firstClass(x)
 	default:
 		c.unsupported(x, "unary operator "+x.Op)
 	}
@@ -364,7 +347,7 @@ func (c *compiler) assign(target ast.Node, rhs ast.Node) {
 	c.expr(rhs)
 	switch kind, i := SplitTarget(t); kind {
 	case TargetSlot:
-		c.emit(OpStoreSlot, i, 0, 0)
+		c.storeSlot(i)
 	case TargetGlobal:
 		c.emit(OpStoreGlobal, i, 0, 0)
 	default:
@@ -373,8 +356,8 @@ func (c *compiler) assign(target ast.Node, rhs ast.Node) {
 }
 
 // target compiles an assignment target to a target operand: a named
-// variable resolves to its slot or global cell and emits nothing; a
-// subscript, field or scanning keyword pushes its reference.
+// variable resolves to its slot or global cell and emits nothing; any
+// other target pushes the references it generates (see ref).
 func (c *compiler) target(n ast.Node) int32 {
 	switch t := n.(type) {
 	case *ast.Ident, *ast.TmpRef:
@@ -383,7 +366,32 @@ func (c *compiler) target(n ast.Node) int32 {
 		if kind == resGlobal {
 			return Target(TargetGlobal, i)
 		}
-		return Target(TargetSlot, i)
+		if !c.boxedSlot(i) {
+			return Target(TargetSlot, i)
+		}
+	}
+	c.ref(n)
+	return Target(TargetRef, 0)
+}
+
+// ref compiles n in reference position, pushing per result the variable
+// the tree walk's lvalueGen generates: a cell for a name, a subscript or
+// field reference, &subject or &pos, an element reference for !x, and
+// the references of either side of | or of a product's last term. Any
+// other form pushes its values, and the store raises "variable expected"
+// on them as the tree walk's does.
+func (c *compiler) ref(n ast.Node) {
+	switch t := n.(type) {
+	case *ast.Ident, *ast.TmpRef:
+		name, tmp := nameOf(t)
+		switch kind, i := c.resolve(t, name, tmp, true); {
+		case kind == resGlobal:
+			c.emit(OpGlobalVar, i, 0, 0)
+		case c.boxedSlot(i):
+			c.emit(OpBoxVar, i, 0, 0)
+		default:
+			c.unsupported(n, "reference to an unboxed slot "+name) // boxNames missed it
+		}
 	case *ast.Index:
 		c.expr(t.X)
 		c.expr(t.I)
@@ -391,15 +399,55 @@ func (c *compiler) target(n ast.Node) int32 {
 	case *ast.Field:
 		c.expr(t.X)
 		c.emit(OpFieldVar, c.constant(value.String(t.Name), "str:"+t.Name), 0, 0)
-	case *ast.Keyword:
-		if t.Name != "subject" && t.Name != "pos" {
-			c.unsupported(n, "assignment target")
+	case *ast.Unary:
+		if t.Op != "!" {
+			c.expr(n)
+			return
 		}
-		c.scanVar(t)
+		c.expr(t.X)
+		c.emit(OpBang, 1, c.newAux(), 0)
+	case *ast.Binary:
+		switch t.Op {
+		case "|":
+			c.alternate(t.L, t.R, c.ref)
+		case "&":
+			c.product([]ast.Node{t.L, t.R}, c.ref)
+		default:
+			c.expr(n)
+		}
+	case *ast.FlatProduct:
+		c.product(t.Terms, c.ref)
 	default:
-		c.unsupported(n, "assignment target")
+		c.expr(n)
 	}
-	return Target(TargetRef, 0)
+}
+
+// product compiles the terms of e1 & … & en, the last one by last. It is
+// plain sequencing: backtracking is global, so failure after a later term
+// naturally resumes the nearest earlier choice point — exactly the
+// product search order.
+func (c *compiler) product(terms []ast.Node, last func(ast.Node)) {
+	if len(terms) == 0 {
+		c.emit(OpNull, 0, 0, 0)
+		return
+	}
+	for _, t := range terms[:len(terms)-1] {
+		c.expr(t)
+		c.emit(OpPop, 0, 0, 0)
+	}
+	last(terms[len(terms)-1])
+}
+
+// alternate compiles l | r, each side by side.
+func (c *compiler) alternate(l, r ast.Node, side func(ast.Node)) {
+	d := c.depth
+	fork := c.emit(OpFork, -1, 0, 0)
+	side(l)
+	end := c.emit(OpJump, -1, 0, 0)
+	c.patchA(fork)
+	c.depth = d
+	side(r)
+	c.patchA(end)
 }
 
 // nameOf returns the name of an Ident or TmpRef and whether it is a
@@ -430,23 +478,21 @@ func (c *compiler) augAssign(x *ast.Binary) {
 	}
 	switch t := x.L.(type) {
 	case *ast.Ident, *ast.TmpRef:
-		c.expr(x.R)
-		name, tmp := nameOf(t)
-		if kind, i := c.resolve(t, name, tmp, true); kind == resGlobal {
-			c.emit(op2[1], i, 0, idx)
-		} else {
-			c.emit(op2[0], i, 0, idx)
+		if name, tmp := nameOf(t); !c.boxed[name] {
+			c.expr(x.R)
+			if kind, i := c.resolve(t, name, tmp, true); kind == resGlobal {
+				c.emit(op2[1], i, 0, idx)
+			} else {
+				c.emit(op2[0], i, 0, idx)
+			}
+			return
 		}
+	}
+	if t := c.target(x.L); t != Target(TargetRef, 0) {
+		c.expr(x.R)
+		kind, i := SplitTarget(t)
+		c.emit(op2[kind], i, 0, idx)
 		return
-	case *ast.Index:
-		c.expr(t.X)
-		c.expr(t.I)
-		c.emit(OpIndexVar, 0, 0, 0)
-	case *ast.Field:
-		c.expr(t.X)
-		c.emit(OpFieldVar, c.constant(value.String(t.Name), "str:"+t.Name), 0, 0)
-	default:
-		c.unsupported(x.L, "augmented assignment target")
 	}
 	c.expr(x.R)
 	c.emit(opVar, idx, 0, 0)
@@ -507,11 +553,11 @@ func (c *compiler) varDecl(x *ast.VarDecl) {
 // procedures, a (defined-on-the-spot) global at top level.
 func (c *compiler) declStore(n ast.Node, name string) {
 	if c.procMode {
-		c.emit(OpStoreSlot, c.slot(name), 0, 0)
+		c.storeSlot(c.slot(name))
 		return
 	}
 	if i, ok := c.slotIdx[name]; ok {
-		c.emit(OpStoreSlot, int32(i), 0, 0)
+		c.storeSlot(int32(i))
 		return
 	}
 	if cell, ok := c.env.LookupGlobal(name); ok {

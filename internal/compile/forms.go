@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"strings"
 
 	"junicon/internal/ast"
 	"junicon/internal/value"
@@ -137,6 +138,7 @@ func (c *compiler) leaveScans(loop int, mode int32) {
 func (c *compiler) create(x *ast.Unary) {
 	names := c.captures(x.X)
 	sub := newCompiler(c.env, true)
+	sub.boxed = boxNames(x.X)
 	sub.code.Name = fmt.Sprintf("%s%s%d", c.code.Name, x.Op, len(c.code.Subs))
 	sub.code.Params = len(names)
 	for _, name := range names {
@@ -170,10 +172,86 @@ func (c *compiler) create(x *ast.Unary) {
 
 // OpCreate's C operand: 0 creates a co-expression, a positive value a pipe
 // with that queue bound, and these two a pipe provisioned otherwise.
+// CreateFirstClass makes a bare <> over cells the site pushed.
 const (
-	PipeDefault = -1 // the runtime's default queue bound
-	PipeInline  = -2 // no producer thread: a pure body stepped in place
+	PipeDefault      = -1 // the runtime's default queue bound
+	PipeInline       = -2 // no producer thread: a pure body stepped in place
+	CreateFirstClass = -3 // <>e: no thread, no copy; the body shares the cells
 )
+
+// firstClass compiles a bare <>e. The body shares the creating scope
+// unshadowed, so it is a nested unit whose parameters are the cells of
+// the names it captures: a local's box (boxNames marked it before its slot
+// was allocated), or a global's or static's own cell. The site pushes the
+// cells, and the body reads and writes through them.
+func (c *compiler) firstClass(x *ast.Unary) {
+	names := c.captures(x.X)
+	sub := newCompiler(c.env, c.procMode)
+	sub.root = c.root
+	sub.boxed = boxNames(x.X)
+	sub.code.Name = fmt.Sprintf("%s<>%d", c.code.Name, len(c.code.Subs))
+	sub.code.Params = len(names)
+	sub.code.Shares = true
+	for _, name := range names {
+		sub.boxed[name] = true
+		sub.slot(name)
+	}
+	sub.expr(x.X)
+	sub.emit(OpYield, 0, 0, 0)
+	sub.emit(OpFail, 0, 0, 0)
+	c.code.Subs = append(c.code.Subs, sub.code)
+	for _, name := range names {
+		c.ref(&ast.Ident{Name: name})
+	}
+	c.emit(OpCreate, int32(len(names)), int32(len(c.code.Subs)-1), CreateFirstClass)
+}
+
+// boxNames lists the names a unit must keep in cells rather than plain
+// slots: those a bare <> body uses (it shares them with this scope) and
+// those an assignment target other than a name, subscript, field or
+// keyword may reach by reference. Create bodies are units of their own and copy values, so the
+// walk does not enter them. Only names that turn out to be slots are
+// boxed; the rest resolve as they always do.
+func boxNames(body ast.Node) map[string]bool {
+	boxed := map[string]bool{}
+	names := func(n ast.Node) {
+		ast.Walk(n, func(m ast.Node) bool {
+			if name, ok := m.(*ast.Ident); ok {
+				boxed[name.Name] = true
+			} else if tmp, ok := m.(*ast.TmpRef); ok {
+				boxed[tmp.Name] = true
+			}
+			return true
+		})
+	}
+	target := func(n ast.Node) {
+		switch n.(type) {
+		case *ast.Ident, *ast.TmpRef, *ast.Index, *ast.Field, *ast.Keyword:
+		default:
+			names(n)
+		}
+	}
+	ast.Walk(body, func(m ast.Node) bool {
+		switch x := m.(type) {
+		case *ast.Unary:
+			switch x.Op {
+			case "|<>", "|>":
+				return false
+			case "<>":
+				names(x.X)
+			}
+		case *ast.Binary:
+			if x.Op == ":=:" || x.Op == "<->" {
+				target(x.R)
+			}
+			if strings.HasSuffix(x.Op, ":=") || x.Op == "<-" || x.Op == ":=:" || x.Op == "<->" {
+				target(x.L)
+			}
+		}
+		return true
+	})
+	return boxed
+}
 
 // captures lists, in first-use order, the names in a create body that the
 // creating scope binds — what the tree walk finds by scoping up (§5D):

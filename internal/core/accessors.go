@@ -7,9 +7,8 @@ import (
 )
 
 // This file packages the remaining Unicon operations as kernel combinators
-// shared by the interpreter and by translated code (the generated Go of the
-// translate package calls exactly these constructors, as Figure 5's Java
-// calls IconProduct/IconIn/IconPromote).
+// for the interpreter and host compositions (as Figure 5's Java composes
+// IconProduct/IconIn/IconPromote).
 
 // IndexGen composes subscripting x[i] over generator operands, yielding
 // updatable references for structures; out-of-range subscripts fail.
@@ -136,21 +135,6 @@ func RandomElement(v V) (V, bool) {
 
 // RandomGen composes ?x over a generator operand.
 func RandomGen(e Gen) Gen { return Cmp1(RandomElement, e) }
-
-// CaseMatches reports whether any result of sel is equivalent (===) to
-// subject; sel is left restarted.
-func CaseMatches(subject V, sel Gen) bool {
-	matched := false
-	Each(sel, func(v V) bool {
-		if value.Equiv(subject, v) {
-			matched = true
-			return false
-		}
-		return true
-	})
-	sel.Restart()
-	return matched
-}
 
 // BreakGen raises the kernel break signal when stepped (break in expression
 // position, caught by the enclosing kernel loop).

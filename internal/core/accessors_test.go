@@ -129,16 +129,6 @@ func TestRandomElement(t *testing.T) {
 	}
 }
 
-func TestCaseMatches(t *testing.T) {
-	sel := Values(value.NewInt(1), value.NewInt(2))
-	if !CaseMatches(value.NewInt(2), sel) {
-		t.Fatal("should match 2")
-	}
-	if CaseMatches(value.NewInt(3), sel) {
-		t.Fatal("should not match 3")
-	}
-}
-
 func TestListOfBoundedElements(t *testing.T) {
 	v, ok := First(ListOf(IntRange(1, 5), Unit(value.NewInt(9))))
 	if !ok || v.(*value.List).Image() != "[1,9]" {

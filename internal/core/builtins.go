@@ -229,7 +229,7 @@ func Builtins(w io.Writer) map[string]value.V {
 
 	// --- generators over structures ---
 	add(value.NewProc("key", 1, func(args ...value.V) Gen { return KeyVal(args[0]) }))
-	add(GenProc("seq", 2, func(args []value.V, yield func(value.V) bool) {
+	add(StepProc("seq", 2, func(args []value.V) func() (value.V, bool) {
 		start := value.NewInt(1)
 		if len(args) > 0 && !value.IsNull(value.Deref(args[0])) {
 			start = value.MustInteger(args[0])
@@ -238,40 +238,29 @@ func Builtins(w io.Writer) map[string]value.V {
 		if len(args) > 1 && !value.IsNull(value.Deref(args[1])) {
 			by = value.MustInteger(args[1])
 		}
-		cur := value.V(start)
-		for {
-			if !yield(cur) {
-				return
+		var cur value.V
+		return func() (value.V, bool) {
+			if cur == nil {
+				cur = start
+			} else {
+				cur = value.Add(cur, by)
 			}
-			cur = value.Add(cur, by)
+			return cur, true
 		}
 	}))
 
 	// --- string analysis (generators) ---
-	add(GenProc("find", 4, func(args []value.V, yield func(value.V) bool) {
+	add(StepProc("find", 4, func(args []value.V) func() (value.V, bool) {
 		pat := string(value.MustString(args[0]))
 		s, lo, hi := subjectRange(args, 1)
-		if pat == "" {
-			return
-		}
-		for i := lo; i+len(pat) <= hi; i++ {
-			if s[i:i+len(pat)] == pat {
-				if !yield(value.IntV(int64(i + 1))) {
-					return
-				}
-			}
-		}
+		return hits(lo, func() int { return hi - len(pat) + 1 }, func(i int) bool {
+			return pat != "" && s[i:i+len(pat)] == pat
+		})
 	}))
-	add(GenProc("upto", 4, func(args []value.V, yield func(value.V) bool) {
+	add(StepProc("upto", 4, func(args []value.V) func() (value.V, bool) {
 		c := value.MustCset(args[0])
 		s, lo, hi := subjectRange(args, 1)
-		for i := lo; i < hi; i++ {
-			if c.Contains(rune(s[i])) {
-				if !yield(value.IntV(int64(i + 1))) {
-					return
-				}
-			}
-		}
+		return hits(lo, func() int { return hi }, func(i int) bool { return c.Contains(rune(s[i])) })
 	}))
 	add(ValProc("many", 4, func(args []value.V) value.V {
 		c := value.MustCset(args[0])
@@ -293,7 +282,7 @@ func Builtins(w io.Writer) map[string]value.V {
 		}
 		return nil
 	}))
-	add(GenProc("bal", 6, func(args []value.V, yield func(value.V) bool) {
+	add(StepProc("bal", 6, func(args []value.V) func() (value.V, bool) {
 		// bal(c1, c2, c3, s, i, j): generate positions in s[i:j] where a
 		// character of c1 occurs balanced with respect to openers c2 and
 		// closers c3 (defaults: &cset-ish any, '(' and ')').
@@ -312,23 +301,23 @@ func Builtins(w io.Writer) map[string]value.V {
 		}
 		s, lo, hi := subjectRange(args, 3)
 		depth := 0
-		for i := lo; i < hi; i++ {
-			ch := rune(s[i])
-			if depth == 0 && (anyChar || c1.Contains(ch)) {
-				if !yield(value.IntV(int64(i + 1))) {
-					return
-				}
+		end := func() int {
+			if depth < 0 {
+				return 0 // an unbalanced closer ends the sequence
 			}
+			return hi
+		}
+		return hits(lo, end, func(i int) bool {
+			ch := rune(s[i])
+			hit := depth == 0 && (anyChar || c1.Contains(ch))
 			switch {
 			case c2.Contains(ch):
 				depth++
 			case c3.Contains(ch):
 				depth--
-				if depth < 0 {
-					return
-				}
 			}
-		}
+			return hit
+		})
 	}))
 	add(ValProc("match", 4, func(args []value.V) value.V {
 		pat := string(value.MustString(args[0]))
@@ -431,6 +420,20 @@ func mustList(a []value.V, i int) *value.List {
 // subjectRange extracts the (s, i, j) convention of Icon string functions:
 // args[base] is the subject, args[base+1] and args[base+2] optional
 // positions defaulting to the whole string. It returns Go [lo,hi) offsets.
+// hits is the step function generating, from i on while i < end(), the
+// 1-based positions i+1 at which hit(i) holds.
+func hits(i int, end func() int, hit func(i int) bool) func() (value.V, bool) {
+	return func() (value.V, bool) {
+		for ; i < end(); i++ {
+			if hit(i) {
+				i++
+				return value.IntV(int64(i)), true
+			}
+		}
+		return nil, false
+	}
+}
+
 func subjectRange(args []value.V, base int) (s string, lo, hi int) {
 	s = string(value.MustString(args[base]))
 	i, j := 1, 0

@@ -189,7 +189,7 @@ func InvokeVal(f V, args ...V) Gen {
 // for a *value.Native callee: semantically identical (raise on error, fail
 // on native failure, singleton result, auto-restart per cycle) but with a
 // reusable argument buffer and no per-cycle generator allocation — the
-// pattern dominates translated per-value invocation chains.
+// pattern dominates the hand-composed per-value invocation chains.
 type applyNativeGen struct {
 	fn   *value.Native
 	arg  func() V

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io"
+
 	"junicon/internal/value"
 )
 
@@ -131,17 +133,7 @@ func (g *scanGen) Next() (V, bool) {
 			g.inner = &ScanState{Subject: string(s), Pos: 1}
 			g.body = g.mkBody()
 		}
-		// Swap in the scan environment for the body step, out afterwards.
-		outer := g.h.cur
-		g.h.cur = g.inner
-		v, ok := g.body.Next()
-		if ok {
-			// Dereference inside the environment: results that are
-			// environment-dependent variables (&subject, &pos) must be
-			// resolved before the swap-out makes them read another scan.
-			v = value.Deref(v)
-		}
-		g.h.cur = outer
+		v, ok := g.step()
 		if ok {
 			return v, true
 		}
@@ -149,6 +141,23 @@ func (g *scanGen) Next() (V, bool) {
 		g.body = nil
 		g.inner = nil
 	}
+}
+
+// step runs one body step inside the scan environment. The outer
+// environment comes back however the step ends — a result, failure, or a
+// break or runtime error unwinding through it.
+func (g *scanGen) step() (V, bool) {
+	outer := g.h.cur
+	g.h.cur = g.inner
+	defer func() { g.h.cur = outer }()
+	v, ok := g.body.Next()
+	if ok {
+		// Dereference inside the environment: results that are
+		// environment-dependent variables (&subject, &pos) must be
+		// resolved before the swap-out makes them read another scan.
+		v = value.Deref(v)
+	}
+	return v, ok
 }
 
 func (g *scanGen) Restart() {
@@ -296,74 +305,113 @@ func ScanBuiltins(h *ScanHolder) map[string]value.V {
 	})
 
 	// Subject-defaulting analysis generators: when the subject argument is
-	// null, s defaults to &subject and i to &pos (Icon's convention).
-	subjectDefault := func(name string, fn func(st *ScanState, arg value.V, yield func(value.V) bool)) *value.Proc {
-		return GenProc(name, 2, func(args []value.V, yield func(value.V) bool) {
+	// null, s defaults to &subject and i to &pos (Icon's convention). The
+	// environment is read when the activation first runs.
+	subjectDefault := func(name string, fn func(st *ScanState, arg value.V) func() (value.V, bool)) *value.Proc {
+		return StepProc(name, 2, func(args []value.V) func() (value.V, bool) {
 			st, ok := h.need()
 			if !ok {
-				return
+				return func() (value.V, bool) { return nil, false }
 			}
-			fn(st, value.Deref(args[0]), yield)
+			return fn(st, value.Deref(args[0]))
 		})
 	}
-	b["tabMatch"] = subjectDefault("tabMatch", func(st *ScanState, arg value.V, yield func(value.V) bool) {
+	// once yields v (when it is not nil) and then fails.
+	once := func(v value.V) func() (value.V, bool) {
+		return func() (value.V, bool) {
+			r := v
+			v = nil
+			return r, r != nil
+		}
+	}
+	b["tabMatch"] = subjectDefault("tabMatch", func(st *ScanState, arg value.V) func() (value.V, bool) {
 		// =s is tab(match(s)) in Icon; provided as a function here.
 		pat := string(value.MustString(arg))
-		if st.Pos-1+len(pat) <= len(st.Subject) && st.Subject[st.Pos-1:st.Pos-1+len(pat)] == pat {
-			old := st.Pos
-			st.Pos += len(pat)
-			if !yield(value.String(pat)) {
-				return
+		old, moved := 0, false
+		return func() (value.V, bool) {
+			if moved {
+				st.Pos = old // reversible on resumption
+				moved = false
+				return nil, false
 			}
-			st.Pos = old // reversible on resumption
+			if st.Pos-1+len(pat) > len(st.Subject) || st.Subject[st.Pos-1:st.Pos-1+len(pat)] != pat {
+				return nil, false
+			}
+			old, moved = st.Pos, true
+			st.Pos += len(pat)
+			return value.String(pat), true
 		}
 	})
-	b["matchAt"] = subjectDefault("matchAt", func(st *ScanState, arg value.V, yield func(value.V) bool) {
+	b["matchAt"] = subjectDefault("matchAt", func(st *ScanState, arg value.V) func() (value.V, bool) {
 		// match(s) against &subject at &pos: yields the position after the
 		// match without moving &pos.
 		pat := string(value.MustString(arg))
 		if st.Pos-1+len(pat) <= len(st.Subject) && st.Subject[st.Pos-1:st.Pos-1+len(pat)] == pat {
-			yield(value.IntV(int64(st.Pos + len(pat))))
+			return once(value.IntV(int64(st.Pos + len(pat))))
 		}
+		return once(nil)
 	})
-	b["findAt"] = subjectDefault("findAt", func(st *ScanState, arg value.V, yield func(value.V) bool) {
+	b["findAt"] = subjectDefault("findAt", func(st *ScanState, arg value.V) func() (value.V, bool) {
 		pat := string(value.MustString(arg))
-		if pat == "" {
-			return
-		}
-		for i := st.Pos - 1; i+len(pat) <= len(st.Subject); i++ {
-			if st.Subject[i:i+len(pat)] == pat {
-				if !yield(value.IntV(int64(i + 1))) {
-					return
-				}
-			}
-		}
+		return hits(st.Pos-1, func() int { return len(st.Subject) - len(pat) + 1 }, func(i int) bool {
+			return pat != "" && st.Subject[i:i+len(pat)] == pat
+		})
 	})
-	b["uptoAt"] = subjectDefault("uptoAt", func(st *ScanState, arg value.V, yield func(value.V) bool) {
+	b["uptoAt"] = subjectDefault("uptoAt", func(st *ScanState, arg value.V) func() (value.V, bool) {
 		c := value.MustCset(arg)
-		for i := st.Pos - 1; i < len(st.Subject); i++ {
-			if c.Contains(rune(st.Subject[i])) {
-				if !yield(value.IntV(int64(i + 1))) {
-					return
-				}
-			}
-		}
+		return hits(st.Pos-1, func() int { return len(st.Subject) }, func(i int) bool {
+			return c.Contains(rune(st.Subject[i]))
+		})
 	})
-	b["manyAt"] = subjectDefault("manyAt", func(st *ScanState, arg value.V, yield func(value.V) bool) {
+	b["manyAt"] = subjectDefault("manyAt", func(st *ScanState, arg value.V) func() (value.V, bool) {
 		c := value.MustCset(arg)
 		i := st.Pos - 1
 		for i < len(st.Subject) && c.Contains(rune(st.Subject[i])) {
 			i++
 		}
 		if i >= st.Pos {
-			yield(value.IntV(int64(i + 1)))
+			return once(value.IntV(int64(i + 1)))
 		}
+		return once(nil)
 	})
-	b["anyAt"] = subjectDefault("anyAt", func(st *ScanState, arg value.V, yield func(value.V) bool) {
+	b["anyAt"] = subjectDefault("anyAt", func(st *ScanState, arg value.V) func() (value.V, bool) {
 		c := value.MustCset(arg)
 		if st.Pos-1 < len(st.Subject) && c.Contains(rune(st.Subject[st.Pos-1])) {
-			yield(value.IntV(int64(st.Pos + 1)))
+			return once(value.IntV(int64(st.Pos + 1)))
 		}
+		return once(nil)
 	})
 	return b
+}
+
+// Library is the builtin library an embedded program resolves names in:
+// Builtins writing to w, the scanning functions over h, and the string
+// analysis functions defaulting their subject to &subject and their start
+// to &pos when the subject argument is omitted or null (Icon's convention
+// inside scanning expressions). The interpreter and translated programs
+// both bind this one table.
+func Library(w io.Writer, h *ScanHolder) map[string]value.V {
+	lib := Builtins(w)
+	scanLib := ScanBuiltins(h)
+	for k, v := range scanLib {
+		lib[k] = v
+	}
+	for name, atName := range map[string]string{
+		"find": "findAt", "upto": "uptoAt", "many": "manyAt",
+		"any": "anyAt", "match": "matchAt",
+	} {
+		base := lib[name].(*value.Proc)
+		at := scanLib[atName].(*value.Proc)
+		lib[name] = value.NewProc(name, -1, func(args ...value.V) Gen {
+			if len(args) < 2 || value.IsNull(value.Deref(args[1])) {
+				var first value.V = value.NullV
+				if len(args) > 0 {
+					first = args[0]
+				}
+				return at.Call(first)
+			}
+			return base.Call(args...)
+		})
+	}
+	return lib
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Suspendable generator functions. A Unicon method containing suspend
-// becomes, in translation, a generator whose body runs until the next
+// becomes, in the tree walk, a generator whose body runs until the next
 // suspend and statefully resumes there on the following Next (§5B: "the
 // kernel is optimized to statefully resume its point of suspension").
 //
@@ -65,6 +65,26 @@ func GenProc(name string, arity int, body func(args []V, yield func(V) bool)) *v
 		return NewGen(func(yield func(V) bool) { body(captured, yield) })
 	})
 }
+
+// StepProc wraps a pull-style generator function as a procedure value: on
+// the first Next of each activation, start receives the arguments and
+// returns the step function that produces the results one per call, ok
+// false ending the sequence. Suspension is the step function's own
+// captured state — no coroutine, so an activation abandoned mid-sequence
+// holds nothing but memory — and exhaustion or Restart start afresh.
+func StepProc(name string, arity int, start func(args []V) func() (V, bool)) *value.Proc {
+	return value.NewProc(name, arity, func(args ...V) Gen {
+		captured := append([]V(nil), args...)
+		return Defer(func() Gen { return stepFunc(start(captured)) })
+	})
+}
+
+// stepFunc is a step function as a generator; the Defer around it owns
+// its restart.
+type stepFunc func() (V, bool)
+
+func (s stepFunc) Next() (V, bool) { return s() }
+func (s stepFunc) Restart()        {}
 
 // ValProc wraps a plain single-result Go function as a procedure value; a
 // nil result means failure. This is the convenient form for host functions

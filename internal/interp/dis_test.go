@@ -56,7 +56,8 @@ func TestDisassemblyCoversCompiledUnits(t *testing.T) {
 	var b strings.Builder
 	err := in.DisassembleProgram(`
 def ok(n) { return n + 1; }
-def rolls(n) { return ?n; }
+def later() { g := 1; local g; return g; }
+global g
 `, &b)
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,8 @@ import (
 // eval compiles a syntax tree into a kernel generator. The same compiler
 // accepts raw trees and §5A normal forms (FlatProduct / BindIn / TmpRef),
 // which is how the tests establish that normalization preserves meaning.
-// Translated code (the translate package) emits calls to exactly the same
-// kernel constructors this compiler uses, so the two paths share one
-// operational semantics.
+// The vm and translated code run the same normal forms lowered by the
+// compile package instead; the semtest lanes pin all three to one trace.
 func (in *Interp) eval(n ast.Node, env *Env) core.Gen {
 	switch x := n.(type) {
 	case nil:

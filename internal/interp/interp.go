@@ -108,32 +108,8 @@ func New(opts ...Option) *Interp {
 		o(in)
 	}
 	in.globals = NewEnv(nil)
-	in.builtins = core.Builtins(in.out)
 	in.scan = core.NewScanHolder()
-	scanLib := core.ScanBuiltins(in.scan)
-	for k, v := range scanLib {
-		in.builtins[k] = v
-	}
-	// The string analysis functions default their subject to &subject and
-	// their start position to &pos when the subject argument is omitted or
-	// null (Icon's convention inside scanning expressions).
-	for name, atName := range map[string]string{
-		"find": "findAt", "upto": "uptoAt", "many": "manyAt",
-		"any": "anyAt", "match": "matchAt",
-	} {
-		base := in.builtins[name].(*value.Proc)
-		at := scanLib[atName].(*value.Proc)
-		in.builtins[name] = value.NewProc(name, -1, func(args ...value.V) core.Gen {
-			if len(args) < 2 || value.IsNull(value.Deref(args[1])) {
-				var first value.V = value.NullV
-				if len(args) > 0 {
-					first = args[0]
-				}
-				return at.Call(first)
-			}
-			return base.Call(args...)
-		})
-	}
+	in.builtins = core.Library(in.out, in.scan)
 	return in
 }
 
@@ -184,7 +160,7 @@ func (in *Interp) LoadProgram(src string) error {
 	if in.optimize || in.vm {
 		in.extendFacts(norm.Decls)
 	}
-	err = core.Protect(func() {
+	err = in.protect(func() {
 		for _, d := range norm.Decls {
 			in.loadDecl(d)
 		}
@@ -316,7 +292,7 @@ func (in *Interp) Eval(src string, max int) ([]value.V, error) {
 		return nil, err
 	}
 	var out []value.V
-	err = core.Protect(func() { out = core.Drain(g, max) })
+	err = in.protect(func() { out = core.Drain(g, max) })
 	return out, err
 }
 
@@ -329,8 +305,23 @@ func (in *Interp) EvalFirst(src string) (value.V, bool, error) {
 	}
 	var v value.V
 	var ok bool
-	err = core.Protect(func() { v, ok = core.First(g) })
+	err = in.protect(func() { v, ok = core.First(g) })
 	return v, ok, err
+}
+
+// protect runs f under core.Protect, at the boundary where an evaluation's
+// runtime error surfaces. A compiled scan swaps the environment in and out
+// at its own instructions, with no deferred swap to unwind (a per-Next
+// guard would tax every resumption), so an error raised inside one leaves
+// its environment current: the boundary puts back the one the evaluation
+// began with.
+func (in *Interp) protect(f func()) error {
+	outer := in.scan.Current()
+	err := core.Protect(f)
+	if err != nil {
+		in.scan.Swap(outer)
+	}
+	return err
 }
 
 // resolve finds a name: scope chain, then builtins, then natives. Unknown

@@ -2,10 +2,13 @@ package semtest
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
+	"junicon/internal/interp"
 	"junicon/internal/pool"
+	"junicon/internal/value"
 )
 
 // TestDifferentialCompiledGrid is the bytecode vm's semantic gate: every
@@ -86,6 +89,34 @@ def double(x) { return x * 2; }
 		}
 		if !got.Equal(ref) {
 			t.Fatalf("%s: %s\n%s\ncompiled diverged:\nref = %s\ngot = %s", c.Name, c.Expr, program[len(prelude):], ref, got)
+		}
+	}
+}
+
+// TestScanRestoredAfterError pins the evaluation boundary: a runtime error
+// raised inside a scan must not leave its environment current for the
+// next evaluation in the same interpreter. After each error, both the
+// tree walk and the compiled lane must read &subject and &pos as a fresh
+// interpreter does.
+func TestScanRestoredAfterError(t *testing.T) {
+	const probe = `&subject || ":" || &pos`
+	fresh, err := interp.New().Eval(probe, 1)
+	if err != nil || len(fresh) != 1 {
+		t.Fatalf("fresh probe: %v %v", fresh, err)
+	}
+	for _, opts := range [][]interp.Option{nil, {interp.WithVM()}} {
+		in := interp.New(append([]interp.Option{interp.WithOutput(io.Discard)}, opts...)...)
+		for _, s := range []string{
+			`"abc" ? { move(1); 1/0 }`,
+			`"xyz" ? (move(2) & [&subject, &pos, 1/0])`,
+		} {
+			if _, err := in.Eval(s, 10); err == nil {
+				t.Fatalf("%s: no runtime error", s)
+			}
+			got, err := in.Eval(probe, 1)
+			if err != nil || len(got) != 1 || value.Image(got[0]) != value.Image(fresh[0]) {
+				t.Errorf("vm=%v: after %s, %s = %v (err %v), want %s", in.VMEnabled(), s, probe, got, err, value.Image(fresh[0]))
+			}
 		}
 	}
 }

@@ -113,6 +113,31 @@ def counted() { count := (\count | 0) + 1; return count; }
 		Case{Name: "scan/statement", Program: lowered, Expr: "fields(\"ab skip cd,ef stop gh\")"},
 		Case{Name: "scan/expression", Program: lowered, Expr: "scanned(\"a,b\" | \"no\" | \"x,y,z\")"},
 	)
+	// The constructs the compiler lowered last, pinned the same way: a
+	// bare <> sharing the creating scope's variables in both directions
+	// (in a procedure and at top level), ?x over operands with one element
+	// (so the trace is deterministic), and assignment through targets
+	// other than a name — element references and alternatives. And a
+	// break out of an expression-position scan, which must restore the
+	// scan environment it leaves.
+	const shared = `
+def sharedCounter() { x := 1; g := <> (x +:= 10); @g; x +:= 1; suspend x | @g | x; }
+def zeroed(L) { every !L := 0; return L; }
+def bumped(L) { every !L +:= 1; return L; }
+def either() { a := 1; b := 2; every (a | b) := 7; return [a, b]; }
+def picks() { suspend ?[5] | ?"z" | ?1 | (?[] | "none"); }
+def nestedShare() { c := |<> { y := 1; g := <> (y +:= 1); @g; L := [1, 2]; every !L := y; L }; return @c; }
+def leftScan() { every i := 1 to 3 do { x := ("xyz" ? (move(1) & break)); }; return &subject; }
+`
+	cases = append(cases,
+		Case{Name: "lowered/shared-first-class", Program: shared, Expr: "sharedCounter()"},
+		Case{Name: "lowered/shared-first-class-top-level", Expr: "{ y := 5; g := <> (y +:= 1); @g; [y, @g] }"},
+		Case{Name: "lowered/bang-target", Program: shared, Expr: "zeroed([1, 2, 3]) | bumped([1, 2])"},
+		Case{Name: "lowered/alternative-target", Program: shared, Expr: "either()"},
+		Case{Name: "lowered/random-element", Program: shared, Expr: "picks()"},
+		Case{Name: "lowered/shared-inside-coexpression", Program: shared, Expr: "nestedShare()"},
+		Case{Name: "scan/break-leaves", Program: shared, Expr: "leftScan()"},
+	)
 	// Failure propagation: sequences that raise a runtime error after
 	// zero or several values. The dynamic type error hides behind a
 	// procedure call so the static analyzer cannot reject the source

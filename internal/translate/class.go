@@ -1,9 +1,11 @@
 package translate
 
 import (
+	"fmt"
 	"strings"
 
 	"junicon/internal/ast"
+	"junicon/internal/compile"
 )
 
 // Class translation (§5C): "expose variables in both plain and reified
@@ -14,7 +16,8 @@ import (
 // A declaration `class C(x, y) { def m(a) {…} }` becomes a Go struct with
 // the plain fields (host code reads and writes them directly), reified
 // IconVar views whose get/set closures alias the plain fields, and method
-// values compiled against the instance's reified scope:
+// values whose code objects take the instance's views as the cells of
+// the field names:
 //
 //	local x;   →   X value.V
 //	               X_r = value.NewVar(func() value.V { return o.X },
@@ -33,13 +36,13 @@ func goName(name string) string {
 	return strings.ToUpper(name[:1]) + name[1:]
 }
 
-// classDual emits the dual-form struct translation for a class.
-func (e *emitter) classDual(c *ast.ClassDecl) {
+// classDual emits the dual-form struct translation for a class and the
+// state machines of its methods.
+func (e *emitter) classDual(c *ast.ClassDecl) error {
 	tname := goName(c.Name)
 	e.linef("// %s is the dual-form translation of class %s(%s) (§5C):", tname, c.Name, strings.Join(c.Fields, ", "))
 	e.linef("// plain fields for host code, reified views for embedded code.")
 	e.linef("type %s struct {", tname)
-	e.depth++
 	for _, f := range c.Fields {
 		e.linef("%s value.V", goName(f))
 	}
@@ -49,21 +52,16 @@ func (e *emitter) classDual(c *ast.ClassDecl) {
 	for _, m := range c.Methods {
 		e.linef("%s *value.Proc", goName(m.Name))
 	}
-	e.depth--
-	e.linef("}")
-	e.linef("")
+	e.linef("}\n")
 
 	// Constructor: wires the reified views to the plain fields and binds
-	// the methods over the instance scope.
+	// the methods over the instance's views.
 	e.linef("// New%s constructs an instance; missing arguments stay null.", tname)
 	e.linef("func New%s(args ...value.V) *%s {", tname, tname)
-	e.depth++
 	e.linef("o := &%s{}", tname)
 	for i, f := range c.Fields {
 		e.linef("o.%s = value.NullV", goName(f))
-		e.linef("if len(args) > %d {", i)
-		e.linef("\to.%s = value.Deref(args[%d])", goName(f), i)
-		e.linef("}")
+		e.linef("if len(args) > %d {\no.%s = value.Deref(args[%d])\n}", i, goName(f), i)
 	}
 	e.linef("// Reified views stay consistent with the plain fields: both")
 	e.linef("// sides see every assignment — the closures alias the struct fields.")
@@ -72,41 +70,13 @@ func (e *emitter) classDual(c *ast.ClassDecl) {
 			goName(f), goName(f), goName(f))
 	}
 	for _, m := range c.Methods {
-		e.linef("o.%s = o.make%s()", goName(m.Name), goName(m.Name))
+		id := tname + "_" + m.Name
+		e.linef("o.%s = value.NewProc(%q, %d, machine_%s(o).Call)", goName(m.Name), m.Name, len(m.Params), id)
 	}
-	e.linef("return o")
-	e.depth--
-	e.linef("}")
-	e.linef("")
+	e.linef("return o\n}\n")
 
-	// Methods: compiled like procedures, but with class fields resolving
-	// to the instance's reified views.
-	for _, m := range c.Methods {
-		e.classMethod(c, m)
-	}
-
-	// A class-level constructor procedure value for embedded invocation:
-	// C(x, y) inside Junicon builds an instance and returns its methods
-	// via field access on a record-like wrapper? Embedded code instead
-	// receives the instance as an opaque host value; method access happens
-	// through the Natives registry or host loops.
-	e.linef("// %sProc exposes the constructor to embedded code.", tname)
-	e.linef("var %sProc = value.NewProc(%q, %d, func(args ...value.V) core.Gen {",
-		tname, c.Name, len(c.Fields))
-	e.depth++
-	e.linef("o := New%s(args...)", tname)
-	e.linef("return core.Unit(o.asRecord())")
-	e.depth--
-	e.linef("})")
-	e.linef("")
-
-	// asRecord views the instance as a Unicon record whose fields are the
-	// reified views (reference semantics: updates flow through) and whose
-	// method members are the procedure values.
-	e.linef("// asRecord views the instance as a record over the reified fields,")
-	e.linef("// so embedded code gets reference semantics on o.field.")
-	e.linef("func (o *%s) asRecord() *value.Record {", tname)
-	e.depth++
+	// Embedded code receives the instance as a record over the reified
+	// fields (reference semantics: updates flow through) and the methods.
 	names := make([]string, 0, len(c.Fields)+len(c.Methods))
 	vals := make([]string, 0, len(names))
 	for _, f := range c.Fields {
@@ -117,77 +87,33 @@ func (e *emitter) classDual(c *ast.ClassDecl) {
 		names = append(names, `"`+m.Name+`"`)
 		vals = append(vals, "o."+goName(m.Name))
 	}
-	e.linef("return value.NewRecord(%q, []string{%s}, []value.V{%s})",
-		c.Name, strings.Join(names, ", "), strings.Join(vals, ", "))
-	e.depth--
-	e.linef("}")
-	e.linef("")
+	e.linef(`// %[1]sProc exposes the constructor to embedded code.
+var %[1]sProc = value.NewProc(%[2]q, %[3]d, func(args ...value.V) core.Gen {
+	return core.Unit(New%[1]s(args...).asRecord())
+})
+
+// asRecord views the instance as a record over the reified fields,
+// so embedded code gets reference semantics on o.field.
+func (o *%[1]s) asRecord() *value.Record {
+	return value.NewRecord(%[2]q, []string{%[4]s}, []value.V{%[5]s})
 }
+`, tname, c.Name, len(c.Fields), strings.Join(names, ", "), strings.Join(vals, ", "))
 
-// classMethod emits one method as a factory producing the bound procedure
-// value over the instance's reified field scope.
-func (e *emitter) classMethod(c *ast.ClassDecl, m *ast.ProcDecl) {
-	tname := goName(c.Name)
-	outer := e.scope
-	e.scope = map[string]bool{}
-	for _, p := range m.Params {
-		e.scope[p] = true
-	}
-	// Field names resolve through the instance (bound to o.F_r below);
-	// params shadow fields, and assignments to field names target the
-	// field, not a fresh local.
-	fieldSet := map[string]bool{}
+	// Methods: lowered like procedures, with the field names (those no
+	// parameter shadows) resolving to cells the instance supplies.
+	e.fields = map[string]bool{}
 	for _, f := range c.Fields {
-		if !e.scope[f] {
-			fieldSet[f] = true
-			e.scope[f] = true
-		}
+		e.fields[f] = true
 	}
-	var locals []string
-	for _, l := range collectLocals(m) {
-		if !e.scope[l] { // skip params and fields
-			locals = append(locals, l)
-			e.scope[l] = true
+	defer func() { e.fields = nil }()
+	for _, m := range c.Methods {
+		code, err := lower(fmt.Sprintf("method %s.%s", c.Name, m.Name), func() (*compile.Code, error) {
+			return compile.Proc(m, e.env(false))
+		})
+		if err != nil {
+			return err
 		}
+		e.unit(code, tname+"_"+m.Name, tname)
 	}
-
-	e.linef("func (o *%s) make%s() *value.Proc {", tname, goName(m.Name))
-	e.depth++
-	e.linef("return value.NewProc(%q, %d, func(args ...value.V) core.Gen {", m.Name, len(m.Params))
-	e.depth++
-	for _, f := range c.Fields {
-		if fieldSet[f] {
-			e.linef("%s := o.%s_r", cell(f), goName(f))
-		}
-	}
-	if len(m.Params) > 0 {
-		e.linef("// Reified parameters")
-		for _, p := range m.Params {
-			e.linef("%s := value.NewCell(value.NullV)", cell(p))
-		}
-		for i, p := range m.Params {
-			e.linef("if len(args) > %d {", i)
-			e.linef("\t%s.Set(value.Deref(args[%d]))", cell(p), i)
-			e.linef("}")
-		}
-	} else {
-		e.linef("_ = args")
-	}
-	if len(locals) > 0 {
-		e.linef("// Reified locals and temporaries")
-		for _, l := range locals {
-			e.linef("%s := value.NewCell(value.NullV)", cell(l))
-		}
-	}
-	e.linef("return core.NewGen(func(yield func(value.V) bool) {")
-	e.depth++
-	e.stmts(m.Body.Stmts)
-	e.depth--
-	e.linef("})")
-	e.depth--
-	e.linef("})")
-	e.depth--
-	e.linef("}")
-	e.linef("")
-	e.scope = outer
+	return nil
 }

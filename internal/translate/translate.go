@@ -1,16 +1,21 @@
-// Package translate emits Go source from normalized Junicon syntax trees —
-// the migration stage of the paper (§5, Figure 5): each procedure becomes a
-// host-language function whose body is a composition of kernel-iterator
-// constructors over reified parameters and temporaries, exposed as a
-// variadic procedure value.
+// Package translate emits Go source from Junicon programs — the migration
+// stage of the paper (§5). It is the second back end of the compile
+// package: every unit (procedure, class method, top-level statement, and
+// the create and <> bodies nested in them) is lowered to a code object,
+// exactly as for the vm, and each code object becomes one Go type whose
+// Next switches on its program counter — §5B's generator that "statefully
+// resumes its point of suspension", with the frame (slots, operand and
+// choice stacks, aux cells, pc) as the type's state. Only control flow is
+// emitted: every operator, builtin, scan, call and creation goes through
+// the vm.Frame method the vm's own dispatch loop calls, so no opcode has a
+// second semantics, and a program compile refuses is refused here with
+// the same reason (internal/compile/testdata/fallback_allowlist.txt).
 //
-// Where Figure 5 emits `new IconProduct(new IconIn(x_1_r, …),
-// new IconPromote(x_1_r))` for Java, this package emits
-// `core.Product(core.In(x_1_r, …), core.Promote(core.Unit(x_1_r)))` for Go.
-// Generated files are self-contained: they depend only on the kernel
-// packages, resolve free names through a package-level global scope
-// initialized with the builtin library, and expose a Natives map for host
-// interop (the :: calls of §4).
+// Generated files are self-contained packages. Names resolve as the
+// interpreter resolves them; globals, natives and the scan environment
+// are bound when the generated package initializes, through a global
+// scope (Globals), a host-interop registry consulted at call time
+// (Natives, the :: calls of §4) and the one builtin library.
 package translate
 
 import (
@@ -24,8 +29,11 @@ import (
 
 	"junicon/internal/analyze"
 	"junicon/internal/ast"
+	"junicon/internal/compile"
+	"junicon/internal/core"
 	"junicon/internal/parser"
 	"junicon/internal/transform"
+	"junicon/internal/value"
 )
 
 // Options configures code generation.
@@ -36,7 +44,8 @@ type Options struct {
 	// (nil selects standard error).
 	Diagnostics io.Writer
 	// Known reports names bound by the host environment, suppressing
-	// never-assigned diagnostics for them. May be nil.
+	// never-assigned diagnostics for them; the translation resolves them
+	// as globals the host sets. May be nil.
 	Known func(name string) bool
 	// NoVet disables the pre-translation analyzer gate entirely.
 	NoVet bool
@@ -57,9 +66,11 @@ func TranslateProgram(src string, opts Options) (string, error) {
 			return "", err
 		}
 	}
-	norm := transform.Normalize(prog).(*ast.Program)
-	e := newEmitter(opts)
-	out, err := e.program(norm)
+	if opts.Package == "" {
+		opts.Package = "translated"
+	}
+	e := &emitter{opts: opts, consts: map[value.V]string{}, globals: map[string]bool{}}
+	out, err := e.program(transform.Normalize(prog).(*ast.Program))
 	if err != nil {
 		return "", err
 	}
@@ -96,405 +107,271 @@ func vetGate(prog *ast.Program, opts Options) error {
 
 // emitter carries generation state.
 type emitter struct {
-	opts  Options
-	buf   strings.Builder
-	depth int
-	// scope holds the names that are cells in the current procedure
-	// (parameters, locals, temporaries); anything else resolves globally.
-	scope map[string]bool
-	errs  []string
-}
-
-func newEmitter(opts Options) *emitter {
-	if opts.Package == "" {
-		opts.Package = "translated"
-	}
-	return &emitter{opts: opts}
+	opts Options
+	buf  strings.Builder
+	// globals holds every name the program binds globally: declarations,
+	// procedures, records, classes, host-known names and the names
+	// top-level statements create. Each becomes a cell of Globals.
+	globals map[string]bool
+	// consts maps the stand-ins the translation Env hands the compiler
+	// (builtins, natives) to the Go expressions that bind them at run time.
+	consts map[value.V]string
+	scan   *core.ScanHolder
+	// fields holds the field names of the class whose method is being
+	// lowered: they resolve to the instance's reified views.
+	fields map[string]bool
 }
 
 func (e *emitter) linef(format string, args ...any) {
-	e.buf.WriteString(strings.Repeat("\t", e.depth))
 	fmt.Fprintf(&e.buf, format, args...)
 	e.buf.WriteByte('\n')
 }
 
-func (e *emitter) errf(format string, args ...any) {
-	e.errs = append(e.errs, fmt.Sprintf(format, args...))
+// unit is one top-level code object and the Go identifiers it emits as.
+type unit struct {
+	code *compile.Code
+	id   string // Go identifier of the type; machine_<id> builds its Machine
+	proc string // procedure name bound in Globals, "" for a statement
 }
 
-// cell returns the Go identifier of a reified cell, in the paper's _r
-// naming style.
-func cell(name string) string { return "v_" + name + "_r" }
+// env is the translation Env: names resolve exactly as for the vm, to
+// stand-ins that the emitted package binds when it initializes.
+func (e *emitter) env(topLevel bool) compile.Env {
+	lib := core.Library(io.Discard, e.scan)
+	env := compile.Env{
+		LookupGlobal: func(name string) (*value.Var, bool) {
+			if e.fields[name] || e.globals[name] || (e.opts.Known != nil && e.opts.Known(name)) {
+				return value.NewCell(value.NullV), true
+			}
+			return nil, false
+		},
+		LookupConst: func(name string) (value.V, bool) {
+			if _, ok := lib[name]; !ok {
+				return nil, false
+			}
+			p := value.NewProc(name, -1, nil)
+			e.consts[p] = fmt.Sprintf("builtins[%q]", name)
+			return p, true
+		},
+		Native: func(name string) (*value.Native, bool) {
+			n := value.NewNative(name, nil)
+			e.consts[n] = fmt.Sprintf("native(%q)", name)
+			return n, true
+		},
+		Scan: e.scan,
+	}
+	if topLevel {
+		env.DefineGlobal = func(name string) *value.Var {
+			e.globals[name] = true
+			return value.NewCell(value.NullV)
+		}
+	}
+	return env
+}
 
-// procVar returns the Go identifier of a translated procedure value.
-func procVar(name string) string { return "P_" + name }
+// lower compiles one unit, naming a refusal after the unit.
+func lower(name string, f func() (*compile.Code, error)) (*compile.Code, error) {
+	code, err := f()
+	var u *compile.Unsupported
+	if errors.As(err, &u) {
+		return nil, fmt.Errorf("translate: %s: %s (at %d:%d)", name, u.Reason, u.At.Line, u.At.Col)
+	}
+	return code, err
+}
 
 func (e *emitter) program(p *ast.Program) (string, error) {
+	e.scan = core.NewScanHolder()
 	var procs []*ast.ProcDecl
 	var records []*ast.RecordDecl
 	var classes []*ast.ClassDecl
-	var globals []string
-	var topLevel []ast.Node
+	var stmts []ast.Node
 	for _, d := range p.Decls {
 		switch x := d.(type) {
 		case *ast.ProcDecl:
 			procs = append(procs, x)
+			e.globals[x.Name] = true
 		case *ast.RecordDecl:
 			records = append(records, x)
+			e.globals[x.Name] = true
 		case *ast.GlobalDecl:
-			globals = append(globals, x.Names...)
+			for _, name := range x.Names {
+				e.globals[name] = true
+			}
 		case *ast.ClassDecl:
 			classes = append(classes, x)
+			e.globals[x.Name] = true
 		default:
-			topLevel = append(topLevel, d)
+			stmts = append(stmts, d)
 		}
 	}
+	// Top-level statements first: like the interpreter's load, they create
+	// the globals the procedures then resolve.
+	var stmtUnits, units []unit
+	for i, s := range stmts {
+		code, err := lower(fmt.Sprintf("statement %d", i+1), func() (*compile.Code, error) {
+			return compile.Expr(s, e.env(true))
+		})
+		if err != nil {
+			return "", err
+		}
+		stmtUnits = append(stmtUnits, unit{code: code, id: fmt.Sprintf("stmt%d", i+1)})
+	}
+	for _, d := range procs {
+		code, err := lower("procedure "+d.Name, func() (*compile.Code, error) {
+			return compile.Proc(d, e.env(false))
+		})
+		if err != nil {
+			return "", err
+		}
+		units = append(units, unit{code: code, id: "proc_" + d.Name, proc: d.Name})
+	}
+	units = append(units, stmtUnits...)
 
-	e.linef("// Code generated by junicon translate; DO NOT EDIT.")
-	e.linef("")
-	e.linef("// Package %s holds the Go translation of an embedded Junicon program", e.opts.Package)
-	e.linef("// (§5: migration by flattening to compositions of kernel iterators).")
-	e.linef("package %s", e.opts.Package)
-	e.linef("")
-	e.linef("import (")
-	e.depth++
-	e.linef(`"os"`)
-	e.linef(`"sync"`)
-	e.linef("")
-	e.linef(`"junicon/internal/coexpr"`)
-	e.linef(`"junicon/internal/core"`)
-	e.linef(`"junicon/internal/pipe"`)
-	e.linef(`"junicon/internal/value"`)
-	e.depth--
-	e.linef(")")
-	e.linef("")
-	e.linef("// Globals is the translated program's global scope.")
-	e.linef("var Globals = map[string]*value.Var{}")
-	e.linef("")
-	e.linef("// Natives is the host-interop registry for :: invocations.")
-	e.linef("var Natives = map[string]*value.Native{}")
-	e.linef("")
-	e.linef("// scanHolder carries this program's string-scanning environment.")
-	e.linef("var scanHolder = core.NewScanHolder()")
-	e.linef("")
-	e.linef("var builtins = func() map[string]value.V {")
-	e.depth++
-	e.linef("b := core.Builtins(os.Stdout)")
-	e.linef("for k, v := range core.ScanBuiltins(scanHolder) {")
-	e.linef("\tb[k] = v")
-	e.linef("}")
-	e.linef("return b")
-	e.depth--
-	e.linef("}()")
-	e.linef("")
-	e.linef("// resolve finds a name: globals first, then builtins; unknown names")
-	e.linef("// are created as globals on first use.")
-	e.linef("func resolve(name string) *value.Var {")
-	e.depth++
-	e.linef("if v, ok := Globals[name]; ok {")
-	e.linef("\treturn v")
-	e.linef("}")
-	e.linef("if b, ok := builtins[name]; ok {")
-	e.linef("\treturn value.NewCell(b)")
-	e.linef("}")
-	e.linef("v := value.NewCell(value.NullV)")
-	e.linef("Globals[name] = v")
-	e.linef("return v")
-	e.depth--
-	e.linef("}")
-	e.linef("")
-	e.linef("func native(name string) *value.Native {")
-	e.depth++
-	e.linef("if n, ok := Natives[name]; ok {")
-	e.linef("\treturn n")
-	e.linef("}")
-	e.linef(`value.Raise(value.ErrProcedure, "unregistered native ::"+name, nil)`)
-	e.linef(`panic("unreachable")`)
-	e.depth--
-	e.linef("}")
-	e.linef("")
-	e.linef("// intLit and realLit parse numeric literals at package-init time.")
-	e.linef("func intLit(s string) value.V {")
-	e.depth++
-	e.linef("i, ok := value.ToInteger(value.String(s))")
-	e.linef("if !ok {")
-	e.linef("\tvalue.Raise(value.ErrInteger, \"malformed integer literal\", value.String(s))")
-	e.linef("}")
-	e.linef("return i")
-	e.depth--
-	e.linef("}")
-	e.linef("")
-	e.linef("func realLit(s string) value.V {")
-	e.depth++
-	e.linef("r, ok := value.ToReal(value.String(s))")
-	e.linef("if !ok {")
-	e.linef("\tvalue.Raise(value.ErrNumeric, \"malformed real literal\", value.String(s))")
-	e.linef("}")
-	e.linef("return r")
-	e.depth--
-	e.linef("}")
-	e.linef("")
-	e.linef("// initCell (re)initializes a declared local from its initializer.")
-	e.linef("func initCell(cell *value.Var, init core.Gen) core.Gen {")
-	e.depth++
-	e.linef("return core.Defer(func() core.Gen {")
-	e.depth++
-	e.linef("if v, ok := core.First(init); ok {")
-	e.linef("\tcell.Set(v)")
-	e.linef("} else {")
-	e.linef("\tcell.Set(value.NullV)")
-	e.linef("}")
-	e.linef("init.Restart()")
-	e.linef("return core.Unit(value.NullV)")
-	e.depth--
-	e.linef("})")
-	e.depth--
-	e.linef("}")
-	e.linef("")
-	e.linef("// suppress unused-import warnings for programs not using every feature")
-	e.linef("var (")
-	e.depth++
-	e.linef("_ = coexpr.Simple")
-	e.linef("_ = pipe.New")
-	e.linef("_ = intLit")
-	e.linef("_ = realLit")
-	e.linef("_ = initCell")
-	e.linef("_ = native")
-	e.linef("_ = sync.Once{}")
-	e.depth--
-	e.linef(")")
-	e.linef("")
-
+	e.header()
 	for _, r := range records {
 		e.record(r)
 	}
 	for _, c := range classes {
-		e.classDual(c)
+		if err := e.classDual(c); err != nil {
+			return "", err
+		}
 	}
-	for _, pd := range procs {
-		e.proc(pd)
+	for _, u := range units {
+		e.unit(u.code, u.id, "")
 	}
-
-	// init wires translated procedures and declared globals into scope.
-	e.linef("func init() {")
-	e.depth++
-	for _, g := range dedup(globals) {
-		e.linef("Globals[%q] = value.NewCell(value.NullV)", g)
-	}
-	for _, r := range records {
-		e.linef("Globals[%q] = value.NewCell(%s)", r.Name, procVar(r.Name))
-	}
-	for _, c := range classes {
-		e.linef("Globals[%q] = value.NewCell(%sProc)", c.Name, goName(c.Name))
-	}
-	for _, pd := range procs {
-		e.linef("Globals[%q] = value.NewCell(%s)", pd.Name, procVar(pd.Name))
-	}
-	e.depth--
-	e.linef("}")
-	e.linef("")
-
-	// Run executes top-level statements (bounded, in order).
-	e.linef("// Run executes the program's top-level statements.")
-	e.linef("func Run() {")
-	e.depth++
-	if len(topLevel) == 0 {
-		e.linef("// no top-level statements")
-	}
-	e.scope = map[string]bool{}
-	for _, s := range topLevel {
-		e.linef("core.Bound(%s).Next()", e.expr(s))
-	}
-	e.depth--
-	e.linef("}")
-
-	if len(e.errs) > 0 {
-		return "", fmt.Errorf("translate: %s", strings.Join(e.errs, "; "))
-	}
+	e.wire(units, records, classes)
 	return e.buf.String(), nil
 }
 
-func dedup(names []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, n := range names {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
+// header emits the package clause and the glue every translation shares.
+func (e *emitter) header() {
+	e.linef(`// Code generated by junicon translate; DO NOT EDIT.
+
+// Package %[1]s holds the Go translation of an embedded Junicon program:
+// one state machine per compiled code object (§5B), calling the vm's
+// opcode methods for everything but control flow.
+package %[1]s
+
+import (
+	"os"
+
+	"junicon/internal/compile"
+	"junicon/internal/core"
+	"junicon/internal/value"
+	"junicon/internal/vm"
+)
+
+// Globals is the translated program's global scope. A host binds a global
+// by setting its cell: Global(name).Set(v).
+var Globals = map[string]*value.Var{}
+
+// Natives is the host-interop registry for :: invocations, consulted at
+// call time.
+var Natives = map[string]*value.Native{}
+
+// scanHolder carries this program's string-scanning environment.
+var scanHolder = core.NewScanHolder()
+
+var builtins = core.Library(os.Stdout, scanHolder)
+
+// Global returns the cell of a global, creating it null.
+func Global(name string) *value.Var {
+	if v, ok := Globals[name]; ok {
+		return v
 	}
-	sort.Strings(out)
-	return out
+	v := value.NewCell(value.NullV)
+	Globals[name] = v
+	return v
 }
 
-func (e *emitter) record(r *ast.RecordDecl) {
-	e.linef("// %s is the constructor for record %s(%s).", procVar(r.Name), r.Name, strings.Join(r.Fields, ", "))
-	e.linef("var %s = value.NewProc(%q, %d, func(args ...value.V) core.Gen {", procVar(r.Name), r.Name, len(r.Fields))
-	e.depth++
-	e.linef("vals := make([]value.V, len(args))")
-	e.linef("for i, a := range args {")
-	e.linef("\tvals[i] = value.Deref(a)")
+// native stands for ::name, looked up in Natives when it is called.
+func native(name string) *value.Native {
+	return value.NewNative(name, func(args ...value.V) (value.V, error) {
+		n, ok := Natives[name]
+		if !ok {
+			value.Raise(value.ErrProcedure, "unregistered native ::"+name, nil)
+		}
+		return n.Fn(args...)
+	})
+}
+
+// statics holds the private cells of the program's static variables.
+var statics = map[string]*value.Var{}
+
+func static(name string) *value.Var {
+	v, ok := statics[name]
+	if !ok {
+		v = value.NewCell(value.NullV)
+		statics[name] = v
+	}
+	return v
+}
+
+func intLit(s string) value.V {
+	i, _ := value.ToInteger(value.String(s))
+	return i
+}
+
+// Statements are the machines of the program's top-level statements, in
+// order; Run drives each once.
+var Statements []*vm.Machine
+
+// Run executes the program's top-level statements (bounded, in order).
+func Run() {
+	for _, m := range Statements {
+		m.Call().Next()
+	}
+}
+`, e.opts.Package)
+}
+
+// wire emits init: the global cells, then the machines and procedure
+// values that capture them.
+func (e *emitter) wire(units []unit, records []*ast.RecordDecl, classes []*ast.ClassDecl) {
+	var names []string
+	for name := range e.globals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, u := range units {
+		if u.proc != "" {
+			e.linef("// P_%s is procedure %s.\nvar P_%[1]s *value.Proc\n", u.proc, u.proc)
+		}
+	}
+	e.linef("func init() {")
+	for _, name := range names {
+		e.linef("Global(%q)", name)
+	}
+	for _, r := range records {
+		e.linef("Globals[%q].Set(P_%s)", r.Name, r.Name)
+	}
+	for _, c := range classes {
+		e.linef("Globals[%q].Set(%sProc)", c.Name, goName(c.Name))
+	}
+	for _, u := range units {
+		if u.proc != "" {
+			e.linef("P_%s = value.NewProc(%q, %d, machine_%s().Call)", u.proc, u.proc, u.code.Params, u.id)
+			e.linef("Globals[%q].Set(P_%s)", u.proc, u.proc)
+		} else {
+			e.linef("Statements = append(Statements, machine_%s())", u.id)
+		}
+	}
 	e.linef("}")
+}
+
+// record emits a record constructor.
+func (e *emitter) record(r *ast.RecordDecl) {
 	fields := make([]string, len(r.Fields))
 	for i, f := range r.Fields {
 		fields[i] = fmt.Sprintf("%q", f)
 	}
-	e.linef("return core.Unit(value.NewRecord(%q, []string{%s}, vals))", r.Name, strings.Join(fields, ", "))
-	e.depth--
-	e.linef("})")
-	e.linef("")
-}
-
-// proc translates one procedure declaration — the Figure 5 shape: reified
-// parameters, reified locals and temporaries, parameter unpacking, then the
-// method body as a suspendable iterator.
-func (e *emitter) proc(p *ast.ProcDecl) {
-	outer := e.scope
-	e.scope = map[string]bool{}
-	for _, param := range p.Params {
-		e.scope[param] = true
+	e.linef(`// P_%[1]s is the constructor for record %[1]s(%[2]s).
+var P_%[1]s = value.NewProc(%[1]q, %[3]d, func(args ...value.V) core.Gen {
+	vals := make([]value.V, len(args))
+	for i, a := range args {
+		vals[i] = value.Deref(a)
 	}
-	// Statics and initial clauses: per-procedure persistent state (§Icon).
-	statics, hasInitial := staticInfo(p)
-	for _, st := range statics {
-		e.scope[st] = true
-	}
-	var locals []string
-	for _, l := range collectLocals(p) {
-		if !e.scope[l] {
-			locals = append(locals, l)
-			e.scope[l] = true
-		}
-	}
-	persistent := len(statics) > 0 || hasInitial
-
-	e.linef("// %s translates Junicon procedure %s(%s).", procVar(p.Name), p.Name, strings.Join(p.Params, ", "))
-	if persistent {
-		e.linef("var %s = func() *value.Proc {", procVar(p.Name))
-		e.depth++
-		e.linef("var staticOnce sync.Once")
-		for _, st := range statics {
-			e.linef("%s := value.NewCell(value.NullV) // static", cell(st))
-		}
-		e.linef("return value.NewProc(%q, %d, func(args ...value.V) core.Gen {", p.Name, len(p.Params))
-	} else {
-		e.linef("var %s = value.NewProc(%q, %d, func(args ...value.V) core.Gen {", procVar(p.Name), p.Name, len(p.Params))
-	}
-	e.depth++
-	if len(p.Params) > 0 {
-		e.linef("// Reified parameters")
-		for _, param := range p.Params {
-			e.linef("%s := value.NewCell(value.NullV)", cell(param))
-		}
-		e.linef("// Unpack parameters (variadic: missing arguments stay null)")
-		for i, param := range p.Params {
-			e.linef("if len(args) > %d {", i)
-			e.linef("\t%s.Set(value.Deref(args[%d]))", cell(param), i)
-			e.linef("}")
-		}
-	} else {
-		e.linef("_ = args")
-	}
-	if len(locals) > 0 {
-		e.linef("// Reified locals and temporaries")
-		for _, l := range locals {
-			e.linef("%s := value.NewCell(value.NullV)", cell(l))
-		}
-	}
-	e.linef("// Method body")
-	e.linef("return core.NewGen(func(yield func(value.V) bool) {")
-	e.depth++
-	if persistent {
-		e.linef("staticOnce.Do(func() {")
-		e.depth++
-		for _, st := range p.Body.Stmts {
-			switch x := st.(type) {
-			case *ast.VarDecl:
-				if x.Kind == "static" {
-					for i, n := range x.Names {
-						if x.Inits[i] == nil {
-							continue
-						}
-						e.linef("if v, ok := core.First(%s); ok {", e.expr(x.Inits[i]))
-						e.linef("	%s.Set(v)", e.cellRef(n))
-						e.linef("}")
-					}
-				}
-			case *ast.Initial:
-				e.stmt(x.Body)
-			}
-		}
-		e.depth--
-		e.linef("})")
-	}
-	e.stmts(p.Body.Stmts)
-	e.depth--
-	e.linef("})")
-	e.depth--
-	e.linef("})")
-	if persistent {
-		e.depth--
-		e.linef("}()")
-	}
-	e.linef("")
-	e.scope = outer
-}
-
-// staticInfo reports a procedure's static variable names and whether it has
-// an initial clause.
-func staticInfo(p *ast.ProcDecl) (statics []string, hasInitial bool) {
-	for _, s := range p.Body.Stmts {
-		switch x := s.(type) {
-		case *ast.VarDecl:
-			if x.Kind == "static" {
-				statics = append(statics, x.Names...)
-			}
-		case *ast.Initial:
-			hasInitial = true
-		}
-	}
-	return statics, hasInitial
-}
-
-// collectLocals gathers names that behave as procedure locals: declared
-// ones, assignment targets, bound-iteration temporaries — everything except
-// names that are only read (those resolve globally).
-func collectLocals(p *ast.ProcDecl) []string {
-	params := map[string]bool{}
-	for _, param := range p.Params {
-		params[param] = true
-	}
-	seen := map[string]bool{}
-	var out []string
-	add := func(name string) {
-		if name == "" || params[name] || seen[name] {
-			return
-		}
-		seen[name] = true
-		out = append(out, name)
-	}
-	ast.Walk(p.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.VarDecl:
-			for _, name := range x.Names {
-				add(name)
-			}
-		case *ast.BindIn:
-			add(x.Tmp)
-		case *ast.Binary:
-			if x.Op == ":=" || x.Op == "<-" || x.Op == ":=:" || x.Op == "<->" ||
-				(len(x.Op) > 2 && strings.HasSuffix(x.Op, ":=")) {
-				if id, ok := x.L.(*ast.Ident); ok {
-					add(id.Name)
-				}
-				if x.Op == ":=:" || x.Op == "<->" {
-					if id, ok := x.R.(*ast.Ident); ok {
-						add(id.Name)
-					}
-				}
-			}
-		}
-		return true
-	})
-	return out
+	return core.Unit(value.NewRecord(%[1]q, []string{%[4]s}, vals))
+})
+`, r.Name, strings.Join(r.Fields, ", "), len(r.Fields), strings.Join(fields, ", "))
 }

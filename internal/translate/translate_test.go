@@ -18,34 +18,40 @@ def spawnMap (f, chunk) {
 }
 `
 
-// TestSpawnMapTranslationShape pins the Figure 5 structure of the emitted
-// code: a variadic procedure value, reified parameters with unpacking, a
-// co-expression constructor over the shadowed (_s) environment, pipe
-// creation, and the product/in/promote composition.
+// TestSpawnMapTranslationShape pins the Figure 5 procedure as §5B's state
+// machine: a type per code object embedding the frame, a Next that
+// switches on the pc and calls the vm's opcode methods, the |> body as a
+// nested code object whose parameters are the shadowed copies of chunk
+// and f (Figure 5's chunk_s and f_s), created as a pipe — and no
+// coroutine anywhere.
 func TestSpawnMapTranslationShape(t *testing.T) {
 	out, err := translate.TranslateProgram(spawnMapSrc, translate.Options{Package: "gen"})
 	if err != nil {
 		t.Fatalf("translate: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		`var P_spawnMap = value.NewProc("spawnMap", 2, func(args ...value.V) core.Gen {`,
-		"// Reified parameters",
-		"v_f_r := value.NewCell(value.NullV)",
-		"v_chunk_r := value.NewCell(value.NullV)",
-		"// Unpack parameters",
-		"v_f_r.Set(value.Deref(args[0]))",
-		"coexpr.New([]value.V{",  // environment snapshot
-		"v_chunk_s_r := env[",    // shadowed locals, Figure 5's chunk_s
-		"v_f_s_r := env[",        // and f_s
-		"core.Product(",          // IconProduct
-		"core.In(",               // IconIn
-		"core.Promote(",          // IconPromote
-		"pipe.New(",              // createPipe()
-		"p.StartEager()",         //
-		"core.NewGen(func(yield", // suspendable method body
+		"type proc_spawnMap struct{ vm.Frame }",            // the frame is the state
+		"func (f *proc_spawnMap) Next() (value.V, bool) {", // §5B: resume at the pc
+		"switch r.PC() {",                         //
+		`Name: "spawnMap", Params: 2, NumAux: 2,`, // parameters f, chunk
+		`Slots: []string{"f", "chunk"},`,          //
+		"r.Create(2, 0, -1)",                      // createPipe() over 2 copies
+		"machine_proc_spawnMap_0(),",              // the body, a nested unit
+		`Name: "spawnMap|>0", Params: 2,`,         // chunk_s, f_s
+		`Slots: []string{"chunk", "f", "x_0"},`,   //
+		"if !r.Bang(0, 1, false) {",               // !chunk_s (IconPromote)
+		"if !r.Call(1, 1, 6) {",                   // f_s(x_0): IconProduct/IconIn
+		"return r.Yield(8)",                       //
+		"if !r.Bang(1, 4, false) {",               // ! over the pipe
+		`P_spawnMap = value.NewProc("spawnMap", 2, machine_proc_spawnMap().Call)`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("generated code missing %q\n----\n%s", want, out)
+		}
+	}
+	for _, banned := range []string{"core.NewGen", "core.GenProc", "iter.Pull"} {
+		if strings.Contains(out, banned) {
+			t.Errorf("generated code contains %s", banned)
 		}
 	}
 }
@@ -177,6 +183,11 @@ func TestTranslateErrors(t *testing.T) {
 	}
 	if _, err := translate.TranslateProgram("suspend 1", translate.Options{}); err == nil {
 		t.Fatal("suspend outside procedure should be rejected")
+	}
+	// A refusal names the unit and compile's reason, from the allowlist.
+	_, err := translate.TranslateProgram("def now() { return &time; }", translate.Options{NoVet: true})
+	if err == nil || !strings.Contains(err.Error(), "procedure now: keyword &time") {
+		t.Fatalf("refusal = %v", err)
 	}
 }
 

@@ -37,6 +37,12 @@ func (f *Frame) Next() (value.V, bool) {
 	return v, ok
 }
 
+// next is the dispatch loop. Every opcode's semantics is one method of
+// Frame (ops.go); a unit translated to Go calls the same methods from its
+// own Next, which switches on the pc instead of decoding instructions.
+// The loop calls them too, except that it spells out the few hot ones the
+// Go inliner will not take — slot stores, yields and the int64 fast paths
+// of the operators — exactly as their methods do.
 func (f *Frame) next() (value.V, bool) {
 	// Profiling is decided once per Next — one atomic load, mirroring the
 	// telemetry gate. An unprofiled call carries prof == nil and each
@@ -64,58 +70,47 @@ func (f *Frame) next() (value.V, bool) {
 
 		// ----- values and slots -----
 		case compile.OpNop:
-			f.pc++
 		case compile.OpConst:
-			f.push(code.Consts[in.A])
-			f.pc++
+			f.Const(in.A)
 		case compile.OpNull:
-			f.push(value.NullV)
-			f.pc++
+			f.Null()
 		case compile.OpPop:
-			f.st = f.st[:len(f.st)-1]
-			f.pc++
+			f.Pop()
 		case compile.OpPopN:
-			f.st = f.st[:len(f.st)-int(in.A)]
-			f.pc++
+			f.PopN(in.A)
 		case compile.OpLoadSlot:
-			f.pushSlot(f.slots[in.A])
-			f.pc++
+			f.LoadSlot(in.A)
 		case compile.OpStoreSlot:
 			v := f.st[len(f.st)-1].deref()
 			f.slots[in.A] = v
 			f.st[len(f.st)-1] = v
-			f.pc++
 		case compile.OpBindSlot:
 			f.slots[in.A] = f.st[len(f.st)-1].deref()
-			f.pc++
 		case compile.OpLoadGlobal:
-			f.push(code.Globals[in.A].Get())
-			f.pc++
+			f.LoadGlobal(in.A)
 		case compile.OpStoreGlobal:
-			v := value.Deref(f.top())
-			code.Globals[in.A].Set(v)
-			f.st[len(f.st)-1] = slot{v: v}
-			f.pc++
+			f.StoreGlobal(in.A)
+		case compile.OpLoadBox:
+			f.LoadBox(in.A)
+		case compile.OpStoreBox:
+			f.StoreBox(in.A, in.B)
+		case compile.OpBoxVar:
+			f.BoxVar(in.A)
+		case compile.OpGlobalVar:
+			f.GlobalVar(in.A)
 
 		// ----- control -----
 		case compile.OpJump:
 			f.pc = in.A
+			continue
 		case compile.OpFail:
-			if !f.fail() {
-				return nil, false
+			goto fail
+		case compile.OpYield, compile.OpReturn:
+			if in.Op == compile.OpReturn {
+				f.cp = f.cp[:0]
+				f.releaseChildren()
 			}
-		case compile.OpYield:
 			v := value.Deref(f.pop())
-			f.pc++
-			if prof != nil {
-				prof.yields.Add(1)
-				f.suspendedAt = time.Now().UnixNano()
-			}
-			return v, true
-		case compile.OpReturn:
-			v := value.Deref(f.pop())
-			f.cp = f.cp[:0]
-			f.releaseChildren()
 			f.pc++
 			if prof != nil {
 				prof.yields.Add(1)
@@ -123,422 +118,179 @@ func (f *Frame) next() (value.V, bool) {
 			}
 			return v, true
 		case compile.OpReturnFail:
-			f.cp = f.cp[:0]
-			f.started = false
-			f.releaseChildren()
-			return nil, false
+			return f.ReturnFail()
 		case compile.OpMark:
-			if f.resumed {
-				f.resumed = false
+			if f.Mark(in.B, f.pc) {
 				f.pc = in.A
 				continue
 			}
-			f.aux[in.B].barrier = int32(len(f.cp))
-			f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st))})
-			f.pc++
 		case compile.OpCut:
-			f.cp = f.cp[:f.aux[in.B].barrier]
-			f.pc++
+			f.Cut(in.B)
 		case compile.OpFork:
-			if f.resumed {
-				f.resumed = false
+			if f.Fork(f.pc) {
 				f.pc = in.A
 				continue
 			}
-			f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st))})
-			f.pc++
 		case compile.OpRepAlt:
-			a := &f.aux[in.B]
-			if f.resumed {
-				f.resumed = false
-				if !a.flag {
-					// An empty cycle: |e itself is exhausted.
-					if !f.fail() {
-						return nil, false
-					}
-					continue
-				}
+			if !f.RepAlt(in.B, f.pc) {
+				goto fail
 			}
-			a.flag = false
-			f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st))})
-			f.pc++
 		case compile.OpRepNote:
-			f.aux[in.B].flag = true
-			f.pc++
+			f.RepNote(in.B)
 		case compile.OpLimitBegin:
-			n := value.MustInt(value.Deref(f.pop()))
-			if n <= 0 {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
+			if !f.LimitBegin(in.B) {
+				goto fail
 			}
-			a := &f.aux[in.B]
-			a.n = int32(n)
-			a.count = 0
-			a.barrier = int32(len(f.cp))
-			f.pc++
 		case compile.OpLimitCheck:
-			a := &f.aux[in.B]
-			a.count++
-			if a.count >= a.n {
-				// The nth result: cut e's choice points so it cannot be
-				// resumed past the limit (failure falls through to the
-				// count's own sequence, which restarts e — limitGen's
-				// restart-on-limit behavior).
-				f.cp = f.cp[:a.barrier]
-			}
-			f.pc++
-
+			f.LimitCheck(in.B)
 		case compile.OpInitOnce:
-			// The guard is a private static cell: null until the first
-			// invocation passes here, so snapshots carry it like any other.
-			if guard := code.Globals[in.C]; value.IsNull(guard.Get()) {
-				guard.Set(value.IntV(1))
-				f.pc++
-			} else {
+			if !f.InitOnce(in.C) {
 				f.pc = in.A
+				continue
 			}
 
 		// ----- operators -----
 		case compile.OpArith:
 			n := len(f.st)
-			if r, ok := arithInt(in.A, f.st[n-2], f.st[n-1]); ok {
+			if r, fast := arithInt(in.A, f.st[n-2], f.st[n-1]); fast {
 				f.st[n-2] = intSlot(r)
 				f.st = f.st[:n-1]
-				f.pc++
-				continue
+			} else {
+				f.arith(in.A)
 			}
-			b := value.Deref(f.pop())
-			a := value.Deref(f.pop())
-			f.push(compile.ArithFns[in.A](a, b))
-			f.pc++
 		case compile.OpCmp:
 			n := len(f.st)
-			if holds, ok := cmpInt(in.A, f.st[n-2], f.st[n-1]); ok {
-				if !holds {
-					if !f.fail() {
-						return nil, false
-					}
-					continue
+			if holds, fast := cmpInt(in.A, f.st[n-2], f.st[n-1]); !fast {
+				if !f.cmp(in.A) {
+					goto fail
 				}
+			} else if !holds {
+				goto fail
+			} else {
 				f.st[n-2] = f.st[n-1]
 				f.st = f.st[:n-1]
-				f.pc++
-				continue
 			}
-			b := value.Deref(f.pop())
-			a := value.Deref(f.pop())
-			v, ok := compile.CmpFns[in.A](a, b)
-			if !ok {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
-			}
-			f.push(v)
-			f.pc++
 		case compile.OpUnary:
-			f.push(compile.UnaryFns[in.A](value.Deref(f.pop())))
-			f.pc++
+			f.Unary(in.A)
 		case compile.OpNullTest:
-			if !value.IsNull(value.Deref(f.st[len(f.st)-1].v)) {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
+			if !f.NullTest() {
+				goto fail
 			}
-			f.st[len(f.st)-1] = slot{v: value.NullV}
-			f.pc++
 		case compile.OpNonNullTest:
-			v := f.st[len(f.st)-1].deref()
-			if value.IsNull(v.v) {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
+			if !f.NonNullTest() {
+				goto fail
 			}
-			f.st[len(f.st)-1] = v
-			f.pc++
+		case compile.OpRandom:
+			if !f.Random() {
+				goto fail
+			}
 		case compile.OpBang:
-			if !f.stepBang(&f.aux[in.B]) {
-				if !f.fail() {
-					return nil, false
-				}
+			if !f.Bang(in.B, f.pc, in.A != 0) {
+				goto fail
 			}
 		case compile.OpToBy:
-			if !f.stepToBy(&f.aux[in.B]) {
-				if !f.fail() {
-					return nil, false
-				}
+			if !f.ToBy(in.B, f.pc) {
+				goto fail
 			}
 		case compile.OpCaseEq:
-			v := value.Deref(f.pop())
-			if !value.Equiv(f.slots[in.A].val(), v) {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
+			if !f.CaseEq(in.A) {
+				goto fail
 			}
-			f.pc++
 
 		// ----- structures -----
 		case compile.OpMakeList:
-			n := int(in.A)
-			base := len(f.st) - n
-			elems := make([]value.V, n)
-			for i := 0; i < n; i++ {
-				elems[i] = value.Deref(f.st[base+i].val())
-			}
-			f.st = f.st[:base]
-			// A fresh list per result: resuming a list-forming expression
-			// must not alias earlier yields (ListOf builds anew per cycle).
-			f.push(value.NewListOf(elems))
-			f.pc++
+			f.MakeList(in.A)
 		case compile.OpIndex, compile.OpIndexVar:
-			i := value.Deref(f.pop())
-			x := value.Deref(f.pop())
-			v, ok := value.Subscript(x, i)
-			if !ok {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
+			if !f.Index() {
+				goto fail
 			}
-			f.push(v)
-			f.pc++
 		case compile.OpSection:
-			j := value.Deref(f.pop())
-			i := value.Deref(f.pop())
-			x := value.Deref(f.pop())
-			v, ok := value.Section(x, i, j)
-			if !ok {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
+			if !f.Section() {
+				goto fail
 			}
-			f.push(v)
-			f.pc++
 		case compile.OpField, compile.OpFieldVar:
-			x := value.Deref(f.pop())
-			name := string(code.Consts[in.A].(value.String))
-			v, ok := value.Field(x, name)
-			if !ok {
-				value.Raise(value.ErrField, "missing field "+name, x)
-			}
-			f.push(v)
-			f.pc++
+			f.Field(in.A)
 		case compile.OpStoreVar:
-			v := value.Deref(f.pop())
-			t := mustVar(f.pop())
-			t.Set(v)
-			f.push(v)
-			f.pc++
+			f.StoreVar()
 		case compile.OpAugVar:
-			v := value.Deref(f.pop())
-			t := mustVar(f.pop())
-			r := compile.ArithFns[in.A](t.Get(), v)
-			t.Set(r)
-			f.push(r)
-			f.pc++
+			f.AugVar(in.A)
 		case compile.OpCmpAugVar:
-			v := value.Deref(f.pop())
-			t := mustVar(f.pop())
-			r, ok2 := compile.CmpFns[in.A](t.Get(), v)
-			if !ok2 {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
+			if !f.CmpAugVar(in.A) {
+				goto fail
 			}
-			t.Set(r)
-			f.push(r)
-			f.pc++
 		case compile.OpAugSlot:
 			n := len(f.st)
-			if r, ok := arithInt(in.C, f.slots[in.A], f.st[n-1]); ok {
+			if r, fast := arithInt(in.C, f.slots[in.A], f.st[n-1]); fast {
 				f.slots[in.A] = intSlot(r)
 				f.st[n-1] = intSlot(r)
-				f.pc++
-				continue
-			}
-			v := value.Deref(f.pop())
-			r := compile.ArithFns[in.C](f.slots[in.A].val(), v)
-			f.slots[in.A] = slot{v: r}
-			f.push(r)
-			f.pc++
-		case compile.OpCmpAugSlot:
-			n := len(f.st)
-			if holds, ok := cmpInt(in.C, f.slots[in.A], f.st[n-1]); ok {
-				if !holds {
-					if !f.fail() {
-						return nil, false
-					}
-					continue
-				}
-				f.slots[in.A] = f.st[n-1]
-				f.pc++
-				continue
-			}
-			v := value.Deref(f.pop())
-			r, ok := compile.CmpFns[in.C](f.slots[in.A].val(), v)
-			if !ok {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
-			}
-			f.slots[in.A] = slot{v: r}
-			f.push(r)
-			f.pc++
-		case compile.OpAugGlobal:
-			cell := code.Globals[in.A]
-			var r value.V
-			if x, ok := arithInt(in.C, slot{v: cell.Get()}, f.st[len(f.st)-1]); ok {
-				// The operand stays unboxed; only the result leaves.
-				f.st = f.st[:len(f.st)-1]
-				r = value.IntV(x)
 			} else {
-				v := value.Deref(f.pop())
-				r = compile.ArithFns[in.C](cell.Get(), v)
+				f.augSlot(in.A, in.C)
 			}
-			cell.Set(r)
-			f.push(r)
-			f.pc++
+		case compile.OpCmpAugSlot:
+			if !f.CmpAugSlot(in.A, in.C) {
+				goto fail
+			}
+		case compile.OpAugGlobal:
+			f.AugGlobal(in.A, in.C)
 		case compile.OpCmpAugGlobal:
-			v := value.Deref(f.pop())
-			cell := code.Globals[in.A]
-			r, ok := compile.CmpFns[in.C](cell.Get(), v)
-			if !ok {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
+			if !f.CmpAugGlobal(in.A, in.C) {
+				goto fail
 			}
-			cell.Set(r)
-			f.push(r)
-			f.pc++
-
 		case compile.OpRevAssign:
-			if !f.revAssign(in) {
-				if !f.fail() {
-					return nil, false
-				}
+			if !f.RevAssign(in.A, in.B, f.pc) {
+				goto fail
 			}
 		case compile.OpSwap, compile.OpRevSwap:
-			if !f.exchange(in, in.Op == compile.OpRevSwap) {
-				if !f.fail() {
-					return nil, false
-				}
+			if !f.Swap(in.A, in.B, in.C, f.pc, in.Op == compile.OpRevSwap) {
+				goto fail
 			}
 
 		// ----- invocation -----
 		case compile.OpCall:
-			a := &f.aux[in.B]
-			if f.resumed {
-				f.resumed = false
-			} else {
-				f.armCall(a, int(in.A))
+			if !f.Call(in.A, in.B, f.pc) {
+				goto fail
 			}
-			v, ok := a.g.Next()
-			if !ok {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
-			}
-			f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st))})
-			f.push(v)
-			f.pc++
 		case compile.OpCall1:
-			// Facts-proven direct call: at most one result, no effects to
-			// re-run — no choice point, no resume bookkeeping.
-			a := &f.aux[in.B]
-			f.armCall(a, int(in.A))
-			v, ok := a.g.Next()
-			if !ok {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
+			if !f.Call1(in.A, in.B) {
+				goto fail
 			}
-			f.push(v)
-			f.pc++
 		case compile.OpCallNative:
-			a := &f.aux[in.B]
-			n := int(in.A)
-			base := len(f.st) - n
-			a.args = a.args[:0]
-			for i := 0; i < n; i++ {
-				a.args = append(a.args, value.Deref(f.st[base+i].val()))
+			if !f.CallNative(in.A, in.B, in.C) {
+				goto fail
 			}
-			f.st = f.st[:base]
-			native := code.Consts[in.C].(*value.Native)
-			v, err := native.Fn(a.args...)
-			if err != nil {
-				value.Raise(value.ErrProcedure, "native "+native.Name+": "+err.Error(), nil)
-			}
-			if v == nil {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
-			}
-			f.push(v)
-			f.pc++
 
 		// ----- co-expressions and pipes -----
 		case compile.OpCreate:
-			f.create(in)
+			f.Create(in.A, in.B, in.C)
 		case compile.OpActivate:
-			c := f.pop()
-			var transmit value.V = value.NullV
-			if in.A != 0 {
-				transmit = value.Deref(f.pop())
+			if !f.Activate(in.A) {
+				goto fail
 			}
-			v, ok := core.Step(c, transmit)
-			if !ok {
-				if !f.fail() {
-					return nil, false
-				}
-				continue
-			}
-			f.push(v)
-			f.pc++
 
 		// ----- string scanning -----
 		case compile.OpScanBegin:
-			if !f.scanBegin(in) {
-				if !f.fail() {
-					return nil, false
-				}
+			if !f.ScanBegin(in.A, in.B, f.pc) {
+				goto fail
 			}
 		case compile.OpScanEnd:
-			if !f.scanEnd(in) {
-				if !f.fail() {
-					return nil, false
-				}
+			if !f.ScanEnd(in.B, f.pc) {
+				goto fail
 			}
 		case compile.OpScanLeave:
-			a := &f.aux[in.B]
-			if in.A == compile.LeaveToResume {
-				f.st[len(f.st)-1] = f.st[len(f.st)-1].deref()
-			}
-			code.Scan.Swap(a.scan.outer)
-			if in.A == compile.LeaveForGood {
-				a.scan = nil
-			}
-			f.pc++
+			f.ScanLeave(in.A, in.B)
 		case compile.OpScanResume:
-			f.aux[in.A].scan.outer = code.Scan.Swap(&f.aux[in.B].scan.inner)
-			f.pc++
+			f.ScanResume(in.A, in.B)
 		case compile.OpScanVar:
-			f.push(f.owner.scanVars[in.A])
-			f.pc++
+			f.ScanVar(in.A)
 
 		default:
 			panic(fmt.Sprintf("vm: bad opcode %d at pc %d", in.Op, f.pc))
+		}
+		f.pc++
+		continue
+	fail:
+		if !f.Fail() {
+			return nil, false
 		}
 	}
 }
@@ -557,28 +309,30 @@ func (f *Frame) armCall(a *auxCell, n int) {
 	fv := value.Deref(f.pop())
 	if p, ok := fv.(*value.Proc); ok && p == a.proc && a.frame != nil {
 		a.frame.ResetCall(a.args)
-		a.g = a.frame
+		a.g = a.frame.self
 		return
 	}
 	g := core.InvokeVal(fv, a.args...)
 	a.g = g
-	if child, ok2 := g.(*Frame); ok2 {
+	if child, ok2 := g.(framed); ok2 {
 		if p, ok := fv.(*value.Proc); ok {
-			a.proc, a.frame = p, child
+			a.proc, a.frame = p, child.frame()
 		}
 	}
 }
 
-// stepBang arms (or resumes) a !x site and pushes the next element,
-// reporting false when the elements are spent.
+// Bang arms (or resumes) the !x site at pc, with aux cell b, and pushes
+// the next element, reporting false when the elements are spent. refs
+// generates the updatable references of an assignment target instead.
 //
 // The list and string fast paths yield plain values where the tree walk's
 // listBang yields updatable references. Inside compiled code the two are
 // indistinguishable: every consumer (operators, yields, stores, argument
-// passing) dereferences, and the compiler rejects !x as an assignment
-// target, so no reference can escape — this is the same reasoning that
-// licenses core.Elements on the kernel's internal drives.
-func (f *Frame) stepBang(a *auxCell) bool {
+// passing) dereferences, and an assignment target asks for references
+// (refs), so no plain value is ever assigned through — this is the same
+// reasoning that licenses core.Elements on the kernel's internal drives.
+func (f *Frame) Bang(b, pc int32, refs bool) bool {
+	a := &f.aux[b]
 	if f.resumed {
 		f.resumed = false
 	} else {
@@ -591,6 +345,9 @@ func (f *Frame) stepBang(a *auxCell) bool {
 		case *value.Cset:
 			a.mode, a.i0, a.v0 = bangString, 0, value.String(x.Members())
 		default:
+			a.mode, a.g = bangGen, core.PromoteVal(v)
+		}
+		if refs {
 			a.mode, a.g = bangGen, core.PromoteVal(v)
 		}
 	}
@@ -623,18 +380,19 @@ func (f *Frame) stepBang(a *auxCell) bool {
 		}
 		v = nv
 	}
-	f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st))})
+	f.cp = append(f.cp, choice{pc: pc, sp: int32(len(f.st))})
 	f.push(v)
-	f.pc++
 	return true
 }
 
-// stepToBy arms (or resumes) a to-by range and pushes the next value. The
+// ToBy arms (or resumes) the to-by range at pc, with aux cell b, and
+// pushes the next value. The
 // unboxed path mirrors the kernel's intRangeGen (including its overflow
 // guards); everything else — reals, big integers, a zero increment's
 // divide-by-zero error — goes through core.Range so errors and edge cases
 // are byte-identical to the tree walk.
-func (f *Frame) stepToBy(a *auxCell) bool {
+func (f *Frame) ToBy(b, pc int32) bool {
+	a := &f.aux[b]
 	if f.resumed {
 		f.resumed = false
 	} else {
@@ -664,9 +422,8 @@ func (f *Frame) stepToBy(a *auxCell) bool {
 		}
 		v = slot{v: nv}
 	}
-	f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st))})
+	f.cp = append(f.cp, choice{pc: pc, sp: int32(len(f.st))})
 	f.pushSlot(v)
-	f.pc++
 	return true
 }
 

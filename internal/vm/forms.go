@@ -68,103 +68,106 @@ func (f *Frame) popRefs(a *auxCell, n int) {
 	f.st = f.st[:base]
 }
 
-// revAssign executes x <- v: store, then arm the undo choice point. Its
-// resumption restores the old value and keeps failing into the source —
-// also when the source has no more results, as revAssignGen does.
-func (f *Frame) revAssign(in compile.Instr) bool {
-	a := &f.aux[in.B]
+// RevAssign executes x <- v at pc (aux b) on target operand t: store,
+// then arm the undo choice point. Its resumption restores the old value
+// and keeps failing into the source — also when the source has no more
+// results, as revAssignGen does.
+func (f *Frame) RevAssign(t, b, pc int32) bool {
+	a := &f.aux[b]
 	next := 0
 	if f.resumed {
 		f.resumed = false
-		f.store(mkPlace(in.A, a.args, &next), a.v0)
+		f.store(mkPlace(t, a.args, &next), a.v0)
 		a.v0 = nil
 		return false
 	}
 	v := value.Deref(f.pop())
-	f.popRefs(a, compile.TargetRefs(in.A))
-	p := mkPlace(in.A, a.args, &next)
+	f.popRefs(a, compile.TargetRefs(t))
+	p := mkPlace(t, a.args, &next)
 	a.v0 = f.load(p)
 	f.store(p, v)
-	f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st))})
+	f.cp = append(f.cp, choice{pc: pc, sp: int32(len(f.st))})
 	f.push(v)
-	f.pc++
 	return true
 }
 
-// exchange executes x :=: y and, with undo set, x <-> y, whose resumption
-// restores both saved values (not a second exchange: either side may have
-// been assigned in between) and fails.
-func (f *Frame) exchange(in compile.Instr, undo bool) bool {
-	a := &f.aux[in.B]
+// Swap executes x :=: y on target operands l and r (aux b) and, with undo
+// set, x <-> y at pc, whose resumption restores both saved values (not a
+// second exchange: either side may have been assigned in between) and
+// fails.
+func (f *Frame) Swap(l, b, r, pc int32, undo bool) bool {
+	a := &f.aux[b]
 	next := 0
 	if f.resumed {
 		f.resumed = false
-		f.store(mkPlace(in.A, a.args, &next), a.v0)
-		f.store(mkPlace(in.C, a.args, &next), a.args[len(a.args)-1])
+		f.store(mkPlace(l, a.args, &next), a.v0)
+		f.store(mkPlace(r, a.args, &next), a.args[len(a.args)-1])
 		a.v0 = nil
 		return false
 	}
-	f.popRefs(a, compile.TargetRefs(in.A, in.C))
-	l := mkPlace(in.A, a.args, &next)
-	r := mkPlace(in.C, a.args, &next)
-	lv, rv := f.load(l), f.load(r)
-	f.store(l, rv)
-	f.store(r, lv)
+	f.popRefs(a, compile.TargetRefs(l, r))
+	lp := mkPlace(l, a.args, &next)
+	rp := mkPlace(r, a.args, &next)
+	lv, rv := f.load(lp), f.load(rp)
+	f.store(lp, rv)
+	f.store(rp, lv)
 	if undo {
 		a.v0, a.args = lv, append(a.args, rv)
-		f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st))})
+		f.cp = append(f.cp, choice{pc: pc, sp: int32(len(f.st))})
 	}
 	f.push(rv)
-	f.pc++
 	return true
 }
 
 // ----- co-expressions and pipes -----
 
-// create executes OpCreate: copy the captured values into a co-expression
-// whose body is a frame of the nested unit — instantiated by coexpr over
-// a fresh copy of those values on first activation and on every refresh —
-// and, for |>, put it behind a pipe provisioned as the site says.
-func (f *Frame) create(in compile.Instr) {
-	n := int(in.A)
-	base := len(f.st) - n
-	sub := f.owner.subs[in.B]
+// Create pops the n values captured for create body b and pushes, as
+// mode says: a co-expression whose body is a frame of the nested unit —
+// instantiated by coexpr over a fresh copy of those values on first
+// activation and on every refresh — that co-expression behind a pipe
+// provisioned as the site says, or, for a bare <>, a first-class generator
+// over the popped cells themselves.
+func (f *Frame) Create(n, b, mode int32) {
+	base := len(f.st) - int(n)
+	sub := f.owner.subs[b]
+	if mode == compile.CreateFirstClass {
+		cells := make([]*value.Var, n)
+		for i, s := range f.st[base:] {
+			cells[i] = s.v.(*value.Var)
+		}
+		f.st = f.st[:base]
+		f.push(core.NewFirstClass(sub.instance(cells)))
+		return
+	}
 	locals := make([]value.V, n)
 	for i, s := range f.st[base:] {
 		locals[i] = s.val()
 	}
-	co := coexpr.New(locals, func(env []*value.Var) core.Gen {
-		fr := sub.NewFrame()
-		for _, cell := range env {
-			fr.args = append(fr.args, cell.Get())
-		}
-		return fr
-	})
+	co := coexpr.New(locals, sub.instance)
 	f.st = f.st[:base]
 	switch {
-	case in.C == 0:
+	case mode == 0:
 		f.push(co)
-	case in.C == compile.PipeInline:
+	case mode == compile.PipeInline:
 		f.push(pipe.NewInline(co))
 	default:
-		buffer := int(in.C)
-		if in.C == compile.PipeDefault {
+		buffer := int(mode)
+		if mode == compile.PipeDefault {
 			buffer = pipe.DefaultBuffer
 		}
 		p := pipe.New(co, buffer)
 		p.StartEager()
 		f.push(p)
 	}
-	f.pc++
 }
 
 // ----- string scanning -----
 
-// scanBegin executes OpScanBegin: a fresh environment over the popped
-// subject becomes current. Armed (A = 1), its choice point leaves the
-// environment when the body is spent and fails on into the subject.
-func (f *Frame) scanBegin(in compile.Instr) bool {
-	a := &f.aux[in.B]
+// ScanBegin makes a fresh environment over the popped subject current
+// (aux b). Armed (arm = 1), its choice point at pc leaves the environment
+// when the body is spent and fails on into the subject.
+func (f *Frame) ScanBegin(arm, b, pc int32) bool {
+	a := &f.aux[b]
 	h := f.code.Scan
 	if f.resumed {
 		f.resumed = false
@@ -179,18 +182,17 @@ func (f *Frame) scanBegin(in compile.Instr) bool {
 	}
 	a.scan = &scanEnv{inner: core.ScanState{Subject: string(s), Pos: 1}}
 	a.scan.outer = h.Swap(&a.scan.inner)
-	if in.A != 0 {
-		f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st))})
+	if arm != 0 {
+		f.cp = append(f.cp, choice{pc: pc, sp: int32(len(f.st))})
 	}
-	f.pc++
 	return true
 }
 
-// scanEnd executes OpScanEnd: the body produced a result, so the outer
-// environment rules until the body is resumed — then its own is current
-// again, with whatever is current at that moment as its outer.
-func (f *Frame) scanEnd(in compile.Instr) bool {
-	a := &f.aux[in.B]
+// ScanEnd follows a result of the scanning body (aux b): the outer
+// environment rules until the body is resumed at pc — then its own is
+// current again, with whatever is current at that moment as its outer.
+func (f *Frame) ScanEnd(b, pc int32) bool {
+	a := &f.aux[b]
 	h := f.code.Scan
 	if f.resumed {
 		f.resumed = false
@@ -201,7 +203,6 @@ func (f *Frame) scanEnd(in compile.Instr) bool {
 	// before the swap-out makes them read another scan.
 	f.st[len(f.st)-1] = f.st[len(f.st)-1].deref()
 	h.Swap(a.scan.outer)
-	f.cp = append(f.cp, choice{pc: f.pc, sp: int32(len(f.st)) - 1})
-	f.pc++
+	f.cp = append(f.cp, choice{pc: pc, sp: int32(len(f.st)) - 1})
 	return true
 }

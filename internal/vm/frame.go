@@ -109,6 +109,10 @@ type scanEnv struct {
 // Machine wraps one compiled unit with its frame pool. Pooled frames are
 // only ever reused for the same code object, so slot and aux arrays (and
 // the call-site caches inside aux) stay valid across recycles.
+//
+// A Machine also stands for a unit whose instructions were translated to
+// Go (Emitted): its activations are values of the translated type, each
+// embedding a Frame whose exported methods are the opcodes.
 type Machine struct {
 	code *compile.Code
 	// subs are the Machines of the unit's create bodies (code.Subs).
@@ -121,29 +125,57 @@ type Machine struct {
 	prof atomic.Pointer[CodeProfile]
 }
 
-// New builds a Machine for code.
+// New builds a Machine for code, its activations plain frames.
 func New(code *compile.Code) *Machine {
-	m := &Machine{code: code}
-	for _, sub := range code.Subs {
-		m.subs = append(m.subs, New(sub))
+	subs := make([]*Machine, len(code.Subs))
+	for i, sub := range code.Subs {
+		subs[i] = New(sub)
 	}
+	return Emitted(code, func() (core.Gen, *Frame) { f := &Frame{}; return f, f }, subs...)
+}
+
+// Emitted builds the Machine of a translated unit: code carries the
+// unit's layout, constants, globals and scanning context (its Instrs are
+// the translated type's Next), alloc returns a new activation and the
+// Frame it is the state of, and subs are the Machines of its create and
+// <> bodies, in code.Subs order.
+func Emitted(code *compile.Code, alloc func() (core.Gen, *Frame), subs ...*Machine) *Machine {
+	m := &Machine{code: code, subs: subs}
 	if code.Scan != nil {
 		m.scanVars = [2]*value.Var{core.SubjectVar(code.Scan), core.PosVar(code.Scan)}
 	}
 	m.pool.New = func() any {
+		g, f := alloc()
 		// Slots and the operand stack's first entries share one array.
 		n := len(code.Slots)
 		buf := make([]slot, n+8)
-		return &Frame{
-			code:  code,
-			owner: m,
-			slots: buf[:n:n],
-			aux:   make([]auxCell, code.NumAux),
-			st:    buf[n:n],
-			cp:    make([]choice, 0, 8),
-		}
+		f.code, f.owner, f.self = code, m, g
+		f.slots, f.st = buf[:n:n], buf[n:n]
+		f.aux = make([]auxCell, code.NumAux)
+		f.cp = make([]choice, 0, 8)
+		return f
 	}
 	return m
+}
+
+// Call returns a new activation of the unit bound to args — a pooled
+// frame, or for a translated unit a pooled value of its type. It is the
+// body of the unit's procedure value.
+func (m *Machine) Call(args ...value.V) core.Gen { return m.NewFrame(args...).self }
+
+// instance is a create body's generator, its parameters bound from env:
+// the cells themselves for a bare <> body, which shares them, and their
+// current values otherwise.
+func (m *Machine) instance(env []*value.Var) core.Gen {
+	f := m.NewFrame()
+	for _, cell := range env {
+		if m.code.Shares {
+			f.args = append(f.args, cell)
+		} else {
+			f.args = append(f.args, cell.Get())
+		}
+	}
+	return f.self
 }
 
 // Code returns the compiled unit.
@@ -182,6 +214,9 @@ type Frame struct {
 	// suspendedAt is the UnixNano of the last profiled suspension (yield or
 	// return); 0 when not suspended or profiling was off at the time.
 	suspendedAt int64
+	// self is the activation this is the state of: the frame itself, or
+	// the translated type's value embedding it.
+	self core.Gen
 }
 
 // begin (re)starts the frame: pc 0, empty stacks, slots nulled, parameters
@@ -202,15 +237,37 @@ func (f *Frame) begin() {
 	for i := 0; i < n; i++ {
 		f.slots[i] = slot{v: value.Deref(f.args[i])}
 	}
+	if f.code.Boxes != nil {
+		f.box()
+	}
 	f.started = true
 	f.suspendedAt = 0
 }
 
-// fail backtracks to the most recent choice point, restoring its operand
+// box puts a fresh cell in every boxed slot, holding the value begin
+// bound there — except the parameters of a bare <> body, which are the
+// creating frame's cells themselves.
+func (f *Frame) box() {
+	for i, boxed := range f.code.Boxes {
+		if !boxed {
+			continue
+		}
+		if f.code.Shares && i < f.code.Params && i < len(f.args) {
+			f.slots[i] = slot{v: f.args[i]}
+			continue
+		}
+		f.slots[i] = slot{v: value.NewCell(f.slots[i].v)}
+	}
+}
+
+// cell returns the cell in boxed slot i.
+func (f *Frame) cell(i int32) *value.Var { return f.slots[i].v.(*value.Var) }
+
+// Fail backtracks to the most recent choice point, restoring its operand
 // stack and re-entering its instruction with the resumed flag set. With no
 // choice point left the frame is exhausted (and, per the generator
 // contract, ready to restart).
-func (f *Frame) fail() bool {
+func (f *Frame) Fail() bool {
 	if len(f.cp) == 0 {
 		f.started = false
 		f.releaseChildren()
@@ -237,6 +294,12 @@ func (f *Frame) ResetCall(args []value.V) {
 	f.args = append(f.args[:0], args...)
 	f.started = false
 }
+
+// frame returns the frame; a translated type embedding one has it too,
+// which is how a call site recognizes a child it can re-arm.
+func (f *Frame) frame() *Frame { return f }
+
+type framed interface{ frame() *Frame }
 
 // Recycle clears the frame's value references and returns it to its
 // Machine's pool. Only call when no live generator can reach the frame.

@@ -19,12 +19,14 @@ import (
 // a corrupt or mismatched snapshot fails loudly instead of resuming wrong.
 //
 // Capture is conservative, like the compiler: a frame that is mid-dispatch
-// (running), or whose live aux cells hold host-resident generators (a
-// generic !x promotion, a to-by over bignums, a tree-walk callee) or a
-// reversible assignment's reference target, refuses with a reason —
-// callers fall back to restart-from-start recovery. Undo records on named
-// targets, entered scanning environments and static cells (which travel
-// with the globals) round-trip.
+// (running), that holds boxed cells (shared with a bare <> body or handed
+// out as assignment references), or whose live aux cells hold
+// host-resident generators (a generic !x promotion, a to-by over bignums,
+// a tree-walk callee) or a reversible assignment's reference target,
+// refuses with a reason; callers fall back to restart-from-start
+// recovery. Undo records on named targets, entered scanning environments
+// and static cells (which travel with the globals) round-trip, and ?x
+// leaves no state in the frame: it draws on the process's random stream.
 
 // FrameSnap is the portable state of one suspended frame. All values are
 // shared, not copied — the caller encodes the snapshot (internal/wire)
@@ -192,6 +194,11 @@ func capture(f *Frame, depth int) (*FrameSnap, error) {
 	}
 	if f.running {
 		return nil, refuse("frame is running (mid-Next); snapshot only between Next calls")
+	}
+	if f.code.Boxes != nil {
+		// The cells are shared with the other side of a bare <> or with
+		// references a target handed out; copies would sever that.
+		return nil, refuse("frame holds the shared cells of a bare <> or an assignment target (unit %q)", f.code.Name)
 	}
 	for _, c := range f.cp {
 		if int(c.pc) < 0 || int(c.pc) >= len(f.code.Instrs) || int(c.sp) > len(f.st) {

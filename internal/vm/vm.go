@@ -3,7 +3,6 @@ package vm
 import (
 	"junicon/internal/ast"
 	"junicon/internal/compile"
-	"junicon/internal/core"
 )
 
 // CompileExpr lowers a normalized top-level expression and wraps it in a
@@ -26,8 +25,3 @@ func CompileProc(d *ast.ProcDecl, env compile.Env) (*Machine, error) {
 	}
 	return New(code), nil
 }
-
-// Gen returns a fresh generator over the unit's result sequence (a frame
-// with no arguments) — the adapter that lets compiled units compose with
-// the kernel's combinators, pipes, batching and pools unchanged.
-func (m *Machine) Gen() core.Gen { return m.NewFrame() }

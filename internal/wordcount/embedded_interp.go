@@ -34,26 +34,34 @@ func NewInterpreter(lines []string, w Weight, opts ...interp.Option) (*interp.In
 	in := interp.New(append([]interp.Option{interp.WithOutput(io.Discard)}, opts...)...)
 	in.RegisterNative("wordToNumber", wordToNumberProc(w).Fn)
 	in.RegisterNative("hashNumber", hashNumberProc(w).Fn)
-	in.RegisterNative("split", func(args ...value.V) (value.V, error) {
-		s, ok := value.ToString(args[0])
-		if !ok {
-			return nil, fmt.Errorf("split: string expected")
-		}
-		out := value.NewList()
-		for _, word := range SplitWords(string(s)) {
-			out.Put(value.String(word))
-		}
-		return out, nil
-	})
-	corpus := value.NewList()
-	for _, l := range lines {
-		corpus.Put(value.String(l))
-	}
-	in.Define("lines", corpus)
+	in.RegisterNative("split", splitNative)
+	in.Define("lines", corpusList(lines))
 	if err := in.LoadProgram(Figure3Source); err != nil {
 		return nil, err
 	}
 	return in, nil
+}
+
+// splitNative is Figure 3's line::split(): the words of a line as a list.
+func splitNative(args ...value.V) (value.V, error) {
+	s, ok := value.ToString(args[0])
+	if !ok {
+		return nil, fmt.Errorf("split: string expected")
+	}
+	out := value.NewList()
+	for _, word := range SplitWords(string(s)) {
+		out.Put(value.String(word))
+	}
+	return out, nil
+}
+
+// corpusList is the corpus as the list the embedded global lines holds.
+func corpusList(lines []string) *value.List {
+	corpus := value.NewList()
+	for _, l := range lines {
+		corpus.Put(value.String(l))
+	}
+	return corpus
 }
 
 // SequentialExpr and PipelineExpr are Figure 3's driver expressions: the
