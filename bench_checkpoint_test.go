@@ -31,7 +31,7 @@ def csum(n) {
 // suspended generator mid-iteration.
 func checkpointBenchGen(b *testing.B, expr string, cut int) junicon.Gen {
 	b.Helper()
-	in := junicon.NewInterp(io.Discard, junicon.WithVM())
+	in := junicon.NewInterp(io.Discard)
 	if err := in.LoadProgram(checkpointBenchProgram); err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := junicon.NewInterp(io.Discard, junicon.WithVM())
+	in := junicon.NewInterp(io.Discard)
 	if err := in.LoadProgram(checkpointBenchProgram); err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func BenchmarkCheckpointResume(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := junicon.NewInterp(io.Discard, junicon.WithVM())
+	in := junicon.NewInterp(io.Discard)
 	if err := in.LoadProgram(checkpointBenchProgram); err != nil {
 		b.Fatal(err)
 	}

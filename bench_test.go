@@ -255,7 +255,7 @@ func BenchmarkAblationTranslated_Kernel(b *testing.B) {
 	}
 }
 
-// ---- Ablation: |> provisioned from facts (-O) on vs off ----
+// ---- Ablation: |> provisioned from facts (WithOptimize) on vs off ----
 //
 // Each pair runs one embedded workload through the tree walk without and
 // with interp.WithOptimize. The On lanes include the cost of computing
@@ -272,15 +272,15 @@ func BenchmarkAblationTranslated_Kernel(b *testing.B) {
 //     eleven slots instead of pipe.DefaultBuffer; B/op is the number.
 //   - The Fig6WordCount/Fig6Pipeline lanes run Figure 3's mixed-language
 //     program, whose host native stages are effect-opaque — its |> is
-//     provisioned as without facts — pinning that -O does not regress
-//     the workloads it cannot prove anything about.
+//     provisioned as without facts — pinning that WithOptimize does not
+//     regress the workloads it cannot prove anything about.
 
 func benchFactsExpr(b *testing.B, program, expr string, optimize bool) {
-	var opts []junicon.InterpOption
+	opts := []interp.Option{interp.WithOutput(io.Discard)}
 	if optimize {
-		opts = append(opts, junicon.WithOptimize())
+		opts = append(opts, interp.WithOptimize())
 	}
-	in := junicon.NewInterp(io.Discard, opts...)
+	in := interp.New(opts...)
 	if err := in.LoadProgram(program); err != nil {
 		b.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func BenchmarkKernelPipeThroughput(b *testing.B) {
 // source, same buffer, same path.
 func BenchmarkKernelPipeThroughputBatched(b *testing.B) {
 	lines := int64(b.N)
-	p := junicon.BatchedPipeOf(junicon.Range(1, lines, 1), 256, 64)
+	p := pipe.FromGenBatched(junicon.Range(1, lines, 1), 256, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := p.Next(); !ok {
@@ -416,7 +416,7 @@ func BenchmarkKernelPipeThroughputBatched(b *testing.B) {
 
 func benchPipeBatch(b *testing.B, batch int) {
 	lines := int64(b.N)
-	p := junicon.BatchedPipeOf(junicon.Range(1, lines, 1), 1024, batch)
+	p := pipe.FromGenBatched(junicon.Range(1, lines, 1), 1024, batch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := p.Next(); !ok {
@@ -588,11 +588,11 @@ def tokens(s) {
 // each iteration replays the full sequence. This is the evaluator
 // steady state: no parse or compile inside the loop on either side.
 func benchVMDrain(b *testing.B, program, expr string, vm bool) {
-	var opts []junicon.InterpOption
+	opts := []interp.Option{interp.WithOutput(io.Discard)}
 	if vm {
-		opts = append(opts, junicon.WithVM())
+		opts = append(opts, interp.WithVM())
 	}
-	in := junicon.NewInterp(io.Discard, opts...)
+	in := interp.New(opts...)
 	if program != "" {
 		if err := in.LoadProgram(program); err != nil {
 			b.Fatal(err)

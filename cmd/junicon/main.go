@@ -13,13 +13,11 @@
 //	junicon -vet prog.jn …           static checks only; exit 1 on errors
 //	junicon -vet -Werror prog.jn     … treating warnings as errors
 //	junicon -vet -facts prog.jn      … also dump interprocedural facts
-//	junicon -O prog.jn               tree walk provisions |> from facts, as -vm does
-//	junicon -vm prog.jn              run with compiled execution (bytecode vm)
 //	junicon -dis prog.jn             print bytecode listings (also -dis -e 'expr')
 //	junicon -xml 'expr'              print the parsed XML term form
 //	junicon -trace=run.json prog.jn  write a telemetry trace of the run
 //	junicon -metrics -e 'expr'       print runtime metrics after the run
-//	junicon -profile=vm.pb.gz p.jn   write a pprof VM profile (implies -vm)
+//	junicon -profile=vm.pb.gz p.jn   write a pprof VM profile
 //	junicon -snapshot s -n 3 -e 'e'  print 3 results, checkpoint the rest to s
 //	junicon -resume s                restore the snapshot and keep iterating
 //
@@ -27,6 +25,10 @@
 // the program ends: Chrome trace_event JSON (chrome://tracing, Perfetto)
 // if the file name ends in .json, JSONL otherwise. -itrace is the
 // Icon-style procedure tracing (&trace) formerly spelled -trace.
+//
+// Programs, expressions and the REPL run compiled: bytecode in the vm
+// package's resumable frames, with the tree walk running any unit the
+// compiler does not lower.
 //
 // Mixed-language files (any file containing @<script …> annotations) are
 // fed through the metaparser first; every junicon region is loaded.
@@ -60,11 +62,9 @@ func main() {
 		vet       = flag.Bool("vet", false, "run static checks only; report diagnostics without executing")
 		werror    = flag.Bool("Werror", false, "with -vet, treat warnings as errors")
 		facts     = flag.Bool("facts", false, "with -vet, dump the interprocedural generator facts per file")
-		optimize  = flag.Bool("O", false, "provision |> from interprocedural facts in the tree walk, as -vm already does (inline when pure, sized queue when bounded); -emit ignores it")
-		useVM     = flag.Bool("vm", false, "enable compiled execution (bytecode vm with slot-based resumable frames)")
 		dis       = flag.Bool("dis", false, "disassemble instead of running: print bytecode listings for a file (or -e expression)")
-		profile   = flag.String("profile", "", "write a pprof-format VM execution profile to this file when the program ends (implies -vm)")
-		snapshot  = flag.String("snapshot", "", "with -e/-x: print -n results, then checkpoint the suspended generator to this file (implies -vm)")
+		profile   = flag.String("profile", "", "write a pprof-format VM execution profile to this file when the program ends")
+		snapshot  = flag.String("snapshot", "", "with -e/-x: print -n results, then checkpoint the suspended generator to this file")
 		resume    = flag.String("resume", "", "restore a generator from this snapshot file and continue printing its sequence")
 	)
 	flag.Parse()
@@ -76,7 +76,6 @@ func main() {
 		telemetry.SetMetrics(true)
 	}
 	if *profile != "" {
-		*useVM = true
 		vm.EnableProfiling()
 	}
 	flush = func() { flushTelemetry(*traceFile, *metrics, *profile) }
@@ -106,14 +105,7 @@ func main() {
 		return
 	}
 
-	var iopts []junicon.InterpOption
-	if *optimize {
-		iopts = append(iopts, junicon.WithOptimize())
-	}
-	if *useVM || *dis {
-		iopts = append(iopts, junicon.WithVM())
-	}
-	in := junicon.NewInterp(os.Stdout, iopts...)
+	in := junicon.NewInterp(os.Stdout)
 	if *itrace {
 		in.EnableTrace(os.Stderr)
 	}

@@ -50,29 +50,20 @@ func repl(in *junicon.Interp, input io.Reader, out io.Writer, prompt bool) {
 				fmt.Fprintln(out, "enter an expression to evaluate it (first", maxResults, "results shown),")
 				fmt.Fprintln(out, "or a declaration (def/procedure/record/global/class) to load it.")
 				fmt.Fprintln(out, ":facts dumps the interprocedural generator facts of loaded declarations.")
-				fmt.Fprintln(out, ":vm toggles compiled execution (bytecode vm; loaded procedures recompile).")
 				fmt.Fprintln(out, ":dis <expr> prints an expression's bytecode listing.")
 				fmt.Fprintln(out, ":streams shows the live stream topology (pipes, pools, remotes; enables inspection).")
-				fmt.Fprintln(out, ":prof shows the VM execution profile (enables profiling; run :vm code first).")
+				fmt.Fprintln(out, ":prof shows the VM execution profile (the first :prof enables profiling).")
 				fmt.Fprintln(out, ":snap <file> <expr> prints", maxResults, "results, then checkpoints the suspended generator.")
 				fmt.Fprintln(out, ":resume <file> restores a checkpointed generator and continues its sequence.")
 				continue
 			case ":facts":
 				printFacts(in, history.String(), out)
 				continue
-			case ":vm":
-				in.SetVM(!in.VMEnabled())
-				if in.VMEnabled() {
-					fmt.Fprintln(out, "-- compiled execution on")
-				} else {
-					fmt.Fprintln(out, "-- compiled execution off (tree walk)")
-				}
-				continue
 			case ":streams":
 				printStreams(out)
 				continue
 			case ":prof":
-				printProf(in, out)
+				printProf(out)
 				continue
 			}
 			if t := strings.TrimSpace(line); t == ":dis" || strings.HasPrefix(t, ":dis ") {
@@ -154,16 +145,11 @@ func printStreams(out io.Writer) {
 }
 
 // printProf renders the VM execution profile. The first call enables
-// profiling (and compiled execution, which the profiler measures).
-func printProf(in *junicon.Interp, out io.Writer) {
+// profiling.
+func printProf(out io.Writer) {
 	if !vm.ProfilingOn() {
 		vm.EnableProfiling()
-		if !in.VMEnabled() {
-			in.SetVM(true)
-			fmt.Fprintln(out, "-- profiling and compiled execution enabled; expressions run from now on are profiled")
-		} else {
-			fmt.Fprintln(out, "-- profiling enabled; expressions run from now on are profiled")
-		}
+		fmt.Fprintln(out, "-- profiling enabled; expressions run from now on are profiled")
 		return
 	}
 	vm.WriteText(out)
@@ -171,7 +157,8 @@ func printProf(in *junicon.Interp, out io.Writer) {
 
 // printFacts recomputes and dumps the interprocedural fact table over
 // every declaration this session has loaded — effect summaries, yield
-// bounds, restartability — the analysis the -O evaluator acts on.
+// bounds, restartability — the analysis the VM provisions |> and direct
+// calls from.
 func printFacts(in *junicon.Interp, loaded string, out io.Writer) {
 	if strings.TrimSpace(loaded) == "" {
 		fmt.Fprintln(out, "-- no declarations loaded")

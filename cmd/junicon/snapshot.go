@@ -17,15 +17,11 @@ import (
 // session, or another machine (the same blob rides the remote protocol's
 // resume-mode OPEN).
 
-// snapshotExpr evaluates expr on in (compiled execution forced on),
-// prints up to max results, then snapshots the generator's remaining
-// state — mid-iteration, exactly where printing stopped — to file.
-// program is the declaration source the snapshot must carry so resumption
-// can rebuild the procedure table.
+// snapshotExpr evaluates expr on in, prints up to max results, then
+// snapshots the generator's remaining state — mid-iteration, exactly where
+// printing stopped — to file. program is the declaration source the
+// snapshot must carry so resumption can rebuild the procedure table.
 func snapshotExpr(in *junicon.Interp, program, expr, file string, max int, out io.Writer) error {
-	if !in.VMEnabled() {
-		in.SetVM(true)
-	}
 	g, err := in.EvalGen(expr)
 	if err != nil {
 		return err
@@ -66,7 +62,7 @@ func resumeSnapshot(file string, max int, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	in := junicon.NewInterp(out, junicon.WithVM())
+	in := junicon.NewInterp(out)
 	return resumeInto(in, data, max, out)
 }
 

@@ -58,21 +58,6 @@ func NewPipe(src Stepper, buffer int) *Pipe { return pipe.New(src, buffer) }
 // PipeOf spawns a pipe over a plain generator: |>e over <>e.
 func PipeOf(g Gen, buffer int) *Pipe { return pipe.FromGen(g, buffer) }
 
-// NewBatchedPipe is NewPipe with the consumer's run capped at batch values:
-// batch 1 takes every value from the queue singly, batch <= 0 behaves
-// exactly like NewPipe. The cap tightens the throttle (buffer queued plus
-// batch in hand) and is otherwise a measurement knob — every pipe already
-// moves runs. Observable semantics (ordering, failure propagation,
-// Stop/Restart) are identical to NewPipe.
-func NewBatchedPipe(src Stepper, buffer, batch int) *Pipe {
-	return pipe.NewBatched(src, buffer, batch)
-}
-
-// BatchedPipeOf is PipeOf with the consumer's run capped at batch.
-func BatchedPipeOf(g Gen, buffer, batch int) *Pipe {
-	return pipe.FromGenBatched(g, buffer, batch)
-}
-
 // Step activates a first-class iterator value (@c), optionally
 // transmitting a value into it.
 func Step(c Value, transmit Value) (Value, bool) { return core.Step(c, transmit) }
@@ -89,11 +74,6 @@ func Refresh(c Value) Value { return core.Refresh(c) }
 // runs in its own goroutine (§3B's fixed-code decomposition, Figure 2).
 func Pipeline(src Gen, buffer int, stages ...func(Gen) Gen) Gen {
 	return pipe.Chain(src, buffer, stages...)
-}
-
-// BatchedPipeline is Pipeline with every stage's run capped at batch.
-func BatchedPipeline(src Gen, buffer, batch int, stages ...func(Gen) Gen) Gen {
-	return pipe.ChainBatched(src, buffer, batch, stages...)
 }
 
 // Future evaluates g in a separate goroutine and returns a handle to its

@@ -19,30 +19,16 @@ import (
 // and native-function registry.
 type Interp = interp.Interp
 
-// InterpOption configures an interpreter built by NewInterp.
-type InterpOption = interp.Option
-
-// WithOptimize has the tree walk provision |> sites from interprocedural
-// facts over the loaded programs, as WithVM already does: a statically
-// pure body runs inline, a bounded one gets a queue sized to its whole
-// sequence. Semantically a no-op — the differential suite pins optimized
-// traces to the unoptimized reference.
-func WithOptimize() InterpOption { return interp.WithOptimize() }
-
-// WithVM enables compiled execution: loaded procedures and evaluated
-// expressions run as slot-framed bytecode on the vm package's stack
-// machine where the compiler supports them, falling back to the tree walk
-// where it does not. Like WithOptimize, semantically a no-op — the semtest
-// Compiled lanes pin compiled traces to the sequential reference.
-func WithVM() InterpOption { return interp.WithVM() }
-
 // NewInterp returns an interpreter with the builtin library loaded; output
-// of write()/writes() goes to w (nil selects standard output).
-func NewInterp(w io.Writer, opts ...InterpOption) *Interp {
-	if w != nil {
-		opts = append([]InterpOption{interp.WithOutput(w)}, opts...)
+// of write()/writes() goes to w (nil selects standard output). Loaded
+// procedures, top-level statements and evaluated expressions run as
+// slot-framed bytecode in the vm package's resumable frames; a unit the
+// compiler does not lower runs on the tree walk, with the same results.
+func NewInterp(w io.Writer) *Interp {
+	if w == nil {
+		return interp.New(interp.WithVM())
 	}
-	return interp.New(opts...)
+	return interp.New(interp.WithOutput(w), interp.WithVM())
 }
 
 // Region is a scoped annotation found in a mixed-language source.

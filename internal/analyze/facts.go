@@ -13,7 +13,7 @@ import (
 // effect summaries and yield-count bounds. The diagnostics only *warn*
 // from them (JV012, JV014); the evaluators additionally *provision* |>
 // sites from them (provision.go) and the VM dispatches calls to pure
-// ≤1-yield procedures directly. The semtest -O and VM lanes are the
+// ≤1-yield procedures directly. The semtest Optimized and Compiled lanes are the
 // executable proof that none of this can change a trace.
 
 // Effects is the effect summary of a generator expression: which classes

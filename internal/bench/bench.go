@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -191,9 +190,4 @@ func Bars(w io.Writer, title string, results []Normalized) {
 		}
 		fmt.Fprintf(w, "%-28s |%s %.2fx\n", r.Name, strings.Repeat("#", n), r.Ratio)
 	}
-}
-
-// SortByName orders results deterministically for stable output.
-func SortByName(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Name < rs[j].Name })
 }

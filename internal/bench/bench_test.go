@@ -118,11 +118,3 @@ func TestCalibrateGrowsBatch(t *testing.T) {
 		t.Fatalf("empty op batch = %d, expected large", n)
 	}
 }
-
-func TestSortByName(t *testing.T) {
-	rs := []Result{{Name: "b"}, {Name: "a"}}
-	SortByName(rs)
-	if rs[0].Name != "a" {
-		t.Fatal("sort")
-	}
-}

@@ -91,8 +91,8 @@ const (
 	OpAugVar    // pop v, t; r = arith[A](t value, v); t := r; push r
 	OpCmpAugVar // pop v, t; r, ok = cmp[A](t value, v); fail or t := r; push r
 	// Fused read-modify-write for named targets: the target's current value
-	// is read when the operation applies (per source value, as AugAssignVar
-	// reads t.Get() per cycle).
+	// is read when the operation applies (per source value, as
+	// core.AugAssignTo reads its target per cycle).
 	OpAugSlot      // pop v; r = arith[C](slots[A], v); slots[A] = r; push r
 	OpCmpAugSlot   // pop v; r, ok = cmp[C](slots[A], v); fail or store+push
 	OpAugGlobal    // pop v; r = arith[C](Globals[A], v); Globals[A] = r; push r

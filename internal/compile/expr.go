@@ -460,7 +460,7 @@ func nameOf(n ast.Node) (name string, tmp bool) {
 }
 
 // augAssign compiles target op:= rhs. The target's current value is read
-// when the operation applies — per source value, as AugAssignVar does — so
+// when the operation applies — per source value, as core.AugAssignTo does — so
 // slots and globals get fused read-modify-write opcodes rather than a
 // load/store pair around the rhs.
 func (c *compiler) augAssign(x *ast.Binary) {

@@ -150,24 +150,3 @@ func (g *revSwapGen) Restart() {
 
 // RevSwapVars implements x <-> y: exchange, and undo when resumed.
 func RevSwapVars(x, y *value.Var) Gen { return &revSwapGen{x: x, y: y} }
-
-// AugAssignVar implements x op:= e for a binary operation op.
-func AugAssignVar(t *value.Var, op func(a, b V) V, src Gen) Gen {
-	return Apply1(func(v V) Gen {
-		t.Set(op(t.Get(), value.Deref(v)))
-		return Unit(t)
-	}, src)
-}
-
-// CmpAugAssignVar implements x op:= e for conditional operations (x <:= e):
-// assigns only when the operation succeeds, else fails.
-func CmpAugAssignVar(t *value.Var, op func(a, b V) (V, bool), src Gen) Gen {
-	return Apply1(func(v V) Gen {
-		r, ok := op(t.Get(), value.Deref(v))
-		if !ok {
-			return Empty()
-		}
-		t.Set(r)
-		return Unit(t)
-	}, src)
-}

@@ -377,33 +377,13 @@ func TestSwapAndRevSwap(t *testing.T) {
 	}
 }
 
-func TestAugAssign(t *testing.T) {
-	x := value.NewCell(value.NewInt(10))
-	Drain(AugAssignVar(x, value.Add, Unit(value.NewInt(5))), 1)
-	if value.Image(x.Get()) != "15" {
-		t.Fatalf("x +:= 5 = %v", value.Image(x.Get()))
-	}
-	// Conditional augmented assignment: x <:= e assigns only on success.
-	ok := CmpAugAssignVar(x, value.NumLt, Unit(value.NewInt(20)))
-	if _, s := ok.Next(); !s {
-		t.Fatal("15 <:= 20 should succeed")
-	}
-	if value.Image(x.Get()) != "20" {
-		t.Fatalf("x = %v", value.Image(x.Get()))
-	}
-	fail := CmpAugAssignVar(x, value.NumLt, Unit(value.NewInt(5)))
-	if _, s := fail.Next(); s {
-		t.Fatal("20 <:= 5 should fail")
-	}
-}
-
 func TestWhileLoop(t *testing.T) {
 	i := value.NewCell(value.NewInt(0))
 	sum := value.NewCell(value.NewInt(0))
 	cond := Defer(func() Gen { return Cmp2(value.NumLt, Unit(i.Get()), Unit(value.NewInt(5))) })
 	body := Sequence(
-		Defer(func() Gen { return AugAssignVar(i, value.Add, Unit(value.NewInt(1))) }),
-		Defer(func() Gen { return AugAssignVar(sum, value.Add, Unit(i.Get())) }),
+		Defer(func() Gen { return AugAssignTo(value.Add, Unit(i), Unit(value.NewInt(1))) }),
+		Defer(func() Gen { return AugAssignTo(value.Add, Unit(sum), Unit(i.Get())) }),
 	)
 	g := While(cond, body)
 	if _, ok := g.Next(); ok {
@@ -417,7 +397,7 @@ func TestWhileLoop(t *testing.T) {
 func TestUntilLoop(t *testing.T) {
 	i := value.NewCell(value.NewInt(0))
 	cond := Defer(func() Gen { return Cmp2(value.NumEq, Unit(i.Get()), Unit(value.NewInt(3))) })
-	body := Defer(func() Gen { return AugAssignVar(i, value.Add, Unit(value.NewInt(1))) })
+	body := Defer(func() Gen { return AugAssignTo(value.Add, Unit(i), Unit(value.NewInt(1))) })
 	Drain(Until(cond, body), 0)
 	if value.Image(i.Get()) != "3" {
 		t.Fatalf("i = %v", value.Image(i.Get()))
@@ -443,7 +423,7 @@ func TestEveryDrivesGenerator(t *testing.T) {
 func TestBreakWithValueTerminatesLoop(t *testing.T) {
 	i := value.NewCell(value.NewInt(0))
 	body := Defer(func() Gen {
-		Drain(AugAssignVar(i, value.Add, Unit(value.NewInt(1))), 1)
+		Drain(AugAssignTo(value.Add, Unit(i), Unit(value.NewInt(1))), 1)
 		if value.NumCompare(i.Get(), value.NewInt(3)) >= 0 {
 			Break(Unit(value.NewInt(42)))
 		}
@@ -460,7 +440,7 @@ func TestNextSignalSkipsRestOfBody(t *testing.T) {
 	count := 0
 	i := value.NewCell(value.NewInt(0))
 	body := Defer(func() Gen {
-		Drain(AugAssignVar(i, value.Add, Unit(value.NewInt(1))), 1)
+		Drain(AugAssignTo(value.Add, Unit(i), Unit(value.NewInt(1))), 1)
 		if value.NumCompare(i.Get(), value.NewInt(5)) >= 0 {
 			Break(nil)
 		}

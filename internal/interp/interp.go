@@ -1,7 +1,10 @@
-// Package interp is the tree-walking evaluator of the embedding pipeline:
-// it runs (raw or normalized) Junicon syntax trees directly against the
-// goal-directed kernel — the interactive path that in the paper executes on
-// a Groovy script engine (§6), here executing on the core package.
+// Package interp is the interpreter of the embedding pipeline — the
+// interactive path that in the paper executes on a Groovy script engine
+// (§6), here executing on the core package. Under WithVM it compiles what
+// it loads and evaluates to bytecode run in the vm package's frames; its
+// tree walk runs (raw or normalized) Junicon syntax trees directly against
+// the goal-directed kernel, for the units the compiler rejects and as the
+// whole evaluator without WithVM.
 //
 // It also hosts the interoperability registry: Go functions registered as
 // natives are invoked with the :: syntax of §4, and their results are
@@ -66,27 +69,28 @@ type Interp struct {
 	// dispatch and to provision |> sites; optimize (WithOptimize) has the
 	// tree walk provision |> the same way — inline when the body is pure,
 	// a whole-sequence queue when its yields are bounded — and nothing
-	// else. decls accumulates normalized declarations across loads; facts
-	// (empty until then) has analyzed the first factsSeen of them — the
-	// plain tree walk computes none, so a later SetVM(true) has catching
-	// up to do.
-	optimize  bool
-	facts     *analyze.Facts
-	decls     []ast.Node
-	factsSeen int
+	// else.
+	optimize bool
+	facts    *analyze.Facts
 
 	// Compiled execution (the bytecode vm): when vm is set, loaded
-	// procedures and evaluated expressions run as slot-framed bytecode
-	// where the compiler supports them, falling back to the tree walk
-	// where it does not. vmCompiled marks declarations already lowered so
-	// SetVM re-toggles don't wrap wrappers.
-	vm         bool
-	vmCompiled map[*ast.ProcDecl]bool
+	// procedures, top-level statements and evaluated expressions run as
+	// slot-framed bytecode where the compiler supports them, falling back
+	// to the tree walk where it does not.
+	vm bool
 	// vmMachines maps compiled-unit names to their Machines — the resolver
 	// snapshot restore uses to rebuild call towers (checkpoint.Restore).
 	vmMachines map[string]*vm.Machine
 	// vmFallbacks lists the units the compiler rejected (Fallbacks).
 	vmFallbacks []Fallback
+	// seeded names the global cells compileBatch gave a builtin or native
+	// ahead of any declaration of the name: the tree walk has no cell for
+	// them yet, so a global or field declaration still resets them to null.
+	seeded map[string]bool
+	// late lists, by name, the compiled procedures that mention the name
+	// without holding its global cell (link); a declaration of the name
+	// recompiles them (relink).
+	late map[string][]lateProc
 }
 
 // Option configures an interpreter.
@@ -103,7 +107,9 @@ func WithOptimize() Option { return func(in *Interp) { in.optimize = true } }
 
 // New returns an interpreter with the builtin library loaded.
 func New(opts ...Option) *Interp {
-	in := &Interp{out: os.Stdout, natives: map[string]*value.Native{}, facts: analyze.NewFacts()}
+	in := &Interp{out: os.Stdout, natives: map[string]*value.Native{}, facts: analyze.NewFacts(),
+		vmMachines: map[string]*vm.Machine{}, seeded: map[string]bool{},
+		late: map[string][]lateProc{}}
 	for _, o := range opts {
 		o(in)
 	}
@@ -130,8 +136,15 @@ func (in *Interp) EnableTrace(w io.Writer) { in.tracer = &core.Tracer{W: w} }
 // DisableTrace turns procedure tracing off.
 func (in *Interp) DisableTrace() { in.tracer = nil }
 
-// Define binds a global variable.
-func (in *Interp) Define(name string, v value.V) { in.globals.Define(name, v) }
+// Define binds a global variable. Under the VM an existing global keeps
+// the cell compiled code holds.
+func (in *Interp) Define(name string, v value.V) {
+	var b batch
+	if in.vm {
+		b = batch{}
+	}
+	in.defineGlobal(name, v, b)
+}
 
 // Global returns a global's current value.
 func (in *Interp) Global(name string) (value.V, bool) {
@@ -144,55 +157,32 @@ func (in *Interp) Global(name string) (value.V, bool) {
 
 // LoadProgram parses, normalizes and loads a Junicon program: declarations
 // are defined and top-level statements executed in order (bounded, as at
-// "the outermost level of interaction").
+// "the outermost level of interaction"). Under the VM the whole batch
+// compiles before any of it runs (compileBatch); each statement still sees
+// only the declarations above it.
 func (in *Interp) LoadProgram(src string) error {
 	prog, err := parser.ParseProgram(src)
 	if err != nil {
 		return err
 	}
-	norm := transform.Normalize(prog).(*ast.Program)
-	for _, d := range norm.Decls {
-		switch d.(type) {
-		case *ast.ProcDecl, *ast.ClassDecl, *ast.RecordDecl, *ast.GlobalDecl:
-			in.decls = append(in.decls, d)
-		}
-	}
+	decls := transform.Normalize(prog).(*ast.Program).Decls
 	if in.optimize || in.vm {
-		in.extendFacts(norm.Decls)
+		// Declarations are analyzed once, when they arrive (their bodies
+		// are evaluated or compiled later); only a batch that rebinds an
+		// earlier call site re-runs the analysis (analyze.Facts.ExtendDecls).
+		// Diagnostics are not computed here — vet reporting is the REPL's
+		// and Vet's job, not the evaluator's.
+		in.facts.ExtendDecls(decls, in.factsOptions())
 	}
-	err = in.protect(func() {
-		for _, d := range norm.Decls {
-			in.loadDecl(d)
+	return in.protect(func() {
+		var b batch
+		if in.vm {
+			b = in.compileBatch(decls)
+		}
+		for _, d := range decls {
+			in.loadDecl(d, b)
 		}
 	})
-	if err == nil && in.vm {
-		// Second phase: every cell of the batch exists, so mutually
-		// recursive procedures compile against each other's globals.
-		in.compileProcs(norm.Decls)
-	}
-	return err
-}
-
-// extendFacts brings the whole-program facts up to date with every
-// declaration loaded so far, and caches the facts of the top-level
-// statements among batch, which are about to be evaluated. Facts are keyed
-// by node identity and declarations are analyzed once, when they arrive
-// (their bodies are evaluated or compiled lazily, at call time); only a
-// batch that rebinds an earlier call site re-runs the analysis
-// (analyze.Facts.ExtendDecls). Diagnostics are not computed here — vet
-// reporting is the REPL's and Vet's job, not the evaluator's.
-func (in *Interp) extendFacts(batch []ast.Node) {
-	nodes := in.decls[in.factsSeen:len(in.decls):len(in.decls)]
-	for _, n := range batch {
-		switch n.(type) {
-		case *ast.ProcDecl, *ast.ClassDecl, *ast.RecordDecl, *ast.GlobalDecl:
-			// already accumulated in in.decls
-		default:
-			nodes = append(nodes, n)
-		}
-	}
-	in.facts.ExtendDecls(nodes, in.factsOptions())
-	in.factsSeen = len(in.decls)
 }
 
 // factsOptions builds the analyze options for this interpreter: a name is
@@ -206,65 +196,94 @@ func (in *Interp) factsOptions() analyze.Options {
 	}
 }
 
-// exprFacts caches the facts of one expression about to be evaluated. The
-// interprocedural tables are already final for everything loaded, so only
-// the node cache grows.
-func (in *Interp) exprFacts(norm ast.Node) {
-	if in.factsSeen < len(in.decls) {
-		in.extendFacts(nil)
-	}
-	in.facts.ExtendExpr(norm, in.factsOptions())
-}
-
-func (in *Interp) loadDecl(d ast.Node) {
+// loadDecl defines one declaration or runs one top-level statement of a
+// batch; b holds what compileBatch made of the batch (empty on the tree
+// walk).
+func (in *Interp) loadDecl(d ast.Node, b batch) {
 	switch x := d.(type) {
 	case *ast.ProcDecl:
-		in.globals.Define(x.Name, in.makeProc(x, in.globals))
+		in.defineGlobal(x.Name, in.procValue(x, b[x]), b)
 	case *ast.RecordDecl:
-		in.globals.Define(x.Name, recordConstructor(x))
+		in.defineGlobal(x.Name, recordConstructor(x), b)
 	case *ast.GlobalDecl:
 		for _, name := range x.Names {
-			if _, ok := in.globals.Lookup(name); !ok {
-				in.globals.Define(name, value.NullV)
-			}
+			in.defineNull(name)
 		}
 	case *ast.ClassDecl:
 		// Minimal class model: fields become globals, methods become
 		// procedures (the paper's class-level embedding maps fields and
 		// methods into the host class; interactively we flatten them).
 		for _, f := range x.Fields {
-			if _, ok := in.globals.Lookup(f); !ok {
-				in.globals.Define(f, value.NullV)
-			}
+			in.defineNull(f)
 		}
 		for _, m := range x.Methods {
-			in.globals.Define(m.Name, in.makeProc(m, in.globals))
+			in.defineGlobal(m.Name, in.procValue(m, b[m]), b)
 		}
 	default:
 		// Top-level statement: bounded evaluation.
-		g := in.eval(d, in.globals)
+		g := in.start(d, b[d].m)
 		g.Next()
 		g.Restart()
 	}
 }
 
-// EvalGen parses src as one expression and returns its generator. The
-// expression is normalized first, so evaluation exercises the §5A normal
-// form.
-func (in *Interp) EvalGen(src string) (core.Gen, error) {
+// defineGlobal binds a declared name. The tree walk gives it a new cell;
+// a compiled batch sets the cell compileBatch declared, which its code
+// already holds.
+func (in *Interp) defineGlobal(name string, v value.V, b batch) {
+	delete(in.seeded, name)
+	if cell, ok := in.globals.Lookup(name); ok && b != nil {
+		cell.Set(v)
+	} else {
+		in.globals.Define(name, v)
+	}
+	in.relink(name)
+}
+
+// defineNull declares a global or field: a name with no global yet gets a
+// null one, and so does a cell compileBatch seeded, which the tree walk
+// would not have had; an existing global keeps its value.
+func (in *Interp) defineNull(name string) {
+	if cell, ok := in.globals.Lookup(name); !ok {
+		in.globals.Define(name, value.NullV)
+	} else if in.seeded[name] {
+		cell.Set(value.NullV)
+	}
+	delete(in.seeded, name)
+	in.relink(name)
+}
+
+// parseExpr parses and normalizes one top-level expression, caching its
+// facts when optimizing — the one front end of EvalGen, ExprMachine and
+// DisassembleExpr, so what is listed and what is restored is what runs.
+func (in *Interp) parseExpr(src string) (ast.Node, error) {
 	e, err := parser.ParseExpression(src)
 	if err != nil {
 		return nil, err
 	}
 	norm := transform.Normalize(e)
 	if in.optimize {
-		in.exprFacts(norm)
+		// The interprocedural tables are already final for everything
+		// loaded, so only the node cache grows.
+		in.facts.ExtendExpr(norm, in.factsOptions())
 	}
-	if g := in.compileEval(norm); g != nil {
-		return g, nil
+	return norm, nil
+}
+
+// EvalGen parses src as one expression and returns its generator. The
+// expression is normalized first, so evaluation exercises the §5A normal
+// form.
+func (in *Interp) EvalGen(src string) (core.Gen, error) {
+	norm, err := in.parseExpr(src)
+	if err != nil {
+		return nil, err
+	}
+	var c compiled
+	if in.vm {
+		c = in.compileTop(norm)
 	}
 	var g core.Gen
-	if err := core.Protect(func() { g = in.eval(norm, in.globals) }); err != nil {
+	if err := core.Protect(func() { g = in.start(norm, c.m) }); err != nil {
 		return nil, err
 	}
 	return g, nil

@@ -5,8 +5,6 @@ import (
 
 	"junicon/internal/checkpoint"
 	"junicon/internal/core"
-	"junicon/internal/parser"
-	"junicon/internal/transform"
 	"junicon/internal/vm"
 )
 
@@ -25,26 +23,22 @@ func (in *Interp) ProcMachine(name string) (*vm.Machine, bool) {
 }
 
 // ExprMachine compiles a top-level expression to its Machine without
-// instantiating a frame — the restore path's counterpart of EvalGen's
-// compileEval. It follows the same pipeline (parse, normalize, facts when
-// optimizing) so the compiled unit is bytecode-identical to the one the
-// snapshot was captured from.
+// instantiating a frame — the restore path's counterpart of EvalGen. It
+// follows the same pipeline (parseExpr, compileTop) so the compiled unit is
+// bytecode-identical to the one the snapshot was captured from.
 func (in *Interp) ExprMachine(src string) (*vm.Machine, error) {
-	e, err := parser.ParseExpression(src)
+	norm, err := in.parseExpr(src)
 	if err != nil {
 		return nil, err
 	}
-	norm := transform.Normalize(e)
-	if in.optimize {
-		in.exprFacts(norm)
-	}
-	return vm.CompileExpr(norm, in.compileEnv(true))
+	c := in.compileTop(norm)
+	return c.m, c.err
 }
 
 // RestoreSnapshot rebuilds a generator from a checkpoint blob, resuming
 // mid-iteration. The caller loads meta.Program (if any) first —
-// RestoreSnapshot only recompiles meta.Expr and rehydrates. Compiled
-// execution is forced on: a snapshot only restores into a vm frame.
+// RestoreSnapshot only recompiles meta.Expr and rehydrates; the
+// procedures of its call tower must have compiled (WithVM).
 func (in *Interp) RestoreSnapshot(data []byte) (core.Gen, *checkpoint.Meta, error) {
 	meta, err := checkpoint.Peek(data)
 	if err != nil {
@@ -52,9 +46,6 @@ func (in *Interp) RestoreSnapshot(data []byte) (core.Gen, *checkpoint.Meta, erro
 	}
 	if meta.Expr == "" {
 		return nil, nil, fmt.Errorf("interp: snapshot of %q has no source expression to restore from", meta.Name)
-	}
-	if !in.vm {
-		in.SetVM(true)
 	}
 	m, err := in.ExprMachine(meta.Expr)
 	if err != nil {

@@ -17,11 +17,12 @@ import (
 	"junicon/internal/vm"
 )
 
-// WithVM enables bytecode-compiled execution: loaded procedures and
-// evaluated expressions are lowered to the compile package's bytecode and
-// driven in slot-based resumable frames (the vm package); any unit the
-// compiler cannot lower transparently falls back to the tree walk, so
-// compiled execution is a pure optimization, never a semantic fork.
+// WithVM enables bytecode-compiled execution: loaded procedures, top-level
+// statements and evaluated expressions are lowered to the compile
+// package's bytecode and driven in slot-based resumable frames (the vm
+// package); any unit the compiler cannot lower transparently falls back to
+// the tree walk, so compiled execution is a pure optimization, never a
+// semantic fork.
 func WithVM() Option { return func(in *Interp) { in.vm = true } }
 
 // Fallback records one unit the compiler rejected under WithVM: the unit
@@ -49,30 +50,6 @@ func (in *Interp) noteFallback(unit string, err error) {
 	}
 }
 
-// SetVM toggles compiled execution at run time (the REPL's :vm command).
-// Turning it on compiles every procedure loaded so far; turning it off
-// reverts calls to the tree walk (compiled code stays cached for the next
-// toggle).
-func (in *Interp) SetVM(on bool) {
-	in.vm = on
-	if on {
-		in.extendFacts(nil)
-		for _, d := range in.decls {
-			switch x := d.(type) {
-			case *ast.ProcDecl:
-				in.compileProc(x)
-			case *ast.ClassDecl:
-				for _, m := range x.Methods {
-					in.compileProc(m)
-				}
-			}
-		}
-	}
-}
-
-// VMEnabled reports whether compiled execution is on.
-func (in *Interp) VMEnabled() bool { return in.vm }
-
 // compileEnv builds the compiler's name-resolution environment over this
 // interpreter: the same resolution order the tree walk uses at generator
 // construction (globals, then builtins, then natives), frozen at compile
@@ -84,15 +61,7 @@ func (in *Interp) compileEnv(topLevel bool) compile.Env {
 		LookupGlobal: func(name string) (*value.Var, bool) {
 			return in.globals.Lookup(name)
 		},
-		LookupConst: func(name string) (value.V, bool) {
-			if b, ok := in.builtins[name]; ok {
-				return b, true
-			}
-			if n, ok := in.natives[name]; ok {
-				return n, true
-			}
-			return nil, false
-		},
+		LookupConst: in.constant,
 		Native: func(name string) (*value.Native, bool) {
 			n, ok := in.natives[name]
 			return n, ok
@@ -118,156 +87,238 @@ func (in *Interp) compileEnv(topLevel bool) compile.Env {
 	return env
 }
 
-// compileProcs lowers every procedure in decls, after the whole batch has
-// been defined — two-phase loading, so mutually recursive procedures see
-// each other's global cells at compile time.
-func (in *Interp) compileProcs(decls []ast.Node) {
+// batch is what compileBatch made of a loaded batch: the compiled unit,
+// or the compiler's refusal, of each procedure, method and top-level
+// statement. nil on the tree walk.
+type batch map[ast.Node]compiled
+
+// compiled is one unit of a batch: its Machine, or the reason the tree
+// walk runs it.
+type compiled struct {
+	m   *vm.Machine
+	err error
+}
+
+// compileBatch compiles a batch before any of it runs. Every name the batch
+// declares first gets its global cell, holding what the name resolves to
+// now, so a statement above a declaration sees what the tree walk would
+// there — a forward call fails with error 106 — and defineGlobal fills the
+// cell when the load reaches the declaration. The top-level statements
+// compile next, creating the globals they name, and the procedures last,
+// against every cell the batch can reach: mutually recursive procedures
+// compile against each other's cells, as the tree walk resolves names
+// when a procedure is called.
+func (in *Interp) compileBatch(decls []ast.Node) batch {
+	b := batch{}
+	var procs []*ast.ProcDecl
 	for _, d := range decls {
 		switch x := d.(type) {
 		case *ast.ProcDecl:
-			in.compileProc(x)
+			in.declare(x.Name)
+			procs = append(procs, x)
+		case *ast.RecordDecl:
+			in.declare(x.Name)
+		case *ast.GlobalDecl:
+			for _, name := range x.Names {
+				in.declare(name)
+			}
 		case *ast.ClassDecl:
+			for _, f := range x.Fields {
+				in.declare(f)
+			}
 			for _, m := range x.Methods {
-				in.compileProc(m)
+				in.declare(m.Name)
+				procs = append(procs, m)
 			}
 		}
 	}
-}
-
-// compileProc lowers one loaded procedure and, on success, swaps the
-// global's value for a dispatching wrapper: calls run the compiled frame
-// when the vm is on and tracing is off, and the original tree-walk closure
-// otherwise. The global cell is reused, so call sites — including compiled
-// ones holding the cell — observe the swap; the vm's call-site cache keys
-// on procedure identity, so it re-arms automatically.
-func (in *Interp) compileProc(d *ast.ProcDecl) {
-	if in.vmCompiled[d] {
-		return
-	}
-	cell, ok := in.globals.Lookup(d.Name)
-	if !ok {
-		return
-	}
-	orig, ok := cell.Get().(*value.Proc)
-	if !ok {
-		return
-	}
-	m, err := vm.CompileProc(d, in.compileEnv(false))
-	if err != nil {
-		in.noteFallback(d.Name, err)
-		return // tree walk only
-	}
-	if in.vmCompiled == nil {
-		in.vmCompiled = map[*ast.ProcDecl]bool{}
-	}
-	in.vmCompiled[d] = true
-	if in.vmMachines == nil {
-		in.vmMachines = map[string]*vm.Machine{}
-	}
-	in.vmMachines[m.Code().Name] = m
-	wrapper := value.NewProc(orig.Name, orig.Arity, func(args ...value.V) core.Gen {
-		if in.vm && in.tracer == nil {
-			return m.NewFrame(args...)
+	for _, d := range decls {
+		switch d.(type) {
+		case *ast.ProcDecl, *ast.RecordDecl, *ast.GlobalDecl, *ast.ClassDecl:
+		default:
+			b[d] = in.compileTop(d)
 		}
-		return orig.Fn(args...)
-	})
-	wrapper.Impl = m
-	cell.Set(wrapper)
+	}
+	for _, p := range procs {
+		m, err := vm.CompileProc(p, in.compileEnv(false))
+		if err != nil {
+			in.noteFallback(p.Name, err)
+		}
+		b[p] = compiled{m, err}
+	}
+	return b
 }
 
-// compileEval lowers a normalized top-level expression, returning nil when
-// the unit does not compile (the caller falls back to the tree walk).
-func (in *Interp) compileEval(norm ast.Node) core.Gen {
-	if !in.vm || in.tracer != nil {
-		return nil
+// declare gives name a global cell if it has none, holding the builtin or
+// native it resolves to (noted in seeded), or null.
+func (in *Interp) declare(name string) {
+	if _, ok := in.globals.Lookup(name); ok {
+		return
 	}
+	v, ok := in.constant(name)
+	if ok {
+		in.seeded[name] = true
+	} else {
+		v = value.NullV
+	}
+	in.globals.Define(name, v)
+}
+
+// constant resolves a builtin, then a native, as the tree walk does after
+// the scope chain.
+func (in *Interp) constant(name string) (value.V, bool) {
+	if b, ok := in.builtins[name]; ok {
+		return b, true
+	}
+	if n, ok := in.natives[name]; ok {
+		return n, true
+	}
+	return nil, false
+}
+
+// procValue is a declared procedure's value: its compiled unit, whose
+// frames trace through the interpreter's tracer, or the tree walk's
+// closure when the compiler rejected it or the VM is off.
+func (in *Interp) procValue(d *ast.ProcDecl, c compiled) *value.Proc {
+	if c.m == nil {
+		return in.makeProc(d, in.globals)
+	}
+	p := value.NewProc(d.Name, len(d.Params), nil)
+	in.link(p, d, c.m)
+	return p
+}
+
+// lateProc is a compiled procedure and its declaration.
+type lateProc struct {
+	p *value.Proc
+	d *ast.ProcDecl
+}
+
+// link makes p run m, d's compiled unit. The names d's body mentions that
+// have no global cell yet, m bound to a builtin, a native or a local: late
+// notes them for relink.
+func (in *Interp) link(p *value.Proc, d *ast.ProcDecl, m *vm.Machine) {
+	m.Trace(&in.tracer)
+	in.vmMachines[d.Name] = m
+	p.Fn, p.Impl = m.Call, m
+	seen := map[string]bool{}
+	ast.Walk(d.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !seen[id.Name] && !slices.Contains(d.Params, id.Name) {
+			seen[id.Name] = true
+			_, global := in.globals.Lookup(id.Name)
+			if !global && !slices.Contains(in.late[id.Name], lateProc{p, d}) {
+				in.late[id.Name] = append(in.late[id.Name], lateProc{p, d})
+			}
+		}
+		return true
+	})
+}
+
+// relink recompiles in place the procedures that bound name before this
+// declaration of it, so that from here on they see its global, as a
+// tree-walked procedure resolving the name at each call does. Their
+// statics keep their values.
+func (in *Interp) relink(name string) {
+	procs := in.late[name]
+	delete(in.late, name)
+	for _, lp := range procs {
+		old, ok := lp.p.Impl.(*vm.Machine)
+		if !ok {
+			continue // a tree-walked procedure resolves names when called
+		}
+		m, err := vm.CompileProc(lp.d, in.compileEnv(false))
+		if err != nil {
+			in.noteFallback(lp.d.Name, err)
+			lp.p.Fn, lp.p.Impl = in.makeProc(lp.d, in.globals).Fn, nil
+			continue
+		}
+		was := old.Code()
+		for i, g := range m.Code().GlobalNames {
+			if j := slices.Index(was.GlobalNames, g); j >= 0 && strings.HasPrefix(g, "static ") {
+				m.Code().Globals[i].Set(was.Globals[j].Get())
+			}
+		}
+		in.link(lp.p, lp.d, m)
+	}
+}
+
+// compileTop compiles a normalized top-level expression or statement, its
+// frames following the interpreter's tracer, and notes a rejection.
+func (in *Interp) compileTop(norm ast.Node) compiled {
 	m, err := vm.CompileExpr(norm, in.compileEnv(true))
 	if err != nil {
 		in.noteFallback("(expression)", err)
-		return nil
+		return compiled{err: err}
 	}
-	return m.NewFrame()
+	m.Trace(&in.tracer)
+	return compiled{m: m}
 }
 
-// DisassembleProgram parses and normalizes src, compiles every procedure
-// and top-level statement, and writes the bytecode listings to w. Units
-// the compiler cannot lower are listed with the reason they fall back.
+// start returns a top-level unit's generator: a frame of m, or the tree
+// walk's over norm when m is nil.
+func (in *Interp) start(norm ast.Node, m *vm.Machine) core.Gen {
+	if m != nil {
+		return m.NewFrame()
+	}
+	return in.eval(norm, in.globals)
+}
+
+// DisassembleProgram parses, normalizes and compiles src as LoadProgram
+// would, without running it, and writes the bytecode listings of its
+// procedures and top-level statements to w. Units the compiler cannot
+// lower are listed with the reason they fall back.
 func (in *Interp) DisassembleProgram(src string, w io.Writer) error {
 	prog, err := parser.ParseProgram(src)
 	if err != nil {
 		return err
 	}
-	norm := transform.Normalize(prog).(*ast.Program)
-	// Define the declarations so cross-references resolve like a real load
-	// (constructors for records, cells for globals and procedures).
-	if err := core.Protect(func() {
-		for _, d := range norm.Decls {
-			switch d.(type) {
-			case *ast.ProcDecl, *ast.RecordDecl, *ast.GlobalDecl, *ast.ClassDecl:
-				in.loadDecl(d)
-				in.decls = append(in.decls, d)
-			}
-		}
-	}); err != nil {
+	decls := transform.Normalize(prog).(*ast.Program).Decls
+	in.facts.ExtendDecls(decls, in.factsOptions())
+	var b batch
+	if err := core.Protect(func() { b = in.compileBatch(decls) }); err != nil {
 		return err
 	}
-	in.extendFacts(norm.Decls)
 	stmtN := 0
-	for _, d := range norm.Decls {
+	for _, d := range decls {
 		switch x := d.(type) {
 		case *ast.ProcDecl:
-			in.disUnit(w, "procedure "+x.Name, func() (*compile.Code, error) {
-				return compile.Proc(x, in.compileEnv(false))
-			})
+			disUnit(w, "procedure "+x.Name, b[x])
 		case *ast.ClassDecl:
 			for _, m := range x.Methods {
-				mm := m
-				in.disUnit(w, "method "+x.Name+"."+m.Name, func() (*compile.Code, error) {
-					return compile.Proc(mm, in.compileEnv(false))
-				})
+				disUnit(w, "method "+x.Name+"."+m.Name, b[m])
 			}
 		case *ast.RecordDecl, *ast.GlobalDecl:
 			// No code of their own.
 		default:
 			stmtN++
-			in.disUnit(w, fmt.Sprintf("statement %d", stmtN), func() (*compile.Code, error) {
-				return compile.Expr(d, in.compileEnv(true))
-			})
+			disUnit(w, fmt.Sprintf("statement %d", stmtN), b[d])
 		}
 	}
 	return nil
 }
 
-// DisassembleExpr compiles one expression and writes its listing to w.
+// DisassembleExpr compiles one expression as EvalGen does and writes its
+// listing to w.
 func (in *Interp) DisassembleExpr(src string, w io.Writer) error {
-	e, err := parser.ParseExpression(src)
+	m, err := in.ExprMachine(src)
 	if err != nil {
 		return err
 	}
-	norm := transform.Normalize(e)
-	if in.optimize || in.vm {
-		in.exprFacts(norm)
-	}
-	code, err := compile.Expr(norm, in.compileEnv(true))
-	if err != nil {
-		return err
-	}
-	_, werr := io.WriteString(w, code.Disassemble())
+	_, werr := io.WriteString(w, m.Code().Disassemble())
 	return werr
 }
 
-func (in *Interp) disUnit(w io.Writer, title string, f func() (*compile.Code, error)) {
+func disUnit(w io.Writer, title string, c compiled) {
 	fmt.Fprintf(w, "-- %s\n", title)
-	code, err := f()
-	if err != nil {
-		reason := err.Error()
-		if u, ok := err.(*compile.Unsupported); ok {
+	if c.err != nil {
+		reason := c.err.Error()
+		if u, ok := c.err.(*compile.Unsupported); ok {
 			reason = u.Reason + " (tree-walk fallback)"
 		}
 		fmt.Fprintf(w, "   not compiled: %s\n\n", reason)
 		return
 	}
-	listing := code.Disassemble()
+	listing := c.m.Code().Disassemble()
 	fmt.Fprint(w, listing)
 	if !strings.HasSuffix(listing, "\n") {
 		fmt.Fprintln(w)

@@ -12,7 +12,6 @@ package parser
 
 import (
 	"fmt"
-	"strings"
 
 	"junicon/internal/ast"
 	"junicon/internal/lexer"
@@ -861,11 +860,4 @@ func (p *Parser) caseExpr() (ast.Node, error) {
 	}
 	p.next() // }
 	return n, nil
-}
-
-// Summary renders a compact one-line form of an expression for diagnostics.
-func Summary(n ast.Node) string {
-	x := ast.ToXML(n)
-	x = strings.ReplaceAll(x, "\n", " ")
-	return strings.Join(strings.Fields(x), " ")
 }

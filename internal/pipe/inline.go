@@ -30,10 +30,6 @@ var (
 // NewInline returns an inline proxy over src.
 func NewInline(src core.Stepper) *Inline { return &Inline{src: src} }
 
-// InlineFromGen lifts a plain generator into an inline proxy (the
-// FromGen analogue).
-func InlineFromGen(g core.Gen) *Inline { return NewInline(core.NewFirstClass(g)) }
-
 // Next produces the next value synchronously. Like a pipe whose producer
 // iterated to failure, an exhausted (or stopped, or errored) inline proxy
 // fails on every subsequent Next.

@@ -115,7 +115,7 @@ func TestScanRestoredAfterError(t *testing.T) {
 			}
 			got, err := in.Eval(probe, 1)
 			if err != nil || len(got) != 1 || value.Image(got[0]) != value.Image(fresh[0]) {
-				t.Errorf("vm=%v: after %s, %s = %v (err %v), want %s", in.VMEnabled(), s, probe, got, err, value.Image(fresh[0]))
+				t.Errorf("vm=%v: after %s, %s = %v (err %v), want %s", opts != nil, s, probe, got, err, value.Image(fresh[0]))
 			}
 		}
 	}

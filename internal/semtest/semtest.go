@@ -149,9 +149,9 @@ func Sequential(c Case) (Result, error) {
 }
 
 // Optimized evaluates the case on the kernel under interp.WithOptimize —
-// pure |> bodies inlined, bounded ones given a whole-sequence queue. The
-// contract of -O is that it is invisible: the trace must equal the
-// Sequential reference on every case.
+// pure |> bodies inlined, bounded ones given a whole-sequence queue. Its
+// contract is that it is invisible: the trace must equal the Sequential
+// reference on every case.
 func Optimized(c Case) (Result, error) {
 	g, err := optimizedGen(c)
 	if err != nil {
@@ -160,8 +160,8 @@ func Optimized(c Case) (Result, error) {
 	return drainGen(g, c.max()), nil
 }
 
-// OptimizedBatched is Batched with the -O interpreter underneath: its
-// generator drains through a batched pipe, so provisioning composes with
+// OptimizedBatched is Batched with the optimized interpreter underneath:
+// its generator drains through a batched pipe, so provisioning composes with
 // every buffer × batch cell of the transport grid.
 func OptimizedBatched(c Case, buffer, batch int) (Result, error) {
 	g, err := optimizedGen(c)
@@ -171,7 +171,7 @@ func OptimizedBatched(c Case, buffer, batch int) (Result, error) {
 	return drainPipe(pipe.FromGenBatched(g, buffer, batch), c.max()), nil
 }
 
-// OptimizedPooled is Pooled with the -O interpreter underneath.
+// OptimizedPooled is Pooled with the optimized interpreter underneath.
 func OptimizedPooled(c Case, pl *pool.Pool, buffer, batch int) (Result, error) {
 	g, err := optimizedGen(c)
 	if err != nil {

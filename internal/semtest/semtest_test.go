@@ -138,6 +138,16 @@ def leftScan() { every i := 1 to 3 do { x := ("xyz" ? (move(1) & break)); }; ret
 		Case{Name: "lowered/shared-inside-coexpression", Program: shared, Expr: "nestedShare()"},
 		Case{Name: "scan/break-leaves", Program: shared, Expr: "leftScan()"},
 	)
+	// A global named like a builtin is null from its declaration on, and
+	// a procedure, which resolves the name when it runs, sees the global.
+	const declared = `
+def probe() { return image(left); }
+global left
+def set() { left := "set"; return image(left); }
+`
+	cases = append(cases,
+		Case{Name: "declared/builtin-name", Program: declared, Expr: "image(left) | probe() | set() | probe()"},
+	)
 	// Failure propagation: sequences that raise a runtime error after
 	// zero or several values. The dynamic type error hides behind a
 	// procedure call so the static analyzer cannot reject the source
@@ -235,9 +245,9 @@ func TestDifferentialPooledGrid(t *testing.T) {
 	}
 }
 
-// TestDifferentialFusedGrid is -O's semantic gate (the test floor pins
-// the name, which predates what -O now means): every corpus case evaluated
-// under interp.WithOptimize — directly, through every buffer × batch cell
+// TestDifferentialFusedGrid is WithOptimize's semantic gate (the test
+// floor pins the name, which predates what the option now means): every
+// corpus case evaluated under interp.WithOptimize — directly, through every buffer × batch cell
 // of the transport grid, and on pooled workers — must reproduce the
 // sequential trace exactly. Any divergence means an inlining or
 // buffer-sizing decision changed the language, not just its speed.
@@ -250,33 +260,33 @@ func TestDifferentialFusedGrid(t *testing.T) {
 			ref := reference(t, c)
 			got, err := Optimized(c)
 			if err != nil {
-				t.Fatalf("-O: %v", err)
+				t.Fatalf("optimized: %v", err)
 			}
 			if !got.Equal(ref) {
-				t.Fatalf("-O diverged:\nref = %s\ngot = %s", ref, got)
+				t.Fatalf("optimized diverged:\nref = %s\ngot = %s", ref, got)
 			}
 			for _, cell := range Grid() {
 				got, err := OptimizedBatched(c, cell.Buffer, cell.Batch)
 				if err != nil {
-					t.Fatalf("-O batched %+v: %v", cell, err)
+					t.Fatalf("optimized batched %+v: %v", cell, err)
 				}
 				if !got.Equal(ref) {
-					t.Fatalf("-O batched %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
+					t.Fatalf("optimized batched %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
 				}
 				got, err = OptimizedPooled(c, pl, cell.Buffer, cell.Batch)
 				if err != nil {
-					t.Fatalf("-O pooled %+v: %v", cell, err)
+					t.Fatalf("optimized pooled %+v: %v", cell, err)
 				}
 				if !got.Equal(ref) {
-					t.Fatalf("-O pooled %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
+					t.Fatalf("optimized pooled %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
 				}
 			}
 		})
 	}
 }
 
-// TestFusedRandomExpressions extends the property-based sweep to -O (named
-// like the grid): random finite-generator expressions evaluated under
+// TestFusedRandomExpressions extends the property-based sweep to
+// WithOptimize (named like the grid): random finite-generator expressions evaluated under
 // interp.WithOptimize must match the sequential reference.
 func TestFusedRandomExpressions(t *testing.T) {
 	const prelude = `
@@ -293,10 +303,10 @@ def double(x) { return x * 2; }
 		ref := reference(t, c)
 		got, err := Optimized(c)
 		if err != nil {
-			t.Fatalf("%s (%s) -O: %v", c.Name, c.Expr, err)
+			t.Fatalf("%s (%s) optimized: %v", c.Name, c.Expr, err)
 		}
 		if !got.Equal(ref) {
-			t.Fatalf("%s: %s\n-O diverged:\nref = %s\ngot = %s", c.Name, c.Expr, ref, got)
+			t.Fatalf("%s: %s\noptimized diverged:\nref = %s\ngot = %s", c.Name, c.Expr, ref, got)
 		}
 	}
 }

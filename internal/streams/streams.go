@@ -20,20 +20,6 @@ type Stream[T any] struct {
 	next func() (T, bool)
 }
 
-// Of returns a stream over the given elements.
-func Of[T any](elems ...T) *Stream[T] {
-	i := 0
-	return &Stream[T]{next: func() (T, bool) {
-		if i >= len(elems) {
-			var zero T
-			return zero, false
-		}
-		v := elems[i]
-		i++
-		return v, true
-	}}
-}
-
 // FromSlice streams the elements of s without copying.
 func FromSlice[T any](s []T) *Stream[T] {
 	i := 0
@@ -47,9 +33,6 @@ func FromSlice[T any](s []T) *Stream[T] {
 		return v, true
 	}}
 }
-
-// Generate streams values from fn until it reports ok == false.
-func Generate[T any](fn func() (T, bool)) *Stream[T] { return &Stream[T]{next: fn} }
 
 // Map applies f to each element.
 func Map[T, U any](s *Stream[T], f func(T) U) *Stream[U] {
@@ -353,35 +336,5 @@ func ParallelMap[T, U any](src *Stream[T], cfg ParallelConfig, f func(T) U) *Str
 			free = append(free, t.chunk[:0])
 			j = 0
 		}
-	}}
-}
-
-// PipelineStage runs stage f in its own goroutine connected by a bounded
-// blocking queue — the native two-thread pipeline of §VII ("a pipelined
-// version built using BlockingQueues over two threads").
-func PipelineStage[T, U any](src *Stream[T], buffer int, f func(T) U) *Stream[U] {
-	if buffer < 1 {
-		buffer = 1
-	}
-	q := queue.NewArrayBlocking[U](buffer)
-	go func() {
-		for {
-			v, ok := src.next()
-			if !ok {
-				break
-			}
-			if q.Put(f(v)) != nil {
-				return
-			}
-		}
-		q.Close()
-	}()
-	return &Stream[U]{next: func() (U, bool) {
-		v, err := q.Take()
-		if err != nil {
-			var zero U
-			return zero, false
-		}
-		return v, true
 	}}
 }

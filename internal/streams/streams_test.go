@@ -6,13 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestOfCollect(t *testing.T) {
-	got := Of(1, 2, 3).Collect()
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestMapFilterLimit(t *testing.T) {
 	got := Map(FromSlice([]int{1, 2, 3, 4, 5, 6}).Filter(func(v int) bool { return v%2 == 0 }),
 		func(v int) string { return strconv.Itoa(v * 10) }).Limit(2).Collect()
@@ -22,7 +15,7 @@ func TestMapFilterLimit(t *testing.T) {
 }
 
 func TestFlatMapOrder(t *testing.T) {
-	got := FlatMap(Of("ab", "", "cd"), func(s string) []string {
+	got := FlatMap(FromSlice([]string{"ab", "", "cd"}), func(s string) []string {
 		out := make([]string, len(s))
 		for i := range s {
 			out[i] = s[i : i+1]
@@ -41,7 +34,7 @@ func TestFlatMapOrder(t *testing.T) {
 }
 
 func TestReduce(t *testing.T) {
-	sum := Reduce(Of(1, 2, 3, 4), 0, func(a, v int) int { return a + v })
+	sum := Reduce(FromSlice([]int{1, 2, 3, 4}), 0, func(a, v int) int { return a + v })
 	if sum != 10 {
 		t.Fatalf("sum = %d", sum)
 	}
@@ -49,13 +42,13 @@ func TestReduce(t *testing.T) {
 
 func TestGenerateAndCount(t *testing.T) {
 	i := 0
-	s := Generate(func() (int, bool) {
+	s := &Stream[int]{next: func() (int, bool) {
 		if i >= 7 {
 			return 0, false
 		}
 		i++
 		return i, true
-	})
+	}}
 	if n := s.Count(); n != 7 {
 		t.Fatalf("count = %d", n)
 	}
@@ -63,7 +56,7 @@ func TestGenerateAndCount(t *testing.T) {
 
 func TestPeekSeesAllElements(t *testing.T) {
 	var seen []int
-	Of(1, 2, 3).Peek(func(v int) { seen = append(seen, v) }).Collect()
+	FromSlice([]int{1, 2, 3}).Peek(func(v int) { seen = append(seen, v) }).Collect()
 	if len(seen) != 3 {
 		t.Fatalf("peek saw %v", seen)
 	}
@@ -74,7 +67,7 @@ func TestChunks(t *testing.T) {
 	if len(cs) != 3 || len(cs[0]) != 2 || len(cs[2]) != 1 {
 		t.Fatalf("chunks = %v", cs)
 	}
-	if got := Of[int]().Chunks(3); len(got) != 0 {
+	if got := FromSlice([]int(nil)).Chunks(3); len(got) != 0 {
 		t.Fatalf("empty chunks = %v", got)
 	}
 }
@@ -128,38 +121,9 @@ func TestPropParallelEqualsSequential(t *testing.T) {
 	}
 }
 
-func TestPipelineStage(t *testing.T) {
-	src := make([]int, 200)
-	for i := range src {
-		src[i] = i
-	}
-	out := PipelineStage(FromSlice(src), 4, func(v int) int { return v + 1 })
-	got := out.Collect()
-	if len(got) != 200 {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("at %d: %d", i, v)
-		}
-	}
-}
-
-func TestTwoStagePipeline(t *testing.T) {
-	s1 := PipelineStage(Of(1, 2, 3, 4), 2, func(v int) int { return v * v })
-	s2 := PipelineStage(s1, 2, func(v int) int { return v + 100 })
-	got := s2.Collect()
-	want := []int{101, 104, 109, 116}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
-}
-
 func TestLimitShortCircuitsInfiniteStream(t *testing.T) {
 	n := 0
-	inf := Generate(func() (int, bool) { n++; return n, true })
+	inf := &Stream[int]{next: func() (int, bool) { n++; return n, true }}
 	got := inf.Limit(5).Collect()
 	if len(got) != 5 || got[4] != 5 {
 		t.Fatalf("got %v", got)

@@ -40,16 +40,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString inverts Kind.String; unknown strings map to KindUnknown.
-func KindFromString(s string) Kind {
-	for k, n := range kindNames {
-		if n == s {
-			return Kind(k)
-		}
-	}
-	return KindUnknown
-}
-
 // Event is one trace record. Instant events have Dur == 0; span events
 // carry their duration and TS marks the span start. Times are wall-clock
 // UnixNano so events from cooperating processes align on one axis.

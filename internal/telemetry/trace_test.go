@@ -95,14 +95,3 @@ func TestGlobalTracer(t *testing.T) {
 		t.Fatal("StopTrace left tracing on")
 	}
 }
-
-func TestKindStringRoundTrip(t *testing.T) {
-	for k := KindUnknown; k <= KindSpan; k++ {
-		if got := KindFromString(k.String()); got != k {
-			t.Fatalf("round trip %v → %q → %v", k, k.String(), got)
-		}
-	}
-	if KindFromString("no-such-kind") != KindUnknown {
-		t.Fatal("unknown string did not map to KindUnknown")
-	}
-}

@@ -36,7 +36,6 @@ const (
 	ErrNotList      = 108 // list expected
 	ErrNotTable     = 124 // table expected
 	ErrDivideByZero = 201 // division by zero
-	ErrNegativeRoot = 205 // real(?) — reuse
 	ErrNotCoexpr    = 118 // co-expression expected
 	ErrField        = 207 // missing record field
 )

@@ -42,7 +42,8 @@ func (f *Frame) Next() (value.V, bool) {
 // own Next, which switches on the pc instead of decoding instructions.
 // The loop calls them too, except that it spells out the few hot ones the
 // Go inliner will not take — slot stores, yields and the int64 fast paths
-// of the operators — exactly as their methods do.
+// of the operators — exactly as their methods do, and a compiled
+// procedure's yields and returns report to its tracer (Trace).
 func (f *Frame) next() (value.V, bool) {
 	// Profiling is decided once per Next — one atomic load, mirroring the
 	// telemetry gate. An unprofiled call carries prof == nil and each
@@ -115,6 +116,13 @@ func (f *Frame) next() (value.V, bool) {
 			if prof != nil {
 				prof.yields.Add(1)
 				f.suspendedAt = time.Now().UnixNano()
+			}
+			if tr := f.reporter(); tr != nil {
+				if in.Op == compile.OpReturn {
+					tr.Return(f.code.Name, v)
+				} else {
+					tr.Suspend(f.code.Name, v)
+				}
 			}
 			return v, true
 		case compile.OpReturnFail:
@@ -251,7 +259,14 @@ func (f *Frame) next() (value.V, bool) {
 				goto fail
 			}
 		case compile.OpCall1:
-			if !f.Call1(in.A, in.B) {
+			// Traced, a direct call is a general one: the caller resumes
+			// the callee when it backtracks into it, and the callee
+			// reports its failure then, as on the tree walk.
+			if f.resumed || f.tracer() != nil {
+				if !f.Call(in.A, in.B, f.pc) {
+					goto fail
+				}
+			} else if !f.Call1(in.A, in.B) {
 				goto fail
 			}
 		case compile.OpCallNative:

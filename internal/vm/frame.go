@@ -123,6 +123,10 @@ type Machine struct {
 	// prof is the unit's lazily registered profile (profile.go); nil until
 	// the first Next that runs with profiling enabled.
 	prof atomic.Pointer[CodeProfile]
+	// trace points at the procedure tracer its frames follow (Trace);
+	// proc marks a procedure's unit, whose frames report to it.
+	trace **core.Tracer
+	proc  bool
 }
 
 // New builds a Machine for code, its activations plain frames.
@@ -180,6 +184,20 @@ func (m *Machine) instance(env []*value.Var) core.Gen {
 
 // Code returns the compiled unit.
 func (m *Machine) Code() *compile.Code { return m.code }
+
+// Trace points the frames of the unit and of its create bodies at the
+// procedure tracer *t (&trace). While *t is non-nil, the frames of a
+// procedure compiled by CompileProc report to it what a traced procedure
+// reports — the call when a run begins, each suspension, the return, the
+// failure out of the procedure; an abandoned frame reports nothing — and
+// a direct call (OpCall1) runs as a general one, so every callee is
+// resumed, and reports, as on the tree walk.
+func (m *Machine) Trace(t **core.Tracer) {
+	m.trace = t
+	for _, sub := range m.subs {
+		sub.Trace(t)
+	}
+}
 
 // NewFrame takes a frame from the pool and arms it with args. The frame is
 // a core.Gen over the unit's result sequence.
@@ -242,6 +260,27 @@ func (f *Frame) begin() {
 	}
 	f.started = true
 	f.suspendedAt = 0
+	if tr := f.reporter(); tr != nil {
+		tr.Call(f.code.Name, f.args)
+	}
+}
+
+// tracer is the procedure tracer the frame follows, nil when tracing is
+// off.
+func (f *Frame) tracer() *core.Tracer {
+	if t := f.owner.trace; t != nil {
+		return *t
+	}
+	return nil
+}
+
+// reporter is the tracer a procedure's frame reports to, nil when tracing
+// is off or the unit is not a procedure.
+func (f *Frame) reporter() *core.Tracer {
+	if !f.owner.proc {
+		return nil
+	}
+	return f.tracer()
 }
 
 // box puts a fresh cell in every boxed slot, holding the value begin

@@ -113,6 +113,9 @@ func (f *Frame) ReturnFail() (value.V, bool) {
 	f.cp = f.cp[:0]
 	f.started = false
 	f.releaseChildren()
+	if tr := f.reporter(); tr != nil {
+		tr.Fail(f.code.Name)
+	}
 	return nil, false
 }
 

@@ -250,7 +250,7 @@ func capture(f *Frame, depth int) (*FrameSnap, error) {
 				return nil, refuse("live to-by over a host range at pc %d", c.pc)
 			}
 			// tobyInt: the unboxed triple already travels in the scalars.
-		case compile.OpCall:
+		case compile.OpCall, compile.OpCall1: // OpCall1 holds a choice point only when traced
 			a := &f.aux[in.B]
 			child, ok := a.g.(*Frame)
 			if !ok {

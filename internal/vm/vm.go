@@ -23,5 +23,7 @@ func CompileProc(d *ast.ProcDecl, env compile.Env) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return New(code), nil
+	m := New(code)
+	m.proc = true
+	return m, nil
 }

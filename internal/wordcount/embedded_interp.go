@@ -76,7 +76,7 @@ const (
 // InterpretedSequential runs the sequential word-count through the
 // interpreter: the expression of Figure 3's runPipeline without the pipe.
 // Extra options pass through to the interpreter (the facts ablation runs
-// this same workload with interp.WithOptimize, pinning that -O cannot
+// this same workload with interp.WithOptimize, pinning that it cannot
 // regress a path it has nothing to prove about — the native stages are
 // effect-opaque, so the |> is provisioned exactly as without it).
 func InterpretedSequential(lines []string, w Weight, opts ...interp.Option) (float64, error) {
@@ -85,16 +85,6 @@ func InterpretedSequential(lines []string, w Weight, opts ...interp.Option) (flo
 		return 0, err
 	}
 	return InterpSum(in, SequentialExpr)
-}
-
-// InterpretedPipeline runs Figure 3's runPipeline expression verbatim: a
-// generator proxy spun around the word→number stage.
-func InterpretedPipeline(lines []string, w Weight, opts ...interp.Option) (float64, error) {
-	in, err := NewInterpreter(lines, w, opts...)
-	if err != nil {
-		return 0, err
-	}
-	return InterpSum(in, PipelineExpr)
 }
 
 // InterpSum evaluates expr on a loaded interpreter and sums the reals it

@@ -120,7 +120,11 @@ func TestInterpretedVariantsAgree(t *testing.T) {
 	if !approxEqual(got, want) {
 		t.Errorf("interpreted sequential %v != native %v", got, want)
 	}
-	got, err = InterpretedPipeline(small, Light)
+	in, err := NewInterpreter(small, Light)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = InterpSum(in, PipelineExpr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,9 @@
 //     lang="junicon"> … @</script>) located by a host-grammar-oblivious
 //     metaparser, an LL(k) parser for the Junicon subset, the §5A
 //     normalization that flattens nested generators into products of bound
-//     iterators, a tree-walking interpreter, and a translator emitting Go
-//     in the image of the paper's Figure 5.
+//     iterators, a compiler to bytecode run in resumable frames (with a
+//     tree walk for the units it does not lower), and a translator
+//     emitting Go from the same compiled code.
 //
 // # Quickstart
 //
