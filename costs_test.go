@@ -1,0 +1,204 @@
+//go:build !race
+
+// The race detector allocates, so the allocation rows would be
+// meaningless under it: this file runs in the plain test pass only.
+
+package junicon_test
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"junicon/internal/compile"
+	"junicon/internal/core"
+	"junicon/internal/interp"
+	"junicon/internal/vm"
+	"junicon/internal/wordcount"
+)
+
+// costsGolden holds the cost ledger's committed rows, one per line:
+// layer, scenario, metric and value, tab-separated.
+var costsGolden = filepath.Join("testdata", "costs.golden")
+
+// TestCosts holds the VM-driver layer to its recorded costs: the opcodes
+// each driver of the ledger's vm program set executes, the instructions
+// and aux cells of each unit the set compiles to, and the steady-state
+// allocations of the two drain lanes (BenchmarkVMPrimes_VM and
+// BenchmarkVMEveryLoop_VM: the least of three runs of 200 drains, at one
+// and at four logical CPUs, whichever is greater). A row
+// that rises fails; one that falls passes, and -update records it.
+func TestCosts(t *testing.T) {
+	got := vmDriverCosts(t)
+	want := map[string]int64{}
+	if data, err := os.ReadFile(costsGolden); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			i := strings.LastIndexByte(line, '\t')
+			v, err := strconv.ParseInt(line[i+1:], 10, 64)
+			if i < 0 || err != nil {
+				t.Fatalf("%s: malformed row %q", costsGolden, line)
+			}
+			want[line[:i]] = v
+		}
+	} else if !*update {
+		t.Fatalf("golden (run with -update to create): %v", err)
+	}
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fell := false
+	for _, k := range keys {
+		w, ok := want[k]
+		switch {
+		case !ok && !*update:
+			t.Errorf("%s: no row for %q (%d); record it with -update", costsGolden, k, got[k])
+		case ok && got[k] > w:
+			t.Errorf("%s rose: %d, recorded %d", k, got[k], w)
+		case ok && got[k] < w:
+			fell = true
+			t.Logf("%s fell: %d, recorded %d", k, got[k], w)
+		}
+		delete(want, k)
+	}
+	for k := range want {
+		if !*update {
+			t.Errorf("%s: row %q is no longer measured", costsGolden, k)
+		}
+	}
+	if !*update {
+		if fell {
+			t.Log("record the falls with -update")
+		}
+		return
+	}
+	var b strings.Builder
+	b.WriteString("# layer\tscenario\tmetric\tvalue — TestCosts; a rise fails, -update records a fall\n")
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s\t%d\n", k, got[k])
+	}
+	if err := os.WriteFile(costsGolden, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// vmDriverCosts measures the VM-driver layer's rows, keyed by the row
+// without its value.
+func vmDriverCosts(t *testing.T) map[string]int64 {
+	rows := map[string]int64{}
+	row := func(scenario, metric string, v int64) {
+		rows["vm-driver\t"+scenario+"\t"+metric] = v
+	}
+
+	// The ledger's scripts child: the whole set loaded into one
+	// interpreter, then every driver drained once, in file order.
+	files, err := filepath.Glob(filepath.Join("benchmark", "programs", "vm", "*.jn"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no vm program set (err=%v)", err)
+	}
+	sort.Strings(files)
+	in, err := wordcount.NewInterpreter(wordcount.GenerateLines(100, 10, 1), wordcount.Light, interp.WithVM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type driver struct{ file, expr string }
+	var drivers []driver
+	var procs []string
+	drive := regexp.MustCompile(`(?m)^# drive: (.*)$`)
+	proc := regexp.MustCompile(`(?m)^def (\w+)`)
+	for _, f := range files {
+		src := readFile(t, f)
+		if err := in.LoadProgram(src); err != nil {
+			t.Fatalf("load %s: %v", f, err)
+		}
+		name := filepath.Base(f)
+		for _, m := range drive.FindAllStringSubmatch(src, -1) {
+			drivers = append(drivers, driver{name, strings.TrimSpace(m[1])})
+		}
+		for _, m := range proc.FindAllStringSubmatch(src, -1) {
+			procs = append(procs, name+" "+m[1])
+		}
+	}
+	units := func(scenario string, code *compile.Code) {
+		row(scenario, "instructions", int64(len(code.Instrs)))
+		row(scenario, "aux_cells", int64(code.NumAux))
+	}
+	for _, p := range procs {
+		file, name, _ := strings.Cut(p, " ")
+		m, ok := in.ProcMachine(name)
+		if !ok {
+			t.Fatalf("%s: %s did not compile", file, name)
+		}
+		units(file+" "+name, m.Code())
+	}
+	defer vm.DisableProfiling()
+	var total int64
+	for _, d := range drivers {
+		m, err := in.ExprMachine(d.expr)
+		if err != nil {
+			t.Fatalf("%s: compile %s: %v", d.file, d.expr, err)
+		}
+		units(d.file+" "+d.expr, m.Code())
+		vm.ResetProfile()
+		vm.EnableProfiling()
+		g, err := in.EvalGen(d.expr)
+		if err != nil {
+			t.Fatalf("%s: %v", d.expr, err)
+		}
+		if err := core.Protect(func() { core.Count(g) }); err != nil {
+			t.Fatalf("%s: %v", d.expr, err)
+		}
+		vm.DisableProfiling()
+		var ops int64
+		for _, p := range vm.SnapshotProfile() {
+			ops += p.Total
+		}
+		row(d.file+" "+d.expr, "vm.ops_executed", ops)
+		total += ops
+	}
+	row("all drivers", "vm.ops_executed", total)
+
+	// The steady state of the two drain lanes whose budget CI held.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, lane := range []struct{ name, program, expr string }{
+		{"BenchmarkVMPrimes_VM", vmPrimesProgram, `primesBelow(200)`},
+		{"BenchmarkVMEveryLoop_VM", "", `{ t := 0; every t +:= (1 to 2000); t }`},
+	} {
+		in := interp.New(interp.WithOutput(io.Discard), interp.WithVM())
+		if lane.program != "" {
+			if err := in.LoadProgram(lane.program); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := in.EvalGen(lane.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// At one and at four logical CPUs, as CI's benchmark lanes run,
+		// the least of three runs; the row holds the greater of the two.
+		var most int64
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			least := int64(-1)
+			for range 3 {
+				if n := int64(testing.AllocsPerRun(200, func() { core.Count(g) })); least < 0 || n < least {
+					least = n
+				}
+			}
+			most = max(most, least)
+		}
+		row(lane.name, "allocs_per_op", most)
+	}
+	return rows
+}

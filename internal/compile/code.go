@@ -18,6 +18,13 @@
 // A bare <> body is a nested code object too, sharing the creating
 // frame's variables through boxed slots.
 //
+// Lowering is one pass that emits every step of the normal form; before
+// Proc or Expr returns, every code object, nested ones included, goes
+// through one more pass (optimize.go) that deletes the glue this leaves —
+// choice points nothing can take, reloads of a value just stored,
+// comparison results nobody reads — so every consumer of the code sees
+// the same instruction stream.
+//
 // What the compiler does not lower (keywords the tree walk does not
 // implement either, forms it raises on, names it cannot freeze at compile
 // time — testdata/fallback_allowlist.txt is the whole list, and the one
@@ -127,6 +134,9 @@ const (
 	OpBoxVar    // push the cell in boxed slot A itself (a reference)
 	OpGlobalVar // push the cell Globals[A] itself (a reference)
 	OpRandom    // pop v; push a random element of v, or fail when it has none
+
+	// ----- made by the pass after lowering (optimize.go) -----
+	OpCmpTest // pop b, a; fail unless cmp[A](a, b) holds; push nothing
 
 	opCount
 )

@@ -127,7 +127,9 @@ func (c *compiler) unsupported(n ast.Node, reason string) {
 	panic(&Unsupported{Reason: reason, At: at})
 }
 
+// finish runs the pass after lowering (optimize.go) over the unit.
 func (c *compiler) finish() *Code {
+	optimize(c.code)
 	return c.code
 }
 
@@ -155,7 +157,7 @@ func stackEffect(i Instr) int {
 		return -int(i.A)
 	case OpPopN:
 		return -int(i.A)
-	case OpToBy, OpSection:
+	case OpToBy, OpSection, OpCmpTest:
 		return -2
 	case OpMakeList:
 		return 1 - int(i.A)

@@ -134,6 +134,8 @@ def f(limit) { p := |> (1 to 3); q := |> gen(limit); suspend !p | !q; }`,
 			[]compile.Op{compile.OpScanLeave, compile.OpScanVar, compile.OpStoreVar}, nil},
 		{"top-level-create", `{ n := 3; c := |<> (n + (m := 1) + k); k := @c; c }`,
 			[]compile.Op{compile.OpCreate}, nil},
+		{"cmp-test", `def multiplesOf7(n) { c := 0; every ((1 to n) * (1 to n)) % 7 == 0 do c +:= 1; return c; }`,
+			[]compile.Op{compile.OpCmpTest}, nil},
 	}
 	covered := map[compile.Op]bool{}
 	kinds := map[string]bool{}
@@ -189,7 +191,7 @@ def f(limit) { p := |> (1 to 3); q := |> gen(limit); suspend !p | !q; }`,
 	for _, op := range []compile.Op{
 		compile.OpInitOnce, compile.OpRevAssign, compile.OpSwap, compile.OpRevSwap,
 		compile.OpCreate, compile.OpActivate, compile.OpScanBegin, compile.OpScanEnd,
-		compile.OpScanLeave, compile.OpScanResume, compile.OpScanVar,
+		compile.OpScanLeave, compile.OpScanResume, compile.OpScanVar, compile.OpCmpTest,
 	} {
 		if !covered[op] && !*update {
 			t.Errorf("no golden covers %s", op.Name())

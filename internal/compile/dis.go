@@ -71,6 +71,7 @@ var opNames = [opCount]string{
 	OpBoxVar:       "box.var",
 	OpGlobalVar:    "global.var",
 	OpRandom:       "random",
+	OpCmpTest:      "cmp.test",
 }
 
 // Name returns the opcode's listing mnemonic.
@@ -153,11 +154,9 @@ func (c *Code) operands(in Instr) string {
 		return fmt.Sprintf("%-6d ; %s", in.A, c.slotName(in.A))
 	case OpLoadGlobal, OpStoreGlobal, OpGlobalVar:
 		return fmt.Sprintf("%-6d ; %s", in.A, c.globalName(in.A))
-	case OpJump:
+	case OpJump, OpFork:
 		return fmt.Sprintf("->%d", in.A)
-	case OpMark, OpFork:
-		return fmt.Sprintf("->%-4d aux=%d", in.A, in.B)
-	case OpRepAlt:
+	case OpMark, OpRepAlt:
 		return fmt.Sprintf("->%-4d aux=%d", in.A, in.B)
 	case OpRepNote, OpCut, OpLimitBegin, OpLimitCheck:
 		return fmt.Sprintf("aux=%d", in.B)
@@ -168,7 +167,7 @@ func (c *Code) operands(in Instr) string {
 		return fmt.Sprintf("aux=%d", in.B)
 	case OpArith, OpAugVar:
 		return fmt.Sprintf("%-6d ; %s", in.A, opSpelling(ArithNames, int(in.A)))
-	case OpCmp, OpCmpAugVar:
+	case OpCmp, OpCmpTest, OpCmpAugVar:
 		return fmt.Sprintf("%-6d ; %s", in.A, opSpelling(CmpNames, int(in.A)))
 	case OpUnary:
 		return fmt.Sprintf("%-6d ; %s", in.A, opSpelling(UnaryNames, int(in.A)))

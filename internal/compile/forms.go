@@ -147,7 +147,7 @@ func (c *compiler) create(x *ast.Unary) {
 	sub.expr(x.X)
 	sub.emit(OpYield, 0, 0, 0)
 	sub.emit(OpFail, 0, 0, 0)
-	c.code.Subs = append(c.code.Subs, sub.code)
+	c.code.Subs = append(c.code.Subs, sub.finish())
 
 	for _, name := range names {
 		c.loadName(x, name, false)
@@ -199,7 +199,7 @@ func (c *compiler) firstClass(x *ast.Unary) {
 	sub.expr(x.X)
 	sub.emit(OpYield, 0, 0, 0)
 	sub.emit(OpFail, 0, 0, 0)
-	c.code.Subs = append(c.code.Subs, sub.code)
+	c.code.Subs = append(c.code.Subs, sub.finish())
 	for _, name := range names {
 		c.ref(&ast.Ident{Name: name})
 	}

@@ -188,6 +188,8 @@ func (e *emitter) instr(pc int32, in compile.Instr) bool {
 		return call("Arith(%d)", a)
 	case compile.OpCmp:
 		return test("Cmp(%d)", a)
+	case compile.OpCmpTest:
+		return test("CmpTest(%d)", a)
 	case compile.OpUnary:
 		return call("Unary(%d)", a)
 	case compile.OpNullTest:

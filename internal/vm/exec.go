@@ -178,6 +178,10 @@ func (f *Frame) next() (value.V, bool) {
 				f.st[n-2] = f.st[n-1]
 				f.st = f.st[:n-1]
 			}
+		case compile.OpCmpTest:
+			if !f.CmpTest(in.A) {
+				goto fail
+			}
 		case compile.OpUnary:
 			f.Unary(in.A)
 		case compile.OpNullTest:
@@ -485,6 +489,7 @@ func smallRange(lo, hi, by slot) (l, h, b int64, ok bool) {
 const (
 	opAdd, opSub, opMul, opDiv, opMod = 0, 1, 2, 3, 4
 	opLt, opLe, opGt, opGe, opNe      = 0, 1, 2, 3, 4
+	opStrEq, opStrNe                  = 9, 10
 )
 
 // arithInt computes a op b in int64 when both are small integers and the
@@ -553,4 +558,18 @@ func cmpInt(op int32, a, b slot) (holds, ok bool) {
 		return x >= y, true
 	}
 	return x != y, true
+}
+
+// cmpTestInt is cmpInt for a comparison whose result nobody reads, which
+// may also decide == and ~== on two small integers: their decimal images
+// are equal exactly when the integers are.
+func cmpTestInt(op int32, a, b slot) (holds, ok bool) {
+	switch op {
+	case opStrEq:
+		holds, ok = cmpInt(opNe, a, b)
+		return !holds, ok
+	case opStrNe:
+		op = opNe
+	}
+	return cmpInt(op, a, b)
 }

@@ -1,9 +1,13 @@
 // Package vm executes the compile package's bytecode in slot-based
 // resumable frames. A frame is the compiled counterpart of a tree-walk
-// generator tower: its program counter plus operand stack plus choice
-// stack are the whole continuation, so suspend/resume is "return from
-// Next / re-enter the loop" and backtracking is "pop a choice point" —
-// no interface dispatch per resume, no closure allocation per generator.
+// generator tower: its program counter, slots, operand stack, choice
+// stack and aux cells are the whole continuation, so suspend/resume is
+// "return from Next / re-enter the loop" and backtracking is "pop a
+// choice point" — no interface dispatch per resume, no closure allocation
+// per generator. The code a frame runs has been through compile's pass
+// after lowering: a bounded context that cannot fail arms no choice
+// point, and a comparison whose result is only popped is cmp.test, which
+// decides on two small integers in int64 and pushes nothing.
 //
 // Frames satisfy the kernel's generator contract (core.Gen), including
 // auto-restart: after the frame's sequence is exhausted, the next Next

@@ -246,6 +246,26 @@ func (f *Frame) cmp(op int32) bool {
 	return true
 }
 
+// CmpTest pops b and a and fails unless cmp[op](a, b) holds; it pushes
+// nothing (compile.OpCmpTest: the result was only ever popped).
+func (f *Frame) CmpTest(op int32) bool {
+	n := len(f.st)
+	if holds, ok := cmpTestInt(op, f.st[n-2], f.st[n-1]); ok {
+		f.st = f.st[:n-2]
+		return holds
+	}
+	return f.cmpTest(op)
+}
+
+// cmpTest is CmpTest past its int64 fast path: the kernel comparison,
+// its result dropped.
+func (f *Frame) cmpTest(op int32) bool {
+	b := value.Deref(f.pop())
+	a := value.Deref(f.pop())
+	_, ok := compile.CmpFns[op](a, b)
+	return ok
+}
+
 // Unary replaces the top a by unary[op](a).
 func (f *Frame) Unary(op int32) { f.push(compile.UnaryFns[op](value.Deref(f.pop()))) }
 

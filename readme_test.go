@@ -4,6 +4,7 @@ import (
 	goast "go/ast"
 	goparser "go/parser"
 	"go/token"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"junicon"
 	"junicon/internal/analyze"
 	"junicon/internal/parser"
 	"junicon/internal/remote"
@@ -82,6 +84,35 @@ func definedFlags(t *testing.T, name string) map[string]bool {
 		t.Fatalf("%s -h lists no flags:\n%s", name, usage)
 	}
 	return defined
+}
+
+// TestREADMEListingIsCurrent: the -dis listing the README shows under
+// "Compiled execution" is what that command prints now, line for line
+// (trailing blanks aside), so a change to the compiler's output fails here
+// until the excerpt follows. The listing is made as junicon -dis -e makes
+// it: DisassembleExpr on a fresh NewInterp.
+func TestREADMEListingIsCurrent(t *testing.T) {
+	const expr = "every x := 1 to 3 do write(x)"
+	cmd := "$ junicon -dis -e '" + expr + "'\n"
+	_, excerpt, found := strings.Cut(readFile(t, "README.md"), cmd)
+	if !found {
+		t.Fatalf("README shows no %q", strings.TrimSpace(cmd))
+	}
+	excerpt, _, _ = strings.Cut(excerpt, "```")
+	var out strings.Builder
+	if err := junicon.NewInterp(io.Discard).DisassembleExpr(expr, &out); err != nil {
+		t.Fatalf("DisassembleExpr: %v", err)
+	}
+	trim := func(s string) string {
+		lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
+		for i, l := range lines {
+			lines[i] = strings.TrimRight(l, " ")
+		}
+		return strings.Join(lines, "\n")
+	}
+	if got, want := trim(out.String()), trim(excerpt); got != want {
+		t.Errorf("README listing is stale; junicon prints:\n%s\nREADME shows:\n%s", got, want)
+	}
 }
 
 // TestREADMEFieldTablesMatch: the README's remote.Config and remote.Dialer

@@ -14,7 +14,7 @@ import (
 	"junicon"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/**/*.facts.golden from the current fact engine (review the diff by hand)")
+var update = flag.Bool("update", false, "rewrite testdata/**/*.facts.golden, api.txt and the falls in testdata/costs.golden from the current code (review the diff by hand)")
 
 const badActivation = `
 def f() {
