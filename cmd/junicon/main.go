@@ -26,9 +26,12 @@
 // if the file name ends in .json, JSONL otherwise. -itrace is the
 // Icon-style procedure tracing (&trace) formerly spelled -trace.
 //
-// Programs, expressions and the REPL run compiled: bytecode in the vm
-// package's resumable frames, with the tree walk running any unit the
-// compiler does not lower.
+// Programs, expressions and the REPL run compiled, every unit: bytecode
+// in the vm package's resumable frames (compile refuses only an Env
+// without a scan environment, DefineGlobal or native table, and the
+// interpreter supplies all three). A form the tree walk raises on — an
+// unknown keyword, break outside a loop — raises the same runtime error,
+// reported on one line.
 //
 // Mixed-language files (any file containing @<script …> annotations) are
 // fed through the metaparser first; every junicon region is loaded.

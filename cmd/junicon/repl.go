@@ -71,7 +71,7 @@ func repl(in *junicon.Interp, input io.Reader, out io.Writer, prompt bool) {
 				if rest == "" {
 					fmt.Fprintln(out, "usage: :dis <expr>")
 				} else if err := in.DisassembleExpr(rest, out); err != nil {
-					fmt.Fprintln(out, "not compiled:", err)
+					fmt.Fprintln(out, "error:", err)
 				}
 				continue
 			}

@@ -2,11 +2,41 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"junicon"
 )
+
+// TestMain runs the command itself when a test re-executes the test
+// binary with JUNICON_RUN_MAIN set.
+func TestMain(m *testing.M) {
+	if os.Getenv("JUNICON_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBreakOutsideALoopIsAnError: break outside a loop is runtime error
+// 106, at the REPL and from -e, where the command reports it on one line
+// and exits 1 — not a Go panic.
+func TestBreakOutsideALoopIsAnError(t *testing.T) {
+	if out := runRepl(t, "break\nnext\n1\n"); !strings.Contains(out, "106: break outside a loop") ||
+		!strings.Contains(out, "106: next outside a loop body") || !strings.Contains(out, "1\n") {
+		t.Errorf("repl:\n%s", out)
+	}
+	cmd := exec.Command(os.Args[0], "-e", "break")
+	cmd.Env = append(os.Environ(), "JUNICON_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || string(out) != "junicon: runtime error 106: break outside a loop\n" {
+		t.Errorf("junicon -e break: %v\n%s", err, out)
+	}
+}
 
 func runRepl(t *testing.T, input string) string {
 	t.Helper()

@@ -22,8 +22,10 @@ type Interp = interp.Interp
 // NewInterp returns an interpreter with the builtin library loaded; output
 // of write()/writes() goes to w (nil selects standard output). Loaded
 // procedures, top-level statements and evaluated expressions run as
-// slot-framed bytecode in the vm package's resumable frames; a unit the
-// compiler does not lower runs on the tree walk, with the same results.
+// slot-framed bytecode in the vm package's resumable frames, every unit
+// of them: the compiler refuses only a construct its Env cannot serve (no
+// scan environment, DefineGlobal or native table), and the interpreter's
+// Env lacks none. A form the tree walk raises on raises its error.
 func NewInterp(w io.Writer) *Interp {
 	if w == nil {
 		return interp.New(interp.WithVM())

@@ -25,12 +25,14 @@
 // comparison results nobody reads — so every consumer of the code sees
 // the same instruction stream.
 //
-// What the compiler does not lower (keywords the tree walk does not
-// implement either, forms it raises on, names it cannot freeze at compile
-// time — testdata/fallback_allowlist.txt is the whole list, and the one
-// list of what the embedding supports) reports Unsupported: the
-// interpreter falls back to the tree walk for that unit, and the
-// translator refuses the program with the same reason.
+// Every form the parser accepts lowers. A form the tree walk raises on —
+// an unknown keyword, return or suspend in expression position, an
+// assignment to a builtin, break or next outside a loop, a malformed
+// literal, a native not yet registered — compiles to a raise of the tree
+// walk's error, taken when control reaches it. Unsupported is left for an
+// Env that lacks what a construct needs (no scan environment, no
+// DefineGlobal, no native table): the one list of what an embedding must
+// supply. The interpreter and the translator always supply it.
 package compile
 
 import (
@@ -138,6 +140,9 @@ const (
 	// ----- made by the pass after lowering (optimize.go) -----
 	OpCmpTest // pop b, a; fail unless cmp[A](a, b) holds; push nothing
 
+	// ----- forms the tree walk raises on (appended) -----
+	OpRaise // raise error A with the message Consts[C]; never falls through
+
 	opCount
 )
 
@@ -221,8 +226,9 @@ const (
 	LeaveToResume = 1 // around a yield or return: deref the top of stack first, keep the cell
 )
 
-// Unsupported reports a form the compiler does not lower; callers fall
-// back to the tree-walking interpreter for the whole unit.
+// Unsupported reports a construct the Env cannot serve: scanning without
+// a scan environment, a native call without a native table, an unknown
+// top-level name or declaration without DefineGlobal.
 type Unsupported struct {
 	Reason string
 	At     ast.Pos

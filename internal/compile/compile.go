@@ -2,15 +2,13 @@ package compile
 
 import (
 	"junicon/internal/ast"
-	"junicon/internal/transform"
 	"junicon/internal/value"
 )
 
 // Expr lowers a normalized top-level expression into bytecode. Unknown
 // names auto-create globals (via env.DefineGlobal), matching the
 // interpreter's top-of-session rule; x_N temporaries become frame slots.
-// Unsupported forms return *Unsupported — the caller falls back to the
-// tree walk.
+// *Unsupported means env lacks what a construct needs.
 func Expr(n ast.Node, env Env) (code *Code, err error) {
 	c := newCompiler(env, false)
 	defer c.trap(&err)
@@ -23,10 +21,9 @@ func Expr(n ast.Node, env Env) (code *Code, err error) {
 }
 
 // Proc lowers a procedure declaration into bytecode: parameters occupy the
-// leading slots, locals and temporaries follow (numbered by the
-// transform.SlotCandidates order as they resolve), and the control
-// skeleton — suspend / return / fail, loops, case — compiles structurally,
-// exactly as the interpreter executes it.
+// leading slots, locals and temporaries follow in the order they resolve,
+// and the control skeleton — suspend / return / fail, loops, case —
+// compiles structurally, exactly as the interpreter executes it.
 func Proc(d *ast.ProcDecl, env Env) (code *Code, err error) {
 	c := newCompiler(env, true)
 	defer c.trap(&err)
@@ -36,10 +33,6 @@ func Proc(d *ast.ProcDecl, env Env) (code *Code, err error) {
 	for _, p := range d.Params {
 		c.slot(p)
 	}
-	// Pre-seed the slot numbering order (parameters already claimed):
-	// candidates resolve lazily, but enumerating them here keeps the
-	// printed slot table stable however control flow visits names.
-	c.candidates = transform.SlotCandidates(d.Params, d.Body)
 	c.statics(d)
 	for _, s := range d.Body.Stmts {
 		c.stmt(s)
@@ -52,17 +45,15 @@ func Proc(d *ast.ProcDecl, env Env) (code *Code, err error) {
 
 // compiler is the single-pass lowering state for one unit.
 type compiler struct {
-	env        Env
-	procMode   bool
-	code       *Code
-	depth      int // static operand-stack depth at the current pc
-	slotIdx    map[string]int
-	constIdx   map[string]int
-	globalIdx  map[string]int
-	resolved   map[string]int8 // name → resolution kind already taken
-	candidates []string
-	loops      []*loopCtx
-	scans      []scanCtx
+	env       Env
+	procMode  bool
+	code      *Code
+	depth     int // static operand-stack depth at the current pc
+	slotIdx   map[string]int
+	constIdx  map[string]int
+	globalIdx map[string]int
+	loops     []*loopCtx
+	scans     []scanCtx
 	// root is the top-level expression being compiled (nil for a
 	// procedure); outer, computed from it at the first create site, holds
 	// the names it uses outside any create body (see captures).
@@ -105,7 +96,6 @@ func newCompiler(env Env, procMode bool) *compiler {
 		slotIdx:   map[string]int{},
 		constIdx:  map[string]int{},
 		globalIdx: map[string]int{},
-		resolved:  map[string]int8{},
 	}
 }
 
@@ -125,6 +115,15 @@ func (c *compiler) unsupported(n ast.Node, reason string) {
 		at = n.Pos()
 	}
 	panic(&Unsupported{Reason: reason, At: at})
+}
+
+// raise emits a raise of the error the tree walk gives for a form that
+// has no meaning where it stands (OpRaise), taken when control reaches
+// it. Control never falls through; the code after it sees the value the
+// form stands for pushed.
+func (c *compiler) raise(code int, msg string) {
+	c.emit(OpRaise, int32(code), 0, c.constant(value.String(msg), "str:"+msg))
+	c.depth++
 }
 
 // finish runs the pass after lowering (optimize.go) over the unit.
@@ -226,7 +225,6 @@ func (c *compiler) slot(name string) int32 {
 	i := len(c.code.Slots)
 	c.slotIdx[name] = i
 	c.code.Slots = append(c.code.Slots, name)
-	c.resolved[name] = resSlot
 	if c.boxed[name] && c.code.Boxes == nil {
 		c.code.Boxes = make([]bool, i)
 	}
@@ -263,7 +261,6 @@ func (c *compiler) global(name string, cell *value.Var) int32 {
 	c.globalIdx[name] = i
 	c.code.Globals = append(c.code.Globals, cell)
 	c.code.GlobalNames = append(c.code.GlobalNames, name)
-	c.resolved[name] = resGlobal
 	return int32(i)
 }
 
@@ -288,11 +285,10 @@ func (c *compiler) constant(v value.V, key string) int32 {
 // resolve classifies name exactly as the interpreter's scope chain does:
 // slots (parameters, locals, temporaries), then the unit's static cells,
 // then globals, then builtins and natives; an unknown name defaults to a
-// local in procedure mode and auto-creates a global at top level. store
-// rejects builtins, which raise when assigned — the tree walk produces
-// that error. The result is resSlot or resGlobal with its index, or
-// resConst with the constant-pool index.
-func (c *compiler) resolve(n ast.Node, name string, tmp, store bool) (int8, int32) {
+// local in procedure mode and auto-creates a global at top level. The
+// result is resSlot or resGlobal with its index, or resConst with the
+// constant-pool index.
+func (c *compiler) resolve(n ast.Node, name string, tmp bool) (int8, int32) {
 	if i, ok := c.slotIdx[name]; ok {
 		return resSlot, int32(i)
 	}
@@ -308,10 +304,6 @@ func (c *compiler) resolve(n ast.Node, name string, tmp, store bool) (int8, int3
 		return resGlobal, c.global(name, cell)
 	}
 	if v, ok := c.env.LookupConst(name); ok {
-		if store {
-			c.unsupported(n, "assignment to builtin "+name)
-		}
-		c.resolved[name] = resConst
 		return resConst, c.constant(v, "name:"+name)
 	}
 	if c.procMode {
@@ -323,9 +315,21 @@ func (c *compiler) resolve(n ast.Node, name string, tmp, store bool) (int8, int3
 	return resGlobal, c.global(name, c.env.DefineGlobal(name))
 }
 
+// bound reports whether name resolves, as things stand, to a slot, a
+// static or a global cell.
+func (c *compiler) bound(name string) bool {
+	_, slot := c.slotIdx[name]
+	_, global := c.globalIdx[name]
+	if slot || global {
+		return true
+	}
+	_, ok := c.env.LookupGlobal(name)
+	return ok
+}
+
 // loadName emits a load of name.
 func (c *compiler) loadName(n ast.Node, name string, tmp bool) {
-	kind, i := c.resolve(n, name, tmp, false)
+	kind, i := c.resolve(n, name, tmp)
 	if kind == resSlot && c.boxedSlot(i) {
 		c.emit(OpLoadBox, i, 0, 0)
 		return

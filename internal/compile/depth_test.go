@@ -49,7 +49,7 @@ func checkDepths(code *Code) (bad int, name string) {
 			return int(in.A), code.Name
 		}
 		switch in.Op {
-		case OpJump, OpFail, OpReturnFail:
+		case OpJump, OpFail, OpReturnFail, OpRaise:
 			continue
 		}
 		if !reach(pc+1, d+stackEffect(in)) {
@@ -76,6 +76,7 @@ var depthPrograms = []string{
 	`def f(c) { every i := 1 to 3 do { (if c then i else 2); write(i); }; }`,
 	`def f(c) { if c > 0 then x := 1 else x := 2; return x; }`,
 	`def f(b) { x := 5; if b > 0 then x := 1; return x; }`,
+	`def f(i) { if i == 2 then break; write := i; return i | 2r3 | &time; }`,
 }
 
 // randomProc writes a procedure f(c) whose statements join control in
@@ -204,7 +205,8 @@ func TestDepthsStayStatic(t *testing.T) {
 			}
 			code, err := Proc(pd, env)
 			if err != nil {
-				continue // a fallback unit: the tree walk runs it
+				t.Errorf("unit %s: %v", pd.Name, err)
+				continue
 			}
 			units++
 			if pc, name := checkDepths(code); pc >= 0 {

@@ -72,6 +72,7 @@ var opNames = [opCount]string{
 	OpGlobalVar:    "global.var",
 	OpRandom:       "random",
 	OpCmpTest:      "cmp.test",
+	OpRaise:        "raise",
 }
 
 // Name returns the opcode's listing mnemonic.
@@ -230,6 +231,8 @@ func (c *Code) operands(in Instr) string {
 		return fmt.Sprintf("outer=%d inner=%d", in.A, in.B)
 	case OpScanVar:
 		return [2]string{"; &subject", "; &pos"}[in.A&1]
+	case OpRaise:
+		return fmt.Sprintf("%-6d ; %s", in.A, c.constImage(in.C))
 	}
 	return ""
 }

@@ -1,6 +1,9 @@
 package compile
 
 import (
+	"fmt"
+	"strings"
+
 	"junicon/internal/ast"
 	"junicon/internal/value"
 )
@@ -23,17 +26,17 @@ func (c *compiler) expr(n ast.Node) {
 
 	// ----- literals and names -----
 	case *ast.IntLit:
-		i, ok := value.ToInteger(value.String(x.Text))
-		if !ok {
-			c.unsupported(n, "malformed integer literal "+x.Text)
+		if i, ok := value.ToInteger(value.String(x.Text)); ok {
+			c.emit(OpConst, c.constant(i, "int:"+x.Text), 0, 0)
+		} else {
+			c.raise(value.ErrInteger, "malformed integer literal"+at(n)+offending(x.Text))
 		}
-		c.emit(OpConst, c.constant(i, "int:"+x.Text), 0, 0)
 	case *ast.RealLit:
-		r, ok := value.ToReal(value.String(x.Text))
-		if !ok {
-			c.unsupported(n, "malformed real literal "+x.Text)
+		if r, ok := value.ToReal(value.String(x.Text)); ok {
+			c.emit(OpConst, c.constant(r, "real:"+x.Text), 0, 0)
+		} else {
+			c.raise(value.ErrNumeric, "malformed real literal"+at(n)+offending(x.Text))
 		}
-		c.emit(OpConst, c.constant(r, "real:"+x.Text), 0, 0)
 	case *ast.StrLit:
 		c.emit(OpConst, c.constant(value.String(x.Value), "str:"+x.Value), 0, 0)
 	case *ast.CsetLit:
@@ -122,24 +125,28 @@ func (c *compiler) expr(n ast.Node) {
 		c.caseExpr(x)
 	case *ast.Break:
 		d := c.depth
-		c.breakFrom(x, x.E)
+		c.breakFrom(x.E)
 		c.depth = d + 1 // never falls through; callers see one pushed value
 	case *ast.NextStmt:
 		d := c.depth
-		c.nextFrom(x)
+		c.nextFrom()
 		c.depth = d + 1
 	case *ast.Fail:
 		c.emit(OpFail, 0, 0, 0)
 		c.depth++
 
 	case *ast.Return, *ast.Suspend:
-		c.unsupported(n, "return/suspend outside a procedure body")
-	case *ast.Initial:
-		c.unsupported(n, "initial clause")
-	default:
-		c.unsupported(n, "form not compiled")
+		c.raise(value.ErrProcedure, "return/suspend outside a procedure body"+at(n))
+	default: // an initial clause in expression position
+		c.raise(value.ErrProcedure, "cannot evaluate node"+at(n))
 	}
 }
+
+// at is the " at line:col" the tree walk's messages locate a form by.
+func at(n ast.Node) string { return fmt.Sprintf(" at %d:%d", n.Pos().Line, n.Pos().Col) }
+
+// offending is how a runtime error's message ends for its offending value.
+func offending(text string) string { return ": offending value " + value.Image(value.String(text)) }
 
 // keyword compiles &-keywords. &subject and &pos push the assignable
 // variable over the current scanning environment; consumers dereference it
@@ -162,7 +169,7 @@ func (c *compiler) keyword(k *ast.Keyword) {
 	case "letters":
 		c.emit(OpConst, c.constant(value.CsetLetters, "kw:letters"), 0, 0)
 	default:
-		c.unsupported(k, "keyword &"+k.Name)
+		c.raise(value.ErrProcedure, "unknown keyword &"+k.Name)
 	}
 }
 
@@ -190,14 +197,30 @@ func (c *compiler) binary(x *ast.Binary) {
 		// Target outer, source inner, as RevAssignTo orders its operands.
 		t := c.target(x.L)
 		c.expr(x.R)
-		c.emit(OpRevAssign, t, c.newAux(), 0)
+		if kind, _ := SplitTarget(t); kind == targetConst {
+			c.store(x.L, t)
+		} else {
+			c.emit(OpRevAssign, t, c.newAux(), 0)
+		}
 		return
 	case ":=:", "<->":
 		l := c.target(x.L)
 		r := c.target(x.R)
-		if x.Op == ":=:" {
+		lk, li := SplitTarget(l)
+		rk, ri := SplitTarget(r)
+		switch {
+		case lk == targetConst:
+			c.cannotAssign(x.L, li)
+			c.depth += 1 - TargetRefs(l, r)
+		case rk == targetConst:
+			// The left side takes the right's value before the right
+			// side's store raises, as SwapVars orders them.
+			c.emit(OpConst, ri, 0, 0)
+			c.store(x.L, l)
+			c.store(x.R, r)
+		case x.Op == ":=:":
 			c.emit(OpSwap, l, c.newAux(), r)
-		} else {
+		default:
 			c.emit(OpRevSwap, l, c.newAux(), r)
 		}
 		return
@@ -228,11 +251,9 @@ func (c *compiler) binary(x *ast.Binary) {
 		c.emit(OpCmp, int32(i), 0, 0)
 		return
 	}
-	if len(x.Op) > 2 && x.Op[len(x.Op)-2:] == ":=" {
-		c.augAssign(x)
-		return
+	if !c.augAssign(x) {
+		c.raise(value.ErrProcedure, "unknown operator "+x.Op+at(x))
 	}
-	c.unsupported(x, "operator "+x.Op)
 }
 
 // unary compiles prefix operators.
@@ -289,7 +310,7 @@ func (c *compiler) unary(x *ast.Unary) {
 	case "<>":
 		c.firstClass(x)
 	default:
-		c.unsupported(x, "unary operator "+x.Op)
+		c.raise(value.ErrProcedure, "unknown unary operator "+x.Op)
 	}
 }
 
@@ -318,15 +339,17 @@ func (c *compiler) call(x *ast.Call) {
 }
 
 // nativeCall compiles recv::name(args…): registry lookup at compile time,
-// receiver (when present) passed as the first argument.
+// receiver (when present) passed as the first argument. A name not yet
+// registered raises where the call stands, as the tree walk does when it
+// builds the call; registering it recompiles the procedure.
 func (c *compiler) nativeCall(x *ast.NativeCall) {
 	if c.env.Native == nil {
 		c.unsupported(x, "native ::"+x.Name)
 	}
 	native, ok := c.env.Native(x.Name)
 	if !ok {
-		// The interpreter raises at construction; fall back so it does.
-		c.unsupported(x, "unregistered native ::"+x.Name)
+		c.raise(value.ErrProcedure, "unregistered native ::"+x.Name+at(x))
+		return
 	}
 	n := len(x.Args)
 	if x.Recv != nil {
@@ -345,24 +368,66 @@ func (c *compiler) nativeCall(x *ast.NativeCall) {
 func (c *compiler) assign(target ast.Node, rhs ast.Node) {
 	t := c.target(target)
 	c.expr(rhs)
+	c.store(target, t)
+}
+
+// store stores the top of stack into target operand t of target n.
+func (c *compiler) store(n ast.Node, t int32) {
 	switch kind, i := SplitTarget(t); kind {
 	case TargetSlot:
 		c.storeSlot(i)
 	case TargetGlobal:
 		c.emit(OpStoreGlobal, i, 0, 0)
-	default:
+	case TargetRef:
 		c.emit(OpStoreVar, 0, 0, 0)
+	default:
+		c.cannotAssign(n, i)
 	}
 }
 
+// targetConst is the target kind of a name that resolves to a builtin or
+// native, Consts[index]: the compiler raises in place of the store.
+const targetConst = 3
+
+// constTarget returns the constant a name target resolves to, without
+// resolving it otherwise: a local the name defaults to keeps its place
+// in slot order.
+func (c *compiler) constTarget(n ast.Node) (int32, bool) {
+	id, ok := n.(*ast.Ident)
+	if !ok || c.bound(id.Name) {
+		return 0, false
+	}
+	if _, ok := c.env.LookupConst(id.Name); !ok {
+		return 0, false
+	}
+	_, i := c.resolve(n, id.Name, false)
+	return i, true
+}
+
+// cannotAssign raises, where a store into the builtin or native Consts[i]
+// that n names would be, what the tree walk's store raises.
+func (c *compiler) cannotAssign(n ast.Node, i int32) {
+	kind := "builtin "
+	if _, ok := c.code.Consts[i].(*value.Native); ok {
+		kind = "native "
+	}
+	name, _ := nameOf(n)
+	c.raise(value.ErrProcedure, "cannot assign to "+kind+name)
+	c.depth-- // in place of the store, which replaces the value stored
+}
+
 // target compiles an assignment target to a target operand: a named
-// variable resolves to its slot or global cell and emits nothing; any
-// other target pushes the references it generates (see ref).
+// variable resolves to its slot or global cell and emits nothing, and so
+// does a builtin (targetConst); any other target pushes the references it
+// generates (see ref).
 func (c *compiler) target(n ast.Node) int32 {
+	if i, ok := c.constTarget(n); ok {
+		return Target(targetConst, i)
+	}
 	switch t := n.(type) {
 	case *ast.Ident, *ast.TmpRef:
 		name, tmp := nameOf(t)
-		kind, i := c.resolve(t, name, tmp, true)
+		kind, i := c.resolve(t, name, tmp)
 		if kind == resGlobal {
 			return Target(TargetGlobal, i)
 		}
@@ -384,9 +449,12 @@ func (c *compiler) ref(n ast.Node) {
 	switch t := n.(type) {
 	case *ast.Ident, *ast.TmpRef:
 		name, tmp := nameOf(t)
-		switch kind, i := c.resolve(t, name, tmp, true); {
+		switch kind, i := c.resolve(t, name, tmp); {
 		case kind == resGlobal:
 			c.emit(OpGlobalVar, i, 0, 0)
+		case kind == resConst:
+			c.cannotAssign(n, i)
+			c.depth++
 		case c.boxedSlot(i):
 			c.emit(OpBoxVar, i, 0, 0)
 		default:
@@ -459,43 +527,52 @@ func nameOf(n ast.Node) (name string, tmp bool) {
 	return n.(*ast.TmpRef).Name, true
 }
 
-// augAssign compiles target op:= rhs. The target's current value is read
-// when the operation applies — per source value, as core.AugAssignTo does — so
-// slots and globals get fused read-modify-write opcodes rather than a
-// load/store pair around the rhs.
-func (c *compiler) augAssign(x *ast.Binary) {
-	base := x.Op[:len(x.Op)-2]
+// augAssign compiles target op:= rhs, reporting false when op is no
+// operator. The target's current value is read when the operation applies
+// — per source value, as core.AugAssignTo does — so slots and globals get
+// fused read-modify-write opcodes rather than a load/store pair around
+// the rhs. On a builtin the operation applies and the store raises.
+func (c *compiler) augAssign(x *ast.Binary) bool {
+	base, ok := strings.CutSuffix(x.Op, ":=")
 	ai, isArith := arithIndex[base]
 	ci, isCmp := cmpIndex[base]
-	if !isArith && !isCmp {
-		c.unsupported(x, "operator "+x.Op)
+	if !ok || !isArith && !isCmp {
+		return false
 	}
 	idx, op2 := int32(ai), [2]Op{OpAugSlot, OpAugGlobal}
-	opVar := OpAugVar
+	opVar, op := OpAugVar, OpArith
 	if isCmp {
 		idx, op2 = int32(ci), [2]Op{OpCmpAugSlot, OpCmpAugGlobal}
-		opVar = OpCmpAugVar
+		opVar, op = OpCmpAugVar, OpCmp
+	}
+	if i, ok := c.constTarget(x.L); ok {
+		c.emit(OpConst, i, 0, 0)
+		c.expr(x.R)
+		c.emit(op, idx, 0, 0)
+		c.cannotAssign(x.L, i)
+		return true
 	}
 	switch t := x.L.(type) {
 	case *ast.Ident, *ast.TmpRef:
 		if name, tmp := nameOf(t); !c.boxed[name] {
 			c.expr(x.R)
-			if kind, i := c.resolve(t, name, tmp, true); kind == resGlobal {
+			if kind, i := c.resolve(t, name, tmp); kind == resGlobal {
 				c.emit(op2[1], i, 0, idx)
 			} else {
 				c.emit(op2[0], i, 0, idx)
 			}
-			return
+			return true
 		}
 	}
 	if t := c.target(x.L); t != Target(TargetRef, 0) {
 		c.expr(x.R)
 		kind, i := SplitTarget(t)
 		c.emit(op2[kind], i, 0, idx)
-		return
+		return true
 	}
 	c.expr(x.R)
 	c.emit(opVar, idx, 0, 0)
+	return true
 }
 
 // boundedDiscard compiles s as a bounded, discarded evaluation: at most one
@@ -511,21 +588,15 @@ func (c *compiler) boundedDiscard(s ast.Node) {
 	c.depth = d
 }
 
-// varDecl compiles local declarations: each initializer is evaluated
-// boundedly; a failing (or absent) initializer leaves &null.
+// varDecl compiles local declarations in expression position: each
+// initializer is evaluated boundedly; a failing (or absent) initializer
+// leaves &null. Only a procedure's own statements declare statics, so
+// here a static is the plain local the tree walk makes of it. A name used
+// above the declaration keeps what it resolved to there; from here on it
+// is the local (declStore), as in the tree walk, which resolves names in
+// the order it builds them.
 func (c *compiler) varDecl(x *ast.VarDecl) {
-	if x.Kind == "static" {
-		// Only a procedure's own statements declare statics; here the
-		// tree walk would make a plain local of it.
-		c.unsupported(x, "static declaration in expression position")
-	}
 	for i, name := range x.Names {
-		if k := c.resolved[name]; k == resGlobal || k == resConst {
-			// The name was already resolved non-locally earlier in this
-			// unit; redeclaring it local here would diverge from the
-			// interpreter's construction-order resolution.
-			c.unsupported(x, "local "+name+" declared after non-local use")
-		}
 		d := c.depth
 		if x.Inits[i] == nil {
 			c.emit(OpNull, 0, 0, 0)
@@ -757,9 +828,10 @@ func (c *compiler) loopCompile(kind loopKind, head, body ast.Node, until, statem
 // loop's choice points and operand-stack growth, then deliver the outcome —
 // delegated generatively in expression loops, bounded and discarded in
 // statement loops.
-func (c *compiler) breakFrom(n ast.Node, e ast.Node) {
+func (c *compiler) breakFrom(e ast.Node) {
 	if len(c.loops) == 0 {
-		c.unsupported(n, "break outside a loop")
+		c.raise(value.ErrProcedure, "break outside a loop")
+		return
 	}
 	ctx := c.loops[len(c.loops)-1]
 	c.emit(OpCut, 0, ctx.aux, 0)
@@ -784,7 +856,7 @@ func (c *compiler) breakFrom(n ast.Node, e ast.Node) {
 
 // nextFrom compiles next: abandon the current body iteration of the
 // nearest loop whose body we are in, discarding everything in between.
-func (c *compiler) nextFrom(n ast.Node) {
+func (c *compiler) nextFrom() {
 	var ctx *loopCtx
 	loop := len(c.loops) - 1
 	for ; loop >= 0; loop-- {
@@ -794,7 +866,8 @@ func (c *compiler) nextFrom(n ast.Node) {
 		}
 	}
 	if ctx == nil {
-		c.unsupported(n, "next outside a loop body")
+		c.raise(value.ErrProcedure, "next outside a loop body")
+		return
 	}
 	c.emit(OpCut, 0, ctx.nextAux, 0)
 	c.leaveScans(loop, LeaveForGood)

@@ -37,7 +37,6 @@ func (c *compiler) statics(d *ast.ProcDecl) {
 			for i, name := range x.Names {
 				if _, dup := c.globalIdx[name]; !dup {
 					c.globalIdx[name] = int(private(name))
-					c.resolved[name] = resGlobal
 				}
 				once = once || x.Inits[i] != nil
 			}
@@ -304,16 +303,11 @@ func outerNames(n ast.Node) map[string]bool {
 
 // binds reports whether the creating scope binds name (see captures).
 func (c *compiler) binds(n ast.Node, name string) bool {
-	if _, ok := c.slotIdx[name]; ok {
-		return true
-	}
 	if _, tmp := n.(*ast.TmpRef); tmp {
-		return false // bound by a BindIn inside the body
+		_, ok := c.slotIdx[name]
+		return ok // else bound by a BindIn inside the body
 	}
-	if _, ok := c.globalIdx[name]; ok {
-		return true
-	}
-	if _, ok := c.env.LookupGlobal(name); ok {
+	if c.bound(name) {
 		return true
 	}
 	if _, ok := c.env.LookupConst(name); ok {

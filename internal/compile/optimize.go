@@ -56,6 +56,7 @@ var neverFails = [opCount]bool{
 	OpAugVar:      true, // likewise, or the operator raises
 	OpCreate:      true, // makes a co-expression or starts a pipe: the site never fails
 	OpScanVar:     true, // pushes the &subject or &pos variable
+	OpRaise:       true, // only raises
 }
 
 // auxOperands returns the operands of in that name aux cells: none, one

@@ -95,11 +95,11 @@ func (c *compiler) stmt(s ast.Node) {
 
 	case *ast.Break:
 		d := c.depth
-		c.breakFrom(x, x.E)
+		c.breakFrom(x.E)
 		c.depth = d
 	case *ast.NextStmt:
 		d := c.depth
-		c.nextFrom(x)
+		c.nextFrom()
 		c.depth = d
 
 	case *ast.Binary:
@@ -118,15 +118,13 @@ func (c *compiler) stmt(s ast.Node) {
 // stmtVarDecl compiles a local declaration statement: each cell is nulled
 // before its initializer runs (the executor's Define-then-init order — the
 // initializer of `local x := x + 1` reads null, not a stale value), and a
-// failing initializer leaves the null.
+// failing initializer leaves the null. A name used above the declaration
+// keeps what it resolved to there (see varDecl).
 func (c *compiler) stmtVarDecl(x *ast.VarDecl) {
 	if x.Kind == "static" {
 		return // declared and initialized in the run-once prologue (statics)
 	}
 	for i, name := range x.Names {
-		if k := c.resolved[name]; k == resGlobal || k == resConst {
-			c.unsupported(x, "local "+name+" declared after non-local use")
-		}
 		c.emit(OpNull, 0, 0, 0)
 		c.declStore(x, name)
 		c.emit(OpPop, 0, 0, 0)

@@ -28,6 +28,20 @@ func Break(e Gen) {
 // NextIter aborts the current loop body iteration (the next expression).
 func NextIter() { panic(nextSignal{}) }
 
+// StrayExit returns the error a break or next raises when it reaches the
+// boundary of the unit it stands in — a procedure body or a top-level
+// evaluation — with no loop of the unit to catch it, as compiled code
+// raises it; any other panic value it returns as it is.
+func StrayExit(r any) any {
+	switch r.(type) {
+	case breakSignal:
+		return &value.RuntimeError{Code: value.ErrProcedure, Message: "break outside a loop"}
+	case nextSignal:
+		return &value.RuntimeError{Code: value.ErrProcedure, Message: "next outside a loop body"}
+	}
+	return r
+}
+
 // loopStep runs one bounded evaluation of body, translating next-signals
 // into normal completion and propagating break to the caller's recover.
 func loopStep(body Gen) {

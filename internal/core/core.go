@@ -183,11 +183,12 @@ func Count(g Gen) int {
 
 // Protect invokes f, converting an Icon runtime-error panic into an error.
 // Public entry points wrap kernel use in Protect so that library users see
-// ordinary Go errors.
+// ordinary Go errors. A break or next that reaches it has left the unit it
+// stands in, and is the error StrayExit makes of it.
 func Protect(f func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if re, ok := r.(*value.RuntimeError); ok {
+			if re, ok := StrayExit(r).(*value.RuntimeError); ok {
 				err = re
 				return
 			}

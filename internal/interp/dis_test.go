@@ -49,24 +49,23 @@ func TestDisassemblyGolden(t *testing.T) {
 	}
 }
 
-// TestDisassemblyCoversCompiledUnits asserts the listing marks fallback
-// units explicitly rather than omitting them.
+// TestDisassemblyCoversCompiledUnits asserts the listing holds the code of
+// every unit, a statement's and one with a form that raises included.
 func TestDisassemblyCoversCompiledUnits(t *testing.T) {
 	in := New(WithOutput(io.Discard), WithVM())
 	var b strings.Builder
 	err := in.DisassembleProgram(`
 def ok(n) { return n + 1; }
-def later() { g := 1; local g; return g; }
-global g
+def later() { break; }
+write(ok(1))
 `, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "unit ok") {
-		t.Errorf("compiled unit missing from listing:\n%s", out)
-	}
-	if !strings.Contains(out, "not compiled:") || !strings.Contains(out, "tree-walk fallback") {
-		t.Errorf("fallback unit not marked in listing:\n%s", out)
+	for _, want := range []string{"-- procedure ok\nunit ok", "-- procedure later\nunit later", "raise", "-- statement 1\nunit (expression)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("listing lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -333,10 +333,10 @@ func (in *Interp) unary(x *ast.Unary, env *Env) core.Gen {
 			return core.Unit(in.makeCoexpr(x.X, env))
 		})
 	case "|>":
-		// Provisioned from facts when there are any (WithOptimize, or a
-		// VM fallback unit): strictly pure producers run inline (no
-		// goroutine, no queue); bounded producers get a queue sized to
-		// their whole sequence instead of the default.
+		// Provisioned from facts when there are any (WithOptimize):
+		// strictly pure producers run inline (no goroutine, no queue);
+		// bounded producers get a queue sized to their whole sequence
+		// instead of the default.
 		strategy := in.facts.PipeStrategy(x.X)
 		if strategy.Inline {
 			return core.Defer(func() core.Gen {

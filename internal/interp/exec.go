@@ -68,6 +68,31 @@ func (in *Interp) makeProc(d *ast.ProcDecl, defEnv *Env) *value.Proc {
 					return rawYield(v)
 				}
 			}
+			defer func() {
+				if r := recover(); r != nil {
+					switch sig := r.(type) {
+					case returnSignal:
+						if sig.ok {
+							if tr != nil {
+								tr.Return(name, sig.v)
+							}
+							rawYield(sig.v)
+						} else if tr != nil {
+							tr.Fail(name)
+						}
+					case stopSignal:
+						// consumer abandoned; just unwind
+					default:
+						// A break or next no loop of the body caught
+						// raises here, not in the caller's loop.
+						panic(core.StrayExit(r))
+					}
+					return
+				}
+				if tr != nil {
+					tr.Fail(name)
+				}
+			}()
 			onceInit.Do(func() {
 				for _, s := range body.Stmts {
 					switch x := s.(type) {
@@ -91,29 +116,6 @@ func (in *Interp) makeProc(d *ast.ProcDecl, defEnv *Env) *value.Proc {
 					}
 				}
 			})
-			defer func() {
-				if r := recover(); r != nil {
-					switch sig := r.(type) {
-					case returnSignal:
-						if sig.ok {
-							if tr != nil {
-								tr.Return(name, sig.v)
-							}
-							rawYield(sig.v)
-						} else if tr != nil {
-							tr.Fail(name)
-						}
-					case stopSignal:
-						// consumer abandoned; just unwind
-					default:
-						panic(r)
-					}
-					return
-				}
-				if tr != nil {
-					tr.Fail(name)
-				}
-			}()
 			for _, s := range body.Stmts {
 				in.execStmt(s, env, yield)
 			}

@@ -1,10 +1,10 @@
 // Package interp is the interpreter of the embedding pipeline — the
 // interactive path that in the paper executes on a Groovy script engine
-// (§6), here executing on the core package. Under WithVM it compiles what
-// it loads and evaluates to bytecode run in the vm package's frames; its
-// tree walk runs (raw or normalized) Junicon syntax trees directly against
-// the goal-directed kernel, for the units the compiler rejects and as the
-// whole evaluator without WithVM.
+// (§6), here executing on the core package. Under WithVM it compiles all
+// it loads and evaluates to bytecode run in the vm package's frames;
+// without WithVM its tree walk runs (raw or normalized) Junicon syntax
+// trees directly against the goal-directed kernel — the reference the
+// differential tests hold compiled code to.
 //
 // It also hosts the interoperability registry: Go functions registered as
 // natives are invoked with the :: syntax of §4, and their results are
@@ -75,14 +75,11 @@ type Interp struct {
 
 	// Compiled execution (the bytecode vm): when vm is set, loaded
 	// procedures, top-level statements and evaluated expressions run as
-	// slot-framed bytecode where the compiler supports them, falling back
-	// to the tree walk where it does not.
+	// slot-framed bytecode.
 	vm bool
 	// vmMachines maps compiled-unit names to their Machines — the resolver
 	// snapshot restore uses to rebuild call towers (checkpoint.Restore).
 	vmMachines map[string]*vm.Machine
-	// vmFallbacks lists the units the compiler rejected (Fallbacks).
-	vmFallbacks []Fallback
 	// seeded names the global cells compileBatch gave a builtin or native
 	// ahead of any declaration of the name: the tree walk has no cell for
 	// them yet, so a global or field declaration still resets them to null.
@@ -123,9 +120,11 @@ func New(opts ...Option) *Interp {
 // invocation syntax. When the call site has an explicit receiver
 // (expr::name(args)), the receiver value is passed as the first argument;
 // this::name(args) passes only the arguments. Returning (nil, nil) means
-// failure; a non-nil error raises a runtime error.
+// failure; a non-nil error raises a runtime error. Compiled procedures
+// already loaded that name it recompile against the registration.
 func (in *Interp) RegisterNative(name string, fn func(args ...value.V) (value.V, error)) {
 	in.natives[name] = value.NewNative(name, fn)
+	in.relink(name)
 }
 
 // EnableTrace turns on Icon-style procedure tracing (&trace): calls,
@@ -221,7 +220,7 @@ func (in *Interp) loadDecl(d ast.Node, b batch) {
 		}
 	default:
 		// Top-level statement: bounded evaluation.
-		g := in.start(d, b[d].m)
+		g := in.start(d, b[d])
 		g.Next()
 		g.Restart()
 	}
@@ -278,12 +277,12 @@ func (in *Interp) EvalGen(src string) (core.Gen, error) {
 	if err != nil {
 		return nil, err
 	}
-	var c compiled
+	var m *vm.Machine
 	if in.vm {
-		c = in.compileTop(norm)
+		m = in.compileTop(norm)
 	}
 	var g core.Gen
-	if err := core.Protect(func() { g = in.start(norm, c.m) }); err != nil {
+	if err := core.Protect(func() { g = in.start(norm, m) }); err != nil {
 		return nil, err
 	}
 	return g, nil

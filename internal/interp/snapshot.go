@@ -31,8 +31,7 @@ func (in *Interp) ExprMachine(src string) (*vm.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := in.compileTop(norm)
-	return c.m, c.err
+	return in.compileTop(norm), nil
 }
 
 // RestoreSnapshot rebuilds a generator from a checkpoint blob, resuming

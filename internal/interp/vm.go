@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -11,44 +10,17 @@ import (
 	"junicon/internal/compile"
 	"junicon/internal/core"
 	"junicon/internal/parser"
-	"junicon/internal/telemetry"
 	"junicon/internal/transform"
 	"junicon/internal/value"
 	"junicon/internal/vm"
 )
 
-// WithVM enables bytecode-compiled execution: loaded procedures, top-level
-// statements and evaluated expressions are lowered to the compile
-// package's bytecode and driven in slot-based resumable frames (the vm
-// package); any unit the compiler cannot lower transparently falls back to
-// the tree walk, so compiled execution is a pure optimization, never a
-// semantic fork.
+// WithVM enables bytecode-compiled execution: every procedure, top-level
+// statement and evaluated expression is lowered to the compile package's
+// bytecode and driven in slot-based resumable frames (the vm package). A
+// form the tree walk raises on compiles to a raise of the same error, so
+// compiled execution is never a semantic fork.
 func WithVM() Option { return func(in *Interp) { in.vm = true } }
-
-// Fallback records one unit the compiler rejected under WithVM: the unit
-// runs on the tree walk instead.
-type Fallback struct {
-	Unit   string // procedure name, or "(expression)"
-	Reason string // compile.Unsupported.Reason
-}
-
-// Fallbacks lists the distinct (unit, reason) pairs this interpreter's
-// compiler has rejected so far, in order.
-func (in *Interp) Fallbacks() []Fallback { return in.vmFallbacks }
-
-// noteFallback records a unit the compiler rejected.
-func (in *Interp) noteFallback(unit string, err error) {
-	fb := Fallback{Unit: unit, Reason: err.Error()}
-	var u *compile.Unsupported
-	if errors.As(err, &u) {
-		fb.Reason = u.Reason
-	}
-	// The trace carries each rejection's reason.
-	telemetry.Emit(0, telemetry.KindSpan, "vm.fallback "+unit+": "+fb.Reason, 0)
-	if !slices.Contains(in.vmFallbacks, fb) {
-		in.vmFallbacks = append(in.vmFallbacks, fb)
-	}
-}
 
 // compileEnv builds the compiler's name-resolution environment over this
 // interpreter: the same resolution order the tree walk uses at generator
@@ -87,16 +59,17 @@ func (in *Interp) compileEnv(topLevel bool) compile.Env {
 	return env
 }
 
-// batch is what compileBatch made of a loaded batch: the compiled unit,
-// or the compiler's refusal, of each procedure, method and top-level
-// statement. nil on the tree walk.
-type batch map[ast.Node]compiled
+// batch is what compileBatch made of a loaded batch: the Machine of each
+// procedure, method and top-level statement. nil on the tree walk.
+type batch map[ast.Node]*vm.Machine
 
-// compiled is one unit of a batch: its Machine, or the reason the tree
-// walk runs it.
-type compiled struct {
-	m   *vm.Machine
-	err error
+// must returns a unit compile made. The interpreter's Env supplies all a
+// construct can need, so a refusal is a compiler bug.
+func must(m *vm.Machine, err error) *vm.Machine {
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // compileBatch compiles a batch before any of it runs. Every name the batch
@@ -140,11 +113,7 @@ func (in *Interp) compileBatch(decls []ast.Node) batch {
 		}
 	}
 	for _, p := range procs {
-		m, err := vm.CompileProc(p, in.compileEnv(false))
-		if err != nil {
-			in.noteFallback(p.Name, err)
-		}
-		b[p] = compiled{m, err}
+		b[p] = must(vm.CompileProc(p, in.compileEnv(false)))
 	}
 	return b
 }
@@ -176,15 +145,15 @@ func (in *Interp) constant(name string) (value.V, bool) {
 	return nil, false
 }
 
-// procValue is a declared procedure's value: its compiled unit, whose
+// procValue is a declared procedure's value: its compiled unit m, whose
 // frames trace through the interpreter's tracer, or the tree walk's
-// closure when the compiler rejected it or the VM is off.
-func (in *Interp) procValue(d *ast.ProcDecl, c compiled) *value.Proc {
-	if c.m == nil {
+// closure when the VM is off (m is nil).
+func (in *Interp) procValue(d *ast.ProcDecl, m *vm.Machine) *value.Proc {
+	if m == nil {
 		return in.makeProc(d, in.globals)
 	}
 	p := value.NewProc(d.Name, len(d.Params), nil)
-	in.link(p, d, c.m)
+	in.link(p, d, m)
 	return p
 }
 
@@ -194,20 +163,29 @@ type lateProc struct {
 	d *ast.ProcDecl
 }
 
-// link makes p run m, d's compiled unit. The names d's body mentions that
-// have no global cell yet, m bound to a builtin, a native or a local: late
-// notes them for relink.
+// link makes p run m, d's compiled unit. late notes for relink the names
+// d's body mentions that have no global cell yet, which m bound to a
+// builtin, a native or a local, and the natives it calls with ::, which m
+// bound to the registration of the moment or to a raise.
 func (in *Interp) link(p *value.Proc, d *ast.ProcDecl, m *vm.Machine) {
 	m.Trace(&in.tracer)
 	in.vmMachines[d.Name] = m
 	p.Fn, p.Impl = m.Call, m
 	seen := map[string]bool{}
 	ast.Walk(d.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !seen[id.Name] && !slices.Contains(d.Params, id.Name) {
-			seen[id.Name] = true
-			_, global := in.globals.Lookup(id.Name)
-			if !global && !slices.Contains(in.late[id.Name], lateProc{p, d}) {
-				in.late[id.Name] = append(in.late[id.Name], lateProc{p, d})
+		name := ""
+		switch x := n.(type) {
+		case *ast.Ident:
+			if _, global := in.globals.Lookup(x.Name); !global && !slices.Contains(d.Params, x.Name) {
+				name = x.Name
+			}
+		case *ast.NativeCall:
+			name = x.Name
+		}
+		if name != "" && !seen[name] {
+			seen[name] = true
+			if !slices.Contains(in.late[name], lateProc{p, d}) {
+				in.late[name] = append(in.late[name], lateProc{p, d})
 			}
 		}
 		return true
@@ -215,9 +193,9 @@ func (in *Interp) link(p *value.Proc, d *ast.ProcDecl, m *vm.Machine) {
 }
 
 // relink recompiles in place the procedures that bound name before this
-// declaration of it, so that from here on they see its global, as a
-// tree-walked procedure resolving the name at each call does. Their
-// statics keep their values.
+// declaration or native registration of it, so that from here on they see
+// it, as a tree-walked procedure resolving the name at each call does.
+// Their statics keep their values.
 func (in *Interp) relink(name string) {
 	procs := in.late[name]
 	delete(in.late, name)
@@ -226,12 +204,7 @@ func (in *Interp) relink(name string) {
 		if !ok {
 			continue // a tree-walked procedure resolves names when called
 		}
-		m, err := vm.CompileProc(lp.d, in.compileEnv(false))
-		if err != nil {
-			in.noteFallback(lp.d.Name, err)
-			lp.p.Fn, lp.p.Impl = in.makeProc(lp.d, in.globals).Fn, nil
-			continue
-		}
+		m := must(vm.CompileProc(lp.d, in.compileEnv(false)))
 		was := old.Code()
 		for i, g := range m.Code().GlobalNames {
 			if j := slices.Index(was.GlobalNames, g); j >= 0 && strings.HasPrefix(g, "static ") {
@@ -243,19 +216,15 @@ func (in *Interp) relink(name string) {
 }
 
 // compileTop compiles a normalized top-level expression or statement, its
-// frames following the interpreter's tracer, and notes a rejection.
-func (in *Interp) compileTop(norm ast.Node) compiled {
-	m, err := vm.CompileExpr(norm, in.compileEnv(true))
-	if err != nil {
-		in.noteFallback("(expression)", err)
-		return compiled{err: err}
-	}
+// frames following the interpreter's tracer.
+func (in *Interp) compileTop(norm ast.Node) *vm.Machine {
+	m := must(vm.CompileExpr(norm, in.compileEnv(true)))
 	m.Trace(&in.tracer)
-	return compiled{m: m}
+	return m
 }
 
 // start returns a top-level unit's generator: a frame of m, or the tree
-// walk's over norm when m is nil.
+// walk's over norm when m is nil (the VM is off).
 func (in *Interp) start(norm ast.Node, m *vm.Machine) core.Gen {
 	if m != nil {
 		return m.NewFrame()
@@ -265,8 +234,7 @@ func (in *Interp) start(norm ast.Node, m *vm.Machine) core.Gen {
 
 // DisassembleProgram parses, normalizes and compiles src as LoadProgram
 // would, without running it, and writes the bytecode listings of its
-// procedures and top-level statements to w. Units the compiler cannot
-// lower are listed with the reason they fall back.
+// procedures and top-level statements to w.
 func (in *Interp) DisassembleProgram(src string, w io.Writer) error {
 	prog, err := parser.ParseProgram(src)
 	if err != nil {
@@ -274,10 +242,7 @@ func (in *Interp) DisassembleProgram(src string, w io.Writer) error {
 	}
 	decls := transform.Normalize(prog).(*ast.Program).Decls
 	in.facts.ExtendDecls(decls, in.factsOptions())
-	var b batch
-	if err := core.Protect(func() { b = in.compileBatch(decls) }); err != nil {
-		return err
-	}
+	b := in.compileBatch(decls)
 	stmtN := 0
 	for _, d := range decls {
 		switch x := d.(type) {
@@ -308,20 +273,6 @@ func (in *Interp) DisassembleExpr(src string, w io.Writer) error {
 	return werr
 }
 
-func disUnit(w io.Writer, title string, c compiled) {
-	fmt.Fprintf(w, "-- %s\n", title)
-	if c.err != nil {
-		reason := c.err.Error()
-		if u, ok := c.err.(*compile.Unsupported); ok {
-			reason = u.Reason + " (tree-walk fallback)"
-		}
-		fmt.Fprintf(w, "   not compiled: %s\n\n", reason)
-		return
-	}
-	listing := c.m.Code().Disassemble()
-	fmt.Fprint(w, listing)
-	if !strings.HasSuffix(listing, "\n") {
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w)
+func disUnit(w io.Writer, title string, m *vm.Machine) {
+	fmt.Fprintf(w, "-- %s\n%s\n", title, m.Code().Disassemble())
 }

@@ -166,19 +166,48 @@ func probeImages(in *Interp, expr string) string {
 	return strings.Join(images, " ")
 }
 
-// TestDefineReachesLoadedProcedures: a host's Define after the load is
-// what a loaded procedure reads next, compiled or not.
+// TestDefineReachesLoadedProcedures: a host's Define or RegisterNative
+// after the load is what a loaded procedure reads next, compiled or not;
+// a compiled procedure naming a native not yet registered stays compiled,
+// raising until the native is registered.
 func TestDefineReachesLoadedProcedures(t *testing.T) {
-	for _, opts := range [][]Option{nil, {WithVM()}} {
-		in := New(append([]Option{WithOutput(io.Discard)}, opts...)...)
-		in.Define("lines", value.IntV(1))
-		if err := in.LoadProgram(`def f() { return lines + corpus; }`); err != nil {
-			t.Fatal(err)
+	define := func(name string, v int64) func(*Interp) {
+		return func(in *Interp) { in.Define(name, value.IntV(v)) }
+	}
+	native := func(name string, v int64) func(*Interp) {
+		return func(in *Interp) {
+			in.RegisterNative(name, func(...value.V) (value.V, error) { return value.IntV(v), nil })
 		}
-		in.Define("corpus", value.IntV(10))
-		in.Define("lines", value.IntV(2))
-		if got := probeImages(in, "f()"); got != "12" {
-			t.Errorf("vm=%v: f() = %s, want 12", opts != nil, got)
+	}
+	for _, c := range []struct {
+		name, program, probe string
+		steps                []func(*Interp) // the first runs before the load; the probe follows each other
+		want                 []string
+	}{
+		{"define", `def f() { return lines + corpus; }`, "f()",
+			[]func(*Interp){define("lines", 1), define("corpus", 10), define("lines", 2)},
+			[]string{"11", "12"}},
+		{"native", `def f(x) { return x::g(); }`, "f(1)",
+			[]func(*Interp){func(*Interp) {}, func(*Interp) {}, native("g", 7), native("g", 8)},
+			[]string{"error", "7", "8"}},
+	} {
+		for _, opts := range [][]Option{nil, {WithVM()}} {
+			in := New(append([]Option{WithOutput(io.Discard)}, opts...)...)
+			c.steps[0](in)
+			if err := in.LoadProgram(c.program); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, step := range c.steps[1:] {
+				step(in)
+				got = append(got, probeImages(in, c.probe))
+			}
+			if strings.Join(got, " ") != strings.Join(c.want, " ") {
+				t.Errorf("%s, vm=%v: %s gives %v, want %v", c.name, opts != nil, c.probe, got, c.want)
+			}
+			if _, ok := in.ProcMachine("f"); ok != (opts != nil) {
+				t.Errorf("%s, vm=%v: f has a Machine: %v", c.name, opts != nil, ok)
+			}
 		}
 	}
 }

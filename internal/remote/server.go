@@ -734,10 +734,10 @@ func decodeArgs(data []byte) ([]value.V, error) {
 // The analyzer gate refuses error-level findings exactly as the
 // translator does (migrating statically wrong code across the network is
 // as worthless as compiling it); warnings are tolerated, as on the
-// interpreter paths. Source streams run compiled (WithVM): semantically
-// identical to the tree walk — the compiler falls back on anything it
-// cannot lower — and it is what makes a source stream's frame a
-// checkpointable continuation.
+// interpreter paths. Source streams run compiled (WithVM), every unit of
+// them (compile refuses only an Env without a scan environment,
+// DefineGlobal or native table): semantically identical to the tree walk,
+// and what makes a source stream's frame a checkpointable continuation.
 func (s *Server) sourceInterp(program, expr string, args []value.V) (*interp.Interp, error) {
 	known := func(name string) bool { return name == "args" }
 	if program != "" {

@@ -1,7 +1,6 @@
 package semtest
 
 import (
-	"bufio"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -18,6 +17,7 @@ import (
 	"junicon/internal/meta"
 	jparser "junicon/internal/parser"
 	"junicon/internal/value"
+	"junicon/internal/vm"
 )
 
 // censusSource is one piece of Junicon source the repository ships: a
@@ -107,15 +107,12 @@ func repoGlob(t testing.TB, pattern string) []string {
 	return paths
 }
 
-// TestFallbackCensus is the gate on ROADMAP item 3's "whole-unit fallback
-// stops being a normal path": everything the repository ships as Junicon —
-// testdata/, the examples' embedded programs and expressions, the
-// differential corpus and the benchmark's fallback program set — is
-// compiled under WithVM, and every unit the compiler rejects must be
-// rejected for a reason on internal/compile/testdata/fallback_allowlist.txt.
-// The benchmark's fallback set, which existed to price the fallback, must
-// not fall back at all: each of its procedures has a compiled Machine.
-func TestFallbackCensus(t *testing.T) {
+// TestShippedSourcesCompile is the census of what a WithVM interpreter
+// runs: everything the repository ships as Junicon — testdata/, the
+// examples' embedded programs and expressions, the differential corpus
+// and the benchmark's program sets — loaded or evaluated, every procedure
+// has a compiled Machine and every expression is a frame.
+func TestShippedSourcesCompile(t *testing.T) {
 	var sources []censusSource
 	read := func(path string) string { return readFile(t, path) }
 	glob := func(pattern string) []string { return repoGlob(t, pattern) }
@@ -143,8 +140,7 @@ func TestFallbackCensus(t *testing.T) {
 			censusSource{where: "corpus " + c.Name, src: c.Program},
 			censusSource{where: "corpus " + c.Name, src: c.Expr, expr: true})
 	}
-	bench := glob("benchmark/programs/fallback/*.jn")
-	for _, path := range bench {
+	for _, path := range glob("benchmark/programs/*/*.jn") {
 		src := read(path)
 		sources = append(sources, censusSource{where: path, src: src})
 		for _, line := range strings.Split(src, "\n") {
@@ -154,15 +150,11 @@ func TestFallbackCensus(t *testing.T) {
 		}
 	}
 
-	allowed := censusAllowlist(t, filepath.Join("..", "..", "internal", "compile", "testdata", "fallback_allowlist.txt"))
 	// One interpreter per file, so an expression sees the program its file
-	// loaded before it. Host natives (x::split()) are stubbed, so units
-	// calling them are compiled rather than skipped; what the stubs make a
-	// load or an evaluation do is not the census's concern — the compiler
-	// ran before it could happen.
+	// loaded before it. Host natives (x::split()) are stubbed.
 	native := regexp.MustCompile(`::(\w+)`)
 	interps := map[string]*interp.Interp{}
-	units, rejected := 0, 0
+	procs, exprs := 0, 0
 	for _, s := range sources {
 		if strings.TrimSpace(s.src) == "" {
 			continue
@@ -175,63 +167,43 @@ func TestFallbackCensus(t *testing.T) {
 		for _, m := range native.FindAllStringSubmatch(s.src, -1) {
 			in.RegisterNative(m[1], func(...value.V) (value.V, error) { return nil, nil })
 		}
-		before := len(in.Fallbacks())
 		if s.expr {
-			_, _ = in.EvalGen(s.src)
-		} else {
-			_ = in.LoadProgram(s.src)
-		}
-		units++
-		for _, fb := range in.Fallbacks()[before:] {
-			rejected++
-			ok := false
-			for _, prefix := range allowed {
-				ok = ok || strings.HasPrefix(fb.Reason, prefix)
+			if _, err := jparser.ParseExpression(s.src); err != nil {
+				continue
 			}
-			if !ok {
-				t.Errorf("%s: unit %s falls back to the tree walk: %q is not on the allowlist", s.where, fb.Unit, fb.Reason)
-			} else {
-				t.Logf("%s: unit %s falls back (allowed): %s", s.where, fb.Unit, fb.Reason)
+			exprs++
+			if g, err := in.EvalGen(s.src); err != nil {
+				t.Errorf("%s: %s: %v", s.where, s.src, err)
+			} else if _, ok := g.(*vm.Frame); !ok {
+				t.Errorf("%s: %s evaluates to a %T, not a frame", s.where, s.src, g)
 			}
+			continue
 		}
-	}
-	t.Logf("census: %d sources, %d rejected units", units, rejected)
-
-	for _, path := range bench {
-		in := interps[path]
-		prog, err := jparser.ParseProgram(read(path))
+		if err := in.LoadProgram(s.src); err != nil {
+			t.Errorf("%s: load: %v", s.where, err)
+			continue
+		}
+		prog, err := jparser.ParseProgram(s.src)
 		if err != nil {
-			t.Fatalf("census: %s: %v", path, err)
+			t.Fatalf("census: %s: %v", s.where, err)
 		}
 		for _, d := range prog.Decls {
-			if pd, ok := d.(*jast.ProcDecl); ok {
-				if _, ok := in.ProcMachine(pd.Name); !ok {
-					t.Errorf("%s: procedure %s has no compiled Machine", path, pd.Name)
+			var names []string
+			switch x := d.(type) {
+			case *jast.ProcDecl:
+				names = append(names, x.Name)
+			case *jast.ClassDecl:
+				for _, m := range x.Methods {
+					names = append(names, m.Name)
+				}
+			}
+			for _, name := range names {
+				procs++
+				if _, ok := in.ProcMachine(name); !ok {
+					t.Errorf("%s: procedure %s has no compiled Machine", s.where, name)
 				}
 			}
 		}
-		if n := len(in.Fallbacks()); n != 0 {
-			t.Errorf("%s: %d units fall back, want 0: %v", path, n, in.Fallbacks())
-		}
 	}
-}
-
-func censusAllowlist(t *testing.T, path string) []string {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("census: %v", err)
-	}
-	defer f.Close()
-	var out []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if line := strings.TrimSpace(sc.Text()); line != "" && !strings.HasPrefix(line, "#") {
-			out = append(out, line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("census: %v", err)
-	}
-	return out
+	t.Logf("census: %d procedures, %d expressions", procs, exprs)
 }

@@ -14,8 +14,7 @@ import (
 // TestDifferentialCompiledGrid is the bytecode vm's semantic gate: every
 // corpus case evaluated under compiled execution — directly, through every
 // buffer × batch cell of the transport grid, and on pooled workers — must
-// reproduce the tree-walk sequential trace exactly. The vm compiles what
-// it can and falls back where it can't; either way the trace is the
+// reproduce the tree-walk sequential trace exactly: the trace is the
 // language, and it must not move.
 func TestDifferentialCompiledGrid(t *testing.T) {
 	pl := pool.New(4)

@@ -53,6 +53,7 @@ func (c Case) max() int {
 type Result struct {
 	Images []string
 	Failed bool
+	Err    string // the error a plain drain raised (drainGen); Equal ignores it
 }
 
 // Equal reports trace equivalence.
@@ -130,7 +131,9 @@ func drainGen(g core.Gen, max int) Result {
 			r.Images = append(r.Images, value.Image(value.Deref(v)))
 		}
 	})
-	r.Failed = err != nil
+	if r.Failed = err != nil; r.Failed {
+		r.Err = err.Error()
+	}
 	return r
 }
 

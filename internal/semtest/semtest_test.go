@@ -157,6 +157,11 @@ def set() { left := "set"; return image(left); }
 		Case{Name: "fail/immediately", Program: failing, Expr: "double(\"abc\")"},
 		Case{Name: "fail/mid-stream", Program: failing, Expr: "(1 to 5) | double(\"abc\")"},
 	)
+	// A form the tree walk raises on compiles to a raise of its error, for
+	// the VM and for translated code alike.
+	cases = append(cases,
+		Case{Name: "raise/keyword", Program: `def now() { return &time; }`, Expr: "(1 to 2) | now()"},
+	)
 	return cases
 }
 

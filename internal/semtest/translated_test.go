@@ -168,25 +168,15 @@ func stubNative(...value.V) (value.V, error) { return nil, nil }
 
 // TestTranslatedLaneIsFresh translates every lane program and requires the
 // committed packages (and the registry that imports them) to match; -update
-// rewrites them. No emitted code parks a coroutine. A program the
-// translator refuses must be refused for a reason on the allowlist, the
-// one list of what the embedding supports.
+// rewrites them. Every program translates, and no emitted code parks a
+// coroutine.
 func TestTranslatedLaneIsFresh(t *testing.T) {
-	allowed := censusAllowlist(t, filepath.Join("..", "..", "internal", "compile", "testdata", "fallback_allowlist.txt"))
 	want := map[string]string{}
 	var pkgs []string
 	for _, lp := range lanePrograms(t) {
 		out, err := translate.TranslateProgram(lp.laneSource(), translate.Options{Package: lp.pkg, Diagnostics: io.Discard})
 		if err != nil {
-			ok := false
-			for _, prefix := range allowed {
-				ok = ok || strings.Contains(err.Error(), ": "+prefix)
-			}
-			if !ok {
-				t.Errorf("%s: refused for a reason not on the allowlist: %v", lp.pkg, err)
-			} else {
-				t.Errorf("%s: refused: %v", lp.pkg, err)
-			}
+			t.Errorf("%s: %v", lp.pkg, err)
 			continue
 		}
 		for _, coroutine := range []string{"core.NewGen", "core.GenProc", "iter.Pull"} {
@@ -244,8 +234,8 @@ func laneRegistry(t *testing.T, pkgs []string) string {
 }
 
 // TestTranslatedLane drains every driver through its translated package
-// and requires the sequential oracle's trace, with no goroutine left
-// behind by a drain or by an abandoned driver.
+// and requires the sequential oracle's trace, and its error if it raises
+// one, with no goroutine left behind by a drain or by an abandoned driver.
 func TestTranslatedLane(t *testing.T) {
 	for _, lp := range lanePrograms(t) {
 		lane, ok := translatedLanes[lp.pkg]
@@ -274,8 +264,8 @@ func TestTranslatedLane(t *testing.T) {
 				ref := drainGen(g, DefaultMax)
 				base := runtime.NumGoroutine()
 				got := drainGen(drivers[i].Call(), DefaultMax)
-				if !got.Equal(ref) {
-					t.Errorf("%s diverged:\nref = %s\ngot = %s", d, ref, got)
+				if !got.Equal(ref) || got.Err != ref.Err {
+					t.Errorf("%s diverged:\nref = %s %s\ngot = %s %s", d, ref, ref.Err, got, got.Err)
 				}
 				settled(t, base, "draining "+d)
 			}

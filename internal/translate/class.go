@@ -1,7 +1,6 @@
 package translate
 
 import (
-	"fmt"
 	"strings"
 
 	"junicon/internal/ast"
@@ -107,9 +106,7 @@ func (o *%[1]s) asRecord() *value.Record {
 	}
 	defer func() { e.fields = nil }()
 	for _, m := range c.Methods {
-		code, err := lower(fmt.Sprintf("method %s.%s", c.Name, m.Name), func() (*compile.Code, error) {
-			return compile.Proc(m, e.env(false))
-		})
+		code, err := compile.Proc(m, e.env(false))
 		if err != nil {
 			return err
 		}

@@ -190,6 +190,9 @@ func (e *emitter) instr(pc int32, in compile.Instr) bool {
 		return test("Cmp(%d)", a)
 	case compile.OpCmpTest:
 		return test("CmpTest(%d)", a)
+	case compile.OpRaise:
+		e.linef("r.Raise(%d, %d)", a, c)
+		return false
 	case compile.OpUnary:
 		return call("Unary(%d)", a)
 	case compile.OpNullTest:

@@ -8,8 +8,8 @@
 // choice stacks, aux cells, pc) as the type's state. Only control flow is
 // emitted: every operator, builtin, scan, call and creation goes through
 // the vm.Frame method the vm's own dispatch loop calls, so no opcode has a
-// second semantics, and a program compile refuses is refused here with
-// the same reason (internal/compile/testdata/fallback_allowlist.txt).
+// second semantics. Every unit compiles: a form the tree walk raises on
+// raises in the generated code too, when control reaches it.
 //
 // Generated files are self-contained packages. Names resolve as the
 // interpreter resolves them; globals, natives and the scan environment
@@ -169,16 +169,6 @@ func (e *emitter) env(topLevel bool) compile.Env {
 	return env
 }
 
-// lower compiles one unit, naming a refusal after the unit.
-func lower(name string, f func() (*compile.Code, error)) (*compile.Code, error) {
-	code, err := f()
-	var u *compile.Unsupported
-	if errors.As(err, &u) {
-		return nil, fmt.Errorf("translate: %s: %s (at %d:%d)", name, u.Reason, u.At.Line, u.At.Col)
-	}
-	return code, err
-}
-
 func (e *emitter) program(p *ast.Program) (string, error) {
 	e.scan = core.NewScanHolder()
 	var procs []*ast.ProcDecl
@@ -208,18 +198,14 @@ func (e *emitter) program(p *ast.Program) (string, error) {
 	// the globals the procedures then resolve.
 	var stmtUnits, units []unit
 	for i, s := range stmts {
-		code, err := lower(fmt.Sprintf("statement %d", i+1), func() (*compile.Code, error) {
-			return compile.Expr(s, e.env(true))
-		})
+		code, err := compile.Expr(s, e.env(true))
 		if err != nil {
 			return "", err
 		}
 		stmtUnits = append(stmtUnits, unit{code: code, id: fmt.Sprintf("stmt%d", i+1)})
 	}
 	for _, d := range procs {
-		code, err := lower("procedure "+d.Name, func() (*compile.Code, error) {
-			return compile.Proc(d, e.env(false))
-		})
+		code, err := compile.Proc(d, e.env(false))
 		if err != nil {
 			return "", err
 		}

@@ -181,13 +181,12 @@ func TestTranslateErrors(t *testing.T) {
 	if _, err := translate.TranslateProgram("def f( {", translate.Options{}); err == nil {
 		t.Fatal("parse error should surface")
 	}
-	if _, err := translate.TranslateProgram("suspend 1", translate.Options{}); err == nil {
-		t.Fatal("suspend outside procedure should be rejected")
-	}
-	// A refusal names the unit and compile's reason, from the allowlist.
-	_, err := translate.TranslateProgram("def now() { return &time; }", translate.Options{NoVet: true})
-	if err == nil || !strings.Contains(err.Error(), "procedure now: keyword &time") {
-		t.Fatalf("refusal = %v", err)
+	// A form the tree walk raises on translates to the same raise.
+	for _, src := range []string{"suspend 1", "def now() { return &time; }"} {
+		out, err := translate.TranslateProgram(src, translate.Options{NoVet: true})
+		if err != nil || !strings.Contains(out, "r.Raise(106, ") {
+			t.Errorf("%s: translated to %v, with no raise in\n%s", src, err, out)
+		}
 	}
 }
 

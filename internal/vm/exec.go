@@ -182,6 +182,8 @@ func (f *Frame) next() (value.V, bool) {
 			if !f.CmpTest(in.A) {
 				goto fail
 			}
+		case compile.OpRaise:
+			f.Raise(in.A, in.C)
 		case compile.OpUnary:
 			f.Unary(in.A)
 		case compile.OpNullTest:

@@ -266,6 +266,11 @@ func (f *Frame) cmpTest(op int32) bool {
 	return ok
 }
 
+// Raise raises error code with the message Consts[msg] (compile.OpRaise).
+func (f *Frame) Raise(code, msg int32) {
+	value.Raise(int(code), string(f.code.Consts[msg].(value.String)), nil)
+}
+
 // Unary replaces the top a by unary[op](a).
 func (f *Frame) Unary(op int32) { f.push(compile.UnaryFns[op](value.Deref(f.pop()))) }
 

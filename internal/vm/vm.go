@@ -7,7 +7,8 @@ import (
 
 // CompileExpr lowers a normalized top-level expression and wraps it in a
 // Machine; drive it with m.NewFrame(). A compile.Unsupported error means
-// the caller should fall back to the tree walk.
+// env lacks what a construct needs (a scan environment, DefineGlobal or a
+// native table) — the one thing compile refuses.
 func CompileExpr(n ast.Node, env compile.Env) (*Machine, error) {
 	code, err := compile.Expr(n, env)
 	if err != nil {

@@ -2,6 +2,8 @@ package vm_test
 
 import (
 	"io"
+	"regexp"
+	"strings"
 	"testing"
 
 	"junicon/internal/core"
@@ -66,7 +68,7 @@ func equal(a, b []string) bool {
 }
 
 // mustFrame asserts the vm interpreter actually compiled the expression —
-// EvalGen returned a bytecode frame, not a tree-walk fallback generator.
+// EvalGen returned a bytecode frame.
 func mustFrame(t *testing.T, in *interp.Interp, src string) *vm.Frame {
 	t.Helper()
 	g, err := in.EvalGen(src)
@@ -75,7 +77,7 @@ func mustFrame(t *testing.T, in *interp.Interp, src string) *vm.Frame {
 	}
 	f, ok := g.(*vm.Frame)
 	if !ok {
-		t.Fatalf("eval %q: expected a compiled frame, got %T (fallback?)", src, g)
+		t.Fatalf("eval %q: expected a compiled frame, got %T", src, g)
 	}
 	return f
 }
@@ -230,31 +232,125 @@ func TestFrameRestart(t *testing.T) {
 	}
 }
 
-// TestFallbackLanes pins that unsupported forms still evaluate (tree-walk
-// fallback) and are NOT frames — the partiality contract.
-func TestFallbackLanes(t *testing.T) {
-	vin := vmInterp(t, "")
-	pin := plainInterp(t, "")
-	for _, src := range []string{
-		`{ zq := 1; local zq := 2; zq }`, // a local declared after its global use
+// TestEveryFormCompiles runs, under the tree walk and the VM, the forms
+// the compiler once left to the tree walk: the ones the tree walk raises
+// on, which compile to a raise of its error, and the declarations it
+// resolves in the order it builds them. Every procedure loaded has a
+// Machine and every expression is a frame, and the two evaluators give
+// the same results or the same error — except where a row's tree says
+// otherwise:
+// the tree walk raises some of these forms when it builds the enclosing
+// statement, and re-resolves names each time a loop re-runs a statement,
+// where compiled code raises when control reaches the form and resolves
+// names in textual order (DESIGN.md §14a).
+func TestEveryFormCompiles(t *testing.T) {
+	for _, c := range []struct {
+		name, program string
+		exprs         []string
+		want, tree    string
+	}{
+		{"keyword", `def now() { return &time; }`, []string{"now()"},
+			"error 106: unknown keyword &time", ""},
+		{"keyword-reached-late", `def f() { return 1 | &time; }`, []string{"f()"},
+			"1", "error 106: unknown keyword &time"},
+		{"keyword-top-level", "", []string{"1 | &time"},
+			"1 error 106: unknown keyword &time", "error 106: unknown keyword &time"},
+		{"malformed-literal", `def f() { return 2r3; }`, []string{"f()"},
+			`error 101: malformed integer literal at 1:18: offending value "2r3"`, ""},
+		{"assign-builtin", `def f(x) { write := x; return x; }`, []string{"f(1)"},
+			"error 106: cannot assign to builtin write", ""},
+		{"assign-native", `def f(x) { g := x; return x; }`, []string{"f(1)"},
+			"error 106: cannot assign to native g", ""},
+		{"aug-assign-builtin", "", []string{"write +:= 1", "write <:= 1 to 2"},
+			"error 102: numeric expected: offending value procedure write; error 102: numeric expected: offending value procedure write", ""},
+		{"unknown-operator", "", []string{"x &:= 1", "x =:= 1", "x @:= 1"},
+			"error 106: unknown operator &:= at 1:3; error 106: unknown operator =:= at 1:3; error 106: unknown operator @:= at 1:3", ""},
+		{"rev-assign-builtin", "", []string{"(write <- 1) | 2"},
+			"error 106: cannot assign to builtin write", ""},
+		{"swap-builtin", "", []string{"y := 1", "y :=: write", "type(y)", "write :=: y"},
+			"1; error 106: cannot assign to builtin write; \"procedure\"; error 106: cannot assign to builtin write", ""},
+		{"alternative-target-builtin", "", []string{"every (z | write) := 1", "z"},
+			"error 106: cannot assign to builtin write; 1", ""},
+		{"unregistered-native", `def f(x) { return x::nosuch(); }`, []string{"f(1)"},
+			"error 106: unregistered native ::nosuch at 1:20", ""},
+		{"suspend-in-expression", `def f(x) { return x + (suspend 1); }`, []string{"f(1)"},
+			"error 106: return/suspend outside a procedure body at 1:24", ""},
+		{"initial-in-expression", `def f(x) { return if x then { initial x := 1; x }; }`, []string{"f(1)"},
+			"error 106: cannot evaluate node at 1:31", ""},
+		{"static-in-expression", `def f(x) { return { static s; s := (\s | 0) + x; s }; }`, []string{"f(1)", "f(2)"},
+			"1; 2", ""},
+		{"break-not-reached", `def f(i) { if i == 2 then break; return i; }`, []string{"f(1)", "f(2)"},
+			"1; error 106: break outside a loop", ""},
+		{"break-in-a-callee", `def f(i) { if i == 2 then break; return i; }
+def g() { every i := 1 to 3 do suspend f(i); }`, []string{"g()"},
+			"1 error 106: break outside a loop", ""},
+		{"next-outside-a-loop", `def f() { next; }`, []string{"f()", "next", "break", "1 | break"},
+			"error 106: next outside a loop body; error 106: next outside a loop body; error 106: break outside a loop; 1 error 106: break outside a loop", ""},
+		{"local-after-global-use", "", []string{"{ zq := 1; local zq := 2; zq }", "zq"},
+			"2; 2", ""},
+		{"local-after-global-use-in-a-procedure", `global g
+def later() { g := 1; local g; return image(g); }`, []string{"later()", "g"},
+			`"&null"; 1`, ""},
+		{"local-a-loop-re-runs", `global x
+def f() { x := "g"; every 1 to 2 do { suspend x; local x := "l"; }; }`, []string{"f()"},
+			`"g" "g"`, `"g" "l"`},
 	} {
-		g, err := vin.EvalGen(src)
-		if err != nil {
-			t.Fatalf("eval %q: %v", src, err)
-		}
-		if _, isFrame := g.(*vm.Frame); isFrame {
-			t.Fatalf("%q unexpectedly compiled", src)
-		}
-		ref, err := pin.EvalGen(src)
-		if err != nil {
-			t.Fatalf("reference eval %q: %v", src, err)
-		}
-		// None of these is value-deterministic; compare lengths only.
-		got, want := drain(g, 50), drain(ref, 50)
-		if len(got) != len(want) {
-			t.Errorf("%q: vm lane %v, tree lane %v", src, got, want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			run := func(in *interp.Interp, compiled bool) string {
+				in.RegisterNative("g", func(...value.V) (value.V, error) { return value.IntV(0), nil })
+				if err := in.LoadProgram(c.program); err != nil {
+					t.Fatalf("load: %v", err)
+				}
+				var out []string
+				for _, e := range c.exprs {
+					g, err := in.EvalGen(e)
+					if err != nil {
+						out = append(out, errorLine(err))
+						continue
+					}
+					if _, ok := g.(*vm.Frame); compiled && !ok {
+						t.Errorf("%s: a %T, not a frame", e, g)
+					}
+					out = append(out, images(g))
+				}
+				for _, m := range regexp.MustCompile(`def (\w+)`).FindAllStringSubmatch(c.program, -1) {
+					if _, ok := in.ProcMachine(m[1]); compiled && !ok {
+						t.Errorf("procedure %s has no Machine", m[1])
+					}
+				}
+				return strings.Join(out, "; ")
+			}
+			want := c.tree
+			if want == "" {
+				want = c.want
+			}
+			if got := run(vmInterp(t, ""), true); got != c.want {
+				t.Errorf("vm        = %s\nwant        %s", got, c.want)
+			}
+			if got := run(plainInterp(t, ""), false); got != want {
+				t.Errorf("tree walk = %s\nwant        %s", got, want)
+			}
+		})
 	}
+}
+
+// images drains g, joining the images of its results and, when it
+// raises, the error.
+func images(g core.Gen) string {
+	var out []string
+	err := core.Protect(func() {
+		for v, ok := g.Next(); ok && len(out) < 50; v, ok = g.Next() {
+			out = append(out, value.Image(value.Deref(v)))
+		}
+	})
+	if err != nil {
+		out = append(out, errorLine(err))
+	}
+	return strings.Join(out, " ")
+}
+
+func errorLine(err error) string {
+	return strings.Replace(err.Error(), "runtime error", "error", 1)
 }
 
 // TestGlobalPersistence pins the REPL rule under the vm: top-level

@@ -23,9 +23,10 @@
 //     lang="junicon"> … @</script>) located by a host-grammar-oblivious
 //     metaparser, an LL(k) parser for the Junicon subset, the §5A
 //     normalization that flattens nested generators into products of bound
-//     iterators, a compiler to bytecode run in resumable frames (with a
-//     tree walk for the units it does not lower), and a translator
-//     emitting Go from the same compiled code.
+//     iterators, a compiler to bytecode run in resumable frames (every
+//     unit compiles; only an embedding's Env lacking a scan environment,
+//     DefineGlobal or native table is refused), and a translator emitting
+//     Go from the same compiled code.
 //
 // # Quickstart
 //

@@ -209,6 +209,13 @@ func TestErrorsSurface(t *testing.T) {
 	if _, err := in.Eval("1/0", 1); err == nil {
 		t.Fatal("runtime error should surface")
 	}
+	// break and next outside a loop raise error 106 into the host, not a
+	// Go panic.
+	for _, src := range []string{"break", "next", "1 | break"} {
+		if _, err := in.Eval(src, 5); err == nil || !strings.Contains(err.Error(), "runtime error 106: ") {
+			t.Errorf("%s: err = %v", src, err)
+		}
+	}
 	var re *junicon.RuntimeError
 	err := junicon.Protect(func() {
 		junicon.Call(junicon.Str("not a proc"))
