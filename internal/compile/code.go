@@ -49,7 +49,8 @@ type Op uint8
 // The instruction set. A/B/C are the instruction operands: A is the
 // primary operand (constant index, slot, jump target, argument count),
 // B names the frame's auxiliary cell backing resumable instructions and
-// C carries an extra constant index where needed.
+// C carries an extra constant index where needed. The opcode table (ops)
+// gives each opcode's operand roles and the rest of its shape.
 const (
 	OpNop Op = iota
 
@@ -147,13 +148,193 @@ const (
 )
 
 // NumOps is the number of defined opcodes — the table size per-opcode
-// consumers (the vm profiler, the disassembler) allocate.
+// consumers (the vm profiler) allocate.
 const NumOps = int(opCount)
+
+// role is what an operand's number names.
+type role uint8
+
+const (
+	roleNone     role = iota
+	rolePC            // a pc: a branch target or failure handler
+	roleSlot          // a frame slot
+	roleGlobal        // a Globals cell
+	roleConst         // a Consts entry
+	roleAux           // an aux cell
+	roleOuter         // scan.resume's outermost aux cell
+	roleInner         // scan.resume's innermost aux cell
+	roleArith         // an ArithNames index
+	roleCmp           // a CmpNames index
+	roleUnary         // a UnaryNames index
+	roleTarget        // an assignment target (see Target); a TargetRef pops a reference
+	roleCount         // pops that many values
+	roleArgc          // pops that many arguments
+	roleSub           // a Subs index
+	roleError         // a runtime error number
+	roleMode          // create's kind (see PipeDefault)
+	roleRefs          // flag: generate references
+	roleArms          // flag: arm the resume point
+	roleLeave         // scan.leave's mode (LeaveForGood, LeaveToResume)
+	roleKeyword       // 0 for &subject, 1 for &pos
+	roleTransmit      // flag: pop a transmitted value
+	roleKeep          // flag: keep the top of stack
+)
+
+// opInfo is an opcode's shape: everything a consumer of a code object
+// needs about an instruction except what it does.
+type opInfo struct {
+	name    string
+	a, b, c role
+	stack   int8   // fixed operand-stack effect; count, argc, transmit and reference-target operands pop on top of it
+	resume  string // the kind of resume point the instruction is ("" none)
+	fails   bool   // may fail, or arm or cut choice points
+	ends    bool   // control never falls through to pc+1
+	suspend bool   // leaves the frame with a value; a resumption continues at pc+1
+	note    string // listing format for the operands' notes ("" is "%s")
+}
+
+// ops is the one description of every instruction's shape: the
+// disassembler, the stack-depth count, the resume table, the pass after
+// lowering and the translator's join points all read it.
+var ops = [opCount]opInfo{
+	OpNop:         {name: "nop"},
+	OpConst:       {name: "const", a: roleConst, stack: 1},
+	OpNull:        {name: "null", stack: 1},
+	OpPop:         {name: "pop", stack: -1},
+	OpPopN:        {name: "pop.n", a: roleCount},
+	OpLoadSlot:    {name: "load.slot", a: roleSlot, stack: 1},
+	OpStoreSlot:   {name: "store.slot", a: roleSlot},
+	OpBindSlot:    {name: "bind.slot", a: roleSlot},
+	OpLoadGlobal:  {name: "load.global", a: roleGlobal, stack: 1},
+	OpStoreGlobal: {name: "store.global", a: roleGlobal},
+
+	OpJump:       {name: "jump", a: rolePC, ends: true},
+	OpFail:       {name: "fail", fails: true, ends: true},
+	OpYield:      {name: "yield", stack: -1, resume: "yield", ends: true, suspend: true},
+	OpReturn:     {name: "return", stack: -1, fails: true, ends: true, suspend: true},
+	OpReturnFail: {name: "return.fail", fails: true, ends: true},
+	OpMark:       {name: "mark", a: rolePC, b: roleAux, resume: "mark", fails: true},
+	OpCut:        {name: "cut", b: roleAux, fails: true},
+	OpFork:       {name: "fork", a: rolePC, resume: "fork", fails: true},
+	OpRepAlt:     {name: "rep.alt", a: rolePC, b: roleAux, resume: "rep-alt", fails: true},
+	OpRepNote:    {name: "rep.note", b: roleAux},
+	OpLimitBegin: {name: "limit.begin", b: roleAux, stack: -1, fails: true},
+	OpLimitCheck: {name: "limit.check", b: roleAux, fails: true},
+	OpInitOnce:   {name: "init.once", a: rolePC, c: roleGlobal},
+
+	OpArith:       {name: "arith", a: roleArith, stack: -1},
+	OpCmp:         {name: "cmp", a: roleCmp, stack: -1, fails: true},
+	OpUnary:       {name: "unary", a: roleUnary},
+	OpNullTest:    {name: "null.test", fails: true},
+	OpNonNullTest: {name: "nonnull.test", fails: true},
+	OpBang:        {name: "bang", a: roleRefs, b: roleAux, resume: "bang", fails: true},
+	OpToBy:        {name: "to.by", b: roleAux, stack: -2, resume: "to-by", fails: true},
+	OpCaseEq:      {name: "case.eq", a: roleSlot, stack: -1, fails: true, note: "subject %s"},
+
+	OpMakeList:     {name: "make.list", a: roleCount, stack: 1},
+	OpIndex:        {name: "index", stack: -1, fails: true},
+	OpIndexVar:     {name: "index.var", stack: -1, fails: true},
+	OpSection:      {name: "section", stack: -2, fails: true},
+	OpField:        {name: "field", a: roleConst, note: ".%s"},
+	OpFieldVar:     {name: "field.var", a: roleConst, note: ".%s"},
+	OpStoreVar:     {name: "store.var", stack: -1},
+	OpAugVar:       {name: "aug.var", a: roleArith, stack: -1},
+	OpCmpAugVar:    {name: "cmp.aug.var", a: roleCmp, stack: -1, fails: true},
+	OpAugSlot:      {name: "aug.slot", a: roleSlot, c: roleArith, note: "%s %s:="},
+	OpCmpAugSlot:   {name: "cmp.aug.slot", a: roleSlot, c: roleCmp, fails: true, note: "%s %s:="},
+	OpAugGlobal:    {name: "aug.global", a: roleGlobal, c: roleArith, note: "%s %s:="},
+	OpCmpAugGlobal: {name: "cmp.aug.global", a: roleGlobal, c: roleCmp, fails: true, note: "%s %s:="},
+	OpRevAssign:    {name: "rev.assign", a: roleTarget, b: roleAux, resume: "undo", fails: true, note: "%s <-"},
+	OpSwap:         {name: "swap", a: roleTarget, b: roleAux, c: roleTarget, stack: 1, fails: true, note: "%s :=: %s"},
+	OpRevSwap:      {name: "rev.swap", a: roleTarget, b: roleAux, c: roleTarget, stack: 1, resume: "undo", fails: true, note: "%s <-> %s"},
+
+	OpCall:       {name: "call", a: roleArgc, b: roleAux, resume: "call", fails: true},
+	OpCall1:      {name: "call1", a: roleArgc, b: roleAux, fails: true},
+	OpCallNative: {name: "call.native", a: roleArgc, b: roleAux, c: roleConst, stack: 1, fails: true},
+
+	OpCreate:   {name: "create", a: roleArgc, b: roleSub, c: roleMode, stack: 1},
+	OpActivate: {name: "activate", a: roleTransmit, fails: true},
+
+	OpScanBegin:  {name: "scan.begin", a: roleArms, b: roleAux, stack: -1, resume: "scan", fails: true},
+	OpScanEnd:    {name: "scan.end", b: roleAux, resume: "scan-end", fails: true},
+	OpScanLeave:  {name: "scan.leave", a: roleLeave, b: roleAux},
+	OpScanResume: {name: "scan.resume", a: roleOuter, b: roleInner},
+	OpScanVar:    {name: "scan.var", a: roleKeyword, stack: 1},
+
+	OpLoadBox:   {name: "load.box", a: roleSlot, stack: 1},
+	OpStoreBox:  {name: "store.box", a: roleSlot, b: roleKeep},
+	OpBoxVar:    {name: "box.var", a: roleSlot, stack: 1},
+	OpGlobalVar: {name: "global.var", a: roleGlobal, stack: 1},
+	OpRandom:    {name: "random", fails: true},
+
+	OpCmpTest: {name: "cmp.test", a: roleCmp, stack: -2, fails: true},
+
+	OpRaise: {name: "raise", a: roleError, c: roleConst, ends: true},
+}
+
+// roles lists an opcode's operand roles, A, B and C.
+func (op Op) roles() [3]role { return [3]role{ops[op].a, ops[op].b, ops[op].c} }
+
+// aux reports whether the role names an aux cell.
+func (r role) aux() bool { return r == roleAux || r == roleOuter || r == roleInner }
+
+// Name returns the opcode's listing mnemonic.
+func (op Op) Name() string {
+	if int(op) < len(ops) && ops[op].name != "" {
+		return ops[op].name
+	}
+	return fmt.Sprintf("op(%d)", op)
+}
+
+// Falls reports whether control can continue from op straight to the
+// next pc.
+func (op Op) Falls() bool { return !ops[op].ends }
 
 // Instr is one instruction.
 type Instr struct {
 	Op      Op
 	A, B, C int32
+}
+
+// Enters returns the pc that in, standing at pc, sends control to other
+// than by falling through: its branch target, or for a yield or return
+// the next pc, where a resumption continues.
+func (in Instr) Enters(pc int) (int, bool) {
+	switch info := &ops[in.Op]; {
+	case info.a == rolePC:
+		return int(in.A), true
+	case info.suspend:
+		return pc + 1, true
+	}
+	return 0, false
+}
+
+// operands returns in's A, B and C operands.
+func (in *Instr) operands() [3]*int32 { return [3]*int32{&in.A, &in.B, &in.C} }
+
+// stackEffect is the net operand-stack change of one instruction.
+func stackEffect(in Instr) int {
+	n := int(ops[in.Op].stack)
+	v := in.operands()
+	for i, r := range in.Op.roles() {
+		switch r {
+		case roleCount, roleArgc, roleTransmit:
+			n -= int(*v[i])
+		case roleTarget:
+			n -= TargetRefs(*v[i])
+		}
+	}
+	return n
+}
+
+// eachAux calls fn on each operand of in that names an aux cell.
+func (in *Instr) eachAux(fn func(cell *int32)) {
+	v := in.operands()
+	for i, r := range in.Op.roles() {
+		if r.aux() {
+			fn(v[i])
+		}
+	}
 }
 
 // Resume is one entry of a code object's resume-point table: an

@@ -134,75 +134,17 @@ func (c *compiler) finish() *Code {
 
 // ----- emission helpers -----
 
-// stackEffect is the net operand-stack change of one instruction.
-func stackEffect(i Instr) int {
-	switch i.Op {
-	case OpConst, OpNull, OpLoadSlot, OpLoadGlobal, OpLoadBox, OpBoxVar, OpGlobalVar:
-		return 1
-	case OpPop, OpYield, OpReturn, OpLimitBegin, OpArith, OpCmp, OpCaseEq,
-		OpIndex, OpIndexVar, OpStoreVar, OpAugVar, OpCmpAugVar, OpScanBegin:
-		return -1
-	case OpAugSlot, OpCmpAugSlot, OpAugGlobal, OpCmpAugGlobal:
-		return 0
-	case OpScanVar:
-		return 1
-	case OpRevAssign:
-		return -TargetRefs(i.A)
-	case OpSwap, OpRevSwap:
-		return 1 - TargetRefs(i.A, i.C)
-	case OpCreate:
-		return 1 - int(i.A)
-	case OpActivate:
-		return -int(i.A)
-	case OpPopN:
-		return -int(i.A)
-	case OpToBy, OpSection, OpCmpTest:
-		return -2
-	case OpMakeList:
-		return 1 - int(i.A)
-	case OpCall, OpCall1:
-		return -int(i.A)
-	case OpCallNative:
-		return 1 - int(i.A)
-	default:
-		return 0
-	}
-}
-
+// emit appends one instruction, keeping the static depth and the resume
+// table (a scan.begin is a resume point only when it arms one).
 func (c *compiler) emit(op Op, a, b, cc int32) int {
 	in := Instr{Op: op, A: a, B: b, C: cc}
 	c.code.Instrs = append(c.code.Instrs, in)
 	c.depth += stackEffect(in)
 	pc := len(c.code.Instrs) - 1
-	switch op {
-	case OpYield:
-		c.addResume(pc, "yield")
-	case OpMark:
-		c.addResume(pc, "mark")
-	case OpFork:
-		c.addResume(pc, "fork")
-	case OpRepAlt:
-		c.addResume(pc, "rep-alt")
-	case OpCall:
-		c.addResume(pc, "call")
-	case OpBang:
-		c.addResume(pc, "bang")
-	case OpToBy:
-		c.addResume(pc, "to-by")
-	case OpRevAssign, OpRevSwap:
-		c.addResume(pc, "undo")
-	case OpScanBegin:
-		if a != 0 {
-			c.addResume(pc, "scan")
-		}
-	case OpScanEnd:
-		c.addResume(pc, "scan-end")
+	if kind := ops[op].resume; kind != "" && (ops[op].a != roleArms || a != 0) {
+		c.code.Resumes = append(c.code.Resumes, Resume{PC: pc, Kind: kind})
 	}
 	return pc
-}
-
-func (c *compiler) addResume(pc int, kind string) {
-	c.code.Resumes = append(c.code.Resumes, Resume{PC: pc, Kind: kind})
 }
 
 // here is the pc of the next instruction to be emitted.

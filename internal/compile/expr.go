@@ -114,15 +114,15 @@ func (c *compiler) expr(n ast.Node) {
 		c.varDecl(x)
 		c.emit(OpNull, 0, 0, 0) // the declaration's value is &null
 	case *ast.If:
-		c.ifExpr(x)
+		c.ifExpr(x, false)
 	case *ast.While:
-		c.loopExpr(loopWhile, x.Cond, x.Body, x.Until)
+		c.loopCompile(loopWhile, x.Cond, x.Body, x.Until, false)
 	case *ast.Every:
-		c.loopExpr(loopEvery, x.E, x.Body, false)
+		c.loopCompile(loopEvery, x.E, x.Body, false, false)
 	case *ast.Repeat:
-		c.loopExpr(loopRepeat, nil, x.Body, false)
+		c.loopCompile(loopRepeat, nil, x.Body, false, false)
 	case *ast.Case:
-		c.caseExpr(x)
+		c.caseExpr(x, false)
 	case *ast.Break:
 		d := c.depth
 		c.breakFrom(x.E)
@@ -278,10 +278,7 @@ func (c *compiler) unary(x *ast.Unary) {
 		c.emit(OpRepNote, 0, aux, 0)
 	case "not":
 		d := c.depth
-		aux := c.newAux()
-		m := c.emit(OpMark, -1, aux, 0)
-		c.expr(x.X)
-		c.emit(OpCut, 0, aux, 0)
+		m := c.bounded(x.X)
 		c.emit(OpPop, 0, 0, 0)
 		c.emit(OpFail, 0, 0, 0)
 		c.patchA(m)
@@ -575,14 +572,21 @@ func (c *compiler) augAssign(x *ast.Binary) bool {
 	return true
 }
 
+// bounded compiles e cut to its first result: a mark, e and the cut. It
+// returns the mark's site, for the caller to point where failure goes.
+func (c *compiler) bounded(e ast.Node) int {
+	aux := c.newAux()
+	m := c.emit(OpMark, -1, aux, 0)
+	c.expr(e)
+	c.emit(OpCut, 0, aux, 0)
+	return m
+}
+
 // boundedDiscard compiles s as a bounded, discarded evaluation: at most one
 // result, failure ignored — the kernel's sequence-term discipline.
 func (c *compiler) boundedDiscard(s ast.Node) {
 	d := c.depth
-	aux := c.newAux()
-	m := c.emit(OpMark, -1, aux, 0)
-	c.expr(s)
-	c.emit(OpCut, 0, aux, 0)
+	m := c.bounded(s)
 	c.emit(OpPop, 0, 0, 0)
 	c.patchA(m)
 	c.depth = d
@@ -604,10 +608,7 @@ func (c *compiler) varDecl(x *ast.VarDecl) {
 			c.emit(OpPop, 0, 0, 0)
 			continue
 		}
-		aux := c.newAux()
-		m := c.emit(OpMark, -1, aux, 0)
-		c.expr(x.Inits[i])
-		c.emit(OpCut, 0, aux, 0)
+		m := c.bounded(x.Inits[i])
 		c.declStore(x, name)
 		c.emit(OpPop, 0, 0, 0)
 		done := c.emit(OpJump, -1, 0, 0)
@@ -642,38 +643,40 @@ func (c *compiler) declStore(n ast.Node, name string) {
 	c.emit(OpStoreGlobal, c.global(name, cell), 0, 0)
 }
 
-// ifExpr compiles if/then/else in expression position: the condition is
-// bounded; the chosen branch supplies the result sequence.
-func (c *compiler) ifExpr(x *ast.If) {
+// ifExpr compiles if/then/else: the condition is bounded, and the chosen
+// branch supplies the result sequence — or, with statement set, runs as a
+// statement, and a false condition with no else completes the statement
+// instead of failing.
+func (c *compiler) ifExpr(x *ast.If, statement bool) {
+	branch := c.branch(statement)
 	d := c.depth
-	aux := c.newAux()
-	m := c.emit(OpMark, -1, aux, 0)
-	c.expr(x.Cond)
-	c.emit(OpCut, 0, aux, 0)
+	m := c.bounded(x.Cond)
 	c.emit(OpPop, 0, 0, 0)
-	c.expr(x.Then)
+	branch(x.Then)
 	end := c.emit(OpJump, -1, 0, 0)
 	c.patchA(m)
 	c.depth = d
-	if x.Else == nil {
+	switch {
+	case x.Else != nil:
+		branch(x.Else)
+	case !statement:
 		c.emit(OpFail, 0, 0, 0)
 		c.depth++
-	} else {
-		c.expr(x.Else)
 	}
 	c.patchA(end)
 }
 
-// caseExpr compiles a case expression. The subject is evaluated boundedly
-// and pinned in a hidden slot; each selector's results are searched for ===
-// equivalence (a mismatch fails back into the selector, a spent selector
-// fails over to the next clause), and a match commits to its branch.
-func (c *compiler) caseExpr(x *ast.Case) {
+// caseExpr compiles a case expression, or with statement set a case
+// statement. The subject is evaluated boundedly and pinned in a hidden
+// slot; each selector's results are searched for === equivalence (a
+// mismatch fails back into the selector, a spent selector fails over to
+// the next clause), and a match commits to its branch. A failed subject,
+// or one no clause matches, fails the expression and completes the
+// statement.
+func (c *compiler) caseExpr(x *ast.Case, statement bool) {
+	branch := c.branch(statement)
 	d := c.depth
-	subjAux := c.newAux()
-	subjFail := c.emit(OpMark, -1, subjAux, 0)
-	c.expr(x.Subject)
-	c.emit(OpCut, 0, subjAux, 0)
+	subjFail := c.bounded(x.Subject)
 	subj := c.hiddenSlot("case")
 	c.emit(OpBindSlot, subj, 0, 0)
 	c.emit(OpPop, 0, 0, 0)
@@ -698,26 +701,44 @@ func (c *compiler) caseExpr(x *ast.Case) {
 		c.depth = d
 	}
 	var ends []int
+	unmatched := func() {
+		if statement {
+			ends = append(ends, c.emit(OpJump, -1, 0, 0))
+		} else {
+			c.emit(OpFail, 0, 0, 0)
+		}
+	}
 	if hasDefault {
-		c.expr(deflt)
+		branch(deflt)
 		ends = append(ends, c.emit(OpJump, -1, 0, 0))
 	} else {
-		c.emit(OpFail, 0, 0, 0)
+		unmatched()
 	}
-	// Subject failure fails the whole expression.
 	c.patchA(subjFail)
 	c.depth = d
-	c.emit(OpFail, 0, 0, 0)
+	unmatched()
 	for i, site := range bodies {
 		c.patchA(site)
 		c.depth = d
-		c.expr(bodyExprs[i])
+		branch(bodyExprs[i])
 		ends = append(ends, c.emit(OpJump, -1, 0, 0))
 	}
 	for _, site := range ends {
 		c.patchA(site)
 	}
-	c.depth = d + 1
+	c.depth = d
+	if !statement {
+		c.depth++
+	}
+}
+
+// branch returns how a branch of a conditional compiles: as an
+// expression, or in statement position as a statement.
+func (c *compiler) branch(statement bool) func(ast.Node) {
+	if statement {
+		return c.stmt
+	}
+	return c.expr
 }
 
 // Loop kinds for the shared loop compiler.
@@ -728,12 +749,6 @@ const (
 	loopEvery
 	loopRepeat
 )
-
-// loopExpr compiles while/until/every/repeat in expression position. The
-// loop fails unless a break delegates an outcome.
-func (c *compiler) loopExpr(kind loopKind, head, body ast.Node, until bool) {
-	c.loopCompile(kind, head, body, until, false)
-}
 
 // loopCompile is the shared loop lowering; statement reports statement
 // position (the body compiles as a statement, break outcomes are bounded

@@ -80,7 +80,8 @@ func (e *emitter) unit(code *compile.Code, id, recv string) {
 		} else if !live {
 			continue // unreachable: nothing jumps or falls here
 		}
-		live = e.instr(int32(pc), in)
+		e.instr(int32(pc), in)
+		live = in.Op.Falls()
 	}
 	e.linef("default:\npanic(%q)\n}\n}\n}\n", "translated "+id+": bad pc")
 }
@@ -92,172 +93,159 @@ func joinPoints(code *compile.Code) map[int]bool {
 		joins[r.PC] = true
 	}
 	for pc, in := range code.Instrs {
-		switch in.Op {
-		case compile.OpJump, compile.OpMark, compile.OpFork, compile.OpRepAlt, compile.OpInitOnce:
-			joins[int(in.A)] = true
-		case compile.OpYield, compile.OpReturn:
-			joins[pc+1] = true
+		if to, ok := in.Enters(pc); ok {
+			joins[to] = true
 		}
 	}
 	return joins
 }
 
-// instr emits one instruction as calls of its vm.Frame method, reporting
-// whether control can fall through to the next one.
-func (e *emitter) instr(pc int32, in compile.Instr) bool {
+// instr emits one instruction as calls of its vm.Frame method.
+func (e *emitter) instr(pc int32, in compile.Instr) {
 	a, b, c := in.A, in.B, in.C
-	call := func(format string, args ...any) bool {
+	call := func(format string, args ...any) {
 		e.linef("r."+format, args...)
-		return true
 	}
 	// test emits an instruction that may fail: failure backtracks.
-	test := func(format string, args ...any) bool {
+	test := func(format string, args ...any) {
 		e.linef("if !r."+format+" {", args...)
 		e.linef("if !r.Fail() {\nreturn nil, false\n}\ncontinue\n}")
-		return true
 	}
 	// handler emits an instruction whose re-entry by failure continues at A.
-	handler := func(format string, args ...any) bool {
+	handler := func(format string, args ...any) {
 		e.linef("if "+format+" {", args...)
 		e.linef("r.Goto(%d)\ncontinue\n}", a)
-		return true
 	}
 	switch in.Op {
 	case compile.OpNop:
-		return true
 	case compile.OpConst:
-		return call("Const(%d)", a)
+		call("Const(%d)", a)
 	case compile.OpNull:
-		return call("Null()")
+		call("Null()")
 	case compile.OpPop:
-		return call("Pop()")
+		call("Pop()")
 	case compile.OpPopN:
-		return call("PopN(%d)", a)
+		call("PopN(%d)", a)
 	case compile.OpLoadSlot:
-		return call("LoadSlot(%d)", a)
+		call("LoadSlot(%d)", a)
 	case compile.OpStoreSlot:
-		return call("StoreSlot(%d)", a)
+		call("StoreSlot(%d)", a)
 	case compile.OpBindSlot:
-		return call("BindSlot(%d)", a)
+		call("BindSlot(%d)", a)
 	case compile.OpLoadGlobal:
-		return call("LoadGlobal(%d)", a)
+		call("LoadGlobal(%d)", a)
 	case compile.OpStoreGlobal:
-		return call("StoreGlobal(%d)", a)
+		call("StoreGlobal(%d)", a)
 	case compile.OpLoadBox:
-		return call("LoadBox(%d)", a)
+		call("LoadBox(%d)", a)
 	case compile.OpStoreBox:
-		return call("StoreBox(%d, %d)", a, b)
+		call("StoreBox(%d, %d)", a, b)
 	case compile.OpBoxVar:
-		return call("BoxVar(%d)", a)
+		call("BoxVar(%d)", a)
 	case compile.OpGlobalVar:
-		return call("GlobalVar(%d)", a)
+		call("GlobalVar(%d)", a)
 
 	case compile.OpJump:
 		e.linef("r.Goto(%d)\ncontinue", a)
-		return false
 	case compile.OpFail:
 		e.linef("if !r.Fail() {\nreturn nil, false\n}\ncontinue")
-		return false
 	case compile.OpYield:
 		e.linef("return r.Yield(%d)", pc+1)
-		return false
 	case compile.OpReturn:
 		e.linef("return r.Return(%d)", pc+1)
-		return false
 	case compile.OpReturnFail:
 		e.linef("return r.ReturnFail()")
-		return false
 	case compile.OpMark:
-		return handler("r.Mark(%d, %d)", b, pc)
+		handler("r.Mark(%d, %d)", b, pc)
 	case compile.OpCut:
-		return call("Cut(%d)", b)
+		call("Cut(%d)", b)
 	case compile.OpFork:
-		return handler("r.Fork(%d)", pc)
+		handler("r.Fork(%d)", pc)
 	case compile.OpRepAlt:
-		return test("RepAlt(%d, %d)", b, pc)
+		test("RepAlt(%d, %d)", b, pc)
 	case compile.OpRepNote:
-		return call("RepNote(%d)", b)
+		call("RepNote(%d)", b)
 	case compile.OpLimitBegin:
-		return test("LimitBegin(%d)", b)
+		test("LimitBegin(%d)", b)
 	case compile.OpLimitCheck:
-		return call("LimitCheck(%d)", b)
+		call("LimitCheck(%d)", b)
 	case compile.OpInitOnce:
-		return handler("!r.InitOnce(%d)", c)
+		handler("!r.InitOnce(%d)", c)
 
 	case compile.OpArith:
-		return call("Arith(%d)", a)
+		call("Arith(%d)", a)
 	case compile.OpCmp:
-		return test("Cmp(%d)", a)
+		test("Cmp(%d)", a)
 	case compile.OpCmpTest:
-		return test("CmpTest(%d)", a)
+		test("CmpTest(%d)", a)
 	case compile.OpRaise:
 		e.linef("r.Raise(%d, %d)", a, c)
-		return false
 	case compile.OpUnary:
-		return call("Unary(%d)", a)
+		call("Unary(%d)", a)
 	case compile.OpNullTest:
-		return test("NullTest()")
+		test("NullTest()")
 	case compile.OpNonNullTest:
-		return test("NonNullTest()")
+		test("NonNullTest()")
 	case compile.OpRandom:
-		return test("Random()")
+		test("Random()")
 	case compile.OpBang:
-		return test("Bang(%d, %d, %v)", b, pc, a != 0)
+		test("Bang(%d, %d, %v)", b, pc, a != 0)
 	case compile.OpToBy:
-		return test("ToBy(%d, %d)", b, pc)
+		test("ToBy(%d, %d)", b, pc)
 	case compile.OpCaseEq:
-		return test("CaseEq(%d)", a)
+		test("CaseEq(%d)", a)
 
 	case compile.OpMakeList:
-		return call("MakeList(%d)", a)
+		call("MakeList(%d)", a)
 	case compile.OpIndex, compile.OpIndexVar:
-		return test("Index()")
+		test("Index()")
 	case compile.OpSection:
-		return test("Section()")
+		test("Section()")
 	case compile.OpField, compile.OpFieldVar:
-		return call("Field(%d)", a)
+		call("Field(%d)", a)
 	case compile.OpStoreVar:
-		return call("StoreVar()")
+		call("StoreVar()")
 	case compile.OpAugVar:
-		return call("AugVar(%d)", a)
+		call("AugVar(%d)", a)
 	case compile.OpCmpAugVar:
-		return test("CmpAugVar(%d)", a)
+		test("CmpAugVar(%d)", a)
 	case compile.OpAugSlot:
-		return call("AugSlot(%d, %d)", a, c)
+		call("AugSlot(%d, %d)", a, c)
 	case compile.OpCmpAugSlot:
-		return test("CmpAugSlot(%d, %d)", a, c)
+		test("CmpAugSlot(%d, %d)", a, c)
 	case compile.OpAugGlobal:
-		return call("AugGlobal(%d, %d)", a, c)
+		call("AugGlobal(%d, %d)", a, c)
 	case compile.OpCmpAugGlobal:
-		return test("CmpAugGlobal(%d, %d)", a, c)
+		test("CmpAugGlobal(%d, %d)", a, c)
 	case compile.OpRevAssign:
-		return test("RevAssign(%d, %d, %d)", a, b, pc)
+		test("RevAssign(%d, %d, %d)", a, b, pc)
 	case compile.OpSwap, compile.OpRevSwap:
-		return test("Swap(%d, %d, %d, %d, %v)", a, b, c, pc, in.Op == compile.OpRevSwap)
+		test("Swap(%d, %d, %d, %d, %v)", a, b, c, pc, in.Op == compile.OpRevSwap)
 
 	case compile.OpCall:
-		return test("Call(%d, %d, %d)", a, b, pc)
+		test("Call(%d, %d, %d)", a, b, pc)
 	case compile.OpCall1:
-		return test("Call1(%d, %d)", a, b)
+		test("Call1(%d, %d)", a, b)
 	case compile.OpCallNative:
-		return test("CallNative(%d, %d, %d)", a, b, c)
+		test("CallNative(%d, %d, %d)", a, b, c)
 	case compile.OpCreate:
-		return call("Create(%d, %d, %d)", a, b, c)
+		call("Create(%d, %d, %d)", a, b, c)
 	case compile.OpActivate:
-		return test("Activate(%d)", a)
+		test("Activate(%d)", a)
 
 	case compile.OpScanBegin:
-		return test("ScanBegin(%d, %d, %d)", a, b, pc)
+		test("ScanBegin(%d, %d, %d)", a, b, pc)
 	case compile.OpScanEnd:
-		return test("ScanEnd(%d, %d)", b, pc)
+		test("ScanEnd(%d, %d)", b, pc)
 	case compile.OpScanLeave:
-		return call("ScanLeave(%d, %d)", a, b)
+		call("ScanLeave(%d, %d)", a, b)
 	case compile.OpScanResume:
-		return call("ScanResume(%d, %d)", a, b)
+		call("ScanResume(%d, %d)", a, b)
 	case compile.OpScanVar:
-		return call("ScanVar(%d)", a)
+		call("ScanVar(%d)", a)
+	default:
+		panic("translate: no emission for opcode " + in.Op.Name())
 	}
-	panic("translate: no emission for opcode " + in.Op.Name())
 }
 
 // constants spells a constant pool in Go: literals as themselves, the
