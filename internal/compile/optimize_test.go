@@ -80,13 +80,13 @@ func TestPassRulesAtTheirEdges(t *testing.T) {
 			[]string{"f(1)", "f(0)"}, compile.OpLoadSlot, 2},
 		{"join-after-failed-test", `def f(b) { x := 5; if b > 0 then x := 1; return x; }`,
 			[]string{"f(1)", "f(0)"}, compile.OpLoadSlot, 2},
-		// Rule 2 on a temporary; a boxed slot (shared with a bare <>) is
+		// Rule 3 on a temporary; a boxed slot (shared with a bare <>) is
 		// stored through its cell, never by bind.slot, and keeps its loads.
 		{"reload-unboxed", `def f(L) { x := L[1]; return x; }`,
 			[]string{"f([4])", "f([])"}, compile.OpBindSlot, 0},
 		{"reload-boxed", `def f() { x := 1; g := <> (x +:= 1); @g; y := x; return [x, y]; }`,
 			[]string{"f()"}, compile.OpLoadBox, 2},
-		// Rule 4: a comparison whose result is used keeps cmp; one whose
+		// Rule 5: a comparison whose result is used keeps cmp; one whose
 		// result is popped becomes cmp.test.
 		{"cmp-used", `def f(x) { return 1 < x; }`,
 			[]string{"f(2)", "f(0)", `f("3")`}, compile.OpCmp, 1},
@@ -110,6 +110,16 @@ func TestPassRulesAtTheirEdges(t *testing.T) {
 			[]string{`f([1, 2, "a", 4])`}, compile.OpMark, 4},
 		{"raise-in-elided-statement", `def f() { s := 1; write("before"); s +:= "a"; write("after"); return s; }`,
 			[]string{"f()"}, compile.OpMark, 2},
+		// Rule 2: the return.fail a failed return expression would reach
+		// goes with the mark rule 1 deleted, and so does the procedure's
+		// closing one, after the return's fail; code after a raise goes.
+		{"unreached-after-return", `def f(x) { if x > 1 then return x; return 0; }`,
+			[]string{"f(2)", "f(1)"}, compile.OpReturnFail, 0},
+		{"unreached-after-raise", `def f(x) { write(x); write := x; write(2); return x; }`,
+			[]string{"f(1)"}, compile.OpReturn, 0},
+		// A jump to the next pc falls through: the branch after it stays.
+		{"jump-to-next-falls", `def f(x) { if x > 1 then break; return x; }`,
+			[]string{"f(2)", "f(1)"}, compile.OpReturn, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
