@@ -372,8 +372,22 @@ func (in *Interp) makeCoexpr(body ast.Node, env *Env) *coexpr.CoExpr {
 		for i, name := range names {
 			shadow.vars[name] = cells[i]
 		}
-		return in.eval(body, shadow)
+		return unitBody{in.eval(body, shadow)}
 	})
+}
+
+// unitBody is a create body, a unit of its own: a break or next no loop
+// of the body caught raises in it, as in a procedure body, instead of
+// ending the loop that activates it.
+type unitBody struct{ core.Gen }
+
+func (b unitBody) Next() (value.V, bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(core.StrayExit(r))
+		}
+	}()
+	return b.Gen.Next()
 }
 
 // freeLocals collects, in first-use order, identifiers in n bound to local

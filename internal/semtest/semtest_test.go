@@ -162,6 +162,12 @@ def set() { left := "set"; return image(left); }
 	cases = append(cases,
 		Case{Name: "raise/keyword", Program: `def now() { return &time; }`, Expr: "(1 to 2) | now()"},
 	)
+	// A break or next no loop of a co-expression or pipe body catches
+	// raises in the body, a unit of its own, not in the activating loop.
+	cases = append(cases,
+		Case{Name: "raise/break-in-coexpr", Expr: "every i := 1 to 3 do @(|<> break)"},
+		Case{Name: "raise/next-in-coexpr", Expr: "every i := 1 to 3 do @(|<> (i & next))"},
+	)
 	return cases
 }
 
