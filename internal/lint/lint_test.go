@@ -1,6 +1,10 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"strings"
 	"testing"
 )
@@ -41,6 +45,40 @@ func leak(g core.Gen) int {
 	return v
 }
 `, "pipestop")
+}
+
+// TestPipeCreatorsCoverPackagePipe: every exported function of package
+// pipe that returns a *Pipe is a creation pipestop tracks, so a new
+// constructor cannot leak unnoticed.
+func TestPipeCreatorsCoverPackagePipe(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "../pipe", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil || pkgs["pipe"] == nil {
+		t.Fatalf("parse internal/pipe: %v", err)
+	}
+	n := 0
+	for _, file := range pkgs["pipe"].Files {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil {
+				continue
+			}
+			for _, res := range fn.Type.Results.List {
+				if star, ok := res.Type.(*ast.StarExpr); ok {
+					if id, ok := star.X.(*ast.Ident); ok && id.Name == "Pipe" {
+						n++
+						if !pipeCreators[fn.Name.Name] {
+							t.Errorf("pipe.%s returns a *Pipe but is not in pipeCreators", fn.Name.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no function of package pipe returns a *Pipe: the scan is broken")
+	}
 }
 
 func TestPipeStopReleased(t *testing.T) {

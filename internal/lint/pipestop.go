@@ -15,8 +15,8 @@ import (
 //
 // The check is syntactic: a creation is an assignment whose right side
 // calls pipe.New / pipe.FromGen / pipe.NewBatched / pipe.FromGenBatched /
-// pipe.NewBatchedWithQueue / pipe.NewInline / pipe.Chain /
-// pipe.ChainBatched. Any appearance of the variable outside
+// pipe.NewWithQueue / pipe.NewBatchedWithQueue / pipe.NewInline /
+// pipe.Chain / pipe.ChainBatched. Any appearance of the variable outside
 // method-receiver position (argument, return value, composite literal,
 // channel send, assignment to a field) counts as an escape and silences
 // the check — whoever received the value owns the release.
@@ -28,7 +28,7 @@ var pipeStop = &Analyzer{
 
 var pipeCreators = map[string]bool{
 	"New": true, "FromGen": true, "NewBatched": true, "FromGenBatched": true,
-	"NewBatchedWithQueue": true, "NewInline": true,
+	"NewWithQueue": true, "NewBatchedWithQueue": true, "NewInline": true,
 	"Chain": true, "ChainBatched": true,
 }
 
