@@ -215,6 +215,21 @@ func TestDepthsStayStatic(t *testing.T) {
 	}
 }
 
+// TestEveryOpcodeIsDescribed: every opcode has a row in the opcode table,
+// and its mnemonic is shorter than the listing's mnemonic column, so at
+// least one space parts it from its operands.
+func TestEveryOpcodeIsDescribed(t *testing.T) {
+	for op := range opCount {
+		name := ops[op].name
+		if name == "" {
+			t.Errorf("opcode %d has no row in the opcode table", op)
+		}
+		if len(name) >= mnemonicColumn {
+			t.Errorf("%s: %d characters, the listing's column is %d", name, len(name), mnemonicColumn)
+		}
+	}
+}
+
 // TestAuxOperandsMatchTheListing: the operands eachAux visits are the ones
 // the disassembler shows as aux cells (aux=, or scan.resume's outer= and
 // inner=), opcode by opcode. Rule 1 counts a cell's users and rule 6

@@ -61,9 +61,20 @@ func (c *Code) disassemble(b *strings.Builder) {
 		b.WriteByte('\n')
 	}
 	for pc, in := range c.Instrs {
-		fmt.Fprintf(b, "  %4d: %-14s%s\n", pc, in.Op.Name(), c.operands(in))
+		fmt.Fprintf(b, "  %4d: %-*s%s\n", pc, mnemonicColumn, in.Op.Name(), c.operands(in))
 	}
 }
+
+// mnemonicColumn is the width of the listing's mnemonic column: the
+// longest mnemonic in the opcode table plus one space, so no operand runs
+// into its opcode.
+var mnemonicColumn = func() int {
+	n := 0
+	for _, info := range ops {
+		n = max(n, len(info.name))
+	}
+	return n + 1
+}()
 
 // operands renders one instruction's operands from the opcode table: the
 // numbers A and B stand for (the first padded when more follows), then,
