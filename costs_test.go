@@ -8,6 +8,7 @@ package junicon_test
 import (
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"junicon/internal/checkpoint"
 	"junicon/internal/compile"
 	"junicon/internal/core"
 	"junicon/internal/interp"
@@ -33,10 +35,12 @@ var costsGolden = filepath.Join("testdata", "costs.golden")
 // and aux cells of each unit the set compiles to, and the steady-state
 // allocations of the two drain lanes (BenchmarkVMPrimes_VM and
 // BenchmarkVMEveryLoop_VM: the least of three runs of 200 drains, at one
-// and at four logical CPUs, whichever is greater). A row
-// that rises fails; one that falls passes, and -update records it.
+// and at four logical CPUs, whichever is greater). The checkpoint layer's
+// rows are checkpointCosts'. A row that rises fails; one that falls
+// passes, and -update records it.
 func TestCosts(t *testing.T) {
 	got := vmDriverCosts(t)
+	maps.Copy(got, checkpointCosts(t))
 	want := map[string]int64{}
 	if data, err := os.ReadFile(costsGolden); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
@@ -199,6 +203,66 @@ func vmDriverCosts(t *testing.T) map[string]int64 {
 			most = max(most, least)
 		}
 		row(lane.name, "allocs_per_op", most)
+	}
+	return rows
+}
+
+// checkpointCosts measures the checkpoint layer on the scenarios of the
+// golden blobs under internal/checkpoint/testdata: each blob's expression,
+// evaluated over its program and drained to its cut, is snapshotted again.
+// The rows are the blob's size and the allocations of one Snapshot of that
+// frame and of one Restore of the blob (the least of three runs of 20).
+func checkpointCosts(t *testing.T) map[string]int64 {
+	rows := map[string]int64{}
+	blobs, err := filepath.Glob(filepath.Join("internal", "checkpoint", "testdata", "*.jsnp"))
+	if err != nil || len(blobs) == 0 {
+		t.Fatalf("no golden blobs (err=%v)", err)
+	}
+	least := func(f func()) int64 {
+		n := int64(-1)
+		for range 3 {
+			if a := int64(testing.AllocsPerRun(20, f)); n < 0 || a < n {
+				n = a
+			}
+		}
+		return n
+	}
+	for _, path := range blobs {
+		meta, err := checkpoint.Peek([]byte(readFile(t, path)))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		in := interp.New(interp.WithOutput(io.Discard), interp.WithVM())
+		if err := in.LoadProgram(meta.Program); err != nil {
+			t.Fatalf("%s: load: %v", path, err)
+		}
+		g, err := in.EvalGen(meta.Expr)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for range meta.Produced {
+			g.Next()
+		}
+		blob, err := checkpoint.Snapshot(g, *meta)
+		if err != nil {
+			t.Fatalf("%s: snapshot: %v", path, err)
+		}
+		m, err := in.ExprMachine(meta.Expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenario := "checkpoint\t" + meta.Expr + " after " + strconv.FormatUint(meta.Produced, 10) + "\t"
+		rows[scenario+"blob_bytes"] = int64(len(blob))
+		rows[scenario+"snapshot_allocs_per_op"] = least(func() {
+			if _, err := checkpoint.Snapshot(g, *meta); err != nil {
+				t.Fatal(err)
+			}
+		})
+		rows[scenario+"restore_allocs_per_op"] = least(func() {
+			if _, _, err := checkpoint.Restore(blob, m, in.ProcMachine); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	return rows
 }
