@@ -37,6 +37,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,14 +176,16 @@ type Handle struct {
 // ID when it has one already (the one its OPEN frame carried, or a
 // session's connection ID, which the wire needs observed or not); 0
 // allocates a fresh one, and Open is the one place that does. kind is one
-// of the Kind constants; label is free-form ("serve:range", "pipe"). The record
+// of the Kind constants; label is free-form ("serve:range", "pipe"), given
+// in parts that are joined only when a record opens. The record
 // enters the registry only while Enable is in force; it emits stream-open
 // and counts one stream of its kind. Every record is closed once, by Close.
-func Open(id uint64, kind, label string) *Handle {
+func Open(id uint64, kind string, labelParts ...string) *Handle {
 	listed := enabled.Load()
 	if !listed && !telemetry.Active() {
 		return nil
 	}
+	label := strings.Join(labelParts, "")
 	if id == 0 {
 		id = telemetry.NextStream()
 	}

@@ -526,8 +526,12 @@ func parseSnapshot(payload []byte) (produced uint64, ok bool, rest []byte, err e
 	return produced, ok, r.Rest(), nil
 }
 
-// creditPayload encodes a CREDIT grant.
-func creditPayload(n uint64) []byte { return binary.AppendUvarint(nil, n) }
+// creditPayload encodes a CREDIT grant. It inlines, so the array stays on
+// the caller's stack: enqueue copies the payload.
+func creditPayload(n uint64) []byte {
+	var b [binary.MaxVarintLen64]byte
+	return b[:binary.PutUvarint(b[:], n)]
+}
 
 func parseCredit(payload []byte) (uint64, error) {
 	u, n := binary.Uvarint(payload)

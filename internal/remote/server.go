@@ -2,6 +2,7 @@ package remote
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -52,10 +53,11 @@ const (
 type Generator func(args []value.V) (core.Gen, error)
 
 // Server serves registered generators — and, when AllowSource is set,
-// vetted Junicon source — over the remote-pipe protocol. Every stream gets
-// one producer goroutine whose pace is governed entirely by the client's
-// credits: the remote pipe's buffer bound throttles this goroutine exactly
-// as §3B's bounded queue throttles a local pipe producer.
+// vetted Junicon source — over the remote-pipe protocol. Each stream is
+// served by a producer goroutine its session owns, whose pace is governed
+// entirely by the client's credits: the remote pipe's buffer bound
+// throttles it exactly as §3B's bounded queue throttles a local pipe
+// producer.
 type Server struct {
 	// AllowSource permits OPEN frames carrying Junicon source. Source is
 	// gated through the internal/analyze static analyzer: programs with
@@ -84,7 +86,7 @@ type Server struct {
 	closed   bool
 
 	conns   atomic.Int64 // active connections (accepted, not yet closed)
-	streams atomic.Int64 // active producer goroutines
+	streams atomic.Int64 // streams being served
 	served  atomic.Int64 // streams opened over the server's lifetime
 	wg      sync.WaitGroup
 }
@@ -114,8 +116,8 @@ func (s *Server) Names() []string {
 // ActiveConns reports currently accepted connections.
 func (s *Server) ActiveConns() int { return int(s.conns.Load()) }
 
-// ActiveStreams reports currently running producer goroutines — the
-// server-side per-stream goroutine accounting.
+// ActiveStreams reports the streams being served — producers parked
+// between streams are not counted.
 func (s *Server) ActiveStreams() int { return int(s.streams.Load()) }
 
 // Served reports the total number of streams opened.
@@ -237,6 +239,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	ih := inspect.Open(0, inspect.KindSession, "session:"+remoteAddr+" (serve)")
 	sess := newSession(conn, &role{frames: serverFrames, orphan: s.openStream}, ih, idle)
+	sess.peer = remoteAddr
 	// A peer that sent no connection ID is grouped under this end's record.
 	sess.id = cmp.Or(hello.stream, ih.ID())
 	ih.SetConn(sess.id)
@@ -295,15 +298,16 @@ func (s *Server) openStream(sess *Session, typ byte, sid uint32, payload []byte)
 		}
 	}
 	sess.io.enqueue(frameErr, sid, errPayload(class, err.Error()))
-	s.refused("stream refused", sess.io.conn.RemoteAddr().String(), err)
+	s.refused("stream refused", sess.peer, err)
 }
 
 // served is one stream on the server: the credit account the session's
 // handlers deposit into, the run of encoded values waiting for a flush,
-// and the producer goroutine that turns credits into values. Every stream
-// gets one producer, and its exit retires the stream (accounting, the
-// table entry, the stream-done log), so each retires independently of its
-// siblings.
+// and the producer that turns credits into values. The producer is one of
+// the session's goroutines, lent to the stream for its life (§5D's
+// managed threads): the end of its run retires the stream (accounting,
+// the table entry, the stream-done log), so each retires independently of
+// its siblings, and the goroutine parks for the session's next OPEN.
 type served struct {
 	srv    *Server
 	sess   *Session
@@ -328,28 +332,28 @@ type served struct {
 	snapReq   bool   // a SNAPREQ awaits a forced snapshot answer
 	reason    string // why the stream ended; the first to say wins
 
-	// The run: marshaled values accumulate in pending and ship as one
-	// VALUES frame of at most batch. Credit accounting stays per value —
-	// the producer acquires one credit before generating each — so the §3B
-	// bounded-buffer backpressure does not depend on the run length. The
-	// flush policy is the batched pipe's, translated to the wire: fill
-	// (batch values buffered), demand (a CREDIT frame is the client
-	// draining its queue, and a zero-credit CREDIT a pure demand ping from
-	// a client about to block), stall (credits exhausted: everything the
-	// client allows is in hand) and EOS/ERR (the run precedes the terminal
-	// frame). rmu is held across the frame write so racing flushes — the
+	// The run: values are encoded into pending as they are produced and
+	// ship as one VALUES frame of at most batch. Credit accounting stays
+	// per value — the producer acquires one credit before generating each
+	// — so the §3B bounded-buffer backpressure does not depend on the run
+	// length. The flush policy is the batched pipe's, translated to the
+	// wire: fill (batch values buffered), demand (a CREDIT frame is the
+	// client draining its queue, and a zero-credit CREDIT a pure demand
+	// ping from a client about to block), stall (credits exhausted:
+	// everything the client allows is in hand) and EOS/ERR (the run
+	// precedes the terminal frame). rmu is held across the frame write so racing flushes — the
 	// producer's and the demux's — emit runs in production order; the
-	// session writer's own serialization nests inside it. encBuf is the
-	// recycled encoding scratch: enqueue has copied the payload when it
-	// returns.
+	// session writer's own serialization nests inside it. The run's buffer
+	// is recycled: enqueue has copied the payload when it returns.
 	rmu     sync.Mutex
 	batch   int
-	pending [][]byte
-	encBuf  []byte
+	pending wire.Run
 }
 
 // start registers the stream — accounting, its record, the table — and
-// spawns its producer.
+// hands it to a producer: one parked on the session if one is waiting,
+// else a new one. The handoff is unbuffered, so the session never holds
+// more producers than its peak of concurrent streams.
 func (st *served) start() {
 	s, open := st.srv, st.open
 	switch st.what = open.name; open.mode {
@@ -369,8 +373,7 @@ func (st *served) start() {
 	// credit balance is the one number a stalled distributed pipeline turns
 	// on: zero + blocked-put is credit starvation, which the watchdog
 	// diagnoses by name; the label names the client it serves.
-	peer := st.sess.io.conn.RemoteAddr().String()
-	st.ih = inspect.Open(open.stream, inspect.KindRemoteServer, "serve:"+st.what+"<-"+peer)
+	st.ih = inspect.Open(open.stream, inspect.KindRemoteServer, "serve:", st.what, "<-", st.sess.peer)
 	st.ih.SetCredit(int64(open.credit))
 	st.ih.SetConn(st.sess.id)
 	// A resumed stream (snapshot restore or replay skip) is a recovery:
@@ -383,16 +386,21 @@ func (st *served) start() {
 		}
 		st.ih.NoteResumed()
 	}
-	s.log().Info("stream open",
-		"remote", peer,
-		"generator", st.what,
-		"stream", inspect.StreamID(open.stream),
-		"credit", open.credit)
+	s.log().LogAttrs(context.Background(), slog.LevelInfo, "stream open",
+		slog.String("remote", st.sess.peer),
+		slog.String("generator", st.what),
+		slog.String("stream", inspect.StreamID(open.stream)),
+		slog.Uint64("credit", open.credit))
 	// Only the session loop, which is where this runs, tears the session
-	// down: the table is open and the wait for producers has not begun.
+	// down: the table is open, parked is open, and the wait for producers
+	// has not begun.
 	st.sess.add(st.sid, st)
-	st.sess.producers.Add(1)
-	go st.run()
+	select {
+	case st.sess.parked <- st:
+	default:
+		st.sess.producers.Add(1)
+		go st.sess.producer(st)
+	}
 }
 
 // The frames a client sends about a live stream.
@@ -487,28 +495,25 @@ func (st *served) send(typ byte, payload []byte) error {
 	return st.sess.io.enqueue(typ, st.sid, payload)
 }
 
-// put adds one marshaled value to the run and ships the run once full.
-func (st *served) put(data []byte) error {
+// put encodes one value into the run and reports whether the run is full.
+// A value that does not encode leaves the run as it was.
+func (st *served) put(v value.V) (full bool, err error) {
 	st.rmu.Lock()
-	st.pending = append(st.pending, data)
-	full := len(st.pending) >= st.batch
-	st.rmu.Unlock()
-	if full {
-		return st.flush()
-	}
-	return nil
+	defer st.rmu.Unlock()
+	err = st.pending.Append(v)
+	return st.pending.Len() >= st.batch, err
 }
 
 // flush ships the run, if there is one, as one VALUES frame.
 func (st *served) flush() error {
 	st.rmu.Lock()
 	defer st.rmu.Unlock()
-	if len(st.pending) == 0 {
+	if st.pending.Len() == 0 {
 		return nil
 	}
-	st.encBuf = wire.AppendBatch(st.encBuf[:0], st.pending)
-	st.pending = st.pending[:0]
-	return st.send(frameValues, st.encBuf)
+	err := st.send(frameValues, st.pending.Payload())
+	st.pending.Reset()
+	return err
 }
 
 // terminate ships the run and then the stream's last frame: the values
@@ -563,10 +568,19 @@ func (st *served) snapshot() bool {
 	return true
 }
 
-// run is the producer goroutine: produce until the stream ends, report a
-// producer error as the stream's ERR, retire.
+// producer is a goroutine of the session: it serves st, then each
+// stream start hands it, until teardown closes parked. Between streams it
+// holds no stream, no label and no binding.
+func (sess *Session) producer(st *served) {
+	defer sess.producers.Done()
+	for ; st != nil; st = <-sess.parked {
+		st.run()
+	}
+}
+
+// run serves one stream on a producer goroutine: produce until the stream
+// ends, report a producer error as the stream's ERR, retire.
 func (st *served) run() {
-	defer st.sess.producers.Done()
 	defer st.retire()
 	defer st.ih.Bind()()
 	if err := st.produce(); err != nil {
@@ -581,13 +595,13 @@ func (st *served) retire() {
 	st.sess.remove(st.sid, st)
 	s.streams.Add(-1)
 	st.ih.Close()
-	s.log().Info("stream done",
-		"remote", st.sess.io.conn.RemoteAddr().String(),
-		"generator", st.what,
-		"stream", inspect.StreamID(st.open.stream),
-		"values", st.sent,
-		"reason", st.setReason("done"),
-		"dur", time.Since(st.opened))
+	s.log().LogAttrs(context.Background(), slog.LevelInfo, "stream done",
+		slog.String("remote", st.sess.peer),
+		slog.String("generator", st.what),
+		slog.String("stream", inspect.StreamID(st.open.stream)),
+		slog.Uint64("values", st.sent),
+		slog.String("reason", st.setReason("done")),
+		slog.Duration("dur", time.Since(st.opened)))
 }
 
 // produce iterates the generator to failure, one value per credit. Panics
@@ -641,14 +655,14 @@ func (st *served) produce() (err error) {
 			st.terminate(frameEOS, nil, "eos")
 			return nil
 		}
-		// Values are marshaled at produce time, so everything before an
+		// Values are encoded at produce time, so everything before an
 		// unencodable one is delivered, then ERR.
-		data, err := wire.Marshal(value.Deref(v))
+		full, err := st.put(v)
 		if err != nil {
 			st.terminate(frameErr, errPayload(ClassProducer, "encode: "+err.Error()), "encode error")
 			return nil
 		}
-		if st.put(data) != nil {
+		if full && st.flush() != nil {
 			st.setReason("connection lost")
 			return nil // connection gone; the session loop tears down
 		}

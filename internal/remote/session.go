@@ -155,9 +155,13 @@ type Session struct {
 	id   uint64        // connection id: labels, /debug/streams grouping
 	idle time.Duration // a peer silent this long is lost
 	done chan struct{} // closed by teardown
-	// producers counts the goroutines the table's streams own (the server's
-	// one per stream); teardown returns only when they have.
+	// producers counts the goroutines the session owns: on the serving
+	// end, a producer per stream being served plus those parked on parked
+	// for the next OPEN. Teardown closes parked and returns only when every
+	// producer has exited.
 	producers sync.WaitGroup
+	parked    chan *served // unbuffered; the session loop is its one sender
+	peer      string       // the remote address, for logs and labels
 
 	mu      sync.Mutex
 	streams map[uint32]stream
@@ -179,6 +183,7 @@ func newSession(conn net.Conn, r *role, ih *inspect.Handle, idle time.Duration) 
 		role:    r,
 		idle:    idle,
 		done:    make(chan struct{}),
+		parked:  make(chan *served),
 		streams: make(map[uint32]stream),
 	}
 }
@@ -283,8 +288,9 @@ func (s *Session) Close() {
 // teardown fails every open stream and retires the session. Idempotent;
 // runs from the session loop (connection loss or protocol violation) or
 // Close. The shared writer is poisoned first, so producers blocked in
-// enqueue unblock; then every stream is ended and its producer waited for,
-// so stream accounting is exact before the session's record closes.
+// enqueue unblock; then parked producers are released, every stream is
+// ended and every producer waited for, so stream accounting is exact
+// before the session's record closes.
 func (s *Session) teardown(err error) {
 	s.mu.Lock()
 	if s.closed {
@@ -296,6 +302,7 @@ func (s *Session) teardown(err error) {
 	s.streams = nil
 	s.mu.Unlock()
 	s.io.fail(err)
+	close(s.parked)
 	for _, st := range streams {
 		st.end(err)
 	}

@@ -1,14 +1,18 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/big"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"junicon/internal/value"
 )
 
-// marshalBatch encodes vs the way the server's flush does: each value
-// marshaled, the run framed by AppendBatch.
+// marshalBatch encodes vs the way AppendBatch frames them: each value
+// marshaled, the run framed around the encodings.
 func marshalBatch(vs []value.V) ([]byte, error) {
 	items := make([][]byte, len(vs))
 	for i, v := range vs {
@@ -48,6 +52,49 @@ func TestBatchRoundTrip(t *testing.T) {
 			if !deepEqual(vs[i], got[i]) {
 				t.Fatalf("element %d: %s => %s", i, value.Image(vs[i]), value.Image(got[i]))
 			}
+		}
+	}
+}
+
+// TestRunMatchesMarshalAndAppendBatch: a Run's payload is byte for byte
+// what Marshal per value and AppendBatch per run make — over every kind of
+// value, element length prefixes of one, two and three bytes, counts of
+// one and two bytes, an unencodable value in the middle (which leaves the
+// run as it was) and a reused run.
+func TestRunMatchesMarshalAndAppendBatch(t *testing.T) {
+	cyclic := value.NewList()
+	cyclic.Put(cyclic)
+	mixed := []value.V{
+		value.NullV, value.NewInt(-3), value.NewInt(1 << 40),
+		value.NewBig(new(big.Int).Lsh(big.NewInt(-7), 100)), value.Real(2.5),
+		value.String(strings.Repeat("x", 200)), value.String(strings.Repeat("y", 20000)),
+		value.NewCset("abc"), value.NewList(value.NewInt(1), value.String("two")),
+		value.NewRecord("r", []string{"a"}, []value.V{value.NullV}),
+		value.NewProc("fib", 1, nil),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for range 300 {
+		mixed = append(mixed, randomValue(rng, 3))
+	}
+	var r Run
+	for _, n := range []int{0, 1, 11, 127, 128, 311} {
+		r.Reset()
+		for i, v := range mixed[:n] {
+			if err := r.Append(v); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+			if i == n/2 {
+				if err := r.Append(cyclic); err == nil {
+					t.Fatal("a cyclic list encoded")
+				}
+			}
+		}
+		want, err := marshalBatch(mixed[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Payload(); r.Len() != n || !bytes.Equal(got, want) {
+			t.Fatalf("%d values: run has %d, payload %d bytes, want %d bytes of AppendBatch's", n, r.Len(), len(got), len(want))
 		}
 	}
 }

@@ -30,7 +30,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -120,25 +119,21 @@ func (o *Opaque) Image() string { return fmt.Sprintf("remote-handle(%s %s)", o.K
 func Marshal(v value.V) ([]byte, error) { return MarshalLimits(v, DefaultLimits) }
 
 // MarshalLimits encodes v under explicit limits.
-func MarshalLimits(v value.V, lim Limits) ([]byte, error) {
-	var b bytes.Buffer
-	if err := encode(&b, v, lim, 0, false); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
+func MarshalLimits(v value.V, lim Limits) ([]byte, error) { return marshal(v, lim, false) }
 
 // MarshalStrict encodes v under explicit limits, refusing (ErrOpaque) any
 // value that would degrade to an opaque handle instead of silently
 // encoding a dead proxy. Pre-existing *Opaque values — handles that
 // already crossed a boundary once — still re-encode, keeping multi-hop
 // honesty; only the lossy host-value-to-handle step is refused.
-func MarshalStrict(v value.V, lim Limits) ([]byte, error) {
-	var b bytes.Buffer
-	if err := encode(&b, v, lim, 0, true); err != nil {
+func MarshalStrict(v value.V, lim Limits) ([]byte, error) { return marshal(v, lim, true) }
+
+func marshal(v value.V, lim Limits, strict bool) ([]byte, error) {
+	b, err := appendValue(nil, v, lim, 0, strict)
+	if err != nil {
 		return nil, err
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
 // Unmarshal decodes one value under DefaultLimits, requiring the buffer to
@@ -160,22 +155,6 @@ func UnmarshalLimits(data []byte, lim Limits) (value.V, error) {
 
 // ---- encoding ----
 
-func putUvarint(b *bytes.Buffer, u uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], u)
-	b.Write(tmp[:n])
-}
-
-func putVarint(b *bytes.Buffer, i int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], i)
-	b.Write(tmp[:n])
-}
-
-func putString(b *bytes.Buffer, s string) {
-	b.Write(AppendString(b.AvailableBuffer(), s))
-}
-
 // AppendString appends s as the codec frames every string: a uvarint
 // length, then the bytes. Exported with Reader for the remote protocol's
 // frame payloads, which are built from the same two primitives.
@@ -183,102 +162,87 @@ func AppendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-func encode(b *bytes.Buffer, v value.V, lim Limits, depth int, strict bool) error {
+// appendValue appends the encoding of v to b. On an error the bytes it
+// appended are garbage; callers keep b[:len(b)] from before the call.
+func appendValue(b []byte, v value.V, lim Limits, depth int, strict bool) ([]byte, error) {
 	if depth > lim.MaxDepth {
-		return ErrTooDeep
+		return b, ErrTooDeep
 	}
+	var err error
 	switch x := value.Deref(v).(type) {
 	case nil, value.Null:
-		b.WriteByte(tagNull)
+		b = append(b, tagNull)
 	case value.Integer:
 		if i, ok := x.Int64(); ok {
-			b.WriteByte(tagInt)
-			putVarint(b, i)
+			b = binary.AppendVarint(append(b, tagInt), i)
 		} else {
 			big := x.Big()
-			b.WriteByte(tagBig)
+			sign := byte(0)
 			if big.Sign() < 0 {
-				b.WriteByte(1)
-			} else {
-				b.WriteByte(0)
+				sign = 1
 			}
 			mag := big.Bytes()
-			putUvarint(b, uint64(len(mag)))
-			b.Write(mag)
+			b = append(binary.AppendUvarint(append(b, tagBig, sign), uint64(len(mag))), mag...)
 		}
 	case value.Real:
-		b.WriteByte(tagReal)
-		var bits [8]byte
-		binary.BigEndian.PutUint64(bits[:], math.Float64bits(float64(x)))
-		b.Write(bits[:])
+		b = binary.BigEndian.AppendUint64(append(b, tagReal), math.Float64bits(float64(x)))
 	case value.String:
-		b.WriteByte(tagString)
-		putString(b, string(x))
+		b = AppendString(append(b, tagString), string(x))
 	case *value.Cset:
-		b.WriteByte(tagCset)
-		putString(b, x.Members())
+		b = AppendString(append(b, tagCset), x.Members())
 	case *value.List:
-		b.WriteByte(tagList)
-		putUvarint(b, uint64(x.Len()))
+		b = binary.AppendUvarint(append(b, tagList), uint64(x.Len()))
 		for i := 1; i <= x.Len(); i++ {
 			e, _ := x.At(i)
-			if err := encode(b, e, lim, depth+1, strict); err != nil {
-				return err
+			if b, err = appendValue(b, e, lim, depth+1, strict); err != nil {
+				return b, err
 			}
 		}
 	case *value.Table:
-		b.WriteByte(tagTable)
-		if err := encode(b, x.Default(), lim, depth+1, strict); err != nil {
-			return err
+		if b, err = appendValue(append(b, tagTable), x.Default(), lim, depth+1, strict); err != nil {
+			return b, err
 		}
 		keys := x.Keys()
-		putUvarint(b, uint64(len(keys)))
+		b = binary.AppendUvarint(b, uint64(len(keys)))
 		for _, k := range keys {
-			if err := encode(b, k, lim, depth+1, strict); err != nil {
-				return err
+			if b, err = appendValue(b, k, lim, depth+1, strict); err != nil {
+				return b, err
 			}
-			if err := encode(b, x.Get(k), lim, depth+1, strict); err != nil {
-				return err
+			if b, err = appendValue(b, x.Get(k), lim, depth+1, strict); err != nil {
+				return b, err
 			}
 		}
 	case *value.Set:
-		b.WriteByte(tagSet)
 		members := x.Members()
-		putUvarint(b, uint64(len(members)))
+		b = binary.AppendUvarint(append(b, tagSet), uint64(len(members)))
 		for _, m := range members {
-			if err := encode(b, m, lim, depth+1, strict); err != nil {
-				return err
+			if b, err = appendValue(b, m, lim, depth+1, strict); err != nil {
+				return b, err
 			}
 		}
 	case *value.Record:
-		b.WriteByte(tagRecord)
-		putString(b, x.Name)
-		putUvarint(b, uint64(len(x.Fields)))
+		b = binary.AppendUvarint(AppendString(append(b, tagRecord), x.Name), uint64(len(x.Fields)))
 		for _, f := range x.Fields {
-			putString(b, f)
+			b = AppendString(b, f)
 		}
 		for _, fv := range x.Values {
-			if err := encode(b, fv, lim, depth+1, strict); err != nil {
-				return err
+			if b, err = appendValue(b, fv, lim, depth+1, strict); err != nil {
+				return b, err
 			}
 		}
 	case *Opaque:
 		// Re-encoding a handle keeps its original kind, so a value that
 		// bounces through several hops stays honest about its origin.
-		b.WriteByte(tagOpaque)
-		putString(b, x.Kind)
-		putString(b, x.Desc)
+		b = AppendString(AppendString(append(b, tagOpaque), x.Kind), x.Desc)
 	default:
 		// Procedures, natives, co-expressions, pipes, anything host-bound:
 		// a typed opaque handle — or, in strict mode, a refusal.
 		if strict {
-			return fmt.Errorf("%w: %s %s", ErrOpaque, x.Type(), x.Image())
+			return b, fmt.Errorf("%w: %s %s", ErrOpaque, x.Type(), x.Image())
 		}
-		b.WriteByte(tagOpaque)
-		putString(b, x.Type())
-		putString(b, x.Image())
+		b = AppendString(AppendString(append(b, tagOpaque), x.Type()), x.Image())
 	}
-	return nil
+	return b, nil
 }
 
 // ---- decoding ----
@@ -383,7 +347,7 @@ func (r *Reader) value(depth int) (value.V, error) {
 		if err != nil {
 			return nil, err
 		}
-		return value.NewInt(i), nil
+		return value.IntV(i), nil
 	case tagBig:
 		sign, err := r.Byte()
 		if err != nil {
