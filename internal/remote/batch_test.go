@@ -114,3 +114,52 @@ func TestBatchedProducerErrorAfterValues(t *testing.T) {
 		t.Fatal("producer runtime error was not surfaced")
 	}
 }
+
+// TestServedStreamShipsPartialRunOnDemand is why a served stream ships a
+// run before it is full: with Buffer 64 and Batch 64 the generator yields
+// one value and then blocks inside its next Next, holding credits it
+// cannot use. The run will neither fill nor stall on credits, so only the
+// client's demand ping — a CREDIT sent as its Next is about to block —
+// ships the one value, and the client must get it while the generator is
+// still blocked.
+func TestServedStreamShipsPartialRunOnDemand(t *testing.T) {
+	blocked, release := make(chan struct{}), make(chan struct{})
+	var resumed atomic.Bool
+	_, addr := startServer(t, func(s *Server) {
+		s.Register("one-then-wait", func([]value.V) (core.Gen, error) {
+			return core.NewGen(func(yield func(value.V) bool) {
+				if !yield(value.NewInt(1)) {
+					return
+				}
+				close(blocked)
+				<-release
+				resumed.Store(true)
+				yield(value.NewInt(2))
+			}), nil
+		})
+	})
+	released := false
+	defer func() {
+		if !released {
+			close(release) // let the server's producer finish before Close
+		}
+	}()
+	p := Open(addr, "one-then-wait", nil, Config{Buffer: 64, Batch: 64})
+	defer p.Stop()
+	p.StartEager()
+	within(t, 5*time.Second, "the generator blocking after its first value", func() { <-blocked })
+	within(t, 5*time.Second, "first Next with the generator blocked", func() {
+		assertInts(t, drainInts(t, p, 1), []int64{1})
+	})
+	if resumed.Load() {
+		t.Fatal("the generator was released before the first value arrived")
+	}
+	close(release)
+	released = true
+	within(t, 5*time.Second, "the rest of the stream", func() {
+		assertInts(t, drainInts(t, p, 10), []int64{2})
+	})
+	if err := p.Err(); err != nil {
+		t.Fatalf("stream error: %v", err)
+	}
+}
