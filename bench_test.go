@@ -515,20 +515,16 @@ func BenchmarkInterpEvalExpression(b *testing.B) {
 // ---- Ablation E: pipe transport queue capacity ----
 //
 // There is one queue; what §3B varies is its buffer size. The sweep runs
-// the same single-stage pipe over the four capacities the constructors
-// configure: rendezvous (0), M-var (1), a bounded buffer (64), unbounded.
+// the same single-stage pipe over the capacities the constructors
+// configure: M-var (1), a bounded buffer (64), unbounded.
 
 func benchQueueCapacity(b *testing.B, mk func() queue.Queue[value.V]) {
 	for i := 0; i < b.N; i++ {
 		// A single pipeline stage over the chosen transport.
 		src := core.NewFirstClass(core.IntRange(1, 2000))
-		p := pipe.NewWithQueue(src, mk)
+		p := pipe.NewBatchedWithQueue(src, mk, 0)
 		core.Drain(p, 0)
 	}
-}
-
-func BenchmarkAblationQueueRendezvous(b *testing.B) {
-	benchQueueCapacity(b, func() queue.Queue[value.V] { return queue.NewSynchronous[value.V]() })
 }
 
 func BenchmarkAblationQueue_1(b *testing.B) {
@@ -540,7 +536,7 @@ func BenchmarkAblationQueue_64(b *testing.B) {
 }
 
 func BenchmarkAblationQueueUnbounded(b *testing.B) {
-	benchQueueCapacity(b, func() queue.Queue[value.V] { return queue.NewLinkedBlocking[value.V](0) })
+	benchQueueCapacity(b, func() queue.Queue[value.V] { return queue.NewLinkedBlocking[value.V]() })
 }
 
 func BenchmarkKernelScanTokenize(b *testing.B) {

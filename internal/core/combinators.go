@@ -144,37 +144,6 @@ func Limit(e Gen, n int) Gen {
 	return &limitGen{e: e, n: n}
 }
 
-// boundGen implements a bounded expression: at most one result, and once
-// that result is produced the expression cannot be resumed (§2A: sequence
-// terms are "singleton iterators that are limited to producing at most one
-// result"). Unlike Limit(e,1), Bound discards e's saved state immediately.
-type boundGen struct {
-	e    Gen
-	done bool
-}
-
-func (g *boundGen) Next() (V, bool) {
-	if g.done {
-		g.done = false
-		return nil, false
-	}
-	v, ok := g.e.Next()
-	if !ok {
-		return nil, false
-	}
-	g.done = true
-	g.e.Restart()
-	return v, true
-}
-
-func (g *boundGen) Restart() {
-	g.e.Restart()
-	g.done = false
-}
-
-// Bound limits e to a single un-resumable result.
-func Bound(e Gen) Gen { return &boundGen{e: e} }
-
 // seqGen implements the sequence a;b;…;z — each term but the last is
 // evaluated once (bounded, result discarded, failure ignored), and iteration
 // is delegated to the last term.

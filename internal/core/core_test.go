@@ -94,12 +94,6 @@ func TestLimit(t *testing.T) {
 	eqInts(t, ints(t, g), 1, 2)
 }
 
-func TestBoundProducesOneUnresumableResult(t *testing.T) {
-	g := Bound(IntRange(1, 5))
-	eqInts(t, ints(t, g), 1)
-	eqInts(t, ints(t, g), 1)
-}
-
 func TestSequenceDelegatesToLastTerm(t *testing.T) {
 	count := 0
 	sideEffect := Defer(func() Gen {

@@ -94,7 +94,6 @@ func TestPropDrainIsIdempotent(t *testing.T) {
 		func(a, b []byte) Gen { return Alt(genFromBytes(a), genFromBytes(b)) },
 		func(a, b []byte) Gen { return Product(genFromBytes(a), genFromBytes(b)) },
 		func(a, b []byte) Gen { return Limit(genFromBytes(a), 3) },
-		func(a, b []byte) Gen { return Bound(genFromBytes(a)) },
 		func(a, b []byte) Gen { return Sequence(genFromBytes(a), genFromBytes(b)) },
 		func(a, b []byte) Gen { return Promote(Unit(listOf(a))) },
 	}

@@ -127,16 +127,4 @@ func pkgCall(n ast.Node, pkg string) (string, *ast.CallExpr) {
 	return name, call
 }
 
-// containsIdent reports whether the subtree mentions ident name.
-func containsIdent(n ast.Node, name string) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok && id.Name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 func position(f *File, n ast.Node) token.Position { return f.Fset.Position(n.Pos()) }

@@ -49,7 +49,8 @@ func leak(g core.Gen) int {
 
 // TestPipeCreatorsCoverPackagePipe: every exported function of package
 // pipe that returns a *Pipe is a creation pipestop tracks, so a new
-// constructor cannot leak unnoticed.
+// constructor cannot leak unnoticed; and every creation pipestop tracks
+// is a function of package pipe, so a deleted one cannot linger.
 func TestPipeCreatorsCoverPackagePipe(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), "../pipe", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -58,10 +59,15 @@ func TestPipeCreatorsCoverPackagePipe(t *testing.T) {
 		t.Fatalf("parse internal/pipe: %v", err)
 	}
 	n := 0
+	funcs := map[string]bool{}
 	for _, file := range pkgs["pipe"].Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil {
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() {
+				continue
+			}
+			funcs[fn.Name.Name] = true
+			if fn.Type.Results == nil {
 				continue
 			}
 			for _, res := range fn.Type.Results.List {
@@ -78,6 +84,11 @@ func TestPipeCreatorsCoverPackagePipe(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("no function of package pipe returns a *Pipe: the scan is broken")
+	}
+	for name := range pipeCreators {
+		if !funcs[name] {
+			t.Errorf("pipeCreators names pipe.%s, which is no function of package pipe", name)
+		}
 	}
 }
 

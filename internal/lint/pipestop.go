@@ -14,12 +14,12 @@ import (
 // of the analyzer's JV013, enforced on the host side.
 //
 // The check is syntactic: a creation is an assignment whose right side
-// calls pipe.New / pipe.FromGen / pipe.NewBatched / pipe.FromGenBatched /
-// pipe.NewWithQueue / pipe.NewBatchedWithQueue / pipe.NewInline /
-// pipe.Chain / pipe.ChainBatched. Any appearance of the variable outside
-// method-receiver position (argument, return value, composite literal,
-// channel send, assignment to a field) counts as an escape and silences
-// the check — whoever received the value owns the release.
+// calls pipe.New / pipe.FromGen / pipe.FromGenBatched /
+// pipe.NewBatchedWithQueue / pipe.NewInline / pipe.Chain. Any appearance
+// of the variable outside method-receiver position (argument, return
+// value, composite literal, channel send, assignment to a field) counts as
+// an escape and silences the check — whoever received the value owns the
+// release.
 var pipeStop = &Analyzer{
 	Name: "pipestop",
 	Doc:  "pipe created but never stopped, drained or passed on",
@@ -27,9 +27,8 @@ var pipeStop = &Analyzer{
 }
 
 var pipeCreators = map[string]bool{
-	"New": true, "FromGen": true, "NewBatched": true, "FromGenBatched": true,
-	"NewWithQueue": true, "NewBatchedWithQueue": true, "NewInline": true,
-	"Chain": true, "ChainBatched": true,
+	"New": true, "FromGen": true, "FromGenBatched": true,
+	"NewBatchedWithQueue": true, "NewInline": true, "Chain": true,
 }
 
 // Releasing methods end the producer; aliasing methods hand the same pipe

@@ -21,8 +21,8 @@
 // round trip. A consumer that keeps pace takes runs of one; one that lags
 // takes long runs and stops contending with the producer for the queue
 // lock — the engine switch is amortized over chunks without changing the
-// lazy interface. A one-slot or rendezvous queue never holds more than one
-// value, so over those every run is one value long and the hand-off is per
+// lazy interface. A one-slot queue, the M-var, never holds more than one
+// value, so over it every run is one value long and the hand-off is per
 // value.
 //
 // The §3B throttle, with runs: never more than buffer values queued, plus
@@ -134,29 +134,12 @@ func New(src core.Stepper, buffer int) *Pipe {
 	}
 }
 
-// NewBatched is New with the consumer's run capped at batch values (see the
-// package comment): batch 1 takes every value from the queue singly,
-// batch <= 0 is exactly New. The producer may run ahead of the consumer by
-// buffer plus one run; Stop/Restart/Err/First semantics are unchanged.
-func NewBatched(src core.Stepper, buffer, batch int) *Pipe {
-	p := New(src, buffer)
-	p.batch = batch
-	return p
-}
-
-// NewWithQueue returns a pipe transporting results through queues produced
-// by mk — e.g. a Synchronous queue for rendezvous hand-off.
-func NewWithQueue(src core.Stepper, mk func() queue.Queue[value.V]) *Pipe {
-	return &Pipe{src: src, mkQueue: mk}
-}
-
-// NewBatchedWithQueue is NewWithQueue with the run capped at batch — used by
-// the differential stress harness to take runs from schedule-perturbed
-// queues.
+// NewBatchedWithQueue returns a pipe transporting results through queues
+// produced by mk, with the consumer's run capped at batch (batch <= 0: no
+// cap) — used by the differential stress harness to take runs from
+// schedule-perturbed queues.
 func NewBatchedWithQueue(src core.Stepper, mk func() queue.Queue[value.V], batch int) *Pipe {
-	p := NewWithQueue(src, mk)
-	p.batch = batch
-	return p
+	return &Pipe{src: src, mkQueue: mk, batch: batch}
 }
 
 // FromGen lifts a plain generator into a pipe: |>e over <>e.
@@ -166,10 +149,14 @@ func FromGen(g core.Gen, buffer int) *Pipe {
 	return p
 }
 
-// FromGenBatched is FromGen with the run capped at batch.
+// FromGenBatched is FromGen with the consumer's run capped at batch values
+// (see the package comment): batch 1 takes every value from the queue
+// singly, batch <= 0 is exactly FromGen. The producer may run ahead of the
+// consumer by buffer plus one run; Stop/Restart/Err/First semantics are
+// unchanged.
 func FromGenBatched(g core.Gen, buffer, batch int) *Pipe {
-	p := NewBatched(core.NewFirstClass(g), buffer, batch)
-	p.ownSrc = true
+	p := FromGen(g, buffer)
+	p.batch = batch
 	return p
 }
 
@@ -199,8 +186,8 @@ func (p *Pipe) OnPool(pl *pool.Pool) *Pipe {
 }
 
 // runLen sizes the consumer's run for transport out: the queue's bound, or
-// maxRun where it reports none (unbounded, or a rendezvous, whose runs are
-// one value long whatever the buffer), cut to maxRun and to the pipe's cap.
+// maxRun where it reports none (unbounded), cut to maxRun and to the pipe's
+// cap.
 func (p *Pipe) runLen(out queue.Queue[value.V]) int {
 	n := out.Cap()
 	if n <= 0 || n > maxRun {
@@ -458,15 +445,6 @@ func Chain(src core.Gen, buffer int, stages ...func(core.Gen) core.Gen) core.Gen
 	g := src
 	for _, stage := range stages {
 		g = stage(core.Bang(FromGen(g, buffer)))
-	}
-	return g
-}
-
-// ChainBatched is Chain with every stage's run capped at batch.
-func ChainBatched(src core.Gen, buffer, batch int, stages ...func(core.Gen) core.Gen) core.Gen {
-	g := src
-	for _, stage := range stages {
-		g = stage(core.Bang(FromGenBatched(g, buffer, batch)))
 	}
 	return g
 }

@@ -11,7 +11,6 @@ import (
 
 	"junicon/internal/coexpr"
 	"junicon/internal/core"
-	"junicon/internal/queue"
 	"junicon/internal/value"
 )
 
@@ -102,8 +101,7 @@ func TestProducerRunsConcurrently(t *testing.T) {
 // never more than buffer values queued, plus the one the producer is
 // blocked putting, plus what is left of one run in the consumer's hands —
 // produced − delivered <= buffer + run at every Next, where run is
-// min(buffer, cap). For buffer 1 that is the per-value pipe's bound of 2,
-// and a rendezvous stays at 1: nothing is ever buffered or held.
+// min(buffer, cap). For buffer 1 that is the per-value pipe's bound of 2.
 func TestBufferBoundThrottlesProducer(t *testing.T) {
 	check := func(name string, buffer, run int, mk func(g core.Gen) *Pipe) {
 		t.Run(name, func(t *testing.T) {
@@ -138,9 +136,6 @@ func TestBufferBoundThrottlesProducer(t *testing.T) {
 	}
 	check("buffer=8/uncapped", 8, 8, func(g core.Gen) *Pipe { return FromGen(g, 8) })
 	check("buffer=1024/uncapped", 1024, maxRun, func(g core.Gen) *Pipe { return FromGen(g, 1024) })
-	check("rendezvous", 0, 1, func(g core.Gen) *Pipe {
-		return NewWithQueue(core.NewFirstClass(g), func() queue.Queue[value.V] { return queue.NewSynchronous[value.V]() })
-	})
 }
 
 func TestPipeOverCoExpressionShadowsEnvironment(t *testing.T) {
@@ -235,15 +230,6 @@ func TestOutExposesQueue(t *testing.T) {
 		t.Fatalf("exposed queue: %v", q)
 	}
 	core.Drain(p, 0)
-}
-
-func TestNewWithQueueSynchronousHandoff(t *testing.T) {
-	src := core.NewFirstClass(core.IntRange(1, 5))
-	p := NewWithQueue(src, func() queue.Queue[value.V] { return queue.NewSynchronous[value.V]() })
-	got := intsOf(core.Drain(p, 0))
-	if len(got) != 5 || got[4] != 5 {
-		t.Fatalf("rendezvous pipe = %v", got)
-	}
 }
 
 func TestParallelPipelineExpression(t *testing.T) {

@@ -45,7 +45,7 @@ func New(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{tasks: queue.NewLinkedBlocking[func()](0), size: n}
+	p := &Pool{tasks: queue.NewLinkedBlocking[func()](), size: n}
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go p.worker()

@@ -13,7 +13,7 @@ import (
 
 func TestBatchFIFOSingleThreaded(t *testing.T) {
 	for name, mk := range implementations() {
-		if name == "synchronous" || name == "mvar" || name == "array-1" {
+		if name == "mvar" || name == "array-1" {
 			continue // no room to buffer a run
 		}
 		q := mk()
@@ -45,8 +45,7 @@ func TestBatchFIFOSingleThreaded(t *testing.T) {
 func TestTakeBatchDrainsAfterClose(t *testing.T) {
 	for name, mk := range implementations() {
 		q := mk()
-		// Buffer what fits, up to three: one for an M-var, nothing for a
-		// rendezvous, whose non-blocking offer never transfers.
+		// Buffer what fits, up to three: one for an M-var.
 		held := 0
 		for ; held < 3; held++ {
 			if ok, err := q.TryPut(held + 1); !ok || err != nil {
@@ -55,11 +54,8 @@ func TestTakeBatchDrainsAfterClose(t *testing.T) {
 		}
 		q.Close()
 		dst := make([]int, 8)
-		if held > 0 {
-			n, err := q.TakeBatch(dst)
-			if err != nil || n != held {
-				t.Fatalf("%s: TakeBatch after close = %d %v, want %d <nil>", name, n, err, held)
-			}
+		if n, err := q.TakeBatch(dst); err != nil || n != held {
+			t.Fatalf("%s: TakeBatch after close = %d %v, want %d <nil>", name, n, err, held)
 		}
 		if _, err := q.TakeBatch(dst); err != ErrClosed {
 			t.Fatalf("%s: drained TakeBatch err = %v, want ErrClosed", name, err)

@@ -7,24 +7,22 @@ import "sync"
 const minRing = 64
 
 // Blocking is the one blocking queue: a mutex, two conditions and a ring
-// buffer. The constructors below configure its capacity — bounded, one
-// slot, unbounded or rendezvous (see the package comment); every operation
-// is written once, over the ring.
+// buffer. The constructors below configure its capacity — bounded (one
+// slot is the M-var) or unbounded (see the package comment); every
+// operation is written once, over the ring.
 type Blocking[T any] struct {
 	mu       sync.Mutex
-	notFull  sync.Cond // putters: waiting for room, or for their hand-off
+	notFull  sync.Cond // putters: waiting for room
 	notEmpty sync.Cond // takers
 	buf      []T       // ring; its length is the bound unless grows
 	head     int
 	n        int
-	taken    uint64 // elements dequeued so far: a rendezvous putter's receipt
-	grows    bool   // unbounded: a full ring is reallocated, never waited on
-	handoff  bool   // rendezvous: Put waits for its element to be taken
+	grows    bool // unbounded: a full ring is reallocated, never waited on
 	closed   bool
 }
 
-func newBlocking[T any](ring int, grows, handoff bool) *Blocking[T] {
-	q := &Blocking[T]{buf: make([]T, ring), grows: grows, handoff: handoff}
+func newBlocking[T any](ring int, grows bool) *Blocking[T] {
+	q := &Blocking[T]{buf: make([]T, ring), grows: grows}
 	q.notFull.L = &q.mu
 	q.notEmpty.L = &q.mu
 	return q
@@ -33,31 +31,19 @@ func newBlocking[T any](ring int, grows, handoff bool) *Blocking[T] {
 // NewArrayBlocking returns a bounded blocking queue with the given capacity
 // (minimum 1) — the analogue of java.util.concurrent.ArrayBlockingQueue.
 func NewArrayBlocking[T any](capacity int) *Blocking[T] {
-	return newBlocking[T](max(capacity, 1), false, false)
+	return newBlocking[T](max(capacity, 1), false)
 }
 
-// NewLinkedBlocking returns a blocking queue bounded at maxLen, or, with
-// maxLen <= 0, an unbounded one whose Put never blocks — the analogue of
-// java.util.concurrent.LinkedBlockingQueue.
-func NewLinkedBlocking[T any](maxLen int) *Blocking[T] {
-	if maxLen <= 0 {
-		return newBlocking[T](minRing, true, false)
-	}
-	return newBlocking[T](maxLen, false, false)
-}
+// NewLinkedBlocking returns an unbounded blocking queue, whose Put never
+// blocks — the analogue of java.util.concurrent.LinkedBlockingQueue.
+func NewLinkedBlocking[T any]() *Blocking[T] { return newBlocking[T](minRing, true) }
 
 // NewMVar returns an empty single-slot queue. A pipe producing a single
 // result through one behaves as a future.
-func NewMVar[T any]() *Blocking[T] { return newBlocking[T](1, false, false) }
-
-// NewSynchronous returns a rendezvous queue: each Put blocks until a Take
-// has accepted its element — the analogue of
-// java.util.concurrent.SynchronousQueue, and the tightest throttle a pipe
-// can use.
-func NewSynchronous[T any]() *Blocking[T] { return newBlocking[T](1, false, true) }
+func NewMVar[T any]() *Blocking[T] { return newBlocking[T](1, false) }
 
 // Put blocks until space is available (never, when unbounded), then
-// enqueues v; on a rendezvous queue it further blocks until v is taken.
+// enqueues v.
 func (q *Blocking[T]) Put(v T) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -72,9 +58,6 @@ func (q *Blocking[T]) Put(v T) error {
 		return ErrClosed
 	}
 	q.enqueue(v)
-	if q.handoff {
-		return q.awaitTake()
-	}
 	return nil
 }
 
@@ -91,26 +74,22 @@ func (q *Blocking[T]) Take() (T, error) {
 		return zero, ErrClosed
 	}
 	v := q.dequeue()
-	// One slot freed on a plain bounded queue wakes one putter — the whole
-	// fast path; the other capacities need vacated's bookkeeping.
-	if q.grows || q.handoff {
-		q.vacated(1)
+	// One slot freed on a bounded queue wakes one putter — the whole fast
+	// path; an unbounded one needs vacated's give-back.
+	if q.grows {
+		q.vacated()
 	} else {
 		q.notFull.Signal()
 	}
 	return v, nil
 }
 
-// TryPut enqueues without blocking; a rendezvous queue never accepts, since
-// completing the hand-off would mean waiting for a taker.
+// TryPut enqueues without blocking.
 func (q *Blocking[T]) TryPut(v T) (bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false, ErrClosed
-	}
-	if q.handoff {
-		return false, nil
 	}
 	if q.n == len(q.buf) {
 		if !q.grows {
@@ -122,8 +101,7 @@ func (q *Blocking[T]) TryPut(v T) (bool, error) {
 	return true, nil
 }
 
-// TryTake dequeues without blocking; on a rendezvous queue it succeeds only
-// when an offer is parked.
+// TryTake dequeues without blocking.
 func (q *Blocking[T]) TryTake() (T, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -135,8 +113,8 @@ func (q *Blocking[T]) TryTake() (T, bool, error) {
 		return zero, false, nil
 	}
 	v := q.dequeue()
-	if q.grows || q.handoff {
-		q.vacated(1)
+	if q.grows {
+		q.vacated()
 	} else {
 		q.notFull.Signal()
 	}
@@ -145,9 +123,7 @@ func (q *Blocking[T]) TryTake() (T, bool, error) {
 
 // PutBatch enqueues vs in order, blocking for space as needed and waking
 // takers once per run rather than once per element. Elements move in bulk
-// segment copies, so the per-element cost is a memmove, not a lock. A
-// rendezvous queue has no buffer to batch into: its runs are one element
-// long and each completes its own hand-off.
+// segment copies, so the per-element cost is a memmove, not a lock.
 func (q *Blocking[T]) PutBatch(vs []T) (int, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -172,11 +148,6 @@ func (q *Blocking[T]) PutBatch(vs []T) (int, error) {
 		copy(q.buf, run[c:])
 		q.n += len(run)
 		q.notEmpty.Broadcast()
-		if q.handoff {
-			if err := q.awaitTake(); err != nil {
-				return n, err
-			}
-		}
 		n += len(run)
 	}
 	return n, nil
@@ -199,28 +170,22 @@ func (q *Blocking[T]) TakeBatch(dst []T) (int, error) {
 	return q.dequeueRun(dst), nil
 }
 
-// Len returns the number of buffered elements; a rendezvous queue's parked
-// offer is not buffered.
+// Len returns the number of buffered elements.
 func (q *Blocking[T]) Len() int {
-	if q.handoff {
-		return 0
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.n
 }
 
-// Cap returns the bound: 0 when unbounded and for a rendezvous queue.
+// Cap returns the bound: 0 when unbounded.
 func (q *Blocking[T]) Cap() int {
-	if q.grows || q.handoff {
+	if q.grows {
 		return 0
 	}
 	return len(q.buf)
 }
 
-// Close marks the queue closed and wakes all waiters. A rendezvous offer
-// still parked is withdrawn — its Put reports ErrClosed, so it must not
-// also be takeable.
+// Close marks the queue closed and wakes all waiters.
 func (q *Blocking[T]) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -228,25 +193,8 @@ func (q *Blocking[T]) Close() {
 		return
 	}
 	q.closed = true
-	if q.handoff {
-		clear(q.buf)
-		q.n = 0
-	}
 	q.notFull.Broadcast()
 	q.notEmpty.Broadcast()
-}
-
-// awaitTake parks a rendezvous putter until the element it just enqueued
-// has been taken, or Close has withdrawn it. Caller holds mu.
-func (q *Blocking[T]) awaitTake() error {
-	receipt := q.taken
-	for q.taken == receipt && !q.closed {
-		q.notFull.Wait()
-	}
-	if q.taken == receipt {
-		return ErrClosed
-	}
-	return nil
 }
 
 // enqueue appends v and wakes a taker. Caller holds mu and guarantees a free
@@ -286,19 +234,16 @@ func (q *Blocking[T]) dequeueRun(dst []T) int {
 	}
 	q.head = (q.head + n) % len(q.buf)
 	q.n -= n
-	q.vacated(n)
+	q.vacated()
 	return n
 }
 
-// vacated wakes the putter side after k elements left the ring, for every
-// capacity: the receipt count moves, all parked putters wake (on a
-// rendezvous queue the one waiting for this very receipt shares the
-// condition with those waiting for the slot, so one Signal could reach the
-// wrong one), and an unbounded ring that grew gives its buffer back once it
-// drains empty, so a burst does not pin its high-water mark for the queue's
-// lifetime. Caller holds mu.
-func (q *Blocking[T]) vacated(k int) {
-	q.taken += uint64(k)
+// vacated wakes the putter side after elements left the ring: every
+// parked putter wakes, because a run frees room for more than one, and an
+// unbounded ring that grew gives its buffer back once it drains empty, so
+// a burst does not pin its high-water mark for the queue's lifetime.
+// Caller holds mu.
+func (q *Blocking[T]) vacated() {
 	q.notFull.Broadcast()
 	if q.grows && q.n == 0 && len(q.buf) > minRing {
 		q.buf, q.head = make([]T, minRing), 0

@@ -1,20 +1,17 @@
 // Package queue implements the blocking-queue substrate underneath
 // generator proxies (§3B). The paper has one transport, "a blocking queue",
-// and varies only its buffer size; so does this package — one queue, four
-// capacities, all configurations of Blocking's ring-plus-condition core:
+// and varies only its buffer size; so does this package — one queue,
+// bounded or unbounded, both configurations of Blocking's
+// ring-plus-condition core:
 //
-//   - n (NewArrayBlocking, NewLinkedBlocking(n)): a bounded buffer. A full
-//     ring parks Put, which is how a pipe throttles its threaded
-//     co-expression ("bounding the output queue buffer size can also be
-//     used to throttle").
-//   - 1 (NewMVar): the M-var of Concurrent Haskell and M-structure of Id,
-//     "whose put and take operations wait until the channel is empty or
-//     full respectively"; a pipe over one degenerates to a future.
-//   - unbounded (NewLinkedBlocking(0)): the ring grows instead of parking
+//   - n (NewArrayBlocking): a bounded buffer. A full ring parks Put, which
+//     is how a pipe throttles its threaded co-expression ("bounding the
+//     output queue buffer size can also be used to throttle"). 1 (NewMVar)
+//     is the M-var of Concurrent Haskell and M-structure of Id, "whose put
+//     and take operations wait until the channel is empty or full
+//     respectively"; a pipe over one degenerates to a future.
+//   - unbounded (NewLinkedBlocking): the ring grows instead of parking
 //     Put, and gives the grown buffer back once it drains empty.
-//   - 0 (NewSynchronous): a rendezvous. One slot, but Put returns only
-//     after its element has been taken, so nothing is ever buffered: Len
-//     and Cap report 0 and TryPut never transfers.
 //
 // Future, the single-assignment variable, is the one relative that is not a
 // queue. Everything is built from sync.Mutex and sync.Cond rather than Go
@@ -61,8 +58,7 @@ type Queue[T any] interface {
 	TakeBatch(dst []T) (n int, err error)
 	// Len returns the number of buffered elements.
 	Len() int
-	// Cap returns the buffer capacity; <= 0 means unbounded (or zero for a
-	// rendezvous queue).
+	// Cap returns the buffer capacity; <= 0 means unbounded.
 	Cap() int
 	// Close marks the queue closed: subsequent Puts fail, Takes drain the
 	// remaining elements and then fail. Close is idempotent.

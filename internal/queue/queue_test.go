@@ -15,18 +15,16 @@ var _ Queue[int] = (*Blocking[int])(nil)
 // each bounded/unbounded implementation under a name for table tests.
 func implementations() map[string]func() Queue[int] {
 	return map[string]func() Queue[int]{
-		"array-1":     func() Queue[int] { return NewArrayBlocking[int](1) },
-		"array-8":     func() Queue[int] { return NewArrayBlocking[int](8) },
-		"linked-8":    func() Queue[int] { return NewLinkedBlocking[int](8) },
-		"linked-inf":  func() Queue[int] { return NewLinkedBlocking[int](0) },
-		"mvar":        func() Queue[int] { return NewMVar[int]() },
-		"synchronous": func() Queue[int] { return NewSynchronous[int]() },
+		"array-1":    func() Queue[int] { return NewArrayBlocking[int](1) },
+		"array-8":    func() Queue[int] { return NewArrayBlocking[int](8) },
+		"linked-inf": func() Queue[int] { return NewLinkedBlocking[int]() },
+		"mvar":       func() Queue[int] { return NewMVar[int]() },
 	}
 }
 
 func TestFIFOOrderSingleThreaded(t *testing.T) {
 	for name, mk := range implementations() {
-		if name == "synchronous" || name == "mvar" || name == "array-1" {
+		if name == "mvar" || name == "array-1" {
 			continue // no room for 4 buffered elements
 		}
 		q := mk()
@@ -294,40 +292,6 @@ func TestFutureFail(t *testing.T) {
 	}
 }
 
-func TestSynchronousRendezvous(t *testing.T) {
-	q := NewSynchronous[int]()
-	putDone := make(chan error, 1)
-	go func() { putDone <- q.Put(5) }()
-	select {
-	case <-putDone:
-		t.Fatal("Put completed without a taker")
-	case <-time.After(10 * time.Millisecond):
-	}
-	v, err := q.Take()
-	if err != nil || v != 5 {
-		t.Fatalf("take = %v %v", v, err)
-	}
-	if err := <-putDone; err != nil {
-		t.Fatalf("put err = %v", err)
-	}
-}
-
-func TestSynchronousManyExchanges(t *testing.T) {
-	q := NewSynchronous[int]()
-	const n = 200
-	go func() {
-		for i := 0; i < n; i++ {
-			q.Put(i)
-		}
-	}()
-	for i := 0; i < n; i++ {
-		v, err := q.Take()
-		if err != nil || v != i {
-			t.Fatalf("exchange %d: %v %v", i, v, err)
-		}
-	}
-}
-
 func TestManyProducersManyConsumers(t *testing.T) {
 	const producers, perProducer = 8, 250
 	q := NewArrayBlocking[int](4)
@@ -369,17 +333,14 @@ func TestManyProducersManyConsumers(t *testing.T) {
 func TestPropRingBufferMatchesModel(t *testing.T) {
 	// Drive each capacity with a random op sequence against a model slice,
 	// single-threaded. room is how many elements TryPut may have buffered:
-	// the bound, no limit when unbounded, and none at all for a rendezvous,
-	// whose non-blocking offer never transfers.
+	// the bound, or no limit when unbounded.
 	rows := map[string]struct {
 		mk   func(capn int) Queue[int]
 		room func(capn int) int
 	}{
-		"array":       {func(c int) Queue[int] { return NewArrayBlocking[int](c) }, func(c int) int { return c }},
-		"linked":      {func(c int) Queue[int] { return NewLinkedBlocking[int](c) }, func(c int) int { return c }},
-		"unbounded":   {func(int) Queue[int] { return NewLinkedBlocking[int](0) }, func(int) int { return math.MaxInt }},
-		"mvar":        {func(int) Queue[int] { return NewMVar[int]() }, func(int) int { return 1 }},
-		"synchronous": {func(int) Queue[int] { return NewSynchronous[int]() }, func(int) int { return 0 }},
+		"array":     {func(c int) Queue[int] { return NewArrayBlocking[int](c) }, func(c int) int { return c }},
+		"unbounded": {func(int) Queue[int] { return NewLinkedBlocking[int]() }, func(int) int { return math.MaxInt }},
+		"mvar":      {func(int) Queue[int] { return NewMVar[int]() }, func(int) int { return 1 }},
 	}
 	for name, row := range rows {
 		t.Run(name, func(t *testing.T) {
@@ -447,7 +408,7 @@ func TestUnboundedGrowsAcrossWrapAndGivesBack(t *testing.T) {
 	}
 	for name, put := range overfill {
 		t.Run(name, func(t *testing.T) {
-			q := NewLinkedBlocking[int](0)
+			q := NewLinkedBlocking[int]()
 			seq := make([]int, 4*minRing)
 			for i := range seq {
 				seq[i] = i
@@ -478,107 +439,15 @@ func TestUnboundedGrowsAcrossWrapAndGivesBack(t *testing.T) {
 	}
 }
 
-// parked waits until a rendezvous queue holds an offer no taker has
-// accepted yet (white-box: Len reports 0 for it by contract).
-func parked(t *testing.T, q *Blocking[int]) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		q.mu.Lock()
-		n := q.n
-		q.mu.Unlock()
-		if n == 1 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no offer parked within 5s")
-		}
-	}
-}
-
-// TestRendezvousCloseWithdrawsOffer: a putter whose offer Close cut short
-// is told ErrClosed, so that element must not also be takeable — for a
-// scalar Put, and for a PutBatch, which reports exactly the hand-offs that
-// completed before the cut.
-func TestRendezvousCloseWithdrawsOffer(t *testing.T) {
-	for name, completed := range map[string]int{"Put": 0, "PutBatch": 2} {
-		t.Run(name, func(t *testing.T) {
-			q := NewSynchronous[int]()
-			type res struct {
-				n   int
-				err error
-			}
-			done := make(chan res, 1)
-			go func() {
-				if name == "Put" {
-					done <- res{0, q.Put(1)}
-					return
-				}
-				n, err := q.PutBatch([]int{1, 2, 3, 4, 5})
-				done <- res{n, err}
-			}()
-			for want := 1; want <= completed; want++ {
-				if v, err := q.Take(); err != nil || v != want {
-					t.Fatalf("Take = %d %v, want %d", v, err, want)
-				}
-			}
-			parked(t, q)
-			q.Close()
-			if v, ok, err := q.TryTake(); ok || err != ErrClosed {
-				t.Fatalf("TryTake after Close = %d %v %v: the withdrawn offer is still takeable", v, ok, err)
-			}
-			if r := <-done; r.n != completed || r.err != ErrClosed {
-				t.Fatalf("putter saw %d %v, want %d ErrClosed", r.n, r.err, completed)
-			}
-		})
-	}
-}
-
-// TestRendezvousPutBatchHandsOffEachElement: batching cannot loosen a
-// rendezvous. PutBatch never has more than one element parked, and when it
-// returns every element — the last included — has been taken.
-func TestRendezvousPutBatchHandsOffEachElement(t *testing.T) {
-	q := NewSynchronous[int]()
-	const run = 50
-	vs := make([]int, run)
-	for i := range vs {
-		vs[i] = i
-	}
-	takenAtReturn := make(chan uint64, 1)
-	go func() {
-		if n, err := q.PutBatch(vs); n != run || err != nil {
-			t.Errorf("PutBatch = %d %v", n, err)
-		}
-		q.mu.Lock()
-		takenAtReturn <- q.taken
-		q.mu.Unlock()
-	}()
-	dst := make([]int, 8)
-	for want := 0; want < run; want++ {
-		n, err := q.TakeBatch(dst)
-		if err != nil || n != 1 || dst[0] != want {
-			t.Fatalf("TakeBatch = %d %v (first %d), want exactly element %d", n, err, dst[0], want)
-		}
-	}
-	if got := <-takenAtReturn; got != run {
-		t.Fatalf("PutBatch returned with %d of %d elements taken", got, run)
-	}
-}
-
 func TestCapReporting(t *testing.T) {
 	if NewArrayBlocking[int](5).Cap() != 5 {
 		t.Fatal("array cap")
 	}
-	if NewLinkedBlocking[int](0).Cap() != 0 {
+	if NewLinkedBlocking[int]().Cap() != 0 {
 		t.Fatal("unbounded cap")
-	}
-	if NewLinkedBlocking[int](3).Cap() != 3 {
-		t.Fatal("bounded linked cap")
 	}
 	if NewMVar[int]().Cap() != 1 {
 		t.Fatal("mvar cap")
-	}
-	if NewSynchronous[int]().Cap() != 0 {
-		t.Fatal("sync cap")
 	}
 }
 

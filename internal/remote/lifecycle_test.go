@@ -131,8 +131,10 @@ func TestStoppedPipeYieldsNothing(t *testing.T) {
 	src := func() core.Stepper { return core.NewFirstClass(core.IntRange(42, 100)) }
 	args := []value.V{value.NewInt(42), value.NewInt(100)}
 	rows := map[string]func() (stoppable, func() int){
-		"pipe.New":        func() (stoppable, func() int) { return local(pipe.New(src(), cfg.Buffer)) },
-		"pipe.NewBatched": func() (stoppable, func() int) { return local(pipe.NewBatched(src(), cfg.Buffer, 4)) },
+		"pipe.New": func() (stoppable, func() int) { return local(pipe.New(src(), cfg.Buffer)) },
+		"pipe.FromGenBatched": func() (stoppable, func() int) {
+			return local(pipe.FromGenBatched(core.IntRange(42, 100), cfg.Buffer, 4))
+		},
 		"pipe.New, run held": func() (stoppable, func() int) {
 			// Started ahead of the first Next the producer fills the queue,
 			// so that Next takes a whole run and Stop finds all but one of

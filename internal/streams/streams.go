@@ -34,18 +34,6 @@ func FromSlice[T any](s []T) *Stream[T] {
 	}}
 }
 
-// Map applies f to each element.
-func Map[T, U any](s *Stream[T], f func(T) U) *Stream[U] {
-	return &Stream[U]{next: func() (U, bool) {
-		v, ok := s.next()
-		if !ok {
-			var zero U
-			return zero, false
-		}
-		return f(v), true
-	}}
-}
-
 // FlatMap expands each element into a sub-stream, concatenated in order.
 func FlatMap[T, U any](s *Stream[T], f func(T) []U) *Stream[U] {
 	var cur []U
@@ -67,45 +55,6 @@ func FlatMap[T, U any](s *Stream[T], f func(T) []U) *Stream[U] {
 	}}
 }
 
-// Filter keeps the elements satisfying pred.
-func (s *Stream[T]) Filter(pred func(T) bool) *Stream[T] {
-	return &Stream[T]{next: func() (T, bool) {
-		for {
-			v, ok := s.next()
-			if !ok {
-				var zero T
-				return zero, false
-			}
-			if pred(v) {
-				return v, true
-			}
-		}
-	}}
-}
-
-// Limit truncates the stream to at most n elements.
-func (s *Stream[T]) Limit(n int) *Stream[T] {
-	return &Stream[T]{next: func() (T, bool) {
-		if n <= 0 {
-			var zero T
-			return zero, false
-		}
-		n--
-		return s.next()
-	}}
-}
-
-// Peek invokes f on each element as it flows past.
-func (s *Stream[T]) Peek(f func(T)) *Stream[T] {
-	return &Stream[T]{next: func() (T, bool) {
-		v, ok := s.next()
-		if ok {
-			f(v)
-		}
-		return v, ok
-	}}
-}
-
 // ForEach consumes the stream, applying f to each element.
 func (s *Stream[T]) ForEach(f func(T)) {
 	for {
@@ -117,45 +66,11 @@ func (s *Stream[T]) ForEach(f func(T)) {
 	}
 }
 
-// Collect consumes the stream into a slice.
-func (s *Stream[T]) Collect() []T {
-	var out []T
-	s.ForEach(func(v T) { out = append(out, v) })
-	return out
-}
-
-// Count consumes the stream and returns its length.
-func (s *Stream[T]) Count() int {
-	n := 0
-	s.ForEach(func(T) { n++ })
-	return n
-}
-
 // Reduce folds the stream left-to-right from init.
 func Reduce[T, A any](s *Stream[T], init A, f func(A, T) A) A {
 	acc := init
 	s.ForEach(func(v T) { acc = f(acc, v) })
 	return acc
-}
-
-// Chunks consumes the stream into slices of at most size elements.
-func (s *Stream[T]) Chunks(size int) [][]T {
-	if size < 1 {
-		size = 1
-	}
-	var out [][]T
-	cur := make([]T, 0, size)
-	s.ForEach(func(v T) {
-		cur = append(cur, v)
-		if len(cur) == size {
-			out = append(out, cur)
-			cur = make([]T, 0, size)
-		}
-	})
-	if len(cur) > 0 {
-		out = append(out, cur)
-	}
-	return out
 }
 
 // ParallelConfig controls chunked parallel execution.

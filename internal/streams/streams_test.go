@@ -1,27 +1,19 @@
 package streams
 
 import (
-	"strconv"
 	"testing"
 	"testing/quick"
 )
 
-func TestMapFilterLimit(t *testing.T) {
-	got := Map(FromSlice([]int{1, 2, 3, 4, 5, 6}).Filter(func(v int) bool { return v%2 == 0 }),
-		func(v int) string { return strconv.Itoa(v * 10) }).Limit(2).Collect()
-	if len(got) != 2 || got[0] != "20" || got[1] != "40" {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestFlatMapOrder(t *testing.T) {
-	got := FlatMap(FromSlice([]string{"ab", "", "cd"}), func(s string) []string {
+	s := FlatMap(FromSlice([]string{"ab", "", "cd"}), func(s string) []string {
 		out := make([]string, len(s))
 		for i := range s {
 			out[i] = s[i : i+1]
 		}
 		return out
-	}).Collect()
+	})
+	got := Reduce(s, []string(nil), func(a []string, v string) []string { return append(a, v) })
 	want := []string{"a", "b", "c", "d"}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)
@@ -40,45 +32,13 @@ func TestReduce(t *testing.T) {
 	}
 }
 
-func TestGenerateAndCount(t *testing.T) {
-	i := 0
-	s := &Stream[int]{next: func() (int, bool) {
-		if i >= 7 {
-			return 0, false
-		}
-		i++
-		return i, true
-	}}
-	if n := s.Count(); n != 7 {
-		t.Fatalf("count = %d", n)
-	}
-}
-
-func TestPeekSeesAllElements(t *testing.T) {
-	var seen []int
-	FromSlice([]int{1, 2, 3}).Peek(func(v int) { seen = append(seen, v) }).Collect()
-	if len(seen) != 3 {
-		t.Fatalf("peek saw %v", seen)
-	}
-}
-
-func TestChunks(t *testing.T) {
-	cs := FromSlice([]int{1, 2, 3, 4, 5}).Chunks(2)
-	if len(cs) != 3 || len(cs[0]) != 2 || len(cs[2]) != 1 {
-		t.Fatalf("chunks = %v", cs)
-	}
-	if got := FromSlice([]int(nil)).Chunks(3); len(got) != 0 {
-		t.Fatalf("empty chunks = %v", got)
-	}
-}
-
 func TestParallelMapReduceMatchesSequential(t *testing.T) {
 	src := make([]int, 999)
 	for i := range src {
 		src[i] = i
 	}
 	f := func(v int) int { return v * v }
-	seq := Reduce(Map(FromSlice(src), f), 0, func(a, v int) int { return a + v })
+	seq := Reduce(FromSlice(src), 0, func(a, v int) int { return a + f(v) })
 	par := ParallelMapReduce(FromSlice(src), ParallelConfig{Workers: 4, ChunkSize: 64},
 		f, 0, func(a, v int) int { return a + v }, func(a, b int) int { return a + b })
 	if seq != par {
@@ -91,8 +51,8 @@ func TestParallelMapPreservesOrder(t *testing.T) {
 	for i := range src {
 		src[i] = i
 	}
-	got := ParallelMap(FromSlice(src), ParallelConfig{Workers: 8, ChunkSize: 7},
-		func(v int) int { return v * 2 }).Collect()
+	got := Reduce(ParallelMap(FromSlice(src), ParallelConfig{Workers: 8, ChunkSize: 7},
+		func(v int) int { return v * 2 }), []int(nil), func(a []int, v int) []int { return append(a, v) })
 	if len(got) != len(src) {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -110,7 +70,7 @@ func TestPropParallelEqualsSequential(t *testing.T) {
 			src[i] = int(x)
 		}
 		mapf := func(v int) int { return v*3 + 1 }
-		seq := Reduce(Map(FromSlice(src), mapf), 0, func(a, v int) int { return a + v })
+		seq := Reduce(FromSlice(src), 0, func(a, v int) int { return a + mapf(v) })
 		par := ParallelMapReduce(FromSlice(src),
 			ParallelConfig{Workers: int(workers%4) + 1, ChunkSize: int(chunk%16) + 1},
 			mapf, 0, func(a, v int) int { return a + v }, func(a, b int) int { return a + b })
@@ -118,14 +78,5 @@ func TestPropParallelEqualsSequential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLimitShortCircuitsInfiniteStream(t *testing.T) {
-	n := 0
-	inf := &Stream[int]{next: func() (int, bool) { n++; return n, true }}
-	got := inf.Limit(5).Collect()
-	if len(got) != 5 || got[4] != 5 {
-		t.Fatalf("got %v", got)
 	}
 }
