@@ -332,20 +332,20 @@ type served struct {
 	snapReq   bool   // a SNAPREQ awaits a forced snapshot answer
 	reason    string // why the stream ended; the first to say wins
 
-	// The run: values are encoded into pending as they are produced and
-	// ship as one VALUES frame of at most batch. Credit accounting stays
-	// per value — the producer acquires one credit before generating each
-	// — so the §3B bounded-buffer backpressure does not depend on the run
-	// length. The flush policy is the batched pipe's, translated to the
-	// wire: fill (batch values buffered), demand (a CREDIT frame is the
-	// client draining its queue, and a zero-credit CREDIT a pure demand
-	// ping from a client about to block), stall (credits exhausted:
-	// everything the client allows is in hand) and EOS/ERR (the run
-	// precedes the terminal frame). rmu is held across the frame write so racing flushes — the
-	// producer's and the demux's — emit runs in production order; the
-	// session writer's own serialization nests inside it. The run's buffer
-	// is recycled: enqueue has copied the payload when it returns.
-	rmu     sync.Mutex
+	// The run, also under mu: values are encoded into pending as they are
+	// produced and ship as one VALUES frame of at most batch. Credit
+	// accounting stays per value — the producer acquires one credit before
+	// generating each — so the §3B bounded-buffer backpressure does not
+	// depend on the run length. The flush policy is the batched pipe's,
+	// translated to the wire: fill (put finds batch values buffered),
+	// demand (a CREDIT frame is the client draining its queue, and a
+	// zero-credit CREDIT a pure demand ping from a client about to block),
+	// stall (acquire finds no credit: everything the client allows is in
+	// hand) and EOS/ERR (the run precedes the terminal frame). mu is held
+	// across the frame write so racing ships — the producer's and the
+	// demux's — emit runs in production order; the session writer's own
+	// serialization nests inside it. The run's buffer is recycled: enqueue
+	// has copied the payload when it returns.
 	batch   int
 	pending wire.Run
 }
@@ -417,8 +417,8 @@ func (st *served) onCredit(payload []byte) (bool, error) {
 	st.mu.Lock()
 	st.credits += n
 	st.cond.Broadcast()
+	st.ship() // a grant is the client draining its queue: demand
 	st.mu.Unlock()
-	st.flush() // a grant is the client draining its queue: demand
 	return false, nil
 }
 
@@ -464,9 +464,16 @@ func (st *served) setReason(why string) string {
 // gets its snapshot answer instead of the producer racing ahead on
 // leftover credits. A wait here is a credit stall — the client's buffer
 // bound throttling this producer across the wire, §3B's backpressure — and
-// the record's put bracket is exactly that wait.
-func (st *served) acquire() (ok, snap bool) {
+// the record's put bracket is exactly that wait. Finding no credit, it
+// first ships the run: the client has authorized nothing more, so the run
+// is as full as it can get — it goes before the stall, not after. lost
+// reports that the ship failed.
+func (st *served) acquire() (ok, snap, lost bool) {
 	st.mu.Lock()
+	if st.credits == 0 && st.ship() != nil {
+		st.mu.Unlock()
+		return false, false, true
+	}
 	stalled := st.credits == 0 && !st.cancelled && !st.snapReq
 	if stalled {
 		st.ih.BlockedPut()
@@ -488,26 +495,35 @@ func (st *served) acquire() (ok, snap bool) {
 		st.ih.Running()
 	}
 	st.ih.SetCredit(int64(left))
-	return ok, snap
+	return ok, snap, false
 }
 
 func (st *served) send(typ byte, payload []byte) error {
 	return st.sess.io.enqueue(typ, st.sid, payload)
 }
 
-// put encodes one value into the run and reports whether the run is full.
-// A value that does not encode leaves the run as it was.
-func (st *served) put(v value.V) (full bool, err error) {
-	st.rmu.Lock()
-	defer st.rmu.Unlock()
-	err = st.pending.Append(v)
-	return st.pending.Len() >= st.batch, err
+// put encodes one value into the run and ships the run once it is full.
+// A value that does not encode leaves the run as it was and is reported
+// as bad; err is the ship's failure.
+func (st *served) put(v value.V) (bad, err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if bad = st.pending.Append(v); bad == nil && st.pending.Len() >= st.batch {
+		err = st.ship()
+	}
+	return bad, err
 }
 
-// flush ships the run, if there is one, as one VALUES frame.
+// flush is ship for a caller that does not hold st.mu.
 func (st *served) flush() error {
-	st.rmu.Lock()
-	defer st.rmu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.ship()
+}
+
+// ship sends the run, if there is one, as one VALUES frame. Caller holds
+// st.mu.
+func (st *served) ship() error {
 	if st.pending.Len() == 0 {
 		return nil
 	}
@@ -630,17 +646,11 @@ func (st *served) produce() (err error) {
 	}
 	snapOK := true
 	for {
-		// About to stall on credits: the client has authorized nothing
-		// more, so the run is as full as it can get — ship it rather than
-		// sit on it, before the stall and not after.
-		st.mu.Lock()
-		dry := st.credits == 0
-		st.mu.Unlock()
-		if dry && st.flush() != nil {
+		ok, snap, lost := st.acquire()
+		if lost {
 			st.setReason("connection lost")
 			return nil
 		}
-		ok, snap := st.acquire()
 		if snap {
 			// SNAPREQ: the migration handshake. Always answered — with the
 			// blob or a refusal — so Migrate never hangs.
@@ -657,12 +667,12 @@ func (st *served) produce() (err error) {
 		}
 		// Values are encoded at produce time, so everything before an
 		// unencodable one is delivered, then ERR.
-		full, err := st.put(v)
-		if err != nil {
-			st.terminate(frameErr, errPayload(ClassProducer, "encode: "+err.Error()), "encode error")
+		bad, err := st.put(v)
+		if bad != nil {
+			st.terminate(frameErr, errPayload(ClassProducer, "encode: "+bad.Error()), "encode error")
 			return nil
 		}
-		if full && st.flush() != nil {
+		if err != nil {
 			st.setReason("connection lost")
 			return nil // connection gone; the session loop tears down
 		}
