@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,6 +155,53 @@ func TestServedStreamShipsPartialRunOnDemand(t *testing.T) {
 	if resumed.Load() {
 		t.Fatal("the generator was released before the first value arrived")
 	}
+	close(release)
+	released = true
+	within(t, 5*time.Second, "the rest of the stream", func() {
+		assertInts(t, drainInts(t, p, 10), []int64{2})
+	})
+	if err := p.Err(); err != nil {
+		t.Fatalf("stream error: %v", err)
+	}
+}
+
+// TestDemandPingOnAnEmptyRunIsKept: the demand ping can reach the server
+// before the value it asks for exists. With Buffer 64 and Batch 64 the
+// client's first Next sends its ping and blocks; only once the server has
+// handled that ping (the hook after onCredit's ship) does the generator
+// yield its one value, and then it blocks holding 63 credits. Nothing
+// fills the run, stalls it or ends the stream, so the ping must be kept:
+// the value ships the moment it is put, and the client gets it while the
+// generator is still blocked.
+func TestDemandPingOnAnEmptyRunIsKept(t *testing.T) {
+	pinged, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	testHookCreditShipped = func() { once.Do(func() { close(pinged) }) }
+	// Cleanups run last in, first out: the server is gone before the hook.
+	t.Cleanup(func() { testHookCreditShipped = nil })
+	_, addr := startServer(t, func(s *Server) {
+		s.Register("yield-after-ping", func([]value.V) (core.Gen, error) {
+			return core.NewGen(func(yield func(value.V) bool) {
+				<-pinged
+				if !yield(value.NewInt(1)) {
+					return
+				}
+				<-release
+				yield(value.NewInt(2))
+			}), nil
+		})
+	})
+	released := false
+	defer func() {
+		if !released {
+			close(release) // let the server's producer finish before Close
+		}
+	}()
+	p := Open(addr, "yield-after-ping", nil, Config{Buffer: 64, Batch: 64})
+	defer p.Stop()
+	within(t, 5*time.Second, "first Next with the generator blocked", func() {
+		assertInts(t, drainInts(t, p, 1), []int64{1})
+	})
 	close(release)
 	released = true
 	within(t, 5*time.Second, "the rest of the stream", func() {
