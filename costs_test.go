@@ -22,6 +22,7 @@ import (
 	"junicon/internal/compile"
 	"junicon/internal/core"
 	"junicon/internal/interp"
+	"junicon/internal/pipe"
 	"junicon/internal/queue"
 	"junicon/internal/value"
 	"junicon/internal/vm"
@@ -40,13 +41,14 @@ var costsGolden = filepath.Join("testdata", "costs.golden")
 // BenchmarkVMEveryLoop_VM: the least of three runs of 200 drains, at one
 // and at four logical CPUs, whichever is greater). The checkpoint layer's
 // rows are checkpointCosts', the wire layer's wireCosts', the queue
-// layer's queueCosts'. A row that rises fails; one that falls passes, and
-// -update records it.
+// layer's queueCosts', the pipe layer's pipeCosts'. A row that rises
+// fails; one that falls passes, and -update records it.
 func TestCosts(t *testing.T) {
 	got := vmDriverCosts(t)
 	maps.Copy(got, checkpointCosts(t))
 	maps.Copy(got, wireCosts(t))
 	maps.Copy(got, queueCosts(t))
+	maps.Copy(got, pipeCosts(t))
 	want := map[string]int64{}
 	if data, err := os.ReadFile(costsGolden); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
@@ -374,4 +376,49 @@ func queueCosts(t *testing.T) map[string]int64 {
 		}
 	})
 	return rows
+}
+
+// ones is an endless generator of one interned integer: a producer that
+// allocates nothing, so a pipe's rows count the hop's allocations alone.
+type ones struct{}
+
+func (ones) Next() (value.V, bool) { return value.IntV(1), true }
+func (ones) Restart()              {}
+
+// pipeCosts holds the pipe layer: the allocations of a 64-value hop
+// through a running FromGen pipe (the producer's puts, the consumer's
+// refills and Nexts), and of a 20-value pipe's whole life — start, drain
+// to failure, Stop — each the least of three runs of 200.
+func pipeCosts(t *testing.T) map[string]int64 {
+	perOp := func(f func()) int64 {
+		n := int64(-1)
+		for range 3 {
+			if a := int64(testing.AllocsPerRun(200, f)); n < 0 || a < n {
+				n = a
+			}
+		}
+		return n
+	}
+	p := pipe.FromGen(ones{}, 64)
+	defer p.Stop()
+	hop := func() {
+		for range 64 {
+			if _, ok := p.Next(); !ok {
+				t.Fatal("an endless pipe failed")
+			}
+		}
+	}
+	hop() // started: the producer runs and the run buffer exists
+	return map[string]int64{
+		"pipe\t64-value hop of FromGen(g, 64), steady state\tallocs_per_op": perOp(hop),
+		"pipe\tstart, drain and Stop of FromGen(IntRange(1, 20), 64)\tallocs_per_op": perOp(func() {
+			q := pipe.FromGen(core.IntRange(1, 20), 64)
+			for {
+				if _, ok := q.Next(); !ok {
+					break
+				}
+			}
+			q.Stop()
+		}),
+	}
 }
