@@ -28,7 +28,7 @@ var pipeStop = &Analyzer{
 
 var pipeCreators = map[string]bool{
 	"New": true, "FromGen": true, "FromGenBatched": true,
-	"NewBatchedWithQueue": true, "NewInline": true, "Chain": true,
+	"NewBatchedWithQueue": true, "NewInline": true, "Chain": true, "Over": true,
 }
 
 // Releasing methods end the producer; aliasing methods hand the same pipe

@@ -197,12 +197,17 @@ func dialSession(d *Dialer, addr string) (*Session, error) {
 // tryReserve claims a stream slot under limit, counting live and claimed
 // slots both, so concurrent opens cannot overshoot the streams-per-conn
 // cap; openStream consumes the claim. A session whose stream ids are spent
-// has no slot to give — the id after the last is 0, the connection's own —
-// so the Dialer dials the next one.
+// has no slot to give — the id after the last is 0, the connection's own;
+// a private session's last is its first, as it closes when that stream
+// ends — so the Dialer dials the next one.
 func (s *Session) tryReserve(limit int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || len(s.streams)+s.pending >= limit || uint64(s.nextSID)+uint64(s.pending) >= math.MaxUint32 {
+	last := uint64(math.MaxUint32)
+	if s.private {
+		last = 1
+	}
+	if s.closed || len(s.streams)+s.pending >= limit || uint64(s.nextSID)+uint64(s.pending) >= last {
 		return false
 	}
 	s.pending++

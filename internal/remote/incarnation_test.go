@@ -258,8 +258,8 @@ func (f *incFixture) state() string {
 			continue
 		}
 		p.mu.Lock()
-		s += fmt.Sprintf("cur=%p stopped=%v err=%v results=%d replay=%d snap=%q@%d refusal=%q",
-			p.cur, p.stopped, p.err, p.results, len(p.replay), p.lastSnap, p.lastSnapAt, p.snapReason)
+		s += fmt.Sprintf("cur=%p redial=%v err=%v results=%d snap=%q@%d refusal=%q",
+			p.cur, p.redial != nil, p.err, p.Size(), p.lastSnap, p.lastSnapAt, p.snapReason)
 		if p.cur != nil {
 			s += fmt.Sprintf(" debt=%d queued=%d", p.cur.debt, p.cur.out.Len())
 		}
