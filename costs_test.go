@@ -24,6 +24,7 @@ import (
 	"junicon/internal/interp"
 	"junicon/internal/pipe"
 	"junicon/internal/queue"
+	"junicon/internal/remote"
 	"junicon/internal/value"
 	"junicon/internal/vm"
 	"junicon/internal/wire"
@@ -41,7 +42,8 @@ var costsGolden = filepath.Join("testdata", "costs.golden")
 // BenchmarkVMEveryLoop_VM: the least of three runs of 200 drains, at one
 // and at four logical CPUs, whichever is greater). The checkpoint layer's
 // rows are checkpointCosts', the wire layer's wireCosts', the queue
-// layer's queueCosts', the pipe layer's pipeCosts'. A row that rises
+// layer's queueCosts', the pipe layer's pipeCosts', the remote layer's
+// remoteCosts'. A row that rises
 // fails; one that falls passes, and -update records it.
 func TestCosts(t *testing.T) {
 	got := vmDriverCosts(t)
@@ -49,6 +51,7 @@ func TestCosts(t *testing.T) {
 	maps.Copy(got, wireCosts(t))
 	maps.Copy(got, queueCosts(t))
 	maps.Copy(got, pipeCosts(t))
+	maps.Copy(got, remoteCosts(t))
 	want := map[string]int64{}
 	if data, err := os.ReadFile(costsGolden); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
@@ -421,4 +424,39 @@ func pipeCosts(t *testing.T) map[string]int64 {
 			q.Stop()
 		}),
 	}
+}
+
+// remoteCosts holds the remote layer: the allocations, both ends counted,
+// of one 20-value stream's whole life on a pooled loopback session — open,
+// drain to EOS, Stop — the least of three runs of 200. The session is
+// dialed before the count, so the row is what each stream pays on it.
+func remoteCosts(t *testing.T) map[string]int64 {
+	srv := remote.NewServer()
+	srv.Register("range", func([]value.V) (core.Gen, error) { return core.IntRange(1, 20), nil })
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	d := &remote.Dialer{}
+	defer d.Close()
+	life := func() {
+		p := d.Open(addr.String(), "range", nil, remote.Config{Buffer: 64})
+		n := 0
+		for _, ok := p.Next(); ok; _, ok = p.Next() {
+			n++
+		}
+		if n != 20 || p.Err() != nil {
+			t.Fatalf("a 20-value stream delivered %d: %v", n, p.Err())
+		}
+		p.Stop()
+	}
+	life() // the session is dialed and the server's producer parked
+	n := int64(-1)
+	for range 3 {
+		if a := int64(testing.AllocsPerRun(200, life)); n < 0 || a < n {
+			n = a
+		}
+	}
+	return map[string]int64{"remote\topen, drain and Stop of a 20-value stream on a pooled session\tallocs_per_op": n}
 }
