@@ -237,7 +237,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if err := writeFrame(conn, frameHello, nil); err != nil {
 		return
 	}
-	ih := inspect.Open(0, inspect.KindSession, "session:"+remoteAddr+" (serve)")
+	ih := inspect.Open(0, inspect.KindSession, "session:", remoteAddr, " (serve)")
 	sess := newSession(conn, &role{frames: serverFrames, orphan: s.openStream}, ih, idle)
 	sess.peer = remoteAddr
 	// A peer that sent no connection ID is grouped under this end's record.
