@@ -302,8 +302,12 @@ func intLit(s string) value.V {
 // order; Run drives each once.
 var Statements []*vm.Machine
 
-// Run executes the program's top-level statements (bounded, in order).
+// Run executes the program's top-level statements (bounded, in order)
+// from the program's declared state (declare), so each Run starts as the
+// first did. A global the host binds and the program does not declare
+// keeps its value.
 func Run() {
+	declare()
 	for _, m := range Statements {
 		m.Call().Next()
 	}
@@ -311,35 +315,45 @@ func Run() {
 `, e.opts.Package)
 }
 
-// wire emits init: the global cells, then the machines and procedure
-// values that capture them.
+// wire emits init, which builds the machines and procedure values, and
+// declare, which puts the cells they capture in the program's declared
+// state: its statics and globals null, its procedures, records and
+// classes bound. init and every Run begin with declare.
 func (e *emitter) wire(units []unit, records []*ast.RecordDecl, classes []*ast.ClassDecl) {
+	bound := map[string]string{}
+	for _, r := range records {
+		bound[r.Name] = "P_" + r.Name
+	}
+	for _, c := range classes {
+		bound[c.Name] = goName(c.Name) + "Proc"
+	}
+	for _, u := range units {
+		if u.proc != "" {
+			e.linef("// P_%s is procedure %s.\nvar P_%[1]s *value.Proc\n", u.proc, u.proc)
+			bound[u.proc] = "P_" + u.proc
+		}
+	}
+	e.linef("func init() {")
+	for _, u := range units {
+		if u.proc != "" {
+			e.linef("P_%s = value.NewProc(%q, %d, machine_%s().Call)", u.proc, u.proc, u.code.Params, u.id)
+		} else {
+			e.linef("Statements = append(Statements, machine_%s())", u.id)
+		}
+	}
+	e.linef("declare()\n}\n")
 	var names []string
 	for name := range e.globals {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, u := range units {
-		if u.proc != "" {
-			e.linef("// P_%s is procedure %s.\nvar P_%[1]s *value.Proc\n", u.proc, u.proc)
-		}
-	}
-	e.linef("func init() {")
+	e.linef("// declare puts the program in its declared state: its statics and\n// globals null, its procedures, records and classes bound.\nfunc declare() {")
+	e.linef("for _, v := range statics {\nv.Set(value.NullV)\n}")
 	for _, name := range names {
-		e.linef("Global(%q)", name)
-	}
-	for _, r := range records {
-		e.linef("Globals[%q].Set(P_%s)", r.Name, r.Name)
-	}
-	for _, c := range classes {
-		e.linef("Globals[%q].Set(%sProc)", c.Name, goName(c.Name))
-	}
-	for _, u := range units {
-		if u.proc != "" {
-			e.linef("P_%s = value.NewProc(%q, %d, machine_%s().Call)", u.proc, u.proc, u.code.Params, u.id)
-			e.linef("Globals[%q].Set(P_%s)", u.proc, u.proc)
+		if v, ok := bound[name]; ok {
+			e.linef("Global(%q).Set(%s)", name, v)
 		} else {
-			e.linef("Statements = append(Statements, machine_%s())", u.id)
+			e.linef("Global(%q).Set(value.NullV)", name)
 		}
 	}
 	e.linef("}")
