@@ -47,8 +47,8 @@ func TestPlainPipeAllocLean(t *testing.T) {
 // telemetry and inspection checks — within the same allocation budget.
 func TestRefreshedPipeKeepsDirectLoop(t *testing.T) {
 	const n = 1024
-	if fresh := FromGen(core.IntRange(1, n), 64).Refresh().(*Pipe); !fresh.ownSrc {
-		t.Fatal("Refresh dropped ownSrc: the refreshed producer takes the Step path")
+	if fresh := FromGen(core.IntRange(1, n), 64).Refresh().(*Pipe); fresh.own == nil {
+		t.Fatal("Refresh dropped own: the refreshed producer takes the Step path")
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		p := FromGen(core.IntRange(1, n), 64).Refresh().(*Pipe)

@@ -14,11 +14,10 @@ import (
 // producer is pure: with nothing observable inside it, eager-asynchronous
 // and lazy-synchronous evaluation yield identical traces.
 type Inline struct {
-	src       core.Stepper
-	err       error
-	stopped   bool
-	exhausted bool
-	results   int
+	src     core.Stepper
+	err     error
+	done    bool // stopped, exhausted, or raised err
+	results int
 }
 
 var (
@@ -34,17 +33,13 @@ func NewInline(src core.Stepper) *Inline { return &Inline{src: src} }
 // iterated to failure, an exhausted (or stopped, or errored) inline proxy
 // fails on every subsequent Next.
 func (i *Inline) Next() (value.V, bool) {
-	if i.stopped || i.exhausted || i.err != nil {
+	if i.done {
 		return nil, false
 	}
 	var v value.V
 	var ok bool
-	if err := core.Protect(func() { v, ok = i.src.Step(value.NullV) }); err != nil {
-		i.err = err
-		return nil, false
-	}
-	if !ok {
-		i.exhausted = true
+	i.err = core.Protect(func() { v, ok = i.src.Step(value.NullV) })
+	if i.done = !ok; i.done {
 		return nil, false
 	}
 	if v == nil {
@@ -58,14 +53,13 @@ func (i *Inline) Next() (value.V, bool) {
 func (i *Inline) Restart() {
 	i.src = i.src.Refresh()
 	i.err = nil
-	i.stopped = false
-	i.exhausted = false
+	i.done = false
 	i.results = 0
 }
 
 // Stop terminates the proxy; further Nexts fail until Restart. There is
 // no producer thread to release.
-func (i *Inline) Stop() { i.stopped = true }
+func (i *Inline) Stop() { i.done = true }
 
 // StartEager is a no-op: laziness is the point of the inline proxy, and
 // purity is what makes it unobservable.

@@ -7,6 +7,8 @@
 //	|>e → new Iterator() { next() { new Thread { run() {
 //	    c = |<>e; while (!fail) { out.put(@c); }}}.start() }}
 //
+// That loop is the producer, written once (produce). A runtime error ends
+// it and is its incarnation's: Err reports it until the next start.
 // The output queue is exposed (Out) "to permit further manipulation", and
 // bounding its buffer throttles the threaded co-expression. A pipe limited
 // to a single result is a future (see First).
@@ -79,18 +81,25 @@ type generation struct {
 	i, n int
 }
 
-func newGeneration(out queue.Queue[value.V], h *inspect.Handle, run int) *generation {
-	return &generation{out: out, h: h, run: make([]value.V, run)}
+// adopt makes out and its record h the generation's: the first
+// incarnation's at start, and each one a Stream's End hands on. The record
+// is armed with the queue's depth probe here, and nowhere else. Caller
+// holds the pipe's lock, under which Out reads the queue.
+func (g *generation) adopt(out queue.Queue[value.V], h *inspect.Handle) {
+	g.out, g.h = out, h
+	if h != nil {
+		h.SetDepthProbe(func() (int, int) { return out.Len(), out.Cap() })
+	}
 }
 
-// refill takes the next run from the queue with one blocking TakeBatch —
+// refill takes the next run from g's queue with one blocking TakeBatch —
 // park at once, no polling: a consumer that spins before parking starves
 // the producer it is waiting for when cores are scarce. A transport's
 // stream hears of a wait first (Demand), and of the queue's end (End),
 // which may name the incarnation to go on with. refill reports false once
 // the queue is closed and drained and no incarnation follows. Caller holds
 // g.mu.
-func (g *generation) refill() bool {
+func (p *Pipe) refill(g *generation) bool {
 	for {
 		// The consumer edge is looked up once per run, never per value; the
 		// take bracket opened here is closed by the Consumed of the value the
@@ -114,7 +123,9 @@ func (g *generation) refill() bool {
 		if g.in = g.in.End(); g.in == nil {
 			return false
 		}
-		g.out, g.h = g.in.Queue()
+		p.mu.Lock()
+		g.adopt(g.in.Queue())
+		p.mu.Unlock()
 	}
 }
 
@@ -142,15 +153,13 @@ type Pipe struct {
 	mu      sync.Mutex
 	src     core.Stepper
 	tr      Transport // non-nil: the producer is tr's, and src is unused
-	out     queue.Queue[value.V]
 	mkQueue func() queue.Queue[value.V]
 	batch   int        // > 0 caps the consumer's run below min(buffer, maxRun)
 	pool    *pool.Pool // non-nil: producer runs on a pool worker, not its own goroutine
-	ownSrc  bool       // src is a FirstClass this package built (FromGen et al.)
-	started bool
-	err     error
+	own     core.Gen   // FromGen's generator, in a FirstClass src that only this pipe reaches
+	err     error      // what ended the current local producer, if anything
 
-	cur     atomic.Pointer[generation]
+	cur     atomic.Pointer[generation] // nil until the producer starts
 	results atomic.Int64
 }
 
@@ -190,7 +199,7 @@ func Over(tr Transport, batch int) *Pipe { return &Pipe{tr: tr, batch: batch} }
 // FromGen lifts a plain generator into a pipe: |>e over <>e.
 func FromGen(g core.Gen, buffer int) *Pipe {
 	p := New(core.NewFirstClass(g), buffer)
-	p.ownSrc = true
+	p.own = g
 	return p
 }
 
@@ -223,118 +232,97 @@ func FromGenBatched(g core.Gen, buffer, batch int) *Pipe {
 func (p *Pipe) OnPool(pl *pool.Pool) *Pipe {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.started {
+	if p.cur.Load() != nil {
 		panic("pipe: OnPool after producer start")
 	}
 	p.pool = pl
 	return p
 }
 
-// runLen sizes the consumer's run for transport out: the queue's bound, or
-// maxRun where it reports none (unbounded), cut to maxRun and to the pipe's
-// cap.
-func (p *Pipe) runLen(out queue.Queue[value.V]) int {
-	n := out.Cap()
+// start opens the transport's stream, or spawns the producer goroutine,
+// and adopts the first generation. The consumer's run buffer is sized by
+// that queue: its bound, or maxRun where it reports none (unbounded), cut
+// to maxRun and to the pipe's cap. A fresh start owes nothing to an
+// earlier one's error. Caller holds p.mu.
+func (p *Pipe) start() {
+	p.err = nil
+	g := new(generation)
+	if p.tr == nil {
+		// Observation is decided once per producer start.
+		g.adopt(p.mkQueue(), inspect.Open(0, inspect.KindPipe, "pipe"))
+	} else if s, err := p.tr.Open(); err == nil {
+		g.in = s
+		g.adopt(s.Queue())
+	} else {
+		p.stopCurrentLocked()
+		return
+	}
+	n := g.out.Cap()
 	if n <= 0 || n > maxRun {
 		n = maxRun
 	}
 	if p.batch > 0 {
 		n = min(n, p.batch)
 	}
-	return n
+	g.run = make([]value.V, n)
+	p.cur.Store(g)
+	if p.tr == nil {
+		p.produce(g)
+	}
 }
 
-// start spawns the producer goroutine, or opens the transport's stream.
-// Caller holds p.mu.
-func (p *Pipe) start() {
-	p.started = true
-	if p.tr != nil {
-		s, err := p.tr.Open()
-		if err != nil {
-			p.stopCurrentLocked()
-			return
-		}
-		out, h := s.Queue()
-		g := newGeneration(out, h, p.runLen(out))
-		p.out, g.in = out, s
-		p.cur.Store(g)
-		return
-	}
-	p.out = p.mkQueue()
-	// Observation is decided once per producer start: with every sink off
-	// the record is nil and an own source runs the unobserved direct loop.
-	h := inspect.Open(0, inspect.KindPipe, "pipe")
-	if h != nil {
-		probe := p.out
-		h.SetDepthProbe(func() (int, int) { return probe.Len(), probe.Cap() })
-	}
-	p.cur.Store(newGeneration(p.out, h, p.runLen(p.out)))
-	src, out := p.src, p.out
-	var gen core.Gen
-	if p.ownSrc && h == nil {
-		if fc, ok := src.(*core.FirstClass); ok {
-			gen = fc.G
-		}
+// produce runs g's producer, c = |<>e; while (!fail) out.put(@c), on a
+// goroutine of its own or a worker of the pipe's pool. With every sink off
+// an own source's generator is iterated directly: the FirstClass around it
+// is not reachable outside this pipe, so skipping its Step changes
+// nothing. Caller holds p.mu.
+func (p *Pipe) produce(g *generation) {
+	out, h := g.out, g.h
+	gen := p.own
+	if gen == nil || h != nil {
+		gen = core.Bang(p.src)
 	}
 	run := func() {
 		defer h.Bind()()
 		// An Icon runtime error raised inside the piped expression must
-		// not crash the host: record it, fail the consumer side.
+		// not crash the host: record it while g is the pipe's generation —
+		// a producer a Stop or Restart has moved past speaks for no
+		// incarnation — and fail the consumer side. Values yielded before
+		// the error are already in the queue, and a closed queue drains
+		// before it fails: the consumer gets exactly that prefix.
 		defer func() {
 			if r := recover(); r != nil {
-				p.mu.Lock()
+				var err error = fmt.Errorf("pipe: producer panic: %v", r)
 				if re, ok := r.(*value.RuntimeError); ok {
-					p.err = re
-				} else {
-					p.err = fmt.Errorf("pipe: producer panic: %v", r)
+					err = re
+				}
+				p.mu.Lock()
+				if p.cur.Load() == g {
+					p.err = err
 				}
 				p.mu.Unlock()
-				// Values yielded before the error are already in the queue,
-				// and a closed queue drains before it fails: the consumer
-				// gets exactly that prefix.
 				out.Close()
 			}
 		}()
-		if gen != nil {
-			// Own-source, unobserved fast loop: iterate the generator
-			// directly, skipping the FirstClass Step indirection. Semantically
-			// identical — the wrapping FirstClass is not reachable outside
-			// this pipe.
-			for {
-				v, ok := gen.Next()
-				if !ok {
-					break
-				}
-				if v == nil {
-					v = value.NullV
-				}
-				v = value.Deref(v)
-				if out.Put(v) != nil {
-					return // consumer stopped the pipe
-				}
+		for {
+			v, ok := gen.Next()
+			if !ok {
+				break
 			}
-		} else {
-			for {
-				v, ok := src.Step(value.NullV)
-				if !ok {
-					break
-				}
-				if v == nil {
-					v = value.NullV
-				}
-				v = value.Deref(v)
-				// The put bracket opens before the (possibly blocking)
-				// publish and closes after it: only staleness makes the
-				// blocked-put mark meaningful to the watchdog.
-				if h != nil {
-					h.BlockedPut()
-				}
-				if out.Put(v) != nil {
-					return // consumer stopped the pipe
-				}
-				if h != nil {
-					h.Produced(1)
-				}
+			if v == nil {
+				v = value.NullV
+			}
+			// The put bracket opens before the (possibly blocking) publish
+			// and closes after it: only staleness makes the blocked-put
+			// mark meaningful to the watchdog.
+			if h != nil {
+				h.BlockedPut()
+			}
+			if out.Put(value.Deref(v)) != nil {
+				return // consumer stopped the pipe
+			}
+			if h != nil {
+				h.Produced(1)
 			}
 		}
 		h.Draining()
@@ -352,10 +340,10 @@ func (p *Pipe) start() {
 	go run()
 }
 
-// Err reports the runtime error that terminated the producer, if any — a
-// transport's, what ended its stream. A pipe whose expression raised an
-// error fails from the consumer's point of view; Err distinguishes that
-// from ordinary exhaustion.
+// Err reports the runtime error that terminated the current incarnation's
+// producer, if any — a transport's, what ended its stream. A pipe whose
+// expression raised an error fails from the consumer's point of view; Err
+// distinguishes that from ordinary exhaustion.
 func (p *Pipe) Err() error {
 	if p.tr != nil {
 		return p.tr.Err()
@@ -372,7 +360,7 @@ func (p *Pipe) Err() error {
 func (p *Pipe) StartEager() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.started {
+	if p.cur.Load() == nil {
 		p.start()
 	}
 }
@@ -382,13 +370,9 @@ func (p *Pipe) StartEager() {
 // out.take()" (§3B) — here one take per run, served a value at a time.
 func (p *Pipe) Next() (value.V, bool) {
 	g := p.cur.Load()
-	if g == nil {
-		p.mu.Lock()
-		if !p.started {
-			p.start()
-		}
+	for g == nil { // unstarted, or restarted since the load
+		p.StartEager()
 		g = p.cur.Load()
-		p.mu.Unlock()
 	}
 	if !g.mu.TryLock() {
 		// Another consumer holds the run, perhaps parked in its take: the
@@ -397,7 +381,7 @@ func (p *Pipe) Next() (value.V, bool) {
 		g.h.NoteConsume()
 		g.mu.Lock()
 	}
-	if g.i == g.n && !g.refill() {
+	if g.i == g.n && !p.refill(g) {
 		g.mu.Unlock()
 		return nil, false
 	}
@@ -420,10 +404,9 @@ func (p *Pipe) Next() (value.V, bool) {
 func (p *Pipe) Restart() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.started {
+	if p.cur.Load() != nil {
 		p.stopCurrentLocked()
 		p.cur.Store(nil) // next Next spawns the fresh producer
-		p.started = false
 		if p.tr == nil {
 			p.src = p.src.Refresh()
 		}
@@ -438,8 +421,7 @@ func (p *Pipe) Restart() {
 func (p *Pipe) Stop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.stopCurrentLocked()
-	p.started = true // a never-started pipe must now fail, not spawn
+	p.stopCurrentLocked() // a never-started pipe now fails, not spawns
 }
 
 // stopCurrentLocked closes the current generation's transport, releasing
@@ -454,26 +436,28 @@ func (p *Pipe) stopCurrentLocked() {
 		g.out.Close()
 		g.h.Close()
 	}
-	p.out = ended.out
 	p.cur.Store(ended)
 }
 
 // ended is every stopped pipe's generation, shared: an empty, closed queue
 // with no producer, on which Next fails at once.
 var ended = func() *generation {
-	out := queue.NewArrayBlocking[value.V](1)
-	out.Close()
-	return newGeneration(out, nil, 1)
+	g := &generation{out: queue.NewArrayBlocking[value.V](1), run: make([]value.V, 1)}
+	g.out.Close()
+	return g
 }()
 
 // Out exposes the transport queue — the paper makes the BlockingQueue "a
-// public field to permit further manipulation". It is nil until the
-// producer starts; a transport's is its first stream's. Values the consumer
-// has taken as a run but not yet been handed by Next are no longer in it.
+// public field to permit further manipulation". It is the current
+// generation's, nil until the producer starts. Values the consumer has
+// taken as a run but not yet been handed by Next are no longer in it.
 func (p *Pipe) Out() queue.Queue[value.V] {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.out
+	if g := p.cur.Load(); g != nil {
+		return g.out
+	}
+	return nil
 }
 
 // Step implements the activation operator @ on the pipe.
@@ -484,15 +468,15 @@ func (p *Pipe) Step(value.V) (value.V, bool) { return p.Next() }
 func (p *Pipe) Refresh() core.Stepper {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.started {
+	if p.cur.Load() != nil {
 		p.stopCurrentLocked()
 	}
 	if p.tr != nil {
 		return p.tr.Refresh()
 	}
-	// ownSrc carries over: FirstClass.Refresh returns its receiver, as
+	// own carries over: FirstClass.Refresh returns its receiver, as
 	// private to the new proxy as it was to this one.
-	return &Pipe{src: p.src.Refresh(), mkQueue: p.mkQueue, batch: p.batch, pool: p.pool, ownSrc: p.ownSrc}
+	return &Pipe{src: p.src.Refresh(), mkQueue: p.mkQueue, batch: p.batch, pool: p.pool, own: p.own}
 }
 
 // Size reports the number of results delivered so far (*P).
@@ -522,9 +506,8 @@ func (p *Pipe) First() (value.V, bool) {
 // generator to an output generator; the returned generator produces the
 // final stage's results while every stage runs in its own goroutine.
 func Chain(src core.Gen, buffer int, stages ...func(core.Gen) core.Gen) core.Gen {
-	g := src
 	for _, stage := range stages {
-		g = stage(core.Bang(FromGen(g, buffer)))
+		src = stage(core.Bang(FromGen(src, buffer)))
 	}
-	return g
+	return src
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,6 +362,7 @@ type consumer interface {
 	value.Sized
 	Stop()
 	StartEager()
+	Err() error
 }
 
 // lockedCount is 1, 2, …, n under a lock. FromGen's Restart and Refresh
@@ -404,6 +406,32 @@ func stallAfterOne(release <-chan struct{}) core.Gen {
 	})
 }
 
+// raisesOnce yields 1 to 5, but its first evaluation raises after the
+// first value: a producer error that a restart must not inherit.
+type raisesOnce struct {
+	mu         sync.Mutex
+	runs, i, n int64
+}
+
+func (g *raisesOnce) Next() (value.V, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.i == g.n {
+		return nil, false
+	}
+	if g.i++; g.runs == 0 && g.i == 2 {
+		value.Raise(value.ErrNumeric, "numeric expected", value.String("x"))
+	}
+	return value.NewInt(g.i), true
+}
+
+func (g *raisesOnce) Restart() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.runs++
+	g.i = 0
+}
+
 // first is the future's take: First where the consumer declares it, else
 // what First is — the first Next, then Stop.
 func first(c consumer) (value.V, bool) {
@@ -419,6 +447,10 @@ func TestConsumerContract(t *testing.T) {
 	release := make(chan struct{})
 	srv, addr := startServer(t, func(s *Server) {
 		s.Register("stall", func([]value.V) (core.Gen, error) { return stallAfterOne(release), nil })
+		var opens atomic.Int64
+		s.Register("raiseOnce", func([]value.V) (core.Gen, error) {
+			return &raisesOnce{runs: opens.Add(1) - 1, n: 5}, nil
+		})
 	})
 	defer close(release) // before the server's Close, which waits for its producers
 	type row struct {
@@ -427,6 +459,9 @@ func TestConsumerContract(t *testing.T) {
 		// producer can no longer touch what a restart reuses.
 		count func() (c consumer, ran func() int, settle func())
 		stall func() consumer
+		// raiseOnce opens a consumer whose first evaluation raises after
+		// one value and whose every later one delivers 1 to 5.
+		raiseOnce func() consumer
 	}
 	rows := map[string]row{
 		"pipe.FromGen": {
@@ -440,7 +475,8 @@ func TestConsumerContract(t *testing.T) {
 				}
 				return p, g.at, settle
 			},
-			stall: func() consumer { return pipe.FromGen(stallAfterOne(release), 1) },
+			stall:     func() consumer { return pipe.FromGen(stallAfterOne(release), 1) },
+			raiseOnce: func() consumer { return pipe.FromGen(&raisesOnce{n: 5}, 1) },
 		},
 		"remote.Open": {
 			count: func() (consumer, func() int, func()) {
@@ -448,7 +484,8 @@ func TestConsumerContract(t *testing.T) {
 				p := Open(addr, "range", []value.V{value.NewInt(1), value.NewInt(100)}, testConfig())
 				return p, func() int { return int(srv.Served() - before) }, func() {}
 			},
-			stall: func() consumer { return Open(addr, "stall", nil, testConfig()) },
+			stall:     func() consumer { return Open(addr, "stall", nil, testConfig()) },
+			raiseOnce: func() consumer { return Open(addr, "raiseOnce", nil, testConfig()) },
 		},
 	}
 	for name, r := range rows {
@@ -517,6 +554,18 @@ func TestConsumerContract(t *testing.T) {
 				}
 				if v, ok := future.Next(); ok {
 					t.Errorf("Next after First = %s, want a failure", value.Image(v))
+				}
+
+				// A producer's error is its incarnation's: a Restart that
+				// runs cleanly reports none.
+				raiser := r.raiseOnce()
+				defer raiser.Stop()
+				if got := ints(raiser, 6); got != "[1]" || raiser.Err() == nil {
+					t.Errorf("the raising evaluation delivered %s with Err %v, want [1] and an error", got, raiser.Err())
+				}
+				raiser.Restart()
+				if got := ints(raiser, 6); got != "[1 2 3 4 5]" || raiser.Err() != nil {
+					t.Errorf("after Restart %s with Err %v, want [1 2 3 4 5] and none", got, raiser.Err())
 				}
 			})
 		})

@@ -167,10 +167,11 @@ type Session struct {
 	streams map[uint32]stream
 	closed  bool
 
-	// The dialing end allocates stream ids and keeps the Dialer's cap.
-	private bool // a package-level pipe's own: ends with its one stream
-	pending int  // reserved-but-not-yet-opened slots (Dialer cap accounting)
+	// The dialing end allocates stream ids up to last and keeps the
+	// Dialer's cap; a package-level pipe's own session hands out one id.
+	pending int // reserved-but-not-yet-opened slots (Dialer cap accounting)
 	nextSID uint32
+	last    uint32
 
 	vals []value.V // VALUES decode scratch; read goroutine only
 }
@@ -185,6 +186,7 @@ func newSession(conn net.Conn, r *role, ih *inspect.Handle, idle time.Duration) 
 		done:    make(chan struct{}),
 		parked:  make(chan *served),
 		streams: make(map[uint32]stream),
+		last:    math.MaxUint32,
 	}
 }
 
@@ -265,16 +267,16 @@ func (s *Session) remove(sid uint32, st stream) bool {
 
 // finish completes one stream that ended by itself: out of the table, so
 // late frames for the id are orphans, then its local state released. A
-// package-level pipe's private session ends with its stream, and a pooled
-// one that has spent its stream ids with its last.
+// dialing session that has spent its stream ids ends with its last stream:
+// a package-level pipe's private one with its only stream.
 func (s *Session) finish(sid uint32, st stream) {
 	if s.remove(sid, st) {
 		st.end(nil)
 	}
 	s.mu.Lock()
-	spent := s.nextSID == math.MaxUint32 && len(s.streams)+s.pending == 0
+	spent := s.nextSID == s.last && len(s.streams)+s.pending == 0
 	s.mu.Unlock()
-	if s.private || spent {
+	if spent {
 		s.Close()
 	}
 }
