@@ -140,6 +140,31 @@ func leak(g core.Gen, pl *pool.Pool) {
 `, "pipestop")
 }
 
+func TestPipeStopDiscardedResult(t *testing.T) {
+	// A pipe nobody holds can never be stopped: statement position and
+	// blank assignment are both flagged, as for inspect.Open.
+	wantChecks(t, `package p
+
+func drop(g core.Gen) {
+	pipe.FromGen(g, 8)
+	_ = pipe.FromGenBatched(g, 8, 4).OnPool(pl)
+}
+`, "pipestop", "pipestop")
+}
+
+func TestPipeStopNilGuardStillLeaks(t *testing.T) {
+	// A nil comparison neither releases nor passes on a pipe.
+	wantChecks(t, `package p
+
+func leak(g core.Gen) {
+	p := pipe.FromGen(g, 8)
+	if p != nil {
+		p.Next()
+	}
+}
+`, "pipestop")
+}
+
 func TestPutAfterClose(t *testing.T) {
 	wantChecks(t, `package p
 
