@@ -99,12 +99,18 @@ func (c ParallelConfig) window(workers int) int {
 	return 2 * workers
 }
 
-// chunkWindow drives the windowed chunk schedule shared by the parallel
-// terminals: pull chunks from src into recycled backing slices, keep at
-// most window tasks in flight, and hand each retired task's result (in
-// chunk order) to consume. Chunk slices are recycled once their task's
-// future has resolved — the worker no longer touches the chunk after that.
-func chunkWindow[T, R any](src *Stream[T], size, window int, spawn func(chunk []T) *queue.Future[R], consume func(R) bool) {
+// chunkWindow streams the results of work over src's chunks, in chunk
+// order: chunks are pulled from src into recycled backing slices and
+// submitted to a pool as one task each, with at most cfg.Window tasks in
+// flight, so the source is read only as results are taken. A chunk slice
+// is recycled once its task's future has resolved — the worker no longer
+// touches it after that — and the pool is shut down when the stream is
+// exhausted (or a task panics). It is the one partition, pool and
+// ordered-merge schedule of the parallel terminals.
+func chunkWindow[T, R any](src *Stream[T], cfg ParallelConfig, work func(chunk []T) R) *Stream[R] {
+	size := cfg.chunk()
+	p := pool.New(cfg.Workers)
+	limit := cfg.window(p.Size())
 	type task struct {
 		fut   *queue.Future[R]
 		chunk []T
@@ -112,8 +118,8 @@ func chunkWindow[T, R any](src *Stream[T], size, window int, spawn func(chunk []
 	var inflight []task
 	var free [][]T
 	srcDone := false
-	for {
-		for !srcDone && len(inflight) < window {
+	return &Stream[R]{next: func() (R, bool) {
+		for !srcDone && len(inflight) < limit {
 			var buf []T
 			if n := len(free); n > 0 {
 				buf, free = free[n-1], free[:n-1]
@@ -131,10 +137,13 @@ func chunkWindow[T, R any](src *Stream[T], size, window int, spawn func(chunk []
 			if len(buf) == 0 {
 				break
 			}
-			inflight = append(inflight, task{fut: spawn(buf), chunk: buf})
+			fut := pool.Submit(p, func() (R, error) { return work(buf), nil })
+			inflight = append(inflight, task{fut: fut, chunk: buf})
 		}
 		if len(inflight) == 0 {
-			return
+			p.Shutdown()
+			var zero R
+			return zero, false
 		}
 		t := inflight[0]
 		n := copy(inflight, inflight[1:])
@@ -142,14 +151,13 @@ func chunkWindow[T, R any](src *Stream[T], size, window int, spawn func(chunk []
 		inflight = inflight[:n]
 		r, err := t.fut.Get()
 		if err != nil {
+			p.Shutdown()
 			panic(err) // tasks here cannot fail except by program bug
 		}
 		clear(t.chunk)
 		free = append(free, t.chunk[:0])
-		if !consume(r) {
-			return
-		}
-	}
+		return r, true
+	}}
 }
 
 // ParallelMapReduce is the parallel-stream map-reduce: partition the source
@@ -159,24 +167,14 @@ func chunkWindow[T, R any](src *Stream[T], size, window int, spawn func(chunk []
 // from the source as earlier tasks complete (a sliding window of
 // cfg.Window tasks), and chunk backing slices are recycled across the run.
 func ParallelMapReduce[T, U, A any](src *Stream[T], cfg ParallelConfig, f func(T) U, init A, r func(A, U) A, combine func(A, A) A) A {
-	p := pool.New(cfg.Workers)
-	defer p.Shutdown()
-	total := init
-	chunkWindow(src, cfg.chunk(), cfg.window(p.Size()),
-		func(ch []T) *queue.Future[A] {
-			return pool.Submit(p, func() (A, error) {
-				acc := init
-				for _, v := range ch {
-					acc = r(acc, f(v))
-				}
-				return acc, nil
-			})
-		},
-		func(partial A) bool {
-			total = combine(total, partial)
-			return true
-		})
-	return total
+	partials := chunkWindow(src, cfg, func(ch []T) A {
+		acc := init
+		for _, v := range ch {
+			acc = r(acc, f(v))
+		}
+		return acc
+	})
+	return Reduce(partials, init, combine)
 }
 
 // ParallelMap is the data-parallel variant that "splits out the reduction":
@@ -186,70 +184,12 @@ func ParallelMapReduce[T, U, A any](src *Stream[T], cfg ParallelConfig, f func(T
 // window of chunk tasks, so results stream while the source is still being
 // read and an abandoned stream never consumes more than one window.
 func ParallelMap[T, U any](src *Stream[T], cfg ParallelConfig, f func(T) U) *Stream[U] {
-	size := cfg.chunk()
-	p := pool.New(cfg.Workers)
-	window := cfg.window(p.Size())
-
-	type task struct {
-		fut   *queue.Future[[]U]
-		chunk []T
-	}
-	var inflight []task
-	var free [][]T
-	srcDone, shut := false, false
-	var cur []U
-	j := 0
-	return &Stream[U]{next: func() (U, bool) {
-		for {
-			if j < len(cur) {
-				v := cur[j]
-				j++
-				return v, true
-			}
-			for !srcDone && len(inflight) < window {
-				var buf []T
-				if n := len(free); n > 0 {
-					buf, free = free[n-1], free[:n-1]
-				} else {
-					buf = make([]T, 0, size)
-				}
-				for len(buf) < size {
-					v, ok := src.next()
-					if !ok {
-						srcDone = true
-						break
-					}
-					buf = append(buf, v)
-				}
-				if len(buf) == 0 {
-					break
-				}
-				ch := buf
-				fut := pool.Submit(p, func() ([]U, error) {
-					out := make([]U, len(ch))
-					for k, v := range ch {
-						out[k] = f(v)
-					}
-					return out, nil
-				})
-				inflight = append(inflight, task{fut: fut, chunk: ch})
-			}
-			if len(inflight) == 0 {
-				if !shut {
-					shut = true
-					p.Shutdown()
-				}
-				var zero U
-				return zero, false
-			}
-			t := inflight[0]
-			n := copy(inflight, inflight[1:])
-			inflight[n] = task{}
-			inflight = inflight[:n]
-			cur, _ = t.fut.Get()
-			clear(t.chunk)
-			free = append(free, t.chunk[:0])
-			j = 0
+	mapped := chunkWindow(src, cfg, func(ch []T) []U {
+		out := make([]U, len(ch))
+		for k, v := range ch {
+			out[k] = f(v)
 		}
-	}}
+		return out
+	})
+	return FlatMap(mapped, func(out []U) []U { return out })
 }
