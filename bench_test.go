@@ -260,7 +260,7 @@ func BenchmarkAblationTranslated_Kernel(b *testing.B) {
 // Each pair runs one embedded workload through the tree walk without and
 // with interp.WithOptimize. The On lanes include the cost of computing
 // facts per evaluation — the win has to pay for its own analysis. The
-// differential suite (semtest's Optimized lanes) pins that every pair
+// differential suite (semtest's lanes under WithOptimize) pins that every pair
 // produces identical traces; these pin what each decision buys:
 //
 //   - HashPipe is the Figure 6 pipeline decomposition with the hash
@@ -568,7 +568,7 @@ def tokens(s) {
 //
 // Each BenchmarkVM* workload runs under the tree-walking evaluator and
 // under WithVM — identical programs, identical traces
-// (the semtest Compiled lanes pin that) — so the pair isolates what
+// (the semtest lanes under WithVM pin that) — so the pair isolates what
 // compiling to slot-framed bytecode buys. The Fig6 lanes add the
 // translated kernel composition as the ceiling: ahead-of-time Go
 // emission with no interpreter in the loop.

@@ -13,8 +13,8 @@ import (
 // effect summaries and yield-count bounds. The diagnostics only *warn*
 // from them (JV012, JV014); the evaluators additionally *provision* |>
 // sites from them (provision.go) and the VM dispatches calls to pure
-// ≤1-yield procedures directly. The semtest Optimized and Compiled lanes are the
-// executable proof that none of this can change a trace.
+// ≤1-yield procedures directly. The semtest lanes under WithOptimize and
+// WithVM are the executable proof that none of this can change a trace.
 
 // Effects is the effect summary of a generator expression: which classes
 // of observable action evaluating (and re-evaluating) it may perform. The

@@ -7,8 +7,8 @@ import (
 // provision.go holds the one decision the evaluators take from computed
 // facts: how a |> site's transport is provisioned from its producer's
 // effects and yield bound (inline substitution or a bound-derived
-// buffer). Deliberately conservative — semtest's Optimized and Compiled lanes pin that
-// a decision here can never change a trace.
+// buffer). Deliberately conservative — semtest's lanes under WithOptimize
+// and WithVM pin that a decision here can never change a trace.
 
 // PipeStrategy is a fact-derived provisioning decision for one |> site.
 type PipeStrategy struct {

@@ -99,7 +99,7 @@ func WithOutput(w io.Writer) Option { return func(in *Interp) { in.out = w } }
 // WithOptimize has the tree walk provision |> sites from whole-program
 // facts, as the VM already does: a pure body runs inline, a bounded one
 // gets a queue sized to its whole sequence. Semantically a no-op — the
-// semtest Optimized lanes pin that traces are identical either way.
+// semtest lanes under WithOptimize pin that traces are identical either way.
 func WithOptimize() Option { return func(in *Interp) { in.optimize = true } }
 
 // New returns an interpreter with the builtin library loaded.

@@ -2,10 +2,8 @@ package semtest
 
 import (
 	"fmt"
-	"strings"
 
 	"junicon/internal/remote"
-	"junicon/internal/value"
 )
 
 // Chaos lanes: the durability counterpart of the schedule-stress lane.
@@ -16,38 +14,16 @@ import (
 // live migration are availability features; this file is the executable
 // statement that they are *only* availability features.
 
-// chaosRun drains p like drainPipe, but fires disrupt once, immediately
-// before the Next call that would deliver value number `after` (0-based).
-// If the stream ends before that point the disruption never fires — a
-// kill or migration aimed past EOS is a no-op by construction.
-func chaosRun(p *remote.RemotePipe, max, after int, disrupt func()) Result {
-	defer p.Stop()
-	var r Result
-	for i := 0; i < max; i++ {
-		if i == after && disrupt != nil {
+// disruptAt is drainPipe's hook that fires disrupt once, immediately
+// before the Next call that would deliver value number after (0-based). If
+// the stream ends before that point the disruption never fires — a kill or
+// migration aimed past EOS is a no-op by construction.
+func disruptAt(after int, disrupt func()) func(int) {
+	return func(i int) {
+		if i == after {
 			disrupt()
-			disrupt = nil
-		}
-		v, ok := p.Next()
-		if !ok {
-			break
-		}
-		r.Images = append(r.Images, value.Image(value.Deref(v)))
-	}
-	r.Failed = p.Err() != nil
-	return r
-}
-
-// vetRejected mirrors Remote's OPEN-time filter: a stream the server
-// refused to compile has no trace to compare.
-func vetRejected(p *remote.RemotePipe, r Result) error {
-	if len(r.Images) == 0 && r.Failed {
-		if re, ok := p.Err().(*remote.RemoteError); ok &&
-			(strings.Contains(re.Msg, "parse") || strings.Contains(re.Msg, "vet rejected")) {
-			return fmt.Errorf("remote rejected: %v", re)
 		}
 	}
-	return nil
 }
 
 // Killed evaluates the case as a recoverable source stream against addr,
@@ -59,8 +35,8 @@ func Killed(c Case, addr string, cfg remote.Config, after int) (Result, error) {
 	cfg.Recover = true
 	p := remote.OpenSource(addr, c.Program, c.Expr, nil, cfg)
 	p.StartEager()
-	r := chaosRun(p, c.max(), after, p.KillConn)
-	if err := vetRejected(p, r); err != nil {
+	r := drainPipe(p, c.max(), disruptAt(after, p.KillConn))
+	if err := refused(p.Err(), r); err != nil {
 		return Result{}, fmt.Errorf("%s: %w", c.Name, err)
 	}
 	return r, nil
@@ -75,11 +51,11 @@ func Migrated(c Case, addrA, addrB string, cfg remote.Config, after int) (Result
 	p := remote.OpenSource(addrA, c.Program, c.Expr, nil, cfg)
 	p.StartEager()
 	var migErr error
-	r := chaosRun(p, c.max(), after, func() { migErr = p.Migrate(addrB) })
+	r := drainPipe(p, c.max(), disruptAt(after, func() { migErr = p.Migrate(addrB) }))
 	if migErr != nil {
 		return Result{}, fmt.Errorf("%s: migrate: %w", c.Name, migErr)
 	}
-	if err := vetRejected(p, r); err != nil {
+	if err := refused(p.Err(), r); err != nil {
 		return Result{}, fmt.Errorf("%s: %w", c.Name, err)
 	}
 	return r, nil

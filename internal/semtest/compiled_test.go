@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"junicon/internal/interp"
-	"junicon/internal/pool"
 	"junicon/internal/value"
 )
 
@@ -17,37 +16,7 @@ import (
 // reproduce the tree-walk sequential trace exactly: the trace is the
 // language, and it must not move.
 func TestDifferentialCompiledGrid(t *testing.T) {
-	pl := pool.New(4)
-	defer pl.Shutdown()
-	for _, c := range corpus(t) {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			ref := reference(t, c)
-			got, err := Compiled(c)
-			if err != nil {
-				t.Fatalf("compiled: %v", err)
-			}
-			if !got.Equal(ref) {
-				t.Fatalf("compiled diverged:\nref = %s\ngot = %s", ref, got)
-			}
-			for _, cell := range Grid() {
-				got, err := CompiledBatched(c, cell.Buffer, cell.Batch)
-				if err != nil {
-					t.Fatalf("compiled batched %+v: %v", cell, err)
-				}
-				if !got.Equal(ref) {
-					t.Fatalf("compiled batched %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
-				}
-				got, err = CompiledPooled(c, pl, cell.Buffer, cell.Batch)
-				if err != nil {
-					t.Fatalf("compiled pooled %+v: %v", cell, err)
-				}
-				if !got.Equal(ref) {
-					t.Fatalf("compiled pooled %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
-				}
-			}
-		})
-	}
+	evaluatorGrid(t, "compiled", interp.WithVM())
 }
 
 // TestCompiledRandomExpressions drives the vm with three random grammars:
@@ -82,7 +51,7 @@ def double(x) { return x * 2; }
 		}
 		c := Case{Name: fmt.Sprintf("compiled-rand-%d", i), Program: program, Expr: expr}
 		ref := reference(t, c)
-		got, err := Compiled(c)
+		got, err := Sequential(c, interp.WithVM())
 		if err != nil {
 			t.Fatalf("%s (%s) compiled: %v", c.Name, c.Expr, err)
 		}

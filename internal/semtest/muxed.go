@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"time"
 
 	"junicon/internal/remote"
-	"junicon/internal/value"
 )
 
 // Muxed evaluates the case as a source stream opened through a session
@@ -23,13 +21,11 @@ import (
 // economy, never a semantics change.
 func Muxed(c Case, d *remote.Dialer, addr string, cfg remote.Config, seed int64) (Result, error) {
 	p := d.OpenSource(addr, c.Program, c.Expr, nil, cfg)
-	defer p.Stop()
 	rng := rand.New(rand.NewSource(seed))
-	var r Result
-	for i := 0; i < c.max(); i++ {
-		// Seeded consumer pacing: mostly full speed, sometimes a yield,
-		// occasionally a real stall — enough to swing the credit window
-		// between empty and full across the run.
+	// Seeded consumer pacing: mostly full speed, sometimes a yield,
+	// occasionally a real stall — enough to swing the credit window
+	// between empty and full across the run.
+	r := drainPipe(p, c.max(), func(int) {
 		switch n := rng.Intn(8); {
 		case n < 4:
 		case n < 7:
@@ -37,20 +33,9 @@ func Muxed(c Case, d *remote.Dialer, addr string, cfg remote.Config, seed int64)
 		default:
 			time.Sleep(50 * time.Microsecond)
 		}
-		v, ok := p.Next()
-		if !ok {
-			break
-		}
-		r.Images = append(r.Images, value.Image(value.Deref(v)))
-	}
-	r.Failed = p.Err() != nil
-	// Same OPEN-rejection carve-out as Remote: a parse/vet refusal means
-	// the sequential reference could not have run either.
-	if len(r.Images) == 0 && r.Failed {
-		if re, ok := p.Err().(*remote.RemoteError); ok &&
-			(strings.Contains(re.Msg, "parse") || strings.Contains(re.Msg, "vet rejected")) {
-			return Result{}, fmt.Errorf("muxed remote rejected %s: %v", c.Name, re)
-		}
+	})
+	if err := refused(p.Err(), r); err != nil {
+		return Result{}, fmt.Errorf("%s: %w", c.Name, err)
 	}
 	return r, nil
 }

@@ -5,58 +5,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-
-	"junicon/internal/core"
-	"junicon/internal/interp"
-	"junicon/internal/pipe"
-	"junicon/internal/pool"
 )
-
-// Compiled lanes: the case evaluates on a vm-enabled interpreter, so any
-// unit the bytecode compiler can lower runs as a slot-framed machine and
-// the rest tree-walks. The vm's contract is the same as every other knob
-// in this harness: pure performance, identical trace.
-
-// compiledGen evaluates the case on a vm-enabled interpreter.
-func compiledGen(c Case) (core.Gen, error) {
-	in, err := newInterp(c, interp.WithVM())
-	if err != nil {
-		return nil, err
-	}
-	g, err := in.EvalGen(c.Expr)
-	if err != nil {
-		return nil, fmt.Errorf("eval %s: %w", c.Name, err)
-	}
-	return g, nil
-}
-
-// Compiled evaluates the case under the bytecode vm, no transport.
-func Compiled(c Case) (Result, error) {
-	g, err := compiledGen(c)
-	if err != nil {
-		return Result{}, err
-	}
-	return drainGen(g, c.max()), nil
-}
-
-// CompiledBatched drains the compiled generator through a batched pipe —
-// compiled frames must compose with the transport grid unchanged.
-func CompiledBatched(c Case, buffer, batch int) (Result, error) {
-	g, err := compiledGen(c)
-	if err != nil {
-		return Result{}, err
-	}
-	return drainPipe(pipe.FromGenBatched(g, buffer, batch), c.max()), nil
-}
-
-// CompiledPooled is CompiledBatched with the producer on a pool worker.
-func CompiledPooled(c Case, pl *pool.Pool, buffer, batch int) (Result, error) {
-	g, err := compiledGen(c)
-	if err != nil {
-		return Result{}, err
-	}
-	return drainPipe(pipe.FromGenBatched(g, buffer, batch).OnPool(pl), c.max()), nil
-}
 
 // RandomExpr generates a random goal-directed expression from a small
 // grammar of generator forms: ranges, alternation, products, limits,

@@ -7,15 +7,17 @@
 // package is the executable statement that they are *only* performance
 // features. Every transport knob (buffer size, batch size, queue
 // implementation, injected schedule) must leave the trace identical to the
-// sequential reference, or the optimization has changed the language.
+// sequential reference, or the optimization has changed the language. The
+// evaluator is one more knob: each local lane takes it as a parameter, so
+// one lane per transport covers the tree walk, WithOptimize and the VM.
 package semtest
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -104,10 +106,13 @@ func newInterp(c Case, opts ...interp.Option) (*interp.Interp, error) {
 	return in, nil
 }
 
-// optimizedGen evaluates the case on an interp.WithOptimize interpreter
-// (|> sites provisioned from facts) and returns the generator.
-func optimizedGen(c Case) (core.Gen, error) {
-	in, err := newInterp(c, interp.WithOptimize())
+// evalGen evaluates the case on the evaluator eval selects and returns its
+// generator. Every local lane takes eval last: no option is the tree walk
+// (the reference), interp.WithOptimize() provisions |> sites from facts,
+// and interp.WithVM() runs every unit as compiled frames. An evaluator's
+// contract is the transports': pure performance, identical trace.
+func evalGen(c Case, eval []interp.Option) (core.Gen, error) {
+	in, err := newInterp(c, eval...)
 	if err != nil {
 		return nil, err
 	}
@@ -137,63 +142,22 @@ func drainGen(g core.Gen, max int) Result {
 	return r
 }
 
-// Sequential evaluates the case on the kernel with no concurrency at all —
-// the reference trace every transport is judged against.
-func Sequential(c Case) (Result, error) {
-	in, err := newInterp(c)
-	if err != nil {
-		return Result{}, err
-	}
-	g, err := in.EvalGen(c.Expr)
-	if err != nil {
-		return Result{}, fmt.Errorf("eval %s: %w", c.Name, err)
-	}
-	return drainGen(g, c.max()), nil
-}
-
-// Optimized evaluates the case on the kernel under interp.WithOptimize —
-// pure |> bodies inlined, bounded ones given a whole-sequence queue. Its
-// contract is that it is invisible: the trace must equal the Sequential
-// reference on every case.
-func Optimized(c Case) (Result, error) {
-	g, err := optimizedGen(c)
-	if err != nil {
-		return Result{}, err
-	}
-	return drainGen(g, c.max()), nil
-}
-
-// OptimizedBatched is Batched with the optimized interpreter underneath:
-// its generator drains through a batched pipe, so provisioning composes with
-// every buffer × batch cell of the transport grid.
-func OptimizedBatched(c Case, buffer, batch int) (Result, error) {
-	g, err := optimizedGen(c)
-	if err != nil {
-		return Result{}, err
-	}
-	return drainPipe(pipe.FromGenBatched(g, buffer, batch), c.max()), nil
-}
-
-// OptimizedPooled is Pooled with the optimized interpreter underneath.
-func OptimizedPooled(c Case, pl *pool.Pool, buffer, batch int) (Result, error) {
-	g, err := optimizedGen(c)
-	if err != nil {
-		return Result{}, err
-	}
-	return drainPipe(pipe.FromGenBatched(g, buffer, batch).OnPool(pl), c.max()), nil
-}
-
 // drainPipe drains a pipe-like generator (local or remote): producer
 // errors surface as a failed Next plus a non-nil Err, which the trace
-// records as failure propagation.
+// records as failure propagation. A non-nil before runs ahead of the Next
+// that would deliver value number i (0-based): the hook the muxed lane
+// paces its consumer with and the chaos lanes disrupt the transport from.
 func drainPipe(g interface {
 	Next() (value.V, bool)
 	Err() error
 	Stop()
-}, max int) Result {
+}, max int, before func(i int)) Result {
 	defer g.Stop()
 	var r Result
 	for i := 0; i < max; i++ {
+		if before != nil {
+			before(i)
+		}
 		v, ok := g.Next()
 		if !ok {
 			break
@@ -204,65 +168,69 @@ func drainPipe(g interface {
 	return r
 }
 
-// Batched evaluates the case through a pipe with the given buffer and run
-// cap.
-func Batched(c Case, buffer, batch int) (Result, error) {
-	in, err := newInterp(c)
+// Sequential evaluates the case with no concurrency at all. On the tree
+// walk (no eval) it is the reference trace every lane is judged against.
+func Sequential(c Case, eval ...interp.Option) (Result, error) {
+	g, err := evalGen(c, eval)
 	if err != nil {
 		return Result{}, err
 	}
-	g, err := in.EvalGen(c.Expr)
+	return drainGen(g, c.max()), nil
+}
+
+// Batched evaluates the case through a pipe with the given buffer and run
+// cap.
+func Batched(c Case, buffer, batch int, eval ...interp.Option) (Result, error) {
+	g, err := evalGen(c, eval)
 	if err != nil {
-		return Result{}, fmt.Errorf("eval %s: %w", c.Name, err)
+		return Result{}, err
 	}
-	return drainPipe(pipe.FromGenBatched(g, buffer, batch), c.max()), nil
+	return drainPipe(pipe.FromGenBatched(g, buffer, batch), c.max(), nil), nil
 }
 
 // Pooled evaluates the case through a batched pipe whose producer runs on
 // a reused worker from pl instead of a goroutine of its own — the pooled
 // execution mode must be trace-identical to the per-goroutine mode.
-func Pooled(c Case, pl *pool.Pool, buffer, batch int) (Result, error) {
-	in, err := newInterp(c)
+func Pooled(c Case, pl *pool.Pool, buffer, batch int, eval ...interp.Option) (Result, error) {
+	g, err := evalGen(c, eval)
 	if err != nil {
 		return Result{}, err
 	}
-	g, err := in.EvalGen(c.Expr)
-	if err != nil {
-		return Result{}, fmt.Errorf("eval %s: %w", c.Name, err)
-	}
-	return drainPipe(pipe.FromGenBatched(g, buffer, batch).OnPool(pl), c.max()), nil
+	return drainPipe(pipe.FromGenBatched(g, buffer, batch).OnPool(pl), c.max(), nil), nil
 }
 
 // BatchedWithQueue evaluates the case through a run-capped pipe over a
 // caller-supplied transport queue — the stress mode's entry point, letting
 // a schedule-injecting wrapper sit at the queue boundary.
-func BatchedWithQueue(c Case, mk func() queue.Queue[value.V], batch int) (Result, error) {
-	in, err := newInterp(c)
+func BatchedWithQueue(c Case, mk func() queue.Queue[value.V], batch int, eval ...interp.Option) (Result, error) {
+	g, err := evalGen(c, eval)
 	if err != nil {
 		return Result{}, err
 	}
-	g, err := in.EvalGen(c.Expr)
-	if err != nil {
-		return Result{}, fmt.Errorf("eval %s: %w", c.Name, err)
-	}
-	return drainPipe(pipe.NewBatchedWithQueue(core.NewFirstClass(g), mk, batch), c.max()), nil
+	return drainPipe(pipe.NewBatchedWithQueue(core.NewFirstClass(g), mk, batch), c.max(), nil), nil
 }
 
 // Remote evaluates the case as a source stream against a loopback server
 // at addr (which must have AllowSource set), using cfg's buffer/batch.
 func Remote(c Case, addr string, cfg remote.Config) (Result, error) {
 	p := remote.OpenSource(addr, c.Program, c.Expr, nil, cfg)
-	r := drainPipe(p, c.max())
-	// An OPEN-time rejection (parse error, vet finding) is a harness
-	// error, not a trace: the sequential reference would have failed to
-	// compile too, so there is nothing to compare.
-	if len(r.Images) == 0 && r.Failed {
-		if re, ok := p.Err().(*remote.RemoteError); ok &&
-			(strings.Contains(re.Msg, "parse") || strings.Contains(re.Msg, "vet rejected")) {
-			return Result{}, fmt.Errorf("remote rejected %s: %v", c.Name, re)
-		}
+	r := drainPipe(p, c.max(), nil)
+	if err := refused(p.Err(), r); err != nil {
+		return Result{}, fmt.Errorf("%s: %w", c.Name, err)
 	}
 	return r, nil
+}
+
+// refused turns a refused OPEN into a harness error, not a trace: the
+// server classes every OPEN it would not run (a parse error, a vet
+// finding) as remote.ClassRefused, and the sequential reference could not
+// have run such a case either, so there is nothing to compare.
+func refused(err error, r Result) error {
+	var re *remote.RemoteError
+	if errors.As(err, &re) && len(r.Images) == 0 && re.Class == remote.ClassRefused {
+		return fmt.Errorf("remote refused: %v", re)
+	}
+	return nil
 }
 
 // SchedQueue wraps a transport queue and injects pauses ahead of the two

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"junicon/internal/core"
+	"junicon/internal/interp"
 	"junicon/internal/pipe"
 	"junicon/internal/pool"
 	"junicon/internal/queue"
@@ -60,7 +61,7 @@ func corpus(t *testing.T) []Case {
 		Case{Name: "scanner/pairs", Program: load("scanner.jn"), Expr: "pairs(\"a=1;b=22;c=333;\")"},
 	)
 	// One case per construct the bytecode compiler lowered in PR 12, so
-	// every lane — Optimized*, Compiled*, Remote, Muxed, Killed, Migrated — pins
+	// every lane — each evaluator's, Remote, Muxed, Killed, Migrated — pins
 	// it against the tree walk. revassign/undo-one-result is the divergence
 	// PR 11 found: -O fused `x_N in (x <- 5)` as a one-result term and never
 	// resumed it, so the undo never ran (0 under the tree walk, 5 under -O
@@ -228,6 +229,31 @@ func TestDifferentialCorpusGrid(t *testing.T) {
 	}
 }
 
+// TestRefusedOpenIsNoTrace: an OPEN the server refuses (here a parse
+// error) is a harness error on every remote lane, never a failed trace
+// that a refusing reference would match; and a producer error is a trace
+// whatever its message says, even when it quotes a refusal's words.
+func TestRefusedOpenIsNoTrace(t *testing.T) {
+	addr := loopback(t)
+	d := &remote.Dialer{}
+	defer d.Close()
+	unparsable := Case{Name: "unparsable", Expr: "(1 to"}
+	if r, err := Remote(unparsable, addr, remote.Config{}); err == nil {
+		t.Fatalf("remote lane gave a trace for a refused OPEN: %s", r)
+	}
+	if r, err := Muxed(unparsable, d, addr, remote.Config{}, 1); err == nil {
+		t.Fatalf("muxed lane gave a trace for a refused OPEN: %s", r)
+	}
+	raising := Case{Name: "raising", Program: `def add(x) { return 1 + x; }`, Expr: `add("parse error, vet rejected")`}
+	ref := reference(t, raising)
+	if r, err := Remote(raising, addr, remote.Config{}); err != nil || !r.Equal(ref) {
+		t.Fatalf("remote lane on a producer error: %s, %v; want %s", r, err, ref)
+	}
+	if r, err := Muxed(raising, d, addr, remote.Config{}, 1); err != nil || !r.Equal(ref) {
+		t.Fatalf("muxed lane on a producer error: %s, %v; want %s", r, err, ref)
+	}
+}
+
 // TestDifferentialPooledGrid runs the corpus through pipes whose producers
 // execute on reused pool workers: every buffer × batch cell of the grid,
 // over pools of 1 worker (all producers fully serialized) and 4. Pooled
@@ -263,33 +289,41 @@ func TestDifferentialPooledGrid(t *testing.T) {
 // sequential trace exactly. Any divergence means an inlining or
 // buffer-sizing decision changed the language, not just its speed.
 func TestDifferentialFusedGrid(t *testing.T) {
+	evaluatorGrid(t, "optimized", interp.WithOptimize())
+}
+
+// evaluatorGrid is an evaluator's semantic gate: every corpus case
+// evaluated on eval — directly, through every buffer × batch cell of the
+// transport grid, and on pooled workers — must reproduce the tree-walk
+// sequential trace exactly.
+func evaluatorGrid(t *testing.T, name string, eval interp.Option) {
 	pl := pool.New(4)
 	defer pl.Shutdown()
 	for _, c := range corpus(t) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			ref := reference(t, c)
-			got, err := Optimized(c)
+			got, err := Sequential(c, eval)
 			if err != nil {
-				t.Fatalf("optimized: %v", err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			if !got.Equal(ref) {
-				t.Fatalf("optimized diverged:\nref = %s\ngot = %s", ref, got)
+				t.Fatalf("%s diverged:\nref = %s\ngot = %s", name, ref, got)
 			}
 			for _, cell := range Grid() {
-				got, err := OptimizedBatched(c, cell.Buffer, cell.Batch)
+				got, err := Batched(c, cell.Buffer, cell.Batch, eval)
 				if err != nil {
-					t.Fatalf("optimized batched %+v: %v", cell, err)
+					t.Fatalf("%s batched %+v: %v", name, cell, err)
 				}
 				if !got.Equal(ref) {
-					t.Fatalf("optimized batched %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
+					t.Fatalf("%s batched %+v diverged:\nref = %s\ngot = %s", name, cell, ref, got)
 				}
-				got, err = OptimizedPooled(c, pl, cell.Buffer, cell.Batch)
+				got, err = Pooled(c, pl, cell.Buffer, cell.Batch, eval)
 				if err != nil {
-					t.Fatalf("optimized pooled %+v: %v", cell, err)
+					t.Fatalf("%s pooled %+v: %v", name, cell, err)
 				}
 				if !got.Equal(ref) {
-					t.Fatalf("optimized pooled %+v diverged:\nref = %s\ngot = %s", cell, ref, got)
+					t.Fatalf("%s pooled %+v diverged:\nref = %s\ngot = %s", name, cell, ref, got)
 				}
 			}
 		})
@@ -312,7 +346,7 @@ def double(x) { return x * 2; }
 	for i := 0; i < iterations; i++ {
 		c := Case{Name: fmt.Sprintf("opt-rand-%d", i), Program: prelude, Expr: eg.expr(3)}
 		ref := reference(t, c)
-		got, err := Optimized(c)
+		got, err := Sequential(c, interp.WithOptimize())
 		if err != nil {
 			t.Fatalf("%s (%s) optimized: %v", c.Name, c.Expr, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"junicon/internal/interp"
 	"junicon/internal/semtest"
 )
 
@@ -60,7 +61,7 @@ func FuzzCompiledSemantics(f *testing.F) {
 		if err != nil {
 			t.Skip("rejected by the reference lane")
 		}
-		got, err := semtest.Compiled(c)
+		got, err := semtest.Sequential(c, interp.WithVM())
 		if err != nil {
 			t.Fatalf("compiled lane errored where reference did not: %v", err)
 		}
