@@ -93,28 +93,6 @@ func NewDataParallel(chunkSize int) DataParallel {
 	return DataParallel{cfg: mapreduce.New(chunkSize)}
 }
 
-// WithBuffer bounds each task pipe's output queue.
-func (d DataParallel) WithBuffer(n int) DataParallel {
-	d.cfg.Buffer = n
-	return d
-}
-
-// WithWorkers runs the per-chunk tasks on a dedicated pool of n workers
-// created per drive cycle, instead of the shared process-wide pool.
-func (d DataParallel) WithWorkers(n int) DataParallel {
-	d.cfg.Workers = n
-	return d
-}
-
-// WithWindow bounds the number of in-flight chunk tasks (default 2× the
-// pool's worker count): chunks are pulled from the source and spawned as
-// earlier tasks are drained, so memory stays O(window·chunkSize) even for
-// unbounded sources.
-func (d DataParallel) WithWindow(n int) DataParallel {
-	d.cfg.Window = n
-	return d
-}
-
 // OnPool runs the per-chunk tasks on an existing pool. The pool is never
 // shut down by the scheduler.
 func (d DataParallel) OnPool(p *Pool) DataParallel {

@@ -44,7 +44,7 @@ func TestFieldGenUpdatable(t *testing.T) {
 		t.Fatal("field failed")
 	}
 	v.(*value.Var).Set(value.NewInt(7))
-	if got, _ := r.GetField("x"); value.Image(got) != "7" {
+	if got := r.Values[r.FieldIndex("x")]; value.Image(got) != "7" {
 		t.Fatal("field reference not updatable")
 	}
 	err := Protect(func() { FieldGen(Unit(r), "nope").Next() })

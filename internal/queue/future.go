@@ -49,14 +49,3 @@ func (f *Future[T]) Get() (T, error) {
 	}
 	return f.v, f.err
 }
-
-// TryGet reports the value if already defined.
-func (f *Future[T]) TryGet() (T, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.done {
-		var zero T
-		return zero, false, nil
-	}
-	return f.v, true, f.err
-}

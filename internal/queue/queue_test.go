@@ -258,8 +258,8 @@ func TestMVarSemantics(t *testing.T) {
 
 func TestFutureSingleAssignment(t *testing.T) {
 	f := NewFuture[int]()
-	if _, ok, _ := f.TryGet(); ok {
-		t.Fatal("undefined future must not be gettable")
+	if f.done {
+		t.Fatal("new future must be undefined")
 	}
 	results := make(chan int, 3)
 	for i := 0; i < 3; i++ {
@@ -279,8 +279,8 @@ func TestFutureSingleAssignment(t *testing.T) {
 			t.Fatalf("reader saw %d", v)
 		}
 	}
-	if v, ok, err := f.TryGet(); !ok || err != nil || v != 42 {
-		t.Fatal("TryGet after set")
+	if v, err := f.Get(); err != nil || v != 42 {
+		t.Fatal("Get after set")
 	}
 }
 

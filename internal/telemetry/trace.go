@@ -92,10 +92,6 @@ func (r *Ring) Drain() []Event {
 	return out
 }
 
-// Written reports the total number of events published, including any
-// overwritten after the ring wrapped.
-func (r *Ring) Written() uint64 { return r.pos.Load() }
-
 func sortEvents(evs []Event) {
 	// Insertion sort: drained events are already near-ordered because
 	// slots are claimed in time order; only concurrent writers invert.

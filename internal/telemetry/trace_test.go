@@ -40,8 +40,8 @@ func TestRingWrapKeepsRecent(t *testing.T) {
 			t.Fatalf("stale event ts %d survived wrap", ev.TS)
 		}
 	}
-	if r.Written() != 100 {
-		t.Fatalf("written = %d, want 100", r.Written())
+	if n := r.pos.Load(); n != 100 {
+		t.Fatalf("written = %d, want 100", n)
 	}
 }
 

@@ -261,11 +261,11 @@ func TestClassConstructorFromEmbeddedCode(t *testing.T) {
 	if !ok {
 		t.Fatalf("instance = %T", inst[0])
 	}
-	countRef, _ := rec.GetField("count")
+	countRef := rec.Values[rec.FieldIndex("count")]
 	if value.Image(value.Deref(countRef)) != "7" {
 		t.Fatalf("count = %s", value.Image(value.Deref(countRef)))
 	}
-	incrRef, _ := rec.GetField("incr")
+	incrRef := rec.Values[rec.FieldIndex("incr")]
 	incr := value.Deref(incrRef).(*value.Proc)
 	core.Drain(incr.Call(value.NewInt(1)), 0)
 	if value.Image(value.Deref(countRef)) != "8" {

@@ -265,20 +265,3 @@ func (r *Record) FieldIndex(name string) int {
 	}
 	return -1
 }
-
-// GetField returns the value of the named field; ok is false when absent.
-func (r *Record) GetField(name string) (V, bool) {
-	if i := r.FieldIndex(name); i >= 0 {
-		return r.Values[i], true
-	}
-	return nil, false
-}
-
-// SetField assigns the named field; ok is false when absent.
-func (r *Record) SetField(name string, v V) bool {
-	if i := r.FieldIndex(name); i >= 0 {
-		r.Values[i] = v
-		return true
-	}
-	return false
-}

@@ -315,14 +315,12 @@ func TestCsetOps(t *testing.T) {
 
 func TestRecordFields(t *testing.T) {
 	r := NewRecord("point", []string{"x", "y"}, []V{NewInt(1)})
-	if v, _ := r.GetField("y"); !IsNull(v) {
+	y := r.FieldIndex("y")
+	if y != 1 || r.FieldIndex("z") != -1 {
+		t.Fatalf("field indexes y=%d z=%d", y, r.FieldIndex("z"))
+	}
+	if v := r.Values[y]; !IsNull(v) {
 		t.Errorf("missing field init should be null")
-	}
-	if !r.SetField("y", NewInt(5)) {
-		t.Fatalf("SetField failed")
-	}
-	if v, _ := r.GetField("y"); v.(Integer).small != 5 {
-		t.Errorf("y = %v", v)
 	}
 	if r.Type() != "record point" {
 		t.Errorf("type = %q", r.Type())

@@ -118,7 +118,7 @@ func TestMapReduceViaFacade(t *testing.T) {
 		y, _ := junicon.ToInt(a[1])
 		return junicon.Int(x + y)
 	})
-	dp := junicon.NewDataParallel(3).WithBuffer(2)
+	dp := junicon.NewDataParallel(3)
 	total := int64(0)
 	junicon.Each(dp.MapReduce(square, src, sum, junicon.Int(0)), func(v junicon.Value) bool {
 		n, _ := junicon.ToInt(v)
