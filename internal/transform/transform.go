@@ -340,18 +340,6 @@ func (nz *Normalizer) operand(n ast.Node) ([]ast.Node, ast.Node) {
 		// Field access is single-valued; flatten its base in line and keep
 		// the access itself in place (the §5A final term keeps o.c[i]).
 		return nz.flat(n)
-	case *ast.Call, *ast.NativeCall, *ast.Index, *ast.Slice, *ast.ToBy,
-		*ast.ListLit:
-		// Nested generator-producing primary: hoist its own binds, then
-		// bind its residual to a temporary so the enclosing operation sees
-		// a bound value — (o in !f(x,y)) in the §5A example.
-		binds, atom := nz.flat(n)
-		tmp := nz.fresh()
-		bi := &ast.BindIn{Tmp: tmp, E: atom}
-		bi.P = n.Pos()
-		ref := &ast.TmpRef{Name: tmp}
-		ref.P = n.Pos()
-		return append(binds, bi), ref
 	case *ast.Unary:
 		switch x.Op {
 		case "<>", "|<>", "|>":
@@ -359,35 +347,32 @@ func (nz *Normalizer) operand(n ast.Node) ([]ast.Node, ast.Node) {
 			out.P = x.P
 			return nil, out
 		}
-		binds, atom := nz.flat(n)
-		tmp := nz.fresh()
-		bi := &ast.BindIn{Tmp: tmp, E: atom}
-		bi.P = n.Pos()
-		ref := &ast.TmpRef{Name: tmp}
-		ref.P = n.Pos()
-		return append(binds, bi), ref
-	case *ast.Binary:
-		binds, atom := nz.flat(n)
-		tmp := nz.fresh()
-		bi := &ast.BindIn{Tmp: tmp, E: atom}
-		bi.P = n.Pos()
-		ref := &ast.TmpRef{Name: tmp}
-		ref.P = n.Pos()
-		return append(binds, bi), ref
+	case *ast.Call, *ast.NativeCall, *ast.Index, *ast.Slice, *ast.ToBy,
+		*ast.ListLit, *ast.Binary:
 	default:
 		return nz.bindWhole(n)
 	}
+	// Nested generator-producing primary or operation: hoist its own
+	// binds, then bind its residual to a temporary so the enclosing
+	// operation sees a bound value — (o in !f(x,y)) in the §5A example.
+	binds, atom := nz.flat(n)
+	return nz.bindTmp(binds, atom, n.Pos())
 }
 
 // bindWhole normalizes n as a self-contained expression and binds it.
 func (nz *Normalizer) bindWhole(n ast.Node) ([]ast.Node, ast.Node) {
-	inner := nz.Normalize(n)
+	return nz.bindTmp(nil, nz.Normalize(n), n.Pos())
+}
+
+// bindTmp appends (tmp in e) to binds for a fresh temporary and returns
+// the reference to it.
+func (nz *Normalizer) bindTmp(binds []ast.Node, e ast.Node, pos ast.Pos) ([]ast.Node, ast.Node) {
 	tmp := nz.fresh()
-	bi := &ast.BindIn{Tmp: tmp, E: inner}
-	bi.P = n.Pos()
+	bi := &ast.BindIn{Tmp: tmp, E: e}
+	bi.P = pos
 	ref := &ast.TmpRef{Name: tmp}
-	ref.P = n.Pos()
-	return []ast.Node{bi}, ref
+	ref.P = pos
+	return append(binds, bi), ref
 }
 
 // lvalue prepares an assignment target: identifiers, temporaries, fields,
