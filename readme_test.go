@@ -300,3 +300,58 @@ func TestEveryMetricIsRead(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignInventoryIsComplete: DESIGN §3's module map names every
+// directory that holds non-test Go outside benchmark/ and examples/ (the
+// root package is row 18's), and every path the map names exists. A
+// directory whose files are all generated (they start "// Code
+// generated") is exempt.
+func TestDesignInventoryIsComplete(t *testing.T) {
+	design := readFile(t, "DESIGN.md")
+	start := strings.Index(design, "## 3.")
+	end := strings.Index(design, "## 4.")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no §3 before §4")
+	}
+	named := map[string]bool{".": true}
+	code := regexp.MustCompile("`([^`]+)`")
+	for _, line := range strings.Split(design[start:end], "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 {
+			continue
+		}
+		for _, m := range code.FindAllStringSubmatch(cells[2], -1) {
+			p := m[1]
+			if !strings.Contains(p, "/") {
+				continue // a name, not a path: `junicon`, `initial`
+			}
+			if hits, _ := filepath.Glob(p); len(hits) == 0 {
+				t.Errorf("DESIGN §3 names %s, which does not exist", p)
+			}
+			named[p] = true
+		}
+	}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path == "benchmark" || path == "examples" || name == "testdata" ||
+			path != "." && strings.HasPrefix(name, ".") {
+			return filepath.SkipDir
+		}
+		files, _ := filepath.Glob(filepath.Join(path, "*.go"))
+		handWritten := false
+		for _, f := range files {
+			if !strings.HasSuffix(f, "_test.go") && !strings.HasPrefix(readFile(t, f), "// Code generated") {
+				handWritten = true
+			}
+		}
+		if handWritten && !named[filepath.ToSlash(path)] {
+			t.Errorf("DESIGN §3 has no row for %s", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
