@@ -36,21 +36,27 @@ func vmSetSources(tb testing.TB) []string {
 	return srcs
 }
 
+// loadVMSet is the ledger's load: Figure 3's word count over lines, then
+// one LoadProgram per source of the set.
+func loadVMSet(tb testing.TB, lines, srcs []string, opts ...interp.Option) {
+	in, err := wordcount.NewInterpreter(lines, wordcount.Light, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, src := range srcs {
+		if err := in.LoadProgram(src); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 func benchLoadProgram(b *testing.B, opts ...interp.Option) {
 	srcs := vmSetSources(b)
 	lines := wordcount.GenerateLines(100, 10, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in, err := wordcount.NewInterpreter(lines, wordcount.Light, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, src := range srcs {
-			if err := in.LoadProgram(src); err != nil {
-				b.Fatal(err)
-			}
-		}
+		loadVMSet(b, lines, srcs, opts...)
 	}
 }
 

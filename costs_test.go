@@ -43,10 +43,11 @@ var costsGolden = filepath.Join("testdata", "costs.golden")
 // and at four logical CPUs, whichever is greater). The checkpoint layer's
 // rows are checkpointCosts', the wire layer's wireCosts', the queue
 // layer's queueCosts', the pipe layer's pipeCosts', the remote layer's
-// remoteCosts'. A row that rises
+// remoteCosts', the compile layer's compileCosts'. A row that rises
 // fails; one that falls passes, and -update records it.
 func TestCosts(t *testing.T) {
 	got := vmDriverCosts(t)
+	maps.Copy(got, compileCosts(t))
 	maps.Copy(got, checkpointCosts(t))
 	maps.Copy(got, wireCosts(t))
 	maps.Copy(got, queueCosts(t))
@@ -459,4 +460,29 @@ func remoteCosts(t *testing.T) map[string]int64 {
 		}
 	}
 	return map[string]int64{"remote\topen, drain and Stop of a 20-value stream on a pooled session\tallocs_per_op": n}
+}
+
+// compileCosts holds the compile layer: the allocations of one load of
+// Figure 3's word count and the ledger's vm program set under WithVM —
+// what a fresh script process pays before its first driver — the least
+// of three runs of 5, and the opcode table's named opcodes.
+func compileCosts(t *testing.T) map[string]int64 {
+	srcs := vmSetSources(t)
+	lines := wordcount.GenerateLines(100, 10, 1)
+	n := int64(-1)
+	for range 3 {
+		if a := int64(testing.AllocsPerRun(5, func() { loadVMSet(t, lines, srcs, interp.WithVM()) })); n < 0 || a < n {
+			n = a
+		}
+	}
+	var named int64
+	for op := range compile.Op(compile.NumOps) {
+		if !strings.HasPrefix(op.Name(), "op(") {
+			named++
+		}
+	}
+	return map[string]int64{
+		"compile\tload of Figure 3 and the vm program set under WithVM\tallocs_per_op": n,
+		"compile\topcode table\tnamed_opcodes":                                         named,
+	}
 }

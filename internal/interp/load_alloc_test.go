@@ -25,6 +25,8 @@ import (
 // ledger's `vm` program set to an allocation budget, and a whole fresh
 // process — load plus every driver — to zero GC cycles under the default
 // GOGC. (Race builds allocate differently; the budget is for plain ones.)
+// The load's allocation count is a row of the root package's TestCosts,
+// which fails on any rise.
 
 // vmSet reads benchmark/programs/vm/*.jn (read-only) in name order, with
 // the driver expressions of their "# drive:" header lines.
@@ -70,9 +72,8 @@ func loadVMSet(srcs []string) (*interp.Interp, error) {
 
 func TestLoadAllocationBudget(t *testing.T) {
 	const (
-		maxBytes  = 500 << 10 // 2.49 MB before PR 24, 0.29 MB after
-		maxAllocs = 4000      // 45.2 k before, 2.4 k after
-		runs      = 20
+		maxBytes = 500 << 10 // 2.49 MB before PR 24, 0.29 MB after
+		runs     = 20
 	)
 	srcs, _ := vmSet(t)
 	if _, err := loadVMSet(srcs); err != nil { // warm the builtin tables
@@ -89,8 +90,8 @@ func TestLoadAllocationBudget(t *testing.T) {
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	allocs := (after.Mallocs - before.Mallocs) / runs
 	t.Logf("load of the vm set under WithVM: %d bytes in %d allocations", bytes, allocs)
-	if bytes > maxBytes || allocs > maxAllocs {
-		t.Errorf("load allocates %d bytes in %d objects, budget %d bytes in %d", bytes, allocs, maxBytes, maxAllocs)
+	if bytes > maxBytes {
+		t.Errorf("load allocates %d bytes in %d objects, budget %d bytes", bytes, allocs, maxBytes)
 	}
 }
 
