@@ -139,6 +139,34 @@ def leftScan() { every i := 1 to 3 do { x := ("xyz" ? (move(1) & break)); }; ret
 		Case{Name: "lowered/shared-inside-coexpression", Program: shared, Expr: "nestedShare()"},
 		Case{Name: "scan/break-leaves", Program: shared, Expr: "leftScan()"},
 	)
+	// op:= on every kind of target: an unboxed slot, a global assigned
+	// from a procedure body, a static, a slot a bare <> boxes, a
+	// subscript, a field and !L. A generator on the right re-reads the
+	// target per source value; a conditional that fails leaves the target
+	// as it was.
+	const augTargets = `
+record point(x, y)
+global total
+def onSlot() { x := 1; every x +:= (1 to 3) do suspend x; suspend (x <:= 2) | -x; x >:= 2; return x; }
+def onGlobal() { total := 10; every total -:= (1 to 3) do suspend total; suspend (total >:= 99) | total; total <:= 99; return total; }
+def onStatic(k) { static s; initial s := 1; s *:= k; return s; }
+def capStatic() { static m; initial m := 0; m <:= (3 | 1 | 7); return m; }
+def onBoxed() { x := 1; g := <> (x +:= 10); every x *:= (2 | 3) do suspend x; suspend @g | x; suspend (x <:= 0) | x; }
+def onIndex() { L := [1, 2, 3]; every L[2] +:= (1 to 3); (L[3] >:= 5) | (L[1] <:= 9); return L; }
+def onField() { p := point(1, 2); p.y *:= 10; every p.x +:= (1 to 2); suspend (p.y <:= 3) | p.y; return [p.x, p.y]; }
+def onBang() { L := [1, 5, 2]; every !L <:= 3; every !L -:= (1 | 2); return L; }
+`
+	cases = append(cases,
+		Case{Name: "aug/slot", Program: augTargets, Expr: "onSlot()"},
+		Case{Name: "aug/global", Program: augTargets, Expr: "onGlobal() | total"},
+		Case{Name: "aug/static", Program: augTargets, Expr: "onStatic(2) | onStatic(3) | onStatic(4) | capStatic() | capStatic()"},
+		Case{Name: "aug/boxed-slot", Program: augTargets, Expr: "onBoxed()"},
+		Case{Name: "aug/index", Program: augTargets, Expr: "onIndex()"},
+		Case{Name: "aug/field", Program: augTargets, Expr: "onField()"},
+		Case{Name: "aug/bang", Program: augTargets, Expr: "onBang()"},
+		Case{Name: "aug/top-level", Expr: "{ L := [4, 5]; y := 2; every L[1 | 2] *:= (y <:= (1 | 3)); (y >:= 7) | [y, L[1], L[2]] }"},
+		Case{Name: "aug/builtin-target", Expr: "(1 to 2) | (write +:= 1)"},
+	)
 	// A global named like a builtin is null from its declaration on, and
 	// a procedure, which resolves the name when it runs, sees the global.
 	const declared = `

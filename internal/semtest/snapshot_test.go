@@ -29,6 +29,8 @@ var snapshotSkips = map[string]string{
 	"lowered/bang-target":                "shared cells of a bare <> or an assignment target",
 	"lowered/alternative-target":         "shared cells of a bare <> or an assignment target",
 	"lowered/shared-inside-coexpression": "host-resident value",
+	"aug/boxed-slot":                     "shared cells of a bare <> or an assignment target",
+	"aug/bang":                           "shared cells of a bare <> or an assignment target",
 	"declared/builtin-name":              "live call site with opaque callee", // a builtin generator
 }
 
