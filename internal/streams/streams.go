@@ -10,6 +10,8 @@
 package streams
 
 import (
+	"runtime"
+
 	"junicon/internal/pool"
 	"junicon/internal/queue"
 )
@@ -105,8 +107,9 @@ func (c ParallelConfig) window(workers int) int {
 // flight, so the source is read only as results are taken. A chunk slice
 // is recycled once its task's future has resolved — the worker no longer
 // touches it after that — and the pool is shut down when the stream is
-// exhausted (or a task panics). It is the one partition, pool and
-// ordered-merge schedule of the parallel terminals.
+// exhausted (or a task panics), or when a stream dropped before then is
+// collected. It is the one partition, pool and ordered-merge schedule of
+// the parallel terminals.
 func chunkWindow[T, R any](src *Stream[T], cfg ParallelConfig, work func(chunk []T) R) *Stream[R] {
 	size := cfg.chunk()
 	p := pool.New(cfg.Workers)
@@ -118,7 +121,8 @@ func chunkWindow[T, R any](src *Stream[T], cfg ParallelConfig, work func(chunk [
 	var inflight []task
 	var free [][]T
 	srcDone := false
-	return &Stream[R]{next: func() (R, bool) {
+	var dropped runtime.Cleanup
+	s := &Stream[R]{next: func() (R, bool) {
 		for !srcDone && len(inflight) < limit {
 			var buf []T
 			if n := len(free); n > 0 {
@@ -141,6 +145,7 @@ func chunkWindow[T, R any](src *Stream[T], cfg ParallelConfig, work func(chunk [
 			inflight = append(inflight, task{fut: fut, chunk: buf})
 		}
 		if len(inflight) == 0 {
+			dropped.Stop()
 			p.Shutdown()
 			var zero R
 			return zero, false
@@ -151,6 +156,7 @@ func chunkWindow[T, R any](src *Stream[T], cfg ParallelConfig, work func(chunk [
 		inflight = inflight[:n]
 		r, err := t.fut.Get()
 		if err != nil {
+			dropped.Stop()
 			p.Shutdown()
 			panic(err) // tasks here cannot fail except by program bug
 		}
@@ -158,6 +164,8 @@ func chunkWindow[T, R any](src *Stream[T], cfg ParallelConfig, work func(chunk [
 		free = append(free, t.chunk[:0])
 		return r, true
 	}}
+	dropped = runtime.AddCleanup(s, (*pool.Pool).Shutdown, p)
+	return s
 }
 
 // ParallelMapReduce is the parallel-stream map-reduce: partition the source

@@ -1,6 +1,7 @@
 package streams
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -78,5 +79,25 @@ func TestPropParallelEqualsSequential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDroppedParallelMapShutsItsPoolDown: a ParallelMap stream read once
+// and dropped shuts its pool down when it is collected, so its workers do
+// not outlive it.
+func TestDroppedParallelMapShutsItsPoolDown(t *testing.T) {
+	src := make([]int, 10000)
+	base := runtime.NumGoroutine()
+	for range 5 {
+		s := ParallelMap(FromSlice(src), ParallelConfig{Workers: 2}, func(v int) int { return v + 1 })
+		if v, ok := s.next(); !ok || v != 1 {
+			t.Fatalf("first value %d %v, want 1", v, ok)
+		}
+	}
+	for i := 0; i < 1000 && runtime.NumGoroutine() > base; i++ {
+		runtime.GC()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the streams were dropped, baseline %d", n, base)
 	}
 }
