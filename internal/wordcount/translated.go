@@ -1,3 +1,5 @@
+//go:build !regen
+
 package wordcount
 
 import (
@@ -10,11 +12,8 @@ import (
 // translator (§5) into package fig3, committed and kept fresh by
 // TestFigure3TranslationIsFresh. The host binds the corpus and the hash
 // stages, then drains the translated driver — Figure 3's embedding with
-// the interpreter taken out.
-
-// Figure3Program is what fig3 translates: the program, then the driver as
-// its one top-level statement.
-const Figure3Program = Figure3Source + SequentialExpr + "\n"
+// the interpreter taken out. The regen build tag leaves this file out, so
+// the freshness test can rewrite fig3 when it no longer compiles.
 
 // BindTranslated binds the translated Figure 3 program to a corpus and the
 // host stages of weight w, as NewInterpreter binds the interpreted one.
