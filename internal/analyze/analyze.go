@@ -99,10 +99,6 @@ type Options struct {
 	// globals in the REPL, host-defined values in embedding scenarios.
 	// May be nil.
 	Known func(name string) bool
-	// NativeFacts reports declared fact summaries for host natives invoked
-	// with ::name(...). May be nil: undeclared natives are the top of the
-	// effect lattice (EffUnknown), which blocks fusion across them.
-	NativeFacts func(name string) (GenFacts, bool)
 }
 
 // analyzer carries one diagnostics run: options, the program-level names,
@@ -135,7 +131,7 @@ func Program(p *ast.Program, opts Options) []Diag {
 func ProgramFacts(p *ast.Program, opts Options) ([]Diag, *Facts) {
 	facts := NewFacts()
 	facts.vet = true
-	facts.ExtendDecls(p.Decls, opts)
+	facts.ExtendDecls(p.Decls)
 
 	a := &analyzer{opts: opts}
 	roots := topLevelRoots(p)

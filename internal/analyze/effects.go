@@ -33,7 +33,6 @@ import (
 // factsComp carries one fact-computation run.
 type factsComp struct {
 	*Facts
-	opts Options
 	// cache is nil during the fixpoint; the caching pass swaps in the
 	// node cache that record fills.
 	cache map[ast.Node]GenFacts
@@ -46,7 +45,7 @@ type factsComp struct {
 // computes for all the declarations so far followed by this batch's
 // statements. Statements are cached like ExtendExpr's expressions: until
 // the next ExtendDecls or ExtendExpr call.
-func (f *Facts) ExtendDecls(batch []ast.Node, opts Options) {
+func (f *Facts) ExtendDecls(batch []ast.Node) {
 	var stmts []ast.Node
 	fresh := len(f.decls)
 	rebound := false
@@ -112,7 +111,7 @@ func (f *Facts) ExtendDecls(batch []ast.Node, opts Options) {
 		}
 		f.decls, fresh = live, 0
 	}
-	fc := &factsComp{Facts: f, opts: opts}
+	fc := &factsComp{Facts: f}
 	fc.solve(f.decls[fresh:])
 	fc.cacheStatements(stmts)
 }
@@ -122,11 +121,11 @@ func (f *Facts) ExtendDecls(batch []ast.Node, opts Options) {
 // path for the REPL and EvalGen: declarations are analyzed once at load
 // time; each evaluated expression then extends the node cache without
 // re-running the whole-program fixpoint.
-func (f *Facts) ExtendExpr(n ast.Node, opts Options) {
+func (f *Facts) ExtendExpr(n ast.Node) {
 	if f == nil || n == nil {
 		return
 	}
-	fc := &factsComp{Facts: f, opts: opts}
+	fc := &factsComp{Facts: f}
 	fc.cacheStatements([]ast.Node{n})
 }
 
@@ -362,12 +361,9 @@ func (fc *factsComp) expr(n ast.Node, sc *scope) fact {
 		return fc.callFacts(x, sc)
 
 	case *ast.NativeCall:
+		// A host native is the top of the effect lattice, which blocks
+		// fusion across it.
 		g := gf(EffUnknown, boundOpt)
-		if fc.opts.NativeFacts != nil {
-			if nf, ok := fc.opts.NativeFacts(x.Name); ok {
-				g.GenFacts = nf
-			}
-		}
 		if x.Recv != nil {
 			rf := fc.expr(x.Recv, sc)
 			g.Effects |= rf.Effects

@@ -171,7 +171,7 @@ func (in *Interp) LoadProgram(src string) error {
 		// earlier call site re-runs the analysis (analyze.Facts.ExtendDecls).
 		// Diagnostics are not computed here — vet reporting is the REPL's
 		// and Vet's job, not the evaluator's.
-		in.facts.ExtendDecls(decls, in.factsOptions())
+		in.facts.ExtendDecls(decls)
 	}
 	return in.protect(func() {
 		var b batch
@@ -182,17 +182,6 @@ func (in *Interp) LoadProgram(src string) error {
 			in.loadDecl(d, b)
 		}
 	})
-}
-
-// factsOptions builds the analyze options for this interpreter: a name is
-// known when it resolves in the global scope at analysis time.
-func (in *Interp) factsOptions() analyze.Options {
-	return analyze.Options{
-		Known: func(name string) bool {
-			_, ok := in.Global(name)
-			return ok
-		},
-	}
 }
 
 // loadDecl defines one declaration or runs one top-level statement of a
@@ -264,7 +253,7 @@ func (in *Interp) parseExpr(src string) (ast.Node, error) {
 	if in.optimize {
 		// The interprocedural tables are already final for everything
 		// loaded, so only the node cache grows.
-		in.facts.ExtendExpr(norm, in.factsOptions())
+		in.facts.ExtendExpr(norm)
 	}
 	return norm, nil
 }

@@ -241,7 +241,7 @@ func (in *Interp) DisassembleProgram(src string, w io.Writer) error {
 		return err
 	}
 	decls := transform.Normalize(prog).(*ast.Program).Decls
-	in.facts.ExtendDecls(decls, in.factsOptions())
+	in.facts.ExtendDecls(decls)
 	b := in.compileBatch(decls)
 	stmtN := 0
 	for _, d := range decls {

@@ -178,7 +178,7 @@ func loadInBatches(nodes []jast.Node, sizes []int) (*analyze.Facts, []jast.Node)
 	var last []jast.Node
 	for _, size := range sizes {
 		last, nodes = nodes[:size], nodes[size:]
-		f.ExtendDecls(last, analyze.Options{})
+		f.ExtendDecls(last)
 	}
 	var stmts []jast.Node
 	for _, n := range last {
@@ -374,7 +374,7 @@ func TestIncrementalFactsRebinding(t *testing.T) {
 				if !ok {
 					t.Fatalf("batch %d does not parse", i)
 				}
-				got.ExtendDecls(fs.nodes, analyze.Options{})
+				got.ExtendDecls(fs.nodes)
 				all = append(all, fs.nodes...)
 			}
 			// The surviving program: the last declaration of each name.
