@@ -51,6 +51,9 @@ type Op uint8
 // B names the frame's auxiliary cell backing resumable instructions and
 // C carries an extra constant index where needed. The opcode table (ops)
 // gives each opcode's operand roles and the rest of its shape.
+//
+// Numbers are append-only, so a unit keeps its fingerprint: a retired
+// opcode's number stays unassigned (a blank in the list below).
 const (
 	OpNop Op = iota
 
@@ -91,26 +94,25 @@ const (
 	OpCaseEq      // pop v; continue when v === slots[A], else fail
 
 	// ----- structures -----
-	OpMakeList  // pop A values; push the list [v1, …, vA]
-	OpIndex     // pop i, x; push deref(x[i]) or fail
-	OpIndexVar  // pop i, x; push the reference x[i] or fail (assignment target)
-	OpSection   // pop j, i, x; push x[i:j] or fail
-	OpField     // pop x; push deref(x.name) for name Consts[A]; missing raises
-	OpFieldVar  // pop x; push the reference x.name (assignment target)
-	OpStoreVar  // pop v, t; t must be a variable; t := deref(v); push the value
-	OpAugVar    // pop v, t; r = arith[A](t value, v); t := r; push r
-	OpCmpAugVar // pop v, t; r, ok = cmp[A](t value, v); fail or t := r; push r
-	// Fused read-modify-write for named targets: the target's current value
-	// is read when the operation applies (per source value, as
-	// core.AugAssignTo reads its target per cycle).
-	OpAugSlot      // pop v; r = arith[C](slots[A], v); slots[A] = r; push r
-	OpCmpAugSlot   // pop v; r, ok = cmp[C](slots[A], v); fail or store+push
-	OpAugGlobal    // pop v; r = arith[C](Globals[A], v); Globals[A] = r; push r
-	OpCmpAugGlobal // pop v; r, ok = cmp[C](Globals[A], v); fail or store+push
-	// Reversible assignment and exchange. A (and C) are target operands
-	// (see Target): a slot, a global cell, or a reference the preceding
-	// code pushed. The reversible forms arm an undo choice point whose
-	// resumption restores the saved values and keeps failing.
+	OpMakeList // pop A values; push the list [v1, …, vA]
+	OpIndex    // pop i, x; push the reference x[i] or fail
+	_          // retired: index's reference twin
+	OpSection  // pop j, i, x; push x[i:j] or fail
+	OpField    // pop x; push the reference x.name for name Consts[A]; missing raises
+	_          // retired: field's reference twin
+	OpStoreVar // pop v, t; t must be a variable; t := deref(v); push the value
+	// Read-modify-write, assignment and exchange. A (and the exchanges' C)
+	// are target operands (see Target): a slot, a global cell, or a
+	// reference the preceding code pushed. op:= reads the target when the
+	// operation applies, per source value, as core.AugAssignTo does. The
+	// reversible forms arm an undo choice point whose resumption restores
+	// the saved values and keeps failing.
+	OpAug       // pop v [, ref]; r = arith[C](target A, v); A = r; push r
+	OpCmpAug    // pop v [, ref]; r, ok = cmp[C](target A, v); fail or A = r; push r
+	_           // retired: aug on a slot
+	_           // retired: cmp.aug on a slot
+	_           // retired: aug on a global
+	_           // retired: cmp.aug on a global
 	OpRevAssign // pop v [, ref]; save target A in aux B; A = v; push v; undo on resumption
 	OpSwap      // [pop refs]; exchange targets A and C (aux B is scratch); push A's new value
 	OpRevSwap   // OpSwap, saving both in aux B; undo on resumption
@@ -231,22 +233,16 @@ var ops = [opCount]opInfo{
 	OpToBy:        {name: "to.by", b: roleAux, stack: -2, resume: "to-by", fails: true},
 	OpCaseEq:      {name: "case.eq", a: roleSlot, stack: -1, fails: true, note: "subject %s"},
 
-	OpMakeList:     {name: "make.list", a: roleCount, stack: 1},
-	OpIndex:        {name: "index", stack: -1, fails: true},
-	OpIndexVar:     {name: "index.var", stack: -1, fails: true},
-	OpSection:      {name: "section", stack: -2, fails: true},
-	OpField:        {name: "field", a: roleConst, note: ".%s"},
-	OpFieldVar:     {name: "field.var", a: roleConst, note: ".%s"},
-	OpStoreVar:     {name: "store.var", stack: -1},
-	OpAugVar:       {name: "aug.var", a: roleArith, stack: -1},
-	OpCmpAugVar:    {name: "cmp.aug.var", a: roleCmp, stack: -1, fails: true},
-	OpAugSlot:      {name: "aug.slot", a: roleSlot, c: roleArith, note: "%s %s:="},
-	OpCmpAugSlot:   {name: "cmp.aug.slot", a: roleSlot, c: roleCmp, fails: true, note: "%s %s:="},
-	OpAugGlobal:    {name: "aug.global", a: roleGlobal, c: roleArith, note: "%s %s:="},
-	OpCmpAugGlobal: {name: "cmp.aug.global", a: roleGlobal, c: roleCmp, fails: true, note: "%s %s:="},
-	OpRevAssign:    {name: "rev.assign", a: roleTarget, b: roleAux, resume: "undo", fails: true, note: "%s <-"},
-	OpSwap:         {name: "swap", a: roleTarget, b: roleAux, c: roleTarget, stack: 1, fails: true, note: "%s :=: %s"},
-	OpRevSwap:      {name: "rev.swap", a: roleTarget, b: roleAux, c: roleTarget, stack: 1, resume: "undo", fails: true, note: "%s <-> %s"},
+	OpMakeList:  {name: "make.list", a: roleCount, stack: 1},
+	OpIndex:     {name: "index", stack: -1, fails: true},
+	OpSection:   {name: "section", stack: -2, fails: true},
+	OpField:     {name: "field", a: roleConst, note: ".%s"},
+	OpStoreVar:  {name: "store.var", stack: -1},
+	OpAug:       {name: "aug", a: roleTarget, c: roleArith, note: "%s %s:="},
+	OpCmpAug:    {name: "cmp.aug", a: roleTarget, c: roleCmp, fails: true, note: "%s %s:="},
+	OpRevAssign: {name: "rev.assign", a: roleTarget, b: roleAux, resume: "undo", fails: true, note: "%s <-"},
+	OpSwap:      {name: "swap", a: roleTarget, b: roleAux, c: roleTarget, stack: 1, fails: true, note: "%s :=: %s"},
+	OpRevSwap:   {name: "rev.swap", a: roleTarget, b: roleAux, c: roleTarget, stack: 1, resume: "undo", fails: true, note: "%s <-> %s"},
 
 	OpCall:       {name: "call", a: roleArgc, b: roleAux, resume: "call", fails: true},
 	OpCall1:      {name: "call1", a: roleArgc, b: roleAux, fails: true},
@@ -377,7 +373,7 @@ type Code struct {
 	Shares bool
 }
 
-// Target operand kinds of OpRevAssign, OpSwap and OpRevSwap.
+// Target operand kinds of OpAug, OpCmpAug, OpRevAssign, OpSwap and OpRevSwap.
 const (
 	TargetSlot   = 0 // slots[index]
 	TargetGlobal = 1 // Globals[index]

@@ -103,7 +103,10 @@ func TestLoweringGoldens(t *testing.T) {
 		{"rev-assign", `def firstAbove(k) { x := 0; if (x <- (1 to 10)) > k then return x; return x; }`,
 			[]compile.Op{compile.OpRevAssign}, []string{"undo"}},
 		{"rev-assign-ref", `def f(L) { L[1] <- 5; return L; }`,
-			[]compile.Op{compile.OpRevAssign, compile.OpIndexVar}, []string{"undo"}},
+			[]compile.Op{compile.OpRevAssign, compile.OpIndex}, []string{"undo"}},
+		{"aug-targets", `global g
+def f(L, r) { static s; z := 0; x := 0; y := <> x; z +:= 1; x +:= 1; g -:= 2; s *:= 3; L[1] +:= 4; r.f <:= 5; every !L >:= 6; return [x, y, z]; }`,
+			[]compile.Op{compile.OpAug, compile.OpCmpAug}, nil},
 		{"swap", `global g
 def f(L, r) { L[1] :=: r.f; g :=: r; return g; }`,
 			[]compile.Op{compile.OpSwap}, nil},
@@ -190,7 +193,7 @@ def f(limit) { p := |> (1 to 3); q := |> gen(limit); suspend !p | !q; }`,
 		})
 	}
 	for _, op := range []compile.Op{
-		compile.OpInitOnce, compile.OpRevAssign, compile.OpSwap, compile.OpRevSwap,
+		compile.OpInitOnce, compile.OpAug, compile.OpCmpAug, compile.OpRevAssign, compile.OpSwap, compile.OpRevSwap,
 		compile.OpCreate, compile.OpActivate, compile.OpScanBegin, compile.OpScanEnd,
 		compile.OpScanLeave, compile.OpScanResume, compile.OpScanVar, compile.OpCmpTest,
 		compile.OpRaise,

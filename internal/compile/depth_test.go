@@ -215,12 +215,23 @@ func TestDepthsStayStatic(t *testing.T) {
 	}
 }
 
-// TestEveryOpcodeIsDescribed: every opcode has a row in the opcode table,
-// and its mnemonic is shorter than the listing's mnemonic column, so at
-// least one space parts it from its operands.
+// retired lists the numbers of retired opcodes, which stay unassigned:
+// the reference twins of index and field, and aug and cmp.aug on a slot
+// and on a global.
+var retired = map[Op]bool{33: true, 36: true, 40: true, 41: true, 42: true, 43: true}
+
+// TestEveryOpcodeIsDescribed: every opcode but a retired one has a row in
+// the opcode table, and its mnemonic is shorter than the listing's
+// mnemonic column, so at least one space parts it from its operands.
 func TestEveryOpcodeIsDescribed(t *testing.T) {
 	for op := range opCount {
 		name := ops[op].name
+		if retired[op] {
+			if name != "" {
+				t.Errorf("retired opcode %d has a row (%s)", op, name)
+			}
+			continue
+		}
 		if name == "" {
 			t.Errorf("opcode %d has no row in the opcode table", op)
 		}

@@ -460,10 +460,10 @@ func (c *compiler) ref(n ast.Node) {
 	case *ast.Index:
 		c.expr(t.X)
 		c.expr(t.I)
-		c.emit(OpIndexVar, 0, 0, 0)
+		c.emit(OpIndex, 0, 0, 0)
 	case *ast.Field:
 		c.expr(t.X)
-		c.emit(OpFieldVar, c.constant(value.String(t.Name), "str:"+t.Name), 0, 0)
+		c.emit(OpField, c.constant(value.String(t.Name), "str:"+t.Name), 0, 0)
 	case *ast.Unary:
 		if t.Op != "!" {
 			c.expr(n)
@@ -525,10 +525,10 @@ func nameOf(n ast.Node) (name string, tmp bool) {
 }
 
 // augAssign compiles target op:= rhs, reporting false when op is no
-// operator. The target's current value is read when the operation applies
-// — per source value, as core.AugAssignTo does — so slots and globals get
-// fused read-modify-write opcodes rather than a load/store pair around
-// the rhs. On a builtin the operation applies and the store raises.
+// operator: the target operand, the right side, then one read-modify-write
+// that reads the target when the operation applies — per source value, as
+// core.AugAssignTo does. On a builtin the operation applies and the store
+// raises.
 func (c *compiler) augAssign(x *ast.Binary) bool {
 	base, ok := strings.CutSuffix(x.Op, ":=")
 	ai, isArith := arithIndex[base]
@@ -536,11 +536,9 @@ func (c *compiler) augAssign(x *ast.Binary) bool {
 	if !ok || !isArith && !isCmp {
 		return false
 	}
-	idx, op2 := int32(ai), [2]Op{OpAugSlot, OpAugGlobal}
-	opVar, op := OpAugVar, OpArith
+	op, opAug, idx := OpArith, OpAug, int32(ai)
 	if isCmp {
-		idx, op2 = int32(ci), [2]Op{OpCmpAugSlot, OpCmpAugGlobal}
-		opVar, op = OpCmpAugVar, OpCmp
+		op, opAug, idx = OpCmp, OpCmpAug, int32(ci)
 	}
 	if i, ok := c.constTarget(x.L); ok {
 		c.emit(OpConst, i, 0, 0)
@@ -549,26 +547,9 @@ func (c *compiler) augAssign(x *ast.Binary) bool {
 		c.cannotAssign(x.L, i)
 		return true
 	}
-	switch t := x.L.(type) {
-	case *ast.Ident, *ast.TmpRef:
-		if name, tmp := nameOf(t); !c.boxed[name] {
-			c.expr(x.R)
-			if kind, i := c.resolve(t, name, tmp); kind == resGlobal {
-				c.emit(op2[1], i, 0, idx)
-			} else {
-				c.emit(op2[0], i, 0, idx)
-			}
-			return true
-		}
-	}
-	if t := c.target(x.L); t != Target(TargetRef, 0) {
-		c.expr(x.R)
-		kind, i := SplitTarget(t)
-		c.emit(op2[kind], i, 0, idx)
-		return true
-	}
+	t := c.target(x.L)
 	c.expr(x.R)
-	c.emit(opVar, idx, 0, 0)
+	c.emit(opAug, t, 0, idx)
 	return true
 }
 

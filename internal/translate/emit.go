@@ -197,26 +197,18 @@ func (e *emitter) instr(pc int32, in compile.Instr) {
 
 	case compile.OpMakeList:
 		call("MakeList(%d)", a)
-	case compile.OpIndex, compile.OpIndexVar:
+	case compile.OpIndex:
 		test("Index()")
 	case compile.OpSection:
 		test("Section()")
-	case compile.OpField, compile.OpFieldVar:
+	case compile.OpField:
 		call("Field(%d)", a)
 	case compile.OpStoreVar:
 		call("StoreVar()")
-	case compile.OpAugVar:
-		call("AugVar(%d)", a)
-	case compile.OpCmpAugVar:
-		test("CmpAugVar(%d)", a)
-	case compile.OpAugSlot:
-		call("AugSlot(%d, %d)", a, c)
-	case compile.OpCmpAugSlot:
-		test("CmpAugSlot(%d, %d)", a, c)
-	case compile.OpAugGlobal:
-		call("AugGlobal(%d, %d)", a, c)
-	case compile.OpCmpAugGlobal:
-		test("CmpAugGlobal(%d, %d)", a, c)
+	case compile.OpAug:
+		call("Aug(%d, %d)", a, c)
+	case compile.OpCmpAug:
+		test("CmpAug(%d, %d)", a, c)
 	case compile.OpRevAssign:
 		test("RevAssign(%d, %d, %d)", a, b, pc)
 	case compile.OpSwap, compile.OpRevSwap:

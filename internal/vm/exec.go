@@ -214,7 +214,7 @@ func (f *Frame) next() (value.V, bool) {
 		// ----- structures -----
 		case compile.OpMakeList:
 			f.MakeList(in.A)
-		case compile.OpIndex, compile.OpIndexVar:
+		case compile.OpIndex:
 			if !f.Index() {
 				goto fail
 			}
@@ -222,32 +222,22 @@ func (f *Frame) next() (value.V, bool) {
 			if !f.Section() {
 				goto fail
 			}
-		case compile.OpField, compile.OpFieldVar:
+		case compile.OpField:
 			f.Field(in.A)
 		case compile.OpStoreVar:
 			f.StoreVar()
-		case compile.OpAugVar:
-			f.AugVar(in.A)
-		case compile.OpCmpAugVar:
-			if !f.CmpAugVar(in.A) {
-				goto fail
+		case compile.OpAug:
+			if kind, i := compile.SplitTarget(in.A); kind == compile.TargetSlot {
+				n := len(f.st)
+				if r, fast := arithInt(in.C, f.slots[i], f.st[n-1]); fast {
+					f.slots[i] = intSlot(r)
+					f.st[n-1] = intSlot(r)
+					break
+				}
 			}
-		case compile.OpAugSlot:
-			n := len(f.st)
-			if r, fast := arithInt(in.C, f.slots[in.A], f.st[n-1]); fast {
-				f.slots[in.A] = intSlot(r)
-				f.st[n-1] = intSlot(r)
-			} else {
-				f.augSlot(in.A, in.C)
-			}
-		case compile.OpCmpAugSlot:
-			if !f.CmpAugSlot(in.A, in.C) {
-				goto fail
-			}
-		case compile.OpAugGlobal:
-			f.AugGlobal(in.A, in.C)
-		case compile.OpCmpAugGlobal:
-			if !f.CmpAugGlobal(in.A, in.C) {
+			f.Aug(in.A, in.C)
+		case compile.OpCmpAug:
+			if !f.CmpAug(in.A, in.C) {
 				goto fail
 			}
 		case compile.OpRevAssign:

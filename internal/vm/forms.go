@@ -15,9 +15,9 @@ import (
 // scanning (the environment pair in the site's aux cell, swapped on the
 // code's ScanHolder where core.scanGen and interp.execScan swap it).
 
-// ----- reversible assignment and exchange -----
+// ----- assignment targets, reversible assignment and exchange -----
 
-// place is one resolved target of OpRevAssign/OpSwap/OpRevSwap.
+// place is one resolved target operand (see compile.Target).
 type place struct {
 	kind int
 	i    int32
@@ -31,6 +31,16 @@ func mkPlace(t int32, refs []value.V, next *int) place {
 	if kind == compile.TargetRef {
 		p.ref = refs[*next].(*value.Var)
 		*next++
+	}
+	return p
+}
+
+// popPlace resolves target operand t; a reference target is popped.
+func (f *Frame) popPlace(t int32) place {
+	kind, i := compile.SplitTarget(t)
+	p := place{kind: kind, i: i}
+	if kind == compile.TargetRef {
+		p.ref = mustVar(f.pop())
 	}
 	return p
 }

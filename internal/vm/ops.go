@@ -369,93 +369,50 @@ func (f *Frame) StoreVar() {
 	f.push(v)
 }
 
-// AugVar pops v and the variable t and assigns arith[op](t, v).
-func (f *Frame) AugVar(op int32) {
-	v := value.Deref(f.pop())
-	t := mustVar(f.pop())
-	r := compile.ArithFns[op](t.Get(), v)
-	t.Set(r)
-	f.push(r)
-}
-
-// CmpAugVar pops v and the variable t and assigns cmp[op](t, v), or fails.
-func (f *Frame) CmpAugVar(op int32) bool {
-	v := value.Deref(f.pop())
-	t := mustVar(f.pop())
-	r, ok := compile.CmpFns[op](t.Get(), v)
-	if !ok {
-		return false
-	}
-	t.Set(r)
-	f.push(r)
-	return true
-}
-
-// AugSlot replaces the top v by slot a := arith[op](slot a, v); the slot
-// is read when the operation applies, per source value.
-func (f *Frame) AugSlot(a, op int32) {
+// Aug replaces the top v — and below it the variable of a reference
+// target — by target t := arith[op](t, v); the target is read when the
+// operation applies, per source value.
+func (f *Frame) Aug(t, op int32) {
 	n := len(f.st)
-	if r, ok := arithInt(op, f.slots[a], f.st[n-1]); ok {
-		f.slots[a] = intSlot(r)
-		f.st[n-1] = intSlot(r)
-		return
-	}
-	f.augSlot(a, op)
-}
-
-// augSlot is AugSlot past its int64 fast path.
-func (f *Frame) augSlot(a, op int32) {
-	v := value.Deref(f.pop())
-	r := compile.ArithFns[op](f.slots[a].val(), v)
-	f.slots[a] = slot{v: r}
-	f.push(r)
-}
-
-// CmpAugSlot is AugSlot for a conditional operator, failing when it does.
-func (f *Frame) CmpAugSlot(a, op int32) bool {
-	n := len(f.st)
-	if holds, ok := cmpInt(op, f.slots[a], f.st[n-1]); ok {
-		if !holds {
-			return false
+	if kind, i := compile.SplitTarget(t); kind == compile.TargetSlot {
+		if r, ok := arithInt(op, f.slots[i], f.st[n-1]); ok {
+			f.slots[i] = intSlot(r)
+			f.st[n-1] = intSlot(r)
+			return
 		}
-		f.slots[a] = f.st[n-1]
-		return true
 	}
-	v := value.Deref(f.pop())
-	r, ok := compile.CmpFns[op](f.slots[a].val(), v)
-	if !ok {
-		return false
-	}
-	f.slots[a] = slot{v: r}
-	f.push(r)
-	return true
-}
-
-// AugGlobal is AugSlot on Globals[a].
-func (f *Frame) AugGlobal(a, op int32) {
-	cell := f.code.Globals[a]
+	v := f.st[n-1].deref()
+	f.st = f.st[:n-1]
+	p := f.popPlace(t)
+	cur := f.load(p)
 	var r value.V
-	if x, ok := arithInt(op, slot{v: cell.Get()}, f.st[len(f.st)-1]); ok {
-		// The operand stays unboxed; only the result leaves.
-		f.st = f.st[:len(f.st)-1]
-		r = value.IntV(x)
+	if x, ok := arithInt(op, slot{v: cur}, v); ok {
+		r = value.IntV(x) // the operand stays unboxed; only the result leaves
 	} else {
-		v := value.Deref(f.pop())
-		r = compile.ArithFns[op](cell.Get(), v)
+		r = compile.ArithFns[op](cur, v.val())
 	}
-	cell.Set(r)
+	f.store(p, r)
 	f.push(r)
 }
 
-// CmpAugGlobal is CmpAugSlot on Globals[a].
-func (f *Frame) CmpAugGlobal(a, op int32) bool {
+// CmpAug is Aug for a conditional operator, failing when it does.
+func (f *Frame) CmpAug(t, op int32) bool {
+	n := len(f.st)
+	if kind, i := compile.SplitTarget(t); kind == compile.TargetSlot {
+		if holds, ok := cmpInt(op, f.slots[i], f.st[n-1]); ok {
+			if holds {
+				f.slots[i] = f.st[n-1]
+			}
+			return holds
+		}
+	}
 	v := value.Deref(f.pop())
-	cell := f.code.Globals[a]
-	r, ok := compile.CmpFns[op](cell.Get(), v)
+	p := f.popPlace(t)
+	r, ok := compile.CmpFns[op](f.load(p), v)
 	if !ok {
 		return false
 	}
-	cell.Set(r)
+	f.store(p, r)
 	f.push(r)
 	return true
 }
