@@ -36,8 +36,8 @@ import (
 var costsGolden = filepath.Join("testdata", "costs.golden")
 
 // TestCosts holds the VM-driver layer to its recorded costs: the opcodes
-// each driver of the ledger's vm program set executes, the instructions
-// and aux cells of each unit the set compiles to, and the steady-state
+// each driver of the ledger's vm program set executes, the instructions,
+// aux cells and slots of each unit the set compiles to, and the steady-state
 // allocations of the two drain lanes (BenchmarkVMPrimes_VM and
 // BenchmarkVMEveryLoop_VM: the least of three runs of 200 drains, at one
 // and at four logical CPUs, whichever is greater). The checkpoint layer's
@@ -149,6 +149,7 @@ func vmDriverCosts(t *testing.T) map[string]int64 {
 	units := func(scenario string, code *compile.Code) {
 		row(scenario, "instructions", int64(len(code.Instrs)))
 		row(scenario, "aux_cells", int64(code.NumAux))
+		row(scenario, "slots", int64(len(code.Slots)))
 	}
 	for _, p := range procs {
 		file, name, _ := strings.Cut(p, " ")
