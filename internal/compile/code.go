@@ -192,6 +192,8 @@ type opInfo struct {
 	fails   bool   // may fail, or arm or cut choice points
 	ends    bool   // control never falls through to pc+1
 	suspend bool   // leaves the frame with a value; a resumption continues at pc+1
+	plain   bool   // pushes a value, never a variable
+	derefs  bool   // takes the top of stack at once as a value: pops it dereferenced or discarded, or replaces it by its value (see takesTop)
 	note    string // listing format for the operands' notes ("" is "%s")
 }
 
@@ -200,55 +202,55 @@ type opInfo struct {
 // lowering and the translator's join points all read it.
 var ops = [opCount]opInfo{
 	OpNop:         {name: "nop"},
-	OpConst:       {name: "const", a: roleConst, stack: 1},
-	OpNull:        {name: "null", stack: 1},
-	OpPop:         {name: "pop", stack: -1},
+	OpConst:       {name: "const", a: roleConst, stack: 1, plain: true},
+	OpNull:        {name: "null", stack: 1, plain: true},
+	OpPop:         {name: "pop", stack: -1, derefs: true},
 	OpPopN:        {name: "pop.n", a: roleCount},
-	OpLoadSlot:    {name: "load.slot", a: roleSlot, stack: 1},
-	OpStoreSlot:   {name: "store.slot", a: roleSlot},
+	OpLoadSlot:    {name: "load.slot", a: roleSlot, stack: 1, plain: true},
+	OpStoreSlot:   {name: "store.slot", a: roleSlot, derefs: true},
 	OpBindSlot:    {name: "bind.slot", a: roleSlot},
-	OpLoadGlobal:  {name: "load.global", a: roleGlobal, stack: 1},
-	OpStoreGlobal: {name: "store.global", a: roleGlobal},
+	OpLoadGlobal:  {name: "load.global", a: roleGlobal, stack: 1, plain: true},
+	OpStoreGlobal: {name: "store.global", a: roleGlobal, plain: true, derefs: true},
 
 	OpJump:       {name: "jump", a: rolePC, ends: true},
 	OpFail:       {name: "fail", fails: true, ends: true},
-	OpYield:      {name: "yield", stack: -1, resume: "yield", ends: true, suspend: true},
-	OpReturn:     {name: "return", stack: -1, fails: true, ends: true, suspend: true},
+	OpYield:      {name: "yield", stack: -1, resume: "yield", ends: true, suspend: true, derefs: true},
+	OpReturn:     {name: "return", stack: -1, fails: true, ends: true, suspend: true, derefs: true},
 	OpReturnFail: {name: "return.fail", fails: true, ends: true},
 	OpMark:       {name: "mark", a: rolePC, b: roleAux, resume: "mark", fails: true},
 	OpCut:        {name: "cut", b: roleAux, fails: true},
 	OpFork:       {name: "fork", a: rolePC, resume: "fork", fails: true},
 	OpRepAlt:     {name: "rep.alt", a: rolePC, b: roleAux, resume: "rep-alt", fails: true},
 	OpRepNote:    {name: "rep.note", b: roleAux},
-	OpLimitBegin: {name: "limit.begin", b: roleAux, stack: -1, fails: true},
+	OpLimitBegin: {name: "limit.begin", b: roleAux, stack: -1, fails: true, derefs: true},
 	OpLimitCheck: {name: "limit.check", b: roleAux, fails: true},
 	OpInitOnce:   {name: "init.once", a: rolePC, c: roleGlobal},
 
-	OpArith:       {name: "arith", a: roleArith, stack: -1},
-	OpCmp:         {name: "cmp", a: roleCmp, stack: -1, fails: true},
-	OpUnary:       {name: "unary", a: roleUnary},
-	OpNullTest:    {name: "null.test", fails: true},
-	OpNonNullTest: {name: "nonnull.test", fails: true},
-	OpBang:        {name: "bang", a: roleRefs, b: roleAux, resume: "bang", fails: true},
-	OpToBy:        {name: "to.by", b: roleAux, stack: -2, resume: "to-by", fails: true},
-	OpCaseEq:      {name: "case.eq", a: roleSlot, stack: -1, fails: true, note: "subject %s"},
+	OpArith:       {name: "arith", a: roleArith, stack: -1, plain: true, derefs: true},
+	OpCmp:         {name: "cmp", a: roleCmp, stack: -1, fails: true, plain: true, derefs: true},
+	OpUnary:       {name: "unary", a: roleUnary, plain: true, derefs: true},
+	OpNullTest:    {name: "null.test", fails: true, plain: true, derefs: true},
+	OpNonNullTest: {name: "nonnull.test", fails: true, plain: true, derefs: true},
+	OpBang:        {name: "bang", a: roleRefs, b: roleAux, resume: "bang", fails: true, derefs: true},
+	OpToBy:        {name: "to.by", b: roleAux, stack: -2, resume: "to-by", fails: true, plain: true, derefs: true},
+	OpCaseEq:      {name: "case.eq", a: roleSlot, stack: -1, fails: true, derefs: true, note: "subject %s"},
 
-	OpMakeList:  {name: "make.list", a: roleCount, stack: 1},
-	OpIndex:     {name: "index", stack: -1, fails: true},
-	OpSection:   {name: "section", stack: -2, fails: true},
-	OpField:     {name: "field", a: roleConst, note: ".%s"},
-	OpStoreVar:  {name: "store.var", stack: -1},
-	OpAug:       {name: "aug", a: roleTarget, c: roleArith, note: "%s %s:="},
-	OpCmpAug:    {name: "cmp.aug", a: roleTarget, c: roleCmp, fails: true, note: "%s %s:="},
-	OpRevAssign: {name: "rev.assign", a: roleTarget, b: roleAux, resume: "undo", fails: true, note: "%s <-"},
-	OpSwap:      {name: "swap", a: roleTarget, b: roleAux, c: roleTarget, stack: 1, fails: true, note: "%s :=: %s"},
-	OpRevSwap:   {name: "rev.swap", a: roleTarget, b: roleAux, c: roleTarget, stack: 1, resume: "undo", fails: true, note: "%s <-> %s"},
+	OpMakeList:  {name: "make.list", a: roleCount, stack: 1, plain: true},
+	OpIndex:     {name: "index", stack: -1, fails: true, derefs: true},
+	OpSection:   {name: "section", stack: -2, fails: true, derefs: true},
+	OpField:     {name: "field", a: roleConst, derefs: true, note: ".%s"},
+	OpStoreVar:  {name: "store.var", stack: -1, plain: true, derefs: true},
+	OpAug:       {name: "aug", a: roleTarget, c: roleArith, plain: true, derefs: true, note: "%s %s:="},
+	OpCmpAug:    {name: "cmp.aug", a: roleTarget, c: roleCmp, fails: true, plain: true, derefs: true, note: "%s %s:="},
+	OpRevAssign: {name: "rev.assign", a: roleTarget, b: roleAux, resume: "undo", fails: true, plain: true, derefs: true, note: "%s <-"},
+	OpSwap:      {name: "swap", a: roleTarget, b: roleAux, c: roleTarget, stack: 1, fails: true, plain: true, note: "%s :=: %s"},
+	OpRevSwap:   {name: "rev.swap", a: roleTarget, b: roleAux, c: roleTarget, stack: 1, resume: "undo", fails: true, plain: true, note: "%s <-> %s"},
 
-	OpCall:       {name: "call", a: roleArgc, b: roleAux, resume: "call", fails: true},
-	OpCall1:      {name: "call1", a: roleArgc, b: roleAux, fails: true},
+	OpCall:       {name: "call", a: roleArgc, b: roleAux, resume: "call", fails: true, derefs: true},
+	OpCall1:      {name: "call1", a: roleArgc, b: roleAux, fails: true, derefs: true},
 	OpCallNative: {name: "call.native", a: roleArgc, b: roleAux, c: roleConst, stack: 1, fails: true},
 
-	OpCreate:   {name: "create", a: roleArgc, b: roleSub, c: roleMode, stack: 1},
+	OpCreate:   {name: "create", a: roleArgc, b: roleSub, c: roleMode, stack: 1, plain: true},
 	OpActivate: {name: "activate", a: roleTransmit, fails: true},
 
 	OpScanBegin:  {name: "scan.begin", a: roleArms, b: roleAux, stack: -1, resume: "scan", fails: true},
@@ -257,13 +259,13 @@ var ops = [opCount]opInfo{
 	OpScanResume: {name: "scan.resume", a: roleOuter, b: roleInner},
 	OpScanVar:    {name: "scan.var", a: roleKeyword, stack: 1},
 
-	OpLoadBox:   {name: "load.box", a: roleSlot, stack: 1},
+	OpLoadBox:   {name: "load.box", a: roleSlot, stack: 1, plain: true},
 	OpStoreBox:  {name: "store.box", a: roleSlot, b: roleKeep},
 	OpBoxVar:    {name: "box.var", a: roleSlot, stack: 1},
 	OpGlobalVar: {name: "global.var", a: roleGlobal, stack: 1},
 	OpRandom:    {name: "random", fails: true},
 
-	OpCmpTest: {name: "cmp.test", a: roleCmp, stack: -2, fails: true},
+	OpCmpTest: {name: "cmp.test", a: roleCmp, stack: -2, fails: true, derefs: true},
 
 	OpRaise: {name: "raise", a: roleError, c: roleConst, ends: true},
 }
@@ -329,6 +331,22 @@ func (in *Instr) eachAux(fn func(cell *int32)) {
 	for i, r := range in.Op.roles() {
 		if r.aux() {
 			fn(v[i])
+		}
+	}
+}
+
+// eachSlot calls fn on each frame slot in names, a target operand's
+// included, and puts the slot fn returns in its place.
+func (in *Instr) eachSlot(fn func(slot int32) int32) {
+	v := in.operands()
+	for i, r := range in.Op.roles() {
+		switch r {
+		case roleSlot:
+			*v[i] = fn(*v[i])
+		case roleTarget:
+			if kind, s := SplitTarget(*v[i]); kind == TargetSlot {
+				*v[i] = Target(kind, fn(s))
+			}
 		}
 	}
 }

@@ -1,5 +1,10 @@
 package compile
 
+import (
+	"math/bits"
+	"strings"
+)
+
 // This file is the pass that runs on every code object after lowering —
 // Proc, Expr and each nested create body, through finish — so the vm,
 // -dis, -emit, Fingerprint and snapshots all see one instruction stream.
@@ -49,7 +54,10 @@ func optimize(code *Code) {
 	// entered counts, per pc, the edges into it other than falling
 	// through. A jump to the very next pc is dead from the start (rule 4),
 	// so rule 1 sees through it.
-	entered := make([]int32, n+1)
+	// One block of int32 scratch holds entered, uses, orig and pos.
+	block := make([]int32, 3*(n+1)+code.NumAux)
+	entered, uses := block[:n+1:n+1], block[n+1:n+1+code.NumAux]
+	orig, pos := block[n+1+code.NumAux:][:0:n], block[2*(n+1)+code.NumAux:]
 	dead := make([]bool, n)
 	for pc, in := range ins {
 		switch to, ok := in.Enters(pc); {
@@ -59,7 +67,6 @@ func optimize(code *Code) {
 			entered[to]++
 		}
 	}
-	uses := make([]int32, code.NumAux)
 	countAux(ins, uses)
 
 	// Rule 1. open holds the candidate marks whose cut is still ahead,
@@ -117,8 +124,6 @@ func optimize(code *Code) {
 	// moves there with them: to the pc that follows it in out, or else to
 	// the next pc still to come.
 	out := ins[:0]
-	orig := make([]int32, 0, n)
-	pos := make([]int32, n+1)
 	boxed := func(slot int32) bool { return code.Boxes != nil && code.Boxes[slot] }
 	hand := func(from, to int32) { entered[to] += entered[from]; entered[from] = 0 }
 	for pc := 0; pc < n; pc++ {
@@ -219,4 +224,223 @@ func optimize(code *Code) {
 		out[i].eachAux(func(cell *int32) { *cell = uses[*cell] })
 	}
 	code.NumAux = int(next)
+	liveness(code, pos)
+}
+
+// bitset is a set of small non-negative integers, a bit each.
+type bitset []uint64
+
+func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) add(i int32)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) drop(i int32)     { b[i>>6] &^= 1 << (i & 63) }
+
+// union adds o to b and reports whether b grew.
+func (b bitset) union(o bitset) bool {
+	grew := false
+	for i, x := range o {
+		if b[i]|x != b[i] {
+			b[i] |= x
+			grew = true
+		}
+	}
+	return grew
+}
+
+// each calls fn on every member of b that is also in o, in order.
+func (b bitset) each(o bitset, fn func(i int32)) {
+	for k, x := range b {
+		for x &= o[k]; x != 0; x &= x - 1 {
+			fn(int32(k*64 + bits.TrailingZeros64(x)))
+		}
+	}
+}
+
+// takesTop reports whether in takes the top of stack at once as a value:
+// its opcode's derefs, or one that does so only when it pops a value or
+// only in one mode.
+func takesTop(in Instr) bool {
+	switch in.Op {
+	case OpCallNative, OpMakeList:
+		return in.A > 0
+	case OpScanLeave:
+		return in.A == LeaveToResume
+	}
+	return ops[in.Op].derefs
+}
+
+// liveness runs rules 7 and 8 over the code rules 1–6 left. pos is
+// scratch of at least len(code.Instrs)+1 entries.
+func liveness(code *Code, pos []int32) {
+	ins := code.Instrs
+	n, ns := len(ins), len(code.Slots)
+	if ns == 0 {
+		return
+	}
+	// One block of scratch, cut into sets of w words each — the live-in
+	// set of every pc and of pc n (empty), the slots live wherever failure
+	// can resume, a live-out, the temporaries, the slots still named and a
+	// conflict row per slot — then the pcs control enters other than by
+	// falling through, and two words per slot: its colour, then its new
+	// number, and the slot of each colour plus one.
+	w := (ns + 63) / 64
+	block := make([]uint64, (n+6)*w+ns*w+(n+64)/64+2*ns)
+	take := func(k int) bitset { b := block[:k:k]; block = block[k:]; return b }
+	liveIn := take((n + 1) * w)
+	in := func(pc int) bitset { return liveIn[pc*w : pc*w+w] }
+	resumed, out, temps, named := take(w), take(w), take(w), take(w)
+	conflicts := take(ns * w)
+	row := func(s int32) bitset { return conflicts[int(s)*w : int(s)*w+w] }
+	joins, colour, first := take((n+64)/64), take(ns), take(ns)
+
+	kept := func(s int32) bool { return code.Boxes != nil && code.Boxes[s] || code.Shares && int(s) < code.Params }
+	for s := code.Params; s < ns; s++ {
+		if strings.HasPrefix(code.Slots[s], "x_") && !kept(int32(s)) {
+			temps.add(int32(s))
+		}
+	}
+	for pc := range ins {
+		if to, ok := ins[pc].Enters(pc); ok {
+			joins.add(int32(to))
+		}
+		op := ins[pc].Op
+		ins[pc].eachSlot(func(s int32) int32 {
+			if op != OpLoadSlot && op != OpStoreSlot && op != OpBindSlot {
+				temps.drop(s) // a case subject or an assignment target
+			}
+			return s
+		})
+	}
+
+	// flow puts the slots live after pc in out: those live where control
+	// goes next — the next pc, a branch target or the pc after a yield —
+	// and, where pc may fail, wherever failure resumes.
+	flow := func(pc int) {
+		clear(out)
+		x := ins[pc]
+		if x.Op.Falls() {
+			out.union(in(pc + 1))
+		}
+		if to, ok := x.Enters(pc); ok {
+			out.union(in(to))
+		}
+		if ops[x.Op].fails {
+			out.union(resumed)
+		}
+	}
+	for grew := true; grew; {
+		grew = false
+		for pc := n - 1; pc >= 0; pc-- {
+			flow(pc)
+			if x := ins[pc]; x.Op == OpStoreSlot || x.Op == OpBindSlot {
+				out.drop(x.A)
+			} else {
+				x.eachSlot(func(s int32) int32 { out.add(s); return s })
+			}
+			grew = in(pc).union(out) || grew
+		}
+		for _, r := range code.Resumes {
+			grew = resumed.union(in(r.PC)) || grew
+		}
+	}
+
+	// Rule 7, and rule 8's conflicts: a store that stays conflicts with
+	// the temporaries live after it.
+	next, dropped := -1, false // next: the next pc that stays, cuts aside
+	for pc := n - 1; pc >= 0; pc-- {
+		flow(pc)
+		pos[pc] = 0
+		if x := ins[pc]; x.Op == OpStoreSlot || x.Op == OpBindSlot {
+			s := x.A
+			if !out.has(s) && !kept(s) && (x.Op == OpBindSlot || next >= 0 && takesTop(ins[next]) ||
+				pc > 0 && !joins.has(int32(pc)) && ops[ins[pc-1].Op].plain) {
+				pos[pc], dropped = -1, true
+				continue
+			}
+			if temps.has(s) {
+				out.each(temps, func(t int32) { row(s).add(t); row(t).add(s) })
+			}
+		}
+		ins[pc].eachSlot(func(s int32) int32 { named.add(s); return s })
+		if ins[pc].Op != OpCut {
+			next = pc // a cut leaves the stack alone
+		}
+	}
+	// begin nulls every slot: the temporaries live on entry conflict.
+	in(0).each(temps, func(s int32) { row(s).union(in(0)) })
+
+	// Rule 8: each temporary still named takes the least colour no
+	// temporary before it that it conflicts with has taken.
+	for s := int32(0); s < int32(ns); s++ {
+		if !temps.has(s) || !named.has(s) {
+			continue
+		}
+		clear(out)
+		row(s).each(named, func(t int32) {
+			if t < s && temps.has(t) {
+				out.add(int32(colour[t]))
+			}
+		})
+		c := int32(0)
+		for out.has(c) {
+			c++
+		}
+		colour[s] = uint64(c)
+	}
+	slots := code.Slots
+	j := int32(0)
+	for s := int32(0); s < int32(ns); s++ {
+		switch c := colour[s]; {
+		case !named.has(s) && s >= int32(code.Params) && !kept(s):
+		case !temps.has(s):
+			slots[j] = slots[s]
+			if code.Boxes != nil {
+				code.Boxes[j] = code.Boxes[s]
+			}
+			colour[s] = uint64(j)
+			j++
+		case first[c] > 0:
+			colour[s] = first[c] - 1
+			slots[colour[s]] += "/" + slots[s]
+		default:
+			first[c] = uint64(j + 1)
+			slots[j] = slots[s]
+			if code.Boxes != nil {
+				code.Boxes[j] = false
+			}
+			colour[s] = uint64(j)
+			j++
+		}
+	}
+	code.Slots = slots[:j]
+	if code.Boxes != nil {
+		code.Boxes = code.Boxes[:j]
+	}
+	if !dropped && int(j) == ns {
+		return
+	}
+	k := int32(0)
+	for pc := range n {
+		if pos[pc] < 0 {
+			continue
+		}
+		pos[pc] = k
+		ins[k] = ins[pc]
+		ins[k].eachSlot(func(s int32) int32 { return int32(colour[s]) })
+		k++
+	}
+	pos[n] = k
+	for pc := n - 1; pc >= 0; pc-- {
+		if pos[pc] < 0 {
+			pos[pc] = pos[pc+1]
+		}
+	}
+	code.Instrs = ins[:k]
+	for i := range code.Instrs {
+		if code.Instrs[i].Op.roles()[0] == rolePC {
+			code.Instrs[i].A = pos[code.Instrs[i].A]
+		}
+	}
+	for i := range code.Resumes {
+		code.Resumes[i].PC = int(pos[code.Resumes[i].PC])
+	}
 }

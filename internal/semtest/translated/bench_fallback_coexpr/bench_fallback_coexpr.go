@@ -129,7 +129,7 @@ type proc_evens struct{ vm.Frame }
 func machine_proc_evens() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "evens", Params: 1, NumAux: 3,
-		Slots: []string{"limit", "c", "x_0", "x"},
+		Slots: []string{"limit", "c", "x"},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_evens); return f, &f.Frame },
 		machine_proc_evens_0(),
 	)
@@ -148,7 +148,7 @@ func (f *proc_evens) Next() (value.V, bool) {
 			fallthrough
 		case 4:
 			if r.Mark(0, 4) {
-				r.Goto(18)
+				r.Goto(17)
 				continue
 			}
 			r.LoadSlot(1)
@@ -159,37 +159,36 @@ func (f *proc_evens) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(2)
-			r.StoreSlot(3)
 			r.Cut(0)
 			r.Pop()
 			fallthrough
-		case 11:
-			if r.Mark(1, 11) {
-				r.Goto(17)
-				continue
-			}
-			fallthrough
-		case 12:
-			if r.Mark(2, 12) {
+		case 10:
+			if r.Mark(1, 10) {
 				r.Goto(16)
 				continue
 			}
-			r.LoadSlot(3)
 			fallthrough
+		case 11:
+			if r.Mark(2, 11) {
+				r.Goto(15)
+				continue
+			}
+			r.LoadSlot(2)
+			fallthrough
+		case 13:
+			return r.Yield(14)
 		case 14:
-			return r.Yield(15)
-		case 15:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 16:
+		case 15:
 			r.Cut(1)
 			fallthrough
-		case 17:
+		case 16:
 			r.Goto(4)
 			continue
-		case 18:
+		case 17:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_evens: bad pc")
@@ -246,7 +245,7 @@ type proc_sumStepped struct{ vm.Frame }
 func machine_proc_sumStepped() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "sumStepped", Params: 1, NumAux: 1,
-		Slots:  []string{"limit", "c", "s", "x_1", "x"},
+		Slots:  []string{"limit", "c", "s", "x"},
 		Consts: []value.V{intLit("0")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_sumStepped); return f, &f.Frame },
 		machine_proc_sumStepped_0(),
@@ -269,7 +268,7 @@ func (f *proc_sumStepped) Next() (value.V, bool) {
 			fallthrough
 		case 7:
 			if r.Mark(0, 7) {
-				r.Goto(18)
+				r.Goto(17)
 				continue
 			}
 			r.LoadSlot(1)
@@ -280,18 +279,17 @@ func (f *proc_sumStepped) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(3)
-			r.StoreSlot(4)
 			r.Cut(0)
 			r.Pop()
-			r.LoadSlot(4)
+			r.LoadSlot(3)
 			r.Aug(8, 0)
 			r.Pop()
 			r.Goto(7)
 			continue
-		case 18:
+		case 17:
 			r.LoadSlot(2)
-			return r.Return(20)
-		case 20:
+			return r.Return(19)
+		case 19:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -351,7 +349,7 @@ type proc_refreshed struct{ vm.Frame }
 func machine_proc_refreshed() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "refreshed", Params: 1, NumAux: 3,
-		Slots: []string{"limit", "c", "x_2"},
+		Slots: []string{"limit", "c"},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_refreshed); return f, &f.Frame },
 		machine_proc_refreshed_0(),
 	)
@@ -386,33 +384,32 @@ func (f *proc_refreshed) Next() (value.V, bool) {
 		case 9:
 			r.LoadSlot(1)
 			r.Unary(4)
-			r.StoreSlot(2)
 			r.StoreSlot(1)
 			r.Pop()
 			fallthrough
-		case 14:
-			if r.Mark(1, 14) {
-				r.Goto(19)
+		case 13:
+			if r.Mark(1, 13) {
+				r.Goto(18)
 				continue
 			}
 			r.LoadSlot(1)
 			fallthrough
-		case 16:
-			if !r.Bang(2, 16, false) {
+		case 15:
+			if !r.Bang(2, 15, false) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
+		case 16:
+			return r.Yield(17)
 		case 17:
-			return r.Yield(18)
-		case 18:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 19:
+		case 18:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_refreshed: bad pc")

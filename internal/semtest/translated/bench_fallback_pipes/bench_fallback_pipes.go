@@ -225,7 +225,7 @@ type proc_sumPiped struct{ vm.Frame }
 func machine_proc_sumPiped() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "sumPiped", Params: 1, NumAux: 2,
-		Slots:  []string{"limit", "p", "s", "x_0"},
+		Slots:  []string{"limit", "p", "s"},
 		Consts: []value.V{intLit("0")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_sumPiped); return f, &f.Frame },
 		machine_proc_sumPiped_0(),
@@ -248,7 +248,7 @@ func (f *proc_sumPiped) Next() (value.V, bool) {
 			fallthrough
 		case 7:
 			if r.Mark(0, 7) {
-				r.Goto(14)
+				r.Goto(13)
 				continue
 			}
 			r.LoadSlot(1)
@@ -260,17 +260,16 @@ func (f *proc_sumPiped) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(3)
 			r.Aug(8, 0)
 			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 14:
+		case 13:
 			r.LoadSlot(2)
-			return r.Return(16)
-		case 16:
+			return r.Return(15)
+		case 15:
 			if !r.Fail() {
 				return nil, false
 			}

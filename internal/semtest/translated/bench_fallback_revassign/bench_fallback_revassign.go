@@ -86,7 +86,7 @@ type proc_firstAbove struct{ vm.Frame }
 func machine_proc_firstAbove() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "firstAbove", Params: 1, NumAux: 3,
-		Slots:  []string{"k", "x", "x_0", "x_1"},
+		Slots:  []string{"k", "x"},
 		Consts: []value.V{intLit("0"), intLit("1"), intLit("10")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_firstAbove); return f, &f.Frame },
 	)
@@ -104,7 +104,7 @@ func (f *proc_firstAbove) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(17)
+				r.Goto(15)
 				continue
 			}
 			r.Const(1)
@@ -118,16 +118,14 @@ func (f *proc_firstAbove) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(2)
 			fallthrough
-		case 9:
-			if !r.RevAssign(4, 2, 9) {
+		case 8:
+			if !r.RevAssign(4, 2, 8) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(3)
 			r.LoadSlot(0)
 			if !r.CmpTest(2) {
 				if !r.Fail() {
@@ -137,16 +135,16 @@ func (f *proc_firstAbove) Next() (value.V, bool) {
 			}
 			r.Cut(0)
 			r.LoadSlot(1)
-			return r.Return(16)
-		case 16:
+			return r.Return(14)
+		case 14:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 17:
+		case 15:
 			r.LoadSlot(1)
-			return r.Return(19)
-		case 19:
+			return r.Return(17)
+		case 17:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -163,7 +161,7 @@ type proc_keptOnFailure struct{ vm.Frame }
 func machine_proc_keptOnFailure() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "keptOnFailure", Params: 1, NumAux: 3,
-		Slots:  []string{"k", "x", "x_2", "x_3"},
+		Slots:  []string{"k", "x"},
 		Consts: []value.V{intLit("1"), intLit("3"), intLit("9")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_keptOnFailure); return f, &f.Frame },
 	)
@@ -181,7 +179,7 @@ func (f *proc_keptOnFailure) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(14)
+				r.Goto(12)
 				continue
 			}
 			r.Const(0)
@@ -195,16 +193,14 @@ func (f *proc_keptOnFailure) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(2)
 			fallthrough
-		case 9:
-			if !r.RevAssign(4, 2, 9) {
+		case 8:
+			if !r.RevAssign(4, 2, 8) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(3)
 			r.Const(2)
 			if !r.CmpTest(2) {
 				if !r.Fail() {
@@ -214,10 +210,10 @@ func (f *proc_keptOnFailure) Next() (value.V, bool) {
 			}
 			r.Cut(0)
 			fallthrough
-		case 14:
+		case 12:
 			r.LoadSlot(1)
-			return r.Return(16)
-		case 16:
+			return r.Return(14)
+		case 14:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -234,7 +230,7 @@ type proc_countRestores struct{ vm.Frame }
 func machine_proc_countRestores() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "countRestores", Params: 1, NumAux: 7,
-		Slots:  []string{"n", "x", "c", "x_4", "i", "x_5", "x_6", "x_7", "x_8"},
+		Slots:  []string{"n", "x", "c", "i", "x_5/x_7", "x_8"},
 		Consts: []value.V{intLit("0"), intLit("1")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_countRestores); return f, &f.Frame },
 	)
@@ -255,7 +251,7 @@ func (f *proc_countRestores) Next() (value.V, bool) {
 			fallthrough
 		case 6:
 			if r.Mark(0, 6) {
-				r.Goto(48)
+				r.Goto(46)
 				continue
 			}
 			r.Const(1)
@@ -270,54 +266,52 @@ func (f *proc_countRestores) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(3)
-			r.StoreSlot(4)
 			r.Pop()
 			fallthrough
-		case 14:
-			if r.Mark(1, 14) {
-				r.Goto(47)
+		case 13:
+			if r.Mark(1, 13) {
+				r.Goto(45)
 				continue
 			}
 			fallthrough
-		case 15:
-			if r.Mark(3, 15) {
-				r.Goto(38)
+		case 14:
+			if r.Mark(3, 14) {
+				r.Goto(36)
 				continue
 			}
+			r.LoadSlot(3)
+			r.Const(1)
+			r.Arith(0)
+			r.BindSlot(4)
+			r.Pop()
+			r.LoadSlot(3)
 			r.LoadSlot(4)
+			r.Const(1)
+			fallthrough
+		case 23:
+			if !r.ToBy(4, 23) {
+				if !r.Fail() {
+					return nil, false
+				}
+				continue
+			}
+			fallthrough
+		case 24:
+			if !r.RevAssign(4, 5, 24) {
+				if !r.Fail() {
+					return nil, false
+				}
+				continue
+			}
+			r.BindSlot(4)
+			r.Pop()
+			r.LoadSlot(0)
 			r.Const(1)
 			r.Arith(0)
 			r.BindSlot(5)
 			r.Pop()
 			r.LoadSlot(4)
 			r.LoadSlot(5)
-			r.Const(1)
-			fallthrough
-		case 24:
-			if !r.ToBy(4, 24) {
-				if !r.Fail() {
-					return nil, false
-				}
-				continue
-			}
-			r.StoreSlot(6)
-			fallthrough
-		case 26:
-			if !r.RevAssign(4, 5, 26) {
-				if !r.Fail() {
-					return nil, false
-				}
-				continue
-			}
-			r.BindSlot(7)
-			r.Pop()
-			r.LoadSlot(0)
-			r.Const(1)
-			r.Arith(0)
-			r.BindSlot(8)
-			r.Pop()
-			r.LoadSlot(7)
-			r.LoadSlot(8)
 			if !r.CmpTest(2) {
 				if !r.Fail() {
 					return nil, false
@@ -326,9 +320,9 @@ func (f *proc_countRestores) Next() (value.V, bool) {
 			}
 			r.Cut(3)
 			fallthrough
-		case 38:
-			if r.Mark(6, 38) {
-				r.Goto(46)
+		case 36:
+			if r.Mark(6, 36) {
+				r.Goto(44)
 				continue
 			}
 			r.LoadSlot(1)
@@ -344,18 +338,18 @@ func (f *proc_countRestores) Next() (value.V, bool) {
 			r.Aug(8, 0)
 			r.Pop()
 			fallthrough
-		case 46:
+		case 44:
 			r.Cut(1)
 			fallthrough
-		case 47:
+		case 45:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 48:
+		case 46:
 			r.LoadSlot(2)
-			return r.Return(50)
-		case 50:
+			return r.Return(48)
+		case 48:
 			if !r.Fail() {
 				return nil, false
 			}

@@ -131,7 +131,7 @@ type proc_ticks struct{ vm.Frame }
 func machine_proc_ticks() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "ticks", Params: 1, NumAux: 5,
-		Slots:       []string{"k", "x_0", "i"},
+		Slots:       []string{"k"},
 		Consts:      []value.V{intLit("1")},
 		Globals:     []*value.Var{Global("tick")},
 		GlobalNames: []string{"tick"},
@@ -146,7 +146,7 @@ func (f *proc_ticks) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(16)
+				r.Goto(14)
 				continue
 			}
 			r.Const(0)
@@ -160,47 +160,45 @@ func (f *proc_ticks) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(1)
-			r.StoreSlot(2)
 			r.Pop()
 			fallthrough
-		case 8:
-			if r.Mark(1, 8) {
-				r.Goto(15)
+		case 6:
+			if r.Mark(1, 6) {
+				r.Goto(13)
 				continue
 			}
 			fallthrough
-		case 9:
-			if r.Mark(3, 9) {
-				r.Goto(14)
+		case 7:
+			if r.Mark(3, 7) {
+				r.Goto(12)
 				continue
 			}
 			r.LoadGlobal(0)
 			fallthrough
-		case 11:
-			if !r.Call(0, 4, 11) {
+		case 9:
+			if !r.Call(0, 4, 9) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
+		case 10:
+			return r.Yield(11)
+		case 11:
+			if !r.Fail() {
+				return nil, false
+			}
+			continue
 		case 12:
-			return r.Yield(13)
+			r.Cut(1)
+			fallthrough
 		case 13:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
 		case 14:
-			r.Cut(1)
-			fallthrough
-		case 15:
-			if !r.Fail() {
-				return nil, false
-			}
-			continue
-		case 16:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_ticks: bad pc")
@@ -214,7 +212,7 @@ type proc_tickMany struct{ vm.Frame }
 func machine_proc_tickMany() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "tickMany", Params: 1, NumAux: 5,
-		Slots:       []string{"k", "x_1", "i", "x_2", "last"},
+		Slots:       []string{"k", "last"},
 		Consts:      []value.V{intLit("1")},
 		Globals:     []*value.Var{Global("tick")},
 		GlobalNames: []string{"tick"},
@@ -229,7 +227,7 @@ func (f *proc_tickMany) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(18)
+				r.Goto(15)
 				continue
 			}
 			r.Const(0)
@@ -243,47 +241,44 @@ func (f *proc_tickMany) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(1)
-			r.StoreSlot(2)
 			r.Pop()
 			fallthrough
-		case 8:
-			if r.Mark(1, 8) {
-				r.Goto(17)
+		case 6:
+			if r.Mark(1, 6) {
+				r.Goto(14)
 				continue
 			}
 			fallthrough
-		case 9:
-			if r.Mark(3, 9) {
-				r.Goto(16)
+		case 7:
+			if r.Mark(3, 7) {
+				r.Goto(13)
 				continue
 			}
 			r.LoadGlobal(0)
 			fallthrough
-		case 11:
-			if !r.Call(0, 4, 11) {
+		case 9:
+			if !r.Call(0, 4, 9) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(3)
-			r.StoreSlot(4)
+			r.StoreSlot(1)
 			r.Cut(3)
 			r.Pop()
 			fallthrough
-		case 16:
+		case 13:
 			r.Cut(1)
 			fallthrough
-		case 17:
+		case 14:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 18:
-			r.LoadSlot(4)
-			return r.Return(20)
-		case 20:
+		case 15:
+			r.LoadSlot(1)
+			return r.Return(17)
+		case 17:
 			if !r.Fail() {
 				return nil, false
 			}

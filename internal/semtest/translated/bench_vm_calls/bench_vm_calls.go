@@ -86,7 +86,7 @@ type proc_fib struct{ vm.Frame }
 func machine_proc_fib() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "fib", Params: 1, NumAux: 4,
-		Slots:       []string{"n", "x_0", "x_1", "x_2", "x_3"},
+		Slots:       []string{"n", "x_0/x_2/x_3", "x_1"},
 		Consts:      []value.V{intLit("2"), intLit("1")},
 		Globals:     []*value.Var{Global("fib")},
 		GlobalNames: []string{"fib"},
@@ -145,10 +145,10 @@ func (f *proc_fib) Next() (value.V, bool) {
 			r.LoadSlot(0)
 			r.Const(0)
 			r.Arith(1)
-			r.BindSlot(3)
+			r.BindSlot(1)
 			r.Pop()
 			r.LoadGlobal(0)
-			r.LoadSlot(3)
+			r.LoadSlot(1)
 			fallthrough
 		case 26:
 			if !r.Call(1, 3, 26) {
@@ -157,10 +157,10 @@ func (f *proc_fib) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.BindSlot(4)
+			r.BindSlot(1)
 			r.Pop()
 			r.LoadSlot(2)
-			r.LoadSlot(4)
+			r.LoadSlot(1)
 			r.Arith(0)
 			r.Cut(1)
 			return r.Return(34)
@@ -183,7 +183,7 @@ type proc_depth struct{ vm.Frame }
 func machine_proc_depth() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "depth", Params: 1, NumAux: 3,
-		Slots:       []string{"n", "x_4", "x_5"},
+		Slots:       []string{"n", "x_4/x_5"},
 		Consts:      []value.V{intLit("1"), intLit("0")},
 		Globals:     []*value.Var{Global("depth")},
 		GlobalNames: []string{"depth"},
@@ -237,10 +237,10 @@ func (f *proc_depth) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.BindSlot(2)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(0)
-			r.LoadSlot(2)
+			r.LoadSlot(1)
 			r.Arith(0)
 			r.Cut(1)
 			return r.Return(24)

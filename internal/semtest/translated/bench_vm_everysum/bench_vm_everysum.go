@@ -86,7 +86,7 @@ type proc_sumTo struct{ vm.Frame }
 func machine_proc_sumTo() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "sumTo", Params: 1, NumAux: 2,
-		Slots:  []string{"n", "s", "x_0", "i"},
+		Slots:  []string{"n", "s"},
 		Consts: []value.V{intLit("0"), intLit("1")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_sumTo); return f, &f.Frame },
 	)
@@ -104,7 +104,7 @@ func (f *proc_sumTo) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(13)
+				r.Goto(11)
 				continue
 			}
 			r.Const(1)
@@ -118,18 +118,16 @@ func (f *proc_sumTo) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(2)
-			r.StoreSlot(3)
 			r.Aug(4, 0)
 			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 13:
+		case 11:
 			r.LoadSlot(1)
-			return r.Return(15)
-		case 15:
+			return r.Return(13)
+		case 13:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -146,7 +144,7 @@ type proc_sumEvens struct{ vm.Frame }
 func machine_proc_sumEvens() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "sumEvens", Params: 1, NumAux: 2,
-		Slots:  []string{"n", "s", "x_1", "i"},
+		Slots:  []string{"n", "s"},
 		Consts: []value.V{intLit("0"), intLit("2")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_sumEvens); return f, &f.Frame },
 	)
@@ -164,7 +162,7 @@ func (f *proc_sumEvens) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(13)
+				r.Goto(11)
 				continue
 			}
 			r.Const(1)
@@ -178,18 +176,16 @@ func (f *proc_sumEvens) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(2)
-			r.StoreSlot(3)
 			r.Aug(4, 0)
 			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 13:
+		case 11:
 			r.LoadSlot(1)
-			return r.Return(15)
-		case 15:
+			return r.Return(13)
+		case 13:
 			if !r.Fail() {
 				return nil, false
 			}

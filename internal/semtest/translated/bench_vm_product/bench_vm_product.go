@@ -86,7 +86,7 @@ type proc_multiplesOf7 struct{ vm.Frame }
 func machine_proc_multiplesOf7() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "multiplesOf7", Params: 1, NumAux: 3,
-		Slots:  []string{"n", "c", "x_0", "x_1", "x_2", "x_3"},
+		Slots:  []string{"n", "c", "x_0", "x_1"},
 		Consts: []value.V{intLit("0"), intLit("1"), intLit("7")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_multiplesOf7); return f, &f.Frame },
 	)
@@ -104,7 +104,7 @@ func (f *proc_multiplesOf7) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(29)
+				r.Goto(27)
 				continue
 			}
 			r.Const(1)
@@ -136,10 +136,8 @@ func (f *proc_multiplesOf7) Next() (value.V, bool) {
 			r.LoadSlot(2)
 			r.LoadSlot(3)
 			r.Arith(2)
-			r.StoreSlot(4)
 			r.Const(2)
 			r.Arith(4)
-			r.StoreSlot(5)
 			r.Const(0)
 			if !r.CmpTest(9) {
 				if !r.Fail() {
@@ -154,10 +152,10 @@ func (f *proc_multiplesOf7) Next() (value.V, bool) {
 				return nil, false
 			}
 			continue
-		case 29:
+		case 27:
 			r.LoadSlot(1)
-			return r.Return(31)
-		case 31:
+			return r.Return(29)
+		case 29:
 			if !r.Fail() {
 				return nil, false
 			}

@@ -86,7 +86,7 @@ type proc_wcTotal struct{ vm.Frame }
 func machine_proc_wcTotal() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "wcTotal", Params: 0, NumAux: 5,
-		Slots:  []string{"t", "readLines", "x_0", "splitWords", "x_1", "x_2", "x_3"},
+		Slots:  []string{"t", "readLines", "x_0", "splitWords"},
 		Consts: []value.V{value.Real(0), native("wordToNumber"), native("hashNumber")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_wcTotal); return f, &f.Frame },
 	)
@@ -104,7 +104,7 @@ func (f *proc_wcTotal) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(19)
+				r.Goto(16)
 				continue
 			}
 			r.LoadSlot(1)
@@ -128,31 +128,28 @@ func (f *proc_wcTotal) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(4)
 			if !r.CallNative(1, 3, 1) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(5)
 			if !r.CallNative(1, 4, 2) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(6)
 			r.Aug(0, 0)
 			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 19:
+		case 16:
 			r.LoadSlot(0)
-			return r.Return(21)
-		case 21:
+			return r.Return(18)
+		case 18:
 			if !r.Fail() {
 				return nil, false
 			}

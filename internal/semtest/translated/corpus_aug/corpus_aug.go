@@ -95,7 +95,7 @@ type proc_onSlot struct{ vm.Frame }
 func machine_proc_onSlot() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "onSlot", Params: 0, NumAux: 6,
-		Slots:  []string{"x", "x_0"},
+		Slots:  []string{"x"},
 		Consts: []value.V{intLit("1"), intLit("3"), intLit("2")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_onSlot); return f, &f.Frame },
 	)
@@ -113,7 +113,7 @@ func (f *proc_onSlot) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(18)
+				r.Goto(17)
 				continue
 			}
 			r.Const(0)
@@ -127,47 +127,46 @@ func (f *proc_onSlot) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(1)
 			r.Aug(0, 0)
 			r.Pop()
 			fallthrough
-		case 11:
-			if r.Mark(1, 11) {
-				r.Goto(17)
+		case 10:
+			if r.Mark(1, 10) {
+				r.Goto(16)
 				continue
 			}
 			fallthrough
-		case 12:
-			if r.Mark(3, 12) {
-				r.Goto(16)
+		case 11:
+			if r.Mark(3, 11) {
+				r.Goto(15)
 				continue
 			}
 			r.LoadSlot(0)
 			fallthrough
+		case 13:
+			return r.Yield(14)
 		case 14:
-			return r.Yield(15)
-		case 15:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 16:
+		case 15:
 			r.Cut(1)
 			fallthrough
-		case 17:
+		case 16:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 18:
-			if r.Mark(4, 18) {
-				r.Goto(27)
+		case 17:
+			if r.Mark(4, 17) {
+				r.Goto(26)
 				continue
 			}
 			fallthrough
-		case 19:
-			if r.Fork(19) {
-				r.Goto(23)
+		case 18:
+			if r.Fork(18) {
+				r.Goto(22)
 				continue
 			}
 			r.Const(2)
@@ -177,22 +176,22 @@ func (f *proc_onSlot) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.Goto(25)
+			r.Goto(24)
 			continue
-		case 23:
+		case 22:
 			r.LoadSlot(0)
 			r.Unary(0)
 			fallthrough
+		case 24:
+			return r.Yield(25)
 		case 25:
-			return r.Yield(26)
-		case 26:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 27:
-			if r.Mark(5, 27) {
-				r.Goto(32)
+		case 26:
+			if r.Mark(5, 26) {
+				r.Goto(31)
 				continue
 			}
 			r.Const(2)
@@ -205,10 +204,10 @@ func (f *proc_onSlot) Next() (value.V, bool) {
 			r.Cut(5)
 			r.Pop()
 			fallthrough
-		case 32:
+		case 31:
 			r.LoadSlot(0)
-			return r.Return(34)
-		case 34:
+			return r.Return(33)
+		case 33:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -225,7 +224,7 @@ type proc_onGlobal struct{ vm.Frame }
 func machine_proc_onGlobal() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "onGlobal", Params: 0, NumAux: 6,
-		Slots:       []string{"x_1"},
+		Slots:       []string{},
 		Consts:      []value.V{intLit("10"), intLit("1"), intLit("3"), intLit("99")},
 		Globals:     []*value.Var{Global("total")},
 		GlobalNames: []string{"total"},
@@ -245,7 +244,7 @@ func (f *proc_onGlobal) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(18)
+				r.Goto(17)
 				continue
 			}
 			r.Const(1)
@@ -259,47 +258,46 @@ func (f *proc_onGlobal) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(0)
 			r.Aug(1, 1)
 			r.Pop()
 			fallthrough
-		case 11:
-			if r.Mark(1, 11) {
-				r.Goto(17)
+		case 10:
+			if r.Mark(1, 10) {
+				r.Goto(16)
 				continue
 			}
 			fallthrough
-		case 12:
-			if r.Mark(3, 12) {
-				r.Goto(16)
+		case 11:
+			if r.Mark(3, 11) {
+				r.Goto(15)
 				continue
 			}
 			r.LoadGlobal(0)
 			fallthrough
+		case 13:
+			return r.Yield(14)
 		case 14:
-			return r.Yield(15)
-		case 15:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 16:
+		case 15:
 			r.Cut(1)
 			fallthrough
-		case 17:
+		case 16:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 18:
-			if r.Mark(4, 18) {
-				r.Goto(26)
+		case 17:
+			if r.Mark(4, 17) {
+				r.Goto(25)
 				continue
 			}
 			fallthrough
-		case 19:
-			if r.Fork(19) {
-				r.Goto(23)
+		case 18:
+			if r.Fork(18) {
+				r.Goto(22)
 				continue
 			}
 			r.Const(3)
@@ -309,21 +307,21 @@ func (f *proc_onGlobal) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.Goto(24)
+			r.Goto(23)
 			continue
-		case 23:
+		case 22:
 			r.LoadGlobal(0)
 			fallthrough
+		case 23:
+			return r.Yield(24)
 		case 24:
-			return r.Yield(25)
-		case 25:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 26:
-			if r.Mark(5, 26) {
-				r.Goto(31)
+		case 25:
+			if r.Mark(5, 25) {
+				r.Goto(30)
 				continue
 			}
 			r.Const(3)
@@ -336,10 +334,10 @@ func (f *proc_onGlobal) Next() (value.V, bool) {
 			r.Cut(5)
 			r.Pop()
 			fallthrough
-		case 31:
+		case 30:
 			r.LoadGlobal(0)
-			return r.Return(33)
-		case 33:
+			return r.Return(32)
+		case 32:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -401,7 +399,7 @@ type proc_capStatic struct{ vm.Frame }
 func machine_proc_capStatic() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "capStatic", Params: 0, NumAux: 1,
-		Slots:       []string{"x_2", "x_3"},
+		Slots:       []string{},
 		Consts:      []value.V{intLit("0"), intLit("3"), intLit("1"), intLit("7")},
 		Globals:     []*value.Var{static("static capStatic.m"), static("static capStatic.(initial)")},
 		GlobalNames: []string{"static capStatic.m", "static capStatic.(initial)"},
@@ -425,7 +423,7 @@ func (f *proc_capStatic) Next() (value.V, bool) {
 			fallthrough
 		case 4:
 			if r.Mark(0, 4) {
-				r.Goto(17)
+				r.Goto(15)
 				continue
 			}
 			fallthrough
@@ -453,8 +451,6 @@ func (f *proc_capStatic) Next() (value.V, bool) {
 			r.Const(3)
 			fallthrough
 		case 12:
-			r.StoreSlot(0)
-			r.StoreSlot(1)
 			if !r.CmpAug(1, 0) {
 				if !r.Fail() {
 					return nil, false
@@ -464,10 +460,10 @@ func (f *proc_capStatic) Next() (value.V, bool) {
 			r.Cut(0)
 			r.Pop()
 			fallthrough
-		case 17:
+		case 15:
 			r.LoadGlobal(0)
-			return r.Return(19)
-		case 19:
+			return r.Return(17)
+		case 17:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -520,9 +516,9 @@ type proc_onBoxed struct{ vm.Frame }
 func machine_proc_onBoxed() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "onBoxed", Params: 0, NumAux: 5,
-		Slots:  []string{"x", "g", "x_4", "x_5"},
+		Slots:  []string{"x", "g", "x_4/x_5"},
 		Consts: []value.V{intLit("1"), intLit("2"), intLit("3"), intLit("0")},
-		Boxes:  []bool{true, false, false, false}, Shares: false,
+		Boxes:  []bool{true, false, false}, Shares: false,
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_onBoxed); return f, &f.Frame },
 		machine_proc_onBoxed_0(),
 	)
@@ -562,10 +558,10 @@ func (f *proc_onBoxed) Next() (value.V, bool) {
 			fallthrough
 		case 13:
 			r.StoreSlot(2)
-			r.BindSlot(3)
+			r.BindSlot(2)
 			r.Pop()
 			r.BoxVar(0)
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Aug(2, 2)
 			r.Pop()
 			fallthrough
@@ -672,7 +668,7 @@ type proc_onIndex struct{ vm.Frame }
 func machine_proc_onIndex() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "onIndex", Params: 0, NumAux: 3,
-		Slots:  []string{"x_6", "L", "x_7"},
+		Slots:  []string{"L", "x_7"},
 		Consts: []value.V{intLit("1"), intLit("2"), intLit("3"), intLit("5"), intLit("9")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_onIndex); return f, &f.Frame },
 	)
@@ -689,28 +685,27 @@ func (f *proc_onIndex) Next() (value.V, bool) {
 			r.Const(2)
 			r.MakeList(3)
 			r.StoreSlot(0)
-			r.StoreSlot(1)
 			r.Pop()
 			fallthrough
-		case 7:
-			if r.Mark(0, 7) {
-				r.Goto(21)
+		case 6:
+			if r.Mark(0, 6) {
+				r.Goto(20)
 				continue
 			}
 			r.Const(0)
 			r.Const(2)
 			r.Const(0)
 			fallthrough
-		case 11:
-			if !r.ToBy(1, 11) {
+		case 10:
+			if !r.ToBy(1, 10) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.BindSlot(2)
+			r.BindSlot(1)
 			r.Pop()
-			r.LoadSlot(1)
+			r.LoadSlot(0)
 			r.Const(1)
 			if !r.Index() {
 				if !r.Fail() {
@@ -718,25 +713,25 @@ func (f *proc_onIndex) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.LoadSlot(2)
+			r.LoadSlot(1)
 			r.Aug(2, 0)
 			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 21:
-			if r.Mark(2, 21) {
-				r.Goto(36)
+		case 20:
+			if r.Mark(2, 20) {
+				r.Goto(35)
 				continue
 			}
 			fallthrough
-		case 22:
-			if r.Fork(22) {
-				r.Goto(29)
+		case 21:
+			if r.Fork(21) {
+				r.Goto(28)
 				continue
 			}
-			r.LoadSlot(1)
+			r.LoadSlot(0)
 			r.Const(2)
 			if !r.Index() {
 				if !r.Fail() {
@@ -751,10 +746,10 @@ func (f *proc_onIndex) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.Goto(34)
+			r.Goto(33)
 			continue
-		case 29:
-			r.LoadSlot(1)
+		case 28:
+			r.LoadSlot(0)
 			r.Const(0)
 			if !r.Index() {
 				if !r.Fail() {
@@ -770,14 +765,14 @@ func (f *proc_onIndex) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
-		case 34:
+		case 33:
 			r.Cut(2)
 			r.Pop()
 			fallthrough
-		case 36:
-			r.LoadSlot(1)
-			return r.Return(38)
-		case 38:
+		case 35:
+			r.LoadSlot(0)
+			return r.Return(37)
+		case 37:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -794,7 +789,7 @@ type proc_onField struct{ vm.Frame }
 func machine_proc_onField() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "onField", Params: 0, NumAux: 5,
-		Slots:       []string{"x_8", "p", "x_9"},
+		Slots:       []string{"p", "x_9"},
 		Consts:      []value.V{intLit("1"), intLit("2"), value.String("y"), intLit("10"), value.String("x"), intLit("3")},
 		Globals:     []*value.Var{Global("point")},
 		GlobalNames: []string{"point"},
@@ -809,7 +804,7 @@ func (f *proc_onField) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(9)
+				r.Goto(8)
 				continue
 			}
 			r.LoadGlobal(0)
@@ -824,56 +819,55 @@ func (f *proc_onField) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(0)
-			r.StoreSlot(1)
 			r.Cut(0)
 			r.Pop()
 			fallthrough
-		case 9:
-			r.LoadSlot(1)
+		case 8:
+			r.LoadSlot(0)
 			r.Field(2)
 			r.Const(3)
 			r.Aug(2, 2)
 			r.Pop()
 			fallthrough
-		case 14:
-			if r.Mark(2, 14) {
-				r.Goto(27)
+		case 13:
+			if r.Mark(2, 13) {
+				r.Goto(26)
 				continue
 			}
 			r.Const(0)
 			r.Const(1)
 			r.Const(0)
 			fallthrough
-		case 18:
-			if !r.ToBy(3, 18) {
+		case 17:
+			if !r.ToBy(3, 17) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.BindSlot(2)
+			r.BindSlot(1)
 			r.Pop()
-			r.LoadSlot(1)
+			r.LoadSlot(0)
 			r.Field(4)
-			r.LoadSlot(2)
+			r.LoadSlot(1)
 			r.Aug(2, 0)
 			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 27:
-			if r.Mark(4, 27) {
-				r.Goto(38)
+		case 26:
+			if r.Mark(4, 26) {
+				r.Goto(37)
 				continue
 			}
 			fallthrough
-		case 28:
-			if r.Fork(28) {
-				r.Goto(34)
+		case 27:
+			if r.Fork(27) {
+				r.Goto(33)
 				continue
 			}
-			r.LoadSlot(1)
+			r.LoadSlot(0)
 			r.Field(2)
 			r.Const(5)
 			if !r.CmpAug(2, 0) {
@@ -882,27 +876,27 @@ func (f *proc_onField) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.Goto(36)
+			r.Goto(35)
 			continue
-		case 34:
-			r.LoadSlot(1)
+		case 33:
+			r.LoadSlot(0)
 			r.Field(2)
 			fallthrough
+		case 35:
+			return r.Yield(36)
 		case 36:
-			return r.Yield(37)
-		case 37:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 38:
-			r.LoadSlot(1)
+		case 37:
+			r.LoadSlot(0)
 			r.Field(4)
-			r.LoadSlot(1)
+			r.LoadSlot(0)
 			r.Field(2)
 			r.MakeList(2)
-			return r.Return(44)
-		case 44:
+			return r.Return(43)
+		case 43:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -919,9 +913,9 @@ type proc_onBang struct{ vm.Frame }
 func machine_proc_onBang() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "onBang", Params: 0, NumAux: 4,
-		Slots:  []string{"x_10", "L", "x_11", "x_12"},
+		Slots:  []string{"x_10/x_11", "L", "x_12"},
 		Consts: []value.V{intLit("1"), intLit("5"), intLit("2"), intLit("3")},
-		Boxes:  []bool{false, true, false, false}, Shares: false,
+		Boxes:  []bool{false, true, false}, Shares: false,
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_onBang); return f, &f.Frame },
 	)
 }
@@ -987,8 +981,8 @@ func (f *proc_onBang) Next() (value.V, bool) {
 			r.Const(2)
 			fallthrough
 		case 22:
-			r.StoreSlot(2)
-			r.BindSlot(3)
+			r.StoreSlot(0)
+			r.BindSlot(2)
 			r.Pop()
 			r.LoadBox(1)
 			fallthrough
@@ -999,7 +993,7 @@ func (f *proc_onBang) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Aug(2, 1)
 			r.Pop()
 			if !r.Fail() {

@@ -429,7 +429,7 @@ type proc_lane_driver_6 struct{ vm.Frame }
 func machine_proc_lane_driver_6() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_6", Params: 0, NumAux: 2,
-		Slots:  []string{"x_2", "x_3", "x_4", "x_5"},
+		Slots:  []string{"x_2", "x_5"},
 		Consts: []value.V{intLit("1"), intLit("3"), intLit("4"), intLit("5")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_lane_driver_6); return f, &f.Frame },
 	)
@@ -442,7 +442,7 @@ func (f *proc_lane_driver_6) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(21)
+				r.Goto(19)
 				continue
 			}
 			r.Const(0)
@@ -471,23 +471,21 @@ func (f *proc_lane_driver_6) Next() (value.V, bool) {
 			r.Const(3)
 			fallthrough
 		case 11:
-			r.StoreSlot(1)
-			r.StoreSlot(2)
 			r.MakeList(1)
-			r.BindSlot(3)
+			r.BindSlot(1)
 			r.Pop()
 			r.LoadSlot(0)
-			r.LoadSlot(3)
+			r.LoadSlot(1)
 			r.MakeList(2)
 			fallthrough
-		case 19:
-			return r.Yield(20)
-		case 20:
+		case 17:
+			return r.Yield(18)
+		case 18:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 21:
+		case 19:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_lane_driver_6: bad pc")
@@ -501,7 +499,7 @@ type proc_lane_driver_7 struct{ vm.Frame }
 func machine_proc_lane_driver_7() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_7", Params: 0, NumAux: 2,
-		Slots:  []string{"x_6", "x_7"},
+		Slots:  []string{},
 		Consts: []value.V{intLit("1"), intLit("20"), intLit("3")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_lane_driver_7); return f, &f.Frame },
 	)
@@ -514,7 +512,7 @@ func (f *proc_lane_driver_7) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(13)
+				r.Goto(11)
 				continue
 			}
 			r.Const(0)
@@ -528,10 +526,8 @@ func (f *proc_lane_driver_7) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(0)
 			r.Const(2)
 			r.Arith(4)
-			r.StoreSlot(1)
 			r.Const(0)
 			if !r.Cmp(2) {
 				if !r.Fail() {
@@ -540,14 +536,14 @@ func (f *proc_lane_driver_7) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
-		case 11:
-			return r.Yield(12)
-		case 12:
+		case 9:
+			return r.Yield(10)
+		case 10:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 13:
+		case 11:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_lane_driver_7: bad pc")
@@ -561,7 +557,7 @@ type proc_lane_driver_8 struct{ vm.Frame }
 func machine_proc_lane_driver_8() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_8", Params: 0, NumAux: 1,
-		Slots:  []string{"x_8", "x_9", "x_10", "x_11"},
+		Slots:  []string{"x_8/x_9", "x_10/x_11"},
 		Consts: []value.V{value.String("a"), value.String("bc"), value.String("x"), value.String("yz")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_lane_driver_8); return f, &f.Frame },
 	)
@@ -591,7 +587,7 @@ func (f *proc_lane_driver_8) Next() (value.V, bool) {
 			fallthrough
 		case 5:
 			r.StoreSlot(0)
-			r.BindSlot(1)
+			r.BindSlot(0)
 			r.Pop()
 			fallthrough
 		case 8:
@@ -606,11 +602,11 @@ func (f *proc_lane_driver_8) Next() (value.V, bool) {
 			r.Const(3)
 			fallthrough
 		case 12:
-			r.StoreSlot(2)
-			r.BindSlot(3)
+			r.StoreSlot(1)
+			r.BindSlot(1)
 			r.Pop()
+			r.LoadSlot(0)
 			r.LoadSlot(1)
-			r.LoadSlot(3)
 			r.Arith(6)
 			fallthrough
 		case 18:
@@ -683,7 +679,7 @@ type proc_lane_driver_10 struct{ vm.Frame }
 func machine_proc_lane_driver_10() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_10", Params: 0, NumAux: 3,
-		Slots:  []string{"x", "x_12"},
+		Slots:  []string{"x"},
 		Consts: []value.V{intLit("0"), intLit("5"), intLit("9")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_lane_driver_10); return f, &f.Frame },
 	)
@@ -696,7 +692,7 @@ func (f *proc_lane_driver_10) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(14)
+				r.Goto(13)
 				continue
 			}
 			r.Const(0)
@@ -705,7 +701,7 @@ func (f *proc_lane_driver_10) Next() (value.V, bool) {
 			fallthrough
 		case 4:
 			if r.Mark(1, 4) {
-				r.Goto(11)
+				r.Goto(10)
 				continue
 			}
 			r.Const(1)
@@ -717,7 +713,6 @@ func (f *proc_lane_driver_10) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(1)
 			r.Const(2)
 			if !r.CmpTest(2) {
 				if !r.Fail() {
@@ -727,17 +722,17 @@ func (f *proc_lane_driver_10) Next() (value.V, bool) {
 			}
 			r.Cut(1)
 			fallthrough
-		case 11:
+		case 10:
 			r.LoadSlot(0)
 			fallthrough
+		case 11:
+			return r.Yield(12)
 		case 12:
-			return r.Yield(13)
-		case 13:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 14:
+		case 13:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_lane_driver_10: bad pc")
@@ -864,7 +859,7 @@ type proc_lane_driver_12 struct{ vm.Frame }
 func machine_proc_lane_driver_12() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_12", Params: 0, NumAux: 3,
-		Slots:  []string{"x_14", "L", "y", "x_15", "x_16", "x_17", "x_18", "x_19", "x_20", "x_21"},
+		Slots:  []string{"L", "y", "x_17", "x_18/x_19/x_20", "x_21"},
 		Consts: []value.V{intLit("4"), intLit("5"), intLit("2"), intLit("1"), intLit("3"), intLit("7")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_lane_driver_12); return f, &f.Frame },
 	)
@@ -877,105 +872,102 @@ func (f *proc_lane_driver_12) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(56)
+				r.Goto(53)
 				continue
 			}
 			r.Const(0)
 			r.Const(1)
 			r.MakeList(2)
 			r.StoreSlot(0)
-			r.StoreSlot(1)
 			r.Pop()
 			r.Const(2)
-			r.StoreSlot(2)
+			r.StoreSlot(1)
 			r.Pop()
 			fallthrough
+		case 9:
+			if r.Mark(1, 9) {
+				r.Goto(33)
+				continue
+			}
+			fallthrough
 		case 10:
-			if r.Mark(1, 10) {
-				r.Goto(36)
+			if r.Mark(2, 10) {
+				r.Goto(32)
 				continue
 			}
 			fallthrough
 		case 11:
-			if r.Mark(2, 11) {
-				r.Goto(35)
-				continue
-			}
-			fallthrough
-		case 12:
-			if r.Fork(12) {
-				r.Goto(15)
+			if r.Fork(11) {
+				r.Goto(14)
 				continue
 			}
 			r.Const(3)
-			r.Goto(16)
+			r.Goto(15)
 			continue
-		case 15:
+		case 14:
 			r.Const(4)
 			fallthrough
-		case 16:
-			r.StoreSlot(3)
-			r.StoreSlot(4)
-			if !r.CmpAug(8, 0) {
+		case 15:
+			if !r.CmpAug(4, 0) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.BindSlot(5)
+			r.BindSlot(2)
 			r.Pop()
 			fallthrough
-		case 21:
-			if r.Fork(21) {
-				r.Goto(24)
+		case 18:
+			if r.Fork(18) {
+				r.Goto(21)
 				continue
 			}
 			r.Const(3)
-			r.Goto(25)
+			r.Goto(22)
 			continue
-		case 24:
+		case 21:
 			r.Const(2)
 			fallthrough
-		case 25:
-			r.StoreSlot(6)
-			r.BindSlot(7)
+		case 22:
+			r.StoreSlot(3)
+			r.BindSlot(3)
 			r.Pop()
-			r.LoadSlot(1)
-			r.LoadSlot(7)
+			r.LoadSlot(0)
+			r.LoadSlot(3)
 			if !r.Index() {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.LoadSlot(5)
+			r.LoadSlot(2)
 			r.Aug(2, 2)
 			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 35:
+		case 32:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 36:
-			if r.Fork(36) {
-				r.Goto(40)
+		case 33:
+			if r.Fork(33) {
+				r.Goto(37)
 				continue
 			}
 			r.Const(5)
-			if !r.CmpAug(8, 2) {
+			if !r.CmpAug(4, 2) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.Goto(54)
+			r.Goto(51)
 			continue
-		case 40:
-			r.LoadSlot(1)
+		case 37:
+			r.LoadSlot(0)
 			r.Const(3)
 			if !r.Index() {
 				if !r.Fail() {
@@ -983,9 +975,9 @@ func (f *proc_lane_driver_12) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.BindSlot(8)
+			r.BindSlot(3)
 			r.Pop()
-			r.LoadSlot(1)
+			r.LoadSlot(0)
 			r.Const(2)
 			if !r.Index() {
 				if !r.Fail() {
@@ -993,21 +985,21 @@ func (f *proc_lane_driver_12) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.BindSlot(9)
+			r.BindSlot(4)
 			r.Pop()
-			r.LoadSlot(2)
-			r.LoadSlot(8)
-			r.LoadSlot(9)
+			r.LoadSlot(1)
+			r.LoadSlot(3)
+			r.LoadSlot(4)
 			r.MakeList(3)
 			fallthrough
-		case 54:
-			return r.Yield(55)
-		case 55:
+		case 51:
+			return r.Yield(52)
+		case 52:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 56:
+		case 53:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_lane_driver_12: bad pc")
@@ -1107,7 +1099,7 @@ type proc_lane_driver_14 struct{ vm.Frame }
 func machine_proc_lane_driver_14() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_14", Params: 0, NumAux: 4,
-		Slots:  []string{"x_22", "i"},
+		Slots:  []string{},
 		Consts: []value.V{intLit("1"), intLit("3")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_lane_driver_14); return f, &f.Frame },
 		machine_proc_lane_driver_14_0(),
@@ -1121,13 +1113,13 @@ func (f *proc_lane_driver_14) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(16)
+				r.Goto(14)
 				continue
 			}
 			fallthrough
 		case 1:
 			if r.Mark(1, 1) {
-				r.Goto(15)
+				r.Goto(13)
 				continue
 			}
 			r.Const(0)
@@ -1141,13 +1133,11 @@ func (f *proc_lane_driver_14) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(0)
-			r.StoreSlot(1)
 			r.Pop()
 			fallthrough
-		case 9:
-			if r.Mark(2, 9) {
-				r.Goto(14)
+		case 7:
+			if r.Mark(2, 7) {
+				r.Goto(12)
 				continue
 			}
 			r.Create(0, 0, 0)
@@ -1160,17 +1150,17 @@ func (f *proc_lane_driver_14) Next() (value.V, bool) {
 			r.Cut(2)
 			r.Pop()
 			fallthrough
+		case 12:
+			if !r.Fail() {
+				return nil, false
+			}
+			continue
+		case 13:
+			if !r.Fail() {
+				return nil, false
+			}
+			continue
 		case 14:
-			if !r.Fail() {
-				return nil, false
-			}
-			continue
-		case 15:
-			if !r.Fail() {
-				return nil, false
-			}
-			continue
-		case 16:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_lane_driver_14: bad pc")
@@ -1209,7 +1199,7 @@ type proc_lane_driver_15 struct{ vm.Frame }
 func machine_proc_lane_driver_15() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_15", Params: 0, NumAux: 4,
-		Slots:  []string{"x_23", "i"},
+		Slots:  []string{"i"},
 		Consts: []value.V{intLit("1"), intLit("3")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_lane_driver_15); return f, &f.Frame },
 		machine_proc_lane_driver_15_0(),
@@ -1223,13 +1213,13 @@ func (f *proc_lane_driver_15) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(17)
+				r.Goto(16)
 				continue
 			}
 			fallthrough
 		case 1:
 			if r.Mark(1, 1) {
-				r.Goto(16)
+				r.Goto(15)
 				continue
 			}
 			r.Const(0)
@@ -1244,15 +1234,14 @@ func (f *proc_lane_driver_15) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(0)
-			r.StoreSlot(1)
 			r.Pop()
 			fallthrough
-		case 9:
-			if r.Mark(2, 9) {
-				r.Goto(15)
+		case 8:
+			if r.Mark(2, 8) {
+				r.Goto(14)
 				continue
 			}
-			r.LoadSlot(1)
+			r.LoadSlot(0)
 			r.Create(1, 0, 0)
 			if !r.Activate(0) {
 				if !r.Fail() {
@@ -1263,17 +1252,17 @@ func (f *proc_lane_driver_15) Next() (value.V, bool) {
 			r.Cut(2)
 			r.Pop()
 			fallthrough
+		case 14:
+			if !r.Fail() {
+				return nil, false
+			}
+			continue
 		case 15:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
 		case 16:
-			if !r.Fail() {
-				return nil, false
-			}
-			continue
-		case 17:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_lane_driver_15: bad pc")

@@ -397,7 +397,7 @@ type proc_picks struct{ vm.Frame }
 func machine_proc_picks() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "picks", Params: 0, NumAux: 1,
-		Slots:  []string{"x_0", "x_1"},
+		Slots:  []string{},
 		Consts: []value.V{intLit("5"), value.String("z"), intLit("1"), value.String("none")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_picks); return f, &f.Frame },
 	)
@@ -410,39 +410,38 @@ func (f *proc_picks) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(23)
+				r.Goto(21)
 				continue
 			}
 			fallthrough
 		case 1:
 			if r.Fork(1) {
-				r.Goto(15)
+				r.Goto(14)
 				continue
 			}
 			fallthrough
 		case 2:
 			if r.Fork(2) {
-				r.Goto(12)
+				r.Goto(11)
 				continue
 			}
 			fallthrough
 		case 3:
 			if r.Fork(3) {
-				r.Goto(9)
+				r.Goto(8)
 				continue
 			}
 			r.Const(0)
 			r.MakeList(1)
-			r.StoreSlot(0)
 			if !r.Random() {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.Goto(11)
+			r.Goto(10)
 			continue
-		case 9:
+		case 8:
 			r.Const(1)
 			if !r.Random() {
 				if !r.Fail() {
@@ -451,10 +450,10 @@ func (f *proc_picks) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
-		case 11:
-			r.Goto(14)
+		case 10:
+			r.Goto(13)
 			continue
-		case 12:
+		case 11:
 			r.Const(2)
 			if !r.Random() {
 				if !r.Fail() {
@@ -463,35 +462,34 @@ func (f *proc_picks) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
-		case 14:
-			r.Goto(21)
+		case 13:
+			r.Goto(19)
 			continue
-		case 15:
-			if r.Fork(15) {
-				r.Goto(20)
+		case 14:
+			if r.Fork(14) {
+				r.Goto(18)
 				continue
 			}
 			r.MakeList(0)
-			r.StoreSlot(1)
 			if !r.Random() {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.Goto(21)
+			r.Goto(19)
 			continue
-		case 20:
+		case 18:
 			r.Const(3)
 			fallthrough
-		case 21:
-			return r.Yield(22)
-		case 22:
+		case 19:
+			return r.Yield(20)
+		case 20:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 23:
+		case 21:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_picks: bad pc")
@@ -696,7 +694,7 @@ type proc_leftScan struct{ vm.Frame }
 func machine_proc_leftScan() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "leftScan", Params: 0, NumAux: 6,
-		Slots:  []string{"x_3", "i", "x_4", "x_5", "x"},
+		Slots:  []string{},
 		Consts: []value.V{intLit("1"), intLit("3"), value.String("xyz"), builtins["move"]},
 		Scan:   scanHolder,
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_leftScan); return f, &f.Frame },
@@ -710,7 +708,7 @@ func (f *proc_leftScan) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(21)
+				r.Goto(19)
 				continue
 			}
 			r.Const(0)
@@ -724,25 +722,23 @@ func (f *proc_leftScan) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(0)
-			r.StoreSlot(1)
 			r.Pop()
 			fallthrough
-		case 8:
-			if r.Mark(1, 8) {
-				r.Goto(20)
+		case 6:
+			if r.Mark(1, 6) {
+				r.Goto(18)
 				continue
 			}
 			fallthrough
-		case 9:
-			if r.Mark(3, 9) {
-				r.Goto(19)
+		case 7:
+			if r.Mark(3, 7) {
+				r.Goto(17)
 				continue
 			}
 			r.Const(2)
 			fallthrough
-		case 11:
-			if !r.ScanBegin(1, 4, 11) {
+		case 9:
+			if !r.ScanBegin(1, 4, 9) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -751,8 +747,8 @@ func (f *proc_leftScan) Next() (value.V, bool) {
 			r.Const(3)
 			r.Const(0)
 			fallthrough
-		case 14:
-			if !r.Call(1, 5, 14) {
+		case 12:
+			if !r.Call(1, 5, 12) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -761,20 +757,20 @@ func (f *proc_leftScan) Next() (value.V, bool) {
 			r.Pop()
 			r.Cut(0)
 			r.ScanLeave(0, 4)
-			r.Goto(21)
+			r.Goto(19)
 			continue
-		case 19:
+		case 17:
 			r.Cut(1)
 			fallthrough
-		case 20:
+		case 18:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 21:
+		case 19:
 			r.ScanVar(0)
-			return r.Return(23)
-		case 23:
+			return r.Return(21)
+		case 21:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -839,7 +835,7 @@ type proc_lane_driver_1 struct{ vm.Frame }
 func machine_proc_lane_driver_1() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_1", Params: 0, NumAux: 3,
-		Slots:       []string{"x_6", "x_7"},
+		Slots:       []string{"x_6/x_7"},
 		Consts:      []value.V{intLit("1"), intLit("2"), intLit("3")},
 		Globals:     []*value.Var{Global("zeroed"), Global("bumped")},
 		GlobalNames: []string{"zeroed", "bumped"},
@@ -885,10 +881,10 @@ func (f *proc_lane_driver_1) Next() (value.V, bool) {
 			r.Const(0)
 			r.Const(1)
 			r.MakeList(2)
-			r.BindSlot(1)
+			r.BindSlot(0)
 			r.Pop()
 			r.LoadGlobal(1)
-			r.LoadSlot(1)
+			r.LoadSlot(0)
 			fallthrough
 		case 19:
 			if !r.Call(1, 2, 19) {

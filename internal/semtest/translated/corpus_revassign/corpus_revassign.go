@@ -86,7 +86,7 @@ type proc_undoOne struct{ vm.Frame }
 func machine_proc_undoOne() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "undoOne", Params: 0, NumAux: 2,
-		Slots:  []string{"x", "x_0"},
+		Slots:  []string{"x"},
 		Consts: []value.V{intLit("0"), intLit("5"), intLit("9")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_undoOne); return f, &f.Frame },
 	)
@@ -104,7 +104,7 @@ func (f *proc_undoOne) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(10)
+				r.Goto(9)
 				continue
 			}
 			r.Const(1)
@@ -116,7 +116,6 @@ func (f *proc_undoOne) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(1)
 			r.Const(2)
 			if !r.CmpTest(2) {
 				if !r.Fail() {
@@ -126,10 +125,10 @@ func (f *proc_undoOne) Next() (value.V, bool) {
 			}
 			r.Cut(0)
 			fallthrough
-		case 10:
+		case 9:
 			r.LoadSlot(0)
-			return r.Return(12)
-		case 12:
+			return r.Return(11)
+		case 11:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -146,7 +145,7 @@ type proc_firstAbove struct{ vm.Frame }
 func machine_proc_firstAbove() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "firstAbove", Params: 1, NumAux: 3,
-		Slots:  []string{"k", "x", "x_1", "x_2"},
+		Slots:  []string{"k", "x"},
 		Consts: []value.V{intLit("0"), intLit("1"), intLit("10")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_firstAbove); return f, &f.Frame },
 	)
@@ -164,7 +163,7 @@ func (f *proc_firstAbove) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(17)
+				r.Goto(15)
 				continue
 			}
 			r.Const(1)
@@ -178,16 +177,14 @@ func (f *proc_firstAbove) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(2)
 			fallthrough
-		case 9:
-			if !r.RevAssign(4, 2, 9) {
+		case 8:
+			if !r.RevAssign(4, 2, 8) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(3)
 			r.LoadSlot(0)
 			if !r.CmpTest(2) {
 				if !r.Fail() {
@@ -197,16 +194,16 @@ func (f *proc_firstAbove) Next() (value.V, bool) {
 			}
 			r.Cut(0)
 			r.LoadSlot(1)
-			return r.Return(16)
-		case 16:
+			return r.Return(14)
+		case 14:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 17:
+		case 15:
 			r.LoadSlot(1)
-			return r.Return(19)
-		case 19:
+			return r.Return(17)
+		case 17:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -343,7 +340,7 @@ type proc_ticks struct{ vm.Frame }
 func machine_proc_ticks() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "ticks", Params: 1, NumAux: 5,
-		Slots:       []string{"k", "x_3", "i"},
+		Slots:       []string{"k"},
 		Consts:      []value.V{intLit("1")},
 		Globals:     []*value.Var{Global("tick")},
 		GlobalNames: []string{"tick"},
@@ -358,7 +355,7 @@ func (f *proc_ticks) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(16)
+				r.Goto(14)
 				continue
 			}
 			r.Const(0)
@@ -372,47 +369,45 @@ func (f *proc_ticks) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(1)
-			r.StoreSlot(2)
 			r.Pop()
 			fallthrough
-		case 8:
-			if r.Mark(1, 8) {
-				r.Goto(15)
+		case 6:
+			if r.Mark(1, 6) {
+				r.Goto(13)
 				continue
 			}
 			fallthrough
-		case 9:
-			if r.Mark(3, 9) {
-				r.Goto(14)
+		case 7:
+			if r.Mark(3, 7) {
+				r.Goto(12)
 				continue
 			}
 			r.LoadGlobal(0)
 			fallthrough
-		case 11:
-			if !r.Call(0, 4, 11) {
+		case 9:
+			if !r.Call(0, 4, 9) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
+		case 10:
+			return r.Yield(11)
+		case 11:
+			if !r.Fail() {
+				return nil, false
+			}
+			continue
 		case 12:
-			return r.Yield(13)
+			r.Cut(1)
+			fallthrough
 		case 13:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
 		case 14:
-			r.Cut(1)
-			fallthrough
-		case 15:
-			if !r.Fail() {
-				return nil, false
-			}
-			continue
-		case 16:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_ticks: bad pc")
@@ -469,7 +464,7 @@ type proc_stepped struct{ vm.Frame }
 func machine_proc_stepped() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "stepped", Params: 1, NumAux: 4,
-		Slots:  []string{"limit", "c", "s", "x_4", "x", "x_5", "x_6", "x_7"},
+		Slots:  []string{"limit", "c", "s", "x", "x_7"},
 		Consts: []value.V{intLit("0"), intLit("100")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_stepped); return f, &f.Frame },
 		machine_proc_stepped_0(),
@@ -492,7 +487,7 @@ func (f *proc_stepped) Next() (value.V, bool) {
 			fallthrough
 		case 7:
 			if r.Mark(0, 7) {
-				r.Goto(24)
+				r.Goto(23)
 				continue
 			}
 			r.LoadSlot(1)
@@ -503,68 +498,66 @@ func (f *proc_stepped) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(3)
-			r.StoreSlot(4)
 			r.Cut(0)
 			r.Pop()
 			fallthrough
-		case 14:
-			if r.Mark(1, 14) {
-				r.Goto(23)
+		case 13:
+			if r.Mark(1, 13) {
+				r.Goto(22)
 				continue
 			}
-			r.LoadSlot(4)
+			r.LoadSlot(3)
 			r.Aug(8, 0)
 			r.Pop()
 			fallthrough
-		case 18:
-			if r.Mark(2, 18) {
-				r.Goto(22)
+		case 17:
+			if r.Mark(2, 17) {
+				r.Goto(21)
 				continue
 			}
 			r.LoadSlot(2)
 			fallthrough
+		case 19:
+			return r.Yield(20)
 		case 20:
-			return r.Yield(21)
-		case 21:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 22:
+		case 21:
 			r.Cut(1)
 			fallthrough
-		case 23:
+		case 22:
 			r.Goto(7)
 			continue
-		case 24:
+		case 23:
 			r.LoadSlot(1)
 			r.Unary(4)
-			r.StoreSlot(5)
 			r.StoreSlot(1)
 			r.Pop()
 			fallthrough
+		case 27:
+			if r.Mark(3, 27) {
+				r.Goto(42)
+				continue
+			}
+			fallthrough
+		case 28:
+			if r.Fork(28) {
+				r.Goto(36)
+				continue
+			}
+			fallthrough
 		case 29:
-			if r.Mark(3, 29) {
-				r.Goto(45)
-				continue
-			}
-			fallthrough
-		case 30:
-			if r.Fork(30) {
-				r.Goto(38)
-				continue
-			}
-			fallthrough
-		case 31:
-			if r.Fork(31) {
-				r.Goto(35)
+			if r.Fork(29) {
+				r.Goto(33)
 				continue
 			}
 			r.LoadSlot(1)
 			r.Unary(3)
-			r.Goto(37)
+			r.Goto(35)
 			continue
-		case 35:
+		case 33:
 			r.LoadSlot(1)
 			if !r.Activate(0) {
 				if !r.Fail() {
@@ -573,15 +566,14 @@ func (f *proc_stepped) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
-		case 37:
-			r.Goto(39)
+		case 35:
+			r.Goto(37)
 			continue
-		case 38:
+		case 36:
 			r.Const(1)
 			fallthrough
-		case 39:
-			r.StoreSlot(6)
-			r.StoreSlot(7)
+		case 37:
+			r.StoreSlot(4)
 			r.LoadSlot(1)
 			if !r.Activate(1) {
 				if !r.Fail() {
@@ -590,14 +582,14 @@ func (f *proc_stepped) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
-		case 43:
-			return r.Yield(44)
-		case 44:
+		case 40:
+			return r.Yield(41)
+		case 41:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 45:
+		case 42:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_stepped: bad pc")
@@ -611,7 +603,7 @@ type proc_fields struct{ vm.Frame }
 func machine_proc_fields() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "fields", Params: 1, NumAux: 11,
-		Slots:  []string{"s", "x_8", "x_9", "x_10", "x_11", "x_12", "w", "x_13", "x_14"},
+		Slots:  []string{"s", "x_8/x_9/x_10/x_11/x_13", "w", "x_14"},
 		Consts: []value.V{value.NewCset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"), builtins["upto"], builtins["tab"], builtins["many"], value.String("skip"), value.String("stop"), value.String(":")},
 		Scan:   scanHolder,
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_fields); return f, &f.Frame },
@@ -634,7 +626,7 @@ func (f *proc_fields) Next() (value.V, bool) {
 			fallthrough
 		case 2:
 			if r.Mark(1, 2) {
-				r.Goto(67)
+				r.Goto(66)
 				continue
 			}
 			r.Const(0)
@@ -650,10 +642,10 @@ func (f *proc_fields) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.BindSlot(2)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(2)
-			r.LoadSlot(2)
+			r.LoadSlot(1)
 			fallthrough
 		case 13:
 			if !r.Call(1, 4, 13) {
@@ -667,20 +659,20 @@ func (f *proc_fields) Next() (value.V, bool) {
 			fallthrough
 		case 16:
 			if r.Mark(2, 16) {
-				r.Goto(66)
+				r.Goto(65)
 				continue
 			}
 			fallthrough
 		case 17:
 			if r.Mark(5, 17) {
-				r.Goto(33)
+				r.Goto(32)
 				continue
 			}
 			r.Const(0)
-			r.BindSlot(3)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(3)
-			r.LoadSlot(3)
+			r.LoadSlot(1)
 			fallthrough
 		case 23:
 			if !r.Call(1, 6, 23) {
@@ -689,10 +681,10 @@ func (f *proc_fields) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.BindSlot(4)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(2)
-			r.LoadSlot(4)
+			r.LoadSlot(1)
 			fallthrough
 		case 28:
 			if !r.Call(1, 7, 28) {
@@ -701,17 +693,16 @@ func (f *proc_fields) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(5)
-			r.StoreSlot(6)
+			r.StoreSlot(2)
 			r.Cut(5)
 			r.Pop()
 			fallthrough
-		case 33:
-			if r.Mark(8, 33) {
-				r.Goto(40)
+		case 32:
+			if r.Mark(8, 32) {
+				r.Goto(39)
 				continue
 			}
-			r.LoadSlot(6)
+			r.LoadSlot(2)
 			r.Const(4)
 			if !r.CmpTest(9) {
 				if !r.Fail() {
@@ -721,14 +712,14 @@ func (f *proc_fields) Next() (value.V, bool) {
 			}
 			r.Cut(8)
 			r.Cut(2)
-			r.Goto(66)
+			r.Goto(65)
 			continue
-		case 40:
-			if r.Mark(9, 40) {
-				r.Goto(49)
+		case 39:
+			if r.Mark(9, 39) {
+				r.Goto(48)
 				continue
 			}
-			r.LoadSlot(6)
+			r.LoadSlot(2)
 			r.Const(5)
 			if !r.CmpTest(9) {
 				if !r.Fail() {
@@ -739,45 +730,45 @@ func (f *proc_fields) Next() (value.V, bool) {
 			r.Cut(9)
 			r.ScanVar(1)
 			r.ScanLeave(1, 0)
-			return r.Return(48)
-		case 48:
+			return r.Return(47)
+		case 47:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 49:
-			if r.Mark(10, 49) {
-				r.Goto(65)
+		case 48:
+			if r.Mark(10, 48) {
+				r.Goto(64)
 				continue
 			}
-			r.LoadSlot(6)
+			r.LoadSlot(2)
 			r.Const(6)
 			r.Arith(6)
-			r.BindSlot(7)
+			r.BindSlot(1)
 			r.Pop()
 			r.ScanVar(1)
-			r.BindSlot(8)
+			r.BindSlot(3)
 			r.Pop()
-			r.LoadSlot(7)
-			r.LoadSlot(8)
+			r.LoadSlot(1)
+			r.LoadSlot(3)
 			r.Arith(6)
 			r.ScanLeave(1, 0)
 			fallthrough
+		case 61:
+			return r.Yield(62)
 		case 62:
-			return r.Yield(63)
-		case 63:
 			r.ScanResume(0, 0)
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 65:
+		case 64:
 			r.Cut(2)
 			fallthrough
-		case 66:
+		case 65:
 			r.Goto(2)
 			continue
-		case 67:
+		case 66:
 			r.ScanLeave(0, 0)
 			return r.ReturnFail()
 		default:
@@ -792,7 +783,7 @@ type proc_scanned struct{ vm.Frame }
 func machine_proc_scanned() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "scanned", Params: 1, NumAux: 6,
-		Slots:  []string{"s", "x_15", "x_16", "x_17", "x_18", "x_19", "x_20", "x_21"},
+		Slots:  []string{"s", "x_15/x_16/x_18/x_19/x_20/x_21", "x_17"},
 		Consts: []value.V{builtins["upto"], value.NewCset(","), builtins["tab"], value.String("|"), builtins["tabMatch"], value.String(","), intLit("0"), intLit("1")},
 		Scan:   scanHolder,
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_scanned); return f, &f.Frame },
@@ -840,10 +831,10 @@ func (f *proc_scanned) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(2)
+			r.StoreSlot(1)
 			r.Const(3)
 			r.Arith(6)
-			r.BindSlot(3)
+			r.BindSlot(2)
 			r.Pop()
 			r.Const(4)
 			r.Const(5)
@@ -870,11 +861,11 @@ func (f *proc_scanned) Next() (value.V, bool) {
 			r.Unary(0)
 			fallthrough
 		case 25:
-			r.StoreSlot(4)
-			r.BindSlot(5)
+			r.StoreSlot(1)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(2)
-			r.LoadSlot(5)
+			r.LoadSlot(1)
 			fallthrough
 		case 30:
 			if !r.Call(1, 5, 30) {
@@ -883,11 +874,11 @@ func (f *proc_scanned) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(6)
-			r.BindSlot(7)
+			r.StoreSlot(1)
+			r.BindSlot(1)
 			r.Pop()
-			r.LoadSlot(3)
-			r.LoadSlot(7)
+			r.LoadSlot(2)
+			r.LoadSlot(1)
 			r.Arith(6)
 			fallthrough
 		case 37:
@@ -919,7 +910,7 @@ type proc_perCycle struct{ vm.Frame }
 func machine_proc_perCycle() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "perCycle", Params: 0, NumAux: 5,
-		Slots:  []string{"x", "x_22", "x_23", "v"},
+		Slots:  []string{"x", "v"},
 		Consts: []value.V{intLit("0"), intLit("3"), intLit("7"), intLit("1")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_perCycle); return f, &f.Frame },
 	)
@@ -937,7 +928,7 @@ func (f *proc_perCycle) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(28)
+				r.Goto(26)
 				continue
 			}
 			r.Const(1)
@@ -960,7 +951,6 @@ func (f *proc_perCycle) Next() (value.V, bool) {
 			r.LoadSlot(0)
 			r.Const(2)
 			r.MakeList(2)
-			r.StoreSlot(1)
 			r.Const(3)
 			if !r.Index() {
 				if !r.Fail() {
@@ -970,42 +960,41 @@ func (f *proc_perCycle) Next() (value.V, bool) {
 			}
 			r.RepNote(3)
 			r.LimitCheck(2)
-			r.StoreSlot(2)
-			r.StoreSlot(3)
+			r.StoreSlot(1)
 			r.Pop()
 			fallthrough
-		case 18:
-			if r.Mark(1, 18) {
-				r.Goto(27)
+		case 16:
+			if r.Mark(1, 16) {
+				r.Goto(25)
 				continue
 			}
+			fallthrough
+		case 17:
+			if r.Mark(4, 17) {
+				r.Goto(21)
+				continue
+			}
+			r.LoadSlot(1)
 			fallthrough
 		case 19:
-			if r.Mark(4, 19) {
-				r.Goto(23)
-				continue
-			}
-			r.LoadSlot(3)
-			fallthrough
-		case 21:
-			return r.Yield(22)
-		case 22:
+			return r.Yield(20)
+		case 20:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 23:
+		case 21:
 			r.Const(3)
 			r.Aug(0, 0)
 			r.Pop()
 			r.Cut(1)
 			fallthrough
-		case 27:
+		case 25:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 28:
+		case 26:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_perCycle: bad pc")
@@ -1019,7 +1008,7 @@ type proc_counted struct{ vm.Frame }
 func machine_proc_counted() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "counted", Params: 0, NumAux: 1,
-		Slots:       []string{"x_24", "x_25", "x_26"},
+		Slots:       []string{"x_25"},
 		Consts:      []value.V{intLit("0"), intLit("1")},
 		Globals:     []*value.Var{Global("count")},
 		GlobalNames: []string{"count"},
@@ -1034,7 +1023,7 @@ func (f *proc_counted) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(14)
+				r.Goto(12)
 				continue
 			}
 			fallthrough
@@ -1057,18 +1046,16 @@ func (f *proc_counted) Next() (value.V, bool) {
 			fallthrough
 		case 6:
 			r.StoreSlot(0)
-			r.StoreSlot(1)
 			r.Const(1)
 			r.Arith(0)
-			r.StoreSlot(2)
 			r.StoreGlobal(0)
 			r.Cut(0)
 			r.Pop()
 			fallthrough
-		case 14:
+		case 12:
 			r.LoadGlobal(0)
-			return r.Return(16)
-		case 16:
+			return r.Return(14)
+		case 14:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -1399,7 +1386,7 @@ type proc_lane_driver_5 struct{ vm.Frame }
 func machine_proc_lane_driver_5() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_5", Params: 0, NumAux: 4,
-		Slots:       []string{"x_30", "x_31"},
+		Slots:       []string{"x_30"},
 		Consts:      []value.V{intLit("3"), intLit("7"), intLit("1")},
 		Globals:     []*value.Var{Global("tick")},
 		GlobalNames: []string{"tick"},
@@ -1414,7 +1401,7 @@ func (f *proc_lane_driver_5) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(16)
+				r.Goto(15)
 				continue
 			}
 			r.Const(0)
@@ -1446,7 +1433,6 @@ func (f *proc_lane_driver_5) Next() (value.V, bool) {
 			r.StoreSlot(0)
 			r.Const(1)
 			r.MakeList(2)
-			r.StoreSlot(1)
 			r.Const(2)
 			if !r.Index() {
 				if !r.Fail() {
@@ -1457,14 +1443,14 @@ func (f *proc_lane_driver_5) Next() (value.V, bool) {
 			r.RepNote(2)
 			r.LimitCheck(1)
 			fallthrough
+		case 13:
+			return r.Yield(14)
 		case 14:
-			return r.Yield(15)
-		case 15:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 16:
+		case 15:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_lane_driver_5: bad pc")
@@ -1697,7 +1683,7 @@ type proc_lane_driver_10 struct{ vm.Frame }
 func machine_proc_lane_driver_10() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_10", Params: 0, NumAux: 2,
-		Slots:       []string{"x_33", "x_34"},
+		Slots:       []string{"x_33/x_34"},
 		Consts:      []value.V{value.String("a,b"), value.String("no"), value.String("x,y,z")},
 		Globals:     []*value.Var{Global("scanned")},
 		GlobalNames: []string{"scanned"},
@@ -1741,10 +1727,10 @@ func (f *proc_lane_driver_10) Next() (value.V, bool) {
 			fallthrough
 		case 8:
 			r.StoreSlot(0)
-			r.BindSlot(1)
+			r.BindSlot(0)
 			r.Pop()
 			r.LoadGlobal(0)
-			r.LoadSlot(1)
+			r.LoadSlot(0)
 			fallthrough
 		case 13:
 			if !r.Call(1, 1, 13) {

@@ -86,7 +86,7 @@ type proc_stages struct{ vm.Frame }
 func machine_proc_stages() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "stages", Params: 0, NumAux: 2,
-		Slots:  []string{"x_0", "x_1", "x_2", "x_3"},
+		Slots:  []string{"x_0", "x_1", "x_2"},
 		Consts: []value.V{value.String("parse"), value.String("lex"), value.String("ast"), value.String("types"), value.String("flatten"), value.String("emit")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_stages); return f, &f.Frame },
 	)
@@ -99,7 +99,7 @@ func (f *proc_stages) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(24)
+				r.Goto(23)
 				continue
 			}
 			r.Const(0)
@@ -121,24 +121,23 @@ func (f *proc_stages) Next() (value.V, bool) {
 			r.LoadSlot(1)
 			r.LoadSlot(2)
 			r.MakeList(3)
-			r.StoreSlot(3)
 			fallthrough
-		case 21:
-			if !r.Bang(1, 21, false) {
+		case 20:
+			if !r.Bang(1, 20, false) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
+		case 21:
+			return r.Yield(22)
 		case 22:
-			return r.Yield(23)
-		case 23:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 24:
+		case 23:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_stages: bad pc")
@@ -191,7 +190,7 @@ type proc_runStage struct{ vm.Frame }
 func machine_proc_runStage() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "runStage", Params: 1, NumAux: 9,
-		Slots:  []string{"jobs", "x_4", "tasks", "x_5", "j", "x_6", "t"},
+		Slots:  []string{"jobs", "tasks", "j", "t"},
 		Consts: []value.V{builtins["put"]},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_runStage); return f, &f.Frame },
 		machine_proc_runStage_0(),
@@ -206,45 +205,43 @@ func (f *proc_runStage) Next() (value.V, bool) {
 		case 0:
 			r.MakeList(0)
 			r.StoreSlot(1)
-			r.StoreSlot(2)
 			r.Pop()
 			fallthrough
-		case 4:
-			if r.Mark(0, 4) {
-				r.Goto(21)
+		case 3:
+			if r.Mark(0, 3) {
+				r.Goto(19)
 				continue
 			}
 			r.LoadSlot(0)
 			fallthrough
-		case 6:
-			if !r.Bang(2, 6, false) {
+		case 5:
+			if !r.Bang(2, 5, false) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(3)
-			r.StoreSlot(4)
+			r.StoreSlot(2)
 			r.Pop()
 			fallthrough
-		case 10:
-			if r.Mark(1, 10) {
-				r.Goto(20)
+		case 8:
+			if r.Mark(1, 8) {
+				r.Goto(18)
 				continue
 			}
 			fallthrough
-		case 11:
-			if r.Mark(3, 11) {
-				r.Goto(19)
+		case 9:
+			if r.Mark(3, 9) {
+				r.Goto(17)
 				continue
 			}
 			r.Const(0)
+			r.LoadSlot(1)
 			r.LoadSlot(2)
-			r.LoadSlot(4)
 			r.Create(1, 0, -1)
 			fallthrough
-		case 16:
-			if !r.Call(2, 4, 16) {
+		case 14:
+			if !r.Call(2, 4, 14) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -253,44 +250,43 @@ func (f *proc_runStage) Next() (value.V, bool) {
 			r.Cut(3)
 			r.Pop()
 			fallthrough
-		case 19:
+		case 17:
 			r.Cut(1)
 			fallthrough
-		case 20:
+		case 18:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 21:
-			if r.Mark(5, 21) {
-				r.Goto(35)
+		case 19:
+			if r.Mark(5, 19) {
+				r.Goto(32)
 				continue
 			}
-			r.LoadSlot(2)
+			r.LoadSlot(1)
 			fallthrough
-		case 23:
-			if !r.Bang(7, 23, false) {
+		case 21:
+			if !r.Bang(7, 21, false) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(5)
-			r.StoreSlot(6)
+			r.StoreSlot(3)
 			r.Pop()
 			fallthrough
-		case 27:
-			if r.Mark(6, 27) {
-				r.Goto(34)
+		case 24:
+			if r.Mark(6, 24) {
+				r.Goto(31)
 				continue
 			}
 			fallthrough
-		case 28:
-			if r.Mark(8, 28) {
-				r.Goto(33)
+		case 25:
+			if r.Mark(8, 25) {
+				r.Goto(30)
 				continue
 			}
-			r.LoadSlot(6)
+			r.LoadSlot(3)
 			if !r.Activate(0) {
 				if !r.Fail() {
 					return nil, false
@@ -298,22 +294,22 @@ func (f *proc_runStage) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
-		case 31:
-			return r.Yield(32)
-		case 32:
+		case 28:
+			return r.Yield(29)
+		case 29:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 33:
+		case 30:
 			r.Cut(6)
 			fallthrough
-		case 34:
+		case 31:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 35:
+		case 32:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_runStage: bad pc")
@@ -327,7 +323,7 @@ type proc_workflowRun struct{ vm.Frame }
 func machine_proc_workflowRun() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "workflowRun", Params: 0, NumAux: 5,
-		Slots:       []string{"x_7", "s"},
+		Slots:       []string{"s"},
 		Globals:     []*value.Var{Global("stages"), Global("runStage")},
 		GlobalNames: []string{"stages", "runStage"},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_workflowRun); return f, &f.Frame },
@@ -341,7 +337,7 @@ func (f *proc_workflowRun) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(15)
+				r.Goto(14)
 				continue
 			}
 			r.LoadGlobal(0)
@@ -354,47 +350,46 @@ func (f *proc_workflowRun) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(0)
-			r.StoreSlot(1)
 			r.Pop()
 			fallthrough
-		case 6:
-			if r.Mark(1, 6) {
-				r.Goto(14)
-				continue
-			}
-			fallthrough
-		case 7:
-			if r.Mark(3, 7) {
+		case 5:
+			if r.Mark(1, 5) {
 				r.Goto(13)
 				continue
 			}
-			r.LoadGlobal(1)
-			r.LoadSlot(1)
 			fallthrough
-		case 10:
-			if !r.Call(1, 4, 10) {
+		case 6:
+			if r.Mark(3, 6) {
+				r.Goto(12)
+				continue
+			}
+			r.LoadGlobal(1)
+			r.LoadSlot(0)
+			fallthrough
+		case 9:
+			if !r.Call(1, 4, 9) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
+		case 10:
+			return r.Yield(11)
 		case 11:
-			return r.Yield(12)
-		case 12:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 13:
+		case 12:
 			r.Cut(1)
 			fallthrough
-		case 14:
+		case 13:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 15:
+		case 14:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_workflowRun: bad pc")

@@ -86,7 +86,7 @@ type proc_lane_driver_0_0 struct{ vm.Frame }
 func machine_proc_lane_driver_0_0() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_0|>0", Params: 2, NumAux: 3,
-		Slots:  []string{"readLines", "splitWords", "x_0", "x_1"},
+		Slots:  []string{"readLines", "splitWords", "x_0"},
 		Consts: []value.V{native("wordToNumber")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_lane_driver_0_0); return f, &f.Frame },
 	)
@@ -119,7 +119,6 @@ func (f *proc_lane_driver_0_0) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(3)
 			if !r.CallNative(1, 2, 0) {
 				if !r.Fail() {
 					return nil, false
@@ -127,9 +126,9 @@ func (f *proc_lane_driver_0_0) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
+		case 8:
+			return r.Yield(9)
 		case 9:
-			return r.Yield(10)
-		case 10:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -146,7 +145,7 @@ type proc_lane_driver_0 struct{ vm.Frame }
 func machine_proc_lane_driver_0() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_0", Params: 0, NumAux: 3,
-		Slots:  []string{"readLines", "splitWords", "x_2"},
+		Slots:  []string{"readLines", "splitWords"},
 		Consts: []value.V{native("hashNumber")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_lane_driver_0); return f, &f.Frame },
 		machine_proc_lane_driver_0_0(),
@@ -160,7 +159,7 @@ func (f *proc_lane_driver_0) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(9)
+				r.Goto(8)
 				continue
 			}
 			r.LoadSlot(0)
@@ -174,7 +173,6 @@ func (f *proc_lane_driver_0) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(2)
 			if !r.CallNative(1, 2, 0) {
 				if !r.Fail() {
 					return nil, false
@@ -182,14 +180,14 @@ func (f *proc_lane_driver_0) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
+		case 6:
+			return r.Yield(7)
 		case 7:
-			return r.Yield(8)
-		case 8:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 9:
+		case 8:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_lane_driver_0: bad pc")

@@ -86,7 +86,7 @@ type proc_place struct{ vm.Frame }
 func machine_proc_place() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "place", Params: 2, NumAux: 18,
-		Slots:       []string{"c", "n", "x_0", "r", "x_1", "x_2", "x_3", "x_4", "x_5", "x_6", "x_7", "x_8", "x_9", "x_10", "x_11", "x_12", "x_13", "x_14", "x_15", "x_16", "x_17", "x_18", "x_19"},
+		Slots:       []string{"c", "n", "r", "x_3/x_6/x_9/x_11/x_12/x_13/x_14/x_17", "x_16/x_19"},
 		Consts:      []value.V{builtins["copy"], intLit("1")},
 		Globals:     []*value.Var{Global("q"), Global("rows"), Global("up"), Global("down"), Global("place")},
 		GlobalNames: []string{"q", "rows", "up", "down", "place"},
@@ -140,7 +140,7 @@ func (f *proc_place) Next() (value.V, bool) {
 			return r.ReturnFail()
 		case 13:
 			if r.Mark(3, 13) {
-				r.Goto(173)
+				r.Goto(163)
 				continue
 			}
 			r.Const(1)
@@ -155,29 +155,27 @@ func (f *proc_place) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(2)
-			r.StoreSlot(3)
 			r.Pop()
 			fallthrough
-		case 21:
-			if r.Mark(4, 21) {
-				r.Goto(172)
+		case 20:
+			if r.Mark(4, 20) {
+				r.Goto(162)
 				continue
 			}
 			fallthrough
-		case 22:
-			if r.Mark(6, 22) {
-				r.Goto(171)
+		case 21:
+			if r.Mark(6, 21) {
+				r.Goto(161)
 				continue
 			}
 			r.LoadGlobal(1)
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			if !r.Index() {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(4)
 			if !r.NullTest() {
 				if !r.Fail() {
 					return nil, false
@@ -187,28 +185,26 @@ func (f *proc_place) Next() (value.V, bool) {
 			r.Cut(6)
 			r.Pop()
 			fallthrough
-		case 30:
-			if r.Mark(7, 30) {
-				r.Goto(171)
+		case 28:
+			if r.Mark(7, 28) {
+				r.Goto(161)
 				continue
 			}
 			r.LoadSlot(1)
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Arith(0)
-			r.StoreSlot(5)
 			r.LoadSlot(0)
 			r.Arith(1)
-			r.BindSlot(6)
+			r.BindSlot(3)
 			r.Pop()
 			r.LoadGlobal(2)
-			r.LoadSlot(6)
+			r.LoadSlot(3)
 			if !r.Index() {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(7)
 			if !r.NullTest() {
 				if !r.Fail() {
 					return nil, false
@@ -218,28 +214,26 @@ func (f *proc_place) Next() (value.V, bool) {
 			r.Cut(7)
 			r.Pop()
 			fallthrough
-		case 46:
-			if r.Mark(8, 46) {
-				r.Goto(171)
+		case 42:
+			if r.Mark(8, 42) {
+				r.Goto(161)
 				continue
 			}
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.LoadSlot(0)
 			r.Arith(0)
-			r.StoreSlot(8)
 			r.Const(1)
 			r.Arith(1)
-			r.BindSlot(9)
+			r.BindSlot(3)
 			r.Pop()
 			r.LoadGlobal(3)
-			r.LoadSlot(9)
+			r.LoadSlot(3)
 			if !r.Index() {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(10)
 			if !r.NullTest() {
 				if !r.Fail() {
 					return nil, false
@@ -249,13 +243,13 @@ func (f *proc_place) Next() (value.V, bool) {
 			r.Cut(8)
 			r.Pop()
 			fallthrough
-		case 62:
-			if r.Mark(9, 62) {
-				r.Goto(70)
+		case 56:
+			if r.Mark(9, 56) {
+				r.Goto(64)
 				continue
 			}
 			r.LoadGlobal(1)
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			if !r.Index() {
 				if !r.Fail() {
 					return nil, false
@@ -267,21 +261,20 @@ func (f *proc_place) Next() (value.V, bool) {
 			r.Cut(9)
 			r.Pop()
 			fallthrough
-		case 70:
-			if r.Mark(10, 70) {
-				r.Goto(86)
+		case 64:
+			if r.Mark(10, 64) {
+				r.Goto(79)
 				continue
 			}
 			r.LoadSlot(1)
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Arith(0)
-			r.StoreSlot(11)
 			r.LoadSlot(0)
 			r.Arith(1)
-			r.BindSlot(12)
+			r.BindSlot(3)
 			r.Pop()
 			r.LoadGlobal(2)
-			r.LoadSlot(12)
+			r.LoadSlot(3)
 			if !r.Index() {
 				if !r.Fail() {
 					return nil, false
@@ -293,21 +286,20 @@ func (f *proc_place) Next() (value.V, bool) {
 			r.Cut(10)
 			r.Pop()
 			fallthrough
-		case 86:
-			if r.Mark(11, 86) {
-				r.Goto(102)
+		case 79:
+			if r.Mark(11, 79) {
+				r.Goto(94)
 				continue
 			}
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.LoadSlot(0)
 			r.Arith(0)
-			r.StoreSlot(13)
 			r.Const(1)
 			r.Arith(1)
-			r.BindSlot(14)
+			r.BindSlot(3)
 			r.Pop()
 			r.LoadGlobal(3)
-			r.LoadSlot(14)
+			r.LoadSlot(3)
 			if !r.Index() {
 				if !r.Fail() {
 					return nil, false
@@ -319,9 +311,9 @@ func (f *proc_place) Next() (value.V, bool) {
 			r.Cut(11)
 			r.Pop()
 			fallthrough
-		case 102:
-			if r.Mark(12, 102) {
-				r.Goto(110)
+		case 94:
+			if r.Mark(12, 94) {
+				r.Goto(102)
 				continue
 			}
 			r.LoadGlobal(0)
@@ -332,128 +324,126 @@ func (f *proc_place) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.StoreVar()
 			r.Cut(12)
 			r.Pop()
 			fallthrough
-		case 110:
-			if r.Mark(13, 110) {
-				r.Goto(122)
+		case 102:
+			if r.Mark(13, 102) {
+				r.Goto(114)
 				continue
 			}
 			r.LoadSlot(0)
 			r.Const(1)
 			r.Arith(0)
-			r.BindSlot(15)
+			r.BindSlot(3)
 			r.Pop()
 			r.LoadGlobal(4)
-			r.LoadSlot(15)
+			r.LoadSlot(3)
 			r.LoadSlot(1)
 			fallthrough
-		case 119:
-			if !r.Call(2, 14, 119) {
+		case 111:
+			if !r.Call(2, 14, 111) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
-		case 120:
-			return r.Yield(121)
-		case 121:
+		case 112:
+			return r.Yield(113)
+		case 113:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 122:
-			if r.Mark(15, 122) {
-				r.Goto(133)
+		case 114:
+			if r.Mark(15, 114) {
+				r.Goto(125)
 				continue
 			}
 			r.Null()
-			r.BindSlot(16)
+			r.BindSlot(3)
 			r.Pop()
 			r.LoadGlobal(1)
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			if !r.Index() {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.LoadSlot(16)
+			r.LoadSlot(3)
 			r.StoreVar()
 			r.Cut(15)
 			r.Pop()
 			fallthrough
-		case 133:
-			if r.Mark(16, 133) {
-				r.Goto(152)
+		case 125:
+			if r.Mark(16, 125) {
+				r.Goto(143)
 				continue
 			}
 			r.Null()
-			r.BindSlot(17)
+			r.BindSlot(3)
 			r.Pop()
 			r.LoadSlot(1)
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Arith(0)
-			r.StoreSlot(18)
 			r.LoadSlot(0)
 			r.Arith(1)
-			r.BindSlot(19)
+			r.BindSlot(4)
 			r.Pop()
 			r.LoadGlobal(2)
-			r.LoadSlot(19)
+			r.LoadSlot(4)
 			if !r.Index() {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.LoadSlot(17)
+			r.LoadSlot(3)
 			r.StoreVar()
 			r.Cut(16)
 			r.Pop()
 			fallthrough
-		case 152:
-			if r.Mark(17, 152) {
-				r.Goto(171)
+		case 143:
+			if r.Mark(17, 143) {
+				r.Goto(161)
 				continue
 			}
 			r.Null()
-			r.BindSlot(20)
+			r.BindSlot(3)
 			r.Pop()
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.LoadSlot(0)
 			r.Arith(0)
-			r.StoreSlot(21)
 			r.Const(1)
 			r.Arith(1)
-			r.BindSlot(22)
+			r.BindSlot(4)
 			r.Pop()
 			r.LoadGlobal(3)
-			r.LoadSlot(22)
+			r.LoadSlot(4)
 			if !r.Index() {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.LoadSlot(20)
+			r.LoadSlot(3)
 			r.StoreVar()
 			r.Cut(17)
 			r.Pop()
 			fallthrough
-		case 171:
+		case 161:
 			r.Cut(4)
 			fallthrough
-		case 172:
+		case 162:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 173:
+		case 163:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_place: bad pc")
@@ -467,7 +457,7 @@ type proc_queens struct{ vm.Frame }
 func machine_proc_queens() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "queens", Params: 1, NumAux: 10,
-		Slots:       []string{"n", "x_20", "x_21", "x_22", "x_23", "x_24", "x_25", "x_26", "x_27"},
+		Slots:       []string{"n", "x_22/x_25"},
 		Consts:      []value.V{builtins["list"], intLit("2"), intLit("1")},
 		Globals:     []*value.Var{Global("rows"), Global("up"), Global("down"), Global("q"), Global("place")},
 		GlobalNames: []string{"rows", "up", "down", "q", "place"},
@@ -482,7 +472,7 @@ func (f *proc_queens) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(8)
+				r.Goto(7)
 				continue
 			}
 			r.Const(0)
@@ -495,112 +485,106 @@ func (f *proc_queens) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(1)
 			r.StoreGlobal(0)
 			r.Cut(0)
 			r.Pop()
 			fallthrough
-		case 8:
-			if r.Mark(2, 8) {
-				r.Goto(24)
+		case 7:
+			if r.Mark(2, 7) {
+				r.Goto(21)
 				continue
 			}
 			r.Const(1)
 			r.LoadSlot(0)
 			r.Arith(2)
-			r.StoreSlot(2)
 			r.Const(2)
 			r.Arith(1)
-			r.BindSlot(3)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(0)
-			r.LoadSlot(3)
+			r.LoadSlot(1)
 			fallthrough
-		case 19:
-			if !r.Call(1, 3, 19) {
+		case 17:
+			if !r.Call(1, 3, 17) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(4)
 			r.StoreGlobal(1)
 			r.Cut(2)
 			r.Pop()
 			fallthrough
-		case 24:
-			if r.Mark(4, 24) {
-				r.Goto(40)
+		case 21:
+			if r.Mark(4, 21) {
+				r.Goto(35)
 				continue
 			}
 			r.Const(1)
 			r.LoadSlot(0)
 			r.Arith(2)
-			r.StoreSlot(5)
 			r.Const(2)
 			r.Arith(1)
-			r.BindSlot(6)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(0)
-			r.LoadSlot(6)
+			r.LoadSlot(1)
 			fallthrough
-		case 35:
-			if !r.Call(1, 5, 35) {
+		case 31:
+			if !r.Call(1, 5, 31) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(7)
 			r.StoreGlobal(2)
 			r.Cut(4)
 			r.Pop()
 			fallthrough
-		case 40:
-			if r.Mark(6, 40) {
-				r.Goto(48)
+		case 35:
+			if r.Mark(6, 35) {
+				r.Goto(42)
 				continue
 			}
 			r.Const(0)
 			r.LoadSlot(0)
 			fallthrough
-		case 43:
-			if !r.Call(1, 7, 43) {
+		case 38:
+			if !r.Call(1, 7, 38) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(8)
 			r.StoreGlobal(3)
 			r.Cut(6)
 			r.Pop()
 			fallthrough
-		case 48:
-			if r.Mark(8, 48) {
-				r.Goto(55)
+		case 42:
+			if r.Mark(8, 42) {
+				r.Goto(49)
 				continue
 			}
 			r.LoadGlobal(4)
 			r.Const(2)
 			r.LoadSlot(0)
 			fallthrough
-		case 52:
-			if !r.Call(2, 9, 52) {
+		case 46:
+			if !r.Call(2, 9, 46) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
-		case 53:
-			return r.Yield(54)
-		case 54:
+		case 47:
+			return r.Yield(48)
+		case 48:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 55:
+		case 49:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_queens: bad pc")

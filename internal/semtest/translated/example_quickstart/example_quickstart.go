@@ -86,7 +86,7 @@ type proc_isprime struct{ vm.Frame }
 func machine_proc_isprime() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "isprime", Params: 1, NumAux: 6,
-		Slots:  []string{"n", "x_0", "x_1", "d", "x_2"},
+		Slots:  []string{"n", "x_0", "d"},
 		Consts: []value.V{intLit("2"), intLit("1"), intLit("0")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_isprime); return f, &f.Frame },
 	)
@@ -114,7 +114,7 @@ func (f *proc_isprime) Next() (value.V, bool) {
 			return r.ReturnFail()
 		case 6:
 			if r.Mark(1, 6) {
-				r.Goto(34)
+				r.Goto(32)
 				continue
 			}
 			r.LoadSlot(0)
@@ -134,30 +134,28 @@ func (f *proc_isprime) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(2)
-			r.StoreSlot(3)
 			r.Pop()
 			fallthrough
+		case 18:
+			if r.Mark(2, 18) {
+				r.Goto(31)
+				continue
+			}
+			fallthrough
 		case 19:
-			if r.Mark(2, 19) {
-				r.Goto(33)
+			if r.Mark(4, 19) {
+				r.Goto(30)
 				continue
 			}
 			fallthrough
 		case 20:
-			if r.Mark(4, 20) {
-				r.Goto(32)
-				continue
-			}
-			fallthrough
-		case 21:
-			if r.Mark(5, 21) {
-				r.Goto(30)
+			if r.Mark(5, 20) {
+				r.Goto(28)
 				continue
 			}
 			r.LoadSlot(0)
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Arith(4)
-			r.StoreSlot(4)
 			r.Const(2)
 			if !r.CmpTest(4) {
 				if !r.Fail() {
@@ -170,21 +168,21 @@ func (f *proc_isprime) Next() (value.V, bool) {
 				return nil, false
 			}
 			continue
-		case 30:
+		case 28:
 			r.Cut(4)
 			return r.ReturnFail()
-		case 32:
+		case 30:
 			r.Cut(2)
 			fallthrough
-		case 33:
+		case 31:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 34:
+		case 32:
 			r.LoadSlot(0)
-			return r.Return(36)
-		case 36:
+			return r.Return(34)
+		case 34:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -201,7 +199,7 @@ type proc_lane_driver_0 struct{ vm.Frame }
 func machine_proc_lane_driver_0() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "lane_driver_0", Params: 0, NumAux: 4,
-		Slots:       []string{"x_3", "x_4", "x_5"},
+		Slots:       []string{"x_3", "x_4/x_5"},
 		Consts:      []value.V{intLit("1"), intLit("2"), intLit("4"), intLit("7")},
 		Globals:     []*value.Var{Global("isprime")},
 		GlobalNames: []string{"isprime"},
@@ -255,10 +253,10 @@ func (f *proc_lane_driver_0) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.BindSlot(2)
+			r.BindSlot(1)
 			r.Pop()
 			r.LoadSlot(0)
-			r.LoadSlot(2)
+			r.LoadSlot(1)
 			r.Arith(2)
 			fallthrough
 		case 21:

@@ -86,7 +86,7 @@ type proc_tokens struct{ vm.Frame }
 func machine_proc_tokens() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "tokens", Params: 1, NumAux: 17,
-		Slots:  []string{"s", "x_0", "x_1", "x_2", "x_3", "x_4", "x_5", "x_6", "x_7", "x_8", "w"},
+		Slots:  []string{"s", "x_0/x_1/x_2/x_3/x_5/x_6", "x_4", "w"},
 		Consts: []value.V{builtins["pos"], intLit("0"), builtins["many"], value.NewCset(" "), builtins["tab"], value.NewCset("0123456789"), value.NewCset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"), builtins["move"], intLit("1")},
 		Scan:   scanHolder,
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_tokens); return f, &f.Frame },
@@ -109,7 +109,7 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			fallthrough
 		case 2:
 			if r.Mark(1, 2) {
-				r.Goto(82)
+				r.Goto(80)
 				continue
 			}
 			fallthrough
@@ -139,7 +139,7 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			fallthrough
 		case 11:
 			if r.Mark(2, 11) {
-				r.Goto(81)
+				r.Goto(79)
 				continue
 			}
 			fallthrough
@@ -191,11 +191,11 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Cut(8)
 			r.Pop()
 			r.Cut(1)
-			r.Goto(82)
+			r.Goto(80)
 			continue
 		case 31:
 			if r.Mark(10, 31) {
-				r.Goto(74)
+				r.Goto(72)
 				continue
 			}
 			fallthrough
@@ -211,10 +211,10 @@ func (f *proc_tokens) Next() (value.V, bool) {
 				continue
 			}
 			r.Const(5)
-			r.BindSlot(2)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(2)
-			r.LoadSlot(2)
+			r.LoadSlot(1)
 			fallthrough
 		case 39:
 			if !r.Call(1, 11, 39) {
@@ -223,10 +223,10 @@ func (f *proc_tokens) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.BindSlot(3)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(4)
-			r.LoadSlot(3)
+			r.LoadSlot(1)
 			fallthrough
 		case 44:
 			if !r.Call(1, 12, 44) {
@@ -239,18 +239,18 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			continue
 		case 46:
 			r.Const(6)
-			r.BindSlot(4)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(5)
-			r.BindSlot(5)
+			r.BindSlot(2)
 			r.Pop()
-			r.LoadSlot(4)
-			r.LoadSlot(5)
+			r.LoadSlot(1)
+			r.LoadSlot(2)
 			r.Arith(8)
-			r.BindSlot(6)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(2)
-			r.LoadSlot(6)
+			r.LoadSlot(1)
 			fallthrough
 		case 59:
 			if !r.Call(1, 13, 59) {
@@ -259,10 +259,10 @@ func (f *proc_tokens) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.BindSlot(7)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(4)
-			r.LoadSlot(7)
+			r.LoadSlot(1)
 			fallthrough
 		case 64:
 			if !r.Call(1, 14, 64) {
@@ -288,35 +288,33 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			}
 			fallthrough
 		case 69:
-			r.StoreSlot(8)
-			r.StoreSlot(9)
-			r.StoreSlot(10)
+			r.StoreSlot(3)
 			r.Cut(10)
 			r.Pop()
 			fallthrough
-		case 74:
-			if r.Mark(16, 74) {
-				r.Goto(80)
+		case 72:
+			if r.Mark(16, 72) {
+				r.Goto(78)
 				continue
 			}
-			r.LoadSlot(10)
+			r.LoadSlot(3)
 			r.ScanLeave(1, 0)
 			fallthrough
-		case 77:
-			return r.Yield(78)
-		case 78:
+		case 75:
+			return r.Yield(76)
+		case 76:
 			r.ScanResume(0, 0)
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 80:
+		case 78:
 			r.Cut(2)
 			fallthrough
-		case 81:
+		case 79:
 			r.Goto(2)
 			continue
-		case 82:
+		case 80:
 			r.ScanLeave(0, 0)
 			return r.ReturnFail()
 		default:
@@ -331,7 +329,7 @@ type proc_pairs struct{ vm.Frame }
 func machine_proc_pairs() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "pairs", Params: 1, NumAux: 16,
-		Slots:  []string{"s", "x_9", "x_10", "k", "x_11", "x_12", "x_13", "v", "x_14"},
+		Slots:  []string{"s", "x_9/x_11/x_12", "k", "v"},
 		Consts: []value.V{builtins["pos"], intLit("0"), builtins["upto"], value.NewCset("="), builtins["tab"], builtins["move"], intLit("1"), value.NewCset(";"), value.String(":")},
 		Scan:   scanHolder,
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_pairs); return f, &f.Frame },
@@ -354,7 +352,7 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			fallthrough
 		case 2:
 			if r.Mark(1, 2) {
-				r.Goto(67)
+				r.Goto(64)
 				continue
 			}
 			fallthrough
@@ -384,13 +382,13 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			fallthrough
 		case 11:
 			if r.Mark(2, 11) {
-				r.Goto(66)
+				r.Goto(63)
 				continue
 			}
 			fallthrough
 		case 12:
 			if r.Mark(5, 12) {
-				r.Goto(25)
+				r.Goto(24)
 				continue
 			}
 			r.Const(2)
@@ -416,20 +414,19 @@ func (f *proc_pairs) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(2)
-			r.StoreSlot(3)
 			r.Cut(5)
 			r.Pop()
 			fallthrough
-		case 25:
-			if r.Mark(8, 25) {
-				r.Goto(31)
+		case 24:
+			if r.Mark(8, 24) {
+				r.Goto(30)
 				continue
 			}
 			r.Const(5)
 			r.Const(6)
 			fallthrough
-		case 28:
-			if !r.Call(1, 9, 28) {
+		case 27:
+			if !r.Call(1, 9, 27) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -438,82 +435,80 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Cut(8)
 			r.Pop()
 			fallthrough
-		case 31:
-			if r.Mark(10, 31) {
-				r.Goto(48)
+		case 30:
+			if r.Mark(10, 30) {
+				r.Goto(46)
 				continue
 			}
 			fallthrough
-		case 32:
-			if r.Fork(32) {
-				r.Goto(37)
+		case 31:
+			if r.Fork(31) {
+				r.Goto(36)
 				continue
 			}
 			r.Const(2)
 			r.Const(7)
 			fallthrough
-		case 35:
-			if !r.Call(1, 11, 35) {
+		case 34:
+			if !r.Call(1, 11, 34) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.Goto(38)
+			r.Goto(37)
 			continue
-		case 37:
+		case 36:
 			r.Const(1)
 			fallthrough
-		case 38:
-			r.StoreSlot(4)
-			r.BindSlot(5)
+		case 37:
+			r.StoreSlot(1)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(4)
-			r.LoadSlot(5)
+			r.LoadSlot(1)
 			fallthrough
-		case 43:
-			if !r.Call(1, 12, 43) {
+		case 42:
+			if !r.Call(1, 12, 42) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(6)
-			r.StoreSlot(7)
+			r.StoreSlot(3)
 			r.Cut(10)
 			r.Pop()
 			fallthrough
-		case 48:
-			if r.Mark(13, 48) {
-				r.Goto(59)
+		case 46:
+			if r.Mark(13, 46) {
+				r.Goto(56)
 				continue
 			}
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Const(8)
 			r.Arith(6)
-			r.StoreSlot(8)
-			r.LoadSlot(7)
+			r.LoadSlot(3)
 			r.Arith(6)
 			r.ScanLeave(1, 0)
 			fallthrough
-		case 56:
-			return r.Yield(57)
-		case 57:
+		case 53:
+			return r.Yield(54)
+		case 54:
 			r.ScanResume(0, 0)
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 59:
-			if r.Mark(14, 59) {
-				r.Goto(65)
+		case 56:
+			if r.Mark(14, 56) {
+				r.Goto(62)
 				continue
 			}
 			r.Const(5)
 			r.Const(6)
 			fallthrough
-		case 62:
-			if !r.Call(1, 15, 62) {
+		case 59:
+			if !r.Call(1, 15, 59) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -522,13 +517,13 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Cut(14)
 			r.Pop()
 			fallthrough
-		case 65:
+		case 62:
 			r.Cut(2)
 			fallthrough
-		case 66:
+		case 63:
 			r.Goto(2)
 			continue
-		case 67:
+		case 64:
 			r.ScanLeave(0, 0)
 			return r.ReturnFail()
 		default:

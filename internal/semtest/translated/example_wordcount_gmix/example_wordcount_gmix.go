@@ -132,7 +132,7 @@ type proc_splitWords struct{ vm.Frame }
 func machine_proc_splitWords() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "splitWords", Params: 1, NumAux: 3,
-		Slots:  []string{"line", "x_0"},
+		Slots:  []string{"line"},
 		Consts: []value.V{native("split")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_splitWords); return f, &f.Frame },
 	)
@@ -145,7 +145,7 @@ func (f *proc_splitWords) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(7)
+				r.Goto(6)
 				continue
 			}
 			r.LoadSlot(0)
@@ -155,24 +155,23 @@ func (f *proc_splitWords) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(1)
 			fallthrough
-		case 4:
-			if !r.Bang(2, 4, false) {
+		case 3:
+			if !r.Bang(2, 3, false) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
+		case 4:
+			return r.Yield(5)
 		case 5:
-			return r.Yield(6)
-		case 6:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 7:
+		case 6:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_splitWords: bad pc")
@@ -186,7 +185,7 @@ type proc_hashWords struct{ vm.Frame }
 func machine_proc_hashWords() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "hashWords", Params: 1, NumAux: 4,
-		Slots:       []string{"line", "x_1", "x_2"},
+		Slots:       []string{"line"},
 		Consts:      []value.V{native("wordToNumber"), native("hashNumber")},
 		Globals:     []*value.Var{Global("splitWords")},
 		GlobalNames: []string{"splitWords"},
@@ -201,7 +200,7 @@ func (f *proc_hashWords) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(10)
+				r.Goto(8)
 				continue
 			}
 			r.LoadGlobal(0)
@@ -214,14 +213,12 @@ func (f *proc_hashWords) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(1)
 			if !r.CallNative(1, 2, 0) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(2)
 			if !r.CallNative(1, 3, 1) {
 				if !r.Fail() {
 					return nil, false
@@ -229,14 +226,14 @@ func (f *proc_hashWords) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
-		case 8:
-			return r.Yield(9)
-		case 9:
+		case 6:
+			return r.Yield(7)
+		case 7:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 10:
+		case 8:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_hashWords: bad pc")

@@ -121,7 +121,7 @@ type Counter_incr struct{ vm.Frame }
 func machine_Counter_incr(o *Counter) *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "incr", Params: 1, NumAux: 0,
-		Slots:       []string{"delta", "x_13"},
+		Slots:       []string{"delta"},
 		Globals:     []*value.Var{o.Count_r},
 		GlobalNames: []string{"count"},
 	}, func() (core.Gen, *vm.Frame) { f := new(Counter_incr); return f, &f.Frame },
@@ -137,12 +137,11 @@ func (f *Counter_incr) Next() (value.V, bool) {
 			r.LoadGlobal(0)
 			r.LoadSlot(0)
 			r.Arith(0)
-			r.StoreSlot(1)
 			r.StoreGlobal(0)
 			r.Pop()
 			r.LoadGlobal(0)
-			return r.Return(8)
-		case 8:
+			return r.Return(7)
+		case 7:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -210,7 +209,7 @@ type proc_isprime struct{ vm.Frame }
 func machine_proc_isprime() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "isprime", Params: 1, NumAux: 6,
-		Slots:  []string{"n", "x_0", "x_1", "d", "x_2"},
+		Slots:  []string{"n", "x_0", "d"},
 		Consts: []value.V{intLit("2"), intLit("1"), intLit("0")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_isprime); return f, &f.Frame },
 	)
@@ -238,7 +237,7 @@ func (f *proc_isprime) Next() (value.V, bool) {
 			return r.ReturnFail()
 		case 6:
 			if r.Mark(1, 6) {
-				r.Goto(34)
+				r.Goto(32)
 				continue
 			}
 			r.LoadSlot(0)
@@ -258,30 +257,28 @@ func (f *proc_isprime) Next() (value.V, bool) {
 				continue
 			}
 			r.StoreSlot(2)
-			r.StoreSlot(3)
 			r.Pop()
 			fallthrough
+		case 18:
+			if r.Mark(2, 18) {
+				r.Goto(31)
+				continue
+			}
+			fallthrough
 		case 19:
-			if r.Mark(2, 19) {
-				r.Goto(33)
+			if r.Mark(4, 19) {
+				r.Goto(30)
 				continue
 			}
 			fallthrough
 		case 20:
-			if r.Mark(4, 20) {
-				r.Goto(32)
-				continue
-			}
-			fallthrough
-		case 21:
-			if r.Mark(5, 21) {
-				r.Goto(30)
+			if r.Mark(5, 20) {
+				r.Goto(28)
 				continue
 			}
 			r.LoadSlot(0)
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Arith(4)
-			r.StoreSlot(4)
 			r.Const(2)
 			if !r.CmpTest(4) {
 				if !r.Fail() {
@@ -294,21 +291,21 @@ func (f *proc_isprime) Next() (value.V, bool) {
 				return nil, false
 			}
 			continue
-		case 30:
+		case 28:
 			r.Cut(4)
 			return r.ReturnFail()
-		case 32:
+		case 30:
 			r.Cut(2)
 			fallthrough
-		case 33:
+		case 31:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 34:
+		case 32:
 			r.LoadSlot(0)
-			return r.Return(36)
-		case 36:
+			return r.Return(34)
+		case 34:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -388,7 +385,7 @@ type proc_chunk struct{ vm.Frame }
 func machine_proc_chunk() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "chunk", Params: 2, NumAux: 6,
-		Slots:  []string{"e", "size", "x_4", "c", "x_5", "x_6", "x_7", "x_8"},
+		Slots:  []string{"e", "size", "c", "x_5"},
 		Consts: []value.V{builtins["put"], intLit("0")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_chunk); return f, &f.Frame },
 	)
@@ -402,12 +399,11 @@ func (f *proc_chunk) Next() (value.V, bool) {
 		case 0:
 			r.MakeList(0)
 			r.StoreSlot(2)
-			r.StoreSlot(3)
 			r.Pop()
 			fallthrough
-		case 4:
-			if r.Mark(0, 4) {
-				r.Goto(33)
+		case 3:
+			if r.Mark(0, 3) {
+				r.Goto(30)
 				continue
 			}
 			r.LoadSlot(0)
@@ -417,14 +413,14 @@ func (f *proc_chunk) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.BindSlot(4)
+			r.BindSlot(3)
 			r.Pop()
 			r.Const(0)
+			r.LoadSlot(2)
 			r.LoadSlot(3)
-			r.LoadSlot(4)
 			fallthrough
-		case 12:
-			if !r.Call(2, 2, 12) {
+		case 11:
+			if !r.Call(2, 2, 11) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -433,20 +429,19 @@ func (f *proc_chunk) Next() (value.V, bool) {
 			r.Cut(0)
 			r.Pop()
 			fallthrough
-		case 15:
-			if r.Mark(1, 15) {
-				r.Goto(32)
+		case 14:
+			if r.Mark(1, 14) {
+				r.Goto(29)
 				continue
 			}
 			fallthrough
-		case 16:
-			if r.Mark(3, 16) {
-				r.Goto(31)
+		case 15:
+			if r.Mark(3, 15) {
+				r.Goto(28)
 				continue
 			}
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Unary(3)
-			r.StoreSlot(5)
 			r.LoadSlot(1)
 			if !r.CmpTest(3) {
 				if !r.Fail() {
@@ -456,40 +451,38 @@ func (f *proc_chunk) Next() (value.V, bool) {
 			}
 			r.Cut(3)
 			fallthrough
-		case 23:
-			if r.Mark(4, 23) {
-				r.Goto(27)
+		case 21:
+			if r.Mark(4, 21) {
+				r.Goto(25)
 				continue
 			}
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			fallthrough
-		case 25:
-			return r.Yield(26)
-		case 26:
+		case 23:
+			return r.Yield(24)
+		case 24:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 27:
+		case 25:
 			r.MakeList(0)
-			r.StoreSlot(6)
-			r.StoreSlot(3)
+			r.StoreSlot(2)
 			r.Pop()
 			fallthrough
-		case 31:
+		case 28:
 			r.Cut(1)
 			fallthrough
-		case 32:
-			r.Goto(4)
+		case 29:
+			r.Goto(3)
 			continue
-		case 33:
-			if r.Mark(5, 33) {
-				r.Goto(43)
+		case 30:
+			if r.Mark(5, 30) {
+				r.Goto(39)
 				continue
 			}
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Unary(3)
-			r.StoreSlot(7)
 			r.Const(1)
 			if !r.CmpTest(2) {
 				if !r.Fail() {
@@ -498,14 +491,14 @@ func (f *proc_chunk) Next() (value.V, bool) {
 				continue
 			}
 			r.Cut(5)
-			r.LoadSlot(3)
-			return r.Return(42)
-		case 42:
+			r.LoadSlot(2)
+			return r.Return(38)
+		case 38:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 43:
+		case 39:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_chunk: bad pc")
@@ -652,7 +645,7 @@ type proc_sumList struct{ vm.Frame }
 func machine_proc_sumList() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "sumList", Params: 1, NumAux: 2,
-		Slots:  []string{"l", "s", "x_10"},
+		Slots:  []string{"l", "s"},
 		Consts: []value.V{intLit("0")},
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_sumList); return f, &f.Frame },
 	)
@@ -670,7 +663,7 @@ func (f *proc_sumList) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(10)
+				r.Goto(9)
 				continue
 			}
 			r.LoadSlot(0)
@@ -682,17 +675,16 @@ func (f *proc_sumList) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.StoreSlot(2)
 			r.Aug(4, 0)
 			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 10:
+		case 9:
 			r.LoadSlot(1)
-			return r.Return(12)
-		case 12:
+			return r.Return(11)
+		case 11:
 			if !r.Fail() {
 				return nil, false
 			}
