@@ -256,6 +256,16 @@ func (c *compiler) binary(x *ast.Binary) {
 	}
 }
 
+// repeat compiles |e, e by body: the RepAlt cell notes whether the
+// current cycle produced anything; an empty cycle fails the construct.
+func (c *compiler) repeat(e ast.Node, body func(ast.Node)) {
+	aux := c.newAux()
+	top := c.emit(OpRepAlt, 0, aux, 0)
+	c.code.Instrs[top].A = int32(top + 1)
+	body(e)
+	c.emit(OpRepNote, 0, aux, 0)
+}
+
 // unary compiles prefix operators.
 func (c *compiler) unary(x *ast.Unary) {
 	switch x.Op {
@@ -269,13 +279,7 @@ func (c *compiler) unary(x *ast.Unary) {
 		c.expr(x.X)
 		c.emit(OpNonNullTest, 0, 0, 0)
 	case "|":
-		// Repeated alternation: the RepAlt cell notes whether the current
-		// cycle produced anything; an empty cycle fails the construct.
-		aux := c.newAux()
-		top := c.emit(OpRepAlt, 0, aux, 0)
-		c.code.Instrs[top].A = int32(top + 1)
-		c.expr(x.X)
-		c.emit(OpRepNote, 0, aux, 0)
+		c.repeat(x.X, c.expr)
 	case "not":
 		d := c.depth
 		m := c.bounded(x.X)
@@ -465,18 +469,29 @@ func (c *compiler) ref(n ast.Node) {
 		c.expr(t.X)
 		c.emit(OpField, c.constant(value.String(t.Name), "str:"+t.Name), 0, 0)
 	case *ast.Unary:
-		if t.Op != "!" {
-			c.expr(n)
-			return
-		}
-		c.expr(t.X)
-		c.emit(OpBang, 1, c.newAux(), 0)
-	case *ast.Binary:
 		switch t.Op {
+		case "!":
+			c.expr(t.X)
+			c.emit(OpBang, 1, c.newAux(), 0)
 		case "|":
+			c.repeat(t.X, c.ref)
+		default:
+			c.expr(n)
+		}
+	case *ast.Binary:
+		_, ident := t.L.(*ast.Ident)
+		_, tmp := t.L.(*ast.TmpRef)
+		switch {
+		case t.Op == "|":
 			c.alternate(t.L, t.R, c.ref)
-		case "&":
+		case t.Op == "&":
 			c.product([]ast.Node{t.L, t.R}, c.ref)
+		case assigns(t.Op) && (ident || tmp):
+			// An assignment produces its target (the tree walk's AssignTo):
+			// assign, then push the name's reference.
+			c.expr(n)
+			c.emit(OpPop, 0, 0, 0)
+			c.ref(t.L)
 		default:
 			c.expr(n)
 		}

@@ -236,13 +236,18 @@ func boxNames(body ast.Node) map[string]bool {
 			if x.Op == ":=:" || x.Op == "<->" {
 				target(x.R)
 			}
-			if strings.HasSuffix(x.Op, ":=") || x.Op == "<-" || x.Op == ":=:" || x.Op == "<->" {
+			if assigns(x.Op) {
 				target(x.L)
 			}
 		}
 		return true
 	})
 	return boxed
+}
+
+// assigns reports whether op assigns to its left operand.
+func assigns(op string) bool {
+	return strings.HasSuffix(op, ":=") || op == "<-" || op == ":=:" || op == "<->"
 }
 
 // captures lists, in first-use order, the names in a create body that the

@@ -206,3 +206,23 @@ func TestRandomProceduresMatchTheTreeWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestAssignmentTargetsAreVariables: an assignment to a name, and |e over
+// one, produce the variable, which an outer assignment then sets, as on
+// the tree walk (the vm raised 205 or failed on these).
+func TestAssignmentTargetsAreVariables(t *testing.T) {
+	const src = `def f() { A := 0; (A := 1) := 5; return A; }
+def g() { A := 0; B := 1; (A :=: B) := 5; return [A, B]; }`
+	for _, d := range []string{
+		"f()", "g()",
+		"{ A := 0; (A +:= 1) := 5; A }",
+		"{ A := 0; (A <- 1) := 5; A }",
+		`"0=" ? { (A := tab(upto("0"))) := "" }`,
+		"(|A := 1) \\ 3",
+	} {
+		walk, vm := evalTrace(t, src, d, false), evalTrace(t, src, d, true)
+		if walk != vm {
+			t.Errorf("%s: compiled trace\n%s\nwant the tree walk's\n%s", d, vm, walk)
+		}
+	}
+}
