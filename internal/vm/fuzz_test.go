@@ -1,19 +1,21 @@
 package vm_test
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"junicon/internal/interp"
 	"junicon/internal/semtest"
 )
 
-// fuzzPrelude gives fuzzed expressions some procedures to call.
-const fuzzPrelude = `
-def gen(a, b) { suspend a to b; }
+// fuzzPrelude gives fuzzed expressions some procedures to call: those
+// semtest.StatefulExpr's expressions call, gen among them, and double.
+const fuzzPrelude = semtest.StatefulPrelude + `
 def double(x) { return x * 2; }
 `
 
@@ -22,10 +24,13 @@ def double(x) { return x * 2; }
 // values in the same order, failing at the same point, raising the same
 // error if one is raised. Expressions the parser rejects or that error at
 // load are skipped (they never reach the vm). The seed corpus mixes the
-// semtest grammars with the repo's example programs' idioms; seeds are
-// finite so `go test` stays fast, and unbounded exploration only happens
-// under an explicit -fuzz run (where an adversarial infinite generator can
-// hang an iteration — the per-case Max bound caps every drain regardless).
+// semtest grammars — RandomExpr's operators and StatefulExpr's
+// assignments, scans and co-expressions, whose stores and temporaries are
+// what the pass's liveness rules delete and share — with the repo's
+// example programs' idioms; seeds are finite so `go test` stays fast, and
+// unbounded exploration only happens under an explicit -fuzz run (where an
+// adversarial infinite generator can hang an iteration — the per-case Max
+// bound caps every drain regardless).
 func FuzzCompiledSemantics(f *testing.F) {
 	for _, seed := range []string{
 		"1 to 10",
@@ -44,8 +49,10 @@ func FuzzCompiledSemantics(f *testing.F) {
 		f.Add(seed)
 	}
 	eg := rand.New(rand.NewSource(7))
+	sg := rand.New(rand.NewSource(17))
 	for i := 0; i < 12; i++ {
 		f.Add(semtest.RandomExpr(eg, 3))
+		f.Add(semtest.StatefulExpr(sg, 2))
 	}
 	// Expression lines mined from the shipped example programs keep the
 	// corpus anchored to real idioms, not just the random grammar's.
@@ -57,9 +64,9 @@ func FuzzCompiledSemantics(f *testing.F) {
 			t.Skip("oversized input")
 		}
 		c := semtest.Case{Name: "fuzz", Program: fuzzPrelude, Expr: expr, Max: 100}
-		ref, err := semtest.Sequential(c)
+		ref, err := referenceWithin(c, 2*time.Second)
 		if err != nil {
-			t.Skip("rejected by the reference lane")
+			t.Skip("rejected or unfinished by the reference lane")
 		}
 		got, err := semtest.Sequential(c, interp.WithVM())
 		if err != nil {
@@ -69,6 +76,26 @@ func FuzzCompiledSemantics(f *testing.F) {
 			t.Fatalf("compiled diverged on %q:\nref = %s\ngot = %s", expr, ref, got)
 		}
 	})
+}
+
+// referenceWithin runs c on the tree walk, giving up after d: a search
+// that never yields, such as ((|5)(-7)), spins on in its goroutine.
+func referenceWithin(c semtest.Case, d time.Duration) (semtest.Result, error) {
+	type outcome struct {
+		ref semtest.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		ref, err := semtest.Sequential(c)
+		done <- outcome{ref, err}
+	}()
+	select {
+	case o := <-done:
+		return o.ref, o.err
+	case <-time.After(d):
+		return semtest.Result{}, fmt.Errorf("no result after %v", d)
+	}
 }
 
 // exampleLines extracts candidate expression snippets from testdata
