@@ -55,6 +55,7 @@ func repl(in *junicon.Interp, input io.Reader, out io.Writer, prompt bool) {
 				fmt.Fprintln(out, ":prof shows the VM execution profile (the first :prof enables profiling).")
 				fmt.Fprintln(out, ":snap <file> <expr> prints", maxResults, "results, then checkpoints the suspended generator.")
 				fmt.Fprintln(out, ":resume <file> restores a checkpointed generator and continues its sequence.")
+				fmt.Fprintln(out, ":help prints this text; :quit (or :q) leaves.")
 				continue
 			case ":facts":
 				printFacts(in, history.String(), out)

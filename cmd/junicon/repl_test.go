@@ -3,8 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -118,6 +124,59 @@ func TestReplHelp(t *testing.T) {
 	out := runRepl(t, ":help\n")
 	if !strings.Contains(out, "declaration") {
 		t.Fatalf("help missing:\n%s", out)
+	}
+}
+
+// TestReplCommandsMatchTheDocs: the REPL's commands are one set in three
+// places. A command README names must be one repl.go handles (a case or
+// comparison whose string is the command alone), one repl.go handles must
+// be listed by :help, and one :help lists must be named in README, in
+// backquotes.
+func TestReplCommandsMatchTheDocs(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "repl.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	command := regexp.MustCompile(`^:[a-z]+ ?$`)
+	handled := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if s, err := strconv.Unquote(lit.Value); err == nil && command.MatchString(s) {
+				handled[strings.TrimSpace(s)] = true
+			}
+		}
+		return true
+	})
+	named := func(text string, re *regexp.Regexp) map[string]bool {
+		set := map[string]bool{}
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
+			set[m[1]] = true
+		}
+		return set
+	}
+	help := named(runRepl(t, ":help\n"), regexp.MustCompile(`(?:^|[\s(])(:[a-z]+)`))
+	data, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := named(string(data), regexp.MustCompile("`(:[a-z]+)"))
+	for _, c := range []struct {
+		what     string
+		set, not map[string]bool
+		where    string
+	}{
+		{"README names", readme, handled, "repl.go does not handle"},
+		{"repl.go handles", handled, help, ":help does not list"},
+		{":help lists", help, readme, "README does not name"},
+	} {
+		for cmd := range c.set {
+			if !c.not[cmd] {
+				t.Errorf("%s %s, which %s", c.what, cmd, c.where)
+			}
+		}
+	}
+	if len(handled) < 8 {
+		t.Errorf("found %d commands in repl.go, want at least 8: %v", len(handled), handled)
 	}
 }
 
