@@ -340,13 +340,10 @@ func (in *Instr) eachAux(fn func(cell *int32)) {
 func (in *Instr) eachSlot(fn func(slot int32) int32) {
 	v := in.operands()
 	for i, r := range in.Op.roles() {
-		switch r {
-		case roleSlot:
+		if kind, s := SplitTarget(*v[i]); r == roleSlot {
 			*v[i] = fn(*v[i])
-		case roleTarget:
-			if kind, s := SplitTarget(*v[i]); kind == TargetSlot {
-				*v[i] = Target(kind, fn(s))
-			}
+		} else if r == roleTarget && kind == TargetSlot {
+			*v[i] = Target(kind, fn(s))
 		}
 	}
 }

@@ -31,13 +31,29 @@ import (
 //  6. The aux cells no instruction names any more are dropped and the
 //     rest renumbered, so every frame shrinks.
 //
+// Rules 7 and 8 read one backward liveness analysis: the slots some path
+// from a pc reads before storing them, over falling through, branch and
+// mark targets, the pc after a yield, and from each instruction that may
+// fail to every resume point. Boxed slots and a bare <> body's parameters
+// are shared cells, always live.
+//
+//  7. A store.slot or bind.slot to a slot dead after it goes; a
+//     store.slot, which also dereferences the top, only when the top is
+//     plain or the next instruction, cuts aside, takes it as a value. A
+//     pop that only a fail follows goes: the fail drops the value.
+//  8. Two x_N temporaries never live at the same pc (nor stored while the
+//     other is live, nor both live at pc 0) share a slot, named after
+//     both (x_1/x_5); a slot nothing names goes.
+//
 // Only the first instruction of a rewritten window may be one control
 // enters other than by falling through — a branch target, or the
 // instruction after a yield or return — and the only resume points that
 // go are the marks of rule 1 and the unreached ones of rule 2. A deleted
 // instruction's edges enter the next survivor, and so does its count of
-// them. Every target operand and Resumes pc is remapped. The pass is
-// linear in the code's length.
+// them. Every target operand and Resumes pc is remapped. Rules 1–6 are
+// linear in the code's length; the analysis is too, times the words of a
+// slot set and the sweeps until nothing grows, and colouring is
+// quadratic in the temporaries.
 
 // countAux counts, per aux cell, the instructions that name it.
 func countAux(ins []Instr, uses []int32) {
@@ -187,27 +203,14 @@ func optimize(code *Code) {
 		}
 	}
 
-	// Remap: a deleted pc continues at the next survivor.
-	pos[n] = int32(len(out))
-	for pc := n - 1; pc >= 0; pc-- {
-		if pos[pc] < 0 {
-			pos[pc] = pos[pc+1]
-		}
-	}
-	for i := range out {
-		if out[i].Op.roles()[0] == rolePC {
-			out[i].A = pos[out[i].A]
-		}
-	}
 	resumes := code.Resumes[:0]
 	for _, r := range code.Resumes {
-		if dead[r.PC] {
-			continue // a mark nothing can take (rule 1), or unreached (rule 2)
+		if !dead[r.PC] { // else a mark nothing can take (rule 1), or unreached (rule 2)
+			resumes = append(resumes, r)
 		}
-		r.PC = int(pos[r.PC])
-		resumes = append(resumes, r)
 	}
 	code.Instrs, code.Resumes = out, resumes
+	retarget(code, pos, n)
 
 	// Rule 6: renumber the aux cells still named, in their old order.
 	countAux(out, uses)
@@ -227,6 +230,25 @@ func optimize(code *Code) {
 	liveness(code, pos)
 }
 
+// retarget points code's branch targets and resume pcs where they went:
+// pos[pc] is a survivor's new place, -1 continues at the next survivor.
+func retarget(code *Code, pos []int32, n int) {
+	pos[n] = int32(len(code.Instrs))
+	for pc := n - 1; pc >= 0; pc-- {
+		if pos[pc] < 0 {
+			pos[pc] = pos[pc+1]
+		}
+	}
+	for i := range code.Instrs {
+		if code.Instrs[i].Op.roles()[0] == rolePC {
+			code.Instrs[i].A = pos[code.Instrs[i].A]
+		}
+	}
+	for i := range code.Resumes {
+		code.Resumes[i].PC = int(pos[code.Resumes[i].PC])
+	}
+}
+
 // bitset is a set of small non-negative integers, a bit each.
 type bitset []uint64
 
@@ -235,13 +257,10 @@ func (b bitset) add(i int32)      { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) drop(i int32)     { b[i>>6] &^= 1 << (i & 63) }
 
 // union adds o to b and reports whether b grew.
-func (b bitset) union(o bitset) bool {
-	grew := false
+func (b bitset) union(o bitset) (grew bool) {
 	for i, x := range o {
-		if b[i]|x != b[i] {
-			b[i] |= x
-			grew = true
-		}
+		grew = grew || b[i]|x != b[i]
+		b[i] |= x
 	}
 	return grew
 }
@@ -256,14 +275,10 @@ func (b bitset) each(o bitset, fn func(i int32)) {
 }
 
 // takesTop reports whether in takes the top of stack at once as a value:
-// its opcode's derefs, or one that does so only when it pops a value or
-// only in one mode.
+// its opcode's derefs, or call.native's and make.list's when they pop one.
 func takesTop(in Instr) bool {
-	switch in.Op {
-	case OpCallNative, OpMakeList:
+	if in.Op == OpCallNative || in.Op == OpMakeList {
 		return in.A > 0
-	case OpScanLeave:
-		return in.A == LeaveToResume
 	}
 	return ops[in.Op].derefs
 }
@@ -273,24 +288,17 @@ func takesTop(in Instr) bool {
 func liveness(code *Code, pos []int32) {
 	ins := code.Instrs
 	n, ns := len(ins), len(code.Slots)
-	if ns == 0 {
-		return
-	}
-	// One block of scratch, cut into sets of w words each — the live-in
-	// set of every pc and of pc n (empty), the slots live wherever failure
-	// can resume, a live-out, the temporaries, the slots still named and a
-	// conflict row per slot — then the pcs control enters other than by
-	// falling through, and two words per slot: its colour, then its new
-	// number, and the slot of each colour plus one.
+	// One block of scratch: live-in sets per pc (pc n's empty), slot sets,
+	// a conflict row per slot, the pcs entered other than by falling
+	// through, and per slot its colour, then its new number.
 	w := (ns + 63) / 64
-	block := make([]uint64, (n+6)*w+ns*w+(n+64)/64+2*ns)
+	block := make([]uint64, (n+5)*w+ns*w+(n+64)/64+2*ns)
 	take := func(k int) bitset { b := block[:k:k]; block = block[k:]; return b }
 	liveIn := take((n + 1) * w)
 	in := func(pc int) bitset { return liveIn[pc*w : pc*w+w] }
 	resumed, out, temps, named := take(w), take(w), take(w), take(w)
-	conflicts := take(ns * w)
+	conflicts, joins, colour, first := take(ns*w), take((n+64)/64), take(ns), take(ns)
 	row := func(s int32) bitset { return conflicts[int(s)*w : int(s)*w+w] }
-	joins, colour, first := take((n+64)/64), take(ns), take(ns)
 
 	kept := func(s int32) bool { return code.Boxes != nil && code.Boxes[s] || code.Shares && int(s) < code.Params }
 	for s := code.Params; s < ns; s++ {
@@ -302,18 +310,13 @@ func liveness(code *Code, pos []int32) {
 		if to, ok := ins[pc].Enters(pc); ok {
 			joins.add(int32(to))
 		}
-		op := ins[pc].Op
-		ins[pc].eachSlot(func(s int32) int32 {
-			if op != OpLoadSlot && op != OpStoreSlot && op != OpBindSlot {
-				temps.drop(s) // a case subject or an assignment target
-			}
-			return s
-		})
+		if op := ins[pc].Op; op != OpLoadSlot && op != OpStoreSlot && op != OpBindSlot {
+			ins[pc].eachSlot(func(s int32) int32 { temps.drop(s); return s }) // a case subject or a target
+		}
 	}
 
-	// flow puts the slots live after pc in out: those live where control
-	// goes next — the next pc, a branch target or the pc after a yield —
-	// and, where pc may fail, wherever failure resumes.
+	// flow puts the slots live after pc in out: live at the next pc, a
+	// branch target or the pc after a yield, and where failure resumes.
 	flow := func(pc int) {
 		clear(out)
 		x := ins[pc]
@@ -345,15 +348,19 @@ func liveness(code *Code, pos []int32) {
 
 	// Rule 7, and rule 8's conflicts: a store that stays conflicts with
 	// the temporaries live after it.
-	next, dropped := -1, false // next: the next pc that stays, cuts aside
+	next := -1 // the next pc that stays, cuts aside
 	for pc := n - 1; pc >= 0; pc-- {
 		flow(pc)
 		pos[pc] = 0
+		if ins[pc].Op == OpPop && ins[pc+1].Op == OpFail && !joins.has(int32(pc+1)) {
+			pos[pc] = -1 // the fail drops it
+			continue
+		}
 		if x := ins[pc]; x.Op == OpStoreSlot || x.Op == OpBindSlot {
 			s := x.A
 			if !out.has(s) && !kept(s) && (x.Op == OpBindSlot || next >= 0 && takesTop(ins[next]) ||
 				pc > 0 && !joins.has(int32(pc)) && ops[ins[pc-1].Op].plain) {
-				pos[pc], dropped = -1, true
+				pos[pc] = -1
 				continue
 			}
 			if temps.has(s) {
@@ -370,13 +377,16 @@ func liveness(code *Code, pos []int32) {
 
 	// Rule 8: each temporary still named takes the least colour no
 	// temporary before it that it conflicts with has taken.
+	for k := range temps {
+		temps[k] &= named[k]
+	}
 	for s := int32(0); s < int32(ns); s++ {
-		if !temps.has(s) || !named.has(s) {
+		if !temps.has(s) {
 			continue
 		}
 		clear(out)
-		row(s).each(named, func(t int32) {
-			if t < s && temps.has(t) {
+		row(s).each(temps, func(t int32) {
+			if t < s {
 				out.add(int32(colour[t]))
 			}
 		})
@@ -389,58 +399,34 @@ func liveness(code *Code, pos []int32) {
 	slots := code.Slots
 	j := int32(0)
 	for s := int32(0); s < int32(ns); s++ {
-		switch c := colour[s]; {
+		c := colour[s]
+		switch {
 		case !named.has(s) && s >= int32(code.Params) && !kept(s):
-		case !temps.has(s):
-			slots[j] = slots[s]
-			if code.Boxes != nil {
-				code.Boxes[j] = code.Boxes[s]
-			}
-			colour[s] = uint64(j)
-			j++
-		case first[c] > 0:
+			continue
+		case temps.has(s) && first[c] > 0:
 			colour[s] = first[c] - 1
 			slots[colour[s]] += "/" + slots[s]
-		default:
-			first[c] = uint64(j + 1)
-			slots[j] = slots[s]
-			if code.Boxes != nil {
-				code.Boxes[j] = false
-			}
-			colour[s] = uint64(j)
-			j++
-		}
-	}
-	code.Slots = slots[:j]
-	if code.Boxes != nil {
-		code.Boxes = code.Boxes[:j]
-	}
-	if !dropped && int(j) == ns {
-		return
-	}
-	k := int32(0)
-	for pc := range n {
-		if pos[pc] < 0 {
 			continue
+		case temps.has(s):
+			first[c] = uint64(j + 1)
 		}
-		pos[pc] = k
-		ins[k] = ins[pc]
-		ins[k].eachSlot(func(s int32) int32 { return int32(colour[s]) })
-		k++
+		slots[j] = slots[s]
+		if code.Boxes != nil {
+			code.Boxes[j] = code.Boxes[s]
+		}
+		colour[s] = uint64(j)
+		j++
 	}
-	pos[n] = k
-	for pc := n - 1; pc >= 0; pc-- {
-		if pos[pc] < 0 {
-			pos[pc] = pos[pc+1]
+	code.Slots, code.Boxes = slots[:j], code.Boxes[:min(int(j), len(code.Boxes))]
+	k := 0
+	for pc := range n {
+		if pos[pc] >= 0 {
+			pos[pc] = int32(k)
+			ins[k] = ins[pc]
+			ins[k].eachSlot(func(s int32) int32 { return int32(colour[s]) })
+			k++
 		}
 	}
 	code.Instrs = ins[:k]
-	for i := range code.Instrs {
-		if code.Instrs[i].Op.roles()[0] == rolePC {
-			code.Instrs[i].A = pos[code.Instrs[i].A]
-		}
-	}
-	for i := range code.Resumes {
-		code.Resumes[i].PC = int(pos[code.Resumes[i].PC])
-	}
+	retarget(code, pos, n)
 }

@@ -158,6 +158,11 @@ func TestPassRulesAtTheirEdges(t *testing.T) {
 		// dereference redundant.
 		{"dead-store-derefs", `def f(L) { return [x := L[1], L[1] := 9]; }`,
 			[]string{"f([4])"}, compile.OpStoreSlot, 1, 0},
+		// A pop that only a fail follows goes: the loop body's s +:= i
+		// leaves its value to the fail, and only the first statement's pop
+		// stays.
+		{"pop-before-fail", `def f(n) { s := 0; every s +:= 1 to n; return s; }`,
+			[]string{"f(4)", "f(0)"}, compile.OpPop, 1, 0},
 		// Two temporaries never live at the same pc share a slot: three
 		// slots for two parameters and two subscripts.
 		{"temporaries-share", `def f(L, n) { L[n + 1 - 1] := 1; L[n + 2 - 2] := 2; return L; }`,

@@ -248,7 +248,7 @@ func (f *proc_sumPiped) Next() (value.V, bool) {
 			fallthrough
 		case 7:
 			if r.Mark(0, 7) {
-				r.Goto(13)
+				r.Goto(12)
 				continue
 			}
 			r.LoadSlot(1)
@@ -261,15 +261,14 @@ func (f *proc_sumPiped) Next() (value.V, bool) {
 				continue
 			}
 			r.Aug(8, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 13:
+		case 12:
 			r.LoadSlot(2)
-			return r.Return(15)
-		case 15:
+			return r.Return(14)
+		case 14:
 			if !r.Fail() {
 				return nil, false
 			}

@@ -104,7 +104,7 @@ func (f *proc_sumTo) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(11)
+				r.Goto(10)
 				continue
 			}
 			r.Const(1)
@@ -119,15 +119,14 @@ func (f *proc_sumTo) Next() (value.V, bool) {
 				continue
 			}
 			r.Aug(4, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 11:
+		case 10:
 			r.LoadSlot(1)
-			return r.Return(13)
-		case 13:
+			return r.Return(12)
+		case 12:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -162,7 +161,7 @@ func (f *proc_sumEvens) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(11)
+				r.Goto(10)
 				continue
 			}
 			r.Const(1)
@@ -177,15 +176,14 @@ func (f *proc_sumEvens) Next() (value.V, bool) {
 				continue
 			}
 			r.Aug(4, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 11:
+		case 10:
 			r.LoadSlot(1)
-			return r.Return(13)
-		case 13:
+			return r.Return(12)
+		case 12:
 			if !r.Fail() {
 				return nil, false
 			}

@@ -282,7 +282,7 @@ func (f *proc_countPrimes) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(18)
+				r.Goto(17)
 				continue
 			}
 			r.Const(1)
@@ -311,15 +311,14 @@ func (f *proc_countPrimes) Next() (value.V, bool) {
 			r.Pop()
 			r.Const(2)
 			r.Aug(4, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 18:
+		case 17:
 			r.LoadSlot(1)
-			return r.Return(20)
-		case 20:
+			return r.Return(19)
+		case 19:
 			if !r.Fail() {
 				return nil, false
 			}

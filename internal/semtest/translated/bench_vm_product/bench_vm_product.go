@@ -104,7 +104,7 @@ func (f *proc_multiplesOf7) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(27)
+				r.Goto(26)
 				continue
 			}
 			r.Const(1)
@@ -147,15 +147,14 @@ func (f *proc_multiplesOf7) Next() (value.V, bool) {
 			}
 			r.Const(1)
 			r.Aug(4, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 27:
+		case 26:
 			r.LoadSlot(1)
-			return r.Return(29)
-		case 29:
+			return r.Return(28)
+		case 28:
 			if !r.Fail() {
 				return nil, false
 			}

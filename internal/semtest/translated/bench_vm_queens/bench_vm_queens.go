@@ -618,7 +618,7 @@ func (f *proc_countQueens) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(12)
+				r.Goto(11)
 				continue
 			}
 			r.LoadGlobal(0)
@@ -634,15 +634,14 @@ func (f *proc_countQueens) Next() (value.V, bool) {
 			r.Pop()
 			r.Const(1)
 			r.Aug(4, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 12:
+		case 11:
 			r.LoadSlot(1)
-			return r.Return(14)
-		case 14:
+			return r.Return(13)
+		case 13:
 			if !r.Fail() {
 				return nil, false
 			}

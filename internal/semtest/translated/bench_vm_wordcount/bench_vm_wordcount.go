@@ -104,7 +104,7 @@ func (f *proc_wcTotal) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(16)
+				r.Goto(15)
 				continue
 			}
 			r.LoadSlot(1)
@@ -141,15 +141,14 @@ func (f *proc_wcTotal) Next() (value.V, bool) {
 				continue
 			}
 			r.Aug(0, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 16:
+		case 15:
 			r.LoadSlot(0)
-			return r.Return(18)
-		case 18:
+			return r.Return(17)
+		case 17:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -184,7 +183,7 @@ func (f *proc_wcWords) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(16)
+				r.Goto(15)
 				continue
 			}
 			r.LoadSlot(1)
@@ -211,15 +210,14 @@ func (f *proc_wcWords) Next() (value.V, bool) {
 			r.Pop()
 			r.Const(1)
 			r.Aug(0, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 16:
+		case 15:
 			r.LoadSlot(0)
-			return r.Return(18)
-		case 18:
+			return r.Return(17)
+		case 17:
 			if !r.Fail() {
 				return nil, false
 			}

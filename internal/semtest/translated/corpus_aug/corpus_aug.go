@@ -689,7 +689,7 @@ func (f *proc_onIndex) Next() (value.V, bool) {
 			fallthrough
 		case 6:
 			if r.Mark(0, 6) {
-				r.Goto(20)
+				r.Goto(19)
 				continue
 			}
 			r.Const(0)
@@ -715,20 +715,19 @@ func (f *proc_onIndex) Next() (value.V, bool) {
 			}
 			r.LoadSlot(1)
 			r.Aug(2, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 20:
-			if r.Mark(2, 20) {
-				r.Goto(35)
+		case 19:
+			if r.Mark(2, 19) {
+				r.Goto(34)
 				continue
 			}
 			fallthrough
-		case 21:
-			if r.Fork(21) {
-				r.Goto(28)
+		case 20:
+			if r.Fork(20) {
+				r.Goto(27)
 				continue
 			}
 			r.LoadSlot(0)
@@ -746,9 +745,9 @@ func (f *proc_onIndex) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.Goto(33)
+			r.Goto(32)
 			continue
-		case 28:
+		case 27:
 			r.LoadSlot(0)
 			r.Const(0)
 			if !r.Index() {
@@ -765,14 +764,14 @@ func (f *proc_onIndex) Next() (value.V, bool) {
 				continue
 			}
 			fallthrough
-		case 33:
+		case 32:
 			r.Cut(2)
 			r.Pop()
 			fallthrough
-		case 35:
+		case 34:
 			r.LoadSlot(0)
-			return r.Return(37)
-		case 37:
+			return r.Return(36)
+		case 36:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -831,7 +830,7 @@ func (f *proc_onField) Next() (value.V, bool) {
 			fallthrough
 		case 13:
 			if r.Mark(2, 13) {
-				r.Goto(26)
+				r.Goto(25)
 				continue
 			}
 			r.Const(0)
@@ -851,20 +850,19 @@ func (f *proc_onField) Next() (value.V, bool) {
 			r.Field(4)
 			r.LoadSlot(1)
 			r.Aug(2, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 26:
-			if r.Mark(4, 26) {
-				r.Goto(37)
+		case 25:
+			if r.Mark(4, 25) {
+				r.Goto(36)
 				continue
 			}
 			fallthrough
-		case 27:
-			if r.Fork(27) {
-				r.Goto(33)
+		case 26:
+			if r.Fork(26) {
+				r.Goto(32)
 				continue
 			}
 			r.LoadSlot(0)
@@ -876,27 +874,27 @@ func (f *proc_onField) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.Goto(35)
+			r.Goto(34)
 			continue
-		case 33:
+		case 32:
 			r.LoadSlot(0)
 			r.Field(2)
 			fallthrough
+		case 34:
+			return r.Yield(35)
 		case 35:
-			return r.Yield(36)
-		case 36:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 37:
+		case 36:
 			r.LoadSlot(0)
 			r.Field(4)
 			r.LoadSlot(0)
 			r.Field(2)
 			r.MakeList(2)
-			return r.Return(43)
-		case 43:
+			return r.Return(42)
+		case 42:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -939,7 +937,7 @@ func (f *proc_onBang) Next() (value.V, bool) {
 			fallthrough
 		case 10:
 			if r.Mark(0, 10) {
-				r.Goto(17)
+				r.Goto(16)
 				continue
 			}
 			r.LoadBox(1)
@@ -958,36 +956,35 @@ func (f *proc_onBang) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 17:
-			if r.Mark(2, 17) {
-				r.Goto(31)
+		case 16:
+			if r.Mark(2, 16) {
+				r.Goto(29)
 				continue
 			}
 			fallthrough
-		case 18:
-			if r.Fork(18) {
-				r.Goto(21)
+		case 17:
+			if r.Fork(17) {
+				r.Goto(20)
 				continue
 			}
 			r.Const(0)
-			r.Goto(22)
+			r.Goto(21)
 			continue
-		case 21:
+		case 20:
 			r.Const(2)
 			fallthrough
-		case 22:
+		case 21:
 			r.StoreSlot(0)
 			r.BindSlot(2)
 			r.Pop()
 			r.LoadBox(1)
 			fallthrough
-		case 26:
-			if !r.Bang(3, 26, true) {
+		case 25:
+			if !r.Bang(3, 25, true) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -995,15 +992,14 @@ func (f *proc_onBang) Next() (value.V, bool) {
 			}
 			r.LoadSlot(2)
 			r.Aug(2, 1)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 31:
+		case 29:
 			r.LoadBox(1)
-			return r.Return(33)
-		case 33:
+			return r.Return(31)
+		case 31:
 			if !r.Fail() {
 				return nil, false
 			}

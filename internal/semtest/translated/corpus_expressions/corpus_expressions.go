@@ -872,7 +872,7 @@ func (f *proc_lane_driver_12) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(53)
+				r.Goto(52)
 				continue
 			}
 			r.Const(0)
@@ -886,13 +886,13 @@ func (f *proc_lane_driver_12) Next() (value.V, bool) {
 			fallthrough
 		case 9:
 			if r.Mark(1, 9) {
-				r.Goto(33)
+				r.Goto(32)
 				continue
 			}
 			fallthrough
 		case 10:
 			if r.Mark(2, 10) {
-				r.Goto(32)
+				r.Goto(31)
 				continue
 			}
 			fallthrough
@@ -942,19 +942,18 @@ func (f *proc_lane_driver_12) Next() (value.V, bool) {
 			}
 			r.LoadSlot(2)
 			r.Aug(2, 2)
-			r.Pop()
+			if !r.Fail() {
+				return nil, false
+			}
+			continue
+		case 31:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
 		case 32:
-			if !r.Fail() {
-				return nil, false
-			}
-			continue
-		case 33:
-			if r.Fork(33) {
-				r.Goto(37)
+			if r.Fork(32) {
+				r.Goto(36)
 				continue
 			}
 			r.Const(5)
@@ -964,9 +963,9 @@ func (f *proc_lane_driver_12) Next() (value.V, bool) {
 				}
 				continue
 			}
-			r.Goto(51)
+			r.Goto(50)
 			continue
-		case 37:
+		case 36:
 			r.LoadSlot(0)
 			r.Const(3)
 			if !r.Index() {
@@ -992,14 +991,14 @@ func (f *proc_lane_driver_12) Next() (value.V, bool) {
 			r.LoadSlot(4)
 			r.MakeList(3)
 			fallthrough
+		case 50:
+			return r.Yield(51)
 		case 51:
-			return r.Yield(52)
-		case 52:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 53:
+		case 52:
 			return r.ReturnFail()
 		default:
 			panic("translated proc_lane_driver_12: bad pc")

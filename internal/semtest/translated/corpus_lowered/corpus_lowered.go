@@ -236,7 +236,7 @@ func (f *proc_zeroed) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(7)
+				r.Goto(6)
 				continue
 			}
 			r.LoadBox(0)
@@ -250,15 +250,14 @@ func (f *proc_zeroed) Next() (value.V, bool) {
 			}
 			r.Const(0)
 			r.StoreVar()
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 7:
+		case 6:
 			r.LoadBox(0)
-			return r.Return(9)
-		case 9:
+			return r.Return(8)
+		case 8:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -289,7 +288,7 @@ func (f *proc_bumped) Next() (value.V, bool) {
 		switch r.PC() {
 		case 0:
 			if r.Mark(0, 0) {
-				r.Goto(7)
+				r.Goto(6)
 				continue
 			}
 			r.LoadBox(0)
@@ -303,15 +302,14 @@ func (f *proc_bumped) Next() (value.V, bool) {
 			}
 			r.Const(0)
 			r.Aug(2, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 7:
+		case 6:
 			r.LoadBox(0)
-			return r.Return(9)
-		case 9:
+			return r.Return(8)
+		case 8:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -352,7 +350,7 @@ func (f *proc_either) Next() (value.V, bool) {
 			fallthrough
 		case 8:
 			if r.Mark(0, 8) {
-				r.Goto(17)
+				r.Goto(16)
 				continue
 			}
 			fallthrough
@@ -370,17 +368,16 @@ func (f *proc_either) Next() (value.V, bool) {
 		case 13:
 			r.Const(2)
 			r.StoreVar()
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 17:
+		case 16:
 			r.LoadBox(0)
 			r.LoadBox(1)
 			r.MakeList(2)
-			return r.Return(21)
-		case 21:
+			return r.Return(20)
+		case 20:
 			if !r.Fail() {
 				return nil, false
 			}
@@ -590,13 +587,13 @@ func (f *proc_nestedShare_0) Next() (value.V, bool) {
 			fallthrough
 		case 22:
 			if r.Mark(1, 22) {
-				r.Goto(31)
+				r.Goto(30)
 				continue
 			}
 			fallthrough
 		case 23:
 			if r.Mark(2, 23) {
-				r.Goto(30)
+				r.Goto(29)
 				continue
 			}
 			r.LoadBox(2)
@@ -610,22 +607,21 @@ func (f *proc_nestedShare_0) Next() (value.V, bool) {
 			}
 			r.LoadBox(0)
 			r.StoreVar()
-			r.Pop()
+			if !r.Fail() {
+				return nil, false
+			}
+			continue
+		case 29:
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
 		case 30:
-			if !r.Fail() {
-				return nil, false
-			}
-			continue
-		case 31:
 			r.LoadBox(2)
 			fallthrough
+		case 31:
+			return r.Yield(32)
 		case 32:
-			return r.Yield(33)
-		case 33:
 			if !r.Fail() {
 				return nil, false
 			}

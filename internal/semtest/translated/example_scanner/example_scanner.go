@@ -109,13 +109,13 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			fallthrough
 		case 2:
 			if r.Mark(1, 2) {
-				r.Goto(80)
+				r.Goto(79)
 				continue
 			}
 			fallthrough
 		case 3:
 			if r.Mark(3, 3) {
-				r.Goto(10)
+				r.Goto(9)
 				continue
 			}
 			r.Const(0)
@@ -129,30 +129,29 @@ func (f *proc_tokens) Next() (value.V, bool) {
 				continue
 			}
 			r.Cut(3)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 10:
+		case 9:
 			r.Cut(1)
 			fallthrough
-		case 11:
-			if r.Mark(2, 11) {
-				r.Goto(79)
+		case 10:
+			if r.Mark(2, 10) {
+				r.Goto(78)
 				continue
 			}
 			fallthrough
-		case 12:
-			if r.Mark(5, 12) {
-				r.Goto(23)
+		case 11:
+			if r.Mark(5, 11) {
+				r.Goto(22)
 				continue
 			}
 			r.Const(2)
 			r.Const(3)
 			fallthrough
-		case 15:
-			if !r.Call(1, 6, 15) {
+		case 14:
+			if !r.Call(1, 6, 14) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -163,8 +162,8 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Const(4)
 			r.LoadSlot(1)
 			fallthrough
-		case 20:
-			if !r.Call(1, 7, 20) {
+		case 19:
+			if !r.Call(1, 7, 19) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -173,16 +172,16 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Cut(5)
 			r.Pop()
 			fallthrough
-		case 23:
-			if r.Mark(8, 23) {
-				r.Goto(31)
+		case 22:
+			if r.Mark(8, 22) {
+				r.Goto(30)
 				continue
 			}
 			r.Const(0)
 			r.Const(1)
 			fallthrough
-		case 26:
-			if !r.Call(1, 9, 26) {
+		case 25:
+			if !r.Call(1, 9, 25) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -191,23 +190,23 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Cut(8)
 			r.Pop()
 			r.Cut(1)
-			r.Goto(80)
+			r.Goto(79)
 			continue
+		case 30:
+			if r.Mark(10, 30) {
+				r.Goto(71)
+				continue
+			}
+			fallthrough
 		case 31:
-			if r.Mark(10, 31) {
-				r.Goto(72)
+			if r.Fork(31) {
+				r.Goto(65)
 				continue
 			}
 			fallthrough
 		case 32:
 			if r.Fork(32) {
-				r.Goto(66)
-				continue
-			}
-			fallthrough
-		case 33:
-			if r.Fork(33) {
-				r.Goto(46)
+				r.Goto(45)
 				continue
 			}
 			r.Const(5)
@@ -216,8 +215,8 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Const(2)
 			r.LoadSlot(1)
 			fallthrough
-		case 39:
-			if !r.Call(1, 11, 39) {
+		case 38:
+			if !r.Call(1, 11, 38) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -228,16 +227,16 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Const(4)
 			r.LoadSlot(1)
 			fallthrough
-		case 44:
-			if !r.Call(1, 12, 44) {
+		case 43:
+			if !r.Call(1, 12, 43) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.Goto(65)
+			r.Goto(64)
 			continue
-		case 46:
+		case 45:
 			r.Const(6)
 			r.BindSlot(1)
 			r.Pop()
@@ -252,8 +251,8 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Const(2)
 			r.LoadSlot(1)
 			fallthrough
-		case 59:
-			if !r.Call(1, 13, 59) {
+		case 58:
+			if !r.Call(1, 13, 58) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -264,57 +263,57 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Const(4)
 			r.LoadSlot(1)
 			fallthrough
-		case 64:
-			if !r.Call(1, 14, 64) {
+		case 63:
+			if !r.Call(1, 14, 63) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
-		case 65:
-			r.Goto(69)
+		case 64:
+			r.Goto(68)
 			continue
-		case 66:
+		case 65:
 			r.Const(7)
 			r.Const(8)
 			fallthrough
-		case 68:
-			if !r.Call(1, 15, 68) {
+		case 67:
+			if !r.Call(1, 15, 67) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
-		case 69:
+		case 68:
 			r.StoreSlot(3)
 			r.Cut(10)
 			r.Pop()
 			fallthrough
-		case 72:
-			if r.Mark(16, 72) {
-				r.Goto(78)
+		case 71:
+			if r.Mark(16, 71) {
+				r.Goto(77)
 				continue
 			}
 			r.LoadSlot(3)
 			r.ScanLeave(1, 0)
 			fallthrough
+		case 74:
+			return r.Yield(75)
 		case 75:
-			return r.Yield(76)
-		case 76:
 			r.ScanResume(0, 0)
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 78:
+		case 77:
 			r.Cut(2)
 			fallthrough
-		case 79:
+		case 78:
 			r.Goto(2)
 			continue
-		case 80:
+		case 79:
 			r.ScanLeave(0, 0)
 			return r.ReturnFail()
 		default:
@@ -352,13 +351,13 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			fallthrough
 		case 2:
 			if r.Mark(1, 2) {
-				r.Goto(64)
+				r.Goto(63)
 				continue
 			}
 			fallthrough
 		case 3:
 			if r.Mark(3, 3) {
-				r.Goto(10)
+				r.Goto(9)
 				continue
 			}
 			r.Const(0)
@@ -372,30 +371,29 @@ func (f *proc_pairs) Next() (value.V, bool) {
 				continue
 			}
 			r.Cut(3)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 10:
+		case 9:
 			r.Cut(1)
 			fallthrough
-		case 11:
-			if r.Mark(2, 11) {
-				r.Goto(63)
+		case 10:
+			if r.Mark(2, 10) {
+				r.Goto(62)
 				continue
 			}
 			fallthrough
-		case 12:
-			if r.Mark(5, 12) {
-				r.Goto(24)
+		case 11:
+			if r.Mark(5, 11) {
+				r.Goto(23)
 				continue
 			}
 			r.Const(2)
 			r.Const(3)
 			fallthrough
-		case 15:
-			if !r.Call(1, 6, 15) {
+		case 14:
+			if !r.Call(1, 6, 14) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -406,8 +404,8 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Const(4)
 			r.LoadSlot(1)
 			fallthrough
-		case 20:
-			if !r.Call(1, 7, 20) {
+		case 19:
+			if !r.Call(1, 7, 19) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -417,16 +415,16 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Cut(5)
 			r.Pop()
 			fallthrough
-		case 24:
-			if r.Mark(8, 24) {
-				r.Goto(30)
+		case 23:
+			if r.Mark(8, 23) {
+				r.Goto(29)
 				continue
 			}
 			r.Const(5)
 			r.Const(6)
 			fallthrough
-		case 27:
-			if !r.Call(1, 9, 27) {
+		case 26:
+			if !r.Call(1, 9, 26) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -435,41 +433,41 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Cut(8)
 			r.Pop()
 			fallthrough
-		case 30:
-			if r.Mark(10, 30) {
-				r.Goto(46)
+		case 29:
+			if r.Mark(10, 29) {
+				r.Goto(45)
 				continue
 			}
 			fallthrough
-		case 31:
-			if r.Fork(31) {
-				r.Goto(36)
+		case 30:
+			if r.Fork(30) {
+				r.Goto(35)
 				continue
 			}
 			r.Const(2)
 			r.Const(7)
 			fallthrough
-		case 34:
-			if !r.Call(1, 11, 34) {
+		case 33:
+			if !r.Call(1, 11, 33) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.Goto(37)
+			r.Goto(36)
 			continue
-		case 36:
+		case 35:
 			r.Const(1)
 			fallthrough
-		case 37:
+		case 36:
 			r.StoreSlot(1)
 			r.BindSlot(1)
 			r.Pop()
 			r.Const(4)
 			r.LoadSlot(1)
 			fallthrough
-		case 42:
-			if !r.Call(1, 12, 42) {
+		case 41:
+			if !r.Call(1, 12, 41) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -479,9 +477,9 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Cut(10)
 			r.Pop()
 			fallthrough
-		case 46:
-			if r.Mark(13, 46) {
-				r.Goto(56)
+		case 45:
+			if r.Mark(13, 45) {
+				r.Goto(55)
 				continue
 			}
 			r.LoadSlot(2)
@@ -491,24 +489,24 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Arith(6)
 			r.ScanLeave(1, 0)
 			fallthrough
+		case 52:
+			return r.Yield(53)
 		case 53:
-			return r.Yield(54)
-		case 54:
 			r.ScanResume(0, 0)
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 56:
-			if r.Mark(14, 56) {
-				r.Goto(62)
+		case 55:
+			if r.Mark(14, 55) {
+				r.Goto(61)
 				continue
 			}
 			r.Const(5)
 			r.Const(6)
 			fallthrough
-		case 59:
-			if !r.Call(1, 15, 59) {
+		case 58:
+			if !r.Call(1, 15, 58) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -517,13 +515,13 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Cut(14)
 			r.Pop()
 			fallthrough
-		case 62:
+		case 61:
 			r.Cut(2)
 			fallthrough
-		case 63:
+		case 62:
 			r.Goto(2)
 			continue
-		case 64:
+		case 63:
 			r.ScanLeave(0, 0)
 			return r.ReturnFail()
 		default:

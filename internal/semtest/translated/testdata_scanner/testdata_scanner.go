@@ -86,7 +86,7 @@ type proc_tokens struct{ vm.Frame }
 func machine_proc_tokens() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "tokens", Params: 1, NumAux: 17,
-		Slots:  []string{"s", "x_0", "x_1", "x_2", "x_3", "x_4", "x_5", "x_6", "x_7", "x_8", "w"},
+		Slots:  []string{"s", "x_0/x_1/x_2/x_3/x_5/x_6", "x_4", "w"},
 		Consts: []value.V{builtins["pos"], intLit("0"), builtins["many"], value.NewCset(" "), builtins["tab"], value.NewCset("0123456789"), value.NewCset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"), builtins["move"], intLit("1")},
 		Scan:   scanHolder,
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_tokens); return f, &f.Frame },
@@ -109,13 +109,13 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			fallthrough
 		case 2:
 			if r.Mark(1, 2) {
-				r.Goto(82)
+				r.Goto(79)
 				continue
 			}
 			fallthrough
 		case 3:
 			if r.Mark(3, 3) {
-				r.Goto(10)
+				r.Goto(9)
 				continue
 			}
 			r.Const(0)
@@ -129,30 +129,29 @@ func (f *proc_tokens) Next() (value.V, bool) {
 				continue
 			}
 			r.Cut(3)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 10:
+		case 9:
 			r.Cut(1)
 			fallthrough
-		case 11:
-			if r.Mark(2, 11) {
-				r.Goto(81)
+		case 10:
+			if r.Mark(2, 10) {
+				r.Goto(78)
 				continue
 			}
 			fallthrough
-		case 12:
-			if r.Mark(5, 12) {
-				r.Goto(23)
+		case 11:
+			if r.Mark(5, 11) {
+				r.Goto(22)
 				continue
 			}
 			r.Const(2)
 			r.Const(3)
 			fallthrough
-		case 15:
-			if !r.Call(1, 6, 15) {
+		case 14:
+			if !r.Call(1, 6, 14) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -163,8 +162,8 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Const(4)
 			r.LoadSlot(1)
 			fallthrough
-		case 20:
-			if !r.Call(1, 7, 20) {
+		case 19:
+			if !r.Call(1, 7, 19) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -173,16 +172,16 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Cut(5)
 			r.Pop()
 			fallthrough
-		case 23:
-			if r.Mark(8, 23) {
-				r.Goto(31)
+		case 22:
+			if r.Mark(8, 22) {
+				r.Goto(30)
 				continue
 			}
 			r.Const(0)
 			r.Const(1)
 			fallthrough
-		case 26:
-			if !r.Call(1, 9, 26) {
+		case 25:
+			if !r.Call(1, 9, 25) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -191,132 +190,130 @@ func (f *proc_tokens) Next() (value.V, bool) {
 			r.Cut(8)
 			r.Pop()
 			r.Cut(1)
-			r.Goto(82)
+			r.Goto(79)
 			continue
+		case 30:
+			if r.Mark(10, 30) {
+				r.Goto(71)
+				continue
+			}
+			fallthrough
 		case 31:
-			if r.Mark(10, 31) {
-				r.Goto(74)
+			if r.Fork(31) {
+				r.Goto(65)
 				continue
 			}
 			fallthrough
 		case 32:
 			if r.Fork(32) {
-				r.Goto(66)
+				r.Goto(45)
 				continue
 			}
+			r.Const(5)
+			r.BindSlot(1)
+			r.Pop()
+			r.Const(2)
+			r.LoadSlot(1)
 			fallthrough
-		case 33:
-			if r.Fork(33) {
-				r.Goto(46)
+		case 38:
+			if !r.Call(1, 11, 38) {
+				if !r.Fail() {
+					return nil, false
+				}
 				continue
 			}
+			r.BindSlot(1)
+			r.Pop()
+			r.Const(4)
+			r.LoadSlot(1)
+			fallthrough
+		case 43:
+			if !r.Call(1, 12, 43) {
+				if !r.Fail() {
+					return nil, false
+				}
+				continue
+			}
+			r.Goto(64)
+			continue
+		case 45:
+			r.Const(6)
+			r.BindSlot(1)
+			r.Pop()
 			r.Const(5)
 			r.BindSlot(2)
 			r.Pop()
-			r.Const(2)
+			r.LoadSlot(1)
 			r.LoadSlot(2)
-			fallthrough
-		case 39:
-			if !r.Call(1, 11, 39) {
-				if !r.Fail() {
-					return nil, false
-				}
-				continue
-			}
-			r.BindSlot(3)
-			r.Pop()
-			r.Const(4)
-			r.LoadSlot(3)
-			fallthrough
-		case 44:
-			if !r.Call(1, 12, 44) {
-				if !r.Fail() {
-					return nil, false
-				}
-				continue
-			}
-			r.Goto(65)
-			continue
-		case 46:
-			r.Const(6)
-			r.BindSlot(4)
-			r.Pop()
-			r.Const(5)
-			r.BindSlot(5)
-			r.Pop()
-			r.LoadSlot(4)
-			r.LoadSlot(5)
 			r.Arith(8)
-			r.BindSlot(6)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(2)
-			r.LoadSlot(6)
+			r.LoadSlot(1)
 			fallthrough
-		case 59:
-			if !r.Call(1, 13, 59) {
+		case 58:
+			if !r.Call(1, 13, 58) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.BindSlot(7)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(4)
-			r.LoadSlot(7)
+			r.LoadSlot(1)
+			fallthrough
+		case 63:
+			if !r.Call(1, 14, 63) {
+				if !r.Fail() {
+					return nil, false
+				}
+				continue
+			}
 			fallthrough
 		case 64:
-			if !r.Call(1, 14, 64) {
-				if !r.Fail() {
-					return nil, false
-				}
-				continue
-			}
-			fallthrough
-		case 65:
-			r.Goto(69)
+			r.Goto(68)
 			continue
-		case 66:
+		case 65:
 			r.Const(7)
 			r.Const(8)
 			fallthrough
-		case 68:
-			if !r.Call(1, 15, 68) {
+		case 67:
+			if !r.Call(1, 15, 67) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			fallthrough
-		case 69:
-			r.StoreSlot(8)
-			r.StoreSlot(9)
-			r.StoreSlot(10)
+		case 68:
+			r.StoreSlot(3)
 			r.Cut(10)
 			r.Pop()
 			fallthrough
-		case 74:
-			if r.Mark(16, 74) {
-				r.Goto(80)
+		case 71:
+			if r.Mark(16, 71) {
+				r.Goto(77)
 				continue
 			}
-			r.LoadSlot(10)
+			r.LoadSlot(3)
 			r.ScanLeave(1, 0)
 			fallthrough
-		case 77:
-			return r.Yield(78)
-		case 78:
+		case 74:
+			return r.Yield(75)
+		case 75:
 			r.ScanResume(0, 0)
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 80:
+		case 77:
 			r.Cut(2)
 			fallthrough
-		case 81:
+		case 78:
 			r.Goto(2)
 			continue
-		case 82:
+		case 79:
 			r.ScanLeave(0, 0)
 			return r.ReturnFail()
 		default:
@@ -331,7 +328,7 @@ type proc_pairs struct{ vm.Frame }
 func machine_proc_pairs() *vm.Machine {
 	return vm.Emitted(&compile.Code{
 		Name: "pairs", Params: 1, NumAux: 16,
-		Slots:  []string{"s", "x_9", "x_10", "k", "x_11", "x_12", "x_13", "v", "x_14"},
+		Slots:  []string{"s", "x_9/x_11/x_12", "k", "v"},
 		Consts: []value.V{builtins["pos"], intLit("0"), builtins["upto"], value.NewCset("="), builtins["tab"], builtins["move"], intLit("1"), value.NewCset(";"), value.String(":")},
 		Scan:   scanHolder,
 	}, func() (core.Gen, *vm.Frame) { f := new(proc_pairs); return f, &f.Frame },
@@ -354,13 +351,13 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			fallthrough
 		case 2:
 			if r.Mark(1, 2) {
-				r.Goto(67)
+				r.Goto(63)
 				continue
 			}
 			fallthrough
 		case 3:
 			if r.Mark(3, 3) {
-				r.Goto(10)
+				r.Goto(9)
 				continue
 			}
 			r.Const(0)
@@ -374,30 +371,29 @@ func (f *proc_pairs) Next() (value.V, bool) {
 				continue
 			}
 			r.Cut(3)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 10:
+		case 9:
 			r.Cut(1)
 			fallthrough
-		case 11:
-			if r.Mark(2, 11) {
-				r.Goto(66)
+		case 10:
+			if r.Mark(2, 10) {
+				r.Goto(62)
 				continue
 			}
 			fallthrough
-		case 12:
-			if r.Mark(5, 12) {
-				r.Goto(25)
+		case 11:
+			if r.Mark(5, 11) {
+				r.Goto(23)
 				continue
 			}
 			r.Const(2)
 			r.Const(3)
 			fallthrough
-		case 15:
-			if !r.Call(1, 6, 15) {
+		case 14:
+			if !r.Call(1, 6, 14) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -408,28 +404,27 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Const(4)
 			r.LoadSlot(1)
 			fallthrough
-		case 20:
-			if !r.Call(1, 7, 20) {
+		case 19:
+			if !r.Call(1, 7, 19) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
 			r.StoreSlot(2)
-			r.StoreSlot(3)
 			r.Cut(5)
 			r.Pop()
 			fallthrough
-		case 25:
-			if r.Mark(8, 25) {
-				r.Goto(31)
+		case 23:
+			if r.Mark(8, 23) {
+				r.Goto(29)
 				continue
 			}
 			r.Const(5)
 			r.Const(6)
 			fallthrough
-		case 28:
-			if !r.Call(1, 9, 28) {
+		case 26:
+			if !r.Call(1, 9, 26) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -438,82 +433,80 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Cut(8)
 			r.Pop()
 			fallthrough
-		case 31:
-			if r.Mark(10, 31) {
-				r.Goto(48)
+		case 29:
+			if r.Mark(10, 29) {
+				r.Goto(45)
 				continue
 			}
 			fallthrough
-		case 32:
-			if r.Fork(32) {
-				r.Goto(37)
+		case 30:
+			if r.Fork(30) {
+				r.Goto(35)
 				continue
 			}
 			r.Const(2)
 			r.Const(7)
 			fallthrough
-		case 35:
-			if !r.Call(1, 11, 35) {
+		case 33:
+			if !r.Call(1, 11, 33) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.Goto(38)
+			r.Goto(36)
 			continue
-		case 37:
+		case 35:
 			r.Const(1)
 			fallthrough
-		case 38:
-			r.StoreSlot(4)
-			r.BindSlot(5)
+		case 36:
+			r.StoreSlot(1)
+			r.BindSlot(1)
 			r.Pop()
 			r.Const(4)
-			r.LoadSlot(5)
+			r.LoadSlot(1)
 			fallthrough
-		case 43:
-			if !r.Call(1, 12, 43) {
+		case 41:
+			if !r.Call(1, 12, 41) {
 				if !r.Fail() {
 					return nil, false
 				}
 				continue
 			}
-			r.StoreSlot(6)
-			r.StoreSlot(7)
+			r.StoreSlot(3)
 			r.Cut(10)
 			r.Pop()
 			fallthrough
-		case 48:
-			if r.Mark(13, 48) {
-				r.Goto(59)
+		case 45:
+			if r.Mark(13, 45) {
+				r.Goto(55)
 				continue
 			}
-			r.LoadSlot(3)
+			r.LoadSlot(2)
 			r.Const(8)
 			r.Arith(6)
-			r.StoreSlot(8)
-			r.LoadSlot(7)
+			r.LoadSlot(3)
 			r.Arith(6)
 			r.ScanLeave(1, 0)
 			fallthrough
-		case 56:
-			return r.Yield(57)
-		case 57:
+		case 52:
+			return r.Yield(53)
+		case 53:
 			r.ScanResume(0, 0)
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 59:
-			if r.Mark(14, 59) {
-				r.Goto(65)
+		case 55:
+			if r.Mark(14, 55) {
+				r.Goto(61)
 				continue
 			}
 			r.Const(5)
 			r.Const(6)
 			fallthrough
-		case 62:
-			if !r.Call(1, 15, 62) {
+		case 58:
+			if !r.Call(1, 15, 58) {
 				if !r.Fail() {
 					return nil, false
 				}
@@ -522,13 +515,13 @@ func (f *proc_pairs) Next() (value.V, bool) {
 			r.Cut(14)
 			r.Pop()
 			fallthrough
-		case 65:
+		case 61:
 			r.Cut(2)
 			fallthrough
-		case 66:
+		case 62:
 			r.Goto(2)
 			continue
-		case 67:
+		case 63:
 			r.ScanLeave(0, 0)
 			return r.ReturnFail()
 		default:

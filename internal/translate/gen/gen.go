@@ -663,7 +663,7 @@ func (f *proc_sumList) Next() (value.V, bool) {
 			fallthrough
 		case 3:
 			if r.Mark(0, 3) {
-				r.Goto(9)
+				r.Goto(8)
 				continue
 			}
 			r.LoadSlot(0)
@@ -676,15 +676,14 @@ func (f *proc_sumList) Next() (value.V, bool) {
 				continue
 			}
 			r.Aug(4, 0)
-			r.Pop()
 			if !r.Fail() {
 				return nil, false
 			}
 			continue
-		case 9:
+		case 8:
 			r.LoadSlot(1)
-			return r.Return(11)
-		case 11:
+			return r.Return(10)
+		case 10:
 			if !r.Fail() {
 				return nil, false
 			}
