@@ -212,10 +212,12 @@ func TestRandomProceduresMatchTheTreeWalk(t *testing.T) {
 	}
 }
 
-// TestAssignmentTargetsAreVariables: an assignment to a name, and |e over
-// one, produce the variable, which an outer assignment then sets, as on
-// the tree walk (the vm raised 205 or failed on these).
-func TestAssignmentTargetsAreVariables(t *testing.T) {
+// TestAssignmentsProduceTheirVariable: an assignment produces its
+// variable, as on the tree walk. An outer assignment sets it through an
+// assignment to a name, or |e over one (the vm raised 205 on these), and
+// its value is what the variable holds: &pos := 0 sets and gives the
+// position past the end (the vm gave 0).
+func TestAssignmentsProduceTheirVariable(t *testing.T) {
 	const src = `def f() { A := 0; (A := 1) := 5; return A; }
 def g() { A := 0; B := 1; (A :=: B) := 5; return [A, B]; }`
 	for _, d := range []string{
@@ -224,6 +226,8 @@ def g() { A := 0; B := 1; (A :=: B) := 5; return [A, B]; }`
 		"{ A := 0; (A <- 1) := 5; A }",
 		`"0=" ? { (A := tab(upto("0"))) := "" }`,
 		"(|A := 1) \\ 3",
+		`"0=0" ? (&pos := 0)`, `"0=0" ? (&pos <- 0)`, `"0=0" ? (&pos +:= -1)`,
+		`"0=0" ? (1 % (&pos <- 0))`, `"abc" ? { x := -1; (&pos :=: x) & [x, &pos] }`,
 	} {
 		walk, vm := evalTrace(t, src, d, false), evalTrace(t, src, d, true)
 		if walk != vm {

@@ -97,7 +97,7 @@ func (f *Frame) RevAssign(t, b, pc int32) bool {
 	a.v0 = f.load(p)
 	f.store(p, v)
 	f.cp = append(f.cp, choice{pc: pc, sp: int32(len(f.st))})
-	f.push(v)
+	f.push(f.load(p))
 	return true
 }
 
@@ -125,7 +125,7 @@ func (f *Frame) Swap(l, b, r, pc int32, undo bool) bool {
 		a.v0, a.args = lv, append(a.args, rv)
 		f.cp = append(f.cp, choice{pc: pc, sp: int32(len(f.st))})
 	}
-	f.push(rv)
+	f.push(f.load(lp))
 	return true
 }
 

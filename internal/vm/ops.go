@@ -366,7 +366,7 @@ func (f *Frame) StoreVar() {
 	v := value.Deref(f.pop())
 	t := mustVar(f.pop())
 	t.Set(v)
-	f.push(v)
+	f.push(t.Get()) // what the variable holds: &pos := 0 sets a position
 }
 
 // Aug replaces the top v — and below it the variable of a reference
@@ -392,7 +392,7 @@ func (f *Frame) Aug(t, op int32) {
 		r = compile.ArithFns[op](cur, v.val())
 	}
 	f.store(p, r)
-	f.push(r)
+	f.push(f.load(p))
 }
 
 // CmpAug is Aug for a conditional operator, failing when it does.
@@ -413,7 +413,7 @@ func (f *Frame) CmpAug(t, op int32) bool {
 		return false
 	}
 	f.store(p, r)
-	f.push(r)
+	f.push(f.load(p))
 	return true
 }
 
