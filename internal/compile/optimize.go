@@ -70,10 +70,7 @@ func optimize(code *Code) {
 	// entered counts, per pc, the edges into it other than falling
 	// through. A jump to the very next pc is dead from the start (rule 4),
 	// so rule 1 sees through it.
-	// One block of int32 scratch holds entered, uses, orig and pos.
-	block := make([]int32, 3*(n+1)+code.NumAux)
-	entered, uses := block[:n+1:n+1], block[n+1:n+1+code.NumAux]
-	orig, pos := block[n+1+code.NumAux:][:0:n], block[2*(n+1)+code.NumAux:]
+	entered := make([]int32, n+1)
 	dead := make([]bool, n)
 	for pc, in := range ins {
 		switch to, ok := in.Enters(pc); {
@@ -83,6 +80,7 @@ func optimize(code *Code) {
 			entered[to]++
 		}
 	}
+	uses := make([]int32, code.NumAux)
 	countAux(ins, uses)
 
 	// Rule 1. open holds the candidate marks whose cut is still ahead,
@@ -140,6 +138,8 @@ func optimize(code *Code) {
 	// moves there with them: to the pc that follows it in out, or else to
 	// the next pc still to come.
 	out := ins[:0]
+	orig := make([]int32, 0, n)
+	pos := make([]int32, n+1)
 	boxed := func(slot int32) bool { return code.Boxes != nil && code.Boxes[slot] }
 	hand := func(from, to int32) { entered[to] += entered[from]; entered[from] = 0 }
 	for pc := 0; pc < n; pc++ {

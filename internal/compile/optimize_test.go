@@ -158,6 +158,13 @@ func TestPassRulesAtTheirEdges(t *testing.T) {
 		// dereference redundant.
 		{"dead-store-derefs", `def f(L) { return [x := L[1], L[1] := 9]; }`,
 			[]string{"f([4])"}, compile.OpStoreSlot, 1, 0},
+		// A dead store to a temporary over the value an arith pushed
+		// (never a variable) goes even though the const after it leaves
+		// the top alone: there is nothing to dereference. Only the
+		// previous instruction tells: without it the product's and the
+		// remainder's stores stay, beside c := 0's.
+		{"dead-store-plain", `def f(n) { c := 0; every ((1 to n) * (1 to n)) % 7 == 0 do c +:= 1; return c; }`,
+			[]string{"f(8)", "f(0)"}, compile.OpStoreSlot, 1, 4},
 		// A pop that only a fail follows goes: the loop body's s +:= i
 		// leaves its value to the fail, and only the first statement's pop
 		// stays.
