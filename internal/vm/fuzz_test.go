@@ -79,9 +79,12 @@ func FuzzCompiledSemantics(f *testing.F) {
 		if len(expr) > 512 {
 			t.Skip("oversized input")
 		}
-		ref, err := referenceLane(expr)
+		ref, skip, err := referenceLane(expr)
 		if err != nil {
-			t.Skip(err)
+			t.Fatalf("the reference lane crashed on %q: %v", expr, err)
+		}
+		if skip != "" {
+			t.Skip(skip)
 		}
 		rand.Seed(fuzzRandSeed)
 		got, err := semtest.Sequential(fuzzCase(expr), interp.WithVM())
@@ -149,27 +152,29 @@ func TestMain(m *testing.M) {
 
 // referenceLane runs expr on the tree walk in a process of its own, killed
 // after referenceBound, so a search that never ends leaves nothing behind.
-// It errs when the input was rejected or gave no result within the bound.
-func referenceLane(expr string) (semtest.Result, error) {
+// skip says why there is nothing to compare: the input was rejected, or
+// gave no result within the bound. err is a crash: a panic the tree walk
+// does not turn into a runtime error.
+func referenceLane(expr string) (ref semtest.Result, skip string, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), referenceBound)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, os.Args[0], referenceArg)
 	cmd.Stdin = strings.NewReader(expr)
 	out, err := cmd.Output()
 	if ctx.Err() != nil {
-		return semtest.Result{}, fmt.Errorf("no result from the reference lane within %v", referenceBound)
+		return ref, fmt.Sprintf("no result from the reference lane within %v", referenceBound), nil
+	}
+	if exit, ok := err.(*exec.ExitError); ok {
+		return ref, "", fmt.Errorf("%v\n%s", err, exit.Stderr)
 	}
 	var o referenceOutcome
 	if err == nil {
 		err = json.Unmarshal(out, &o)
 	}
-	switch {
-	case err != nil:
-		return semtest.Result{}, fmt.Errorf("reference lane: %v", err)
-	case o.Rejected != "":
-		return semtest.Result{}, fmt.Errorf("rejected by the reference lane: %s", o.Rejected)
+	if o.Rejected != "" {
+		return ref, "rejected by the reference lane: " + o.Rejected, nil
 	}
-	return o.Ref, nil
+	return o.Ref, "", err
 }
 
 // holds reads expr's code, nested bodies included: raises holds the error
